@@ -55,6 +55,9 @@ bash scripts/trace_smoke.sh target/release/ftcg
 echo "==> bench observatory smoke (record, migrate, deterministic gate exits)"
 bash scripts/bench_smoke.sh target/release/ftcg
 
+echo "==> benchmark of record: build + --quick (blocking)"
+bash scripts/benchmark_smoke.sh
+
 echo "==> advisory bench regression gate (vs the checked-in baseline)"
 if [ -f BENCH_2026-08-08.json ]; then
     target/release/ftcg bench --suite quick --runs 2 \

@@ -100,6 +100,12 @@ impl SnapshotSlot {
     pub fn saves(&self) -> usize {
         self.saves
     }
+
+    /// Matrix words both buffers keep reserved (capacity, not length) —
+    /// the slot's share of a workspace's retained memory.
+    pub fn retained_matrix_words(&self) -> usize {
+        self.bufs.iter().map(|b| b.matrix.capacity_words()).sum()
+    }
 }
 
 impl CheckpointStore for SnapshotSlot {
@@ -167,6 +173,24 @@ mod tests {
         assert_eq!(slot.latest().unwrap(), &state(1, 1.0));
         slot.commit();
         assert_eq!(slot.latest().unwrap(), &state(9, 9.0));
+    }
+
+    #[test]
+    fn buffers_are_retained_at_the_largest_matrix_saved() {
+        let mut slot = SnapshotSlot::new();
+        assert_eq!(slot.retained_matrix_words(), 2); // two empty rowptrs
+        let big = state(1, 1.0);
+        slot.save(&big);
+        slot.save(&big);
+        let words = 2 * big.matrix.memory_words();
+        assert_eq!(slot.retained_matrix_words(), words);
+        // Smaller states reuse both buffers in place.
+        let a = gen::tridiagonal(3, 4.0, -1.0).unwrap();
+        let small = SolverState::capture(2, &[0.0; 3], &[0.0; 3], &[0.0; 3], 0.0, &a);
+        slot.save(&small);
+        slot.save(&small);
+        assert_eq!(slot.latest().unwrap(), &small);
+        assert_eq!(slot.retained_matrix_words(), words);
     }
 
     #[test]

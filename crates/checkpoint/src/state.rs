@@ -70,6 +70,22 @@ impl SolverState {
         rnorm_sq: f64,
         matrix: &CsrMatrix,
     ) {
+        self.store_vectors(iteration, x, r, p, rnorm_sq);
+        self.matrix.assign_from(matrix);
+    }
+
+    /// [`SolverState::store`] without the matrix, which is left as it
+    /// is: for a state whose matrix lives elsewhere — the executor's
+    /// first-frame target is the caller's own pristine input, so it
+    /// retains the start vectors only.
+    pub fn store_vectors(
+        &mut self,
+        iteration: usize,
+        x: &[f64],
+        r: &[f64],
+        p: &[f64],
+        rnorm_sq: f64,
+    ) {
         self.iteration = iteration;
         self.x.clear();
         self.x.extend_from_slice(x);
@@ -78,7 +94,6 @@ impl SolverState {
         self.p.clear();
         self.p.extend_from_slice(p);
         self.rnorm_sq = rnorm_sq;
-        self.matrix.assign_from(matrix);
     }
 
     /// `clone_from` that reuses this buffer's allocations (see
@@ -141,6 +156,27 @@ mod tests {
         assert_eq!(
             retained,
             SolverState::capture(9, &[0.0; 5], &[1.0; 5], &[2.0; 5], 5.0, &b)
+        );
+    }
+
+    #[test]
+    fn store_vectors_leaves_the_matrix_alone() {
+        let a = gen::tridiagonal(5, 4.0, -1.0).unwrap();
+        let mut st = SolverState::empty();
+        st.store_vectors(2, &[1.0; 5], &[2.0; 5], &[3.0; 5], 20.0);
+        assert_eq!((st.iteration, st.n(), st.rnorm_sq), (2, 5, 20.0));
+        assert_eq!(st.matrix, SolverState::empty().matrix);
+        assert_eq!(
+            st.size_words(),
+            15 + 1 + 2,
+            "no matrix words beyond the empty rowptr"
+        );
+        // Over a full state only the vectors change.
+        st.store(0, &[0.0; 5], &[0.0; 5], &[0.0; 5], 0.0, &a);
+        st.store_vectors(7, &[9.0; 5], &[8.0; 5], &[7.0; 5], 1.0);
+        assert_eq!(
+            st,
+            SolverState::capture(7, &[9.0; 5], &[8.0; 5], &[7.0; 5], 1.0, &a)
         );
     }
 

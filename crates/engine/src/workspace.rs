@@ -9,6 +9,13 @@
 //! dominant per-job heap traffic (most prominently the full-matrix
 //! clone every repetition used to pay).
 //!
+//! What a worker retains follows the *largest* matrix it has solved,
+//! not the number of distinct ones: three matrix images (the live
+//! image and the two checkpoint buffers) plus O(n) vectors, every
+//! buffer shared by all job shapes at its high-water capacity (see
+//! "Retention and scope" in [`ftcg_solvers::workspace`]). A campaign's
+//! memory is therefore its matrices plus `threads ×` that.
+//!
 //! Reuse is *observable only through throughput*: workspace checkout
 //! resets every buffer bit-identically to fresh allocation, so
 //! campaign artifacts are byte-identical whichever worker (and

@@ -77,14 +77,18 @@ impl MeasuredCosts {
 }
 
 fn time_it<F: FnMut()>(reps: usize, mut f: F) -> f64 {
-    // One warmup, then median-ish: mean over reps (cheap and stable
-    // enough for cost *ratios*).
+    // One warm-up, then the fastest of `reps` individually timed calls:
+    // the kernels are deterministic and interference (a preemption, a
+    // cache eviction) only ever adds time, so the minimum is the
+    // undisturbed cost. A mean lets one preempted call skew a ratio.
     f();
-    let start = Instant::now();
-    for _ in 0..reps {
+    let mut best = f64::INFINITY;
+    for _ in 0..reps.max(1) {
+        let start = Instant::now();
         f();
+        best = best.min(start.elapsed().as_secs_f64());
     }
-    start.elapsed().as_secs_f64() / reps as f64
+    best
 }
 
 /// Measures all costs on the given matrix. `reps` controls timing

@@ -1,0 +1,56 @@
+//! The workspace's memory bound on the paper's own test set: one worker
+//! cycling the nine Table 1 matrices under all three schemes retains
+//! three images of the *largest* matrix — the live image and the two
+//! checkpoint buffers — not a set of images per matrix.
+
+use ftcg_model::Scheme;
+use ftcg_sim::matrices::PAPER_MATRICES;
+use ftcg_solvers::resilient::{solve_resilient_in, ResilientConfig};
+use ftcg_solvers::SolverWorkspace;
+
+#[test]
+fn nine_matrices_retain_three_high_water_images() {
+    let systems: Vec<_> = PAPER_MATRICES
+        .iter()
+        .map(|spec| {
+            let a = spec.generate(16);
+            let b = spec.rhs(a.n_rows());
+            (a, b)
+        })
+        .collect();
+    let mut ws = SolverWorkspace::new();
+    for (a, b) in &systems {
+        for scheme in [
+            Scheme::OnlineDetection,
+            Scheme::AbftDetection,
+            Scheme::AbftCorrection,
+        ] {
+            let mut cfg = ResilientConfig::new(scheme, 4);
+            cfg.max_productive_iters = 30; // several checkpoints: both slot buffers sized
+            let out = solve_resilient_in(a, b, &cfg, None, &mut ws);
+            assert!(out.checkpoints >= 2, "{scheme:?}: {}", out.checkpoints);
+        }
+    }
+
+    // Each array of a buffer sits at the longest it has had to hold, and
+    // the longest row pointer and the longest value array belong to
+    // different matrices of the set.
+    let words = |f: fn(&ftcg_sparse::CsrMatrix) -> usize| systems.iter().map(|(a, _)| f(a)).max();
+    let high_water = 8 * (words(|a| a.n_rows() + 1).unwrap() + 2 * words(|a| a.nnz()).unwrap());
+    let largest = 8 * words(|a| a.memory_words()).unwrap();
+    let sum: usize = systems.iter().map(|(a, _)| 8 * a.memory_words()).sum();
+
+    let retained = ws.retained_image_bytes();
+    assert!(
+        retained >= 3 * largest,
+        "the largest matrix needs its three images: {retained} < 3 × {largest}"
+    );
+    assert!(
+        retained <= 3 * high_water + 8,
+        "retained {retained} B exceeds three high-water images (3 × {high_water} B)"
+    );
+    assert!(
+        retained < sum,
+        "retained {retained} B is not below one image of each matrix ({sum} B)"
+    );
+}

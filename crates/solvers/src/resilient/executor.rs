@@ -32,16 +32,20 @@
 //!
 //! The executor owns **no** solve-scoped heap state: the solver machine,
 //! the corruptible matrix image and the retained buffers (checkpoint
-//! slot, pristine initial state, TMR shadows, trusted input copies, the
+//! slot, start vectors, TMR shadows, trusted input copies, the
 //! deferred-fault list) all come from the caller's
-//! [`SolverWorkspace`](crate::SolverWorkspace) arena. Checkpoints are
-//! [`IterativeSolver::snapshot_into`] a double-buffered
-//! [`SnapshotSlot`](ftcg_checkpoint::SnapshotSlot); rollback restores
-//! the matrix image in place with [`CsrMatrix::copy_image_from`]
-//! (fault injection flips bits, it never changes array lengths). A
-//! steady-state iteration — no checkpoint, no rollback, no fault —
-//! performs zero heap allocations (pinned by the counting-allocator
-//! gate in `tests/alloc_gate.rs`).
+//! [`SolverWorkspace`](crate::SolverWorkspace). A solve keeps
+//! three matrix images beside the caller's pristine `a0`: the live one
+//! and the two buffers of the
+//! [`SnapshotSlot`](ftcg_checkpoint::SnapshotSlot) that checkpoints are
+//! [`IterativeSolver::snapshot_into`]. `a0` itself is the first-frame
+//! target — the prologue snapshots it straight into the slot and
+//! escalation restores from it, so no private copy of the input exists.
+//! Rollback restores the matrix image in place with
+//! [`CsrMatrix::copy_image_from`] (fault injection flips bits, it never
+//! changes array lengths). A steady-state iteration — no checkpoint, no
+//! rollback, no fault — performs zero heap allocations (pinned by the
+//! counting-allocator gate in `tests/alloc_gate.rs`).
 
 use ftcg_abft::XRef;
 use ftcg_fault::ledger::{FaultLedger, FaultOutcome};
@@ -307,10 +311,16 @@ impl<'a, V: VerificationScheme, R: Recorder> ExecutorMachine<'a, V, R> {
             arena.x_tmr.store(solver.vector(CanonVec::Iterate));
         }
 
-        // The pristine input data ("for the first frame we recover by
-        // reading initial data again") and the rolling checkpoint slot.
-        solver.snapshot_into(0, a0, &mut arena.initial);
-        arena.slot.save(&arena.initial);
+        // The rolling checkpoint slot starts from the pristine input,
+        // snapshotted straight from `a0`. "For the first frame we
+        // recover by reading initial data again": that data is `a0`
+        // plus the start vectors kept here.
+        let first = arena.slot.begin_save();
+        solver.snapshot_into(0, a0, first);
+        arena
+            .initial
+            .store_vectors(0, &first.x, &first.r, &first.p, first.rnorm_sq);
+        arena.slot.commit();
 
         if hardened {
             arena.xref.store(solver.vector(CanonVec::Direction));
@@ -622,7 +632,16 @@ impl<'a, V: VerificationScheme, R: Recorder> ExecutorMachine<'a, V, R> {
             // The escape target's structure is the pristine one,
             // not the (possibly sub-tolerance-corrupted) structure
             // the discarded checkpoint shared with the live image.
-            self.arena.slot.save(&self.arena.initial);
+            let init = &self.arena.initial;
+            self.arena.slot.begin_save().store(
+                init.iteration,
+                &init.x,
+                &init.r,
+                &init.p,
+                init.rnorm_sq,
+                self.a0,
+            );
+            self.arena.slot.commit();
             self.structure_dirty = true;
             self.checkpoint_clean = true; // snapshots the pristine a0
             self.fuse_banned = true; // escalated: out of the batch

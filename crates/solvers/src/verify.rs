@@ -12,7 +12,6 @@
 //! below them (no false positives), while bit flips that matter push
 //! them far above (tested below and in `ftcg-sim`).
 
-use ftcg_abft::spmv::spmv_defensive;
 use ftcg_sparse::{vector, CsrMatrix};
 
 /// Thresholds for the two stability tests.
@@ -46,15 +45,22 @@ pub struct OnlineVerdict {
 
 /// The shared residual test: recomputes `b − A·x` defensively and
 /// returns the scaled drift against the recursive residual `r` (the
-/// dominant `Tverif` cost in both verification variants).
+/// dominant `Tverif` cost in both verification variants). The product
+/// is consumed a band of rows at a time from a stack buffer, so a chunk
+/// verification allocates nothing; per element and in order these are
+/// the operations of `max_abs_diff(b − A·x, r)`.
 fn residual_drift(a: &CsrMatrix, b: &[f64], x: &[f64], r: &[f64], norm1_a: f64) -> f64 {
     let n = a.n_rows();
-    let mut true_r = vec![0.0; n];
-    spmv_defensive(a, x, &mut true_r);
-    for i in 0..n {
-        true_r[i] = b[i] - true_r[i];
+    let mut band = [0.0_f64; 64];
+    let mut drift = 0.0_f64;
+    for start in (0..n).step_by(band.len()) {
+        let end = n.min(start + band.len());
+        let ax = &mut band[..end - start];
+        a.row_band_product_clamped(start..end, x, ax);
+        for (i, axi) in (start..end).zip(ax.iter()) {
+            drift = drift.max(((b[i] - axi) - r[i]).abs());
+        }
     }
-    let drift = vector::max_abs_diff(&true_r, r);
     let scale = norm1_a * vector::norm_inf(x) + vector::norm_inf(b);
     if scale > 0.0 {
         drift / scale
@@ -317,6 +323,42 @@ mod tests {
             &OnlineTolerances::default(),
         );
         assert!(v.detected);
+    }
+
+    #[test]
+    fn banded_residual_drift_matches_the_full_vector_formulation() {
+        // Reference: the whole product into a vector, then the sweeps.
+        let reference = |a: &CsrMatrix, b: &[f64], x: &[f64], r: &[f64], norm1_a: f64| {
+            let mut true_r = vec![0.0; a.n_rows()];
+            a.spmv_clamped_into(x, &mut true_r);
+            for i in 0..true_r.len() {
+                true_r[i] = b[i] - true_r[i];
+            }
+            let drift = vector::max_abs_diff(&true_r, r);
+            let scale = norm1_a * vector::norm_inf(x) + vector::norm_inf(b);
+            if scale > 0.0 {
+                drift / scale
+            } else {
+                drift
+            }
+        };
+        // Orders around the band length, clean and corrupted images.
+        for n in [1usize, 63, 64, 65, 150, 256] {
+            let a = gen::random_spd(n, (8.0 / n as f64).min(0.5), n as u64).unwrap();
+            let b: Vec<f64> = (0..n).map(|i| 1.0 + (i as f64 * 0.3).sin()).collect();
+            let (x, r, _, _) = clean_cg_state(&a, &b, 4);
+            let mut wild = a.clone();
+            wild.colid_mut()[0] = usize::MAX;
+            let last = wild.rowptr().len() - 1;
+            wild.rowptr_mut()[last / 2] = usize::MAX;
+            let mut nan = a.clone();
+            nan.val_mut()[n / 2] = f64::NAN;
+            for m in [&a, &wild, &nan] {
+                let got = residual_drift(m, &b, &x, &r, a.norm1());
+                let want = reference(m, &b, &x, &r, a.norm1());
+                assert_eq!(got.to_bits(), want.to_bits(), "n {n}: {got} vs {want}");
+            }
+        }
     }
 
     #[test]

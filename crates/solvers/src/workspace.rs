@@ -2,20 +2,21 @@
 //!
 //! A Monte-Carlo campaign executes the *same shapes* of work thousands
 //! of times: one solver machine per (solver, n), one corruptible matrix
-//! image per (n, nnz), one checkpoint slot, one TMR shadow pair, one
-//! trusted input copy. Allocating those per repetition is pure
-//! allocator traffic on the hot path; a `SolverWorkspace` retains them
-//! across repetitions and re-initializes them in place:
+//! image, one checkpoint slot, one TMR shadow pair, one trusted input
+//! copy. Allocating those per repetition is pure allocator traffic on
+//! the hot path; a `SolverWorkspace` retains them across repetitions
+//! and re-initializes them in place:
 //!
 //! * solver machines are cached per `(SolverKind, n)` and reset through
 //!   [`IterativeSolver::reset_zero`] — bit-identical to a fresh
 //!   [`SolverKind::start_zero`];
-//! * corruptible matrix images come from a per-`(n, nnz)`
-//!   [`CsrImagePool`], restored by `copy_from_slice` instead of cloned;
+//! * the one corruptible matrix image is reshaped to the caller's
+//!   matrix by [`CsrMatrix::assign_from`] — a copy into warm memory,
+//!   not a clone;
 //! * checkpoints live in a double-buffered
-//!   [`SnapshotSlot`](ftcg_checkpoint::SnapshotSlot), the pristine
-//!   initial state in a retained [`SolverState`], the ABFT shadows in
-//!   retained [`TmrVector`]s and [`XRef`]s.
+//!   [`SnapshotSlot`](ftcg_checkpoint::SnapshotSlot), the start vectors
+//!   in a retained [`SolverState`], the ABFT shadows in retained
+//!   [`TmrVector`]s and [`XRef`]s.
 //!
 //! ## Reuse contract (why bit-exactness holds)
 //!
@@ -33,34 +34,39 @@
 //!
 //! ## Retention and scope
 //!
-//! Buffers are retained for the workspace's lifetime with no eviction:
-//! peak memory grows with the number of *distinct shape classes* the
-//! worker sees (a campaign grid holds a handful — the Table 1 suite has
-//! nine), roughly four matrix images per `(n, nnz)` class (the pooled
-//! image, the initial state and the two checkpoint buffers). Drop the
-//! workspace — or scope one per campaign, as the engine pool does — to
-//! release everything. One reuse boundary is deliberate: non-CSR kernel
-//! backends (`bcsr`, `sell`) still re-materialize their converted
-//! format defensively from the live image inside each solve, because a
-//! conversion cached across repetitions could be stale with respect to
-//! injected matrix faults; pooling those conversion buffers would need
-//! `convert_into`-style APIs on the formats and is future work.
+//! Every buffer is shared by all the shapes the worker solves and kept
+//! at its high-water capacity, so retained memory follows the *largest*
+//! matrix seen, not the number of distinct ones: **three matrix images**
+//! (the live image and the two checkpoint buffers — the paper's single
+//! live checkpoint, double-buffered) **plus O(n) vectors** (the arena's
+//! and one machine per `(solver, n)`). The first-frame recovery target
+//! is the caller's own immutable `a0`, so no fourth image exists;
+//! buffers grow to exactly the size asked for
+//! ([`SolverWorkspace::retained_image_bytes`] reports the total). Drop
+//! the workspace — or scope one per campaign, as the engine pool does —
+//! to release everything. One reuse boundary is deliberate: non-CSR
+//! kernel backends (`bcsr`, `sell`) still re-materialize their
+//! converted format defensively from the live image inside each solve,
+//! because a conversion cached across repetitions could be stale with
+//! respect to injected matrix faults; pooling those conversion buffers
+//! would need `convert_into`-style APIs on the formats and is future
+//! work.
 
 use ftcg_abft::tmr::TmrVector;
 use ftcg_abft::XRef;
 use ftcg_checkpoint::{SnapshotSlot, SolverState};
 use ftcg_fault::FaultEvent;
-use ftcg_sparse::{CsrImagePool, CsrMatrix};
+use ftcg_sparse::CsrMatrix;
 
 use crate::machine::{IterativeSolver, SolverKind};
 
-/// Retained executor-side buffers for one `(n, nnz)` shape class: the
-/// pristine initial state, the rolling checkpoint slot, the trusted
-/// input copies and the TMR shadows.
+/// Retained executor-side buffers: the start vectors, the rolling
+/// checkpoint slot, the trusted input copies and the TMR shadows.
 #[derive(Debug)]
 pub(crate) struct ExecArena {
-    /// Pristine initial state (the paper's "read initial data again"
-    /// escalation target).
+    /// Start vectors of the current solve. With the caller's pristine
+    /// `a0` they are the paper's "read initial data again" escalation
+    /// target; the matrix field stays empty.
     pub(crate) initial: SolverState,
     /// Rolling verified checkpoint (double-buffered, allocation-free).
     pub(crate) slot: SnapshotSlot,
@@ -77,29 +83,20 @@ pub(crate) struct ExecArena {
     pub(crate) q_faults: Vec<FaultEvent>,
 }
 
-impl ExecArena {
-    fn new() -> Self {
-        ExecArena {
-            initial: SolverState::empty(),
-            slot: SnapshotSlot::new(),
-            xref: XRef::empty(),
-            xref_scratch: XRef::empty(),
-            r_tmr: TmrVector::zeros(0),
-            x_tmr: TmrVector::zeros(0),
-            q_faults: Vec::new(),
-        }
-    }
-}
-
 /// Reusable per-worker solve memory (see the module docs). Create one
 /// per worker thread and pass it to
 /// [`solve_resilient_in`](crate::resilient::solve_resilient_in) for
 /// every repetition it executes.
-#[derive(Default)]
 pub struct SolverWorkspace {
     machines: Vec<((SolverKind, usize), Box<dyn IterativeSolver>)>,
-    images: CsrImagePool,
-    arenas: Vec<((usize, usize), ExecArena)>,
+    image: CsrMatrix,
+    arena: ExecArena,
+}
+
+impl Default for SolverWorkspace {
+    fn default() -> Self {
+        Self::new()
+    }
 }
 
 impl std::fmt::Debug for SolverWorkspace {
@@ -113,16 +110,27 @@ impl std::fmt::Debug for SolverWorkspace {
                     .map(|((k, n), _)| (*k, *n))
                     .collect::<Vec<_>>(),
             )
-            .field("pooled_images", &self.images.len())
-            .field("arenas", &self.arenas.len())
+            .field("retained_image_bytes", &self.retained_image_bytes())
             .finish()
     }
 }
 
 impl SolverWorkspace {
-    /// An empty workspace; buffers are retained as shapes are seen.
+    /// An empty workspace; buffers grow as larger shapes are seen.
     pub fn new() -> Self {
-        Self::default()
+        SolverWorkspace {
+            machines: Vec::new(),
+            image: CsrMatrix::identity(0),
+            arena: ExecArena {
+                initial: SolverState::empty(),
+                slot: SnapshotSlot::new(),
+                xref: XRef::empty(),
+                xref_scratch: XRef::empty(),
+                r_tmr: TmrVector::zeros(0),
+                x_tmr: TmrVector::zeros(0),
+                q_faults: Vec::new(),
+            },
+        }
     }
 
     /// Number of retained solver machines (distinct `(solver, n)`).
@@ -130,16 +138,20 @@ impl SolverWorkspace {
         self.machines.len()
     }
 
-    /// Number of pooled matrix-image shape classes (distinct `(n, nnz)`).
-    pub fn pooled_images(&self) -> usize {
-        self.images.len()
+    /// Bytes of matrix storage kept reserved between solves: the live
+    /// image plus the checkpoint slot's two buffers, each at the
+    /// capacity of the largest matrix it has held.
+    pub fn retained_image_bytes(&self) -> usize {
+        let words = self.image.capacity_words()
+            + self.arena.initial.matrix.capacity_words()
+            + self.arena.slot.retained_matrix_words();
+        words * std::mem::size_of::<f64>()
     }
 
     /// Checks out everything one resilient solve needs: a machine reset
     /// to the zero-start state over `(a0, b)` (bit-identical to a fresh
-    /// [`SolverKind::start_zero`]), a corruptible image holding a
-    /// bit-exact copy of `a0`, and the retained executor arena for this
-    /// shape class.
+    /// [`SolverKind::start_zero`]), the corruptible image holding a
+    /// bit-exact copy of `a0`, and the retained executor arena.
     pub(crate) fn checkout(
         &mut self,
         kind: SolverKind,
@@ -157,18 +169,11 @@ impl SolverWorkspace {
                 self.machines.len() - 1
             }
         };
-        let akey = (a0.n_rows(), a0.nnz());
-        let ai = match self.arenas.iter().position(|(k, _)| *k == akey) {
-            Some(i) => i,
-            None => {
-                self.arenas.push((akey, ExecArena::new()));
-                self.arenas.len() - 1
-            }
-        };
+        self.image.assign_from(a0);
         (
             self.machines[mi].1.as_mut(),
-            self.images.checkout(a0),
-            &mut self.arenas[ai].1,
+            &mut self.image,
+            &mut self.arena,
         )
     }
 }
@@ -267,7 +272,9 @@ mod tests {
             assert_eq!(*image, a);
         }
         assert_eq!(ws.retained_machines(), 4);
-        assert_eq!(ws.pooled_images(), 1);
+        // Only the live image has been sized: no solve ran, so the slot
+        // and the initial state still hold their empty row pointers.
+        assert_eq!(ws.retained_image_bytes(), 8 * (a.memory_words() + 3));
     }
 
     #[test]
@@ -282,6 +289,104 @@ mod tests {
         ws.checkout(SolverKind::Cg, &a2, &b2);
         ws.checkout(SolverKind::Pcg, &a1, &b1);
         assert_eq!(ws.retained_machines(), 3); // (cg,20), (cg,30), (pcg,20)
-        assert_eq!(ws.pooled_images(), 2); // two (n, nnz) classes
+
+        // Both shapes share the one image, sized for the larger.
+        assert_eq!(ws.retained_image_bytes(), 8 * (a2.memory_words() + 3));
+    }
+
+    #[test]
+    fn checkout_copies_the_image_bit_exactly() {
+        let a = gen::random_spd(40, 0.08, 3).unwrap();
+        let b = vec![1.0; 40];
+        let mut ws = SolverWorkspace::new();
+        let (_, image, _) = ws.checkout(SolverKind::Cg, &a, &b);
+        assert_eq!(*image, a);
+    }
+
+    #[test]
+    fn same_shape_reuses_the_image_buffer() {
+        let a = gen::tridiagonal(30, 4.0, -1.0).unwrap();
+        let b = vec![1.0; 30];
+        let mut ws = SolverWorkspace::new();
+        let p0 = ws.checkout(SolverKind::Cg, &a, &b).1.val().as_ptr();
+        // Corrupt the image, then check out again: healed, same buffer.
+        ws.checkout(SolverKind::Cg, &a, &b).1.val_mut()[0] = f64::NAN;
+        let (_, image, _) = ws.checkout(SolverKind::Cg, &a, &b);
+        assert_eq!(image.val().as_ptr(), p0);
+        assert_eq!(*image, a);
+    }
+
+    #[test]
+    fn distinct_shapes_share_one_image_at_the_high_water_mark() {
+        let small = gen::tridiagonal(20, 4.0, -1.0).unwrap();
+        let large = gen::tridiagonal(25, 4.0, -1.0).unwrap();
+        let (bs, bl) = (vec![1.0; 20], vec![1.0; 25]);
+        let mut ws = SolverWorkspace::new();
+        ws.checkout(SolverKind::Cg, &large, &bl);
+        let bytes = ws.retained_image_bytes();
+        let p0 = ws.checkout(SolverKind::Cg, &large, &bl).1.val().as_ptr();
+        for _ in 0..2 {
+            let (_, image, _) = ws.checkout(SolverKind::Cg, &small, &bs);
+            assert_eq!(*image, small);
+            assert_eq!(
+                image.val().as_ptr(),
+                p0,
+                "the smaller shape reuses the buffer"
+            );
+            assert_eq!(*ws.checkout(SolverKind::Cg, &large, &bl).1, large);
+        }
+        assert_eq!(
+            ws.retained_image_bytes(),
+            bytes,
+            "no growth past the largest shape"
+        );
+    }
+
+    #[test]
+    fn same_shape_different_pattern_still_copies_exactly() {
+        // Equal (n, nnz), different sparsity patterns: the checkout must
+        // copy the whole image (pattern included), never just the values.
+        let a = CsrMatrix::new(
+            3,
+            3,
+            vec![0, 2, 3, 4],
+            vec![0, 1, 1, 2],
+            vec![4.0, 1.0, 3.0, 2.0],
+        )
+        .unwrap();
+        let b = CsrMatrix::new(
+            3,
+            3,
+            vec![0, 1, 3, 4],
+            vec![0, 0, 1, 2],
+            vec![7.0, 5.0, 6.0, 9.0],
+        )
+        .unwrap();
+        assert_eq!(a.nnz(), b.nnz());
+        assert_ne!(a.colid(), b.colid());
+        let rhs = vec![1.0; 3];
+        let mut ws = SolverWorkspace::new();
+        ws.checkout(SolverKind::Cg, &a, &rhs);
+        assert_eq!(*ws.checkout(SolverKind::Cg, &b, &rhs).1, b);
+    }
+
+    #[test]
+    fn initial_state_holds_no_matrix_words() {
+        use crate::resilient::{solve_resilient_in, ResilientConfig};
+        let a = gen::random_spd(60, 0.1, 5).unwrap();
+        let b: Vec<f64> = (0..60).map(|i| 1.0 + (i as f64 * 0.3).sin()).collect();
+        let mut ws = SolverWorkspace::new();
+        let cfg = ResilientConfig::new(ftcg_model::Scheme::AbftCorrection, 3);
+        let out = solve_resilient_in(&a, &b, &cfg, None, &mut ws);
+        assert!(out.converged && out.checkpoints > 0);
+        // The first-frame target is `a0` itself: the arena keeps the
+        // start vectors and an empty matrix.
+        let initial = &ws.arena.initial;
+        assert_eq!((initial.n(), initial.iteration), (60, 0));
+        assert_eq!(initial.r, b);
+        assert_eq!(initial.matrix.capacity_words(), 1);
+        assert_eq!(initial.size_words(), 3 * 60 + 1 + 2);
+        // Live image + both checkpoint buffers, nothing else.
+        assert_eq!(ws.retained_image_bytes(), 8 * (3 * a.memory_words() + 1));
     }
 }

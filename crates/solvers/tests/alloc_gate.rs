@@ -31,7 +31,15 @@
 //!    consumes it) is allocation-free at steady state for both ABFT
 //!    schemes — claim 2 pins the detection scheme, and a correction
 //!    (`ProtectedSpmv::verify_probed`) solve must likewise show an
-//!    iteration-count-invariant allocation count on a warm workspace.
+//!    iteration-count-invariant allocation count on a warm workspace;
+//! 7. a steady-state ONLINE-DETECTION chunk — `d` unverified iterations
+//!    and Chen's stability tests, whose recomputed residual is consumed
+//!    band by band from a stack buffer — allocates nothing, by the same
+//!    10-vs-60 technique;
+//! 8. the workspace's buffers are shared by every shape and kept at
+//!    their high-water capacity: once two shapes have each been solved,
+//!    alternating between them allocates exactly what repeating each
+//!    one does — no per-shape buffer is ever re-created.
 //!
 //! The file holds a single `#[test]` on purpose: the counter is
 //! process-global, and sibling tests running on other threads would
@@ -271,5 +279,56 @@ fn steady_state_cg_iterations_allocate_nothing() {
         clong_allocs, cshort_allocs,
         "50 extra probe-verified correction iterations must allocate \
          nothing: {cshort_allocs} allocs at 10 iters vs {clong_allocs} at 60"
+    );
+
+    // Claim 7: ONLINE-DETECTION chunks (d = 3 iterations, then Chen's
+    // tests with the recomputed residual) are steady-state
+    // allocation-free.
+    let online_for = |iters: usize| {
+        let mut cfg = ResilientConfig::new(Scheme::OnlineDetection, 2);
+        cfg.verif_interval = 3;
+        cfg.stopping = StoppingCriterion::Absolute { eps: 0.0 };
+        cfg.max_productive_iters = iters;
+        cfg.max_executed_iters = 10 * iters;
+        cfg
+    };
+    let warm_online = solve_resilient_in(&a, &b, &online_for(60), None, &mut ws);
+    assert_eq!(warm_online.executed_iterations, 60);
+    let (oshort_allocs, oshort) =
+        count_allocs(|| solve_resilient_in(&a, &b, &online_for(10), None, &mut ws));
+    let (olong_allocs, olong) =
+        count_allocs(|| solve_resilient_in(&a, &b, &online_for(60), None, &mut ws));
+    assert_eq!(olong.rollbacks, 0, "a fault-free run must verify clean");
+    assert!(olong.chunk_checks >= oshort.chunk_checks + 16);
+    assert_eq!(
+        olong_allocs,
+        oshort_allocs,
+        "{} extra ONLINE-DETECTION chunk verifications must allocate \
+         nothing: {oshort_allocs} allocs at 10 iters vs {olong_allocs} at 60",
+        olong.chunk_checks - oshort.chunk_checks
+    );
+
+    // Claim 8: one set of buffers serves every shape. `ws` has solved
+    // the 120-row system under all three schemes; after one solve of a
+    // smaller system (fewer rows *and* nonzeros), going back and forth
+    // costs what staying put does.
+    let a2 = gen::random_spd(90, 0.06, 4).unwrap();
+    let b2: Vec<f64> = (0..90).map(|i| 1.0 + (i as f64 * 0.31).cos()).collect();
+    assert!(a2.nnz() < a.nnz());
+    let cfg = cfg_for(20);
+    solve_resilient_in(&a2, &b2, &cfg, None, &mut ws);
+    let mut run = |large: bool| {
+        let (m, rhs) = if large { (&a, &b) } else { (&a2, &b2) };
+        count_allocs(|| solve_resilient_in(m, rhs, &cfg, None, &mut ws)).0
+    };
+    run(true); // the shape switch itself is covered by the alternation
+    let repeat_large = run(true);
+    run(false);
+    let repeat_small = run(false);
+    let alternating = [run(true), run(false), run(true), run(false)];
+    assert_eq!(
+        alternating,
+        [repeat_large, repeat_small, repeat_large, repeat_small],
+        "switching shapes must not re-create a buffer"
     );
 }

@@ -246,9 +246,46 @@ proptest! {
             }
         }
         // One workspace served the whole grid: machines retained per
-        // solver, one pooled image shape.
+        // solver, three images of the one shape (live + two checkpoint
+        // buffers) and the initial state's empty row pointer.
         prop_assert_eq!(ws.retained_machines(), 4);
-        prop_assert_eq!(ws.pooled_images(), 1);
+        prop_assert_eq!(ws.retained_image_bytes(), 8 * (3 * a.memory_words() + 1));
+    }
+
+    /// One workspace reshaped large → small → large (its image, slot
+    /// buffers and shadows shrink and regrow inside their high-water
+    /// capacity) stays bit-identical to fresh workspaces, under fault
+    /// injection, for every scheme.
+    #[test]
+    fn reshaped_workspace_is_bitexact(
+        n_small in 30usize..50,
+        n_large in 60usize..90,
+        density_mil in 40usize..90,
+        seed in 0u64..300,
+        s in 2usize..8,
+    ) {
+        let large = system(n_large, density_mil, seed);
+        let small = system(n_small, density_mil, seed + 1);
+        let mut ws = SolverWorkspace::new();
+        for scheme in [Scheme::AbftDetection, Scheme::AbftCorrection, Scheme::OnlineDetection] {
+            for (step, (a, b)) in [&large, &small, &large].into_iter().enumerate() {
+                let mut cfg = ResilientConfig::new(scheme, s);
+                cfg.max_productive_iters = 40;
+                cfg.max_executed_iters = 400;
+                let stream = seed ^ step as u64;
+                let mut inj = injector_for(a, 1.0 / 16.0, stream);
+                let fresh = solve_resilient(a, b, &cfg, Some(&mut inj));
+                let mut inj = injector_for(a, 1.0 / 16.0, stream);
+                let reused = solve_resilient_in(a, b, &cfg, Some(&mut inj), &mut ws);
+                assert_outcomes_bitexact(
+                    &format!("{scheme:?} × n {} (step {step})", a.n_rows()),
+                    &fresh,
+                    &reused,
+                );
+            }
+        }
+        // Sized by the large system alone.
+        prop_assert!(ws.retained_image_bytes() <= 8 * (3 * large.0.memory_words() + 1));
     }
 }
 

@@ -170,6 +170,12 @@ impl CsrMatrix {
         2 * self.nnz() + self.n_rows + 1
     }
 
+    /// Machine words the three arrays keep *reserved* (capacity, not
+    /// length): what a retained image buffer costs between uses.
+    pub fn capacity_words(&self) -> usize {
+        self.rowptr.capacity() + self.colid.capacity() + self.val.capacity()
+    }
+
     /// Row pointer array (read-only).
     #[inline]
     pub fn rowptr(&self) -> &[usize] {
@@ -745,17 +751,20 @@ impl CsrMatrix {
     /// `clone_from` that reuses the existing allocations whatever the
     /// shapes: after the call `self == src` bit for bit, and no heap
     /// allocation happened if this matrix's buffers already had enough
-    /// capacity. The reshaping entry point behind the per-(n, nnz)
-    /// image pooling ([`crate::pool::CsrImagePool`]).
+    /// capacity. A buffer that is too small grows to *exactly* the new
+    /// length — amortised doubling would leave a retained image at up
+    /// to twice the largest matrix it ever held.
     pub fn assign_from(&mut self, src: &CsrMatrix) {
+        fn assign<T: Copy>(dst: &mut Vec<T>, src: &[T]) {
+            dst.clear();
+            dst.reserve_exact(src.len());
+            dst.extend_from_slice(src);
+        }
         self.n_rows = src.n_rows;
         self.n_cols = src.n_cols;
-        self.rowptr.clear();
-        self.rowptr.extend_from_slice(&src.rowptr);
-        self.colid.clear();
-        self.colid.extend_from_slice(&src.colid);
-        self.val.clear();
-        self.val.extend_from_slice(&src.val);
+        assign(&mut self.rowptr, &src.rowptr);
+        assign(&mut self.colid, &src.colid);
+        assign(&mut self.val, &src.val);
     }
 
     /// Transpose-vector product `y ← Aᵀ·x` into a caller-provided buffer.
@@ -835,10 +844,6 @@ impl CsrMatrix {
             return false;
         }
         let t = self.transpose();
-        if t.rowptr != self.rowptr {
-            // Structures may still match values after reordering; fall back
-            // to entrywise comparison.
-        }
         for i in 0..self.n_rows {
             for (j, v) in self.row(i) {
                 if (v - t.get(i, j)).abs() > tol {
@@ -1324,6 +1329,20 @@ mod tests {
         // Shrinking works too and keeps equality exact.
         buf.assign_from(&small);
         assert_eq!(buf, small);
+    }
+
+    #[test]
+    fn assign_from_grows_exactly_and_keeps_the_high_water_mark() {
+        // Shapes chosen so amortised doubling would overshoot: 10 → 11
+        // rows must reserve 12 + 2·11 words, not twice the old buffers.
+        let mut buf = CsrMatrix::identity(10);
+        let big = CsrMatrix::identity(11);
+        buf.assign_from(&big);
+        assert_eq!(buf, big);
+        assert_eq!(buf.capacity_words(), big.memory_words());
+        // A smaller image reuses the buffers: capacity stays put.
+        buf.assign_from(&CsrMatrix::identity(3));
+        assert_eq!(buf.capacity_words(), big.memory_words());
     }
 
     #[test]

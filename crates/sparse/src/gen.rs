@@ -233,7 +233,7 @@ pub fn random_spd_illcond(
             detail: format!("cond_target {cond_target} must be >= 1"),
         });
     }
-    let base = random_spd(n, density, seed)?;
+    let mut base = random_spd(n, density, seed)?;
     // Symmetric diagonal scaling `B = D·A·D` with log-uniform `D`:
     // `d_i = 10^{-u_i·decades/2}`, `u_i ~ U(0,1)`. The base matrix is
     // well-conditioned (strictly dominant), so `cond(B) ≈ cond(D)² ≈
@@ -246,13 +246,15 @@ pub fn random_spd_illcond(
     let d: Vec<f64> = (0..n)
         .map(|_| 10f64.powf(-rng.random::<f64>() * decades / 2.0))
         .collect();
-    let mut coo = CooMatrix::with_capacity(n, n, base.nnz());
+    // Scaling keeps the pattern, so the values are rewritten in place: a
+    // second assembly next to the live base would triple the peak.
     for i in 0..n {
-        for (j, v) in base.row(i) {
-            coo.push(i, j, d[i] * v * d[j]);
+        for k in base.row_range(i) {
+            let (j, v) = (base.colid()[k], base.val()[k]);
+            base.val_mut()[k] = d[i] * v * d[j];
         }
     }
-    Ok(coo.to_csr())
+    Ok(base)
 }
 
 /// Diagonal matrix with the given entries (utility for preconditioners
@@ -375,6 +377,31 @@ mod tests {
             "diagonal dynamic range {:.1} too narrow",
             dmax / dmin
         );
+    }
+
+    #[test]
+    fn illcond_in_place_scaling_matches_coo_assembly() {
+        // The historical route: scale into a fresh COO, convert to CSR.
+        for (n, density, seed) in [(40, 0.2, 1), (150, 0.05, 3), (400, 0.6, 341), (90, 0.0, 7)] {
+            let cond = 4.0e2_f64;
+            let base = random_spd(n, density, seed).unwrap();
+            let mut rng = StdRng::seed_from_u64(seed ^ 0x51ac_c0de);
+            let d: Vec<f64> = (0..n)
+                .map(|_| 10f64.powf(-rng.random::<f64>() * cond.log10() / 2.0))
+                .collect();
+            let mut coo = CooMatrix::with_capacity(n, n, base.nnz());
+            for i in 0..n {
+                for (j, v) in base.row(i) {
+                    coo.push(i, j, d[i] * v * d[j]);
+                }
+            }
+            let want = coo.to_csr();
+            let got = random_spd_illcond(n, density, cond, seed).unwrap();
+            assert_eq!(got.rowptr(), want.rowptr(), "n {n} seed {seed}");
+            assert_eq!(got.colid(), want.colid(), "n {n} seed {seed}");
+            let bits = |m: &CsrMatrix| m.val().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&got), bits(&want), "n {n} seed {seed}");
+        }
     }
 
     #[test]

@@ -36,7 +36,6 @@ pub mod gen;
 pub mod io;
 pub mod multivec;
 pub mod parallel;
-pub mod pool;
 pub mod sell;
 pub mod stats;
 pub mod vector;
@@ -47,7 +46,6 @@ pub use csc::CscMatrix;
 pub use csr::CsrMatrix;
 pub use error::SparseError;
 pub use multivec::MultiVec;
-pub use pool::CsrImagePool;
 pub use sell::SellCSigma;
 
 /// Convenience result alias for fallible sparse operations.
