@@ -5,7 +5,11 @@
 //! (Section 3.1): the current iteration vectors **and the sparse matrix
 //! `A`** — the paper's extension of Chen's method, needed because a
 //! detected error may stem from corruption of `A` in data memory, in
-//! which case a valid copy must be restored.
+//! which case a valid copy must be restored. `A` never legitimately
+//! changes, so the resilient executor's checkpoints contain it *by
+//! reference*: a save copies the vectors only
+//! ([`SolverState::store_vectors`]) and every rollback restores the
+//! matrix from the caller's reliable input.
 //!
 //! The driver enforces the key protocol invariant (claim C1 in
 //! DESIGN.md): *a checkpoint is only ever taken immediately after a

@@ -7,6 +7,8 @@
 //! single-checkpoint semantics with **retained buffers**: saves are
 //! `copy_from_slice` into warm memory, restores hand out a borrowed
 //! [`SolverState`], and steady state performs zero heap allocations.
+//! The resilient executor saves with [`SolverState::store_vectors`]
+//! (its checkpoints' matrix is the reliable input): O(n) words, no image.
 //!
 //! ## Why double-buffered
 //!
@@ -86,6 +88,15 @@ impl SnapshotSlot {
         self.saves += 1;
     }
 
+    /// Discards the live checkpoint (and any uncommitted save); the
+    /// buffers stay allocated. The resilient executor calls this at
+    /// solve start and on escalation, when the only trusted state is
+    /// the input data again.
+    pub fn clear(&mut self) {
+        self.live = None;
+        self.pending = None;
+    }
+
     /// Borrowed view of the live checkpoint, if any.
     pub fn latest(&self) -> Option<&SolverState> {
         self.live.map(|i| &self.bufs[i])
@@ -102,7 +113,9 @@ impl SnapshotSlot {
     }
 
     /// Matrix words both buffers keep reserved (capacity, not length) —
-    /// the slot's share of a workspace's retained memory.
+    /// the slot's share of a workspace's retained memory: two empty row
+    /// pointers unless full states were saved through
+    /// [`SolverState::store`].
     pub fn retained_matrix_words(&self) -> usize {
         self.bufs.iter().map(|b| b.matrix.capacity_words()).sum()
     }

@@ -4,7 +4,10 @@ use ftcg_sparse::CsrMatrix;
 
 /// Snapshot of a CG run: the iteration vectors of Algorithm 1 plus the
 /// matrix image (the paper checkpoints `A` so memory corruption of the
-/// matrix is recoverable).
+/// matrix is recoverable). A state filled by
+/// [`SolverState::store_vectors`] keeps the matrix empty: its matrix is
+/// the reliable input it was taken over, which is how the resilient
+/// executor checkpoints.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SolverState {
     /// Iteration index at which the snapshot was taken.
@@ -75,9 +78,9 @@ impl SolverState {
     }
 
     /// [`SolverState::store`] without the matrix, which is left as it
-    /// is: for a state whose matrix lives elsewhere — the executor's
-    /// first-frame target is the caller's own pristine input, so it
-    /// retains the start vectors only.
+    /// is: for a state whose matrix lives elsewhere — every rollback of
+    /// the executor restores the caller's own pristine input, so its
+    /// checkpoints and its start state retain vectors only.
     pub fn store_vectors(
         &mut self,
         iteration: usize,

@@ -10,8 +10,8 @@
 //! clone every repetition used to pay).
 //!
 //! What a worker retains follows the *largest* matrix it has solved,
-//! not the number of distinct ones: three matrix images (the live
-//! image and the two checkpoint buffers) plus O(n) vectors, every
+//! not the number of distinct ones: one matrix image (the live one;
+//! checkpoints hold vectors only) plus O(n) vectors, every
 //! buffer shared by all job shapes at its high-water capacity (see
 //! "Retention and scope" in [`ftcg_solvers::workspace`]). A campaign's
 //! memory is therefore its matrices plus `threads ×` that.

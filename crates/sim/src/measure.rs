@@ -24,9 +24,10 @@ pub struct MeasuredCosts {
     pub tverif_correct: f64,
     /// ONLINE-DETECTION verification (residual recompute + tests), iters.
     pub tverif_online: f64,
-    /// Checkpoint cost (state clone), iterations.
+    /// Checkpoint cost (copy of the iteration vectors), iterations.
     pub tcp: f64,
-    /// Recovery cost (state restore), iterations.
+    /// Recovery cost (vectors back, matrix image re-read from the
+    /// pristine input), iterations.
     pub trec: f64,
 }
 
@@ -39,7 +40,9 @@ pub enum CostMode {
     /// SpMxV. Default, so the reproduced tables share the paper's scale.
     PaperLike,
     /// Measure the implemented kernels on this machine (ablation A4/A5:
-    /// in-memory checkpoints are far cheaper than the paper's, which
+    /// an in-memory checkpoint copies the three iteration vectors only —
+    /// its matrix is the reliable input, re-read on recovery — so
+    /// `Tcp ≪ Trec` and both are far cheaper than the paper's, which
     /// shifts the optimal intervals up).
     Measured,
 }
@@ -141,14 +144,14 @@ pub fn measure_costs(a: &CsrMatrix, reps: usize) -> MeasuredCosts {
         let _ = std::hint::black_box(vector::dot(&x, &y));
     });
 
-    // Checkpoint: copy vectors + matrix arrays into the retained
-    // snapshot buffer. Recovery: copy back, restoring the corruptible
-    // image *in place* from the snapshot's pristine matrix — exactly
-    // the allocation-free paths the executor runs (a full-matrix clone
-    // per repetition would overstate both costs).
+    // Checkpoint: copy the iteration vectors into the retained
+    // snapshot buffer (the checkpoint's matrix is the pristine input
+    // itself). Recovery: copy them back and restore the corruptible
+    // image *in place* from the pristine matrix — exactly the
+    // allocation-free paths the executor runs.
     let mut snapshot = ftcg_checkpoint::SolverState::empty();
     let t_cp = time_it(reps, || {
-        snapshot.store(0, &x, &b, &w, 1.0, a);
+        snapshot.store_vectors(0, &x, &b, &w, 1.0);
     });
     let mut xa = x.clone();
     let mut ra = b.clone();
@@ -158,7 +161,7 @@ pub fn measure_costs(a: &CsrMatrix, reps: usize) -> MeasuredCosts {
         xa.copy_from_slice(&snapshot.x);
         ra.copy_from_slice(&snapshot.r);
         pa.copy_from_slice(&snapshot.p);
-        am.copy_image_from(&snapshot.matrix);
+        am.copy_image_from(a);
     });
 
     let per_iter = |t: f64| (t / titer).max(1e-6);
@@ -199,8 +202,10 @@ mod tests {
             c.tverif_detect,
             c.tverif_online
         );
-        // Checkpoint clones the matrix: at least a fraction of an iter.
+        // A checkpoint copies three vectors; a recovery copies them
+        // back *and* re-reads the whole matrix image.
         assert!(c.tcp > 0.0 && c.trec > 0.0);
+        assert!(c.tcp < c.trec, "tcp {} vs trec {}", c.tcp, c.trec);
     }
 
     #[test]

@@ -151,8 +151,8 @@ impl IterativeSolver for CgMachine {
         }
     }
 
-    fn snapshot_into(&self, iteration: usize, a: &CsrMatrix, into: &mut SolverState) {
-        into.store(iteration, &self.x, &self.r, &self.p, self.rnorm_sq, a);
+    fn snapshot_into(&self, iteration: usize, into: &mut SolverState) {
+        into.store_vectors(iteration, &self.x, &self.r, &self.p, self.rnorm_sq);
     }
 
     fn reset_zero(&mut self, _a0: &CsrMatrix, b: &[f64]) {

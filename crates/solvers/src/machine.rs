@@ -156,19 +156,21 @@ pub trait IterativeSolver {
     /// Captures the canonical state at a verified chunk boundary
     /// (allocating convenience over
     /// [`IterativeSolver::snapshot_into`]).
-    fn snapshot(&self, iteration: usize, a: &CsrMatrix) -> SolverState {
+    fn snapshot(&self, iteration: usize) -> SolverState {
         let mut st = SolverState::empty();
-        self.snapshot_into(iteration, a, &mut st);
+        self.snapshot_into(iteration, &mut st);
         st
     }
 
     /// Captures the canonical state *into a retained buffer* — contents
     /// bit-identical to [`IterativeSolver::snapshot`], but pure
     /// `copy_from_slice` into `into`'s existing allocations (zero heap
-    /// traffic once the buffer has seen this problem shape). The
+    /// traffic once the buffer has seen this problem size). Vectors
+    /// only: `into`'s matrix is left alone — the matrix of a checkpoint
+    /// is the caller's reliable input, which `restore` is handed. The
     /// resilient executor checkpoints through this into a
     /// [`ftcg_checkpoint::SnapshotSlot`].
-    fn snapshot_into(&self, iteration: usize, a: &CsrMatrix, into: &mut SolverState);
+    fn snapshot_into(&self, iteration: usize, into: &mut SolverState);
 
     /// Re-initializes the machine for a fresh zero-start solve over
     /// `(a0, b)`, reusing its retained buffers: afterwards every state

@@ -147,14 +147,13 @@ impl IterativeSolver for PcgMachine {
         }
     }
 
-    fn snapshot_into(&self, iteration: usize, a: &CsrMatrix, into: &mut SolverState) {
-        into.store(
+    fn snapshot_into(&self, iteration: usize, into: &mut SolverState) {
+        into.store_vectors(
             iteration,
             &self.x,
             &self.r,
             &self.p,
             self.rnorm * self.rnorm,
-            a,
         );
     }
 

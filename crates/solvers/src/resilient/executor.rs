@@ -34,17 +34,19 @@
 //! the corruptible matrix image and the retained buffers (checkpoint
 //! slot, start vectors, TMR shadows, trusted input copies, the
 //! deferred-fault list) all come from the caller's
-//! [`SolverWorkspace`](crate::SolverWorkspace). A solve keeps
-//! three matrix images beside the caller's pristine `a0`: the live one
-//! and the two buffers of the
-//! [`SnapshotSlot`](ftcg_checkpoint::SnapshotSlot) that checkpoints are
-//! [`IterativeSolver::snapshot_into`]. `a0` itself is the first-frame
-//! target — the prologue snapshots it straight into the slot and
-//! escalation restores from it, so no private copy of the input exists.
-//! Rollback restores the matrix image in place with
-//! [`CsrMatrix::copy_image_from`] (fault injection flips bits, it never
-//! changes array lengths). A steady-state iteration — no checkpoint, no
-//! rollback, no fault — performs zero heap allocations (pinned by the
+//! [`SolverWorkspace`](crate::SolverWorkspace). A solve keeps **one**
+//! matrix image beside the caller's pristine `a0`: the live one. `A`
+//! never legitimately changes, so the matrix of every checkpoint is
+//! `a0` itself — the reliable input, never a fault target — and a
+//! checkpoint copies only the iteration vectors, O(n)
+//! ([`IterativeSolver::snapshot_into`] into the
+//! [`SnapshotSlot`](ftcg_checkpoint::SnapshotSlot)). Every rollback
+//! restores the image in place from `a0` ([`CsrMatrix::copy_image_from`];
+//! fault injection flips bits, it never changes array lengths), so a
+//! matrix word that slipped under the checksum tolerance, or a
+//! forward-corrected value that is only approximately right, never
+//! survives one. A steady-state iteration — no checkpoint, no rollback,
+//! no fault — performs zero heap allocations (pinned by the
 //! counting-allocator gate in `tests/alloc_gate.rs`).
 
 use ftcg_abft::XRef;
@@ -256,20 +258,16 @@ pub(super) struct ExecutorMachine<'a, V: VerificationScheme, R: Recorder> {
     replica_rot: usize,
     converged: bool,
     /// `true` while the live image's *structure* (`colid`/`rowptr`) may
-    /// differ from the latest checkpoint's: set by index-array faults
-    /// and by correction attempts, cleared whenever image and checkpoint
-    /// are re-synchronized (checkpoint taken, rollback restored).
-    /// While clean, rollback takes the cheaper values-only restore
-    /// ([`CsrMatrix::copy_values_from`], whose debug-mode pattern check
-    /// verifies this very tracking on every test run).
+    /// differ from `a0`'s: set by index-array faults and by correction
+    /// attempts, cleared only by a rollback. While clean, rollback takes
+    /// the cheaper values-only restore ([`CsrMatrix::copy_values_from`];
+    /// the debug-mode equality check after the restore verifies this
+    /// very tracking on every test run).
     structure_dirty: bool,
     /// `true` while the live image is bit-identical to the pristine
     /// `a0`: cleared by any matrix fault and by mutating product checks,
-    /// restored on rollback iff the restored checkpoint was itself
-    /// taken of a clean image.
+    /// restored by every rollback.
     image_clean: bool,
-    /// Whether the state in the checkpoint slot snapshots a clean image.
-    checkpoint_clean: bool,
     /// Set on escalation: per the batch-dropout rule an escalated
     /// repetition leaves the fused traversal for good (it keeps
     /// iterating in lockstep, computing its products solo).
@@ -311,16 +309,11 @@ impl<'a, V: VerificationScheme, R: Recorder> ExecutorMachine<'a, V, R> {
             arena.x_tmr.store(solver.vector(CanonVec::Iterate));
         }
 
-        // The rolling checkpoint slot starts from the pristine input,
-        // snapshotted straight from `a0`. "For the first frame we
-        // recover by reading initial data again": that data is `a0`
-        // plus the start vectors kept here.
-        let first = arena.slot.begin_save();
-        solver.snapshot_into(0, a0, first);
-        arena
-            .initial
-            .store_vectors(0, &first.x, &first.r, &first.p, first.rnorm_sq);
-        arena.slot.commit();
+        // No checkpoint yet (the slot may hold a previous solve's).
+        // "For the first frame we recover by reading initial data
+        // again": that data is `a0` plus the start vectors kept here.
+        arena.slot.clear();
+        solver.snapshot_into(0, &mut arena.initial);
 
         if hardened {
             arena.xref.store(solver.vector(CanonVec::Direction));
@@ -351,7 +344,6 @@ impl<'a, V: VerificationScheme, R: Recorder> ExecutorMachine<'a, V, R> {
             converged,
             structure_dirty: false,
             image_clean: true,
-            checkpoint_clean: true,
             fuse_banned: false,
         }
     }
@@ -599,11 +591,9 @@ impl<'a, V: VerificationScheme, R: Recorder> ExecutorMachine<'a, V, R> {
                 self.time.add(self.cfg.costs.tcp);
                 let t_ckpt = self.rec.start();
                 self.solver
-                    .snapshot_into(self.productive, self.a, self.arena.slot.begin_save());
+                    .snapshot_into(self.productive, self.arena.slot.begin_save());
                 self.arena.slot.commit();
                 self.rec.phase(Phase::Checkpoint, t_ckpt);
-                self.structure_dirty = false; // checkpoint == live image again
-                self.checkpoint_clean = self.image_clean;
                 self.stats.checkpoints += 1;
                 self.rec.event(Event::checkpoint(
                     self.stats.executed as u64,
@@ -620,47 +610,31 @@ impl<'a, V: VerificationScheme, R: Recorder> ExecutorMachine<'a, V, R> {
         }
     }
 
-    /// Restores the latest checkpoint (or, when the escalation guard
-    /// flags a tainted one, the pristine initial data) into the solver
-    /// and the shadows — all in place, no allocation.
+    /// Restores the pristine matrix and the latest checkpoint's vectors
+    /// (or, in the first frame and when the escalation guard flags a
+    /// tainted checkpoint, the start vectors) into the solver and the
+    /// shadows — all in place, no allocation.
     fn rollback(&mut self) {
         self.time.add(self.cfg.costs.trec);
         self.stats.rollbacks += 1;
         let t_rb = self.rec.start();
         if self.guard.must_escalate() {
             // Re-read input data: discard the tainted checkpoint.
-            // The escape target's structure is the pristine one,
-            // not the (possibly sub-tolerance-corrupted) structure
-            // the discarded checkpoint shared with the live image.
-            let init = &self.arena.initial;
-            self.arena.slot.begin_save().store(
-                init.iteration,
-                &init.x,
-                &init.r,
-                &init.p,
-                init.rnorm_sq,
-                self.a0,
-            );
-            self.arena.slot.commit();
-            self.structure_dirty = true;
-            self.checkpoint_clean = true; // snapshots the pristine a0
+            self.arena.slot.clear();
             self.fuse_banned = true; // escalated: out of the batch
             self.guard.consecutive_rollbacks = 0;
             self.rec.event(Event::escalate(self.stats.executed as u64));
         }
         self.guard.note_restore();
-        let st = self
-            .arena
-            .slot
-            .latest()
-            .expect("initial checkpoint always present");
+        let st = self.arena.slot.latest().unwrap_or(&self.arena.initial);
         if self.structure_dirty {
-            self.a.copy_image_from(&st.matrix);
+            self.a.copy_image_from(self.a0);
         } else {
-            self.a.copy_values_from(&st.matrix);
+            self.a.copy_values_from(self.a0);
         }
+        debug_assert!(*self.a == *self.a0);
         self.structure_dirty = false;
-        self.image_clean = self.checkpoint_clean;
+        self.image_clean = true;
         self.kernel.invalidate(); // rollback replaced the matrix image
         self.solver.restore(st, self.a);
         if self.hardened {

@@ -335,7 +335,8 @@ pub fn solve_resilient_recorded<R: Recorder>(
 /// first-frame recovery: "we recover by reading initial data again".
 #[derive(Debug, Default, Clone, Copy)]
 pub(crate) struct EscalationGuard {
-    /// Faults injected since the last restore/checkpoint boundary.
+    /// Faults injected since the last restore (since the start of the
+    /// solve before the first one); a checkpoint does not reset it.
     pub faults_since_restore: usize,
     /// Consecutive rollbacks without a new checkpoint (hard safety cap).
     pub consecutive_rollbacks: usize,

@@ -13,7 +13,8 @@
 //! * the one corruptible matrix image is reshaped to the caller's
 //!   matrix by [`CsrMatrix::assign_from`] — a copy into warm memory,
 //!   not a clone;
-//! * checkpoints live in a double-buffered
+//! * checkpoints — iteration vectors only; their matrix is the
+//!   caller's pristine input — live in a double-buffered
 //!   [`SnapshotSlot`](ftcg_checkpoint::SnapshotSlot), the start vectors
 //!   in a retained [`SolverState`], the ABFT shadows in retained
 //!   [`TmrVector`]s and [`XRef`]s.
@@ -36,12 +37,12 @@
 //!
 //! Every buffer is shared by all the shapes the worker solves and kept
 //! at its high-water capacity, so retained memory follows the *largest*
-//! matrix seen, not the number of distinct ones: **three matrix images**
-//! (the live image and the two checkpoint buffers — the paper's single
-//! live checkpoint, double-buffered) **plus O(n) vectors** (the arena's
-//! and one machine per `(solver, n)`). The first-frame recovery target
-//! is the caller's own immutable `a0`, so no fourth image exists;
-//! buffers grow to exactly the size asked for
+//! matrix seen, not the number of distinct ones: **one matrix image**
+//! (the live, corruptible one) **plus O(n) vectors** (the arena's —
+//! the double-buffered checkpoint and the start vectors among them —
+//! and one machine per `(solver, n)`). The matrix every rollback
+//! restores is the caller's own immutable `a0`, so no second image
+//! exists; buffers grow to exactly the size asked for
 //! ([`SolverWorkspace::retained_image_bytes`] reports the total). Drop
 //! the workspace — or scope one per campaign, as the engine pool does —
 //! to release everything. One reuse boundary is deliberate: non-CSR
@@ -139,8 +140,9 @@ impl SolverWorkspace {
     }
 
     /// Bytes of matrix storage kept reserved between solves: the live
-    /// image plus the checkpoint slot's two buffers, each at the
-    /// capacity of the largest matrix it has held.
+    /// image at the capacity of the largest matrix it has held, plus
+    /// the empty row pointers of the start state and the checkpoint
+    /// slot's two buffers, which hold vectors only.
     pub fn retained_image_bytes(&self) -> usize {
         let words = self.image.capacity_words()
             + self.arena.initial.matrix.capacity_words()
@@ -272,8 +274,8 @@ mod tests {
             assert_eq!(*image, a);
         }
         assert_eq!(ws.retained_machines(), 4);
-        // Only the live image has been sized: no solve ran, so the slot
-        // and the initial state still hold their empty row pointers.
+        // Only the live image is ever sized: the slot and the initial
+        // state hold their empty row pointers.
         assert_eq!(ws.retained_image_bytes(), 8 * (a.memory_words() + 3));
     }
 
@@ -386,7 +388,12 @@ mod tests {
         assert_eq!(initial.r, b);
         assert_eq!(initial.matrix.capacity_words(), 1);
         assert_eq!(initial.size_words(), 3 * 60 + 1 + 2);
-        // Live image + both checkpoint buffers, nothing else.
-        assert_eq!(ws.retained_image_bytes(), 8 * (3 * a.memory_words() + 1));
+        // Nor does the checkpoint: its matrix is `a0` too.
+        let ckpt = ws.arena.slot.latest().expect("checkpoints were taken");
+        assert_eq!(ckpt.n(), 60);
+        assert_eq!(ckpt.size_words(), 3 * 60 + 1 + 2);
+        assert_eq!(ws.arena.slot.retained_matrix_words(), 2);
+        // The live image, nothing else.
+        assert_eq!(ws.retained_image_bytes(), 8 * (a.memory_words() + 3));
     }
 }

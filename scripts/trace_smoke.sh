@@ -71,6 +71,29 @@ grep -q "Rollback waste" "$tmp/report.txt"
 grep -q "Empirical fault pressure" "$tmp/report.txt"
 echo "   all four analytics sections rendered"
 
+echo "-- storm spec: rollbacks restore the pristine matrix, counts are pinned"
+# alpha = 1/8 keeps all three schemes rolling back. Every rollback
+# re-reads the matrix from the input, so a sub-tolerance matrix fault
+# cannot ride a checkpoint into a re-detection loop (which reads 2 and
+# 1572 here). The totals are deterministic.
+cat > "$tmp/storm.campaign" <<'EOF'
+name     = trace-smoke-storm
+seed     = 29
+reps     = 4
+matrices = paper:2213:32
+schemes  = detection, correction, online
+alphas   = 1/8
+EOF
+"$BIN" campaign --spec "$tmp/storm.campaign" --threads 2 --quiet \
+    --trace "$tmp/storm.trace.jsonl" --out /dev/null
+"$BIN" report "$tmp/storm.trace.jsonl" --spec "$tmp/storm.campaign" > "$tmp/storm.txt"
+storm_totals="$(awk '/^Rollback waste/{f=1;next} /^$/{f=0} f && !/^config/ {e+=$(NF-3); w+=$(NF-2)} END{print e, w}' "$tmp/storm.txt")"
+if [ "$storm_totals" != "0 909" ]; then
+    echo "error: storm spec reports (escalations, wasted iters) = ($storm_totals), want (0 909)" >&2
+    exit 1
+fi
+echo "   3 schemes x 4 reps at alpha 1/8: 0 escalations, 909 wasted iterations"
+
 echo "-- perfetto timeline export"
 "$BIN" report "$tmp/run.trace.jsonl" "$tmp/run.metrics.jsonl" \
     --perfetto "$tmp/timeline.json" > /dev/null
