@@ -31,9 +31,6 @@ fi
 echo "==> cargo build --release"
 cargo build --release
 
-echo "==> cargo bench --no-run (smoke-compile the bench targets)"
-cargo bench --no-run
-
 echo "==> ftcg-lint (workspace invariant rules + waiver staleness, blocking)"
 target/release/ftcg-lint
 

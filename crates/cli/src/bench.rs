@@ -80,12 +80,11 @@ fn run_suites(
             runs,
         )
     };
-    // Micro-suite parameters are pinned to the historical bench targets
-    // (poisson2d(64), 150 iterations, 8 fused columns) so entries line
-    // up across PRs.
+    // Micro-suite parameters are pinned (poisson2d(64), 150
+    // iterations) so entries line up across PRs.
     let solver = || solver_step_suite(64, 150, runs.max(5));
     let telemetry = || telemetry_suite(64, 150, runs.max(5));
-    let kernels = || kernels_suite(64, 8, runs.max(5));
+    let kernels = || kernels_suite(64, runs.max(5));
     match suite {
         "quick" => Ok(vec![quick()?]),
         "table1" => Ok(vec![table1()?]),

@@ -34,7 +34,7 @@ USAGE:
                 [--seed N] [--kernel K] [--threads N] [--trace F] [--metrics F]
   ftcg stats    (--matrix F.mtx | --gen SPEC)
   ftcg campaign (--spec FILE | inline flags) [--out F.jsonl] [--csv F.csv]
-                [--reps N] [--seed N] [--threads N] [--batch N|auto] [--quiet]
+                [--reps N] [--seed N] [--threads N] [--quiet]
                 [--journal F.jsonl] [--resume] [--shard i/k]
                 [--trace F.jsonl] [--metrics F.jsonl]
   ftcg merge    (--spec FILE | inline flags) JOURNAL... [--out F.jsonl]
@@ -79,7 +79,7 @@ CAMPAIGNS:
   spec + seed => byte-identical JSONL/CSV output.
 
   --spec FILE   declarative spec: `key = value` lines or a JSON object
-                (keys: name seed reps threads batch max_iters matrices
+                (keys: name seed reps threads max_iters matrices
                 schemes alphas solvers kernels interval). `-` reads
                 stdin.
   Inline flags instead of a file:
@@ -91,14 +91,6 @@ CAMPAIGNS:
   fault streams, so solver columns are directly comparable. The
   `kernels` axis sweeps SpMV backends the same way; `auto:bench` is
   rejected there because its choice is wall-clock dependent.
-  --batch N|auto  advance up to N repetitions of one configuration in
-                lockstep against a shared matrix image, fusing their
-                SpMVs into one multi-vector traversal (`auto` sizes
-                the width from reps/threads and only fuses matrices
-                whose image spills the cache — small images run
-                faster sequentially). Pure throughput knob: every
-                artifact — summaries, journals, traces — is
-                byte-identical to --batch 1.
   --out F       write JSONL summaries (default: print to stdout)
   --csv F       also write CSV
   --quiet       suppress the progress ticker
@@ -165,8 +157,8 @@ PERFORMANCE OBSERVATORY (ftcg bench):
     table1       the paper's Table 1 campaign throughput suite
                  (--scale, --reps forwarded; minutes)
     kernels      SpMV microkernels, ns/nonzero: reference CSR vs
-                 SELL-8 vs BCSR-2, plus the fused multi-RHS traversal
-                 per column and its speedup over k separate products
+                 SELL-8 vs BCSR-2, plus the one-pass BLAS-1 sweep and
+                 product+probe against their separate-call forms
     solver-step  CG state machine vs the legacy inlined loop, ns/iter
                  (warmed, pair-interleaved samples; min-of-pair ratio)
     telemetry    recording overhead: baseline vs noop vs active
@@ -443,7 +435,6 @@ fn campaign_value_flags() -> Vec<&'static str> {
         "--reps",
         "--seed",
         "--threads",
-        "--batch",
         "--out",
         "--csv",
         "--journal",
@@ -455,14 +446,41 @@ fn campaign_value_flags() -> Vec<&'static str> {
     flags
 }
 
+/// Value-less flags of the campaign/merge grammar.
+const CAMPAIGN_SWITCHES: [&str; 2] = ["--quiet", "--resume"];
+
+/// Rejects any `--flag` outside the campaign/merge grammar: a misspelt
+/// `--repz 50` would otherwise run with the default and write an
+/// artifact the user believes came from other parameters — the
+/// [`parse_strict`] rule, applied to flag names.
+fn check_campaign_flags(args: &[String]) -> Result<(), String> {
+    let value_flags = campaign_value_flags();
+    let mut skip = false;
+    for a in args {
+        if std::mem::take(&mut skip) || !a.starts_with("--") {
+            continue;
+        }
+        if a == "--batch" {
+            return Err("--batch was removed in PR 15: repetitions always run sequentially".into());
+        }
+        if value_flags.contains(&a.as_str()) {
+            skip = true;
+        } else if !CAMPAIGN_SWITCHES.contains(&a.as_str()) {
+            return Err(format!("unknown flag `{a}` (try `ftcg help`)"));
+        }
+    }
+    Ok(())
+}
+
 fn campaign_spec(args: &[String]) -> Result<CampaignSpec, String> {
+    check_campaign_flags(args)?;
     let mut cs = if let Some(path) = value(args, "--spec") {
         // Grid flags only apply to inline campaigns; silently ignoring
         // them next to --spec would let users run the wrong grid.
         if let Some(flag) = GRID_FLAGS.iter().find(|f| args.iter().any(|a| a == *f)) {
             return Err(format!(
                 "{flag} cannot be combined with --spec (edit the spec file instead; \
-                 only --reps/--seed/--threads/--batch override a file)"
+                 only --reps/--seed/--threads override a file)"
             ));
         }
         let text = if path == "-" {
@@ -524,7 +542,6 @@ fn campaign_spec(args: &[String]) -> Result<CampaignSpec, String> {
     cs.reps = parse_strict(args, "--reps", cs.reps)?;
     cs.seed = parse_strict(args, "--seed", cs.seed)?;
     cs.threads = parse_strict(args, "--threads", cs.threads)?;
-    cs.batch = parse_strict(args, "--batch", cs.batch)?;
     Ok(cs)
 }
 
@@ -612,7 +629,6 @@ pub fn campaign(args: &[String]) -> i32 {
             progress: if quiet { None } else { Some(&ticker) },
             trace: trace.as_deref(),
             metrics: metrics.as_deref(),
-            batch: cs.batch,
         };
         let (outcome, folded) =
             run_campaign_sharded(&cs, &PaperMatrixResolver, &opts).map_err(|e| e.to_string())?;
@@ -1022,4 +1038,46 @@ pub fn figure1(args: &[String]) -> i32 {
     std::fs::write("figure1.csv", figure1_csv(&panels)).ok();
     eprintln!("wrote figure1.csv");
     0
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn sv(items: &[&str]) -> Vec<String> {
+        items.iter().map(|s| s.to_string()).collect()
+    }
+
+    #[test]
+    fn campaign_and_merge_reject_unknown_flag_names() {
+        let good = sv(&[
+            "--gen",
+            "poisson2d:6",
+            "--reps",
+            "2",
+            "--quiet",
+            "--resume",
+            "--journal",
+            "j.jsonl",
+            "shard0.jsonl",
+        ]);
+        assert_eq!(campaign_spec(&good).unwrap().reps, 2);
+        let typo = sv(&["--gen", "poisson2d:6", "--repz", "50"]);
+        let e = campaign_spec(&typo).unwrap_err();
+        assert!(e.contains("`--repz`"), "{e}");
+        // Both subcommands fail before touching any file.
+        assert_eq!(campaign(&typo), 1);
+        assert_eq!(merge(&typo), 1);
+        // A flag's value is never mistaken for a flag name.
+        assert!(campaign_spec(&sv(&["--gen", "poisson2d:6", "--name", "--odd"])).is_ok());
+    }
+
+    #[test]
+    fn leftover_batch_flag_fails_loudly() {
+        let args = sv(&["--gen", "poisson2d:6", "--batch", "4"]);
+        let e = campaign_spec(&args).unwrap_err();
+        assert!(e.contains("removed in PR 15"), "{e}");
+        assert_eq!(campaign(&args), 1);
+        assert_eq!(merge(&args), 1);
+    }
 }

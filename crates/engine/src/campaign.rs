@@ -14,14 +14,13 @@
 use std::collections::HashSet;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::Path;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
 use ftcg_fault::Injector;
 use ftcg_solvers::resilient::{solve_resilient_in, solve_resilient_recorded};
-use ftcg_solvers::solve_resilient_batch_recorded;
 use ftcg_telemetry::metrics::MetricsWriter;
-use ftcg_telemetry::{Event, JobSpan, JobTelemetry, Recorder, TraceMeta, TraceWriter};
+use ftcg_telemetry::{Event, JobSpan, Recorder, TraceMeta, TraceWriter};
 use parking_lot::Mutex;
 
 use crate::aggregate::{Aggregator, ConfigSummary, JobMetrics};
@@ -32,7 +31,7 @@ use crate::journal::{
 };
 use crate::pool::{effective_threads, panic_message, run_indices_ctx, ProgressFn};
 use crate::seedstream::derive_seed;
-use crate::spec::{BatchPolicy, CampaignSpec, MatrixResolver};
+use crate::spec::{CampaignSpec, MatrixResolver};
 use crate::workspace::JobWorkspace;
 use crate::EngineError;
 
@@ -81,13 +80,6 @@ pub struct RunOptions<'a> {
     /// wall times and merged duration histograms. Kept separate from
     /// the trace precisely because timings are not reproducible.
     pub metrics: Option<&'a Path>,
-    /// Batched-repetition width: how many same-configuration jobs a
-    /// worker advances in lockstep through the batched resilient
-    /// driver. A pure throughput knob — records, traces and summaries
-    /// are bit-identical whatever the width. The declarative path
-    /// ([`run_campaign_sharded`]) overrides this with the spec's
-    /// `batch` key.
-    pub batch: BatchPolicy,
 }
 
 impl Default for RunOptions<'_> {
@@ -99,7 +91,6 @@ impl Default for RunOptions<'_> {
             progress: None,
             trace: None,
             metrics: None,
-            batch: BatchPolicy::Auto,
         }
     }
 }
@@ -124,10 +115,8 @@ pub struct ShardOutcome {
     pub elapsed_secs: f64,
 }
 
-/// Builds the fault injector one repetition would use — the single
-/// place the (injector spec, α, seed) → injector mapping lives, shared
-/// by the sequential and batched execution paths so both draw identical
-/// fault streams.
+/// Builds the fault injector one repetition uses — the single place
+/// the (injector spec, α, seed) → injector mapping lives.
 fn injector_for(job: &ConfigJob, seed: u64) -> Option<Injector> {
     let a = job.matrix.as_ref();
     let alpha = job.key.alpha;
@@ -174,75 +163,6 @@ fn run_one_traced(job: &ConfigJob, seed: u64, ws: &mut JobWorkspace) -> JobMetri
         out.converged,
     );
     JobMetrics::from(&out)
-}
-
-/// Runs a same-configuration group of repetitions through the batched
-/// lockstep driver ([`solve_resilient_batch_recorded`]). Per-repetition
-/// records, telemetry events and statistics are bit-identical to
-/// [`run_one`] / [`run_one_traced`] — the batching contract the solvers
-/// crate pins. Traced lanes return their drained telemetry for the
-/// campaign loop to flush in repetition order; failed (NaN-poisoned)
-/// lanes return none, matching the sequential path.
-fn run_group_batched(
-    job: &ConfigJob,
-    indices: &[usize],
-    seeds: &[u64],
-    traced: bool,
-    ws: &mut JobWorkspace,
-) -> Vec<(usize, JobRecord, Option<JobTelemetry>)> {
-    let a = job.matrix.as_ref();
-    let mut injectors: Vec<Option<Injector>> =
-        seeds.iter().map(|&s| injector_for(job, s)).collect();
-    if traced {
-        let (bw, recs) = ws.batch_and_recorders(indices.len());
-        for rec in recs.iter_mut() {
-            rec.reset();
-            rec.event(Event::job_start());
-        }
-        let outs =
-            solve_resilient_batch_recorded(a, &job.rhs, &job.cfg, &mut injectors, bw, &mut *recs);
-        indices
-            .iter()
-            .zip(outs)
-            .zip(recs.iter_mut())
-            .map(|((&idx, out), rec)| {
-                rec.finish_job(
-                    out.executed_iterations as u64,
-                    out.productive_iterations as u64,
-                    out.converged,
-                );
-                let m = JobMetrics::from(&out);
-                match failure_reason(&m) {
-                    None => (idx, JobRecord::Done(m), Some(rec.drain(idx))),
-                    Some(reason) => (idx, JobRecord::Failed(reason), None),
-                }
-            })
-            .collect()
-    } else {
-        let mut noop: Vec<ftcg_telemetry::NoopRecorder> = injectors
-            .iter()
-            .map(|_| ftcg_telemetry::NoopRecorder)
-            .collect();
-        let outs = solve_resilient_batch_recorded(
-            a,
-            &job.rhs,
-            &job.cfg,
-            &mut injectors,
-            ws.batch_workspace(),
-            &mut noop,
-        );
-        indices
-            .iter()
-            .zip(outs)
-            .map(|(&idx, out)| {
-                let m = JobMetrics::from(&out);
-                match failure_reason(&m) {
-                    None => (idx, JobRecord::Done(m), None),
-                    Some(reason) => (idx, JobRecord::Failed(reason), None),
-                }
-            })
-            .collect()
-    }
 }
 
 /// Opens the deterministic trace file under the same create/resume
@@ -377,169 +297,88 @@ pub fn run_configs_sharded(
     // export's per-worker tracks). The ordinal labels timelines only —
     // it never reaches a deterministic artifact.
     let next_worker = AtomicU64::new(0);
-    // Group consecutive todo indices of the same configuration into
-    // batched lockstep units. The policy yields a campaign-wide width
-    // ceiling, then each configuration runs at its own width: `auto`
-    // only fuses matrices whose image spills the cache (sequential
-    // execution re-streams those from memory every iteration; the
-    // cache-resident rest run classic one-repetition-at-a-time). Width
-    // 1 is the classic path; wider groups produce bit-identical records
-    // (the solvers crate's batching contract), so the width is
-    // invisible in every artifact.
-    let batch_ceiling = opts.batch.resolve(reps, todo.len(), threads);
-    let mut groups: Vec<Vec<usize>> = Vec::new();
-    for &idx in &todo {
-        let batch_k = opts
-            .batch
-            .width_for_matrix(batch_ceiling, configs[idx / reps].matrix.nnz());
-        match groups.last_mut() {
-            Some(g) if g.len() < batch_k && g[0] / reps == idx / reps => g.push(idx),
-            _ => groups.push(vec![idx]),
-        }
-    }
-    let group_ids: Vec<usize> = (0..groups.len()).collect();
-    // Progress counts *jobs*, not groups, so the observer contract
-    // (done of total jobs, monotone via fetch_max dedupe) is unchanged
-    // from the ungrouped pool.
-    let total_todo = todo.len();
-    let jobs_done = AtomicUsize::new(0);
-    let jobs_reported = AtomicUsize::new(0);
     let results = run_indices_ctx(
         threads,
-        &group_ids,
+        &todo,
         || JobWorkspace::for_worker(next_worker.fetch_add(1, Ordering::Relaxed)),
-        |ws, gid| {
-            let group = &groups[gid];
-            let config = group[0] / reps;
+        |ws, idx| {
+            let config = idx / reps;
             let job = &configs[config];
             // Seeds derive from the job's seed group (its own index by
             // default): configs sharing a group — e.g. the kernel
             // variants of one grid point — draw identical fault
             // streams (common random numbers).
             let coord = job.seed_group.unwrap_or(config as u64);
-            let seeds: Vec<u64> = group
-                .iter()
-                .map(|&idx| derive_seed(campaign_seed, coord, (idx % reps) as u64))
-                .collect();
-            let job_start_ns = started.elapsed().as_nanos() as u64;
-            // A panic anywhere in a batched group falls back to
-            // one-at-a-time execution, so a single pathological
-            // repetition costs itself only — same blast radius as the
-            // sequential path.
-            let batched: Option<Vec<(usize, JobRecord, Option<JobTelemetry>)>> = if group.len() > 1
-            {
-                catch_unwind(AssertUnwindSafe(|| {
-                    run_group_batched(job, group, &seeds, traced, ws)
-                }))
-                .ok()
-            } else {
-                None
-            };
-            let produced: Vec<(usize, JobRecord, Option<JobTelemetry>)> = match batched {
-                Some(v) => v,
-                None => group
-                    .iter()
-                    .zip(&seeds)
-                    .map(|(&idx, &seed)| {
-                        // Panics are caught *here*, inside the job, so
-                        // the failure reaches the journal as a record —
-                        // a resumed run must not re-run a
-                        // deterministically panicking repetition
-                        // forever.
-                        match catch_unwind(AssertUnwindSafe(|| {
-                            if traced {
-                                run_one_traced(job, seed, ws)
-                            } else {
-                                run_one(job, seed, ws)
-                            }
-                        })) {
-                            Ok(m) => match failure_reason(&m) {
-                                None => {
-                                    let tele = traced.then(|| ws.recorder().drain(idx));
-                                    (idx, JobRecord::Done(m), tele)
-                                }
-                                Some(reason) => (idx, JobRecord::Failed(reason), None),
-                            },
-                            Err(payload) => (
-                                idx,
-                                JobRecord::Failed(panic_message(payload.as_ref())),
-                                None,
-                            ),
-                        }
-                    })
-                    .collect(),
-            };
-            let end_ns = started.elapsed().as_nanos() as u64;
-            let mut records = Vec::with_capacity(produced.len());
-            // Batched lanes advance in lockstep, so no member owns a
-            // wall-clock sub-window of its own; the sidecar attributes
-            // an equal slice of the group window to each so per-worker
-            // timeline tracks stay non-overlapping (Perfetto nesting).
-            let k = produced.len().max(1) as u64;
-            let slice = |i: u64| job_start_ns + (end_ns - job_start_ns) * i / k;
-            for (i, (idx, record, tele)) in produced.into_iter().enumerate() {
-                // Trace/metrics blocks go out *before* the journal
-                // record: a journal record must imply a durable trace
-                // block, so a kill between the two re-runs the job on
-                // resume and the re-run's block deduplicates
-                // byte-identically. Failed jobs (panics, NaN-poisoned
-                // metrics) write no telemetry — the recorder resets at
-                // the next job's start.
-                if let Some(mut tele) = tele {
-                    // Stamp the wall-clock execution window (sidecar
-                    // only; the trace appender never sees it).
-                    tele.span = Some(JobSpan {
-                        worker: ws.worker(),
-                        start_ns: slice(i as u64),
-                        end_ns: slice(i as u64 + 1),
-                    });
-                    if let Some(t) = &tracer {
-                        let mut err = io_error.lock();
-                        if err.is_none() {
-                            if let Err(e) = t.lock().append_job(idx, &tele.events) {
-                                *err = Some(EngineError::Telemetry(e.into()));
-                            }
-                        }
-                    }
-                    if let Some(m) = &metrics {
-                        let mut err = io_error.lock();
-                        if err.is_none() {
-                            if let Err(e) = m.lock().append_job(&tele) {
-                                *err = Some(EngineError::Telemetry(e.into()));
-                            }
-                        }
-                    }
+            let seed = derive_seed(campaign_seed, coord, (idx % reps) as u64);
+            let start_ns = started.elapsed().as_nanos() as u64;
+            // Panics are caught *here*, inside the job, so the failure
+            // reaches the journal as a record — a resumed run must not
+            // re-run a deterministically panicking repetition forever.
+            let (record, tele) = match catch_unwind(AssertUnwindSafe(|| {
+                if traced {
+                    run_one_traced(job, seed, ws)
+                } else {
+                    run_one(job, seed, ws)
                 }
-                if let Some(w) = &writer {
+            })) {
+                Ok(m) => match failure_reason(&m) {
+                    None => (JobRecord::Done(m), traced.then(|| ws.recorder().drain(idx))),
+                    Some(reason) => (JobRecord::Failed(reason), None),
+                },
+                Err(payload) => (JobRecord::Failed(panic_message(payload.as_ref())), None),
+            };
+            // Trace/metrics blocks go out *before* the journal record:
+            // a journal record must imply a durable trace block, so a
+            // kill between the two re-runs the job on resume and the
+            // re-run's block deduplicates byte-identically. Failed jobs
+            // (panics, NaN-poisoned metrics) write no telemetry — the
+            // recorder resets at the next job's start.
+            if let Some(mut tele) = tele {
+                // Stamp the wall-clock execution window (sidecar only;
+                // the trace appender never sees it).
+                tele.span = Some(JobSpan {
+                    worker: ws.worker(),
+                    start_ns,
+                    end_ns: started.elapsed().as_nanos() as u64,
+                });
+                if let Some(t) = &tracer {
                     let mut err = io_error.lock();
                     if err.is_none() {
-                        if let Err(e) = w.lock().append(idx, &record) {
-                            *err = Some(EngineError::Journal(format!(
-                                "{}: append failed: {e}",
-                                opts.journal
-                                    .map(|p| p.display().to_string())
-                                    .unwrap_or_default()
-                            )));
+                        if let Err(e) = t.lock().append_job(idx, &tele.events) {
+                            *err = Some(EngineError::Telemetry(e.into()));
                         }
                     }
                 }
-                if let JobRecord::Done(m) = &record {
-                    if let Some(obs) = opts.progress {
-                        obs.job_stats(m.faults as u64, m.rollbacks as u64);
+                if let Some(m) = &metrics {
+                    let mut err = io_error.lock();
+                    if err.is_none() {
+                        if let Err(e) = m.lock().append_job(&tele) {
+                            *err = Some(EngineError::Telemetry(e.into()));
+                        }
                     }
                 }
-                records.push((idx, record));
             }
-            if let Some(obs) = opts.progress {
-                let finished =
-                    jobs_done.fetch_add(records.len(), Ordering::Relaxed) + records.len();
-                if finished > jobs_reported.fetch_max(finished, Ordering::Relaxed) {
-                    obs.job_done(finished, total_todo);
+            if let Some(w) = &writer {
+                let mut err = io_error.lock();
+                if err.is_none() {
+                    if let Err(e) = w.lock().append(idx, &record) {
+                        *err = Some(EngineError::Journal(format!(
+                            "{}: append failed: {e}",
+                            opts.journal
+                                .map(|p| p.display().to_string())
+                                .unwrap_or_default()
+                        )));
+                    }
                 }
             }
-            records
+            if let JobRecord::Done(m) = &record {
+                if let Some(obs) = opts.progress {
+                    obs.job_stats(m.faults as u64, m.rollbacks as u64);
+                }
+            }
+            record
         },
-        None,
+        opts.progress,
     );
     if let Some(e) = io_error.into_inner() {
         return Err(e);
@@ -560,23 +399,12 @@ pub fn run_configs_sharded(
     }
     let replayed = replayed_records.len();
     let mut records = replayed_records;
-    let mut executed = 0usize;
-    for (pos, result) in results.into_iter().enumerate() {
-        match result {
-            Ok(v) => {
-                executed += v.len();
-                records.extend(v);
-            }
-            // Pool-level panics are unreachable (the group catches its
-            // own), but fold them into Failed records rather than
-            // unwrap.
-            Err(p) => {
-                for &idx in &groups[pos] {
-                    records.push((idx, JobRecord::Failed(p.message.clone())));
-                    executed += 1;
-                }
-            }
-        }
+    let executed = results.len();
+    for (&idx, result) in todo.iter().zip(results) {
+        // Pool-level panics are unreachable (the job catches its own),
+        // but fold them into Failed records rather than unwrap.
+        let record = result.unwrap_or_else(|p| JobRecord::Failed(p.message));
+        records.push((idx, record));
     }
     records.sort_by_key(|&(j, _)| j);
     Ok(ShardOutcome {
@@ -678,7 +506,6 @@ pub fn run_campaign(
     let configs = expand(spec, resolver)?;
     let opts = RunOptions {
         progress,
-        batch: spec.batch,
         ..RunOptions::default()
     };
     let outcome = run_configs_sharded(
@@ -703,17 +530,13 @@ pub fn run_campaign_sharded(
     opts: &RunOptions<'_>,
 ) -> Result<(ShardOutcome, Option<CampaignResult>), EngineError> {
     let configs = expand(spec, resolver)?;
-    let opts = RunOptions {
-        batch: spec.batch,
-        ..*opts
-    };
     let outcome = run_configs_sharded(
         &spec.name,
         spec.seed,
         spec.reps,
         spec.threads,
         &configs,
-        &opts,
+        opts,
     )?;
     if opts.shard.count == 1 {
         let elapsed = outcome.elapsed_secs;

@@ -74,9 +74,7 @@ pub use journal::{JobRecord, Journal, JournalWriter, Manifest, Shard};
 pub use pool::{
     run_indexed, run_indexed_ctx, run_indices_ctx, JobPanic, ProgressFn, WorkerObserver,
 };
-pub use spec::{
-    BatchPolicy, CampaignSpec, DefaultResolver, IntervalPolicy, MatrixResolver, MatrixSource,
-};
+pub use spec::{CampaignSpec, DefaultResolver, IntervalPolicy, MatrixResolver, MatrixSource};
 pub use workspace::JobWorkspace;
 
 /// Everything a typical engine user needs.
@@ -90,7 +88,7 @@ pub mod prelude {
     pub use crate::journal::{JobRecord, Shard};
     pub use crate::sink::{write_csv, write_jsonl};
     pub use crate::spec::{
-        BatchPolicy, CampaignSpec, DefaultResolver, IntervalPolicy, MatrixResolver, MatrixSource,
+        CampaignSpec, DefaultResolver, IntervalPolicy, MatrixResolver, MatrixSource,
     };
     pub use crate::workspace::JobWorkspace;
 }

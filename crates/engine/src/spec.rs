@@ -146,104 +146,6 @@ impl MatrixResolver for DefaultResolver {
     }
 }
 
-/// How many same-configuration repetitions a worker advances in
-/// lockstep through the batched resilient driver
-/// (`ftcg_solvers::solve_resilient_batch`).
-///
-/// Batching is a pure throughput knob: every repetition's artifacts —
-/// journal records, trace events, summaries — are bit-identical to
-/// sequential execution whatever the width, so the policy is **not**
-/// part of the campaign fingerprint (like `threads`, it describes how
-/// the work is run, not what the work is).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum BatchPolicy {
-    /// Pick a width from the job count, worker count and repetitions —
-    /// wide enough to amortize the matrix traversal, never so wide that
-    /// workers sit idle — then engage it **per configuration** only
-    /// when the matrix image is large enough for the fused traversal to
-    /// pay (see [`BatchPolicy::width_for_matrix`]).
-    Auto,
-    /// A fixed width; `1` is the classic one-repetition-at-a-time path.
-    Fixed(usize),
-}
-
-impl BatchPolicy {
-    /// Image size below which `Auto` declines to fuse. Lockstep lanes
-    /// multiply the live vector working set by the width, so when the
-    /// shared image is cache-resident anyway the fused traversal saves
-    /// nothing and the interleaving costs real time (measured ~25% on
-    /// the Table 1 miniature set, whose images are 0.2–3 MB); the win
-    /// only exists when the image itself spills the last-level cache
-    /// and sequential execution would re-stream it from memory every
-    /// iteration.
-    pub const AUTO_FUSE_MIN_IMAGE_BYTES: usize = 4 << 20;
-
-    /// Resolves the policy to a concrete width *ceiling* for a run of
-    /// `todo` jobs over `threads` workers with `reps` repetitions per
-    /// configuration (a batch can never span configurations, so `reps`
-    /// caps the useful width).
-    pub fn resolve(self, reps: usize, todo: usize, threads: usize) -> usize {
-        match self {
-            BatchPolicy::Fixed(k) => k.max(1),
-            BatchPolicy::Auto => (todo / threads.max(1)).clamp(1, reps.clamp(1, 8)),
-        }
-    }
-
-    /// The width one configuration actually runs at: `Fixed` widths are
-    /// honored as given, while `Auto` falls back to sequential (`1`)
-    /// whenever the matrix image — `nnz` stored entries at one value
-    /// plus one column index each — is small enough to stay
-    /// cache-resident across iterations
-    /// ([`AUTO_FUSE_MIN_IMAGE_BYTES`](Self::AUTO_FUSE_MIN_IMAGE_BYTES)).
-    /// Like the ceiling itself, the choice never reaches an artifact:
-    /// every width produces bit-identical records.
-    pub fn width_for_matrix(self, ceiling: usize, nnz: usize) -> usize {
-        match self {
-            BatchPolicy::Fixed(_) => ceiling,
-            BatchPolicy::Auto => {
-                let image_bytes = nnz.saturating_mul(12);
-                if image_bytes >= Self::AUTO_FUSE_MIN_IMAGE_BYTES {
-                    ceiling
-                } else {
-                    1
-                }
-            }
-        }
-    }
-}
-
-impl std::fmt::Display for BatchPolicy {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            BatchPolicy::Auto => write!(f, "auto"),
-            BatchPolicy::Fixed(k) => write!(f, "{k}"),
-        }
-    }
-}
-
-impl std::str::FromStr for BatchPolicy {
-    type Err = EngineError;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        parse_batch(s)
-    }
-}
-
-/// Parses a batch policy: `auto` or a width `N >= 1`.
-pub fn parse_batch(s: &str) -> Result<BatchPolicy, EngineError> {
-    let s = s.trim();
-    if s.eq_ignore_ascii_case("auto") {
-        return Ok(BatchPolicy::Auto);
-    }
-    match s.parse::<usize>() {
-        Ok(0) => Err(EngineError::Spec(format!(
-            "bad batch `{s}`: width must be >= 1 (1 = sequential) or `auto`"
-        ))),
-        Ok(k) => Ok(BatchPolicy::Fixed(k)),
-        Err(_) => Err(EngineError::Spec(format!("bad batch `{s}` (auto | N)"))),
-    }
-}
-
 /// How each configuration's checkpoint/verification intervals are set.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum IntervalPolicy {
@@ -279,9 +181,6 @@ pub struct CampaignSpec {
     pub kernels: Vec<KernelSpec>,
     /// Interval policy.
     pub interval: IntervalPolicy,
-    /// Batched-repetition width (execution knob, not campaign
-    /// identity — excluded from the fingerprint like `threads`).
-    pub batch: BatchPolicy,
 }
 
 impl Default for CampaignSpec {
@@ -298,7 +197,6 @@ impl Default for CampaignSpec {
             solvers: vec![SolverKind::Cg],
             kernels: vec![KernelSpec::Csr],
             interval: IntervalPolicy::ModelOptimal,
-            batch: BatchPolicy::Auto,
         }
     }
 }
@@ -488,7 +386,13 @@ impl CampaignSpec {
                     .collect::<Result<_, _>>()?;
             }
             "interval" => self.interval = parse_interval(value)?,
-            "batch" => self.batch = parse_batch(value)?,
+            // Retired, not unknown: the lockstep batch driver is gone
+            // (repetitions always run one at a time), but checked-in
+            // `BENCH_*.json` entries embed their spec text and
+            // `benchmark/src/main.rs` builds one inline, all carrying
+            // `batch = auto` — so the key stays accepted, validated as
+            // before, and ignored.
+            "batch" => check_retired_batch(value)?,
             other => {
                 return Err(EngineError::Spec(format!("unknown key `{other}`")));
             }
@@ -521,6 +425,22 @@ impl CampaignSpec {
     /// Total jobs (configurations × repetitions).
     pub fn n_jobs(&self) -> usize {
         self.n_configs() * self.reps
+    }
+}
+
+/// Validates a value of the retired `batch` key: `auto` or a width
+/// `N >= 1`.
+fn check_retired_batch(s: &str) -> Result<(), EngineError> {
+    let s = s.trim();
+    if s.eq_ignore_ascii_case("auto") {
+        return Ok(());
+    }
+    match s.parse::<usize>() {
+        Ok(0) => Err(EngineError::Spec(format!(
+            "bad batch `{s}`: width must be >= 1 or `auto`"
+        ))),
+        Ok(_) => Ok(()),
+        Err(_) => Err(EngineError::Spec(format!("bad batch `{s}` (auto | N)"))),
     }
 }
 
@@ -710,47 +630,17 @@ mod tests {
 
     #[test]
     fn batch_key_parses_in_both_formats() {
-        let kv = CampaignSpec::parse("matrices = poisson2d:8\nbatch = 4\n").unwrap();
-        assert_eq!(kv.batch, BatchPolicy::Fixed(4));
-        let auto = CampaignSpec::parse("matrices = poisson2d:8\nbatch = auto\n").unwrap();
-        assert_eq!(auto.batch, BatchPolicy::Auto);
-        let json =
-            CampaignSpec::parse(r#"{"matrices": ["poisson2d:8"], "batch": "auto"}"#).unwrap();
-        assert_eq!(json.batch, BatchPolicy::Auto);
-        // Default is auto; 0 and junk are spec errors.
+        // Retired key: accepted and validated, then ignored.
         let plain = CampaignSpec::parse("matrices = poisson2d:8\n").unwrap();
-        assert_eq!(plain.batch, BatchPolicy::Auto);
+        for text in [
+            "matrices = poisson2d:8\nbatch = 4\n",
+            "matrices = poisson2d:8\nbatch = auto\n",
+            r#"{"matrices": ["poisson2d:8"], "batch": "auto"}"#,
+        ] {
+            assert_eq!(CampaignSpec::parse(text).unwrap(), plain, "{text}");
+        }
         assert!(CampaignSpec::parse("matrices = poisson2d:8\nbatch = 0\n").is_err());
         assert!(CampaignSpec::parse("matrices = poisson2d:8\nbatch = wide\n").is_err());
-    }
-
-    #[test]
-    fn batch_policy_resolution() {
-        // Fixed widths pass through (0 clamps to sequential).
-        assert_eq!(BatchPolicy::Fixed(6).resolve(10, 100, 4), 6);
-        assert_eq!(BatchPolicy::Fixed(0).resolve(10, 100, 4), 1);
-        // Auto: amortize across workers, capped by reps and 8.
-        assert_eq!(BatchPolicy::Auto.resolve(100, 64, 4), 8);
-        assert_eq!(BatchPolicy::Auto.resolve(3, 64, 4), 3);
-        assert_eq!(BatchPolicy::Auto.resolve(100, 2, 4), 1);
-        assert_eq!(BatchPolicy::Auto.resolve(100, 0, 0), 1);
-        // Display/FromStr roundtrip (the CLI override path).
-        for p in [BatchPolicy::Auto, BatchPolicy::Fixed(5)] {
-            assert_eq!(p.to_string().parse::<BatchPolicy>().unwrap(), p);
-        }
-    }
-
-    #[test]
-    fn auto_batch_only_fuses_memory_bound_images() {
-        let at = BatchPolicy::AUTO_FUSE_MIN_IMAGE_BYTES.div_ceil(12);
-        // Cache-resident images run sequential under auto; images that
-        // spill the cache take the full ceiling.
-        assert_eq!(BatchPolicy::Auto.width_for_matrix(8, at - 1), 1);
-        assert_eq!(BatchPolicy::Auto.width_for_matrix(8, at), 8);
-        assert_eq!(BatchPolicy::Auto.width_for_matrix(8, usize::MAX), 8);
-        // An explicit width is an instruction, not a hint.
-        assert_eq!(BatchPolicy::Fixed(6).width_for_matrix(6, 10), 6);
-        assert_eq!(BatchPolicy::Fixed(1).width_for_matrix(1, usize::MAX), 1);
     }
 
     #[test]

@@ -11,17 +11,16 @@ use ftcg_engine::{run_campaign_sharded, sink, CampaignSpec, DefaultResolver, Run
 use ftcg_telemetry::metrics::MetricsFile;
 use ftcg_telemetry::{Trace, TraceMeta};
 
+const SPEC: &str = "name     = ttest\n\
+                    seed     = 23\n\
+                    reps     = 3\n\
+                    threads  = 1\n\
+                    matrices = poisson2d:10\n\
+                    schemes  = detection, correction\n\
+                    alphas   = 0, 1/16\n";
+
 fn spec() -> CampaignSpec {
-    CampaignSpec::parse(
-        "name     = ttest\n\
-         seed     = 23\n\
-         reps     = 3\n\
-         threads  = 1\n\
-         matrices = poisson2d:10\n\
-         schemes  = detection, correction\n\
-         alphas   = 0, 1/16\n",
-    )
-    .expect("spec parses")
+    CampaignSpec::parse(SPEC).expect("spec parses")
 }
 
 fn tmpdir(tag: &str) -> PathBuf {
@@ -206,6 +205,41 @@ fn artifacts_are_byte_identical_with_telemetry_on_or_off() {
             total_jobs: spec().n_jobs(),
         }
     );
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+#[test]
+fn retired_batch_key_changes_no_artifact() {
+    // `batch` is accepted for old spec files and ignored: with a width,
+    // with `auto` and without the key, JSONL, CSV and the trace file
+    // are the same bytes.
+    let dir = tmpdir("batchkey");
+    let mut golden: Option<(String, String, Vec<u8>)> = None;
+    for (tag, extra) in [
+        ("none", ""),
+        ("four", "batch = 4\n"),
+        ("auto", "batch = auto\n"),
+    ] {
+        let cs = CampaignSpec::parse(&format!("{SPEC}{extra}")).unwrap();
+        let trace = dir.join(format!("{tag}.trace.jsonl"));
+        let opts = RunOptions {
+            trace: Some(&trace),
+            ..RunOptions::default()
+        };
+        let result = run_campaign_sharded(&cs, &DefaultResolver, &opts)
+            .unwrap()
+            .1
+            .unwrap();
+        let got = (
+            sink::jsonl_string(&result.summaries),
+            sink::csv_string(&result.summaries),
+            std::fs::read(&trace).unwrap(),
+        );
+        match &golden {
+            None => golden = Some(got),
+            Some(g) => assert!(*g == got, "artifacts differ with `{}`", extra.trim()),
+        }
+    }
     std::fs::remove_dir_all(&dir).unwrap();
 }
 

@@ -1,7 +1,7 @@
 //! The built-in backends and their prepared forms.
 
 use ftcg_sparse::parallel::{partition_rows_balanced, spmv_parallel, RowBlock};
-use ftcg_sparse::{BcsrMatrix, CsrMatrix, MultiVec, SellCSigma};
+use ftcg_sparse::{BcsrMatrix, CsrMatrix, SellCSigma};
 
 use crate::kernel::{PreparedSpmv, SpmvKernel};
 use crate::spec::KernelSpec;
@@ -44,20 +44,6 @@ impl SpmvKernel for CsrSerial {
 impl PreparedSpmv for PreparedCsr<'_> {
     fn spmv_into(&self, x: &[f64], y: &mut [f64]) {
         self.0.spmv_into(x, y);
-    }
-
-    fn spmm_into(&self, x: &MultiVec, y: &mut MultiVec) {
-        self.0.spmm_into(x, y);
-    }
-
-    // CSR finalizes rows in ascending order, so the probe fuses into
-    // the product traversal (one pass instead of the two-pass default).
-    fn spmv_with_probe_into(&self, x: &[f64], y: &mut [f64]) -> [f64; 2] {
-        self.0.spmv_with_probe_into(x, y)
-    }
-
-    fn spmm_with_probe_into(&self, x: &MultiVec, y: &mut MultiVec, probes: &mut [[f64; 2]]) {
-        self.0.spmm_with_probe_into(x, y, probes);
     }
 
     fn backend(&self) -> String {
@@ -123,10 +109,6 @@ impl PreparedSpmv for PreparedCsrPar<'_> {
         spmv_parallel(self.a, x, y, &self.blocks);
     }
 
-    fn row_blocks(&self) -> Option<&[RowBlock]> {
-        Some(&self.blocks)
-    }
-
     fn backend(&self) -> String {
         format!("csr-par:{}", self.blocks.len().max(1))
     }
@@ -177,10 +159,6 @@ impl SpmvKernel for BcsrKernel {
 impl PreparedSpmv for BcsrMatrix {
     fn spmv_into(&self, x: &[f64], y: &mut [f64]) {
         BcsrMatrix::spmv_into(self, x, y);
-    }
-
-    fn spmm_into(&self, x: &MultiVec, y: &mut MultiVec) {
-        BcsrMatrix::spmm_into(self, x, y);
     }
 
     fn backend(&self) -> String {
@@ -242,10 +220,6 @@ impl SpmvKernel for SellKernel {
 impl PreparedSpmv for SellCSigma {
     fn spmv_into(&self, x: &[f64], y: &mut [f64]) {
         SellCSigma::spmv_into(self, x, y);
-    }
-
-    fn spmm_into(&self, x: &MultiVec, y: &mut MultiVec) {
-        SellCSigma::spmm_into(self, x, y);
     }
 
     fn backend(&self) -> String {
@@ -337,124 +311,6 @@ mod tests {
         assert_ne!(p.backend(), "auto");
         let p = CsrSerial.prepare(&a).unwrap();
         assert_eq!(p.backend(), "csr");
-    }
-
-    #[test]
-    fn every_builtin_spmm_is_bit_identical_to_spmv() {
-        let a = gen::random_spd(150, 0.05, 9).unwrap();
-        let k = 5usize;
-        let mut x = MultiVec::zeros(150, k);
-        for c in 0..k {
-            for (i, v) in x.col_mut(c).iter_mut().enumerate() {
-                *v = ((i + 3 * c) as f64 * 0.29).sin();
-            }
-        }
-        let kernels: Vec<Box<dyn SpmvKernel>> = vec![
-            Box::new(CsrSerial),
-            Box::new(CsrParallel { threads: 3 }),
-            Box::new(BcsrKernel { block: 2 }),
-            Box::new(BcsrKernel { block: 4 }),
-            Box::new(SellKernel {
-                chunk: 8,
-                sigma: 32,
-            }),
-        ];
-        for kern in kernels {
-            let p = kern.prepare(&a).unwrap();
-            let mut y = MultiVec::zeros(150, k);
-            p.spmm_into(&x, &mut y);
-            for c in 0..k {
-                let want = p.spmv(x.col(c));
-                for (i, w) in want.iter().enumerate() {
-                    assert_eq!(
-                        y.col(c)[i].to_bits(),
-                        w.to_bits(),
-                        "kernel {} col {c} row {i}",
-                        kern.name()
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn every_builtin_probe_is_bit_identical_to_separate_sweeps() {
-        let a = gen::random_spd(150, 0.05, 9).unwrap();
-        let x: Vec<f64> = (0..150).map(|i| (i as f64 * 0.31).sin() * 2.0).collect();
-        let k = 3usize;
-        let mut xm = MultiVec::zeros(150, k);
-        for c in 0..k {
-            for (i, v) in xm.col_mut(c).iter_mut().enumerate() {
-                *v = ((i + 5 * c) as f64 * 0.17).cos();
-            }
-        }
-        let kernels: Vec<Box<dyn SpmvKernel>> = vec![
-            Box::new(CsrSerial),
-            Box::new(CsrParallel { threads: 3 }),
-            Box::new(BcsrKernel { block: 2 }),
-            Box::new(SellKernel {
-                chunk: 8,
-                sigma: 32,
-            }),
-        ];
-        for kern in kernels {
-            let p = kern.prepare(&a).unwrap();
-            // Single-vector probe vs spmv_into + probe_of.
-            let mut y_ref = vec![0.0; 150];
-            p.spmv_into(&x, &mut y_ref);
-            let want = ftcg_sparse::fused::probe_of(&y_ref);
-            let mut y = vec![0.0; 150];
-            let probe = p.spmv_with_probe_into(&x, &mut y);
-            for i in 0..150 {
-                assert_eq!(
-                    y[i].to_bits(),
-                    y_ref[i].to_bits(),
-                    "{} row {i}",
-                    kern.name()
-                );
-            }
-            assert_eq!(probe[0].to_bits(), want[0].to_bits(), "{}", kern.name());
-            assert_eq!(probe[1].to_bits(), want[1].to_bits(), "{}", kern.name());
-            // Multi-RHS probes vs spmm_into + per-column probe_of.
-            let mut ym_ref = MultiVec::zeros(150, k);
-            p.spmm_into(&xm, &mut ym_ref);
-            let mut ym = MultiVec::zeros(150, k);
-            let mut probes = vec![[9.0; 2]; k];
-            p.spmm_with_probe_into(&xm, &mut ym, &mut probes);
-            for (c, probe) in probes.iter().enumerate() {
-                let want = ftcg_sparse::fused::probe_of(ym_ref.col(c));
-                for i in 0..150 {
-                    assert_eq!(
-                        ym.col(c)[i].to_bits(),
-                        ym_ref.col(c)[i].to_bits(),
-                        "{} col {c} row {i}",
-                        kern.name()
-                    );
-                }
-                assert_eq!(
-                    probe[0].to_bits(),
-                    want[0].to_bits(),
-                    "{} col {c}",
-                    kern.name()
-                );
-                assert_eq!(
-                    probe[1].to_bits(),
-                    want[1].to_bits(),
-                    "{} col {c}",
-                    kern.name()
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn csr_par_exposes_cached_row_blocks() {
-        let a = gen::poisson2d(12).unwrap();
-        let p = CsrParallel { threads: 3 }.prepare(&a).unwrap();
-        let blocks = p.row_blocks().expect("csr-par caches its partition");
-        assert_eq!(blocks, &partition_rows_balanced(&a, 3)[..]);
-        // Serial backends have no partition to share.
-        assert!(CsrSerial.prepare(&a).unwrap().row_blocks().is_none());
     }
 
     #[test]

@@ -30,9 +30,9 @@
 //! inside the kernel: they compare the *output* `y` (and the input copy
 //! `x′`) against checksums precomputed from the pristine matrix. Any
 //! backend's product can therefore be verified unchanged — the
-//! resilient drivers in `ftcg-solvers` run the selected backend
+//! resilient executor in `ftcg-solvers` runs the selected backend
 //! defensively against the live (corruptible) CSR image via
-//! [`KernelSpec::product_defensive`] and feed its output to the same
+//! [`KernelSpec::product_defensive`] and feeds its output to the same
 //! verification. Forward *correction*, by contrast, localizes errors in
 //! the CSR arrays, so it stays CSR-specific regardless of the kernel
 //! that produced `y`.

@@ -260,8 +260,7 @@ impl DefensiveProduct {
     }
 
     /// `y ← A·x` with the ABFT output probe `[Σᵢ yᵢ, Σᵢ (i+1)·yᵢ]`
-    /// returned from the same call — the defensive counterpart of
-    /// [`PreparedSpmv::spmv_with_probe_into`].
+    /// returned from the same call.
     ///
     /// The serial CSR path (also serving `auto`) folds the probe into
     /// the product traversal

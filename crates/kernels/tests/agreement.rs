@@ -3,7 +3,7 @@
 //! SPD generator matrices (property-based) and on structured ones.
 
 use ftcg_kernels::{KernelRegistry, KernelSpec, KERNEL_RTOL};
-use ftcg_sparse::{gen, BcsrMatrix, CsrMatrix, MultiVec, SellCSigma};
+use ftcg_sparse::{gen, BcsrMatrix, CsrMatrix, SellCSigma};
 use proptest::prelude::*;
 
 const ALL_NAMES: [&str; 7] = [
@@ -71,7 +71,7 @@ proptest! {
         let want_bits = bits(&want);
 
         let mut y = vec![0.0; n];
-        a.spmv_rowband_into(&x, &mut y);
+        a.spmv_clamped_rowband_into(&x, &mut y);
         prop_assert_eq!(bits(&y), want_bits.clone(), "csr row-band n={}", n);
 
         for (c, sigma) in [(4usize, 16usize), (8, 32)] {
@@ -83,51 +83,6 @@ proptest! {
             let m = BcsrMatrix::from_csr(&a, b).unwrap();
             m.spmv_into(&x, &mut y);
             prop_assert_eq!(bits(&y), want_bits.clone(), "bcsr b={} n={}", b, n);
-        }
-    }
-
-    // Fused multi-RHS traversals: column c of spmm == spmv of column c,
-    // bit for bit, for every format.
-    #[test]
-    fn spmm_columns_are_bit_identical_to_spmv(
-        n in 20usize..160, k in 1usize..7, seed in 0u64..200
-    ) {
-        let a = gen::random_spd(n, 0.06, seed).unwrap();
-        let mut x = MultiVec::zeros(n, k);
-        for c in 0..k {
-            for (i, v) in x.col_mut(c).iter_mut().enumerate() {
-                *v = ((i * (c + 1)) as f64 * 0.37).cos();
-            }
-        }
-        let mut y = MultiVec::zeros(n, k);
-        let sell = SellCSigma::from_csr(&a, 8, 32).unwrap();
-        let bcsr = BcsrMatrix::from_csr(&a, 2).unwrap();
-
-        a.spmm_into(&x, &mut y);
-        for c in 0..k {
-            let want: Vec<u64> = a.spmv(x.col(c)).iter().map(|v| v.to_bits()).collect();
-            let got: Vec<u64> = y.col(c).iter().map(|v| v.to_bits()).collect();
-            prop_assert_eq!(got, want, "csr col {}", c);
-        }
-        sell.spmm_into(&x, &mut y);
-        for c in 0..k {
-            let mut want = vec![0.0; n];
-            sell.spmv_into(x.col(c), &mut want);
-            prop_assert_eq!(
-                y.col(c).iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-                want.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-                "sell col {}", c
-            );
-        }
-        bcsr.spmm_into(&x, &mut y);
-        for c in 0..k {
-            let mut want = vec![0.0; n];
-            bcsr.spmv_into(x.col(c), &mut want);
-            prop_assert_eq!(
-                y.col(c).iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-                want.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-                "bcsr col {}", c
-            );
         }
     }
 

@@ -12,14 +12,12 @@
 //!   metrics sidecar of the best run;
 //! * [`kernels_suite`] — per-nonzero cost of the prepared SpMV
 //!   backends (reference CSR, fixed-C SELL-C-σ, register-blocked
-//!   BCSR) and the fused multi-RHS traversal's per-column cost
-//!   against single-vector products;
+//!   BCSR) and the one-pass sweeps against their separate-call
+//!   compositions;
 //! * [`solver_step_suite`] — per-iteration cost of the CG state
-//!   machine against the historical inlined loop (the `solver_step`
-//!   bench target's gate, as a recorded measurement);
+//!   machine against the historical inlined loop;
 //! * [`telemetry_suite`] — recording overhead on the resilient hot
-//!   path: baseline vs `NoopRecorder` vs `ActiveRecorder` (the
-//!   `telemetry_overhead` bench target's claims, as measurements).
+//!   path: baseline vs `NoopRecorder` vs `ActiveRecorder`.
 
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -27,11 +25,11 @@ use std::time::Instant;
 
 use ftcg_engine::inject::paper_injector;
 use ftcg_engine::{run_campaign_sharded, CampaignSpec, MatrixResolver, RunOptions};
-use ftcg_kernels::KernelSpec;
+use ftcg_kernels::{DefensiveProduct, KernelSpec};
 use ftcg_model::Scheme;
 use ftcg_solvers::resilient::{solve_resilient_in, solve_resilient_recorded, ResilientConfig};
 use ftcg_solvers::{cg_solve_with, CgConfig, SolveStats, SolverWorkspace, StoppingCriterion};
-use ftcg_sparse::{gen, vector, CsrMatrix, MultiVec};
+use ftcg_sparse::{gen, vector, CsrMatrix};
 use ftcg_telemetry::metrics::MetricsFile;
 use ftcg_telemetry::{ActiveRecorder, NoopRecorder, Phase};
 
@@ -180,8 +178,7 @@ fn min_of(samples: &[f64]) -> f64 {
 }
 
 /// The pre-refactor CG loop, kept verbatim as the timing baseline the
-/// state machine is compared against (mirrors the `solver_step` bench
-/// target, which asserts the same comparison as a hard gate).
+/// state machine is compared against.
 fn legacy_cg(a: &CsrMatrix, b: &[f64], x0: &[f64], cfg: &CgConfig) -> SolveStats {
     let n = a.n_rows();
     let mut x = x0.to_vec();
@@ -280,23 +277,21 @@ pub fn solver_step_suite(grid: usize, iters: usize, reps: usize) -> Result<Suite
 
 /// SpMV microkernel suite: per-nonzero cost of each prepared backend
 /// on one Poisson grid (reference CSR, the fixed-C SELL-C-σ kernels,
-/// register-blocked BCSR), plus the fused multi-RHS traversal timed
-/// per column against `k` single-vector products.
+/// register-blocked BCSR).
 ///
 /// Timing policy matches the other micro-suites: each backend gets an
 /// untimed warmup product, every sample times a burst of products (so
 /// one sample sits far above timer resolution), and the headline is
-/// min-of-`reps`. The fused speedup is reported as a ratio of the two
-/// minima — > 1 means one `spmm_into` traversal beats `k` separate
-/// `spmv_into` calls, which is the whole point of batching.
+/// min-of-`reps`.
 ///
 /// A `fused` measurement group compares the one-pass hot-path sweeps
 /// against their separate-call compositions: the CG update tail
 /// (`axpy` ×2 + `norm2_sq` vs `fused::axpy2_norm2_sq`, ns/iter) and
-/// the ABFT checksum probe (`spmv_into` + `probe_of` vs the one-pass
-/// `spmv_with_probe_into`, ns/nnz), each sampled as interleaved pairs
-/// so drift hits both sides equally.
-pub fn kernels_suite(grid: usize, k: usize, reps: usize) -> Result<SuiteResult, String> {
+/// the ABFT checksum probe as the executor runs it
+/// (`DefensiveProduct::product` + `probe_of` vs the one-pass
+/// `DefensiveProduct::product_with_probe`, ns/nnz), each sampled as
+/// interleaved pairs so drift hits both sides equally.
+pub fn kernels_suite(grid: usize, reps: usize) -> Result<SuiteResult, String> {
     const INNER: usize = 16;
     let a = gen::poisson2d(grid).map_err(|e| e.to_string())?;
     let n = a.n_rows();
@@ -320,29 +315,6 @@ pub fn kernels_suite(grid: usize, k: usize, reps: usize) -> Result<SuiteResult, 
         sigma: 32,
     })?;
     let bcsr = spmv_ns_per_nnz(KernelSpec::Bcsr { block: 2 })?;
-    // Fused multi-RHS: k shifted copies of the probe vector through one
-    // CSR spmm traversal, timed per column so the numbers compare
-    // directly with the single-vector rows above.
-    let k = k.max(2);
-    let mut xb = MultiVec::zeros(n, k);
-    for c in 0..k {
-        for (i, v) in xb.col_mut(c).iter_mut().enumerate() {
-            *v = x[(i + c) % n];
-        }
-    }
-    let mut yb = MultiVec::zeros(n, k);
-    let p = KernelSpec::Csr.prepare(&a).map_err(|e| e.to_string())?;
-    p.spmm_into(&xb, &mut yb);
-    let fused: Vec<f64> = per_iter_samples(reps, || {
-        for _ in 0..INNER {
-            p.spmm_into(std::hint::black_box(&xb), &mut yb);
-        }
-        INNER * k
-    })
-    .into_iter()
-    .map(|ns| ns / nnz)
-    .collect();
-    let speedup = min_of(&csr) / min_of(&fused);
 
     // Fused one-pass sweeps vs their separate-call composition: the CG
     // update tail (x += αp, r −= αq, ‖r‖₂²) as three `vector::` sweeps
@@ -381,21 +353,28 @@ pub fn kernels_suite(grid: usize, k: usize, reps: usize) -> Result<SuiteResult, 
     }
     let sweep_speedup = min_of(&sweep_separate) / min_of(&sweep_fused);
 
-    // ABFT probe: product + separate `probe_of` sweep vs the one-pass
-    // `spmv_with_probe_into`, per nonzero, same pairing policy.
+    // ABFT probe, as the executor's hardened product runs it: the
+    // defensive CSR product + a separate `probe_of` sweep vs the
+    // one-pass `product_with_probe`, per nonzero, same pairing policy.
     let (mut y1, mut y2) = (vec![0.0; n], vec![0.0; n]);
+    let mut dp_two_pass = DefensiveProduct::new(KernelSpec::Csr);
     let mut burst_two_pass = || {
         let t0 = Instant::now();
         for _ in 0..INNER {
-            p.spmv_into(std::hint::black_box(&x), &mut y1);
+            dp_two_pass.product(&a, std::hint::black_box(&x), &mut y1);
             std::hint::black_box(ftcg_sparse::fused::probe_of(&y1));
         }
         t0.elapsed().as_nanos() as f64 / INNER as f64 / nnz
     };
+    let mut dp_fused = DefensiveProduct::new(KernelSpec::Csr);
     let mut burst_probe_fused = || {
         let t0 = Instant::now();
         for _ in 0..INNER {
-            std::hint::black_box(p.spmv_with_probe_into(std::hint::black_box(&x), &mut y2));
+            std::hint::black_box(dp_fused.product_with_probe(
+                &a,
+                std::hint::black_box(&x),
+                &mut y2,
+            ));
         }
         t0.elapsed().as_nanos() as f64 / INNER as f64 / nnz
     };
@@ -411,15 +390,11 @@ pub fn kernels_suite(grid: usize, k: usize, reps: usize) -> Result<SuiteResult, 
 
     Ok(SuiteResult {
         suite: "kernels".into(),
-        spec: format!(
-            "poisson2d({grid}), {k} fused columns, {INNER}-product bursts, min of {reps}"
-        ),
+        spec: format!("poisson2d({grid}), {INNER}-product bursts, min of {reps}"),
         measurements: vec![
             measurement("kernels.csr_ns_per_nnz", "ns/nnz", csr, true),
             measurement("kernels.sell8_ns_per_nnz", "ns/nnz", sell, true),
             measurement("kernels.bcsr2_ns_per_nnz", "ns/nnz", bcsr, true),
-            measurement("kernels.spmm_col_ns_per_nnz", "ns/nnz", fused, true),
-            measurement("kernels.spmm_fused_speedup", "x", vec![speedup], false),
             measurement(
                 "kernels.sweep_separate_ns_per_iter",
                 "ns/iter",
@@ -463,15 +438,16 @@ pub fn kernels_suite(grid: usize, k: usize, reps: usize) -> Result<SuiteResult, 
 /// Recording overhead on the resilient executor's hot path: the
 /// identical faulted solve as baseline, with an explicit
 /// `NoopRecorder`, and with a live `ActiveRecorder`. Parameters match
-/// the `telemetry_overhead` bench target (and the legacy bench file's
-/// hand-recorded entry), so `--against` comparisons line up.
+/// the legacy bench file's hand-recorded `telemetry_overhead` entry,
+/// so `--against` comparisons line up.
 ///
 /// The three variants are timed as *interleaved triples* — one
 /// baseline, one noop, one active solve per sampling round — after an
 /// untimed warmup of each, and the overhead headlines are the minimum
 /// over the per-round ratios (the `solver-step` pairing policy).
-/// Batch-major sampling let frequency drift between the baseline batch
-/// and the recorder batches swing the overhead by whole percents —
+/// Sampling one variant after the other let frequency drift between
+/// the baseline run and the recorder runs swing the overhead by whole
+/// percents —
 /// including below zero, which is how a no-op recorder once "sped up"
 /// the solve by 2.5% in a recorded entry.
 pub fn telemetry_suite(grid: usize, iters: usize, reps: usize) -> Result<SuiteResult, String> {
@@ -612,9 +588,9 @@ mod tests {
 
     #[test]
     fn kernels_suite_measures_every_backend() {
-        let r = kernels_suite(12, 4, 2).unwrap();
+        let r = kernels_suite(12, 2).unwrap();
         assert_eq!(r.suite, "kernels");
-        assert_eq!(r.measurements.len(), 11);
+        assert_eq!(r.measurements.len(), 9);
         for m in &r.measurements {
             assert!(m.value > 0.0, "{}", m.key);
             if m.lower_is_better {
@@ -623,7 +599,6 @@ mod tests {
         }
         let keys: Vec<&str> = r.measurements.iter().map(|m| m.key.as_str()).collect();
         for key in [
-            "kernels.spmm_fused_speedup",
             "kernels.sweep_separate_ns_per_iter",
             "kernels.sweep_fused_ns_per_iter",
             "kernels.sweep_fused_speedup",
@@ -634,6 +609,6 @@ mod tests {
             assert!(keys.contains(&key), "missing {key}");
         }
         let speedups = r.measurements.iter().filter(|m| !m.lower_is_better).count();
-        assert_eq!(speedups, 3);
+        assert_eq!(speedups, 2);
     }
 }

@@ -25,7 +25,6 @@ pub fn table1_bench_spec(scale: usize, reps: usize, seed: u64) -> String {
          seed = {seed}\n\
          reps = {reps}\n\
          threads = 0\n\
-         batch = auto\n\
          matrices = {matrices}\n\
          schemes = detection, correction, online\n\
          alphas = 1/16\n"
@@ -41,7 +40,6 @@ pub fn quick_bench_spec(seed: u64) -> String {
          seed = {seed}\n\
          reps = 6\n\
          threads = 0\n\
-         batch = auto\n\
          matrices = poisson2d:24\n\
          schemes = detection, correction\n\
          alphas = 0, 1/16\n"

@@ -7,7 +7,8 @@
 //! ABFT layer can protect exactly like CG's one.
 
 use ftcg_checkpoint::SolverState;
-use ftcg_kernels::{CsrSerial, PreparedSpmv, SpmvKernel};
+use ftcg_kernels::backends::PreparedCsr;
+use ftcg_kernels::PreparedSpmv;
 use ftcg_sparse::{fused, vector, CsrMatrix};
 
 use crate::cg::{CgConfig, SolveStats};
@@ -232,8 +233,7 @@ impl IterativeSolver for BicgstabMachine {
 /// # Panics
 /// Panics on dimension mismatch or non-square matrix.
 pub fn bicgstab_solve(a: &CsrMatrix, b: &[f64], x0: &[f64], cfg: &CgConfig) -> SolveStats {
-    let kernel = CsrSerial.prepare(a).expect("CSR preparation cannot fail");
-    bicgstab_solve_with(a, b, x0, cfg, kernel.as_ref())
+    bicgstab_solve_with(a, b, x0, cfg, &PreparedCsr(a))
 }
 
 /// [`bicgstab_solve`] with an explicit SpMV backend for both products

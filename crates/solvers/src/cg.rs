@@ -7,7 +7,8 @@
 //! historical inlined loop computed, bit for bit.
 
 use ftcg_checkpoint::SolverState;
-use ftcg_kernels::{CsrSerial, PreparedSpmv, SpmvKernel};
+use ftcg_kernels::backends::PreparedCsr;
+use ftcg_kernels::PreparedSpmv;
 use ftcg_sparse::{fused, vector, CsrMatrix};
 
 use crate::machine::{CanonVec, IterativeSolver, PlainContext, StepContext, StepResult};
@@ -183,8 +184,7 @@ impl IterativeSolver for CgMachine {
 /// # Panics
 /// Panics on dimension mismatches or a non-square matrix.
 pub fn cg_solve(a: &CsrMatrix, b: &[f64], x0: &[f64], cfg: &CgConfig) -> SolveStats {
-    let kernel = CsrSerial.prepare(a).expect("CSR preparation cannot fail");
-    cg_solve_with(a, b, x0, cfg, kernel.as_ref())
+    cg_solve_with(a, b, x0, cfg, &PreparedCsr(a))
 }
 
 /// [`cg_solve`] with an explicit SpMV backend (prepared from the same

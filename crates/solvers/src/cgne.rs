@@ -7,7 +7,8 @@
 //! oriented code paths.
 
 use ftcg_checkpoint::SolverState;
-use ftcg_kernels::{CsrSerial, PreparedSpmv, SpmvKernel};
+use ftcg_kernels::backends::PreparedCsr;
+use ftcg_kernels::PreparedSpmv;
 use ftcg_sparse::{fused, vector, CsrMatrix};
 
 use crate::cg::{CgConfig, SolveStats};
@@ -212,8 +213,7 @@ impl IterativeSolver for CgneMachine {
 /// # Panics
 /// Panics on dimension mismatch or non-square matrix.
 pub fn cgne_solve(a: &CsrMatrix, b: &[f64], x0: &[f64], cfg: &CgConfig) -> SolveStats {
-    let kernel = CsrSerial.prepare(a).expect("CSR preparation cannot fail");
-    cgne_solve_with(a, b, x0, cfg, kernel.as_ref())
+    cgne_solve_with(a, b, x0, cfg, &PreparedCsr(a))
 }
 
 /// [`cgne_solve`] with an explicit SpMV backend for the forward

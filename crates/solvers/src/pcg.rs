@@ -6,7 +6,8 @@
 //! vector operations).
 
 use ftcg_checkpoint::SolverState;
-use ftcg_kernels::{CsrSerial, PreparedSpmv, SpmvKernel};
+use ftcg_kernels::backends::PreparedCsr;
+use ftcg_kernels::PreparedSpmv;
 use ftcg_sparse::{fused, vector, CsrMatrix};
 
 use crate::cg::{CgConfig, SolveStats};
@@ -208,8 +209,7 @@ impl IterativeSolver for PcgMachine {
 /// Panics on dimension mismatch, non-square `A`, or a zero diagonal
 /// entry (Jacobi undefined).
 pub fn pcg_jacobi_solve(a: &CsrMatrix, b: &[f64], x0: &[f64], cfg: &CgConfig) -> SolveStats {
-    let kernel = CsrSerial.prepare(a).expect("CSR preparation cannot fail");
-    pcg_jacobi_solve_with(a, b, x0, cfg, kernel.as_ref())
+    pcg_jacobi_solve_with(a, b, x0, cfg, &PreparedCsr(a))
 }
 
 /// [`pcg_jacobi_solve`] with an explicit SpMV backend (the diagonal is

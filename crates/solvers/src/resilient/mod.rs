@@ -29,7 +29,6 @@
 //! to 2 for BiCGStab); ONLINE-DETECTION pays `Tverif` only at chunk
 //! ends. Checkpoints cost `Tcp`, rollbacks `Trec`.
 
-pub mod batch;
 pub mod executor;
 pub mod scheme;
 

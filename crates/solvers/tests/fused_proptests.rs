@@ -9,8 +9,8 @@
 //!    subnormal-scale and huge magnitudes). The in-crate unit tests
 //!    check hand-picked vectors; these properties search the space.
 //! 2. **Solve level** — per solver × scheme × kernel under real fault
-//!    injection (mirroring `batch_proptests.rs`), a resilient solve
-//!    through the fused machines, the probe-carrying product, and the
+//!    injection, a resilient solve through the fused machines, the
+//!    probe-carrying product, and the
 //!    probed verifiers is bit-reproducible: an identical injector seed
 //!    on a dirty, previously-used workspace replays the exact outcome
 //!    of a fresh-workspace solve, counters and iterate included. If a
@@ -217,7 +217,7 @@ proptest! {
     }
 }
 
-/// The paper-model injector, identical to `batch_proptests.rs`.
+/// The paper-model injector.
 fn injector_for(a: &CsrMatrix, alpha: f64, seed: u64) -> Injector {
     use ftcg_fault::{target::MemoryLayout, BitRange, FaultRate, InjectorConfig};
     let layout = MemoryLayout::with_vectors(a.nnz(), a.n_rows());

@@ -16,7 +16,6 @@
 
 use crate::csr::CsrMatrix;
 use crate::error::SparseError;
-use crate::multivec::MultiVec;
 use crate::Result;
 
 /// A sparse matrix in blocked CSR format with `b × b` dense blocks.
@@ -286,55 +285,6 @@ impl BcsrMatrix {
         }
     }
 
-    /// Fused multi-RHS product `Y ← A·X`: each block row's tiles are
-    /// traversed once per group of up to four right-hand sides. Every
-    /// output column is the exact per-row sequential sum
-    /// [`BcsrMatrix::spmv_into`] computes for that column alone —
-    /// ascending blocks, ascending lanes, padding `±0.0` adds included —
-    /// bit for bit (see the [`MultiVec`] determinism contract).
-    ///
-    /// # Panics
-    /// Panics if `x.n() != n_cols`, `y.n() != n_rows`, or the column
-    /// counts differ.
-    pub fn spmm_into(&self, x: &MultiVec, y: &mut MultiVec) {
-        assert_eq!(x.n(), self.n_cols, "bcsr spmm: x row count mismatch");
-        assert_eq!(y.n(), self.n_rows, "bcsr spmm: y row count mismatch");
-        assert_eq!(x.k(), y.k(), "bcsr spmm: column count mismatch");
-        let (b, nc, nr, k) = (self.b, self.n_cols, self.n_rows, x.k());
-        let xd = x.data();
-        let yd = y.data_mut();
-        let mut cb = 0;
-        while cb < k {
-            let w = (k - cb).min(4);
-            for br in 0..self.n_block_rows {
-                let row_lo = br * b;
-                let rows = b.min(nr - row_lo);
-                // acc[r][ci]: accumulator for output row `row_lo + r`,
-                // RHS column `cb + ci`.
-                let mut acc = [[0.0f64; 4]; 4];
-                for blk in self.blockptr[br]..self.blockptr[br + 1] {
-                    let col_lo = self.blockcol[blk] * b;
-                    let cols = b.min(nc - col_lo);
-                    let base = blk * b * b;
-                    for (r, ar) in acc.iter_mut().enumerate().take(rows) {
-                        for c in 0..cols {
-                            let v = self.val[base + r * b + c];
-                            for (ci, a) in ar.iter_mut().enumerate().take(w) {
-                                *a += v * xd[(cb + ci) * nc + col_lo + c];
-                            }
-                        }
-                    }
-                }
-                for (r, ar) in acc.iter().enumerate().take(rows) {
-                    for (ci, a) in ar.iter().enumerate().take(w) {
-                        yd[(cb + ci) * nr + row_lo + r] = *a;
-                    }
-                }
-            }
-            cb += w;
-        }
-    }
-
     /// Converts back to CSR (column-sorted; padding lanes dropped, stored
     /// entries kept even when their value is zero).
     pub fn to_csr(&self) -> CsrMatrix {
@@ -491,35 +441,6 @@ mod tests {
                         generic[i].to_bits(),
                         "n {n} b {b} row {i}"
                     );
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn spmm_columns_are_bit_identical_to_spmv() {
-        let a = gen::random_spd(90, 0.08, 11).unwrap();
-        for b in [2usize, 3, 4] {
-            let blocked = BcsrMatrix::from_csr(&a, b).unwrap();
-            for k in [1usize, 2, 4, 5] {
-                let mut x = MultiVec::zeros(90, k);
-                for c in 0..k {
-                    for (i, v) in x.col_mut(c).iter_mut().enumerate() {
-                        *v = ((i * (c + 2)) as f64 * 0.13).cos();
-                    }
-                }
-                let mut y = MultiVec::zeros(90, k);
-                blocked.spmm_into(&x, &mut y);
-                let mut want = vec![0.0; 90];
-                for c in 0..k {
-                    blocked.spmv_into(x.col(c), &mut want);
-                    for (i, w) in want.iter().enumerate() {
-                        assert_eq!(
-                            y.col(c)[i].to_bits(),
-                            w.to_bits(),
-                            "b {b} k {k} col {c} row {i}"
-                        );
-                    }
                 }
             }
         }

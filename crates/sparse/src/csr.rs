@@ -10,18 +10,7 @@
 
 use crate::coo::CooMatrix;
 use crate::error::SparseError;
-use crate::multivec::MultiVec;
 use crate::Result;
-
-/// Rows per cache band of the row-band kernels: wide enough to amortize
-/// loop overhead, small enough that a band's `rowptr`/`colid`/`val`
-/// stay cache-resident while [`CsrMatrix::spmm_into`] re-traverses the
-/// band once per 4-column group of the right-hand-side block.
-const ROW_BAND: usize = 256;
-
-/// Right-hand sides processed per fused traversal in the SpMM kernels
-/// (bounded so the per-row accumulators stay in registers).
-const RHS_BLOCK: usize = 4;
 
 /// A sparse matrix in compressed sparse row format.
 #[derive(Debug, Clone, PartialEq)]
@@ -267,318 +256,6 @@ impl CsrMatrix {
         y
     }
 
-    /// Cache-blocked row-band `y ← A·x`: rows are processed four at a
-    /// time with one independent accumulator chain per row, so the four
-    /// serial floating-point add chains overlap in the pipeline instead
-    /// of serializing on one accumulator's latency. **Bit-identical** to
-    /// [`CsrMatrix::spmv_into`]: each row's entries are summed in the
-    /// same ascending storage order into its own accumulator — only the
-    /// interleaving of *independent* rows changes, which no output cell
-    /// observes.
-    ///
-    /// # Panics
-    /// Panics if `x.len() != n_cols` or `y.len() != n_rows`.
-    pub fn spmv_rowband_into(&self, x: &[f64], y: &mut [f64]) {
-        assert_eq!(x.len(), self.n_cols, "spmv: x length mismatch");
-        assert_eq!(y.len(), self.n_rows, "spmv: y length mismatch");
-        let (colid, val) = (&self.colid[..], &self.val[..]);
-        let mut i = 0;
-        while i + 4 <= self.n_rows {
-            let s = [
-                self.rowptr[i],
-                self.rowptr[i + 1],
-                self.rowptr[i + 2],
-                self.rowptr[i + 3],
-            ];
-            let e = self.rowptr[i + 4];
-            let lens = [s[1] - s[0], s[2] - s[1], s[3] - s[2], e - s[3]];
-            let m = lens[0].min(lens[1]).min(lens[2]).min(lens[3]);
-            let mut acc = [0.0f64; 4];
-            // Lockstep section: all four rows have at least `m` entries.
-            for j in 0..m {
-                let k = [s[0] + j, s[1] + j, s[2] + j, s[3] + j];
-                acc[0] += val[k[0]] * x[colid[k[0]]];
-                acc[1] += val[k[1]] * x[colid[k[1]]];
-                acc[2] += val[k[2]] * x[colid[k[2]]];
-                acc[3] += val[k[3]] * x[colid[k[3]]];
-            }
-            // Per-row tails, still in ascending storage order.
-            for (lane, a) in acc.iter_mut().enumerate() {
-                for k in s[lane] + m..s[lane] + lens[lane] {
-                    *a += val[k] * x[colid[k]];
-                }
-            }
-            y[i..i + 4].copy_from_slice(&acc);
-            i += 4;
-        }
-        for (i, yi) in y.iter_mut().enumerate().skip(i) {
-            let mut acc = 0.0;
-            for k in self.rowptr[i]..self.rowptr[i + 1] {
-                acc += val[k] * x[colid[k]];
-            }
-            *yi = acc;
-        }
-    }
-
-    /// Fused multi-RHS product `Y ← A·X` (the batched form of
-    /// [`CsrMatrix::spmv_into`]): one traversal of the matrix band
-    /// serves up to [`RHS_BLOCK`] right-hand sides, and row bands keep
-    /// the CSR arrays cache-resident across the column groups.
-    ///
-    /// **Determinism:** each output column is computed as the exact
-    /// floating-point sum `spmv_into` computes for that column alone —
-    /// same entries, same ascending storage order, bit for bit (see the
-    /// [`MultiVec`] contract).
-    ///
-    /// # Panics
-    /// Panics if `x.n() != n_cols`, `y.n() != n_rows`, or the column
-    /// counts differ.
-    pub fn spmm_into(&self, x: &MultiVec, y: &mut MultiVec) {
-        assert_eq!(x.n(), self.n_cols, "spmm: x row count mismatch");
-        assert_eq!(y.n(), self.n_rows, "spmm: y row count mismatch");
-        assert_eq!(x.k(), y.k(), "spmm: column count mismatch");
-        let (n, nc, k) = (self.n_rows, self.n_cols, x.k());
-        let (colid, val) = (&self.colid[..], &self.val[..]);
-        let xd = x.data();
-        let yd = y.data_mut();
-        for lo in (0..n).step_by(ROW_BAND) {
-            let hi = (lo + ROW_BAND).min(n);
-            let mut cb = 0;
-            while cb < k {
-                let w = (k - cb).min(RHS_BLOCK);
-                for i in lo..hi {
-                    let mut acc = [0.0f64; RHS_BLOCK];
-                    for kk in self.rowptr[i]..self.rowptr[i + 1] {
-                        let v = val[kk];
-                        let j = colid[kk];
-                        for (c, a) in acc.iter_mut().enumerate().take(w) {
-                            *a += v * xd[(cb + c) * nc + j];
-                        }
-                    }
-                    for (c, a) in acc.iter().enumerate().take(w) {
-                        yd[(cb + c) * n + i] = *a;
-                    }
-                }
-                cb += w;
-            }
-        }
-    }
-
-    /// Defensive fused multi-RHS product `Y ← A·X` — the batched form of
-    /// [`CsrMatrix::spmv_clamped_into`], applying the same clamping rule
-    /// per entry ([`CsrMatrix::row_range_clamped`] bounds, out-of-range
-    /// columns skipped). On a well-formed matrix each column is
-    /// bit-identical to the clamped single-vector product, which is
-    /// itself bit-identical to the plain one.
-    ///
-    /// # Panics
-    /// Panics if `x.n() != n_cols`, `y.n() != n_rows`, or the column
-    /// counts differ (buffers are caller state, not corruptible matrix
-    /// data).
-    pub fn spmm_clamped_into(&self, x: &MultiVec, y: &mut MultiVec) {
-        assert_eq!(x.n(), self.n_cols, "spmm_clamped: x row count mismatch");
-        assert_eq!(y.n(), self.n_rows, "spmm_clamped: y row count mismatch");
-        assert_eq!(x.k(), y.k(), "spmm_clamped: column count mismatch");
-        let (n, nc, k) = (self.n_rows, self.n_cols, x.k());
-        let (colid, val) = (&self.colid[..], &self.val[..]);
-        let xd = x.data();
-        let yd = y.data_mut();
-        for lo in (0..n).step_by(ROW_BAND) {
-            let hi = (lo + ROW_BAND).min(n);
-            let mut cb = 0;
-            while cb < k {
-                let w = (k - cb).min(RHS_BLOCK);
-                for i in lo..hi {
-                    let mut acc = [0.0f64; RHS_BLOCK];
-                    for kk in self.row_range_clamped(i) {
-                        let j = colid[kk];
-                        if j < nc {
-                            let v = val[kk];
-                            for (c, a) in acc.iter_mut().enumerate().take(w) {
-                                *a += v * xd[(cb + c) * nc + j];
-                            }
-                        }
-                    }
-                    for (c, a) in acc.iter().enumerate().take(w) {
-                        yd[(cb + c) * n + i] = *a;
-                    }
-                }
-                cb += w;
-            }
-        }
-    }
-
-    /// `y ← A·x` with the ABFT output probe accumulated in the same
-    /// pass: returns `[Σᵢ yᵢ, Σᵢ (i+1)·yᵢ]` (see
-    /// [`fused::probe_of`](crate::fused::probe_of)). The product runs
-    /// the row-band kernel ([`CsrMatrix::spmv_rowband_into`], itself
-    /// bit-identical to [`CsrMatrix::spmv_into`]); each row's output is
-    /// folded into the probe chains the moment it is finalized, and rows
-    /// finalize in ascending index order, so the probe is bit-identical
-    /// to a separate `probe_of(y)` sweep — without re-reading `y`.
-    ///
-    /// # Panics
-    /// Panics if `x.len() != n_cols` or `y.len() != n_rows`.
-    pub fn spmv_with_probe_into(&self, x: &[f64], y: &mut [f64]) -> [f64; 2] {
-        assert_eq!(x.len(), self.n_cols, "spmv: x length mismatch");
-        assert_eq!(y.len(), self.n_rows, "spmv: y length mismatch");
-        let (colid, val) = (&self.colid[..], &self.val[..]);
-        let mut p0 = -0.0;
-        let mut p1 = -0.0;
-        let mut i = 0;
-        while i + 4 <= self.n_rows {
-            let s = [
-                self.rowptr[i],
-                self.rowptr[i + 1],
-                self.rowptr[i + 2],
-                self.rowptr[i + 3],
-            ];
-            let e = self.rowptr[i + 4];
-            let lens = [s[1] - s[0], s[2] - s[1], s[3] - s[2], e - s[3]];
-            let m = lens[0].min(lens[1]).min(lens[2]).min(lens[3]);
-            let mut acc = [0.0f64; 4];
-            for j in 0..m {
-                let k = [s[0] + j, s[1] + j, s[2] + j, s[3] + j];
-                acc[0] += val[k[0]] * x[colid[k[0]]];
-                acc[1] += val[k[1]] * x[colid[k[1]]];
-                acc[2] += val[k[2]] * x[colid[k[2]]];
-                acc[3] += val[k[3]] * x[colid[k[3]]];
-            }
-            for (lane, a) in acc.iter_mut().enumerate() {
-                for k in s[lane] + m..s[lane] + lens[lane] {
-                    *a += val[k] * x[colid[k]];
-                }
-            }
-            y[i..i + 4].copy_from_slice(&acc);
-            for (lane, a) in acc.iter().enumerate() {
-                p0 += a;
-                p1 += (i + lane + 1) as f64 * a;
-            }
-            i += 4;
-        }
-        for (i, yi) in y.iter_mut().enumerate().skip(i) {
-            let mut acc = 0.0;
-            for k in self.rowptr[i]..self.rowptr[i + 1] {
-                acc += val[k] * x[colid[k]];
-            }
-            *yi = acc;
-            p0 += acc;
-            p1 += (i + 1) as f64 * acc;
-        }
-        [p0, p1]
-    }
-
-    /// Defensive `y ← A·x` with the ABFT output probe accumulated in
-    /// the same pass — the clamped counterpart of
-    /// [`CsrMatrix::spmv_with_probe_into`]: the product is bit-identical
-    /// to [`CsrMatrix::spmv_clamped_rowband_into`] and the returned
-    /// probe to a separate
-    /// [`fused::probe_of`](crate::fused::probe_of)`(y)` sweep, with rows
-    /// folded into the probe chains in ascending index order as they
-    /// finalize.
-    ///
-    /// # Panics
-    /// Panics if `y.len() != n_rows` (the output buffer is caller
-    /// state, not corruptible matrix data).
-    pub fn spmv_clamped_probe_into(&self, x: &[f64], y: &mut [f64]) -> [f64; 2] {
-        assert_eq!(y.len(), self.n_rows, "spmv_clamped: y length mismatch");
-        let (colid, val) = (&self.colid[..], &self.val[..]);
-        let mut p0 = -0.0;
-        let mut p1 = -0.0;
-        let mut i = 0;
-        while i + 4 <= self.n_rows {
-            let r = [
-                self.row_range_clamped(i),
-                self.row_range_clamped(i + 1),
-                self.row_range_clamped(i + 2),
-                self.row_range_clamped(i + 3),
-            ];
-            let m = r[0].len().min(r[1].len()).min(r[2].len()).min(r[3].len());
-            let mut acc = [0.0f64; 4];
-            for j in 0..m {
-                for (lane, a) in acc.iter_mut().enumerate() {
-                    let k = r[lane].start + j;
-                    let c = colid[k];
-                    if c < x.len() {
-                        *a += val[k] * x[c];
-                    }
-                }
-            }
-            for (lane, a) in acc.iter_mut().enumerate() {
-                for k in r[lane].start + m..r[lane].end {
-                    let c = colid[k];
-                    if c < x.len() {
-                        *a += val[k] * x[c];
-                    }
-                }
-            }
-            y[i..i + 4].copy_from_slice(&acc);
-            for (lane, a) in acc.iter().enumerate() {
-                p0 += a;
-                p1 += (i + lane + 1) as f64 * a;
-            }
-            i += 4;
-        }
-        while i < self.n_rows {
-            let acc = self.row_product_clamped(x, i);
-            y[i] = acc;
-            p0 += acc;
-            p1 += (i + 1) as f64 * acc;
-            i += 1;
-        }
-        [p0, p1]
-    }
-
-    /// Fused multi-RHS product with per-column ABFT probes: `probes[c]`
-    /// receives the probe of output column `c`, accumulated as the
-    /// column's rows are written. The outputs are bit-identical to
-    /// [`CsrMatrix::spmm_into`] and each probe to a separate
-    /// [`fused::probe_of`](crate::fused::probe_of) over that column —
-    /// within every column the traversal finalizes rows in ascending
-    /// index order (row bands outer, ascending; rows inside each band
-    /// ascending), so each column's probe chains accumulate in exactly
-    /// the separate sweep's order.
-    ///
-    /// # Panics
-    /// Panics on the [`CsrMatrix::spmm_into`] dimension mismatches or
-    /// if `probes.len() != x.k()`.
-    pub fn spmm_with_probe_into(&self, x: &MultiVec, y: &mut MultiVec, probes: &mut [[f64; 2]]) {
-        assert_eq!(x.n(), self.n_cols, "spmm: x row count mismatch");
-        assert_eq!(y.n(), self.n_rows, "spmm: y row count mismatch");
-        assert_eq!(x.k(), y.k(), "spmm: column count mismatch");
-        assert_eq!(probes.len(), x.k(), "spmm: probe count mismatch");
-        let (n, nc, k) = (self.n_rows, self.n_cols, x.k());
-        let (colid, val) = (&self.colid[..], &self.val[..]);
-        let xd = x.data();
-        let yd = y.data_mut();
-        for p in probes.iter_mut() {
-            *p = [-0.0, -0.0];
-        }
-        for lo in (0..n).step_by(ROW_BAND) {
-            let hi = (lo + ROW_BAND).min(n);
-            let mut cb = 0;
-            while cb < k {
-                let w = (k - cb).min(RHS_BLOCK);
-                for i in lo..hi {
-                    let mut acc = [0.0f64; RHS_BLOCK];
-                    for kk in self.rowptr[i]..self.rowptr[i + 1] {
-                        let v = val[kk];
-                        let j = colid[kk];
-                        for (c, a) in acc.iter_mut().enumerate().take(w) {
-                            *a += v * xd[(cb + c) * nc + j];
-                        }
-                    }
-                    for (c, a) in acc.iter().enumerate().take(w) {
-                        yd[(cb + c) * n + i] = *a;
-                        probes[cb + c][0] += *a;
-                        probes[cb + c][1] += (i + 1) as f64 * *a;
-                    }
-                }
-                cb += w;
-            }
-        }
-    }
-
     /// Storage range of row `i` with the defensive clamping rule: both
     /// bounds clamped to `[0, nnz]`, an inverted range treated as an
     /// empty row. The one canonical clamp shared by the ABFT kernel
@@ -626,23 +303,22 @@ impl CsrMatrix {
         }
     }
 
-    /// Defensive products of the row band `rows` into `y` (one output
-    /// per row of the band), with the row-band interleaving of
-    /// [`CsrMatrix::spmv_rowband_into`]: four clamped rows advance in
-    /// lockstep, each summing into its own accumulator in ascending
-    /// storage order with the [`CsrMatrix::row_product_clamped`] skip
-    /// rule — bit-identical to calling `row_product_clamped` per row.
-    /// The building block both the serial and the parallel defensive
-    /// row-band products share.
-    ///
-    /// # Panics
-    /// Panics if `rows.end > n_rows` or `y.len() != rows.len()`.
-    pub fn row_band_product_clamped(&self, rows: std::ops::Range<usize>, x: &[f64], y: &mut [f64]) {
-        assert!(rows.end <= self.n_rows, "row band out of range");
-        assert_eq!(y.len(), rows.len(), "row band: y length mismatch");
+    /// The one 4-lane defensive traversal: four clamped rows of the band
+    /// advance in lockstep, each summing into its own accumulator in
+    /// ascending storage order with the
+    /// [`CsrMatrix::row_product_clamped`] skip rule, so the four serial
+    /// floating-point add chains overlap in the pipeline while every
+    /// row's sum stays bit-identical to `row_product_clamped`. Finished
+    /// rows are handed to `sink(row, value)` in ascending row order.
+    #[inline(always)]
+    fn row_band_clamped_each(
+        &self,
+        rows: std::ops::Range<usize>,
+        x: &[f64],
+        mut sink: impl FnMut(usize, f64),
+    ) {
         let (colid, val) = (&self.colid[..], &self.val[..]);
         let mut i = rows.start;
-        let mut o = 0;
         while i + 4 <= rows.end {
             let r = [
                 self.row_range_clamped(i),
@@ -671,15 +347,30 @@ impl CsrMatrix {
                     }
                 }
             }
-            y[o..o + 4].copy_from_slice(&acc);
+            for (lane, a) in acc.iter().enumerate() {
+                sink(i + lane, *a);
+            }
             i += 4;
-            o += 4;
         }
         while i < rows.end {
-            y[o] = self.row_product_clamped(x, i);
+            sink(i, self.row_product_clamped(x, i));
             i += 1;
-            o += 1;
         }
+    }
+
+    /// Defensive products of the row band `rows` into `y` (one output
+    /// per row of the band) through the 4-lane row-band traversal —
+    /// bit-identical to calling [`CsrMatrix::row_product_clamped`] per
+    /// row. The building block both the serial and the parallel
+    /// defensive row-band products share.
+    ///
+    /// # Panics
+    /// Panics if `rows.end > n_rows` or `y.len() != rows.len()`.
+    pub fn row_band_product_clamped(&self, rows: std::ops::Range<usize>, x: &[f64], y: &mut [f64]) {
+        assert!(rows.end <= self.n_rows, "row band out of range");
+        assert_eq!(y.len(), rows.len(), "row band: y length mismatch");
+        let base = rows.start;
+        self.row_band_clamped_each(rows, x, |i, v| y[i - base] = v);
     }
 
     /// Defensive `y ← A·x` through the cache-blocked row-band kernel —
@@ -692,6 +383,29 @@ impl CsrMatrix {
     pub fn spmv_clamped_rowband_into(&self, x: &[f64], y: &mut [f64]) {
         assert_eq!(y.len(), self.n_rows, "spmv_clamped: y length mismatch");
         self.row_band_product_clamped(0..self.n_rows, x, y);
+    }
+
+    /// Defensive `y ← A·x` with the ABFT output probe
+    /// `[Σᵢ yᵢ, Σᵢ (i+1)·yᵢ]` accumulated in the same pass: the product
+    /// is bit-identical to [`CsrMatrix::spmv_clamped_rowband_into`] (the
+    /// same traversal) and the returned probe to a separate
+    /// [`fused::probe_of`](crate::fused::probe_of)`(y)` sweep, with rows
+    /// folded into the probe chains in ascending index order as they
+    /// finalize — without re-reading `y`.
+    ///
+    /// # Panics
+    /// Panics if `y.len() != n_rows` (the output buffer is caller
+    /// state, not corruptible matrix data).
+    pub fn spmv_clamped_probe_into(&self, x: &[f64], y: &mut [f64]) -> [f64; 2] {
+        assert_eq!(y.len(), self.n_rows, "spmv_clamped: y length mismatch");
+        let mut p0 = -0.0;
+        let mut p1 = -0.0;
+        self.row_band_clamped_each(0..self.n_rows, x, |i, v| {
+            y[i] = v;
+            p0 += v;
+            p1 += (i + 1) as f64 * v;
+        });
+        [p0, p1]
     }
 
     /// Copies the *value* array of `src` into this matrix in place — the
@@ -1049,24 +763,6 @@ mod tests {
     }
 
     #[test]
-    fn spmv_with_probe_is_bit_identical_to_separate_sweeps() {
-        for n in [1, 3, 4, 7, 50] {
-            let m = crate::gen::random_spd(n, 0.3, n as u64 + 5).unwrap();
-            let x: Vec<f64> = (0..n).map(|i| (i as f64 * 0.61).sin() * 3.0).collect();
-            let mut y_ref = vec![0.0; n];
-            m.spmv_into(&x, &mut y_ref);
-            let want = crate::fused::probe_of(&y_ref);
-            let mut y = vec![0.0; n];
-            let probe = m.spmv_with_probe_into(&x, &mut y);
-            for i in 0..n {
-                assert_eq!(y[i].to_bits(), y_ref[i].to_bits(), "n={n} row {i}");
-            }
-            assert_eq!(probe[0].to_bits(), want[0].to_bits(), "n={n} probe[0]");
-            assert_eq!(probe[1].to_bits(), want[1].to_bits(), "n={n} probe[1]");
-        }
-    }
-
-    #[test]
     fn spmv_clamped_probe_is_bit_identical_to_separate_sweeps() {
         let m = crate::gen::random_spd(41, 0.15, 77).unwrap();
         let x: Vec<f64> = (0..41).map(|i| ((i * 7 % 11) as f64) - 5.0).collect();
@@ -1099,35 +795,6 @@ mod tests {
         }
         assert_eq!(probe[0].to_bits(), want[0].to_bits());
         assert_eq!(probe[1].to_bits(), want[1].to_bits());
-    }
-
-    #[test]
-    fn spmm_with_probe_matches_spmm_and_column_probes() {
-        let m = crate::gen::random_spd(33, 0.2, 31).unwrap();
-        let k = 5;
-        let mut x = MultiVec::zeros(33, k);
-        for c in 0..k {
-            for (i, v) in x.col_mut(c).iter_mut().enumerate() {
-                *v = ((i + 11 * c) as f64 * 0.23).sin();
-            }
-        }
-        let mut y_ref = MultiVec::zeros(33, k);
-        m.spmm_into(&x, &mut y_ref);
-        let mut y = MultiVec::zeros(33, k);
-        let mut probes = vec![[1.0; 2]; k]; // dirty: kernel must reset
-        m.spmm_with_probe_into(&x, &mut y, &mut probes);
-        for (c, probe) in probes.iter().enumerate() {
-            let want = crate::fused::probe_of(y_ref.col(c));
-            for i in 0..33 {
-                assert_eq!(
-                    y.col(c)[i].to_bits(),
-                    y_ref.col(c)[i].to_bits(),
-                    "col {c} row {i}"
-                );
-            }
-            assert_eq!(probe[0].to_bits(), want[0].to_bits(), "col {c} probe[0]");
-            assert_eq!(probe[1].to_bits(), want[1].to_bits(), "col {c} probe[1]");
-        }
     }
 
     #[test]
@@ -1367,103 +1034,65 @@ mod tests {
         (0..n).map(|i| (i as f64 * 0.37).sin() * 1.5).collect()
     }
 
+    fn bits(v: &[f64]) -> Vec<u64> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// The structural corruption the row-band tests share, applied to
+    /// every word the matrix is large enough to have.
+    fn corrupt_structure(a: &mut CsrMatrix) {
+        if let Some(w) = a.rowptr_mut().get_mut(10) {
+            *w = usize::MAX;
+        }
+        if let Some(w) = a.rowptr_mut().get_mut(40) {
+            *w = 2; // inverted range
+        }
+        if let Some(w) = a.colid_mut().get_mut(17) {
+            *w = 1 << 45;
+        }
+    }
+
     #[test]
     fn rowband_spmv_is_bit_identical_to_reference() {
-        // Sizes straddling the 4-row quads and the 256-row band edge.
+        // Sizes straddling the 4-row quads; every entry point of the one
+        // 4-lane traversal against the scalar clamped reference, clean
+        // and corrupted.
         for n in [1usize, 3, 4, 5, 7, 64, 255, 256, 257] {
-            let a = crate::gen::random_spd(n, 0.08, n as u64).unwrap();
+            let mut a = crate::gen::random_spd(n, 0.08, n as u64).unwrap();
             let x = det_x(n);
-            let want = a.spmv(&x);
-            let mut got = vec![0.0; n];
-            a.spmv_rowband_into(&x, &mut got);
-            assert!(
-                want.iter()
-                    .zip(&got)
-                    .all(|(a, b)| a.to_bits() == b.to_bits()),
-                "n = {n}"
-            );
-            let mut clamped = vec![0.0; n];
-            a.spmv_clamped_rowband_into(&x, &mut clamped);
-            assert!(
-                want.iter()
-                    .zip(&clamped)
-                    .all(|(a, b)| a.to_bits() == b.to_bits()),
-                "clamped, n = {n}"
-            );
+            for corrupt in [false, true] {
+                if corrupt {
+                    corrupt_structure(&mut a);
+                }
+                let mut want = vec![0.0; n];
+                a.spmv_clamped_into(&x, &mut want);
+                if !corrupt {
+                    assert_eq!(bits(&want), bits(&a.spmv(&x)), "n = {n}");
+                }
+                let mut banded = vec![0.0; n];
+                a.spmv_clamped_rowband_into(&x, &mut banded);
+                assert_eq!(bits(&banded), bits(&want), "n = {n}, corrupt = {corrupt}");
+                let mut probed = vec![0.0; n];
+                let probe = a.spmv_clamped_probe_into(&x, &mut probed);
+                assert_eq!(bits(&probed), bits(&want), "n = {n}, corrupt = {corrupt}");
+                assert_eq!(
+                    bits(&probe),
+                    bits(&crate::fused::probe_of(&probed)),
+                    "probe, n = {n}, corrupt = {corrupt}"
+                );
+            }
         }
     }
 
     #[test]
     fn rowband_clamped_matches_scalar_clamped_on_corruption() {
         let mut a = crate::gen::poisson2d(9).unwrap(); // 81 rows
-        a.rowptr_mut()[10] = usize::MAX;
-        a.rowptr_mut()[40] = 2; // inverted range
-        a.colid_mut()[17] = 1 << 45;
+        corrupt_structure(&mut a);
         let x = det_x(81);
         let mut want = vec![0.0; 81];
         a.spmv_clamped_into(&x, &mut want);
         let mut got = vec![0.0; 81];
         a.spmv_clamped_rowband_into(&x, &mut got);
-        assert!(want
-            .iter()
-            .zip(&got)
-            .all(|(a, b)| a.to_bits() == b.to_bits()));
-    }
-
-    #[test]
-    fn spmm_columns_are_bit_identical_to_spmv() {
-        let n = 300; // crosses a row-band boundary
-        let a = crate::gen::random_spd(n, 0.03, 11).unwrap();
-        for k in [1usize, 2, 3, 4, 5, 8] {
-            let mut x = MultiVec::zeros(n, k);
-            for c in 0..k {
-                let xc: Vec<f64> = (0..n).map(|i| ((i + 31 * c) as f64 * 0.29).cos()).collect();
-                x.col_mut(c).copy_from_slice(&xc);
-            }
-            let mut y = MultiVec::zeros(n, k);
-            a.spmm_into(&x, &mut y);
-            let mut yc = MultiVec::zeros(n, k);
-            a.spmm_clamped_into(&x, &mut yc);
-            for c in 0..k {
-                let want = a.spmv(x.col(c));
-                assert!(
-                    want.iter()
-                        .zip(y.col(c))
-                        .all(|(a, b)| a.to_bits() == b.to_bits()),
-                    "k = {k}, col {c}"
-                );
-                assert!(
-                    want.iter()
-                        .zip(yc.col(c))
-                        .all(|(a, b)| a.to_bits() == b.to_bits()),
-                    "clamped, k = {k}, col {c}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn spmm_clamped_matches_per_column_clamped_on_corruption() {
-        let mut a = crate::gen::poisson2d(8).unwrap(); // 64 rows
-        a.rowptr_mut()[5] = usize::MAX;
-        a.colid_mut()[9] = 1 << 33;
-        let k = 3;
-        let mut x = MultiVec::zeros(64, k);
-        for c in 0..k {
-            let xc: Vec<f64> = (0..64)
-                .map(|i| ((i * (c + 2)) as f64 * 0.11).sin())
-                .collect();
-            x.col_mut(c).copy_from_slice(&xc);
-        }
-        let mut y = MultiVec::zeros(64, k);
-        a.spmm_clamped_into(&x, &mut y);
-        for c in 0..k {
-            let mut want = vec![0.0; 64];
-            a.spmv_clamped_into(x.col(c), &mut want);
-            assert!(want
-                .iter()
-                .zip(y.col(c))
-                .all(|(a, b)| a.to_bits() == b.to_bits()));
-        }
+        assert_eq!(bits(&got), bits(&want));
     }
 }

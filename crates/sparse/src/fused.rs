@@ -35,15 +35,13 @@
 //! Rust's float semantics guarantee the rest: no FMA contraction, no
 //! reassociation, so source order *is* machine order.
 //!
-//! The probe kernels ([`probe_of`], [`probe_of_cols`]) extend the same
+//! The probe kernel ([`probe_of`]) extends the same
 //! contract to the ABFT output checksums: `probe[0]` is the chain of
 //! [`vector::sum`](crate::vector::sum) and `probe[1]` the chain of
 //! [`vector::indexed_sum`](crate::vector::indexed_sum) (the paper's
 //! dual checksum weights `1` and `i+1`), so an SpMV that accumulates
 //! the probe while writing its outputs in ascending row order produces
 //! the bits a separate checksum sweep would.
-
-use crate::multivec::MultiVec;
 
 /// The ABFT output probe of `y`: `[Σᵢ yᵢ, Σᵢ (i+1)·yᵢ]`, both chains in
 /// ascending element order — bit-identical to the checksum sweeps the
@@ -65,19 +63,6 @@ pub fn probe_of(y: &[f64]) -> [f64; 2] {
         p1 += (i + 1) as f64 * v;
     }
     [p0, p1]
-}
-
-/// Column-wise [`probe_of`] over a [`MultiVec`]: `probes[c]` receives
-/// the probe of column `c`.
-///
-/// # Panics
-/// Panics if `probes.len() != y.k()`.
-#[inline]
-pub fn probe_of_cols(y: &MultiVec, probes: &mut [[f64; 2]]) {
-    assert_eq!(probes.len(), y.k(), "probe_of_cols: probe count mismatch");
-    for (c, p) in probes.iter_mut().enumerate() {
-        *p = probe_of(y.col(c));
-    }
 }
 
 /// Two dot products sharing one sweep: `(Σᵢ a1ᵢ·b1ᵢ, Σᵢ a2ᵢ·b2ᵢ)` —
@@ -355,23 +340,6 @@ mod tests {
         let want = checksum_chains(&y);
         assert_bits(p[0], want[0], "probe[0] non-finite");
         assert_bits(p[1], want[1], "probe[1] non-finite");
-    }
-
-    #[test]
-    fn probe_of_cols_matches_per_column() {
-        let n = 23;
-        let k = 4;
-        let mut y = MultiVec::zeros(n, k);
-        for c in 0..k {
-            y.col_mut(c).copy_from_slice(&vec_of(n, c as u64 + 3));
-        }
-        let mut probes = vec![[0.0; 2]; k];
-        probe_of_cols(&y, &mut probes);
-        for (c, probe) in probes.iter().enumerate() {
-            let want = probe_of(y.col(c));
-            assert_bits(probe[0], want[0], "col probe[0]");
-            assert_bits(probe[1], want[1], "col probe[1]");
-        }
     }
 
     #[test]

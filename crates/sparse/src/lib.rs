@@ -34,7 +34,6 @@ pub mod error;
 pub mod fused;
 pub mod gen;
 pub mod io;
-pub mod multivec;
 pub mod parallel;
 pub mod sell;
 pub mod stats;
@@ -45,7 +44,6 @@ pub use coo::CooMatrix;
 pub use csc::CscMatrix;
 pub use csr::CsrMatrix;
 pub use error::SparseError;
-pub use multivec::MultiVec;
 pub use sell::SellCSigma;
 
 /// Convenience result alias for fallible sparse operations.

@@ -14,7 +14,6 @@
 
 use crate::csr::CsrMatrix;
 use crate::error::SparseError;
-use crate::multivec::MultiVec;
 use crate::Result;
 
 /// A sparse matrix in SELL-C-σ format.
@@ -277,51 +276,6 @@ impl SellCSigma {
         }
     }
 
-    /// Fused multi-RHS product `Y ← A·X`: each lane's entries are
-    /// traversed once per group of up to four right-hand sides,
-    /// amortizing the SELL array traffic across the block. Every output
-    /// column is the exact ascending-`j` per-lane sum
-    /// [`SellCSigma::spmv_into`] computes for that column alone — bit
-    /// for bit (see the [`MultiVec`] determinism contract).
-    ///
-    /// # Panics
-    /// Panics if `x.n() != n_cols`, `y.n() != n_rows`, or the column
-    /// counts differ.
-    pub fn spmm_into(&self, x: &MultiVec, y: &mut MultiVec) {
-        assert_eq!(x.n(), self.n_cols, "sell spmm: x row count mismatch");
-        assert_eq!(y.n(), self.n_rows, "sell spmm: y row count mismatch");
-        assert_eq!(x.k(), y.k(), "sell spmm: column count mismatch");
-        let (c, nc, nr, k) = (self.chunk, self.n_cols, self.n_rows, x.k());
-        let xd = x.data();
-        let yd = y.data_mut();
-        let n_chunks = self.chunkptr.len() - 1;
-        let mut cb = 0;
-        while cb < k {
-            let w = (k - cb).min(4);
-            for ck in 0..n_chunks {
-                let pos_lo = ck * c;
-                let pos_hi = (pos_lo + c).min(self.n_rows);
-                let off = self.chunkptr[ck];
-                for (lane, pos) in (pos_lo..pos_hi).enumerate() {
-                    let mut acc = [0.0f64; 4];
-                    for j in 0..self.rowlen[pos] {
-                        let kk = off + j * c + lane;
-                        let v = self.val[kk];
-                        let col = self.colid[kk];
-                        for (ci, a) in acc.iter_mut().enumerate().take(w) {
-                            *a += v * xd[(cb + ci) * nc + col];
-                        }
-                    }
-                    let out = self.perm[pos];
-                    for (ci, a) in acc.iter().enumerate().take(w) {
-                        yd[(cb + ci) * nr + out] = *a;
-                    }
-                }
-            }
-            cb += w;
-        }
-    }
-
     /// Converts back to CSR, undoing the σ-window permutation. Stored
     /// entries are reproduced exactly (padding dropped).
     pub fn to_csr(&self) -> CsrMatrix {
@@ -483,35 +437,5 @@ mod tests {
         sell.spmv_into(&x, &mut y);
         assert!(y.iter().all(|v| v.is_finite()));
         assert_eq!(y[0], n as f64);
-    }
-
-    #[test]
-    fn spmm_columns_are_bit_identical_to_spmv() {
-        let n = 130;
-        let a = gen::random_spd(n, 0.05, 3).unwrap();
-        for (c, s) in [(4usize, 16usize), (8, 32), (6, 12)] {
-            let sell = SellCSigma::from_csr(&a, c, s).unwrap();
-            for k in [1usize, 3, 4, 5] {
-                let mut x = MultiVec::zeros(n, k);
-                for col in 0..k {
-                    let xc: Vec<f64> = (0..n)
-                        .map(|i| ((i + 7 * col) as f64 * 0.21).sin())
-                        .collect();
-                    x.col_mut(col).copy_from_slice(&xc);
-                }
-                let mut y = MultiVec::zeros(n, k);
-                sell.spmm_into(&x, &mut y);
-                for col in 0..k {
-                    let mut want = vec![0.0; n];
-                    sell.spmv_into(x.col(col), &mut want);
-                    assert!(
-                        want.iter()
-                            .zip(y.col(col))
-                            .all(|(a, b)| a.to_bits() == b.to_bits()),
-                        "C = {c}, σ = {s}, k = {k}, col {col}"
-                    );
-                }
-            }
-        }
     }
 }

@@ -111,7 +111,7 @@ impl Stamp {
 /// The executor is generic over `R: Recorder` and monomorphized per
 /// recorder, so the default no-op methods compile to nothing — the
 /// un-instrumented solve is *bit- and instruction-identical* to the
-/// pre-telemetry code, which is what the criterion overhead gate pins.
+/// pre-telemetry code, which is what the `telemetry` bench suite measures.
 ///
 /// # Contract
 ///
