@@ -43,6 +43,9 @@ cargo test -q
 echo "==> allocation gate (release; counting-allocator proof of zero steady-state allocs)"
 cargo test -q --release -p ftcg-solvers --test alloc_gate
 
+echo "==> kernel bit-exactness suites (release: the codegen that ships, bounds checks elided)"
+cargo test -q --release -p ftcg-sparse -p ftcg-kernels
+
 echo "==> shard → merge → diff smoke (byte-identical campaign artifacts)"
 bash scripts/shard_smoke.sh target/release/ftcg
 
@@ -56,11 +59,11 @@ echo "==> benchmark of record: build + --quick (blocking)"
 bash scripts/benchmark_smoke.sh
 
 echo "==> advisory bench regression gate (vs the checked-in baseline)"
-if [ -f BENCH_2026-08-08.json ]; then
+if [ -f BENCH_2026-09-28.json ]; then
     target/release/ftcg bench --suite quick --runs 2 \
-        --against BENCH_2026-08-08.json --warn-only
+        --against BENCH_2026-09-28.json --warn-only
     target/release/ftcg bench --suite kernels --runs 3 \
-        --against BENCH_2026-08-08.json --warn-only
+        --against BENCH_2026-09-28.json --warn-only
 else
     echo "    no checked-in baseline; skipping"
 fi

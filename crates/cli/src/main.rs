@@ -17,8 +17,8 @@
 //! $ ftcg campaign --spec sweep.campaign --journal run.jsonl --trace run.trace.jsonl
 //! $ ftcg report run.trace.jsonl run.metrics.jsonl run.jsonl --spec sweep.campaign
 //! $ ftcg report run.trace.jsonl run.metrics.jsonl --perfetto timeline.json
-//! $ ftcg bench --suite quick --runs 5 --out BENCH_2026-08-08.json
-//! $ ftcg bench --suite quick --against BENCH_2026-08-08.json --warn-only
+//! $ ftcg bench --suite quick --runs 5 --out BENCH_2026-09-28.json
+//! $ ftcg bench --suite quick --against BENCH_2026-09-28.json --warn-only
 //! $ ftcg bench migrate BENCH_2026-07-27.json
 //! $ ftcg bench compare new.json baseline.json --threshold 5
 //! $ ftcg table1 --scale 32 --reps 20

@@ -6,7 +6,7 @@
 //! the CLI/spec-file grammar, with a canonical label that round-trips
 //! through [`KernelSpec::parse`].
 
-use ftcg_sparse::{BcsrMatrix, CsrMatrix, SellCSigma};
+use ftcg_sparse::{BcsrMatrix, CsrMatrix, RowOrder, SellCSigma};
 
 use crate::backends::{
     effective_threads, AutoKernel, BcsrKernel, CsrParallel, CsrSerial, SellKernel,
@@ -194,11 +194,22 @@ impl KernelSpec {
 /// image — fault application to the matrix arrays, forward correction,
 /// checkpoint rollback/restore. A stale cache silently computes the
 /// product of the pre-mutation matrix.
+///
+/// The serial CSR path holds no copy and has no such duty. It visits
+/// rows in the [`RowOrder`] it was given
+/// ([`DefensiveProduct::with_row_order`]; natural order otherwise),
+/// which changes no output bit: an order built from the pristine matrix
+/// stays valid through every fault and rollback, and a mismatched one
+/// only costs speed.
 #[derive(Debug, Clone)]
-pub struct DefensiveProduct {
+pub struct DefensiveProduct<'o> {
     spec: KernelSpec,
+    order: &'o RowOrder,
     cache: Option<CachedFormat>,
 }
+
+/// The order of a [`DefensiveProduct`] that was given none.
+static NATURAL_ORDER: RowOrder = RowOrder::new();
 
 #[derive(Debug, Clone)]
 enum CachedFormat {
@@ -206,10 +217,22 @@ enum CachedFormat {
     Sell(SellCSigma),
 }
 
-impl DefensiveProduct {
-    /// A defensive product under `spec` with an empty cache.
+impl<'o> DefensiveProduct<'o> {
+    /// A defensive product under `spec` with an empty cache, visiting
+    /// rows in natural order.
     pub fn new(spec: KernelSpec) -> Self {
-        DefensiveProduct { spec, cache: None }
+        Self::with_row_order(spec, &NATURAL_ORDER)
+    }
+
+    /// [`DefensiveProduct::new`] whose serial CSR products visit rows in
+    /// `order` — built once from the pristine matrix
+    /// ([`RowOrder::rebuild`]) by whoever owns the solve's memory.
+    pub fn with_row_order(spec: KernelSpec, order: &'o RowOrder) -> Self {
+        DefensiveProduct {
+            spec,
+            order,
+            cache: None,
+        }
     }
 
     /// The backend spec this product runs.
@@ -230,11 +253,14 @@ impl DefensiveProduct {
     /// Panics if `y.len() != a.n_rows()`.
     pub fn product(&mut self, a: &CsrMatrix, x: &[f64], y: &mut [f64]) {
         match self.spec {
-            // Row-band variant: bit-identical to `spmv_clamped_into`
-            // (each row keeps one sequential chain) but four rows
-            // advance in lockstep, breaking the FP-add latency
-            // serialization of the scalar loop.
-            KernelSpec::Csr | KernelSpec::Auto { .. } => a.spmv_clamped_rowband_into(x, y),
+            // The lockstep traversal: bit-identical to
+            // `spmv_clamped_into` (each row keeps one sequential chain)
+            // with several rows of one length in flight, which breaks
+            // the FP-add latency serialization of the scalar loop and
+            // its per-row loop-exit mispredict.
+            KernelSpec::Csr | KernelSpec::Auto { .. } => {
+                a.spmv_clamped_ordered_into(self.order, x, y)
+            }
             KernelSpec::CsrPar { threads } => spmv_clamped_parallel(a, x, y, threads),
             KernelSpec::Bcsr { block } => {
                 if !matches!(self.cache, Some(CachedFormat::Bcsr(_))) {
@@ -264,7 +290,7 @@ impl DefensiveProduct {
     ///
     /// The serial CSR path (also serving `auto`) folds the probe into
     /// the product traversal
-    /// ([`CsrMatrix::spmv_clamped_probe_into`]); the parallel and
+    /// ([`CsrMatrix::spmv_clamped_probe_ordered_into`]); the parallel and
     /// converted-format paths run their product and a separate
     /// [`probe_of`](ftcg_sparse::fused::probe_of) sweep. `y` and the
     /// probe are bit-identical to [`DefensiveProduct::product`]
@@ -274,7 +300,9 @@ impl DefensiveProduct {
     /// Panics if `y.len() != a.n_rows()`.
     pub fn product_with_probe(&mut self, a: &CsrMatrix, x: &[f64], y: &mut [f64]) -> [f64; 2] {
         match self.spec {
-            KernelSpec::Csr | KernelSpec::Auto { .. } => a.spmv_clamped_probe_into(x, y),
+            KernelSpec::Csr | KernelSpec::Auto { .. } => {
+                a.spmv_clamped_probe_ordered_into(self.order, x, y)
+            }
             _ => {
                 self.product(a, x, y);
                 ftcg_sparse::fused::probe_of(y)

@@ -29,7 +29,7 @@ use ftcg_kernels::{DefensiveProduct, KernelSpec};
 use ftcg_model::Scheme;
 use ftcg_solvers::resilient::{solve_resilient_in, solve_resilient_recorded, ResilientConfig};
 use ftcg_solvers::{cg_solve_with, CgConfig, SolveStats, SolverWorkspace, StoppingCriterion};
-use ftcg_sparse::{gen, vector, CsrMatrix};
+use ftcg_sparse::{gen, vector, CsrMatrix, RowOrder};
 use ftcg_telemetry::metrics::MetricsFile;
 use ftcg_telemetry::{ActiveRecorder, NoopRecorder, Phase};
 
@@ -291,6 +291,12 @@ pub fn solver_step_suite(grid: usize, iters: usize, reps: usize) -> Result<Suite
 /// (`DefensiveProduct::product` + `probe_of` vs the one-pass
 /// `DefensiveProduct::product_with_probe`, ns/nnz), each sampled as
 /// interleaved pairs so drift hits both sides equally.
+///
+/// A `short_rows` group times the defensive traversal where its row
+/// visit order matters: a `paper:752:16`-shaped matrix (8 ± 3 nonzeros
+/// per row, the Poisson grid's rows all hold 5) — the textbook loop,
+/// the defensive product with probe in natural order, and the same
+/// visiting rows in the matrix's [`RowOrder`], as interleaved triples.
 pub fn kernels_suite(grid: usize, reps: usize) -> Result<SuiteResult, String> {
     const INNER: usize = 16;
     let a = gen::poisson2d(grid).map_err(|e| e.to_string())?;
@@ -388,9 +394,49 @@ pub fn kernels_suite(grid: usize, reps: usize) -> Result<SuiteResult, String> {
     }
     let probe_speedup = min_of(&probe_two_pass) / min_of(&probe_fused);
 
+    // Short variable rows: what `MatrixSpec::generate(16)` builds for
+    // paper matrix 752 (n = 74752 / 16, 8 nonzeros per row on average).
+    let short =
+        gen::random_spd_illcond(4672, 8.0 / 4672.0, 4.0e2, 752).map_err(|e| e.to_string())?;
+    let short_nnz = short.nnz().max(1) as f64;
+    let xs = det_rhs(short.n_rows());
+    let mut ys = vec![0.0; short.n_rows()];
+    let mut order = RowOrder::new();
+    order.rebuild(&short);
+    let mut natural = DefensiveProduct::new(KernelSpec::Csr);
+    let mut ordered = DefensiveProduct::with_row_order(KernelSpec::Csr, &order);
+    let mut burst_short = |which: usize| {
+        let t0 = Instant::now();
+        for _ in 0..INNER {
+            let xs = std::hint::black_box(&xs);
+            match which {
+                0 => short.spmv_into(xs, &mut ys),
+                1 => {
+                    std::hint::black_box(natural.product_with_probe(&short, xs, &mut ys));
+                }
+                _ => {
+                    std::hint::black_box(ordered.product_with_probe(&short, xs, &mut ys));
+                }
+            }
+        }
+        t0.elapsed().as_nanos() as f64 / INNER as f64 / short_nnz
+    };
+    let mut short_samples: [Vec<f64>; 3] = Default::default();
+    for which in 0..3 {
+        std::hint::black_box(burst_short(which)); // untimed warmup
+    }
+    for _ in 0..reps {
+        for (which, samples) in short_samples.iter_mut().enumerate() {
+            samples.push(burst_short(which));
+        }
+    }
+    let [short_csr, short_natural, short_ordered] = short_samples;
+
     Ok(SuiteResult {
         suite: "kernels".into(),
-        spec: format!("poisson2d({grid}), {INNER}-product bursts, min of {reps}"),
+        spec: format!(
+            "poisson2d({grid}) + paper:752:16-shaped short rows, {INNER}-product bursts, min of {reps}"
+        ),
         measurements: vec![
             measurement("kernels.csr_ns_per_nnz", "ns/nnz", csr, true),
             measurement("kernels.sell8_ns_per_nnz", "ns/nnz", sell, true),
@@ -430,6 +476,24 @@ pub fn kernels_suite(grid: usize, reps: usize) -> Result<SuiteResult, String> {
                 "x",
                 vec![probe_speedup],
                 false,
+            ),
+            measurement(
+                "kernels.short_rows_csr_ns_per_nnz",
+                "ns/nnz",
+                short_csr,
+                true,
+            ),
+            measurement(
+                "kernels.short_rows_probe_ns_per_nnz",
+                "ns/nnz",
+                short_natural,
+                true,
+            ),
+            measurement(
+                "kernels.short_rows_probe_ordered_ns_per_nnz",
+                "ns/nnz",
+                short_ordered,
+                true,
             ),
         ],
     })
@@ -590,7 +654,7 @@ mod tests {
     fn kernels_suite_measures_every_backend() {
         let r = kernels_suite(12, 2).unwrap();
         assert_eq!(r.suite, "kernels");
-        assert_eq!(r.measurements.len(), 9);
+        assert_eq!(r.measurements.len(), 12);
         for m in &r.measurements {
             assert!(m.value > 0.0, "{}", m.key);
             if m.lower_is_better {
@@ -605,6 +669,9 @@ mod tests {
             "kernels.probe_two_pass_ns_per_nnz",
             "kernels.probe_fused_ns_per_nnz",
             "kernels.probe_fused_speedup",
+            "kernels.short_rows_csr_ns_per_nnz",
+            "kernels.short_rows_probe_ns_per_nnz",
+            "kernels.short_rows_probe_ordered_ns_per_nnz",
         ] {
             assert!(keys.contains(&key), "missing {key}");
         }

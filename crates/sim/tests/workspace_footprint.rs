@@ -1,7 +1,8 @@
 //! The workspace's memory bound on the paper's own test set: one worker
 //! cycling the nine Table 1 matrices under all three schemes retains
 //! one image of the *largest* matrix — the live one; checkpoints hold
-//! vectors only — not a set of images per matrix.
+//! vectors only — not a set of images per matrix, and one row visit
+//! order of 4 bytes per row of the matrix with the most rows.
 
 use ftcg_model::Scheme;
 use ftcg_sim::matrices::PAPER_MATRICES;
@@ -53,4 +54,9 @@ fn nine_matrices_retain_one_high_water_image() {
         retained < sum,
         "retained {retained} B is not below one image of each matrix ({sum} B)"
     );
+
+    // The defensive product's row order: one buffer per worker at 4 B
+    // per row of the tallest matrix, nothing per shape class.
+    let most_rows = words(|a| a.n_rows()).unwrap();
+    assert_eq!(ws.retained_order_bytes(), 4 * most_rows);
 }

@@ -54,7 +54,7 @@ use ftcg_fault::ledger::{FaultLedger, FaultOutcome};
 use ftcg_fault::target::{FaultTarget, VectorId};
 use ftcg_fault::{FaultEvent, Injector};
 use ftcg_kernels::DefensiveProduct;
-use ftcg_sparse::{vector, CsrMatrix};
+use ftcg_sparse::{vector, CsrMatrix, RowOrder};
 use ftcg_telemetry::event::{target as ev_target, via as ev_via};
 use ftcg_telemetry::{Event, Phase, Recorder};
 
@@ -90,9 +90,9 @@ fn fault_code(target: &FaultTarget) -> u64 {
 /// (BiCGStab's second) capture their reference at call time — their
 /// inputs were computed in-step from already verified data, after this
 /// iteration's faults struck — into the retained scratch reference.
-struct ResilientCtx<'a, V: VerificationScheme, R: Recorder> {
+struct ResilientCtx<'a, 'o, V: VerificationScheme, R: Recorder> {
     a: &'a mut CsrMatrix,
-    kernel: &'a mut DefensiveProduct,
+    kernel: &'a mut DefensiveProduct<'o>,
     scheme: &'a V,
     /// Trusted input copy for the iteration's first product (ABFT
     /// schemes only).
@@ -116,7 +116,7 @@ struct ResilientCtx<'a, V: VerificationScheme, R: Recorder> {
     rec: &'a mut R,
 }
 
-impl<V: VerificationScheme, R: Recorder> StepContext for ResilientCtx<'_, V, R> {
+impl<V: VerificationScheme, R: Recorder> StepContext for ResilientCtx<'_, '_, V, R> {
     fn product(&mut self, x: &mut [f64], y: &mut [f64]) -> ProductStatus {
         self.products_run += 1;
         let first = std::mem::replace(&mut self.first, false);
@@ -223,7 +223,7 @@ struct ExecutorMachine<'a, V: VerificationScheme, R: Recorder> {
     arena: &'a mut ExecArena,
     rec: &'a mut R,
     hardened: bool,
-    kernel: DefensiveProduct,
+    kernel: DefensiveProduct<'a>,
     d: usize,
     threshold: f64,
     guard: EscalationGuard,
@@ -257,12 +257,14 @@ impl<'a, V: VerificationScheme, R: Recorder> ExecutorMachine<'a, V, R> {
         solver: &'a mut dyn IterativeSolver,
         image: &'a mut CsrMatrix,
         arena: &'a mut ExecArena,
+        order: &'a RowOrder,
         rec: &'a mut R,
     ) -> Self {
         let hardened = scheme.hardened_vectors();
         // Pin `auto` against the pristine matrix; conversions are cached
-        // and dropped whenever the matrix image mutates.
-        let kernel = DefensiveProduct::new(cfg.kernel.resolve(a0));
+        // and dropped whenever the matrix image mutates. The row order
+        // was built from `a0` and needs no such care.
+        let kernel = DefensiveProduct::with_row_order(cfg.kernel.resolve(a0), order);
         let d = scheme.chunk_len(cfg.verif_interval);
         let threshold = cfg
             .stopping
@@ -642,7 +644,8 @@ impl<'a, V: VerificationScheme, R: Recorder> ExecutorMachine<'a, V, R> {
 ///
 /// `solver` must be in the zero-start state over `(a0, b)`, `image`
 /// must hold a bit-exact copy of `a0` (the corruptible working image),
-/// and `arena` provides the retained buffers — all three come from
+/// `arena` provides the retained buffers and `order` the row visit
+/// order of `a0` — all four come from
 /// [`SolverWorkspace::checkout`](crate::SolverWorkspace).
 #[allow(clippy::too_many_arguments)]
 pub(super) fn run_executor<V: VerificationScheme, R: Recorder>(
@@ -654,9 +657,12 @@ pub(super) fn run_executor<V: VerificationScheme, R: Recorder>(
     solver: &mut dyn IterativeSolver,
     image: &mut CsrMatrix,
     arena: &mut ExecArena,
+    order: &RowOrder,
     rec: &mut R,
 ) -> ResilientOutcome {
-    let mut m = ExecutorMachine::new(a0, b, cfg, injector, scheme, solver, image, arena, rec);
+    let mut m = ExecutorMachine::new(
+        a0, b, cfg, injector, scheme, solver, image, arena, order, rec,
+    );
     while m.active() {
         m.iterate();
     }

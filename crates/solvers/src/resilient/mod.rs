@@ -283,7 +283,7 @@ pub fn solve_resilient_recorded<R: Recorder>(
     if let Err(e) = cfg.validate() {
         panic!("resilient solve: {e}");
     }
-    let (solver, image, arena) = ws.checkout(cfg.solver, a, b);
+    let (solver, image, arena, order) = ws.checkout(cfg.solver, a, b);
     match cfg.scheme {
         Scheme::OnlineDetection => executor::run_executor(
             a,
@@ -294,6 +294,7 @@ pub fn solve_resilient_recorded<R: Recorder>(
             solver,
             image,
             arena,
+            order,
             rec,
         ),
         Scheme::AbftDetection => executor::run_executor(
@@ -305,6 +306,7 @@ pub fn solve_resilient_recorded<R: Recorder>(
             solver,
             image,
             arena,
+            order,
             rec,
         ),
         Scheme::AbftCorrection => executor::run_executor(
@@ -316,6 +318,7 @@ pub fn solve_resilient_recorded<R: Recorder>(
             solver,
             image,
             arena,
+            order,
             rec,
         ),
     }

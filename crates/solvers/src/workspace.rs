@@ -12,7 +12,9 @@
 //!   [`SolverKind::start_zero`];
 //! * the one corruptible matrix image is reshaped to the caller's
 //!   matrix by [`CsrMatrix::assign_from`] — a copy into warm memory,
-//!   not a clone;
+//!   not a clone — and the defensive product's row visit order is
+//!   rebuilt from that matrix in place ([`RowOrder::rebuild`], 4 bytes
+//!   per row);
 //! * checkpoints — iteration vectors only; their matrix is the
 //!   caller's pristine input — live in a double-buffered
 //!   [`SnapshotSlot`](ftcg_checkpoint::SnapshotSlot), the start vectors
@@ -57,7 +59,7 @@ use ftcg_abft::tmr::TmrVector;
 use ftcg_abft::XRef;
 use ftcg_checkpoint::{SnapshotSlot, SolverState};
 use ftcg_fault::FaultEvent;
-use ftcg_sparse::CsrMatrix;
+use ftcg_sparse::{CsrMatrix, RowOrder};
 
 use crate::machine::{IterativeSolver, SolverKind};
 
@@ -91,6 +93,10 @@ pub(crate) struct ExecArena {
 pub struct SolverWorkspace {
     machines: Vec<((SolverKind, usize), Box<dyn IterativeSolver>)>,
     image: CsrMatrix,
+    /// Row visit order of the defensive product, rebuilt from the
+    /// caller's pristine matrix at every checkout (reliable metadata,
+    /// like the checksums: never a fault target).
+    order: RowOrder,
     arena: ExecArena,
 }
 
@@ -122,6 +128,7 @@ impl SolverWorkspace {
         SolverWorkspace {
             machines: Vec::new(),
             image: CsrMatrix::identity(0),
+            order: RowOrder::new(),
             arena: ExecArena {
                 initial: SolverState::empty(),
                 slot: SnapshotSlot::new(),
@@ -150,16 +157,28 @@ impl SolverWorkspace {
         words * std::mem::size_of::<f64>()
     }
 
+    /// Bytes the row visit order keeps reserved: 4 per row of the
+    /// largest matrix seen, shared by every shape.
+    pub fn retained_order_bytes(&self) -> usize {
+        self.order.capacity_bytes()
+    }
+
     /// Checks out everything one resilient solve needs: a machine reset
     /// to the zero-start state over `(a0, b)` (bit-identical to a fresh
     /// [`SolverKind::start_zero`]), the corruptible image holding a
-    /// bit-exact copy of `a0`, and the retained executor arena.
+    /// bit-exact copy of `a0`, the retained executor arena, and the row
+    /// visit order of `a0`.
     pub(crate) fn checkout(
         &mut self,
         kind: SolverKind,
         a0: &CsrMatrix,
         b: &[f64],
-    ) -> (&mut dyn IterativeSolver, &mut CsrMatrix, &mut ExecArena) {
+    ) -> (
+        &mut dyn IterativeSolver,
+        &mut CsrMatrix,
+        &mut ExecArena,
+        &RowOrder,
+    ) {
         let mkey = (kind, a0.n_rows());
         let mi = match self.machines.iter().position(|(k, _)| *k == mkey) {
             Some(i) => {
@@ -172,10 +191,12 @@ impl SolverWorkspace {
             }
         };
         self.image.assign_from(a0);
+        self.order.rebuild(a0);
         (
             self.machines[mi].1.as_mut(),
             &mut self.image,
             &mut self.arena,
+            &self.order,
         )
     }
 }
@@ -195,7 +216,7 @@ mod tests {
         for kind in SolverKind::ALL {
             // Dirty the retained machine with a different rhs first.
             ws.checkout(kind, &a, &b2);
-            let (m, image, _) = ws.checkout(kind, &a, &b);
+            let (m, image, _, _) = ws.checkout(kind, &a, &b);
             let fresh = kind.start_zero(&a, &b);
             for which in [
                 CanonVec::Iterate,
@@ -249,7 +270,7 @@ mod tests {
         let a = gen::random_spd(40, 0.08, 3).unwrap();
         let b = vec![1.0; 40];
         let mut ws = SolverWorkspace::new();
-        let (_, image, _) = ws.checkout(SolverKind::Cg, &a, &b);
+        let (_, image, _, _) = ws.checkout(SolverKind::Cg, &a, &b);
         assert_eq!(*image, a);
     }
 
@@ -261,7 +282,7 @@ mod tests {
         let p0 = ws.checkout(SolverKind::Cg, &a, &b).1.val().as_ptr();
         // Corrupt the image, then check out again: healed, same buffer.
         ws.checkout(SolverKind::Cg, &a, &b).1.val_mut()[0] = f64::NAN;
-        let (_, image, _) = ws.checkout(SolverKind::Cg, &a, &b);
+        let (_, image, _, _) = ws.checkout(SolverKind::Cg, &a, &b);
         assert_eq!(image.val().as_ptr(), p0);
         assert_eq!(*image, a);
     }
@@ -276,7 +297,7 @@ mod tests {
         let bytes = ws.retained_image_bytes();
         let p0 = ws.checkout(SolverKind::Cg, &large, &bl).1.val().as_ptr();
         for _ in 0..2 {
-            let (_, image, _) = ws.checkout(SolverKind::Cg, &small, &bs);
+            let (_, image, _, _) = ws.checkout(SolverKind::Cg, &small, &bs);
             assert_eq!(*image, small);
             assert_eq!(
                 image.val().as_ptr(),

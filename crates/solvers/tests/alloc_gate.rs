@@ -33,7 +33,10 @@
 //! 7. the workspace's buffers are shared by every shape and kept at
 //!    their high-water capacity: once two shapes have each been solved,
 //!    alternating between them allocates exactly what repeating each
-//!    one does — no per-shape buffer is ever re-created.
+//!    one does — no per-shape buffer is ever re-created. The row visit
+//!    order of the defensive product is one of them: rebuilt at every
+//!    checkout, 4 bytes per row of the largest matrix, never regrown by
+//!    the same or a smaller matrix.
 //!
 //! The file holds a single `#[test]` on purpose: the counter is
 //! process-global, and sibling tests running on other threads would
@@ -287,7 +290,13 @@ fn steady_state_cg_iterations_allocate_nothing() {
     let b2: Vec<f64> = (0..90).map(|i| 1.0 + (i as f64 * 0.31).cos()).collect();
     assert!(a2.nnz() < a.nnz());
     let cfg = cfg_for(20);
+    assert_eq!(ws.retained_order_bytes(), 4 * a.n_rows());
     solve_resilient_in(&a2, &b2, &cfg, None, &mut ws);
+    assert_eq!(
+        ws.retained_order_bytes(),
+        4 * a.n_rows(),
+        "a smaller matrix reuses the order buffer"
+    );
     let mut run = |large: bool| {
         let (m, rhs) = if large { (&a, &b) } else { (&a2, &b2) };
         count_allocs(|| solve_resilient_in(m, rhs, &cfg, None, &mut ws)).0
@@ -302,4 +311,5 @@ fn steady_state_cg_iterations_allocate_nothing() {
         [repeat_large, repeat_small, repeat_large, repeat_small],
         "switching shapes must not re-create a buffer"
     );
+    assert_eq!(ws.retained_order_bytes(), 4 * a.n_rows());
 }

@@ -10,6 +10,7 @@
 
 use crate::coo::CooMatrix;
 use crate::error::SparseError;
+use crate::order::{RowOrder, LANES};
 use crate::Result;
 
 /// A sparse matrix in compressed sparse row format.
@@ -24,6 +25,18 @@ pub struct CsrMatrix {
     /// Nonzero values (`Val` in the paper), length `nnz`.
     val: Vec<f64>,
 }
+
+/// Window offsets in natural order: the visit order of a window the
+/// [`RowOrder`] does not cover.
+const NATURAL: [u32; RowOrder::WINDOW] = {
+    let mut a = [0u32; RowOrder::WINDOW];
+    let mut i = 0u32;
+    while (i as usize) < a.len() {
+        a[i as usize] = i;
+        i += 1;
+    }
+    a
+};
 
 impl CsrMatrix {
     /// Builds a CSR matrix after validating the invariants:
@@ -303,66 +316,116 @@ impl CsrMatrix {
         }
     }
 
-    /// The one 4-lane defensive traversal: four clamped rows of the band
-    /// advance in lockstep, each summing into its own accumulator in
-    /// ascending storage order with the
-    /// [`CsrMatrix::row_product_clamped`] skip rule, so the four serial
-    /// floating-point add chains overlap in the pipeline while every
-    /// row's sum stays bit-identical to `row_product_clamped`. Finished
-    /// rows are handed to `sink(row, value)` in ascending row order.
+    /// The one defensive traversal. [`LANES`] clamped rows advance in
+    /// lockstep, each summing into its own accumulator in ascending
+    /// storage order with the [`CsrMatrix::row_product_clamped`] skip
+    /// rule, so the serial floating-point add chains overlap in the
+    /// pipeline while every row's sum stays bit-identical to
+    /// `row_product_clamped`.
+    ///
+    /// Two things keep the lanes busy. Each lane's `colid`/`val`
+    /// sub-slices are cut once per band — the lockstep prefix to the
+    /// band's shortest row, then the per-lane tails — so the only check
+    /// left per nonzero is the clamp `c < x.len()`, which is the
+    /// defensive check itself. And rows are *visited* in `order`
+    /// ([`RowOrder`]: sorted by pristine length inside
+    /// [`RowOrder::WINDOW`]-row windows), so the rows of a band have one
+    /// length: no tails, and one trip count per band for the branch
+    /// predictor. Row ranges are always read from the live `rowptr`; a
+    /// stale order only brings the tails back.
+    ///
+    /// Finished rows of a window are parked in a stack buffer and handed
+    /// to `sink(row, value)` in ascending row order. The order applies
+    /// to the windows `rows` covers whole; it is ignored (natural order)
+    /// for partial windows and when it was built for another row count.
     #[inline(always)]
     fn row_band_clamped_each(
         &self,
         rows: std::ops::Range<usize>,
+        order: &RowOrder,
         x: &[f64],
         mut sink: impl FnMut(usize, f64),
     ) {
-        let (colid, val) = (&self.colid[..], &self.val[..]);
-        let mut i = rows.start;
-        while i + 4 <= rows.end {
-            let r = [
-                self.row_range_clamped(i),
-                self.row_range_clamped(i + 1),
-                self.row_range_clamped(i + 2),
-                self.row_range_clamped(i + 3),
-            ];
-            let m = r[0].len().min(r[1].len()).min(r[2].len()).min(r[3].len());
-            let mut acc = [0.0f64; 4];
-            // Lockstep section: every lane has at least `m` entries.
-            for j in 0..m {
+        const WINDOW: usize = RowOrder::WINDOW;
+        // `Val` sets the clamp, as in `row_range_clamped`; the row
+        // pointer is read as `lo[i]..hi[i]`.
+        let val = &self.val[..];
+        let colid = &self.colid[..val.len()];
+        let (lo, hi) = (&self.rowptr[..self.n_rows], &self.rowptr[1..=self.n_rows]);
+        // Row `i`'s clamped entries: `get` is `None` exactly where
+        // `row_range_clamped` yields the empty row.
+        let row = |i: usize| {
+            let range = lo[i]..hi[i].min(val.len());
+            (
+                colid.get(range.clone()).unwrap_or_default(),
+                val.get(range).unwrap_or_default(),
+            )
+        };
+        let product = |c: &[usize], v: &[f64], acc: &mut f64| {
+            for (&col, &w) in c.iter().zip(v) {
+                if col < x.len() {
+                    *acc += w * x[col];
+                }
+            }
+        };
+        let perm = order.for_rows(self.n_rows);
+        // Finished rows of the window, parked at `row % WINDOW`.
+        let mut out = [0.0f64; WINDOW];
+        let mut w0 = rows.start;
+        while w0 < rows.end {
+            let w1 = rows.end.min((w0 / WINDOW + 1) * WINDOW);
+            let len = w1 - w0;
+            // The window's rows in visit order, as window offsets; the
+            // order applies to whole windows only.
+            let whole = w0.is_multiple_of(WINDOW) && (len == WINDOW || w1 == self.n_rows);
+            let visit = match perm {
+                Some(perm) if whole => &perm[w0..w1],
+                _ => &NATURAL[..len],
+            };
+            let mut bands = visit.chunks_exact(LANES);
+            for band in &mut bands {
+                let i: [usize; LANES] =
+                    std::array::from_fn(|lane| w0 + band[lane] as usize % WINDOW);
+                let r: [(&[usize], &[f64]); LANES] = std::array::from_fn(|lane| row(i[lane]));
+                let m = r.iter().map(|(c, _)| c.len()).min().unwrap_or(0);
+                let head: [(&[usize], &[f64]); LANES] =
+                    std::array::from_fn(|lane| (&r[lane].0[..m], &r[lane].1[..m]));
+                let mut acc = [0.0f64; LANES];
+                // Lockstep section: every lane has at least `m` entries.
+                for j in 0..m {
+                    for (lane, a) in acc.iter_mut().enumerate() {
+                        let col = head[lane].0[j];
+                        if col < x.len() {
+                            *a += head[lane].1[j] * x[col];
+                        }
+                    }
+                }
+                // Per-lane tails, same order and skip rule.
                 for (lane, a) in acc.iter_mut().enumerate() {
-                    let k = r[lane].start + j;
-                    let c = colid[k];
-                    if c < x.len() {
-                        *a += val[k] * x[c];
-                    }
+                    product(&r[lane].0[m..], &r[lane].1[m..], a);
+                    out[i[lane] % WINDOW] = *a;
                 }
             }
-            // Per-lane tails, same order and skip rule.
-            for (lane, a) in acc.iter_mut().enumerate() {
-                for k in r[lane].start + m..r[lane].end {
-                    let c = colid[k];
-                    if c < x.len() {
-                        *a += val[k] * x[c];
-                    }
-                }
+            for &e in bands.remainder() {
+                let i = w0 + e as usize % WINDOW;
+                let (c, v) = row(i);
+                let mut acc = 0.0;
+                product(c, v, &mut acc);
+                out[i % WINDOW] = acc;
             }
-            for (lane, a) in acc.iter().enumerate() {
-                sink(i + lane, *a);
+            for i in w0..w1 {
+                sink(i, out[i % WINDOW]);
             }
-            i += 4;
-        }
-        while i < rows.end {
-            sink(i, self.row_product_clamped(x, i));
-            i += 1;
+            w0 = w1;
         }
     }
 
     /// Defensive products of the row band `rows` into `y` (one output
-    /// per row of the band) through the 4-lane row-band traversal —
-    /// bit-identical to calling [`CsrMatrix::row_product_clamped`] per
-    /// row. The building block both the serial and the parallel
-    /// defensive row-band products share.
+    /// per row of the band) through the one lockstep traversal, rows
+    /// visited in natural order — bit-identical to calling
+    /// [`CsrMatrix::row_product_clamped`] per row. The building block
+    /// the parallel defensive product and ONLINE-DETECTION's residual
+    /// check share.
     ///
     /// # Panics
     /// Panics if `rows.end > n_rows` or `y.len() != rows.len()`.
@@ -370,19 +433,30 @@ impl CsrMatrix {
         assert!(rows.end <= self.n_rows, "row band out of range");
         assert_eq!(y.len(), rows.len(), "row band: y length mismatch");
         let base = rows.start;
-        self.row_band_clamped_each(rows, x, |i, v| y[i - base] = v);
+        self.row_band_clamped_each(rows, &RowOrder::new(), x, |i, v| y[i - base] = v);
     }
 
-    /// Defensive `y ← A·x` through the cache-blocked row-band kernel —
-    /// the same outputs as [`CsrMatrix::spmv_clamped_into`], bit for bit
-    /// (see [`CsrMatrix::row_band_product_clamped`]), with four
+    /// Defensive `y ← A·x` through the lockstep traversal, rows visited
+    /// in natural order — the same outputs as
+    /// [`CsrMatrix::spmv_clamped_into`], bit for bit, with several
     /// independent accumulator chains in flight.
     ///
     /// # Panics
     /// Panics if `y.len() != n_rows`.
     pub fn spmv_clamped_rowband_into(&self, x: &[f64], y: &mut [f64]) {
+        self.spmv_clamped_ordered_into(&RowOrder::new(), x, y);
+    }
+
+    /// [`CsrMatrix::spmv_clamped_rowband_into`] with rows visited in
+    /// `order`: the same `y`, bit for bit, whatever the order holds
+    /// (see [`RowOrder`]); an order built from this matrix's pristine
+    /// row lengths makes it faster.
+    ///
+    /// # Panics
+    /// Panics if `y.len() != n_rows`.
+    pub fn spmv_clamped_ordered_into(&self, order: &RowOrder, x: &[f64], y: &mut [f64]) {
         assert_eq!(y.len(), self.n_rows, "spmv_clamped: y length mismatch");
-        self.row_band_product_clamped(0..self.n_rows, x, y);
+        self.row_band_clamped_each(0..self.n_rows, order, x, |i, v| y[i] = v);
     }
 
     /// Defensive `y ← A·x` with the ABFT output probe
@@ -390,20 +464,41 @@ impl CsrMatrix {
     /// is bit-identical to [`CsrMatrix::spmv_clamped_rowband_into`] (the
     /// same traversal) and the returned probe to a separate
     /// [`fused::probe_of`](crate::fused::probe_of)`(y)` sweep, with rows
-    /// folded into the probe chains in ascending index order as they
-    /// finalize — without re-reading `y`.
+    /// folded into the probe chains in ascending index order as their
+    /// window finishes — without re-reading `y`.
     ///
     /// # Panics
     /// Panics if `y.len() != n_rows` (the output buffer is caller
     /// state, not corruptible matrix data).
     pub fn spmv_clamped_probe_into(&self, x: &[f64], y: &mut [f64]) -> [f64; 2] {
+        self.spmv_clamped_probe_ordered_into(&RowOrder::new(), x, y)
+    }
+
+    /// [`CsrMatrix::spmv_clamped_probe_into`] with rows visited in
+    /// `order`: the same `y` and probe, bit for bit, whatever the order
+    /// holds (see [`RowOrder`]).
+    ///
+    /// # Panics
+    /// Panics if `y.len() != n_rows`.
+    pub fn spmv_clamped_probe_ordered_into(
+        &self,
+        order: &RowOrder,
+        x: &[f64],
+        y: &mut [f64],
+    ) -> [f64; 2] {
         assert_eq!(y.len(), self.n_rows, "spmv_clamped: y length mismatch");
         let mut p0 = -0.0;
         let mut p1 = -0.0;
-        self.row_band_clamped_each(0..self.n_rows, x, |i, v| {
+        // Rows arrive in ascending order from 0, so the weight `i + 1`
+        // is counted in `f64` (exact below 2⁵³ rows) instead of being
+        // converted from `usize` once per row.
+        let mut weight = 0.0;
+        self.row_band_clamped_each(0..self.n_rows, order, x, |i, v| {
+            weight += 1.0;
+            debug_assert_eq!(weight, (i + 1) as f64);
             y[i] = v;
             p0 += v;
-            p1 += (i + 1) as f64 * v;
+            p1 += weight * v;
         });
         [p0, p1]
     }
@@ -1052,36 +1147,93 @@ mod tests {
         }
     }
 
+    /// Every entry point of the one traversal against the scalar clamped
+    /// reference, rows visited in natural order and in `order`.
+    fn assert_traversal_matches_reference(a: &CsrMatrix, order: &RowOrder, what: &str) {
+        let n = a.n_rows();
+        let x = det_x(a.n_cols());
+        let mut want = vec![0.0; n];
+        a.spmv_clamped_into(&x, &mut want);
+        let want_probe = crate::fused::probe_of(&want);
+        let mut banded = vec![0.0; n];
+        a.spmv_clamped_rowband_into(&x, &mut banded);
+        assert_eq!(bits(&banded), bits(&want), "rowband, {what}");
+        let mut ordered = vec![0.0; n];
+        a.spmv_clamped_ordered_into(order, &x, &mut ordered);
+        assert_eq!(bits(&ordered), bits(&want), "ordered, {what}");
+        for (name, order) in [("natural", &RowOrder::new()), ("ordered", order)] {
+            let mut probed = vec![0.0; n];
+            let probe = a.spmv_clamped_probe_ordered_into(order, &x, &mut probed);
+            assert_eq!(bits(&probed), bits(&want), "{name} probe y, {what}");
+            assert_eq!(bits(&probe), bits(&want_probe), "{name} probe, {what}");
+        }
+    }
+
     #[test]
     fn rowband_spmv_is_bit_identical_to_reference() {
-        // Sizes straddling the 4-row quads; every entry point of the one
-        // 4-lane traversal against the scalar clamped reference, clean
-        // and corrupted.
-        for n in [1usize, 3, 4, 5, 7, 64, 255, 256, 257] {
+        // Sizes below the lane count and straddling lanes and windows;
+        // the order is built from the clean matrix and stays in use
+        // after the structure is corrupted.
+        for n in [1usize, 2, 3, 4, 5, 7, 63, 64, 65, 130, 255, 256, 257] {
             let mut a = crate::gen::random_spd(n, 0.08, n as u64).unwrap();
-            let x = det_x(n);
+            let mut order = RowOrder::new();
+            order.rebuild(&a);
             for corrupt in [false, true] {
                 if corrupt {
                     corrupt_structure(&mut a);
-                }
-                let mut want = vec![0.0; n];
-                a.spmv_clamped_into(&x, &mut want);
-                if !corrupt {
+                } else {
+                    let x = det_x(n);
+                    let mut want = vec![0.0; n];
+                    a.spmv_clamped_into(&x, &mut want);
                     assert_eq!(bits(&want), bits(&a.spmv(&x)), "n = {n}");
                 }
-                let mut banded = vec![0.0; n];
-                a.spmv_clamped_rowband_into(&x, &mut banded);
-                assert_eq!(bits(&banded), bits(&want), "n = {n}, corrupt = {corrupt}");
-                let mut probed = vec![0.0; n];
-                let probe = a.spmv_clamped_probe_into(&x, &mut probed);
-                assert_eq!(bits(&probed), bits(&want), "n = {n}, corrupt = {corrupt}");
-                assert_eq!(
-                    bits(&probe),
-                    bits(&crate::fused::probe_of(&probed)),
-                    "probe, n = {n}, corrupt = {corrupt}"
+                assert_traversal_matches_reference(
+                    &a,
+                    &order,
+                    &format!("n = {n}, corrupt = {corrupt}"),
                 );
             }
         }
+    }
+
+    #[test]
+    fn ordered_traversal_survives_ragged_rows_and_foreign_orders() {
+        // Empty rows, short rows and one row far longer than the rest of
+        // its window, so the window is sorted and its bands are ragged.
+        let n = 150;
+        let lens: Vec<usize> = (0..n)
+            .map(|i| if i == 70 { 140 } else { (i * 7) % 6 })
+            .collect();
+        let mut rowptr = vec![0usize];
+        let mut colid = Vec::new();
+        for (i, &len) in lens.iter().enumerate() {
+            colid.extend((0..len).map(|k| (i + 3 * k) % n));
+            rowptr.push(colid.len());
+        }
+        let val: Vec<f64> = (0..colid.len()).map(|k| ((k % 17) as f64) - 8.25).collect();
+        let mut a = CsrMatrix::new(n, n, rowptr, colid, val).unwrap();
+        let mut order = RowOrder::new();
+        order.rebuild(&a);
+        assert_ne!(order.as_slice()[127], 127, "the long row's window sorts");
+        assert_traversal_matches_reference(&a, &order, "ragged");
+
+        // Orders that were not built for this matrix: another matrix of
+        // the same order, and the wrong length.
+        let mut foreign = RowOrder::new();
+        foreign.rebuild(&crate::gen::random_spd(n, 0.05, 3).unwrap());
+        assert_ne!(foreign, order);
+        assert_traversal_matches_reference(&a, &foreign, "foreign order");
+        foreign.rebuild(&CsrMatrix::identity(n + 1));
+        assert_traversal_matches_reference(&a, &foreign, "wrong length");
+
+        // Corruption after the order was built: wild, inverted and
+        // overlapping ranges, wild columns.
+        a.rowptr_mut()[70] = usize::MAX;
+        a.rowptr_mut()[20] = 400; // rows 19.. overlap what follows
+        a.rowptr_mut()[100] = 1; // inverted
+        a.colid_mut()[33] = n;
+        a.colid_mut()[200] = usize::MAX;
+        assert_traversal_matches_reference(&a, &order, "ragged, corrupted");
     }
 
     #[test]

@@ -11,6 +11,8 @@
 //! * [`BcsrMatrix`] / [`SellCSigma`] — register-blocked and sliced-ELLPACK
 //!   storage with exact CSR roundtrips, the formats behind the pluggable
 //!   SpMV backends in `ftcg-kernels`,
+//! * [`RowOrder`] — the length-sorted row visit order of the one defensive
+//!   CSR traversal (SELL's σ-sorting without SELL's second copy),
 //! * dense vector kernels ([`vector`]) used by the Conjugate Gradient solver,
 //! * one-pass fused sweeps ([`fused`]) combining those kernels bit-identically,
 //! * synthetic SPD matrix generators ([`gen`]) matched to the paper's test
@@ -34,6 +36,7 @@ pub mod error;
 pub mod fused;
 pub mod gen;
 pub mod io;
+pub mod order;
 pub mod parallel;
 pub mod sell;
 pub mod stats;
@@ -44,6 +47,7 @@ pub use coo::CooMatrix;
 pub use csc::CscMatrix;
 pub use csr::CsrMatrix;
 pub use error::SparseError;
+pub use order::RowOrder;
 pub use sell::SellCSigma;
 
 /// Convenience result alias for fallible sparse operations.

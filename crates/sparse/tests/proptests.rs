@@ -1,6 +1,8 @@
 //! Property-based tests for the sparse substrate.
 
-use ftcg_sparse::{gen, io, vector, BcsrMatrix, CooMatrix, CscMatrix, SellCSigma};
+use ftcg_sparse::{
+    fused, gen, io, vector, BcsrMatrix, CooMatrix, CscMatrix, CsrMatrix, RowOrder, SellCSigma,
+};
 use proptest::prelude::*;
 
 /// Strategy: a random small COO matrix with valid coordinates.
@@ -23,7 +25,98 @@ fn vec_strategy(n: usize) -> impl Strategy<Value = Vec<f64>> {
     proptest::collection::vec(-10.0..10.0f64, n..=n)
 }
 
+/// Strategy: a CSR matrix with ragged rows — empty ones, short ones and,
+/// now and then, one far longer than the 64-row window it sits in — of
+/// any order from below the lane count to a few windows.
+fn ragged_csr_strategy() -> impl Strategy<Value = CsrMatrix> {
+    (1usize..200, 0u64..1 << 32).prop_flat_map(|(n, salt)| {
+        (
+            proptest::collection::vec(0usize..10, n..=n),
+            (0usize..2 * n, 100usize..260),
+        )
+            .prop_map(move |(mut lens, (long_row, long_len))| {
+                if let Some(len) = lens.get_mut(long_row) {
+                    *len = long_len;
+                }
+                let mut rowptr = vec![0usize];
+                let mut colid = Vec::new();
+                for (i, &len) in lens.iter().enumerate() {
+                    colid.extend((0..len).map(|k| (i * 31 + k * 7 + salt as usize) % n));
+                    rowptr.push(colid.len());
+                }
+                let val = (0..colid.len())
+                    .map(|k| ((k as u64 * 2654435761 + salt) % 1999) as f64 / 64.0 - 15.0)
+                    .collect();
+                CsrMatrix::new(n, n, rowptr, colid, val).unwrap()
+            })
+    })
+}
+
+/// `true` iff `order` permutes every 64-row window of `0..n` onto itself.
+fn permutes_windows(order: &RowOrder, n: usize) -> bool {
+    order.as_slice().len() == n
+        && order
+            .as_slice()
+            .chunks(RowOrder::WINDOW)
+            .enumerate()
+            .all(|(w, window)| {
+                let mut rows: Vec<usize> = window.iter().map(|&r| r as usize).collect();
+                rows.sort_unstable();
+                rows.into_iter()
+                    .eq((w * RowOrder::WINDOW..).take(window.len()))
+            })
+}
+
 proptest! {
+    #[test]
+    fn ordered_traversal_is_bit_identical_under_corruption(
+        a in ragged_csr_strategy(),
+        other in ragged_csr_strategy(),
+        hits in proptest::collection::vec((0usize..4, 0usize..1 << 20, 0usize..1 << 20), 0..6),
+    ) {
+        let n = a.n_rows();
+        let mut a = a;
+        // The order is built from the clean matrix ...
+        let mut order = RowOrder::new();
+        order.rebuild(&a);
+        prop_assert!(permutes_windows(&order, n));
+        // ... one for a different matrix of the same order (or, when the
+        // orders differ, of the wrong length) stands in for a stale one ...
+        let mut foreign = RowOrder::new();
+        foreign.rebuild(&other);
+        prop_assert!(permutes_windows(&foreign, other.n_rows()));
+        let mut same_n = RowOrder::new();
+        same_n.rebuild(&gen::random_spd(n.max(2), 0.1, n as u64).unwrap());
+        // ... and the structure is corrupted afterwards.
+        for (kind, at, to) in hits {
+            let nnz = a.nnz();
+            match kind {
+                0 => a.rowptr_mut()[at % (n + 1)] = usize::MAX,
+                1 => a.rowptr_mut()[at % (n + 1)] = to % (nnz + 2), // inverted / overlapping
+                2 if nnz > 0 => a.colid_mut()[at % nnz] = n + to,
+                _ if nnz > 0 => a.val_mut()[at % nnz] = f64::NAN,
+                _ => {}
+            }
+        }
+        let x: Vec<f64> = (0..n).map(|i| ((i * 13 % 29) as f64) * 0.25 - 3.0).collect();
+        let mut want = vec![0.0; n];
+        a.spmv_clamped_into(&x, &mut want);
+        let want_probe = fused::probe_of(&want);
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        for order in [&RowOrder::new(), &order, &foreign, &same_n] {
+            let mut y = vec![f64::NAN; n];
+            a.spmv_clamped_ordered_into(order, &x, &mut y);
+            prop_assert_eq!(bits(&y), bits(&want));
+            let mut y = vec![f64::NAN; n];
+            let probe = a.spmv_clamped_probe_ordered_into(order, &x, &mut y);
+            prop_assert_eq!(bits(&y), bits(&want));
+            prop_assert_eq!(bits(&probe), bits(&want_probe));
+        }
+        // Rebuilding from the corrupted matrix still yields a permutation.
+        order.rebuild(&a);
+        prop_assert!(permutes_windows(&order, n));
+    }
+
     #[test]
     fn csr_roundtrips_through_coo(coo in coo_strategy(20, 60)) {
         let a = coo.to_csr();

@@ -39,14 +39,16 @@ echo "-- kernels suite records the fused measurement group"
 "$BIN" bench --suite kernels --runs 2 --seed 1 --out "$tmp/k.json"
 for key in kernels.sweep_separate_ns_per_iter kernels.sweep_fused_ns_per_iter \
            kernels.sweep_fused_speedup kernels.probe_two_pass_ns_per_nnz \
-           kernels.probe_fused_ns_per_nnz kernels.probe_fused_speedup; do
+           kernels.probe_fused_ns_per_nnz kernels.probe_fused_speedup \
+           kernels.short_rows_csr_ns_per_nnz kernels.short_rows_probe_ns_per_nnz \
+           kernels.short_rows_probe_ordered_ns_per_nnz; do
     grep -q "\"$key\"" "$tmp/k.json" || {
         echo "error: $key missing from kernels entry" >&2
         exit 1
     }
 done
 "$BIN" bench compare "$tmp/k.json" "$tmp/k.json" > /dev/null
-echo "   fused separate-vs-fused keys present; self-compare exit 0"
+echo "   fused and short-row keys present; self-compare exit 0"
 
 echo "-- migrate a legacy hand-written file to the schema"
 cat > "$tmp/legacy.json" <<'EOF'
