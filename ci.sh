@@ -52,20 +52,17 @@ bash scripts/shard_smoke.sh target/release/ftcg
 echo "==> trace → report smoke (deterministic telemetry, journal reconciliation)"
 bash scripts/trace_smoke.sh target/release/ftcg
 
-echo "==> bench observatory smoke (record, migrate, deterministic gate exits)"
+echo "==> bench observatory smoke (deterministic compare exits on schema fixtures)"
 bash scripts/bench_smoke.sh target/release/ftcg
 
 echo "==> benchmark of record: build + --quick (blocking)"
 bash scripts/benchmark_smoke.sh
 
-echo "==> advisory bench regression gate (vs the checked-in baseline)"
-if [ -f BENCH_2026-09-28.json ]; then
-    target/release/ftcg bench --suite quick --runs 2 \
-        --against BENCH_2026-09-28.json --warn-only
-    target/release/ftcg bench --suite kernels --runs 3 \
-        --against BENCH_2026-09-28.json --warn-only
-else
-    echo "    no checked-in baseline; skipping"
+echo "==> bench record: import what --quick wrote, then self-compare (skipped with it on one core)"
+if [ "$(nproc)" -ge 2 ]; then
+    rm -f bench-ci.json
+    target/release/ftcg bench record benchmark/out/latest.json --out bench-ci.json
+    target/release/ftcg bench compare bench-ci.json bench-ci.json > /dev/null
 fi
 
 echo "CI gate passed."

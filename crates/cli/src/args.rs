@@ -16,6 +16,47 @@ pub fn parse_or<T: std::str::FromStr>(args: &[String], flag: &str, default: T) -
         .unwrap_or(default)
 }
 
+/// Like [`parse_or`], but a present-yet-unparseable value errors
+/// instead of silently keeping the default.
+pub fn parse_strict<T: std::str::FromStr>(
+    args: &[String],
+    flag: &str,
+    default: T,
+) -> Result<T, String> {
+    match value(args, flag) {
+        None => Ok(default),
+        Some(v) => v.parse().map_err(|_| format!("bad {flag} `{v}`")),
+    }
+}
+
+/// Rejects any `--flag` outside a subcommand's grammar: a misspelt
+/// `--repz 50` would otherwise run with the default and write an
+/// artifact the user believes came from other parameters. `removed`
+/// flags of an earlier grammar fail with `successor` ("PR N: do X").
+pub fn check_flags(
+    args: &[String],
+    value_flags: &[&str],
+    switches: &[&str],
+    removed: &[&str],
+    successor: &str,
+) -> Result<(), String> {
+    let mut skip = false;
+    for a in args {
+        if std::mem::take(&mut skip) || !a.starts_with("--") {
+            continue;
+        }
+        if removed.contains(&a.as_str()) {
+            return Err(format!("{a} was removed in {successor}"));
+        }
+        if value_flags.contains(&a.as_str()) {
+            skip = true;
+        } else if !switches.contains(&a.as_str()) {
+            return Err(format!("unknown flag `{a}` (try `ftcg help`)"));
+        }
+    }
+    Ok(())
+}
+
 /// Parses a fault rate: plain float (`0.0625`) or a fraction (`1/16`).
 /// One grammar for the whole workspace: delegates to the engine's
 /// spec parser.

@@ -22,7 +22,9 @@ use ftcg_engine::{
     Shard,
 };
 
-use crate::args::{matrix_source, parse_alpha, parse_or, positionals, value};
+use crate::args::{
+    check_flags, matrix_source, parse_alpha, parse_or, parse_strict, positionals, value,
+};
 use crate::progress::ProgressLine;
 
 /// Top-level usage text.
@@ -40,9 +42,7 @@ USAGE:
   ftcg merge    (--spec FILE | inline flags) JOURNAL... [--out F.jsonl]
                 [--csv F.csv] [--reps N] [--seed N]
   ftcg report   FILE... [--spec FILE] [--perfetto OUT.json]
-  ftcg bench    [--suite S] [--runs N] [--out BENCH.json] [--label S] [--pr N]
-                [--against BASELINE.json] [--threshold PCT] [--warn-only]
-  ftcg bench migrate LEGACY.json [--out F.json]
+  ftcg bench record RESULT.json... --out BENCH.json [--label S] [--pr N]
   ftcg bench compare NEW.json BASELINE.json [--threshold PCT] [--warn-only]
   ftcg table1   [--scale N] [--reps N] [--threads N] [--kernel K] [--solver S]
                 [--journal-dir D] [--trace-dir D] [--metrics-dir D]
@@ -65,7 +65,7 @@ OPTIONS:
   --alpha    expected faults/iteration, float or fraction (e.g. 1/16)
   --seed     injector / campaign seed (default 0)
   --kernel   SpMV backend: csr | csr-par[:T] | bcsr[:B] | sell[:C[:S]]
-             | auto | auto:bench (default csr); `--kernel list` prints
+             | auto (default csr); `--kernel list` prints
              the catalog. `ftcg stats` prints the `auto` heuristic's
              recommendation for a matrix.
   --threads  solve: worker threads for the csr-par kernel;
@@ -89,8 +89,7 @@ CAMPAIGNS:
   The `solvers` axis sweeps iteration schemes (cg, pcg, bicgstab,
   cgne); variants of one (matrix, scheme, alpha) point draw paired
   fault streams, so solver columns are directly comparable. The
-  `kernels` axis sweeps SpMV backends the same way; `auto:bench` is
-  rejected there because its choice is wall-clock dependent.
+  `kernels` axis sweeps SpMV backends the same way.
   --out F       write JSONL summaries (default: print to stdout)
   --csv F       also write CSV
   --quiet       suppress the progress ticker
@@ -148,36 +147,19 @@ OBSERVABILITY:
                 chrome://tracing.
 
 PERFORMANCE OBSERVATORY (ftcg bench):
-  Runs a standardized suite through the real pipeline (telemetry
-  enabled) and records a schema-versioned entry: host info, the exact
-  suite spec, and min-of-N measurements with every raw sample kept so
-  later diffs know the noise floor. Suites:
-    quick        small campaign (poisson2d:24, 2 schemes x 2 alphas) —
-                 seconds; the CI advisory gate
-    table1       the paper's Table 1 campaign throughput suite
-                 (--scale, --reps forwarded; minutes)
-    kernels      SpMV microkernels, ns/nonzero: reference CSR vs
-                 SELL-8 vs BCSR-2, plus the one-pass BLAS-1 sweep and
-                 product+probe against their separate-call forms
-    solver-step  CG state machine vs the legacy inlined loop, ns/iter
-                 (warmed, pair-interleaved samples; min-of-pair ratio)
-    telemetry    recording overhead: baseline vs noop vs active
-    all          quick + kernels + solver-step + telemetry
-  --out F        append the entry to a BENCH_*.json file (created if
-                 missing); without --out the entry prints to stdout
-  --against F    diff the fresh entry against F's latest entry for the
-                 same suite; a measurement that moved in the worse
-                 direction by more than max(--threshold, 2x observed
-                 sample spread) is a regression => exit 1
-  --threshold P  regression threshold percent (default 5)
-  --warn-only    print the diff but always exit 0 (advisory CI gate on
-                 noisy/1-core hosts; pin strict thresholds on real,
-                 idle, many-core machines)
-  migrate F      convert a legacy hand-written bench file to the
-                 schema (one entry per recognized section), in place
-                 unless --out names a different file
-  compare A B    diff two recorded files without running anything
-                 (deterministic exit codes: self-vs-self is 0)
+  Stores and compares what `bash benchmark/run.sh [--seed N] --out F`
+  measured (BENCHMARK.json names the metrics); it measures nothing.
+  record F...    one recording: an entry per workload, a sample per
+                 file (runs of one commit on one host), headline their
+                 median, appended to --out; units and directions come
+                 from ./BENCHMARK.json, which every result must match
+  compare A B    A's newest recording against B's latest entry of each
+                 workload. Worse by more than max(--threshold [5 %],
+                 2x sample spread) => exit 1 unless --warn-only (from a
+                 baseline <= 0: absolute delta, 2x absolute spread).
+                 `spec`s that differ, like every other error => exit 2
+  The suite runner (--suite/--runs/--against/--scale/--reps/--seed,
+  `bench migrate`) was removed in PR 20.
 ";
 
 fn load_matrix(args: &[String]) -> Result<CsrMatrix, String> {
@@ -209,7 +191,7 @@ fn print_kernel_list() {
     for (name, desc) in KernelRegistry::builtin().catalog() {
         println!("  {name:<10} {desc}");
     }
-    println!("  (parameterized forms work too: bcsr:4, sell:16:64, csr-par:8, auto:bench)");
+    println!("  (parameterized forms work too: bcsr:4, sell:16:64, csr-par:8)");
 }
 
 /// Parses a directory-valued flag (`--journal-dir`, `--trace-dir`,
@@ -449,27 +431,16 @@ fn campaign_value_flags() -> Vec<&'static str> {
 /// Value-less flags of the campaign/merge grammar.
 const CAMPAIGN_SWITCHES: [&str; 2] = ["--quiet", "--resume"];
 
-/// Rejects any `--flag` outside the campaign/merge grammar: a misspelt
-/// `--repz 50` would otherwise run with the default and write an
-/// artifact the user believes came from other parameters — the
-/// [`parse_strict`] rule, applied to flag names.
+/// Rejects any `--flag` outside the campaign/merge grammar
+/// ([`check_flags`]).
 fn check_campaign_flags(args: &[String]) -> Result<(), String> {
-    let value_flags = campaign_value_flags();
-    let mut skip = false;
-    for a in args {
-        if std::mem::take(&mut skip) || !a.starts_with("--") {
-            continue;
-        }
-        if a == "--batch" {
-            return Err("--batch was removed in PR 15: repetitions always run sequentially".into());
-        }
-        if value_flags.contains(&a.as_str()) {
-            skip = true;
-        } else if !CAMPAIGN_SWITCHES.contains(&a.as_str()) {
-            return Err(format!("unknown flag `{a}` (try `ftcg help`)"));
-        }
-    }
-    Ok(())
+    check_flags(
+        args,
+        &campaign_value_flags(),
+        &CAMPAIGN_SWITCHES,
+        &["--batch"],
+        "PR 15: repetitions always run sequentially",
+    )
 }
 
 fn campaign_spec(args: &[String]) -> Result<CampaignSpec, String> {
@@ -543,19 +514,6 @@ fn campaign_spec(args: &[String]) -> Result<CampaignSpec, String> {
     cs.seed = parse_strict(args, "--seed", cs.seed)?;
     cs.threads = parse_strict(args, "--threads", cs.threads)?;
     Ok(cs)
-}
-
-/// Like [`parse_or`], but a present-yet-unparseable value errors
-/// instead of silently keeping the default.
-fn parse_strict<T: std::str::FromStr>(
-    args: &[String],
-    flag: &str,
-    default: T,
-) -> Result<T, String> {
-    match value(args, flag) {
-        None => Ok(default),
-        Some(v) => v.parse().map_err(|_| format!("bad {flag} `{v}`")),
-    }
 }
 
 /// Writes campaign summaries to `--out`/`--csv` (stdout by default).

@@ -17,10 +17,9 @@
 //! $ ftcg campaign --spec sweep.campaign --journal run.jsonl --trace run.trace.jsonl
 //! $ ftcg report run.trace.jsonl run.metrics.jsonl run.jsonl --spec sweep.campaign
 //! $ ftcg report run.trace.jsonl run.metrics.jsonl --perfetto timeline.json
-//! $ ftcg bench --suite quick --runs 5 --out BENCH_2026-09-28.json
-//! $ ftcg bench --suite quick --against BENCH_2026-09-28.json --warn-only
-//! $ ftcg bench migrate BENCH_2026-07-27.json
-//! $ ftcg bench compare new.json baseline.json --threshold 5
+//! $ bash benchmark/run.sh --seed 1 --out run1.json
+//! $ ftcg bench record run1.json run2.json run3.json --out BENCH_2026-10-02.json --pr 20
+//! $ ftcg bench compare new.json BENCH_2026-10-02.json --threshold 5
 //! $ ftcg table1 --scale 32 --reps 20
 //! $ ftcg figure1 --scale 32 --reps 20 --points 6 --matrices 3
 //! ```

@@ -42,7 +42,7 @@
 //! | `ftcg-engine` | concurrent campaign engine: declarative sweeps, worker pool, JSONL/CSV sinks |
 //! | `ftcg-sim` | Table 1 / Figure 1 experiment harness (engine campaigns) and reports |
 //! | `ftcg-telemetry` | zero-overhead recorders, deterministic event traces, phase-timing sidecars, report folds |
-//! | `ftcg-obs` | performance observatory: self-measuring bench suites, regression gating, Perfetto export, protocol analytics |
+//! | `ftcg-obs` | performance observatory: `BENCH_*.json` recording of `benchmark/` results, regression gating, Perfetto export, protocol analytics |
 
 #![warn(missing_docs)]
 #![warn(clippy::all)]

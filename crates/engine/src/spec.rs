@@ -239,18 +239,9 @@ pub fn parse_solver(s: &str) -> Result<SolverKind, EngineError> {
     SolverKind::parse(s).map_err(EngineError::Spec)
 }
 
-/// Parses a kernel name for the campaign grid. The machine-dependent
-/// `auto:bench` is rejected: its backend *choice* depends on wall-clock
-/// timing, which would break the byte-deterministic artifact contract.
+/// Parses a kernel name for the campaign grid.
 pub fn parse_kernel(s: &str) -> Result<KernelSpec, EngineError> {
-    let spec = KernelSpec::parse(s).map_err(|e| EngineError::Spec(e.to_string()))?;
-    if spec.is_machine_dependent() {
-        return Err(EngineError::Spec(format!(
-            "kernel `{s}` is machine-dependent (timing-calibrated) and cannot be a \
-             campaign axis; use `auto` for the deterministic heuristic"
-        )));
-    }
-    Ok(spec)
+    KernelSpec::parse(s).map_err(|e| EngineError::Spec(e.to_string()))
 }
 
 /// Parses an interval policy: `model` or `fixed:N`.
@@ -657,9 +648,10 @@ mod tests {
 
     #[test]
     fn machine_dependent_kernel_rejected_in_grid() {
+        // The timing-calibrated `auto:bench` was removed in PR 20.
         let e = CampaignSpec::parse("matrices = poisson2d:8\nkernels = auto:bench\n");
-        assert!(matches!(e, Err(EngineError::Spec(_))), "{e:?}");
-        // The deterministic heuristic is fine.
+        let e = e.unwrap_err().to_string();
+        assert!(e.contains("unknown kernel `auto:bench`"), "{e}");
         assert!(CampaignSpec::parse("matrices = poisson2d:8\nkernels = auto\n").is_ok());
     }
 

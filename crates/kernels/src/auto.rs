@@ -1,5 +1,4 @@
-//! The `auto` kernel's brain: a deterministic structural heuristic,
-//! optionally sharpened by a one-shot micro-benchmark.
+//! The `auto` kernel's brain: a deterministic structural heuristic.
 //!
 //! The heuristic keys on the same quantities
 //! [`MatrixStats`](ftcg_sparse::stats::MatrixStats) reports — order,
@@ -7,8 +6,6 @@
 //! ratios ([`ftcg_sparse::bcsr::block_fill_ratio`]). `ftcg stats` prints
 //! the resulting recommendation with its reason, so users can see *why*
 //! a backend was chosen.
-
-use std::time::Instant;
 
 use ftcg_sparse::bcsr::block_fill_ratio;
 use ftcg_sparse::CsrMatrix;
@@ -36,8 +33,8 @@ pub const BCSR2_MIN_FILL: f64 = 0.6;
 pub const SELL_MAX_SKEW: f64 = 3.0;
 
 /// Deterministic recommendation from the structural statistics alone.
-/// This is the exact decision procedure of the `auto` kernel (without
-/// `:bench`); same matrix ⇒ same choice, on every machine.
+/// This is the exact decision procedure of the `auto` kernel; same
+/// matrix ⇒ same choice, on every machine.
 pub fn heuristic(
     n: usize,
     nnz: usize,
@@ -107,54 +104,6 @@ pub fn recommend(a: &CsrMatrix) -> Recommendation {
     heuristic(n, nnz, avg, max_row, fill2, fill4)
 }
 
-/// Products timed per candidate during calibration.
-const CALIBRATION_PRODUCTS: usize = 5;
-
-/// One-shot micro-benchmark: prepares each candidate backend and times
-/// a few products, picking the fastest. The choice is wall-clock based
-/// and therefore machine-dependent — campaign grids reject `auto:bench`
-/// to keep artifacts reproducible.
-pub fn calibrate(a: &CsrMatrix) -> Recommendation {
-    let candidates = [
-        KernelSpec::Csr,
-        KernelSpec::CsrPar { threads: 0 },
-        KernelSpec::Bcsr { block: 2 },
-        KernelSpec::Bcsr { block: 4 },
-        KernelSpec::Sell {
-            chunk: KernelSpec::DEFAULT_SELL_CHUNK,
-            sigma: KernelSpec::DEFAULT_SELL_SIGMA,
-        },
-    ];
-    let x: Vec<f64> = (0..a.n_cols())
-        .map(|i| 1.0 + (i as f64 * 0.23).sin())
-        .collect();
-    let mut y = vec![0.0; a.n_rows()];
-    let mut best = (KernelSpec::Csr, f64::INFINITY);
-    for spec in candidates {
-        let Ok(prepared) = spec.prepare(a) else {
-            continue;
-        };
-        prepared.spmv_into(&x, &mut y); // warm-up (and page in the format)
-        let start = Instant::now();
-        for _ in 0..CALIBRATION_PRODUCTS {
-            prepared.spmv_into(&x, &mut y);
-        }
-        let elapsed = start.elapsed().as_secs_f64();
-        if elapsed < best.1 {
-            best = (spec, elapsed);
-        }
-    }
-    Recommendation {
-        spec: best.0,
-        reason: format!(
-            "micro-benchmark over {CALIBRATION_PRODUCTS} products: {} fastest \
-             ({:.1} µs/product)",
-            best.0.label(),
-            best.1 / CALIBRATION_PRODUCTS as f64 * 1e6
-        ),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -192,13 +141,5 @@ mod tests {
     fn recommendation_is_deterministic() {
         let a = gen::random_spd(300, 0.03, 5).unwrap();
         assert_eq!(recommend(&a), recommend(&a));
-    }
-
-    #[test]
-    fn calibration_returns_a_concrete_spec() {
-        let a = gen::poisson2d(16).unwrap();
-        let r = calibrate(&a);
-        assert!(!matches!(r.spec, KernelSpec::Auto { .. }));
-        assert!(r.reason.contains("micro-benchmark"));
     }
 }

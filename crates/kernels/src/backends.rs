@@ -237,38 +237,22 @@ impl PreparedSpmv for SellCSigma {
 
 // --------------------------------------------------------------- auto
 
-/// Per-matrix backend selection: structural heuristic, optionally
-/// sharpened by a one-shot micro-benchmark.
+/// Per-matrix backend selection by the structural heuristic
+/// ([`crate::auto::recommend`]).
 #[derive(Debug, Clone, Copy, Default)]
-pub struct AutoKernel {
-    /// Run the timing calibration instead of trusting the heuristic
-    /// alone. Wall-clock based: the *choice* may differ across machines
-    /// (never across runs of a fixed choice), so campaigns reject it.
-    pub calibrate: bool,
-}
+pub struct AutoKernel;
 
 impl SpmvKernel for AutoKernel {
     fn name(&self) -> String {
-        KernelSpec::Auto {
-            calibrate: self.calibrate,
-        }
-        .label()
+        KernelSpec::Auto.label()
     }
 
     fn description(&self) -> String {
-        if self.calibrate {
-            "auto with one-shot micro-benchmark calibration (machine-dependent)".into()
-        } else {
-            "heuristic per-matrix backend choice (row-nnz profile + block fill)".into()
-        }
+        "heuristic per-matrix backend choice (row-nnz profile + block fill)".into()
     }
 
     fn prepare<'a>(&self, a: &'a CsrMatrix) -> Result<Box<dyn PreparedSpmv + 'a>, KernelError> {
-        let spec = KernelSpec::Auto {
-            calibrate: self.calibrate,
-        }
-        .resolve(a);
-        spec.prepare(a)
+        KernelSpec::Auto.resolve(a).prepare(a)
     }
 }
 
@@ -295,7 +279,7 @@ mod tests {
                 chunk: 8,
                 sigma: 32,
             }),
-            Box::new(AutoKernel { calibrate: false }),
+            Box::new(AutoKernel),
         ];
         for k in kernels {
             let p = k.prepare(&a).unwrap();
@@ -307,7 +291,7 @@ mod tests {
     #[test]
     fn prepared_backend_labels_are_concrete() {
         let a = gen::poisson2d(20).unwrap();
-        let p = AutoKernel { calibrate: false }.prepare(&a).unwrap();
+        let p = AutoKernel.prepare(&a).unwrap();
         assert_ne!(p.backend(), "auto");
         let p = CsrSerial.prepare(&a).unwrap();
         assert_eq!(p.backend(), "csr");

@@ -16,7 +16,6 @@
 //! | `bcsr[:B]` | blocked CSR with `B×B` register blocks (`B ∈ 1..=4`, default 2) |
 //! | `sell[:C[:S]]` | SELL-C-σ sliced ELLPACK, chunk `C` (default 8), sorting window `σ = S` (default 32) |
 //! | `auto` | per-matrix heuristic over [`MatrixStats`]-style statistics (row-nnz profile, block fill ratio) |
-//! | `auto:bench` | `auto` with a one-shot micro-benchmark calibration (wall-clock; **not** byte-deterministic across machines) |
 //!
 //! Every backend computes each output value as the same ordered
 //! floating-point sum the serial CSR kernel computes (padding lanes

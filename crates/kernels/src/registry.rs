@@ -50,7 +50,7 @@ impl KernelRegistry {
                 chunk: KernelSpec::DEFAULT_SELL_CHUNK,
                 sigma: KernelSpec::DEFAULT_SELL_SIGMA,
             },
-            KernelSpec::Auto { calibrate: false },
+            KernelSpec::Auto,
         ] {
             reg.register(Arc::from(spec.kernel()));
         }
@@ -67,8 +67,8 @@ impl KernelRegistry {
     /// Looks a kernel up by name. Exact registered names win, then the
     /// name's canonical spec label (`bcsr` ≡ `bcsr:2`, `sell` ≡
     /// `sell:8:32`, …). In a [`KernelRegistry::builtin`] registry an
-    /// unregistered spec-grammar name (`bcsr:4`, `csr-par:2`,
-    /// `auto:bench`, …) is built on demand; a strict
+    /// unregistered spec-grammar name (`bcsr:4`, `csr-par:2`, …) is
+    /// built on demand; a strict
     /// ([`KernelRegistry::empty`]-based) registry rejects it instead.
     pub fn get(&self, name: &str) -> Result<Arc<dyn SpmvKernel>, KernelError> {
         let name = name.trim();
@@ -115,14 +115,7 @@ mod tests {
         }
         // Default aliases and parameterized forms resolve via the spec
         // grammar even though only canonical names are registered.
-        for name in [
-            "bcsr",
-            "bcsr:4",
-            "sell",
-            "sell:16:64",
-            "csr-par:3",
-            "auto:bench",
-        ] {
+        for name in ["bcsr", "bcsr:4", "sell", "sell:16:64", "csr-par:3"] {
             assert!(reg.get(name).is_ok(), "{name}");
         }
         assert!(reg.get("simd-magic").is_err());

@@ -39,10 +39,7 @@ pub enum KernelSpec {
         sigma: usize,
     },
     /// Per-matrix automatic choice.
-    Auto {
-        /// Micro-benchmark calibration (machine-dependent choice).
-        calibrate: bool,
-    },
+    Auto,
 }
 
 impl KernelSpec {
@@ -54,7 +51,7 @@ impl KernelSpec {
     pub const DEFAULT_BCSR_BLOCK: usize = 2;
 
     /// Parses a kernel name: `csr`, `csr-par[:T]`, `bcsr[:B]`,
-    /// `sell[:C[:S]]`, `auto`, `auto:bench`.
+    /// `sell[:C[:S]]`, `auto`.
     pub fn parse(s: &str) -> Result<KernelSpec, KernelError> {
         let s = s.trim();
         let parts: Vec<&str> = s.split(':').collect();
@@ -100,8 +97,7 @@ impl KernelSpec {
                 }
                 Ok(KernelSpec::Sell { chunk, sigma })
             }
-            ("auto", 1) => Ok(KernelSpec::Auto { calibrate: false }),
-            ("auto", 2) if parts[1] == "bench" => Ok(KernelSpec::Auto { calibrate: true }),
+            ("auto", 1) => Ok(KernelSpec::Auto),
             _ => Err(KernelError::UnknownKernel(s.to_string())),
         }
     }
@@ -115,16 +111,8 @@ impl KernelSpec {
             KernelSpec::CsrPar { threads } => format!("csr-par:{threads}"),
             KernelSpec::Bcsr { block } => format!("bcsr:{block}"),
             KernelSpec::Sell { chunk, sigma } => format!("sell:{chunk}:{sigma}"),
-            KernelSpec::Auto { calibrate: false } => "auto".into(),
-            KernelSpec::Auto { calibrate: true } => "auto:bench".into(),
+            KernelSpec::Auto => "auto".into(),
         }
-    }
-
-    /// `true` for `auto:bench`, whose backend *choice* depends on
-    /// wall-clock timing (campaign grids reject it to keep artifacts
-    /// machine-independent).
-    pub fn is_machine_dependent(&self) -> bool {
-        matches!(self, KernelSpec::Auto { calibrate: true })
     }
 
     /// Fills an unspecified thread count (`csr-par` with `threads == 0`)
@@ -143,7 +131,7 @@ impl KernelSpec {
             KernelSpec::CsrPar { threads } => Box::new(CsrParallel { threads }),
             KernelSpec::Bcsr { block } => Box::new(BcsrKernel { block }),
             KernelSpec::Sell { chunk, sigma } => Box::new(SellKernel { chunk, sigma }),
-            KernelSpec::Auto { calibrate } => Box::new(AutoKernel { calibrate }),
+            KernelSpec::Auto => Box::new(AutoKernel),
         }
     }
 
@@ -151,8 +139,7 @@ impl KernelSpec {
     /// matrix; concrete specs return themselves.
     pub fn resolve(&self, a: &CsrMatrix) -> KernelSpec {
         match *self {
-            KernelSpec::Auto { calibrate: false } => crate::auto::recommend(a).spec,
-            KernelSpec::Auto { calibrate: true } => crate::auto::calibrate(a).spec,
+            KernelSpec::Auto => crate::auto::recommend(a).spec,
             concrete => concrete,
         }
     }
@@ -258,9 +245,7 @@ impl<'o> DefensiveProduct<'o> {
             // with several rows of one length in flight, which breaks
             // the FP-add latency serialization of the scalar loop and
             // its per-row loop-exit mispredict.
-            KernelSpec::Csr | KernelSpec::Auto { .. } => {
-                a.spmv_clamped_ordered_into(self.order, x, y)
-            }
+            KernelSpec::Csr | KernelSpec::Auto => a.spmv_clamped_ordered_into(self.order, x, y),
             KernelSpec::CsrPar { threads } => spmv_clamped_parallel(a, x, y, threads),
             KernelSpec::Bcsr { block } => {
                 if !matches!(self.cache, Some(CachedFormat::Bcsr(_))) {
@@ -300,7 +285,7 @@ impl<'o> DefensiveProduct<'o> {
     /// Panics if `y.len() != a.n_rows()`.
     pub fn product_with_probe(&mut self, a: &CsrMatrix, x: &[f64], y: &mut [f64]) -> [f64; 2] {
         match self.spec {
-            KernelSpec::Csr | KernelSpec::Auto { .. } => {
+            KernelSpec::Csr | KernelSpec::Auto => {
                 a.spmv_clamped_probe_ordered_into(self.order, x, y)
             }
             _ => {
@@ -352,7 +337,6 @@ mod tests {
             "sell:8:32",
             "sell:16:4",
             "auto",
-            "auto:bench",
         ] {
             let spec = KernelSpec::parse(name).unwrap();
             assert_eq!(spec.label(), name);
@@ -374,6 +358,7 @@ mod tests {
             "sell:0",
             "csr-par:x",
             "auto:fast",
+            "auto:bench",
             "csr:1",
         ] {
             assert!(KernelSpec::parse(bad).is_err(), "`{bad}` should fail");
@@ -396,8 +381,8 @@ mod tests {
     #[test]
     fn resolve_pins_auto() {
         let a = gen::poisson2d(12).unwrap();
-        let spec = KernelSpec::Auto { calibrate: false }.resolve(&a);
-        assert!(!matches!(spec, KernelSpec::Auto { .. }));
+        let spec = KernelSpec::Auto.resolve(&a);
+        assert_ne!(spec, KernelSpec::Auto);
         assert_eq!(KernelSpec::Csr.resolve(&a), KernelSpec::Csr);
     }
 

@@ -10,8 +10,8 @@ use crate::config::{any_match, LintConfig};
 use crate::diag::Diagnostic;
 
 /// `DET-WALLCLOCK`: flags `Instant` / `SystemTime` identifiers in any
-/// file not on the allow list (metrics sidecar, observatory, CLI,
-/// benches, the auto-tuner's one-shot calibration). Flagging the type
+/// file not on the allow list (metrics sidecar, CLI, the cost
+/// measurement harness). Flagging the type
 /// name rather than just `::now()` also catches stored `Instant`
 /// fields and `use std::time::Instant` imports that would make a
 /// later `.elapsed()` invisible.

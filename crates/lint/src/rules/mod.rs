@@ -6,7 +6,7 @@
 //!
 //! | Rule | Contract | Dynamic backstop it complements |
 //! |------|----------|---------------------------------|
-//! | `DET-WALLCLOCK` | Traces/journals/artifacts are byte-deterministic and never derived from wall clocks (PRs 5–7). Wall-clock reads are confined to the explicitly non-deterministic metrics sidecar, the observatory, the CLI progress line, and benches. | `crates/engine/tests/journal.rs`, `crates/engine/tests/telemetry_trace.rs` (byte-identical across threads × shards × resume) |
+//! | `DET-WALLCLOCK` | Traces/journals/artifacts are byte-deterministic and never derived from wall clocks (PRs 5–7). Wall-clock reads are confined to the explicitly non-deterministic metrics sidecar, the CLI (progress line, bench-entry dates), and the cost measurement harness. | `crates/engine/tests/journal.rs`, `crates/engine/tests/telemetry_trace.rs` (byte-identical across threads × shards × resume) |
 //! | `DET-HASH-ITER` | Artifact-producing modules never iterate a `HashMap`/`HashSet` (iteration order is randomized per process); ordering comes from `BTreeMap` or explicit sorts. | same determinism suites; `crates/obs/tests/observatory.rs` |
 //! | `ALLOC-HOTPATH` | The steady-state solve path performs zero heap allocation (PR 4); hot-path modules may allocate only in cold setup/finish code, each site pinned by a waiver. | `crates/solvers/tests/alloc_gate.rs` (counting allocator, release mode) |
 //! | `PANIC-LIB` | Library code outside `#[cfg(test)]` does not `unwrap`/`expect`/`panic!` casually: error paths are typed, surviving sites document an invariant and carry a waiver. | `catch_unwind` job isolation in `crates/engine/src/campaign.rs` (a panic poisons one job, but should never be the designed error path) |

@@ -1,25 +1,22 @@
 //! The schema-versioned `BENCH_*.json` format.
 //!
-//! PR 4–6 tracked performance in hand-edited prose JSON; this module
-//! replaces that with machine-generated entries a tool can diff. A
-//! bench file is
+//! A bench file is
 //!
 //! ```json
 //! {"ftcg_bench": 1, "entries": [ <entry>, ... ]}
 //! ```
 //!
-//! and each entry records *one suite run on one host*: identity
-//! (`id`, `date`, `label`, optional `pr`), the [`HostInfo`], the suite
-//! name, the exact campaign/bench `spec` text it executed, and a flat
-//! list of [`Measurement`]s — `key`, `unit`, the headline `value`
-//! (min-of-N for timings), every raw sample (so a later diff can
-//! estimate noise), and the direction (`lower_is_better`).
+//! and each entry records *one workload on one host*: identity (`id`,
+//! `date`, `label`, optional `pr`), the [`HostInfo`], the `suite`
+//! (since PR 20 a `benchmark/` workload name), the `spec` that sizes
+//! the work — two entries are comparable iff their `spec`s are equal —
+//! and a flat list of [`Measurement`]s: `key`, `unit`, the headline
+//! `value`, every raw sample (so a later diff can estimate noise), and
+//! the direction (`lower_is_better`).
 //!
-//! Non-timing fields are pure functions of the suite spec, so two runs
-//! of the same suite produce entries that differ only in `value`s and
-//! `samples` — pinned by a test. Legacy hand-written files (the PR 4
-//! shape) are converted by [`migrate_legacy`], keyed off the absence
-//! of the `ftcg_bench` version field.
+//! Entries are written by [`crate::record`] from the output of
+//! `benchmark/run.sh`; the entries of the retired `ftcg bench` suites
+//! (`quick`, `kernels`, …, min-of-N headlines) stay loadable history.
 
 use std::path::Path;
 
@@ -30,14 +27,16 @@ use crate::host::HostInfo;
 /// Bench file schema version.
 pub const BENCH_VERSION: u64 = 1;
 
-/// One measured quantity of a suite run.
+/// One measured quantity of an entry.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Measurement {
     /// Stable dotted key, e.g. `campaign.reps_per_sec`.
     pub key: String,
     /// Unit label, e.g. `reps/s`, `ns/iter`, `s`.
     pub unit: String,
-    /// Headline value (min-of-N for times, best-of-N for rates).
+    /// Headline value: the median of `samples` (one sample per
+    /// benchmark run) in recorded entries; the retired suites wrote
+    /// their best sample.
     pub value: f64,
     /// Every raw sample behind `value` (noise estimation in diffs).
     pub samples: Vec<f64>,
@@ -46,22 +45,34 @@ pub struct Measurement {
 }
 
 impl Measurement {
-    /// Relative spread of the samples as a percentage of the best one
-    /// (`0` with fewer than two samples) — the diff's noise floor.
+    /// Smallest and largest sample (`(inf, -inf)` without samples).
+    fn range(&self) -> (f64, f64) {
+        let fold = |init, pick: fn(f64, f64) -> f64| self.samples.iter().copied().fold(init, pick);
+        (
+            fold(f64::INFINITY, f64::min),
+            fold(f64::NEG_INFINITY, f64::max),
+        )
+    }
+
+    /// Relative spread of the samples as a percentage of the smallest
+    /// one (`0` with fewer than two samples) — the diff's noise floor.
     pub fn noise_pct(&self) -> f64 {
-        let (mut lo, mut hi) = (f64::INFINITY, f64::NEG_INFINITY);
-        for &s in &self.samples {
-            lo = lo.min(s);
-            hi = hi.max(s);
-        }
+        let (lo, hi) = self.range();
         if self.samples.len() < 2 || lo <= 0.0 {
             return 0.0;
         }
         (hi / lo - 1.0) * 100.0
     }
+
+    /// Absolute spread of the samples, in `unit` (`0` with fewer than
+    /// two) — the noise floor where a percentage has no base.
+    pub(crate) fn noise_abs(&self) -> f64 {
+        let (lo, hi) = self.range();
+        (hi - lo).max(0.0)
+    }
 }
 
-/// One suite run on one host.
+/// One workload (historically: one suite run) on one host.
 #[derive(Debug, Clone, PartialEq)]
 pub struct BenchEntry {
     /// Stable identity, `"<suite>/<date>"` by convention.
@@ -74,11 +85,12 @@ pub struct BenchEntry {
     pub pr: Option<u64>,
     /// The measuring machine.
     pub host: HostInfo,
-    /// Suite name (`quick`, `table1`, `solver-step`, `telemetry`).
+    /// Workload name (`campaign_t1`, `fault_free`, …; historical
+    /// entries: `quick`, `table1`, `kernels`, …).
     pub suite: String,
-    /// The exact spec text the suite executed.
+    /// What sizes the work; equal specs ⇔ comparable entries.
     pub spec: String,
-    /// The measurements, in suite-defined order.
+    /// The measurements, in the producer's order.
     pub measurements: Vec<Measurement>,
 }
 
@@ -183,18 +195,14 @@ impl BenchFile {
         std::fs::write(path, self.render()).map_err(|e| format!("{}: {e}", path.display()))
     }
 
-    /// Loads a schema-versioned bench file. Legacy hand-written files
-    /// (no `ftcg_bench` field) are rejected with a pointer at
-    /// `ftcg bench migrate`.
+    /// Loads a schema-versioned bench file.
     pub fn load(path: &Path) -> Result<BenchFile, String> {
         let text = std::fs::read_to_string(path).map_err(|e| format!("{}: {e}", path.display()))?;
         let v = json::parse(&text).map_err(|e| format!("{}: {e}", path.display()))?;
         let version = v.get("ftcg_bench").and_then(Value::as_f64);
         match version {
             None => Err(format!(
-                "{}: not a schema-versioned bench file (missing `ftcg_bench`); \
-                 convert legacy hand-written entries with `ftcg bench migrate {}`",
-                path.display(),
+                "{}: not a schema-versioned bench file (missing `ftcg_bench`)",
                 path.display()
             )),
             Some(x) if x == BENCH_VERSION as f64 => {
@@ -209,58 +217,60 @@ impl BenchFile {
 
     /// Parses the schema-versioned shape from a JSON value.
     pub fn from_value(v: &Value) -> Result<BenchFile, String> {
-        let entries = v
-            .get("entries")
-            .and_then(Value::as_arr)
-            .ok_or("bench file missing `entries` array")?;
-        let mut out = Vec::with_capacity(entries.len());
-        for e in entries {
-            out.push(parse_entry(e)?);
+        let mut entries = Vec::new();
+        for e in list(v, "entries")? {
+            let id = e.get("id").and_then(Value::as_str).unwrap_or("?");
+            entries.push(parse_entry(e).map_err(|err| format!("entry `{id}`: {err}"))?);
         }
-        Ok(BenchFile { entries: out })
+        Ok(BenchFile { entries })
     }
 
-    /// The latest entry for a suite, if any (baseline for `--against`).
+    /// The latest entry for a suite, if any (`compare`'s baseline).
     pub fn latest(&self, suite: &str) -> Option<&BenchEntry> {
         self.entries.iter().rev().find(|e| e.suite == suite)
     }
 }
 
+/// JSON member access with errors that name the member, shared by
+/// this loader and the importer ([`crate::record`]).
+pub(crate) fn field<'a>(v: &'a Value, key: &str) -> Result<&'a Value, String> {
+    v.get(key).ok_or_else(|| format!("missing `{key}`"))
+}
+
+pub(crate) fn text<'a>(v: &'a Value, key: &str) -> Result<&'a str, String> {
+    field(v, key)?
+        .as_str()
+        .ok_or_else(|| format!("`{key}` is not a string"))
+}
+
+pub(crate) fn list<'a>(v: &'a Value, key: &str) -> Result<&'a [Value], String> {
+    field(v, key)?
+        .as_arr()
+        .ok_or_else(|| format!("`{key}` is not a list"))
+}
+
 fn parse_entry(v: &Value) -> Result<BenchEntry, String> {
-    let s = |key: &str| {
-        v.get(key)
-            .and_then(Value::as_str)
-            .map(str::to_string)
-            .ok_or_else(|| format!("entry missing `{key}`"))
-    };
+    let s = |key: &str| text(v, key).map(str::to_string);
     let mut measurements = Vec::new();
-    for m in v
-        .get("measurements")
-        .and_then(Value::as_arr)
-        .ok_or("entry missing `measurements`")?
-    {
-        let ms = |key: &str| {
-            m.get(key)
-                .and_then(Value::as_str)
-                .map(str::to_string)
-                .ok_or_else(|| format!("measurement missing `{key}`"))
+    for m in list(v, "measurements")? {
+        let key = text(m, "key")?.to_string();
+        let in_m = |e: String| format!("measurement `{key}`: {e}");
+        let number = |x: &Value| {
+            x.as_f64()
+                .ok_or_else(|| in_m(format!("{x} is not a number")))
         };
-        let samples = m
-            .get("samples")
-            .and_then(Value::as_arr)
-            .ok_or("measurement missing `samples`")?
-            .iter()
-            .map(|x| x.as_f64().ok_or("non-numeric sample"))
-            .collect::<Result<Vec<f64>, _>>()?;
+        // The direction decides which way the gate fires: a missing or
+        // mistyped one must not silently read as "higher is better".
+        let Value::Bool(lower_is_better) = *field(m, "lower_is_better").map_err(in_m)? else {
+            return Err(in_m("`lower_is_better` must be true or false".into()));
+        };
+        let samples = list(m, "samples").map_err(in_m)?;
         measurements.push(Measurement {
-            key: ms("key")?,
-            unit: ms("unit")?,
-            value: m
-                .get("value")
-                .and_then(Value::as_f64)
-                .ok_or("measurement missing `value`")?,
-            samples,
-            lower_is_better: matches!(m.get("lower_is_better"), Some(Value::Bool(true))),
+            unit: text(m, "unit").map_err(in_m)?.to_string(),
+            value: number(field(m, "value").map_err(in_m)?)?,
+            samples: samples.iter().map(number).collect::<Result<_, _>>()?,
+            lower_is_better,
+            key,
         });
     }
     Ok(BenchEntry {
@@ -268,156 +278,11 @@ fn parse_entry(v: &Value) -> Result<BenchEntry, String> {
         date: s("date")?,
         label: s("label")?,
         pr: v.get("pr").and_then(Value::as_f64).map(|p| p as u64),
-        host: HostInfo::from_value(v.get("host").ok_or("entry missing `host`")?)?,
+        host: HostInfo::from_value(field(v, "host")?)?,
         suite: s("suite")?,
         spec: s("spec")?,
         measurements,
     })
-}
-
-/// Converts a legacy hand-written bench file (the PR 4–6 shape of
-/// `BENCH_2026-07-27.json`) into schema-versioned entries, one per
-/// top-level section, so `ftcg bench --against` works across the
-/// repository's whole measurement trajectory. Hand-recorded numbers
-/// become single-sample measurements (their noise is unknown).
-pub fn migrate_legacy(text: &str) -> Result<BenchFile, String> {
-    let v = json::parse(text).map_err(|e| e.to_string())?;
-    if v.get("ftcg_bench").is_some() {
-        return Err("file already carries the `ftcg_bench` schema; nothing to migrate".into());
-    }
-    let date = v
-        .get("date")
-        .and_then(Value::as_str)
-        .unwrap_or("unknown")
-        .to_string();
-    let label = v
-        .get("label")
-        .and_then(Value::as_str)
-        .unwrap_or("")
-        .to_string();
-    let pr = v.get("pr").and_then(Value::as_f64).map(|p| p as u64);
-    let host = HostInfo {
-        cores: v
-            .get("host")
-            .and_then(|h| h.get("cores"))
-            .and_then(Value::as_f64)
-            .unwrap_or(1.0) as usize,
-        arch: "unknown".into(),
-        os: "unknown".into(),
-    };
-    let one = |key: &str, unit: &str, value: f64, lower: bool| Measurement {
-        key: key.to_string(),
-        unit: unit.to_string(),
-        value,
-        samples: vec![value],
-        lower_is_better: lower,
-    };
-    let entry = |suite: &str, spec: String, measurements: Vec<Measurement>| BenchEntry {
-        id: format!("{suite}/{date}"),
-        date: date.clone(),
-        label: label.clone(),
-        pr,
-        host: host.clone(),
-        suite: suite.to_string(),
-        spec,
-        measurements,
-    };
-    let mut entries = Vec::new();
-
-    if let Some(ct) = v.get("campaign_throughput") {
-        let f = |key: &str| ct.get(key).and_then(Value::as_f64);
-        let mut ms = Vec::new();
-        if let Some(x) = f("elapsed_secs") {
-            ms.push(one("campaign.elapsed_secs", "s", x, true));
-        }
-        if let Some(x) = f("reps_per_sec") {
-            ms.push(one("campaign.reps_per_sec", "reps/s", x, false));
-        }
-        entries.push(entry(
-            "table1",
-            ct.get("spec").map(|s| s.to_string()).unwrap_or_default(),
-            ms,
-        ));
-    }
-    if let Some(wr) = v.get("workspace_reuse_bench") {
-        let mut ms = Vec::new();
-        if let Some(Value::Obj(schemes)) = wr.get("results") {
-            for (scheme, r) in schemes {
-                for (field, unit, lower) in [
-                    ("fresh_alloc_ms_per_batch", "ms/batch", true),
-                    ("pooled_ms_per_batch", "ms/batch", true),
-                    ("speedup_pct", "%", false),
-                ] {
-                    if let Some(x) = r.get(field).and_then(Value::as_f64) {
-                        ms.push(one(&format!("workspace.{scheme}.{field}"), unit, x, lower));
-                    }
-                }
-            }
-        }
-        entries.push(entry(
-            "workspace-reuse",
-            wr.get("matrix")
-                .and_then(Value::as_str)
-                .unwrap_or("")
-                .to_string(),
-            ms,
-        ));
-    }
-    if let Some(to) = v.get("telemetry_overhead") {
-        let mut ms = Vec::new();
-        if let Some(r) = to.get("results") {
-            for (field, key, unit, lower) in [
-                (
-                    "baseline_ns_per_iter",
-                    "telemetry.baseline_ns_per_iter",
-                    "ns/iter",
-                    true,
-                ),
-                (
-                    "noop_recorded_ns_per_iter",
-                    "telemetry.noop_ns_per_iter",
-                    "ns/iter",
-                    true,
-                ),
-                (
-                    "active_recorded_ns_per_iter",
-                    "telemetry.active_ns_per_iter",
-                    "ns/iter",
-                    true,
-                ),
-                (
-                    "noop_overhead_pct",
-                    "telemetry.noop_overhead_pct",
-                    "%",
-                    true,
-                ),
-                (
-                    "active_overhead_pct",
-                    "telemetry.active_overhead_pct",
-                    "%",
-                    true,
-                ),
-            ] {
-                if let Some(x) = r.get(field).and_then(Value::as_f64) {
-                    ms.push(one(key, unit, x, lower));
-                }
-            }
-        }
-        entries.push(entry(
-            "telemetry",
-            to.get("matrix")
-                .and_then(Value::as_str)
-                .unwrap_or("")
-                .to_string(),
-            ms,
-        ));
-    }
-    if entries.is_empty() {
-        return Err("no recognizable legacy sections (campaign_throughput, \
-                    workspace_reuse_bench, telemetry_overhead)"
-            .into());
-    }
-    Ok(BenchFile { entries })
 }
 
 #[cfg(test)]
@@ -472,42 +337,35 @@ mod tests {
     }
 
     #[test]
-    fn migrate_legacy_maps_known_sections() {
-        let legacy = r#"{
-            "date": "2026-07-27", "pr": 4, "label": "baseline",
-            "host": {"cores": 1, "note": "ci"},
-            "campaign_throughput": {
-                "suite": "Table 1", "spec": {"reps": 50},
-                "elapsed_secs": 53.88, "reps_per_sec": 25.06
-            },
-            "telemetry_overhead": {
-                "matrix": "poisson2d(64)",
-                "results": {"baseline_ns_per_iter": 63033, "active_overhead_pct": 0.02}
-            }
-        }"#;
-        let f = migrate_legacy(legacy).unwrap();
-        assert_eq!(f.entries.len(), 2);
-        let t1 = f.latest("table1").unwrap();
-        assert_eq!(
-            t1.measurement("campaign.reps_per_sec").unwrap().value,
-            25.06
-        );
-        assert!(
-            t1.measurement("campaign.elapsed_secs")
-                .unwrap()
-                .lower_is_better
-        );
-        let tel = f.latest("telemetry").unwrap();
-        assert_eq!(
-            tel.measurement("telemetry.baseline_ns_per_iter")
-                .unwrap()
-                .value,
-            63033.0
-        );
-        // Round-trips through the new schema.
-        let back = BenchFile::from_value(&json::parse(&f.render()).unwrap()).unwrap();
-        assert_eq!(back, f);
-        // Already-migrated files are refused.
-        assert!(migrate_legacy(&f.render()).is_err());
+    fn missing_or_mistyped_direction_is_a_load_error() {
+        let text = BenchFile {
+            entries: vec![sample_entry()],
+        }
+        .render();
+        for broken in [
+            text.replace(",\"lower_is_better\":true", ""),
+            text.replace("\"lower_is_better\":true", "\"lower_is_better\":\"true\""),
+        ] {
+            assert_ne!(broken, text);
+            let e = BenchFile::from_value(&json::parse(&broken).unwrap()).unwrap_err();
+            assert!(e.contains("quick/2026-08-08"), "{e}");
+            assert!(e.contains("campaign.elapsed_secs"), "{e}");
+            assert!(e.contains("lower_is_better"), "{e}");
+        }
+    }
+
+    #[test]
+    fn every_checked_in_bench_file_loads() {
+        let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+        let names = std::fs::read_dir(&root).unwrap();
+        let names = names.map(|f| f.unwrap().file_name().into_string().unwrap());
+        let bench: Vec<_> = names
+            .filter(|n| n.starts_with("BENCH_") && n.ends_with(".json"))
+            .collect();
+        assert!(bench.len() >= 3, "{bench:?}");
+        for name in bench {
+            let file = BenchFile::load(&root.join(&name)).unwrap();
+            assert!(!file.entries.is_empty(), "{name}");
+        }
     }
 }

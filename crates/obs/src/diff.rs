@@ -1,13 +1,19 @@
 //! Noise-aware bench diffing and the regression gate.
 //!
-//! `ftcg bench --against baseline.json` compares the fresh entry's
-//! measurements to the baseline's, key by key. A raw percentage delta
-//! is meaningless on a noisy CI box, so the gate only flags a
-//! measurement as regressed when it moved in the *worse* direction by
-//! more than `max(threshold, 2 × noise)`, where noise is the larger
-//! relative sample spread of the two entries. Single-sample entries
-//! (hand-recorded legacy numbers) have zero recorded noise and fall
-//! back to the plain threshold.
+//! `ftcg bench compare NEW BASE` compares an entry's measurements to a
+//! baseline entry's, key by key. A raw percentage delta is meaningless
+//! on a noisy box, so the gate only flags a measurement as regressed
+//! when it moved in the *worse* direction by more than
+//! `max(threshold, 2 × noise)`, where noise is the larger relative
+//! sample spread of the two entries. Single-sample entries have zero
+//! recorded noise and fall back to the plain threshold.
+//!
+//! A baseline at or below zero (a count that was 0, a sub-noise
+//! overhead that read negative) has no percentage: its row carries the
+//! absolute delta, gated at twice the larger *absolute* sample spread —
+//! so a lower-is-better count that leaves 0 is a regression.
+
+use ftcg_telemetry::report::render_table;
 
 use crate::benchfile::BenchEntry;
 
@@ -22,10 +28,13 @@ pub struct DiffRow {
     pub old_value: f64,
     /// Fresh headline value.
     pub new_value: f64,
-    /// Signed relative change in percent (`new/old - 1`).
-    pub delta_pct: f64,
-    /// Noise floor used for this row, in percent.
-    pub noise_pct: f64,
+    /// `delta` and `noise` are percentages of a positive baseline
+    /// (`true`) or absolute, in `unit` (`false`: baseline ≤ 0).
+    pub relative: bool,
+    /// Signed change: `new/old - 1` in percent, or `new - old`.
+    pub delta: f64,
+    /// Noise floor used for this row (same scale as `delta`).
+    pub noise: f64,
     /// Moved in the worse direction beyond the gate.
     pub regressed: bool,
     /// Moved in the better direction beyond the gate.
@@ -34,33 +43,33 @@ pub struct DiffRow {
 
 /// Compares the fresh entry against a baseline entry.
 ///
-/// Rows appear in the fresh entry's measurement order; keys missing
-/// from the baseline are skipped (new measurements are not
-/// regressions).
+/// Rows appear in the fresh entry's measurement order, one per shared
+/// key; keys missing from the baseline are skipped (new measurements
+/// are not regressions).
 pub fn diff_entries(new: &BenchEntry, old: &BenchEntry, threshold_pct: f64) -> Vec<DiffRow> {
     let mut rows = Vec::new();
     for m in &new.measurements {
         let Some(base) = old.measurement(&m.key) else {
             continue;
         };
-        if base.value <= 0.0 {
-            continue;
-        }
-        let delta_pct = (m.value / base.value - 1.0) * 100.0;
-        let noise_pct = m.noise_pct().max(base.noise_pct());
-        let gate = threshold_pct.max(2.0 * noise_pct);
-        let worse = if m.lower_is_better {
-            delta_pct
+        let relative = base.value > 0.0;
+        let (delta, noise, gate) = if relative {
+            let noise = m.noise_pct().max(base.noise_pct());
+            let delta = (m.value / base.value - 1.0) * 100.0;
+            (delta, noise, threshold_pct.max(2.0 * noise))
         } else {
-            -delta_pct
+            let noise = m.noise_abs().max(base.noise_abs());
+            (m.value - base.value, noise, 2.0 * noise)
         };
+        let worse = if m.lower_is_better { delta } else { -delta };
         rows.push(DiffRow {
             key: m.key.clone(),
             unit: m.unit.clone(),
             old_value: base.value,
             new_value: m.value,
-            delta_pct,
-            noise_pct,
+            relative,
+            delta,
+            noise,
             regressed: worse > gate,
             improved: -worse > gate,
         });
@@ -80,53 +89,32 @@ pub fn render_diff(rows: &[DiffRow], new: &BenchEntry, old: &BenchEntry) -> Stri
         out.push_str("no shared measurement keys\n");
         return out;
     }
-    let mut table: Vec<[String; 6]> = vec![[
-        "measurement".into(),
-        "unit".into(),
-        "baseline".into(),
-        "new".into(),
-        "delta".into(),
-        "verdict".into(),
-    ]];
+    let header = ["measurement", "unit", "baseline", "new", "delta", "verdict"];
+    let mut table = vec![header.map(String::from).to_vec()];
     for r in rows {
         let verdict = if r.regressed {
             "REGRESSED".to_string()
         } else if r.improved {
             "improved".to_string()
+        } else if r.relative {
+            format!("ok (noise {:.1}%)", r.noise)
         } else {
-            format!("ok (noise {:.1}%)", r.noise_pct)
+            format!("ok (noise ±{:.4})", r.noise)
         };
-        table.push([
+        table.push(vec![
             r.key.clone(),
             r.unit.clone(),
             format!("{:.4}", r.old_value),
             format!("{:.4}", r.new_value),
-            format!("{:+.2}%", r.delta_pct),
+            if r.relative {
+                format!("{:+.2}%", r.delta)
+            } else {
+                format!("{:+.4} abs", r.delta)
+            },
             verdict,
         ]);
     }
-    let mut widths = [0usize; 6];
-    for row in &table {
-        for (w, cell) in widths.iter_mut().zip(row.iter()) {
-            *w = (*w).max(cell.len());
-        }
-    }
-    for (i, row) in table.iter().enumerate() {
-        let mut line = String::new();
-        for (w, cell) in widths.iter().zip(row.iter()) {
-            if !line.is_empty() {
-                line.push_str("  ");
-            }
-            line.push_str(&format!("{cell:<w$}"));
-        }
-        out.push_str(line.trim_end());
-        out.push('\n');
-        if i == 0 {
-            let total: usize = widths.iter().sum::<usize>() + 2 * (widths.len() - 1);
-            out.push_str(&"-".repeat(total));
-            out.push('\n');
-        }
-    }
+    out.push_str(&render_table(&table));
     out
 }
 
@@ -171,7 +159,7 @@ mod tests {
         let rows = diff_entries(&e, &e, 5.0);
         assert_eq!(rows.len(), 2);
         assert!(!any_regression(&rows));
-        assert!(rows.iter().all(|r| r.delta_pct == 0.0));
+        assert!(rows.iter().all(|r| r.delta == 0.0));
     }
 
     #[test]
@@ -201,11 +189,40 @@ mod tests {
         let new = entry(&[("a.time", 12.0, vec![12.0, 13.8], true)]);
         let rows = diff_entries(&new, &old, 5.0);
         assert!(!rows[0].regressed, "{rows:?}");
-        assert!(rows[0].noise_pct > 14.0);
+        assert!(rows[0].noise > 14.0);
         // Same delta with tight samples trips the 5% threshold.
         let old = entry(&[("a.time", 10.0, vec![10.0, 10.01], true)]);
         let new = entry(&[("a.time", 12.0, vec![12.0, 12.01], true)]);
         assert!(diff_entries(&new, &old, 5.0)[0].regressed);
+    }
+
+    #[test]
+    fn zero_and_negative_baselines_keep_their_rows() {
+        let old = entry(&[
+            ("t.events_dropped", 0.0, vec![0.0], true),
+            ("e.journal_overhead_pct", -3.7, vec![-3.7], true),
+            ("a.forward_corrections", 0.0, vec![0.0, 0.0], false),
+        ]);
+        let new = entry(&[
+            ("t.events_dropped", 512.0, vec![512.0], true),
+            ("e.journal_overhead_pct", 40.0, vec![40.0], true),
+            ("a.forward_corrections", 0.0, vec![0.0, 0.0], false),
+        ]);
+        let rows = diff_entries(&new, &old, 5.0);
+        assert!(
+            rows.len() == 3 && rows.iter().all(|r| !r.relative),
+            "{rows:?}"
+        );
+        assert!(rows[0].regressed && rows[0].delta == 512.0);
+        assert!(rows[1].regressed && (rows[1].delta - 43.7).abs() < 1e-12);
+        assert!(!rows[2].regressed && !rows[2].improved);
+        assert!(render_diff(&rows, &new, &old).contains("+512.0000 abs"));
+        // A sub-noise negative overhead moving inside its own spread
+        // is not a verdict.
+        let old = entry(&[("e.pct", -1.0, vec![-3.0, -1.0, 2.0], true)]);
+        let new = entry(&[("e.pct", 1.5, vec![0.5, 1.5, 4.0], true)]);
+        let rows = diff_entries(&new, &old, 5.0);
+        assert!(!rows[0].regressed && rows[0].noise == 5.0, "{rows:?}");
     }
 
     #[test]

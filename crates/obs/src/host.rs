@@ -2,9 +2,7 @@
 //!
 //! Timings only mean something relative to the machine that produced
 //! them, so every bench entry carries the host's shape. Deliberately
-//! coarse — core count, architecture, OS — because that is what the
-//! regression gate's threshold policy keys on (a 1-core CI container
-//! gets advisory thresholds; a pinned many-core host gets strict ones).
+//! coarse: core count, architecture, OS.
 
 use serde::json::Value;
 

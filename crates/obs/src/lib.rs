@@ -1,18 +1,19 @@
 #![forbid(unsafe_code)]
 //! `ftcg-obs`: the performance observatory — the *consumption* layer
-//! on top of `ftcg-telemetry`'s artifacts.
+//! on top of `ftcg-telemetry`'s artifacts and `benchmark/`'s results.
 //!
 //! Where the telemetry crate records (deterministic protocol traces,
-//! quarantined timing sidecars), this crate measures, compares, and
-//! visualizes:
+//! quarantined timing sidecars) and `benchmark/` measures, this crate
+//! stores, compares, and visualizes — it runs no solve and reads no
+//! clock:
 //!
-//! * [`suites`] — standardized self-measuring bench suites that drive
-//!   the real campaign/solver pipeline (`ftcg bench`);
+//! * [`record`] — the importer that turns `benchmark/run.sh --out`
+//!   files into entries (`ftcg bench record`);
 //! * [`benchfile`] — the schema-versioned `BENCH_*.json` format those
-//!   suites write, with a migrator for the legacy hand-written shape;
+//!   entries are stored in;
 //! * [`host`] — host identification stamped into every entry;
 //! * [`diff`] — noise-aware entry comparison and the regression gate
-//!   behind `ftcg bench --against`;
+//!   behind `ftcg bench compare`;
 //! * [`perfetto`] — Chrome `trace_event` export folding trace +
 //!   sidecar into a per-worker timeline (`ftcg report --perfetto`);
 //! * [`analytics`] — protocol analytics from the deterministic trace
@@ -27,11 +28,10 @@ pub mod benchfile;
 pub mod diff;
 pub mod host;
 pub mod perfetto;
-pub mod suites;
+pub mod record;
 
 pub use analytics::{analyze, render_analytics, ConfigAnalytics};
-pub use benchfile::{migrate_legacy, BenchEntry, BenchFile, Measurement, BENCH_VERSION};
+pub use benchfile::{BenchEntry, BenchFile, Measurement, BENCH_VERSION};
 pub use diff::{any_regression, diff_entries, render_diff, DiffRow};
 pub use host::HostInfo;
 pub use perfetto::perfetto_json;
-pub use suites::{run_campaign_suite, solver_step_suite, telemetry_suite, SuiteResult};

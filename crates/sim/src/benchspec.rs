@@ -1,14 +1,13 @@
-//! Standardized bench-suite campaign specs.
+//! The benchmark's campaign spec.
 //!
-//! `ftcg bench` measures the real pipeline, so its campaign suites are
-//! ordinary [`CampaignSpec`](ftcg_engine::CampaignSpec) texts — pinned
+//! The `campaign_t1` / `campaign_t2` workloads of `benchmark/` run an
+//! ordinary [`CampaignSpec`](ftcg_engine::CampaignSpec) text — pinned
 //! here, next to the paper's matrix table, so the "Table 1 throughput"
-//! suite always sweeps exactly the nine paper matrices and a bench
-//! entry's `spec` field is reproducible byte for byte.
+//! campaign always sweeps exactly the nine paper matrices.
 
 use crate::matrices::PAPER_MATRICES;
 
-/// The Table 1 throughput suite: all nine paper matrices × the three
+/// The Table 1 throughput campaign: all nine paper matrices × the three
 /// schemes at α = 1/16 — the same shape as the historical hand-timed
 /// `campaign_throughput` entries, parameterized by scale divisor and
 /// repetitions.
@@ -31,21 +30,6 @@ pub fn table1_bench_spec(scale: usize, reps: usize, seed: u64) -> String {
     )
 }
 
-/// The quick suite: one small Poisson grid through both ABFT schemes
-/// with and without faults — seconds, not minutes, so it can run as an
-/// advisory gate on every CI build.
-pub fn quick_bench_spec(seed: u64) -> String {
-    format!(
-        "name = bench-quick\n\
-         seed = {seed}\n\
-         reps = 6\n\
-         threads = 0\n\
-         matrices = poisson2d:24\n\
-         schemes = detection, correction\n\
-         alphas = 0, 1/16\n"
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -60,8 +44,5 @@ mod tests {
         assert_eq!(cs.schemes.len(), 3);
         assert_eq!(cs.n_jobs(), 9 * 3 * 50);
         assert!(t.contains("paper:341:16"));
-
-        let q = CampaignSpec::parse(&quick_bench_spec(42)).unwrap();
-        assert_eq!(q.n_jobs(), 4 * 6);
     }
 }

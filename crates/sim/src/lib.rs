@@ -15,8 +15,8 @@
 //! * [`figure1`] — execution time of the three schemes against the
 //!   normalized MTBF `1/α` (each panel runs as one engine campaign);
 //! * [`report`] — markdown / CSV / ASCII-plot rendering;
-//! * [`benchspec`] — the standardized `ftcg bench` campaign suites
-//!   (pinned spec texts over the paper matrices).
+//! * [`benchspec`] — the benchmark's campaign spec (pinned text over
+//!   the paper matrices).
 
 #![warn(missing_docs)]
 #![warn(clippy::all)]

@@ -61,9 +61,7 @@ pub struct Table1Params {
     /// Cost-parameter instantiation.
     pub cost_mode: CostMode,
     /// SpMV backend for every solve (experiment dimension alongside
-    /// scheme and α; `auto:bench` is allowed here because Table 1 rows
-    /// are wall-clock-free simulated times, but the default stays the
-    /// deterministic reference).
+    /// scheme and α; the default is the deterministic reference).
     pub kernel: KernelSpec,
     /// Solver iterating under the protocol (experiment dimension; the
     /// paper's tables use CG).
