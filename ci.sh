@@ -28,6 +28,9 @@ if [ "$run_clippy" = 1 ]; then
     fi
 fi
 
+echo "==> rustdoc (-D warnings: a link to a deleted or private item fails)"
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --lib --exclude proptest
+
 echo "==> cargo build --release"
 cargo build --release
 

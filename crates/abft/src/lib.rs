@@ -15,9 +15,11 @@
 //!   two checksum residues) and correct it in place — forward recovery,
 //!   no rollback.
 //!
-//! Vector operations (`dot`, `axpy`, norms) are protected by triple
-//! modular redundancy instead ([`tmr`]), as the paper argues ABFT on
-//! vector operations costs as much as recomputation.
+//! Vector state is protected by triple modular redundancy instead
+//! ([`tmr`]), as the paper argues ABFT on vector operations costs as much
+//! as recomputation: the resilient executor keeps the iterate and the
+//! residual in three [`TmrVector`] replicas and majority-votes them after
+//! every step.
 //!
 //! Floating-point comparisons use the rigorous bound of Theorem 2
 //! ([`tolerance`]), which guarantees **no false positives**: a reported
@@ -26,21 +28,17 @@
 #![warn(missing_docs)]
 #![warn(clippy::all)]
 
-pub mod blocked;
 pub mod checksum;
 pub mod correct;
 pub mod single;
 pub mod spmv;
 pub mod tmr;
 pub mod tolerance;
-pub mod triple;
 pub mod weights;
 
-pub use blocked::BlockProtectedSpmv;
 pub use checksum::MatrixChecksums;
 pub use correct::{CorrectionKind, CorrectionReport};
 pub use single::{SingleChecksum, SingleOutcome};
 pub use spmv::{ProtectedSpmv, SpmvOutcome, XRef};
 pub use tmr::TmrVector;
 pub use tolerance::ToleranceBound;
-pub use triple::{TripleChecksum, TripleOutcome};

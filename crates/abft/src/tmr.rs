@@ -1,4 +1,4 @@
-//! Triple modular redundancy for vector data and vector operations.
+//! Triple modular redundancy for vector data.
 //!
 //! Section 3.1: "As ABFT methods for vector operations is as costly as a
 //! repeated computation, we use triple modular redundancy (TMR) for them
@@ -6,8 +6,6 @@
 //! resilient mode." A single silent error striking one replica is
 //! outvoted by the other two (2-of-3 majority); two colliding errors in
 //! one vote window are detected as unresolved and force a rollback.
-
-use ftcg_sparse::vector;
 
 /// A vector held in three replicas with bitwise majority voting.
 #[derive(Debug, Clone, PartialEq)]
@@ -75,14 +73,6 @@ impl TmrVector {
         }
     }
 
-    /// Applies a resilient-mode elementwise update: the closure is run
-    /// independently on each replica (modeling triplicated computation).
-    pub fn update_each<F: Fn(&mut Vec<f64>)>(&mut self, f: F) {
-        for rep in &mut self.replicas {
-            f(rep);
-        }
-    }
-
     /// Bitwise 2-of-3 majority vote; repairs outvoted replicas in place.
     pub fn vote(&mut self) -> VoteOutcome {
         let mut out = VoteOutcome::default();
@@ -120,47 +110,6 @@ impl TmrVector {
         let o = self.vote();
         (&self.replicas[0], o)
     }
-}
-
-/// Scalar 2-of-3 vote over three independently computed results.
-/// Returns `None` when all three disagree (double computation error).
-pub fn vote3(a: f64, b: f64, c: f64) -> Option<f64> {
-    let (ba, bb, bc) = (a.to_bits(), b.to_bits(), c.to_bits());
-    if ba == bb || ba == bc {
-        Some(a)
-    } else if bb == bc {
-        Some(b)
-    } else {
-        None
-    }
-}
-
-/// TMR dot product: computed three times and voted. `fault` optionally
-/// perturbs the result of one replica (the fault-simulation hook the
-/// experiments use to model a computation error).
-pub fn tmr_dot(x: &[f64], y: &[f64], fault: Option<(usize, f64)>) -> Option<f64> {
-    let mut results = [0.0f64; 3];
-    for (r, out) in results.iter_mut().enumerate() {
-        *out = vector::dot(x, y);
-        if let Some((fr, delta)) = fault {
-            if fr == r {
-                *out += delta;
-            }
-        }
-    }
-    vote3(results[0], results[1], results[2])
-}
-
-/// TMR squared norm.
-pub fn tmr_norm2_sq(x: &[f64], fault: Option<(usize, f64)>) -> Option<f64> {
-    tmr_dot(x, x, fault)
-}
-
-/// TMR axpy `y ← a·x + y` over a [`TmrVector`]: the update runs on each
-/// replica independently, then the replicas are voted.
-pub fn tmr_axpy(a: f64, x: &[f64], y: &mut TmrVector) -> VoteOutcome {
-    y.update_each(|rep| vector::axpy(a, x, rep));
-    y.vote()
 }
 
 #[cfg(test)]
@@ -236,48 +185,6 @@ mod tests {
         let o = v.vote();
         assert_eq!(o.corrected, 1);
         assert_eq!(v.primary(), &[1.0, 2.0]);
-    }
-
-    #[test]
-    fn vote3_majority_rules() {
-        assert_eq!(vote3(1.0, 1.0, 2.0), Some(1.0));
-        assert_eq!(vote3(1.0, 2.0, 1.0), Some(1.0));
-        assert_eq!(vote3(2.0, 1.0, 1.0), Some(1.0));
-        assert_eq!(vote3(1.0, 2.0, 3.0), None);
-        assert_eq!(vote3(4.0, 4.0, 4.0), Some(4.0));
-    }
-
-    #[test]
-    fn tmr_dot_clean() {
-        let x = [1.0, 2.0];
-        let y = [3.0, 4.0];
-        assert_eq!(tmr_dot(&x, &y, None), Some(11.0));
-    }
-
-    #[test]
-    fn tmr_dot_single_fault_outvoted() {
-        let x = [1.0, 2.0];
-        let y = [3.0, 4.0];
-        for r in 0..3 {
-            assert_eq!(tmr_dot(&x, &y, Some((r, 100.0))), Some(11.0));
-        }
-    }
-
-    #[test]
-    fn tmr_axpy_updates_and_votes() {
-        let mut y = TmrVector::new(&[1.0, 1.0]);
-        let o = tmr_axpy(2.0, &[1.0, 3.0], &mut y);
-        assert!(o.is_trusted());
-        assert_eq!(y.primary(), &[3.0, 7.0]);
-    }
-
-    #[test]
-    fn tmr_axpy_with_injected_replica_fault() {
-        let mut y = TmrVector::new(&[1.0, 1.0]);
-        y.replica_mut(2)[0] = 50.0; // memory fault before the op
-        let o = tmr_axpy(1.0, &[0.0, 0.0], &mut y);
-        assert_eq!(o.corrected, 1);
-        assert_eq!(y.primary(), &[1.0, 1.0]);
     }
 
     #[test]

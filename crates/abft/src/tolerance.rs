@@ -9,8 +9,8 @@
 //! positives** (a non-faulty run never trips the test), at the cost of
 //! false negatives for perturbations below the threshold — which the
 //! paper argues (citing Elliott et al.) are too small to prevent
-//! convergence. Both properties are validated in `ftcg-sim` (claims C3
-//! and C4 of DESIGN.md).
+//! convergence. Both properties are pinned as claims C3 and C4 in
+//! `tests/paper_claims.rs`.
 
 /// Machine epsilon for `f64` (unit roundoff `u = 2⁻⁵³`).
 pub const UNIT_ROUNDOFF: f64 = f64::EPSILON / 2.0;

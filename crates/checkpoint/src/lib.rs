@@ -11,20 +11,18 @@
 //! ([`SolverState::store_vectors`]) and every rollback restores the
 //! matrix from the caller's reliable input.
 //!
-//! The driver enforces the key protocol invariant (claim C1 in
-//! DESIGN.md): *a checkpoint is only ever taken immediately after a
-//! passing verification*, so the last checkpoint is always valid.
+//! The driver enforces the key protocol invariant (claim C1, pinned by
+//! `tests/paper_claims.rs`): *a checkpoint is only ever taken
+//! immediately after a passing verification*, so the last checkpoint is
+//! always valid.
 
 #![warn(missing_docs)]
 #![warn(clippy::all)]
 
-pub mod codec;
 pub mod cost;
 pub mod slot;
 pub mod state;
-pub mod store;
 
 pub use cost::ResilienceCosts;
 pub use slot::SnapshotSlot;
 pub use state::SolverState;
-pub use store::{CheckpointStore, FileStore, MemoryStore};

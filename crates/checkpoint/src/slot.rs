@@ -2,11 +2,10 @@
 //! [`SnapshotSlot`].
 //!
 //! The paper's protocol keeps exactly one live checkpoint (the last
-//! verified one). [`crate::MemoryStore`] models that with a
-//! heap-allocated clone per save; `SnapshotSlot` keeps the same
-//! single-checkpoint semantics with **retained buffers**: saves are
-//! `copy_from_slice` into warm memory, restores hand out a borrowed
-//! [`SolverState`], and steady state performs zero heap allocations.
+//! verified one). `SnapshotSlot` keeps it in **retained buffers**:
+//! saves are `copy_from_slice` into warm memory, restores hand out a
+//! borrowed [`SolverState`], and steady state performs zero heap
+//! allocations.
 //! The resilient executor saves with [`SolverState::store_vectors`]
 //! (its checkpoints' matrix is the reliable input): O(n) words, no image.
 //!
@@ -17,8 +16,7 @@
 //! only then marks it live. The previous checkpoint therefore stays
 //! intact until its replacement is complete — a half-written save (a
 //! panic mid-copy, however unlikely) can never destroy the only valid
-//! rollback target, mirroring the write-to-temp-then-rename discipline
-//! of [`crate::FileStore`].
+//! rollback target (the in-memory form of write-to-temp-then-rename).
 //!
 //! ## Reuse contract (why bit-exactness holds)
 //!
@@ -30,7 +28,6 @@
 //! `ftcg-solvers` pin this.
 
 use crate::state::SolverState;
-use crate::store::CheckpointStore;
 
 /// Double-buffered single-checkpoint store with retained buffers (see
 /// the module docs).
@@ -121,25 +118,6 @@ impl SnapshotSlot {
     }
 }
 
-impl CheckpointStore for SnapshotSlot {
-    fn save(&mut self, state: &SolverState) -> std::io::Result<()> {
-        SnapshotSlot::save(self, state);
-        Ok(())
-    }
-
-    fn load(&self) -> std::io::Result<Option<SolverState>> {
-        Ok(self.latest().cloned())
-    }
-
-    fn has_checkpoint(&self) -> bool {
-        SnapshotSlot::has_checkpoint(self)
-    }
-
-    fn saves(&self) -> usize {
-        SnapshotSlot::saves(self)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -210,15 +188,5 @@ mod tests {
     #[should_panic(expected = "commit without begin_save")]
     fn commit_without_begin_panics() {
         SnapshotSlot::new().commit();
-    }
-
-    #[test]
-    fn checkpoint_store_impl_is_a_drop_in() {
-        let mut slot = SnapshotSlot::new();
-        let st: &mut dyn CheckpointStore = &mut slot;
-        assert!(!st.has_checkpoint());
-        st.save(&state(5, 2.0)).unwrap();
-        assert_eq!(st.load().unwrap().unwrap(), state(5, 2.0));
-        assert_eq!(st.saves(), 1);
     }
 }

@@ -9,15 +9,9 @@ pub fn value<'a>(args: &'a [String], flag: &str) -> Option<&'a str> {
         .map(String::as_str)
 }
 
-/// Parses the value following `flag`, falling back to `default`.
-pub fn parse_or<T: std::str::FromStr>(args: &[String], flag: &str, default: T) -> T {
-    value(args, flag)
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
-}
-
-/// Like [`parse_or`], but a present-yet-unparseable value errors
-/// instead of silently keeping the default.
+/// Parses the value following `flag`, falling back to `default` when
+/// the flag is absent; a present-yet-unparseable value errors instead
+/// of silently keeping the default.
 pub fn parse_strict<T: std::str::FromStr>(
     args: &[String],
     flag: &str,
@@ -29,10 +23,11 @@ pub fn parse_strict<T: std::str::FromStr>(
     }
 }
 
-/// Rejects any `--flag` outside a subcommand's grammar: a misspelt
-/// `--repz 50` would otherwise run with the default and write an
-/// artifact the user believes came from other parameters. `removed`
-/// flags of an earlier grammar fail with `successor` ("PR N: do X").
+/// Rejects any `--flag` outside a subcommand's grammar, and a value
+/// flag with nothing after it: a misspelt `--repz 50` would otherwise
+/// run with the default and write an artifact the user believes came
+/// from other parameters. `removed` flags of an earlier grammar fail
+/// with `successor` ("PR N: do X").
 pub fn check_flags(
     args: &[String],
     value_flags: &[&str],
@@ -54,7 +49,10 @@ pub fn check_flags(
             return Err(format!("unknown flag `{a}` (try `ftcg help`)"));
         }
     }
-    Ok(())
+    match args.last() {
+        Some(last) if skip => Err(format!("`{last}` needs a value")),
+        _ => Ok(()),
+    }
 }
 
 /// Parses a fault rate: plain float (`0.0625`) or a fraction (`1/16`).
@@ -96,7 +94,7 @@ pub fn matrix_source(args: &[String]) -> Result<ftcg_engine::MatrixSource, Strin
     let Some(g) = value(args, "--gen") else {
         return Err("need --matrix FILE or --gen SPEC (try `ftcg help`)".into());
     };
-    ftcg_engine::MatrixSource::parse(g).map_err(|e| e.to_string())
+    ftcg_engine::MatrixSource::parse(g).map_err(|e| format!("--gen: {e}"))
 }
 
 #[cfg(test)]
@@ -116,11 +114,25 @@ mod tests {
     }
 
     #[test]
-    fn parse_or_defaults() {
+    fn parse_strict_defaults_and_rejects() {
         let a = sv(&["--reps", "12"]);
-        assert_eq!(parse_or(&a, "--reps", 50usize), 12);
-        assert_eq!(parse_or(&a, "--scale", 16usize), 16);
-        assert_eq!(parse_or(&sv(&["--reps", "xx"]), "--reps", 5usize), 5);
+        assert_eq!(parse_strict(&a, "--reps", 50usize), Ok(12));
+        assert_eq!(parse_strict(&a, "--scale", 16usize), Ok(16));
+        let e = parse_strict(&sv(&["--reps", "xx"]), "--reps", 5usize).unwrap_err();
+        assert!(e.contains("--reps") && e.contains("xx"), "{e}");
+    }
+
+    #[test]
+    fn value_flag_without_value_is_rejected() {
+        let e = check_flags(
+            &sv(&["--gen", "poisson2d:4", "--seed"]),
+            &["--gen", "--seed"],
+            &[],
+            &[],
+            "",
+        )
+        .unwrap_err();
+        assert!(e.contains("`--seed` needs a value"), "{e}");
     }
 
     #[test]

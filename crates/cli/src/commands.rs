@@ -22,9 +22,7 @@ use ftcg_engine::{
     Shard,
 };
 
-use crate::args::{
-    check_flags, matrix_source, parse_alpha, parse_or, parse_strict, positionals, value,
-};
+use crate::args::{check_flags, matrix_source, parse_alpha, parse_strict, positionals, value};
 use crate::progress::ProgressLine;
 
 /// Top-level usage text.
@@ -175,23 +173,30 @@ fn load_matrix(args: &[String]) -> Result<CsrMatrix, String> {
 fn parse_scheme(args: &[String]) -> Result<Scheme, String> {
     // One scheme grammar for the whole workspace (accepts both the
     // short names and the paper's full spellings).
-    spec::parse_scheme(value(args, "--scheme").unwrap_or("correction")).map_err(|e| e.to_string())
+    spec::parse_scheme(value(args, "--scheme").unwrap_or("correction"))
+        .map_err(|e| format!("--scheme: {e}"))
 }
 
 fn parse_solver_flag(args: &[String]) -> Result<SolverKind, String> {
     match value(args, "--solver") {
         None => Ok(SolverKind::Cg),
-        Some(s) => SolverKind::parse(s),
+        Some(s) => SolverKind::parse(s).map_err(|e| format!("--solver: {e}")),
     }
 }
 
-/// Prints the kernel catalog (the `--kernel list` escape hatch).
-fn print_kernel_list() {
+/// The `--kernel list` escape hatch of `solve`, `stats`, `table1` and
+/// `figure1`: prints the kernel catalog and returns `true` (the command
+/// then does nothing else) when asked for.
+fn print_kernel_list(args: &[String]) -> bool {
+    if value(args, "--kernel") != Some("list") {
+        return false;
+    }
     println!("available kernels:");
     for (name, desc) in KernelRegistry::builtin().catalog() {
         println!("  {name:<10} {desc}");
     }
     println!("  (parameterized forms work too: bcsr:4, sell:16:64, csr-par:8)");
+    true
 }
 
 /// Parses a directory-valued flag (`--journal-dir`, `--trace-dir`,
@@ -208,189 +213,194 @@ fn parse_dir_flag(args: &[String], flag: &str) -> Result<Option<std::path::PathB
     }
 }
 
-/// The three telemetry/journal directories of `table1`/`figure1`.
-fn parse_experiment_dirs(args: &[String]) -> Result4Dirs {
-    match (
-        parse_dir_flag(args, "--journal-dir"),
-        parse_dir_flag(args, "--trace-dir"),
-        parse_dir_flag(args, "--metrics-dir"),
-    ) {
-        (Ok(j), Ok(t), Ok(m)) => Ok((j, t, m)),
-        (Err(e), _, _) | (_, Err(e), _) | (_, _, Err(e)) => Err(e),
-    }
-}
-
-type OptDir = Option<std::path::PathBuf>;
-type Result4Dirs = Result<(OptDir, OptDir, OptDir), String>;
-
 /// Parses `--kernel` as given; thread-count policy is per command
 /// (`solve` feeds `--threads` into the kernel, the experiment commands
 /// reserve `--threads` for the engine worker pool).
 fn parse_kernel_flag(args: &[String]) -> Result<KernelSpec, String> {
     match value(args, "--kernel") {
         None => Ok(KernelSpec::Csr),
-        Some(s) => KernelSpec::parse(s).map_err(|e| e.to_string()),
+        Some(s) => KernelSpec::parse(s).map_err(|e| format!("--kernel: {e}")),
     }
 }
 
+/// The flags of `solve`, `stats`, `report`, `table1` and `figure1` as
+/// `ftcg help` lists them; all take a value.
+const SOLVE_FLAGS: [&str; 10] = [
+    "--matrix",
+    "--gen",
+    "--scheme",
+    "--solver",
+    "--alpha",
+    "--seed",
+    "--kernel",
+    "--threads",
+    "--trace",
+    "--metrics",
+];
+const STATS_FLAGS: [&str; 2] = ["--matrix", "--gen"];
+const REPORT_FLAGS: [&str; 2] = ["--spec", "--perfetto"];
+const TABLE1_FLAGS: [&str; 8] = [
+    "--scale",
+    "--reps",
+    "--threads",
+    "--kernel",
+    "--solver",
+    "--journal-dir",
+    "--trace-dir",
+    "--metrics-dir",
+];
+const FIGURE1_FLAGS: [&str; 10] = [
+    "--scale",
+    "--reps",
+    "--points",
+    "--matrices",
+    "--threads",
+    "--kernel",
+    "--solver",
+    "--journal-dir",
+    "--trace-dir",
+    "--metrics-dir",
+];
+
 /// `ftcg solve`.
-pub fn solve(args: &[String]) -> i32 {
-    if value(args, "--kernel") == Some("list") {
-        print_kernel_list();
-        return 0;
+pub fn solve(args: &[String]) -> Result<(), String> {
+    if print_kernel_list(args) {
+        return Ok(());
     }
-    let result = (|| -> Result<(), String> {
-        let a = load_matrix(args)?;
-        if !a.is_square() {
-            return Err("matrix must be square".into());
-        }
-        let scheme = parse_scheme(args)?;
-        let solver = parse_solver_flag(args)?;
-        if solver == SolverKind::Pcg && a.diag().contains(&0.0) {
-            // Surface the Jacobi precondition as a diagnostic, not the
-            // machine constructor's panic.
-            return Err(
-                "matrix has a zero diagonal entry; the Jacobi preconditioner \
-                 (--solver pcg) is undefined — pick another solver"
-                    .into(),
+    check_flags(args, &SOLVE_FLAGS, &[], &[], "")?;
+    let seed: u64 = parse_strict(args, "--seed", 0)?;
+    let threads: usize = parse_strict(args, "--threads", 0)?;
+    let alpha = match value(args, "--alpha") {
+        Some(s) => parse_alpha(s).ok_or_else(|| format!("bad --alpha `{s}`"))?,
+        None => 0.0,
+    };
+    let scheme = parse_scheme(args)?;
+    let solver = parse_solver_flag(args)?;
+    let a = load_matrix(args)?;
+    if !a.is_square() {
+        return Err("matrix must be square".into());
+    }
+    if solver == SolverKind::Pcg && a.diag().contains(&0.0) {
+        // Surface the Jacobi precondition as a diagnostic, not the
+        // machine constructor's panic.
+        return Err(
+            "matrix has a zero diagonal entry; the Jacobi preconditioner \
+             (--solver pcg) is undefined — pick another solver"
+                .into(),
+        );
+    }
+    // Pin `auto` here so the banner names the backend that runs;
+    // `--threads` applies after resolution so it reaches a csr-par
+    // backend the heuristic picked, not just an explicit one.
+    let kernel = parse_kernel_flag(args)?.resolve(&a).with_threads(threads);
+    let n = a.n_rows();
+    let b = vec![1.0; n];
+    eprintln!(
+        "solving: n={n} nnz={} scheme={} solver={} alpha={alpha} seed={seed} kernel={}",
+        a.nnz(),
+        scheme.name(),
+        solver.label(),
+        kernel.label()
+    );
+    let mut builder = ftcg::ResilientCg::new(&a)
+        .scheme(scheme)
+        .solver(solver)
+        .seed(seed)
+        .kernel(kernel);
+    if alpha > 0.0 {
+        builder = builder.fault_alpha(alpha);
+    }
+    let trace = value(args, "--trace").map(std::path::PathBuf::from);
+    let metrics = value(args, "--metrics").map(std::path::PathBuf::from);
+    let mut recorder = (trace.is_some() || metrics.is_some()).then(ActiveRecorder::new);
+    let out = match recorder.as_mut() {
+        Some(rec) => {
+            rec.event(Event::job_start());
+            let out = builder.solve_recorded(&b, rec);
+            rec.finish_job(
+                out.executed_iterations as u64,
+                out.productive_iterations as u64,
+                out.converged,
             );
+            out
         }
-        let alpha = match value(args, "--alpha") {
-            Some(s) => parse_alpha(s).ok_or_else(|| format!("bad --alpha `{s}`"))?,
-            None => 0.0,
+        None => builder.solve(&b),
+    };
+    if let Some(rec) = recorder.as_mut() {
+        // A one-job "campaign": job 0, rep 1, identified by the
+        // injector seed. Unlike campaign traces these are one-shot
+        // files, so an existing one is replaced, not resumed.
+        let meta = TraceMeta {
+            name: "solve".into(),
+            fingerprint: 0,
+            seed,
+            reps: 1,
+            total_jobs: 1,
         };
-        let seed: u64 = parse_or(args, "--seed", 0u64);
-        // Pin `auto` here so the banner names the backend that runs;
-        // `--threads` applies after resolution so it reaches a csr-par
-        // backend the heuristic picked, not just an explicit one.
-        let kernel =
-            parse_kernel_flag(args)?
-                .resolve(&a)
-                .with_threads(parse_or(args, "--threads", 0usize));
-        let n = a.n_rows();
-        let b = vec![1.0; n];
-        eprintln!(
-            "solving: n={n} nnz={} scheme={} solver={} alpha={alpha} seed={seed} kernel={}",
-            a.nnz(),
-            scheme.name(),
-            solver.label(),
-            kernel.label()
-        );
-        let mut builder = ftcg::ResilientCg::new(&a)
-            .scheme(scheme)
-            .solver(solver)
-            .seed(seed)
-            .kernel(kernel);
-        if alpha > 0.0 {
-            builder = builder.fault_alpha(alpha);
+        let tele = rec.drain(0);
+        if let Some(path) = &trace {
+            let _ = std::fs::remove_file(path);
+            let mut w = TraceWriter::create(path, &meta)?;
+            w.append_job(0, &tele.events)?;
+            drop(w);
+            ftcg::telemetry::trace::canonicalize(path)?;
+            eprintln!("wrote trace {}", path.display());
         }
-        let trace = value(args, "--trace").map(std::path::PathBuf::from);
-        let metrics = value(args, "--metrics").map(std::path::PathBuf::from);
-        let mut recorder = (trace.is_some() || metrics.is_some()).then(ActiveRecorder::new);
-        let out = match recorder.as_mut() {
-            Some(rec) => {
-                rec.event(Event::job_start());
-                let out = builder.solve_recorded(&b, rec);
-                rec.finish_job(
-                    out.executed_iterations as u64,
-                    out.productive_iterations as u64,
-                    out.converged,
-                );
-                out
-            }
-            None => builder.solve(&b),
-        };
-        if let Some(rec) = recorder.as_mut() {
-            // A one-job "campaign": job 0, rep 1, identified by the
-            // injector seed. Unlike campaign traces these are one-shot
-            // files, so an existing one is replaced, not resumed.
-            let meta = TraceMeta {
-                name: "solve".into(),
-                fingerprint: 0,
-                seed,
-                reps: 1,
-                total_jobs: 1,
-            };
-            let tele = rec.drain(0);
-            if let Some(path) = &trace {
-                let _ = std::fs::remove_file(path);
-                let mut w = TraceWriter::create(path, &meta)?;
-                w.append_job(0, &tele.events)?;
-                drop(w);
-                ftcg::telemetry::trace::canonicalize(path)?;
-                eprintln!("wrote trace {}", path.display());
-            }
-            if let Some(path) = &metrics {
-                let _ = std::fs::remove_file(path);
-                let mut w = MetricsWriter::create(path, &meta)?;
-                w.append_job(&tele)?;
-                w.finish()?;
-                eprintln!("wrote metrics {}", path.display());
-            }
-        }
-        println!("converged            {}", out.converged);
-        println!("productive iters     {}", out.productive_iterations);
-        println!("executed iters       {}", out.executed_iterations);
-        println!("simulated time       {:.1} Titer", out.simulated_time);
-        println!("checkpoints          {}", out.checkpoints);
-        println!("rollbacks            {}", out.rollbacks);
-        println!(
-            "corrections          {} (ABFT {}, TMR {})",
-            out.forward_corrections + out.tmr_corrections,
-            out.forward_corrections,
-            out.tmr_corrections
-        );
-        println!("injected faults      {}", out.ledger.len());
-        let s = out.ledger.summary();
-        println!(
-            "fault outcomes       corrected {} / rolled-back {} / undetected {}",
-            s.corrected, s.rolled_back, s.undetected
-        );
-        println!("true residual        {:.3e}", out.true_residual);
-        if !out.converged {
-            return Err("did not converge".into());
-        }
-        Ok(())
-    })();
-    match result {
-        Ok(()) => 0,
-        Err(e) => {
-            eprintln!("error: {e}");
-            1
+        if let Some(path) = &metrics {
+            let _ = std::fs::remove_file(path);
+            let mut w = MetricsWriter::create(path, &meta)?;
+            w.append_job(&tele)?;
+            w.finish()?;
+            eprintln!("wrote metrics {}", path.display());
         }
     }
+    println!("converged            {}", out.converged);
+    println!("productive iters     {}", out.productive_iterations);
+    println!("executed iters       {}", out.executed_iterations);
+    println!("simulated time       {:.1} Titer", out.simulated_time);
+    println!("checkpoints          {}", out.checkpoints);
+    println!("rollbacks            {}", out.rollbacks);
+    println!(
+        "corrections          {} (ABFT {}, TMR {})",
+        out.forward_corrections + out.tmr_corrections,
+        out.forward_corrections,
+        out.tmr_corrections
+    );
+    println!("injected faults      {}", out.ledger.len());
+    let s = out.ledger.summary();
+    println!(
+        "fault outcomes       corrected {} / rolled-back {} / undetected {}",
+        s.corrected, s.rolled_back, s.undetected
+    );
+    println!("true residual        {:.3e}", out.true_residual);
+    if !out.converged {
+        return Err("did not converge".into());
+    }
+    Ok(())
 }
 
 /// `ftcg stats`.
-pub fn stats(args: &[String]) -> i32 {
-    if value(args, "--kernel") == Some("list") {
-        print_kernel_list();
-        return 0;
+pub fn stats(args: &[String]) -> Result<(), String> {
+    if print_kernel_list(args) {
+        return Ok(());
     }
-    match load_matrix(args) {
-        Ok(a) => {
-            let st = MatrixStats::compute(&a);
-            println!("{}", st.summary_line());
-            println!(
-                "memory words (fault-model M contribution): {}",
-                st.memory_words
-            );
-            // The same decision the `auto` kernel makes, with its why —
-            // derived from the statistics printed above plus the block
-            // fill ratios.
-            let rec = kernels::recommend(&a);
-            println!(
-                "kernel recommendation: {} — {}",
-                rec.spec.label(),
-                rec.reason
-            );
-            0
-        }
-        Err(e) => {
-            eprintln!("error: {e}");
-            1
-        }
-    }
+    check_flags(args, &STATS_FLAGS, &[], &[], "")?;
+    let a = load_matrix(args)?;
+    let st = MatrixStats::compute(&a);
+    println!("{}", st.summary_line());
+    println!(
+        "memory words (fault-model M contribution): {}",
+        st.memory_words
+    );
+    // The same decision the `auto` kernel makes, with its why — derived
+    // from the statistics printed above plus the block fill ratios.
+    let rec = kernels::recommend(&a);
+    println!(
+        "kernel recommendation: {} — {}",
+        rec.spec.label(),
+        rec.reason
+    );
+    Ok(())
 }
 
 /// Grid-axis flags: the inline alternative to a `--spec` file.
@@ -423,7 +433,6 @@ fn campaign_value_flags() -> Vec<&'static str> {
         "--shard",
         "--trace",
         "--metrics",
-        "--perfetto",
     ]);
     flags
 }
@@ -443,6 +452,21 @@ fn check_campaign_flags(args: &[String]) -> Result<(), String> {
     )
 }
 
+/// Reads and parses a `--spec` file (`-` = stdin).
+fn read_spec_file(path: &str) -> Result<CampaignSpec, String> {
+    let text = if path == "-" {
+        use std::io::Read;
+        let mut buf = String::new();
+        std::io::stdin()
+            .read_to_string(&mut buf)
+            .map_err(|e| format!("--spec stdin: {e}"))?;
+        buf
+    } else {
+        std::fs::read_to_string(path).map_err(|e| format!("--spec {path}: {e}"))?
+    };
+    CampaignSpec::parse(&text).map_err(|e| format!("--spec {path}: {e}"))
+}
+
 fn campaign_spec(args: &[String]) -> Result<CampaignSpec, String> {
     check_campaign_flags(args)?;
     let mut cs = if let Some(path) = value(args, "--spec") {
@@ -454,17 +478,7 @@ fn campaign_spec(args: &[String]) -> Result<CampaignSpec, String> {
                  only --reps/--seed/--threads override a file)"
             ));
         }
-        let text = if path == "-" {
-            use std::io::Read;
-            let mut buf = String::new();
-            std::io::stdin()
-                .read_to_string(&mut buf)
-                .map_err(|e| format!("stdin: {e}"))?;
-            buf
-        } else {
-            std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?
-        };
-        CampaignSpec::parse(&text).map_err(|e| e.to_string())?
+        read_spec_file(path)?
     } else {
         // Inline flags. List flags use the engine's list grammar
         // (trimmed, trailing commas harmless) — same as spec files.
@@ -538,154 +552,135 @@ fn write_artifacts(
 }
 
 /// `ftcg campaign`.
-pub fn campaign(args: &[String]) -> i32 {
-    let result = (|| -> Result<(), String> {
-        let cs = campaign_spec(args)?;
-        let quiet = args.iter().any(|a| a == "--quiet");
-        let resume = args.iter().any(|a| a == "--resume");
-        let shard = match value(args, "--shard") {
-            None => Shard::FULL,
-            Some(s) => Shard::parse(s).map_err(|e| e.to_string())?,
-        };
-        let journal = value(args, "--journal").map(std::path::PathBuf::from);
-        if resume && journal.is_none() {
-            return Err("--resume requires --journal FILE (nothing to replay)".into());
-        }
-        if shard.count > 1 {
-            if journal.is_none() {
-                return Err(
-                    "--shard requires --journal FILE: a shard's artifact is its journal; \
-                     fold the shards with `ftcg merge`"
-                        .into(),
-                );
-            }
-            if value(args, "--out").is_some() || value(args, "--csv").is_some() {
-                return Err(
-                    "--out/--csv cannot be combined with --shard (partial summaries would \
-                     not be the campaign's artifacts); fold the shard journals with \
-                     `ftcg merge` instead"
-                        .into(),
-                );
-            }
-        }
-        eprintln!(
-            "campaign `{}`: {} configurations x {} reps = {} jobs (seed {}, shard {})",
-            cs.name,
-            cs.n_configs(),
-            cs.reps,
-            cs.n_jobs(),
-            cs.seed,
-            shard.label(),
-        );
-        let trace = value(args, "--trace").map(std::path::PathBuf::from);
-        let metrics = value(args, "--metrics").map(std::path::PathBuf::from);
-        let ticker = ProgressLine::new();
-        let opts = RunOptions {
-            shard,
-            journal: journal.as_deref(),
-            resume,
-            progress: if quiet { None } else { Some(&ticker) },
-            trace: trace.as_deref(),
-            metrics: metrics.as_deref(),
-        };
-        let (outcome, folded) =
-            run_campaign_sharded(&cs, &PaperMatrixResolver, &opts).map_err(|e| e.to_string())?;
-        if let Some(path) = &journal {
-            eprintln!(
-                "journal {}: {} job(s) replayed, {} executed",
-                path.display(),
-                outcome.replayed,
-                outcome.executed
-            );
-        }
-        if let Some(path) = &trace {
-            eprintln!("wrote trace {}", path.display());
-        }
-        if let Some(path) = &metrics {
-            eprintln!("wrote metrics {}", path.display());
-        }
-        let failed = outcome
-            .records
-            .iter()
-            .filter(|(_, r)| matches!(r, JobRecord::Failed(_)))
-            .count();
-        match folded {
-            Some(result) => {
-                write_artifacts(args, &result.summaries)?;
-                eprintln!(
-                    "{} jobs on {} threads in {:.2}s",
-                    result.total_jobs, result.threads, result.elapsed_secs
-                );
-            }
-            None => {
-                eprintln!(
-                    "shard {} complete: {} of {} jobs journaled ({} threads, {:.2}s); \
-                     fold all shards with `ftcg merge`",
-                    shard.label(),
-                    outcome.records.len(),
-                    outcome.manifest.total_jobs,
-                    outcome.threads,
-                    outcome.elapsed_secs
-                );
-            }
-        }
-        // Degraded artifacts are still written (for debugging), but a
-        // campaign with failed jobs is not a successful reproduction —
-        // scripts must see a failing exit code.
-        if failed > 0 {
-            return Err(format!(
-                "{failed} job(s) failed (panic or NaN-poisoned metrics); summaries cover \
-                 the surviving repetitions only"
-            ));
-        }
-        Ok(())
-    })();
-    match result {
-        Ok(()) => 0,
-        Err(e) => {
-            eprintln!("error: {e}");
-            1
-        }
+pub fn campaign(args: &[String]) -> Result<(), String> {
+    let cs = campaign_spec(args)?;
+    let quiet = args.iter().any(|a| a == "--quiet");
+    let resume = args.iter().any(|a| a == "--resume");
+    let shard = match value(args, "--shard") {
+        None => Shard::FULL,
+        Some(s) => Shard::parse(s).map_err(|e| e.to_string())?,
+    };
+    let journal = value(args, "--journal").map(std::path::PathBuf::from);
+    if resume && journal.is_none() {
+        return Err("--resume requires --journal FILE (nothing to replay)".into());
     }
-}
-
-/// `ftcg merge` — folds shard journals into the campaign's artifacts.
-pub fn merge(args: &[String]) -> i32 {
-    let result = (|| -> Result<(), String> {
-        let cs = campaign_spec(args)?;
-        // Journal paths are the positional arguments; every value flag
-        // the campaign grammar understands is skipped with its value.
-        let journals = positionals(args, &campaign_value_flags());
-        if journals.is_empty() {
+    if shard.count > 1 {
+        if journal.is_none() {
             return Err(
-                "need at least one journal: ftcg merge --spec FILE shard0.jsonl shard1.jsonl ..."
+                "--shard requires --journal FILE: a shard's artifact is its journal; \
+                 fold the shards with `ftcg merge`"
                     .into(),
             );
         }
-        let merged =
-            merge_journals(&cs, &PaperMatrixResolver, &journals).map_err(|e| e.to_string())?;
-        write_artifacts(args, &merged.summaries)?;
-        eprintln!(
-            "merged {} journal(s) covering {} jobs",
-            journals.len(),
-            merged.total_jobs
-        );
-        if merged.panics > 0 {
-            return Err(format!(
-                "{} job(s) failed (panic or NaN-poisoned metrics); summaries cover the \
-                 surviving repetitions only",
-                merged.panics
-            ));
-        }
-        Ok(())
-    })();
-    match result {
-        Ok(()) => 0,
-        Err(e) => {
-            eprintln!("error: {e}");
-            1
+        if value(args, "--out").is_some() || value(args, "--csv").is_some() {
+            return Err(
+                "--out/--csv cannot be combined with --shard (partial summaries would \
+                 not be the campaign's artifacts); fold the shard journals with \
+                 `ftcg merge` instead"
+                    .into(),
+            );
         }
     }
+    eprintln!(
+        "campaign `{}`: {} configurations x {} reps = {} jobs (seed {}, shard {})",
+        cs.name,
+        cs.n_configs(),
+        cs.reps,
+        cs.n_jobs(),
+        cs.seed,
+        shard.label(),
+    );
+    let trace = value(args, "--trace").map(std::path::PathBuf::from);
+    let metrics = value(args, "--metrics").map(std::path::PathBuf::from);
+    let ticker = ProgressLine::new();
+    let opts = RunOptions {
+        shard,
+        journal: journal.as_deref(),
+        resume,
+        progress: if quiet { None } else { Some(&ticker) },
+        trace: trace.as_deref(),
+        metrics: metrics.as_deref(),
+    };
+    let (outcome, folded) =
+        run_campaign_sharded(&cs, &PaperMatrixResolver, &opts).map_err(|e| e.to_string())?;
+    if let Some(path) = &journal {
+        eprintln!(
+            "journal {}: {} job(s) replayed, {} executed",
+            path.display(),
+            outcome.replayed,
+            outcome.executed
+        );
+    }
+    if let Some(path) = &trace {
+        eprintln!("wrote trace {}", path.display());
+    }
+    if let Some(path) = &metrics {
+        eprintln!("wrote metrics {}", path.display());
+    }
+    let failed = outcome
+        .records
+        .iter()
+        .filter(|(_, r)| matches!(r, JobRecord::Failed(_)))
+        .count();
+    match folded {
+        Some(result) => {
+            write_artifacts(args, &result.summaries)?;
+            eprintln!(
+                "{} jobs on {} threads in {:.2}s",
+                result.total_jobs, result.threads, result.elapsed_secs
+            );
+        }
+        None => {
+            eprintln!(
+                "shard {} complete: {} of {} jobs journaled ({} threads, {:.2}s); \
+                 fold all shards with `ftcg merge`",
+                shard.label(),
+                outcome.records.len(),
+                outcome.manifest.total_jobs,
+                outcome.threads,
+                outcome.elapsed_secs
+            );
+        }
+    }
+    // Degraded artifacts are still written (for debugging), but a
+    // campaign with failed jobs is not a successful reproduction —
+    // scripts must see a failing exit code.
+    if failed > 0 {
+        return Err(format!(
+            "{failed} job(s) failed (panic or NaN-poisoned metrics); summaries cover \
+             the surviving repetitions only"
+        ));
+    }
+    Ok(())
+}
+
+/// `ftcg merge` — folds shard journals into the campaign's artifacts.
+pub fn merge(args: &[String]) -> Result<(), String> {
+    let cs = campaign_spec(args)?;
+    // Journal paths are the positional arguments; every value flag
+    // the campaign grammar understands is skipped with its value.
+    let journals = positionals(args, &campaign_value_flags());
+    if journals.is_empty() {
+        return Err(
+            "need at least one journal: ftcg merge --spec FILE shard0.jsonl shard1.jsonl ..."
+                .into(),
+        );
+    }
+    let merged = merge_journals(&cs, &PaperMatrixResolver, &journals).map_err(|e| e.to_string())?;
+    write_artifacts(args, &merged.summaries)?;
+    eprintln!(
+        "merged {} journal(s) covering {} jobs",
+        journals.len(),
+        merged.total_jobs
+    );
+    if merged.panics > 0 {
+        return Err(format!(
+            "{} job(s) failed (panic or NaN-poisoned metrics); summaries cover the \
+             surviving repetitions only",
+            merged.panics
+        ));
+    }
+    Ok(())
 }
 
 /// Reads the first line of a telemetry/journal file (for
@@ -702,13 +697,12 @@ fn first_line(path: &std::path::Path) -> Result<String, String> {
 
 /// Builds one display label per configuration from the campaign spec,
 /// validating the grid against the telemetry header identity.
-fn report_labels(args: &[String], meta: &TraceMeta) -> Result<Vec<String>, String> {
-    let n_configs = meta.total_jobs / meta.reps.max(1);
-    if value(args, "--spec").is_none() && !args.iter().any(|a| a == "--gen") {
+fn report_labels(cs: Option<&CampaignSpec>, meta: &TraceMeta) -> Result<Vec<String>, String> {
+    let Some(cs) = cs else {
+        let n_configs = meta.total_jobs / meta.reps.max(1);
         return Ok((0..n_configs).map(|i| format!("config {i}")).collect());
-    }
-    let cs = campaign_spec(args)?;
-    let jobs = ftcg_engine::grid::expand(&cs, &PaperMatrixResolver).map_err(|e| e.to_string())?;
+    };
+    let jobs = ftcg_engine::grid::expand(cs, &PaperMatrixResolver).map_err(|e| e.to_string())?;
     let fp = ftcg_engine::journal::fingerprint(&cs.name, cs.seed, cs.reps, &jobs);
     if fp != meta.fingerprint || cs.reps != meta.reps {
         return Err(format!(
@@ -735,201 +729,173 @@ fn report_labels(args: &[String], meta: &TraceMeta) -> Result<Vec<String>, Strin
 /// `ftcg report` — folds traces, metrics sidecars, and journals into
 /// per-configuration tables and reconciles trace counts against
 /// journal records.
-pub fn report(args: &[String]) -> i32 {
+pub fn report(args: &[String]) -> Result<(), String> {
     use std::collections::BTreeMap;
-    let result = (|| -> Result<(), String> {
-        let files = positionals(args, &campaign_value_flags());
-        if files.is_empty() {
-            return Err(
-                "need at least one file: ftcg report run.trace.jsonl [run.metrics.jsonl] \
-                 [run.jsonl] [--spec FILE]"
-                    .into(),
-            );
-        }
-        // Classify each positional file by its header line; any mix of
-        // traces (shards merge), metrics sidecars, and journals works.
-        let mut traces: Vec<Trace> = Vec::new();
-        let mut metrics_files: Vec<MetricsFile> = Vec::new();
-        let mut journals: Vec<Journal> = Vec::new();
-        for path in &files {
-            let p = std::path::Path::new(path);
-            let head = first_line(p)?;
-            if head.contains("\"ftcg_trace\"") {
-                traces.push(Trace::load(p)?);
-            } else if head.contains("\"ftcg_metrics\"") {
-                metrics_files.push(MetricsFile::load(p)?);
-            } else if head.contains("\"ftcg_journal\"") {
-                journals.push(Journal::load(p).map_err(|e| e.to_string())?);
-            } else {
-                return Err(format!(
-                    "{path}: not a ftcg trace, metrics sidecar, or journal \
-                     (unrecognized header line)"
-                ));
-            }
-        }
-        let merged_trace = if traces.is_empty() {
-            None
+    check_flags(args, &REPORT_FLAGS, &[], &[], "")?;
+    let spec = value(args, "--spec").map(read_spec_file).transpose()?;
+    let files = positionals(args, &REPORT_FLAGS);
+    if files.is_empty() {
+        return Err(
+            "need at least one file: ftcg report run.trace.jsonl [run.metrics.jsonl] \
+             [run.jsonl] [--spec FILE]"
+                .into(),
+        );
+    }
+    // Classify each positional file by its header line; any mix of
+    // traces (shards merge), metrics sidecars, and journals works.
+    let mut traces: Vec<Trace> = Vec::new();
+    let mut metrics_files: Vec<MetricsFile> = Vec::new();
+    let mut journals: Vec<Journal> = Vec::new();
+    for path in &files {
+        let p = std::path::Path::new(path);
+        let head = first_line(p)?;
+        if head.contains("\"ftcg_trace\"") {
+            traces.push(Trace::load(p)?);
+        } else if head.contains("\"ftcg_metrics\"") {
+            metrics_files.push(MetricsFile::load(p)?);
+        } else if head.contains("\"ftcg_journal\"") {
+            journals.push(Journal::load(p).map_err(|e| e.to_string())?);
         } else {
-            Some(Trace::merge(traces)?)
-        };
-        // One campaign identity across every telemetry file.
-        let mut meta: Option<TraceMeta> = merged_trace.as_ref().map(|t| t.meta.clone());
-        let mut by_job: BTreeMap<usize, JobPhases> = BTreeMap::new();
-        for mf in &metrics_files {
-            match &meta {
-                None => meta = Some(mf.meta.clone()),
-                Some(m) if *m != mf.meta => {
-                    return Err(format!(
-                        "metrics sidecar for campaign `{}` does not match the other \
-                         telemetry files (campaign `{}`)",
-                        mf.meta.name, m.name
-                    ));
-                }
-                _ => {}
-            }
-            for jp in &mf.jobs {
-                by_job.insert(jp.job, jp.clone()); // later files win
-            }
-        }
-        let metrics_jobs: Vec<JobPhases> = by_job.into_values().collect();
-        let meta = meta
-            .ok_or("need at least one trace or metrics file (journals alone carry no telemetry)")?;
-        for j in &journals {
-            let m = &j.manifest;
-            if m.name != meta.name
-                || m.fingerprint != meta.fingerprint
-                || m.seed != meta.seed
-                || m.reps != meta.reps
-                || m.total_jobs != meta.total_jobs
-            {
-                return Err(format!(
-                    "journal for campaign `{}` (fingerprint {:#018x}) does not match the \
-                     telemetry files (campaign `{}`, fingerprint {:#018x})",
-                    m.name, m.fingerprint, meta.name, meta.fingerprint
-                ));
-            }
-        }
-        let labels = report_labels(args, &meta)?;
-        let trace_events = match &merged_trace {
-            Some(t) => t.parsed()?,
-            None => Vec::new(),
-        };
-        let rows = fold_report(&labels, meta.reps, &trace_events, &metrics_jobs)?;
-        print!("{}", render_report(&rows));
-        // Phase duration quantiles from the sidecars' merged summary
-        // histograms (p50/p90/p99 at log2-bucket resolution).
-        let mut merged_hist: Option<[DurationHist; Phase::COUNT]> = None;
-        for mf in &metrics_files {
-            if let Some(h) = &mf.hist {
-                let acc = merged_hist.get_or_insert([DurationHist::new(); Phase::COUNT]);
-                for (a, b) in acc.iter_mut().zip(h.iter()) {
-                    a.merge(b);
-                }
-            }
-        }
-        if let Some(h) = &merged_hist {
-            if h.iter().any(|d| !d.is_empty()) {
-                print!("\n{}", render_phase_quantiles(h));
-            }
-        }
-        // Protocol analytics need only the deterministic trace, so the
-        // tables are byte-identical across any decomposition of the run.
-        if merged_trace.is_some() {
-            let analytics = analyze(&labels, meta.reps, &trace_events)?;
-            print!("\n{}", render_analytics(&analytics));
-        }
-        // Perfetto / chrome://tracing timeline: trace instants placed
-        // inside the sidecar's wall-clock job spans.
-        if let Some(path) = value(args, "--perfetto") {
-            let text = perfetto_json(&meta.name, &trace_events, &metrics_jobs);
-            std::fs::write(path, text).map_err(|e| format!("{path}: {e}"))?;
-            eprintln!(
-                "wrote perfetto timeline {path} (open in ui.perfetto.dev or chrome://tracing)"
-            );
-        }
-        // Reconcile trace event counts against journal records when both
-        // sides are present; any disagreement is a failing exit code.
-        if merged_trace.is_some() && !journals.is_empty() {
-            let mut counts: BTreeMap<usize, JobCounts> = BTreeMap::new();
-            for j in &journals {
-                for (idx, rec) in &j.records {
-                    if let JobRecord::Done(m) = rec {
-                        counts.insert(
-                            *idx,
-                            JobCounts {
-                                faults: m.faults as u64,
-                                rollbacks: m.rollbacks as u64,
-                                corrections: m.corrections as u64,
-                                converged: m.converged,
-                            },
-                        );
-                    }
-                }
-            }
-            let rec = reconcile(&trace_events, &counts);
-            eprintln!(
-                "reconciliation: {} job(s) ok, {} skipped (ring overflow), {} mismatch(es)",
-                rec.jobs_ok,
-                rec.jobs_skipped,
-                rec.mismatches.len()
-            );
-            if !rec.ok() {
-                for m in rec.mismatches.iter().take(10) {
-                    eprintln!("  {m}");
-                }
-                if rec.mismatches.len() > 10 {
-                    eprintln!("  ... and {} more", rec.mismatches.len() - 10);
-                }
-                return Err("trace does not reconcile with the journal records".into());
-            }
-        }
-        Ok(())
-    })();
-    match result {
-        Ok(()) => 0,
-        Err(e) => {
-            eprintln!("error: {e}");
-            1
+            return Err(format!(
+                "{path}: not a ftcg trace, metrics sidecar, or journal \
+                 (unrecognized header line)"
+            ));
         }
     }
+    let merged_trace = if traces.is_empty() {
+        None
+    } else {
+        Some(Trace::merge(traces)?)
+    };
+    // One campaign identity across every telemetry file.
+    let mut meta: Option<TraceMeta> = merged_trace.as_ref().map(|t| t.meta.clone());
+    let mut by_job: BTreeMap<usize, JobPhases> = BTreeMap::new();
+    for mf in &metrics_files {
+        match &meta {
+            None => meta = Some(mf.meta.clone()),
+            Some(m) if *m != mf.meta => {
+                return Err(format!(
+                    "metrics sidecar for campaign `{}` does not match the other \
+                     telemetry files (campaign `{}`)",
+                    mf.meta.name, m.name
+                ));
+            }
+            _ => {}
+        }
+        for jp in &mf.jobs {
+            by_job.insert(jp.job, jp.clone()); // later files win
+        }
+    }
+    let metrics_jobs: Vec<JobPhases> = by_job.into_values().collect();
+    let meta =
+        meta.ok_or("need at least one trace or metrics file (journals alone carry no telemetry)")?;
+    for j in &journals {
+        let m = &j.manifest;
+        if m.name != meta.name
+            || m.fingerprint != meta.fingerprint
+            || m.seed != meta.seed
+            || m.reps != meta.reps
+            || m.total_jobs != meta.total_jobs
+        {
+            return Err(format!(
+                "journal for campaign `{}` (fingerprint {:#018x}) does not match the \
+                 telemetry files (campaign `{}`, fingerprint {:#018x})",
+                m.name, m.fingerprint, meta.name, meta.fingerprint
+            ));
+        }
+    }
+    let labels = report_labels(spec.as_ref(), &meta)?;
+    let trace_events = match &merged_trace {
+        Some(t) => t.parsed()?,
+        None => Vec::new(),
+    };
+    let rows = fold_report(&labels, meta.reps, &trace_events, &metrics_jobs)?;
+    print!("{}", render_report(&rows));
+    // Phase duration quantiles from the sidecars' merged summary
+    // histograms (p50/p90/p99 at log2-bucket resolution).
+    let mut merged_hist: Option<[DurationHist; Phase::COUNT]> = None;
+    for mf in &metrics_files {
+        if let Some(h) = &mf.hist {
+            let acc = merged_hist.get_or_insert([DurationHist::new(); Phase::COUNT]);
+            for (a, b) in acc.iter_mut().zip(h.iter()) {
+                a.merge(b);
+            }
+        }
+    }
+    if let Some(h) = &merged_hist {
+        if h.iter().any(|d| !d.is_empty()) {
+            print!("\n{}", render_phase_quantiles(h));
+        }
+    }
+    // Protocol analytics need only the deterministic trace, so the
+    // tables are byte-identical across any decomposition of the run.
+    if merged_trace.is_some() {
+        let analytics = analyze(&labels, meta.reps, &trace_events)?;
+        print!("\n{}", render_analytics(&analytics));
+    }
+    // Perfetto / chrome://tracing timeline: trace instants placed
+    // inside the sidecar's wall-clock job spans.
+    if let Some(path) = value(args, "--perfetto") {
+        let text = perfetto_json(&meta.name, &trace_events, &metrics_jobs);
+        std::fs::write(path, text).map_err(|e| format!("{path}: {e}"))?;
+        eprintln!("wrote perfetto timeline {path} (open in ui.perfetto.dev or chrome://tracing)");
+    }
+    // Reconcile trace event counts against journal records when both
+    // sides are present; any disagreement is a failing exit code.
+    if merged_trace.is_some() && !journals.is_empty() {
+        let mut counts: BTreeMap<usize, JobCounts> = BTreeMap::new();
+        for j in &journals {
+            for (idx, rec) in &j.records {
+                if let JobRecord::Done(m) = rec {
+                    counts.insert(
+                        *idx,
+                        JobCounts {
+                            faults: m.faults as u64,
+                            rollbacks: m.rollbacks as u64,
+                            corrections: m.corrections as u64,
+                            converged: m.converged,
+                        },
+                    );
+                }
+            }
+        }
+        let rec = reconcile(&trace_events, &counts);
+        eprintln!(
+            "reconciliation: {} job(s) ok, {} skipped (ring overflow), {} mismatch(es)",
+            rec.jobs_ok,
+            rec.jobs_skipped,
+            rec.mismatches.len()
+        );
+        if !rec.ok() {
+            for m in rec.mismatches.iter().take(10) {
+                eprintln!("  {m}");
+            }
+            if rec.mismatches.len() > 10 {
+                eprintln!("  ... and {} more", rec.mismatches.len() - 10);
+            }
+            return Err("trace does not reconcile with the journal records".into());
+        }
+    }
+    Ok(())
 }
 
 /// `ftcg table1`.
-pub fn table1(args: &[String]) -> i32 {
-    if value(args, "--kernel") == Some("list") {
-        print_kernel_list();
-        return 0;
+pub fn table1(args: &[String]) -> Result<(), String> {
+    if print_kernel_list(args) {
+        return Ok(());
     }
-    let kernel = match parse_kernel_flag(args) {
-        Ok(k) => k,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return 1;
-        }
-    };
-    let solver = match parse_solver_flag(args) {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return 1;
-        }
-    };
-    let (journal_dir, trace_dir, metrics_dir) = match parse_experiment_dirs(args) {
-        Ok(dirs) => dirs,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return 1;
-        }
-    };
+    check_flags(args, &TABLE1_FLAGS, &[], &[], "")?;
+    // Field order is evaluation order: every value is checked before
+    // the `--*-dir` flags create their directories.
     let params = Table1Params {
-        scale: parse_or(args, "--scale", 32),
-        reps: parse_or(args, "--reps", 20),
-        threads: parse_or(args, "--threads", 8),
-        kernel,
-        solver,
-        journal_dir,
-        trace_dir,
-        metrics_dir,
+        scale: parse_strict(args, "--scale", 32)?,
+        reps: parse_strict(args, "--reps", 20)?,
+        threads: parse_strict(args, "--threads", 8)?,
+        kernel: parse_kernel_flag(args)?,
+        solver: parse_solver_flag(args)?,
+        journal_dir: parse_dir_flag(args, "--journal-dir")?,
+        trace_dir: parse_dir_flag(args, "--trace-dir")?,
+        metrics_dir: parse_dir_flag(args, "--metrics-dir")?,
         ..Table1Params::default()
     };
     eprintln!(
@@ -941,51 +907,34 @@ pub fn table1(args: &[String]) -> i32 {
     );
     let rows = run_table1(&PAPER_MATRICES, &params);
     println!("{}", table1_markdown(&rows));
-    std::fs::write("table1.csv", table1_csv(&rows)).ok();
+    std::fs::write("table1.csv", table1_csv(&rows)).map_err(|e| format!("table1.csv: {e}"))?;
     eprintln!("wrote table1.csv");
-    0
+    Ok(())
 }
 
 /// `ftcg figure1`.
-pub fn figure1(args: &[String]) -> i32 {
-    if value(args, "--kernel") == Some("list") {
-        print_kernel_list();
-        return 0;
+pub fn figure1(args: &[String]) -> Result<(), String> {
+    if print_kernel_list(args) {
+        return Ok(());
     }
-    let kernel = match parse_kernel_flag(args) {
-        Ok(k) => k,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return 1;
-        }
-    };
-    let solver = match parse_solver_flag(args) {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return 1;
-        }
-    };
-    let (journal_dir, trace_dir, metrics_dir) = match parse_experiment_dirs(args) {
-        Ok(dirs) => dirs,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return 1;
-        }
-    };
+    check_flags(args, &FIGURE1_FLAGS, &[], &[], "")?;
+    let points = parse_strict(args, "--points", 6)?;
+    if points < 2 {
+        return Err(format!("--points must be at least 2, got {points}"));
+    }
+    let n_matrices = parse_strict(args, "--matrices", PAPER_MATRICES.len())?;
     let params = Figure1Params {
-        scale: parse_or(args, "--scale", 32),
-        reps: parse_or(args, "--reps", 20),
-        mtbf_grid: log_grid(2e1, 2e4, parse_or(args, "--points", 6)),
-        threads: parse_or(args, "--threads", 8),
-        kernel,
-        solver,
-        journal_dir,
-        trace_dir,
-        metrics_dir,
+        scale: parse_strict(args, "--scale", 32)?,
+        reps: parse_strict(args, "--reps", 20)?,
+        mtbf_grid: log_grid(2e1, 2e4, points),
+        threads: parse_strict(args, "--threads", 8)?,
+        kernel: parse_kernel_flag(args)?,
+        solver: parse_solver_flag(args)?,
+        journal_dir: parse_dir_flag(args, "--journal-dir")?,
+        trace_dir: parse_dir_flag(args, "--trace-dir")?,
+        metrics_dir: parse_dir_flag(args, "--metrics-dir")?,
         ..Figure1Params::default()
     };
-    let n_matrices = parse_or(args, "--matrices", PAPER_MATRICES.len());
     let mut panels = Vec::new();
     for spec in PAPER_MATRICES.iter().take(n_matrices) {
         eprintln!("running matrix #{} ...", spec.id);
@@ -993,9 +942,9 @@ pub fn figure1(args: &[String]) -> i32 {
         println!("{}", figure1_ascii(&panel, 64, 14));
         panels.push(panel);
     }
-    std::fs::write("figure1.csv", figure1_csv(&panels)).ok();
+    std::fs::write("figure1.csv", figure1_csv(&panels)).map_err(|e| format!("figure1.csv: {e}"))?;
     eprintln!("wrote figure1.csv");
-    0
+    Ok(())
 }
 
 #[cfg(test)]
@@ -1024,8 +973,8 @@ mod tests {
         let e = campaign_spec(&typo).unwrap_err();
         assert!(e.contains("`--repz`"), "{e}");
         // Both subcommands fail before touching any file.
-        assert_eq!(campaign(&typo), 1);
-        assert_eq!(merge(&typo), 1);
+        assert_eq!(campaign(&typo), Err(e.clone()));
+        assert_eq!(merge(&typo), Err(e));
         // A flag's value is never mistaken for a flag name.
         assert!(campaign_spec(&sv(&["--gen", "poisson2d:6", "--name", "--odd"])).is_ok());
     }
@@ -1035,7 +984,58 @@ mod tests {
         let args = sv(&["--gen", "poisson2d:6", "--batch", "4"]);
         let e = campaign_spec(&args).unwrap_err();
         assert!(e.contains("removed in PR 15"), "{e}");
-        assert_eq!(campaign(&args), 1);
-        assert_eq!(merge(&args), 1);
+        assert!(campaign(&args).is_err());
+        assert!(merge(&args).is_err());
+    }
+
+    /// `cmd` fails on `unknown` (whose last flag is misspelt) and on
+    /// `bad`, each time with a message naming the flag.
+    fn rejects(
+        cmd: fn(&[String]) -> Result<(), String>,
+        unknown: &[&str],
+        bad: &[&str],
+        flag: &str,
+    ) {
+        let misspelt = unknown.iter().rev().find(|a| a.starts_with("--")).unwrap();
+        let e = cmd(&sv(unknown)).unwrap_err();
+        assert!(e.contains(&format!("`{misspelt}`")), "{unknown:?}: {e}");
+        let e = cmd(&sv(bad)).unwrap_err();
+        assert!(e.contains(flag), "{bad:?}: {e}");
+    }
+
+    #[test]
+    fn the_other_subcommands_reject_unknown_flags_and_bad_values() {
+        rejects(
+            solve,
+            &["--gen", "poisson2d:8", "--seeed", "3"],
+            &["--gen", "poisson2d:8", "--seed", "x3"],
+            "--seed `x3`",
+        );
+        rejects(
+            stats,
+            &["--gen", "poisson2d:8", "--bogus"],
+            &["--gen", "poisson2d:x"],
+            "--gen",
+        );
+        let spec = std::env::temp_dir().join(format!("ftcg-cli-{}.campaign", std::process::id()));
+        std::fs::write(&spec, "not a spec\n").unwrap();
+        let spec = spec.to_str().unwrap();
+        rejects(
+            report,
+            &["t.jsonl", "--perfeto", "p.json"],
+            &["t.jsonl", "--spec", spec],
+            "--spec",
+        );
+        std::fs::remove_file(spec).unwrap();
+        rejects(table1, &["--scael", "4"], &["--scale", "x"], "--scale `x`");
+        rejects(
+            figure1,
+            &["--reps", "2", "--pionts", "3"],
+            &["--points", "three"],
+            "--points `three`",
+        );
+        // A grid needs two points; one would trip `log_grid`'s assert.
+        let e = figure1(&sv(&["--points", "1"])).unwrap_err();
+        assert!(e.contains("--points"), "{e}");
     }
 }

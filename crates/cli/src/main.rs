@@ -29,17 +29,29 @@ mod bench;
 mod commands;
 mod progress;
 
+/// Exit code of a subcommand: 0, or 1 after printing its error.
+fn exit_code(result: Result<(), String>) -> i32 {
+    match result {
+        Ok(()) => 0,
+        Err(e) => {
+            eprintln!("error: {e}");
+            1
+        }
+    }
+}
+
 fn main() {
     let argv: Vec<String> = std::env::args().skip(1).collect();
+    let rest = argv.get(1..).unwrap_or_default();
     let code = match argv.first().map(String::as_str) {
-        Some("solve") => commands::solve(&argv[1..]),
-        Some("bench") => bench::bench(&argv[1..]),
-        Some("stats") => commands::stats(&argv[1..]),
-        Some("campaign") => commands::campaign(&argv[1..]),
-        Some("merge") => commands::merge(&argv[1..]),
-        Some("report") => commands::report(&argv[1..]),
-        Some("table1") => commands::table1(&argv[1..]),
-        Some("figure1") => commands::figure1(&argv[1..]),
+        Some("solve") => exit_code(commands::solve(rest)),
+        Some("bench") => bench::bench(rest),
+        Some("stats") => exit_code(commands::stats(rest)),
+        Some("campaign") => exit_code(commands::campaign(rest)),
+        Some("merge") => exit_code(commands::merge(rest)),
+        Some("report") => exit_code(commands::report(rest)),
+        Some("table1") => exit_code(commands::table1(rest)),
+        Some("figure1") => exit_code(commands::figure1(rest)),
         Some("help") | Some("--help") | Some("-h") | None => {
             print!("{}", commands::USAGE);
             0

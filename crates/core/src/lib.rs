@@ -32,12 +32,12 @@
 //!
 //! | crate | contents |
 //! |---|---|
-//! | `ftcg-sparse` | CSR/COO/CSC/BCSR/SELL-C-σ, MatrixMarket I/O, SPD generators, parallel SpMxV |
+//! | `ftcg-sparse` | CSR/COO/BCSR/SELL-C-σ, MatrixMarket I/O, SPD generators, parallel SpMxV |
 //! | `ftcg-kernels` | pluggable SpMV backends: registry dispatch, BCSR/SELL/parallel kernels, autotuner |
 //! | `ftcg-fault` | bit-flip injection, exponential/Poisson arrivals, fault ledger |
-//! | `ftcg-abft` | weighted checksums, detect-2/correct-1 SpMxV, TMR, FP tolerance |
-//! | `ftcg-checkpoint` | solver-state snapshots, stores, binary codec |
-//! | `ftcg-model` | expected frame time (eq. 5), optimal intervals (eq. 6), DP schedule |
+//! | `ftcg-abft` | weighted checksums, detect-2/correct-1 SpMxV, TMR-replicated vector state, FP tolerance |
+//! | `ftcg-checkpoint` | solver-state snapshots, the double-buffered `SnapshotSlot`, cost model |
+//! | `ftcg-model` | expected frame time (eq. 5), optimal intervals (eq. 6) |
 //! | `ftcg-solvers` | steppable CG/PCG/BiCGSTAB/CGNE state machines + the scheme-generic resilient executor |
 //! | `ftcg-engine` | concurrent campaign engine: declarative sweeps, worker pool, JSONL/CSV sinks |
 //! | `ftcg-sim` | Table 1 / Figure 1 experiment harness (engine campaigns) and reports |

@@ -6,7 +6,8 @@
 /// arrays (`Colid`, `Rowidx`) a flip in a high bit produces an index that
 /// is out of bounds and trivially caught, so experiments may optionally
 /// restrict flips to the low bits to exercise the interesting
-/// valid-but-wrong case (see DESIGN.md §7).
+/// valid-but-wrong case: an index that stays in range, which only the
+/// checksums can catch.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum BitRange {
     /// Any of the 64 bits.

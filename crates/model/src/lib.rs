@@ -21,8 +21,6 @@
 #![warn(missing_docs)]
 #![warn(clippy::all)]
 
-pub mod daly;
-pub mod dp;
 pub mod frame;
 pub mod optimize;
 pub mod success;

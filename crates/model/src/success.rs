@@ -17,14 +17,6 @@ pub fn q_correction(lambda: f64, t: f64) -> f64 {
     (-lt).exp() * (1.0 + lt)
 }
 
-/// Probability that the error (conditioned on an error in the frame)
-/// strikes at chunk `i ∈ 1..=s`: `fᵢ = q^{i−1}(1−q)/(1−qˢ)` (Section 4.1).
-pub fn f_error_at_chunk(q: f64, s: usize, i: usize) -> f64 {
-    assert!((1..=s).contains(&i), "chunk index out of range");
-    assert!((0.0..1.0).contains(&q), "q must be in [0,1)");
-    q.powi((i - 1) as i32) * (1.0 - q) / (1.0 - q.powi(s as i32))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -63,28 +55,5 @@ mod tests {
             let q = q_correction(l, 1.0);
             assert!((0.0..=1.0).contains(&q), "q={q} at lambda={l}");
         }
-    }
-
-    #[test]
-    fn f_sums_to_one() {
-        let q = 0.9;
-        let s = 7;
-        let total: f64 = (1..=s).map(|i| f_error_at_chunk(q, s, i)).sum();
-        assert!((total - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn f_decreasing_in_i() {
-        let q = 0.8;
-        let s = 5;
-        for i in 1..s {
-            assert!(f_error_at_chunk(q, s, i) > f_error_at_chunk(q, s, i + 1));
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "out of range")]
-    fn f_rejects_bad_chunk() {
-        f_error_at_chunk(0.9, 3, 4);
     }
 }

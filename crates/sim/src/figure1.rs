@@ -238,11 +238,6 @@ pub fn run_panel(spec: &MatrixSpec, params: &Figure1Params) -> Figure1Panel {
     }
 }
 
-/// Runs the full Figure 1 across matrices.
-pub fn run_figure1(specs: &[MatrixSpec], params: &Figure1Params) -> Vec<Figure1Panel> {
-    specs.iter().map(|s| run_panel(s, params)).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -3,7 +3,7 @@
 //!
 //! * [`matrices`] — the nine test matrices, substituted with synthetic
 //!   SPD generators matched to each UFL id's published order and density
-//!   (DESIGN.md §3 documents the substitution);
+//!   (the module docs say why the substitution preserves the evaluation);
 //! * [`measure`] — measures the *actual* relative costs `Tverif`, `Tcp`,
 //!   `Trec` of the implemented kernels, so the model is instantiated
 //!   with real overheads rather than guesses;

@@ -47,11 +47,6 @@ impl MatrixSpec {
             .expect("generator parameters are valid by construction")
     }
 
-    /// Generates at the full published order.
-    pub fn generate_full(&self) -> CsrMatrix {
-        self.generate(1)
-    }
-
     /// Loads a real UFL MatrixMarket file instead of the substitute.
     pub fn from_file<P: AsRef<std::path::Path>>(path: P) -> ftcg_sparse::Result<CsrMatrix> {
         io::read_matrix_market_file(path)

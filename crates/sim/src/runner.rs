@@ -23,43 +23,20 @@ use ftcg_sparse::CsrMatrix;
 
 pub use ftcg_engine::inject::{calibrated_injector, paper_injector};
 
-/// Runs one programmatic campaign crash-safely: jobs are journaled to
-/// `journal` as they complete, and an existing journal from a killed
-/// run is replayed so only the remainder executes (auto-resume — the
-/// manifest's grid fingerprint still rejects a stale journal from a
-/// different campaign). With `journal = None` this is exactly
-/// [`ftcg_engine::run_configs`]. Either way the folded summaries are
-/// byte-identical to an uninterrupted in-memory run: aggregation folds
-/// records by job index, never by completion order.
+/// Runs one programmatic campaign, optionally crash-safe and
+/// instrumented — the Table 1 / Figure 1 harnesses run each (matrix,
+/// scheme) campaign through it.
 ///
-/// This is how the Table 1 / Figure 1 harnesses thread the journal
-/// through their campaigns (one journal per (matrix, scheme) campaign
-/// under `--journal-dir`).
-pub fn run_configs_journaled(
-    name: &str,
-    campaign_seed: u64,
-    reps: usize,
-    threads: usize,
-    configs: Vec<ConfigJob>,
-    journal: Option<&Path>,
-) -> Result<CampaignResult, EngineError> {
-    run_configs_instrumented(
-        name,
-        campaign_seed,
-        reps,
-        threads,
-        configs,
-        journal,
-        None,
-        None,
-    )
-}
-
-/// [`run_configs_journaled`] plus telemetry sinks: an optional
-/// deterministic event trace and an optional phase-timing metrics
-/// sidecar, both following the journal's auto-resume discipline. The
-/// campaign's numeric results are bit-identical with the sinks on or
-/// off — recording never influences the solve.
+/// With `journal` set, jobs are journaled as they complete and an
+/// existing journal from a killed run is replayed so only the remainder
+/// executes (auto-resume — the manifest's grid fingerprint still rejects
+/// a stale journal from a different campaign). `trace` and `metrics`
+/// add the deterministic event trace and the phase-timing sidecar under
+/// the same auto-resume discipline. With all three `None` this is
+/// exactly [`ftcg_engine::run_configs`]. Either way the folded summaries
+/// are byte-identical to an uninterrupted in-memory run without sinks:
+/// aggregation folds records by job index, never by completion order,
+/// and recording never influences the solve.
 #[allow(clippy::too_many_arguments)]
 pub fn run_configs_instrumented(
     name: &str,
@@ -250,8 +227,9 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("entry.jsonl");
         let _ = std::fs::remove_file(&path);
+        let run = |seed, path| run_configs_instrumented("e", seed, 4, 2, mk(), path, None, None);
         let plain = run_configs("e", 3, 4, 2, mk(), None);
-        let journaled = run_configs_journaled("e", 3, 4, 2, mk(), Some(&path)).unwrap();
+        let journaled = run(3, Some(&path)).unwrap();
         assert_eq!(plain.summaries, journaled.summaries);
         // Drop the trailing records (simulated kill) and re-run: the
         // auto-resume replays the survivors and the result still
@@ -259,10 +237,10 @@ mod tests {
         let text = std::fs::read_to_string(&path).unwrap();
         let keep: Vec<&str> = text.lines().take(3).collect();
         std::fs::write(&path, format!("{}\n", keep.join("\n"))).unwrap();
-        let resumed = run_configs_journaled("e", 3, 4, 2, mk(), Some(&path)).unwrap();
+        let resumed = run(3, Some(&path)).unwrap();
         assert_eq!(plain.summaries, resumed.summaries);
         // A stale journal (different campaign seed) is rejected loudly.
-        assert!(run_configs_journaled("e", 4, 4, 2, mk(), Some(&path)).is_err());
+        assert!(run(4, Some(&path)).is_err());
         std::fs::remove_file(&path).unwrap();
     }
 

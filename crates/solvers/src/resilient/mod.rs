@@ -23,7 +23,7 @@
 //!   picks one).
 //!
 //! Time is accounted in units of `Titer ≡ 1` (the paper's
-//! normalization) through [`SimTime`]: under the ABFT schemes each
+//! normalization) through `SimTime`: under the ABFT schemes each
 //! executed iteration costs `1 + n·Tverif` where `n` is the number of
 //! checksum-verified products it actually ran (1 for CG/PCG/CGNE, up
 //! to 2 for BiCGStab); ONLINE-DETECTION pays `Tverif` only at chunk

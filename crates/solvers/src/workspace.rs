@@ -17,7 +17,7 @@
 //!   per row);
 //! * checkpoints — iteration vectors only; their matrix is the
 //!   caller's pristine input — live in a double-buffered
-//!   [`SnapshotSlot`](ftcg_checkpoint::SnapshotSlot), the start vectors
+//!   [`SnapshotSlot`], the start vectors
 //!   in a retained [`SolverState`], the ABFT shadows in retained
 //!   [`TmrVector`]s and [`XRef`]s.
 //!

@@ -179,7 +179,7 @@ impl BcsrMatrix {
     /// `y ← A·x`.
     ///
     /// Block edges 2 and 4 dispatch to fully unrolled register-blocked
-    /// kernels ([`BcsrMatrix::spmv_fixed`]); other edges use the generic
+    /// kernels (`spmv_fixed`); other edges use the generic
     /// loop. Both paths are bit-identical (per row, blocks ascending and
     /// lanes in ascending column order, one sequential add chain).
     ///

@@ -735,16 +735,6 @@ impl CsrMatrix {
         true
     }
 
-    /// Maximum number of nonzeros in any column (`n'` in Theorem 2's
-    /// error analysis of the norm computation).
-    pub fn max_col_nnz(&self) -> usize {
-        let mut counts = vec![0usize; self.n_cols];
-        for &c in &self.colid {
-            counts[c] += 1;
-        }
-        counts.into_iter().max().unwrap_or(0)
-    }
-
     /// Converts to a COO (triplet) representation.
     pub fn to_coo(&self) -> CooMatrix {
         let mut coo = CooMatrix::new(self.n_rows, self.n_cols);
@@ -1010,11 +1000,6 @@ mod tests {
         let m = sample();
         assert!((m.density() - 7.0 / 9.0).abs() < 1e-15);
         assert_eq!(m.memory_words(), 2 * 7 + 3 + 1);
-    }
-
-    #[test]
-    fn max_col_nnz_counts() {
-        assert_eq!(sample().max_col_nnz(), 3); // column 1 has 3 entries
     }
 
     #[test]

@@ -16,7 +16,7 @@
 //!
 //! 1. **Same expressions.** Every element update uses the exact
 //!    expression text of the separate kernel it absorbs (`*yi += a *
-//!    xi`, `w[i] = a * x[i] + b * y[i]`, …) — never an algebraic
+//!    xi`, `y[i] = x[i] + b * y[i]`, …) — never an algebraic
 //!    rearrangement, so each element's value is computed by the same
 //!    sequence of IEEE-754 operations.
 //! 2. **Same chain order.** Every reduction accumulates into its own
@@ -82,44 +82,6 @@ pub fn dot2(a1: &[f64], b1: &[f64], a2: &[f64], b2: &[f64]) -> (f64, f64) {
         acc2 += a2[i] * b2[i];
     }
     (acc1, acc2)
-}
-
-/// `y ← a·x + y`, returning `Σᵢ wᵢ·yᵢ` over the *updated* `y` — one
-/// sweep for `vector::axpy(a, x, y)` followed by `vector::dot(w, y)`.
-///
-/// # Panics
-/// Panics if the slices differ in length.
-#[inline]
-pub fn axpy_dot(a: f64, x: &[f64], y: &mut [f64], w: &[f64]) -> f64 {
-    assert_eq!(x.len(), y.len(), "axpy_dot: length mismatch");
-    assert_eq!(w.len(), y.len(), "axpy_dot: weight length mismatch");
-    let mut acc = 0.0;
-    for i in 0..y.len() {
-        y[i] += a * x[i];
-        acc += w[i] * y[i];
-    }
-    acc
-}
-
-/// `y ← a·x + y`, returning `(Σᵢ uᵢ·yᵢ, Σᵢ vᵢ·yᵢ)` over the *updated*
-/// `y` — one sweep for `vector::axpy(a, x, y)` followed by two dots
-/// against `y`.
-///
-/// # Panics
-/// Panics if the slices differ in length.
-#[inline]
-pub fn axpy_then_dot2(a: f64, x: &[f64], y: &mut [f64], u: &[f64], v: &[f64]) -> (f64, f64) {
-    assert_eq!(x.len(), y.len(), "axpy_then_dot2: length mismatch");
-    assert_eq!(u.len(), y.len(), "axpy_then_dot2: length mismatch");
-    assert_eq!(v.len(), y.len(), "axpy_then_dot2: length mismatch");
-    let mut acc_u = 0.0;
-    let mut acc_v = 0.0;
-    for i in 0..y.len() {
-        y[i] += a * x[i];
-        acc_u += u[i] * y[i];
-        acc_v += v[i] * y[i];
-    }
-    (acc_u, acc_v)
 }
 
 /// The CG/CGNE mid-step in one sweep: `x ← a·p + x`, `r ← c·q + r`,
@@ -352,32 +314,6 @@ mod tests {
     }
 
     #[test]
-    fn axpy_dot_matches_axpy_then_dot() {
-        let x = vec_of(53, 8);
-        let w = vec_of(53, 9);
-        let mut y = vec_of(53, 10);
-        let mut y_ref = y.clone();
-        let got = axpy_dot(-0.625, &x, &mut y, &w);
-        vector::axpy(-0.625, &x, &mut y_ref);
-        assert_bits_vec(&y, &y_ref, "axpy_dot y");
-        assert_bits(got, vector::dot(&w, &y_ref), "axpy_dot acc");
-    }
-
-    #[test]
-    fn axpy_then_dot2_matches_separate_sweeps() {
-        let x = vec_of(47, 11);
-        let u = vec_of(47, 12);
-        let v = vec_of(47, 13);
-        let mut y = vec_of(47, 14);
-        let mut y_ref = y.clone();
-        let (du, dv) = axpy_then_dot2(1.375, &x, &mut y, &u, &v);
-        vector::axpy(1.375, &x, &mut y_ref);
-        assert_bits_vec(&y, &y_ref, "axpy_then_dot2 y");
-        assert_bits(du, vector::dot(&u, &y_ref), "axpy_then_dot2 u");
-        assert_bits(dv, vector::dot(&v, &y_ref), "axpy_then_dot2 v");
-    }
-
-    #[test]
     fn axpy2_norm2_sq_matches_cg_mid_step() {
         let p = vec_of(71, 15);
         let q = vec_of(71, 16);
@@ -486,7 +422,6 @@ mod tests {
     fn empty_vectors_are_fine() {
         assert_eq!(probe_of(&[]), [0.0, 0.0]);
         assert_eq!(dot2(&[], &[], &[], &[]), (0.0, 0.0));
-        assert_eq!(axpy_dot(1.0, &[], &mut [], &[]), 0.0);
         assert_eq!(axpy2_norm2_sq(1.0, &[], &mut [], 1.0, &[], &mut []), 0.0);
     }
 }

@@ -4,8 +4,11 @@
 //! Collection with `n ∈ [17456, 74752]` and density below `1e−2`. Those
 //! files are not redistributable inside this repository, so the experiment
 //! harness (`ftcg-sim::matrices`) substitutes matrices produced here with
-//! the *same order and density*; see DESIGN.md §3 for why that preserves
-//! the evaluation. All generators return validated [`CsrMatrix`] values
+//! the *same order and density*. That preserves the evaluation because
+//! the experiments depend on a matrix only through its order, its
+//! nonzero count (which sets the fault rate) and SPD-ness; CG's
+//! iteration count is matched separately by [`random_spd_illcond`].
+//! All generators return validated [`CsrMatrix`] values
 //! that are symmetric positive definite by construction (strict or weak
 //! diagonal dominance with positive diagonal).
 
@@ -221,7 +224,7 @@ pub fn random_spd(n: usize, density: f64, seed: u64) -> Result<CsrMatrix> {
 /// The paper's UFL test matrices make CG run for hundreds of iterations;
 /// strictly dominant random matrices converge in a couple dozen, which
 /// would starve the resilience experiments of faults. This generator is
-/// what the experiment harness uses (DESIGN.md §3).
+/// what the experiment harness (`ftcg-sim::matrices`) uses.
 pub fn random_spd_illcond(
     n: usize,
     density: f64,

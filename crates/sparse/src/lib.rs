@@ -7,7 +7,7 @@
 //!
 //! * [`CsrMatrix`] — compressed sparse row storage with the exact three-array
 //!   layout the paper's ABFT scheme protects (`Val`, `Colid`, `Rowidx`),
-//! * [`CooMatrix`] / [`CscMatrix`] — assembly and column-oriented views,
+//! * [`CooMatrix`] — triplet assembly (generators, MatrixMarket input),
 //! * [`BcsrMatrix`] / [`SellCSigma`] — register-blocked and sliced-ELLPACK
 //!   storage with exact CSR roundtrips, the formats behind the pluggable
 //!   SpMV backends in `ftcg-kernels`,
@@ -30,7 +30,6 @@
 
 pub mod bcsr;
 pub mod coo;
-pub mod csc;
 pub mod csr;
 pub mod error;
 pub mod fused;
@@ -44,7 +43,6 @@ pub mod vector;
 
 pub use bcsr::BcsrMatrix;
 pub use coo::CooMatrix;
-pub use csc::CscMatrix;
 pub use csr::CsrMatrix;
 pub use error::SparseError;
 pub use order::RowOrder;

@@ -5,9 +5,9 @@
 //! entries, and that *local* detection/correction implies *global*
 //! detection/correction. This module reproduces that structure on shared
 //! memory: rows are split into contiguous blocks, one crossbeam scoped
-//! thread per block, each writing a disjoint slice of `y`. The ABFT layer
-//! builds per-block checksums on top of exactly this partitioning
-//! (`ftcg-abft::blocked::BlockProtectedSpmv`).
+//! thread per block, each writing a disjoint slice of `y`. The
+//! `csr-par` backend of `ftcg-kernels` runs on this partitioning; the
+//! ABFT layer checks the assembled product as a whole.
 
 use crate::csr::CsrMatrix;
 

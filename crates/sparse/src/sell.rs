@@ -185,7 +185,7 @@ impl SellCSigma {
     /// `y ← A·x`.
     ///
     /// Chunk heights 4 and 8 dispatch to unrolled fixed-C lane kernels
-    /// ([`SellCSigma::spmv_fixed`]); other heights use the generic loop.
+    /// (`spmv_fixed`); other heights use the generic loop.
     /// Both paths are bit-identical (per-lane ascending-`j` sums).
     ///
     /// # Panics

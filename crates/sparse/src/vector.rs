@@ -1,10 +1,7 @@
 //! Dense vector kernels used by the iterative solvers.
 //!
 //! These are the `axpy`, `dot` and norm operations that appear in
-//! Algorithm 1 of the paper. They are written against slices so the
-//! resilience layer can run them in triple-modular-redundancy mode by
-//! simply calling them three times on the same inputs (see
-//! `ftcg-abft::tmr`).
+//! Algorithm 1 of the paper, written against slices.
 //!
 //! All kernels are sequential, allocation-free and panic on length
 //! mismatch (programming error, not a data error).
@@ -56,19 +53,6 @@ pub fn axpy(a: f64, x: &[f64], y: &mut [f64]) {
     assert_eq!(x.len(), y.len(), "axpy: length mismatch");
     for (yi, xi) in y.iter_mut().zip(x.iter()) {
         *yi += a * xi;
-    }
-}
-
-/// `w ← a·x + b·y`, writing into a separate output buffer.
-///
-/// # Panics
-/// Panics if the three slices differ in length.
-#[inline]
-pub fn waxpby(a: f64, x: &[f64], b: f64, y: &[f64], w: &mut [f64]) {
-    assert_eq!(x.len(), y.len(), "waxpby: length mismatch");
-    assert_eq!(x.len(), w.len(), "waxpby: output length mismatch");
-    for i in 0..w.len() {
-        w[i] = a * x[i] + b * y[i];
     }
 }
 
@@ -190,13 +174,6 @@ mod tests {
         let mut y = [4.0, 5.0];
         axpy(0.0, &[9.0, 9.0], &mut y);
         assert_eq!(y, [4.0, 5.0]);
-    }
-
-    #[test]
-    fn waxpby_combines() {
-        let mut w = [0.0; 3];
-        waxpby(1.0, &[1.0, 2.0, 3.0], -1.0, &[3.0, 2.0, 1.0], &mut w);
-        assert_eq!(w, [-2.0, 0.0, 2.0]);
     }
 
     #[test]

@@ -1,8 +1,6 @@
 //! Property-based tests for the sparse substrate.
 
-use ftcg_sparse::{
-    fused, gen, io, vector, BcsrMatrix, CooMatrix, CscMatrix, CsrMatrix, RowOrder, SellCSigma,
-};
+use ftcg_sparse::{fused, gen, io, vector, BcsrMatrix, CooMatrix, CsrMatrix, RowOrder, SellCSigma};
 use proptest::prelude::*;
 
 /// Strategy: a random small COO matrix with valid coordinates.
@@ -122,13 +120,6 @@ proptest! {
         let a = coo.to_csr();
         a.validate().unwrap();
         let back = a.to_coo().to_csr();
-        prop_assert_eq!(a.to_dense(), back.to_dense());
-    }
-
-    #[test]
-    fn csr_roundtrips_through_csc(coo in coo_strategy(20, 60)) {
-        let a = coo.to_csr();
-        let back = CscMatrix::from_csr(&a).to_csr();
         prop_assert_eq!(a.to_dense(), back.to_dense());
     }
 

@@ -1,5 +1,5 @@
-//! The paper's qualitative claims C1–C5 (DESIGN.md §2), verified
-//! programmatically across the crates.
+//! The paper's qualitative claims C1–C5, each stated on its test below,
+//! verified programmatically across the crates.
 
 use ftcg::abft::{ProtectedSpmv, SingleChecksum, SpmvOutcome, XRef};
 use ftcg::prelude::*;
@@ -190,8 +190,9 @@ fn c5_correction_exactness() {
     assert_eq!(xm[70].to_bits(), x0[70].to_bits());
     assert_eq!(y, clean_y);
 
-    // Val: exact to checksum rounding (the paper's construction cannot
-    // do better — documented in DESIGN.md §7).
+    // Val: exact to checksum rounding. The paper's construction cannot
+    // do better: the repaired value is solved from the floating-point
+    // column checksum minus the column's other entries.
     let mut am = a.clone();
     let true_val = am.val()[20];
     am.val_mut()[20] += 3.25;
