@@ -11,12 +11,12 @@ use ftcg::sim::table1::{run_table1, Table1Params};
 use ftcg::sim::PAPER_MATRICES;
 use ftcg::solvers::SolverKind;
 use ftcg::sparse::stats::MatrixStats;
-use ftcg::telemetry::hist::DurationHist;
+use ftcg::telemetry::log::{Header, JOURNAL, MERGE, METRICS};
 use ftcg::telemetry::metrics::{JobPhases, MetricsFile, MetricsWriter};
 use ftcg::telemetry::report::{
     fold_report, reconcile, render_phase_quantiles, render_report, JobCounts,
 };
-use ftcg::telemetry::{ActiveRecorder, Event, Phase, Recorder, Trace, TraceMeta, TraceWriter};
+use ftcg::telemetry::{ActiveRecorder, Event, Recorder, Trace, TraceMeta, TraceWriter};
 use ftcg_engine::{
     merge_journals, run_campaign_sharded, sink, spec, CampaignSpec, JobRecord, Journal, RunOptions,
     Shard,
@@ -123,9 +123,9 @@ OBSERVABILITY:
                 campaign's JSONL/CSV artifacts are byte-identical with
                 tracing on or off.
   --metrics F   non-deterministic sidecar: per-job phase wall times
-                (step/product/checks/checkpoint/rollback) and merged
-                log-scale duration histograms. Separate file because
-                timings are not reproducible.
+                (step/product/checks/checkpoint/rollback) and
+                log-scale duration histograms, one line per job.
+                Separate file because timings are not reproducible.
   table1/figure1 take --trace-dir/--metrics-dir D: one trace/sidecar
                 per (matrix, scheme) campaign under D, next to its
                 journal.
@@ -342,15 +342,12 @@ pub fn solve(args: &[String]) -> Result<(), String> {
             let _ = std::fs::remove_file(path);
             let mut w = TraceWriter::create(path, &meta)?;
             w.append_job(0, &tele.events)?;
-            drop(w);
-            ftcg::telemetry::trace::canonicalize(path)?;
+            w.canonicalize()?;
             eprintln!("wrote trace {}", path.display());
         }
         if let Some(path) = &metrics {
             let _ = std::fs::remove_file(path);
-            let mut w = MetricsWriter::create(path, &meta)?;
-            w.append_job(&tele)?;
-            w.finish()?;
+            MetricsWriter::create(path, &meta)?.append_job(&tele)?;
             eprintln!("wrote metrics {}", path.display());
         }
     }
@@ -683,18 +680,6 @@ pub fn merge(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-/// Reads the first line of a telemetry/journal file (for
-/// classification by its header key).
-fn first_line(path: &std::path::Path) -> Result<String, String> {
-    use std::io::{BufRead, BufReader};
-    let f = std::fs::File::open(path).map_err(|e| format!("{}: {e}", path.display()))?;
-    let mut line = String::new();
-    BufReader::new(f)
-        .read_line(&mut line)
-        .map_err(|e| format!("{}: {e}", path.display()))?;
-    Ok(line)
-}
-
 /// Builds one display label per configuration from the campaign spec,
 /// validating the grid against the telemetry header identity.
 fn report_labels(cs: Option<&CampaignSpec>, meta: &TraceMeta) -> Result<Vec<String>, String> {
@@ -745,16 +730,21 @@ pub fn report(args: &[String]) -> Result<(), String> {
     // traces (shards merge), metrics sidecars, and journals works.
     let mut traces: Vec<Trace> = Vec::new();
     let mut metrics_files: Vec<MetricsFile> = Vec::new();
-    let mut journals: Vec<Journal> = Vec::new();
+    let mut journals: Vec<(&String, Journal)> = Vec::new();
     for path in &files {
         let p = std::path::Path::new(path);
-        let head = first_line(p)?;
+        let bytes = std::fs::read(p).map_err(|e| format!("{path}: {e}"))?;
+        let end = bytes
+            .iter()
+            .position(|&b| b == b'\n')
+            .unwrap_or(bytes.len());
+        let head = String::from_utf8_lossy(&bytes[..end]);
         if head.contains("\"ftcg_trace\"") {
             traces.push(Trace::load(p)?);
         } else if head.contains("\"ftcg_metrics\"") {
             metrics_files.push(MetricsFile::load(p)?);
         } else if head.contains("\"ftcg_journal\"") {
-            journals.push(Journal::load(p).map_err(|e| e.to_string())?);
+            journals.push((path, Journal::load(p)?));
         } else {
             return Err(format!(
                 "{path}: not a ftcg trace, metrics sidecar, or journal \
@@ -762,67 +752,39 @@ pub fn report(args: &[String]) -> Result<(), String> {
             ));
         }
     }
-    let merged_trace = if traces.is_empty() {
-        None
-    } else {
-        Some(Trace::merge(traces)?)
-    };
-    // One campaign identity across every telemetry file.
-    let mut meta: Option<TraceMeta> = merged_trace.as_ref().map(|t| t.meta.clone());
-    let mut by_job: BTreeMap<usize, JobPhases> = BTreeMap::new();
-    for mf in &metrics_files {
-        match &meta {
-            None => meta = Some(mf.meta.clone()),
-            Some(m) if *m != mf.meta => {
-                return Err(format!(
-                    "metrics sidecar for campaign `{}` does not match the other \
-                     telemetry files (campaign `{}`)",
-                    mf.meta.name, m.name
-                ));
-            }
-            _ => {}
-        }
-        for jp in &mf.jobs {
-            by_job.insert(jp.job, jp.clone()); // later files win
-        }
+    // Shard traces merge first-wins, sidecars last-wins (so overlapping
+    // sidecars never double-count), and every file must name one
+    // campaign.
+    let merged_trace = (!traces.is_empty())
+        .then(|| Trace::merge(traces))
+        .transpose()?;
+    let sidecar = (!metrics_files.is_empty())
+        .then(|| MetricsFile::merge(metrics_files))
+        .transpose()?;
+    let meta = merged_trace
+        .as_ref()
+        .map(|t| &t.meta)
+        .or(sidecar.as_ref().map(|m| &m.meta))
+        .cloned()
+        .ok_or("need at least one trace or metrics file (journals alone carry no telemetry)")?;
+    let expected = Header::from(meta.clone());
+    if let Some(m) = &sidecar {
+        Header::from(m.meta.clone()).same_campaign(&METRICS, MERGE, &expected)?;
     }
-    let metrics_jobs: Vec<JobPhases> = by_job.into_values().collect();
-    let meta =
-        meta.ok_or("need at least one trace or metrics file (journals alone carry no telemetry)")?;
-    for j in &journals {
-        let m = &j.manifest;
-        if m.name != meta.name
-            || m.fingerprint != meta.fingerprint
-            || m.seed != meta.seed
-            || m.reps != meta.reps
-            || m.total_jobs != meta.total_jobs
-        {
-            return Err(format!(
-                "journal for campaign `{}` (fingerprint {:#018x}) does not match the \
-                 telemetry files (campaign `{}`, fingerprint {:#018x})",
-                m.name, m.fingerprint, meta.name, meta.fingerprint
-            ));
-        }
+    for (path, j) in &journals {
+        Header::from(j.manifest.meta()).same_campaign(&JOURNAL, path, &expected)?;
     }
+    let metrics_jobs: &[JobPhases] = sidecar.as_ref().map_or(&[], |m| &m.jobs);
     let labels = report_labels(spec.as_ref(), &meta)?;
     let trace_events = match &merged_trace {
         Some(t) => t.parsed()?,
         None => Vec::new(),
     };
-    let rows = fold_report(&labels, meta.reps, &trace_events, &metrics_jobs)?;
+    let rows = fold_report(&labels, meta.reps, &trace_events, metrics_jobs)?;
     print!("{}", render_report(&rows));
-    // Phase duration quantiles from the sidecars' merged summary
-    // histograms (p50/p90/p99 at log2-bucket resolution).
-    let mut merged_hist: Option<[DurationHist; Phase::COUNT]> = None;
-    for mf in &metrics_files {
-        if let Some(h) = &mf.hist {
-            let acc = merged_hist.get_or_insert([DurationHist::new(); Phase::COUNT]);
-            for (a, b) in acc.iter_mut().zip(h.iter()) {
-                a.merge(b);
-            }
-        }
-    }
-    if let Some(h) = &merged_hist {
+    // Phase duration quantiles from the sidecars' per-job histograms
+    // (p50/p90/p99 at log2-bucket resolution).
+    if let Some(h) = sidecar.as_ref().and_then(|m| m.hist.as_ref()) {
         if h.iter().any(|d| !d.is_empty()) {
             print!("\n{}", render_phase_quantiles(h));
         }
@@ -836,7 +798,7 @@ pub fn report(args: &[String]) -> Result<(), String> {
     // Perfetto / chrome://tracing timeline: trace instants placed
     // inside the sidecar's wall-clock job spans.
     if let Some(path) = value(args, "--perfetto") {
-        let text = perfetto_json(&meta.name, &trace_events, &metrics_jobs);
+        let text = perfetto_json(&meta.name, &trace_events, metrics_jobs);
         std::fs::write(path, text).map_err(|e| format!("{path}: {e}"))?;
         eprintln!("wrote perfetto timeline {path} (open in ui.perfetto.dev or chrome://tracing)");
     }
@@ -844,7 +806,7 @@ pub fn report(args: &[String]) -> Result<(), String> {
     // sides are present; any disagreement is a failing exit code.
     if merged_trace.is_some() && !journals.is_empty() {
         let mut counts: BTreeMap<usize, JobCounts> = BTreeMap::new();
-        for j in &journals {
+        for (_, j) in &journals {
             for (idx, rec) in &j.records {
                 if let JobRecord::Done(m) = rec {
                     counts.insert(

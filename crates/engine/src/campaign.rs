@@ -1,7 +1,8 @@
 //! Campaign orchestration: spec → configs → jobs → pool → summaries.
 //!
 //! Execution is organized around the crash-safe journal (see
-//! [`crate::journal`]): a campaign is a set of jobs identified by
+//! [`crate::journal`] and the durable-log discipline of
+//! `ftcg_telemetry::log`): a campaign is a set of jobs identified by
 //! *global job index* (`config × reps + rep`), each job is a pure
 //! function of its configuration and derived seed, and a run executes
 //! some subset of the index space — everything (the classic path), one
@@ -11,7 +12,6 @@
 //! decomposition of a campaign into threads, shards, processes, and
 //! resumed sessions produces byte-identical artifacts.
 
-use std::collections::HashSet;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -20,15 +20,13 @@ use std::time::Instant;
 use ftcg_fault::Injector;
 use ftcg_solvers::resilient::{solve_resilient_in, solve_resilient_recorded};
 use ftcg_telemetry::metrics::MetricsWriter;
-use ftcg_telemetry::{Event, JobSpan, Recorder, TraceMeta, TraceWriter};
+use ftcg_telemetry::{Event, JobSpan, Recorder, TelemetryError, TraceMeta, TraceWriter};
 use parking_lot::Mutex;
 
 use crate::aggregate::{Aggregator, ConfigSummary, JobMetrics};
 use crate::grid::{expand, ConfigJob, InjectorSpec};
 use crate::inject::{calibrated_injector, paper_injector};
-use crate::journal::{
-    fingerprint, records_equal, JobRecord, Journal, JournalWriter, Manifest, Shard,
-};
+use crate::journal::{self, fingerprint, JobRecord, JournalWriter, Manifest, Shard};
 use crate::pool::{effective_threads, panic_message, run_indices_ctx, ProgressFn};
 use crate::seedstream::derive_seed;
 use crate::spec::{CampaignSpec, MatrixResolver};
@@ -53,32 +51,28 @@ pub struct CampaignResult {
     pub elapsed_secs: f64,
 }
 
-/// How a campaign run is decomposed and journaled.
+/// How a campaign run is decomposed and journaled. The journal, trace
+/// and sidecar are durable logs: `ftcg_telemetry::log` states how they
+/// are created, appended, resumed and deduplicated, once for all three.
 #[derive(Clone, Copy)]
 pub struct RunOptions<'a> {
     /// The slice of the job space this process runs.
     pub shard: Shard,
-    /// Append-only journal to write as jobs complete (and to replay on
-    /// resume). `None` keeps the classic in-memory-only path.
+    /// Journal of finished jobs (replayed on resume). `None` keeps the
+    /// classic in-memory-only path.
     pub journal: Option<&'a Path>,
-    /// Replay completed jobs from an existing journal and run only the
-    /// remainder. Without this flag, an existing journal file is an
-    /// error (stale journals are never silently overwritten); with it,
-    /// a missing journal file simply starts fresh — so one command line
-    /// is idempotent across crashes.
+    /// Open the logs under the resume rule: replay completed jobs and
+    /// run only the remainder. Without it an existing log is an error.
     pub resume: bool,
     /// Progress callback over the jobs this process actually executes.
     pub progress: Option<ProgressFn<'a>>,
-    /// Deterministic protocol-event trace (JSONL) to append as jobs
-    /// complete. Follows the journal's crash discipline — a job's trace
-    /// block is flushed *before* its journal record, so a journal
-    /// record always implies a durable trace block — and is rewritten
-    /// in canonical `(job, seq)` order when the run completes, making
-    /// the file byte-identical across threads, shards, and resumes.
+    /// Deterministic protocol-event trace, rewritten in canonical
+    /// `(job, seq)` order when the run completes, which makes the file
+    /// byte-identical across threads, shards, and resumes.
     pub trace: Option<&'a Path>,
-    /// Non-deterministic phase-timing sidecar (JSONL): per-job phase
-    /// wall times and merged duration histograms. Kept separate from
-    /// the trace precisely because timings are not reproducible.
+    /// Non-deterministic phase-timing sidecar: per-job phase wall times
+    /// and duration histograms, kept apart from the trace precisely
+    /// because timings are not reproducible.
     pub metrics: Option<&'a Path>,
 }
 
@@ -165,34 +159,18 @@ fn run_one_traced(job: &ConfigJob, seed: u64, ws: &mut JobWorkspace) -> JobMetri
     JobMetrics::from(&out)
 }
 
-/// Opens the deterministic trace file under the same create/resume
-/// rules as the journal: an existing file without `resume` is an
-/// error, a resumed file must carry this campaign's header (torn tails
-/// are truncated), and a file killed before its header became durable
-/// is started fresh.
-fn open_trace(path: &Path, meta: &TraceMeta, resume: bool) -> Result<TraceWriter, EngineError> {
-    if resume && path.exists() {
-        if !Journal::is_unstarted(path)? {
-            let (w, _prior) =
-                TraceWriter::resume(path, meta).map_err(|e| EngineError::Telemetry(e.into()))?;
-            return Ok(w);
-        }
-        std::fs::remove_file(path)
-            .map_err(|e| EngineError::Telemetry(format!("{}: {e}", path.display())))?;
+/// Runs `write` unless an earlier log append failed, keeping the first
+/// failure: workers keep solving (results still come back in memory)
+/// but stop appending, and the run errors out rather than claim a
+/// durable artifact.
+fn append_unless_failed(
+    first: &Mutex<Option<TelemetryError>>,
+    write: impl FnOnce() -> Result<(), TelemetryError>,
+) {
+    let mut err = first.lock();
+    if err.is_none() {
+        *err = write().err();
     }
-    TraceWriter::create(path, meta).map_err(|e| EngineError::Telemetry(e.into()))
-}
-
-/// Opens the phase-timing sidecar; same rules as [`open_trace`].
-fn open_metrics(path: &Path, meta: &TraceMeta, resume: bool) -> Result<MetricsWriter, EngineError> {
-    if resume && path.exists() {
-        if !Journal::is_unstarted(path)? {
-            return MetricsWriter::resume(path, meta).map_err(|e| EngineError::Telemetry(e.into()));
-        }
-        std::fs::remove_file(path)
-            .map_err(|e| EngineError::Telemetry(format!("{}: {e}", path.display())))?;
-    }
-    MetricsWriter::create(path, meta).map_err(|e| EngineError::Telemetry(e.into()))
 }
 
 /// A repetition whose aggregate metrics are non-finite is a *failed*
@@ -238,59 +216,31 @@ pub fn run_configs_sharded(
         total_jobs: total,
         shard: opts.shard,
     };
-    let mut replayed_records: Vec<(usize, JobRecord)> = Vec::new();
-    let writer: Option<Mutex<JournalWriter>> = match opts.journal {
-        None => None,
-        Some(path) if opts.resume && path.exists() && Journal::is_unstarted(path)? => {
-            // A kill during journal creation (before the manifest line
-            // became durable) leaves an empty or torn-manifest file with
-            // nothing to replay; resume must start fresh, not wedge.
-            std::fs::remove_file(path)
-                .map_err(|e| EngineError::Journal(format!("{}: {e}", path.display())))?;
-            Some(Mutex::new(JournalWriter::create(path, &manifest)?))
+    let (journal, replayed_records) = match opts.journal {
+        Some(path) => {
+            let (w, records) = JournalWriter::open(path, &manifest, opts.resume)?;
+            (Some(Mutex::new(w)), records)
         }
-        Some(path) if opts.resume && path.exists() => {
-            let journal = Journal::load(path)?;
-            journal
-                .manifest
-                .ensure_matches(&manifest, true)
-                .map_err(|m| EngineError::Journal(format!("{}: {m}", path.display())))?;
-            let w = JournalWriter::resume(path, &journal)?;
-            replayed_records = journal.records;
-            Some(Mutex::new(w))
-        }
-        Some(path) => Some(Mutex::new(JournalWriter::create(path, &manifest)?)),
+        None => (None, Vec::new()),
     };
-    // Telemetry sinks carry the shard-free campaign identity so shard
-    // traces of one campaign share a header and merge cleanly.
-    let trace_meta = TraceMeta {
-        name: manifest.name.clone(),
-        fingerprint: manifest.fingerprint,
-        seed: manifest.seed,
-        reps: manifest.reps,
-        total_jobs: manifest.total_jobs,
-    };
-    let tracer: Option<Mutex<TraceWriter>> = match opts.trace {
-        None => None,
-        Some(path) => Some(Mutex::new(open_trace(path, &trace_meta, opts.resume)?)),
-    };
-    let metrics: Option<Mutex<MetricsWriter>> = match opts.metrics {
-        None => None,
-        Some(path) => Some(Mutex::new(open_metrics(path, &trace_meta, opts.resume)?)),
-    };
-    let have: HashSet<usize> = replayed_records.iter().map(|&(j, _)| j).collect();
+    // Trace and sidecar carry the shard-free campaign identity, so the
+    // shard files of one campaign share a header and merge cleanly.
+    let meta = manifest.meta();
+    let open_trace = |p| TraceWriter::open(p, &meta, opts.resume).map(Mutex::new);
+    let tracer = opts.trace.map(open_trace).transpose()?;
+    let open_metrics = |p| MetricsWriter::open(p, &meta, opts.resume).map(Mutex::new);
+    let metrics = opts.metrics.map(open_metrics).transpose()?;
+    // The loader bounds every replayed job index by the campaign's.
+    let mut have = vec![false; total];
+    replayed_records.iter().for_each(|&(j, _)| have[j] = true);
     let todo: Vec<usize> = manifest
         .shard
         .job_indices(total)
         .into_iter()
-        .filter(|j| !have.contains(j))
+        .filter(|&j| !have[j])
         .collect();
     let threads = effective_threads(threads, todo.len());
-    // First journal/trace/metrics-write failure, if any: workers keep
-    // solving (the results still come back in memory) but stop
-    // appending, and the run as a whole errors out rather than claim a
-    // durable artifact.
-    let io_error: Mutex<Option<EngineError>> = Mutex::new(None);
+    let io_error: Mutex<Option<TelemetryError>> = Mutex::new(None);
     let traced = tracer.is_some() || metrics.is_some();
     // Each worker context gets a distinct ordinal, so metrics-sidecar
     // span records can name the worker that ran each job (the Perfetto
@@ -327,12 +277,10 @@ pub fn run_configs_sharded(
                 },
                 Err(payload) => (JobRecord::Failed(panic_message(payload.as_ref())), None),
             };
-            // Trace/metrics blocks go out *before* the journal record:
-            // a journal record must imply a durable trace block, so a
-            // kill between the two re-runs the job on resume and the
-            // re-run's block deduplicates byte-identically. Failed jobs
-            // (panics, NaN-poisoned metrics) write no telemetry — the
-            // recorder resets at the next job's start.
+            // Trace block, sidecar line, journal record — the write
+            // order `ftcg_telemetry::log` relies on. Failed jobs (panics,
+            // NaN-poisoned metrics) write no telemetry; the recorder
+            // resets at the next job's start.
             if let Some(mut tele) = tele {
                 // Stamp the wall-clock execution window (sidecar only;
                 // the trace appender never sees it).
@@ -342,34 +290,14 @@ pub fn run_configs_sharded(
                     end_ns: started.elapsed().as_nanos() as u64,
                 });
                 if let Some(t) = &tracer {
-                    let mut err = io_error.lock();
-                    if err.is_none() {
-                        if let Err(e) = t.lock().append_job(idx, &tele.events) {
-                            *err = Some(EngineError::Telemetry(e.into()));
-                        }
-                    }
+                    append_unless_failed(&io_error, || t.lock().append_job(idx, &tele.events));
                 }
                 if let Some(m) = &metrics {
-                    let mut err = io_error.lock();
-                    if err.is_none() {
-                        if let Err(e) = m.lock().append_job(&tele) {
-                            *err = Some(EngineError::Telemetry(e.into()));
-                        }
-                    }
+                    append_unless_failed(&io_error, || m.lock().append_job(&tele));
                 }
             }
-            if let Some(w) = &writer {
-                let mut err = io_error.lock();
-                if err.is_none() {
-                    if let Err(e) = w.lock().append(idx, &record) {
-                        *err = Some(EngineError::Journal(format!(
-                            "{}: append failed: {e}",
-                            opts.journal
-                                .map(|p| p.display().to_string())
-                                .unwrap_or_default()
-                        )));
-                    }
-                }
+            if let Some(w) = &journal {
+                append_unless_failed(&io_error, || w.lock().append(idx, &record));
             }
             if let JobRecord::Done(m) = &record {
                 if let Some(obs) = opts.progress {
@@ -381,21 +309,13 @@ pub fn run_configs_sharded(
         opts.progress,
     );
     if let Some(e) = io_error.into_inner() {
-        return Err(e);
-    }
-    if let Some(m) = metrics {
-        m.into_inner()
-            .finish()
-            .map_err(|e| EngineError::Telemetry(e.into()))?;
+        return Err(e.into());
     }
     if let Some(t) = tracer {
-        // Close the append handle, then rewrite the file in canonical
-        // (job, seq) order — this is what makes the on-disk trace
+        // The canonical (job, seq) order is what makes the on-disk trace
         // byte-identical across every threads × shards × resume
         // decomposition of the campaign.
-        drop(t);
-        ftcg_telemetry::trace::canonicalize(opts.trace.expect("tracer implies a path"))
-            .map_err(|e| EngineError::Telemetry(e.into()))?;
+        t.into_inner().canonicalize()?;
     }
     let replayed = replayed_records.len();
     let mut records = replayed_records;
@@ -570,45 +490,16 @@ pub fn merge_journals(
     paths: &[impl AsRef<Path>],
 ) -> Result<CampaignResult, EngineError> {
     let started = Instant::now();
-    if paths.is_empty() {
-        return Err(EngineError::Journal("no journals to merge".into()));
-    }
     let configs = expand(spec, resolver)?;
     let total = spec.n_jobs();
-    let expected = Manifest {
+    let campaign = TraceMeta {
         name: spec.name.clone(),
         fingerprint: fingerprint(&spec.name, spec.seed, spec.reps, &configs),
         seed: spec.seed,
         reps: spec.reps,
         total_jobs: total,
-        shard: Shard::FULL,
     };
-    let mut by_index: Vec<Option<JobRecord>> = vec![None; total];
-    for path in paths {
-        let path = path.as_ref();
-        let journal = Journal::load(path)?;
-        journal
-            .manifest
-            .ensure_matches(&expected, false)
-            .map_err(|m| EngineError::Journal(format!("{}: {m}", path.display())))?;
-        for (idx, record) in journal.records {
-            match &by_index[idx] {
-                None => by_index[idx] = Some(record),
-                Some(prev) if records_equal(prev, &record) => {}
-                Some(_) => {
-                    return Err(EngineError::Journal(format!(
-                        "{}: conflicting records for job {idx} across journals",
-                        path.display()
-                    )));
-                }
-            }
-        }
-    }
-    let records: Vec<(usize, JobRecord)> = by_index
-        .into_iter()
-        .enumerate()
-        .filter_map(|(idx, r)| r.map(|r| (idx, r)))
-        .collect();
+    let records = journal::union(paths, campaign)?;
     let (summaries, panics) = fold_records(&spec.name, spec.reps, &configs, &records)?;
     Ok(CampaignResult {
         name: spec.name.clone(),

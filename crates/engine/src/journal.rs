@@ -1,38 +1,27 @@
-//! Crash-safe campaign journals and job-space sharding.
+//! The campaign journal's record format, and job-space sharding.
 //!
-//! A *journal* is an append-only JSONL file written by workers as jobs
-//! complete: one manifest line identifying the campaign (grid
-//! fingerprint, seed, repetition count, job count, shard), then one
-//! record line per finished job. Because every record is flushed the
-//! moment its job completes, a crash — panic, `kill -9`, power loss —
-//! costs at most the job that was in flight. A torn final line (the
-//! write the crash interrupted) is detected and dropped on load; the
-//! `--resume` path then re-runs exactly the jobs with no record.
+//! A *journal* is a durable log (`ftcg_telemetry::log` holds the
+//! discipline) of finished jobs, one record line per job, so `--resume`
+//! re-runs exactly the jobs with no record. Its header, the
+//! [`Manifest`], adds the writing shard to the campaign identity, whose
+//! [`fingerprint`] of the expanded grid rejects a stale journal on
+//! resume or merge — never a silent mix of two experiments.
 //!
 //! Journals are **not** the deterministic artifact: lines land in
-//! completion order, which depends on thread scheduling. Determinism is
-//! restored by the fold: records are keyed by *job index* and
-//! aggregated in index order, so any `{threads × shards}` decomposition
-//! of a campaign — including a kill-and-resume — produces byte-identical
-//! JSONL/CSV summaries (see [`crate::campaign::merge_journals`]).
-//!
-//! Stale-journal rejection: the manifest records a fingerprint of the
-//! fully expanded grid (every configuration's identity, the seed
-//! derivation coordinates, and the cost model) plus the campaign seed.
-//! Resuming or merging against a journal whose manifest does not match
-//! the spec in hand is an error, never a silent mix of two experiments.
+//! completion order. The fold restores determinism by keying records on
+//! *job index*, so any `{threads × shards}` decomposition — including a
+//! kill-and-resume — produces byte-identical JSONL/CSV summaries (see
+//! [`crate::campaign::merge_journals`]).
 
-use std::io::{Read, Seek, Write};
 use std::path::Path;
 
+use ftcg_telemetry::log::{self, read_u64, Entry, Header, Log, LogWriter, TraceMeta, JOURNAL};
+use ftcg_telemetry::TelemetryError;
 use serde::json::{self, Value};
 
 use crate::aggregate::JobMetrics;
 use crate::grid::{ConfigJob, InjectorSpec};
 use crate::EngineError;
-
-/// Journal format version (bumped on any incompatible line change).
-pub const JOURNAL_VERSION: u64 = 1;
 
 /// A `i/k` partition of the job index space: shard `i` owns every job
 /// index `j` with `j % k == i`. Round-robin keeps each shard's load
@@ -66,12 +55,6 @@ impl Shard {
             return Err(bad());
         }
         Ok(Shard { index, count })
-    }
-
-    /// Whether this shard owns job index `job`.
-    #[inline]
-    pub fn owns(&self, job: usize) -> bool {
-        job % self.count == self.index
     }
 
     /// The job indices this shard owns, out of `total` jobs.
@@ -115,38 +98,37 @@ pub struct Manifest {
 }
 
 impl Manifest {
-    /// Checks that `self` (a loaded journal) belongs to the same
-    /// campaign as `expected`; the shard field is compared only when
-    /// `check_shard` is set (resume requires the same shard, merge
-    /// accepts any).
-    pub fn ensure_matches(&self, expected: &Manifest, check_shard: bool) -> Result<(), String> {
-        if self.fingerprint != expected.fingerprint {
-            return Err(format!(
-                "grid fingerprint {:#018x} does not match the spec's {:#018x} \
-                 (the journal belongs to a different campaign grid)",
-                self.fingerprint, expected.fingerprint
-            ));
+    /// The shard-free campaign identity, as trace and sidecar headers
+    /// carry it.
+    pub fn meta(&self) -> TraceMeta {
+        TraceMeta {
+            name: self.name.clone(),
+            fingerprint: self.fingerprint,
+            seed: self.seed,
+            reps: self.reps,
+            total_jobs: self.total_jobs,
         }
-        if self.seed != expected.seed {
-            return Err(format!(
-                "journal seed {} does not match the spec's seed {}",
-                self.seed, expected.seed
-            ));
+    }
+
+    fn header(&self) -> Header {
+        Header {
+            meta: self.meta(),
+            shard: Some([self.shard.index, self.shard.count]),
         }
-        if self.reps != expected.reps || self.total_jobs != expected.total_jobs {
-            return Err(format!(
-                "journal shape ({} reps, {} jobs) does not match the spec's ({} reps, {} jobs)",
-                self.reps, self.total_jobs, expected.reps, expected.total_jobs
-            ));
+    }
+
+    fn from_header(h: Header) -> Manifest {
+        // The journal header parser only accepts a valid shard.
+        let [index, count] = h.shard.unwrap_or([0, 1]);
+        let m = h.meta;
+        Manifest {
+            name: m.name,
+            fingerprint: m.fingerprint,
+            seed: m.seed,
+            reps: m.reps,
+            total_jobs: m.total_jobs,
+            shard: Shard { index, count },
         }
-        if check_shard && self.shard != expected.shard {
-            return Err(format!(
-                "journal was written by shard {} but this process is shard {}",
-                self.shard.label(),
-                expected.shard.label()
-            ));
-        }
-        Ok(())
     }
 }
 
@@ -158,8 +140,10 @@ impl Manifest {
 /// (key=value vs JSON, inline flags vs file); any change that would
 /// alter a single job's result changes the fingerprint.
 pub fn fingerprint(name: &str, seed: u64, reps: usize, configs: &[ConfigJob]) -> u64 {
-    let mut text =
-        format!("ftcg-campaign v{JOURNAL_VERSION}\nname={name}\nseed={seed}\nreps={reps}\n");
+    let mut text = format!(
+        "ftcg-campaign v{}\nname={name}\nseed={seed}\nreps={reps}\n",
+        JOURNAL.version
+    );
     for (i, job) in configs.iter().enumerate() {
         let k = &job.key;
         let c = &job.cfg;
@@ -230,88 +214,6 @@ fn read_f64(v: &Value) -> Option<f64> {
     }
 }
 
-/// Reads a non-negative integer journal field.
-fn read_usize(v: &Value) -> Option<usize> {
-    match v {
-        Value::Num(n) if n.fract() == 0.0 && *n >= 0.0 && *n <= 9.007_199_254_740_992e15 => {
-            Some(*n as usize)
-        }
-        _ => None,
-    }
-}
-
-fn manifest_line(m: &Manifest) -> String {
-    // The seed is a *string*: campaign seeds are full u64 (the spec
-    // parser deliberately avoids f64 rounding above 2^53), and the JSON
-    // number model is f64 — a numeric seed would round-trip wrong.
-    format!(
-        "{{\"ftcg_journal\":{JOURNAL_VERSION},\"name\":{},\"fingerprint\":\"{:#018x}\",\
-         \"seed\":\"{}\",\"reps\":{},\"total_jobs\":{},\"shard\":[{},{}]}}",
-        Value::Str(m.name.clone()),
-        m.fingerprint,
-        m.seed,
-        m.reps,
-        m.total_jobs,
-        m.shard.index,
-        m.shard.count,
-    )
-}
-
-fn parse_manifest(line: &str) -> Result<Manifest, String> {
-    let v = json::parse(line).map_err(|e| format!("manifest line: {e}"))?;
-    let version = v
-        .get("ftcg_journal")
-        .and_then(read_usize)
-        .ok_or("not a ftcg journal (missing `ftcg_journal` version field)")?;
-    if version as u64 != JOURNAL_VERSION {
-        return Err(format!(
-            "journal version {version} is not the supported version {JOURNAL_VERSION}"
-        ));
-    }
-    let name = v
-        .get("name")
-        .and_then(Value::as_str)
-        .ok_or("manifest missing `name`")?
-        .to_string();
-    let fingerprint = v
-        .get("fingerprint")
-        .and_then(Value::as_str)
-        .and_then(|s| u64::from_str_radix(s.trim_start_matches("0x"), 16).ok())
-        .ok_or("manifest missing or malformed `fingerprint`")?;
-    let seed = v
-        .get("seed")
-        .and_then(Value::as_str)
-        .and_then(|s| s.parse::<u64>().ok())
-        .ok_or("manifest missing or malformed `seed` (expected a decimal string)")?;
-    let reps = v
-        .get("reps")
-        .and_then(read_usize)
-        .ok_or("manifest missing `reps`")?;
-    let total_jobs = v
-        .get("total_jobs")
-        .and_then(read_usize)
-        .ok_or("manifest missing `total_jobs`")?;
-    let shard = match v.get("shard").and_then(Value::as_arr) {
-        Some([i, k]) => {
-            let index = read_usize(i).ok_or("malformed shard index")?;
-            let count = read_usize(k).ok_or("malformed shard count")?;
-            if count == 0 || index >= count {
-                return Err(format!("invalid shard [{index},{count}]"));
-            }
-            Shard { index, count }
-        }
-        _ => return Err("manifest missing `shard`".into()),
-    };
-    Ok(Manifest {
-        name,
-        fingerprint,
-        seed,
-        reps,
-        total_jobs,
-        shard,
-    })
-}
-
 /// Renders one job record as a JSONL line (without the newline).
 pub fn record_line(job: usize, record: &JobRecord) -> String {
     match record {
@@ -332,205 +234,115 @@ pub fn record_line(job: usize, record: &JobRecord) -> String {
     }
 }
 
-/// Whether two records are identical. Floats are compared by their
-/// journal rendering, so two NaN-carrying records (where `==` on the
-/// metrics would say `NaN != NaN`) still count as the same record —
-/// re-running a job bit-identically must always look like a benign
-/// duplicate, never a conflict.
-pub fn records_equal(a: &JobRecord, b: &JobRecord) -> bool {
-    record_line(0, a) == record_line(0, b)
-}
-
-fn parse_record(line: &str) -> Result<(usize, JobRecord), String> {
+fn parse_record(line: &str) -> Result<(usize, usize, JobRecord), String> {
     let v = json::parse(line).map_err(|e| e.to_string())?;
-    let job = v
-        .get("job")
-        .and_then(read_usize)
-        .ok_or("record missing `job`")?;
+    let u = |key: &str| {
+        v.get(key)
+            .and_then(read_u64)
+            .map(|n| n as usize)
+            .ok_or_else(|| format!("record missing `{key}`"))
+    };
+    let job = u("job")?;
     if let Some(msg) = v.get("failed") {
         let msg = msg.as_str().ok_or("`failed` must be a string")?;
-        return Ok((job, JobRecord::Failed(msg.to_string())));
+        return Ok((job, 0, JobRecord::Failed(msg.to_string())));
     }
     let f = |key: &str| {
         v.get(key)
             .and_then(read_f64)
             .ok_or_else(|| format!("record missing `{key}`"))
     };
-    let u = |key: &str| {
-        v.get(key)
-            .and_then(read_usize)
-            .ok_or_else(|| format!("record missing `{key}`"))
-    };
     let converged = match v.get("converged") {
         Some(Value::Bool(b)) => *b,
         _ => return Err("record missing `converged`".into()),
     };
-    Ok((
-        job,
-        JobRecord::Done(JobMetrics {
-            simulated_time: f("time")?,
-            executed_iterations: u("executed")?,
-            rollbacks: u("rollbacks")?,
-            corrections: u("corrections")?,
-            faults: u("faults")?,
-            converged,
-            true_residual: f("residual")?,
-        }),
-    ))
+    let metrics = JobMetrics {
+        simulated_time: f("time")?,
+        executed_iterations: u("executed")?,
+        rollbacks: u("rollbacks")?,
+        corrections: u("corrections")?,
+        faults: u("faults")?,
+        converged,
+        true_residual: f("residual")?,
+    };
+    Ok((job, 0, JobRecord::Done(metrics)))
 }
 
-/// A loaded journal: manifest, replayed records, and the byte length of
-/// the valid prefix (everything before a torn final line, if any).
+fn records(entries: Vec<Entry<JobRecord>>) -> Vec<(usize, JobRecord)> {
+    entries.into_iter().map(|e| (e.job, e.value)).collect()
+}
+
+/// A loaded journal: manifest and replayed records.
 #[derive(Debug)]
 pub struct Journal {
     /// The identity line.
     pub manifest: Manifest,
     /// Replayed `(job_index, record)` pairs, in file (completion) order.
     pub records: Vec<(usize, JobRecord)>,
-    /// Byte length of the valid prefix of the file.
-    valid_len: u64,
     /// Whether a torn final line was dropped.
     pub torn_tail: bool,
 }
 
 impl Journal {
-    /// Whether the file at `path` is an *unstarted* journal: it exists
-    /// but contains no complete (newline-terminated) line — i.e. the
-    /// producing process was killed before the manifest write became
-    /// durable. There is nothing to replay from such a file, so the
-    /// resume path treats it like a missing journal and starts fresh
-    /// (keeping one `--resume` command line idempotent across crashes
-    /// at *any* point, including during journal creation).
-    pub fn is_unstarted(path: &Path) -> Result<bool, EngineError> {
-        let mut text = Vec::new();
-        std::fs::File::open(path)
-            .and_then(|mut f| f.read_to_end(&mut text))
-            .map_err(|e| EngineError::Journal(format!("{}: {e}", path.display())))?;
-        Ok(!text.contains(&b'\n'))
-    }
-
-    /// Loads and validates a journal file. A final line that does not
-    /// parse (torn by a crash mid-write) is dropped — that job simply
-    /// has no record and will be re-run on resume. A malformed line
-    /// anywhere *before* the end is corruption and errors out.
-    pub fn load(path: &Path) -> Result<Journal, EngineError> {
-        let jerr = |m: String| EngineError::Journal(format!("{}: {m}", path.display()));
-        let mut text = String::new();
-        std::fs::File::open(path)
-            .and_then(|mut f| f.read_to_string(&mut text))
-            .map_err(|e| jerr(e.to_string()))?;
-        // Split keeping byte offsets so a torn tail can be truncated
-        // away before appending resumes.
-        let mut lines: Vec<(usize, &str)> = Vec::new();
-        let mut start = 0usize;
-        for (i, b) in text.bytes().enumerate() {
-            if b == b'\n' {
-                lines.push((start, &text[start..i]));
-                start = i + 1;
-            }
-        }
-        let tail = &text[start..];
-        let manifest = match lines.first() {
-            Some((_, first)) => parse_manifest(first).map_err(jerr)?,
-            None if !tail.is_empty() => {
-                return Err(jerr(
-                    "torn manifest line (crash during journal creation); delete the file \
-                     and start over"
-                        .into(),
-                ));
-            }
-            None => return Err(jerr("empty journal".into())),
-        };
-        let mut records = Vec::with_capacity(lines.len().saturating_sub(1));
-        let mut seen = std::collections::HashMap::new();
-        for &(off, line) in &lines[1..] {
-            if line.trim().is_empty() {
-                return Err(jerr(format!("blank line at byte {off}")));
-            }
-            let (job, rec) =
-                parse_record(line).map_err(|e| jerr(format!("record at byte {off}: {e}")))?;
-            if job >= manifest.total_jobs {
-                return Err(jerr(format!(
-                    "record for job {job} out of range (campaign has {} jobs)",
-                    manifest.total_jobs
-                )));
-            }
-            match seen.get(&job) {
-                None => {
-                    seen.insert(job, rec.clone());
-                    records.push((job, rec));
-                }
-                Some(prev) if records_equal(prev, &rec) => {} // benign duplicate
-                Some(_) => {
-                    return Err(jerr(format!("conflicting duplicate records for job {job}")));
-                }
-            }
-        }
-        // An unterminated tail is the torn write of a crash. It is only
-        // recoverable if it is genuinely the *last* thing in the file —
-        // which it is by construction here.
-        let torn_tail = !tail.is_empty();
+    /// Loads a journal. A job re-run after a crash re-appends the same
+    /// record, so a repeated job's line must be byte-identical.
+    pub fn load(path: &Path) -> Result<Journal, TelemetryError> {
+        let log = Log::load(path, &JOURNAL, parse_record)?;
         Ok(Journal {
-            manifest,
-            records,
-            valid_len: start as u64,
-            torn_tail,
+            manifest: Manifest::from_header(log.header),
+            records: records(log.entries),
+            torn_tail: log.torn_tail,
         })
     }
 }
 
-/// An open, append-mode journal. Every [`append`](Self::append) writes
-/// one full line and flushes it, so the on-disk journal is always a
-/// valid prefix plus at most one torn line.
-#[derive(Debug)]
-pub struct JournalWriter {
-    file: std::fs::File,
+/// The records of the journals at `paths` — any shards of the campaign
+/// `expected` names — unioned under the journal's duplicate policy.
+pub(crate) fn union(
+    paths: &[impl AsRef<Path>],
+    expected: TraceMeta,
+) -> Result<Vec<(usize, JobRecord)>, TelemetryError> {
+    let expected = Header::from(expected);
+    let mut logs = Vec::new();
+    for path in paths {
+        let path = path.as_ref();
+        let log = Log::load(path, &JOURNAL, parse_record)?;
+        log.header
+            .same_campaign(&JOURNAL, &path.display().to_string(), &expected)?;
+        logs.push((log.header.meta, log.entries));
+    }
+    Ok(records(log::merge(&JOURNAL, logs)?.1))
 }
 
+/// An open journal. Each [`append`](Self::append) makes one record
+/// durable.
+#[derive(Debug)]
+pub struct JournalWriter(LogWriter);
+
 impl JournalWriter {
-    /// Creates a fresh journal at `path`, writing (and flushing) the
-    /// manifest line. Refuses to overwrite an existing file — stale
-    /// journals must be resumed or removed explicitly.
-    pub fn create(path: &Path, manifest: &Manifest) -> Result<JournalWriter, EngineError> {
-        let jerr = |m: String| EngineError::Journal(format!("{}: {m}", path.display()));
-        let mut file = std::fs::OpenOptions::new()
-            .write(true)
-            .create_new(true)
-            .open(path)
-            .map_err(|e| {
-                if e.kind() == std::io::ErrorKind::AlreadyExists {
-                    jerr(
-                        "journal already exists (pass --resume to continue it, or remove it)"
-                            .into(),
-                    )
-                } else {
-                    jerr(e.to_string())
-                }
-            })?;
-        writeln!(file, "{}", manifest_line(manifest)).map_err(|e| jerr(e.to_string()))?;
-        file.flush().map_err(|e| jerr(e.to_string()))?;
-        Ok(JournalWriter { file })
+    /// Creates a fresh journal at `path`; an existing file is
+    /// [`TelemetryError::AlreadyExists`] — stale journals must be
+    /// resumed or removed explicitly.
+    pub fn create(path: &Path, manifest: &Manifest) -> Result<JournalWriter, TelemetryError> {
+        Ok(Self::open(path, manifest, false)?.0)
     }
 
-    /// Re-opens a loaded journal for appending, first truncating away a
-    /// torn final line so new records start on a clean boundary.
-    pub fn resume(path: &Path, journal: &Journal) -> Result<JournalWriter, EngineError> {
-        let jerr = |m: String| EngineError::Journal(format!("{}: {m}", path.display()));
-        let mut file = std::fs::OpenOptions::new()
-            .write(true)
-            .open(path)
-            .map_err(|e| jerr(e.to_string()))?;
-        file.set_len(journal.valid_len)
-            .map_err(|e| jerr(e.to_string()))?;
-        file.seek(std::io::SeekFrom::End(0))
-            .map_err(|e| jerr(e.to_string()))?;
-        Ok(JournalWriter { file })
+    /// Opens a journal under the log open rule (resume requires the
+    /// same campaign *and* shard); with `resume`, also returns the
+    /// records that survived, in file order.
+    pub fn open(
+        path: &Path,
+        manifest: &Manifest,
+        resume: bool,
+    ) -> Result<(JournalWriter, Vec<(usize, JobRecord)>), TelemetryError> {
+        let (w, entries) =
+            LogWriter::open(path, &JOURNAL, &manifest.header(), resume, parse_record)?;
+        Ok((JournalWriter(w), records(entries)))
     }
 
-    /// Appends one job record and flushes it to the OS.
-    pub fn append(&mut self, job: usize, record: &JobRecord) -> std::io::Result<()> {
-        writeln!(self.file, "{}", record_line(job, record))?;
-        self.file.flush()
+    /// Appends one job record.
+    pub fn append(&mut self, job: usize, record: &JobRecord) -> Result<(), TelemetryError> {
+        self.0.append(&format!("{}\n", record_line(job, record)))
     }
 }
 
@@ -582,40 +394,56 @@ mod tests {
         assert!(owned.iter().all(|&c| c == 1));
     }
 
+    fn roundtrip(m: &Manifest) -> Manifest {
+        let dir = std::env::temp_dir().join(format!("ftcg-journal-rt-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join(format!("{}.jsonl", m.seed));
+        let _ = std::fs::remove_file(&path);
+        JournalWriter::create(&path, m).unwrap();
+        let back = Journal::load(&path).unwrap().manifest;
+        std::fs::remove_file(&path).unwrap();
+        back
+    }
+
     #[test]
     fn manifest_roundtrip() {
         let m = manifest();
-        let line = manifest_line(&m);
-        assert_eq!(parse_manifest(&line).unwrap(), m);
+        // The header renders byte-for-byte as journals always have.
+        assert_eq!(
+            m.header().render(&JOURNAL),
+            "{\"ftcg_journal\":1,\"name\":\"t\",\"fingerprint\":\"0xdeadbeef01234567\",\
+             \"seed\":\"9\",\"reps\":5,\"total_jobs\":10,\"shard\":[1,2]}"
+        );
+        assert_eq!(roundtrip(&m), m);
         // Seeds above 2^53 must survive: the JSON number model is f64,
         // so the seed travels as a decimal string.
         let big = Manifest {
             seed: (1u64 << 53) + 1,
             ..manifest()
         };
-        assert_eq!(parse_manifest(&manifest_line(&big)).unwrap(), big);
+        assert_eq!(roundtrip(&big), big);
         let max = Manifest {
             seed: u64::MAX,
             ..manifest()
         };
-        assert_eq!(parse_manifest(&manifest_line(&max)).unwrap(), max);
+        assert_eq!(roundtrip(&max), max);
     }
 
     #[test]
     fn record_roundtrip_including_nan_residual() {
         let mut m = metrics(12.625);
-        let (j, r) = parse_record(&record_line(7, &JobRecord::Done(m))).unwrap();
+        let (j, _, r) = parse_record(&record_line(7, &JobRecord::Done(m))).unwrap();
         assert_eq!(j, 7);
         assert_eq!(r, JobRecord::Done(m));
         // NaN / inf survive via quoted sentinels (JSON has no literals).
         m.true_residual = f64::NAN;
-        let (_, r) = parse_record(&record_line(0, &JobRecord::Done(m))).unwrap();
+        let (_, _, r) = parse_record(&record_line(0, &JobRecord::Done(m))).unwrap();
         match r {
             JobRecord::Done(back) => assert!(back.true_residual.is_nan()),
             other => panic!("{other:?}"),
         }
         m.true_residual = f64::INFINITY;
-        let (_, r) = parse_record(&record_line(0, &JobRecord::Done(m))).unwrap();
+        let (_, _, r) = parse_record(&record_line(0, &JobRecord::Done(m))).unwrap();
         assert_eq!(
             r,
             JobRecord::Done(JobMetrics {
@@ -624,14 +452,14 @@ mod tests {
             })
         );
         let fail = JobRecord::Failed("boom \"quoted\"".into());
-        assert_eq!(parse_record(&record_line(3, &fail)).unwrap(), (3, fail));
+        assert_eq!(parse_record(&record_line(3, &fail)).unwrap(), (3, 0, fail));
     }
 
     #[test]
     fn shortest_roundtrip_floats_are_exact() {
         // The journal contract: Display → parse is bit-exact for f64.
         for v in [1.0 / 3.0, 1e-308, 6.02e23, -0.1, f64::MIN_POSITIVE] {
-            let (_, r) = parse_record(&record_line(
+            let (_, _, r) = parse_record(&record_line(
                 0,
                 &JobRecord::Done(JobMetrics {
                     simulated_time: v,
@@ -661,7 +489,7 @@ mod tests {
         // Creating over an existing journal is refused.
         assert!(matches!(
             JournalWriter::create(&path, &m),
-            Err(EngineError::Journal(_))
+            Err(TelemetryError::AlreadyExists { .. })
         ));
         let j = Journal::load(&path).unwrap();
         assert_eq!(j.manifest, m);
@@ -681,7 +509,8 @@ mod tests {
         assert_eq!(j.records.len(), 2, "torn line dropped");
         // Resume truncates the torn tail; the next append lands clean.
         {
-            let mut w = JournalWriter::resume(&path, &j).unwrap();
+            let (mut w, replayed) = JournalWriter::open(&path, &m, true).unwrap();
+            assert_eq!(replayed, j.records);
             w.append(7, &JobRecord::Done(metrics(2.5))).unwrap();
         }
         let j = Journal::load(&path).unwrap();
@@ -702,12 +531,15 @@ mod tests {
             &path,
             format!(
                 "{}\ngarbage not json\n{}\n",
-                manifest_line(&m),
+                m.header().render(&JOURNAL),
                 record_line(1, &JobRecord::Done(metrics(1.0)))
             ),
         )
         .unwrap();
-        assert!(matches!(Journal::load(&path), Err(EngineError::Journal(_))));
+        assert!(matches!(
+            Journal::load(&path),
+            Err(TelemetryError::Malformed { .. })
+        ));
         std::fs::remove_file(&path).unwrap();
     }
 
@@ -719,39 +551,43 @@ mod tests {
         let _ = std::fs::remove_file(&path);
         let m = manifest();
         let rec = record_line(4, &JobRecord::Done(metrics(1.0)));
-        std::fs::write(&path, format!("{}\n{rec}\n{rec}\n", manifest_line(&m))).unwrap();
+        let head = m.header().render(&JOURNAL);
+        std::fs::write(&path, format!("{head}\n{rec}\n{rec}\n")).unwrap();
         let j = Journal::load(&path).unwrap();
         assert_eq!(j.records.len(), 1, "identical duplicates deduplicated");
         let other = record_line(4, &JobRecord::Done(metrics(2.0)));
-        std::fs::write(&path, format!("{}\n{rec}\n{other}\n", manifest_line(&m))).unwrap();
-        assert!(matches!(Journal::load(&path), Err(EngineError::Journal(_))));
+        std::fs::write(&path, format!("{head}\n{rec}\n{other}\n")).unwrap();
+        assert!(matches!(
+            Journal::load(&path),
+            Err(TelemetryError::ConflictingDuplicate { job: 4, .. })
+        ));
         std::fs::remove_file(&path).unwrap();
     }
 
     #[test]
     fn manifest_mismatches_are_described() {
         let m = manifest();
-        assert!(m.ensure_matches(&m, true).is_ok());
+        let check = |other: &Manifest, shard: bool| {
+            let mut expected = other.header();
+            expected.shard = expected.shard.filter(|_| shard);
+            match m.header().same_campaign(&JOURNAL, "j", &expected) {
+                Ok(()) => String::new(),
+                Err(TelemetryError::CampaignMismatch { msg, .. }) => msg,
+                Err(e) => panic!("{e:?}"),
+            }
+        };
+        assert!(check(&m, true).is_empty());
         let mut other = m.clone();
         other.fingerprint ^= 1;
-        assert!(m
-            .ensure_matches(&other, false)
-            .unwrap_err()
-            .contains("fingerprint"));
+        assert!(check(&other, false).contains("fingerprint"));
         let mut other = m.clone();
         other.seed += 1;
-        assert!(m
-            .ensure_matches(&other, false)
-            .unwrap_err()
-            .contains("seed"));
+        assert!(check(&other, false).contains("seed"));
         let mut other = m.clone();
         other.shard = Shard::FULL;
         // Merge ignores the shard; resume does not.
-        assert!(m.ensure_matches(&other, false).is_ok());
-        assert!(m
-            .ensure_matches(&other, true)
-            .unwrap_err()
-            .contains("shard"));
+        assert!(check(&other, false).is_empty());
+        assert!(check(&other, true).contains("shard"));
     }
 
     #[test]

@@ -25,8 +25,9 @@
 //!   (mean/std/min/max/percentiles, convergence and correction rates);
 //! * [`sink`] — deterministic JSONL and CSV renderers: the same spec
 //!   and seed always produce byte-identical artifacts;
-//! * [`journal`] — crash-safe append-only job journals, `i/k` job-space
-//!   shards, and the grid fingerprint that rejects stale journals;
+//! * [`journal`] — the job-journal record format (a durable log of
+//!   `ftcg_telemetry::log`), `i/k` job-space shards, and the grid
+//!   fingerprint that rejects stale journals;
 //! * [`campaign`] — the orchestration entry points
 //!   [`run_campaign`] and [`run_configs`], the journaled/shardable
 //!   [`run_campaign_sharded`], and the deterministic
@@ -102,12 +103,18 @@ pub enum EngineError {
     Matrix(String),
     /// The expanded grid is empty (no matrices/schemes/alphas/reps).
     EmptyGrid,
-    /// A campaign journal is missing, stale, corrupt, incomplete, or
-    /// could not be written.
+    /// Campaign records do not cover the job space: a job is missing,
+    /// duplicated, or out of range.
     Journal(String),
-    /// A telemetry trace or metrics sidecar is stale, corrupt, or could
-    /// not be written.
-    Telemetry(String),
+    /// A journal, trace or metrics sidecar could not be created, loaded,
+    /// resumed, merged or appended.
+    Telemetry(ftcg_telemetry::TelemetryError),
+}
+
+impl From<ftcg_telemetry::TelemetryError> for EngineError {
+    fn from(e: ftcg_telemetry::TelemetryError) -> EngineError {
+        EngineError::Telemetry(e)
+    }
 }
 
 impl std::fmt::Display for EngineError {
@@ -117,7 +124,7 @@ impl std::fmt::Display for EngineError {
             EngineError::Matrix(m) => write!(f, "matrix error: {m}"),
             EngineError::EmptyGrid => write!(f, "campaign expands to an empty grid"),
             EngineError::Journal(m) => write!(f, "journal error: {m}"),
-            EngineError::Telemetry(m) => write!(f, "telemetry error: {m}"),
+            EngineError::Telemetry(e) => write!(f, "log error: {e}"),
         }
     }
 }

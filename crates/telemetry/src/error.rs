@@ -1,14 +1,14 @@
-//! Typed errors for the telemetry load/write paths.
+//! Typed errors for the durable logs (see [`crate::log`]).
 //!
-//! Every failure mode a trace or metrics sidecar can hit on disk —
-//! torn headers, malformed lines, conflicting duplicates, campaign
-//! mismatches — gets its own matchable variant, so callers (and the
-//! error-path test suite) can assert *which* failure occurred instead
-//! of grepping message strings. `Display` renders the same
-//! `path: message` shape the string errors used, and a `From` impl
-//! keeps `?` working in `Result<_, String>` call sites (the CLI).
+//! Every failure mode a journal, trace or metrics sidecar can hit on
+//! disk — torn headers, malformed lines, conflicting duplicates,
+//! campaign mismatches — gets its own matchable variant, so callers (and
+//! the error-path test suites) can assert *which* failure occurred
+//! instead of grepping message strings. `Display` renders the
+//! `path: message` shape, and a `From` impl keeps `?` working in
+//! `Result<_, String>` call sites (the CLI).
 
-/// A typed telemetry file error (see the module docs).
+/// A typed durable-log error (see the module docs).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum TelemetryError {
     /// An I/O operation on the file failed.
@@ -48,7 +48,8 @@ pub enum TelemetryError {
         /// Total jobs the campaign header declares.
         total: usize,
     },
-    /// Two lines with the same `(job, seq)` key carry different bytes.
+    /// Two lines with the same `(job, seq)` key carry different bytes
+    /// (`seq` is 0 in per-job logs).
     ConflictingDuplicate {
         /// File (or `<merge>` when detected across files).
         path: String,
@@ -87,7 +88,7 @@ impl std::fmt::Display for TelemetryError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             TelemetryError::Io { path, msg } => write!(f, "{path}: {msg}"),
-            TelemetryError::Empty { path } => write!(f, "{path}: empty telemetry file"),
+            TelemetryError::Empty { path } => write!(f, "{path}: empty file"),
             TelemetryError::Header { path, msg } => write!(f, "{path}: {msg}"),
             TelemetryError::Malformed { path, offset, msg } => {
                 write!(f, "{path}: line at byte {offset}: {msg}")
@@ -98,14 +99,14 @@ impl std::fmt::Display for TelemetryError {
             ),
             TelemetryError::ConflictingDuplicate { path, job, seq } => write!(
                 f,
-                "{path}: conflicting duplicate trace lines for job {job} seq {seq}"
+                "{path}: conflicting duplicate lines for job {job} seq {seq}"
             ),
             TelemetryError::CampaignMismatch { path, msg } => write!(f, "{path}: {msg}"),
             TelemetryError::AlreadyExists { path } => write!(
                 f,
                 "{path}: file already exists (pass --resume to continue it, or remove it)"
             ),
-            TelemetryError::NoInput => write!(f, "no telemetry files to process"),
+            TelemetryError::NoInput => write!(f, "no input files"),
         }
     }
 }

@@ -43,10 +43,11 @@ impl DurationHist {
         self.counts[Self::bucket(ns)] += 1;
     }
 
-    /// Merges another histogram into this one.
+    /// Merges another histogram into this one (saturating: counts read
+    /// from a damaged file must not overflow).
     pub fn merge(&mut self, other: &DurationHist) {
         for (c, o) in self.counts.iter_mut().zip(other.counts.iter()) {
-            *c += *o;
+            *c = c.saturating_add(*o);
         }
     }
 

@@ -16,12 +16,14 @@
 //!    The canonical form is byte-identical across threads, shards, and
 //!    kill/resume cycles of the same campaign.
 //! 3. **The non-deterministic sidecar** ([`metrics`]) — per-job phase
-//!    wall times and merged histograms, quarantined in a separate file
+//!    wall times and duration histograms, quarantined in a separate file
 //!    precisely because timings are not reproducible.
 //!
-//! [`report`] folds both back into per-configuration tables and
-//! reconciles trace event counts against journal counters — the
-//! measured counterpart of the paper's cost decomposition.
+//! Both files — and the campaign journal in `ftcg-engine` — are durable
+//! logs on the one crash discipline of [`log`]. [`report`] folds them
+//! back into per-configuration tables and reconciles trace event counts
+//! against journal counters — the measured counterpart of the paper's
+//! cost decomposition.
 
 #![warn(missing_docs)]
 
@@ -29,6 +31,7 @@ pub mod active;
 pub mod error;
 pub mod event;
 pub mod hist;
+pub mod log;
 pub mod metrics;
 pub mod recorder;
 pub mod report;
@@ -38,5 +41,6 @@ pub use active::{ActiveRecorder, JobSpan, JobTelemetry, DEFAULT_RING_CAPACITY};
 pub use error::TelemetryError;
 pub use event::{Event, EventKind};
 pub use hist::DurationHist;
+pub use log::TraceMeta;
 pub use recorder::{NoopRecorder, Phase, Recorder, Stamp};
-pub use trace::{Trace, TraceMeta, TraceWriter};
+pub use trace::{Trace, TraceWriter};

@@ -2,22 +2,25 @@
 //!
 //! Where the trace records *what happened* (deterministically), the
 //! sidecar records *how long it took*: one JSONL line per job with
-//! per-phase wall-time and call counts, plus a final summary line with
-//! merged per-phase duration histograms. The file is explicitly
-//! non-deterministic — timings differ run to run — which is exactly
-//! why they are quarantined here instead of riding the trace.
+//! per-phase wall time, call counts and duration histograms (`hist_ns`:
+//! per phase, the log2 bucket counts with trailing zeros trimmed). The
+//! file is explicitly non-deterministic — timings differ run to run —
+//! which is exactly why they are quarantined here instead of riding the
+//! trace.
 //!
 //! Campaign runs also stamp each job line with an optional `span`
 //! object (`worker`, `start_ns`, `end_ns` relative to run start) so
-//! the Perfetto export can reconstruct per-worker timelines; readers
-//! ignore unknown keys, so span-less files from older runs still load.
+//! the Perfetto export can reconstruct per-worker timelines.
 //!
-//! Crash discipline mirrors the journal: per-job lines are appended
-//! and flushed at job completion; a torn tail is dropped on load;
-//! duplicate job lines (a job re-run after a crash) keep the *last*
-//! occurrence, the one whose job actually produced a journal record.
+//! The sidecar is a durable log ([`crate::log`] holds the discipline)
+//! whose duplicate policy is *last wins*: a job re-run after a crash
+//! re-appends its line, and the re-run's timings are the ones the
+//! finished campaign spent. Because every job line carries its own
+//! histograms (format version 2; version 1 kept them in a summary line
+//! written at the end of a run), a killed-and-resumed run loses none of
+//! them: the merged histograms always count exactly the surviving
+//! lines' calls.
 
-use std::io::{Read, Seek, Write};
 use std::path::Path;
 
 use serde::json::{self, Value};
@@ -25,8 +28,8 @@ use serde::json::{self, Value};
 use crate::active::{JobSpan, JobTelemetry};
 use crate::error::TelemetryError;
 use crate::hist::DurationHist;
+use crate::log::{self, read_u64, Entry, Header, Log, LogWriter, TraceMeta, METRICS};
 use crate::recorder::Phase;
-use crate::trace::{read_u64, TraceMeta};
 
 /// One job's phase breakdown, as recorded in the sidecar.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -40,42 +43,55 @@ pub struct JobPhases {
     /// Events the bounded trace ring dropped for this job.
     pub dropped: u64,
     /// Wall-clock execution window relative to run start, when the
-    /// writing run recorded one (campaign runs do; older files don't).
+    /// writing run recorded one (campaign runs do).
     pub span: Option<JobSpan>,
 }
 
-fn phase_map(values: &[u64; Phase::COUNT]) -> String {
-    let mut out = String::from("{");
-    for (i, p) in Phase::ALL.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&format!("\"{}\":{}", p.name(), values[p.index()]));
-    }
-    out.push('}');
-    out
+/// Per-phase duration histograms, indexed by [`Phase::index`].
+type Hists = [DurationHist; Phase::COUNT];
+
+/// What one sidecar line holds.
+type JobLine = (JobPhases, Hists);
+
+/// Renders a `{"phase":value,…}` object in [`Phase::ALL`] order.
+fn phase_map<T>(values: &[T; Phase::COUNT], render: impl Fn(&T) -> String) -> String {
+    let fields: Vec<String> = Phase::ALL
+        .iter()
+        .map(|p| format!("\"{}\":{}", p.name(), render(&values[p.index()])))
+        .collect();
+    format!("{{{}}}", fields.join(","))
 }
 
-fn parse_phase_map(v: &Value) -> Result<[u64; Phase::COUNT], String> {
-    let mut out = [0u64; Phase::COUNT];
+fn parse_phase_map<T: Copy + Default>(
+    v: &Value,
+    read: impl Fn(&Value) -> Option<T>,
+) -> Result<[T; Phase::COUNT], String> {
+    let mut out = [T::default(); Phase::COUNT];
     for p in Phase::ALL {
         out[p.index()] = v
             .get(p.name())
-            .and_then(read_u64)
-            .ok_or_else(|| format!("phase map missing `{}`", p.name()))?;
+            .and_then(&read)
+            .ok_or_else(|| format!("phase map missing or malformed `{}`", p.name()))?;
     }
     Ok(out)
 }
 
+/// A histogram as its bucket counts, trailing zeros trimmed.
+fn render_hist(h: &DurationHist) -> String {
+    let b = h.buckets();
+    let last = b.iter().rposition(|&c| c != 0).map_or(0, |j| j + 1);
+    let counts: Vec<String> = b[..last].iter().map(u64::to_string).collect();
+    format!("[{}]", counts.join(","))
+}
+
+fn read_hist(v: &Value) -> Option<DurationHist> {
+    let counts: Option<Vec<u64>> = v.as_arr()?.iter().map(read_u64).collect();
+    DurationHist::from_buckets(&counts?)
+}
+
 /// Renders one job line (no trailing newline).
-pub fn job_line(
-    job: usize,
-    ns: &[u64; Phase::COUNT],
-    calls: &[u64; Phase::COUNT],
-    dropped: u64,
-    span: Option<&JobSpan>,
-) -> String {
-    let span_part = match span {
+fn render_job(tele: &JobTelemetry) -> String {
+    let span = match &tele.span {
         Some(s) => format!(
             ",\"span\":{{\"worker\":{},\"start_ns\":{},\"end_ns\":{}}}",
             s.worker, s.start_ns, s.end_ns
@@ -83,66 +99,41 @@ pub fn job_line(
         None => String::new(),
     };
     format!(
-        "{{\"job\":{job},\"ns\":{},\"calls\":{},\"dropped\":{dropped}{span_part}}}",
-        phase_map(ns),
-        phase_map(calls),
+        "{{\"job\":{},\"ns\":{},\"calls\":{},\"dropped\":{}{span},\"hist_ns\":{}}}",
+        tele.job,
+        phase_map(&tele.phase_ns, u64::to_string),
+        phase_map(&tele.phase_calls, u64::to_string),
+        tele.dropped,
+        phase_map(&tele.hist, render_hist),
     )
 }
 
-fn parse_span(v: &Value) -> Result<Option<JobSpan>, String> {
-    let Some(s) = v.get("span") else {
-        return Ok(None);
-    };
-    let u = |key: &str| {
-        s.get(key)
+fn parse_job(line: &str) -> Result<(usize, usize, JobLine), String> {
+    let v = json::parse(line).map_err(|e| e.to_string())?;
+    let field = |key: &str| v.get(key).ok_or_else(|| format!("missing `{key}`"));
+    let count = |o: &Value, key: &str| {
+        o.get(key)
             .and_then(read_u64)
-            .ok_or_else(|| format!("span missing `{key}`"))
+            .ok_or_else(|| format!("missing or malformed `{key}`"))
     };
-    Ok(Some(JobSpan {
-        worker: u("worker")?,
-        start_ns: u("start_ns")?,
-        end_ns: u("end_ns")?,
-    }))
-}
-
-fn hist_summary_line(hists: &[DurationHist; Phase::COUNT]) -> String {
-    let mut out = String::from("{\"summary\":{\"hist_ns\":{");
-    for (i, p) in Phase::ALL.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let b = hists[p.index()].buckets();
-        let last = b.iter().rposition(|&c| c != 0).map_or(0, |j| j + 1);
-        out.push_str(&format!("\"{}\":[", p.name()));
-        for (j, c) in b[..last].iter().enumerate() {
-            if j > 0 {
-                out.push(',');
-            }
-            out.push_str(&c.to_string());
-        }
-        out.push(']');
-    }
-    out.push_str("}}}");
-    out
-}
-
-fn parse_hist_summary(v: &Value) -> Result<[DurationHist; Phase::COUNT], String> {
-    let h = v
-        .get("summary")
-        .and_then(|s| s.get("hist_ns"))
-        .ok_or("summary line missing `hist_ns`")?;
-    let mut out = [DurationHist::new(); Phase::COUNT];
-    for p in Phase::ALL {
-        let arr = h
-            .get(p.name())
-            .and_then(Value::as_arr)
-            .ok_or_else(|| format!("summary missing histogram for `{}`", p.name()))?;
-        let counts: Option<Vec<u64>> = arr.iter().map(read_u64).collect();
-        out[p.index()] = counts
-            .and_then(|c| DurationHist::from_buckets(&c))
-            .ok_or_else(|| format!("malformed histogram for `{}`", p.name()))?;
-    }
-    Ok(out)
+    let span = match v.get("span") {
+        None => None,
+        Some(s) => Some(JobSpan {
+            worker: count(s, "worker")?,
+            start_ns: count(s, "start_ns")?,
+            end_ns: count(s, "end_ns")?,
+        }),
+    };
+    let job = count(&v, "job")? as usize;
+    let phases = JobPhases {
+        job,
+        ns: parse_phase_map(field("ns")?, read_u64)?,
+        calls: parse_phase_map(field("calls")?, read_u64)?,
+        dropped: count(&v, "dropped")?,
+        span,
+    };
+    let hists = parse_phase_map(field("hist_ns")?, read_hist)?;
+    Ok((job, 0, (phases, hists)))
 }
 
 /// A loaded metrics sidecar.
@@ -152,208 +143,89 @@ pub struct MetricsFile {
     pub meta: TraceMeta,
     /// Per-job phase breakdowns, last occurrence per job, file order.
     pub jobs: Vec<JobPhases>,
-    /// Merged per-phase histograms from the last summary line, if any.
-    pub hist: Option<[DurationHist; Phase::COUNT]>,
+    /// Per-phase histograms merged over the lines in `jobs`; `None` when
+    /// no job line survived.
+    pub hist: Option<Hists>,
     /// Whether a torn final line was dropped.
     pub torn_tail: bool,
-    /// Byte length of the valid prefix of the file.
-    valid_len: u64,
+    /// The surviving lines, which [`merge`](Self::merge) re-merges.
+    lines: Vec<Entry<JobLine>>,
 }
 
 impl MetricsFile {
-    /// Loads and validates a metrics sidecar; drops a torn final line.
+    /// Loads a metrics sidecar.
     pub fn load(path: &Path) -> Result<MetricsFile, TelemetryError> {
-        let p = || path.display().to_string();
-        let mut text = String::new();
-        std::fs::File::open(path)
-            .and_then(|mut f| f.read_to_string(&mut text))
-            .map_err(|e| TelemetryError::io(path, e))?;
-        let mut lines: Vec<(usize, &str)> = Vec::new();
-        let mut start = 0usize;
-        for (i, byte) in text.bytes().enumerate() {
-            if byte == b'\n' {
-                lines.push((start, &text[start..i]));
-                start = i + 1;
-            }
-        }
-        let tail = &text[start..];
-        let meta = match lines.first() {
-            Some((_, first)) => TraceMeta::parse_metrics_header(first)
-                .map_err(|msg| TelemetryError::Header { path: p(), msg })?,
-            None if !tail.is_empty() => {
-                return Err(TelemetryError::Header {
-                    path: p(),
-                    msg: "torn header line (crash during sidecar creation)".into(),
-                });
-            }
-            None => return Err(TelemetryError::Empty { path: p() }),
-        };
-        let mal = |off: usize, msg: String| TelemetryError::Malformed {
-            path: p(),
-            offset: off,
-            msg,
-        };
-        let mut jobs: Vec<JobPhases> = Vec::new();
-        let mut by_job: std::collections::HashMap<usize, usize> = std::collections::HashMap::new();
-        let mut hist = None;
-        for &(off, line) in &lines[1..] {
-            let v = json::parse(line).map_err(|e| mal(off, e.to_string()))?;
-            if v.get("summary").is_some() {
-                hist = Some(parse_hist_summary(&v).map_err(|e| mal(off, e))?);
-                continue;
-            }
-            let job = v
-                .get("job")
-                .and_then(read_u64)
-                .ok_or_else(|| mal(off, "missing `job`".into()))? as usize;
-            if job >= meta.total_jobs {
-                return Err(TelemetryError::JobOutOfRange {
-                    path: p(),
-                    job,
-                    total: meta.total_jobs,
-                });
-            }
-            let rec = JobPhases {
-                job,
-                ns: v
-                    .get("ns")
-                    .ok_or_else(|| mal(off, "missing `ns`".into()))
-                    .and_then(|m| parse_phase_map(m).map_err(|e| mal(off, e)))?,
-                calls: v
-                    .get("calls")
-                    .ok_or_else(|| mal(off, "missing `calls`".into()))
-                    .and_then(|m| parse_phase_map(m).map_err(|e| mal(off, e)))?,
-                dropped: v
-                    .get("dropped")
-                    .and_then(read_u64)
-                    .ok_or_else(|| mal(off, "missing `dropped`".into()))?,
-                span: parse_span(&v).map_err(|e| mal(off, e))?,
-            };
-            match by_job.get(&job) {
-                Some(&i) => jobs[i] = rec, // re-run after a crash: last wins
-                None => {
-                    by_job.insert(job, jobs.len());
-                    jobs.push(rec);
+        let log = Log::load(path, &METRICS, parse_job)?;
+        Ok(MetricsFile::new(
+            log.header.meta,
+            log.entries,
+            log.torn_tail,
+        ))
+    }
+
+    /// Merges sidecars of one campaign: a job present in several keeps
+    /// its last line, and the histograms re-merge from the surviving
+    /// lines, so overlapping sidecars never double-count.
+    pub fn merge(files: Vec<MetricsFile>) -> Result<MetricsFile, TelemetryError> {
+        let torn_tail = files.iter().any(|f| f.torn_tail);
+        let logs = files.into_iter().map(|f| (f.meta, f.lines));
+        let (meta, lines) = log::merge(&METRICS, logs)?;
+        Ok(MetricsFile::new(meta, lines, torn_tail))
+    }
+
+    fn new(meta: TraceMeta, lines: Vec<Entry<JobLine>>, torn_tail: bool) -> MetricsFile {
+        let jobs = lines.iter().map(|e| e.value.0.clone()).collect();
+        let hist = (!lines.is_empty()).then(|| {
+            let mut acc = [DurationHist::new(); Phase::COUNT];
+            for e in &lines {
+                for (a, h) in acc.iter_mut().zip(&e.value.1) {
+                    a.merge(h);
                 }
             }
-        }
-        Ok(MetricsFile {
+            acc
+        });
+        MetricsFile {
             meta,
             jobs,
             hist,
-            torn_tail: !tail.is_empty(),
-            valid_len: start as u64,
-        })
+            torn_tail,
+            lines,
+        }
     }
 }
 
-/// An open, append-mode metrics sidecar. Accumulates merged per-phase
-/// histograms across the jobs it writes and appends them as a summary
-/// line on [`finish`](Self::finish).
+/// An open metrics sidecar.
 #[derive(Debug)]
-pub struct MetricsWriter {
-    file: std::fs::File,
-    hists: [DurationHist; Phase::COUNT],
-}
+pub struct MetricsWriter(LogWriter);
 
 impl MetricsWriter {
-    /// Creates a fresh sidecar at `path`, writing (and flushing) the
-    /// header. Refuses to overwrite an existing file.
+    /// Creates a fresh sidecar at `path`; an existing file is
+    /// [`TelemetryError::AlreadyExists`].
     pub fn create(path: &Path, meta: &TraceMeta) -> Result<MetricsWriter, TelemetryError> {
-        let mut file = std::fs::OpenOptions::new()
-            .write(true)
-            .create_new(true)
-            .open(path)
-            .map_err(|e| {
-                if e.kind() == std::io::ErrorKind::AlreadyExists {
-                    TelemetryError::AlreadyExists {
-                        path: path.display().to_string(),
-                    }
-                } else {
-                    TelemetryError::io(path, e)
-                }
-            })?;
-        let mut line = meta.metrics_header();
-        line.push('\n');
-        file.write_all(line.as_bytes())
-            .and_then(|()| file.flush())
-            .map_err(|e| TelemetryError::io(path, e))?;
-        Ok(MetricsWriter {
-            file,
-            hists: [DurationHist::new(); Phase::COUNT],
-        })
+        Self::open(path, meta, false)
     }
 
-    /// Reopens an existing sidecar for appending: validates the header
-    /// against `meta`, truncates a torn tail, seeds the histogram
-    /// accumulator from the prior run's summary (if any), and seeks to
-    /// the end.
-    pub fn resume(path: &Path, meta: &TraceMeta) -> Result<MetricsWriter, TelemetryError> {
-        let loaded = MetricsFile::load(path)?;
-        if loaded.meta != *meta {
-            return Err(TelemetryError::CampaignMismatch {
-                path: path.display().to_string(),
-                msg: format!(
-                    "metrics sidecar belongs to a different campaign (header name `{}`)",
-                    loaded.meta.name
-                ),
-            });
-        }
-        let file = std::fs::OpenOptions::new()
-            .write(true)
-            .open(path)
-            .map_err(|e| TelemetryError::io(path, e))?;
-        file.set_len(loaded.valid_len)
-            .map_err(|e| TelemetryError::io(path, e))?;
-        let mut file = file;
-        file.seek(std::io::SeekFrom::End(0))
-            .map_err(|e| TelemetryError::io(path, e))?;
-        Ok(MetricsWriter {
-            file,
-            hists: loaded.hist.unwrap_or([DurationHist::new(); Phase::COUNT]),
-        })
+    /// Opens a sidecar under the log open rule ([`LogWriter::open`]).
+    pub fn open(
+        path: &Path,
+        meta: &TraceMeta,
+        resume: bool,
+    ) -> Result<MetricsWriter, TelemetryError> {
+        let header = Header::from(meta.clone());
+        let (w, _) = LogWriter::open(path, &METRICS, &header, resume, parse_job)?;
+        Ok(MetricsWriter(w))
     }
 
-    /// Appends one job's phase breakdown and flushes; merges its
-    /// histograms into the summary accumulator.
+    /// Appends one job's line: phase times, calls and histograms.
     pub fn append_job(&mut self, tele: &JobTelemetry) -> Result<(), TelemetryError> {
-        for (acc, h) in self.hists.iter_mut().zip(tele.hist.iter()) {
-            acc.merge(h);
-        }
-        let mut line = job_line(
-            tele.job,
-            &tele.phase_ns,
-            &tele.phase_calls,
-            tele.dropped,
-            tele.span.as_ref(),
-        );
-        line.push('\n');
-        self.file
-            .write_all(line.as_bytes())
-            .and_then(|()| self.file.flush())
-            .map_err(|e| TelemetryError::Io {
-                path: "<metrics>".into(),
-                msg: e.to_string(),
-            })
-    }
-
-    /// Appends the merged-histogram summary line and flushes.
-    pub fn finish(&mut self) -> Result<(), TelemetryError> {
-        let mut line = hist_summary_line(&self.hists);
-        line.push('\n');
-        self.file
-            .write_all(line.as_bytes())
-            .and_then(|()| self.file.flush())
-            .map_err(|e| TelemetryError::Io {
-                path: "<metrics>".into(),
-                msg: e.to_string(),
-            })
+        self.0.append(&format!("{}\n", render_job(tele)))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::io::Write;
 
     fn meta() -> TraceMeta {
         TraceMeta {
@@ -378,8 +250,20 @@ mod tests {
         };
         t.phase_ns[Phase::Step.index()] = step_ns;
         t.phase_calls[Phase::Step.index()] = 4;
-        t.hist[Phase::Step.index()].record(step_ns / 4);
+        for _ in 0..4 {
+            t.hist[Phase::Step.index()].record(step_ns / 4);
+        }
         t
+    }
+
+    /// Every phase's merged histogram counts exactly the surviving
+    /// lines' calls.
+    fn assert_hist_counts_calls(mf: &MetricsFile) {
+        let hist = mf.hist.unwrap();
+        for p in Phase::ALL {
+            let calls: u64 = mf.jobs.iter().map(|j| j.calls[p.index()]).sum();
+            assert_eq!(hist[p.index()].count(), calls, "{}", p.name());
+        }
     }
 
     #[test]
@@ -392,7 +276,6 @@ mod tests {
         let mut w = MetricsWriter::create(&p, &m).unwrap();
         w.append_job(&tele(0, 4000)).unwrap();
         w.append_job(&tele(2, 8000)).unwrap();
-        w.finish().unwrap();
         drop(w);
 
         let loaded = MetricsFile::load(&p).unwrap();
@@ -400,24 +283,31 @@ mod tests {
         assert_eq!(loaded.jobs.len(), 2);
         assert_eq!(loaded.jobs[0].ns[Phase::Step.index()], 4000);
         assert_eq!(loaded.jobs[1].calls[Phase::Step.index()], 4);
-        let hist = loaded.hist.unwrap();
-        assert_eq!(hist[Phase::Step.index()].count(), 2);
+        assert_hist_counts_calls(&loaded);
 
-        // Resume with a torn tail: tail dropped, summary seeded, a
-        // duplicate job line keeps the last occurrence.
+        // Resume with a torn tail: tail dropped, and a duplicate job
+        // line keeps the last occurrence — histograms included.
         let mut f = std::fs::OpenOptions::new().append(true).open(&p).unwrap();
         f.write_all(b"{\"job\":1,\"ns\":{").unwrap();
         drop(f);
-        let mut w = MetricsWriter::resume(&p, &m).unwrap();
+        let mut w = MetricsWriter::open(&p, &m, true).unwrap();
         w.append_job(&tele(1, 2000)).unwrap();
         w.append_job(&tele(2, 6000)).unwrap();
-        w.finish().unwrap();
         drop(w);
         let loaded = MetricsFile::load(&p).unwrap();
         assert_eq!(loaded.jobs.len(), 3);
         let j2 = loaded.jobs.iter().find(|j| j.job == 2).unwrap();
         assert_eq!(j2.ns[Phase::Step.index()], 6000, "last occurrence wins");
-        assert_eq!(loaded.hist.unwrap()[Phase::Step.index()].count(), 4);
+        assert_hist_counts_calls(&loaded);
+
+        // Overlapping sidecars merge last-wins without double-counting.
+        let twice = MetricsFile::merge(vec![
+            MetricsFile::load(&p).unwrap(),
+            MetricsFile::load(&p).unwrap(),
+        ])
+        .unwrap();
+        assert_eq!(twice.jobs, loaded.jobs);
+        assert_eq!(twice.hist, loaded.hist);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -437,7 +327,6 @@ mod tests {
         });
         w.append_job(&spanned).unwrap();
         w.append_job(&tele(1, 2000)).unwrap(); // span-less line in the same file
-        w.finish().unwrap();
         drop(w);
         let loaded = MetricsFile::load(&p).unwrap();
         assert_eq!(

@@ -1,138 +1,22 @@
-//! The byte-deterministic event trace: rendering, appending, loading.
+//! The byte-deterministic event trace: its line format, merge and
+//! canonical form.
 //!
-//! A trace is a JSONL file: one header line identifying the campaign,
-//! then one line per event keyed by `(job, seq)` — the global job index
-//! and the event's position in that job's drained ring. No line ever
-//! carries wall-clock data, so the *canonical* form of a trace (lines
-//! sorted by `(job, seq)`) is byte-identical for a given campaign
-//! across thread counts, shard splits, and kill/resume cycles; timings
-//! live in the separate metrics sidecar (see [`crate::metrics`]).
-//!
-//! On disk the file follows the journal's crash discipline: a job's
-//! whole event block is appended and flushed at job completion (before
-//! the journal record, so a journal record implies a durable trace
-//! block), a torn final line is dropped on load, and re-run jobs
-//! produce byte-identical duplicate blocks that deduplicate on load.
+//! A trace is a durable log ([`crate::log`] holds the header, append,
+//! torn-tail and resume discipline) whose records are protocol events
+//! keyed by `(job, seq)` — the global job index and the event's position
+//! in that job's drained ring. No line ever carries wall-clock data, so
+//! the *canonical* form of a trace (lines sorted by `(job, seq)`) is
+//! byte-identical for a given campaign across thread counts, shard
+//! splits, and kill/resume cycles; timings live in the separate metrics
+//! sidecar (see [`crate::metrics`]).
 
-use std::io::{Read, Seek, Write};
 use std::path::Path;
 
 use serde::json::{self, Value};
 
 use crate::error::TelemetryError;
 use crate::event::{target, via, Event, EventKind};
-
-/// Trace format version (bumped on any incompatible line change).
-pub const TRACE_VERSION: u64 = 1;
-
-/// The campaign identity at the head of a trace or metrics file.
-///
-/// Deliberately shard-free (unlike the journal manifest): every shard
-/// of one campaign writes the same header, so shard traces concatenate
-/// into the full campaign's canonical trace.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct TraceMeta {
-    /// Campaign name.
-    pub name: String,
-    /// FNV-1a fingerprint of the expanded grid (journal-compatible).
-    pub fingerprint: u64,
-    /// Campaign seed.
-    pub seed: u64,
-    /// Repetitions per configuration (job `j` runs configuration
-    /// `j / reps`).
-    pub reps: usize,
-    /// Total jobs in the full campaign.
-    pub total_jobs: usize,
-}
-
-impl TraceMeta {
-    fn header_line(&self, file_key: &str) -> String {
-        // The seed is rendered as a decimal *string*: u64 seeds above
-        // 2^53 do not survive a round-trip through an f64 JSON number.
-        format!(
-            "{{\"{file_key}\":{TRACE_VERSION},\"name\":{},\"fingerprint\":\"{:#018x}\",\
-             \"seed\":\"{}\",\"reps\":{},\"total_jobs\":{}}}",
-            Value::Str(self.name.clone()),
-            self.fingerprint,
-            self.seed,
-            self.reps,
-            self.total_jobs,
-        )
-    }
-
-    /// Renders the trace header line (no trailing newline).
-    pub fn trace_header(&self) -> String {
-        self.header_line("ftcg_trace")
-    }
-
-    /// Renders the metrics-sidecar header line (no trailing newline).
-    pub fn metrics_header(&self) -> String {
-        self.header_line("ftcg_metrics")
-    }
-
-    fn parse_header(line: &str, file_key: &str) -> Result<TraceMeta, String> {
-        let v = json::parse(line).map_err(|e| format!("header line: {e}"))?;
-        let version = v
-            .get(file_key)
-            .and_then(read_u64)
-            .ok_or_else(|| format!("not a ftcg file (missing `{file_key}` version field)"))?;
-        if version != TRACE_VERSION {
-            return Err(format!(
-                "file version {version} is not the supported version {TRACE_VERSION}"
-            ));
-        }
-        let name = v
-            .get("name")
-            .and_then(Value::as_str)
-            .ok_or("header missing `name`")?
-            .to_string();
-        let fingerprint = v
-            .get("fingerprint")
-            .and_then(Value::as_str)
-            .and_then(|s| u64::from_str_radix(s.trim_start_matches("0x"), 16).ok())
-            .ok_or("header missing or malformed `fingerprint`")?;
-        let seed = v
-            .get("seed")
-            .and_then(Value::as_str)
-            .and_then(|s| s.parse::<u64>().ok())
-            .ok_or("header missing or malformed `seed` (expected a decimal string)")?;
-        let reps = v
-            .get("reps")
-            .and_then(read_u64)
-            .ok_or("header missing `reps`")? as usize;
-        let total_jobs = v
-            .get("total_jobs")
-            .and_then(read_u64)
-            .ok_or("header missing `total_jobs`")? as usize;
-        Ok(TraceMeta {
-            name,
-            fingerprint,
-            seed,
-            reps,
-            total_jobs,
-        })
-    }
-
-    /// Parses a trace header line.
-    pub fn parse_trace_header(line: &str) -> Result<TraceMeta, String> {
-        Self::parse_header(line, "ftcg_trace")
-    }
-
-    /// Parses a metrics-sidecar header line.
-    pub fn parse_metrics_header(line: &str) -> Result<TraceMeta, String> {
-        Self::parse_header(line, "ftcg_metrics")
-    }
-}
-
-/// Reads a non-negative integer JSON number that fits u64 exactly.
-pub(crate) fn read_u64(v: &Value) -> Option<u64> {
-    match v {
-        Value::Num(f) if *f >= 0.0 && f.fract() == 0.0 && *f <= 9_007_199_254_740_992.0 => {
-            Some(*f as u64)
-        }
-        _ => None,
-    }
-}
+use crate::log::{self, read_u64, Entry, Header, Log, LogWriter, TraceMeta, TRACE};
 
 /// Renders one event as a trace JSONL line (no trailing newline). The
 /// field order is fixed per kind; this rendering *is* the byte-level
@@ -172,8 +56,18 @@ pub fn render_event(job: usize, seq: usize, ev: &Event) -> String {
     }
 }
 
-/// Parses one trace line back into `(job, seq, event)`.
-pub fn parse_event(line: &str) -> Result<(usize, usize, Event), String> {
+/// Parses one trace line back into `(job, seq, event)`. A line that does
+/// not parse is [`TelemetryError::Malformed`] at offset 0 of no file;
+/// loading a trace reports the real path and byte offset.
+pub fn parse_event(line: &str) -> Result<(usize, usize, Event), TelemetryError> {
+    parse_line(line).map_err(|msg| TelemetryError::Malformed {
+        path: String::new(),
+        offset: 0,
+        msg,
+    })
+}
+
+fn parse_line(line: &str) -> Result<(usize, usize, Event), String> {
     let v = json::parse(line).map_err(|e| e.to_string())?;
     let u = |key: &str| {
         v.get(key)
@@ -228,247 +122,122 @@ pub fn parse_event(line: &str) -> Result<(usize, usize, Event), String> {
     Ok((job, seq, ev))
 }
 
+/// The loader's parser: validates the event, keeps only its key (the
+/// line itself is the record).
+fn parse_key(line: &str) -> Result<(usize, usize, ()), String> {
+    parse_line(line).map(|(job, seq, _)| (job, seq, ()))
+}
+
 /// A loaded trace: header, deduplicated event lines, torn-tail flag.
 #[derive(Debug)]
 pub struct Trace {
     /// The campaign identity from the header line.
     pub meta: TraceMeta,
-    /// Deduplicated `(job, seq, raw_line)` triples in file order.
-    pub lines: Vec<(usize, usize, String)>,
+    /// Deduplicated event lines in file order.
+    pub lines: Vec<Entry>,
     /// Whether a torn final line was dropped.
     pub torn_tail: bool,
-    /// Byte length of the valid prefix of the file.
-    valid_len: u64,
 }
 
 impl Trace {
-    /// Loads and validates a trace file. A torn final line (crash
-    /// mid-write) is dropped; duplicate `(job, seq)` lines are benign
-    /// when byte-identical (a job re-run after a crash re-appends its
-    /// deterministic block) and an error when they differ.
+    /// Loads a trace. A job re-run after a crash re-appends its
+    /// deterministic block, so a repeated `(job, seq)` line must be
+    /// byte-identical.
     pub fn load(path: &Path) -> Result<Trace, TelemetryError> {
-        let p = || path.display().to_string();
-        let mut text = String::new();
-        std::fs::File::open(path)
-            .and_then(|mut f| f.read_to_string(&mut text))
-            .map_err(|e| TelemetryError::io(path, e))?;
-        let mut lines: Vec<(usize, &str)> = Vec::new();
-        let mut start = 0usize;
-        for (i, byte) in text.bytes().enumerate() {
-            if byte == b'\n' {
-                lines.push((start, &text[start..i]));
-                start = i + 1;
-            }
-        }
-        let tail = &text[start..];
-        let meta = match lines.first() {
-            Some((_, first)) => TraceMeta::parse_trace_header(first)
-                .map_err(|msg| TelemetryError::Header { path: p(), msg })?,
-            None if !tail.is_empty() => {
-                return Err(TelemetryError::Header {
-                    path: p(),
-                    msg: "torn header line (crash during trace creation)".into(),
-                });
-            }
-            None => return Err(TelemetryError::Empty { path: p() }),
-        };
-        let mut out: Vec<(usize, usize, String)> = Vec::with_capacity(lines.len() - 1);
-        let mut seen: std::collections::HashMap<(usize, usize), usize> =
-            std::collections::HashMap::new();
-        for &(off, line) in &lines[1..] {
-            let (job, seq, _) = parse_event(line).map_err(|msg| TelemetryError::Malformed {
-                path: p(),
-                offset: off,
-                msg,
-            })?;
-            if job >= meta.total_jobs {
-                return Err(TelemetryError::JobOutOfRange {
-                    path: p(),
-                    job,
-                    total: meta.total_jobs,
-                });
-            }
-            match seen.get(&(job, seq)) {
-                None => {
-                    seen.insert((job, seq), out.len());
-                    out.push((job, seq, line.to_string()));
-                }
-                Some(&i) if out[i].2 == line => {} // benign re-run duplicate
-                Some(_) => {
-                    return Err(TelemetryError::ConflictingDuplicate {
-                        path: p(),
-                        job,
-                        seq,
-                    });
-                }
-            }
-        }
+        let log = Log::load(path, &TRACE, parse_key)?;
         Ok(Trace {
-            meta,
-            lines: out,
-            torn_tail: !tail.is_empty(),
-            valid_len: start as u64,
+            meta: log.header.meta,
+            lines: log.entries,
+            torn_tail: log.torn_tail,
         })
     }
 
     /// The canonical byte-deterministic rendering: header plus all
     /// event lines stably sorted by `(job, seq)`.
     pub fn canonical_string(&self) -> String {
-        let mut sorted: Vec<&(usize, usize, String)> = self.lines.iter().collect();
-        sorted.sort_by_key(|(job, seq, _)| (*job, *seq));
-        let mut out = self.meta.trace_header();
+        let mut sorted: Vec<&Entry> = self.lines.iter().collect();
+        sorted.sort_by_key(|e| (e.job, e.seq));
+        let mut out = Header::from(self.meta.clone()).render(&TRACE);
         out.push('\n');
-        for (_, _, line) in sorted {
-            out.push_str(line);
+        for e in sorted {
+            out.push_str(&e.line);
             out.push('\n');
         }
         out
     }
 
     /// Parses every line into `(job, seq, event)` triples (file order).
-    pub fn parsed(&self) -> Result<Vec<(usize, usize, Event)>, String> {
-        self.lines
-            .iter()
-            .map(|(_, _, line)| parse_event(line))
-            .collect()
+    pub fn parsed(&self) -> Result<Vec<(usize, usize, Event)>, TelemetryError> {
+        self.lines.iter().map(|e| parse_event(&e.line)).collect()
     }
 
     /// Merges shard traces of one campaign into a single trace.
     /// Headers must agree; overlapping `(job, seq)` lines must be
     /// byte-identical.
     pub fn merge(traces: Vec<Trace>) -> Result<Trace, TelemetryError> {
-        let mut iter = traces.into_iter();
-        let mut base = iter.next().ok_or(TelemetryError::NoInput)?;
-        let mut seen: std::collections::HashMap<(usize, usize), usize> = base
-            .lines
-            .iter()
-            .enumerate()
-            .map(|(i, (job, seq, _))| ((*job, *seq), i))
-            .collect();
-        for t in iter {
-            if t.meta != base.meta {
-                return Err(TelemetryError::CampaignMismatch {
-                    path: "<merge>".into(),
-                    msg: format!(
-                        "trace headers disagree: campaign `{}` (fingerprint {:#x}) vs `{}` ({:#x})",
-                        base.meta.name, base.meta.fingerprint, t.meta.name, t.meta.fingerprint
-                    ),
-                });
-            }
-            for (job, seq, line) in t.lines {
-                match seen.get(&(job, seq)) {
-                    None => {
-                        seen.insert((job, seq), base.lines.len());
-                        base.lines.push((job, seq, line));
-                    }
-                    Some(&i) if base.lines[i].2 == line => {}
-                    Some(_) => {
-                        return Err(TelemetryError::ConflictingDuplicate {
-                            path: "<merge>".into(),
-                            job,
-                            seq,
-                        });
-                    }
-                }
-            }
-        }
-        Ok(base)
+        let torn_tail = traces.iter().any(|t| t.torn_tail);
+        let logs = traces.into_iter().map(|t| (t.meta, t.lines));
+        let (meta, lines) = log::merge(&TRACE, logs)?;
+        Ok(Trace {
+            meta,
+            lines,
+            torn_tail,
+        })
     }
 }
 
-/// An open, append-mode trace file. Each
-/// [`append_job`](Self::append_job) writes one job's whole event block
-/// and flushes it, so a crash costs at most the in-flight job's block
-/// (a torn final line, dropped on load).
+/// An open trace. Each [`append_job`](Self::append_job) makes one job's
+/// whole event block durable at once.
 #[derive(Debug)]
-pub struct TraceWriter {
-    file: std::fs::File,
-}
+pub struct TraceWriter(LogWriter);
 
 impl TraceWriter {
-    /// Creates a fresh trace at `path`, writing (and flushing) the
-    /// header. Refuses to overwrite an existing file.
+    /// Creates a fresh trace at `path`; an existing file is
+    /// [`TelemetryError::AlreadyExists`].
     pub fn create(path: &Path, meta: &TraceMeta) -> Result<TraceWriter, TelemetryError> {
-        let mut file = std::fs::OpenOptions::new()
-            .write(true)
-            .create_new(true)
-            .open(path)
-            .map_err(|e| {
-                if e.kind() == std::io::ErrorKind::AlreadyExists {
-                    TelemetryError::AlreadyExists {
-                        path: path.display().to_string(),
-                    }
-                } else {
-                    TelemetryError::io(path, e)
-                }
-            })?;
-        let mut line = meta.trace_header();
-        line.push('\n');
-        file.write_all(line.as_bytes())
-            .and_then(|()| file.flush())
-            .map_err(|e| TelemetryError::io(path, e))?;
-        Ok(TraceWriter { file })
+        Self::open(path, meta, false)
     }
 
-    /// Reopens an existing trace for appending: validates the header
-    /// against `meta`, truncates away a torn final line, and seeks to
-    /// the end. Returns the writer and the loaded prefix.
-    pub fn resume(path: &Path, meta: &TraceMeta) -> Result<(TraceWriter, Trace), TelemetryError> {
-        let trace = Trace::load(path)?;
-        if trace.meta != *meta {
-            return Err(TelemetryError::CampaignMismatch {
-                path: path.display().to_string(),
-                msg: format!(
-                    "trace belongs to a different campaign (header name `{}`, fingerprint {:#x})",
-                    trace.meta.name, trace.meta.fingerprint
-                ),
-            });
-        }
-        let file = std::fs::OpenOptions::new()
-            .write(true)
-            .open(path)
-            .map_err(|e| TelemetryError::io(path, e))?;
-        file.set_len(trace.valid_len)
-            .map_err(|e| TelemetryError::io(path, e))?;
-        let mut file = file;
-        file.seek(std::io::SeekFrom::End(0))
-            .map_err(|e| TelemetryError::io(path, e))?;
-        Ok((TraceWriter { file }, trace))
+    /// Opens a trace under the log open rule ([`LogWriter::open`]).
+    pub fn open(
+        path: &Path,
+        meta: &TraceMeta,
+        resume: bool,
+    ) -> Result<TraceWriter, TelemetryError> {
+        let header = Header::from(meta.clone());
+        let (w, _) = LogWriter::open(path, &TRACE, &header, resume, parse_key)?;
+        Ok(TraceWriter(w))
     }
 
-    /// Appends one job's event block (one line per event, `seq` = ring
-    /// position) and flushes. One `write_all` call keeps the torn-write
-    /// window to a single job block.
+    /// Appends one job's event block, one line per event with `seq` =
+    /// ring position.
     pub fn append_job(&mut self, job: usize, events: &[Event]) -> Result<(), TelemetryError> {
         let mut block = String::new();
         for (seq, ev) in events.iter().enumerate() {
             block.push_str(&render_event(job, seq, ev));
             block.push('\n');
         }
-        self.file
-            .write_all(block.as_bytes())
-            .and_then(|()| self.file.flush())
-            .map_err(|e| TelemetryError::Io {
-                path: "<trace>".into(),
-                msg: e.to_string(),
-            })
+        self.0.append(&block)
     }
-}
 
-/// Rewrites the trace at `path` into its canonical form (lines sorted
-/// by `(job, seq)`, duplicates removed) via a sibling temp file and an
-/// atomic rename. Called once a run completes successfully; after
-/// this, traces of the same campaign are directly byte-comparable.
-pub fn canonicalize(path: &Path) -> Result<(), TelemetryError> {
-    let trace = Trace::load(path)?;
-    let tmp = path.with_extension("canonical.tmp");
-    std::fs::write(&tmp, trace.canonical_string()).map_err(|e| TelemetryError::io(&tmp, e))?;
-    std::fs::rename(&tmp, path).map_err(|e| TelemetryError::io(path, e))
+    /// Closes the trace and rewrites it in canonical form (lines sorted
+    /// by `(job, seq)`, duplicates removed) via a sibling temp file and
+    /// an atomic rename. After this, traces of the same campaign are
+    /// directly byte-comparable.
+    pub fn canonicalize(self) -> Result<(), TelemetryError> {
+        let path = self.0.path.clone();
+        drop(self);
+        let trace = Trace::load(&path)?;
+        let tmp = path.with_extension("canonical.tmp");
+        std::fs::write(&tmp, trace.canonical_string()).map_err(|e| TelemetryError::io(&tmp, e))?;
+        std::fs::rename(&tmp, &path).map_err(|e| TelemetryError::io(&path, e))
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::io::Write;
 
     fn meta() -> TraceMeta {
         TraceMeta {
@@ -483,12 +252,11 @@ mod tests {
     #[test]
     fn header_roundtrip() {
         let m = meta();
-        assert_eq!(TraceMeta::parse_trace_header(&m.trace_header()).unwrap(), m);
-        assert_eq!(
-            TraceMeta::parse_metrics_header(&m.metrics_header()).unwrap(),
-            m
-        );
-        assert!(TraceMeta::parse_trace_header(&m.metrics_header()).is_err());
+        let header = |kind| Header::from(m.clone()).render(kind);
+        let parse = |kind, line: &str| Header::parse(kind, line).map(|h| h.meta);
+        assert_eq!(parse(&TRACE, &header(&TRACE)).unwrap(), m);
+        assert_eq!(parse(&log::METRICS, &header(&log::METRICS)).unwrap(), m);
+        assert!(parse(&TRACE, &header(&log::METRICS)).is_err());
     }
 
     #[test]
@@ -545,17 +313,15 @@ mod tests {
         assert_eq!(t1.lines.len(), 4);
 
         // ...and resume truncates it away and keeps appending.
-        let (mut w, replayed) = TraceWriter::resume(&p1, &m).unwrap();
-        assert_eq!(replayed.lines.len(), 4);
+        let mut w = TraceWriter::open(&p1, &m, true).unwrap();
         w.append_job(2, &block(6)).unwrap();
         w.append_job(3, &block(7)).unwrap();
-        drop(w);
 
         // Merge of the two shard traces == canonical full trace.
         let merged = Trace::merge(vec![Trace::load(&p1).unwrap(), Trace::load(&p2).unwrap()])
             .unwrap()
             .canonical_string();
-        canonicalize(&p1).unwrap();
+        w.canonicalize().unwrap();
         let t1c = std::fs::read_to_string(&p1).unwrap();
         // p1 saw all four jobs, so its canonical form is the campaign's.
         assert_eq!(t1c, merged);

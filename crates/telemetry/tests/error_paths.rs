@@ -8,6 +8,7 @@ use std::io::Write;
 use std::path::PathBuf;
 
 use ftcg_telemetry::hist::DurationHist;
+use ftcg_telemetry::log::{Header, Kind, METRICS, TRACE};
 use ftcg_telemetry::metrics::{MetricsFile, MetricsWriter};
 use ftcg_telemetry::trace::{render_event, Trace, TraceWriter};
 use ftcg_telemetry::{Event, JobTelemetry, Phase, TelemetryError, TraceMeta};
@@ -20,6 +21,10 @@ fn meta() -> TraceMeta {
         reps: 2,
         total_jobs: 4,
     }
+}
+
+fn header(kind: &Kind) -> String {
+    Header::from(meta()).render(kind)
 }
 
 fn tmpdir(tag: &str) -> PathBuf {
@@ -105,17 +110,13 @@ fn torn_or_alien_headers_are_typed() {
     // A complete header of the *wrong* file kind is also a header error
     // (a metrics sidecar is not a trace), as is a future version.
     let alien = dir.join("alien.jsonl");
-    std::fs::write(&alien, format!("{}\n", meta().metrics_header())).unwrap();
+    std::fs::write(&alien, format!("{}\n", header(&METRICS))).unwrap();
     assert!(matches!(
         Trace::load(&alien).unwrap_err(),
         TelemetryError::Header { .. }
     ));
     let future = dir.join("future.jsonl");
-    std::fs::write(
-        &future,
-        meta().trace_header().replacen(":1,", ":999,", 1) + "\n",
-    )
-    .unwrap();
+    std::fs::write(&future, header(&TRACE).replacen(":1,", ":999,", 1) + "\n").unwrap();
     match Trace::load(&future).unwrap_err() {
         TelemetryError::Header { msg, .. } => assert!(msg.contains("999"), "{msg}"),
         other => panic!("wrong variant: {other:?}"),
@@ -249,7 +250,7 @@ fn create_refuses_to_clobber_and_resume_refuses_alien_files() {
     let mut m2 = meta();
     m2.name = "someone-else".into();
     assert!(matches!(
-        TraceWriter::resume(&p, &m2).unwrap_err(),
+        TraceWriter::open(&p, &m2, true).unwrap_err(),
         TelemetryError::CampaignMismatch { .. }
     ));
     let mp = dir.join("m.jsonl");
@@ -260,7 +261,7 @@ fn create_refuses_to_clobber_and_resume_refuses_alien_files() {
         TelemetryError::AlreadyExists { .. }
     ));
     assert!(matches!(
-        MetricsWriter::resume(&mp, &m2).unwrap_err(),
+        MetricsWriter::open(&mp, &m2, true).unwrap_err(),
         TelemetryError::CampaignMismatch { .. }
     ));
     std::fs::remove_dir_all(&dir).unwrap();
@@ -286,11 +287,9 @@ fn sidecar_torn_tail_drops_and_duplicate_jobs_last_win() {
     assert_eq!(mf.jobs.len(), 2);
     let j0 = mf.jobs.iter().find(|j| j.job == 0).unwrap();
     assert_eq!(j0.ns[Phase::Step.index()], 9000);
-    // Resume truncates the torn tail away and keeps the file appendable;
-    // the accumulator picks up where the last durable summary left off.
-    let mut w = MetricsWriter::resume(&mp, &meta()).unwrap();
+    // Resume truncates the torn tail away and keeps the file appendable.
+    let mut w = MetricsWriter::open(&mp, &meta(), true).unwrap();
     w.append_job(&tele(2, 5000)).unwrap();
-    w.finish().unwrap();
     drop(w);
     let mf = MetricsFile::load(&mp).unwrap();
     assert!(!mf.torn_tail);
