@@ -23,11 +23,19 @@ pub fn parse_strict<T: std::str::FromStr>(
     }
 }
 
-/// Rejects any `--flag` outside a subcommand's grammar, and a value
-/// flag with nothing after it: a misspelt `--repz 50` would otherwise
-/// run with the default and write an artifact the user believes came
-/// from other parameters. `removed` flags of an earlier grammar fail
-/// with `successor` ("PR N: do X").
+/// The flags of the removed SpMV-backend choice (`solve`, `table1` and
+/// `figure1` took `--kernel`, `campaign` and `merge` took `--kernels`):
+/// every subcommand rejects them with
+/// [`KERNELS_REMOVED`](ftcg_engine::spec::KERNELS_REMOVED).
+const KERNEL_FLAGS: [&str; 2] = ["--kernel", "--kernels"];
+
+/// Rejects any `--flag` outside a subcommand's grammar, a value flag
+/// with nothing after it, and a value flag given twice: a misspelt
+/// `--repz 50` or a second `--gen` would otherwise run with the default
+/// or one of the two values and write an artifact the user believes
+/// came from other parameters. `removed` flags of an earlier grammar
+/// fail with `successor` ("PR N: do X"), and so do `KERNEL_FLAGS`
+/// with theirs.
 pub fn check_flags(
     args: &[String],
     value_flags: &[&str],
@@ -36,6 +44,7 @@ pub fn check_flags(
     successor: &str,
 ) -> Result<(), String> {
     let mut skip = false;
+    let mut seen: Vec<&str> = Vec::new();
     for a in args {
         if std::mem::take(&mut skip) || !a.starts_with("--") {
             continue;
@@ -43,7 +52,15 @@ pub fn check_flags(
         if removed.contains(&a.as_str()) {
             return Err(format!("{a} was removed in {successor}"));
         }
+        if KERNEL_FLAGS.contains(&a.as_str()) {
+            let why = ftcg_engine::spec::KERNELS_REMOVED;
+            return Err(format!("{a} was removed in {why}"));
+        }
         if value_flags.contains(&a.as_str()) {
+            if seen.contains(&a.as_str()) {
+                return Err(format!("`{a}` given twice"));
+            }
+            seen.push(a);
             skip = true;
         } else if !switches.contains(&a.as_str()) {
             return Err(format!("unknown flag `{a}` (try `ftcg help`)"));
@@ -133,6 +150,18 @@ mod tests {
         )
         .unwrap_err();
         assert!(e.contains("`--seed` needs a value"), "{e}");
+    }
+
+    #[test]
+    fn value_flag_given_twice_is_rejected() {
+        // `value` takes the first occurrence; silently running with it
+        // (or with the last) is what this guards against.
+        let args = sv(&["--gen", "poisson2d:4", "--gen", "poisson2d:40"]);
+        let e = check_flags(&args, &["--gen", "--seed"], &[], &[], "").unwrap_err();
+        assert_eq!(e, "`--gen` given twice");
+        // A repeated value is not a repeated flag.
+        let args = sv(&["--name", "--gen", "--gen", "poisson2d:4"]);
+        assert!(check_flags(&args, &["--gen", "--name"], &[], &[], "").is_ok());
     }
 
     #[test]

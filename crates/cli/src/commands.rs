@@ -1,6 +1,5 @@
 //! Subcommand implementations.
 
-use ftcg::kernels::{self, KernelRegistry, KernelSpec};
 use ftcg::model::Scheme;
 use ftcg::obs::{analyze, perfetto_json, render_analytics};
 use ftcg::prelude::*;
@@ -31,7 +30,7 @@ ftcg — fault-tolerant Conjugate Gradient (Fasi, Robert & Uçar, PDSEC 2015)
 
 USAGE:
   ftcg solve    (--matrix F.mtx | --gen SPEC) [--scheme S] [--solver S] [--alpha A]
-                [--seed N] [--kernel K] [--threads N] [--trace F] [--metrics F]
+                [--seed N] [--trace F] [--metrics F]
   ftcg stats    (--matrix F.mtx | --gen SPEC)
   ftcg campaign (--spec FILE | inline flags) [--out F.jsonl] [--csv F.csv]
                 [--reps N] [--seed N] [--threads N] [--quiet]
@@ -42,11 +41,10 @@ USAGE:
   ftcg report   FILE... [--spec FILE] [--perfetto OUT.json]
   ftcg bench record RESULT.json... --out BENCH.json [--label S] [--pr N]
   ftcg bench compare NEW.json BASELINE.json [--threshold PCT] [--warn-only]
-  ftcg table1   [--scale N] [--reps N] [--threads N] [--kernel K] [--solver S]
+  ftcg table1   [--scale N] [--reps N] [--threads N] [--solver S]
                 [--journal-dir D] [--trace-dir D] [--metrics-dir D]
   ftcg figure1  [--scale N] [--reps N] [--points N] [--matrices N] [--threads N]
-                [--kernel K] [--solver S] [--journal-dir D] [--trace-dir D]
-                [--metrics-dir D]
+                [--solver S] [--journal-dir D] [--trace-dir D] [--metrics-dir D]
 
 GENERATORS (--gen):
   poisson2d:K              5-point Laplacian on a KxK grid
@@ -59,35 +57,32 @@ OPTIONS:
   --scheme   online | detection | correction (default: correction);
              the paper's full names work too (e.g. abft-correction)
   --solver   cg | pcg | bicgstab | cgne (default: cg) — any solver
-             composes with any scheme, kernel and checkpoint policy
+             composes with any scheme and checkpoint policy
   --alpha    expected faults/iteration, float or fraction (e.g. 1/16)
   --seed     injector / campaign seed (default 0)
-  --kernel   SpMV backend: csr | csr-par[:T] | bcsr[:B] | sell[:C[:S]]
-             | auto (default csr); `--kernel list` prints
-             the catalog. `ftcg stats` prints the `auto` heuristic's
-             recommendation for a matrix.
-  --threads  solve: worker threads for the csr-par kernel;
-             campaign/table1/figure1: engine worker-pool size
+  --threads  campaign/table1/figure1: engine worker-pool size
              (0 = all cores)
+  Every product runs the one defensive CSR traversal: the CSR arrays
+  are what the faults hit, so there is no SpMV backend to choose
+  (`--kernel`, `--kernels` and `solve --threads` were removed). A flag
+  given twice is an error.
 
 CAMPAIGNS:
-  A campaign sweeps {matrices x schemes x alphas x solvers x kernels}
-  with `--reps` repetitions per configuration, concurrently across
-  worker threads, and aggregates per-configuration statistics. Same
-  spec + seed => byte-identical JSONL/CSV output.
+  A campaign sweeps {matrices x schemes x alphas x solvers} with
+  `--reps` repetitions per configuration, concurrently across worker
+  threads, and aggregates per-configuration statistics. Same spec +
+  seed => byte-identical JSONL/CSV output.
 
   --spec FILE   declarative spec: `key = value` lines or a JSON object
                 (keys: name seed reps threads max_iters matrices
-                schemes alphas solvers kernels interval). `-` reads
-                stdin.
+                schemes alphas solvers interval; each at most once).
+                `-` reads stdin.
   Inline flags instead of a file:
     --gen SPECS --schemes LIST --alphas LIST [--solvers LIST]
-    [--kernels LIST] [--interval model|fixed:N] [--name S]
-    [--max-iters N]
+    [--interval model|fixed:N] [--name S] [--max-iters N]
   The `solvers` axis sweeps iteration schemes (cg, pcg, bicgstab,
   cgne); variants of one (matrix, scheme, alpha) point draw paired
-  fault streams, so solver columns are directly comparable. The
-  `kernels` axis sweeps SpMV backends the same way.
+  fault streams, so solver columns are directly comparable.
   --out F       write JSONL summaries (default: print to stdout)
   --csv F       also write CSV
   --quiet       suppress the progress ticker
@@ -184,21 +179,6 @@ fn parse_solver_flag(args: &[String]) -> Result<SolverKind, String> {
     }
 }
 
-/// The `--kernel list` escape hatch of `solve`, `stats`, `table1` and
-/// `figure1`: prints the kernel catalog and returns `true` (the command
-/// then does nothing else) when asked for.
-fn print_kernel_list(args: &[String]) -> bool {
-    if value(args, "--kernel") != Some("list") {
-        return false;
-    }
-    println!("available kernels:");
-    for (name, desc) in KernelRegistry::builtin().catalog() {
-        println!("  {name:<10} {desc}");
-    }
-    println!("  (parameterized forms work too: bcsr:4, sell:16:64, csr-par:8)");
-    true
-}
-
 /// Parses a directory-valued flag (`--journal-dir`, `--trace-dir`,
 /// `--metrics-dir`) for the experiment commands, creating the directory
 /// so the per-(matrix, scheme) files have somewhere to land on first
@@ -213,49 +193,35 @@ fn parse_dir_flag(args: &[String], flag: &str) -> Result<Option<std::path::PathB
     }
 }
 
-/// Parses `--kernel` as given; thread-count policy is per command
-/// (`solve` feeds `--threads` into the kernel, the experiment commands
-/// reserve `--threads` for the engine worker pool).
-fn parse_kernel_flag(args: &[String]) -> Result<KernelSpec, String> {
-    match value(args, "--kernel") {
-        None => Ok(KernelSpec::Csr),
-        Some(s) => KernelSpec::parse(s).map_err(|e| format!("--kernel: {e}")),
-    }
-}
-
 /// The flags of `solve`, `stats`, `report`, `table1` and `figure1` as
 /// `ftcg help` lists them; all take a value.
-const SOLVE_FLAGS: [&str; 10] = [
+const SOLVE_FLAGS: [&str; 8] = [
     "--matrix",
     "--gen",
     "--scheme",
     "--solver",
     "--alpha",
     "--seed",
-    "--kernel",
-    "--threads",
     "--trace",
     "--metrics",
 ];
 const STATS_FLAGS: [&str; 2] = ["--matrix", "--gen"];
 const REPORT_FLAGS: [&str; 2] = ["--spec", "--perfetto"];
-const TABLE1_FLAGS: [&str; 8] = [
+const TABLE1_FLAGS: [&str; 7] = [
     "--scale",
     "--reps",
     "--threads",
-    "--kernel",
     "--solver",
     "--journal-dir",
     "--trace-dir",
     "--metrics-dir",
 ];
-const FIGURE1_FLAGS: [&str; 10] = [
+const FIGURE1_FLAGS: [&str; 9] = [
     "--scale",
     "--reps",
     "--points",
     "--matrices",
     "--threads",
-    "--kernel",
     "--solver",
     "--journal-dir",
     "--trace-dir",
@@ -264,12 +230,14 @@ const FIGURE1_FLAGS: [&str; 10] = [
 
 /// `ftcg solve`.
 pub fn solve(args: &[String]) -> Result<(), String> {
-    if print_kernel_list(args) {
-        return Ok(());
-    }
-    check_flags(args, &SOLVE_FLAGS, &[], &[], "")?;
+    check_flags(
+        args,
+        &SOLVE_FLAGS,
+        &[],
+        &["--threads"],
+        spec::KERNELS_REMOVED,
+    )?;
     let seed: u64 = parse_strict(args, "--seed", 0)?;
-    let threads: usize = parse_strict(args, "--threads", 0)?;
     let alpha = match value(args, "--alpha") {
         Some(s) => parse_alpha(s).ok_or_else(|| format!("bad --alpha `{s}`"))?,
         None => 0.0,
@@ -289,24 +257,18 @@ pub fn solve(args: &[String]) -> Result<(), String> {
                 .into(),
         );
     }
-    // Pin `auto` here so the banner names the backend that runs;
-    // `--threads` applies after resolution so it reaches a csr-par
-    // backend the heuristic picked, not just an explicit one.
-    let kernel = parse_kernel_flag(args)?.resolve(&a).with_threads(threads);
     let n = a.n_rows();
     let b = vec![1.0; n];
     eprintln!(
-        "solving: n={n} nnz={} scheme={} solver={} alpha={alpha} seed={seed} kernel={}",
+        "solving: n={n} nnz={} scheme={} solver={} alpha={alpha} seed={seed}",
         a.nnz(),
         scheme.name(),
         solver.label(),
-        kernel.label()
     );
     let mut builder = ftcg::ResilientCg::new(&a)
         .scheme(scheme)
         .solver(solver)
-        .seed(seed)
-        .kernel(kernel);
+        .seed(seed);
     if alpha > 0.0 {
         builder = builder.fault_alpha(alpha);
     }
@@ -378,9 +340,6 @@ pub fn solve(args: &[String]) -> Result<(), String> {
 
 /// `ftcg stats`.
 pub fn stats(args: &[String]) -> Result<(), String> {
-    if print_kernel_list(args) {
-        return Ok(());
-    }
     check_flags(args, &STATS_FLAGS, &[], &[], "")?;
     let a = load_matrix(args)?;
     let st = MatrixStats::compute(&a);
@@ -389,24 +348,15 @@ pub fn stats(args: &[String]) -> Result<(), String> {
         "memory words (fault-model M contribution): {}",
         st.memory_words
     );
-    // The same decision the `auto` kernel makes, with its why — derived
-    // from the statistics printed above plus the block fill ratios.
-    let rec = kernels::recommend(&a);
-    println!(
-        "kernel recommendation: {} — {}",
-        rec.spec.label(),
-        rec.reason
-    );
     Ok(())
 }
 
 /// Grid-axis flags: the inline alternative to a `--spec` file.
-const GRID_FLAGS: [&str; 8] = [
+const GRID_FLAGS: [&str; 7] = [
     "--gen",
     "--schemes",
     "--alphas",
     "--solvers",
-    "--kernels",
     "--interval",
     "--name",
     "--max-iters",
@@ -503,12 +453,6 @@ fn campaign_spec(args: &[String]) -> Result<CampaignSpec, String> {
         if let Some(list) = value(args, "--solvers") {
             cs.solvers = spec::split_list(list)
                 .map(spec::parse_solver)
-                .collect::<Result<_, _>>()
-                .map_err(|e| e.to_string())?;
-        }
-        if let Some(list) = value(args, "--kernels") {
-            cs.kernels = spec::split_list(list)
-                .map(spec::parse_kernel)
                 .collect::<Result<_, _>>()
                 .map_err(|e| e.to_string())?;
         }
@@ -700,12 +644,11 @@ fn report_labels(cs: Option<&CampaignSpec>, meta: &TraceMeta) -> Result<Vec<Stri
         .iter()
         .map(|j| {
             format!(
-                "{} {} a={} {} {}",
+                "{} {} a={} {}",
                 j.key.matrix,
                 j.key.scheme.name(),
                 j.key.alpha,
                 j.key.solver.label(),
-                j.key.kernel
             )
         })
         .collect())
@@ -843,9 +786,6 @@ pub fn report(args: &[String]) -> Result<(), String> {
 
 /// `ftcg table1`.
 pub fn table1(args: &[String]) -> Result<(), String> {
-    if print_kernel_list(args) {
-        return Ok(());
-    }
     check_flags(args, &TABLE1_FLAGS, &[], &[], "")?;
     // Field order is evaluation order: every value is checked before
     // the `--*-dir` flags create their directories.
@@ -853,7 +793,6 @@ pub fn table1(args: &[String]) -> Result<(), String> {
         scale: parse_strict(args, "--scale", 32)?,
         reps: parse_strict(args, "--reps", 20)?,
         threads: parse_strict(args, "--threads", 8)?,
-        kernel: parse_kernel_flag(args)?,
         solver: parse_solver_flag(args)?,
         journal_dir: parse_dir_flag(args, "--journal-dir")?,
         trace_dir: parse_dir_flag(args, "--trace-dir")?,
@@ -861,11 +800,10 @@ pub fn table1(args: &[String]) -> Result<(), String> {
         ..Table1Params::default()
     };
     eprintln!(
-        "Table 1: scale=1/{}, reps={}, alpha=1/16, solver={}, kernel={}",
+        "Table 1: scale=1/{}, reps={}, alpha=1/16, solver={}",
         params.scale,
         params.reps,
         params.solver.label(),
-        params.kernel.label()
     );
     let rows = run_table1(&PAPER_MATRICES, &params);
     println!("{}", table1_markdown(&rows));
@@ -876,9 +814,6 @@ pub fn table1(args: &[String]) -> Result<(), String> {
 
 /// `ftcg figure1`.
 pub fn figure1(args: &[String]) -> Result<(), String> {
-    if print_kernel_list(args) {
-        return Ok(());
-    }
     check_flags(args, &FIGURE1_FLAGS, &[], &[], "")?;
     let points = parse_strict(args, "--points", 6)?;
     if points < 2 {
@@ -890,7 +825,6 @@ pub fn figure1(args: &[String]) -> Result<(), String> {
         reps: parse_strict(args, "--reps", 20)?,
         mtbf_grid: log_grid(2e1, 2e4, points),
         threads: parse_strict(args, "--threads", 8)?,
-        kernel: parse_kernel_flag(args)?,
         solver: parse_solver_flag(args)?,
         journal_dir: parse_dir_flag(args, "--journal-dir")?,
         trace_dir: parse_dir_flag(args, "--trace-dir")?,
@@ -999,5 +933,86 @@ mod tests {
         // A grid needs two points; one would trip `log_grid`'s assert.
         let e = figure1(&sv(&["--points", "1"])).unwrap_err();
         assert!(e.contains("--points"), "{e}");
+    }
+
+    #[test]
+    fn removed_kernel_flags_point_at_the_one_product() {
+        let why = "was removed in the one-product change: \
+                   the protected solve runs the defensive CSR traversal only";
+        type Cmd = fn(&[String]) -> Result<(), String>;
+        let cases: [(Cmd, &[&str]); 8] = [
+            (solve, &["--gen", "poisson2d:6", "--kernel", "csr"]),
+            (solve, &["--gen", "poisson2d:6", "--kernel", "list"]),
+            (solve, &["--gen", "poisson2d:6", "--threads", "2"]),
+            (stats, &["--gen", "poisson2d:6", "--kernel", "list"]),
+            (table1, &["--reps", "2", "--kernel", "csr"]),
+            (figure1, &["--reps", "2", "--kernel", "csr"]),
+            (campaign, &["--gen", "poisson2d:6", "--kernels", "csr"]),
+            (merge, &["--gen", "poisson2d:6", "--kernels", "csr"]),
+        ];
+        for (cmd, args) in cases {
+            let e = cmd(&sv(args)).unwrap_err();
+            assert_eq!(e, format!("{} {why}", args[2]), "{args:?}");
+        }
+    }
+
+    /// Values from another build: the fingerprint and the first CSV row
+    /// were recorded before the SpMV-backend axis went. They must not
+    /// move, or journals written before no longer `--resume`.
+    #[test]
+    fn campaign_artifacts_match_a_pinned_earlier_build() {
+        let dir = std::env::temp_dir().join(format!("ftcg-cli-pin-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = |name: &str| dir.join(name).to_str().unwrap().to_string();
+        let (journal, csv, out) = (path("pin.jsonl"), path("pin.csv"), path("pin.out"));
+        let _ = std::fs::remove_file(&journal);
+        campaign(&sv(&[
+            "--gen",
+            "poisson2d:8",
+            "--schemes",
+            "correction,detection",
+            "--alphas",
+            "1/16",
+            "--reps",
+            "2",
+            "--seed",
+            "7",
+            "--name",
+            "pin",
+            "--quiet",
+            "--journal",
+            &journal,
+            "--csv",
+            &csv,
+            "--out",
+            &out,
+        ]))
+        .unwrap();
+        let journal = std::fs::read_to_string(&journal).unwrap();
+        let header = journal.lines().next().unwrap();
+        assert!(
+            header.contains(r#""fingerprint":"0x96a6a3097a7bb4a7""#),
+            "{header}"
+        );
+        let csv = std::fs::read_to_string(&csv).unwrap();
+        let mut lines = csv.lines();
+        assert!(lines.next().unwrap().contains(",s,d,kernel,reps,"));
+        assert_eq!(
+            lines.next().unwrap(),
+            "pin,poisson2d:8,64,ABFT-CORRECTION,cg,0.0625,44,1,csr,2,0,26.519999999999992,0,\
+             26.519999999999992,26.519999999999992,26.519999999999992,26.519999999999992,\
+             26,0,0.5,0.5,1,0.000000020253559264076476"
+        );
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn repeated_value_flag_fails_instead_of_picking_one() {
+        // `value` would read `poisson2d:4` and print n=16.
+        let twice = sv(&["--gen", "poisson2d:4", "--gen", "poisson2d:40"]);
+        assert_eq!(stats(&twice), Err("`--gen` given twice".into()));
+        assert_eq!(solve(&twice), Err("`--gen` given twice".into()));
+        let reps = sv(&["--gen", "poisson2d:4", "--reps", "2", "--reps", "3"]);
+        assert_eq!(campaign_spec(&reps), Err("`--reps` given twice".into()));
     }
 }

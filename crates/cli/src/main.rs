@@ -4,13 +4,11 @@
 //! ```console
 //! $ ftcg solve --gen poisson2d:40 --scheme correction --alpha 0.0625
 //! $ ftcg solve --matrix system.mtx --scheme online --alpha 0.01 --seed 7
-//! $ ftcg solve --gen poisson2d:64 --kernel auto
-//! $ ftcg solve --gen random:4000:0.004 --kernel csr-par --threads 8
-//! $ ftcg solve --kernel list
+//! $ ftcg solve --gen paper:1848 --solver pcg --alpha 1/16
 //! $ ftcg stats --gen random:2000:0.005
 //! $ ftcg campaign --spec sweep.campaign --out results.jsonl --threads 8
 //! $ ftcg campaign --gen poisson2d:24 --schemes detection,correction --alphas 0,1/16
-//! $ ftcg campaign --gen poisson2d:24 --kernels csr,bcsr:2,sell --alphas 1/16
+//! $ ftcg campaign --gen poisson2d:24 --solvers cg,pcg,bicgstab --alphas 1/16
 //! $ ftcg campaign --spec sweep.campaign --journal run.jsonl --resume
 //! $ ftcg campaign --spec sweep.campaign --shard 0/4 --journal shard0.jsonl
 //! $ ftcg merge --spec sweep.campaign shard0.jsonl shard1.jsonl --out results.jsonl

@@ -32,8 +32,7 @@
 //!
 //! | crate | contents |
 //! |---|---|
-//! | `ftcg-sparse` | CSR/COO/BCSR/SELL-C-σ, MatrixMarket I/O, SPD generators, parallel SpMxV |
-//! | `ftcg-kernels` | pluggable SpMV backends: registry dispatch, BCSR/SELL/parallel kernels, autotuner |
+//! | `ftcg-sparse` | CSR/COO, the defensive CSR traversal every protected product runs, MatrixMarket I/O, SPD generators (BCSR/SELL-C-σ and parallel SpMxV only serve the benchmark's format probes) |
 //! | `ftcg-fault` | bit-flip injection, exponential/Poisson arrivals, fault ledger |
 //! | `ftcg-abft` | weighted checksums, detect-2/correct-1 SpMxV, TMR-replicated vector state, FP tolerance |
 //! | `ftcg-checkpoint` | solver-state snapshots, the double-buffered `SnapshotSlot`, cost model |
@@ -51,7 +50,6 @@ pub use ftcg_abft as abft;
 pub use ftcg_checkpoint as checkpoint;
 pub use ftcg_engine as engine;
 pub use ftcg_fault as fault;
-pub use ftcg_kernels as kernels;
 pub use ftcg_model as model;
 pub use ftcg_obs as obs;
 pub use ftcg_sim as sim;
@@ -60,7 +58,6 @@ pub use ftcg_sparse as sparse;
 pub use ftcg_telemetry as telemetry;
 
 use ftcg_checkpoint::ResilienceCosts;
-use ftcg_kernels::KernelSpec;
 use ftcg_model::{optimize, Scheme};
 use ftcg_solvers::resilient::{solve_resilient, ResilientConfig, ResilientOutcome};
 use ftcg_solvers::{SolverKind, StoppingCriterion};
@@ -98,7 +95,6 @@ pub struct ResilientCg<'a> {
     alpha: Option<f64>,
     seed: u64,
     max_iters: usize,
-    kernel: KernelSpec,
 }
 
 impl<'a> ResilientCg<'a> {
@@ -115,7 +111,6 @@ impl<'a> ResilientCg<'a> {
             alpha: None,
             seed: 0,
             max_iters: 10_000,
-            kernel: KernelSpec::Csr,
         }
     }
 
@@ -191,13 +186,6 @@ impl<'a> ResilientCg<'a> {
         self
     }
 
-    /// Selects the SpMV backend (default: serial CSR, bit-for-bit the
-    /// historical kernel; `auto` resolves per matrix at solve start).
-    pub fn kernel(mut self, kernel: KernelSpec) -> Self {
-        self.kernel = kernel;
-        self
-    }
-
     /// Resolves the configuration this builder would run with.
     pub fn config(&self) -> ResilientConfig {
         let alpha = self.alpha.unwrap_or(0.0).max(1e-9);
@@ -221,7 +209,6 @@ impl<'a> ResilientCg<'a> {
         cfg.costs = self.costs;
         cfg.stopping = self.stopping;
         cfg.max_productive_iters = self.max_iters;
-        cfg.kernel = self.kernel;
         cfg
     }
 
@@ -316,20 +303,6 @@ mod tests {
             .fault_alpha(0.05)
             .config();
         assert_eq!(cfg.checkpoint_interval, 7);
-    }
-
-    #[test]
-    fn kernel_choice_preserves_fault_free_solution() {
-        let a = gen::random_spd(150, 0.04, 6).unwrap();
-        let b = vec![1.0; 150];
-        let reference = ResilientCg::new(&a).solve(&b);
-        for name in ["csr-par:2", "bcsr:2", "sell:8:32", "auto"] {
-            let out = ResilientCg::new(&a)
-                .kernel(KernelSpec::parse(name).unwrap())
-                .solve(&b);
-            assert!(out.converged, "kernel {name}");
-            assert_eq!(out.x, reference.x, "kernel {name}");
-        }
     }
 
     #[test]

@@ -127,7 +127,8 @@ pub struct ConfigSummary {
     pub s: usize,
     /// Verification interval `d`.
     pub d: usize,
-    /// SpMV backend label.
+    /// SpMV label, always `csr` (every product is the CSR traversal);
+    /// kept so the summary format does not change.
     pub kernel: String,
     /// Repetitions that completed (requested minus panicked).
     pub reps: usize,
@@ -214,7 +215,7 @@ fn summarize(
         alpha: job.key.alpha,
         s: job.key.s,
         d: job.key.d,
-        kernel: job.key.kernel.clone(),
+        kernel: "csr".into(),
         reps: done.len(),
         panics: requested - done.len(),
         time: SummaryStats::from_values(&times),

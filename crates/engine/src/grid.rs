@@ -28,8 +28,6 @@ pub struct ConfigKey {
     pub s: usize,
     /// Verification interval `d`.
     pub d: usize,
-    /// SpMV backend label (canonical [`ftcg_kernels::KernelSpec`] name).
-    pub kernel: String,
 }
 
 /// Which fault model drives a configuration's injector.
@@ -57,11 +55,10 @@ pub struct ConfigJob {
     /// Fault model.
     pub injector: InjectorSpec,
     /// Seed-derivation coordinate; `None` means "this config's own grid
-    /// index". [`expand`] sets a *solver- and kernel-free* coordinate so
-    /// every solver/kernel variant at the same (matrix, scheme, α)
-    /// point draws identical fault streams — the common-random-numbers
-    /// pairing that makes solver and kernel columns comparable under
-    /// injection.
+    /// index". [`expand`] sets a *solver-free* coordinate so every
+    /// solver variant at the same (matrix, scheme, α) point draws
+    /// identical fault streams — the common-random-numbers pairing that
+    /// makes solver columns comparable under injection.
     pub seed_group: Option<u64>,
 }
 
@@ -84,7 +81,6 @@ impl ConfigJob {
             alpha,
             s: cfg.checkpoint_interval,
             d: cfg.verif_interval,
-            kernel: cfg.kernel.label(),
         };
         ConfigJob {
             key,
@@ -144,10 +140,10 @@ pub fn default_rhs(n: usize) -> Vec<f64> {
 }
 
 /// Expands a spec into its configuration list, resolving every matrix
-/// once (grid order: matrices → schemes → alphas → solvers → kernels;
-/// this order is the config-index order seed derivation and output rows
-/// use — solvers and kernels innermost, so specs without those axes
-/// keep their historical config indices and fault streams).
+/// once (grid order: matrices → schemes → alphas → solvers; this order
+/// is the config-index order seed derivation and output rows use —
+/// solvers innermost, so specs without that axis keep their historical
+/// config indices and fault streams).
 pub fn expand(
     spec: &CampaignSpec,
     resolver: &dyn MatrixResolver,
@@ -156,9 +152,9 @@ pub fn expand(
         return Err(EngineError::EmptyGrid);
     }
     let mut configs = Vec::with_capacity(spec.n_configs());
-    // Solver- and kernel-free coordinate: advances per (matrix, scheme,
-    // α) point so every solver/kernel variant of a point shares one
-    // fault-stream seed (paired streams — common random numbers).
+    // Solver-free coordinate: advances per (matrix, scheme, α) point so
+    // every solver variant of a point shares one fault-stream seed
+    // (paired streams — common random numbers).
     let mut point = 0u64;
     for source in &spec.matrices {
         let a = Arc::new(resolver.resolve(source)?);
@@ -172,26 +168,18 @@ pub fn expand(
         for &scheme in &spec.schemes {
             for &alpha in &spec.alphas {
                 for &solver in &spec.solvers {
-                    for &kernel in &spec.kernels {
-                        let mut cfg = plan_config(scheme, alpha, spec.interval, spec.max_iters);
-                        cfg.solver = solver;
-                        // Pin `auto` per matrix now (deterministic
-                        // heuristic; the machine-dependent variant is
-                        // rejected at spec parse), so artifact rows name
-                        // the backend that actually runs instead of the
-                        // literal "auto".
-                        cfg.kernel = kernel.resolve(&a);
-                        let mut job = ConfigJob::new(
-                            source.label(),
-                            Arc::clone(&a),
-                            Arc::clone(&rhs),
-                            cfg,
-                            alpha,
-                            InjectorSpec::Paper,
-                        );
-                        job.seed_group = Some(point);
-                        configs.push(job);
-                    }
+                    let mut cfg = plan_config(scheme, alpha, spec.interval, spec.max_iters);
+                    cfg.solver = solver;
+                    let mut job = ConfigJob::new(
+                        source.label(),
+                        Arc::clone(&a),
+                        Arc::clone(&rhs),
+                        cfg,
+                        alpha,
+                        InjectorSpec::Paper,
+                    );
+                    job.seed_group = Some(point);
+                    configs.push(job);
                 }
                 point += 1;
             }

@@ -134,11 +134,13 @@ impl Manifest {
 
 /// FNV-1a over the canonical description of an expanded grid: campaign
 /// name, seed, reps, and every configuration's full identity (matrix,
-/// order, scheme, solver, α, intervals, kernel, seed-derivation group,
+/// order, scheme, solver, α, intervals, seed-derivation group,
 /// injector, iteration caps, cost model). Two specs that expand to the
 /// same grid fingerprint identically however they were written
 /// (key=value vs JSON, inline flags vs file); any change that would
-/// alter a single job's result changes the fingerprint.
+/// alter a single job's result changes the fingerprint. The constant
+/// `kernel=csr` is what the removed SpMV-backend axis always wrote; it
+/// stays so journals written before still `--resume`.
 pub fn fingerprint(name: &str, seed: u64, reps: usize, configs: &[ConfigJob]) -> u64 {
     let mut text = format!(
         "ftcg-campaign v{}\nname={name}\nseed={seed}\nreps={reps}\n",
@@ -153,7 +155,7 @@ pub fn fingerprint(name: &str, seed: u64, reps: usize, configs: &[ConfigJob]) ->
             InjectorSpec::Calibrated => "calibrated",
         };
         text.push_str(&format!(
-            "config {i}: matrix={}|n={}|scheme={}|solver={}|alpha={}|s={}|d={}|kernel={}\
+            "config {i}: matrix={}|n={}|scheme={}|solver={}|alpha={}|s={}|d={}|kernel=csr\
              |group={:?}|inj={inj}|max_prod={}|max_exec={}|costs={},{},{}|stop={:?}\n",
             k.matrix,
             k.n,
@@ -162,7 +164,6 @@ pub fn fingerprint(name: &str, seed: u64, reps: usize, configs: &[ConfigJob]) ->
             k.alpha,
             k.s,
             k.d,
-            k.kernel,
             job.seed_group,
             c.max_productive_iters,
             c.max_executed_iters,

@@ -1,9 +1,10 @@
 //! The declarative campaign specification.
 //!
 //! A [`CampaignSpec`] names a grid: matrix sources × schemes × fault
-//! rates α (× solvers × kernels), with a repetition count, one campaign
-//! seed, and interval policy. Specs can be built programmatically or
-//! parsed from text in either of two formats:
+//! rates α (× solvers), with a repetition count, one campaign seed, and
+//! interval policy. Specs can be built programmatically or parsed from
+//! text in either of two formats; in both, a key given twice is an
+//! error:
 //!
 //! * **key=value** — one `key = value` per line, `#` comments, lists
 //!   comma-separated:
@@ -16,13 +17,11 @@
 //!   schemes  = online, detection, correction
 //!   alphas   = 0, 1/32, 1/16
 //!   solvers  = cg, pcg, bicgstab       # optional solver axis
-//!   kernels  = csr, bcsr:2, sell       # optional SpMV-backend axis
 //!   ```
 //!
 //! * **JSON** — the same keys as an object; lists as arrays
 //!   (`{"name": "demo", "matrices": ["poisson2d:16"], ...}`).
 
-use ftcg_kernels::KernelSpec;
 use ftcg_model::Scheme;
 use ftcg_solvers::SolverKind;
 use ftcg_sparse::{gen, io, CsrMatrix};
@@ -177,8 +176,6 @@ pub struct CampaignSpec {
     pub alphas: Vec<f64>,
     /// Solver axis (default: CG only).
     pub solvers: Vec<SolverKind>,
-    /// SpMV-backend axis (default: serial CSR only).
-    pub kernels: Vec<KernelSpec>,
     /// Interval policy.
     pub interval: IntervalPolicy,
 }
@@ -195,7 +192,6 @@ impl Default for CampaignSpec {
             schemes: vec![Scheme::AbftDetection, Scheme::AbftCorrection],
             alphas: vec![1.0 / 16.0],
             solvers: vec![SolverKind::Cg],
-            kernels: vec![KernelSpec::Csr],
             interval: IntervalPolicy::ModelOptimal,
         }
     }
@@ -239,10 +235,10 @@ pub fn parse_solver(s: &str) -> Result<SolverKind, EngineError> {
     SolverKind::parse(s).map_err(EngineError::Spec)
 }
 
-/// Parses a kernel name for the campaign grid.
-pub fn parse_kernel(s: &str) -> Result<KernelSpec, EngineError> {
-    KernelSpec::parse(s).map_err(|e| EngineError::Spec(e.to_string()))
-}
+/// Why the SpMV-backend axis (the `kernels` key, the CLI's `--kernel`
+/// and `--kernels`) is gone, phrased to follow "was removed in".
+pub const KERNELS_REMOVED: &str =
+    "the one-product change: the protected solve runs the defensive CSR traversal only";
 
 /// Parses an interval policy: `model` or `fixed:N`.
 pub fn parse_interval(s: &str) -> Result<IntervalPolicy, EngineError> {
@@ -285,6 +281,8 @@ impl CampaignSpec {
     /// Parses the key=value format.
     pub fn parse_key_value(text: &str) -> Result<CampaignSpec, EngineError> {
         let mut spec = CampaignSpec::default();
+        // Keys seen so far, with their 1-based line numbers.
+        let mut seen: Vec<(&str, usize)> = Vec::new();
         for (lineno, raw) in text.lines().enumerate() {
             let line = strip_comment(raw).trim();
             if line.is_empty() {
@@ -296,7 +294,15 @@ impl CampaignSpec {
                     lineno + 1
                 )));
             };
-            spec.apply(key.trim(), value.trim())?;
+            let key = key.trim();
+            if let Some((_, first)) = seen.iter().find(|(k, _)| *k == key) {
+                return Err(EngineError::Spec(format!(
+                    "key `{key}` given twice (lines {first} and {})",
+                    lineno + 1
+                )));
+            }
+            seen.push((key, lineno + 1));
+            spec.apply(key, value.trim())?;
         }
         spec.validate()
     }
@@ -308,7 +314,10 @@ impl CampaignSpec {
             return Err(EngineError::Spec("top-level JSON must be an object".into()));
         };
         let mut spec = CampaignSpec::default();
-        for (key, val) in pairs {
+        for (i, (key, val)) in pairs.iter().enumerate() {
+            if pairs[..i].iter().any(|(k, _)| k == key) {
+                return Err(EngineError::Spec(format!("key `{key}` given twice")));
+            }
             let scalar;
             let joined;
             let value: &str = match val {
@@ -372,9 +381,9 @@ impl CampaignSpec {
                     .collect::<Result<_, _>>()?;
             }
             "kernels" => {
-                self.kernels = split_list(value)
-                    .map(parse_kernel)
-                    .collect::<Result<_, _>>()?;
+                return Err(EngineError::Spec(format!(
+                    "key `kernels` was removed in {KERNELS_REMOVED}"
+                )));
             }
             "interval" => self.interval = parse_interval(value)?,
             // Retired, not unknown: the lockstep batch driver is gone
@@ -396,7 +405,6 @@ impl CampaignSpec {
             || self.schemes.is_empty()
             || self.alphas.is_empty()
             || self.solvers.is_empty()
-            || self.kernels.is_empty()
             || self.reps == 0
         {
             return Err(EngineError::EmptyGrid);
@@ -406,11 +414,7 @@ impl CampaignSpec {
 
     /// Number of configurations the grid expands to.
     pub fn n_configs(&self) -> usize {
-        self.matrices.len()
-            * self.schemes.len()
-            * self.alphas.len()
-            * self.solvers.len()
-            * self.kernels.len()
+        self.matrices.len() * self.schemes.len() * self.alphas.len() * self.solvers.len()
     }
 
     /// Total jobs (configurations × repetitions).
@@ -568,33 +572,42 @@ mod tests {
     }
 
     #[test]
-    fn kernel_axis_parses_in_both_formats() {
+    fn removed_kernels_key_fails_loudly_in_both_formats() {
+        for text in [
+            "matrices = poisson2d:8\nkernels = csr\n",
+            r#"{"matrices": ["poisson2d:8"], "kernels": ["csr"]}"#,
+        ] {
+            match CampaignSpec::parse(text) {
+                Err(EngineError::Spec(msg)) => assert_eq!(
+                    msg,
+                    "key `kernels` was removed in the one-product change: \
+                     the protected solve runs the defensive CSR traversal only"
+                ),
+                other => panic!("{text}: expected Spec error, got {other:?}"),
+            }
+        }
+    }
+
+    #[test]
+    fn repeated_key_is_a_spec_error_in_both_formats() {
+        // Neither end wins: `schemes` given twice used to run the last
+        // list only.
         let kv = CampaignSpec::parse(
-            "matrices = poisson2d:8\nkernels = csr, bcsr:2, sell:8:32, csr-par\n",
-        )
-        .unwrap();
-        assert_eq!(
-            kv.kernels,
-            vec![
-                KernelSpec::Csr,
-                KernelSpec::Bcsr { block: 2 },
-                KernelSpec::Sell {
-                    chunk: 8,
-                    sigma: 32
-                },
-                KernelSpec::CsrPar { threads: 0 },
-            ]
+            "matrices = poisson2d:8\nschemes = correction\n\n# c\nschemes = detection\n",
         );
-        // 1 matrix × 2 default schemes × 1 default alpha × 4 kernels.
-        assert_eq!(kv.n_configs(), 8);
+        match kv {
+            Err(EngineError::Spec(msg)) => {
+                assert_eq!(msg, "key `schemes` given twice (lines 2 and 5)")
+            }
+            other => panic!("expected Spec error, got {other:?}"),
+        }
         let json = CampaignSpec::parse(
-            r#"{"matrices": ["poisson2d:8"], "kernels": ["csr", "bcsr:2", "sell:8:32", "csr-par"]}"#,
-        )
-        .unwrap();
-        assert_eq!(json.kernels, kv.kernels);
-        // Default axis is the serial reference kernel only.
-        let plain = CampaignSpec::parse("matrices = poisson2d:8\n").unwrap();
-        assert_eq!(plain.kernels, vec![KernelSpec::Csr]);
+            r#"{"matrices": ["poisson2d:8"], "reps": 2, "schemes": "online", "reps": 3}"#,
+        );
+        match json {
+            Err(EngineError::Spec(msg)) => assert_eq!(msg, "key `reps` given twice"),
+            other => panic!("expected Spec error, got {other:?}"),
+        }
     }
 
     #[test]
@@ -644,23 +657,6 @@ mod tests {
             other => panic!("expected Spec error, got {other:?}"),
         }
         assert_eq!(parse_interval("fixed:1").unwrap(), IntervalPolicy::Fixed(1));
-    }
-
-    #[test]
-    fn machine_dependent_kernel_rejected_in_grid() {
-        // The timing-calibrated `auto:bench` was removed in PR 20.
-        let e = CampaignSpec::parse("matrices = poisson2d:8\nkernels = auto:bench\n");
-        let e = e.unwrap_err().to_string();
-        assert!(e.contains("unknown kernel `auto:bench`"), "{e}");
-        assert!(CampaignSpec::parse("matrices = poisson2d:8\nkernels = auto\n").is_ok());
-    }
-
-    #[test]
-    fn empty_kernel_list_is_empty_grid() {
-        assert!(matches!(
-            CampaignSpec::parse("matrices = poisson2d:8\nkernels = ,\n"),
-            Err(EngineError::EmptyGrid)
-        ));
     }
 
     #[test]

@@ -1,35 +1,41 @@
-//! The subsystem's headline contract: every backend agrees with the
-//! serial CSR reference within [`ftcg_kernels::KERNEL_RTOL`], on random
-//! SPD generator matrices (property-based) and on structured ones.
+//! The probes' headline contract: every format agrees with the serial
+//! CSR reference within [`KERNEL_RTOL`], on random SPD generator
+//! matrices (property-based) and on structured ones.
 
-use ftcg_kernels::{KernelRegistry, KernelSpec, KERNEL_RTOL};
+use ftcg_kernels::KernelSpec;
 use ftcg_sparse::{gen, BcsrMatrix, CsrMatrix, SellCSigma};
 use proptest::prelude::*;
 
-const ALL_NAMES: [&str; 7] = [
-    "csr",
-    "csr-par",
-    "csr-par:3",
-    "bcsr:2",
-    "bcsr:4",
-    "sell:8:32",
-    "auto",
+/// Relative tolerance (scaled by `‖y‖∞`) within which every format must
+/// agree with the serial CSR product. The only deviation source is
+/// floating-point summation order on non-column-sorted inputs.
+const KERNEL_RTOL: f64 = 1e-10;
+
+const ALL_SPECS: [KernelSpec; 6] = [
+    KernelSpec::Csr,
+    KernelSpec::CsrPar { threads: 0 },
+    KernelSpec::CsrPar { threads: 3 },
+    KernelSpec::Bcsr { block: 2 },
+    KernelSpec::Bcsr { block: 4 },
+    KernelSpec::Sell {
+        chunk: 8,
+        sigma: 32,
+    },
 ];
 
-fn assert_agrees(a: &CsrMatrix, name: &str) {
-    let reg = KernelRegistry::builtin();
+fn assert_agrees(a: &CsrMatrix, spec: KernelSpec) {
     let x: Vec<f64> = (0..a.n_cols())
         .map(|i| 2.0 * (i as f64 * 0.37).cos() - 0.5)
         .collect();
     let want = a.spmv(&x);
     let scale = 1.0 + want.iter().fold(0.0f64, |m, v| m.max(v.abs()));
-    let prepared = reg.get(name).unwrap().prepare(a).unwrap();
-    let got = prepared.spmv(&x);
+    let mut got = vec![0.0; a.n_rows()];
+    spec.prepare(a).unwrap().spmv_into(&x, &mut got);
     for i in 0..a.n_rows() {
         assert!(
             (got[i] - want[i]).abs() <= KERNEL_RTOL * scale,
-            "kernel {} row {}: {} vs {}",
-            name,
+            "{:?} row {}: {} vs {}",
+            spec,
             i,
             got[i],
             want[i]
@@ -43,16 +49,16 @@ proptest! {
         n in 20usize..250, density in 0.01..0.12f64, seed in 0u64..400
     ) {
         let a = gen::random_spd(n, density, seed).unwrap();
-        for name in ALL_NAMES {
-            assert_agrees(&a, name);
+        for spec in ALL_SPECS {
+            assert_agrees(&a, spec);
         }
     }
 
     #[test]
     fn all_kernels_match_reference_on_laplacians(k in 3usize..18) {
         let a = gen::poisson2d(k).unwrap();
-        for name in ALL_NAMES {
-            assert_agrees(&a, name);
+        for spec in ALL_SPECS {
+            assert_agrees(&a, spec);
         }
     }
 
@@ -85,26 +91,13 @@ proptest! {
             prop_assert_eq!(bits(&y), want_bits.clone(), "bcsr b={} n={}", b, n);
         }
     }
-
-    #[test]
-    fn spec_roundtrips_for_arbitrary_params(
-        t in 0usize..17, b in 1usize..=4, c in 1usize..33, s in 1usize..129
-    ) {
-        for spec in [
-            KernelSpec::CsrPar { threads: t },
-            KernelSpec::Bcsr { block: b },
-            KernelSpec::Sell { chunk: c, sigma: s },
-        ] {
-            prop_assert_eq!(KernelSpec::parse(&spec.label()).unwrap(), spec);
-        }
-    }
 }
 
 #[test]
 fn ill_conditioned_generator_agrees_too() {
     // The Table 1 substitution generator — badly scaled SPD.
     let a = gen::random_spd_illcond(400, 0.02, 4.0e2, 341).unwrap();
-    for name in ALL_NAMES {
-        assert_agrees(&a, name);
+    for spec in ALL_SPECS {
+        assert_agrees(&a, spec);
     }
 }

@@ -10,7 +10,6 @@
 use std::sync::Arc;
 
 use ftcg_engine::{ConfigJob, InjectorSpec};
-use ftcg_kernels::KernelSpec;
 use ftcg_model::{optimize, Scheme};
 use ftcg_solvers::resilient::ResilientConfig;
 use ftcg_solvers::SolverKind;
@@ -66,8 +65,6 @@ pub struct Figure1Params {
     pub threads: usize,
     /// Cost-parameter instantiation.
     pub cost_mode: CostMode,
-    /// SpMV backend for every solve.
-    pub kernel: KernelSpec,
     /// Solver iterating under the protocol (the paper plots CG).
     pub solver: SolverKind,
     /// Crash-safety: when set, each (matrix, scheme) curve campaign
@@ -92,7 +89,6 @@ impl Default for Figure1Params {
             mtbf_grid: log_grid(2e1, 2e4, 7),
             threads: 4,
             cost_mode: CostMode::PaperLike,
-            kernel: KernelSpec::Csr,
             solver: SolverKind::Cg,
             journal_dir: None,
             trace_dir: None,
@@ -144,16 +140,12 @@ pub fn curve_campaign(
     params: &Figure1Params,
 ) -> Vec<ConfigJob> {
     let b = Arc::new(spec.rhs(a.n_rows()));
-    // Pin `auto` once per matrix: every grid point runs (and reports)
-    // the same concrete backend.
-    let kernel = params.kernel.resolve(a);
     params
         .mtbf_grid
         .iter()
         .map(|&mtbf| {
             let alpha = 1.0 / mtbf;
             let mut cfg = optimal_config(scheme, alpha, costs);
-            cfg.kernel = kernel;
             cfg.solver = params.solver;
             ConfigJob::new(
                 format!("paper:{}", spec.id),

@@ -13,7 +13,6 @@
 use std::sync::Arc;
 
 use ftcg_engine::{ConfigJob, InjectorSpec};
-use ftcg_kernels::KernelSpec;
 use ftcg_model::{optimize, Scheme};
 use ftcg_solvers::resilient::ResilientConfig;
 use ftcg_solvers::SolverKind;
@@ -60,9 +59,6 @@ pub struct Table1Params {
     pub threads: usize,
     /// Cost-parameter instantiation.
     pub cost_mode: CostMode,
-    /// SpMV backend for every solve (experiment dimension alongside
-    /// scheme and α; the default is the deterministic reference).
-    pub kernel: KernelSpec,
     /// Solver iterating under the protocol (experiment dimension; the
     /// paper's tables use CG).
     pub solver: SolverKind,
@@ -89,7 +85,6 @@ impl Default for Table1Params {
             sweep: &[1, 2, 3, 4, 5, 6, 8, 10, 12, 14, 16, 20, 25, 30, 40],
             threads: 4,
             cost_mode: CostMode::PaperLike,
-            kernel: KernelSpec::Csr,
             solver: SolverKind::Cg,
             journal_dir: None,
             trace_dir: None,
@@ -102,12 +97,10 @@ fn scheme_config(
     scheme: Scheme,
     s: usize,
     costs: &MeasuredCosts,
-    kernel: KernelSpec,
     solver: SolverKind,
 ) -> ResilientConfig {
     let mut cfg = ResilientConfig::new(scheme, s);
     cfg.costs = costs.for_scheme(scheme);
-    cfg.kernel = kernel;
     cfg.solver = solver;
     cfg
 }
@@ -123,9 +116,6 @@ pub fn entry_campaign(
 ) -> Vec<ConfigJob> {
     let model_costs = costs.for_scheme(scheme);
     let s_model = optimize::optimal_abft_interval(scheme, params.alpha, 1.0, &model_costs, 4000).s;
-    // Pin `auto` once against the pristine matrix so every interval's
-    // row reports (and runs) the same concrete backend.
-    let kernel = params.kernel.resolve(a);
     let b = Arc::new(spec.rhs(a.n_rows()));
     let mut intervals = vec![s_model];
     intervals.extend(params.sweep.iter().copied().filter(|&s| s != s_model));
@@ -136,7 +126,7 @@ pub fn entry_campaign(
                 format!("paper:{}", spec.id),
                 Arc::clone(a),
                 Arc::clone(&b),
-                scheme_config(scheme, s, costs, kernel, params.solver),
+                scheme_config(scheme, s, costs, params.solver),
                 params.alpha,
                 InjectorSpec::Paper,
             )

@@ -7,8 +7,6 @@
 //! ABFT layer can protect exactly like CG's one.
 
 use ftcg_checkpoint::SolverState;
-use ftcg_kernels::backends::PreparedCsr;
-use ftcg_kernels::PreparedSpmv;
 use ftcg_sparse::{fused, vector, CsrMatrix};
 
 use crate::cg::{CgConfig, SolveStats};
@@ -228,43 +226,17 @@ impl IterativeSolver for BicgstabMachine {
 }
 
 /// Solves `Ax = b` (general square `A`) with BiCGSTAB and the serial
-/// CSR reference kernel.
+/// CSR product.
 ///
 /// # Panics
 /// Panics on dimension mismatch or non-square matrix.
 pub fn bicgstab_solve(a: &CsrMatrix, b: &[f64], x0: &[f64], cfg: &CgConfig) -> SolveStats {
-    bicgstab_solve_with(a, b, x0, cfg, &PreparedCsr(a))
-}
-
-/// [`bicgstab_solve`] with an explicit SpMV backend for both products
-/// of each iteration.
-///
-/// # Panics
-/// Panics on dimension mismatch, a non-square matrix, or a kernel
-/// prepared from a matrix of different dimensions.
-pub fn bicgstab_solve_with(
-    a: &CsrMatrix,
-    b: &[f64],
-    x0: &[f64],
-    cfg: &CgConfig,
-    kernel: &dyn PreparedSpmv,
-) -> SolveStats {
     assert!(a.is_square(), "bicgstab: matrix must be square");
     let n = a.n_rows();
     assert_eq!(b.len(), n, "bicgstab: b length mismatch");
     assert_eq!(x0.len(), n, "bicgstab: x0 length mismatch");
-    assert_eq!(
-        kernel.n_rows(),
-        n,
-        "bicgstab: kernel prepared for wrong matrix"
-    );
-    assert_eq!(
-        kernel.n_cols(),
-        n,
-        "bicgstab: kernel prepared for wrong matrix"
-    );
 
-    let mut ctx = PlainContext { a, kernel };
+    let mut ctx = PlainContext { a };
     let mut m = BicgstabMachine::start(b, x0, &mut ctx);
     let threshold = cfg
         .stopping

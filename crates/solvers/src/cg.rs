@@ -1,14 +1,11 @@
 //! The Conjugate Gradient method (Algorithm 1 of the paper).
 //!
 //! The algorithm lives in the steppable [`CgMachine`]
-//! ([`IterativeSolver`]); [`cg_solve_with`] is a thin wrapper driving
-//! the machine with a pluggable SpMV backend, and [`cg_solve`] runs the
-//! serial CSR reference kernel — both compute exactly the sums the
-//! historical inlined loop computed, bit for bit.
+//! ([`IterativeSolver`]); [`cg_solve`] is a thin wrapper driving the
+//! machine with the serial CSR product — it computes exactly the sums
+//! the historical inlined loop computed, bit for bit.
 
 use ftcg_checkpoint::SolverState;
-use ftcg_kernels::backends::PreparedCsr;
-use ftcg_kernels::PreparedSpmv;
 use ftcg_sparse::{fused, vector, CsrMatrix};
 
 use crate::machine::{CanonVec, IterativeSolver, PlainContext, StepContext, StepResult};
@@ -179,35 +176,17 @@ impl IterativeSolver for CgMachine {
 }
 
 /// Solves `Ax = b` for SPD `A` by conjugate gradients, starting from
-/// `x0`, with the serial CSR reference kernel.
+/// `x0`, with the serial CSR product.
 ///
 /// # Panics
 /// Panics on dimension mismatches or a non-square matrix.
 pub fn cg_solve(a: &CsrMatrix, b: &[f64], x0: &[f64], cfg: &CgConfig) -> SolveStats {
-    cg_solve_with(a, b, x0, cfg, &PreparedCsr(a))
-}
-
-/// [`cg_solve`] with an explicit SpMV backend (prepared from the same
-/// matrix `a`, which is still consulted for the stopping criterion).
-///
-/// # Panics
-/// Panics on dimension mismatches, a non-square matrix, or a kernel
-/// prepared from a matrix of different dimensions.
-pub fn cg_solve_with(
-    a: &CsrMatrix,
-    b: &[f64],
-    x0: &[f64],
-    cfg: &CgConfig,
-    kernel: &dyn PreparedSpmv,
-) -> SolveStats {
     assert!(a.is_square(), "cg: matrix must be square");
     let n = a.n_rows();
     assert_eq!(b.len(), n, "cg: b length mismatch");
     assert_eq!(x0.len(), n, "cg: x0 length mismatch");
-    assert_eq!(kernel.n_rows(), n, "cg: kernel prepared for wrong matrix");
-    assert_eq!(kernel.n_cols(), n, "cg: kernel prepared for wrong matrix");
 
-    let mut ctx = PlainContext { a, kernel };
+    let mut ctx = PlainContext { a };
     let mut m = CgMachine::start(b, x0, &mut ctx);
     let threshold = cfg
         .stopping
@@ -334,49 +313,6 @@ mod tests {
         let b = vec![1.0; 80];
         let s = cg_solve(&a, &b, &vec![0.0; 80], &CgConfig::default());
         assert!(s.residual_norm < 1e-6 * vector::norm2(&b));
-    }
-
-    #[test]
-    fn kernel_backends_reach_the_same_solution() {
-        use ftcg_kernels::KernelSpec;
-        let a = gen::random_spd(150, 0.04, 21).unwrap();
-        let b: Vec<f64> = (0..150).map(|i| (i as f64 * 0.11).sin()).collect();
-        let reference = cg_solve(&a, &b, &vec![0.0; 150], &CgConfig::default());
-        assert!(reference.converged);
-        for name in ["csr", "csr-par:3", "bcsr:2", "bcsr:4", "sell:8:32", "auto"] {
-            let spec = KernelSpec::parse(name).unwrap();
-            let prepared = spec.prepare(&a).unwrap();
-            let s = cg_solve_with(
-                &a,
-                &b,
-                &vec![0.0; 150],
-                &CgConfig::default(),
-                prepared.as_ref(),
-            );
-            assert!(s.converged, "kernel {name}");
-            let err = vector::max_abs_diff(&a.spmv(&s.x), &b);
-            assert!(err < 1e-6, "kernel {name}: true residual {err}");
-            // Products are the same ordered FP sums, so the whole Krylov
-            // trajectory is identical on this column-sorted input.
-            assert_eq!(s.iterations, reference.iterations, "kernel {name}");
-            assert_eq!(s.x, reference.x, "kernel {name}");
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "prepared for wrong matrix")]
-    fn kernel_dimension_mismatch_rejected() {
-        use ftcg_kernels::KernelSpec;
-        let a = gen::tridiagonal(10, 4.0, -1.0).unwrap();
-        let other = gen::tridiagonal(8, 4.0, -1.0).unwrap();
-        let prepared = KernelSpec::Csr.prepare(&other).unwrap();
-        cg_solve_with(
-            &a,
-            &[1.0; 10],
-            &[0.0; 10],
-            &CgConfig::default(),
-            prepared.as_ref(),
-        );
     }
 
     #[test]

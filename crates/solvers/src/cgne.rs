@@ -7,8 +7,6 @@
 //! oriented code paths.
 
 use ftcg_checkpoint::SolverState;
-use ftcg_kernels::backends::PreparedCsr;
-use ftcg_kernels::PreparedSpmv;
 use ftcg_sparse::{fused, vector, CsrMatrix};
 
 use crate::cg::{CgConfig, SolveStats};
@@ -208,37 +206,17 @@ impl IterativeSolver for CgneMachine {
 }
 
 /// Solves `Ax = b` for nonsingular square `A` via the normal equations,
-/// with the serial CSR reference kernel.
+/// with the serial CSR products (forward and transpose).
 ///
 /// # Panics
 /// Panics on dimension mismatch or non-square matrix.
 pub fn cgne_solve(a: &CsrMatrix, b: &[f64], x0: &[f64], cfg: &CgConfig) -> SolveStats {
-    cgne_solve_with(a, b, x0, cfg, &PreparedCsr(a))
-}
-
-/// [`cgne_solve`] with an explicit SpMV backend for the forward
-/// products (`A·x₀`, `A·p`); the transpose products `Aᵀ·r` always run
-/// the serial CSR traversal — column-space kernels are not part of the
-/// backend surface.
-///
-/// # Panics
-/// Panics on dimension mismatch, a non-square matrix, or a kernel
-/// prepared from a matrix of different dimensions.
-pub fn cgne_solve_with(
-    a: &CsrMatrix,
-    b: &[f64],
-    x0: &[f64],
-    cfg: &CgConfig,
-    kernel: &dyn PreparedSpmv,
-) -> SolveStats {
     assert!(a.is_square(), "cgne: matrix must be square");
     let n = a.n_rows();
     assert_eq!(b.len(), n, "cgne: b length mismatch");
     assert_eq!(x0.len(), n, "cgne: x0 length mismatch");
-    assert_eq!(kernel.n_rows(), n, "cgne: kernel prepared for wrong matrix");
-    assert_eq!(kernel.n_cols(), n, "cgne: kernel prepared for wrong matrix");
 
-    let mut ctx = PlainContext { a, kernel };
+    let mut ctx = PlainContext { a };
     let mut m = CgneMachine::start(b, x0, &mut ctx);
     let threshold = cfg
         .stopping

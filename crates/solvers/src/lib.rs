@@ -3,7 +3,7 @@
 //!
 //! Every solver ([`cg`], [`pcg`], [`bicgstab`], [`cgne`]) is a
 //! steppable state machine ([`machine::IterativeSolver`]); the plain
-//! `*_solve` / `*_solve_with` entry points are thin wrappers that drive
+//! `*_solve` entry points are thin wrappers that drive
 //! the machine bit-for-bit identically to the historical monolithic
 //! loops. The [`resilient`] module composes any machine with the
 //! paper's three schemes through one generic executor:
@@ -38,13 +38,13 @@ pub mod stopping;
 pub mod verify;
 pub mod workspace;
 
-pub use bicgstab::{bicgstab_solve, bicgstab_solve_with, BicgstabMachine};
-pub use cg::{cg_solve, cg_solve_with, CgConfig, CgMachine, SolveStats};
-pub use cgne::{cgne_solve, cgne_solve_with, CgneMachine};
+pub use bicgstab::{bicgstab_solve, BicgstabMachine};
+pub use cg::{cg_solve, CgConfig, CgMachine, SolveStats};
+pub use cgne::{cgne_solve, CgneMachine};
 pub use machine::{
     CanonVec, IterativeSolver, PlainContext, ProductStatus, SolverKind, StepContext, StepResult,
 };
-pub use pcg::{pcg_jacobi_solve, pcg_jacobi_solve_with, PcgMachine};
+pub use pcg::{pcg_jacobi_solve, PcgMachine};
 pub use resilient::{
     solve_resilient, solve_resilient_in, ResilientConfig, ResilientConfigError, ResilientOutcome,
     VerificationScheme,

@@ -2,8 +2,8 @@
 //!
 //! Every iterative solver in this crate is implemented twice over the
 //! same core: a *state machine* ([`IterativeSolver`]) that advances one
-//! iteration per [`IterativeSolver::step`] call, and a thin `*_solve` /
-//! `*_solve_with` wrapper that drives the machine in a loop. The
+//! iteration per [`IterativeSolver::step`] call, and a thin `*_solve`
+//! wrapper that drives the machine in a loop. The
 //! wrappers execute exactly the floating-point operations (in exactly
 //! the order) of the historical monolithic loops — bit for bit — while
 //! the machine form is what the scheme-generic
@@ -13,9 +13,9 @@
 //! The machine surface is deliberately small:
 //!
 //! * [`IterativeSolver::step`] runs one iteration, routing every sparse
-//!   product through a caller-supplied [`StepContext`] (a plain kernel
-//!   for the wrappers, a defensive + checksum-verified product for the
-//!   resilient executor);
+//!   product through a caller-supplied [`StepContext`] (the plain CSR
+//!   product for the wrappers, a defensive + checksum-verified product
+//!   for the resilient executor);
 //! * [`IterativeSolver::vector`] / [`vector_mut`](IterativeSolver::vector_mut)
 //!   expose the four *canonical* vectors ([`CanonVec`]) every solver
 //!   shares — the fault-injection and verification surface;
@@ -28,7 +28,6 @@
 //!   bit.
 
 use ftcg_checkpoint::SolverState;
-use ftcg_kernels::PreparedSpmv;
 use ftcg_sparse::CsrMatrix;
 
 use crate::verify::{OnlineTolerances, OnlineVerdict};
@@ -79,7 +78,8 @@ impl ProductStatus {
 
 /// The product oracle a step routes its sparse products through.
 ///
-/// Wrappers use [`PlainContext`] (a prepared kernel, never rejecting);
+/// Wrappers use [`PlainContext`] (the plain CSR product, never
+/// rejecting);
 /// the resilient executor substitutes a defensive, checksum-verified
 /// product over the live (corruptible) matrix image.
 pub trait StepContext {
@@ -94,18 +94,16 @@ pub trait StepContext {
     fn product_transpose(&mut self, x: &[f64], y: &mut [f64]) -> ProductStatus;
 }
 
-/// The wrappers' [`StepContext`]: a prepared kernel for forward
-/// products, the matrix itself for transpose products. Never rejects.
+/// The wrappers' [`StepContext`]: the serial CSR products of `a`,
+/// forward and transpose. Never rejects.
 pub struct PlainContext<'a> {
-    /// Matrix backing the transpose products.
+    /// The matrix every product reads.
     pub a: &'a CsrMatrix,
-    /// Prepared forward-product backend.
-    pub kernel: &'a dyn PreparedSpmv,
 }
 
 impl StepContext for PlainContext<'_> {
     fn product(&mut self, x: &mut [f64], y: &mut [f64]) -> ProductStatus {
-        self.kernel.spmv_into(x, y);
+        self.a.spmv_into(x, y);
         ProductStatus::Trusted
     }
 
@@ -198,8 +196,8 @@ pub trait IterativeSolver {
     fn verify_state(&self, a: &CsrMatrix, norm1_a: f64, tol: &OnlineTolerances) -> OnlineVerdict;
 }
 
-/// Runtime identity of a solver — the fourth campaign axis next to
-/// scheme, α and kernel. Parsed from CLI flags and campaign specs.
+/// Runtime identity of a solver — the campaign axis next to scheme and
+/// α. Parsed from CLI flags and campaign specs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum SolverKind {
     /// Conjugate gradients (Algorithm 1 of the paper).

@@ -6,8 +6,6 @@
 //! vector operations).
 
 use ftcg_checkpoint::SolverState;
-use ftcg_kernels::backends::PreparedCsr;
-use ftcg_kernels::PreparedSpmv;
 use ftcg_sparse::{fused, vector, CsrMatrix};
 
 use crate::cg::{CgConfig, SolveStats};
@@ -203,37 +201,18 @@ impl IterativeSolver for PcgMachine {
 }
 
 /// Solves `Ax = b` with Jacobi-preconditioned CG and the serial CSR
-/// reference kernel.
+/// product.
 ///
 /// # Panics
 /// Panics on dimension mismatch, non-square `A`, or a zero diagonal
 /// entry (Jacobi undefined).
 pub fn pcg_jacobi_solve(a: &CsrMatrix, b: &[f64], x0: &[f64], cfg: &CgConfig) -> SolveStats {
-    pcg_jacobi_solve_with(a, b, x0, cfg, &PreparedCsr(a))
-}
-
-/// [`pcg_jacobi_solve`] with an explicit SpMV backend (the diagonal is
-/// still read from `a`; the preconditioner application is a pointwise
-/// product independent of the kernel).
-///
-/// # Panics
-/// See [`pcg_jacobi_solve`]; additionally panics if the kernel was
-/// prepared from a matrix of different dimensions.
-pub fn pcg_jacobi_solve_with(
-    a: &CsrMatrix,
-    b: &[f64],
-    x0: &[f64],
-    cfg: &CgConfig,
-    kernel: &dyn PreparedSpmv,
-) -> SolveStats {
     assert!(a.is_square(), "pcg: matrix must be square");
     let n = a.n_rows();
     assert_eq!(b.len(), n, "pcg: b length mismatch");
     assert_eq!(x0.len(), n, "pcg: x0 length mismatch");
-    assert_eq!(kernel.n_rows(), n, "pcg: kernel prepared for wrong matrix");
-    assert_eq!(kernel.n_cols(), n, "pcg: kernel prepared for wrong matrix");
 
-    let mut ctx = PlainContext { a, kernel };
+    let mut ctx = PlainContext { a };
     let mut m = PcgMachine::start(a, b, x0, &mut ctx);
     let threshold = cfg
         .stopping

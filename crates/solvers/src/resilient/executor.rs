@@ -53,7 +53,6 @@ use ftcg_abft::XRef;
 use ftcg_fault::ledger::{FaultLedger, FaultOutcome};
 use ftcg_fault::target::{FaultTarget, VectorId};
 use ftcg_fault::{FaultEvent, Injector};
-use ftcg_kernels::DefensiveProduct;
 use ftcg_sparse::{vector, CsrMatrix, RowOrder};
 use ftcg_telemetry::event::{target as ev_target, via as ev_via};
 use ftcg_telemetry::{Event, Phase, Recorder};
@@ -83,16 +82,18 @@ fn fault_code(target: &FaultTarget) -> u64 {
     }
 }
 
-/// The resilient [`StepContext`]: products run defensively against the
-/// live (corruptible) matrix image; the scheme verifies each one. The
+/// The resilient [`StepContext`]: products run the defensive CSR
+/// traversal against the live (corruptible) matrix image, rows visited
+/// in the workspace's [`RowOrder`]; the scheme verifies each one. The
 /// iteration's first product carries the pre-captured input reference
 /// and receives the deferred product-output faults; later products
 /// (BiCGStab's second) capture their reference at call time — their
 /// inputs were computed in-step from already verified data, after this
 /// iteration's faults struck — into the retained scratch reference.
-struct ResilientCtx<'a, 'o, V: VerificationScheme, R: Recorder> {
+struct ResilientCtx<'a, V: VerificationScheme, R: Recorder> {
     a: &'a mut CsrMatrix,
-    kernel: &'a mut DefensiveProduct<'o>,
+    /// Row visit order of `a0`; changes no output bit.
+    order: &'a RowOrder,
     scheme: &'a V,
     /// Trusted input copy for the iteration's first product (ABFT
     /// schemes only).
@@ -116,20 +117,20 @@ struct ResilientCtx<'a, 'o, V: VerificationScheme, R: Recorder> {
     rec: &'a mut R,
 }
 
-impl<V: VerificationScheme, R: Recorder> StepContext for ResilientCtx<'_, '_, V, R> {
+impl<V: VerificationScheme, R: Recorder> StepContext for ResilientCtx<'_, V, R> {
     fn product(&mut self, x: &mut [f64], y: &mut [f64]) -> ProductStatus {
         self.products_run += 1;
         let first = std::mem::replace(&mut self.first, false);
         let hardened = self.scheme.hardened_vectors();
         // Deferred product-output faults rewrite `y` *after* the
-        // kernel, invalidating any probe accumulated alongside it —
+        // product, invalidating any probe accumulated alongside it —
         // run the plain product and let the scheme sweep `y` itself.
         let probe_stale = first && !self.q_faults.is_empty();
         let t_prod = self.rec.start();
         let probe = if hardened && !probe_stale {
-            Some(self.kernel.product_with_probe(self.a, x, y))
+            Some(self.a.spmv_clamped_probe_ordered_into(self.order, x, y))
         } else {
-            self.kernel.product(self.a, x, y);
+            self.a.spmv_clamped_ordered_into(self.order, x, y);
             None
         };
         self.rec.phase(Phase::Product, t_prod);
@@ -164,8 +165,6 @@ impl<V: VerificationScheme, R: Recorder> StepContext for ResilientCtx<'_, '_, V,
             ProductCheck::FalseAlarm => {
                 self.stats.detections += 1;
                 self.rec.event(Event::detect(it, ev_via::PRODUCT));
-                // The correction attempt may have touched the arrays.
-                self.kernel.invalidate();
                 ProductStatus::Trusted
             }
             ProductCheck::Corrected => {
@@ -173,7 +172,6 @@ impl<V: VerificationScheme, R: Recorder> StepContext for ResilientCtx<'_, '_, V,
                 self.stats.forward_corrections += 1;
                 self.rec.event(Event::detect(it, ev_via::PRODUCT));
                 self.rec.event(Event::correct_forward(it));
-                self.kernel.invalidate();
                 self.ledger.resolve_iteration_where(
                     self.stats.executed,
                     FaultOutcome::Corrected,
@@ -190,7 +188,6 @@ impl<V: VerificationScheme, R: Recorder> StepContext for ResilientCtx<'_, '_, V,
             ProductCheck::Rejected => {
                 self.stats.detections += 1;
                 self.rec.event(Event::detect(it, ev_via::PRODUCT));
-                self.kernel.invalidate();
                 ProductStatus::Rejected
             }
         }
@@ -223,7 +220,8 @@ struct ExecutorMachine<'a, V: VerificationScheme, R: Recorder> {
     arena: &'a mut ExecArena,
     rec: &'a mut R,
     hardened: bool,
-    kernel: DefensiveProduct<'a>,
+    /// Row visit order of `a0`, built by the workspace at checkout.
+    order: &'a RowOrder,
     d: usize,
     threshold: f64,
     guard: EscalationGuard,
@@ -261,10 +259,6 @@ impl<'a, V: VerificationScheme, R: Recorder> ExecutorMachine<'a, V, R> {
         rec: &'a mut R,
     ) -> Self {
         let hardened = scheme.hardened_vectors();
-        // Pin `auto` against the pristine matrix; conversions are cached
-        // and dropped whenever the matrix image mutates. The row order
-        // was built from `a0` and needs no such care.
-        let kernel = DefensiveProduct::with_row_order(cfg.kernel.resolve(a0), order);
         let d = scheme.chunk_len(cfg.verif_interval);
         let threshold = cfg
             .stopping
@@ -302,7 +296,7 @@ impl<'a, V: VerificationScheme, R: Recorder> ExecutorMachine<'a, V, R> {
             arena,
             rec,
             hardened,
-            kernel,
+            order,
             d,
             threshold,
             guard: EscalationGuard::default(),
@@ -399,10 +393,6 @@ impl<'a, V: VerificationScheme, R: Recorder> ExecutorMachine<'a, V, R> {
                 }
             }
         }
-        if events.iter().any(|e| e.target.is_matrix()) {
-            self.kernel.invalidate();
-        }
-
         // 2./3. One step, products verified by the scheme. The
         // iteration is charged `1 + Tverif` per product the step
         // actually ran (ABFT schemes; `verified_products` is the
@@ -412,7 +402,7 @@ impl<'a, V: VerificationScheme, R: Recorder> ExecutorMachine<'a, V, R> {
         let (step, products_run) = {
             let mut ctx = ResilientCtx {
                 a: &mut *self.a,
-                kernel: &mut self.kernel,
+                order: self.order,
                 scheme: &self.scheme,
                 xref: self.hardened.then_some(&self.arena.xref),
                 structure_dirty: &mut self.structure_dirty,
@@ -577,7 +567,6 @@ impl<'a, V: VerificationScheme, R: Recorder> ExecutorMachine<'a, V, R> {
         }
         debug_assert!(*self.a == *self.a0);
         self.structure_dirty = false;
-        self.kernel.invalidate(); // rollback replaced the matrix image
         self.solver.restore(st, self.a);
         if self.hardened {
             self.arena

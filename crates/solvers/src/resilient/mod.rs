@@ -19,8 +19,13 @@
 //!   [`OnlineDetection`]);
 //! * the solver axis is any [`IterativeSolver`](crate::machine)
 //!   state machine — CG, PCG, BiCGStab and CGNE all compose with every
-//!   scheme × checkpoint policy × kernel ([`ResilientConfig::solver`]
-//!   picks one).
+//!   scheme × checkpoint policy ([`ResilientConfig::solver`] picks
+//!   one).
+//!
+//! Every forward product is the one defensive CSR traversal
+//! ([`CsrMatrix::spmv_clamped_probe_ordered_into`]) over the live image:
+//! the CSR arrays are what the faults hit, so no other format could be
+//! read without first being re-derived from them.
 //!
 //! Time is accounted in units of `Titer ≡ 1` (the paper's
 //! normalization) through `SimTime`: under the ABFT schemes each
@@ -35,7 +40,6 @@ pub mod scheme;
 use ftcg_checkpoint::ResilienceCosts;
 use ftcg_fault::ledger::FaultLedger;
 use ftcg_fault::Injector;
-use ftcg_kernels::KernelSpec;
 use ftcg_model::Scheme;
 use ftcg_sparse::{vector, CsrMatrix};
 use ftcg_telemetry::{NoopRecorder, Recorder};
@@ -96,13 +100,6 @@ pub struct ResilientConfig {
     pub max_executed_iters: usize,
     /// Thresholds for the stability tests (ONLINE-DETECTION only).
     pub online_tol: OnlineTolerances,
-    /// SpMV backend for the per-iteration product. The default (`csr`)
-    /// preserves the historical behavior bit for bit. Non-CSR backends
-    /// are re-materialized *defensively* from the live (corruptible) CSR
-    /// image before every product, so injected matrix faults reach the
-    /// product and the ABFT checksum tests verify the output unchanged;
-    /// `auto` is pinned against the pristine matrix at solve start.
-    pub kernel: KernelSpec,
 }
 
 impl ResilientConfig {
@@ -141,7 +138,6 @@ impl ResilientConfig {
             max_productive_iters: 10_000,
             max_executed_iters: 200_000,
             online_tol: OnlineTolerances::default(),
-            kernel: KernelSpec::Csr,
         })
     }
 
@@ -415,6 +411,5 @@ mod tests {
     fn default_solver_is_cg() {
         let cfg = ResilientConfig::new(Scheme::AbftCorrection, 10);
         assert_eq!(cfg.solver, SolverKind::Cg);
-        assert_eq!(cfg.kernel, KernelSpec::Csr);
     }
 }

@@ -47,13 +47,7 @@
 //! exists; buffers grow to exactly the size asked for
 //! ([`SolverWorkspace::retained_image_bytes`] reports the total). Drop
 //! the workspace — or scope one per campaign, as the engine pool does —
-//! to release everything. One reuse boundary is deliberate: non-CSR
-//! kernel backends (`bcsr`, `sell`) still re-materialize their
-//! converted format defensively from the live image inside each solve,
-//! because a conversion cached across repetitions could be stale with
-//! respect to injected matrix faults; pooling those conversion buffers
-//! would need `convert_into`-style APIs on the formats and is future
-//! work.
+//! to release everything.
 
 use ftcg_abft::tmr::TmrVector;
 use ftcg_abft::XRef;

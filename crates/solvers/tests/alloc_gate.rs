@@ -45,7 +45,6 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 
-use ftcg_kernels::KernelSpec;
 use ftcg_model::Scheme;
 use ftcg_solvers::machine::{PlainContext, SolverKind, StepResult};
 use ftcg_solvers::resilient::{solve_resilient_in, solve_resilient_recorded, ResilientConfig};
@@ -99,11 +98,7 @@ fn steady_state_cg_iterations_allocate_nothing() {
     let b: Vec<f64> = (0..n).map(|i| 1.0 + (i as f64 * 0.23).sin()).collect();
 
     // Claim 1: the bare machine loop is allocation-free.
-    let prepared = KernelSpec::Csr.prepare(&a).unwrap();
-    let mut ctx = PlainContext {
-        a: &a,
-        kernel: prepared.as_ref(),
-    };
+    let mut ctx = PlainContext { a: &a };
     let mut machine = SolverKind::Cg.start_zero(&a, &b);
     machine.set_threshold(0.0); // run to the step budget
     for _ in 0..3 {

@@ -8,7 +8,7 @@
 //!    vectors that include the awkward corners (`±0.0`, `NaN`, `±∞`,
 //!    subnormal-scale and huge magnitudes). The in-crate unit tests
 //!    check hand-picked vectors; these properties search the space.
-//! 2. **Solve level** — per solver × scheme × kernel under real fault
+//! 2. **Solve level** — per solver × scheme under real fault
 //!    injection, a resilient solve through the fused machines, the
 //!    probe-carrying product, and the
 //!    probed verifiers is bit-reproducible: an identical injector seed
@@ -19,7 +19,6 @@
 //!    replay would split at the first differing bit.
 
 use ftcg_fault::Injector;
-use ftcg_kernels::KernelSpec;
 use ftcg_model::Scheme;
 use ftcg_solvers::machine::SolverKind;
 use ftcg_solvers::resilient::{solve_resilient_in, ResilientConfig};
@@ -259,7 +258,7 @@ fn assert_outcome_bitexact(label: &str, x: &ResilientOutcome, y: &ResilientOutco
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(3))]
 
-    /// Solve-level replay: for every solver × scheme × kernel under
+    /// Solve-level replay: for every solver × scheme under
     /// fault injection, a second solve with an identical injector seed
     /// on the (now dirty) workspace reproduces the first outcome bit
     /// for bit — the fused sweeps, probe-carrying products and probed
@@ -278,22 +277,15 @@ proptest! {
         let mut dirty = SolverWorkspace::new();
         for scheme in [Scheme::AbftDetection, Scheme::AbftCorrection, Scheme::OnlineDetection] {
             for kind in SolverKind::ALL {
-                for kernel in ["csr", "sell:8:32", "bcsr:2"] {
-                    let mut cfg = ResilientConfig::new(scheme, s);
-                    cfg.solver = kind;
-                    cfg.kernel = KernelSpec::parse(kernel).unwrap();
-                    cfg.max_productive_iters = 30;
-                    cfg.max_executed_iters = 300;
-                    let mut inj = injector_for(&a, ALPHA, seed ^ 0xf00d);
-                    let first = solve_resilient_in(&a, &b, &cfg, Some(&mut inj), &mut fresh);
-                    let mut inj = injector_for(&a, ALPHA, seed ^ 0xf00d);
-                    let replay = solve_resilient_in(&a, &b, &cfg, Some(&mut inj), &mut dirty);
-                    assert_outcome_bitexact(
-                        &format!("{scheme:?} × {kind} × {kernel}"),
-                        &first,
-                        &replay,
-                    );
-                }
+                let mut cfg = ResilientConfig::new(scheme, s);
+                cfg.solver = kind;
+                cfg.max_productive_iters = 30;
+                cfg.max_executed_iters = 300;
+                let mut inj = injector_for(&a, ALPHA, seed ^ 0xf00d);
+                let first = solve_resilient_in(&a, &b, &cfg, Some(&mut inj), &mut fresh);
+                let mut inj = injector_for(&a, ALPHA, seed ^ 0xf00d);
+                let replay = solve_resilient_in(&a, &b, &cfg, Some(&mut inj), &mut dirty);
+                assert_outcome_bitexact(&format!("{scheme:?} × {kind}"), &first, &replay);
             }
         }
     }

@@ -1,25 +1,22 @@
 //! Property tests for the solver state machines: a snapshot taken at
 //! any iteration boundary, restored into a **fresh** machine, must
 //! reproduce the uninterrupted trajectory bit for bit — for every
-//! solver × kernel combination. This is the contract the resilient
-//! executor's checkpoint/rollback relies on.
+//! solver. This is the contract the resilient executor's
+//! checkpoint/rollback relies on.
 //!
 //! Since the workspace-arena refactor the suite also pins the *reuse
 //! contract*: solves drawing every buffer from a warm, dirty
 //! [`SolverWorkspace`] must produce bit-identical outcomes to
-//! fresh-allocation solves, across solver × scheme × kernel and under
-//! fault injection.
+//! fresh-allocation solves, across solver × scheme and under fault
+//! injection.
 
 use ftcg_checkpoint::SolverState;
-use ftcg_kernels::KernelSpec;
 use ftcg_model::Scheme;
 use ftcg_solvers::machine::{PlainContext, SolverKind, StepResult};
 use ftcg_solvers::resilient::{solve_resilient, solve_resilient_in, ResilientConfig};
 use ftcg_solvers::{CanonVec, SolverWorkspace};
 use ftcg_sparse::{gen, CsrMatrix};
 use proptest::prelude::*;
-
-const KERNELS: [&str; 4] = ["csr", "csr-par:2", "bcsr:2", "sell:8:32"];
 
 fn system(n: usize, density_mil: usize, seed: u64) -> (CsrMatrix, Vec<f64>) {
     let a = gen::random_spd(n, density_mil as f64 / 1000.0, seed).unwrap();
@@ -30,19 +27,8 @@ fn system(n: usize, density_mil: usize, seed: u64) -> (CsrMatrix, Vec<f64>) {
 /// Runs `total` steps; captures a [`SolverState`] after `cut` of them;
 /// resumes a fresh machine from the snapshot and steps the remaining
 /// `total − cut`. Both endpoints must agree bit for bit.
-fn assert_resume_is_bitexact(
-    kind: SolverKind,
-    kernel: KernelSpec,
-    a: &CsrMatrix,
-    b: &[f64],
-    cut: usize,
-    total: usize,
-) {
-    let prepared = kernel.prepare(a).expect("kernel prepares");
-    let mut ctx = PlainContext {
-        a,
-        kernel: prepared.as_ref(),
-    };
+fn assert_resume_is_bitexact(kind: SolverKind, a: &CsrMatrix, b: &[f64], cut: usize, total: usize) {
+    let mut ctx = PlainContext { a };
 
     let mut reference = kind.start_zero(a, b);
     reference.set_threshold(0.0); // run to the step budget, not to convergence
@@ -78,16 +64,14 @@ fn assert_resume_is_bitexact(
             assert_eq!(
                 want[i].to_bits(),
                 got[i].to_bits(),
-                "{kind} × {}: {which:?}[{i}] diverged after resume at {cut}/{total}",
-                kernel.label()
+                "{kind}: {which:?}[{i}] diverged after resume at {cut}/{total}"
             );
         }
     }
     assert_eq!(
         reference.residual_norm().to_bits(),
         resumed.residual_norm().to_bits(),
-        "{kind} × {}: residual norm diverged",
-        kernel.label()
+        "{kind}: residual norm diverged"
     );
 }
 
@@ -95,7 +79,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
     /// Resume mid-solve reproduces the uninterrupted trajectory for
-    /// every solver × kernel (the ISSUE's headline property).
+    /// every solver.
     #[test]
     fn snapshot_restore_step_is_deterministic(
         n in 30usize..90,
@@ -106,10 +90,7 @@ proptest! {
     ) {
         let (a, b) = system(n, density_mil, seed);
         for kind in SolverKind::ALL {
-            for name in KERNELS {
-                let kernel = KernelSpec::parse(name).unwrap();
-                assert_resume_is_bitexact(kind, kernel, &a, &b, cut, cut + extra);
-            }
+            assert_resume_is_bitexact(kind, &a, &b, cut, cut + extra);
         }
     }
 
@@ -124,8 +105,7 @@ proptest! {
     ) {
         let (a, b) = system(n, 60, seed);
         for kind in SolverKind::ALL {
-            let prepared = KernelSpec::Csr.prepare(&a).unwrap();
-            let mut ctx = PlainContext { a: &a, kernel: prepared.as_ref() };
+            let mut ctx = PlainContext { a: &a };
             let mut m = kind.start_zero(&a, &b);
             m.set_threshold(0.0);
             for _ in 0..steps {
@@ -211,7 +191,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
     /// Workspace-reuse solves are bit-identical to fresh-allocation
-    /// solves across solver × scheme × kernel, under fault injection —
+    /// solves across solver × scheme, under fault injection —
     /// the reuse contract of the zero-allocation pipeline. The shared
     /// workspace is deliberately *dirty*: every combination in the grid
     /// reuses the same one, in sequence, and each outcome must still
@@ -227,23 +207,16 @@ proptest! {
         let mut ws = SolverWorkspace::new();
         for scheme in [Scheme::AbftDetection, Scheme::AbftCorrection, Scheme::OnlineDetection] {
             for kind in SolverKind::ALL {
-                for kernel in ["csr", "bcsr:2"] {
-                    let mut cfg = ResilientConfig::new(scheme, s);
-                    cfg.solver = kind;
-                    cfg.kernel = KernelSpec::parse(kernel).unwrap();
-                    cfg.max_productive_iters = 40;
-                    cfg.max_executed_iters = 400;
-                    let alpha = 1.0 / 16.0;
-                    let mut inj = injector_for(&a, alpha, seed ^ 0x5eed);
-                    let fresh = solve_resilient(&a, &b, &cfg, Some(&mut inj));
-                    let mut inj = injector_for(&a, alpha, seed ^ 0x5eed);
-                    let reused = solve_resilient_in(&a, &b, &cfg, Some(&mut inj), &mut ws);
-                    assert_outcomes_bitexact(
-                        &format!("{scheme:?} × {kind} × {kernel}"),
-                        &fresh,
-                        &reused,
-                    );
-                }
+                let mut cfg = ResilientConfig::new(scheme, s);
+                cfg.solver = kind;
+                cfg.max_productive_iters = 40;
+                cfg.max_executed_iters = 400;
+                let alpha = 1.0 / 16.0;
+                let mut inj = injector_for(&a, alpha, seed ^ 0x5eed);
+                let fresh = solve_resilient(&a, &b, &cfg, Some(&mut inj));
+                let mut inj = injector_for(&a, alpha, seed ^ 0x5eed);
+                let reused = solve_resilient_in(&a, &b, &cfg, Some(&mut inj), &mut ws);
+                assert_outcomes_bitexact(&format!("{scheme:?} × {kind}"), &fresh, &reused);
             }
         }
         // One workspace served the whole grid: machines retained per
@@ -300,7 +273,7 @@ fn poisson_resume_points_are_bitexact() {
     let b: Vec<f64> = (0..n).map(|i| 1.0 + (i as f64 * 0.17).cos()).collect();
     for kind in SolverKind::ALL {
         for cut in [1usize, 3, 7] {
-            assert_resume_is_bitexact(kind, KernelSpec::Csr, &a, &b, cut, cut + 5);
+            assert_resume_is_bitexact(kind, &a, &b, cut, cut + 5);
         }
     }
 }

@@ -52,28 +52,9 @@ impl BcsrMatrix {
                 detail: format!("BCSR block edge must be in 1..=4, got {b}"),
             });
         }
-        Ok(Self::convert(a, b, false))
-    }
-
-    /// Defensive conversion for possibly corrupted CSR structure: row
-    /// ranges are clamped to `[0, nnz]`, inverted ranges are treated as
-    /// empty and out-of-range column indices are skipped — mirroring the
-    /// clamping of [`CsrMatrix::row_product_clamped`], so the product of
-    /// the converted matrix sums exactly the entries that a defensive
-    /// CSR traversal would visit.
-    ///
-    /// # Panics
-    /// Panics if `b == 0` or `b > 4` (trusted callers only).
-    pub fn from_csr_clamped(a: &CsrMatrix, b: usize) -> BcsrMatrix {
-        assert!((1..=4).contains(&b), "BCSR block edge must be in 1..=4");
-        Self::convert(a, b, true)
-    }
-
-    fn convert(a: &CsrMatrix, b: usize, clamped: bool) -> BcsrMatrix {
         let n_rows = a.n_rows();
         let n_cols = a.n_cols();
         let n_block_rows = n_rows.div_ceil(b);
-        let nnz_arr = a.val().len();
         let mut blockptr = Vec::with_capacity(n_block_rows + 1);
         blockptr.push(0usize);
         let mut blockcol = Vec::new();
@@ -87,13 +68,8 @@ impl BcsrMatrix {
             let row_hi = (row_lo + b).min(n_rows);
             cols.clear();
             for i in row_lo..row_hi {
-                let (start, end) = row_bounds(a, i, nnz_arr, clamped);
-                for k in start..end {
-                    let j = a.colid()[k];
-                    if clamped && j >= n_cols {
-                        continue;
-                    }
-                    cols.push(j / b);
+                for k in a.row_range(i) {
+                    cols.push(a.colid()[k] / b);
                 }
             }
             cols.sort_unstable();
@@ -103,12 +79,8 @@ impl BcsrMatrix {
             val.resize(val.len() + cols.len() * b * b, 0.0);
             mask.resize(mask.len() + cols.len(), 0u16);
             for i in row_lo..row_hi {
-                let (start, end) = row_bounds(a, i, nnz_arr, clamped);
-                for k in start..end {
+                for k in a.row_range(i) {
                     let j = a.colid()[k];
-                    if clamped && j >= n_cols {
-                        continue;
-                    }
                     let slot = cols
                         .binary_search(&(j / b))
                         .expect("invariant: first pass recorded every block column of this row");
@@ -123,7 +95,7 @@ impl BcsrMatrix {
             }
             blockptr.push(blockcol.len());
         }
-        BcsrMatrix {
+        Ok(BcsrMatrix {
             n_rows,
             n_cols,
             b,
@@ -133,7 +105,7 @@ impl BcsrMatrix {
             val,
             mask,
             nnz,
-        }
+        })
     }
 
     /// Number of rows.
@@ -314,44 +286,6 @@ impl BcsrMatrix {
     }
 }
 
-#[inline]
-fn row_bounds(a: &CsrMatrix, i: usize, _nnz: usize, clamped: bool) -> (usize, usize) {
-    if clamped {
-        let r = a.row_range_clamped(i);
-        (r.start, r.end)
-    } else {
-        (a.rowptr()[i], a.rowptr()[i + 1])
-    }
-}
-
-/// Block fill ratio a CSR matrix *would* have after `b × b` blocking,
-/// computed without materializing the blocks (the statistic the `auto`
-/// kernel heuristic keys on).
-pub fn block_fill_ratio(a: &CsrMatrix, b: usize) -> f64 {
-    assert!(b >= 1, "block edge must be >= 1");
-    let nnz = a.nnz();
-    if nnz == 0 {
-        return 1.0;
-    }
-    let mut blocks = 0usize;
-    let mut cols: Vec<usize> = Vec::new();
-    let n_block_rows = a.n_rows().div_ceil(b);
-    for br in 0..n_block_rows {
-        let row_lo = br * b;
-        let row_hi = (row_lo + b).min(a.n_rows());
-        cols.clear();
-        for i in row_lo..row_hi {
-            for k in a.row_range(i) {
-                cols.push(a.colid()[k] / b);
-            }
-        }
-        cols.sort_unstable();
-        cols.dedup();
-        blocks += cols.len();
-    }
-    nnz as f64 / (blocks * b * b) as f64
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -417,7 +351,6 @@ mod tests {
             let blocked = BcsrMatrix::from_csr(&a, b).unwrap();
             let f = blocked.fill_ratio();
             assert!(f > 0.0 && f <= 1.0, "fill {f}");
-            assert!((f - block_fill_ratio(&a, b)).abs() < 1e-15);
         }
         // b=1 stores exactly the nonzeros: fill ratio 1.
         let unit = BcsrMatrix::from_csr(&a, 1).unwrap();
@@ -453,16 +386,6 @@ mod tests {
         assert_eq!(back.rowptr(), a.rowptr());
         assert_eq!(back.colid(), a.colid());
         assert_eq!(back.val(), a.val());
-    }
-
-    #[test]
-    fn clamped_conversion_survives_corruption() {
-        let mut a = gen::poisson2d(4).unwrap();
-        a.rowptr_mut()[5] = usize::MAX;
-        a.colid_mut()[3] = 1 << 40;
-        let blocked = BcsrMatrix::from_csr_clamped(&a, 2); // must not panic
-        let mut y = vec![0.0; 16];
-        blocked.spmv_into(&[1.0; 16], &mut y);
     }
 
     #[test]

@@ -271,9 +271,9 @@ impl CsrMatrix {
 
     /// Storage range of row `i` with the defensive clamping rule: both
     /// bounds clamped to `[0, nnz]`, an inverted range treated as an
-    /// empty row. The one canonical clamp shared by the ABFT kernel
-    /// (`ftcg-abft`), the pluggable backends (`ftcg-kernels`) and the
-    /// defensive BCSR/SELL converters — change it here, never locally.
+    /// empty row. The one canonical clamp shared by the defensive
+    /// traversal and the ABFT kernel (`ftcg-abft`) — change it here,
+    /// never locally.
     #[inline]
     pub fn row_range_clamped(&self, i: usize) -> std::ops::Range<usize> {
         let nnz = self.val.len();
@@ -423,9 +423,8 @@ impl CsrMatrix {
     /// Defensive products of the row band `rows` into `y` (one output
     /// per row of the band) through the one lockstep traversal, rows
     /// visited in natural order — bit-identical to calling
-    /// [`CsrMatrix::row_product_clamped`] per row. The building block
-    /// the parallel defensive product and ONLINE-DETECTION's residual
-    /// check share.
+    /// [`CsrMatrix::row_product_clamped`] per row. ONLINE-DETECTION's
+    /// residual check runs it band by band.
     ///
     /// # Panics
     /// Panics if `rows.end > n_rows` or `y.len() != rows.len()`.

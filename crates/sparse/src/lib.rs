@@ -9,8 +9,9 @@
 //!   layout the paper's ABFT scheme protects (`Val`, `Colid`, `Rowidx`),
 //! * [`CooMatrix`] — triplet assembly (generators, MatrixMarket input),
 //! * [`BcsrMatrix`] / [`SellCSigma`] — register-blocked and sliced-ELLPACK
-//!   storage with exact CSR roundtrips, the formats behind the pluggable
-//!   SpMV backends in `ftcg-kernels`,
+//!   storage with exact CSR roundtrips, measured by the benchmark's
+//!   format probes only (no solve reads them: the faults hit the CSR
+//!   arrays),
 //! * [`RowOrder`] — the length-sorted row visit order of the one defensive
 //!   CSR traversal (SELL's σ-sorting without SELL's second copy),
 //! * dense vector kernels ([`vector`]) used by the Conjugate Gradient solver,
@@ -19,7 +20,8 @@
 //!   set from the UFL collection,
 //! * MatrixMarket I/O ([`io`]) so real UFL files can be dropped in,
 //! * a crossbeam-based parallel SpMxV ([`parallel`]) mirroring the paper's
-//!   row-partitioned MPI discussion on shared memory.
+//!   row-partitioned MPI discussion on shared memory (a benchmark probe
+//!   too).
 //!
 //! The crate is deliberately dependency-light and allocation-conscious: all
 //! hot kernels (`spmv_into`, `dot`, `axpy`) write into caller-provided

@@ -5,9 +5,9 @@
 //! entries, and that *local* detection/correction implies *global*
 //! detection/correction. This module reproduces that structure on shared
 //! memory: rows are split into contiguous blocks, one crossbeam scoped
-//! thread per block, each writing a disjoint slice of `y`. The
-//! `csr-par` backend of `ftcg-kernels` runs on this partitioning; the
-//! ABFT layer checks the assembled product as a whole.
+//! thread per block, each writing a disjoint slice of `y`. Only the
+//! benchmark's `csr-par` probe (`ftcg-kernels`) runs on this
+//! partitioning; protected solves run the serial defensive traversal.
 
 use crate::csr::CsrMatrix;
 
@@ -114,7 +114,7 @@ pub fn spmv_parallel(a: &CsrMatrix, x: &[f64], y: &mut [f64], blocks: &[RowBlock
 /// Note this recomputes the partition on **every call** — fine for
 /// one-off products, wasteful in a solver loop. Hot paths should build a
 /// [`RowPartition`] (or go through `ftcg-kernels`' prepared `csr-par`
-/// backend, which caches its blocks at preparation time) and reuse it.
+/// probe, which caches its blocks at preparation time) and reuse it.
 pub fn spmv_parallel_auto(a: &CsrMatrix, x: &[f64], y: &mut [f64], n_threads: usize) {
     let blocks = partition_rows_balanced(a, n_threads.max(1));
     spmv_parallel(a, x, y, &blocks);

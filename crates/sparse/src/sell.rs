@@ -51,45 +51,10 @@ impl SellCSigma {
                 ),
             });
         }
-        Ok(Self::convert(a, chunk, sigma, false))
-    }
-
-    /// Defensive conversion for possibly corrupted CSR structure (same
-    /// clamping contract as [`crate::bcsr::BcsrMatrix::from_csr_clamped`]).
-    ///
-    /// # Panics
-    /// Panics if `chunk == 0` or `sigma == 0` (trusted callers only).
-    pub fn from_csr_clamped(a: &CsrMatrix, chunk: usize, sigma: usize) -> SellCSigma {
-        assert!(chunk >= 1 && sigma >= 1, "need C >= 1 and σ >= 1");
-        Self::convert(a, chunk, sigma, true)
-    }
-
-    fn convert(a: &CsrMatrix, chunk: usize, sigma: usize, clamped: bool) -> SellCSigma {
         let n_rows = a.n_rows();
         let n_cols = a.n_cols();
-        // Clamped per-row entry lists (cheap views for the trusted path;
-        // the clamp itself is the canonical `row_range_clamped` rule).
-        let row_entries = |i: usize| -> (usize, usize) {
-            if clamped {
-                let r = a.row_range_clamped(i);
-                (r.start, r.end)
-            } else {
-                (a.rowptr()[i], a.rowptr()[i + 1])
-            }
-        };
-        // Row lengths computed once up front: the σ-window sort below
-        // evaluates keys repeatedly, and the defensive path's length is
-        // an O(row) scan.
-        let lens: Vec<usize> = (0..n_rows)
-            .map(|i| {
-                let (start, end) = row_entries(i);
-                if clamped {
-                    (start..end).filter(|&k| a.colid()[k] < n_cols).count()
-                } else {
-                    end - start
-                }
-            })
-            .collect();
+        let rowptr = a.rowptr();
+        let lens: Vec<usize> = (0..n_rows).map(|i| rowptr[i + 1] - rowptr[i]).collect();
         // σ-windowed sort by descending row length (stable: equal-length
         // rows keep their original order — deterministic layout).
         let mut perm: Vec<usize> = (0..n_rows).collect();
@@ -114,23 +79,15 @@ impl SellCSigma {
             val.resize(off + width * chunk, 0.0f64);
             for (lane, pos) in (pos_lo..pos_hi).enumerate() {
                 let i = perm[pos];
-                let (start, end) = row_entries(i);
-                let mut j = 0usize;
-                for k in start..end {
-                    let c = a.colid()[k];
-                    if clamped && c >= n_cols {
-                        continue;
-                    }
-                    colid[off + j * chunk + lane] = c;
+                for (j, k) in (rowptr[i]..rowptr[i + 1]).enumerate() {
+                    colid[off + j * chunk + lane] = a.colid()[k];
                     val[off + j * chunk + lane] = a.val()[k];
-                    j += 1;
                 }
-                debug_assert_eq!(j, rowlen[pos]);
-                nnz += j;
+                nnz += rowlen[pos];
             }
             chunkptr.push(colid.len());
         }
-        SellCSigma {
+        Ok(SellCSigma {
             n_rows,
             n_cols,
             chunk,
@@ -141,7 +98,7 @@ impl SellCSigma {
             colid,
             val,
             nnz,
-        }
+        })
     }
 
     /// Number of rows.
@@ -363,16 +320,6 @@ mod tests {
         sorted.spmv_into(&x, &mut y2);
         assert_eq!(y1, a.spmv(&x));
         assert_eq!(y2, a.spmv(&x));
-    }
-
-    #[test]
-    fn clamped_conversion_survives_corruption() {
-        let mut a = gen::poisson2d(4).unwrap();
-        a.rowptr_mut()[3] = usize::MAX;
-        a.colid_mut()[7] = 1 << 33;
-        let sell = SellCSigma::from_csr_clamped(&a, 4, 16); // must not panic
-        let mut y = vec![0.0; 16];
-        sell.spmv_into(&[1.0; 16], &mut y);
     }
 
     #[test]

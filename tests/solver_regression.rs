@@ -308,25 +308,3 @@ fn cgne_full_convergence_matches_legacy() {
     assert!(current.converged, "paper:{} did not converge", spec.id);
     assert_bit_identical("cgne", spec.id, &legacy, &current);
 }
-
-/// `cgne_solve_with` + the serial CSR kernel is the one-line delegation
-/// target of `cgne_solve` — pin the pair to the legacy loop too.
-#[test]
-fn cgne_with_explicit_kernel_matches_legacy() {
-    use ftcg::kernels::KernelSpec;
-    let spec = &PAPER_MATRICES[0];
-    let a = spec.generate(48);
-    let b = spec.rhs(a.n_rows());
-    let zero = vec![0.0; a.n_rows()];
-    let cfg = CgConfig {
-        max_iters: 100_000,
-        ..CgConfig::default()
-    };
-    let prepared = KernelSpec::Csr.prepare(&a).unwrap();
-    assert_bit_identical(
-        "cgne_with",
-        spec.id,
-        &legacy_cgne(&a, &b, &zero, &cfg),
-        &ftcg::solvers::cgne_solve_with(&a, &b, &zero, &cfg, prepared.as_ref()),
-    );
-}
