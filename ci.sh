@@ -28,6 +28,12 @@ if [ "$run_clippy" = 1 ]; then
     fi
 fi
 
+echo "==> one planner (only crates/model/src scans eq. 6; everything else calls ftcg_model::plan)"
+if grep -rnE 'optimal_(abft|online)_interval\(' crates/*/src | grep -v '^crates/model/src/'; then
+    echo "an eq. 6 scan outside ftcg-model (above): call ftcg_model::plan instead" >&2
+    exit 1
+fi
+
 echo "==> rustdoc (-D warnings: a link to a deleted or private item fails)"
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --lib --exclude proptest
 

@@ -1,12 +1,13 @@
 //! Resilience cost parameters, in units of one CG iteration (`Titer ≡ 1`,
 //! as normalized in Section 5.1 of the paper).
-
-use serde::{Deserialize, Serialize};
+//!
+//! This is the bare triple; the profiles that supply its values per
+//! scheme live next to the planner, as `ftcg_model::CostProfile`.
 
 /// The cost parameters of the abstract performance model (Section 4.1):
 /// checkpoint time `Tcp`, recovery time `Trec` and verification time
 /// `Tverif`, all expressed as multiples of the raw iteration time.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ResilienceCosts {
     /// Checkpoint cost `Tcp` (iterations).
     pub tcp: f64,
@@ -32,26 +33,6 @@ impl ResilienceCosts {
         );
         Self { tcp, trec, tverif }
     }
-
-    /// Typical ABFT-scheme costs: checkpointing the matrix + three
-    /// vectors costs a few iteration-equivalents; verification is the
-    /// cheap checksum test.
-    pub fn abft_default() -> Self {
-        Self::new(2.0, 2.0, 0.02)
-    }
-
-    /// Typical ONLINE-DETECTION costs: same checkpoint, but verification
-    /// includes recomputing the residual — an extra SpMxV, about one full
-    /// iteration-equivalent.
-    pub fn online_default() -> Self {
-        Self::new(2.0, 2.0, 1.0)
-    }
-}
-
-impl Default for ResilienceCosts {
-    fn default() -> Self {
-        Self::abft_default()
-    }
 }
 
 #[cfg(test)]
@@ -67,11 +48,6 @@ mod tests {
     }
 
     #[test]
-    fn online_verification_costlier_than_abft() {
-        assert!(ResilienceCosts::online_default().tverif > ResilienceCosts::abft_default().tverif);
-    }
-
-    #[test]
     #[should_panic(expected = "non-negative")]
     fn rejects_negative() {
         ResilienceCosts::new(-1.0, 0.0, 0.0);
@@ -81,14 +57,5 @@ mod tests {
     #[should_panic(expected = "finite")]
     fn rejects_nan() {
         ResilienceCosts::new(f64::NAN, 0.0, 0.0);
-    }
-
-    #[test]
-    fn serde_roundtrip() {
-        let c = ResilienceCosts::new(1.5, 2.5, 0.25);
-        // serde is exercised through the Serialize/Deserialize derives via
-        // a trivial in-memory representation (no JSON backend offline).
-        let copied = c;
-        assert_eq!(copied, c);
     }
 }

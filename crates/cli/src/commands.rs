@@ -6,6 +6,7 @@ use ftcg::prelude::*;
 use ftcg::sim::figure1::{log_grid, run_panel, Figure1Params};
 use ftcg::sim::matrices::PaperMatrixResolver;
 use ftcg::sim::report::{figure1_ascii, figure1_csv, table1_csv, table1_markdown};
+use ftcg::sim::runner::ArtifactDirs;
 use ftcg::sim::table1::{run_table1, Table1Params};
 use ftcg::sim::PAPER_MATRICES;
 use ftcg::solvers::SolverKind;
@@ -193,6 +194,16 @@ fn parse_dir_flag(args: &[String], flag: &str) -> Result<Option<std::path::PathB
     }
 }
 
+/// The `--journal-dir` / `--trace-dir` / `--metrics-dir` flags of
+/// `table1` and `figure1`.
+fn parse_artifact_dirs(args: &[String]) -> Result<ArtifactDirs, String> {
+    Ok(ArtifactDirs {
+        journal: parse_dir_flag(args, "--journal-dir")?,
+        trace: parse_dir_flag(args, "--trace-dir")?,
+        metrics: parse_dir_flag(args, "--metrics-dir")?,
+    })
+}
+
 /// The flags of `solve`, `stats`, `report`, `table1` and `figure1` as
 /// `ftcg help` lists them; all take a value.
 const SOLVE_FLAGS: [&str; 8] = [
@@ -259,12 +270,6 @@ pub fn solve(args: &[String]) -> Result<(), String> {
     }
     let n = a.n_rows();
     let b = vec![1.0; n];
-    eprintln!(
-        "solving: n={n} nnz={} scheme={} solver={} alpha={alpha} seed={seed}",
-        a.nnz(),
-        scheme.name(),
-        solver.label(),
-    );
     let mut builder = ftcg::ResilientCg::new(&a)
         .scheme(scheme)
         .solver(solver)
@@ -272,6 +277,19 @@ pub fn solve(args: &[String]) -> Result<(), String> {
     if alpha > 0.0 {
         builder = builder.fault_alpha(alpha);
     }
+    let plan = builder.config();
+    eprintln!(
+        "solving: n={n} nnz={} scheme={} solver={} alpha={alpha} seed={seed} \
+         s={} d={} tcp={} trec={} tverif={}",
+        a.nnz(),
+        scheme.name(),
+        solver.label(),
+        plan.checkpoint_interval,
+        plan.verif_interval,
+        plan.costs.tcp,
+        plan.costs.trec,
+        plan.costs.tverif,
+    );
     let trace = value(args, "--trace").map(std::path::PathBuf::from);
     let metrics = value(args, "--metrics").map(std::path::PathBuf::from);
     let mut recorder = (trace.is_some() || metrics.is_some()).then(ActiveRecorder::new);
@@ -794,9 +812,7 @@ pub fn table1(args: &[String]) -> Result<(), String> {
         reps: parse_strict(args, "--reps", 20)?,
         threads: parse_strict(args, "--threads", 8)?,
         solver: parse_solver_flag(args)?,
-        journal_dir: parse_dir_flag(args, "--journal-dir")?,
-        trace_dir: parse_dir_flag(args, "--trace-dir")?,
-        metrics_dir: parse_dir_flag(args, "--metrics-dir")?,
+        dirs: parse_artifact_dirs(args)?,
         ..Table1Params::default()
     };
     eprintln!(
@@ -826,10 +842,7 @@ pub fn figure1(args: &[String]) -> Result<(), String> {
         mtbf_grid: log_grid(2e1, 2e4, points),
         threads: parse_strict(args, "--threads", 8)?,
         solver: parse_solver_flag(args)?,
-        journal_dir: parse_dir_flag(args, "--journal-dir")?,
-        trace_dir: parse_dir_flag(args, "--trace-dir")?,
-        metrics_dir: parse_dir_flag(args, "--metrics-dir")?,
-        ..Figure1Params::default()
+        dirs: parse_artifact_dirs(args)?,
     };
     let mut panels = Vec::new();
     for spec in PAPER_MATRICES.iter().take(n_matrices) {

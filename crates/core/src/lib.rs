@@ -35,8 +35,8 @@
 //! | `ftcg-sparse` | CSR/COO, the defensive CSR traversal every protected product runs, MatrixMarket I/O, SPD generators (BCSR/SELL-C-σ and parallel SpMxV only serve the benchmark's format probes) |
 //! | `ftcg-fault` | bit-flip injection, exponential/Poisson arrivals, fault ledger |
 //! | `ftcg-abft` | weighted checksums, detect-2/correct-1 SpMxV, TMR-replicated vector state, FP tolerance |
-//! | `ftcg-checkpoint` | solver-state snapshots, the double-buffered `SnapshotSlot`, cost model |
-//! | `ftcg-model` | expected frame time (eq. 5), optimal intervals (eq. 6) |
+//! | `ftcg-checkpoint` | solver-state snapshots, the double-buffered `SnapshotSlot`, the (`Tcp`, `Trec`, `Tverif`) cost triple |
+//! | `ftcg-model` | expected frame time (eq. 5), the one interval planner `plan` (eq. 6) and its two cost profiles |
 //! | `ftcg-solvers` | steppable CG/PCG/BiCGSTAB/CGNE state machines + the scheme-generic resilient executor |
 //! | `ftcg-engine` | concurrent campaign engine: declarative sweeps, worker pool, JSONL/CSV sinks |
 //! | `ftcg-sim` | Table 1 / Figure 1 experiment harness (engine campaigns) and reports |
@@ -58,7 +58,8 @@ pub use ftcg_sparse as sparse;
 pub use ftcg_telemetry as telemetry;
 
 use ftcg_checkpoint::ResilienceCosts;
-use ftcg_model::{optimize, Scheme};
+use ftcg_engine::inject::paper_injector;
+use ftcg_model::{CostProfile, Scheme};
 use ftcg_solvers::resilient::{solve_resilient, ResilientConfig, ResilientOutcome};
 use ftcg_solvers::{SolverKind, StoppingCriterion};
 use ftcg_sparse::CsrMatrix;
@@ -80,7 +81,9 @@ pub mod prelude {
 /// every solver composes with every scheme).
 ///
 /// Defaults: CG under ABFT-CORRECTION, model-optimal checkpoint
-/// interval for the configured fault rate, paper-like resilience costs,
+/// interval for the configured fault rate, the scheme's
+/// [`CostProfile::DEFAULT`] resilience costs (the campaigns' profile, not
+/// the Table 1 / Figure 1 harness's [`CostProfile::PAPER_LIKE`]),
 /// relative 1e-8 stopping, no fault injection unless
 /// [`ResilientCg::fault_alpha`] is set.
 #[derive(Debug, Clone)]
@@ -90,7 +93,7 @@ pub struct ResilientCg<'a> {
     solver: SolverKind,
     interval: Option<usize>,
     verif_interval: Option<usize>,
-    costs: ResilienceCosts,
+    costs: Option<ResilienceCosts>,
     stopping: StoppingCriterion,
     alpha: Option<f64>,
     seed: u64,
@@ -106,7 +109,7 @@ impl<'a> ResilientCg<'a> {
             solver: SolverKind::Cg,
             interval: None,
             verif_interval: None,
-            costs: ResilienceCosts::abft_default(),
+            costs: None,
             stopping: StoppingCriterion::default_relative(),
             alpha: None,
             seed: 0,
@@ -117,9 +120,6 @@ impl<'a> ResilientCg<'a> {
     /// Selects the resilience scheme.
     pub fn scheme(mut self, scheme: Scheme) -> Self {
         self.scheme = scheme;
-        if scheme == Scheme::OnlineDetection {
-            self.costs = ResilienceCosts::online_default();
-        }
         self
     }
 
@@ -155,9 +155,10 @@ impl<'a> ResilientCg<'a> {
         self
     }
 
-    /// Overrides the resilience cost parameters.
+    /// Overrides the resilience cost parameters (planned and accounted),
+    /// whatever the scheme.
     pub fn costs(mut self, costs: ResilienceCosts) -> Self {
-        self.costs = costs;
+        self.costs = Some(costs);
         self
     }
 
@@ -188,25 +189,18 @@ impl<'a> ResilientCg<'a> {
 
     /// Resolves the configuration this builder would run with.
     pub fn config(&self) -> ResilientConfig {
-        let alpha = self.alpha.unwrap_or(0.0).max(1e-9);
-        let (s, d) = match self.scheme {
-            Scheme::OnlineDetection => {
-                let plan = optimize::optimal_online_interval(alpha, 1.0, &self.costs, 64, 1000);
-                (
-                    self.interval.unwrap_or(plan.s),
-                    self.verif_interval.unwrap_or(plan.d),
-                )
-            }
-            _ => {
-                let opt =
-                    optimize::optimal_abft_interval(self.scheme, alpha, 1.0, &self.costs, 4000);
-                (self.interval.unwrap_or(opt.s), 1)
-            }
-        };
-        let mut cfg = ResilientConfig::new(self.scheme, s);
+        let costs = self
+            .costs
+            .unwrap_or_else(|| CostProfile::DEFAULT.for_scheme(self.scheme));
+        let alpha = self.alpha.unwrap_or(0.0);
+        let mut cfg = ResilientConfig::model_optimal(self.scheme, alpha, costs);
+        if let Some(s) = self.interval {
+            cfg.checkpoint_interval = s;
+        }
+        if let (Scheme::OnlineDetection, Some(d)) = (self.scheme, self.verif_interval) {
+            cfg.verif_interval = d;
+        }
         cfg.solver = self.solver;
-        cfg.verif_interval = d;
-        cfg.costs = self.costs;
         cfg.stopping = self.stopping;
         cfg.max_productive_iters = self.max_iters;
         cfg
@@ -217,7 +211,7 @@ impl<'a> ResilientCg<'a> {
         let cfg = self.config();
         match self.alpha {
             Some(alpha) if alpha > 0.0 => {
-                let mut inj = ftcg_sim::runner::paper_injector(self.a, alpha, self.seed);
+                let mut inj = paper_injector(self.a, alpha, self.seed);
                 solve_resilient(self.a, b, &cfg, Some(&mut inj))
             }
             _ => solve_resilient(self.a, b, &cfg, None),
@@ -240,7 +234,7 @@ impl<'a> ResilientCg<'a> {
         let mut ws = ftcg_solvers::SolverWorkspace::new();
         match self.alpha {
             Some(alpha) if alpha > 0.0 => {
-                let mut inj = ftcg_sim::runner::paper_injector(self.a, alpha, self.seed);
+                let mut inj = paper_injector(self.a, alpha, self.seed);
                 solve_resilient_recorded(self.a, b, &cfg, Some(&mut inj), &mut ws, rec)
             }
             _ => solve_resilient_recorded(self.a, b, &cfg, None, &mut ws, rec),
@@ -291,7 +285,26 @@ mod tests {
             .fault_alpha(0.01)
             .config();
         assert!(cfg.verif_interval > 1);
-        assert_eq!(cfg.costs, ResilienceCosts::online_default());
+        assert_eq!(
+            cfg.costs,
+            CostProfile::DEFAULT.for_scheme(Scheme::OnlineDetection)
+        );
+    }
+
+    #[test]
+    fn costs_do_not_depend_on_call_order() {
+        let a = gen::random_spd(100, 0.05, 3).unwrap();
+        let plain = ResilientCg::new(&a).fault_alpha(1.0 / 16.0);
+        // Leaving ONLINE-DETECTION restores the ABFT costs...
+        let back = plain
+            .clone()
+            .scheme(Scheme::OnlineDetection)
+            .scheme(Scheme::AbftCorrection);
+        assert_eq!(back.config(), plain.config());
+        // ...and choosing a scheme keeps explicitly set costs.
+        let c = ResilienceCosts::new(1.0, 3.0, 0.5);
+        let online = plain.costs(c).scheme(Scheme::OnlineDetection).config();
+        assert_eq!(online.costs, c);
     }
 
     #[test]

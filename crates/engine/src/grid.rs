@@ -2,8 +2,7 @@
 
 use std::sync::Arc;
 
-use ftcg_checkpoint::ResilienceCosts;
-use ftcg_model::{optimize, Scheme};
+use ftcg_model::{CostProfile, Scheme};
 use ftcg_solvers::resilient::ResilientConfig;
 use ftcg_solvers::SolverKind;
 use ftcg_sparse::CsrMatrix;
@@ -94,42 +93,21 @@ impl ConfigJob {
 }
 
 /// Resolves the scheme/α point into a [`ResilientConfig`] under the
-/// given interval policy, with the paper-default cost profile for the
-/// scheme (model-optimal intervals via eq. 6, exactly like the
-/// `ftcg::ResilientCg` builder does).
+/// given interval policy: [`ResilientConfig::model_optimal`] with the
+/// scheme's [`CostProfile::DEFAULT`] costs (the planner and profile the
+/// `ftcg::ResilientCg` builder uses too), then the `Fixed(s)` override
+/// (which keeps ONLINE-DETECTION's planned `d`) and the iteration cap.
 pub fn plan_config(
     scheme: Scheme,
     alpha: f64,
     interval: IntervalPolicy,
     max_iters: usize,
 ) -> ResilientConfig {
-    let costs = match scheme {
-        Scheme::OnlineDetection => ResilienceCosts::online_default(),
-        _ => ResilienceCosts::abft_default(),
-    };
-    let a = alpha.max(1e-9);
-    let (s, d) = match (scheme, interval) {
-        (_, IntervalPolicy::Fixed(s)) => {
-            let d = match scheme {
-                Scheme::OnlineDetection => {
-                    optimize::optimal_online_interval(a, 1.0, &costs, 64, 1000).d
-                }
-                _ => 1,
-            };
-            (s, d)
-        }
-        (Scheme::OnlineDetection, IntervalPolicy::ModelOptimal) => {
-            let plan = optimize::optimal_online_interval(a, 1.0, &costs, 64, 1000);
-            (plan.s, plan.d)
-        }
-        (_, IntervalPolicy::ModelOptimal) => {
-            let opt = optimize::optimal_abft_interval(scheme, a, 1.0, &costs, 4000);
-            (opt.s, 1)
-        }
-    };
-    let mut cfg = ResilientConfig::new(scheme, s);
-    cfg.verif_interval = d;
-    cfg.costs = costs;
+    let costs = CostProfile::DEFAULT.for_scheme(scheme);
+    let mut cfg = ResilientConfig::model_optimal(scheme, alpha, costs);
+    if let IntervalPolicy::Fixed(s) = interval {
+        cfg.checkpoint_interval = s;
+    }
     cfg.max_productive_iters = max_iters;
     cfg
 }
@@ -247,6 +225,9 @@ mod tests {
             1000,
         );
         assert!(cfg.verif_interval > 1);
-        assert_eq!(cfg.costs, ResilienceCosts::online_default());
+        assert_eq!(
+            cfg.costs,
+            CostProfile::DEFAULT.for_scheme(Scheme::OnlineDetection)
+        );
     }
 }

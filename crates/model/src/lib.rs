@@ -17,16 +17,23 @@
 //! `q = e^{−λT}`; ABFT-DETECTION has `T = Titer`, same `q`;
 //! ABFT-CORRECTION has `T = Titer` and `q = e^{−λT}·(1 + λT)` — an
 //! iteration survives zero *or one* error.
+//!
+//! [`plan`] solves eq. 6 for every front end: campaigns, the
+//! `ResilientCg` builder and the Table 1 / Figure 1 harness differ only
+//! in the [`CostProfile`] they feed it ([`CostProfile::DEFAULT`] or
+//! [`CostProfile::PAPER_LIKE`]).
 
 #![warn(missing_docs)]
 #![warn(clippy::all)]
 
+pub mod cost;
 pub mod frame;
 pub mod optimize;
 pub mod success;
 
+pub use cost::CostProfile;
 pub use frame::{expected_frame_time, expected_lost_time, overhead};
-pub use optimize::{optimal_online_interval, optimal_s, OnlinePlan, Optimum};
+pub use optimize::{optimal_online_interval, optimal_s, plan, OnlinePlan, Optimum};
 pub use success::{q_correction, q_detection};
 
 /// Which resilience scheme a model instantiation describes.

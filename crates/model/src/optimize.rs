@@ -98,10 +98,41 @@ pub fn optimal_online_interval(
     best
 }
 
+/// Longest checkpoint interval [`plan`] scans for the ABFT schemes.
+const ABFT_S_MAX: usize = 4000;
+/// ONLINE-DETECTION's scan bounds for `d` and `s` in [`plan`].
+const ONLINE_D_MAX: usize = 64;
+const ONLINE_S_MAX: usize = 1000;
+
+/// The planner: the model-optimal `(s, d)` of `scheme` at `alpha`
+/// expected faults per iteration, with `Titer ≡ 1` and `costs` the
+/// scheme's (`Tcp`, `Trec`, `Tverif`) triple. `d` is 1 for the ABFT
+/// schemes, which verify every iteration.
+///
+/// Campaigns, the `ResilientCg` builder and the Table 1 / Figure 1
+/// harness all plan through this function (via
+/// `ResilientConfig::model_optimal`); only the cost triple they pass
+/// differs (see [`crate::CostProfile`]). `alpha` is floored at `1e-9`,
+/// so a fault-free run gets the longest interval scanned.
+pub fn plan(scheme: Scheme, alpha: f64, costs: &ResilienceCosts) -> (usize, usize) {
+    let alpha = alpha.max(1e-9);
+    match scheme {
+        Scheme::OnlineDetection => {
+            let p = optimal_online_interval(alpha, 1.0, costs, ONLINE_D_MAX, ONLINE_S_MAX);
+            (p.s, p.d)
+        }
+        _ => (
+            optimal_abft_interval(scheme, alpha, 1.0, costs, ABFT_S_MAX).s,
+            1,
+        ),
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::success::q_correction;
+    use crate::CostProfile;
 
     fn costs() -> ResilienceCosts {
         ResilienceCosts::new(2.0, 2.0, 0.05)
@@ -199,5 +230,40 @@ mod tests {
         // as many chunks as allowed.
         let best = optimal_s(1.0, &costs(), 1.0, 300);
         assert_eq!(best.s, 300);
+    }
+
+    #[test]
+    fn plan_shapes() {
+        for profile in [CostProfile::DEFAULT, CostProfile::PAPER_LIKE] {
+            let (s, d) = plan(
+                Scheme::OnlineDetection,
+                0.01,
+                &profile.for_scheme(Scheme::OnlineDetection),
+            );
+            assert!(s >= 1 && d > 1, "online ({s}, {d})");
+            for abft in [Scheme::AbftDetection, Scheme::AbftCorrection] {
+                let (s, d) = plan(abft, 0.01, &profile.for_scheme(abft));
+                assert!(s >= 1 && d == 1, "{abft:?} ({s}, {d})");
+            }
+        }
+    }
+
+    /// `(s, d)` per scheme, in `Scheme::ALL` order, for both profiles —
+    /// values captured from an earlier build, so a planner change that
+    /// moves any interval fails here.
+    #[test]
+    fn plan_matches_a_pinned_earlier_build() {
+        let table = |profile: CostProfile, alpha: f64| {
+            Scheme::ALL.map(|scheme| plan(scheme, alpha, &profile.for_scheme(scheme)))
+        };
+        let t1 = 1.0 / 16.0;
+        assert_eq!(table(CostProfile::DEFAULT, t1), [(1, 6), (6, 1), (44, 1)]);
+        assert_eq!(
+            table(CostProfile::PAPER_LIKE, t1),
+            [(1, 6), (6, 1), (41, 1)]
+        );
+        for profile in [CostProfile::DEFAULT, CostProfile::PAPER_LIKE] {
+            assert_eq!(table(profile, 0.0), [(981, 64), (4000, 1), (4000, 1)]);
+        }
     }
 }

@@ -3,20 +3,21 @@
 //!
 //! For each matrix and each point of a logarithmic `1/α` grid (the paper
 //! plots `10²…10⁴⁺`), every scheme runs `reps` repetitions at its
-//! model-optimal intervals: `s̃` from eq. 6 for the ABFT schemes, the
-//! joint `(d, s)` optimum for ONLINE-DETECTION (standing in for Chen's
-//! closed form, which our abstract model subsumes).
+//! model-optimal intervals under the `CostProfile::PAPER_LIKE` costs:
+//! `s̃` from eq. 6 for the ABFT schemes, the joint `(d, s)` optimum for
+//! ONLINE-DETECTION (standing in for Chen's closed form, which our
+//! abstract model subsumes).
 
 use std::sync::Arc;
 
 use ftcg_engine::{ConfigJob, InjectorSpec};
-use ftcg_model::{optimize, Scheme};
+use ftcg_model::{CostProfile, Scheme};
 use ftcg_solvers::resilient::ResilientConfig;
 use ftcg_solvers::SolverKind;
 use ftcg_sparse::CsrMatrix;
 
 use crate::matrices::MatrixSpec;
-use crate::measure::{resolve_costs, CostMode, MeasuredCosts};
+use crate::runner::{run_checked, ArtifactDirs};
 
 /// One point of one curve.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -63,22 +64,11 @@ pub struct Figure1Params {
     pub mtbf_grid: Vec<f64>,
     /// Worker threads.
     pub threads: usize,
-    /// Cost-parameter instantiation.
-    pub cost_mode: CostMode,
     /// Solver iterating under the protocol (the paper plots CG).
     pub solver: SolverKind,
-    /// Crash-safety: when set, each (matrix, scheme) curve campaign
-    /// journals to `<dir>/figure1-<id>-<scheme>.jsonl` and auto-resumes
-    /// from it, so a killed Figure 1 run re-executes only the missing
-    /// repetitions. Results are byte-identical either way.
-    pub journal_dir: Option<std::path::PathBuf>,
-    /// When set, each (matrix, scheme) curve campaign writes its
-    /// deterministic protocol-event trace to
-    /// `<dir>/figure1-<id>-<scheme>.trace.jsonl`.
-    pub trace_dir: Option<std::path::PathBuf>,
-    /// When set, each (matrix, scheme) curve campaign writes its
-    /// phase-timing sidecar to `<dir>/figure1-<id>-<scheme>.metrics.jsonl`.
-    pub metrics_dir: Option<std::path::PathBuf>,
+    /// Log directories of the (matrix, scheme) curve campaigns
+    /// (`figure1-<id>-<scheme>.*`).
+    pub dirs: ArtifactDirs,
 }
 
 impl Default for Figure1Params {
@@ -88,11 +78,8 @@ impl Default for Figure1Params {
             reps: 50,
             mtbf_grid: log_grid(2e1, 2e4, 7),
             threads: 4,
-            cost_mode: CostMode::PaperLike,
             solver: SolverKind::Cg,
-            journal_dir: None,
-            trace_dir: None,
-            metrics_dir: None,
+            dirs: ArtifactDirs::default(),
         }
     }
 }
@@ -106,25 +93,6 @@ pub fn log_grid(lo: f64, hi: f64, points: usize) -> Vec<f64> {
         .collect()
 }
 
-/// Chooses the model-optimal configuration of `scheme` at rate `alpha`.
-pub fn optimal_config(scheme: Scheme, alpha: f64, costs: &MeasuredCosts) -> ResilientConfig {
-    let model_costs = costs.for_scheme(scheme);
-    let mut cfg;
-    match scheme {
-        Scheme::OnlineDetection => {
-            let plan = optimize::optimal_online_interval(alpha, 1.0, &model_costs, 64, 1000);
-            cfg = ResilientConfig::new(scheme, plan.s);
-            cfg.verif_interval = plan.d;
-        }
-        _ => {
-            let opt = optimize::optimal_abft_interval(scheme, alpha, 1.0, &model_costs, 4000);
-            cfg = ResilientConfig::new(scheme, opt.s);
-        }
-    }
-    cfg.costs = model_costs;
-    cfg
-}
-
 /// Builds one scheme's curve campaign: one configuration per MTBF grid
 /// point at the scheme's model-optimal intervals.
 ///
@@ -135,17 +103,17 @@ pub fn optimal_config(scheme: Scheme, alpha: f64, costs: &MeasuredCosts) -> Resi
 pub fn curve_campaign(
     spec: &MatrixSpec,
     a: &Arc<CsrMatrix>,
-    costs: &MeasuredCosts,
     scheme: Scheme,
     params: &Figure1Params,
 ) -> Vec<ConfigJob> {
+    let costs = CostProfile::PAPER_LIKE.for_scheme(scheme);
     let b = Arc::new(spec.rhs(a.n_rows()));
     params
         .mtbf_grid
         .iter()
         .map(|&mtbf| {
             let alpha = 1.0 / mtbf;
-            let mut cfg = optimal_config(scheme, alpha, costs);
+            let mut cfg = ResilientConfig::model_optimal(scheme, alpha, costs);
             cfg.solver = params.solver;
             ConfigJob::new(
                 format!("paper:{}", spec.id),
@@ -164,50 +132,17 @@ pub fn curve_campaign(
 /// schemes via a shared campaign seed.
 pub fn run_panel(spec: &MatrixSpec, params: &Figure1Params) -> Figure1Panel {
     let a = Arc::new(spec.generate(params.scale));
-    let costs = resolve_costs(params.cost_mode, &a, 9);
     let campaign_seed = 1_000_000 + spec.id as u64;
     let mut curves: Vec<(Scheme, Vec<Figure1Point>)> = Vec::with_capacity(3);
     for scheme in Scheme::ALL {
-        let configs = curve_campaign(spec, &a, &costs, scheme, params);
-        let stem = format!("figure1-{}-{}", spec.id, scheme.name());
-        let journal = params
-            .journal_dir
-            .as_ref()
-            .map(|dir| dir.join(format!("{stem}.jsonl")));
-        let trace = params
-            .trace_dir
-            .as_ref()
-            .map(|dir| dir.join(format!("{stem}.trace.jsonl")));
-        let metrics = params
-            .metrics_dir
-            .as_ref()
-            .map(|dir| dir.join(format!("{stem}.metrics.jsonl")));
-        let result = crate::runner::run_configs_instrumented(
+        let result = run_checked(
             "figure1",
+            &format!("figure1-{}-{}", spec.id, scheme.name()),
             campaign_seed,
             params.reps,
             params.threads,
-            configs,
-            journal.as_deref(),
-            trace.as_deref(),
-            metrics.as_deref(),
-        )
-        .unwrap_or_else(|e| {
-            panic!(
-                "figure1 journal for matrix {} / {}: {e}",
-                spec.id,
-                scheme.name()
-            )
-        });
-        // As in table1: a silently shrunken sample must not become a
-        // plotted data point.
-        assert_eq!(
-            result.panics,
-            0,
-            "figure1: {} repetition(s) panicked for matrix {} / {}",
-            result.panics,
-            spec.id,
-            scheme.name()
+            curve_campaign(spec, &a, scheme, params),
+            &params.dirs,
         );
         let points = result
             .summaries
@@ -234,6 +169,7 @@ pub fn run_panel(spec: &MatrixSpec, params: &Figure1Params) -> Figure1Panel {
 mod tests {
     use super::*;
     use crate::matrices::by_id;
+    use crate::report::figure1_csv;
 
     #[test]
     fn log_grid_properties() {
@@ -246,17 +182,6 @@ mod tests {
         for w in g.windows(2) {
             assert!((w[1] / w[0] - r).abs() < 1e-9);
         }
-    }
-
-    #[test]
-    fn optimal_config_shapes() {
-        let a = by_id(341).unwrap().generate(64);
-        let costs = resolve_costs(CostMode::PaperLike, &a, 3);
-        let online = optimal_config(Scheme::OnlineDetection, 0.01, &costs);
-        assert!(online.verif_interval >= 1);
-        let abft = optimal_config(Scheme::AbftCorrection, 0.01, &costs);
-        assert_eq!(abft.verif_interval, 1);
-        assert!(abft.checkpoint_interval >= 1);
     }
 
     #[test]
@@ -278,5 +203,34 @@ mod tests {
             assert!(pts[1].mean_time <= pts[0].mean_time * 1.5);
             assert!(pts.iter().all(|p| p.mean_time > 0.0));
         }
+    }
+
+    /// The `PAPER_LIKE` planning path under all three schemes: rows
+    /// captured from an earlier build.
+    #[test]
+    fn csv_matches_a_pinned_earlier_build() {
+        let params = Figure1Params {
+            scale: 64,
+            reps: 2,
+            mtbf_grid: log_grid(20.0, 2e4, 3),
+            threads: 2,
+            ..Figure1Params::default()
+        };
+        let csv = figure1_csv(&[run_panel(&by_id(341).unwrap(), &params)]);
+        let rows: Vec<&str> = csv.lines().skip(1).collect();
+        assert_eq!(
+            rows,
+            [
+                "341,400,ONLINE-DETECTION,20.0000,415.500000,31.819805,1,6",
+                "341,400,ONLINE-DETECTION,632.4555,298.500000,31.819805,1,42",
+                "341,400,ONLINE-DETECTION,20000.0000,219.000000,0.000000,4,64",
+                "341,400,ABFT-DETECTION,20.0000,357.200000,39.315137,7,1",
+                "341,400,ABFT-DETECTION,632.4555,269.500000,2.969848,47,1",
+                "341,400,ABFT-DETECTION,20000.0000,236.500000,0.000000,268,1",
+                "341,400,ABFT-CORRECTION,20.0000,270.200000,0.848528,51,1",
+                "341,400,ABFT-CORRECTION,632.4555,258.000000,0.000000,1633,1",
+                "341,400,ABFT-CORRECTION,20000.0000,258.000000,0.000000,4000,1",
+            ]
+        );
     }
 }

@@ -5,10 +5,10 @@
 //!   SPD generators matched to each UFL id's published order and density
 //!   (the module docs say why the substitution preserves the evaluation);
 //! * [`measure`] — measures the *actual* relative costs `Tverif`, `Tcp`,
-//!   `Trec` of the implemented kernels, so the model is instantiated
-//!   with real overheads rather than guesses;
-//! * [`runner`] — repetition runner with deterministic seeding, built
-//!   on the `ftcg-engine` worker pool;
+//!   `Trec` of the implemented kernels (the benchmark's `sim.*_iters`
+//!   metrics; no planner reads them);
+//! * [`runner`] — runs and checks one harness campaign per (matrix,
+//!   scheme) on the `ftcg-engine` pool, with its optional logs;
 //! * [`table1`] — model validation: model-optimal checkpoint interval
 //!   `s̃` vs empirically best `s*`, execution times and loss `l`
 //!   (each entry's interval sweep runs as one engine campaign);
@@ -17,6 +17,10 @@
 //! * [`report`] — markdown / CSV / ASCII-plot rendering;
 //! * [`benchspec`] — the benchmark's campaign spec (pinned text over
 //!   the paper matrices).
+//!
+//! Both experiments plan their intervals with `ftcg_model::plan` under
+//! `CostProfile::PAPER_LIKE`; the rest of the workspace uses
+//! `CostProfile::DEFAULT`.
 
 #![warn(missing_docs)]
 #![warn(clippy::all)]
@@ -30,4 +34,3 @@ pub mod runner;
 pub mod table1;
 
 pub use matrices::{MatrixSpec, PAPER_MATRICES};
-pub use runner::{run_many, RunSummary};

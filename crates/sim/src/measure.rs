@@ -1,16 +1,16 @@
 //! Measures the real relative costs of the resilience machinery on a
-//! given matrix, producing the `Tverif`/`Tcp`/`Trec` inputs of the
-//! performance model in units of one CG iteration.
+//! given matrix: the `Tverif`/`Tcp`/`Trec` of the performance model in
+//! units of one CG iteration.
 //!
-//! The paper takes these as abstract parameters; instantiating them from
-//! the actual Rust kernels keeps Figure 1's *shapes* honest (e.g.
-//! ONLINE-DETECTION's verification really costs about one extra SpMxV).
+//! The paper takes these as abstract parameters. No planner reads these
+//! measurements: every front end plans with a fixed
+//! `ftcg_model::CostProfile`, and the benchmark reports the measured
+//! values as its `sim.*_iters` per-layer metrics, which disagree with
+//! both profiles.
 
 use std::time::Instant;
 
 use ftcg_abft::{ProtectedSpmv, SingleChecksum, XRef};
-use ftcg_checkpoint::ResilienceCosts;
-use ftcg_model::Scheme;
 use ftcg_sparse::{vector, CsrMatrix};
 
 /// Measured per-matrix cost profile.
@@ -29,54 +29,6 @@ pub struct MeasuredCosts {
     /// Recovery cost (vectors back, matrix image re-read from the
     /// pristine input), iterations.
     pub trec: f64,
-}
-
-/// How the experiments instantiate the model's cost parameters.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CostMode {
-    /// The paper's magnitudes: `Tcp = Trec = 2` iterations (checkpointing
-    /// matrix + vectors to stable storage), ABFT verification a few
-    /// percent of an iteration, online verification one full extra
-    /// SpMxV. Default, so the reproduced tables share the paper's scale.
-    PaperLike,
-    /// Measure the implemented kernels on this machine (ablation A4/A5:
-    /// an in-memory checkpoint copies the three iteration vectors only —
-    /// its matrix is the reliable input, re-read on recovery — so
-    /// `Tcp ≪ Trec` and both are far cheaper than the paper's, which
-    /// shifts the optimal intervals up).
-    Measured,
-}
-
-/// The fixed paper-like cost profile.
-pub fn paper_like_costs() -> MeasuredCosts {
-    MeasuredCosts {
-        titer_secs: 1.0,
-        tverif_detect: 0.1,
-        tverif_correct: 0.2,
-        tverif_online: 1.0,
-        tcp: 2.0,
-        trec: 2.0,
-    }
-}
-
-/// Resolves a cost mode against a matrix.
-pub fn resolve_costs(mode: CostMode, a: &CsrMatrix, reps: usize) -> MeasuredCosts {
-    match mode {
-        CostMode::PaperLike => paper_like_costs(),
-        CostMode::Measured => measure_costs(a, reps),
-    }
-}
-
-impl MeasuredCosts {
-    /// The model cost triple for a scheme.
-    pub fn for_scheme(&self, scheme: Scheme) -> ResilienceCosts {
-        let tverif = match scheme {
-            Scheme::OnlineDetection => self.tverif_online,
-            Scheme::AbftDetection => self.tverif_detect,
-            Scheme::AbftCorrection => self.tverif_correct,
-        };
-        ResilienceCosts::new(self.tcp, self.trec, tverif.max(1e-6))
-    }
 }
 
 fn time_it<F: FnMut()>(reps: usize, mut f: F) -> f64 {
@@ -206,17 +158,5 @@ mod tests {
         // back *and* re-reads the whole matrix image.
         assert!(c.tcp > 0.0 && c.trec > 0.0);
         assert!(c.tcp < c.trec, "tcp {} vs trec {}", c.tcp, c.trec);
-    }
-
-    #[test]
-    fn scheme_mapping() {
-        let a = gen::random_spd(400, 0.02, 8).unwrap();
-        let c = measure_costs(&a, 3);
-        let online = c.for_scheme(Scheme::OnlineDetection);
-        let det = c.for_scheme(Scheme::AbftDetection);
-        let cor = c.for_scheme(Scheme::AbftCorrection);
-        assert_eq!(online.tcp, det.tcp);
-        assert_eq!(det.trec, cor.trec);
-        assert!((online.tverif - c.tverif_online).abs() < 1e-12);
     }
 }

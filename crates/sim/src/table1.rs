@@ -4,7 +4,8 @@
 //! both ABFT schemes:
 //!
 //! * `s̃` — checkpoint interval predicted by the model (eq. 6 with the
-//!   measured cost profile);
+//!   `CostProfile::PAPER_LIKE` costs, which every swept interval is
+//!   also accounted with);
 //! * `Eₜ(s̃)` — mean simulated time over `reps` repetitions at `s̃`;
 //! * `s*` — empirically best interval over a sweep;
 //! * `Eₜ(s*)` — its mean time;
@@ -13,13 +14,13 @@
 use std::sync::Arc;
 
 use ftcg_engine::{ConfigJob, InjectorSpec};
-use ftcg_model::{optimize, Scheme};
+use ftcg_model::{CostProfile, Scheme};
 use ftcg_solvers::resilient::ResilientConfig;
 use ftcg_solvers::SolverKind;
 use ftcg_sparse::CsrMatrix;
 
 use crate::matrices::MatrixSpec;
-use crate::measure::{resolve_costs, CostMode, MeasuredCosts};
+use crate::runner::{run_checked, ArtifactDirs};
 
 /// Result row for one (matrix, scheme) pair.
 #[derive(Debug, Clone, PartialEq)]
@@ -57,23 +58,12 @@ pub struct Table1Params {
     pub sweep: &'static [usize],
     /// Worker threads for the repetition runner.
     pub threads: usize,
-    /// Cost-parameter instantiation.
-    pub cost_mode: CostMode,
     /// Solver iterating under the protocol (experiment dimension; the
     /// paper's tables use CG).
     pub solver: SolverKind,
-    /// Crash-safety: when set, each (matrix, scheme) interval-sweep
-    /// campaign journals to `<dir>/table1-<id>-<scheme>.jsonl` and
-    /// auto-resumes from it, so a killed Table 1 run re-executes only
-    /// the missing repetitions. Results are byte-identical either way.
-    pub journal_dir: Option<std::path::PathBuf>,
-    /// When set, each (matrix, scheme) campaign writes its
-    /// deterministic protocol-event trace to
-    /// `<dir>/table1-<id>-<scheme>.trace.jsonl`.
-    pub trace_dir: Option<std::path::PathBuf>,
-    /// When set, each (matrix, scheme) campaign writes its phase-timing
-    /// sidecar to `<dir>/table1-<id>-<scheme>.metrics.jsonl`.
-    pub metrics_dir: Option<std::path::PathBuf>,
+    /// Log directories of the (matrix, scheme) interval-sweep campaigns
+    /// (`table1-<id>-<scheme>.*`).
+    pub dirs: ArtifactDirs,
 }
 
 impl Default for Table1Params {
@@ -84,25 +74,10 @@ impl Default for Table1Params {
             alpha: 1.0 / 16.0,
             sweep: &[1, 2, 3, 4, 5, 6, 8, 10, 12, 14, 16, 20, 25, 30, 40],
             threads: 4,
-            cost_mode: CostMode::PaperLike,
             solver: SolverKind::Cg,
-            journal_dir: None,
-            trace_dir: None,
-            metrics_dir: None,
+            dirs: ArtifactDirs::default(),
         }
     }
-}
-
-fn scheme_config(
-    scheme: Scheme,
-    s: usize,
-    costs: &MeasuredCosts,
-    solver: SolverKind,
-) -> ResilientConfig {
-    let mut cfg = ResilientConfig::new(scheme, s);
-    cfg.costs = costs.for_scheme(scheme);
-    cfg.solver = solver;
-    cfg
 }
 
 /// Builds the campaign for one (matrix, scheme) entry: one
@@ -110,23 +85,26 @@ fn scheme_config(
 pub fn entry_campaign(
     spec: &MatrixSpec,
     a: &Arc<CsrMatrix>,
-    costs: &MeasuredCosts,
     scheme: Scheme,
     params: &Table1Params,
 ) -> Vec<ConfigJob> {
-    let model_costs = costs.for_scheme(scheme);
-    let s_model = optimize::optimal_abft_interval(scheme, params.alpha, 1.0, &model_costs, 4000).s;
+    let costs = CostProfile::PAPER_LIKE.for_scheme(scheme);
+    let mut model = ResilientConfig::model_optimal(scheme, params.alpha, costs);
+    model.solver = params.solver;
+    let s_model = model.checkpoint_interval;
     let b = Arc::new(spec.rhs(a.n_rows()));
     let mut intervals = vec![s_model];
     intervals.extend(params.sweep.iter().copied().filter(|&s| s != s_model));
     intervals
         .into_iter()
         .map(|s| {
+            let mut cfg = model.clone();
+            cfg.checkpoint_interval = s;
             ConfigJob::new(
                 format!("paper:{}", spec.id),
                 Arc::clone(a),
                 Arc::clone(&b),
-                scheme_config(scheme, s, costs, params.solver),
+                cfg,
                 params.alpha,
                 InjectorSpec::Paper,
             )
@@ -140,51 +118,17 @@ pub fn entry_campaign(
 pub fn run_entry(
     spec: &MatrixSpec,
     a: &Arc<CsrMatrix>,
-    costs: &MeasuredCosts,
     scheme: Scheme,
     params: &Table1Params,
 ) -> Table1Entry {
-    let configs = entry_campaign(spec, a, costs, scheme, params);
-    let stem = format!("table1-{}-{}", spec.id, scheme.name());
-    let journal = params
-        .journal_dir
-        .as_ref()
-        .map(|dir| dir.join(format!("{stem}.jsonl")));
-    let trace = params
-        .trace_dir
-        .as_ref()
-        .map(|dir| dir.join(format!("{stem}.trace.jsonl")));
-    let metrics = params
-        .metrics_dir
-        .as_ref()
-        .map(|dir| dir.join(format!("{stem}.metrics.jsonl")));
-    let result = crate::runner::run_configs_instrumented(
+    let result = run_checked(
         "table1",
+        &format!("table1-{}-{}", spec.id, scheme.name()),
         10_000 + spec.id as u64,
         params.reps,
         params.threads,
-        configs,
-        journal.as_deref(),
-        trace.as_deref(),
-        metrics.as_deref(),
-    )
-    .unwrap_or_else(|e| {
-        panic!(
-            "table1 journal for matrix {} / {}: {e}",
-            spec.id,
-            scheme.name()
-        )
-    });
-    // Panicked repetitions would silently skew (or zero) the means and
-    // could even be picked as the "best" interval; fail loudly like the
-    // pre-engine runner did.
-    assert_eq!(
-        result.panics,
-        0,
-        "table1: {} repetition(s) panicked for matrix {} / {}",
-        result.panics,
-        spec.id,
-        scheme.name()
+        entry_campaign(spec, a, scheme, params),
+        &params.dirs,
     );
     let s_model = result.summaries[0].s;
     let time_model = result.summaries[0].time.mean;
@@ -213,9 +157,8 @@ pub fn run_table1(specs: &[MatrixSpec], params: &Table1Params) -> Vec<Table1Entr
     let mut rows = Vec::new();
     for spec in specs {
         let a = Arc::new(spec.generate(params.scale));
-        let costs = resolve_costs(params.cost_mode, &a, 9);
         for scheme in [Scheme::AbftDetection, Scheme::AbftCorrection] {
-            rows.push(run_entry(spec, &a, &costs, scheme, params));
+            rows.push(run_entry(spec, &a, scheme, params));
         }
     }
     rows
@@ -225,6 +168,7 @@ pub fn run_table1(specs: &[MatrixSpec], params: &Table1Params) -> Vec<Table1Entr
 mod tests {
     use super::*;
     use crate::matrices::by_id;
+    use crate::report::table1_csv;
 
     fn quick_params() -> Table1Params {
         Table1Params {
@@ -241,8 +185,7 @@ mod tests {
     fn entry_has_consistent_fields() {
         let spec = by_id(2213).unwrap();
         let a = Arc::new(spec.generate(48));
-        let costs = resolve_costs(CostMode::PaperLike, &a, 3);
-        let e = run_entry(&spec, &a, &costs, Scheme::AbftCorrection, &quick_params());
+        let e = run_entry(&spec, &a, Scheme::AbftCorrection, &quick_params());
         assert_eq!(e.id, 2213);
         assert!(e.s_model >= 1);
         assert!(e.time_model > 0.0 && e.time_best > 0.0);
@@ -256,17 +199,32 @@ mod tests {
         // The model's s̃ for α=1/16 should be in the paper's 10–20 range
         // (Table 1 reports s̃ ∈ [10, 18]).
         let spec = by_id(341).unwrap();
-        let a = spec.generate(48);
-        let costs = resolve_costs(CostMode::PaperLike, &a, 3);
-        let model_costs = costs.for_scheme(Scheme::AbftDetection);
-        let s = optimize::optimal_abft_interval(
-            Scheme::AbftDetection,
-            1.0 / 16.0,
-            1.0,
-            &model_costs,
-            4000,
-        )
-        .s;
+        let a = Arc::new(spec.generate(48));
+        let params = Table1Params::default();
+        let s = entry_campaign(&spec, &a, Scheme::AbftDetection, &params)[0]
+            .key
+            .s;
         assert!((3..=60).contains(&s), "s̃={s} implausible for Table 1");
+    }
+
+    /// The `PAPER_LIKE` planning path end to end: rows captured from an
+    /// earlier build.
+    #[test]
+    fn csv_matches_a_pinned_earlier_build() {
+        let params = Table1Params {
+            scale: 64,
+            reps: 3,
+            threads: 2,
+            ..Table1Params::default()
+        };
+        let csv = table1_csv(&run_table1(&[by_id(2213).unwrap()], &params));
+        let rows: Vec<&str> = csv.lines().skip(1).collect();
+        assert_eq!(
+            rows,
+            [
+                "2213,400,6.950000e-2,ABFT-DETECTION,6,371.933333,12,343.200000,8.3722",
+                "2213,400,6.950000e-2,ABFT-CORRECTION,41,288.533333,25,278.266667,3.6895",
+            ]
+        );
     }
 }

@@ -40,7 +40,7 @@ pub mod scheme;
 use ftcg_checkpoint::ResilienceCosts;
 use ftcg_fault::ledger::FaultLedger;
 use ftcg_fault::Injector;
-use ftcg_model::Scheme;
+use ftcg_model::{CostProfile, Scheme};
 use ftcg_sparse::{vector, CsrMatrix};
 use ftcg_telemetry::{NoopRecorder, Recorder};
 
@@ -104,7 +104,8 @@ pub struct ResilientConfig {
 
 impl ResilientConfig {
     /// A reasonable configuration for the given scheme with interval
-    /// `s`, solving with CG.
+    /// `s`, solving with CG under the scheme's
+    /// [`CostProfile::DEFAULT`] costs.
     ///
     /// # Panics
     /// Panics if `checkpoint_interval == 0` — use
@@ -124,21 +125,28 @@ impl ResilientConfig {
         if checkpoint_interval == 0 {
             return Err(ResilientConfigError::ZeroCheckpointInterval);
         }
-        let costs = match scheme {
-            Scheme::OnlineDetection => ResilienceCosts::online_default(),
-            _ => ResilienceCosts::abft_default(),
-        };
         Ok(Self {
             scheme,
             solver: SolverKind::Cg,
             checkpoint_interval,
             verif_interval: 1,
-            costs,
+            costs: CostProfile::DEFAULT.for_scheme(scheme),
             stopping: StoppingCriterion::default_relative(),
             max_productive_iters: 10_000,
             max_executed_iters: 200_000,
             online_tol: OnlineTolerances::default(),
         })
+    }
+
+    /// The model-optimal configuration of `scheme` at `alpha` expected
+    /// faults per iteration: intervals `(s, d)` from the one planner,
+    /// [`ftcg_model::plan`], with `costs` both planned and accounted.
+    pub fn model_optimal(scheme: Scheme, alpha: f64, costs: ResilienceCosts) -> Self {
+        let (s, d) = ftcg_model::plan(scheme, alpha, &costs);
+        let mut cfg = Self::new(scheme, s);
+        cfg.verif_interval = d;
+        cfg.costs = costs;
+        cfg
     }
 
     /// Checks the interval invariants, returning the typed error a

@@ -51,7 +51,7 @@ fn main() {
                     cfg.verif_interval = 4;
                 }
                 let out = if alpha > 0.0 {
-                    let mut inj = ftcg::sim::runner::paper_injector(&a, alpha, seed);
+                    let mut inj = ftcg::engine::inject::paper_injector(&a, alpha, seed);
                     solve_resilient(&a, &b, &cfg, Some(&mut inj))
                 } else {
                     solve_resilient(&a, &b, &cfg, None)

@@ -9,16 +9,48 @@
 //! simulated mean must track eq. (5) closely; with the paper-default
 //! injector the model is an upper bound.
 
+use std::sync::Arc;
+
 use ftcg::checkpoint::ResilienceCosts;
-use ftcg::model::{expected_frame_time, optimize, Scheme};
+use ftcg::engine::inject::paper_injector;
+use ftcg::engine::InjectorSpec::{self, Calibrated, Paper};
+use ftcg::engine::{run_configs, ConfigJob};
+use ftcg::model::{expected_frame_time, CostProfile, Scheme};
 use ftcg::prelude::*;
-use ftcg::sim::runner::{calibrated_injector, paper_injector, run_many, run_many_with};
 use ftcg::solvers::resilient::{solve_resilient, ResilientConfig};
 
-fn system(n: usize, seed: u64) -> (CsrMatrix, Vec<f64>) {
+fn system(n: usize, seed: u64) -> (Arc<CsrMatrix>, Arc<Vec<f64>>) {
     let a = gen::random_spd(n, 0.04, seed).unwrap();
     let b: Vec<f64> = (0..n).map(|i| 1.5 + (i as f64 * 0.19).sin()).collect();
-    (a, b)
+    (Arc::new(a), Arc::new(b))
+}
+
+/// Summary of `reps` repetitions of `cfg` at rate `alpha`: a one-config
+/// engine campaign whose per-repetition fault seeds derive from `seed`.
+fn run(
+    (a, b): &(Arc<CsrMatrix>, Arc<Vec<f64>>),
+    cfg: &ResilientConfig,
+    alpha: f64,
+    injector: InjectorSpec,
+    reps: usize,
+    seed: u64,
+) -> ConfigSummary {
+    let job = ConfigJob::new(
+        "v",
+        Arc::clone(a),
+        Arc::clone(b),
+        cfg.clone(),
+        alpha,
+        injector,
+    );
+    run_configs("model-validation", seed, reps, 4, vec![job], None)
+        .summaries
+        .remove(0)
+}
+
+/// The model-optimal configuration the Table 1 harness runs.
+fn paper_like(scheme: Scheme, alpha: f64) -> ResilientConfig {
+    ResilientConfig::model_optimal(scheme, alpha, CostProfile::PAPER_LIKE.for_scheme(scheme))
 }
 
 /// Predicted total time for `iters` productive iterations at interval `s`.
@@ -36,22 +68,14 @@ fn model_total_time(
 
 #[test]
 fn simulated_time_tracks_model_with_calibrated_faults() {
-    let (a, b) = system(200, 1);
+    let sys = system(200, 1);
     let costs = ResilienceCosts::new(2.0, 2.0, 0.1);
     let alpha = 1.0 / 16.0;
     for s in [4usize, 10, 25] {
         let mut cfg = ResilientConfig::new(Scheme::AbftDetection, s);
         cfg.costs = costs;
-        let sum = run_many_with(
-            &a,
-            &b,
-            &cfg,
-            |seed| calibrated_injector(&a, alpha, seed),
-            40,
-            500,
-            4,
-        );
-        let clean = solve_resilient(&a, &b, &cfg, None);
+        let sum = run(&sys, &cfg, alpha, Calibrated, 40, 500);
+        let clean = solve_resilient(&sys.0, &sys.1, &cfg, None);
         let predicted = model_total_time(
             Scheme::AbftDetection,
             clean.productive_iterations,
@@ -59,11 +83,11 @@ fn simulated_time_tracks_model_with_calibrated_faults() {
             alpha,
             &costs,
         );
-        let ratio = sum.mean_time / predicted;
+        let ratio = sum.time.mean / predicted;
         assert!(
             (0.8..1.25).contains(&ratio),
             "s={s}: simulated {} vs model {predicted} (ratio {ratio})",
-            sum.mean_time
+            sum.time.mean
         );
     }
 }
@@ -73,14 +97,14 @@ fn model_upper_bounds_paper_default_injection() {
     // With TMR absorbing vector faults and sub-threshold flips invisible,
     // the model's pessimistic q makes it an upper bound (with slack for
     // 40-rep noise).
-    let (a, b) = system(200, 2);
+    let sys = system(200, 2);
     let costs = ResilienceCosts::new(2.0, 2.0, 0.1);
     let alpha = 1.0 / 8.0;
     for s in [5usize, 14] {
         let mut cfg = ResilientConfig::new(Scheme::AbftDetection, s);
         cfg.costs = costs;
-        let sum = run_many(&a, &b, &cfg, alpha, 40, 900, 4);
-        let clean = solve_resilient(&a, &b, &cfg, None);
+        let sum = run(&sys, &cfg, alpha, Paper, 40, 900);
+        let clean = solve_resilient(&sys.0, &sys.1, &cfg, None);
         let predicted = model_total_time(
             Scheme::AbftDetection,
             clean.productive_iterations,
@@ -89,9 +113,9 @@ fn model_upper_bounds_paper_default_injection() {
             &costs,
         );
         assert!(
-            sum.mean_time <= predicted * 1.10,
+            sum.time.mean <= predicted * 1.10,
             "s={s}: simulated {} should not exceed model {predicted}",
-            sum.mean_time
+            sum.time.mean
         );
     }
 }
@@ -100,22 +124,14 @@ fn model_upper_bounds_paper_default_injection() {
 fn correction_scheme_tracks_its_success_probability() {
     // ABFT-CORRECTION under calibrated single faults: an iteration only
     // rolls back when >= 2 faults strike, i.e. q = e^{-a}(1+a).
-    let (a, b) = system(200, 3);
+    let sys = system(200, 3);
     let costs = ResilienceCosts::new(2.0, 2.0, 0.2);
     let alpha = 0.25; // high rate so double faults actually occur
     let s = 10;
     let mut cfg = ResilientConfig::new(Scheme::AbftCorrection, s);
     cfg.costs = costs;
-    let sum = run_many_with(
-        &a,
-        &b,
-        &cfg,
-        |seed| calibrated_injector(&a, alpha, seed),
-        40,
-        1300,
-        4,
-    );
-    let clean = solve_resilient(&a, &b, &cfg, None);
+    let sum = run(&sys, &cfg, alpha, Calibrated, 40, 1300);
+    let clean = solve_resilient(&sys.0, &sys.1, &cfg, None);
     let predicted = model_total_time(
         Scheme::AbftCorrection,
         clean.productive_iterations,
@@ -123,51 +139,33 @@ fn correction_scheme_tracks_its_success_probability() {
         alpha,
         &costs,
     );
-    let ratio = sum.mean_time / predicted;
+    let ratio = sum.time.mean / predicted;
     assert!(
         (0.75..1.3).contains(&ratio),
         "simulated {} vs model {predicted} (ratio {ratio})",
-        sum.mean_time
+        sum.time.mean
     );
     // And it must roll back far less than the detection scheme would.
     let mut det_cfg = ResilientConfig::new(Scheme::AbftDetection, s);
     det_cfg.costs = costs;
-    let det = run_many_with(
-        &a,
-        &b,
-        &det_cfg,
-        |seed| calibrated_injector(&a, alpha, seed),
-        40,
-        1300,
-        4,
-    );
+    let det = run(&sys, &det_cfg, alpha, Calibrated, 40, 1300);
     assert!(sum.mean_rollbacks < det.mean_rollbacks / 2.0);
 }
 
 #[test]
 fn model_optimal_interval_is_near_empirical_optimum() {
-    // The Table 1 claim in miniature, under calibrated injection: running
-    // at s̃ costs at most ~12% more than the best swept interval.
-    let (a, b) = system(180, 4);
-    let costs = ResilienceCosts::new(2.0, 2.0, 0.1);
+    // The Table 1 claim in miniature, under calibrated injection and the
+    // planner and profile the Table 1 harness runs: s̃ costs at most ~12%
+    // more than the best swept interval.
+    let sys = system(180, 4);
     let alpha = 1.0 / 16.0;
-    let s_model =
-        optimize::optimal_abft_interval(Scheme::AbftDetection, alpha, 1.0, &costs, 2000).s;
-
+    let model = paper_like(Scheme::AbftDetection, alpha);
     let eval = |s: usize| {
-        let mut cfg = ResilientConfig::new(Scheme::AbftDetection, s);
-        cfg.costs = costs;
-        run_many_with(
-            &a,
-            &b,
-            &cfg,
-            |seed| calibrated_injector(&a, alpha, seed),
-            48,
-            7000,
-            4,
-        )
-        .mean_time
+        let mut cfg = model.clone();
+        cfg.checkpoint_interval = s;
+        run(&sys, &cfg, alpha, Calibrated, 48, 7000).time.mean
     };
+    let s_model = model.checkpoint_interval;
     let t_model = eval(s_model);
     let mut best = f64::INFINITY;
     for s in [2usize, 4, 6, 8, 10, 14, 18, 24, 32] {
@@ -182,24 +180,28 @@ fn model_optimal_interval_is_near_empirical_optimum() {
 
 #[test]
 fn correction_beats_detection_at_table1_rate() {
-    // The central comparative claim at α = 1/16 with model-optimal
-    // intervals for each scheme, under the paper-default injector.
-    let (a, b) = system(220, 5);
+    // The central comparative claim at α = 1/16 with each scheme at its
+    // model-optimal interval as the Table 1 harness plans it, under the
+    // paper-default injector.
+    let sys = system(220, 5);
     let alpha = 1.0 / 16.0;
-    let det_costs = ResilienceCosts::new(2.0, 2.0, 0.1);
-    let cor_costs = ResilienceCosts::new(2.0, 2.0, 0.2);
-    let s_det =
-        optimize::optimal_abft_interval(Scheme::AbftDetection, alpha, 1.0, &det_costs, 2000).s;
-    let s_cor =
-        optimize::optimal_abft_interval(Scheme::AbftCorrection, alpha, 1.0, &cor_costs, 2000).s;
-
-    let mut cfg_det = ResilientConfig::new(Scheme::AbftDetection, s_det);
-    cfg_det.costs = det_costs;
-    let mut cfg_cor = ResilientConfig::new(Scheme::AbftCorrection, s_cor);
-    cfg_cor.costs = cor_costs;
-
-    let t_det = run_many(&a, &b, &cfg_det, alpha, 40, 100, 4).mean_time;
-    let t_cor = run_many(&a, &b, &cfg_cor, alpha, 40, 100, 4).mean_time;
+    let t_det = run(
+        &sys,
+        &paper_like(Scheme::AbftDetection, alpha),
+        alpha,
+        Paper,
+        40,
+        100,
+    );
+    let t_cor = run(
+        &sys,
+        &paper_like(Scheme::AbftCorrection, alpha),
+        alpha,
+        Paper,
+        40,
+        100,
+    );
+    let (t_det, t_cor) = (t_det.time.mean, t_cor.time.mean);
     assert!(
         t_cor < t_det,
         "ABFT-CORRECTION {t_cor} should beat ABFT-DETECTION {t_det} at alpha=1/16"

@@ -2,8 +2,8 @@
 //! verified programmatically across the crates.
 
 use ftcg::abft::{ProtectedSpmv, SingleChecksum, SpmvOutcome, XRef};
+use ftcg::engine::inject::paper_injector;
 use ftcg::prelude::*;
-use ftcg::sim::runner::paper_injector;
 use ftcg::solvers::resilient::{solve_resilient, ResilientConfig};
 
 fn system(n: usize, seed: u64) -> (CsrMatrix, Vec<f64>) {
