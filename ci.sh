@@ -34,6 +34,12 @@ if grep -rnE 'optimal_(abft|online)_interval\(' crates/*/src | grep -v '^crates/
     exit 1
 fi
 
+echo "==> one clamp (only crates/sparse/src/csr.rs clamps a row range; everything else calls row_range_clamped)"
+if grep -rnE '\.min\(nnz\)' crates/*/src | grep -v '^crates/sparse/src/csr.rs:'; then
+    echo "a row-range clamp outside csr.rs (above): call CsrMatrix::row_range_clamped instead" >&2
+    exit 1
+fi
+
 echo "==> rustdoc (-D warnings: a link to a deleted or private item fails)"
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --lib --exclude proptest
 
@@ -52,8 +58,11 @@ cargo test -q
 echo "==> allocation gate (release; counting-allocator proof of zero steady-state allocs)"
 cargo test -q --release -p ftcg-solvers --test alloc_gate
 
-echo "==> kernel bit-exactness suites (release: the codegen that ships, bounds checks elided)"
-cargo test -q --release -p ftcg-sparse -p ftcg-kernels
+echo "==> kernel and ABFT bit-exactness suites (release: the codegen that ships, bounds checks elided)"
+cargo test -q --release -p ftcg-sparse -p ftcg-kernels -p ftcg-abft
+
+echo "==> protocol pins (release, including the paper-matrix campaign debug builds skip)"
+cargo test -q --release -p ftcg-repro --test protocol_pin -- --include-ignored
 
 echo "==> shard → merge → diff smoke (byte-identical campaign artifacts)"
 bash scripts/shard_smoke.sh target/release/ftcg

@@ -7,17 +7,34 @@
 
 use ftcg_sparse::CsrMatrix;
 
-use crate::weights::{weight, DUAL_ROWS};
+use crate::weights::weight;
 
 /// Integer weight of checksum row `r` at position `i` (exact arithmetic
 /// for the `Rowidx` checksum).
 #[inline]
-pub(crate) fn int_weight(r: usize, i: usize) -> u128 {
+fn int_weight(r: usize, i: usize) -> u128 {
     match r {
         0 => 1,
         1 => (i + 1) as u128,
         _ => panic!("dual-weight scheme has rows 0 and 1 only"),
     }
+}
+
+/// Weighted checksums `[Σᵢ w₁(i)·pᵢ, Σᵢ w₂(i)·pᵢ]` of a row-pointer
+/// array *as stored*: the reference `cr` at setup and the running sum
+/// `sr` of Algorithm 2 at every verification (every traversal of the
+/// kernel reads exactly these words, so accumulating them directly is
+/// equivalent). Exact in `u128` with wrapping arithmetic, so wildly
+/// corrupted words cannot overflow.
+#[inline]
+pub(crate) fn rowptr_weighted_sum(rowptr: &[usize]) -> [u128; 2] {
+    let mut s = [0u128; 2];
+    for (i, &p) in rowptr.iter().enumerate() {
+        for (r, acc) in s.iter_mut().enumerate() {
+            *acc = acc.wrapping_add(int_weight(r, i).wrapping_mul(p as u128));
+        }
+    }
+    s
 }
 
 /// Precomputed checksums of a CSR matrix for the dual-weight scheme.
@@ -27,10 +44,6 @@ pub struct MatrixChecksums {
     pub n: usize,
     /// Weighted column sums `C[r][j] = Σᵢ w_r(i)·aᵢⱼ` (unshifted).
     pub col: [Vec<f64>; 2],
-    /// Shift constants `k_r` such that `C[r][j] + k_r ≠ 0` for all `j`
-    /// (Section 3.2's zero-column-sum fix; consumed by the single-checksum
-    /// scheme and exposed here for it).
-    pub shift: [f64; 2],
     /// Row-pointer checksums `cr_r = Σᵢ₌₀ⁿ w_r(i)·Rowidx_i`, exact.
     pub rowptr: [u128; 2],
     /// `‖A‖₁` (maximum absolute column sum), for the tolerance bound.
@@ -44,20 +57,10 @@ impl MatrixChecksums {
     /// Panics if the matrix is not square (the CG setting).
     pub fn compute(a: &CsrMatrix) -> Self {
         assert!(a.is_square(), "checksums: matrix must be square");
-        let n = a.n_rows();
-        let col = Self::weighted_column_sums(a);
-        let shift = [choose_shift(&col[0]), choose_shift(&col[1])];
-        let mut rowptr = [0u128; 2];
-        for (i, &p) in a.rowptr().iter().enumerate() {
-            for (r, acc) in rowptr.iter_mut().enumerate() {
-                *acc = acc.wrapping_add(int_weight(r, i).wrapping_mul(p as u128));
-            }
-        }
         Self {
-            n,
-            col,
-            shift,
-            rowptr,
+            n: a.n_rows(),
+            col: Self::weighted_column_sums(a),
+            rowptr: rowptr_weighted_sum(a.rowptr()),
             norm1: a.norm1(),
         }
     }
@@ -68,19 +71,14 @@ impl MatrixChecksums {
     /// an uncorrupted matrix the result is bitwise identical to
     /// [`MatrixChecksums::col`], making column classification exact.
     ///
-    /// Robust to corrupted structure: out-of-range row pointers are
-    /// clamped and out-of-range column indices skipped.
+    /// Robust to corrupted structure: row ranges follow
+    /// [`CsrMatrix::row_range_clamped`] and out-of-range column indices
+    /// are skipped.
     pub fn weighted_column_sums(a: &CsrMatrix) -> [Vec<f64>; 2] {
         let n = a.n_cols();
-        let nnz = a.val().len();
         let mut col = [vec![0.0; n], vec![0.0; n]];
         for i in 0..a.n_rows() {
-            let start = a.rowptr()[i].min(nnz);
-            let end = a.rowptr()[i + 1].min(nnz);
-            if start >= end {
-                continue;
-            }
-            for k in start..end {
+            for k in a.row_range_clamped(i) {
                 let j = a.colid()[k];
                 if j >= n {
                     continue;
@@ -93,15 +91,6 @@ impl MatrixChecksums {
         }
         col
     }
-
-    /// Shifted checksum entry `C[r][j] + k_r`, guaranteed nonzero.
-    #[inline]
-    pub fn shifted(&self, r: usize, j: usize) -> f64 {
-        self.col[r][j] + self.shift[r]
-    }
-
-    /// Number of checksum rows.
-    pub const ROWS: usize = DUAL_ROWS;
 }
 
 /// Chooses the smallest `k ∈ {0, 1, 2, …}` such that every `c_j + k` is
@@ -195,7 +184,7 @@ mod tests {
         // column sums for w1? Not necessarily, but this instance is fine.
         let a = gen::tridiagonal(10, 4.0, 1.0).unwrap();
         let cs = MatrixChecksums::compute(&a);
-        assert_eq!(cs.shift[0], 0.0);
+        assert_eq!(choose_shift(&cs.col[0]), 0.0);
     }
 
     #[test]
@@ -203,9 +192,10 @@ mod tests {
         let a = gen::graph_laplacian(20, 40, 0.0, 1).unwrap();
         let cs = MatrixChecksums::compute(&a);
         // Laplacian: every plain column sum is zero, so the shift must move.
-        assert!(cs.shift[0] >= 1.0);
+        let k = choose_shift(&cs.col[0]);
+        assert!(k >= 1.0);
         for j in 0..20 {
-            assert!(cs.shifted(0, j).abs() > 1e-9);
+            assert!((cs.col[0][j] + k).abs() > 1e-9);
         }
     }
 

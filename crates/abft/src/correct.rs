@@ -23,7 +23,7 @@
 use ftcg_sparse::CsrMatrix;
 
 use crate::checksum::MatrixChecksums;
-use crate::spmv::{row_product_defensive, ProtectedSpmv, SpmvOutcome, TestResults, XRef};
+use crate::spmv::{ProtectedSpmv, SpmvOutcome, TestResults, XRef};
 use crate::weights;
 
 /// What was repaired.
@@ -229,10 +229,9 @@ impl ProtectedSpmv {
         f: usize,
         cprime: &[Vec<f64>; 2],
     ) -> SpmvOutcome {
-        let nnz = a.val().len();
-        let (start, end) = defensive_range(a, d, nnz);
+        let mut row = a.row_range_clamped(d);
         // Find the entry of row d in column f.
-        if let Some(k) = (start..end).find(|&k| a.colid()[k] == f) {
+        if let Some(k) = row.clone().find(|&k| a.colid()[k] == f) {
             // Repair from the column checksums. The naive
             // `val[k] −= (C′[f] − C[f])` suffers catastrophic cancellation
             // when the flip sends the value to an extreme magnitude (and
@@ -243,8 +242,7 @@ impl ProtectedSpmv {
             // clean under the single-error assumption).
             let mut partial = [0.0f64; 2];
             for i in 0..self.checks.n {
-                let (s2, e2) = defensive_range(a, i, nnz);
-                for kk in s2..e2 {
+                for kk in a.row_range_clamped(i) {
                     if kk != k && a.colid()[kk] == f {
                         partial[0] += weights::weight(0, i) * a.val()[kk];
                         partial[1] += weights::weight(1, i) * a.val()[kk];
@@ -265,7 +263,7 @@ impl ProtectedSpmv {
         // *out-of-range* index: the entry's contribution vanished from its
         // true column f (δ = −v), and the wild index touches no column.
         let delta0 = cprime[0][f] - self.checks.col[0][f];
-        if let Some(k) = (start..end).find(|&k| a.colid()[k] >= a.n_cols()) {
+        if let Some(k) = row.find(|&k| a.colid()[k] >= a.n_cols()) {
             if approx_eq(-delta0, a.val()[k], 1e-6) {
                 a.colid_mut()[k] = f;
                 self.recompute_rows(a, x, y, &[d]);
@@ -291,9 +289,7 @@ impl ProtectedSpmv {
         cprime: &[Vec<f64>; 2],
     ) -> SpmvOutcome {
         let (f1, f2) = (diff_cols[0], diff_cols[1]);
-        let nnz = a.val().len();
-        let (start, end) = defensive_range(a, d, nnz);
-        for k in start..end {
+        for k in a.row_range_clamped(d) {
             let cur = a.colid()[k];
             let other = if cur == f1 {
                 f2
@@ -356,23 +352,17 @@ impl ProtectedSpmv {
         };
         x[e] = xref.xcopy[e];
         // Recompute the rows whose dot products consumed x_e.
-        let nnz = a.val().len();
-        let mut rows = Vec::new();
-        for i in 0..n {
-            let (start, endk) = defensive_range(a, i, nnz);
-            if (start..endk).any(|k| a.colid()[k] == e) {
-                rows.push(i);
-            }
-        }
+        let rows: Vec<usize> = (0..n)
+            .filter(|&i| a.row_range_clamped(i).any(|k| a.colid()[k] == e))
+            .collect();
         self.recompute_rows(a, x, y, &rows);
         self.finish(a, x, xref, y, CorrectionKind::Input { index: e }, rows)
     }
 
     /// Recomputes the given output rows with the defensive kernel.
     fn recompute_rows(&self, a: &CsrMatrix, x: &[f64], y: &mut [f64], rows: &[usize]) {
-        let nnz = a.val().len();
         for &i in rows {
-            y[i] = row_product_defensive(a, x, i, nnz);
+            y[i] = a.row_product_clamped(x, i);
         }
     }
 
@@ -395,17 +385,6 @@ impl ProtectedSpmv {
         } else {
             SpmvOutcome::Detected(after)
         }
-    }
-}
-
-/// Clamped storage range of row `i` (safe on corrupted row pointers).
-fn defensive_range(a: &CsrMatrix, i: usize, nnz: usize) -> (usize, usize) {
-    let start = a.rowptr()[i].min(nnz);
-    let end = a.rowptr()[i + 1].min(nnz);
-    if start <= end {
-        (start, end)
-    } else {
-        (start, start)
     }
 }
 

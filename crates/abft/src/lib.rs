@@ -15,6 +15,17 @@
 //!   two checksum residues) and correct it in place — forward recovery,
 //!   no rollback.
 //!
+//! `ftcg-solvers` picks one of the two per product according to the
+//! scheme (ONLINE-DETECTION, the paper's third scheme, verifies no
+//! product and uses neither). Both rely on rules kept in exactly one
+//! place: the product, the row recomputations of forward correction and
+//! the column-checksum recomputation all read rows through the defensive
+//! clamp of `ftcg-sparse` ([`CsrMatrix::row_range_clamped`] and the
+//! traversals built on it), and both schemes' row-pointer tests use the
+//! one exact checksum loop in [`checksum`].
+//!
+//! [`CsrMatrix::row_range_clamped`]: ftcg_sparse::CsrMatrix::row_range_clamped
+//!
 //! Vector state is protected by triple modular redundancy instead
 //! ([`tmr`]), as the paper argues ABFT on vector operations costs as much
 //! as recomputation: the resilient executor keeps the iterate and the

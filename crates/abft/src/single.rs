@@ -16,12 +16,13 @@
 //! * (iii) `sr = cr` — exact integer test on `Rowidx`.
 //!
 //! The unshifted variant is kept accessible (`with_shift(false)`) so the
-//! zero-column-sum failure mode can be demonstrated (see tests and the
-//! `tolerance` ablation bench).
+//! zero-column-sum failure mode can be demonstrated (see the tests and
+//! `examples/zero_column_sums.rs`).
 
 use ftcg_sparse::{vector, CsrMatrix};
 
-use crate::spmv::{rowptr_weighted_sum, spmv_defensive, XRef};
+use crate::checksum::{choose_shift, rowptr_weighted_sum};
+use crate::spmv::XRef;
 use crate::tolerance::ToleranceBound;
 
 /// Outcome of a detection-only protected product.
@@ -72,11 +73,7 @@ impl SingleChecksum {
         assert!(a.is_square(), "single checksum: matrix must be square");
         let n = a.n_rows();
         let mut c = a.column_sums();
-        let k = if shifted {
-            crate::checksum::choose_shift(&c)
-        } else {
-            0.0
-        };
+        let k = if shifted { choose_shift(&c) } else { 0.0 };
         for v in &mut c {
             *v += k;
         }
@@ -88,11 +85,6 @@ impl SingleChecksum {
     /// The shift constant in use.
     pub fn shift(&self) -> f64 {
         self.k
-    }
-
-    /// Defensive kernel (same as the dual scheme's).
-    pub fn spmv(&self, a: &CsrMatrix, x: &[f64], y: &mut [f64]) {
-        spmv_defensive(a, x, y);
     }
 
     /// Evaluates tests (i), (ii), (iii) of Theorem 1.
@@ -161,7 +153,8 @@ impl SingleChecksum {
         }
     }
 
-    /// Kernel + verification in one call.
+    /// Defensive kernel ([`CsrMatrix::spmv_clamped_into`]) +
+    /// verification in one call.
     pub fn spmv_detect(
         &self,
         a: &CsrMatrix,
@@ -169,7 +162,7 @@ impl SingleChecksum {
         xref: &XRef,
         y: &mut [f64],
     ) -> SingleOutcome {
-        self.spmv(a, x, y);
+        a.spmv_clamped_into(x, y);
         self.verify(a, x, xref, y)
     }
 }
@@ -250,7 +243,7 @@ mod tests {
     fn detects_output_error() {
         let (a, s, x, xref) = setup(50, 5);
         let mut y = vec![0.0; 50];
-        s.spmv(&a, &x, &mut y);
+        a.spmv_clamped_into(&x, &mut y);
         y[7] -= 4.0;
         assert!(!s.verify(&a, &x, &xref, &y).is_trusted());
     }
@@ -342,7 +335,7 @@ mod tests {
         for seed in 0..6 {
             let (a, s, x, xref) = setup(40, seed);
             let mut y = vec![0.0; 40];
-            s.spmv(&a, &x, &mut y);
+            a.spmv_clamped_into(&x, &mut y);
 
             // Clean plus one corruption per protected array; every case
             // must give bit-identical residues through both entry points.

@@ -1,36 +1,26 @@
-//! The ABFT-protected sparse matrix–vector product (Algorithm 2).
+//! The ABFT-protected sparse matrix–vector product (Algorithm 2), the
+//! mechanism behind ABFT-CORRECTION.
 //!
-//! Workflow per product (the resilient CG driver in `ftcg-solvers`
+//! Workflow per product (the resilient executor in `ftcg-solvers`
 //! orchestrates these steps around fault injection):
 //!
-//! 1. [`ProtectedSpmv::spmv`] — the defensive kernel `y ← Ax` that never
-//!    panics on corrupted structure (clamped row ranges, skipped
-//!    out-of-range column indices);
+//! 1. [`ProtectedSpmv::spmv`] — the defensive CSR kernel `y ← Ax`,
+//!    [`CsrMatrix::spmv_clamped_into`], which never panics on corrupted
+//!    structure (clamped row ranges, skipped out-of-range column
+//!    indices). The executor runs the same traversal itself, fused with
+//!    the output probe, and hands the probe to
+//!    [`ProtectedSpmv::verify_probed`];
 //! 2. [`ProtectedSpmv::verify`] — evaluates the three residue tests of
 //!    Algorithm 2 line 23: `dr` (row-pointer checksum, exact integers),
 //!    `dx` (output vs. column checksums, floating point with the
 //!    Theorem 2 tolerance), `dx′` (input vs. its reliable copy, exact);
 //! 3. [`ProtectedSpmv::correct`] (in [`crate::correct`]) — attempts
-//!    single-error localization and in-place repair, then re-verifies.
-//!
-//! ## Composing with non-CSR kernels
-//!
-//! The verification step is *kernel-agnostic*: [`ProtectedSpmv::verify`]
-//! reads only the matrix arrays, the input `x` with its reliable copy
-//! `x′`, and the product output `y`. It never assumes `y` came from the
-//! CSR loop, so the checksum tests apply unchanged to the output of any
-//! `ftcg-kernels` backend (BCSR, SELL-C-σ, parallel CSR), all of which
-//! compute each `yᵢ` as the same ordered floating-point sum — the
-//! Theorem 2 tolerance already covers their summation-order rounding.
-//! Forward *correction* is the exception: it localizes and repairs
-//! errors in the **CSR arrays** (the master copy of the unreliable
-//! data), so it stays CSR-specific however `y` was produced. The
-//! resilient drivers therefore run any backend defensively against the
-//! live CSR image and keep detection + correction semantics intact.
+//!    single-error localization and in-place repair of the CSR arrays,
+//!    the input or the output, then re-verifies.
 
 use ftcg_sparse::{fused, vector, CsrMatrix};
 
-use crate::checksum::{int_weight, MatrixChecksums};
+use crate::checksum::{rowptr_weighted_sum, MatrixChecksums};
 use crate::correct::CorrectionReport;
 use crate::tolerance::ToleranceBound;
 use crate::weights;
@@ -111,39 +101,6 @@ impl SpmvOutcome {
     }
 }
 
-/// Defensive `y ← Ax` that tolerates corrupted CSR structure: row ranges
-/// are clamped to `[0, nnz]`, inverted ranges are treated as empty rows
-/// and out-of-range column indices are skipped. On a well-formed matrix
-/// this computes exactly what [`CsrMatrix::spmv_into`] computes, in the
-/// same order. (Delegates to the canonical clamped traversal in
-/// [`CsrMatrix::spmv_clamped_into`], which `ftcg-kernels` shares.)
-pub fn spmv_defensive(a: &CsrMatrix, x: &[f64], y: &mut [f64]) {
-    a.spmv_clamped_into(x, y);
-}
-
-/// Defensive product of row `i` with `x` (shared by the kernel and the
-/// row-recomputation steps of the correction procedure). `nnz` is
-/// redundant with `a` and kept for call-site compatibility.
-#[inline]
-pub fn row_product_defensive(a: &CsrMatrix, x: &[f64], i: usize, nnz: usize) -> f64 {
-    debug_assert_eq!(nnz, a.val().len());
-    a.row_product_clamped(x, i)
-}
-
-/// Weighted checksum of a row-pointer array *as stored* (the running sum
-/// `sr` of Algorithm 2; every traversal of the kernel reads exactly these
-/// words, so accumulating them directly is equivalent). Exact in `u128`
-/// with wrapping arithmetic so wildly corrupted words cannot overflow.
-pub fn rowptr_weighted_sum(rowptr: &[usize]) -> [u128; 2] {
-    let mut s = [0u128; 2];
-    for (i, &p) in rowptr.iter().enumerate() {
-        for (r, acc) in s.iter_mut().enumerate() {
-            *acc = acc.wrapping_add(int_weight(r, i).wrapping_mul(p as u128));
-        }
-    }
-    s
-}
-
 /// The dual-checksum protected SpMxV of Algorithm 2 (detects up to two
 /// errors, corrects one).
 #[derive(Debug, Clone)]
@@ -177,9 +134,9 @@ impl ProtectedSpmv {
         &self.checks
     }
 
-    /// Defensive kernel `y ← Ax`.
+    /// Defensive kernel `y ← Ax` ([`CsrMatrix::spmv_clamped_into`]).
     pub fn spmv(&self, a: &CsrMatrix, x: &[f64], y: &mut [f64]) {
-        spmv_defensive(a, x, y);
+        a.spmv_clamped_into(x, y);
     }
 
     /// Evaluates the three residue tests of Algorithm 2 line 23 against
@@ -323,30 +280,33 @@ mod tests {
     #[test]
     fn defensive_matches_plain_on_clean_matrix() {
         let a = gen::poisson2d(7).unwrap();
+        let p = ProtectedSpmv::new(&a);
         let x: Vec<f64> = (0..49).map(|i| i as f64 * 0.1).collect();
         let mut y1 = vec![0.0; 49];
-        spmv_defensive(&a, &x, &mut y1);
+        p.spmv(&a, &x, &mut y1);
         assert_eq!(y1, a.spmv(&x));
     }
 
     #[test]
     fn defensive_survives_wild_rowptr() {
         let a = gen::poisson2d(4).unwrap();
+        let p = ProtectedSpmv::new(&a);
         let mut b = a.clone();
         b.rowptr_mut()[5] = usize::MAX;
         let x = vec![1.0; 16];
         let mut y = vec![0.0; 16];
-        spmv_defensive(&b, &x, &mut y); // must not panic
+        p.spmv(&b, &x, &mut y); // must not panic
     }
 
     #[test]
     fn defensive_survives_wild_colid() {
         let a = gen::poisson2d(4).unwrap();
+        let p = ProtectedSpmv::new(&a);
         let mut b = a.clone();
         b.colid_mut()[3] = 1 << 40;
         let x = vec![1.0; 16];
         let mut y = vec![0.0; 16];
-        spmv_defensive(&b, &x, &mut y); // must not panic
+        p.spmv(&b, &x, &mut y); // must not panic
     }
 
     #[test]

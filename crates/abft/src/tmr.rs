@@ -104,12 +104,6 @@ impl TmrVector {
         }
         out
     }
-
-    /// Votes and returns the repaired primary replica.
-    pub fn voted(&mut self) -> (&[f64], VoteOutcome) {
-        let o = self.vote();
-        (&self.replicas[0], o)
-    }
 }
 
 #[cfg(test)]

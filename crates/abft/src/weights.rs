@@ -7,35 +7,14 @@
 //! residues reveals where it struck:
 //! if `y_d` is off by `δ`, the residues are `[δ, (d+1)·δ]` (0-based `d`)
 //! and the ratio recovers `d`.
-//!
-//! Section 3.2 also discusses randomly drawn weights (any vector not
-//! orthogonal to the matrix rows works with probability 1);
-//! [`random_weights`] provides those for the ablation benches.
 
-use rand::rngs::StdRng;
-use rand::{RngExt, SeedableRng};
-
-/// Number of checksum rows in the dual-weight scheme.
-pub const DUAL_ROWS: usize = 2;
-
-/// First weight row: `w₁(i) = 1`.
-#[inline]
-pub fn w1(_i: usize) -> f64 {
-    1.0
-}
-
-/// Second weight row: `w₂(i) = i + 1` (1-based position of entry `i`).
-#[inline]
-pub fn w2(i: usize) -> f64 {
-    (i + 1) as f64
-}
-
-/// Weight of row `r ∈ {0, 1}` at position `i`.
+/// Weight of row `r ∈ {0, 1}` at position `i`: `w₁(i) = 1` and
+/// `w₂(i) = i + 1` (the 1-based position of entry `i`).
 #[inline]
 pub fn weight(r: usize, i: usize) -> f64 {
     match r {
-        0 => w1(i),
-        1 => w2(i),
+        0 => 1.0,
+        1 => (i + 1) as f64,
         _ => panic!("dual-weight scheme has rows 0 and 1 only"),
     }
 }
@@ -78,27 +57,16 @@ pub fn locate_from_ratio(d0: f64, d1: f64, n: usize, eps: f64) -> Option<usize> 
     Some(nearest as usize - 1)
 }
 
-/// A randomly drawn weight vector with entries in `(0.5, 1.5)` — bounded
-/// away from zero so no cancellation-to-zero weight arises. Used by the
-/// "random weights vs ones" ablation (Section 3.2's measure-zero
-/// argument).
-pub fn random_weights(n: usize, seed: u64) -> Vec<f64> {
-    let mut rng = StdRng::seed_from_u64(seed);
-    (0..n).map(|_| 0.5 + rng.random::<f64>()).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn weight_rows() {
-        assert_eq!(w1(0), 1.0);
-        assert_eq!(w1(100), 1.0);
-        assert_eq!(w2(0), 1.0);
-        assert_eq!(w2(9), 10.0);
-        assert_eq!(weight(0, 5), 1.0);
-        assert_eq!(weight(1, 5), 6.0);
+        assert_eq!(weight(0, 0), 1.0);
+        assert_eq!(weight(0, 100), 1.0);
+        assert_eq!(weight(1, 0), 1.0);
+        assert_eq!(weight(1, 9), 10.0);
     }
 
     #[test]
@@ -152,13 +120,5 @@ mod tests {
     #[test]
     fn locate_tolerates_small_noise() {
         assert_eq!(locate_from_ratio(1.0, 5.0 + 1e-10, 10, 1e-8), Some(4));
-    }
-
-    #[test]
-    fn random_weights_nonzero_and_seeded() {
-        let w = random_weights(100, 7);
-        assert!(w.iter().all(|&v| v > 0.5 && v < 1.5));
-        assert_eq!(w, random_weights(100, 7));
-        assert_ne!(w, random_weights(100, 8));
     }
 }

@@ -3,7 +3,6 @@
 //! (single scheme), or provably below the rounding tolerance — never a
 //! silent large corruption.
 
-use ftcg_abft::spmv::spmv_defensive;
 use ftcg_abft::{ProtectedSpmv, SingleChecksum, SpmvOutcome, XRef};
 use ftcg_fault::{
     injector::{FaultEvent, Injector, InjectorConfig},
@@ -140,9 +139,9 @@ proptest! {
             let e = inj.draw_event();
             apply_fault(&e, &mut b, &mut x);
         }
-        let mut y = vec![0.0; n];
-        spmv_defensive(&b, &x, &mut y); // must not panic
         let p = ProtectedSpmv::new(&a);
+        let mut y = vec![0.0; n];
+        p.spmv(&b, &x, &mut y); // must not panic
         let xref = XRef::capture(&make_x(n, mseed));
         let _ = p.verify(&b, &x, &xref, &y); // must not panic either
     }

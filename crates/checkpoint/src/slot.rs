@@ -99,11 +99,6 @@ impl SnapshotSlot {
         self.live.map(|i| &self.bufs[i])
     }
 
-    /// `true` iff a checkpoint is live.
-    pub fn has_checkpoint(&self) -> bool {
-        self.live.is_some()
-    }
-
     /// Number of committed saves.
     pub fn saves(&self) -> usize {
         self.saves
@@ -131,10 +126,8 @@ mod tests {
     #[test]
     fn save_then_latest_roundtrips() {
         let mut slot = SnapshotSlot::new();
-        assert!(!slot.has_checkpoint());
         assert!(slot.latest().is_none());
         slot.save(&state(3, 1.0));
-        assert!(slot.has_checkpoint());
         assert_eq!(slot.latest().unwrap(), &state(3, 1.0));
         assert_eq!(slot.saves(), 1);
     }

@@ -34,10 +34,10 @@
 //! |---|---|
 //! | `ftcg-sparse` | CSR/COO, the defensive CSR traversal every protected product runs, MatrixMarket I/O, SPD generators (BCSR/SELL-C-σ and parallel SpMxV only serve the benchmark's format probes) |
 //! | `ftcg-fault` | bit-flip injection, exponential/Poisson arrivals, fault ledger |
-//! | `ftcg-abft` | weighted checksums, detect-2/correct-1 SpMxV, TMR-replicated vector state, FP tolerance |
+//! | `ftcg-abft` | single-checksum detection and dual-checksum detect-2/correct-1 SpMxV, TMR-replicated vector state, FP tolerance |
 //! | `ftcg-checkpoint` | solver-state snapshots, the double-buffered `SnapshotSlot`, the (`Tcp`, `Trec`, `Tverif`) cost triple |
 //! | `ftcg-model` | expected frame time (eq. 5), the one interval planner `plan` (eq. 6) and its two cost profiles |
-//! | `ftcg-solvers` | steppable CG/PCG/BiCGSTAB/CGNE state machines + the scheme-generic resilient executor |
+//! | `ftcg-solvers` | steppable CG/PCG/BiCGSTAB/CGNE state machines + the resilient executor for the paper's three schemes |
 //! | `ftcg-engine` | concurrent campaign engine: declarative sweeps, worker pool, JSONL/CSV sinks |
 //! | `ftcg-sim` | Table 1 / Figure 1 experiment harness (engine campaigns) and reports |
 //! | `ftcg-telemetry` | zero-overhead recorders, deterministic event traces, phase-timing sidecars, report folds |

@@ -1,14 +1,14 @@
-//! Streaming per-configuration aggregation.
+//! Per-configuration aggregation.
 //!
-//! Workers push one [`JobMetrics`] per finished repetition — the heavy
-//! solve output (the iterate itself) is dropped at the job boundary, so
-//! a campaign's memory footprint is O(configs × reps) scalars however
-//! large the matrices are. Summaries are computed in repetition order at
-//! the end, which makes every statistic independent of thread
-//! scheduling: same spec + seed ⇒ identical summaries, byte for byte.
+//! Each finished repetition keeps one [`JobMetrics`] — the heavy solve
+//! output (the iterate itself) is dropped at the job boundary, so a
+//! campaign's memory footprint is O(configs × reps) scalars however
+//! large the matrices are. `fold` places every repetition in its
+//! (configuration, repetition) slot and summarizes in repetition order,
+//! which makes every statistic independent of thread scheduling and
+//! arrival order: same spec + seed ⇒ identical summaries, byte for byte.
 
 use ftcg_solvers::resilient::ResilientOutcome;
-use parking_lot::Mutex;
 use serde::Serialize;
 
 use crate::grid::ConfigJob;
@@ -150,43 +150,27 @@ pub struct ConfigSummary {
     pub max_true_residual: f64,
 }
 
-/// Collects [`JobMetrics`] from concurrently finishing jobs and folds
-/// them into ordered [`ConfigSummary`] rows.
-#[derive(Debug)]
-pub struct Aggregator {
+/// Folds the completed repetitions `(job index, metrics)` of a campaign
+/// of `configs.len()` × `reps` jobs (job index `config × reps + rep`)
+/// into per-configuration summaries, in configuration order. A
+/// repetition with no entry counts as a panic. Any arrival order
+/// produces the same summaries. The caller guarantees each index is in
+/// range and given at most once.
+pub(crate) fn fold<'a>(
+    campaign: &str,
     reps: usize,
-    slots: Mutex<Vec<Vec<Option<JobMetrics>>>>,
-}
-
-impl Aggregator {
-    /// An aggregator for `n_configs` configurations × `reps` reps.
-    pub fn new(n_configs: usize, reps: usize) -> Self {
-        Aggregator {
-            reps,
-            slots: Mutex::new(vec![vec![None; reps]; n_configs]),
-        }
+    configs: &[ConfigJob],
+    done: impl IntoIterator<Item = (usize, &'a JobMetrics)>,
+) -> Vec<ConfigSummary> {
+    let mut slots = vec![vec![None; reps]; configs.len()];
+    for (idx, m) in done {
+        slots[idx / reps][idx % reps] = Some(*m);
     }
-
-    /// Records the metrics of repetition `rep` of configuration
-    /// `config`. Thread-safe; any arrival order produces the same
-    /// summaries.
-    pub fn push(&self, config: usize, rep: usize, metrics: JobMetrics) {
-        let mut slots = self.slots.lock();
-        debug_assert!(slots[config][rep].is_none(), "duplicate (config, rep)");
-        slots[config][rep] = Some(metrics);
-    }
-
-    /// Folds everything into per-configuration summaries, in
-    /// configuration order.
-    pub fn finish(self, campaign: &str, configs: &[ConfigJob]) -> Vec<ConfigSummary> {
-        let slots = self.slots.into_inner();
-        assert_eq!(slots.len(), configs.len());
-        slots
-            .iter()
-            .zip(configs)
-            .map(|(rows, job)| summarize(campaign, self.reps, rows, job))
-            .collect()
-    }
+    slots
+        .iter()
+        .zip(configs)
+        .map(|(rows, job)| summarize(campaign, reps, rows, job))
+        .collect()
 }
 
 fn summarize(
@@ -319,16 +303,11 @@ mod tests {
             converged: true,
             true_residual: 1e-9,
         };
-        let fwd = Aggregator::new(1, 3);
-        fwd.push(0, 0, m(1.0));
-        fwd.push(0, 1, m(2.0));
-        fwd.push(0, 2, m(3.0));
-        let rev = Aggregator::new(1, 3);
-        rev.push(0, 2, m(3.0));
-        rev.push(0, 0, m(1.0));
-        rev.push(0, 1, m(2.0));
+        let (m1, m2, m3) = (m(1.0), m(2.0), m(3.0));
         let cfgs = vec![job];
-        assert_eq!(fwd.finish("c", &cfgs), rev.finish("c", &cfgs));
+        let fwd = fold("c", 3, &cfgs, [(0, &m1), (1, &m2), (2, &m3)]);
+        let rev = fold("c", 3, &cfgs, [(2, &m3), (0, &m1), (1, &m2)]);
+        assert_eq!(fwd, rev);
     }
 
     #[test]
@@ -349,21 +328,16 @@ mod tests {
             0.0,
             InjectorSpec::None,
         );
-        let agg = Aggregator::new(1, 4);
-        agg.push(
-            0,
-            1,
-            JobMetrics {
-                simulated_time: 5.0,
-                executed_iterations: 50,
-                rollbacks: 0,
-                corrections: 0,
-                faults: 0,
-                converged: true,
-                true_residual: 1e-10,
-            },
-        );
-        let rows = agg.finish("c", &[job]);
+        let only = JobMetrics {
+            simulated_time: 5.0,
+            executed_iterations: 50,
+            rollbacks: 0,
+            corrections: 0,
+            faults: 0,
+            converged: true,
+            true_residual: 1e-10,
+        };
+        let rows = fold("c", 4, &[job], [(1, &only)]);
         assert_eq!(rows[0].reps, 1);
         assert_eq!(rows[0].panics, 3);
         assert_eq!(rows[0].convergence_rate, 1.0);

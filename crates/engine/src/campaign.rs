@@ -12,6 +12,7 @@
 //! decomposition of a campaign into threads, shards, processes, and
 //! resumed sessions produces byte-identical artifacts.
 
+use std::borrow::Borrow;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -23,7 +24,7 @@ use ftcg_telemetry::metrics::MetricsWriter;
 use ftcg_telemetry::{Event, JobSpan, Recorder, TelemetryError, TraceMeta, TraceWriter};
 use parking_lot::Mutex;
 
-use crate::aggregate::{Aggregator, ConfigSummary, JobMetrics};
+use crate::aggregate::{self, ConfigSummary, JobMetrics};
 use crate::grid::{expand, ConfigJob, InjectorSpec};
 use crate::inject::{calibrated_injector, paper_injector};
 use crate::journal::{self, fingerprint, JobRecord, JournalWriter, Manifest, Shard};
@@ -348,7 +349,6 @@ pub fn fold_records(
     records: &[(usize, JobRecord)],
 ) -> Result<(Vec<ConfigSummary>, usize), EngineError> {
     let total = configs.len() * reps;
-    let agg = Aggregator::new(configs.len(), reps);
     let mut covered = vec![false; total];
     let mut panics = 0usize;
     for &(idx, ref record) in records {
@@ -362,9 +362,8 @@ pub fn fold_records(
                 "duplicate record for job {idx}"
             )));
         }
-        match record {
-            JobRecord::Done(m) => agg.push(idx / reps, idx % reps, *m),
-            JobRecord::Failed(_) => panics += 1,
+        if let JobRecord::Failed(_) = record {
+            panics += 1;
         }
     }
     let missing = covered.iter().filter(|&&c| !c).count();
@@ -375,7 +374,11 @@ pub fn fold_records(
              (first missing: job {first}); run the remaining shards or --resume"
         )));
     }
-    Ok((agg.finish(name, configs), panics))
+    let done = records.iter().filter_map(|(idx, record)| match record {
+        JobRecord::Done(m) => Some((*idx, m)),
+        JobRecord::Failed(_) => None,
+    });
+    Ok((aggregate::fold(name, reps, configs, done), panics))
 }
 
 /// Executes `reps` repetitions of each configuration on the worker
@@ -399,13 +402,15 @@ pub fn run_configs(
     fold_outcome(name, reps, &configs, outcome).expect("full shard covers every job")
 }
 
-/// Folds a full-coverage [`ShardOutcome`] into a [`CampaignResult`].
+/// Folds a full-coverage [`ShardOutcome`], given by value or by
+/// reference, into a [`CampaignResult`].
 pub fn fold_outcome(
     name: &str,
     reps: usize,
     configs: &[ConfigJob],
-    outcome: ShardOutcome,
+    outcome: impl Borrow<ShardOutcome>,
 ) -> Result<CampaignResult, EngineError> {
+    let outcome = outcome.borrow();
     let (summaries, panics) = fold_records(name, reps, configs, &outcome.records)?;
     Ok(CampaignResult {
         name: name.to_string(),
@@ -458,22 +463,12 @@ pub fn run_campaign_sharded(
         &configs,
         opts,
     )?;
-    if opts.shard.count == 1 {
-        let elapsed = outcome.elapsed_secs;
-        let threads = outcome.threads;
-        let (summaries, panics) = fold_records(&spec.name, spec.reps, &configs, &outcome.records)?;
-        let result = CampaignResult {
-            name: spec.name.clone(),
-            summaries,
-            total_jobs: spec.n_jobs(),
-            panics,
-            threads,
-            elapsed_secs: elapsed,
-        };
-        Ok((outcome, Some(result)))
+    let result = if opts.shard.count == 1 {
+        Some(fold_outcome(&spec.name, spec.reps, &configs, &outcome)?)
     } else {
-        Ok((outcome, None))
-    }
+        None
+    };
+    Ok((outcome, result))
 }
 
 /// Folds shard journals into the campaign's deterministic artifacts.

@@ -21,7 +21,7 @@
 //!   (solver machines, pooled matrix images, checkpoint slots) reset
 //!   bit-identically per repetition;
 //! * [`inject`] — the paper's fault-injector configurations;
-//! * [`aggregate`] — streaming per-configuration statistics
+//! * [`aggregate`] — per-configuration statistics
 //!   (mean/std/min/max/percentiles, convergence and correction rates);
 //! * [`sink`] — deterministic JSONL and CSV renderers: the same spec
 //!   and seed always produce byte-identical artifacts;
@@ -65,7 +65,7 @@ pub mod sink;
 pub mod spec;
 pub mod workspace;
 
-pub use aggregate::{Aggregator, ConfigSummary, JobMetrics, SummaryStats};
+pub use aggregate::{ConfigSummary, JobMetrics, SummaryStats};
 pub use campaign::{
     fold_outcome, fold_records, merge_journals, run_campaign, run_campaign_sharded, run_configs,
     run_configs_sharded, CampaignResult, RunOptions, ShardOutcome,

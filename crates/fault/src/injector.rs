@@ -15,7 +15,7 @@ use ftcg_sparse::CsrMatrix;
 use crate::bitflip::{self, BitRange};
 use crate::mtbf::FaultRate;
 use crate::process::poisson_count;
-use crate::target::{FaultTarget, MemoryLayout, VectorId};
+use crate::target::{FaultTarget, MemoryLayout};
 
 /// A single planned bit flip.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -143,17 +143,6 @@ impl Injector {
             FaultTarget::Vector(_) => false,
         }
     }
-
-    /// Applies a vector-targeted event to the matching vector slice.
-    /// Returns `true` if the event targeted `which`.
-    pub fn apply_to_vector(event: &FaultEvent, which: VectorId, v: &mut [f64]) -> bool {
-        if event.target != FaultTarget::Vector(which) {
-            return false;
-        }
-        let x = &mut v[event.offset];
-        *x = bitflip::flip_f64(*x, event.bit);
-        true
-    }
 }
 
 #[cfg(test)]
@@ -249,32 +238,6 @@ mod tests {
         };
         Injector::apply_to_matrix(&e, &mut a);
         assert_eq!(a.rowptr()[2], before ^ 1);
-    }
-
-    #[test]
-    fn vector_fault_only_hits_matching_vector() {
-        let e = FaultEvent {
-            target: FaultTarget::Vector(VectorId::P),
-            offset: 1,
-            bit: 63,
-        };
-        let mut p = vec![1.0, 2.0, 3.0];
-        let mut r = p.clone();
-        assert!(!Injector::apply_to_vector(&e, VectorId::R, &mut r));
-        assert_eq!(r, vec![1.0, 2.0, 3.0]);
-        assert!(Injector::apply_to_vector(&e, VectorId::P, &mut p));
-        assert_eq!(p, vec![1.0, -2.0, 3.0]);
-    }
-
-    #[test]
-    fn matrix_event_not_applied_to_vector_path() {
-        let e = FaultEvent {
-            target: FaultTarget::MatrixVal,
-            offset: 0,
-            bit: 0,
-        };
-        let mut v = vec![1.0];
-        assert!(!Injector::apply_to_vector(&e, VectorId::X, &mut v));
     }
 
     #[test]

@@ -1,10 +1,7 @@
 //! Fault ledger: the ground-truth record of injected faults, used by the
 //! experiment harness to score detection/correction outcomes.
 
-use std::collections::BTreeMap;
-
 use crate::injector::FaultEvent;
-use crate::target::FaultTarget;
 
 /// One recorded injection with its iteration number and the scheme's
 /// eventual handling of it.
@@ -50,9 +47,6 @@ pub struct LedgerSummary {
     pub undetected: usize,
     /// Faults still pending classification.
     pub pending: usize,
-    /// Injections per region label. A `BTreeMap` so iterating the
-    /// summary (e.g. into a report table) has a stable label order.
-    pub by_target: BTreeMap<&'static str, usize>,
 }
 
 impl FaultLedger {
@@ -78,20 +72,6 @@ impl FaultLedger {
     /// `true` iff no fault was recorded.
     pub fn is_empty(&self) -> bool {
         self.records.is_empty()
-    }
-
-    /// All records.
-    pub fn records(&self) -> &[FaultRecord] {
-        &self.records
-    }
-
-    /// Classifies every still-pending fault injected at `iteration`.
-    pub fn resolve_iteration(&mut self, iteration: usize, outcome: FaultOutcome) {
-        for r in &mut self.records {
-            if r.iteration == iteration && r.outcome == FaultOutcome::Pending {
-                r.outcome = outcome;
-            }
-        }
     }
 
     /// Classifies pending faults at `iteration` whose record satisfies the
@@ -120,16 +100,6 @@ impl FaultLedger {
         }
     }
 
-    /// Classifies every still-pending fault with iteration `< before`.
-    /// Used when a rollback discards a span of iterations at once.
-    pub fn resolve_span(&mut self, before: usize, outcome: FaultOutcome) {
-        for r in &mut self.records {
-            if r.iteration < before && r.outcome == FaultOutcome::Pending {
-                r.outcome = outcome;
-            }
-        }
-    }
-
     /// Aggregates the ledger.
     pub fn summary(&self) -> LedgerSummary {
         let mut s = LedgerSummary {
@@ -143,32 +113,15 @@ impl FaultLedger {
                 FaultOutcome::RolledBack => s.rolled_back += 1,
                 FaultOutcome::Undetected => s.undetected += 1,
             }
-            *s.by_target.entry(r.event.target.label()).or_insert(0) += 1;
         }
         s
-    }
-
-    /// Number of distinct iterations in which at least one fault struck.
-    pub fn faulty_iterations(&self) -> usize {
-        let mut iters: Vec<usize> = self.records.iter().map(|r| r.iteration).collect();
-        iters.sort_unstable();
-        iters.dedup();
-        iters.len()
-    }
-
-    /// Count of faults in a specific region.
-    pub fn count_target(&self, target: FaultTarget) -> usize {
-        self.records
-            .iter()
-            .filter(|r| r.event.target == target)
-            .count()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::target::VectorId;
+    use crate::target::{FaultTarget, VectorId};
 
     fn ev(target: FaultTarget) -> FaultEvent {
         FaultEvent {
@@ -183,7 +136,6 @@ mod tests {
         let l = FaultLedger::new();
         assert!(l.is_empty());
         assert_eq!(l.summary().total, 0);
-        assert_eq!(l.faulty_iterations(), 0);
     }
 
     #[test]
@@ -193,12 +145,9 @@ mod tests {
         l.record(0, ev(FaultTarget::MatrixVal));
         l.record(3, ev(FaultTarget::Vector(VectorId::X)));
         assert_eq!(l.len(), 3);
-        assert_eq!(l.faulty_iterations(), 2);
         let s = l.summary();
         assert_eq!(s.total, 3);
         assert_eq!(s.pending, 3);
-        assert_eq!(s.by_target["Val"], 2);
-        assert_eq!(s.by_target["x"], 1);
     }
 
     #[test]
@@ -206,42 +155,19 @@ mod tests {
         let mut l = FaultLedger::new();
         l.record(1, ev(FaultTarget::MatrixVal));
         l.record(2, ev(FaultTarget::MatrixVal));
-        l.resolve_iteration(1, FaultOutcome::Corrected);
+        l.resolve_iteration_where(1, FaultOutcome::Corrected, |_| true);
         let s = l.summary();
         assert_eq!(s.corrected, 1);
         assert_eq!(s.pending, 1);
     }
 
     #[test]
-    fn resolve_span_covers_prefix() {
-        let mut l = FaultLedger::new();
-        for i in 0..5 {
-            l.record(i, ev(FaultTarget::MatrixColid));
-        }
-        l.resolve_span(3, FaultOutcome::RolledBack);
-        let s = l.summary();
-        assert_eq!(s.rolled_back, 3);
-        assert_eq!(s.pending, 2);
-    }
-
-    #[test]
     fn resolve_does_not_overwrite() {
         let mut l = FaultLedger::new();
         l.record(0, ev(FaultTarget::MatrixVal));
-        l.resolve_iteration(0, FaultOutcome::Corrected);
-        l.resolve_iteration(0, FaultOutcome::RolledBack);
+        l.resolve_iteration_where(0, FaultOutcome::Corrected, |_| true);
+        l.resolve_iteration_where(0, FaultOutcome::RolledBack, |_| true);
         assert_eq!(l.summary().corrected, 1);
         assert_eq!(l.summary().rolled_back, 0);
-    }
-
-    #[test]
-    fn count_target_filters() {
-        let mut l = FaultLedger::new();
-        l.record(0, ev(FaultTarget::MatrixRowidx));
-        l.record(1, ev(FaultTarget::MatrixRowidx));
-        l.record(2, ev(FaultTarget::Vector(VectorId::Q)));
-        assert_eq!(l.count_target(FaultTarget::MatrixRowidx), 2);
-        assert_eq!(l.count_target(FaultTarget::Vector(VectorId::Q)), 1);
-        assert_eq!(l.count_target(FaultTarget::MatrixVal), 0);
     }
 }

@@ -1,12 +1,10 @@
-//! Conversions between the paper's three equivalent rate parameters.
+//! The fault rate.
 //!
-//! * `α ∈ (0, 1)` — expected number of faults per CG iteration (the paper
-//!   sets `λ = α/M` per memory word and gives every word one chance per
-//!   iteration, so `E[faults/iter] = M·λ = α`).
-//! * normalized MTBF `1/α` — the x-axis of Figure 1.
-//! * `λ_word = α/M` — per-word, per-iteration flip probability.
-//!
-//! Table 1 uses `λ_word = 1/(16M)`, i.e. `α = 1/16`.
+//! `α ∈ (0, 1)` is the expected number of faults per CG iteration: the
+//! paper sets `λ = α/M` per memory word and gives every word one chance
+//! per iteration, so `E[faults/iter] = M·λ = α`. Its inverse `1/α` is
+//! the *normalized MTBF* on Figure 1's x-axis; Table 1 uses
+//! `λ = 1/(16M)`, i.e. `α = 1/16`.
 
 /// Fault-rate parameterization over a memory footprint of `M` words.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -30,85 +28,9 @@ impl FaultRate {
         }
     }
 
-    /// Builds from the normalized MTBF `1/α` (Figure 1's x-axis).
-    ///
-    /// # Panics
-    /// Panics if `mtbf` is not positive.
-    pub fn from_normalized_mtbf(mtbf: f64, memory_words: usize) -> Self {
-        assert!(mtbf > 0.0, "normalized MTBF must be positive");
-        Self::from_alpha(1.0 / mtbf, memory_words)
-    }
-
-    /// Builds from a per-word rate `λ_word` (Table 1 uses `1/(16M)`).
-    pub fn from_per_word(lambda_word: f64, memory_words: usize) -> Self {
-        Self::from_alpha(lambda_word * memory_words as f64, memory_words)
-    }
-
-    /// The Table 1 configuration: `λ_word = 1/(16M)` ⇒ `α = 1/16`.
-    pub fn table1(memory_words: usize) -> Self {
-        Self::from_alpha(1.0 / 16.0, memory_words)
-    }
-
     /// Expected faults per iteration (`α`) — the total process rate with
     /// `Titer` normalized to 1, i.e. the `λ` of the performance model.
     pub fn per_iteration(&self) -> f64 {
         self.alpha
-    }
-
-    /// Per-word per-iteration flip probability.
-    pub fn per_word(&self) -> f64 {
-        if self.memory_words == 0 {
-            0.0
-        } else {
-            self.alpha / self.memory_words as f64
-        }
-    }
-
-    /// Normalized MTBF `1/α` in iterations.
-    pub fn normalized_mtbf(&self) -> f64 {
-        1.0 / self.alpha
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn alpha_roundtrips_mtbf() {
-        let r = FaultRate::from_normalized_mtbf(250.0, 1000);
-        assert!((r.alpha - 0.004).abs() < 1e-15);
-        assert!((r.normalized_mtbf() - 250.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn per_word_scales_by_memory() {
-        let r = FaultRate::from_alpha(0.5, 2000);
-        assert!((r.per_word() - 0.00025).abs() < 1e-12);
-    }
-
-    #[test]
-    fn from_per_word_inverts() {
-        let r = FaultRate::from_per_word(1e-6, 500_000);
-        assert!((r.alpha - 0.5).abs() < 1e-12);
-    }
-
-    #[test]
-    fn table1_is_one_sixteenth() {
-        let r = FaultRate::table1(12345);
-        assert!((r.alpha - 0.0625).abs() < 1e-15);
-        assert!((r.per_word() - 1.0 / (16.0 * 12345.0)).abs() < 1e-18);
-    }
-
-    #[test]
-    fn zero_memory_per_word_is_zero() {
-        let r = FaultRate::from_alpha(0.1, 0);
-        assert_eq!(r.per_word(), 0.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "must be positive")]
-    fn rejects_nonpositive_mtbf() {
-        FaultRate::from_normalized_mtbf(0.0, 10);
     }
 }

@@ -81,20 +81,6 @@ pub fn poisson_count(rng: &mut StdRng, mean: f64) -> usize {
     }
 }
 
-/// Event times of a Poisson process with the given `rate` inside `[0, horizon)`.
-pub fn arrival_times(rng: &mut StdRng, rate: f64, horizon: f64) -> Vec<f64> {
-    let mut times = Vec::new();
-    if rate <= 0.0 {
-        return times;
-    }
-    let mut t = sample_exponential(rng, rate);
-    while t < horizon {
-        times.push(t);
-        t += sample_exponential(rng, rate);
-    }
-    times
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -182,25 +168,5 @@ mod tests {
         let twos = (0..n).filter(|_| poisson_count(&mut r, mean) >= 2).count();
         // P(k >= 2) ≈ mean²/2 = 5e-5; over 10k draws expect ~0.5 events.
         assert!(twos <= 5, "too many multi-fault draws: {twos}");
-    }
-
-    #[test]
-    fn arrival_times_ordered_within_horizon() {
-        let mut r = rng(6);
-        let times = arrival_times(&mut r, 2.0, 10.0);
-        for w in times.windows(2) {
-            assert!(w[0] < w[1]);
-        }
-        for &t in &times {
-            assert!((0.0..10.0).contains(&t));
-        }
-        // rate 2 over horizon 10 → about 20 events.
-        assert!(times.len() > 5 && times.len() < 60);
-    }
-
-    #[test]
-    fn arrival_times_zero_rate_empty() {
-        let mut r = rng(7);
-        assert!(arrival_times(&mut r, 0.0, 100.0).is_empty());
     }
 }

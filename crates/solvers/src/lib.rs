@@ -5,8 +5,8 @@
 //! steppable state machine ([`machine::IterativeSolver`]); the plain
 //! `*_solve` entry points are thin wrappers that drive
 //! the machine bit-for-bit identically to the historical monolithic
-//! loops. The [`resilient`] module composes any machine with the
-//! paper's three schemes through one generic executor:
+//! loops. The [`resilient`] module runs any machine under each of the
+//! paper's three schemes through one executor:
 //!
 //! * **ONLINE-DETECTION** — periodic stability tests (Chen's
 //!   orthogonality + recomputed residual for CG/PCG; residual-only for
@@ -47,7 +47,6 @@ pub use machine::{
 pub use pcg::{pcg_jacobi_solve, PcgMachine};
 pub use resilient::{
     solve_resilient, solve_resilient_in, ResilientConfig, ResilientConfigError, ResilientOutcome,
-    VerificationScheme,
 };
 pub use stopping::StoppingCriterion;
 pub use workspace::SolverWorkspace;

@@ -6,8 +6,8 @@
 //! wrapper that drives the machine in a loop. The
 //! wrappers execute exactly the floating-point operations (in exactly
 //! the order) of the historical monolithic loops — bit for bit — while
-//! the machine form is what the scheme-generic
-//! [`ResilientExecutor`](crate::resilient) composes with verification,
+//! the machine form is what the
+//! [resilient executor](crate::resilient) composes with verification,
 //! checkpointing and rollback.
 //!
 //! The machine surface is deliberately small:

@@ -1,7 +1,9 @@
-//! The scheme-generic resilient executor.
+//! The resilient executor.
 //!
-//! One loop implements the paper's protocol for *any*
-//! [`IterativeSolver`] × [`VerificationScheme`] combination: work
+//! One loop implements the paper's protocol for *any* [`IterativeSolver`]
+//! under each of the three schemes, which it reads from one
+//! [`Protection`] value and matches only where they differ (see
+//! [`super::scheme`]): work
 //! proceeds in chunks ending with a verification; after `s` verified
 //! chunks a checkpoint is taken (so the last checkpoint is always
 //! valid — claim C1); any detection rolls back to the last checkpoint
@@ -18,13 +20,13 @@
 //!    the verified product's output);
 //! 2. the solver steps once; every forward product runs *defensively*
 //!    against the live matrix image and is checked by the scheme
-//!    ([`VerificationScheme::check_product`] — checksum tests, forward
+//!    ([`Protection::check_product`] — checksum tests, forward
 //!    correction);
 //! 3. a rejected product or a numerical breakdown rolls back;
 //! 4. under the ABFT schemes the TMR replicas are voted (collisions
 //!    roll back, outvoted flips are counted as corrections);
 //! 5. at chunk boundaries the scheme verifies the whole state
-//!    ([`VerificationScheme::verify_chunk`]); convergence is only
+//!    ([`Protection::verify_chunk`]); convergence is only
 //!    accepted behind a passing verification, and checkpoints are only
 //!    taken behind one.
 //!
@@ -57,8 +59,8 @@ use ftcg_sparse::{vector, CsrMatrix, RowOrder};
 use ftcg_telemetry::event::{target as ev_target, via as ev_via};
 use ftcg_telemetry::{Event, Phase, Recorder};
 
-use super::scheme::{ProductCheck, VerificationScheme};
-use super::{true_residual, EscalationGuard, ResilientConfig, ResilientOutcome, RunStats, SimTime};
+use super::scheme::{ProductCheck, Protection};
+use super::{true_residual, EscalationGuard, ResilientConfig, ResilientOutcome, RunStats};
 use crate::machine::{CanonVec, IterativeSolver, ProductStatus, StepContext, StepResult};
 use crate::workspace::ExecArena;
 
@@ -90,11 +92,13 @@ fn fault_code(target: &FaultTarget) -> u64 {
 /// (BiCGStab's second) capture their reference at call time — their
 /// inputs were computed in-step from already verified data, after this
 /// iteration's faults struck — into the retained scratch reference.
-struct ResilientCtx<'a, V: VerificationScheme, R: Recorder> {
+struct ResilientCtx<'a, R: Recorder> {
     a: &'a mut CsrMatrix,
     /// Row visit order of `a0`; changes no output bit.
     order: &'a RowOrder,
-    scheme: &'a V,
+    protection: &'a Protection,
+    /// [`Protection::hardened`], cached once per solve.
+    hardened: bool,
     /// Trusted input copy for the iteration's first product (ABFT
     /// schemes only).
     xref: Option<&'a XRef>,
@@ -117,11 +121,11 @@ struct ResilientCtx<'a, V: VerificationScheme, R: Recorder> {
     rec: &'a mut R,
 }
 
-impl<V: VerificationScheme, R: Recorder> StepContext for ResilientCtx<'_, V, R> {
+impl<R: Recorder> StepContext for ResilientCtx<'_, R> {
     fn product(&mut self, x: &mut [f64], y: &mut [f64]) -> ProductStatus {
         self.products_run += 1;
         let first = std::mem::replace(&mut self.first, false);
-        let hardened = self.scheme.hardened_vectors();
+        let hardened = self.hardened;
         // Deferred product-output faults rewrite `y` *after* the
         // product, invalidating any probe accumulated alongside it —
         // run the plain product and let the scheme sweep `y` itself.
@@ -152,11 +156,11 @@ impl<V: VerificationScheme, R: Recorder> StepContext for ResilientCtx<'_, V, R> 
         };
         let t_check = self.rec.start();
         let check = self
-            .scheme
+            .protection
             .check_product(self.a, x, xref, y, probe.as_ref());
         self.rec.phase(Phase::ProductCheck, t_check);
         self.stats.product_checks += 1;
-        if check != ProductCheck::Clean && self.scheme.check_may_mutate() {
+        if check != ProductCheck::Clean && self.protection.may_mutate() {
             *self.structure_dirty = true;
         }
         let it = self.stats.executed as u64;
@@ -208,24 +212,26 @@ impl<V: VerificationScheme, R: Recorder> StepContext for ResilientCtx<'_, V, R> 
 /// [`ExecutorMachine::finish`] the epilogue; holding the state in one
 /// struct lets an iteration leave early (`return` after a rollback or
 /// the convergence claim) and keeps `rollback` a method.
-struct ExecutorMachine<'a, V: VerificationScheme, R: Recorder> {
+struct ExecutorMachine<'a, R: Recorder> {
     a0: &'a CsrMatrix,
     b: &'a [f64],
     cfg: &'a ResilientConfig,
     injector: Option<&'a mut Injector>,
-    scheme: V,
+    protection: Protection,
     solver: &'a mut dyn IterativeSolver,
     /// The live (corruptible) matrix image.
     a: &'a mut CsrMatrix,
     arena: &'a mut ExecArena,
     rec: &'a mut R,
+    /// [`Protection::hardened`], cached once per solve.
     hardened: bool,
     /// Row visit order of `a0`, built by the workspace at checkout.
     order: &'a RowOrder,
     d: usize,
     threshold: f64,
     guard: EscalationGuard,
-    time: SimTime,
+    /// Simulated time in `Titer` units.
+    time: f64,
     stats: RunStats,
     ledger: FaultLedger,
     productive: usize,
@@ -242,7 +248,7 @@ struct ExecutorMachine<'a, V: VerificationScheme, R: Recorder> {
     structure_dirty: bool,
 }
 
-impl<'a, V: VerificationScheme, R: Recorder> ExecutorMachine<'a, V, R> {
+impl<'a, R: Recorder> ExecutorMachine<'a, R> {
     /// Sets up the protocol state exactly as the historical executor
     /// prologue did, same operations in the same order.
     #[allow(clippy::too_many_arguments)]
@@ -251,15 +257,15 @@ impl<'a, V: VerificationScheme, R: Recorder> ExecutorMachine<'a, V, R> {
         b: &'a [f64],
         cfg: &'a ResilientConfig,
         injector: Option<&'a mut Injector>,
-        scheme: V,
         solver: &'a mut dyn IterativeSolver,
         image: &'a mut CsrMatrix,
         arena: &'a mut ExecArena,
         order: &'a RowOrder,
         rec: &'a mut R,
     ) -> Self {
-        let hardened = scheme.hardened_vectors();
-        let d = scheme.chunk_len(cfg.verif_interval);
+        let protection = Protection::new(cfg.scheme, a0);
+        let hardened = protection.hardened();
+        let d = protection.chunk_len(cfg.verif_interval);
         let threshold = cfg
             .stopping
             .threshold(a0, vector::norm2(b), solver.residual_norm());
@@ -290,7 +296,7 @@ impl<'a, V: VerificationScheme, R: Recorder> ExecutorMachine<'a, V, R> {
             b,
             cfg,
             injector,
-            scheme,
+            protection,
             solver,
             a: image,
             arena,
@@ -300,7 +306,7 @@ impl<'a, V: VerificationScheme, R: Recorder> ExecutorMachine<'a, V, R> {
             d,
             threshold,
             guard: EscalationGuard::default(),
-            time: SimTime::default(),
+            time: 0.0,
             stats: RunStats::default(),
             ledger: FaultLedger::new(),
             productive: 0,
@@ -403,7 +409,8 @@ impl<'a, V: VerificationScheme, R: Recorder> ExecutorMachine<'a, V, R> {
             let mut ctx = ResilientCtx {
                 a: &mut *self.a,
                 order: self.order,
-                scheme: &self.scheme,
+                protection: &self.protection,
+                hardened: self.hardened,
                 xref: self.hardened.then_some(&self.arena.xref),
                 structure_dirty: &mut self.structure_dirty,
                 xref_scratch: &mut self.arena.xref_scratch,
@@ -418,8 +425,10 @@ impl<'a, V: VerificationScheme, R: Recorder> ExecutorMachine<'a, V, R> {
             (res, ctx.products_run)
         };
         self.rec.phase(Phase::Step, t_step);
-        self.time
-            .add(1.0 + self.scheme.iteration_cost(&self.cfg.costs, products_run));
+        let verif_cost = self
+            .protection
+            .iteration_cost(&self.cfg.costs, products_run);
+        self.time += 1.0 + verif_cost;
         match step {
             StepResult::Done => {}
             StepResult::Rejected => {
@@ -487,13 +496,13 @@ impl<'a, V: VerificationScheme, R: Recorder> ExecutorMachine<'a, V, R> {
         // 5. Chunk boundary (or convergence claim): verify, then accept
         // convergence / checkpoint strictly behind the verification.
         if self.iters_in_chunk >= self.d || recursive_converged {
-            let chunk_cost = self.scheme.chunk_cost(&self.cfg.costs);
-            self.time.add(chunk_cost);
+            let chunk_cost = self.protection.chunk_cost(&self.cfg.costs);
+            self.time += chunk_cost;
             self.stats.chunk_checks += 1;
             let t_verify = self.rec.start();
-            let chunk_ok = self
-                .scheme
-                .verify_chunk(self.a, &*self.solver, &self.cfg.online_tol);
+            let chunk_ok =
+                self.protection
+                    .verify_chunk(self.a, &*self.solver, &self.cfg.online_tol);
             self.rec.phase(Phase::ChunkVerify, t_verify);
             // Priced verifications (ONLINE) always leave a trace event;
             // the ABFT schemes' free per-iteration no-op checks only do
@@ -522,7 +531,7 @@ impl<'a, V: VerificationScheme, R: Recorder> ExecutorMachine<'a, V, R> {
             }
             self.chunks_since_ckpt += 1;
             if self.chunks_since_ckpt >= self.cfg.checkpoint_interval {
-                self.time.add(self.cfg.costs.tcp);
+                self.time += self.cfg.costs.tcp;
                 let t_ckpt = self.rec.start();
                 self.solver
                     .snapshot_into(self.productive, self.arena.slot.begin_save());
@@ -549,7 +558,7 @@ impl<'a, V: VerificationScheme, R: Recorder> ExecutorMachine<'a, V, R> {
     /// tainted checkpoint, the start vectors) into the solver and the
     /// shadows — all in place, no allocation.
     fn rollback(&mut self) {
-        self.time.add(self.cfg.costs.trec);
+        self.time += self.cfg.costs.trec;
         self.stats.rollbacks += 1;
         let t_rb = self.rec.start();
         if self.guard.must_escalate() {
@@ -614,7 +623,7 @@ impl<'a, V: VerificationScheme, R: Recorder> ExecutorMachine<'a, V, R> {
             converged,
             productive_iterations: productive,
             executed_iterations: stats.executed,
-            simulated_time: time.total,
+            simulated_time: time,
             checkpoints: stats.checkpoints,
             rollbacks: stats.rollbacks,
             forward_corrections: stats.forward_corrections,
@@ -629,7 +638,7 @@ impl<'a, V: VerificationScheme, R: Recorder> ExecutorMachine<'a, V, R> {
     }
 }
 
-/// Runs the protocol for one solver × scheme combination.
+/// Runs the protocol for `cfg.scheme` over one solver.
 ///
 /// `solver` must be in the zero-start state over `(a0, b)`, `image`
 /// must hold a bit-exact copy of `a0` (the corruptible working image),
@@ -637,21 +646,18 @@ impl<'a, V: VerificationScheme, R: Recorder> ExecutorMachine<'a, V, R> {
 /// order of `a0` — all four come from
 /// [`SolverWorkspace::checkout`](crate::SolverWorkspace).
 #[allow(clippy::too_many_arguments)]
-pub(super) fn run_executor<V: VerificationScheme, R: Recorder>(
+pub(super) fn run_executor<R: Recorder>(
     a0: &CsrMatrix,
     b: &[f64],
     cfg: &ResilientConfig,
     injector: Option<&mut Injector>,
-    scheme: V,
     solver: &mut dyn IterativeSolver,
     image: &mut CsrMatrix,
     arena: &mut ExecArena,
     order: &RowOrder,
     rec: &mut R,
 ) -> ResilientOutcome {
-    let mut m = ExecutorMachine::new(
-        a0, b, cfg, injector, scheme, solver, image, arena, order, rec,
-    );
+    let mut m = ExecutorMachine::new(a0, b, cfg, injector, solver, image, arena, order, rec);
     while m.active() {
         m.iterate();
     }

@@ -1,5 +1,5 @@
-//! Resilient solves: one scheme-generic executor over steppable solver
-//! state machines.
+//! Resilient solves: one executor over steppable solver state machines,
+//! for each of the paper's three schemes.
 //!
 //! The paper's protocol (Section 4) is solver-agnostic: work proceeds
 //! in *chunks* ending with a verification; after `s` verified chunks a
@@ -12,11 +12,15 @@
 //!
 //! The implementation mirrors that factoring:
 //!
-//! * [`executor`] — the one protocol loop, generic over both axes:
-//!   which solver iterates and how iterations are verified;
-//! * [`scheme`] — the [`VerificationScheme`] trait with the paper's
-//!   three instantiations ([`AbftDetection`], [`AbftCorrection`],
-//!   [`OnlineDetection`]);
+//! * `executor` — the one protocol loop;
+//! * `scheme` — one crate-private enum, `Protection`, with a variant
+//!   per scheme ([`ResilientConfig::scheme`] picks it). The executor
+//!   matches on it where the schemes differ: how each forward product
+//!   is verified (single checksum; dual checksum with single-error
+//!   repair; not at all), how a chunk boundary is verified (Chen's
+//!   stability tests for ONLINE-DETECTION only), how many iterations a
+//!   chunk holds, whether `r`/`x` are hardened under TMR, and what
+//!   verification costs;
 //! * the solver axis is any [`IterativeSolver`](crate::machine)
 //!   state machine — CG, PCG, BiCGStab and CGNE all compose with every
 //!   scheme × checkpoint policy ([`ResilientConfig::solver`] picks
@@ -28,14 +32,14 @@
 //! read without first being re-derived from them.
 //!
 //! Time is accounted in units of `Titer ≡ 1` (the paper's
-//! normalization) through `SimTime`: under the ABFT schemes each
+//! normalization): under the ABFT schemes each
 //! executed iteration costs `1 + n·Tverif` where `n` is the number of
 //! checksum-verified products it actually ran (1 for CG/PCG/CGNE, up
 //! to 2 for BiCGStab); ONLINE-DETECTION pays `Tverif` only at chunk
 //! ends. Checkpoints cost `Tcp`, rollbacks `Trec`.
 
-pub mod executor;
-pub mod scheme;
+mod executor;
+mod scheme;
 
 use ftcg_checkpoint::ResilienceCosts;
 use ftcg_fault::ledger::FaultLedger;
@@ -43,8 +47,6 @@ use ftcg_fault::Injector;
 use ftcg_model::{CostProfile, Scheme};
 use ftcg_sparse::{vector, CsrMatrix};
 use ftcg_telemetry::{NoopRecorder, Recorder};
-
-pub use scheme::{AbftCorrection, AbftDetection, OnlineDetection, VerificationScheme};
 
 use crate::machine::SolverKind;
 use crate::stopping::StoppingCriterion;
@@ -194,26 +196,14 @@ pub struct ResilientOutcome {
     /// unverified.
     pub product_checks: usize,
     /// Chunk-boundary verifications run (one per chunk end reached —
-    /// priced at [`VerificationScheme::chunk_cost`] each, which is zero
-    /// for the ABFT schemes and `tverif` for ONLINE-DETECTION).
+    /// free under the ABFT schemes, `tverif` each under
+    /// ONLINE-DETECTION).
     pub chunk_checks: usize,
     /// Ground-truth fault ledger.
     pub ledger: FaultLedger,
     /// True final residual `‖b − A·x‖₂` computed against the *pristine*
     /// input matrix (reporting only; the solver never sees it).
     pub true_residual: f64,
-}
-
-/// Simulated-time ledger.
-#[derive(Debug, Clone, Copy, Default)]
-pub(crate) struct SimTime {
-    pub total: f64,
-}
-
-impl SimTime {
-    pub fn add(&mut self, t: f64) {
-        self.total += t;
-    }
 }
 
 /// Mutable run counters shared by the executor and its contexts.
@@ -288,44 +278,7 @@ pub fn solve_resilient_recorded<R: Recorder>(
         panic!("resilient solve: {e}");
     }
     let (solver, image, arena, order) = ws.checkout(cfg.solver, a, b);
-    match cfg.scheme {
-        Scheme::OnlineDetection => executor::run_executor(
-            a,
-            b,
-            cfg,
-            injector,
-            OnlineDetection::new(a),
-            solver,
-            image,
-            arena,
-            order,
-            rec,
-        ),
-        Scheme::AbftDetection => executor::run_executor(
-            a,
-            b,
-            cfg,
-            injector,
-            AbftDetection::new(a),
-            solver,
-            image,
-            arena,
-            order,
-            rec,
-        ),
-        Scheme::AbftCorrection => executor::run_executor(
-            a,
-            b,
-            cfg,
-            injector,
-            AbftCorrection::new(a),
-            solver,
-            image,
-            arena,
-            order,
-            rec,
-        ),
-    }
+    executor::run_executor(a, b, cfg, injector, solver, image, arena, order, rec)
 }
 
 /// Tracks whether the latest checkpoint can still be trusted.

@@ -1,28 +1,20 @@
-//! The [`VerificationScheme`] trait: what the paper's three schemes
-//! plug into the generic [`executor`](super::executor).
+//! [`Protection`]: the paper's three schemes as one enum, matched by
+//! the executor where they differ.
 //!
-//! A scheme answers four questions the chunk/verify/checkpoint/rollback
-//! protocol asks:
+//! Each variant holds its scheme's reliable once-per-matrix setup,
+//! built from the pristine `a0`. The chunk/verify/checkpoint/rollback
+//! protocol is the same for all three; the schemes differ in exactly
+//! these places:
 //!
-//! 1. *how is each forward product verified* ([`check_product`]) — the
-//!    ABFT schemes run the checksum tests (and, for correction, repair
-//!    single errors in place); ONLINE-DETECTION trusts products
-//!    blindly;
-//! 2. *how is a chunk boundary verified* ([`verify_chunk`]) — Chen's
-//!    stability tests for ONLINE-DETECTION; trivially clean for the
-//!    ABFT schemes, whose products were already verified inline;
-//! 3. *what does an iteration / a chunk verification cost* in the
-//!    simulated-time model ([`iteration_cost`], [`chunk_cost`]);
-//! 4. *which state is hardened* ([`hardened_vectors`]) — the ABFT
-//!    schemes keep `r`/`x` under TMR and model product-output faults as
-//!    striking the verified product; ONLINE-DETECTION leaves every
-//!    vector plainly exposed.
-//!
-//! [`check_product`]: VerificationScheme::check_product
-//! [`verify_chunk`]: VerificationScheme::verify_chunk
-//! [`iteration_cost`]: VerificationScheme::iteration_cost
-//! [`chunk_cost`]: VerificationScheme::chunk_cost
-//! [`hardened_vectors`]: VerificationScheme::hardened_vectors
+//! | | ABFT-DETECTION | ABFT-CORRECTION | ONLINE-DETECTION |
+//! |---|---|---|---|
+//! | each forward product | single-checksum tests | dual-checksum tests + single-error repair | unverified |
+//! | each chunk boundary | clean (products already verified) | clean | Chen's stability tests |
+//! | iterations per chunk | 1 | 1 | `d` |
+//! | `r`/`x` hardened | TMR, product faults strike the verified product | same | plainly exposed |
+//! | extra cost per iteration | `Tverif` per product run | same | 0 |
+//! | extra cost per chunk check | 0 | 0 | `Tverif` |
+//! | a failed check may rewrite the matrix | no | yes (the repair attempt) | no |
 
 use ftcg_abft::{ProtectedSpmv, SingleChecksum, SpmvOutcome, XRef};
 use ftcg_checkpoint::ResilienceCosts;
@@ -32,9 +24,9 @@ use ftcg_sparse::CsrMatrix;
 use crate::machine::IterativeSolver;
 use crate::verify::OnlineTolerances;
 
-/// Outcome of scheme verification of one forward product.
+/// Outcome of verifying one forward product.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ProductCheck {
+pub(crate) enum ProductCheck {
     /// All tests passed; nothing to count.
     Clean,
     /// Tests tripped but the recheck after the correction attempt came
@@ -47,266 +39,138 @@ pub enum ProductCheck {
     Rejected,
 }
 
-/// One of the paper's verification/recovery schemes, pluggable into the
-/// generic executor (see the module docs).
-pub trait VerificationScheme {
-    /// The model-level scheme identity.
-    fn scheme(&self) -> Scheme;
+/// One of the paper's three schemes with its reliable per-matrix setup
+/// (see the module docs for where they differ).
+pub(crate) enum Protection {
+    /// ABFT-DETECTION: single-checksum verification of every product.
+    Detection(SingleChecksum),
+    /// ABFT-CORRECTION: dual weighted checksums — detect two errors,
+    /// correct one forward, roll back only when correction fails.
+    Correction(ProtectedSpmv),
+    /// ONLINE-DETECTION: unverified products, Chen's stability tests at
+    /// chunk boundaries.
+    Online {
+        /// 1-norm of the *clean* matrix (the working matrix may carry
+        /// wild column indices).
+        norm1_a: f64,
+    },
+}
 
-    /// Simulated time charged on top of the unit iteration cost.
-    /// `verified_products` is the number of checksum-verified products
-    /// the iteration *actually executed* (at most the solver's nominal
-    /// [`IterativeSolver::verified_products`]; a half-step exit or an
-    /// early breakdown runs fewer).
-    fn iteration_cost(&self, costs: &ResilienceCosts, verified_products: usize) -> f64;
+impl Protection {
+    /// The reliable setup of `scheme` for the pristine `a0`.
+    pub(crate) fn new(scheme: Scheme, a0: &CsrMatrix) -> Self {
+        match scheme {
+            Scheme::AbftDetection => Protection::Detection(SingleChecksum::new(a0)),
+            Scheme::AbftCorrection => Protection::Correction(ProtectedSpmv::new(a0)),
+            Scheme::OnlineDetection => Protection::Online {
+                norm1_a: a0.norm1(),
+            },
+        }
+    }
 
     /// `true` when `r`/`x` live under TMR and product-output faults
-    /// strike the verified product (the ABFT protocols); `false` leaves
-    /// every canonical vector plainly exposed (ONLINE-DETECTION).
-    fn hardened_vectors(&self) -> bool;
-
-    /// `true` when a non-clean [`VerificationScheme::check_product`]
-    /// may have *mutated* the matrix arrays — indices included — as
-    /// ABFT-CORRECTION's repair attempt does. Pure detection schemes
-    /// keep the default `false`, which lets the executor's rollback
-    /// keep its values-only fast restore when only value faults struck.
-    fn check_may_mutate(&self) -> bool {
-        false
+    /// strike the verified product (the ABFT schemes).
+    pub(crate) fn hardened(&self) -> bool {
+        !matches!(self, Protection::Online { .. })
     }
 
-    /// Iterations per chunk: the configured `d` for ONLINE-DETECTION,
-    /// always 1 for the ABFT schemes (which verify every iteration).
-    fn chunk_len(&self, verif_interval: usize) -> usize;
+    /// `true` when a non-clean [`Protection::check_product`] may have
+    /// rewritten the matrix arrays, indices included — ABFT-CORRECTION's
+    /// repair attempt. Otherwise rollback keeps its values-only restore
+    /// when only value faults struck.
+    pub(crate) fn may_mutate(&self) -> bool {
+        matches!(self, Protection::Correction(_))
+    }
+
+    /// Iterations per chunk: the configured `d` for ONLINE-DETECTION, 1
+    /// for the ABFT schemes (which verify every iteration).
+    pub(crate) fn chunk_len(&self, verif_interval: usize) -> usize {
+        match self {
+            Protection::Online { .. } => verif_interval,
+            _ => 1,
+        }
+    }
+
+    /// Simulated time charged on top of the unit iteration cost.
+    /// `verified_products` is the number of products the iteration
+    /// *actually executed* (a half-step exit or an early breakdown runs
+    /// fewer than the solver's nominal count).
+    pub(crate) fn iteration_cost(&self, costs: &ResilienceCosts, verified_products: usize) -> f64 {
+        match self {
+            Protection::Online { .. } => 0.0, // paid at chunk ends only
+            _ => costs.tverif * verified_products as f64,
+        }
+    }
 
     /// Simulated cost of one chunk-boundary verification.
-    fn chunk_cost(&self, costs: &ResilienceCosts) -> f64;
+    pub(crate) fn chunk_cost(&self, costs: &ResilienceCosts) -> f64 {
+        match self {
+            Protection::Online { .. } => costs.tverif,
+            _ => 0.0,
+        }
+    }
 
-    /// Verifies (and possibly repairs) one forward product `y = A·x`
-    /// computed from the live matrix image; `xref` is the trusted copy
-    /// of the input captured in reliable memory before this iteration's
+    /// Verifies (and under ABFT-CORRECTION possibly repairs) one forward
+    /// product `y = A·x` computed from the live matrix image; `xref` is
+    /// the trusted copy of the input captured before this iteration's
     /// faults struck.
     ///
-    /// `probe`, when given, is the ABFT output probe
-    /// `[Σᵢ yᵢ, Σᵢ (i+1)·yᵢ]` accumulated by a fused product kernel
-    /// over exactly the bits currently in `y` (see
-    /// [`ftcg_sparse::fused::probe_of`]); the ABFT schemes then skip
-    /// their own sweep over the output. Callers that mutated `y` after
-    /// the product (deferred fault flips) must pass `None` — the scheme
-    /// falls back to sweeping `y` itself, so the outcome is identical
-    /// either way.
-    fn check_product(
+    /// `probe`, when given, is the output probe `[Σᵢ yᵢ, Σᵢ (i+1)·yᵢ]`
+    /// the product kernel accumulated over exactly the bits now in `y`
+    /// (see [`ftcg_sparse::fused::probe_of`]); the checksum tests then
+    /// skip their own sweep over `y`. Callers that changed `y` after the
+    /// product (deferred fault flips) pass `None`; the outcome is
+    /// identical either way.
+    pub(crate) fn check_product(
         &self,
         a: &mut CsrMatrix,
         x: &mut [f64],
         xref: &XRef,
         y: &mut [f64],
         probe: Option<&[f64; 2]>,
-    ) -> ProductCheck;
+    ) -> ProductCheck {
+        match self {
+            Protection::Detection(single) => {
+                let outcome = match probe {
+                    Some(p) => single.verify_probed(a, x, xref, p),
+                    None => single.verify(a, x, xref, y),
+                };
+                if outcome.is_trusted() {
+                    ProductCheck::Clean
+                } else {
+                    ProductCheck::Rejected
+                }
+            }
+            Protection::Correction(protected) => {
+                let res = match probe {
+                    Some(p) => protected.verify_probed(a, x, xref, p),
+                    None => protected.verify(a, x, xref, y),
+                };
+                if res.clean() {
+                    return ProductCheck::Clean;
+                }
+                match protected.correct(a, x, xref, y, &res) {
+                    SpmvOutcome::Corrected(_) => ProductCheck::Corrected,
+                    SpmvOutcome::Clean => ProductCheck::FalseAlarm,
+                    SpmvOutcome::Detected(_) => ProductCheck::Rejected,
+                }
+            }
+            Protection::Online { .. } => ProductCheck::Clean,
+        }
+    }
 
     /// Chunk-boundary whole-state verification; `true` means the state
-    /// is trusted (a checkpoint may be taken, convergence may be
-    /// accepted).
-    fn verify_chunk(
-        &self,
-        a: &CsrMatrix,
-        solver: &dyn IterativeSolver,
-        tol: &OnlineTolerances,
-    ) -> bool;
-}
-
-/// ABFT-DETECTION: single-checksum verification of every product.
-pub struct AbftDetection {
-    single: SingleChecksum,
-}
-
-impl AbftDetection {
-    /// Reliable once-per-matrix checksum setup from the pristine `a0`.
-    pub fn new(a0: &CsrMatrix) -> Self {
-        AbftDetection {
-            single: SingleChecksum::new(a0),
-        }
-    }
-}
-
-impl VerificationScheme for AbftDetection {
-    fn scheme(&self) -> Scheme {
-        Scheme::AbftDetection
-    }
-
-    fn iteration_cost(&self, costs: &ResilienceCosts, verified_products: usize) -> f64 {
-        costs.tverif * verified_products as f64
-    }
-
-    fn hardened_vectors(&self) -> bool {
-        true
-    }
-
-    fn chunk_len(&self, _verif_interval: usize) -> usize {
-        1
-    }
-
-    fn chunk_cost(&self, _costs: &ResilienceCosts) -> f64 {
-        0.0
-    }
-
-    fn check_product(
-        &self,
-        a: &mut CsrMatrix,
-        x: &mut [f64],
-        xref: &XRef,
-        y: &mut [f64],
-        probe: Option<&[f64; 2]>,
-    ) -> ProductCheck {
-        let outcome = match probe {
-            Some(p) => self.single.verify_probed(a, x, xref, p),
-            None => self.single.verify(a, x, xref, y),
-        };
-        if outcome.is_trusted() {
-            ProductCheck::Clean
-        } else {
-            ProductCheck::Rejected
-        }
-    }
-
-    fn verify_chunk(
-        &self,
-        _a: &CsrMatrix,
-        _solver: &dyn IterativeSolver,
-        _tol: &OnlineTolerances,
-    ) -> bool {
-        true // every product of the chunk was already verified
-    }
-}
-
-/// ABFT-CORRECTION: dual weighted checksums — detect two errors,
-/// correct one forward, roll back only when correction fails.
-pub struct AbftCorrection {
-    protected: ProtectedSpmv,
-}
-
-impl AbftCorrection {
-    /// Reliable once-per-matrix checksum setup from the pristine `a0`.
-    pub fn new(a0: &CsrMatrix) -> Self {
-        AbftCorrection {
-            protected: ProtectedSpmv::new(a0),
-        }
-    }
-}
-
-impl VerificationScheme for AbftCorrection {
-    fn scheme(&self) -> Scheme {
-        Scheme::AbftCorrection
-    }
-
-    fn check_may_mutate(&self) -> bool {
-        true // the repair attempt rewrites arrays in place
-    }
-
-    fn iteration_cost(&self, costs: &ResilienceCosts, verified_products: usize) -> f64 {
-        costs.tverif * verified_products as f64
-    }
-
-    fn hardened_vectors(&self) -> bool {
-        true
-    }
-
-    fn chunk_len(&self, _verif_interval: usize) -> usize {
-        1
-    }
-
-    fn chunk_cost(&self, _costs: &ResilienceCosts) -> f64 {
-        0.0
-    }
-
-    fn check_product(
-        &self,
-        a: &mut CsrMatrix,
-        x: &mut [f64],
-        xref: &XRef,
-        y: &mut [f64],
-        probe: Option<&[f64; 2]>,
-    ) -> ProductCheck {
-        let res = match probe {
-            Some(p) => self.protected.verify_probed(a, x, xref, p),
-            None => self.protected.verify(a, x, xref, y),
-        };
-        if res.clean() {
-            return ProductCheck::Clean;
-        }
-        // Correction may repair (i.e. mutate) the matrix arrays, the
-        // input or the output in place.
-        match self.protected.correct(a, x, xref, y, &res) {
-            SpmvOutcome::Corrected(_) => ProductCheck::Corrected,
-            SpmvOutcome::Clean => ProductCheck::FalseAlarm,
-            SpmvOutcome::Detected(_) => ProductCheck::Rejected,
-        }
-    }
-
-    fn verify_chunk(
-        &self,
-        _a: &CsrMatrix,
-        _solver: &dyn IterativeSolver,
-        _tol: &OnlineTolerances,
-    ) -> bool {
-        true
-    }
-}
-
-/// ONLINE-DETECTION: unprotected iterations, Chen's stability tests at
-/// chunk boundaries.
-pub struct OnlineDetection {
-    /// 1-norm of the *clean* matrix, computed once at setup (the
-    /// working matrix may carry wild column indices).
-    norm1_a: f64,
-}
-
-impl OnlineDetection {
-    /// Captures the clean-matrix norm the residual test scales by.
-    pub fn new(a0: &CsrMatrix) -> Self {
-        OnlineDetection {
-            norm1_a: a0.norm1(),
-        }
-    }
-}
-
-impl VerificationScheme for OnlineDetection {
-    fn scheme(&self) -> Scheme {
-        Scheme::OnlineDetection
-    }
-
-    fn iteration_cost(&self, _costs: &ResilienceCosts, _verified_products: usize) -> f64 {
-        0.0 // verification is paid at chunk ends only
-    }
-
-    fn hardened_vectors(&self) -> bool {
-        false
-    }
-
-    fn chunk_len(&self, verif_interval: usize) -> usize {
-        verif_interval
-    }
-
-    fn chunk_cost(&self, costs: &ResilienceCosts) -> f64 {
-        costs.tverif
-    }
-
-    fn check_product(
-        &self,
-        _a: &mut CsrMatrix,
-        _x: &mut [f64],
-        _xref: &XRef,
-        _y: &mut [f64],
-        _probe: Option<&[f64; 2]>,
-    ) -> ProductCheck {
-        ProductCheck::Clean // products run unverified
-    }
-
-    fn verify_chunk(
+    /// is trusted (a checkpoint may be taken, convergence accepted).
+    pub(crate) fn verify_chunk(
         &self,
         a: &CsrMatrix,
         solver: &dyn IterativeSolver,
         tol: &OnlineTolerances,
     ) -> bool {
-        !solver.verify_state(a, self.norm1_a, tol).detected
+        match self {
+            Protection::Online { norm1_a } => !solver.verify_state(a, *norm1_a, tol).detected,
+            // Every product of the chunk was already verified.
+            _ => true,
+        }
     }
 }

@@ -1,6 +1,5 @@
-//! End-to-end tests of the scheme-generic executor over the non-CG
-//! solvers: every solver × every scheme must survive fault injection —
-//! the combinations this refactor makes exist for the first time.
+//! End-to-end tests of the resilient executor over the non-CG solvers:
+//! every solver × every scheme must survive fault injection.
 
 use ftcg_fault::{BitRange, FaultRate, Injector, InjectorConfig};
 use ftcg_model::Scheme;

@@ -245,8 +245,8 @@ impl CsrMatrix {
 
     /// Sparse matrix–vector product `y ← A·x` into a caller-provided buffer.
     ///
-    /// This is the *unprotected* kernel; the ABFT-protected version lives in
-    /// `ftcg-abft::spmv` and reproduces this loop with checksum accumulation.
+    /// This is the *unprotected* kernel; protected products run the
+    /// clamped traversals below and are verified by `ftcg-abft`.
     ///
     /// # Panics
     /// Panics if `x.len() != n_cols` or `y.len() != n_rows`.
@@ -272,8 +272,9 @@ impl CsrMatrix {
     /// Storage range of row `i` with the defensive clamping rule: both
     /// bounds clamped to `[0, nnz]`, an inverted range treated as an
     /// empty row. The one canonical clamp shared by the defensive
-    /// traversal and the ABFT kernel (`ftcg-abft`) — change it here,
-    /// never locally.
+    /// traversals and the ABFT checksum recomputation and correction
+    /// (`ftcg-abft`) — change it here, never locally (`ci.sh` fails on a
+    /// second `.min(nnz)` under `crates/*/src`).
     #[inline]
     pub fn row_range_clamped(&self, i: usize) -> std::ops::Range<usize> {
         let nnz = self.val.len();

@@ -57,19 +57,19 @@ fn main() {
     run("Val[17] += 2.5 (matrix value)", &|am, _, y| {
         am.val_mut()[17] += 2.5;
         // recompute with the corrupted matrix, as the driver would
-        ftcg::abft::spmv::spmv_defensive(am, &x, y);
+        am.spmv_clamped_into(&x, y);
     });
     run("Colid[40] redirected (matrix structure)", &|am, _, y| {
         am.colid_mut()[40] = (am.colid()[40] + 13) % 200;
-        ftcg::abft::spmv::spmv_defensive(am, &x, y);
+        am.spmv_clamped_into(&x, y);
     });
     run("Rowidx[60] += 3 (row pointer)", &|am, _, y| {
         am.rowptr_mut()[60] += 3;
-        ftcg::abft::spmv::spmv_defensive(am, &x, y);
+        am.spmv_clamped_into(&x, y);
     });
     run("x[99] sign flip (input vector)", &|am, xm, y| {
         xm[99] = -xm[99];
-        ftcg::abft::spmv::spmv_defensive(am, xm, y);
+        am.spmv_clamped_into(xm, y);
     });
     run("y[150] exponent flip (output/computation)", &|_, _, y| {
         y[150] = f64::from_bits(y[150].to_bits() ^ (1 << 62));
@@ -79,11 +79,11 @@ fn main() {
     run("two Val entries corrupted", &|am, _, y| {
         am.val_mut()[3] += 1.0;
         am.val_mut()[90] -= 2.0;
-        ftcg::abft::spmv::spmv_defensive(am, &x, y);
+        am.spmv_clamped_into(&x, y);
     });
     run("Val and x corrupted together", &|am, xm, y| {
         am.val_mut()[5] += 1.0;
         xm[10] += 1.0;
-        ftcg::abft::spmv::spmv_defensive(am, xm, y);
+        am.spmv_clamped_into(xm, y);
     });
 }
