@@ -12,6 +12,10 @@ use crate::weights::weight;
 /// Integer weight of checksum row `r` at position `i` (exact arithmetic
 /// for the `Rowidx` checksum).
 #[inline]
+#[expect(
+    clippy::panic,
+    reason = "weight-row index is constrained to 0|1 by the scheme definition; callers are internal and pass literals"
+)]
 fn int_weight(r: usize, i: usize) -> u128 {
     match r {
         0 => 1,

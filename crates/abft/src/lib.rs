@@ -1,4 +1,14 @@
-#![forbid(unsafe_code)]
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented
+    )
+)]
 //! Algorithm-based fault tolerance (ABFT) for the sparse matrix–vector
 //! product, reproducing Section 3 of Fasi, Robert & Uçar (PDSEC 2015).
 //!
@@ -37,7 +47,6 @@
 //! error is a real error, never rounding noise.
 
 #![warn(missing_docs)]
-#![warn(clippy::all)]
 
 pub mod checksum;
 pub mod correct;

@@ -11,6 +11,10 @@
 /// Weight of row `r ∈ {0, 1}` at position `i`: `w₁(i) = 1` and
 /// `w₂(i) = i + 1` (the 1-based position of entry `i`).
 #[inline]
+#[expect(
+    clippy::panic,
+    reason = "same invariant as checksum.rs: the dual-weight API has exactly two rows"
+)]
 pub fn weight(r: usize, i: usize) -> f64 {
     match r {
         0 => 1.0,
@@ -22,6 +26,10 @@ pub fn weight(r: usize, i: usize) -> f64 {
 /// Infinity norm of weight row `r` over positions `0..n` (enters the
 /// Theorem 2 tolerance bound).
 #[inline]
+#[expect(
+    clippy::panic,
+    reason = "same invariant as checksum.rs: the dual-weight API has exactly two rows"
+)]
 pub fn weight_norm_inf(r: usize, n: usize) -> f64 {
     match r {
         0 => 1.0,

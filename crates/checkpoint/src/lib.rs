@@ -1,4 +1,14 @@
-#![forbid(unsafe_code)]
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented
+    )
+)]
 //! Backward recovery (checkpoint / rollback) substrate.
 //!
 //! All three schemes in the paper share the same checkpoint contents
@@ -17,7 +27,6 @@
 //! always valid.
 
 #![warn(missing_docs)]
-#![warn(clippy::all)]
 
 pub mod cost;
 pub mod slot;

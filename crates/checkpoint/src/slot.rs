@@ -79,6 +79,10 @@ impl SnapshotSlot {
     ///
     /// # Panics
     /// Panics if no save was begun.
+    #[expect(
+        clippy::expect_used,
+        reason = "documented # Panics contract: commit() without a begin_save is API misuse, and silently ignoring it would corrupt the double-buffer discipline"
+    )]
     pub fn commit(&mut self) {
         let i = self.pending.take().expect("commit without begin_save");
         self.live = Some(i);

@@ -3,6 +3,7 @@
 //! imports what `bash benchmark/run.sh --out F` wrote, `compare` diffs
 //! two recorded files. Exit 0 when nothing regressed beyond the
 //! noise-aware gate, 1 on a regression, 2 on any error.
+#![expect(clippy::disallowed_methods, reason = "bench entry dates")]
 
 use std::path::Path;
 

@@ -1,4 +1,14 @@
-#![forbid(unsafe_code)]
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented
+    )
+)]
 //! `ftcg` — command-line front end for the fault-tolerant CG library.
 //!
 //! ```console

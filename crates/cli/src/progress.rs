@@ -7,6 +7,7 @@
 //! atomics; rendering is rate-limited to ~10 Hz so terminal I/O never
 //! becomes the campaign bottleneck (the defect the old lock-held
 //! progress closure had).
+#![expect(clippy::disallowed_methods, reason = "progress line ETA")]
 
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::time::Instant;

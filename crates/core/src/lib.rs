@@ -1,4 +1,14 @@
-#![forbid(unsafe_code)]
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented
+    )
+)]
 //! # ftcg — fault-tolerant Conjugate Gradient
 //!
 //! A full reproduction of *Fasi, Robert & Uçar, "Combining backward and
@@ -44,7 +54,6 @@
 //! | `ftcg-obs` | performance observatory: `BENCH_*.json` recording of `benchmark/` results, regression gating, Perfetto export, protocol analytics |
 
 #![warn(missing_docs)]
-#![warn(clippy::all)]
 
 pub use ftcg_abft as abft;
 pub use ftcg_checkpoint as checkpoint;

@@ -1,4 +1,14 @@
-#![forbid(unsafe_code)]
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented
+    )
+)]
 //! # ftcg-engine — concurrent campaign execution
 //!
 //! The paper's evaluation is a grid sweep: {matrix × scheme × fault rate
@@ -52,7 +62,6 @@
 //! ```
 
 #![warn(missing_docs)]
-#![warn(clippy::all)]
 
 pub mod aggregate;
 pub mod campaign;

@@ -107,6 +107,10 @@ where
 /// indices its shard owns) and `--resume` (only the indices with no
 /// journal record yet) — the job's identity, and therefore its derived
 /// seed and its result, is the global index, never the queue position.
+#[expect(
+    clippy::expect_used,
+    reason = "re-raise: per-job panics are caught and journaled by catch_unwind; a panic outside a job means the pool itself is broken and must propagate"
+)]
 pub fn run_indices_ctx<T, C, M, F>(
     threads: usize,
     indices: &[usize],

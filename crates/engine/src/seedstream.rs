@@ -27,7 +27,7 @@ pub fn derive_seed(campaign_seed: u64, config: u64, rep: u64) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::collections::HashSet;
+    use std::collections::BTreeSet;
 
     #[test]
     fn deterministic() {
@@ -44,7 +44,7 @@ mod tests {
 
     #[test]
     fn no_collisions_on_a_realistic_grid() {
-        let mut seen = HashSet::new();
+        let mut seen = BTreeSet::new();
         for config in 0..200u64 {
             for rep in 0..64u64 {
                 assert!(

@@ -22,6 +22,10 @@ pub fn write_jsonl<W: Write>(mut w: W, rows: &[ConfigSummary]) -> io::Result<()>
 }
 
 /// Renders the JSONL document to a string.
+#[expect(
+    clippy::expect_used,
+    reason = "io::Write into Vec<u8> is infallible; the expect documents why the io::Result is irrelevant; the bytes were produced by write! of valid UTF-8 in this function; from_utf8 failure is unreachable"
+)]
 pub fn jsonl_string(rows: &[ConfigSummary]) -> String {
     let mut buf = Vec::new();
     write_jsonl(&mut buf, rows).expect("writing to a Vec cannot fail");
@@ -70,6 +74,10 @@ pub fn write_csv<W: Write>(mut w: W, rows: &[ConfigSummary]) -> io::Result<()> {
 }
 
 /// Renders the CSV document to a string.
+#[expect(
+    clippy::expect_used,
+    reason = "io::Write into Vec<u8> is infallible; the expect documents why the io::Result is irrelevant; the bytes were produced by write! of valid UTF-8 in this function; from_utf8 failure is unreachable"
+)]
 pub fn csv_string(rows: &[ConfigSummary]) -> String {
     let mut buf = Vec::new();
     write_csv(&mut buf, rows).expect("writing to a Vec cannot fail");

@@ -189,10 +189,13 @@ mod tests {
     #[test]
     fn events_hit_every_region_eventually() {
         let (_, mut inj) = setup(1.0, 3);
-        let mut seen = std::collections::HashSet::new();
+        let mut seen = Vec::new();
         for _ in 0..20_000 {
             for e in inj.plan_iteration() {
-                seen.insert(std::mem::discriminant(&e.target));
+                let region = std::mem::discriminant(&e.target);
+                if !seen.contains(&region) {
+                    seen.push(region);
+                }
             }
         }
         // Val, Colid, Rowidx, Vector

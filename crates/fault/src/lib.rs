@@ -1,4 +1,14 @@
-#![forbid(unsafe_code)]
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented
+    )
+)]
 //! Silent-error injection substrate for the `ftcg` reproduction.
 //!
 //! Implements the fault model of Section 5.1 of the paper:
@@ -18,7 +28,6 @@
 //!   injector can be struck.
 
 #![warn(missing_docs)]
-#![warn(clippy::all)]
 
 pub mod bitflip;
 pub mod injector;

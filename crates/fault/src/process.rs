@@ -49,6 +49,10 @@ pub const POISSON_COUNT_CAP: usize = 10_000;
 /// [`POISSON_COUNT_CAP`], which for accepted means is unreachable with
 /// a working RNG: the historical behavior of returning the cap
 /// silently fabricated a fault count.
+#[expect(
+    clippy::panic,
+    reason = "deliberate loud failure: reaching the iteration cap provably means a broken RNG, and continuing would silently bias the fault process"
+)]
 pub fn poisson_count(rng: &mut StdRng, mean: f64) -> usize {
     assert!(mean >= 0.0 && mean.is_finite(), "mean must be >= 0");
     assert!(

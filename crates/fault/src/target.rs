@@ -6,7 +6,7 @@
 //! reliable (selective reliability) and therefore have no variant here.
 
 /// Which CG iteration vector a fault strikes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum VectorId {
     /// Residual `rᵢ`.
     R,
@@ -24,7 +24,7 @@ impl VectorId {
 }
 
 /// A corruptible memory region.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum FaultTarget {
     /// An entry of the CSR value array.
     MatrixVal,
@@ -105,6 +105,10 @@ impl MemoryLayout {
     ///
     /// # Panics
     /// Panics if `word` is out of range.
+    #[expect(
+        clippy::panic,
+        reason = "documented # Panics contract on locate(): an out-of-range word is injector-harness misuse, not a recoverable input"
+    )]
     pub fn locate(&self, word: usize) -> (FaultTarget, usize) {
         let mut w = word;
         if w < self.nnz {
@@ -171,7 +175,7 @@ mod tests {
     #[test]
     fn locate_covers_every_word_exactly_once() {
         let l = MemoryLayout::with_vectors(7, 4);
-        let mut counts = std::collections::HashMap::new();
+        let mut counts = std::collections::BTreeMap::new();
         for w in 0..l.total_words() {
             *counts.entry(l.locate(w)).or_insert(0usize) += 1;
         }

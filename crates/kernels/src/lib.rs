@@ -1,4 +1,14 @@
-#![forbid(unsafe_code)]
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented
+    )
+)]
 //! # ftcg-kernels — the benchmark's SpMV format probes
 //!
 //! No solve in the workspace chooses an SpMV backend. The paper's fault
@@ -27,7 +37,6 @@
 //! add exact zeros, σ-sorting permutes the row *visit* order only).
 
 #![warn(missing_docs)]
-#![warn(clippy::all)]
 
 use ftcg_sparse::parallel::{partition_rows_balanced, spmv_parallel, RowBlock};
 use ftcg_sparse::{BcsrMatrix, CsrMatrix, SellCSigma, SparseError};

@@ -1,4 +1,14 @@
-#![forbid(unsafe_code)]
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented
+    )
+)]
 //! The abstract performance model of Section 4.
 //!
 //! Execution is partitioned into *frames* of `s` *chunks*; each chunk is
@@ -24,7 +34,6 @@
 //! [`CostProfile::PAPER_LIKE`]).
 
 #![warn(missing_docs)]
-#![warn(clippy::all)]
 
 pub mod cost;
 pub mod frame;

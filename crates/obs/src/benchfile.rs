@@ -277,7 +277,15 @@ fn parse_entry(v: &Value) -> Result<BenchEntry, String> {
         id: s("id")?,
         date: s("date")?,
         label: s("label")?,
-        pr: v.get("pr").and_then(Value::as_f64).map(|p| p as u64),
+        pr: match v.get("pr") {
+            None | Some(Value::Null) => None,
+            Some(p) => Some(
+                p.as_f64()
+                    .filter(|p| *p >= 0.0 && p.fract() == 0.0)
+                    .ok_or_else(|| format!("`pr` {p} is not a non-negative integer"))?
+                    as u64,
+            ),
+        },
         host: HostInfo::from_value(field(v, "host")?)?,
         suite: s("suite")?,
         spec: s("spec")?,
@@ -352,6 +360,24 @@ mod tests {
             assert!(e.contains("campaign.elapsed_secs"), "{e}");
             assert!(e.contains("lower_is_better"), "{e}");
         }
+    }
+
+    #[test]
+    fn pr_that_is_not_a_non_negative_integer_is_a_load_error() {
+        let text = BenchFile {
+            entries: vec![sample_entry()],
+        }
+        .render();
+        for bad in ["-3", "2.5", "\"25\""] {
+            let broken = text.replace("\"pr\": 7", &format!("\"pr\": {bad}"));
+            assert_ne!(broken, text);
+            let e = BenchFile::from_value(&json::parse(&broken).unwrap()).unwrap_err();
+            assert!(e.contains("quick/2026-08-08"), "{e}");
+            assert!(e.contains("`pr`"), "{e}");
+        }
+        let null = text.replace("\"pr\": 7", "\"pr\": null");
+        let back = BenchFile::from_value(&json::parse(&null).unwrap()).unwrap();
+        assert_eq!(back.entries[0].pr, None);
     }
 
     #[test]

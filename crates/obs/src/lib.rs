@@ -1,4 +1,14 @@
-#![forbid(unsafe_code)]
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented
+    )
+)]
 //! `ftcg-obs`: the performance observatory — the *consumption* layer
 //! on top of `ftcg-telemetry`'s artifacts and `benchmark/`'s results.
 //!
@@ -21,7 +31,6 @@
 //!   pressure), byte-reproducible by construction.
 
 #![warn(missing_docs)]
-#![warn(clippy::all)]
 
 pub mod analytics;
 pub mod benchfile;

@@ -1,4 +1,14 @@
-#![forbid(unsafe_code)]
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented
+    )
+)]
 //! Experiment harness for the paper's evaluation section.
 //!
 //! * [`matrices`] — the nine test matrices, substituted with synthetic
@@ -23,7 +33,6 @@
 //! `CostProfile::DEFAULT`.
 
 #![warn(missing_docs)]
-#![warn(clippy::all)]
 
 pub mod benchspec;
 pub mod figure1;

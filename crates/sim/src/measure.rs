@@ -7,6 +7,10 @@
 //! `ftcg_model::CostProfile`, and the benchmark reports the measured
 //! values as its `sim.*_iters` per-layer metrics, which disagree with
 //! both profiles.
+#![expect(
+    clippy::disallowed_methods,
+    reason = "Tcp/Trec cost measurement harness"
+)]
 
 use std::time::Instant;
 

@@ -30,6 +30,10 @@ pub struct ArtifactDirs {
 /// fingerprint rejects it), any other log failure, or a panicked
 /// repetition aborts the run: a silently shrunken sample would skew the
 /// means, and could even be picked as the best interval.
+#[expect(
+    clippy::panic,
+    reason = "experiment-harness boundary: a table1/figure1 journal, trace or sidecar failure mid-campaign has no recovery and must abort the run loudly"
+)]
 pub fn run_checked(
     name: &str,
     stem: &str,

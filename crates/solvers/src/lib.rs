@@ -1,4 +1,14 @@
-#![forbid(unsafe_code)]
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented
+    )
+)]
 //! Iterative solvers with pluggable silent-error resilience.
 //!
 //! Every solver ([`cg`], [`pcg`], [`bicgstab`], [`cgne`]) is a
@@ -26,7 +36,6 @@
 //! traffic (see [`workspace`]).
 
 #![warn(missing_docs)]
-#![warn(clippy::all)]
 
 pub mod bicgstab;
 pub mod cg;

@@ -112,6 +112,10 @@ impl ResilientConfig {
     /// # Panics
     /// Panics if `checkpoint_interval == 0` — use
     /// [`ResilientConfig::try_new`] to get the typed error instead.
+    #[expect(
+        clippy::expect_used,
+        reason = "documented # Panics contract: a zero interval is caller misuse; ResilientConfig::try_new is the typed-error route"
+    )]
     pub fn new(scheme: Scheme, checkpoint_interval: usize) -> Self {
         Self::try_new(scheme, checkpoint_interval)
             .expect("checkpoint interval must be >= 1 (see ResilientConfig::try_new)")
@@ -264,6 +268,10 @@ pub fn solve_resilient_in(
 /// an [`ActiveRecorder`](ftcg_telemetry::ActiveRecorder) records
 /// without allocating (see the `Recorder` contract in
 /// [`ftcg_telemetry::recorder`]).
+#[expect(
+    clippy::panic,
+    reason = "documented panicking convenience wrapper over the validated config path; ResilientConfig::try_new is the typed-error route"
+)]
 pub fn solve_resilient_recorded<R: Recorder>(
     a: &CsrMatrix,
     b: &[f64],

@@ -58,6 +58,10 @@ struct CountingAlloc;
 static ENABLED: AtomicBool = AtomicBool::new(false);
 static ALLOCS: AtomicUsize = AtomicUsize::new(0);
 
+#[expect(
+    unsafe_code,
+    reason = "GlobalAlloc is an unsafe trait; every method forwards its arguments unchanged to System and only counts"
+)]
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         if ENABLED.load(Ordering::Relaxed) {

@@ -46,6 +46,10 @@ impl BcsrMatrix {
     ///
     /// Duplicate `(row, col)` entries are accumulated. Returns an error
     /// for `b == 0` or `b > 4`.
+    #[expect(
+        clippy::expect_used,
+        reason = "invariant: the two-pass conversion inserts every j/b into cols before the fill pass does its binary_search; no error path exists in the infallible converter"
+    )]
     pub fn from_csr(a: &CsrMatrix, b: usize) -> Result<BcsrMatrix> {
         if b == 0 || b > 4 {
             return Err(SparseError::DimensionMismatch {
@@ -204,6 +208,10 @@ impl BcsrMatrix {
     /// row keeps one sequential accumulation chain in ascending column
     /// order, so outputs are bit-identical to
     /// [`BcsrMatrix::spmv_generic`].
+    #[expect(
+        clippy::expect_used,
+        reason = "invariant: the interior-block branch is guarded by col_lo + B <= n_cols, so the slice-to-array conversion cannot fail in the hot microkernel"
+    )]
     fn spmv_fixed<const B: usize>(&self, x: &[f64], y: &mut [f64]) {
         debug_assert_eq!(self.b, B);
         for br in 0..self.n_block_rows {

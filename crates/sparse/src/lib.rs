@@ -1,4 +1,14 @@
-#![forbid(unsafe_code)]
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented
+    )
+)]
 //! Sparse linear-algebra substrate for the `ftcg` reproduction of
 //! Fasi, Robert & Uçar, *"Combining backward and forward recovery to cope
 //! with silent errors in iterative solvers"* (PDSEC 2015).
@@ -28,7 +38,6 @@
 //! buffers and never allocate.
 
 #![warn(missing_docs)]
-#![warn(clippy::all)]
 
 pub mod bcsr;
 pub mod coo;

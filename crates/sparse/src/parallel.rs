@@ -75,6 +75,10 @@ pub fn partition_rows_balanced(a: &CsrMatrix, n_blocks: usize) -> Vec<RowBlock> 
 /// # Panics
 /// Panics on dimension mismatch or if blocks are not a disjoint,
 /// increasing cover of `0..n_rows`.
+#[expect(
+    clippy::expect_used,
+    reason = "re-raise of a worker thread panic; swallowing it would return a half-written product vector"
+)]
 pub fn spmv_parallel(a: &CsrMatrix, x: &[f64], y: &mut [f64], blocks: &[RowBlock]) {
     assert_eq!(x.len(), a.n_cols(), "spmv_parallel: x length mismatch");
     assert_eq!(y.len(), a.n_rows(), "spmv_parallel: y length mismatch");

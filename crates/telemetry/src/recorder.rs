@@ -1,5 +1,9 @@
 //! The [`Recorder`] contract: how the hot path reports phases and
 //! events without paying for observability it did not ask for.
+#![expect(
+    clippy::disallowed_methods,
+    reason = "Stamp: phase timing for the metrics sidecar only"
+)]
 
 use std::time::Instant;
 
