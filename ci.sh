@@ -42,6 +42,12 @@ if grep -rnE '\.min\(nnz\)' crates/*/src | grep -v '^crates/sparse/src/csr.rs:';
     exit 1
 fi
 
+echo "==> one product direction (only crates/sparse/src/csr.rs names a transpose product; the benchmark's probe is its only caller)"
+if grep -rn 'spmv_transpose' crates/*/src | grep -v '^crates/sparse/src/csr.rs:'; then
+    echo "a transpose product outside csr.rs (above): the protected solvers run the forward product only" >&2
+    exit 1
+fi
+
 echo "==> rustdoc (-D warnings: a link to a deleted or private item fails)"
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --lib --exclude proptest
 

@@ -57,8 +57,8 @@ GENERATORS (--gen):
 OPTIONS:
   --scheme   online | detection | correction (default: correction);
              the paper's full names work too (e.g. abft-correction)
-  --solver   cg | pcg | bicgstab | cgne (default: cg) — any solver
-             composes with any scheme and checkpoint policy
+  --solver   cg | pcg (default: cg) — either solver composes with
+             any scheme and checkpoint policy
   --alpha    expected faults/iteration, float or fraction (e.g. 1/16)
   --seed     injector / campaign seed (default 0)
   --threads  campaign/table1/figure1: engine worker-pool size
@@ -81,9 +81,9 @@ CAMPAIGNS:
   Inline flags instead of a file:
     --gen SPECS --schemes LIST --alphas LIST [--solvers LIST]
     [--interval model|fixed:N] [--name S] [--max-iters N]
-  The `solvers` axis sweeps iteration schemes (cg, pcg, bicgstab,
-  cgne); variants of one (matrix, scheme, alpha) point draw paired
-  fault streams, so solver columns are directly comparable.
+  The `solvers` axis sweeps iteration schemes (cg, pcg); variants of
+  one (matrix, scheme, alpha) point draw paired fault streams, so
+  solver columns are directly comparable.
   --out F       write JSONL summaries (default: print to stdout)
   --csv F       also write CSV
   --quiet       suppress the progress ticker
@@ -967,6 +967,17 @@ mod tests {
             let e = cmd(&sv(args)).unwrap_err();
             assert_eq!(e, format!("{} {why}", args[2]), "{args:?}");
         }
+    }
+
+    #[test]
+    fn removed_solvers_point_at_the_two_solver_change() {
+        let why = format!("was removed in {}", ftcg::solvers::machine::SOLVERS_REMOVED);
+        let e = solve(&sv(&["--gen", "poisson2d:6", "--solver", "bicgstab"])).unwrap_err();
+        assert_eq!(e, format!("--solver: `bicgstab` {why}"));
+        let e = table1(&sv(&["--reps", "2", "--solver", "cgne"])).unwrap_err();
+        assert_eq!(e, format!("--solver: `cgne` {why}"));
+        let e = campaign(&sv(&["--gen", "poisson2d:6", "--solvers", "cg,cgne"])).unwrap_err();
+        assert_eq!(e, format!("spec error: `cgne` {why}"));
     }
 
     /// Values from another build: the fingerprint and the first CSV row

@@ -18,7 +18,7 @@
 //! $ ftcg stats --gen random:2000:0.005
 //! $ ftcg campaign --spec sweep.campaign --out results.jsonl --threads 8
 //! $ ftcg campaign --gen poisson2d:24 --schemes detection,correction --alphas 0,1/16
-//! $ ftcg campaign --gen poisson2d:24 --solvers cg,pcg,bicgstab --alphas 1/16
+//! $ ftcg campaign --gen poisson2d:24 --solvers cg,pcg --alphas 1/16
 //! $ ftcg campaign --spec sweep.campaign --journal run.jsonl --resume
 //! $ ftcg campaign --spec sweep.campaign --shard 0/4 --journal shard0.jsonl
 //! $ ftcg merge --spec sweep.campaign shard0.jsonl shard1.jsonl --out results.jsonl

@@ -47,7 +47,7 @@
 //! | `ftcg-abft` | single-checksum detection and dual-checksum detect-2/correct-1 SpMxV, TMR-replicated vector state, FP tolerance |
 //! | `ftcg-checkpoint` | solver-state snapshots, the double-buffered `SnapshotSlot`, the (`Tcp`, `Trec`, `Tverif`) cost triple |
 //! | `ftcg-model` | expected frame time (eq. 5), the one interval planner `plan` (eq. 6) and its two cost profiles |
-//! | `ftcg-solvers` | steppable CG/PCG/BiCGSTAB/CGNE state machines + the resilient executor for the paper's three schemes |
+//! | `ftcg-solvers` | steppable CG and PCG state machines + the resilient executor for the paper's three schemes |
 //! | `ftcg-engine` | concurrent campaign engine: declarative sweeps, worker pool, JSONL/CSV sinks |
 //! | `ftcg-sim` | Table 1 / Figure 1 experiment harness (engine campaigns) and reports |
 //! | `ftcg-telemetry` | zero-overhead recorders, deterministic event traces, phase-timing sidecars, report folds |
@@ -86,8 +86,8 @@ pub mod prelude {
 }
 
 /// High-level builder for a resilient solve (named for its historical
-/// CG default; [`ResilientCg::solver`] swaps in PCG, BiCGStab or CGNE —
-/// every solver composes with every scheme).
+/// CG default; [`ResilientCg::solver`] swaps in PCG — both solvers
+/// compose with every scheme).
 ///
 /// Defaults: CG under ABFT-CORRECTION, model-optimal checkpoint
 /// interval for the configured fault rate, the scheme's
@@ -132,8 +132,9 @@ impl<'a> ResilientCg<'a> {
         self
     }
 
-    /// Selects the solver iterating under the protocol (default CG;
-    /// the builder keeps its historical name).
+    /// Selects the solver iterating under the protocol: CG (the
+    /// default, the paper's Algorithm 1) or Jacobi-preconditioned CG.
+    /// The builder keeps its historical name.
     pub fn solver(mut self, solver: SolverKind) -> Self {
         self.solver = solver;
         self

@@ -119,7 +119,7 @@ pub struct ConfigSummary {
     pub n: usize,
     /// Scheme name (paper spelling, e.g. `ABFT-CORRECTION`).
     pub scheme: String,
-    /// Solver label (`cg`, `pcg`, `bicgstab`, `cgne`).
+    /// Solver label (`cg`, `pcg`).
     pub solver: String,
     /// Expected faults per iteration.
     pub alpha: f64,

@@ -16,7 +16,7 @@
 //!   matrices = poisson2d:16, random:300:0.02:1
 //!   schemes  = online, detection, correction
 //!   alphas   = 0, 1/32, 1/16
-//!   solvers  = cg, pcg, bicgstab       # optional solver axis
+//!   solvers  = cg, pcg                 # optional solver axis
 //!   ```
 //!
 //! * **JSON** — the same keys as an object; lists as arrays
@@ -229,8 +229,9 @@ pub fn parse_alpha(s: &str) -> Result<f64, EngineError> {
     Ok(v)
 }
 
-/// Parses a solver name (`cg`, `pcg` | `pcg-jacobi`, `bicgstab`,
-/// `cgne`) for the campaign grid.
+/// Parses a solver name (`cg`, `pcg` | `pcg-jacobi`) for the campaign
+/// grid; a removed solver's name fails with a pointer
+/// ([`SolverKind::parse`]).
 pub fn parse_solver(s: &str) -> Result<SolverKind, EngineError> {
     SolverKind::parse(s).map_err(EngineError::Spec)
 }
@@ -589,6 +590,28 @@ mod tests {
     }
 
     #[test]
+    fn removed_solvers_fail_with_a_pointer_in_both_formats() {
+        use ftcg_solvers::machine::SOLVERS_REMOVED;
+        for (text, name) in [
+            (
+                "matrices = poisson2d:8\nsolvers = cg, bicgstab\n",
+                "bicgstab",
+            ),
+            (
+                r#"{"matrices": ["poisson2d:8"], "solvers": ["cgne"]}"#,
+                "cgne",
+            ),
+        ] {
+            match CampaignSpec::parse(text) {
+                Err(EngineError::Spec(msg)) => {
+                    assert_eq!(msg, format!("`{name}` was removed in {SOLVERS_REMOVED}"))
+                }
+                other => panic!("{text}: expected Spec error, got {other:?}"),
+            }
+        }
+    }
+
+    #[test]
     fn repeated_key_is_a_spec_error_in_both_formats() {
         // Neither end wins: `schemes` given twice used to run the last
         // list only.
@@ -612,11 +635,10 @@ mod tests {
 
     #[test]
     fn solver_axis_parses_in_both_formats() {
-        let kv = CampaignSpec::parse("matrices = poisson2d:8\nsolvers = cg, pcg, bicgstab, cgne\n")
-            .unwrap();
+        let kv = CampaignSpec::parse("matrices = poisson2d:8\nsolvers = cg, pcg\n").unwrap();
         assert_eq!(kv.solvers, SolverKind::ALL.to_vec());
-        // 1 matrix × 2 default schemes × 1 default alpha × 4 solvers.
-        assert_eq!(kv.n_configs(), 8);
+        // 1 matrix × 2 default schemes × 1 default alpha × 2 solvers.
+        assert_eq!(kv.n_configs(), 4);
         let json =
             CampaignSpec::parse(r#"{"matrices": ["poisson2d:8"], "solvers": ["cg", "pcg"]}"#)
                 .unwrap();

@@ -11,17 +11,18 @@
 )]
 //! Iterative solvers with pluggable silent-error resilience.
 //!
-//! Every solver ([`cg`], [`pcg`], [`bicgstab`], [`cgne`]) is a
-//! steppable state machine ([`machine::IterativeSolver`]); the plain
-//! `*_solve` entry points are thin wrappers that drive
-//! the machine bit-for-bit identically to the historical monolithic
-//! loops. The [`resilient`] module runs any machine under each of the
-//! paper's three schemes through one executor:
+//! Two solvers, each a steppable state machine
+//! ([`machine::IterativeSolver`]): [`cg`], the paper's Algorithm 1, and
+//! [`pcg`], Jacobi-preconditioned CG (the authors' follow-up carries the
+//! same backward/forward recovery to PCG). The plain `*_solve` entry
+//! points are thin wrappers that drive the machine bit-for-bit
+//! identically to the historical monolithic loops. The [`resilient`]
+//! module runs either machine under each of the paper's three schemes
+//! through one executor:
 //!
-//! * **ONLINE-DETECTION** — periodic stability tests (Chen's
-//!   orthogonality + recomputed residual for CG/PCG; residual-only for
-//!   BiCGStab/CGNE) every `d` iterations, checkpoint every `s` chunks,
-//!   rollback on detection;
+//! * **ONLINE-DETECTION** — Chen's periodic stability tests
+//!   (orthogonality + recomputed residual) every `d` iterations,
+//!   checkpoint every `s` chunks, rollback on detection;
 //! * **ABFT-DETECTION** — single-checksum ABFT verification of every
 //!   SpMxV (chunk = 1 iteration), rollback on detection;
 //! * **ABFT-CORRECTION** — dual-checksum ABFT that corrects single
@@ -37,9 +38,7 @@
 
 #![warn(missing_docs)]
 
-pub mod bicgstab;
 pub mod cg;
-pub mod cgne;
 pub mod machine;
 pub mod pcg;
 pub mod resilient;
@@ -47,9 +46,7 @@ pub mod stopping;
 pub mod verify;
 pub mod workspace;
 
-pub use bicgstab::{bicgstab_solve, BicgstabMachine};
 pub use cg::{cg_solve, CgConfig, CgMachine, SolveStats};
-pub use cgne::{cgne_solve, CgneMachine};
 pub use machine::{
     CanonVec, IterativeSolver, PlainContext, ProductStatus, SolverKind, StepContext, StepResult,
 };

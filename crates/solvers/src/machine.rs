@@ -22,10 +22,9 @@
 //! * [`IterativeSolver::snapshot`] / [`restore`](IterativeSolver::restore)
 //!   round-trip through [`ftcg_checkpoint::SolverState`]: the snapshot
 //!   stores only the canonical vectors, and `restore` recomputes any
-//!   solver-private recurrence state (PCG's `z`/`rz`, BiCGStab's `ρ`,
-//!   CGNE's `‖Aᵀr‖²`) from them deterministically, so resuming at a
-//!   chunk boundary reproduces the uninterrupted trajectory bit for
-//!   bit.
+//!   solver-private recurrence state (PCG's `z`/`rz`) from them
+//!   deterministically, so resuming at a chunk boundary reproduces the
+//!   uninterrupted trajectory bit for bit.
 
 use ftcg_checkpoint::SolverState;
 use ftcg_sparse::CsrMatrix;
@@ -38,8 +37,7 @@ use crate::verify::{OnlineTolerances, OnlineVerdict};
 pub enum CanonVec {
     /// The search direction `p` (input of the verified product).
     Direction,
-    /// The last verified product output (`q` for CG-like solvers, `v`
-    /// for BiCGStab).
+    /// The last verified product output `q = A·p`.
     Product,
     /// The recursive residual `r`.
     Residual,
@@ -76,7 +74,7 @@ impl ProductStatus {
     }
 }
 
-/// The product oracle a step routes its sparse products through.
+/// The product oracle a step routes its sparse product through.
 ///
 /// Wrappers use [`PlainContext`] (the plain CSR product, never
 /// rejecting);
@@ -86,16 +84,10 @@ pub trait StepContext {
     /// Forward product `y ← A·x`. `x` is mutable because ABFT forward
     /// *correction* may repair a corrupted input in place.
     fn product(&mut self, x: &mut [f64], y: &mut [f64]) -> ProductStatus;
-
-    /// Transpose product `y ← Aᵀ·x` (CGNE's column-space products).
-    /// Runs defensively in resilient mode but is never
-    /// checksum-verified — the ABFT checksums of the paper protect the
-    /// row space only.
-    fn product_transpose(&mut self, x: &[f64], y: &mut [f64]) -> ProductStatus;
 }
 
-/// The wrappers' [`StepContext`]: the serial CSR products of `a`,
-/// forward and transpose. Never rejects.
+/// The wrappers' [`StepContext`]: the serial CSR product of `a`. Never
+/// rejects.
 pub struct PlainContext<'a> {
     /// The matrix every product reads.
     pub a: &'a CsrMatrix,
@@ -106,18 +98,13 @@ impl StepContext for PlainContext<'_> {
         self.a.spmv_into(x, y);
         ProductStatus::Trusted
     }
-
-    fn product_transpose(&mut self, x: &[f64], y: &mut [f64]) -> ProductStatus {
-        self.a.spmv_transpose_into(x, y);
-        ProductStatus::Trusted
-    }
 }
 
 /// A solver expressed as a steppable state machine (see the module
 /// docs). Object-safe: the resilient executor holds `Box<dyn
 /// IterativeSolver>` chosen at runtime from a [`SolverKind`].
 pub trait IterativeSolver {
-    /// Canonical short name (`cg`, `pcg`, `bicgstab`, `cgne`).
+    /// Canonical short name (`cg`, `pcg`).
     fn name(&self) -> &'static str;
 
     /// Problem size `n`.
@@ -127,12 +114,8 @@ pub trait IterativeSolver {
     /// the quantity the historical loop compared against the threshold.
     fn residual_norm(&self) -> f64;
 
-    /// Hands the machine the resolved stopping threshold. Only
-    /// BiCGStab consults it mid-step (the half-step early exit); the
-    /// other machines ignore it.
-    fn set_threshold(&mut self, _threshold: f64) {}
-
-    /// Advances one iteration, routing sparse products through `ctx`.
+    /// Advances one iteration. Its one sparse product, `q ← A·p`, is
+    /// the first thing it does, routed through `ctx`.
     fn step(&mut self, ctx: &mut dyn StepContext) -> StepResult;
 
     /// Read access to a canonical vector.
@@ -141,15 +124,6 @@ pub trait IterativeSolver {
     /// Write access to a canonical vector (the fault-injection
     /// surface).
     fn vector_mut(&mut self, which: CanonVec) -> &mut [f64];
-
-    /// Nominal count of forward products per full iteration that run
-    /// under checksum verification (1 for CG/PCG/CGNE, 2 for BiCGStab).
-    /// The resilient executor charges `Tverif` per product *actually*
-    /// executed, which a half-step exit or early breakdown can bring
-    /// below this bound.
-    fn verified_products(&self) -> usize {
-        1
-    }
 
     /// Captures the canonical state at a verified chunk boundary
     /// (allocating convenience over
@@ -189,10 +163,9 @@ pub trait IterativeSolver {
     /// (bit-identical at chunk boundaries; see the module docs).
     fn restore(&mut self, st: &SolverState, a: &CsrMatrix);
 
-    /// The solver-specific ONLINE-DETECTION stability verification.
-    /// CG and PCG run Chen's two tests (A-conjugacy of successive
-    /// directions + recomputed residual); BiCGStab and CGNE, whose
-    /// directions are not A-conjugate, run the residual test only.
+    /// The ONLINE-DETECTION stability verification: Chen's two tests
+    /// (A-conjugacy of successive directions + recomputed residual),
+    /// which hold for CG and PCG alike.
     fn verify_state(&self, a: &CsrMatrix, norm1_a: f64, tol: &OnlineTolerances) -> OnlineVerdict;
 }
 
@@ -205,20 +178,17 @@ pub enum SolverKind {
     Cg,
     /// Jacobi-preconditioned CG.
     Pcg,
-    /// van der Vorst BiCGSTAB (two verified products per iteration).
-    Bicgstab,
-    /// CG on the normal equations (adds unverified transpose products).
-    Cgne,
 }
+
+/// Why the two solvers without a paper behind them are gone, phrased to
+/// follow "was removed in" ([`SolverKind::parse`] puts the name in
+/// front).
+pub const SOLVERS_REMOVED: &str = "the two-solver change: only cg (the paper's Algorithm 1) \
+     and pcg (its preconditioned follow-up) run under the protocol";
 
 impl SolverKind {
     /// All solvers, in presentation order.
-    pub const ALL: [SolverKind; 4] = [
-        SolverKind::Cg,
-        SolverKind::Pcg,
-        SolverKind::Bicgstab,
-        SolverKind::Cgne,
-    ];
+    pub const ALL: [SolverKind; 2] = [SolverKind::Cg, SolverKind::Pcg];
 
     /// Canonical label; [`SolverKind::parse`] of the label returns the
     /// same kind.
@@ -226,22 +196,19 @@ impl SolverKind {
         match self {
             SolverKind::Cg => "cg",
             SolverKind::Pcg => "pcg",
-            SolverKind::Bicgstab => "bicgstab",
-            SolverKind::Cgne => "cgne",
         }
     }
 
-    /// Parses a solver name (`cg`, `pcg` | `pcg-jacobi`, `bicgstab`,
-    /// `cgne`).
+    /// Parses a solver name (`cg`, `pcg` | `pcg-jacobi`). A removed
+    /// solver's name fails with [`SOLVERS_REMOVED`].
     pub fn parse(s: &str) -> Result<SolverKind, String> {
         match s.trim().to_ascii_lowercase().as_str() {
             "cg" => Ok(SolverKind::Cg),
             "pcg" | "pcg-jacobi" => Ok(SolverKind::Pcg),
-            "bicgstab" => Ok(SolverKind::Bicgstab),
-            "cgne" => Ok(SolverKind::Cgne),
-            other => Err(format!(
-                "unknown solver `{other}` (cg | pcg | bicgstab | cgne)"
-            )),
+            removed @ ("bicgstab" | "cgne") => {
+                Err(format!("`{removed}` was removed in {SOLVERS_REMOVED}"))
+            }
+            other => Err(format!("unknown solver `{other}` (cg | pcg)")),
         }
     }
 
@@ -253,8 +220,6 @@ impl SolverKind {
         match self {
             SolverKind::Cg => Box::new(crate::cg::CgMachine::start_zero(b)),
             SolverKind::Pcg => Box::new(crate::pcg::PcgMachine::start_zero(a0, b)),
-            SolverKind::Bicgstab => Box::new(crate::bicgstab::BicgstabMachine::start_zero(b)),
-            SolverKind::Cgne => Box::new(crate::cgne::CgneMachine::start_zero(a0, b)),
         }
     }
 }
@@ -277,6 +242,15 @@ mod tests {
         assert_eq!(SolverKind::parse("PCG-Jacobi").unwrap(), SolverKind::Pcg);
         assert!(SolverKind::parse("gmres").is_err());
         assert!(SolverKind::parse("").is_err());
+    }
+
+    #[test]
+    fn removed_solvers_point_at_the_two_solver_change() {
+        for name in ["bicgstab", "cgne", " BiCGStab "] {
+            let e = SolverKind::parse(name).unwrap_err();
+            let want = name.trim().to_ascii_lowercase();
+            assert_eq!(e, format!("`{want}` was removed in {SOLVERS_REMOVED}"));
+        }
     }
 
     #[test]

@@ -1,16 +1,16 @@
 //! The resilient executor.
 //!
-//! One loop implements the paper's protocol for *any* [`IterativeSolver`]
-//! under each of the three schemes, which it reads from one
-//! [`Protection`] value and matches only where they differ (see
-//! [`super::scheme`]): work
+//! One loop implements the paper's protocol for either
+//! [`IterativeSolver`] (CG or PCG) under each of the three schemes,
+//! which it reads from one [`Protection`] value and matches only where
+//! they differ (see [`super::scheme`]): work
 //! proceeds in chunks ending with a verification; after `s` verified
 //! chunks a checkpoint is taken (so the last checkpoint is always
 //! valid — claim C1); any detection rolls back to the last checkpoint
 //! (or, when the escalation guard flags a tainted checkpoint, to the
 //! pristine initial data). For CG this reproduces the historical
-//! per-scheme drivers operation for operation; for PCG, BiCGStab and
-//! CGNE it is what makes resilient variants exist at all.
+//! per-scheme drivers operation for operation; for PCG it is what makes
+//! the resilient variant exist at all.
 //!
 //! Per iteration:
 //!
@@ -18,10 +18,10 @@
 //!    arrays and the canonical vectors (under the ABFT schemes `r`/`x`
 //!    replicas are TMR-held and product-output faults are deferred onto
 //!    the verified product's output);
-//! 2. the solver steps once; every forward product runs *defensively*
-//!    against the live matrix image and is checked by the scheme
-//!    ([`Protection::check_product`] — checksum tests, forward
-//!    correction);
+//! 2. the solver steps once; its one product, the step's first act,
+//!    runs *defensively* against the live matrix image and is checked
+//!    by the scheme ([`Protection::check_product`] — checksum tests,
+//!    forward correction);
 //! 3. a rejected product or a numerical breakdown rolls back;
 //! 4. under the ABFT schemes the TMR replicas are voted (collisions
 //!    roll back, outvoted flips are counted as corrections);
@@ -84,14 +84,11 @@ fn fault_code(target: &FaultTarget) -> u64 {
     }
 }
 
-/// The resilient [`StepContext`]: products run the defensive CSR
-/// traversal against the live (corruptible) matrix image, rows visited
-/// in the workspace's [`RowOrder`]; the scheme verifies each one. The
-/// iteration's first product carries the pre-captured input reference
-/// and receives the deferred product-output faults; later products
-/// (BiCGStab's second) capture their reference at call time — their
-/// inputs were computed in-step from already verified data, after this
-/// iteration's faults struck — into the retained scratch reference.
+/// The resilient [`StepContext`]: the step's one product runs the
+/// defensive CSR traversal against the live (corruptible) matrix image,
+/// rows visited in the workspace's [`RowOrder`], receives the deferred
+/// product-output faults and is verified by the scheme against the
+/// input reference captured before this iteration's faults struck.
 struct ResilientCtx<'a, R: Recorder> {
     a: &'a mut CsrMatrix,
     /// Row visit order of `a0`; changes no output bit.
@@ -99,65 +96,45 @@ struct ResilientCtx<'a, R: Recorder> {
     protection: &'a Protection,
     /// [`Protection::hardened`], cached once per solve.
     hardened: bool,
-    /// Trusted input copy for the iteration's first product (ABFT
-    /// schemes only).
-    xref: Option<&'a XRef>,
+    /// Trusted input copy, captured before this iteration's faults
+    /// (read by the ABFT schemes only).
+    xref: &'a XRef,
     /// Set when a non-clean product check may have rewritten the matrix
     /// arrays (indices included) — ABFT-CORRECTION's repair attempt —
     /// so rollback must restore the full image, not just the values.
     /// Pure detection checks never mutate and leave the flag alone.
     structure_dirty: &'a mut bool,
-    /// Retained buffer for call-time captures of later products.
-    xref_scratch: &'a mut XRef,
-    /// Product-output faults deferred onto the first product.
+    /// Product-output faults deferred onto the product.
     q_faults: &'a [FaultEvent],
     stats: &'a mut RunStats,
     ledger: &'a mut FaultLedger,
-    first: bool,
-    /// Forward products this step actually executed (the `Tverif`
-    /// multiplier — a half-step exit or an early breakdown runs fewer
-    /// than the solver's nominal count).
-    products_run: usize,
     rec: &'a mut R,
 }
 
 impl<R: Recorder> StepContext for ResilientCtx<'_, R> {
     fn product(&mut self, x: &mut [f64], y: &mut [f64]) -> ProductStatus {
-        self.products_run += 1;
-        let first = std::mem::replace(&mut self.first, false);
-        let hardened = self.hardened;
         // Deferred product-output faults rewrite `y` *after* the
         // product, invalidating any probe accumulated alongside it —
         // run the plain product and let the scheme sweep `y` itself.
-        let probe_stale = first && !self.q_faults.is_empty();
         let t_prod = self.rec.start();
-        let probe = if hardened && !probe_stale {
+        let probe = if self.hardened && self.q_faults.is_empty() {
             Some(self.a.spmv_clamped_probe_ordered_into(self.order, x, y))
         } else {
             self.a.spmv_clamped_ordered_into(self.order, x, y);
             None
         };
         self.rec.phase(Phase::Product, t_prod);
-        if !hardened {
+        if !self.hardened {
             return ProductStatus::Trusted; // ONLINE: unverified products
         }
-        if first {
-            // Faults in the product's computation/output strike here.
-            for e in self.q_faults {
-                flip(&mut y[e.offset], e.bit);
-            }
+        // Faults in the product's computation/output strike here.
+        for e in self.q_faults {
+            flip(&mut y[e.offset], e.bit);
         }
-        let xref: &XRef = match (first, self.xref) {
-            (true, Some(x0)) => x0,
-            _ => {
-                self.xref_scratch.store(x);
-                self.xref_scratch
-            }
-        };
         let t_check = self.rec.start();
         let check = self
             .protection
-            .check_product(self.a, x, xref, y, probe.as_ref());
+            .check_product(self.a, x, self.xref, y, probe.as_ref());
         self.rec.phase(Phase::ProductCheck, t_check);
         self.stats.product_checks += 1;
         if check != ProductCheck::Clean && self.protection.may_mutate() {
@@ -195,15 +172,6 @@ impl<R: Recorder> StepContext for ResilientCtx<'_, R> {
                 ProductStatus::Rejected
             }
         }
-    }
-
-    fn product_transpose(&mut self, x: &[f64], y: &mut [f64]) -> ProductStatus {
-        // Defensive (the image may carry wild indices) but never
-        // checksum-verified: the paper's checksums protect the row
-        // space only. Errors it lets through are caught downstream by
-        // the TMR vote, the chunk verification or a breakdown.
-        self.a.spmv_transpose_clamped_into(x, y);
-        ProductStatus::Trusted
     }
 }
 
@@ -269,7 +237,6 @@ impl<'a, R: Recorder> ExecutorMachine<'a, R> {
         let threshold = cfg
             .stopping
             .threshold(a0, vector::norm2(b), solver.residual_norm());
-        solver.set_threshold(threshold);
 
         // TMR shadows of the canonical r/x (ABFT schemes): replicas
         // receive the injected flips and are voted each iteration; the
@@ -399,36 +366,23 @@ impl<'a, R: Recorder> ExecutorMachine<'a, R> {
                 }
             }
         }
-        // 2./3. One step, products verified by the scheme. The
-        // iteration is charged `1 + Tverif` per product the step
-        // actually ran (ABFT schemes; `verified_products` is the
-        // nominal count, but half-step exits and early breakdowns run
-        // fewer).
+        // 2./3. One step, its product verified by the scheme. The
+        // iteration is charged `1 + Tverif` under the ABFT schemes.
         let t_step = self.rec.start();
-        let (step, products_run) = {
-            let mut ctx = ResilientCtx {
-                a: &mut *self.a,
-                order: self.order,
-                protection: &self.protection,
-                hardened: self.hardened,
-                xref: self.hardened.then_some(&self.arena.xref),
-                structure_dirty: &mut self.structure_dirty,
-                xref_scratch: &mut self.arena.xref_scratch,
-                q_faults: &self.arena.q_faults,
-                stats: &mut self.stats,
-                ledger: &mut self.ledger,
-                first: true,
-                products_run: 0,
-                rec: &mut *self.rec,
-            };
-            let res = self.solver.step(&mut ctx);
-            (res, ctx.products_run)
-        };
+        let step = self.solver.step(&mut ResilientCtx {
+            a: &mut *self.a,
+            order: self.order,
+            protection: &self.protection,
+            hardened: self.hardened,
+            xref: &self.arena.xref,
+            structure_dirty: &mut self.structure_dirty,
+            q_faults: &self.arena.q_faults,
+            stats: &mut self.stats,
+            ledger: &mut self.ledger,
+            rec: &mut *self.rec,
+        });
         self.rec.phase(Phase::Step, t_step);
-        let verif_cost = self
-            .protection
-            .iteration_cost(&self.cfg.costs, products_run);
-        self.time += 1.0 + verif_cost;
+        self.time += 1.0 + self.protection.iteration_cost(&self.cfg.costs);
         match step {
             StepResult::Done => {}
             StepResult::Rejected => {

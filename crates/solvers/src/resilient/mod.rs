@@ -21,10 +21,10 @@
 //!   stability tests for ONLINE-DETECTION only), how many iterations a
 //!   chunk holds, whether `r`/`x` are hardened under TMR, and what
 //!   verification costs;
-//! * the solver axis is any [`IterativeSolver`](crate::machine)
-//!   state machine — CG, PCG, BiCGStab and CGNE all compose with every
-//!   scheme × checkpoint policy ([`ResilientConfig::solver`] picks
-//!   one).
+//! * the solver axis is an [`IterativeSolver`](crate::machine) state
+//!   machine — CG and PCG both compose with every scheme × checkpoint
+//!   policy ([`ResilientConfig::solver`] picks one). Each runs one
+//!   forward product per iteration, the first act of its step.
 //!
 //! Every forward product is the one defensive CSR traversal
 //! ([`CsrMatrix::spmv_clamped_probe_ordered_into`]) over the live image:
@@ -32,11 +32,10 @@
 //! read without first being re-derived from them.
 //!
 //! Time is accounted in units of `Titer ≡ 1` (the paper's
-//! normalization): under the ABFT schemes each
-//! executed iteration costs `1 + n·Tverif` where `n` is the number of
-//! checksum-verified products it actually ran (1 for CG/PCG/CGNE, up
-//! to 2 for BiCGStab); ONLINE-DETECTION pays `Tverif` only at chunk
-//! ends. Checkpoints cost `Tcp`, rollbacks `Trec`.
+//! normalization): under the ABFT schemes each executed iteration costs
+//! `1 + Tverif` (its one checksum-verified product); ONLINE-DETECTION
+//! pays `Tverif` only at chunk ends. Checkpoints cost `Tcp`, rollbacks
+//! `Trec`.
 
 mod executor;
 mod scheme;
@@ -193,10 +192,9 @@ pub struct ResilientOutcome {
     pub tmr_corrections: usize,
     /// Verification failures (each triggers a rollback).
     pub detections: usize,
-    /// Checksum product verifications run (the ABFT schemes check every
-    /// forward product; BiCGStab runs two per full iteration, so its
-    /// `Tverif` bill is `tverif × product_checks`, not `tverif ×
-    /// executed`). Zero under ONLINE-DETECTION, whose products run
+    /// Checksum product verifications run: one per executed iteration
+    /// under the ABFT schemes, so their `Tverif` bill is `tverif ×
+    /// product_checks`. Zero under ONLINE-DETECTION, whose products run
     /// unverified.
     pub product_checks: usize,
     /// Chunk-boundary verifications run (one per chunk end reached —

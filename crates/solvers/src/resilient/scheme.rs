@@ -12,7 +12,7 @@
 //! | each chunk boundary | clean (products already verified) | clean | Chen's stability tests |
 //! | iterations per chunk | 1 | 1 | `d` |
 //! | `r`/`x` hardened | TMR, product faults strike the verified product | same | plainly exposed |
-//! | extra cost per iteration | `Tverif` per product run | same | 0 |
+//! | extra cost per iteration | `Tverif` | same | 0 |
 //! | extra cost per chunk check | 0 | 0 | `Tverif` |
 //! | a failed check may rewrite the matrix | no | yes (the repair attempt) | no |
 
@@ -91,14 +91,12 @@ impl Protection {
         }
     }
 
-    /// Simulated time charged on top of the unit iteration cost.
-    /// `verified_products` is the number of products the iteration
-    /// *actually executed* (a half-step exit or an early breakdown runs
-    /// fewer than the solver's nominal count).
-    pub(crate) fn iteration_cost(&self, costs: &ResilienceCosts, verified_products: usize) -> f64 {
+    /// Simulated time charged on top of the unit iteration cost: the
+    /// one verified product's `Tverif` under the ABFT schemes.
+    pub(crate) fn iteration_cost(&self, costs: &ResilienceCosts) -> f64 {
         match self {
             Protection::Online { .. } => 0.0, // paid at chunk ends only
-            _ => costs.tverif * verified_products as f64,
+            _ => costs.tverif,
         }
     }
 

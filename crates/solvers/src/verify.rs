@@ -43,9 +43,9 @@ pub struct OnlineVerdict {
     pub detected: bool,
 }
 
-/// The shared residual test: recomputes `b − A·x` defensively and
-/// returns the scaled drift against the recursive residual `r` (the
-/// dominant `Tverif` cost in both verification variants). The product
+/// The residual test: recomputes `b − A·x` defensively and returns the
+/// scaled drift against the recursive residual `r` (the dominant
+/// `Tverif` cost of the verification). The product
 /// is consumed a band of rows at a time from a stack buffer, so a chunk
 /// verification allocates nothing; per element and in order these are
 /// the operations of `max_abs_diff(b − A·x, r)`.
@@ -114,39 +114,6 @@ pub fn verify_online(
         || residual_drift > tol.residual;
     OnlineVerdict {
         orthogonality,
-        residual_drift,
-        detected,
-    }
-}
-
-/// The residual-only variant of [`verify_online`] for solvers whose
-/// successive directions are *not* A-conjugate (BiCGStab, CGNE): the
-/// orthogonality test would false-positive forever, so only the
-/// recomputed-residual drift and the non-finite screen run. `extra`
-/// lists further solver vectors (directions, product outputs) that the
-/// non-finite screen must cover.
-pub fn verify_online_residual(
-    a: &CsrMatrix,
-    b: &[f64],
-    x: &[f64],
-    r: &[f64],
-    extra: &[&[f64]],
-    norm1_a: f64,
-    tol: &OnlineTolerances,
-) -> OnlineVerdict {
-    assert_eq!(x.len(), a.n_rows());
-    assert_eq!(r.len(), a.n_rows());
-
-    let residual_drift = residual_drift(a, b, x, r, norm1_a);
-
-    let any_nonfinite = x
-        .iter()
-        .chain(r.iter())
-        .chain(extra.iter().flat_map(|v| v.iter()))
-        .any(|v| !v.is_finite());
-    let detected = any_nonfinite || !residual_drift.is_finite() || residual_drift > tol.residual;
-    OnlineVerdict {
-        orthogonality: 0.0,
         residual_drift,
         detected,
     }

@@ -19,7 +19,7 @@
 //!   caller's pristine input — live in a double-buffered
 //!   [`SnapshotSlot`], the start vectors
 //!   in a retained [`SolverState`], the ABFT shadows in retained
-//!   [`TmrVector`]s and [`XRef`]s.
+//!   [`TmrVector`]s and one [`XRef`].
 //!
 //! ## Reuse contract (why bit-exactness holds)
 //!
@@ -69,9 +69,6 @@ pub(crate) struct ExecArena {
     pub(crate) slot: SnapshotSlot,
     /// Trusted copy of the direction vector, re-captured per iteration.
     pub(crate) xref: XRef,
-    /// Trusted copy for mid-step products (BiCGStab's second product
-    /// captures its reference at call time).
-    pub(crate) xref_scratch: XRef,
     /// TMR shadow of the residual (ABFT schemes).
     pub(crate) r_tmr: TmrVector,
     /// TMR shadow of the iterate (ABFT schemes).
@@ -127,7 +124,6 @@ impl SolverWorkspace {
                 initial: SolverState::empty(),
                 slot: SnapshotSlot::new(),
                 xref: XRef::empty(),
-                xref_scratch: XRef::empty(),
                 r_tmr: TmrVector::zeros(0),
                 x_tmr: TmrVector::zeros(0),
                 q_faults: Vec::new(),
@@ -236,7 +232,7 @@ mod tests {
             );
             assert_eq!(*image, a);
         }
-        assert_eq!(ws.retained_machines(), 4);
+        assert_eq!(ws.retained_machines(), 2);
         // Only the live image is ever sized: the slot and the initial
         // state hold their empty row pointers.
         assert_eq!(ws.retained_image_bytes(), 8 * (a.memory_words() + 3));

@@ -15,10 +15,9 @@
 //!    (phase timers, histograms, the bounded event ring) adds *zero*
 //!    allocations to the warm solve — the `Recorder` contract's
 //!    no-allocation-after-construction clause, enforced;
-//! 4. the fused one-pass BLAS-1 steps of *every* machine (CG's
-//!    `axpy2_norm2_sq`, PCG's `axpy2_precond_dot`/`xpay_norm2_sq`,
-//!    BiCGStab's fused half-step and direction updates, CGNE's fused
-//!    tail) allocate nothing — the fusion rewrites may not introduce
+//! 4. the fused one-pass BLAS-1 steps of both machines (CG's
+//!    `axpy2_norm2_sq`, PCG's `axpy2_precond_dot`/`xpay_norm2_sq`)
+//!    allocate nothing — the fusion rewrites may not introduce
 //!    temporaries;
 //! 5. the fused product-with-probe verification path (hardened kernel
 //!    computes the `[Σyᵢ, Σ(i+1)yᵢ]` probe in-pass, `verify_probed`
@@ -104,7 +103,6 @@ fn steady_state_cg_iterations_allocate_nothing() {
     // Claim 1: the bare machine loop is allocation-free.
     let mut ctx = PlainContext { a: &a };
     let mut machine = SolverKind::Cg.start_zero(&a, &b);
-    machine.set_threshold(0.0); // run to the step budget
     for _ in 0..3 {
         assert_eq!(machine.step(&mut ctx), StepResult::Done); // warm-up
     }
@@ -190,12 +188,11 @@ fn steady_state_cg_iterations_allocate_nothing() {
 
     // Claim 4: every machine's fused one-pass step is allocation-free,
     // not just CG's (claim 1). Each kind gets a short warm-up, then a
-    // counted run; BiCGStab past convergence may legitimately hit a
+    // counted run; a step past convergence may legitimately hit a
     // breakdown exit, so the gate requires a minimum of productive
     // steps rather than a fixed count.
     for kind in SolverKind::ALL {
         let mut m = kind.start_zero(&a, &b);
-        m.set_threshold(0.0);
         for _ in 0..3 {
             assert_eq!(
                 m.step(&mut ctx),

@@ -92,15 +92,7 @@ proptest! {
         assert_bits(p[1], want1, "probe[1]");
     }
 
-    /// `dot2` ≡ two separate `vector::dot` sweeps.
-    #[test]
-    fn dot2_matches_two_dots(v in vecs(4)) {
-        let (d1, d2) = fused::dot2(&v[0], &v[1], &v[2], &v[3]);
-        assert_bits(d1, vector::dot(&v[0], &v[1]), "dot2.0");
-        assert_bits(d2, vector::dot(&v[2], &v[3]), "dot2.1");
-    }
-
-    /// `axpy2_norm2_sq` ≡ `axpy; axpy; norm2_sq` — the CG/CGNE tail.
+    /// `axpy2_norm2_sq` ≡ `axpy; axpy; norm2_sq` — the CG tail.
     #[test]
     fn axpy2_norm2_sq_matches_separate_sweeps(
         v in vecs(4),
@@ -158,62 +150,6 @@ proptest! {
         assert_bits(got, vector::norm2_sq(w), "norm2_sq");
     }
 
-    /// `sub_scaled_norm2_sq` ≡ the `s = r − a·v` loop + `norm2_sq(s)`
-    /// — BiCGStab's half-step residual.
-    #[test]
-    fn sub_scaled_norm2_sq_matches_separate_sweeps(v in vecs(2), a in scalar()) {
-        let (r, w) = (&v[0], &v[1]);
-        let mut s = vec![0.0; r.len()];
-        let mut s_ref = vec![0.0; r.len()];
-        let got = fused::sub_scaled_norm2_sq(r, a, w, &mut s);
-        for i in 0..s_ref.len() {
-            s_ref[i] = r[i] - a * w[i];
-        }
-        assert_bits_vec(&s, &s_ref, "s");
-        assert_bits(got, vector::norm2_sq(&s_ref), "norm2_sq");
-    }
-
-    /// `step_update_dot` ≡ the two BiCGStab update loops + `dot(r̂,r)`.
-    #[test]
-    fn step_update_dot_matches_separate_sweeps(
-        v in vecs(5),
-        a in scalar(),
-        w in scalar(),
-    ) {
-        let (p, s, t, rhat) = (&v[0], &v[1], &v[2], &v[3]);
-        let mut x = v[4].clone();
-        let mut r = vec![0.0; x.len()];
-        let (mut x_ref, mut r_ref) = (x.clone(), r.clone());
-        let got = fused::step_update_dot(a, p, w, s, t, &mut x, &mut r, rhat);
-        for i in 0..x_ref.len() {
-            x_ref[i] += a * p[i] + w * s[i];
-        }
-        for i in 0..r_ref.len() {
-            r_ref[i] = s[i] - w * t[i];
-        }
-        assert_bits_vec(&x, &x_ref, "x");
-        assert_bits_vec(&r, &r_ref, "r");
-        assert_bits(got, vector::dot(rhat, &r_ref), "rho");
-    }
-
-    /// `dir_update_norm2_sq` ≡ the BiCGStab direction loop +
-    /// `norm2_sq(r)`.
-    #[test]
-    fn dir_update_norm2_sq_matches_separate_sweeps(
-        v in vecs(3),
-        b in scalar(),
-        w in scalar(),
-    ) {
-        let (r, u) = (&v[0], &v[1]);
-        let mut p = v[2].clone();
-        let mut p_ref = p.clone();
-        let got = fused::dir_update_norm2_sq(r, b, w, u, &mut p);
-        for i in 0..p_ref.len() {
-            p_ref[i] = r[i] + b * (p_ref[i] - w * u[i]);
-        }
-        assert_bits_vec(&p, &p_ref, "p");
-        assert_bits(got, vector::norm2_sq(r), "norm2_sq");
-    }
 }
 
 /// The paper-model injector.

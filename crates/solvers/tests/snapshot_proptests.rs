@@ -31,7 +31,6 @@ fn assert_resume_is_bitexact(kind: SolverKind, a: &CsrMatrix, b: &[f64], cut: us
     let mut ctx = PlainContext { a };
 
     let mut reference = kind.start_zero(a, b);
-    reference.set_threshold(0.0); // run to the step budget, not to convergence
     let mut snapshot: Option<SolverState> = None;
     for it in 0..total {
         if it == cut {
@@ -46,7 +45,6 @@ fn assert_resume_is_bitexact(kind: SolverKind, a: &CsrMatrix, b: &[f64], cut: us
     let snapshot = snapshot.expect("cut < total");
 
     let mut resumed = kind.start_zero(a, b);
-    resumed.set_threshold(0.0);
     resumed.restore(&snapshot, a);
     for _ in cut..total {
         assert_eq!(resumed.step(&mut ctx), StepResult::Done, "{kind} resumed");
@@ -107,7 +105,6 @@ proptest! {
         for kind in SolverKind::ALL {
             let mut ctx = PlainContext { a: &a };
             let mut m = kind.start_zero(&a, &b);
-            m.set_threshold(0.0);
             for _ in 0..steps {
                 if m.step(&mut ctx) != StepResult::Done {
                     break;
@@ -223,7 +220,7 @@ proptest! {
         // solver, one image of the one shape (the live one) and the
         // empty row pointers of the initial state and both checkpoint
         // buffers.
-        prop_assert_eq!(ws.retained_machines(), 4);
+        prop_assert_eq!(ws.retained_machines(), 2);
         prop_assert_eq!(ws.retained_image_bytes(), 8 * (a.memory_words() + 3));
     }
 

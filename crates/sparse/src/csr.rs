@@ -577,7 +577,7 @@ impl CsrMatrix {
     }
 
     /// Transpose-vector product `y ← Aᵀ·x` into a caller-provided buffer.
-    /// Needed by CGNE/BiCG variants.
+    /// Its only caller is the benchmark's `sparse.spmv_transpose` probe.
     ///
     /// # Panics
     /// Panics if `x.len() != n_rows` or `y.len() != n_cols`.
@@ -588,30 +588,6 @@ impl CsrMatrix {
         for (i, &xi) in x.iter().enumerate() {
             for k in self.rowptr[i]..self.rowptr[i + 1] {
                 y[self.colid[k]] += self.val[k] * xi;
-            }
-        }
-    }
-
-    /// Defensive transpose-vector product `y ← Aᵀ·x` that tolerates
-    /// corrupted structure: row ranges follow
-    /// [`CsrMatrix::row_range_clamped`] and out-of-range column indices
-    /// are skipped. On a well-formed matrix this visits exactly the
-    /// entries [`CsrMatrix::spmv_transpose_into`] visits, in the same
-    /// order — bit-identical output.
-    ///
-    /// # Panics
-    /// Panics if `x.len() != n_rows` or `y.len() != n_cols` (caller
-    /// state, not corruptible matrix data).
-    pub fn spmv_transpose_clamped_into(&self, x: &[f64], y: &mut [f64]) {
-        assert_eq!(x.len(), self.n_rows, "spmv_t_clamped: x length mismatch");
-        assert_eq!(y.len(), self.n_cols, "spmv_t_clamped: y length mismatch");
-        y.fill(0.0);
-        for (i, &xi) in x.iter().enumerate() {
-            for k in self.row_range_clamped(i) {
-                let j = self.colid[k];
-                if j < y.len() {
-                    y[j] += self.val[k] * xi;
-                }
             }
         }
     }
@@ -903,28 +879,6 @@ mod tests {
         m.spmv_transpose_into(&x, &mut y1);
         let y2 = m.transpose().spmv(&x);
         assert_eq!(y1, y2);
-    }
-
-    #[test]
-    fn clamped_transpose_matches_plain_on_clean_matrix() {
-        let m = sample();
-        let x = [1.0, 2.0, 3.0];
-        let mut plain = vec![0.0; 3];
-        m.spmv_transpose_into(&x, &mut plain);
-        let mut clamped = vec![0.0; 3];
-        m.spmv_transpose_clamped_into(&x, &mut clamped);
-        assert_eq!(plain, clamped);
-    }
-
-    #[test]
-    fn clamped_transpose_survives_corruption() {
-        let mut m = sample();
-        m.rowptr_mut()[1] = usize::MAX; // wild range
-        m.colid_mut()[0] = 1 << 40; // wild column
-        let x = [1.0, 2.0, 3.0];
-        let mut y = vec![0.0; 3];
-        m.spmv_transpose_clamped_into(&x, &mut y); // must not panic
-        assert!(y.iter().all(|v| v.is_finite()));
     }
 
     #[test]

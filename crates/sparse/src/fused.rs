@@ -65,26 +65,7 @@ pub fn probe_of(y: &[f64]) -> [f64; 2] {
     [p0, p1]
 }
 
-/// Two dot products sharing one sweep: `(Σᵢ a1ᵢ·b1ᵢ, Σᵢ a2ᵢ·b2ᵢ)` —
-/// bit-identical to `(vector::dot(a1, b1), vector::dot(a2, b2))`.
-///
-/// # Panics
-/// Panics if the four slices differ in length.
-#[inline]
-pub fn dot2(a1: &[f64], b1: &[f64], a2: &[f64], b2: &[f64]) -> (f64, f64) {
-    assert_eq!(a1.len(), b1.len(), "dot2: length mismatch");
-    assert_eq!(a1.len(), a2.len(), "dot2: length mismatch");
-    assert_eq!(a2.len(), b2.len(), "dot2: length mismatch");
-    let mut acc1 = 0.0;
-    let mut acc2 = 0.0;
-    for i in 0..a1.len() {
-        acc1 += a1[i] * b1[i];
-        acc2 += a2[i] * b2[i];
-    }
-    (acc1, acc2)
-}
-
-/// The CG/CGNE mid-step in one sweep: `x ← a·p + x`, `r ← c·q + r`,
+/// The CG mid-step in one sweep: `x ← a·p + x`, `r ← c·q + r`,
 /// returning `Σᵢ rᵢ²` over the updated `r` — bit-identical to
 /// `vector::axpy(a, p, x); vector::axpy(c, q, r);
 /// vector::norm2_sq(r)`.
@@ -154,76 +135,6 @@ pub fn xpay_norm2_sq(x: &[f64], b: f64, y: &mut [f64], v: &[f64]) -> f64 {
     for i in 0..y.len() {
         y[i] = x[i] + b * y[i];
         acc += v[i] * v[i];
-    }
-    acc
-}
-
-/// BiCGStab's intermediate residual in one sweep: `sᵢ ← rᵢ − a·vᵢ`,
-/// returning `Σᵢ sᵢ²` over the result — bit-identical to the
-/// `s[i] = r[i] - a * v[i]` loop followed by `vector::norm2_sq(s)`.
-///
-/// # Panics
-/// Panics if the slices differ in length.
-#[inline]
-pub fn sub_scaled_norm2_sq(r: &[f64], a: f64, v: &[f64], s: &mut [f64]) -> f64 {
-    assert_eq!(r.len(), s.len(), "sub_scaled_norm2_sq: length mismatch");
-    assert_eq!(v.len(), s.len(), "sub_scaled_norm2_sq: length mismatch");
-    let mut acc = 0.0;
-    for i in 0..s.len() {
-        s[i] = r[i] - a * v[i];
-        acc += s[i] * s[i];
-    }
-    acc
-}
-
-/// BiCGStab's iterate/residual update in one sweep:
-/// `xᵢ ← xᵢ + a·pᵢ + w·sᵢ`, `rᵢ ← sᵢ − w·tᵢ`, returning `Σᵢ r̂ᵢ·rᵢ`
-/// over the updated `r` — bit-identical to the two update loops
-/// followed by `vector::dot(rhat, r)`.
-///
-/// # Panics
-/// Panics if the slices differ in length.
-#[inline]
-#[allow(clippy::too_many_arguments)]
-pub fn step_update_dot(
-    a: f64,
-    p: &[f64],
-    w: f64,
-    s: &[f64],
-    t: &[f64],
-    x: &mut [f64],
-    r: &mut [f64],
-    rhat: &[f64],
-) -> f64 {
-    assert_eq!(p.len(), x.len(), "step_update_dot: length mismatch");
-    assert_eq!(s.len(), x.len(), "step_update_dot: length mismatch");
-    assert_eq!(t.len(), r.len(), "step_update_dot: length mismatch");
-    assert_eq!(x.len(), r.len(), "step_update_dot: length mismatch");
-    assert_eq!(rhat.len(), r.len(), "step_update_dot: length mismatch");
-    let mut acc = 0.0;
-    for i in 0..x.len() {
-        x[i] += a * p[i] + w * s[i];
-        r[i] = s[i] - w * t[i];
-        acc += rhat[i] * r[i];
-    }
-    acc
-}
-
-/// BiCGStab's direction update in one sweep:
-/// `pᵢ ← rᵢ + b·(pᵢ − w·vᵢ)`, returning `Σᵢ rᵢ²` — bit-identical to
-/// the `p[i] = r[i] + beta * (p[i] - omega * v[i])` loop followed by
-/// `vector::norm2_sq(r)`.
-///
-/// # Panics
-/// Panics if the slices differ in length.
-#[inline]
-pub fn dir_update_norm2_sq(r: &[f64], b: f64, w: f64, v: &[f64], p: &mut [f64]) -> f64 {
-    assert_eq!(r.len(), p.len(), "dir_update_norm2_sq: length mismatch");
-    assert_eq!(v.len(), p.len(), "dir_update_norm2_sq: length mismatch");
-    let mut acc = 0.0;
-    for i in 0..p.len() {
-        p[i] = r[i] + b * (p[i] - w * v[i]);
-        acc += r[i] * r[i];
     }
     acc
 }
@@ -305,15 +216,6 @@ mod tests {
     }
 
     #[test]
-    fn dot2_matches_two_dots() {
-        let (a1, b1) = (vec_of(61, 4), vec_of(61, 5));
-        let (a2, b2) = (vec_of(61, 6), vec_of(61, 7));
-        let (d1, d2) = dot2(&a1, &b1, &a2, &b2);
-        assert_bits(d1, vector::dot(&a1, &b1), "dot2.0");
-        assert_bits(d2, vector::dot(&a2, &b2), "dot2.1");
-    }
-
-    #[test]
     fn axpy2_norm2_sq_matches_cg_mid_step() {
         let p = vec_of(71, 15);
         let q = vec_of(71, 16);
@@ -367,61 +269,8 @@ mod tests {
     }
 
     #[test]
-    fn sub_scaled_norm2_sq_matches_bicgstab_s() {
-        let r = vec_of(83, 26);
-        let v = vec_of(83, 27);
-        let mut s = vec![0.0; 83];
-        let mut s_ref = vec![0.0; 83];
-        let alpha = 2.03125;
-        let got = sub_scaled_norm2_sq(&r, alpha, &v, &mut s);
-        for i in 0..83 {
-            s_ref[i] = r[i] - alpha * v[i];
-        }
-        assert_bits_vec(&s, &s_ref, "sub_scaled s");
-        assert_bits(got, vector::norm2_sq(&s_ref), "sub_scaled acc");
-    }
-
-    #[test]
-    fn step_update_dot_matches_bicgstab_updates() {
-        let p = vec_of(67, 28);
-        let s = vec_of(67, 29);
-        let t = vec_of(67, 30);
-        let rhat = vec_of(67, 31);
-        let mut x = vec_of(67, 32);
-        let mut r = vec_of(67, 33);
-        let (mut x_ref, mut r_ref) = (x.clone(), r.clone());
-        let (alpha, omega) = (0.71875, -0.28125);
-        let got = step_update_dot(alpha, &p, omega, &s, &t, &mut x, &mut r, &rhat);
-        for i in 0..67 {
-            x_ref[i] += alpha * p[i] + omega * s[i];
-        }
-        for i in 0..67 {
-            r_ref[i] = s[i] - omega * t[i];
-        }
-        assert_bits_vec(&x, &x_ref, "step_update x");
-        assert_bits_vec(&r, &r_ref, "step_update r");
-        assert_bits(got, vector::dot(&rhat, &r_ref), "step_update rho");
-    }
-
-    #[test]
-    fn dir_update_norm2_sq_matches_bicgstab_p() {
-        let r = vec_of(91, 34);
-        let v = vec_of(91, 35);
-        let mut p = vec_of(91, 36);
-        let mut p_ref = p.clone();
-        let (beta, omega) = (-0.59375, 1.15625);
-        let got = dir_update_norm2_sq(&r, beta, omega, &v, &mut p);
-        for i in 0..91 {
-            p_ref[i] = r[i] + beta * (p_ref[i] - omega * v[i]);
-        }
-        assert_bits_vec(&p, &p_ref, "dir_update p");
-        assert_bits(got, vector::norm2_sq(&r), "dir_update acc");
-    }
-
-    #[test]
     fn empty_vectors_are_fine() {
         assert_eq!(probe_of(&[]), [0.0, 0.0]);
-        assert_eq!(dot2(&[], &[], &[], &[]), (0.0, 0.0));
         assert_eq!(axpy2_norm2_sq(1.0, &[], &mut [], 1.0, &[], &mut []), 0.0);
     }
 }

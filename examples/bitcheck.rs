@@ -4,7 +4,7 @@
 use ftcg::model::Scheme;
 use ftcg::prelude::*;
 use ftcg::solvers::resilient::{solve_resilient, ResilientConfig};
-use ftcg::solvers::{bicgstab_solve, cg_solve, CgConfig};
+use ftcg::solvers::{cg_solve, CgConfig};
 
 fn bits(v: &[f64]) -> u64 {
     v.iter().fold(0u64, |acc, x| {
@@ -24,14 +24,6 @@ fn main() {
         (
             "pcg",
             ftcg::solvers::pcg_jacobi_solve(&a, &b, &vec![0.0; 150], &CgConfig::default()),
-        ),
-        (
-            "bicgstab",
-            bicgstab_solve(&a, &b, &vec![0.0; 150], &CgConfig::default()),
-        ),
-        (
-            "cgne",
-            ftcg::solvers::cgne_solve(&a, &b, &vec![0.0; 150], &CgConfig::default()),
         ),
     ] {
         println!(
