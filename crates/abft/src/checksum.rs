@@ -45,11 +45,11 @@ pub(crate) fn rowptr_weighted_sum(rowptr: &[usize]) -> [u128; 2] {
 #[derive(Debug, Clone, PartialEq)]
 pub struct MatrixChecksums {
     /// Matrix order (square matrices; CG context).
-    pub n: usize,
+    pub(crate) n: usize,
     /// Weighted column sums `C[r][j] = Σᵢ w_r(i)·aᵢⱼ` (unshifted).
-    pub col: [Vec<f64>; 2],
+    pub(crate) col: [Vec<f64>; 2],
     /// Row-pointer checksums `cr_r = Σᵢ₌₀ⁿ w_r(i)·Rowidx_i`, exact.
-    pub rowptr: [u128; 2],
+    pub(crate) rowptr: [u128; 2],
     /// `‖A‖₁` (maximum absolute column sum), for the tolerance bound.
     pub norm1: f64,
 }
@@ -59,7 +59,7 @@ impl MatrixChecksums {
     ///
     /// # Panics
     /// Panics if the matrix is not square (the CG setting).
-    pub fn compute(a: &CsrMatrix) -> Self {
+    pub(crate) fn compute(a: &CsrMatrix) -> Self {
         assert!(a.is_square(), "checksums: matrix must be square");
         Self {
             n: a.n_rows(),
@@ -78,7 +78,7 @@ impl MatrixChecksums {
     /// Robust to corrupted structure: row ranges follow
     /// [`CsrMatrix::row_range_clamped`] and out-of-range column indices
     /// are skipped.
-    pub fn weighted_column_sums(a: &CsrMatrix) -> [Vec<f64>; 2] {
+    pub(crate) fn weighted_column_sums(a: &CsrMatrix) -> [Vec<f64>; 2] {
         let n = a.n_cols();
         let mut col = [vec![0.0; n], vec![0.0; n]];
         for i in 0..a.n_rows() {
@@ -100,7 +100,7 @@ impl MatrixChecksums {
 /// Chooses the smallest `k ∈ {0, 1, 2, …}` such that every `c_j + k` is
 /// bounded away from zero (relative to the magnitude of `c`), per the
 /// paper's shifting construction.
-pub fn choose_shift(c: &[f64]) -> f64 {
+pub(crate) fn choose_shift(c: &[f64]) -> f64 {
     let scale = c.iter().fold(1.0_f64, |m, &v| m.max(v.abs()));
     let floor = 1e-12 * scale;
     let mut k = 0.0_f64;
@@ -125,7 +125,10 @@ mod tests {
         let a = gen::random_spd(40, 0.1, 3).unwrap();
         let cs = MatrixChecksums::compute(&a);
         let dense = a.to_dense();
-        #[allow(clippy::needless_range_loop)]
+        #[expect(
+            clippy::needless_range_loop,
+            reason = "j indexes a column across every row of the dense matrix"
+        )]
         for j in 0..40 {
             let c0: f64 = (0..40).map(|i| dense[i][j]).sum();
             let c1: f64 = (0..40).map(|i| (i + 1) as f64 * dense[i][j]).sum();

@@ -63,7 +63,7 @@ pub struct CorrectionReport {
     /// What was repaired.
     pub kind: CorrectionKind,
     /// Output rows recomputed as part of the repair.
-    pub recomputed_rows: Vec<usize>,
+    pub(crate) recomputed_rows: Vec<usize>,
 }
 
 impl ProtectedSpmv {
@@ -221,7 +221,10 @@ impl ProtectedSpmv {
 
     /// z_C̃ = 1: a `Val` entry in row `d`, column `f` is corrupt; the
     /// checksum difference is the error value.
-    #[allow(clippy::too_many_arguments)]
+    #[expect(
+        clippy::too_many_arguments,
+        reason = "the repair reads the product state (a, x, xref, y), the failed residues and the suspect row/column together"
+    )]
     fn correct_val(
         &self,
         a: &mut CsrMatrix,
@@ -280,7 +283,10 @@ impl ProtectedSpmv {
     /// z_C̃ = 2: a `Colid` entry in row `d` points at the wrong column;
     /// one differing column gained the entry's contribution, the other
     /// lost it. Switch the entry back (the paper's `m*` search).
-    #[allow(clippy::too_many_arguments)]
+    #[expect(
+        clippy::too_many_arguments,
+        reason = "the repair reads the product state (a, x, xref, y), the failed residues and the suspect row/columns together"
+    )]
     fn correct_colid(
         &self,
         a: &mut CsrMatrix,

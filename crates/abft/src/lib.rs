@@ -32,7 +32,7 @@
 //! the column-checksum recomputation all read rows through the defensive
 //! clamp of `ftcg-sparse` ([`CsrMatrix::row_range_clamped`] and the
 //! traversals built on it), and both schemes' row-pointer tests use the
-//! one exact checksum loop in [`checksum`].
+//! one exact checksum loop in `checksum`.
 //!
 //! [`CsrMatrix::row_range_clamped`]: ftcg_sparse::CsrMatrix::row_range_clamped
 //!
@@ -43,22 +43,19 @@
 //! every step.
 //!
 //! Floating-point comparisons use the rigorous bound of Theorem 2
-//! ([`tolerance`]), which guarantees **no false positives**: a reported
+//! (`tolerance`), which guarantees **no false positives**: a reported
 //! error is a real error, never rounding noise.
 
 #![warn(missing_docs)]
 
-pub mod checksum;
-pub mod correct;
-pub mod single;
-pub mod spmv;
+mod checksum;
+mod correct;
+mod single;
+mod spmv;
 pub mod tmr;
-pub mod tolerance;
-pub mod weights;
+mod tolerance;
+mod weights;
 
-pub use checksum::MatrixChecksums;
-pub use correct::{CorrectionKind, CorrectionReport};
-pub use single::{SingleChecksum, SingleOutcome};
+pub use single::SingleChecksum;
 pub use spmv::{ProtectedSpmv, SpmvOutcome, XRef};
 pub use tmr::TmrVector;
-pub use tolerance::ToleranceBound;

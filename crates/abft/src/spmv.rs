@@ -31,7 +31,7 @@ use crate::weights;
 #[derive(Debug, Clone, PartialEq)]
 pub struct XRef {
     /// The trusted copy `x′`.
-    pub xcopy: Vec<f64>,
+    pub(crate) xcopy: Vec<f64>,
 }
 
 impl XRef {
@@ -60,18 +60,18 @@ impl XRef {
 #[derive(Debug, Clone, PartialEq)]
 pub struct TestResults {
     /// `dr_r = cr_r − sr_r`: row-pointer checksum residues (exact).
-    pub dr: [i128; 2],
+    pub(crate) dr: [i128; 2],
     /// `dx_r = Σᵢ w_r(i)·ỹᵢ − Σⱼ C_rj·x̃ⱼ`: output-checksum residues.
-    pub dx: [f64; 2],
+    pub(crate) dx: [f64; 2],
     /// Whether `dx` exceeds the rounding tolerance.
-    pub dx_fails: bool,
+    pub(crate) dx_fails: bool,
     /// `dx′_r = Σᵢ w_r(i)·(x̃ᵢ − x′ᵢ)`: input-copy residues (exact zero
     /// when the input is intact).
-    pub dxp: [f64; 2],
+    pub(crate) dxp: [f64; 2],
     /// Whether `dx′` is nonzero (or non-finite).
-    pub dxp_fails: bool,
+    pub(crate) dxp_fails: bool,
     /// `‖x̃‖∞` at verification time (reused by correction).
-    pub x_norm_inf: f64,
+    pub(crate) x_norm_inf: f64,
 }
 
 impl TestResults {

@@ -19,7 +19,7 @@ pub struct VoteOutcome {
     /// Elements where one replica disagreed and was repaired.
     pub corrected: usize,
     /// Elements where all three replicas disagreed (no majority).
-    pub unresolved: usize,
+    pub(crate) unresolved: usize,
 }
 
 impl VoteOutcome {
@@ -43,18 +43,8 @@ impl TmrVector {
     }
 
     /// Vector length.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.replicas[0].len()
-    }
-
-    /// `true` iff empty.
-    pub fn is_empty(&self) -> bool {
-        self.replicas[0].is_empty()
-    }
-
-    /// Read-only view of the primary replica (callers should vote first).
-    pub fn primary(&self) -> &[f64] {
-        &self.replicas[0]
     }
 
     /// Mutable access to a single replica — the fault injector's door.
@@ -125,7 +115,7 @@ mod tests {
         let o = v.vote();
         assert_eq!(o.corrected, 1);
         assert_eq!(o.unresolved, 0);
-        assert_eq!(v.primary(), &[1.0, 2.0, 3.0]);
+        assert_eq!(v.replicas[0], [1.0, 2.0, 3.0]);
         // all replicas repaired
         assert_eq!(v.replica_mut(1)[2], 3.0);
     }
@@ -139,7 +129,7 @@ mod tests {
         let o = v.vote();
         assert_eq!(o.corrected, 3);
         assert_eq!(o.unresolved, 0);
-        assert_eq!(v.primary(), &[1.0, 2.0, 3.0, 4.0]);
+        assert_eq!(v.replicas[0], [1.0, 2.0, 3.0, 4.0]);
     }
 
     #[test]
@@ -160,7 +150,7 @@ mod tests {
         v.replica_mut(1)[0] = 5.0;
         let o = v.vote();
         assert_eq!(o.corrected, 1);
-        assert_eq!(v.primary(), &[5.0]); // silently wrong — by design
+        assert_eq!(v.replicas[0], [5.0]); // silently wrong — by design
     }
 
     #[test]
@@ -169,7 +159,7 @@ mod tests {
         v.replica_mut(2)[0] = 4.0;
         v.store(&[8.0]);
         assert_eq!(v.vote(), VoteOutcome::default());
-        assert_eq!(v.primary(), &[8.0]);
+        assert_eq!(v.replicas[0], [8.0]);
     }
 
     #[test]
@@ -178,14 +168,13 @@ mod tests {
         v.replica_mut(0)[1] = f64::NAN;
         let o = v.vote();
         assert_eq!(o.corrected, 1);
-        assert_eq!(v.primary(), &[1.0, 2.0]);
+        assert_eq!(v.replicas[0], [1.0, 2.0]);
     }
 
     #[test]
     fn zeros_and_len() {
         let v = TmrVector::zeros(5);
         assert_eq!(v.len(), 5);
-        assert!(!v.is_empty());
-        assert!(TmrVector::zeros(0).is_empty());
+        assert_eq!(TmrVector::zeros(0).len(), 0);
     }
 }

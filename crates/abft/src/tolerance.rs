@@ -13,14 +13,14 @@
 //! `tests/paper_claims.rs`.
 
 /// Machine epsilon for `f64` (unit roundoff `u = 2⁻⁵³`).
-pub const UNIT_ROUNDOFF: f64 = f64::EPSILON / 2.0;
+pub(crate) const UNIT_ROUNDOFF: f64 = f64::EPSILON / 2.0;
 
 /// Higham's `γ_n = n·u / (1 − n·u)`, the standard accumulated rounding
 /// factor for `n` operations.
 ///
 /// # Panics
 /// Panics if `n·u ≥ 1` (no meaningful bound exists).
-pub fn gamma(n: usize) -> f64 {
+pub(crate) fn gamma(n: usize) -> f64 {
     let nu = n as f64 * UNIT_ROUNDOFF;
     assert!(nu < 1.0, "gamma: n too large for a meaningful bound");
     nu / (1.0 - nu)
@@ -28,32 +28,32 @@ pub fn gamma(n: usize) -> f64 {
 
 /// Precomputed tolerance factory for a fixed matrix and weight row.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ToleranceBound {
+pub(crate) struct ToleranceBound {
     /// Matrix order.
-    pub n: usize,
+    pub(crate) n: usize,
     /// `2·γ₂ₙ·n·‖cᵀ‖∞·‖A‖₁` — everything in eq. (9) except `‖x‖∞`,
     /// computable once per matrix.
-    pub factor: f64,
+    pub(crate) factor: f64,
 }
 
 impl ToleranceBound {
     /// Builds the bound for a matrix of order `n` with 1-norm `norm1_a`,
     /// for a checksum/weight vector with ∞-norm `weight_norm_inf`.
-    pub fn new(n: usize, norm1_a: f64, weight_norm_inf: f64) -> Self {
+    pub(crate) fn new(n: usize, norm1_a: f64, weight_norm_inf: f64) -> Self {
         let factor = 2.0 * gamma(2 * n) * n as f64 * weight_norm_inf * norm1_a;
         Self { n, factor }
     }
 
     /// The threshold for a particular input vector: `factor · ‖x‖∞`.
     #[inline]
-    pub fn threshold(&self, x_norm_inf: f64) -> f64 {
+    pub(crate) fn threshold(&self, x_norm_inf: f64) -> f64 {
         self.factor * x_norm_inf
     }
 
     /// `true` iff a residue of magnitude `d` must be a genuine error
     /// (exceeds the rounding bound) for an input with the given ∞-norm.
     #[inline]
-    pub fn is_error(&self, d: f64, x_norm_inf: f64) -> bool {
+    pub(crate) fn is_error(&self, d: f64, x_norm_inf: f64) -> bool {
         !d.is_finite() || d.abs() > self.threshold(x_norm_inf)
     }
 }

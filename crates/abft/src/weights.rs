@@ -15,7 +15,7 @@
     clippy::panic,
     reason = "same invariant as checksum.rs: the dual-weight API has exactly two rows"
 )]
-pub fn weight(r: usize, i: usize) -> f64 {
+pub(crate) fn weight(r: usize, i: usize) -> f64 {
     match r {
         0 => 1.0,
         1 => (i + 1) as f64,
@@ -30,7 +30,7 @@ pub fn weight(r: usize, i: usize) -> f64 {
     clippy::panic,
     reason = "same invariant as checksum.rs: the dual-weight API has exactly two rows"
 )]
-pub fn weight_norm_inf(r: usize, n: usize) -> f64 {
+pub(crate) fn weight_norm_inf(r: usize, n: usize) -> f64 {
     match r {
         0 => 1.0,
         1 => n as f64,
@@ -49,7 +49,7 @@ pub fn weight_norm_inf(r: usize, n: usize) -> f64 {
 /// localize, while the distance can never be ambiguous between two
 /// integers. A mis-localization on pathological inputs is harmless: the
 /// correction layer re-verifies every repair and falls back to rollback.
-pub fn locate_from_ratio(d0: f64, d1: f64, n: usize, eps: f64) -> Option<usize> {
+pub(crate) fn locate_from_ratio(d0: f64, d1: f64, n: usize, eps: f64) -> Option<usize> {
     if d0 == 0.0 || !d0.is_finite() || !d1.is_finite() {
         return None;
     }

@@ -6,7 +6,7 @@
 use ftcg_abft::{ProtectedSpmv, SingleChecksum, SpmvOutcome, XRef};
 use ftcg_fault::{
     injector::{FaultEvent, Injector, InjectorConfig},
-    FaultRate, FaultTarget,
+    paper_injector, FaultRate, FaultTarget,
 };
 use ftcg_sparse::{gen, vector, CsrMatrix};
 use proptest::prelude::*;
@@ -50,9 +50,7 @@ proptest! {
         let xref = XRef::capture(&x0);
         let clean_y = a.spmv(&x0);
 
-        let rate = FaultRate::from_alpha(1.0, a.memory_words());
-        let cfg = InjectorConfig::paper_default(rate, &a);
-        let mut inj = Injector::for_matrix(cfg, &a, fseed);
+        let mut inj = paper_injector(&a, 1.0, fseed);
 
         let mut b = a.clone();
         let mut x = x0.clone();
@@ -96,9 +94,7 @@ proptest! {
         let xref = XRef::capture(&x0);
         let clean_y = a.spmv(&x0);
 
-        let rate = FaultRate::from_alpha(1.0, a.memory_words());
-        let cfg = InjectorConfig::paper_default(rate, &a);
-        let mut inj = Injector::for_matrix(cfg, &a, fseed);
+        let mut inj = paper_injector(&a, 1.0, fseed);
 
         let mut b = a.clone();
         let mut x = x0.clone();

@@ -28,9 +28,9 @@
 
 #![warn(missing_docs)]
 
-pub mod cost;
-pub mod slot;
-pub mod state;
+mod cost;
+mod slot;
+mod state;
 
 pub use cost::ResilienceCosts;
 pub use slot::SnapshotSlot;

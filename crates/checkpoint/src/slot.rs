@@ -36,7 +36,6 @@ pub struct SnapshotSlot {
     bufs: [SolverState; 2],
     live: Option<usize>,
     pending: Option<usize>,
-    saves: usize,
 }
 
 impl Default for SnapshotSlot {
@@ -52,14 +51,7 @@ impl SnapshotSlot {
             bufs: [SolverState::empty(), SolverState::empty()],
             live: None,
             pending: None,
-            saves: 0,
         }
-    }
-
-    /// Copies `state` into the inactive buffer and marks it live.
-    pub fn save(&mut self, state: &SolverState) {
-        self.begin_save().assign_from(state);
-        self.commit();
     }
 
     /// Hands out the inactive buffer for the caller to fill in place
@@ -86,7 +78,6 @@ impl SnapshotSlot {
     pub fn commit(&mut self) {
         let i = self.pending.take().expect("commit without begin_save");
         self.live = Some(i);
-        self.saves += 1;
     }
 
     /// Discards the live checkpoint (and any uncommitted save); the
@@ -101,11 +92,6 @@ impl SnapshotSlot {
     /// Borrowed view of the live checkpoint, if any.
     pub fn latest(&self) -> Option<&SolverState> {
         self.live.map(|i| &self.bufs[i])
-    }
-
-    /// Number of committed saves.
-    pub fn saves(&self) -> usize {
-        self.saves
     }
 
     /// Matrix words both buffers keep reserved (capacity, not length) —
@@ -124,39 +110,47 @@ mod tests {
 
     fn state(iter: usize, v: f64) -> SolverState {
         let a = gen::tridiagonal(6, 4.0, -1.0).unwrap();
-        SolverState::capture(iter, &[v; 6], &[2.0 * v; 6], &[3.0 * v; 6], v * v, &a)
+        let mut s = SolverState::empty();
+        s.store(iter, &[v; 6], &[2.0 * v; 6], &[3.0 * v; 6], v * v, &a);
+        s
+    }
+
+    /// One full save of `s`: fill the inactive buffer, then commit.
+    fn save(slot: &mut SnapshotSlot, s: &SolverState) {
+        slot.begin_save()
+            .store(s.iteration, &s.x, &s.r, &s.p, s.rnorm_sq, &s.matrix);
+        slot.commit();
     }
 
     #[test]
     fn save_then_latest_roundtrips() {
         let mut slot = SnapshotSlot::new();
         assert!(slot.latest().is_none());
-        slot.save(&state(3, 1.0));
+        save(&mut slot, &state(3, 1.0));
         assert_eq!(slot.latest().unwrap(), &state(3, 1.0));
-        assert_eq!(slot.saves(), 1);
     }
 
     #[test]
     fn saves_alternate_buffers_and_replace_latest() {
         let mut slot = SnapshotSlot::new();
-        slot.save(&state(1, 1.0));
+        save(&mut slot, &state(1, 1.0));
         let p1 = slot.latest().unwrap().x.as_ptr();
-        slot.save(&state(2, 2.0));
+        save(&mut slot, &state(2, 2.0));
         let p2 = slot.latest().unwrap().x.as_ptr();
         assert_ne!(p1, p2, "double buffer must alternate");
         assert_eq!(slot.latest().unwrap(), &state(2, 2.0));
-        slot.save(&state(3, 3.0));
+        save(&mut slot, &state(3, 3.0));
         // Third save lands back in the first buffer: retained, not new.
         assert_eq!(slot.latest().unwrap().x.as_ptr(), p1);
-        assert_eq!(slot.saves(), 3);
     }
 
     #[test]
     fn begin_save_keeps_previous_checkpoint_until_commit() {
         let mut slot = SnapshotSlot::new();
-        slot.save(&state(1, 1.0));
+        save(&mut slot, &state(1, 1.0));
+        let s = state(9, 9.0);
         let buf = slot.begin_save();
-        buf.assign_from(&state(9, 9.0));
+        buf.store(s.iteration, &s.x, &s.r, &s.p, s.rnorm_sq, &s.matrix);
         // Not committed: the live checkpoint is still the old one.
         assert_eq!(slot.latest().unwrap(), &state(1, 1.0));
         slot.commit();
@@ -168,15 +162,16 @@ mod tests {
         let mut slot = SnapshotSlot::new();
         assert_eq!(slot.retained_matrix_words(), 2); // two empty rowptrs
         let big = state(1, 1.0);
-        slot.save(&big);
-        slot.save(&big);
+        save(&mut slot, &big);
+        save(&mut slot, &big);
         let words = 2 * big.matrix.memory_words();
         assert_eq!(slot.retained_matrix_words(), words);
         // Smaller states reuse both buffers in place.
         let a = gen::tridiagonal(3, 4.0, -1.0).unwrap();
-        let small = SolverState::capture(2, &[0.0; 3], &[0.0; 3], &[0.0; 3], 0.0, &a);
-        slot.save(&small);
-        slot.save(&small);
+        let mut small = SolverState::empty();
+        small.store(2, &[0.0; 3], &[0.0; 3], &[0.0; 3], 0.0, &a);
+        save(&mut slot, &small);
+        save(&mut slot, &small);
         assert_eq!(slot.latest().unwrap(), &small);
         assert_eq!(slot.retained_matrix_words(), words);
     }

@@ -25,26 +25,6 @@ pub struct SolverState {
 }
 
 impl SolverState {
-    /// Captures a snapshot (clones everything — that cost is what `Tcp`
-    /// models).
-    pub fn capture(
-        iteration: usize,
-        x: &[f64],
-        r: &[f64],
-        p: &[f64],
-        rnorm_sq: f64,
-        matrix: &CsrMatrix,
-    ) -> Self {
-        Self {
-            iteration,
-            x: x.to_vec(),
-            r: r.to_vec(),
-            p: p.to_vec(),
-            rnorm_sq,
-            matrix: matrix.clone(),
-        }
-    }
-
     /// An empty placeholder state (`n = 0`), the starting point for a
     /// retained snapshot buffer that [`SolverState::store`] will size on
     /// first use.
@@ -59,11 +39,10 @@ impl SolverState {
         }
     }
 
-    /// Re-captures a snapshot *into this buffer*: the allocation-free
-    /// form of [`SolverState::capture`]. Contents end up bit-identical
-    /// to a fresh capture; the existing vector and matrix allocations
-    /// are reused whenever their capacity suffices (always, once the
-    /// buffer has seen this problem shape).
+    /// Captures a snapshot *into this buffer*. Contents end up
+    /// bit-identical to a fresh buffer's; the existing vector and matrix
+    /// allocations are reused whenever their capacity suffices (always,
+    /// once the buffer has seen this problem shape).
     pub fn store(
         &mut self,
         iteration: usize,
@@ -99,19 +78,6 @@ impl SolverState {
         self.rnorm_sq = rnorm_sq;
     }
 
-    /// `clone_from` that reuses this buffer's allocations (see
-    /// [`SolverState::store`]).
-    pub fn assign_from(&mut self, other: &SolverState) {
-        self.store(
-            other.iteration,
-            &other.x,
-            &other.r,
-            &other.p,
-            other.rnorm_sq,
-            &other.matrix,
-        );
-    }
-
     /// Number of `f64`-equivalent words the snapshot occupies (vectors +
     /// matrix arrays) — proportional to the checkpoint time `Tcp`.
     pub fn size_words(&self) -> usize {
@@ -129,10 +95,24 @@ mod tests {
     use super::*;
     use ftcg_sparse::gen;
 
+    /// A snapshot stored into a fresh buffer.
+    fn capture(
+        iteration: usize,
+        x: &[f64],
+        r: &[f64],
+        p: &[f64],
+        rnorm_sq: f64,
+        matrix: &CsrMatrix,
+    ) -> SolverState {
+        let mut s = SolverState::empty();
+        s.store(iteration, x, r, p, rnorm_sq, matrix);
+        s
+    }
+
     #[test]
     fn capture_clones_everything() {
         let a = gen::tridiagonal(4, 3.0, -1.0).unwrap();
-        let s = SolverState::capture(7, &[1.0; 4], &[2.0; 4], &[3.0; 4], 16.0, &a);
+        let s = capture(7, &[1.0; 4], &[2.0; 4], &[3.0; 4], 16.0, &a);
         assert_eq!(s.iteration, 7);
         assert_eq!(s.n(), 4);
         assert_eq!(s.rnorm_sq, 16.0);
@@ -142,14 +122,14 @@ mod tests {
     #[test]
     fn size_words_accounts_vectors_and_matrix() {
         let a = gen::tridiagonal(4, 3.0, -1.0).unwrap();
-        let s = SolverState::capture(0, &[0.0; 4], &[0.0; 4], &[0.0; 4], 0.0, &a);
+        let s = capture(0, &[0.0; 4], &[0.0; 4], &[0.0; 4], 0.0, &a);
         assert_eq!(s.size_words(), 12 + a.memory_words() + 2);
     }
 
     #[test]
     fn store_matches_capture_bit_for_bit() {
         let a = gen::tridiagonal(5, 4.0, -1.0).unwrap();
-        let fresh = SolverState::capture(3, &[1.5; 5], &[-2.0; 5], &[0.25; 5], 20.0, &a);
+        let fresh = capture(3, &[1.5; 5], &[-2.0; 5], &[0.25; 5], 20.0, &a);
         let mut retained = SolverState::empty();
         retained.store(3, &[1.5; 5], &[-2.0; 5], &[0.25; 5], 20.0, &a);
         assert_eq!(retained, fresh);
@@ -158,7 +138,7 @@ mod tests {
         retained.store(9, &[0.0; 5], &[1.0; 5], &[2.0; 5], 5.0, &b);
         assert_eq!(
             retained,
-            SolverState::capture(9, &[0.0; 5], &[1.0; 5], &[2.0; 5], 5.0, &b)
+            capture(9, &[0.0; 5], &[1.0; 5], &[2.0; 5], 5.0, &b)
         );
     }
 
@@ -177,19 +157,7 @@ mod tests {
         // Over a full state only the vectors change.
         st.store(0, &[0.0; 5], &[0.0; 5], &[0.0; 5], 0.0, &a);
         st.store_vectors(7, &[9.0; 5], &[8.0; 5], &[7.0; 5], 1.0);
-        assert_eq!(
-            st,
-            SolverState::capture(7, &[9.0; 5], &[8.0; 5], &[7.0; 5], 1.0, &a)
-        );
-    }
-
-    #[test]
-    fn assign_from_matches_clone() {
-        let a = gen::tridiagonal(4, 3.0, -1.0).unwrap();
-        let s = SolverState::capture(2, &[1.0; 4], &[2.0; 4], &[3.0; 4], 16.0, &a);
-        let mut buf = SolverState::empty();
-        buf.assign_from(&s);
-        assert_eq!(buf, s);
+        assert_eq!(st, capture(7, &[9.0; 5], &[8.0; 5], &[7.0; 5], 1.0, &a));
     }
 
     #[test]
@@ -203,7 +171,7 @@ mod tests {
     fn snapshot_is_independent_of_source() {
         let a = gen::tridiagonal(4, 3.0, -1.0).unwrap();
         let mut x = vec![1.0; 4];
-        let s = SolverState::capture(0, &x, &x, &x, 0.0, &a);
+        let s = capture(0, &x, &x, &x, 0.0, &a);
         x[0] = 99.0;
         assert_eq!(s.x[0], 1.0);
     }

@@ -2,7 +2,7 @@
 //! offline dependency set).
 
 /// Returns the value following `flag`, if present.
-pub fn value<'a>(args: &'a [String], flag: &str) -> Option<&'a str> {
+pub(crate) fn value<'a>(args: &'a [String], flag: &str) -> Option<&'a str> {
     args.iter()
         .position(|a| a == flag)
         .and_then(|i| args.get(i + 1))
@@ -12,7 +12,7 @@ pub fn value<'a>(args: &'a [String], flag: &str) -> Option<&'a str> {
 /// Parses the value following `flag`, falling back to `default` when
 /// the flag is absent; a present-yet-unparseable value errors instead
 /// of silently keeping the default.
-pub fn parse_strict<T: std::str::FromStr>(
+pub(crate) fn parse_strict<T: std::str::FromStr>(
     args: &[String],
     flag: &str,
     default: T,
@@ -36,7 +36,7 @@ const KERNEL_FLAGS: [&str; 2] = ["--kernel", "--kernels"];
 /// came from other parameters. `removed` flags of an earlier grammar
 /// fail with `successor` ("PR N: do X"), and so do `KERNEL_FLAGS`
 /// with theirs.
-pub fn check_flags(
+pub(crate) fn check_flags(
     args: &[String],
     value_flags: &[&str],
     switches: &[&str],
@@ -75,14 +75,14 @@ pub fn check_flags(
 /// Parses a fault rate: plain float (`0.0625`) or a fraction (`1/16`).
 /// One grammar for the whole workspace: delegates to the engine's
 /// spec parser.
-pub fn parse_alpha(s: &str) -> Option<f64> {
+pub(crate) fn parse_alpha(s: &str) -> Option<f64> {
     ftcg_engine::spec::parse_alpha(s).ok()
 }
 
 /// Collects positional (non-flag) arguments: everything that is not a
 /// `--flag` and not the value of one of the `value_flags`. Used by
 /// `ftcg merge`, whose journal paths are positional.
-pub fn positionals(args: &[String], value_flags: &[&str]) -> Vec<String> {
+pub(crate) fn positionals(args: &[String], value_flags: &[&str]) -> Vec<String> {
     let mut out = Vec::new();
     let mut skip = false;
     for a in args {
@@ -104,7 +104,7 @@ pub fn positionals(args: &[String], value_flags: &[&str]) -> Vec<String> {
 /// the whole workspace (`ftcg solve`, `ftcg stats`, and `ftcg
 /// campaign` all accept the same generators, including `paper:` via
 /// the sim resolver).
-pub fn matrix_source(args: &[String]) -> Result<ftcg_engine::MatrixSource, String> {
+pub(crate) fn matrix_source(args: &[String]) -> Result<ftcg_engine::MatrixSource, String> {
     if let Some(f) = value(args, "--matrix") {
         return Ok(ftcg_engine::MatrixSource::File(f.to_string()));
     }

@@ -135,7 +135,7 @@ fn compare(args: &[String]) -> Result<bool, String> {
 }
 
 /// `ftcg bench` entry point.
-pub fn bench(args: &[String]) -> i32 {
+pub(crate) fn bench(args: &[String]) -> i32 {
     let result = match args.first().map(String::as_str) {
         Some("record") => record(&args[1..]),
         Some("compare") => compare(&args[1..]),

@@ -26,7 +26,7 @@ use crate::args::{check_flags, matrix_source, parse_alpha, parse_strict, positio
 use crate::progress::ProgressLine;
 
 /// Top-level usage text.
-pub const USAGE: &str = "\
+pub(crate) const USAGE: &str = "\
 ftcg — fault-tolerant Conjugate Gradient (Fasi, Robert & Uçar, PDSEC 2015)
 
 USAGE:
@@ -240,7 +240,7 @@ const FIGURE1_FLAGS: [&str; 9] = [
 ];
 
 /// `ftcg solve`.
-pub fn solve(args: &[String]) -> Result<(), String> {
+pub(crate) fn solve(args: &[String]) -> Result<(), String> {
     check_flags(
         args,
         &SOLVE_FLAGS,
@@ -357,7 +357,7 @@ pub fn solve(args: &[String]) -> Result<(), String> {
 }
 
 /// `ftcg stats`.
-pub fn stats(args: &[String]) -> Result<(), String> {
+pub(crate) fn stats(args: &[String]) -> Result<(), String> {
     check_flags(args, &STATS_FLAGS, &[], &[], "")?;
     let a = load_matrix(args)?;
     let st = MatrixStats::compute(&a);
@@ -511,7 +511,7 @@ fn write_artifacts(
 }
 
 /// `ftcg campaign`.
-pub fn campaign(args: &[String]) -> Result<(), String> {
+pub(crate) fn campaign(args: &[String]) -> Result<(), String> {
     let cs = campaign_spec(args)?;
     let quiet = args.iter().any(|a| a == "--quiet");
     let resume = args.iter().any(|a| a == "--resume");
@@ -614,7 +614,7 @@ pub fn campaign(args: &[String]) -> Result<(), String> {
 }
 
 /// `ftcg merge` — folds shard journals into the campaign's artifacts.
-pub fn merge(args: &[String]) -> Result<(), String> {
+pub(crate) fn merge(args: &[String]) -> Result<(), String> {
     let cs = campaign_spec(args)?;
     // Journal paths are the positional arguments; every value flag
     // the campaign grammar understands is skipped with its value.
@@ -675,7 +675,7 @@ fn report_labels(cs: Option<&CampaignSpec>, meta: &TraceMeta) -> Result<Vec<Stri
 /// `ftcg report` — folds traces, metrics sidecars, and journals into
 /// per-configuration tables and reconciles trace counts against
 /// journal records.
-pub fn report(args: &[String]) -> Result<(), String> {
+pub(crate) fn report(args: &[String]) -> Result<(), String> {
     use std::collections::BTreeMap;
     check_flags(args, &REPORT_FLAGS, &[], &[], "")?;
     let spec = value(args, "--spec").map(read_spec_file).transpose()?;
@@ -803,7 +803,7 @@ pub fn report(args: &[String]) -> Result<(), String> {
 }
 
 /// `ftcg table1`.
-pub fn table1(args: &[String]) -> Result<(), String> {
+pub(crate) fn table1(args: &[String]) -> Result<(), String> {
     check_flags(args, &TABLE1_FLAGS, &[], &[], "")?;
     // Field order is evaluation order: every value is checked before
     // the `--*-dir` flags create their directories.
@@ -829,7 +829,7 @@ pub fn table1(args: &[String]) -> Result<(), String> {
 }
 
 /// `ftcg figure1`.
-pub fn figure1(args: &[String]) -> Result<(), String> {
+pub(crate) fn figure1(args: &[String]) -> Result<(), String> {
     check_flags(args, &FIGURE1_FLAGS, &[], &[], "")?;
     let points = parse_strict(args, "--points", 6)?;
     if points < 2 {

@@ -19,7 +19,7 @@ const REDRAW_MS: u64 = 100;
 
 /// Live stderr progress line for `ftcg campaign` (and anything else
 /// that runs jobs on the engine pool).
-pub struct ProgressLine {
+pub(crate) struct ProgressLine {
     started: Instant,
     /// Highest jobs-done count seen (callbacks may arrive out of
     /// order — see [`WorkerObserver`]).
@@ -34,7 +34,7 @@ pub struct ProgressLine {
 
 impl ProgressLine {
     /// A fresh line; the clock for throughput/ETA starts now.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         ProgressLine {
             started: Instant::now(),
             done: AtomicUsize::new(0),

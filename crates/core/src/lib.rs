@@ -58,7 +58,6 @@
 pub use ftcg_abft as abft;
 pub use ftcg_checkpoint as checkpoint;
 pub use ftcg_engine as engine;
-pub use ftcg_fault as fault;
 pub use ftcg_model as model;
 pub use ftcg_obs as obs;
 pub use ftcg_sim as sim;
@@ -66,11 +65,10 @@ pub use ftcg_solvers as solvers;
 pub use ftcg_sparse as sparse;
 pub use ftcg_telemetry as telemetry;
 
-use ftcg_checkpoint::ResilienceCosts;
 use ftcg_engine::inject::paper_injector;
 use ftcg_model::{CostProfile, Scheme};
 use ftcg_solvers::resilient::{solve_resilient, ResilientConfig, ResilientOutcome};
-use ftcg_solvers::{SolverKind, StoppingCriterion};
+use ftcg_solvers::SolverKind;
 use ftcg_sparse::CsrMatrix;
 
 /// Everything a typical user needs.
@@ -89,24 +87,19 @@ pub mod prelude {
 /// CG default; [`ResilientCg::solver`] swaps in PCG — both solvers
 /// compose with every scheme).
 ///
-/// Defaults: CG under ABFT-CORRECTION, model-optimal checkpoint
-/// interval for the configured fault rate, the scheme's
-/// [`CostProfile::DEFAULT`] resilience costs (the campaigns' profile, not
-/// the Table 1 / Figure 1 harness's [`CostProfile::PAPER_LIKE`]),
-/// relative 1e-8 stopping, no fault injection unless
-/// [`ResilientCg::fault_alpha`] is set.
+/// Defaults: CG under ABFT-CORRECTION, no fault injection unless
+/// [`ResilientCg::fault_alpha`] is set. Always: model-optimal intervals
+/// for the configured fault rate, the scheme's [`CostProfile::DEFAULT`]
+/// resilience costs (the campaigns' profile, not the Table 1 / Figure 1
+/// harness's [`CostProfile::PAPER_LIKE`]), relative 1e-8 stopping and
+/// the [`ResilientConfig`] iteration caps.
 #[derive(Debug, Clone)]
 pub struct ResilientCg<'a> {
     a: &'a CsrMatrix,
     scheme: Scheme,
     solver: SolverKind,
-    interval: Option<usize>,
-    verif_interval: Option<usize>,
-    costs: Option<ResilienceCosts>,
-    stopping: StoppingCriterion,
     alpha: Option<f64>,
     seed: u64,
-    max_iters: usize,
 }
 
 impl<'a> ResilientCg<'a> {
@@ -116,13 +109,8 @@ impl<'a> ResilientCg<'a> {
             a,
             scheme: Scheme::AbftCorrection,
             solver: SolverKind::Cg,
-            interval: None,
-            verif_interval: None,
-            costs: None,
-            stopping: StoppingCriterion::default_relative(),
             alpha: None,
             seed: 0,
-            max_iters: 10_000,
         }
     }
 
@@ -140,44 +128,6 @@ impl<'a> ResilientCg<'a> {
         self
     }
 
-    /// Fixes the checkpoint interval `s` (otherwise model-optimal).
-    ///
-    /// # Panics
-    /// Panics if `s == 0` (see
-    /// [`ResilientConfig::try_new`](ftcg_solvers::resilient::ResilientConfig::try_new)
-    /// for the typed rejection).
-    pub fn checkpoint_interval(mut self, s: usize) -> Self {
-        assert!(s >= 1, "checkpoint interval must be >= 1 (got 0)");
-        self.interval = Some(s);
-        self
-    }
-
-    /// Fixes the verification interval `d` (ONLINE-DETECTION only;
-    /// otherwise model-optimal).
-    ///
-    /// # Panics
-    /// Panics if `d == 0` (no silent clamp; see
-    /// [`ResilientConfig::validate`](ftcg_solvers::resilient::ResilientConfig::validate)
-    /// for the typed rejection).
-    pub fn verif_interval(mut self, d: usize) -> Self {
-        assert!(d >= 1, "verification interval must be >= 1 (got 0)");
-        self.verif_interval = Some(d);
-        self
-    }
-
-    /// Overrides the resilience cost parameters (planned and accounted),
-    /// whatever the scheme.
-    pub fn costs(mut self, costs: ResilienceCosts) -> Self {
-        self.costs = Some(costs);
-        self
-    }
-
-    /// Sets the stopping criterion.
-    pub fn stopping(mut self, stopping: StoppingCriterion) -> Self {
-        self.stopping = stopping;
-        self
-    }
-
     /// Enables fault injection at `alpha` expected faults per iteration.
     pub fn fault_alpha(mut self, alpha: f64) -> Self {
         assert!(alpha >= 0.0 && alpha.is_finite());
@@ -191,28 +141,12 @@ impl<'a> ResilientCg<'a> {
         self
     }
 
-    /// Caps the productive iteration count.
-    pub fn max_iters(mut self, n: usize) -> Self {
-        self.max_iters = n;
-        self
-    }
-
     /// Resolves the configuration this builder would run with.
     pub fn config(&self) -> ResilientConfig {
-        let costs = self
-            .costs
-            .unwrap_or_else(|| CostProfile::DEFAULT.for_scheme(self.scheme));
+        let costs = CostProfile::DEFAULT.for_scheme(self.scheme);
         let alpha = self.alpha.unwrap_or(0.0);
         let mut cfg = ResilientConfig::model_optimal(self.scheme, alpha, costs);
-        if let Some(s) = self.interval {
-            cfg.checkpoint_interval = s;
-        }
-        if let (Scheme::OnlineDetection, Some(d)) = (self.scheme, self.verif_interval) {
-            cfg.verif_interval = d;
-        }
         cfg.solver = self.solver;
-        cfg.stopping = self.stopping;
-        cfg.max_productive_iters = self.max_iters;
         cfg
     }
 
@@ -305,27 +239,12 @@ mod tests {
     fn costs_do_not_depend_on_call_order() {
         let a = gen::random_spd(100, 0.05, 3).unwrap();
         let plain = ResilientCg::new(&a).fault_alpha(1.0 / 16.0);
-        // Leaving ONLINE-DETECTION restores the ABFT costs...
+        // Leaving ONLINE-DETECTION restores the ABFT costs.
         let back = plain
             .clone()
             .scheme(Scheme::OnlineDetection)
             .scheme(Scheme::AbftCorrection);
         assert_eq!(back.config(), plain.config());
-        // ...and choosing a scheme keeps explicitly set costs.
-        let c = ResilienceCosts::new(1.0, 3.0, 0.5);
-        let online = plain.costs(c).scheme(Scheme::OnlineDetection).config();
-        assert_eq!(online.costs, c);
-    }
-
-    #[test]
-    fn explicit_intervals_respected() {
-        let a = gen::random_spd(80, 0.05, 4).unwrap();
-        let cfg = ResilientCg::new(&a)
-            .checkpoint_interval(7)
-            .verif_interval(3)
-            .fault_alpha(0.05)
-            .config();
-        assert_eq!(cfg.checkpoint_interval, 7);
     }
 
     #[test]

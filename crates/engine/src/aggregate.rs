@@ -17,7 +17,7 @@ use crate::grid::ConfigJob;
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct JobMetrics {
     /// Simulated time (`Titer` units).
-    pub simulated_time: f64,
+    pub(crate) simulated_time: f64,
     /// Total executed iterations (including re-execution).
     pub executed_iterations: usize,
     /// Rollbacks performed.
@@ -58,9 +58,9 @@ pub struct SummaryStats {
     /// Maximum.
     pub max: f64,
     /// Median (nearest-rank on the sorted sample).
-    pub p50: f64,
+    pub(crate) p50: f64,
     /// 90th percentile (nearest-rank).
-    pub p90: f64,
+    pub(crate) p90: f64,
 }
 
 impl SummaryStats {
@@ -76,7 +76,7 @@ impl SummaryStats {
     /// the upper percentiles) visibly instead of aborting. The campaign
     /// layer keeps NaN out entirely by journaling NaN-poisoned
     /// repetitions as failures.
-    pub fn from_values(values: &[f64]) -> SummaryStats {
+    pub(crate) fn from_values(values: &[f64]) -> SummaryStats {
         if values.is_empty() {
             return SummaryStats {
                 mean: 0.0,
@@ -112,11 +112,11 @@ impl SummaryStats {
 #[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct ConfigSummary {
     /// Campaign name.
-    pub campaign: String,
+    pub(crate) campaign: String,
     /// Matrix label.
     pub matrix: String,
     /// Matrix order.
-    pub n: usize,
+    pub(crate) n: usize,
     /// Scheme name (paper spelling, e.g. `ABFT-CORRECTION`).
     pub scheme: String,
     /// Solver label (`cg`, `pcg`).
@@ -129,7 +129,7 @@ pub struct ConfigSummary {
     pub d: usize,
     /// SpMV label, always `csr` (every product is the CSR traversal);
     /// kept so the summary format does not change.
-    pub kernel: String,
+    pub(crate) kernel: String,
     /// Repetitions that completed (requested minus panicked).
     pub reps: usize,
     /// Repetitions lost to panics.
@@ -137,11 +137,11 @@ pub struct ConfigSummary {
     /// Simulated execution time.
     pub time: SummaryStats,
     /// Executed iterations.
-    pub executed: SummaryStats,
+    pub(crate) executed: SummaryStats,
     /// Mean rollbacks per repetition.
     pub mean_rollbacks: f64,
     /// Mean forward corrections per repetition.
-    pub mean_corrections: f64,
+    pub(crate) mean_corrections: f64,
     /// Mean injected faults per repetition.
     pub mean_faults: f64,
     /// Fraction of completed repetitions that converged.

@@ -41,8 +41,6 @@ use crate::EngineError;
 /// The outcome of a campaign run.
 #[derive(Debug, Clone)]
 pub struct CampaignResult {
-    /// Campaign name.
-    pub name: String,
     /// Per-configuration summaries, in grid order.
     pub summaries: Vec<ConfigSummary>,
     /// Jobs executed (configurations × repetitions).
@@ -421,7 +419,6 @@ pub fn fold_outcome(
     let outcome = outcome.borrow();
     let (summaries, panics) = fold_records(name, reps, configs, &outcome.records)?;
     Ok(CampaignResult {
-        name: name.to_string(),
         summaries,
         total_jobs: outcome.manifest.total_jobs,
         panics,
@@ -505,7 +502,6 @@ pub fn merge_journals(
     let records = journal::union(paths, campaign)?;
     let (summaries, panics) = fold_records(&spec.name, spec.reps, &configs, &records)?;
     Ok(CampaignResult {
-        name: spec.name.clone(),
         summaries,
         total_jobs: total,
         panics,

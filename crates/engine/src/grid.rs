@@ -16,7 +16,7 @@ pub struct ConfigKey {
     /// Matrix label (the source spec string).
     pub matrix: String,
     /// Matrix order actually used.
-    pub n: usize,
+    pub(crate) n: usize,
     /// Resilience scheme.
     pub scheme: Scheme,
     /// Solver iterating under the protocol.
@@ -26,7 +26,7 @@ pub struct ConfigKey {
     /// Checkpoint interval `s`.
     pub s: usize,
     /// Verification interval `d`.
-    pub d: usize,
+    pub(crate) d: usize,
 }
 
 /// Which fault model drives a configuration's injector.
@@ -52,7 +52,7 @@ pub struct ConfigJob {
     /// Solver/recovery configuration.
     pub cfg: ResilientConfig,
     /// Fault model.
-    pub injector: InjectorSpec,
+    pub(crate) injector: InjectorSpec,
     /// Seed-derivation coordinate; `None` means "this config's own grid
     /// index". [`expand`] sets a *solver-free* coordinate so every
     /// solver variant at the same (matrix, scheme, α) point draws
@@ -113,7 +113,7 @@ pub fn plan_config(
 }
 
 /// Deterministic default right-hand side (same shape the benches use).
-pub fn default_rhs(n: usize) -> Vec<f64> {
+pub(crate) fn default_rhs(n: usize) -> Vec<f64> {
     (0..n).map(|i| 1.0 + (i as f64 * 0.23).sin()).collect()
 }
 

@@ -1,71 +1,5 @@
-//! The experiment fault-injector configurations (moved here from
-//! `ftcg-sim`, which re-exports them, so that any engine campaign can
-//! use the paper's exact fault model without depending on the harness).
+//! The experiment fault-injector recipes, re-exported from `ftcg-fault`
+//! so any engine campaign (and the benchmark) reaches them under
+//! `ftcg_engine::inject`.
 
-use ftcg_fault::target::MemoryLayout;
-use ftcg_fault::{BitRange, FaultRate, Injector, InjectorConfig};
-use ftcg_sparse::CsrMatrix;
-
-/// The memory layout / fault rate used by all experiments: matrix arrays
-/// plus the four CG vectors, `α` faults per iteration in expectation.
-pub fn paper_injector(a: &CsrMatrix, alpha: f64, seed: u64) -> Injector {
-    let layout = MemoryLayout::with_vectors(a.nnz(), a.n_rows());
-    let rate = FaultRate::from_alpha(alpha, layout.total_words());
-    let cfg = InjectorConfig {
-        rate,
-        value_bits: BitRange::Full,
-        index_bits: BitRange::for_index_bound(a.n_cols().max(a.nnz() + 1)),
-        include_vectors: true,
-    };
-    Injector::for_matrix(cfg, a, seed)
-}
-
-/// A calibrated injector for model-validation experiments: faults strike
-/// the matrix arrays only, and value flips are confined to the top bits,
-/// so every fault is large and detectable — matching the abstract
-/// model's assumption that any error in a chunk is caught by the
-/// verification (ablation A4).
-pub fn calibrated_injector(a: &CsrMatrix, alpha: f64, seed: u64) -> Injector {
-    let layout = MemoryLayout::matrix_only(a.nnz(), a.n_rows());
-    let rate = FaultRate::from_alpha(alpha, layout.total_words());
-    let cfg = InjectorConfig {
-        rate,
-        value_bits: BitRange::High(12),
-        index_bits: BitRange::for_index_bound(a.n_cols().max(a.nnz() + 1)),
-        include_vectors: false,
-    };
-    Injector::for_matrix(cfg, a, seed)
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use ftcg_sparse::gen;
-
-    #[test]
-    fn paper_injector_matches_alpha() {
-        let a = gen::random_spd(60, 0.05, 1).unwrap();
-        let inj = paper_injector(&a, 0.125, 3);
-        assert!((inj.alpha() - 0.125).abs() < 1e-12);
-    }
-
-    #[test]
-    fn calibrated_injector_is_matrix_only() {
-        let a = gen::random_spd(60, 0.05, 2).unwrap();
-        let layout = calibrated_injector(&a, 0.125, 3).layout();
-        assert_eq!(
-            layout.total_words(),
-            MemoryLayout::matrix_only(a.nnz(), a.n_rows()).total_words()
-        );
-    }
-
-    #[test]
-    fn same_seed_same_plan() {
-        let a = gen::random_spd(80, 0.05, 3).unwrap();
-        let mut i1 = paper_injector(&a, 0.5, 77);
-        let mut i2 = paper_injector(&a, 0.5, 77);
-        for _ in 0..50 {
-            assert_eq!(i1.plan_iteration(), i2.plan_iteration());
-        }
-    }
-}
+pub use ftcg_fault::{calibrated_injector, paper_injector};

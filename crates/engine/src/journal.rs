@@ -58,7 +58,7 @@ impl Shard {
     }
 
     /// The job indices this shard owns, out of `total` jobs.
-    pub fn job_indices(&self, total: usize) -> Vec<usize> {
+    pub(crate) fn job_indices(&self, total: usize) -> Vec<usize> {
         (self.index..total).step_by(self.count).collect()
     }
 
@@ -216,7 +216,7 @@ fn read_f64(v: &Value) -> Option<f64> {
 }
 
 /// Renders one job record as a JSONL line (without the newline).
-pub fn record_line(job: usize, record: &JobRecord) -> String {
+pub(crate) fn record_line(job: usize, record: &JobRecord) -> String {
     match record {
         JobRecord::Done(m) => format!(
             "{{\"job\":{job},\"time\":{},\"executed\":{},\"rollbacks\":{},\
@@ -331,7 +331,7 @@ impl JournalWriter {
     /// Opens a journal under the log open rule (resume requires the
     /// same campaign *and* shard); with `resume`, also returns the
     /// records that survived, in file order.
-    pub fn open(
+    pub(crate) fn open(
         path: &Path,
         manifest: &Manifest,
         resume: bool,

@@ -25,20 +25,20 @@
 //!   [`ConfigJob`]s (model-optimal or fixed intervals per point);
 //! * [`seedstream`] — SplitMix-style derivation of independent per-job
 //!   RNG seeds from one campaign seed;
-//! * [`pool`] — the work-stealing executor with per-job panic
+//! * `pool` — the work-stealing executor with per-job panic
 //!   isolation, progress callbacks and per-worker contexts;
-//! * [`workspace`] — [`JobWorkspace`]: per-worker reusable solve memory
+//! * `workspace` — `JobWorkspace`: per-worker reusable solve memory
 //!   (solver machines, pooled matrix images, checkpoint slots) reset
 //!   bit-identically per repetition;
 //! * [`inject`] — the paper's fault-injector configurations;
-//! * [`aggregate`] — per-configuration statistics
+//! * `aggregate` — per-configuration statistics
 //!   (mean/std/min/max/percentiles, convergence and correction rates);
 //! * [`sink`] — deterministic JSONL and CSV renderers: the same spec
 //!   and seed always produce byte-identical artifacts;
 //! * [`journal`] — the job-journal record format (a durable log of
 //!   `ftcg_telemetry::log`), `i/k` job-space shards, and the grid
 //!   fingerprint that rejects stale journals;
-//! * [`campaign`] — the orchestration entry points
+//! * `campaign` — the orchestration entry points
 //!   [`run_campaign`] and [`run_configs`], the journaled/shardable
 //!   [`run_campaign_sharded`], and the deterministic
 //!   [`merge_journals`] fold.
@@ -63,29 +63,26 @@
 
 #![warn(missing_docs)]
 
-pub mod aggregate;
-pub mod campaign;
+mod aggregate;
+mod campaign;
 pub mod grid;
 pub mod inject;
 pub mod journal;
-pub mod pool;
+mod pool;
 pub mod seedstream;
 pub mod sink;
 pub mod spec;
-pub mod workspace;
+mod workspace;
 
-pub use aggregate::{ConfigSummary, JobMetrics, SummaryStats};
+pub use aggregate::ConfigSummary;
 pub use campaign::{
     fold_outcome, fold_records, merge_journals, run_campaign, run_campaign_sharded, run_configs,
-    run_configs_sharded, CampaignResult, RunOptions, ShardOutcome,
+    run_configs_sharded, CampaignResult, RunOptions,
 };
-pub use grid::{plan_config, ConfigJob, ConfigKey, InjectorSpec};
-pub use journal::{JobRecord, Journal, JournalWriter, Manifest, Shard};
-pub use pool::{
-    run_indexed, run_indexed_ctx, run_indices_ctx, JobPanic, ProgressFn, WorkerObserver,
-};
+pub use grid::{ConfigJob, InjectorSpec};
+pub use journal::{JobRecord, Journal, JournalWriter, Shard};
+pub use pool::WorkerObserver;
 pub use spec::{CampaignSpec, DefaultResolver, IntervalPolicy, MatrixResolver, MatrixSource};
-pub use workspace::JobWorkspace;
 
 /// Everything a typical engine user needs.
 pub mod prelude {

@@ -14,11 +14,11 @@ use parking_lot::Mutex;
 
 /// A job that panicked, with the extracted panic message.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct JobPanic {
+pub(crate) struct JobPanic {
     /// Index of the failed job.
-    pub job: usize,
+    pub(crate) job: usize,
     /// Panic payload rendered to text.
-    pub message: String,
+    pub(crate) message: String,
 }
 
 /// Observer notified from worker threads as the job stream progresses.
@@ -52,30 +52,23 @@ impl<F: Fn(usize, usize) + Sync> WorkerObserver for F {
 /// Progress callback: [`WorkerObserver::job_done`] is invoked with
 /// `(jobs_done, jobs_total)` after every job completion from whichever
 /// worker finished it.
-pub type ProgressFn<'a> = &'a (dyn WorkerObserver + 'a);
+pub(crate) type ProgressFn<'a> = &'a (dyn WorkerObserver + 'a);
 
-/// Runs `n_jobs` jobs across `threads` workers; `job(i)` produces the
-/// result of job `i`. Results come back indexed (scheduling order never
-/// leaks into the output), with panics isolated per job.
-pub fn run_indexed<T, F>(
-    threads: usize,
-    n_jobs: usize,
-    job: F,
-    progress: Option<ProgressFn<'_>>,
-) -> Vec<Result<T, JobPanic>>
-where
-    T: Send,
-    F: Fn(usize) -> T + Sync,
-{
-    run_indexed_ctx(threads, n_jobs, || (), |(), i| job(i), progress)
-}
-
-/// [`run_indexed`] with a **per-worker context**: each worker thread
-/// builds one `C` via `make_ctx` when it starts and threads it mutably
-/// through every job it executes. This is how per-worker reusable
-/// memory (e.g. `JobWorkspace` and its solver arenas) survives the
-/// whole job stream without crossing threads — `C` never leaves the
-/// worker that built it, so it needs neither `Send` nor `Sync`.
+/// Runs one job per entry of `indices` (the job's global index) across
+/// `threads` workers; `job(ctx, i)` produces the result of job `i`.
+/// Results come back aligned with `indices` (scheduling order never
+/// leaks into the output), with panics isolated per job. This is the
+/// scheduler primitive behind `--shard` (a process runs only the indices
+/// its shard owns) and `--resume` (only the indices with no journal
+/// record yet) — the job's identity, and therefore its derived seed and
+/// its result, is the global index, never the queue position.
+///
+/// Each worker thread builds one **per-worker context** `C` via
+/// `make_ctx` when it starts and threads it mutably through every job it
+/// executes. This is how per-worker reusable memory (e.g. `JobWorkspace`
+/// and its solver arenas) survives the whole job stream without crossing
+/// threads — `C` never leaves the worker that built it, so it needs
+/// neither `Send` nor `Sync`.
 ///
 /// Correctness note: because jobs are work-stolen, *which* context a
 /// job sees is scheduling-dependent. Contexts must therefore never leak
@@ -84,34 +77,11 @@ where
 /// `parallel_equals_serial`-style tests pin). A job that panics may
 /// leave its context dirty; the next checkout overwrites every buffer
 /// it uses, so the worker keeps going on the same context.
-pub fn run_indexed_ctx<T, C, M, F>(
-    threads: usize,
-    n_jobs: usize,
-    make_ctx: M,
-    job: F,
-    progress: Option<ProgressFn<'_>>,
-) -> Vec<Result<T, JobPanic>>
-where
-    T: Send,
-    M: Fn() -> C + Sync,
-    F: Fn(&mut C, usize) -> T + Sync,
-{
-    let indices: Vec<usize> = (0..n_jobs).collect();
-    run_indices_ctx(threads, &indices, make_ctx, job, progress)
-}
-
-/// [`run_indexed_ctx`] over an arbitrary *subset* of the job index
-/// space: `job` is invoked once per entry of `indices` (the job's
-/// global index), and results come back aligned with `indices`. This is
-/// the scheduler primitive behind `--shard` (a process runs only the
-/// indices its shard owns) and `--resume` (only the indices with no
-/// journal record yet) — the job's identity, and therefore its derived
-/// seed and its result, is the global index, never the queue position.
 #[expect(
     clippy::expect_used,
     reason = "re-raise: per-job panics are caught and journaled by catch_unwind; a panic outside a job means the pool itself is broken and must propagate"
 )]
-pub fn run_indices_ctx<T, C, M, F>(
+pub(crate) fn run_indices_ctx<T, C, M, F>(
     threads: usize,
     indices: &[usize],
     make_ctx: M,
@@ -188,7 +158,7 @@ where
 
 /// Resolves a thread-count request: 0 means all available cores, and
 /// never more workers than jobs.
-pub fn effective_threads(requested: usize, n_jobs: usize) -> usize {
+pub(crate) fn effective_threads(requested: usize, n_jobs: usize) -> usize {
     let available = std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1);
@@ -213,9 +183,13 @@ pub(crate) fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 mod tests {
     use super::*;
 
+    fn all(n_jobs: usize) -> Vec<usize> {
+        (0..n_jobs).collect()
+    }
+
     #[test]
     fn results_are_indexed_not_scheduled() {
-        let out = run_indexed(4, 100, |i| i * i, None);
+        let out = run_indices_ctx(4, &all(100), || (), |(), i| i * i, None);
         for (i, r) in out.iter().enumerate() {
             assert_eq!(*r.as_ref().unwrap(), i * i);
         }
@@ -223,10 +197,11 @@ mod tests {
 
     #[test]
     fn panics_are_isolated() {
-        let out = run_indexed(
+        let out = run_indices_ctx(
             3,
-            10,
-            |i| {
+            &all(10),
+            || (),
+            |(), i| {
                 if i == 4 {
                     panic!("job four exploded");
                 }
@@ -248,13 +223,13 @@ mod tests {
             assert!(done <= total);
             max_seen.fetch_max(done, Ordering::SeqCst);
         };
-        run_indexed(2, 17, |i| i, Some(&record));
+        run_indices_ctx(2, &all(17), || (), |(), i| i, Some(&record));
         assert_eq!(max_seen.load(Ordering::SeqCst), 17);
     }
 
     #[test]
     fn zero_jobs_is_fine() {
-        let out = run_indexed(4, 0, |i| i, None);
+        let out = run_indices_ctx(4, &all(0), || (), |(), i| i, None);
         assert!(out.is_empty());
     }
 
@@ -280,9 +255,9 @@ mod tests {
                 self.totals.lock().push(self.ran);
             }
         }
-        let out = run_indexed_ctx(
+        let out = run_indices_ctx(
             3,
-            40,
+            &all(40),
             || Ctx {
                 ran: 0,
                 totals: &totals,
@@ -303,9 +278,9 @@ mod tests {
 
     #[test]
     fn ctx_survives_a_panicking_job() {
-        let out = run_indexed_ctx(
+        let out = run_indices_ctx(
             1,
-            5,
+            &all(5),
             || 0usize,
             |ran, i| {
                 *ran += 1;
@@ -348,7 +323,7 @@ mod tests {
 
     #[test]
     fn single_thread_still_completes_all() {
-        let out = run_indexed(1, 25, |i| i + 1, None);
+        let out = run_indices_ctx(1, &all(25), || (), |(), i| i + 1, None);
         assert!(out
             .iter()
             .enumerate()

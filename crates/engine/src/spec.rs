@@ -101,7 +101,7 @@ impl MatrixSource {
     }
 
     /// Canonical label used in config keys and reports.
-    pub fn label(&self) -> String {
+    pub(crate) fn label(&self) -> String {
         match self {
             MatrixSource::Poisson2d(k) => format!("poisson2d:{k}"),
             MatrixSource::Poisson3d(k) => format!("poisson3d:{k}"),
@@ -280,7 +280,7 @@ impl CampaignSpec {
     }
 
     /// Parses the key=value format.
-    pub fn parse_key_value(text: &str) -> Result<CampaignSpec, EngineError> {
+    pub(crate) fn parse_key_value(text: &str) -> Result<CampaignSpec, EngineError> {
         let mut spec = CampaignSpec::default();
         // Keys seen so far, with their 1-based line numbers.
         let mut seen: Vec<(&str, usize)> = Vec::new();
@@ -309,7 +309,7 @@ impl CampaignSpec {
     }
 
     /// Parses the JSON object format.
-    pub fn parse_json(text: &str) -> Result<CampaignSpec, EngineError> {
+    pub(crate) fn parse_json(text: &str) -> Result<CampaignSpec, EngineError> {
         let v = json::parse(text).map_err(|e| EngineError::Spec(e.to_string()))?;
         let Value::Obj(pairs) = &v else {
             return Err(EngineError::Spec("top-level JSON must be an object".into()));

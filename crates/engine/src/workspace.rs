@@ -2,7 +2,7 @@
 //!
 //! The campaign pool gives every worker thread one `JobWorkspace` for
 //! the lifetime of the job stream (see
-//! [`run_indexed_ctx`](crate::pool::run_indexed_ctx)). Each repetition
+//! [`run_indices_ctx`](crate::pool::run_indices_ctx)). Each repetition
 //! draws its solver machine, corruptible matrix image, checkpoint slot
 //! and ABFT shadows from the workspace instead of allocating them —
 //! across a campaign of thousands of repetitions this removes the
@@ -35,14 +35,9 @@ pub struct JobWorkspace {
 }
 
 impl JobWorkspace {
-    /// An empty workspace; buffers are retained as job shapes are seen.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
     /// An empty workspace stamped with the owning worker's ordinal
     /// (used only to label metrics-sidecar span records).
-    pub fn for_worker(worker: u64) -> Self {
+    pub(crate) fn for_worker(worker: u64) -> Self {
         JobWorkspace {
             worker,
             ..Self::default()
@@ -50,13 +45,13 @@ impl JobWorkspace {
     }
 
     /// The owning worker's ordinal (0 for single-context use).
-    pub fn worker(&self) -> u64 {
+    pub(crate) fn worker(&self) -> u64 {
         self.worker
     }
 
     /// The solver-side arena to pass to
     /// [`ftcg_solvers::resilient::solve_resilient_in`].
-    pub fn solver_workspace(&mut self) -> &mut SolverWorkspace {
+    pub(crate) fn solver_workspace(&mut self) -> &mut SolverWorkspace {
         &mut self.solver
     }
 
@@ -64,14 +59,14 @@ impl JobWorkspace {
     /// event ring and histograms) on first use and retained for the
     /// rest of the job stream. Instrumented campaigns `reset` it per
     /// job; uninstrumented ones never pay for it.
-    pub fn recorder(&mut self) -> &mut ActiveRecorder {
+    pub(crate) fn recorder(&mut self) -> &mut ActiveRecorder {
         self.recorder.get_or_insert_with(ActiveRecorder::new)
     }
 
     /// Both arenas at once — the shape
     /// [`solve_resilient_recorded`](ftcg_solvers::resilient::solve_resilient_recorded)
     /// wants (split borrows of one workspace).
-    pub fn solver_and_recorder(&mut self) -> (&mut SolverWorkspace, &mut ActiveRecorder) {
+    pub(crate) fn solver_and_recorder(&mut self) -> (&mut SolverWorkspace, &mut ActiveRecorder) {
         (
             &mut self.solver,
             self.recorder.get_or_insert_with(ActiveRecorder::new),

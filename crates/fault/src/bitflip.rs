@@ -23,7 +23,7 @@ pub enum BitRange {
 
 impl BitRange {
     /// Number of candidate bit positions.
-    pub fn width(&self) -> u32 {
+    pub(crate) fn width(&self) -> u32 {
         match *self {
             BitRange::Full => 64,
             BitRange::Low(k) | BitRange::High(k) => k.min(64),
@@ -31,7 +31,7 @@ impl BitRange {
     }
 
     /// Maps a draw in `0..width()` to an actual bit position.
-    pub fn position(&self, draw: u32) -> u32 {
+    pub(crate) fn position(&self, draw: u32) -> u32 {
         debug_assert!(draw < self.width());
         match *self {
             BitRange::Full | BitRange::Low(_) => draw,
@@ -42,7 +42,7 @@ impl BitRange {
     /// The smallest range that still lets a flip reach any valid index in
     /// `0..bound`, plus one spare bit so flips can also *increase* an index
     /// past the bound (detectable case).
-    pub fn for_index_bound(bound: usize) -> BitRange {
+    pub(crate) fn for_index_bound(bound: usize) -> BitRange {
         let bits = usize::BITS - bound.next_power_of_two().leading_zeros();
         BitRange::Low((bits + 1).min(64))
     }

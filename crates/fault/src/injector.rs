@@ -36,25 +36,11 @@ pub struct InjectorConfig {
     /// Bits eligible in `f64` targets (`Val` and vectors).
     pub value_bits: BitRange,
     /// Bits eligible in index targets (`Colid`, `Rowidx`); pass
-    /// [`BitRange::for_index_bound`] to keep most flips in-bounds.
+    /// `BitRange::for_index_bound` to keep most flips in-bounds.
     pub index_bits: BitRange,
     /// Whether vector words are corruptible (matrix-only mode for kernel
     /// micro-experiments).
     pub include_vectors: bool,
-}
-
-impl InjectorConfig {
-    /// Paper-default configuration for a given matrix: full 64-bit flips
-    /// on values, index flips confined near the valid range, vectors
-    /// included.
-    pub fn paper_default(rate: FaultRate, a: &CsrMatrix) -> Self {
-        Self {
-            rate,
-            value_bits: BitRange::Full,
-            index_bits: BitRange::for_index_bound(a.n_cols().max(a.nnz() + 1)),
-            include_vectors: true,
-        }
-    }
 }
 
 /// Stateful fault injector with a deterministic seeded RNG.
@@ -67,7 +53,7 @@ pub struct Injector {
 
 impl Injector {
     /// Creates an injector for a matrix of the given dimensions.
-    pub fn new(config: InjectorConfig, nnz: usize, n: usize, seed: u64) -> Self {
+    pub(crate) fn new(config: InjectorConfig, nnz: usize, n: usize, seed: u64) -> Self {
         let layout = if config.include_vectors {
             MemoryLayout::with_vectors(nnz, n)
         } else {
@@ -83,16 +69,6 @@ impl Injector {
     /// Convenience constructor reading dimensions off the matrix.
     pub fn for_matrix(config: InjectorConfig, a: &CsrMatrix, seed: u64) -> Self {
         Self::new(config, a.nnz(), a.n_rows(), seed)
-    }
-
-    /// The memory layout this injector draws over.
-    pub fn layout(&self) -> MemoryLayout {
-        self.layout
-    }
-
-    /// Expected faults per iteration.
-    pub fn alpha(&self) -> f64 {
-        self.config.rate.per_iteration()
     }
 
     /// Draws the fault plan for one iteration: a Poisson(`α`) number of
@@ -152,10 +128,7 @@ mod tests {
 
     fn setup(alpha: f64, seed: u64) -> (CsrMatrix, Injector) {
         let a = gen::random_spd(50, 0.05, 1).unwrap();
-        let layout = MemoryLayout::with_vectors(a.nnz(), a.n_rows());
-        let rate = FaultRate::from_alpha(alpha, layout.total_words());
-        let cfg = InjectorConfig::paper_default(rate, &a);
-        let inj = Injector::for_matrix(cfg, &a, seed);
+        let inj = crate::paper_injector(&a, alpha, seed);
         (a, inj)
     }
 

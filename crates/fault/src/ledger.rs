@@ -8,11 +8,11 @@ use crate::injector::FaultEvent;
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FaultRecord {
     /// Global iteration index at which the fault was injected.
-    pub iteration: usize,
+    pub(crate) iteration: usize,
     /// The injected event.
     pub event: FaultEvent,
     /// How the scheme handled it (filled in post hoc).
-    pub outcome: FaultOutcome,
+    pub(crate) outcome: FaultOutcome,
 }
 
 /// The resolution of an injected fault.
@@ -24,7 +24,12 @@ pub enum FaultOutcome {
     Corrected,
     /// Detected; execution rolled back to a checkpoint.
     RolledBack,
-    /// Never detected (below the floating-point tolerance).
+    /// Never detected. The resilient executor's end-of-run sweep marks
+    /// every fault still pending when the solve ends this way, so the
+    /// variant holds harmless faults (masked below the floating-point
+    /// tolerance, or overwritten before they were read) and faults that
+    /// silently corrupted the result alike; telling them apart is the
+    /// fault-outcome oracle of ROADMAP.md, item 5.
     Undetected,
 }
 
@@ -43,7 +48,8 @@ pub struct LedgerSummary {
     pub corrected: usize,
     /// Faults resolved by rollback.
     pub rolled_back: usize,
-    /// Faults never detected.
+    /// Faults never detected: whatever was still pending at the end of
+    /// the run, harmless or not (see [`FaultOutcome::Undetected`]).
     pub undetected: usize,
     /// Faults still pending classification.
     pub pending: usize,

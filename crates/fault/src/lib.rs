@@ -30,15 +30,15 @@
 #![warn(missing_docs)]
 
 pub mod bitflip;
+mod inject;
 pub mod injector;
 pub mod ledger;
-pub mod mtbf;
-pub mod process;
+mod mtbf;
+mod process;
 pub mod target;
 
 pub use bitflip::BitRange;
-pub use injector::{FaultEvent, Injector, InjectorConfig};
-pub use ledger::{FaultLedger, LedgerSummary};
+pub use inject::{calibrated_injector, paper_injector};
+pub use injector::{FaultEvent, Injector};
 pub use mtbf::FaultRate;
-pub use process::{poisson_count, sample_exponential, POISSON_COUNT_CAP, POISSON_MAX_MEAN};
 pub use target::FaultTarget;

@@ -10,9 +10,9 @@
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FaultRate {
     /// Expected faults per iteration (`α`).
-    pub alpha: f64,
+    pub(crate) alpha: f64,
     /// Memory footprint in words (`M`).
-    pub memory_words: usize,
+    pub(crate) memory_words: usize,
 }
 
 impl FaultRate {
@@ -30,7 +30,7 @@ impl FaultRate {
 
     /// Expected faults per iteration (`α`) — the total process rate with
     /// `Titer` normalized to 1, i.e. the `λ` of the performance model.
-    pub fn per_iteration(&self) -> f64 {
+    pub(crate) fn per_iteration(&self) -> f64 {
         self.alpha
     }
 }

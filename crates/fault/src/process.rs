@@ -3,37 +3,25 @@
 //! The paper assumes exponentially distributed fault inter-arrival times
 //! (Section 4.1), equivalently a Poisson process: the probability of
 //! exactly `k` errors in time `T` is `(λT)^k/k! · e^{−λT}` (Section 4.2.3).
-//! `rand_distr` is not in the allowed offline dependency set, so the two
-//! samplers are implemented directly (inverse CDF and Knuth's product
-//! method — the per-iteration means here are ≤ 1, where Knuth's method is
-//! both exact and fast).
+//! `rand_distr` is not in the allowed offline dependency set, so the
+//! Poisson sampler is implemented directly (Knuth's product method — the
+//! per-iteration means here are ≤ 1, where it is both exact and fast).
 
 use rand::rngs::StdRng;
 use rand::RngExt;
-
-/// Draws an `Exp(rate)` variate via inverse CDF: `−ln(1−U)/rate`.
-///
-/// # Panics
-/// Panics if `rate <= 0` or not finite.
-pub fn sample_exponential(rng: &mut StdRng, rate: f64) -> f64 {
-    assert!(rate > 0.0 && rate.is_finite(), "rate must be positive");
-    let u: f64 = rng.random();
-    // 1 − u ∈ (0, 1]; ln of it is finite and ≤ 0.
-    -(1.0 - u).ln() / rate
-}
 
 /// Largest `mean` accepted by [`poisson_count`]. Knuth's product method
 /// is exact but O(mean); beyond this bound the iteration cap below
 /// could truncate *legitimate* draws, so large means are rejected up
 /// front instead of silently clipped (the fault model's per-iteration
 /// means are `α ≤ 1`, three orders of magnitude below the bound).
-pub const POISSON_MAX_MEAN: f64 = 1024.0;
+pub(crate) const POISSON_MAX_MEAN: f64 = 1024.0;
 
 /// Iteration cap of [`poisson_count`]. For any accepted `mean ≤`
 /// [`POISSON_MAX_MEAN`], `P(K > 10_000)` is astronomically small
 /// (< 10⁻³⁰⁰⁰), so reaching the cap proves a broken RNG or corrupted
 /// state — it is reported loudly, never returned as a fabricated count.
-pub const POISSON_COUNT_CAP: usize = 10_000;
+pub(crate) const POISSON_COUNT_CAP: usize = 10_000;
 
 /// Draws a `Poisson(mean)` count via Knuth's product-of-uniforms method.
 ///
@@ -53,7 +41,7 @@ pub const POISSON_COUNT_CAP: usize = 10_000;
     clippy::panic,
     reason = "deliberate loud failure: reaching the iteration cap provably means a broken RNG, and continuing would silently bias the fault process"
 )]
-pub fn poisson_count(rng: &mut StdRng, mean: f64) -> usize {
+pub(crate) fn poisson_count(rng: &mut StdRng, mean: f64) -> usize {
     assert!(mean >= 0.0 && mean.is_finite(), "mean must be >= 0");
     assert!(
         mean <= POISSON_MAX_MEAN,
@@ -92,36 +80,6 @@ mod tests {
 
     fn rng(seed: u64) -> StdRng {
         StdRng::seed_from_u64(seed)
-    }
-
-    #[test]
-    fn exponential_mean_matches() {
-        let mut r = rng(1);
-        let rate = 0.5;
-        let n = 50_000;
-        let mean: f64 = (0..n)
-            .map(|_| sample_exponential(&mut r, rate))
-            .sum::<f64>()
-            / n as f64;
-        assert!(
-            (mean - 1.0 / rate).abs() < 0.05,
-            "empirical mean {mean} far from {}",
-            1.0 / rate
-        );
-    }
-
-    #[test]
-    fn exponential_is_nonnegative() {
-        let mut r = rng(2);
-        for _ in 0..1000 {
-            assert!(sample_exponential(&mut r, 3.0) >= 0.0);
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "rate must be positive")]
-    fn exponential_rejects_zero_rate() {
-        sample_exponential(&mut rng(0), 0.0);
     }
 
     #[test]

@@ -20,7 +20,7 @@ pub enum VectorId {
 
 impl VectorId {
     /// All vector identifiers, in layout order.
-    pub const ALL: [VectorId; 4] = [VectorId::R, VectorId::Q, VectorId::P, VectorId::X];
+    pub(crate) const ALL: [VectorId; 4] = [VectorId::R, VectorId::Q, VectorId::P, VectorId::X];
 }
 
 /// A corruptible memory region.
@@ -37,19 +37,6 @@ pub enum FaultTarget {
 }
 
 impl FaultTarget {
-    /// Short label for reports.
-    pub fn label(&self) -> &'static str {
-        match self {
-            FaultTarget::MatrixVal => "Val",
-            FaultTarget::MatrixColid => "Colid",
-            FaultTarget::MatrixRowidx => "Rowidx",
-            FaultTarget::Vector(VectorId::R) => "r",
-            FaultTarget::Vector(VectorId::Q) => "q",
-            FaultTarget::Vector(VectorId::P) => "p",
-            FaultTarget::Vector(VectorId::X) => "x",
-        }
-    }
-
     /// `true` iff the target is one of the three matrix arrays.
     pub fn is_matrix(&self) -> bool {
         matches!(
@@ -63,18 +50,18 @@ impl FaultTarget {
 /// `0..total_words()` to a `(target, offset)` pair, so every word is
 /// equally likely to be struck, as in the paper.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct MemoryLayout {
+pub(crate) struct MemoryLayout {
     /// Number of stored nonzeros (`|Val| = |Colid| = nnz`).
-    pub nnz: usize,
+    pub(crate) nnz: usize,
     /// Matrix order (`|Rowidx| = n + 1`, each vector has `n` words).
-    pub n: usize,
+    pub(crate) n: usize,
     /// Whether the four CG vectors are part of the corruptible footprint.
-    pub include_vectors: bool,
+    pub(crate) include_vectors: bool,
 }
 
 impl MemoryLayout {
     /// Layout covering matrix + the four CG vectors (the paper's setting).
-    pub fn with_vectors(nnz: usize, n: usize) -> Self {
+    pub(crate) fn with_vectors(nnz: usize, n: usize) -> Self {
         Self {
             nnz,
             n,
@@ -83,7 +70,7 @@ impl MemoryLayout {
     }
 
     /// Layout covering only the matrix arrays.
-    pub fn matrix_only(nnz: usize, n: usize) -> Self {
+    pub(crate) fn matrix_only(nnz: usize, n: usize) -> Self {
         Self {
             nnz,
             n,
@@ -92,7 +79,7 @@ impl MemoryLayout {
     }
 
     /// Total corruptible words `M`.
-    pub fn total_words(&self) -> usize {
+    pub(crate) fn total_words(&self) -> usize {
         let matrix = 2 * self.nnz + self.n + 1;
         if self.include_vectors {
             matrix + 4 * self.n
@@ -109,7 +96,7 @@ impl MemoryLayout {
         clippy::panic,
         reason = "documented # Panics contract on locate(): an out-of-range word is injector-harness misuse, not a recoverable input"
     )]
-    pub fn locate(&self, word: usize) -> (FaultTarget, usize) {
+    pub(crate) fn locate(&self, word: usize) -> (FaultTarget, usize) {
         let mut w = word;
         if w < self.nnz {
             return (FaultTarget::MatrixVal, w);
@@ -184,9 +171,7 @@ mod tests {
     }
 
     #[test]
-    fn labels_are_paper_names() {
-        assert_eq!(FaultTarget::MatrixVal.label(), "Val");
-        assert_eq!(FaultTarget::Vector(VectorId::P).label(), "p");
+    fn is_matrix_separates_matrix_from_vectors() {
         assert!(FaultTarget::MatrixRowidx.is_matrix());
         assert!(!FaultTarget::Vector(VectorId::X).is_matrix());
     }

@@ -18,16 +18,16 @@ use crate::Scheme;
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CostProfile {
     /// Checkpoint cost `Tcp` (iterations).
-    pub tcp: f64,
+    pub(crate) tcp: f64,
     /// Recovery cost `Trec` (iterations).
-    pub trec: f64,
+    pub(crate) trec: f64,
     /// ABFT-DETECTION's single-checksum verification `Tverif`.
-    pub tverif_detect: f64,
+    pub(crate) tverif_detect: f64,
     /// ABFT-CORRECTION's dual-checksum verification `Tverif`.
-    pub tverif_correct: f64,
+    pub(crate) tverif_correct: f64,
     /// ONLINE-DETECTION's verification `Tverif` (a residual recompute:
     /// one extra SpMxV, about one iteration).
-    pub tverif_online: f64,
+    pub(crate) tverif_online: f64,
 }
 
 impl CostProfile {

@@ -35,14 +35,14 @@
 
 #![warn(missing_docs)]
 
-pub mod cost;
-pub mod frame;
+mod cost;
+mod frame;
 pub mod optimize;
-pub mod success;
+mod success;
 
 pub use cost::CostProfile;
 pub use frame::{expected_frame_time, expected_lost_time, overhead};
-pub use optimize::{optimal_online_interval, optimal_s, plan, OnlinePlan, Optimum};
+pub use optimize::plan;
 pub use success::{q_correction, q_detection};
 
 /// Which resilience scheme a model instantiation describes.

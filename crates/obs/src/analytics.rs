@@ -28,56 +28,56 @@ use ftcg_telemetry::{Event, EventKind};
 
 /// Detection-latency distribution for one configuration.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct LatencyStats {
+pub(crate) struct LatencyStats {
     /// Matched fault→detect pairs.
-    pub count: u64,
+    pub(crate) count: u64,
     /// Faults never matched by a detection (undetected or masked).
-    pub unmatched_faults: u64,
+    pub(crate) unmatched_faults: u64,
     /// Minimum latency in iterations.
-    pub min: u64,
+    pub(crate) min: u64,
     /// Median latency (exact, lower-median of the sorted sample).
-    pub p50: u64,
+    pub(crate) p50: u64,
     /// Maximum latency in iterations.
-    pub max: u64,
+    pub(crate) max: u64,
     /// Sum of latencies (mean = sum / count).
-    pub sum: u64,
+    pub(crate) sum: u64,
 }
 
 /// Rollback waste accounting for one configuration.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct WasteStats {
+pub(crate) struct WasteStats {
     /// Rollbacks observed (including escalations).
-    pub rollbacks: u64,
+    pub(crate) rollbacks: u64,
     /// Of which escalations to the pristine initial data.
-    pub escalations: u64,
+    pub(crate) escalations: u64,
     /// Total executed iterations discarded.
-    pub wasted_iters: u64,
+    pub(crate) wasted_iters: u64,
     /// Total executed iterations across the config's finished jobs.
-    pub executed_iters: u64,
+    pub(crate) executed_iters: u64,
 }
 
 /// Fault pressure for one configuration.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct FaultStats {
+pub(crate) struct FaultStats {
     /// Faults injected.
-    pub faults: u64,
+    pub(crate) faults: u64,
     /// Executed iterations across finished jobs.
-    pub executed_iters: u64,
+    pub(crate) executed_iters: u64,
     /// Finished jobs.
-    pub jobs: u64,
+    pub(crate) jobs: u64,
 }
 
 /// All three analytics for one configuration.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ConfigAnalytics {
     /// Configuration label (from the spec grid).
-    pub label: String,
+    pub(crate) label: String,
     /// Detection-latency distribution.
-    pub latency: LatencyStats,
+    pub(crate) latency: LatencyStats,
     /// Rollback waste accounting.
-    pub waste: WasteStats,
+    pub(crate) waste: WasteStats,
     /// Empirical fault pressure.
-    pub faults: FaultStats,
+    pub(crate) faults: FaultStats,
 }
 
 /// Folds canonical trace events into per-configuration analytics.
@@ -190,7 +190,7 @@ pub fn analyze(
 }
 
 /// Renders the detection-latency table (iteration units).
-pub fn render_latency(rows: &[ConfigAnalytics]) -> String {
+pub(crate) fn render_latency(rows: &[ConfigAnalytics]) -> String {
     let mut table: Vec<Vec<String>> = vec![vec![
         "config".into(),
         "pairs".into(),
@@ -231,7 +231,7 @@ pub fn render_latency(rows: &[ConfigAnalytics]) -> String {
 }
 
 /// Renders the rollback wasted-work table (iteration units).
-pub fn render_waste(rows: &[ConfigAnalytics]) -> String {
+pub(crate) fn render_waste(rows: &[ConfigAnalytics]) -> String {
     let mut table: Vec<Vec<String>> = vec![vec![
         "config".into(),
         "rollbacks".into(),
@@ -270,7 +270,7 @@ pub fn render_waste(rows: &[ConfigAnalytics]) -> String {
 }
 
 /// Renders the empirical fault-pressure table.
-pub fn render_fault_rate(rows: &[ConfigAnalytics]) -> String {
+pub(crate) fn render_fault_rate(rows: &[ConfigAnalytics]) -> String {
     let mut table: Vec<Vec<String>> = vec![vec![
         "config".into(),
         "jobs".into(),

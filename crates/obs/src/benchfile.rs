@@ -7,10 +7,10 @@
 //! ```
 //!
 //! and each entry records *one workload on one host*: identity (`id`,
-//! `date`, `label`, optional `pr`), the [`HostInfo`], the `suite`
+//! `date`, `label`, optional `pr`), the `HostInfo`, the `suite`
 //! (since PR 20 a `benchmark/` workload name), the `spec` that sizes
 //! the work — two entries are comparable iff their `spec`s are equal —
-//! and a flat list of [`Measurement`]s: `key`, `unit`, the headline
+//! and a flat list of `Measurement`s: `key`, `unit`, the headline
 //! `value`, every raw sample (so a later diff can estimate noise), and
 //! the direction (`lower_is_better`).
 //!
@@ -25,23 +25,23 @@ use serde::json::{self, Value};
 use crate::host::HostInfo;
 
 /// Bench file schema version.
-pub const BENCH_VERSION: u64 = 1;
+pub(crate) const BENCH_VERSION: u64 = 1;
 
 /// One measured quantity of an entry.
 #[derive(Debug, Clone, PartialEq)]
-pub struct Measurement {
+pub(crate) struct Measurement {
     /// Stable dotted key, e.g. `campaign.reps_per_sec`.
-    pub key: String,
+    pub(crate) key: String,
     /// Unit label, e.g. `reps/s`, `ns/iter`, `s`.
-    pub unit: String,
+    pub(crate) unit: String,
     /// Headline value: the median of `samples` (one sample per
     /// benchmark run) in recorded entries; the retired suites wrote
     /// their best sample.
-    pub value: f64,
+    pub(crate) value: f64,
     /// Every raw sample behind `value` (noise estimation in diffs).
-    pub samples: Vec<f64>,
+    pub(crate) samples: Vec<f64>,
     /// Whether smaller values are better (times) or worse (rates).
-    pub lower_is_better: bool,
+    pub(crate) lower_is_better: bool,
 }
 
 impl Measurement {
@@ -56,7 +56,7 @@ impl Measurement {
 
     /// Relative spread of the samples as a percentage of the smallest
     /// one (`0` with fewer than two samples) — the diff's noise floor.
-    pub fn noise_pct(&self) -> f64 {
+    pub(crate) fn noise_pct(&self) -> f64 {
         let (lo, hi) = self.range();
         if self.samples.len() < 2 || lo <= 0.0 {
             return 0.0;
@@ -84,19 +84,19 @@ pub struct BenchEntry {
     /// PR number, when known.
     pub pr: Option<u64>,
     /// The measuring machine.
-    pub host: HostInfo,
+    pub(crate) host: HostInfo,
     /// Workload name (`campaign_t1`, `fault_free`, …; historical
     /// entries: `quick`, `table1`, `kernels`, …).
     pub suite: String,
     /// What sizes the work; equal specs ⇔ comparable entries.
     pub spec: String,
     /// The measurements, in the producer's order.
-    pub measurements: Vec<Measurement>,
+    pub(crate) measurements: Vec<Measurement>,
 }
 
 impl BenchEntry {
     /// The entry's measurement with the given key.
-    pub fn measurement(&self, key: &str) -> Option<&Measurement> {
+    pub(crate) fn measurement(&self, key: &str) -> Option<&Measurement> {
         self.measurements.iter().find(|m| m.key == key)
     }
 }
@@ -173,7 +173,7 @@ fn render_entry(e: &BenchEntry, out: &mut String) {
 impl BenchFile {
     /// Renders the whole file (deterministic field order, one
     /// measurement per line — reviewable in diffs).
-    pub fn render(&self) -> String {
+    pub(crate) fn render(&self) -> String {
         let mut out = String::new();
         out.push_str(&format!(
             "{{\n  \"ftcg_bench\": {BENCH_VERSION},\n  \"entries\": [\n"
@@ -216,7 +216,7 @@ impl BenchFile {
     }
 
     /// Parses the schema-versioned shape from a JSON value.
-    pub fn from_value(v: &Value) -> Result<BenchFile, String> {
+    pub(crate) fn from_value(v: &Value) -> Result<BenchFile, String> {
         let mut entries = Vec::new();
         for e in list(v, "entries")? {
             let id = e.get("id").and_then(Value::as_str).unwrap_or("?");

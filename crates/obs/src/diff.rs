@@ -21,24 +21,24 @@ use crate::benchfile::BenchEntry;
 #[derive(Debug, Clone, PartialEq)]
 pub struct DiffRow {
     /// Measurement key shared by both entries.
-    pub key: String,
+    pub(crate) key: String,
     /// Unit label (taken from the new entry).
-    pub unit: String,
+    pub(crate) unit: String,
     /// Baseline headline value.
-    pub old_value: f64,
+    pub(crate) old_value: f64,
     /// Fresh headline value.
-    pub new_value: f64,
+    pub(crate) new_value: f64,
     /// `delta` and `noise` are percentages of a positive baseline
     /// (`true`) or absolute, in `unit` (`false`: baseline ≤ 0).
-    pub relative: bool,
+    pub(crate) relative: bool,
     /// Signed change: `new/old - 1` in percent, or `new - old`.
-    pub delta: f64,
+    pub(crate) delta: f64,
     /// Noise floor used for this row (same scale as `delta`).
-    pub noise: f64,
+    pub(crate) noise: f64,
     /// Moved in the worse direction beyond the gate.
-    pub regressed: bool,
+    pub(crate) regressed: bool,
     /// Moved in the better direction beyond the gate.
-    pub improved: bool,
+    pub(crate) improved: bool,
 }
 
 /// Compares the fresh entry against a baseline entry.

@@ -8,18 +8,18 @@ use serde::json::Value;
 
 /// The machine a bench entry was measured on.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct HostInfo {
+pub(crate) struct HostInfo {
     /// Available parallelism (what `threads = 0` resolves against).
-    pub cores: usize,
+    pub(crate) cores: usize,
     /// Target architecture (compile-time, e.g. `x86_64`).
-    pub arch: String,
+    pub(crate) arch: String,
     /// Operating system (compile-time, e.g. `linux`).
-    pub os: String,
+    pub(crate) os: String,
 }
 
 impl HostInfo {
     /// Detects the current host.
-    pub fn detect() -> HostInfo {
+    pub(crate) fn detect() -> HostInfo {
         HostInfo {
             cores: std::thread::available_parallelism()
                 .map(|n| n.get())
@@ -30,7 +30,7 @@ impl HostInfo {
     }
 
     /// Renders as a JSON object (fixed field order).
-    pub fn to_json(&self) -> String {
+    pub(crate) fn to_json(&self) -> String {
         format!(
             "{{\"cores\":{},\"arch\":{},\"os\":{}}}",
             self.cores,
@@ -40,7 +40,7 @@ impl HostInfo {
     }
 
     /// Parses back from a JSON value.
-    pub fn from_value(v: &Value) -> Result<HostInfo, String> {
+    pub(crate) fn from_value(v: &Value) -> Result<HostInfo, String> {
         let s = |key: &str| {
             v.get(key)
                 .and_then(Value::as_str)

@@ -21,26 +21,23 @@
 //!   files into entries (`ftcg bench record`);
 //! * [`benchfile`] — the schema-versioned `BENCH_*.json` format those
 //!   entries are stored in;
-//! * [`host`] — host identification stamped into every entry;
+//! * `host` — host identification stamped into every entry;
 //! * [`diff`] — noise-aware entry comparison and the regression gate
 //!   behind `ftcg bench compare`;
-//! * [`perfetto`] — Chrome `trace_event` export folding trace +
+//! * `perfetto` — Chrome `trace_event` export folding trace +
 //!   sidecar into a per-worker timeline (`ftcg report --perfetto`);
-//! * [`analytics`] — protocol analytics from the deterministic trace
+//! * `analytics` — protocol analytics from the deterministic trace
 //!   alone (detection latency, rollback waste, empirical fault
 //!   pressure), byte-reproducible by construction.
 
 #![warn(missing_docs)]
 
-pub mod analytics;
+mod analytics;
 pub mod benchfile;
 pub mod diff;
-pub mod host;
-pub mod perfetto;
+mod host;
+mod perfetto;
 pub mod record;
 
-pub use analytics::{analyze, render_analytics, ConfigAnalytics};
-pub use benchfile::{BenchEntry, BenchFile, Measurement, BENCH_VERSION};
-pub use diff::{any_regression, diff_entries, render_diff, DiffRow};
-pub use host::HostInfo;
+pub use analytics::{analyze, render_analytics};
 pub use perfetto::perfetto_json;

@@ -23,24 +23,24 @@ use crate::runner::{run_checked, ArtifactDirs};
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Figure1Point {
     /// Normalized MTBF `1/α`.
-    pub mtbf: f64,
+    pub(crate) mtbf: f64,
     /// Mean simulated execution time.
     pub mean_time: f64,
     /// Standard deviation across repetitions.
-    pub std_time: f64,
+    pub(crate) std_time: f64,
     /// Chosen checkpoint interval `s`.
-    pub s: usize,
+    pub(crate) s: usize,
     /// Chosen verification interval `d` (1 for ABFT schemes).
-    pub d: usize,
+    pub(crate) d: usize,
 }
 
 /// One sub-plot: a matrix with its three curves.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Figure1Panel {
     /// Paper matrix id.
-    pub id: u32,
+    pub(crate) id: u32,
     /// Actual order used.
-    pub n: usize,
+    pub(crate) n: usize,
     /// Curves per scheme, in `Scheme::ALL` order.
     pub curves: [(Scheme, Vec<Figure1Point>); 3],
 }
@@ -100,7 +100,7 @@ pub fn log_grid(lo: f64, hi: f64, points: usize) -> Vec<f64> {
 /// so configuration `gi` (the grid point) draws identical fault streams
 /// under every scheme — the common-random-numbers pairing the paper's
 /// scheme comparison relies on for variance reduction.
-pub fn curve_campaign(
+pub(crate) fn curve_campaign(
     spec: &MatrixSpec,
     a: &Arc<CsrMatrix>,
     scheme: Scheme,

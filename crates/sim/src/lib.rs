@@ -42,4 +42,4 @@ pub mod report;
 pub mod runner;
 pub mod table1;
 
-pub use matrices::{MatrixSpec, PAPER_MATRICES};
+pub use matrices::PAPER_MATRICES;

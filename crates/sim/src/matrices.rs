@@ -21,14 +21,14 @@ pub struct MatrixSpec {
     /// UFL collection id as printed in the paper.
     pub id: u32,
     /// Published order `n`.
-    pub paper_n: usize,
+    pub(crate) paper_n: usize,
     /// Published density.
-    pub paper_density: f64,
+    pub(crate) paper_density: f64,
 }
 
 impl MatrixSpec {
     /// Average nonzeros per row implied by the published numbers.
-    pub fn avg_row_nnz(&self) -> f64 {
+    pub(crate) fn avg_row_nnz(&self) -> f64 {
         self.paper_density * self.paper_n as f64
     }
 

@@ -76,7 +76,7 @@ pub fn figure1_csv(panels: &[Figure1Panel]) -> String {
 /// Scheme plot glyphs matching the paper's line styles:
 /// dotted = ONLINE-DETECTION, dashed = ABFT-DETECTION,
 /// solid = ABFT-CORRECTION.
-pub fn scheme_glyph(s: Scheme) -> char {
+pub(crate) fn scheme_glyph(s: Scheme) -> char {
     match s {
         Scheme::OnlineDetection => 'o',
         Scheme::AbftDetection => 'd',

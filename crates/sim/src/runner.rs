@@ -34,7 +34,7 @@ pub struct ArtifactDirs {
     clippy::panic,
     reason = "experiment-harness boundary: a table1/figure1 journal, trace or sidecar failure mid-campaign has no recovery and must abort the run loudly"
 )]
-pub fn run_checked(
+pub(crate) fn run_checked(
     name: &str,
     stem: &str,
     campaign_seed: u64,

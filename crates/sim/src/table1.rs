@@ -26,21 +26,21 @@ use crate::runner::{run_checked, ArtifactDirs};
 #[derive(Debug, Clone, PartialEq)]
 pub struct Table1Entry {
     /// Paper matrix id.
-    pub id: u32,
+    pub(crate) id: u32,
     /// Actual order used (after scaling).
-    pub n: usize,
+    pub(crate) n: usize,
     /// Actual density.
-    pub density: f64,
+    pub(crate) density: f64,
     /// Scheme.
-    pub scheme: Scheme,
+    pub(crate) scheme: Scheme,
     /// Model-optimal interval `s̃`.
     pub s_model: usize,
     /// Mean time at `s̃`.
-    pub time_model: f64,
+    pub(crate) time_model: f64,
     /// Empirically best interval `s*`.
     pub s_best: usize,
     /// Mean time at `s*`.
-    pub time_best: f64,
+    pub(crate) time_best: f64,
     /// Loss `l` in percent.
     pub loss_pct: f64,
 }
@@ -82,7 +82,7 @@ impl Default for Table1Params {
 
 /// Builds the campaign for one (matrix, scheme) entry: one
 /// configuration per candidate interval, with `s̃` always first.
-pub fn entry_campaign(
+pub(crate) fn entry_campaign(
     spec: &MatrixSpec,
     a: &Arc<CsrMatrix>,
     scheme: Scheme,
@@ -115,7 +115,7 @@ pub fn entry_campaign(
 /// Runs the Table 1 experiment for one matrix and one scheme: the
 /// interval sweep is a single engine campaign (one configuration per
 /// candidate `s`, concurrent across the worker pool).
-pub fn run_entry(
+pub(crate) fn run_entry(
     spec: &MatrixSpec,
     a: &Arc<CsrMatrix>,
     scheme: Scheme,

@@ -46,7 +46,7 @@ pub struct SolveStats {
 /// The CG recurrence as a steppable state machine (see
 /// [`crate::machine`]).
 #[derive(Debug, Clone)]
-pub struct CgMachine {
+pub(crate) struct CgMachine {
     b: Vec<f64>,
     x: Vec<f64>,
     r: Vec<f64>,
@@ -58,7 +58,7 @@ pub struct CgMachine {
 impl CgMachine {
     /// Starts from an arbitrary `x0`, computing `r₀ = b − A·x₀` through
     /// `ctx` (the wrappers' path — today's exact FP operations).
-    pub fn start(b: &[f64], x0: &[f64], ctx: &mut dyn StepContext) -> Self {
+    pub(crate) fn start(b: &[f64], x0: &[f64], ctx: &mut dyn StepContext) -> Self {
         let n = b.len();
         let mut x = x0.to_vec();
         // r0 = b − A x0
@@ -80,7 +80,7 @@ impl CgMachine {
 
     /// Starts from `x₀ = 0` with `r₀ = b` taken verbatim (the resilient
     /// drivers' historical initialization — no initial product).
-    pub fn start_zero(b: &[f64]) -> Self {
+    pub(crate) fn start_zero(b: &[f64]) -> Self {
         let n = b.len();
         CgMachine {
             b: b.to_vec(),

@@ -12,7 +12,7 @@
 //! Iterative solvers with pluggable silent-error resilience.
 //!
 //! Two solvers, each a steppable state machine
-//! ([`machine::IterativeSolver`]): [`cg`], the paper's Algorithm 1, and
+//! ([`machine::IterativeSolver`]): `cg`, the paper's Algorithm 1, and
 //! [`pcg`], Jacobi-preconditioned CG (the authors' follow-up carries the
 //! same backward/forward recovery to PCG). The plain `*_solve` entry
 //! points are thin wrappers that drive the machine bit-for-bit
@@ -34,25 +34,21 @@
 //! solve-scoped memory — machines, matrix images, checkpoints, ABFT
 //! shadows — is then retained and reset in place across repetitions,
 //! bit-identically to fresh allocation and with zero steady-state heap
-//! traffic (see [`workspace`]).
+//! traffic (see `workspace`).
 
 #![warn(missing_docs)]
 
-pub mod cg;
+mod cg;
 pub mod machine;
 pub mod pcg;
 pub mod resilient;
-pub mod stopping;
-pub mod verify;
-pub mod workspace;
+mod stopping;
+mod verify;
+mod workspace;
 
-pub use cg::{cg_solve, CgConfig, CgMachine, SolveStats};
-pub use machine::{
-    CanonVec, IterativeSolver, PlainContext, ProductStatus, SolverKind, StepContext, StepResult,
-};
-pub use pcg::{pcg_jacobi_solve, PcgMachine};
-pub use resilient::{
-    solve_resilient, solve_resilient_in, ResilientConfig, ResilientConfigError, ResilientOutcome,
-};
+pub use cg::{cg_solve, CgConfig, SolveStats};
+pub use machine::{CanonVec, SolverKind};
+pub use pcg::pcg_jacobi_solve;
+pub use resilient::{ResilientConfigError, ResilientOutcome};
 pub use stopping::StoppingCriterion;
 pub use workspace::SolverWorkspace;

@@ -69,7 +69,7 @@ pub enum ProductStatus {
 
 impl ProductStatus {
     /// `true` for [`ProductStatus::Rejected`].
-    pub fn rejected(&self) -> bool {
+    pub(crate) fn rejected(&self) -> bool {
         matches!(self, ProductStatus::Rejected)
     }
 }

@@ -19,7 +19,7 @@ use crate::verify::{verify_online, OnlineTolerances, OnlineVerdict};
 /// preconditioner is part of the reliable setup phase, like the ABFT
 /// checksums).
 #[derive(Debug, Clone)]
-pub struct PcgMachine {
+pub(crate) struct PcgMachine {
     b: Vec<f64>,
     minv: Vec<f64>,
     x: Vec<f64>,
@@ -66,7 +66,7 @@ impl PcgMachine {
     ///
     /// # Panics
     /// Panics on a zero diagonal entry (Jacobi undefined).
-    pub fn start(a: &CsrMatrix, b: &[f64], x0: &[f64], ctx: &mut dyn StepContext) -> Self {
+    pub(crate) fn start(a: &CsrMatrix, b: &[f64], x0: &[f64], ctx: &mut dyn StepContext) -> Self {
         let mut x = x0.to_vec();
         let mut r = b.to_vec();
         let mut ax = vec![0.0; b.len()];
@@ -80,7 +80,7 @@ impl PcgMachine {
     ///
     /// # Panics
     /// Panics on a zero diagonal entry (Jacobi undefined).
-    pub fn start_zero(a0: &CsrMatrix, b: &[f64]) -> Self {
+    pub(crate) fn start_zero(a0: &CsrMatrix, b: &[f64]) -> Self {
         Self::from_residual(a0, b, vec![0.0; b.len()], b.to_vec())
     }
 }

@@ -219,7 +219,10 @@ struct ExecutorMachine<'a, R: Recorder> {
 impl<'a, R: Recorder> ExecutorMachine<'a, R> {
     /// Sets up the protocol state exactly as the historical executor
     /// prologue did, same operations in the same order.
-    #[allow(clippy::too_many_arguments)]
+    #[expect(
+        clippy::too_many_arguments,
+        reason = "the executor borrows each workspace buffer separately so the borrows stay disjoint"
+    )]
     fn new(
         a0: &'a CsrMatrix,
         b: &'a [f64],
@@ -599,7 +602,10 @@ impl<'a, R: Recorder> ExecutorMachine<'a, R> {
 /// `arena` provides the retained buffers and `order` the row visit
 /// order of `a0` — all four come from
 /// [`SolverWorkspace::checkout`](crate::SolverWorkspace).
-#[allow(clippy::too_many_arguments)]
+#[expect(
+    clippy::too_many_arguments,
+    reason = "the executor borrows each workspace buffer separately so the borrows stay disjoint"
+)]
 pub(super) fn run_executor<R: Recorder>(
     a0: &CsrMatrix,
     b: &[f64],

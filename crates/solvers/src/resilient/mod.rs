@@ -100,7 +100,7 @@ pub struct ResilientConfig {
     /// guard at extreme fault rates).
     pub max_executed_iters: usize,
     /// Thresholds for the stability tests (ONLINE-DETECTION only).
-    pub online_tol: OnlineTolerances,
+    pub(crate) online_tol: OnlineTolerances,
 }
 
 impl ResilientConfig {
@@ -110,7 +110,7 @@ impl ResilientConfig {
     ///
     /// # Panics
     /// Panics if `checkpoint_interval == 0` — use
-    /// [`ResilientConfig::try_new`] to get the typed error instead.
+    /// `ResilientConfig::try_new` to get the typed error instead.
     #[expect(
         clippy::expect_used,
         reason = "documented # Panics contract: a zero interval is caller misuse; ResilientConfig::try_new is the typed-error route"
@@ -123,7 +123,7 @@ impl ResilientConfig {
     /// Like [`ResilientConfig::new`] but rejects a zero interval with a
     /// typed error instead of panicking (historically the zero was
     /// silently clamped to 1, masking bad specs).
-    pub fn try_new(
+    pub(crate) fn try_new(
         scheme: Scheme,
         checkpoint_interval: usize,
     ) -> Result<Self, ResilientConfigError> {
@@ -157,7 +157,7 @@ impl ResilientConfig {
     /// Checks the interval invariants, returning the typed error a
     /// front end can surface (`solve_resilient` enforces the same
     /// invariants with a panic).
-    pub fn validate(&self) -> Result<(), ResilientConfigError> {
+    pub(crate) fn validate(&self) -> Result<(), ResilientConfigError> {
         if self.checkpoint_interval == 0 {
             return Err(ResilientConfigError::ZeroCheckpointInterval);
         }
@@ -211,14 +211,14 @@ pub struct ResilientOutcome {
 /// Mutable run counters shared by the executor and its contexts.
 #[derive(Debug, Default)]
 pub(crate) struct RunStats {
-    pub executed: usize,
-    pub checkpoints: usize,
-    pub rollbacks: usize,
-    pub forward_corrections: usize,
-    pub tmr_corrections: usize,
-    pub detections: usize,
-    pub product_checks: usize,
-    pub chunk_checks: usize,
+    pub(crate) executed: usize,
+    pub(crate) checkpoints: usize,
+    pub(crate) rollbacks: usize,
+    pub(crate) forward_corrections: usize,
+    pub(crate) tmr_corrections: usize,
+    pub(crate) detections: usize,
+    pub(crate) product_checks: usize,
+    pub(crate) chunk_checks: usize,
 }
 
 /// Solves `Ax = b` (zero initial guess) under the configured resilience
@@ -243,7 +243,7 @@ pub fn solve_resilient(
 /// shadows — from a caller-retained [`SolverWorkspace`]. Reusing one
 /// workspace across repetitions produces bit-identical
 /// [`ResilientOutcome`]s to fresh-allocation solves (the workspace
-/// reuse contract; see [`crate::workspace`]) while keeping the hot
+/// reuse contract; see `crate::workspace`) while keeping the hot
 /// path off the allocator entirely.
 pub fn solve_resilient_in(
     a: &CsrMatrix,
@@ -265,7 +265,7 @@ pub fn solve_resilient_in(
 /// to nothing (which is exactly what [`solve_resilient_in`] does), and
 /// an [`ActiveRecorder`](ftcg_telemetry::ActiveRecorder) records
 /// without allocating (see the `Recorder` contract in
-/// [`ftcg_telemetry::recorder`]).
+/// `ftcg_telemetry::recorder`).
 #[expect(
     clippy::panic,
     reason = "documented panicking convenience wrapper over the validated config path; ResilientConfig::try_new is the typed-error route"
@@ -302,9 +302,9 @@ pub fn solve_resilient_recorded<R: Recorder>(
 pub(crate) struct EscalationGuard {
     /// Faults injected since the last restore (since the start of the
     /// solve before the first one); a checkpoint does not reset it.
-    pub faults_since_restore: usize,
+    pub(crate) faults_since_restore: usize,
     /// Consecutive rollbacks without a new checkpoint (hard safety cap).
-    pub consecutive_rollbacks: usize,
+    pub(crate) consecutive_rollbacks: usize,
 }
 
 impl EscalationGuard {
@@ -313,22 +313,22 @@ impl EscalationGuard {
     const MAX_CONSECUTIVE: usize = 25;
 
     /// `true` when the next rollback should restart from the input data.
-    pub fn must_escalate(&self) -> bool {
+    pub(crate) fn must_escalate(&self) -> bool {
         self.faults_since_restore == 0 || self.consecutive_rollbacks >= Self::MAX_CONSECUTIVE
     }
 
     /// Note an iteration's injected fault count.
-    pub fn note_faults(&mut self, n: usize) {
+    pub(crate) fn note_faults(&mut self, n: usize) {
         self.faults_since_restore += n;
     }
 
     /// Note that a fresh checkpoint was taken (verified progress).
-    pub fn note_checkpoint(&mut self) {
+    pub(crate) fn note_checkpoint(&mut self) {
         self.consecutive_rollbacks = 0;
     }
 
     /// Note a restore; returns ready-to-count state for the replay.
-    pub fn note_restore(&mut self) {
+    pub(crate) fn note_restore(&mut self) {
         self.faults_since_restore = 0;
         self.consecutive_rollbacks += 1;
     }

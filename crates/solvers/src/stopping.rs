@@ -35,7 +35,7 @@ impl StoppingCriterion {
     }
 
     /// Reasonable default: relative 1e-8.
-    pub fn default_relative() -> Self {
+    pub(crate) fn default_relative() -> Self {
         StoppingCriterion::RelativeB { eps: 1e-8 }
     }
 }

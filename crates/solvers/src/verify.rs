@@ -18,9 +18,9 @@ use ftcg_sparse::{vector, CsrMatrix};
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct OnlineTolerances {
     /// Bound on `|pᵀq|/(‖p‖‖q‖)` (A-conjugacy drift).
-    pub orthogonality: f64,
+    pub(crate) orthogonality: f64,
     /// Bound on `‖(b − Ax) − r‖ / (‖A‖₁‖x‖∞ + ‖b‖∞)` (residual drift).
-    pub residual: f64,
+    pub(crate) residual: f64,
 }
 
 impl Default for OnlineTolerances {
@@ -36,11 +36,11 @@ impl Default for OnlineTolerances {
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct OnlineVerdict {
     /// Measured orthogonality ratio.
-    pub orthogonality: f64,
+    pub(crate) orthogonality: f64,
     /// Measured scaled residual drift.
-    pub residual_drift: f64,
+    pub(crate) residual_drift: f64,
     /// `true` iff at least one test tripped.
-    pub detected: bool,
+    pub(crate) detected: bool,
 }
 
 /// The residual test: recomputes `b − A·x` defensively and returns the
@@ -76,8 +76,11 @@ fn residual_drift(a: &CsrMatrix, b: &[f64], x: &[f64], r: &[f64], norm1_a: f64) 
 /// `norm1_a` must be the 1-norm of the *clean* matrix, computed once at
 /// setup: the working matrix may be corrupted (wild column indices), so
 /// recomputing the norm here would be both unsafe and meaningless.
-#[allow(clippy::too_many_arguments)]
-pub fn verify_online(
+#[expect(
+    clippy::too_many_arguments,
+    reason = "Chen's two tests read the system, the three iteration vectors and the clean norm in one call"
+)]
+pub(crate) fn verify_online(
     a: &CsrMatrix,
     b: &[f64],
     x: &[f64],

@@ -58,7 +58,8 @@ use ftcg_sparse::{CsrMatrix, RowOrder};
 use crate::machine::{IterativeSolver, SolverKind};
 
 /// Retained executor-side buffers: the start vectors, the rolling
-/// checkpoint slot, the trusted input copies and the TMR shadows.
+/// checkpoint slot, the trusted copy of the product input, the TMR
+/// shadows and the deferred product-output faults.
 #[derive(Debug)]
 pub(crate) struct ExecArena {
     /// Start vectors of the current solve. With the caller's pristine

@@ -18,12 +18,12 @@
 //!    the probe path diverged from the plain checksum sweeps, the
 //!    replay would split at the first differing bit.
 
-use ftcg_fault::Injector;
+use ftcg_fault::paper_injector;
 use ftcg_model::Scheme;
 use ftcg_solvers::machine::SolverKind;
 use ftcg_solvers::resilient::{solve_resilient_in, ResilientConfig};
 use ftcg_solvers::{ResilientOutcome, SolverWorkspace};
-use ftcg_sparse::{fused, gen, vector, CsrMatrix};
+use ftcg_sparse::{fused, gen, vector};
 use proptest::prelude::*;
 
 /// Generated element: mostly finite sign-mixed values across many
@@ -152,19 +152,6 @@ proptest! {
 
 }
 
-/// The paper-model injector.
-fn injector_for(a: &CsrMatrix, alpha: f64, seed: u64) -> Injector {
-    use ftcg_fault::{target::MemoryLayout, BitRange, FaultRate, InjectorConfig};
-    let layout = MemoryLayout::with_vectors(a.nnz(), a.n_rows());
-    let cfg = InjectorConfig {
-        rate: FaultRate::from_alpha(alpha, layout.total_words()),
-        value_bits: BitRange::Full,
-        index_bits: BitRange::for_index_bound(a.n_cols().max(a.nnz() + 1)),
-        include_vectors: true,
-    };
-    Injector::for_matrix(cfg, a, seed)
-}
-
 fn assert_outcome_bitexact(label: &str, x: &ResilientOutcome, y: &ResilientOutcome) {
     assert_eq!(x.converged, y.converged, "{label}: converged");
     assert_eq!(
@@ -217,9 +204,9 @@ proptest! {
                 cfg.solver = kind;
                 cfg.max_productive_iters = 30;
                 cfg.max_executed_iters = 300;
-                let mut inj = injector_for(&a, ALPHA, seed ^ 0xf00d);
+                let mut inj = paper_injector(&a, ALPHA, seed ^ 0xf00d);
                 let first = solve_resilient_in(&a, &b, &cfg, Some(&mut inj), &mut fresh);
-                let mut inj = injector_for(&a, ALPHA, seed ^ 0xf00d);
+                let mut inj = paper_injector(&a, ALPHA, seed ^ 0xf00d);
                 let replay = solve_resilient_in(&a, &b, &cfg, Some(&mut inj), &mut dirty);
                 assert_outcome_bitexact(&format!("{scheme:?} × {kind}"), &first, &replay);
             }

@@ -1,6 +1,6 @@
 //! End-to-end tests of the three resilient schemes under fault injection.
 
-use ftcg_fault::{BitRange, FaultRate, Injector, InjectorConfig};
+use ftcg_fault::paper_injector;
 use ftcg_model::Scheme;
 use ftcg_solvers::resilient::{solve_resilient, ResilientConfig};
 use ftcg_sparse::{gen, vector, CsrMatrix};
@@ -9,18 +9,6 @@ fn test_system(n: usize, seed: u64) -> (CsrMatrix, Vec<f64>) {
     let a = gen::random_spd(n, 0.05, seed).unwrap();
     let b: Vec<f64> = (0..n).map(|i| 1.0 + (i as f64 * 0.37).sin()).collect();
     (a, b)
-}
-
-fn injector_for(a: &CsrMatrix, alpha: f64, seed: u64) -> Injector {
-    let layout = ftcg_fault::target::MemoryLayout::with_vectors(a.nnz(), a.n_rows());
-    let rate = FaultRate::from_alpha(alpha, layout.total_words());
-    let cfg = InjectorConfig {
-        rate,
-        value_bits: BitRange::Full,
-        index_bits: BitRange::for_index_bound(a.n_cols().max(a.nnz() + 1)),
-        include_vectors: true,
-    };
-    Injector::for_matrix(cfg, a, seed)
 }
 
 fn solves_correctly(_a: &CsrMatrix, b: &[f64], out: &ftcg_solvers::resilient::ResilientOutcome) {
@@ -75,7 +63,7 @@ fn abft_correction_survives_moderate_fault_rate() {
     // only ~1.5), so require strikes in aggregate across the seeds.
     let mut total_faults = 0usize;
     for seed in 0..5 {
-        let mut inj = injector_for(&a, 1.0 / 16.0, seed);
+        let mut inj = paper_injector(&a, 1.0 / 16.0, seed);
         let out = solve_resilient(&a, &b, &cfg, Some(&mut inj));
         solves_correctly(&a, &b, &out);
         total_faults += out.ledger.len();
@@ -91,7 +79,7 @@ fn abft_detection_survives_moderate_fault_rate() {
     let (a, b) = test_system(150, 4);
     let cfg = ResilientConfig::new(Scheme::AbftDetection, 10);
     for seed in 0..5 {
-        let mut inj = injector_for(&a, 1.0 / 16.0, seed);
+        let mut inj = paper_injector(&a, 1.0 / 16.0, seed);
         let out = solve_resilient(&a, &b, &cfg, Some(&mut inj));
         solves_correctly(&a, &b, &out);
     }
@@ -103,7 +91,7 @@ fn online_detection_survives_moderate_fault_rate() {
     let mut cfg = ResilientConfig::new(Scheme::OnlineDetection, 4);
     cfg.verif_interval = 4;
     for seed in 0..5 {
-        let mut inj = injector_for(&a, 1.0 / 32.0, seed);
+        let mut inj = paper_injector(&a, 1.0 / 32.0, seed);
         let out = solve_resilient(&a, &b, &cfg, Some(&mut inj));
         solves_correctly(&a, &b, &out);
     }
@@ -117,7 +105,7 @@ fn correction_rolls_back_less_than_detection() {
     let mut cor_rollbacks = 0usize;
     let mut cor_corrections = 0usize;
     for seed in 0..8 {
-        let mut inj = injector_for(&a, 1.0 / 8.0, seed);
+        let mut inj = paper_injector(&a, 1.0 / 8.0, seed);
         let out = solve_resilient(
             &a,
             &b,
@@ -125,7 +113,7 @@ fn correction_rolls_back_less_than_detection() {
             Some(&mut inj),
         );
         det_rollbacks += out.rollbacks;
-        let mut inj = injector_for(&a, 1.0 / 8.0, seed);
+        let mut inj = paper_injector(&a, 1.0 / 8.0, seed);
         let out = solve_resilient(
             &a,
             &b,
@@ -154,7 +142,7 @@ fn rollback_restores_exact_progress() {
         &ResilientConfig::new(Scheme::AbftCorrection, 8),
         None,
     );
-    let mut inj = injector_for(&a, 1.0 / 16.0, 11);
+    let mut inj = paper_injector(&a, 1.0 / 16.0, 11);
     let faulty = solve_resilient(
         &a,
         &b,
@@ -180,7 +168,7 @@ fn executed_time_grows_with_fault_rate() {
         // average over seeds to damp variance
         let mut total = 0.0;
         for seed in 0..6 {
-            let mut inj = injector_for(&a, alpha, 100 + seed);
+            let mut inj = paper_injector(&a, alpha, 100 + seed);
             let out = solve_resilient(&a, &b, &cfg, Some(&mut inj));
             total += out.simulated_time;
         }
@@ -195,7 +183,7 @@ fn executed_time_grows_with_fault_rate() {
 #[test]
 fn ledger_accounts_every_fault() {
     let (a, b) = test_system(120, 9);
-    let mut inj = injector_for(&a, 1.0 / 8.0, 21);
+    let mut inj = paper_injector(&a, 1.0 / 8.0, 21);
     let out = solve_resilient(
         &a,
         &b,
@@ -218,7 +206,7 @@ fn high_fault_rate_still_terminates() {
     let (a, b) = test_system(80, 10);
     let mut cfg = ResilientConfig::new(Scheme::AbftDetection, 5);
     cfg.max_executed_iters = 2_000;
-    let mut inj = injector_for(&a, 0.9, 33);
+    let mut inj = paper_injector(&a, 0.9, 33);
     let out = solve_resilient(&a, &b, &cfg, Some(&mut inj));
     assert!(out.executed_iterations <= 2_000);
 }
@@ -249,7 +237,7 @@ fn works_on_poisson_grid() {
     let xstar: Vec<f64> = (0..n).map(|i| ((i % 5) as f64) - 2.0).collect();
     let b = a.spmv(&xstar);
     let cfg = ResilientConfig::new(Scheme::AbftCorrection, 12);
-    let mut inj = injector_for(&a, 1.0 / 16.0, 5);
+    let mut inj = paper_injector(&a, 1.0 / 16.0, 5);
     let out = solve_resilient(&a, &b, &cfg, Some(&mut inj));
     assert!(out.converged);
     let err = vector::max_abs_diff(&out.x, &xstar);
@@ -260,9 +248,9 @@ fn works_on_poisson_grid() {
 fn deterministic_given_seed() {
     let (a, b) = test_system(100, 12);
     let cfg = ResilientConfig::new(Scheme::AbftCorrection, 10);
-    let mut i1 = injector_for(&a, 1.0 / 8.0, 77);
+    let mut i1 = paper_injector(&a, 1.0 / 8.0, 77);
     let o1 = solve_resilient(&a, &b, &cfg, Some(&mut i1));
-    let mut i2 = injector_for(&a, 1.0 / 8.0, 77);
+    let mut i2 = paper_injector(&a, 1.0 / 8.0, 77);
     let o2 = solve_resilient(&a, &b, &cfg, Some(&mut i2));
     assert_eq!(o1.simulated_time, o2.simulated_time);
     assert_eq!(o1.x, o2.x);
@@ -278,7 +266,7 @@ fn kernel_backends_survive_faults_with_abft() {
     let mut total_faults = 0usize;
     for scheme in [Scheme::AbftDetection, Scheme::AbftCorrection] {
         let cfg = ResilientConfig::new(scheme, 8);
-        let mut inj = injector_for(&a, 1.0 / 8.0, 77);
+        let mut inj = paper_injector(&a, 1.0 / 8.0, 77);
         let out = solve_resilient(&a, &b, &cfg, Some(&mut inj));
         solves_correctly(&a, &b, &out);
         total_faults += out.ledger.len();
@@ -323,7 +311,7 @@ fn simulated_time_reconciles_with_verification_counters() {
             let mut cfg = ResilientConfig::new(scheme, 6);
             cfg.solver = solver;
             cfg.verif_interval = 4;
-            let mut inj = injector_for(&a, alpha, 55);
+            let mut inj = paper_injector(&a, alpha, 55);
             let out = solve_resilient(&a, &b, &cfg, Some(&mut inj));
             let chunk_cost = match scheme {
                 Scheme::OnlineDetection => cfg.costs.tverif,
@@ -354,10 +342,10 @@ fn recorded_solve_is_bit_identical_and_events_match_counters() {
     for scheme in Scheme::ALL {
         let mut cfg = ResilientConfig::new(scheme, 6);
         cfg.verif_interval = 4;
-        let mut inj = injector_for(&a, 1.0 / 8.0, 99);
+        let mut inj = paper_injector(&a, 1.0 / 8.0, 99);
         let plain = solve_resilient(&a, &b, &cfg, Some(&mut inj));
 
-        let mut inj = injector_for(&a, 1.0 / 8.0, 99);
+        let mut inj = paper_injector(&a, 1.0 / 8.0, 99);
         let mut ws = SolverWorkspace::new();
         let mut rec = ActiveRecorder::new();
         let traced = solve_resilient_recorded(&a, &b, &cfg, Some(&mut inj), &mut ws, &mut rec);

@@ -1,7 +1,7 @@
 //! End-to-end tests of the resilient executor over both solvers: CG and
 //! PCG × every scheme must survive fault injection.
 
-use ftcg_fault::{BitRange, FaultRate, Injector, InjectorConfig};
+use ftcg_fault::paper_injector;
 use ftcg_model::Scheme;
 use ftcg_solvers::resilient::{solve_resilient, ResilientConfig};
 use ftcg_solvers::SolverKind;
@@ -11,18 +11,6 @@ fn test_system(n: usize, seed: u64) -> (CsrMatrix, Vec<f64>) {
     let a = gen::random_spd(n, 0.05, seed).unwrap();
     let b: Vec<f64> = (0..n).map(|i| 1.0 + (i as f64 * 0.37).sin()).collect();
     (a, b)
-}
-
-fn injector_for(a: &CsrMatrix, alpha: f64, seed: u64) -> Injector {
-    let layout = ftcg_fault::target::MemoryLayout::with_vectors(a.nnz(), a.n_rows());
-    let rate = FaultRate::from_alpha(alpha, layout.total_words());
-    let cfg = InjectorConfig {
-        rate,
-        value_bits: BitRange::Full,
-        index_bits: BitRange::for_index_bound(a.n_cols().max(a.nnz() + 1)),
-        include_vectors: true,
-    };
-    Injector::for_matrix(cfg, a, seed)
 }
 
 fn config(scheme: Scheme, solver: SolverKind) -> ResilientConfig {
@@ -79,7 +67,7 @@ fn abft_correction_protects_every_solver() {
     let mut total_faults = 0usize;
     for solver in SolverKind::ALL {
         for seed in 0..4 {
-            let mut inj = injector_for(&a, 1.0 / 16.0, seed);
+            let mut inj = paper_injector(&a, 1.0 / 16.0, seed);
             let out = solve_resilient(
                 &a,
                 &b,
@@ -100,7 +88,7 @@ fn abft_detection_protects_every_solver() {
     let (a, b) = test_system(150, 4);
     for solver in SolverKind::ALL {
         for seed in 0..4 {
-            let mut inj = injector_for(&a, 1.0 / 16.0, seed);
+            let mut inj = paper_injector(&a, 1.0 / 16.0, seed);
             let out = solve_resilient(
                 &a,
                 &b,
@@ -119,7 +107,7 @@ fn online_detection_protects_every_solver() {
     let (a, b) = test_system(150, 5);
     for solver in SolverKind::ALL {
         for seed in 0..4 {
-            let mut inj = injector_for(&a, 1.0 / 32.0, seed);
+            let mut inj = paper_injector(&a, 1.0 / 32.0, seed);
             let out = solve_resilient(
                 &a,
                 &b,
@@ -173,9 +161,9 @@ fn every_solver_is_deterministic_given_seed() {
     for solver in SolverKind::ALL {
         for scheme in Scheme::ALL {
             let cfg = config(scheme, solver);
-            let mut i1 = injector_for(&a, 1.0 / 8.0, 77);
+            let mut i1 = paper_injector(&a, 1.0 / 8.0, 77);
             let o1 = solve_resilient(&a, &b, &cfg, Some(&mut i1));
-            let mut i2 = injector_for(&a, 1.0 / 8.0, 77);
+            let mut i2 = paper_injector(&a, 1.0 / 8.0, 77);
             let o2 = solve_resilient(&a, &b, &cfg, Some(&mut i2));
             assert_eq!(o1.x, o2.x, "{solver} / {scheme:?}");
             assert_eq!(o1.simulated_time, o2.simulated_time, "{solver}/{scheme:?}");
@@ -190,7 +178,7 @@ fn high_fault_rate_terminates_for_every_solver() {
     for solver in SolverKind::ALL {
         let mut cfg = config(Scheme::AbftDetection, solver);
         cfg.max_executed_iters = 2_000;
-        let mut inj = injector_for(&a, 0.9, 33);
+        let mut inj = paper_injector(&a, 0.9, 33);
         let out = solve_resilient(&a, &b, &cfg, Some(&mut inj));
         assert!(out.executed_iterations <= 2_000, "{solver}");
     }

@@ -11,6 +11,7 @@
 //! injection.
 
 use ftcg_checkpoint::SolverState;
+use ftcg_fault::paper_injector;
 use ftcg_model::Scheme;
 use ftcg_solvers::machine::{PlainContext, SolverKind, StepResult};
 use ftcg_solvers::resilient::{solve_resilient, solve_resilient_in, ResilientConfig};
@@ -120,20 +121,6 @@ proptest! {
     }
 }
 
-/// The paper-model injector (matrix arrays + the four vectors), built
-/// locally so the reuse property runs under real fault streams.
-fn injector_for(a: &CsrMatrix, alpha: f64, seed: u64) -> ftcg_fault::Injector {
-    use ftcg_fault::{target::MemoryLayout, BitRange, FaultRate, Injector, InjectorConfig};
-    let layout = MemoryLayout::with_vectors(a.nnz(), a.n_rows());
-    let cfg = InjectorConfig {
-        rate: FaultRate::from_alpha(alpha, layout.total_words()),
-        value_bits: BitRange::Full,
-        index_bits: BitRange::for_index_bound(a.n_cols().max(a.nnz() + 1)),
-        include_vectors: true,
-    };
-    Injector::for_matrix(cfg, a, seed)
-}
-
 /// Asserts two resilient outcomes agree bit for bit (solution vector
 /// included) and in every counter.
 fn assert_outcomes_bitexact(
@@ -209,9 +196,9 @@ proptest! {
                 cfg.max_productive_iters = 40;
                 cfg.max_executed_iters = 400;
                 let alpha = 1.0 / 16.0;
-                let mut inj = injector_for(&a, alpha, seed ^ 0x5eed);
+                let mut inj = paper_injector(&a, alpha, seed ^ 0x5eed);
                 let fresh = solve_resilient(&a, &b, &cfg, Some(&mut inj));
-                let mut inj = injector_for(&a, alpha, seed ^ 0x5eed);
+                let mut inj = paper_injector(&a, alpha, seed ^ 0x5eed);
                 let reused = solve_resilient_in(&a, &b, &cfg, Some(&mut inj), &mut ws);
                 assert_outcomes_bitexact(&format!("{scheme:?} × {kind}"), &fresh, &reused);
             }
@@ -245,9 +232,9 @@ proptest! {
                 cfg.max_productive_iters = 40;
                 cfg.max_executed_iters = 400;
                 let stream = seed ^ step as u64;
-                let mut inj = injector_for(a, 1.0 / 16.0, stream);
+                let mut inj = paper_injector(a, 1.0 / 16.0, stream);
                 let fresh = solve_resilient(a, b, &cfg, Some(&mut inj));
-                let mut inj = injector_for(a, 1.0 / 16.0, stream);
+                let mut inj = paper_injector(a, 1.0 / 16.0, stream);
                 let reused = solve_resilient_in(a, b, &cfg, Some(&mut inj), &mut ws);
                 assert_outcomes_bitexact(
                     &format!("{scheme:?} × n {} (step {step})", a.n_rows()),

@@ -112,46 +112,6 @@ impl BcsrMatrix {
         })
     }
 
-    /// Number of rows.
-    #[inline]
-    pub fn n_rows(&self) -> usize {
-        self.n_rows
-    }
-
-    /// Number of columns.
-    #[inline]
-    pub fn n_cols(&self) -> usize {
-        self.n_cols
-    }
-
-    /// Block edge length.
-    #[inline]
-    pub fn block_size(&self) -> usize {
-        self.b
-    }
-
-    /// Logical stored entries (excluding padding lanes).
-    #[inline]
-    pub fn nnz(&self) -> usize {
-        self.nnz
-    }
-
-    /// Number of stored `b × b` blocks.
-    #[inline]
-    pub fn n_blocks(&self) -> usize {
-        self.blockcol.len()
-    }
-
-    /// Fraction of stored block lanes that hold real entries
-    /// (`nnz / (n_blocks · b²)`); 1.0 for an empty matrix.
-    pub fn fill_ratio(&self) -> f64 {
-        let lanes = self.n_blocks() * self.b * self.b;
-        if lanes == 0 {
-            return 1.0;
-        }
-        self.nnz as f64 / lanes as f64
-    }
-
     /// `y ← A·x`.
     ///
     /// Block edges 2 and 4 dispatch to fully unrolled register-blocked
@@ -345,24 +305,11 @@ mod tests {
         // 5x5 with b=2: last block row/col are partial.
         let a = gen::poisson2d(5).unwrap(); // order 25
         let blocked = BcsrMatrix::from_csr(&a, 2).unwrap();
-        assert_eq!(blocked.nnz(), a.nnz());
+        assert_eq!(blocked.nnz, a.nnz());
         let x = vec![1.0; 25];
         let mut y = vec![0.0; 25];
         blocked.spmv_into(&x, &mut y);
         assert_eq!(y, a.spmv(&x));
-    }
-
-    #[test]
-    fn fill_ratio_bounds() {
-        let a = gen::poisson2d(8).unwrap();
-        for b in [2usize, 4] {
-            let blocked = BcsrMatrix::from_csr(&a, b).unwrap();
-            let f = blocked.fill_ratio();
-            assert!(f > 0.0 && f <= 1.0, "fill {f}");
-        }
-        // b=1 stores exactly the nonzeros: fill ratio 1.
-        let unit = BcsrMatrix::from_csr(&a, 1).unwrap();
-        assert_eq!(unit.fill_ratio(), 1.0);
     }
 
     #[test]
@@ -407,8 +354,8 @@ mod tests {
     fn empty_matrix() {
         let a = CsrMatrix::new(0, 0, vec![0], vec![], vec![]).unwrap();
         let blocked = BcsrMatrix::from_csr(&a, 2).unwrap();
-        assert_eq!(blocked.nnz(), 0);
-        assert_eq!(blocked.fill_ratio(), 1.0);
+        assert_eq!(blocked.nnz, 0);
+        assert!(blocked.val.is_empty());
         let mut y = vec![];
         blocked.spmv_into(&[], &mut y);
     }

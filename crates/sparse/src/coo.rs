@@ -28,7 +28,7 @@ impl CooMatrix {
     }
 
     /// Creates an empty matrix with room for `cap` triplets.
-    pub fn with_capacity(n_rows: usize, n_cols: usize, cap: usize) -> Self {
+    pub(crate) fn with_capacity(n_rows: usize, n_cols: usize, cap: usize) -> Self {
         Self {
             n_rows,
             n_cols,
@@ -36,21 +36,6 @@ impl CooMatrix {
             cols: Vec::with_capacity(cap),
             vals: Vec::with_capacity(cap),
         }
-    }
-
-    /// Number of rows.
-    pub fn n_rows(&self) -> usize {
-        self.n_rows
-    }
-
-    /// Number of columns.
-    pub fn n_cols(&self) -> usize {
-        self.n_cols
-    }
-
-    /// Number of stored triplets (before duplicate merging).
-    pub fn nnz(&self) -> usize {
-        self.vals.len()
     }
 
     /// Appends a triplet.
@@ -67,20 +52,11 @@ impl CooMatrix {
 
     /// Appends a triplet and, when off-diagonal, its mirror `(j, i, v)`.
     /// Convenience for symmetric MatrixMarket files.
-    pub fn push_sym(&mut self, i: usize, j: usize, v: f64) {
+    pub(crate) fn push_sym(&mut self, i: usize, j: usize, v: f64) {
         self.push(i, j, v);
         if i != j {
             self.push(j, i, v);
         }
-    }
-
-    /// Iterates over stored triplets.
-    pub fn iter(&self) -> impl Iterator<Item = (usize, usize, f64)> + '_ {
-        self.rows
-            .iter()
-            .zip(self.cols.iter())
-            .zip(self.vals.iter())
-            .map(|((&i, &j), &v)| (i, j, v))
     }
 
     /// Converts to CSR, summing duplicates and sorting columns within rows.
@@ -190,19 +166,9 @@ mod tests {
     }
 
     #[test]
-    fn iter_yields_all() {
-        let mut coo = CooMatrix::new(2, 2);
-        coo.push(0, 0, 1.0);
-        coo.push(1, 1, 2.0);
-        let got: Vec<_> = coo.iter().collect();
-        assert_eq!(got, vec![(0, 0, 1.0), (1, 1, 2.0)]);
-    }
-
-    #[test]
     fn with_capacity_reserves() {
         let coo = CooMatrix::with_capacity(4, 4, 16);
-        assert_eq!(coo.nnz(), 0);
-        assert_eq!(coo.n_rows(), 4);
-        assert_eq!(coo.n_cols(), 4);
+        assert_eq!((coo.n_rows, coo.n_cols, coo.vals.len()), (4, 4, 0));
+        assert!(coo.vals.capacity() >= 16);
     }
 }

@@ -236,7 +236,7 @@ impl CsrMatrix {
     }
 
     /// Value at `(i, j)`, or `0.0` if not stored. Linear in the row length.
-    pub fn get(&self, i: usize, j: usize) -> f64 {
+    pub(crate) fn get(&self, i: usize, j: usize) -> f64 {
         self.row(i)
             .find(|&(c, _)| c == j)
             .map(|(_, v)| v)
@@ -671,13 +671,6 @@ impl CsrMatrix {
         colsum.into_iter().fold(0.0, f64::max)
     }
 
-    /// Matrix ∞-norm: maximum absolute row sum.
-    pub fn norm_inf(&self) -> f64 {
-        (0..self.n_rows)
-            .map(|i| self.row(i).map(|(_, v)| v.abs()).sum::<f64>())
-            .fold(0.0, f64::max)
-    }
-
     /// Per-column plain sums `Σᵢ aᵢⱼ` (the unshifted checksum of eq. 1).
     pub fn column_sums(&self) -> Vec<f64> {
         let mut s = vec![0.0; self.n_cols];
@@ -920,8 +913,6 @@ mod tests {
         let m = sample();
         // column sums of abs: [5, 5, 3] -> norm1 = 5
         assert_eq!(m.norm1(), 5.0);
-        // row sums of abs: [5, 5, 3] -> norm_inf = 5
-        assert_eq!(m.norm_inf(), 5.0);
     }
 
     #[test]

@@ -295,7 +295,7 @@ mod tests {
         a.validate().unwrap();
         assert!(a.is_symmetric(0.0));
         // center point (1,1,1) has full 7-point stencil
-        #[allow(clippy::identity_op)] // keep the idx(1,1,1) shape readable
+        #[expect(clippy::identity_op, reason = "keeps the idx(1, 1, 1) shape readable")]
         let center = (1 * 3 + 1) * 3 + 1;
         assert_eq!(a.row(center).count(), 7);
         assert_eq!(a.get(center, center), 6.0);

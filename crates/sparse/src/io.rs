@@ -15,7 +15,7 @@ use crate::Result;
 
 /// Symmetry qualifier parsed from a MatrixMarket header.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum MmSymmetry {
+pub(crate) enum MmSymmetry {
     /// All entries stored explicitly.
     General,
     /// Lower triangle stored; mirror on read.

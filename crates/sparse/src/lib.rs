@@ -39,16 +39,16 @@
 
 #![warn(missing_docs)]
 
-pub mod bcsr;
-pub mod coo;
-pub mod csr;
-pub mod error;
+mod bcsr;
+mod coo;
+mod csr;
+mod error;
 pub mod fused;
 pub mod gen;
 pub mod io;
-pub mod order;
+mod order;
 pub mod parallel;
-pub mod sell;
+mod sell;
 pub mod stats;
 pub mod vector;
 

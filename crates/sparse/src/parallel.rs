@@ -20,18 +20,6 @@ pub struct RowBlock {
     pub end: usize,
 }
 
-impl RowBlock {
-    /// Number of rows in the block.
-    pub fn len(&self) -> usize {
-        self.end - self.start
-    }
-
-    /// `true` iff the block is empty.
-    pub fn is_empty(&self) -> bool {
-        self.start == self.end
-    }
-}
-
 /// Splits `n_rows` into at most `n_blocks` contiguous blocks whose stored
 /// nonzero counts are approximately balanced (greedy prefix partitioning of
 /// the rowptr array — the same heuristic 1-D hypergraph partitioners use as
@@ -116,53 +104,11 @@ pub fn spmv_parallel(a: &CsrMatrix, x: &[f64], y: &mut [f64], blocks: &[RowBlock
 /// Convenience: partition into `n_threads` balanced blocks and multiply.
 ///
 /// Note this recomputes the partition on **every call** — fine for
-/// one-off products, wasteful in a solver loop. Hot paths should build a
-/// [`RowPartition`] (or go through `ftcg-kernels`' prepared `csr-par`
-/// probe, which caches its blocks at preparation time) and reuse it.
+/// one-off products, wasteful in a solver loop: `ftcg-kernels`' prepared
+/// `csr-par` probe caches its blocks at preparation time instead.
 pub fn spmv_parallel_auto(a: &CsrMatrix, x: &[f64], y: &mut [f64], n_threads: usize) {
     let blocks = partition_rows_balanced(a, n_threads.max(1));
     spmv_parallel(a, x, y, &blocks);
-}
-
-/// A reusable balanced row partition: computed once, applied to any
-/// number of products against matrices with the same row count.
-///
-/// This is the caching counterpart to [`spmv_parallel_auto`], which
-/// re-runs the greedy prefix partitioning on every call.
-#[derive(Debug, Clone)]
-pub struct RowPartition {
-    blocks: Vec<RowBlock>,
-    n_rows: usize,
-}
-
-impl RowPartition {
-    /// Builds a balanced partition of `a`'s rows into at most
-    /// `n_threads` blocks (see [`partition_rows_balanced`]).
-    pub fn new(a: &CsrMatrix, n_threads: usize) -> RowPartition {
-        RowPartition {
-            blocks: partition_rows_balanced(a, n_threads.max(1)),
-            n_rows: a.n_rows(),
-        }
-    }
-
-    /// The cached row blocks.
-    pub fn blocks(&self) -> &[RowBlock] {
-        &self.blocks
-    }
-
-    /// Parallel `y ← A·x` over the cached blocks.
-    ///
-    /// # Panics
-    /// Panics if `a` does not have the row count the partition was
-    /// built for, or on the usual dimension mismatches.
-    pub fn spmv(&self, a: &CsrMatrix, x: &[f64], y: &mut [f64]) {
-        assert_eq!(
-            a.n_rows(),
-            self.n_rows,
-            "RowPartition: matrix row count changed"
-        );
-        spmv_parallel(a, x, y, &self.blocks);
-    }
 }
 
 fn validate_blocks(blocks: &[RowBlock], n_rows: usize) {
@@ -238,20 +184,6 @@ mod tests {
             &mut y,
             &[RowBlock { start: 0, end: 2 }, RowBlock { start: 2, end: 3 }],
         );
-    }
-
-    #[test]
-    fn row_partition_reuses_blocks_and_matches() {
-        let a = gen::random_spd(200, 0.04, 7).unwrap();
-        let part = RowPartition::new(&a, 4);
-        assert_eq!(part.blocks(), &partition_rows_balanced(&a, 4)[..]);
-        let x: Vec<f64> = (0..200).map(|i| (i as f64 * 0.19).sin()).collect();
-        let seq = a.spmv(&x);
-        let mut y = vec![0.0; 200];
-        for _ in 0..3 {
-            part.spmv(&a, &x, &mut y);
-            assert_eq!(y, seq);
-        }
     }
 
     #[test]

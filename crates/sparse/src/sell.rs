@@ -23,8 +23,6 @@ pub struct SellCSigma {
     n_cols: usize,
     /// Chunk height `C`.
     chunk: usize,
-    /// Sorting window `σ` (in rows).
-    sigma: usize,
     /// `perm[pos]` = original row stored at position `pos`.
     perm: Vec<usize>,
     /// Stored entries per position (true row length, no padding).
@@ -91,7 +89,6 @@ impl SellCSigma {
             n_rows,
             n_cols,
             chunk,
-            sigma,
             perm,
             rowlen,
             chunkptr,
@@ -99,44 +96,6 @@ impl SellCSigma {
             val,
             nnz,
         })
-    }
-
-    /// Number of rows.
-    #[inline]
-    pub fn n_rows(&self) -> usize {
-        self.n_rows
-    }
-
-    /// Number of columns.
-    #[inline]
-    pub fn n_cols(&self) -> usize {
-        self.n_cols
-    }
-
-    /// Chunk height `C`.
-    #[inline]
-    pub fn chunk_size(&self) -> usize {
-        self.chunk
-    }
-
-    /// Sorting window `σ`.
-    #[inline]
-    pub fn sigma(&self) -> usize {
-        self.sigma
-    }
-
-    /// Logical stored entries (excluding padding).
-    #[inline]
-    pub fn nnz(&self) -> usize {
-        self.nnz
-    }
-
-    /// Fraction of allocated lanes that are padding; 0.0 when empty.
-    pub fn padding_ratio(&self) -> f64 {
-        if self.val.is_empty() {
-            return 0.0;
-        }
-        1.0 - self.nnz as f64 / self.val.len() as f64
     }
 
     /// `y ← A·x`.
@@ -311,7 +270,7 @@ mod tests {
         let a = coo.to_csr();
         let unsorted = SellCSigma::from_csr(&a, 8, 1).unwrap();
         let sorted = SellCSigma::from_csr(&a, 8, n).unwrap();
-        assert!(sorted.padding_ratio() <= unsorted.padding_ratio());
+        assert!(sorted.val.len() <= unsorted.val.len(), "more padding lanes");
         // Both still compute the same product.
         let x: Vec<f64> = (0..n).map(|i| i as f64 * 0.1).collect();
         let mut y1 = vec![0.0; n];
@@ -333,8 +292,8 @@ mod tests {
     fn empty_matrix() {
         let a = CsrMatrix::new(0, 0, vec![0], vec![], vec![]).unwrap();
         let sell = SellCSigma::from_csr(&a, 8, 32).unwrap();
-        assert_eq!(sell.nnz(), 0);
-        assert_eq!(sell.padding_ratio(), 0.0);
+        assert_eq!(sell.nnz, 0);
+        assert!(sell.val.is_empty());
         let mut y = vec![];
         sell.spmv_into(&[], &mut y);
     }
@@ -378,7 +337,7 @@ mod tests {
         }
         let a = coo.to_csr();
         let sell = SellCSigma::from_csr(&a, 8, 1).unwrap();
-        assert!(sell.padding_ratio() > 0.0);
+        assert!(sell.val.len() > sell.nnz, "no padding lanes");
         let x = vec![1.0; n];
         let mut y = vec![0.0; n];
         sell.spmv_into(&x, &mut y);

@@ -8,23 +8,23 @@ use crate::csr::CsrMatrix;
 #[derive(Debug, Clone, PartialEq)]
 pub struct MatrixStats {
     /// Order (rows; the test set is square).
-    pub n: usize,
+    pub(crate) n: usize,
     /// Stored nonzeros.
-    pub nnz: usize,
+    pub(crate) nnz: usize,
     /// Fill ratio `nnz / n²`.
-    pub density: f64,
+    pub(crate) density: f64,
     /// Minimum row nonzero count.
-    pub min_row_nnz: usize,
+    pub(crate) min_row_nnz: usize,
     /// Maximum row nonzero count.
-    pub max_row_nnz: usize,
+    pub(crate) max_row_nnz: usize,
     /// Mean row nonzero count.
-    pub avg_row_nnz: f64,
+    pub(crate) avg_row_nnz: f64,
     /// Half bandwidth `max |i − j|` over stored entries.
-    pub bandwidth: usize,
+    pub(crate) bandwidth: usize,
     /// Whether the matrix is symmetric to 1e-12.
-    pub symmetric: bool,
+    pub(crate) symmetric: bool,
     /// Whether strictly diagonally dominant.
-    pub diagonally_dominant: bool,
+    pub(crate) diagonally_dominant: bool,
     /// Machine words in the CSR arrays (fault-model `M` contribution).
     pub memory_words: usize,
 }

@@ -38,12 +38,6 @@ pub fn norm_inf(x: &[f64]) -> f64 {
     x.iter().fold(0.0_f64, |m, &v| m.max(v.abs()))
 }
 
-/// One norm `‖x‖₁`.
-#[inline]
-pub fn norm1(x: &[f64]) -> f64 {
-    x.iter().map(|v| v.abs()).sum()
-}
-
 /// `y ← a·x + y`.
 ///
 /// # Panics
@@ -56,24 +50,6 @@ pub fn axpy(a: f64, x: &[f64], y: &mut [f64]) {
     }
 }
 
-/// `x ← a·x`.
-#[inline]
-pub fn scale(a: f64, x: &mut [f64]) {
-    for v in x.iter_mut() {
-        *v *= a;
-    }
-}
-
-/// `y ← x` (element copy; explicit name for readability at call sites).
-///
-/// # Panics
-/// Panics if lengths differ.
-#[inline]
-pub fn copy(x: &[f64], y: &mut [f64]) {
-    assert_eq!(x.len(), y.len(), "copy: length mismatch");
-    y.copy_from_slice(x);
-}
-
 /// `x ← x − y` elementwise.
 ///
 /// # Panics
@@ -84,24 +60,6 @@ pub fn sub_assign(x: &mut [f64], y: &[f64]) {
     for (a, b) in x.iter_mut().zip(y.iter()) {
         *a -= b;
     }
-}
-
-/// Sum of all entries, `Σᵢ xᵢ`. Used by the ABFT output-checksum test.
-#[inline]
-pub fn sum(x: &[f64]) -> f64 {
-    x.iter().sum()
-}
-
-/// Weighted sum `Σᵢ wᵢ·xᵢ` with the paper's second weight row `wᵢ = i+1`
-/// (1-based positions). Exposed here so both the checksum builder and the
-/// TMR layer share one definition.
-#[inline]
-pub fn indexed_sum(x: &[f64]) -> f64 {
-    let mut acc = 0.0;
-    for (i, v) in x.iter().enumerate() {
-        acc += (i + 1) as f64 * v;
-    }
-    acc
 }
 
 /// Maximum absolute componentwise difference `max_i |x_i − y_i|`.
@@ -158,11 +116,6 @@ mod tests {
     }
 
     #[test]
-    fn norm1_sums_abs() {
-        assert_eq!(norm1(&[1.0, -2.0, 3.0]), 6.0);
-    }
-
-    #[test]
     fn axpy_basic() {
         let mut y = [1.0, 1.0, 1.0];
         axpy(2.0, &[1.0, 2.0, 3.0], &mut y);
@@ -177,32 +130,10 @@ mod tests {
     }
 
     #[test]
-    fn scale_in_place() {
-        let mut x = [2.0, -4.0];
-        scale(0.5, &mut x);
-        assert_eq!(x, [1.0, -2.0]);
-    }
-
-    #[test]
-    fn copy_duplicates() {
-        let mut y = [0.0; 2];
-        copy(&[1.0, 2.0], &mut y);
-        assert_eq!(y, [1.0, 2.0]);
-    }
-
-    #[test]
     fn sub_assign_subtracts() {
         let mut x = [5.0, 5.0];
         sub_assign(&mut x, &[2.0, 3.0]);
         assert_eq!(x, [3.0, 2.0]);
-    }
-
-    #[test]
-    fn sum_and_indexed_sum() {
-        let x = [1.0, 2.0, 3.0];
-        assert_eq!(sum(&x), 6.0);
-        // 1*1 + 2*2 + 3*3 = 14
-        assert_eq!(indexed_sum(&x), 14.0);
     }
 
     #[test]

@@ -16,7 +16,7 @@ use crate::recorder::{Phase, Recorder, Stamp};
 /// Default event-ring capacity. Fixed (not tunable per run) so the
 /// drop boundary — and therefore the drained trace — is deterministic
 /// for a given campaign no matter how it is executed.
-pub const DEFAULT_RING_CAPACITY: usize = 16_384;
+pub(crate) const DEFAULT_RING_CAPACITY: usize = 16_384;
 
 /// One job's wall-clock execution window, relative to the run's start.
 ///
@@ -88,7 +88,7 @@ impl ActiveRecorder {
     /// reserved for the final [`finish_job`](Self::finish_job) event so
     /// a job's trace block always ends with `job_finish` even when the
     /// ring overflowed).
-    pub fn with_capacity(capacity: usize) -> ActiveRecorder {
+    pub(crate) fn with_capacity(capacity: usize) -> ActiveRecorder {
         ActiveRecorder {
             phase_ns: [0; Phase::COUNT],
             phase_calls: [0; Phase::COUNT],
@@ -124,11 +124,6 @@ impl ActiveRecorder {
         if self.ring.len() < self.ring.capacity() {
             self.ring.push(ev);
         }
-    }
-
-    /// Accumulated time for one phase since the last reset.
-    pub fn phase_ns(&self, phase: Phase) -> u64 {
-        self.phase_ns[phase.index()]
     }
 
     /// The duration histogram for one phase.

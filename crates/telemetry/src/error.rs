@@ -76,7 +76,7 @@ pub enum TelemetryError {
 
 impl TelemetryError {
     /// Convenience constructor for [`TelemetryError::Io`].
-    pub fn io(path: &std::path::Path, err: impl std::fmt::Display) -> TelemetryError {
+    pub(crate) fn io(path: &std::path::Path, err: impl std::fmt::Display) -> TelemetryError {
         TelemetryError::Io {
             path: path.display().to_string(),
             msg: err.to_string(),

@@ -51,7 +51,7 @@ impl EventKind {
     pub const COUNT: usize = 11;
 
     /// Every kind, in canonical order.
-    pub const ALL: [EventKind; EventKind::COUNT] = [
+    pub(crate) const ALL: [EventKind; EventKind::COUNT] = [
         EventKind::JobStart,
         EventKind::Fault,
         EventKind::Detect,
@@ -124,7 +124,7 @@ pub mod via {
     }
 
     /// Code for a detector name (inverse of [`name`]).
-    pub fn code(name: &str) -> Option<u64> {
+    pub(crate) fn code(name: &str) -> Option<u64> {
         [PRODUCT, TMR, CHUNK, BREAKDOWN]
             .into_iter()
             .find(|&c| self::name(c) == name)
@@ -166,7 +166,7 @@ pub mod target {
     }
 
     /// Code for a target name (inverse of [`name`]).
-    pub fn code(name: &str) -> Option<u64> {
+    pub(crate) fn code(name: &str) -> Option<u64> {
         [A_VALUES, A_COL_IDX, A_ROW_PTR, P, Q, R, X]
             .into_iter()
             .find(|&c| self::name(c) == name)

@@ -8,7 +8,7 @@
 
 /// Number of buckets; bucket `i > 0` holds durations in
 /// `[2^(i-1), 2^i)` nanoseconds, bucket 0 holds `0` ns.
-pub const BUCKETS: usize = 64;
+pub(crate) const BUCKETS: usize = 64;
 
 /// A fixed-size log2-scale histogram of nanosecond durations.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -45,7 +45,7 @@ impl DurationHist {
 
     /// Merges another histogram into this one (saturating: counts read
     /// from a damaged file must not overflow).
-    pub fn merge(&mut self, other: &DurationHist) {
+    pub(crate) fn merge(&mut self, other: &DurationHist) {
         for (c, o) in self.counts.iter_mut().zip(other.counts.iter()) {
             *c = c.saturating_add(*o);
         }
@@ -62,13 +62,13 @@ impl DurationHist {
     }
 
     /// The raw bucket counts.
-    pub fn buckets(&self) -> &[u64; BUCKETS] {
+    pub(crate) fn buckets(&self) -> &[u64; BUCKETS] {
         &self.counts
     }
 
     /// Reconstructs a histogram from raw bucket counts; shorter slices
     /// are zero-padded (the serialized form trims trailing zeros).
-    pub fn from_buckets(counts: &[u64]) -> Option<DurationHist> {
+    pub(crate) fn from_buckets(counts: &[u64]) -> Option<DurationHist> {
         if counts.len() > BUCKETS {
             return None;
         }
@@ -80,7 +80,7 @@ impl DurationHist {
     /// An upper bound (in ns) on the `q`-quantile recorded duration
     /// (`0.0 <= q <= 1.0`); `None` when empty. Resolution is the bucket
     /// width, i.e. a factor of two.
-    pub fn quantile_upper_ns(&self, q: f64) -> Option<u64> {
+    pub(crate) fn quantile_upper_ns(&self, q: f64) -> Option<u64> {
         let total = self.count();
         if total == 0 {
             return None;

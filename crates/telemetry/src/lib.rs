@@ -19,7 +19,7 @@
 //!    `R: Recorder`; the no-op default monomorphizes to nothing (no
 //!    clock reads, no stores), and the active recorder is pre-allocated
 //!    per worker (plain counter arrays, fixed-bucket log-scale
-//!    [`DurationHist`]s, a bounded event ring) so recording passes the
+//!    `DurationHist`s, a bounded event ring) so recording passes the
 //!    workspace pipeline's counting-allocator gate.
 //! 2. **The deterministic trace** ([`trace`]) — drained protocol events
 //!    rendered as JSONL keyed by `(job index, seq)`, never wall-clock.
@@ -37,20 +37,19 @@
 
 #![warn(missing_docs)]
 
-pub mod active;
-pub mod error;
+mod active;
+mod error;
 pub mod event;
 pub mod hist;
 pub mod log;
 pub mod metrics;
-pub mod recorder;
+mod recorder;
 pub mod report;
 pub mod trace;
 
-pub use active::{ActiveRecorder, JobSpan, JobTelemetry, DEFAULT_RING_CAPACITY};
+pub use active::{ActiveRecorder, JobSpan, JobTelemetry};
 pub use error::TelemetryError;
 pub use event::{Event, EventKind};
-pub use hist::DurationHist;
 pub use log::TraceMeta;
 pub use recorder::{NoopRecorder, Phase, Recorder, Stamp};
 pub use trace::{Trace, TraceWriter};

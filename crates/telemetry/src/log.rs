@@ -20,7 +20,7 @@
 //!   [`TelemetryError::Malformed`] at its byte offset.
 //! * **Duplicates.** Records are keyed by `(job, seq)` (`seq` is 0 in
 //!   per-job logs). A job re-run after a crash re-appends its lines, and
-//!   the kind's [`Dup`] policy decides which survives — within one file
+//!   the kind's `Dup` policy decides which survives — within one file
 //!   on load, and across files on [`merge`].
 //! * **Open** ([`LogWriter::open`]). Without resume, an existing file is
 //!   [`TelemetryError::AlreadyExists`]: a log is never overwritten. With
@@ -44,7 +44,7 @@ use crate::error::TelemetryError;
 
 /// Which record survives when two lines share a `(job, seq)` key.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Dup {
+pub(crate) enum Dup {
     /// The first occurrence wins, and a repeat must be byte-identical
     /// (a deterministic re-run); anything else is
     /// [`TelemetryError::ConflictingDuplicate`].
@@ -58,15 +58,15 @@ pub enum Dup {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Kind {
     /// Header key whose value is the format version.
-    pub key: &'static str,
+    pub(crate) key: &'static str,
     /// The one version this build reads and writes.
     pub version: u64,
     /// What messages call the file.
-    pub what: &'static str,
+    pub(crate) what: &'static str,
     /// Whether the header carries a shard (journals only).
-    pub sharded: bool,
+    pub(crate) sharded: bool,
     /// The duplicate policy.
-    pub dup: Dup,
+    pub(crate) dup: Dup,
 }
 
 /// The campaign journal (`ftcg-engine`'s `journal` module).
@@ -256,16 +256,16 @@ pub struct Entry<R = ()> {
     /// Global job index.
     pub job: usize,
     /// Position within the job (0 in per-job logs).
-    pub seq: usize,
+    pub(crate) seq: usize,
     /// The line as written, without its newline.
-    pub line: String,
+    pub(crate) line: String,
     /// The parsed record.
     pub value: R,
 }
 
 /// A format's record-line parser: `(job, seq, record)`, or what is
 /// wrong with the line.
-pub type Parse<R> = fn(&str) -> Result<(usize, usize, R), String>;
+pub(crate) type Parse<R> = fn(&str) -> Result<(usize, usize, R), String>;
 
 /// Applies `dup` to `entries` in order, keeping first-occurrence order.
 /// `path` names the file (or [`MERGE`]) in a conflict error.

@@ -89,7 +89,7 @@ impl Stamp {
     /// A stamp that carries no clock reading (what [`NoopRecorder`]
     /// returns; elapsed time reads as zero).
     #[inline]
-    pub fn empty() -> Stamp {
+    pub(crate) fn empty() -> Stamp {
         Stamp(None)
     }
 

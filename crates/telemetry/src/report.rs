@@ -18,17 +18,17 @@ use crate::recorder::Phase;
 #[derive(Debug, Clone)]
 pub struct ConfigReport {
     /// Configuration label (from the spec grid, or `config N`).
-    pub label: String,
+    pub(crate) label: String,
     /// Jobs of this configuration seen in the trace.
-    pub traced_jobs: usize,
+    pub(crate) traced_jobs: usize,
     /// Jobs of this configuration seen in the metrics sidecar.
-    pub timed_jobs: usize,
+    pub(crate) timed_jobs: usize,
     /// Summed per-kind event counts, indexed by [`EventKind::index`].
-    pub events: [u64; EventKind::COUNT],
+    pub(crate) events: [u64; EventKind::COUNT],
     /// Summed per-phase wall time (ns), indexed by [`Phase::index`].
-    pub phase_ns: [u64; Phase::COUNT],
+    pub(crate) phase_ns: [u64; Phase::COUNT],
     /// Summed per-phase call counts, indexed by [`Phase::index`].
-    pub phase_calls: [u64; Phase::COUNT],
+    pub(crate) phase_calls: [u64; Phase::COUNT],
 }
 
 /// Folds trace events and sidecar lines into one row per configuration.
