@@ -63,8 +63,9 @@ cargo test -q --release -p ftcg-solvers --test alloc_gate
 echo "==> kernel and ABFT bit-exactness suites (release: the codegen that ships, bounds checks elided)"
 cargo test -q --release -p ftcg-sparse -p ftcg-kernels -p ftcg-abft
 
-echo "==> protocol pins (release, including the paper-matrix campaign debug builds skip)"
+echo "==> protocol and paper-matrix pins (release, including the published-order cases debug builds skip)"
 cargo test -q --release -p ftcg-repro --test protocol_pin -- --include-ignored
+cargo test -q --release -p ftcg-sim --test paper_matrices -- --include-ignored
 
 echo "==> shard → merge → diff smoke (byte-identical campaign artifacts)"
 bash scripts/shard_smoke.sh target/release/ftcg

@@ -1,7 +1,7 @@
 //! The allocation gate: a counting global allocator proving the
 //! zero-allocation claims of the workspace pipeline.
 //!
-//! Seven claims are pinned:
+//! Eight claims are pinned:
 //!
 //! 1. a plain CG machine step allocates nothing — the machine owns all
 //!    its vectors and every kernel writes into caller buffers;
@@ -35,7 +35,11 @@
 //!    one does — no per-shape buffer is ever re-created. The row visit
 //!    order of the defensive product is one of them: rebuilt at every
 //!    checkout, 4 bytes per row of the largest matrix, never regrown by
-//!    the same or a smaller matrix.
+//!    the same or a smaller matrix;
+//! 8. generating a random SPD matrix (`gen::random_spd`, behind every
+//!    paper matrix) peaks at no more than twice the live heap of the
+//!    matrix it returns: the pair keys and the CSR arrays, with no
+//!    triplet copy or second CSR beside them.
 //!
 //! The file holds a single `#[test]` on purpose: the counter is
 //! process-global, and sibling tests running on other threads would
@@ -51,11 +55,23 @@ use ftcg_solvers::{SolverWorkspace, StoppingCriterion};
 use ftcg_sparse::gen;
 use ftcg_telemetry::ActiveRecorder;
 
-/// Counts heap allocations (alloc + realloc) while enabled.
+/// Counts heap allocations (alloc + realloc) while enabled, and keeps
+/// the live and peak heap bytes at all times.
 struct CountingAlloc;
 
 static ENABLED: AtomicBool = AtomicBool::new(false);
 static ALLOCS: AtomicUsize = AtomicUsize::new(0);
+static LIVE: AtomicUsize = AtomicUsize::new(0);
+static PEAK: AtomicUsize = AtomicUsize::new(0);
+
+fn grow(bytes: usize) {
+    let live = LIVE.fetch_add(bytes, Ordering::Relaxed) + bytes;
+    PEAK.fetch_max(live, Ordering::Relaxed);
+}
+
+fn shrink(bytes: usize) {
+    LIVE.fetch_sub(bytes, Ordering::Relaxed);
+}
 
 #[expect(
     unsafe_code,
@@ -66,10 +82,15 @@ unsafe impl GlobalAlloc for CountingAlloc {
         if ENABLED.load(Ordering::Relaxed) {
             ALLOCS.fetch_add(1, Ordering::Relaxed);
         }
-        System.alloc(layout)
+        let p = System.alloc(layout);
+        if !p.is_null() {
+            grow(layout.size());
+        }
+        p
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        shrink(layout.size());
         System.dealloc(ptr, layout)
     }
 
@@ -77,7 +98,12 @@ unsafe impl GlobalAlloc for CountingAlloc {
         if ENABLED.load(Ordering::Relaxed) {
             ALLOCS.fetch_add(1, Ordering::Relaxed);
         }
-        System.realloc(ptr, layout, new_size)
+        let p = System.realloc(ptr, layout, new_size);
+        if !p.is_null() {
+            shrink(layout.size());
+            grow(new_size);
+        }
+        p
     }
 }
 
@@ -92,6 +118,15 @@ fn count_allocs<R>(f: impl FnOnce() -> R) -> (usize, R) {
     let out = f();
     ENABLED.store(false, Ordering::SeqCst);
     (ALLOCS.load(Ordering::SeqCst), out)
+}
+
+/// Runs `f`; returns how far the live heap rose above its level at the
+/// call, at its highest.
+fn peak_heap_growth<R>(f: impl FnOnce() -> R) -> (usize, R) {
+    let base = LIVE.load(Ordering::SeqCst);
+    PEAK.store(base, Ordering::SeqCst);
+    let out = f();
+    (PEAK.load(Ordering::SeqCst) - base, out)
 }
 
 #[test]
@@ -308,4 +343,15 @@ fn steady_state_cg_iterations_allocate_nothing() {
         "switching shapes must not re-create a buffer"
     );
     assert_eq!(ws.retained_order_bytes(), 4 * a.n_rows());
+
+    // Claim 8: generation holds the returned matrix plus its pair keys,
+    // never a pair tree, a triplet copy and a second CSR beside it.
+    let (peak, m) = peak_heap_growth(|| gen::random_spd(4000, 0.01, 7).unwrap());
+    let matrix_bytes = 16 * m.nnz() + 8 * (m.n_rows() + 1);
+    assert!(
+        peak <= 2 * matrix_bytes,
+        "random_spd peaked at {peak} B of live heap, {:.2}x the {matrix_bytes} B matrix \
+         it returns (at most 2x)",
+        peak as f64 / matrix_bytes as f64
+    );
 }

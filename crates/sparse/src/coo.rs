@@ -61,8 +61,18 @@ impl CooMatrix {
 
     /// Converts to CSR, summing duplicates and sorting columns within rows.
     pub fn to_csr(&self) -> CsrMatrix {
-        // Counting sort by row.
-        let mut rowptr = vec![0usize; self.n_rows + 1];
+        self.to_csr_in(vec![0; self.n_rows + 1])
+    }
+
+    /// [`to_csr`](Self::to_csr) into a caller-allocated row pointer of
+    /// `n_rows + 1` zeros: the one allocation sized by the row count, so
+    /// a reader that takes the row count from untrusted input can
+    /// reserve it fallibly. Everything else is sized by the triplets
+    /// already held, and the conversion sorts and merges in place.
+    pub(crate) fn to_csr_in(&self, mut rowptr: Vec<usize>) -> CsrMatrix {
+        // Counting sort by row: count, prefix-sum to row starts, scatter
+        // with each start as its row's cursor (leaving it at the row's
+        // end), then shift the ends back into starts.
         for &i in &self.rows {
             rowptr[i + 1] += 1;
         }
@@ -72,26 +82,30 @@ impl CooMatrix {
         let nnz = self.vals.len();
         let mut colid = vec![0usize; nnz];
         let mut val = vec![0.0; nnz];
-        let mut next = rowptr.clone();
         for k in 0..nnz {
             let i = self.rows[k];
-            let dst = next[i];
+            let dst = rowptr[i];
             colid[dst] = self.cols[k];
             val[dst] = self.vals[k];
-            next[i] += 1;
+            rowptr[i] += 1;
         }
-        // Sort within each row and merge duplicates.
-        let mut out_rowptr = vec![0usize; self.n_rows + 1];
-        let mut out_colid = Vec::with_capacity(nnz);
-        let mut out_val = Vec::with_capacity(nnz);
+        for i in (1..=self.n_rows).rev() {
+            rowptr[i] = rowptr[i - 1];
+        }
+        rowptr[0] = 0;
+        // Sort within each row and merge duplicates, compacting leftwards:
+        // a row's merged entries never reach past its own unmerged ones.
         let mut scratch: Vec<(usize, f64)> = Vec::new();
+        let mut start = 0;
+        let mut w = 0;
         for i in 0..self.n_rows {
+            let end = rowptr[i + 1];
             scratch.clear();
             scratch.extend(
-                colid[rowptr[i]..rowptr[i + 1]]
+                colid[start..end]
                     .iter()
                     .copied()
-                    .zip(val[rowptr[i]..rowptr[i + 1]].iter().copied()),
+                    .zip(val[start..end].iter().copied()),
             );
             scratch.sort_unstable_by_key(|&(c, _)| c);
             let mut k = 0;
@@ -102,13 +116,17 @@ impl CooMatrix {
                     v += scratch[k2].1;
                     k2 += 1;
                 }
-                out_colid.push(c);
-                out_val.push(v);
+                colid[w] = c;
+                val[w] = v;
+                w += 1;
                 k = k2;
             }
-            out_rowptr[i + 1] = out_colid.len();
+            rowptr[i + 1] = w;
+            start = end;
         }
-        CsrMatrix::from_parts_unchecked(self.n_rows, self.n_cols, out_rowptr, out_colid, out_val)
+        colid.truncate(w);
+        val.truncate(w);
+        CsrMatrix::from_parts_unchecked(self.n_rows, self.n_cols, rowptr, colid, val)
     }
 }
 

@@ -11,6 +11,17 @@
 //! All generators return validated [`CsrMatrix`] values
 //! that are symmetric positive definite by construction (strict or weak
 //! diagonal dominance with positive diagonal).
+//!
+//! The stencil and graph generators assemble through [`CooMatrix`].
+//! [`random_spd`], which builds every paper matrix, does not: it
+//! deduplicates its random draws as `u64` keys `i·n + j` (`i < j`) in a
+//! flat open-addressing table, sorts the distinct keys once and writes
+//! the CSR arrays directly at their final size. Ascending keys are
+//! already CSR order: row `r` gets its lower entries from the mirrors of
+//! the pairs `(c, r)` of earlier rows, by ascending `c`, then its
+//! diagonal, then its own pairs `(r, c)` by ascending `c`. Set-up so
+//! holds the returned matrix plus the compacted keys, at most twice the
+//! matrix.
 
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
@@ -166,6 +177,18 @@ pub fn graph_laplacian(n: usize, edges: usize, sigma: f64, seed: u64) -> Result<
 /// which makes the matrix strictly diagonally dominant with positive
 /// diagonal, hence SPD. This is the generator the experiment harness uses
 /// to match the UFL matrices' published `n` and density.
+///
+/// The pattern is drawn as upper-triangle pairs `(i, j)`, `i < j`, and
+/// deduplicated as keys `i·n + j` in a flat open-addressing table
+/// (`PairSet`). The distinct keys are then sorted once, and the CSR
+/// arrays are allocated at their final size and filled in one pass over
+/// them, with no triplet copy and no per-row sort: ascending keys visit
+/// the pairs in ascending `(i, j)` order, so row `r` receives its lower
+/// entries `(r, c)`, `c < r`, from the mirrors of the earlier rows'
+/// pairs `(c, r)` by ascending `c`, then its diagonal, then its upper
+/// entries `(r, c)` from its own pairs by ascending `c` — already CSR
+/// order. Values are drawn in that same ascending pair order and each
+/// diagonal is written when its row's last pair is done.
 pub fn random_spd(n: usize, density: f64, seed: u64) -> Result<CsrMatrix> {
     if n == 0 {
         return Err(SparseError::InvalidArgument {
@@ -177,16 +200,22 @@ pub fn random_spd(n: usize, density: f64, seed: u64) -> Result<CsrMatrix> {
             detail: format!("random_spd: density {density} outside [0, 1]"),
         });
     }
+    let order = n as u64;
+    if order.checked_mul(order).is_none() {
+        return Err(SparseError::InvalidArgument {
+            detail: format!("random_spd: order {n} too large for a u64 pair key"),
+        });
+    }
     let mut rng = StdRng::seed_from_u64(seed);
     // Target nnz including the full diagonal.
     let target_nnz = ((n as f64) * (n as f64) * density).round() as usize;
     let offdiag_pairs = target_nnz.saturating_sub(n) / 2;
-    let mut pattern = std::collections::BTreeSet::new();
+    let mut pattern = PairSet::with_capacity(offdiag_pairs);
     let mut attempts = 0usize;
     // Banded bias: most UFL discretization matrices are band-dominated;
     // draw 70% of chords within a band of width max(8, n/64).
     let band = (n / 64).max(8);
-    while pattern.len() < offdiag_pairs && attempts < 30 * offdiag_pairs.max(1) {
+    while pattern.len < offdiag_pairs && attempts < 30 * offdiag_pairs.max(1) {
         attempts += 1;
         let i = rng.random_range(0..n);
         let j = if rng.random::<f64>() < 0.7 {
@@ -197,22 +226,120 @@ pub fn random_spd(n: usize, density: f64, seed: u64) -> Result<CsrMatrix> {
             rng.random_range(0..n)
         };
         if i != j {
-            pattern.insert((i.min(j), i.max(j)));
+            pattern.insert(i.min(j) as u64 * order + i.max(j) as u64);
         }
     }
+    let keys = pattern.into_sorted();
+
+    // Row lengths: each pair lands in both of its rows, plus the diagonal.
+    let mut rowptr = vec![0usize; n + 1];
+    for (i, base, block) in row_blocks(&keys, n) {
+        rowptr[i + 1] += 1 + block.len();
+        for &k in block {
+            rowptr[(k - base) as usize + 1] += 1;
+        }
+    }
+    for i in 0..n {
+        rowptr[i + 1] += rowptr[i];
+    }
+    let nnz = rowptr[n];
+    let mut colid = vec![0usize; nnz];
+    let mut val = vec![0.0_f64; nnz];
     let mut rowsum = vec![0.0_f64; n];
-    let mut coo = CooMatrix::with_capacity(n, n, n + 2 * pattern.len());
-    for &(i, j) in &pattern {
-        let v = -rng.random::<f64>(); // U(-1, 0)
-        coo.push(i, j, v);
-        coo.push(j, i, v);
-        rowsum[i] += v.abs();
-        rowsum[j] += v.abs();
+    // Where the next lower entry of each row goes: row `j` receives
+    // `(j, i)` while row `i < j` is being filled.
+    let mut lower = rowptr[..n].to_vec();
+    for (i, base, block) in row_blocks(&keys, n) {
+        // Rows before `i` have placed all of row `i`'s lower entries.
+        let diag = lower[i];
+        colid[diag] = i;
+        for (p, &k) in (diag + 1..).zip(block) {
+            let j = (k - base) as usize;
+            let v = -rng.random::<f64>(); // U(-1, 0)
+            colid[p] = j;
+            val[p] = v;
+            let q = lower[j];
+            colid[q] = i;
+            val[q] = v;
+            lower[j] += 1;
+            rowsum[i] += v.abs();
+            rowsum[j] += v.abs();
+        }
+        // Row `i`'s sum is complete: its pairs `(c, i)` came with the
+        // earlier rows, its pairs `(i, c)` with this one.
+        val[diag] = rowsum[i] + 1.0;
     }
-    for (i, &s) in rowsum.iter().enumerate() {
-        coo.push(i, i, s + 1.0);
+    Ok(CsrMatrix::from_parts_unchecked(n, n, rowptr, colid, val))
+}
+
+/// The distinct pair keys `i·n + j` drawn by [`random_spd`]: a flat
+/// open-addressing table with linear probing, at most half full, in one
+/// allocation of 8 B a slot. Its slot order never shows: the keys leave
+/// it sorted.
+struct PairSet {
+    slots: Vec<u64>,
+    /// `64 − log2(slots.len())`: the multiplicative hash keeps the top
+    /// bits of `key · φ⁻¹·2⁶⁴`.
+    shift: u32,
+    /// Distinct keys held.
+    len: usize,
+}
+
+impl PairSet {
+    /// No key: `i·n + j < n² − n` for every pair of an order whose `n²`
+    /// fits a `u64`.
+    const EMPTY: u64 = u64::MAX;
+
+    /// A table that stays at most half full with `cap` keys.
+    fn with_capacity(cap: usize) -> Self {
+        let slots = cap.saturating_mul(2).next_power_of_two().max(2);
+        Self {
+            slots: vec![Self::EMPTY; slots],
+            shift: 64 - slots.trailing_zeros(),
+            len: 0,
+        }
     }
-    Ok(coo.to_csr())
+
+    /// Adds `key` unless present. The caller inserts at most the
+    /// capacity it asked for, so an empty slot is always found.
+    fn insert(&mut self, key: u64) {
+        let mask = self.slots.len() - 1;
+        let mut h = (key.wrapping_mul(0x9e37_79b9_7f4a_7c15) >> self.shift) as usize;
+        loop {
+            let slot = &mut self.slots[h];
+            if *slot == key {
+                return;
+            }
+            if *slot == Self::EMPTY {
+                *slot = key;
+                self.len += 1;
+                return;
+            }
+            h = (h + 1) & mask;
+        }
+    }
+
+    /// The keys in ascending order, compacted in place into an
+    /// allocation of exactly their size.
+    fn into_sorted(self) -> Vec<u64> {
+        let mut keys = self.slots;
+        keys.retain(|&k| k != Self::EMPTY);
+        keys.shrink_to_fit();
+        keys.sort_unstable();
+        keys
+    }
+}
+
+/// Splits ascending keys `i·n + j` into each row's block: yields
+/// `(i, i·n, keys of row i)` for every `i < n`, so `key − i·n` is `j`.
+fn row_blocks(keys: &[u64], n: usize) -> impl Iterator<Item = (usize, u64, &[u64])> {
+    let mut rest = keys;
+    (0..n).map(move |i| {
+        let base = i as u64 * n as u64;
+        let (block, tail) = rest.split_at(rest.partition_point(|&k| k < base + n as u64));
+        rest = tail;
+        (i, base, block)
+    })
 }
 
 /// Random SPD matrix with a *controlled condition number*: same random
@@ -249,8 +376,10 @@ pub fn random_spd_illcond(
     let d: Vec<f64> = (0..n)
         .map(|_| 10f64.powf(-rng.random::<f64>() * decades / 2.0))
         .collect();
-    // Scaling keeps the pattern, so the values are rewritten in place: a
-    // second assembly next to the live base would triple the peak.
+    // Scaling keeps the pattern, so the values are rewritten in place.
+    // `random_spd` peaks at under twice the matrix it returns; a second
+    // assembly next to the live base (a triplet copy and its CSR) would
+    // hold well over that and set the peak here instead.
     for i in 0..n {
         for k in base.row_range(i) {
             let (j, v) = (base.colid()[k], base.val()[k]);
@@ -349,6 +478,79 @@ mod tests {
         assert_eq!(a, b);
         let c = random_spd(50, 0.05, 124).unwrap();
         assert_ne!(a, c);
+    }
+
+    /// The route `random_spd` took before it filled CSR directly: the
+    /// same draws into a `BTreeSet` of pairs, then triplets, then
+    /// `to_csr`.
+    fn random_spd_via_coo(n: usize, density: f64, seed: u64) -> CsrMatrix {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let target_nnz = ((n as f64) * (n as f64) * density).round() as usize;
+        let offdiag_pairs = target_nnz.saturating_sub(n) / 2;
+        let mut pattern = std::collections::BTreeSet::new();
+        let mut attempts = 0usize;
+        let band = (n / 64).max(8);
+        while pattern.len() < offdiag_pairs && attempts < 30 * offdiag_pairs.max(1) {
+            attempts += 1;
+            let i = rng.random_range(0..n);
+            let j = if rng.random::<f64>() < 0.7 {
+                let lo = i.saturating_sub(band);
+                let hi = (i + band + 1).min(n);
+                rng.random_range(lo..hi)
+            } else {
+                rng.random_range(0..n)
+            };
+            if i != j {
+                pattern.insert((i.min(j), i.max(j)));
+            }
+        }
+        let mut rowsum = vec![0.0_f64; n];
+        let mut coo = CooMatrix::with_capacity(n, n, n + 2 * pattern.len());
+        for &(i, j) in &pattern {
+            let v = -rng.random::<f64>();
+            coo.push(i, j, v);
+            coo.push(j, i, v);
+            rowsum[i] += v.abs();
+            rowsum[j] += v.abs();
+        }
+        for (i, &s) in rowsum.iter().enumerate() {
+            coo.push(i, i, s + 1.0);
+        }
+        coo.to_csr()
+    }
+
+    #[test]
+    fn random_spd_matches_coo_assembly() {
+        let cases = [
+            (1, 0.5, 1),
+            (1, 1.0, 2),
+            (2, 1.0, 3),
+            (2, 0.3, 4),
+            (10, 0.3, 5),
+            (10, 1.0, 6),
+            // Band of 8 either side: it covers most of each row.
+            (63, 0.2, 7),
+            (63, 1.0, 8),
+            // The `MatrixSpec::generate` fill clamp.
+            (400, 0.6, 341),
+            (90, 0.0, 9),
+            (1000, 0.01, 10),
+        ];
+        for (n, density, seed) in cases {
+            let want = random_spd_via_coo(n, density, seed);
+            let got = random_spd(n, density, seed).unwrap();
+            got.validate().unwrap();
+            assert_eq!(got.rowptr(), want.rowptr(), "n {n} density {density}");
+            assert_eq!(got.colid(), want.colid(), "n {n} density {density}");
+            let bits = |m: &CsrMatrix| m.val().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&got), bits(&want), "n {n} density {density}");
+            if density == 1.0 {
+                assert_eq!(got.nnz(), n * n, "n {n}: every pair is drawn");
+            }
+            if density == 0.0 {
+                assert_eq!(got.nnz(), n, "n {n}: diagonal only");
+            }
+        }
     }
 
     #[test]

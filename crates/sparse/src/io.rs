@@ -116,17 +116,35 @@ pub fn read_matrix_market<R: Read>(reader: R) -> Result<CsrMatrix> {
         });
     }
     let (n_rows, n_cols, nnz_decl) = (dims[0], dims[1], dims[2]);
+    // The size line is untrusted: allocations follow what the file
+    // holds, and the one sized by the row count may fail cleanly.
+    if n_rows
+        .checked_mul(n_cols)
+        .is_some_and(|cells| nnz_decl > cells)
+    {
+        return Err(SparseError::Parse {
+            line: lineno,
+            detail: format!("{nnz_decl} entries declared for a {n_rows} x {n_cols} matrix"),
+        });
+    }
+    let mut rowptr = Vec::new();
+    if n_rows
+        .checked_add(1)
+        .is_none_or(|len| rowptr.try_reserve_exact(len).is_err())
+    {
+        return Err(SparseError::Parse {
+            line: lineno,
+            detail: format!("{n_rows} rows: no memory for the row pointer"),
+        });
+    }
+    rowptr.resize(n_rows + 1, 0);
 
     // --- entries ---
-    let mut coo = CooMatrix::with_capacity(
-        n_rows,
-        n_cols,
-        if symmetry == MmSymmetry::Symmetric {
-            2 * nnz_decl
-        } else {
-            nnz_decl
-        },
-    );
+    let stored = match symmetry {
+        MmSymmetry::General => nnz_decl,
+        MmSymmetry::Symmetric => nnz_decl.saturating_mul(2),
+    };
+    let mut coo = CooMatrix::with_capacity(n_rows, n_cols, stored.min(MAX_RESERVED_ENTRIES));
     let mut seen = 0usize;
     for l in lines {
         lineno += 1;
@@ -178,8 +196,12 @@ pub fn read_matrix_market<R: Read>(reader: R) -> Result<CsrMatrix> {
             detail: format!("declared {nnz_decl} entries, found {seen}"),
         });
     }
-    Ok(coo.to_csr())
+    Ok(coo.to_csr_in(rowptr))
 }
+
+/// Triplets reserved up front from a size line (24 MiB); a larger file
+/// grows its buffers as its entries arrive.
+const MAX_RESERVED_ENTRIES: usize = 1 << 20;
 
 /// Reads a MatrixMarket file from disk.
 pub fn read_matrix_market_file<P: AsRef<Path>>(path: P) -> Result<CsrMatrix> {
@@ -277,6 +299,53 @@ mod tests {
     fn rejects_out_of_range_coordinate() {
         let s = "%%MatrixMarket matrix coordinate real general\n2 2 1\n3 1 1.0\n";
         assert!(read_matrix_market(s.as_bytes()).is_err());
+    }
+
+    /// The size-line error, if `text` is rejected at its size line.
+    fn size_line_error(text: &str) -> String {
+        match read_matrix_market(text.as_bytes()) {
+            Err(SparseError::Parse { line: 2, detail }) => detail,
+            other => panic!("expected a parse error at line 2, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn rejects_more_entries_than_cells() {
+        let d =
+            size_line_error("%%MatrixMarket matrix coordinate real general\n3 3 1000000000000\n");
+        assert!(d.contains("1000000000000 entries declared"), "{d}");
+    }
+
+    #[test]
+    fn rejects_symmetric_count_that_overflows_doubling() {
+        let d = size_line_error(&format!(
+            "%%MatrixMarket matrix coordinate real symmetric\n3 3 {}\n",
+            i64::MAX
+        ));
+        assert!(d.contains("entries declared"), "{d}");
+    }
+
+    #[test]
+    fn rejects_row_count_past_the_allocator() {
+        // 8 PB of row pointer: beyond the address space, so no
+        // overcommit policy can grant it.
+        let d = size_line_error(
+            "%%MatrixMarket matrix coordinate real general\n1000000000000000 3 0\n",
+        );
+        assert!(d.contains("no memory for the row pointer"), "{d}");
+    }
+
+    #[test]
+    fn large_declared_count_reserves_a_bounded_buffer() {
+        // A trillion declared entries fit 10⁶ × 10⁶ cells; only what is
+        // read is held, and the count mismatch is reported at the end.
+        let s = "%%MatrixMarket matrix coordinate real symmetric\n1000000 1000000 1000000000000\n1 1 2.0\n";
+        match read_matrix_market(s.as_bytes()) {
+            Err(SparseError::Parse { line: 3, detail }) => {
+                assert!(detail.contains("found 1"), "{detail}")
+            }
+            other => panic!("expected a count mismatch, got {other:?}"),
+        }
     }
 
     #[test]
