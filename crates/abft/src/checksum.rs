@@ -9,36 +9,28 @@ use ftcg_sparse::CsrMatrix;
 
 use crate::weights::weight;
 
-/// Integer weight of checksum row `r` at position `i` (exact arithmetic
-/// for the `Rowidx` checksum).
+/// Weighted checksums `[Σᵢ pᵢ, Σᵢ (i+1)·pᵢ]` of a row-pointer array
+/// *as stored*: the reference `cr` at setup and the running sum `sr` of
+/// Algorithm 2 at every verification (every traversal of the kernel
+/// reads exactly these words, so accumulating them directly is
+/// equivalent). Exact for any word values: each term `(i+1)·pᵢ` of a
+/// 32-bit word is below 2⁶⁴ for arrays of up to 2³² words (a square
+/// matrix has at most 2³⁰ + 1), and the sums accumulate in `u128`.
 #[inline]
-#[expect(
-    clippy::panic,
-    reason = "weight-row index is constrained to 0|1 by the scheme definition; callers are internal and pass literals"
-)]
-fn int_weight(r: usize, i: usize) -> u128 {
-    match r {
-        0 => 1,
-        1 => (i + 1) as u128,
-        _ => panic!("dual-weight scheme has rows 0 and 1 only"),
-    }
-}
-
-/// Weighted checksums `[Σᵢ w₁(i)·pᵢ, Σᵢ w₂(i)·pᵢ]` of a row-pointer
-/// array *as stored*: the reference `cr` at setup and the running sum
-/// `sr` of Algorithm 2 at every verification (every traversal of the
-/// kernel reads exactly these words, so accumulating them directly is
-/// equivalent). Exact in `u128` with wrapping arithmetic, so wildly
-/// corrupted words cannot overflow.
-#[inline]
-pub(crate) fn rowptr_weighted_sum(rowptr: &[usize]) -> [u128; 2] {
+pub(crate) fn rowptr_weighted_sum(rowptr: &[u32]) -> [u128; 2] {
     let mut s = [0u128; 2];
-    for (i, &p) in rowptr.iter().enumerate() {
-        for (r, acc) in s.iter_mut().enumerate() {
-            *acc = acc.wrapping_add(int_weight(r, i).wrapping_mul(p as u128));
-        }
+    for (w, &p) in (1u64..).zip(rowptr) {
+        s[0] += u128::from(p);
+        s[1] += u128::from(w.wrapping_mul(u64::from(p)));
     }
     s
+}
+
+/// The plain checksum `Σᵢ pᵢ` alone — the `Rowidx` test of the
+/// single-checksum scheme, which has no position weight.
+#[inline]
+pub(crate) fn rowptr_sum(rowptr: &[u32]) -> u128 {
+    rowptr.iter().map(|&p| u128::from(p)).sum()
 }
 
 /// Precomputed checksums of a CSR matrix for the dual-weight scheme.
@@ -83,7 +75,7 @@ impl MatrixChecksums {
         let mut col = [vec![0.0; n], vec![0.0; n]];
         for i in 0..a.n_rows() {
             for k in a.row_range_clamped(i) {
-                let j = a.colid()[k];
+                let j = a.colid()[k] as usize;
                 if j >= n {
                     continue;
                 }
@@ -150,6 +142,7 @@ mod tests {
             .sum();
         assert_eq!(cs.rowptr[0], want0);
         assert_eq!(cs.rowptr[1], want1);
+        assert_eq!(rowptr_sum(a.rowptr()), want0);
     }
 
     #[test]
@@ -179,7 +172,7 @@ mod tests {
     fn recompute_survives_corrupt_structure() {
         let a = gen::poisson2d(4).unwrap();
         let mut b = a.clone();
-        b.rowptr_mut()[3] = usize::MAX; // wild pointer
+        b.rowptr_mut()[3] = u32::MAX; // wild pointer
         b.colid_mut()[0] = 10_000; // wild column
         let c = MatrixChecksums::weighted_column_sums(&b); // must not panic
         assert_eq!(c[0].len(), 16);

@@ -144,11 +144,14 @@ impl ProtectedSpmv {
             return SpmvOutcome::Detected(res.clone());
         }
         let t = (pos - 1) as usize;
-        let repaired = a.rowptr()[t] as i128 + d0; // clean = corrupt + (cr − sr)
-        if repaired < 0 || repaired > a.nnz() as i128 {
+        let repaired = i128::from(a.rowptr()[t]) + d0; // clean = corrupt + (cr − sr)
+        let Some(repaired) = u32::try_from(repaired)
+            .ok()
+            .filter(|&p| p as usize <= a.nnz())
+        else {
             return SpmvOutcome::Detected(res.clone());
-        }
-        a.rowptr_mut()[t] = repaired as usize;
+        };
+        a.rowptr_mut()[t] = repaired;
         // Rowidx_t bounds row t−1 (as end) and row t (as start): recompute both.
         let mut rows = Vec::new();
         if t >= 1 {
@@ -238,7 +241,7 @@ impl ProtectedSpmv {
     ) -> SpmvOutcome {
         let mut row = a.row_range_clamped(d);
         // Find the entry of row d in column f.
-        if let Some(k) = row.clone().find(|&k| a.colid()[k] == f) {
+        if let Some(k) = row.clone().find(|&k| a.colid()[k] as usize == f) {
             // Repair from the column checksums. The naive
             // `val[k] −= (C′[f] − C[f])` suffers catastrophic cancellation
             // when the flip sends the value to an extreme magnitude (and
@@ -250,7 +253,7 @@ impl ProtectedSpmv {
             let mut partial = [0.0f64; 2];
             for i in 0..self.checks.n {
                 for kk in a.row_range_clamped(i) {
-                    if kk != k && a.colid()[kk] == f {
+                    if kk != k && a.colid()[kk] as usize == f {
                         partial[0] += weights::weight(0, i) * a.val()[kk];
                         partial[1] += weights::weight(1, i) * a.val()[kk];
                     }
@@ -270,9 +273,12 @@ impl ProtectedSpmv {
         // *out-of-range* index: the entry's contribution vanished from its
         // true column f (δ = −v), and the wild index touches no column.
         let delta0 = cprime[0][f] - self.checks.col[0][f];
-        if let Some(k) = row.find(|&k| a.colid()[k] >= a.n_cols()) {
+        let Ok(col) = u32::try_from(f) else {
+            return SpmvOutcome::Detected(res.clone());
+        };
+        if let Some(k) = row.find(|&k| a.colid()[k] as usize >= a.n_cols()) {
             if approx_eq(-delta0, a.val()[k], 1e-6) {
-                a.colid_mut()[k] = f;
+                a.colid_mut()[k] = col;
                 self.recompute_rows(a, x, y, &[d]);
                 return self.finish(a, x, xref, y, CorrectionKind::Colid { pos: k }, vec![d]);
             }
@@ -299,22 +305,25 @@ impl ProtectedSpmv {
         cprime: &[Vec<f64>; 2],
     ) -> SpmvOutcome {
         let (f1, f2) = (diff_cols[0], diff_cols[1]);
+        let (Ok(c1), Ok(c2)) = (u32::try_from(f1), u32::try_from(f2)) else {
+            return SpmvOutcome::Detected(res.clone());
+        };
         for k in a.row_range_clamped(d) {
-            let cur = a.colid()[k];
-            let other = if cur == f1 {
-                f2
-            } else if cur == f2 {
-                f1
+            let prev = a.colid()[k];
+            let other = if prev == c1 {
+                c2
+            } else if prev == c2 {
+                c1
             } else {
                 continue;
             };
+            let (cur, true_col) = (prev as usize, other as usize);
             // The current (wrong) column gained +v; the true column lost v.
             let gained = cprime[0][cur] - self.checks.col[0][cur];
-            let lost = cprime[0][other] - self.checks.col[0][other];
+            let lost = cprime[0][true_col] - self.checks.col[0][true_col];
             if !(approx_eq(gained, a.val()[k], 1e-6) && approx_eq(lost, -a.val()[k], 1e-6)) {
                 continue;
             }
-            let prev = cur;
             a.colid_mut()[k] = other;
             self.recompute_rows(a, x, y, &[d]);
             match self.finish(a, x, xref, y, CorrectionKind::Colid { pos: k }, vec![d]) {
@@ -363,7 +372,7 @@ impl ProtectedSpmv {
         x[e] = xref.xcopy[e];
         // Recompute the rows whose dot products consumed x_e.
         let rows: Vec<usize> = (0..n)
-            .filter(|&i| a.row_range_clamped(i).any(|k| a.colid()[k] == e))
+            .filter(|&i| a.row_range_clamped(i).any(|k| a.colid()[k] as usize == e))
             .collect();
         self.recompute_rows(a, x, y, &rows);
         self.finish(a, x, xref, y, CorrectionKind::Input { index: e }, rows)
@@ -454,10 +463,10 @@ mod tests {
     fn corrects_rowptr_bitflip_anywhere() {
         let (a, p, mut x, xref) = setup(40, 3);
         for t in [0usize, 1, 17, 40] {
-            for bit in [0u32, 1, 3, 10, 40] {
+            for bit in [0u32, 1, 3, 10, 31] {
                 let mut b = a.clone();
                 let before = b.rowptr()[t];
-                b.rowptr_mut()[t] = bitflip::flip_usize(before, bit);
+                b.rowptr_mut()[t] = bitflip::flip_u32(before, bit);
                 if b.rowptr()[t] == before {
                     continue;
                 }
@@ -516,11 +525,11 @@ mod tests {
         let mut b = a.clone();
         // Pick an entry and redirect to a column not already in its row.
         let d = 13usize;
-        let k = b.rowptr()[d];
+        let k = b.rowptr()[d] as usize;
         let old = b.colid()[k];
         let row_cols: Vec<usize> = b.row(d).map(|(c, _)| c).collect();
         let new = (0..40).find(|c| !row_cols.contains(c)).unwrap();
-        b.colid_mut()[k] = new;
+        b.colid_mut()[k] = new as u32;
         let mut y = vec![0.0; 40];
         let out = p.spmv_correct(&mut b, &mut x, &xref, &mut y);
         match out {
@@ -705,7 +714,7 @@ mod tests {
                 if newv < 0 {
                     continue;
                 }
-                b.rowptr_mut()[t] = newv as usize;
+                b.rowptr_mut()[t] = newv as u32;
                 let mut y = vec![0.0; 25];
                 let out = p.spmv_correct(&mut b, &mut x, &xref, &mut y);
                 assert!(

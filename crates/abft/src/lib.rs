@@ -47,6 +47,11 @@
 //! error is a real error, never rounding noise.
 
 #![warn(missing_docs)]
+// Index words are `u32`: a narrowing cast goes through `try_from` on a
+// path with a typed error (or an `#[expect]` that says why it is exact),
+// never through a silently truncating `as`. Tests build their corrupt
+// inputs with `as`.
+#![cfg_attr(not(test), warn(clippy::cast_possible_truncation))]
 
 mod checksum;
 mod correct;

@@ -21,7 +21,7 @@
 
 use ftcg_sparse::{vector, CsrMatrix};
 
-use crate::checksum::{choose_shift, rowptr_weighted_sum};
+use crate::checksum::{choose_shift, rowptr_sum};
 use crate::spmv::XRef;
 use crate::tolerance::ToleranceBound;
 
@@ -77,7 +77,7 @@ impl SingleChecksum {
         for v in &mut c {
             *v += k;
         }
-        let cr = rowptr_weighted_sum(a.rowptr())[0];
+        let cr = rowptr_sum(a.rowptr());
         let tol = ToleranceBound::new(n, a.norm1() + k.abs(), 1.0);
         Self { n, c, k, cr, tol }
     }
@@ -126,7 +126,7 @@ impl SingleChecksum {
         assert_eq!(xref.xcopy.len(), self.n, "verify: xref length mismatch");
 
         // Test (iii): exact integer row-pointer checksum.
-        let sr = rowptr_weighted_sum(a.rowptr())[0];
+        let sr = rowptr_sum(a.rowptr());
         let dr = (self.cr as i128).wrapping_sub(sr as i128);
 
         // One pass for the three sum chains: Σ x̃ᵢ, test (i)'s ĉᵀx̃ and

@@ -292,7 +292,7 @@ mod tests {
         let a = gen::poisson2d(4).unwrap();
         let p = ProtectedSpmv::new(&a);
         let mut b = a.clone();
-        b.rowptr_mut()[5] = usize::MAX;
+        b.rowptr_mut()[5] = u32::MAX;
         let x = vec![1.0; 16];
         let mut y = vec![0.0; 16];
         p.spmv(&b, &x, &mut y); // must not panic
@@ -303,7 +303,7 @@ mod tests {
         let a = gen::poisson2d(4).unwrap();
         let p = ProtectedSpmv::new(&a);
         let mut b = a.clone();
-        b.colid_mut()[3] = 1 << 40;
+        b.colid_mut()[3] = 1 << 31;
         let x = vec![1.0; 16];
         let mut y = vec![0.0; 16];
         p.spmv(&b, &x, &mut y); // must not panic
@@ -462,10 +462,10 @@ mod tests {
 
     #[test]
     fn rowptr_weighted_sum_handles_huge_values() {
-        let s = rowptr_weighted_sum(&[usize::MAX, usize::MAX, 0]);
-        // no panic; exact wrapping arithmetic
-        assert_eq!(s[0], (usize::MAX as u128) + (usize::MAX as u128));
-        assert_eq!(s[1], (usize::MAX as u128) + 2 * (usize::MAX as u128));
+        let s = rowptr_weighted_sum(&[u32::MAX, u32::MAX, 0]);
+        // no panic; exact arithmetic on the widest word values
+        assert_eq!(s[0], (u32::MAX as u128) + (u32::MAX as u128));
+        assert_eq!(s[1], (u32::MAX as u128) + 2 * (u32::MAX as u128));
     }
 
     #[test]

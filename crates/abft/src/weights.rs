@@ -62,7 +62,12 @@ pub(crate) fn locate_from_ratio(d0: f64, d1: f64, n: usize, eps: f64) -> Option<
     if nearest < 1.0 || nearest > n as f64 {
         return None;
     }
-    Some(nearest as usize - 1)
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "`nearest` is an integer in 1..=n, checked above, so the cast is exact"
+    )]
+    let position = nearest as usize;
+    Some(position - 1)
 }
 
 #[cfg(test)]

@@ -122,7 +122,8 @@ proptest! {
         let n = a.n_rows();
         let mut b = a.clone();
         let mut x = make_x(n, mseed);
-        let rate = FaultRate::from_alpha(1.0, a.memory_words());
+        // `M` counts entries: one word per value, index and row pointer.
+        let rate = FaultRate::from_alpha(1.0, 2 * a.nnz() + n + 1);
         // Full-range index flips: the nastiest case for kernel safety.
         let cfg = InjectorConfig {
             rate,
@@ -153,7 +154,7 @@ proptest! {
         let xref = XRef::capture(&x0);
         let t = ((n as f64 * t_frac) as usize).min(n);
         let mut b = a.clone();
-        b.rowptr_mut()[t] = (b.rowptr()[t] as i64 + delta).max(0) as usize;
+        b.rowptr_mut()[t] = (b.rowptr()[t] as i64 + delta).max(0) as u32;
         if b.rowptr() == a.rowptr() {
             return Ok(());
         }

@@ -94,12 +94,12 @@ impl SnapshotSlot {
         self.live.map(|i| &self.bufs[i])
     }
 
-    /// Matrix words both buffers keep reserved (capacity, not length) —
+    /// Matrix bytes both buffers keep reserved (capacity, not length) —
     /// the slot's share of a workspace's retained memory: two empty row
     /// pointers unless full states were saved through
     /// [`SolverState::store`].
-    pub fn retained_matrix_words(&self) -> usize {
-        self.bufs.iter().map(|b| b.matrix.capacity_words()).sum()
+    pub fn retained_matrix_bytes(&self) -> usize {
+        self.bufs.iter().map(|b| b.matrix.capacity_bytes()).sum()
     }
 }
 
@@ -160,12 +160,12 @@ mod tests {
     #[test]
     fn buffers_are_retained_at_the_largest_matrix_saved() {
         let mut slot = SnapshotSlot::new();
-        assert_eq!(slot.retained_matrix_words(), 2); // two empty rowptrs
+        assert_eq!(slot.retained_matrix_bytes(), 2 * 4); // two empty rowptrs
         let big = state(1, 1.0);
         save(&mut slot, &big);
         save(&mut slot, &big);
-        let words = 2 * big.matrix.memory_words();
-        assert_eq!(slot.retained_matrix_words(), words);
+        let bytes = 2 * big.matrix.image_bytes();
+        assert_eq!(slot.retained_matrix_bytes(), bytes);
         // Smaller states reuse both buffers in place.
         let a = gen::tridiagonal(3, 4.0, -1.0).unwrap();
         let mut small = SolverState::empty();
@@ -173,7 +173,7 @@ mod tests {
         save(&mut slot, &small);
         save(&mut slot, &small);
         assert_eq!(slot.latest().unwrap(), &small);
-        assert_eq!(slot.retained_matrix_words(), words);
+        assert_eq!(slot.retained_matrix_bytes(), bytes);
     }
 
     #[test]

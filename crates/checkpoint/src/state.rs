@@ -35,7 +35,7 @@ impl SolverState {
             r: Vec::new(),
             p: Vec::new(),
             rnorm_sq: 0.0,
-            matrix: CsrMatrix::from_parts_unchecked(0, 0, vec![0], vec![], vec![]),
+            matrix: CsrMatrix::default(),
         }
     }
 
@@ -78,8 +78,9 @@ impl SolverState {
         self.rnorm_sq = rnorm_sq;
     }
 
-    /// Number of `f64`-equivalent words the snapshot occupies (vectors +
-    /// matrix arrays) — proportional to the checkpoint time `Tcp`.
+    /// Number of 8-byte words the snapshot occupies (vectors + matrix
+    /// arrays, [`CsrMatrix::memory_words`]) — proportional to the
+    /// checkpoint time `Tcp`.
     pub fn size_words(&self) -> usize {
         3 * self.x.len() + self.matrix.memory_words() + 2
     }

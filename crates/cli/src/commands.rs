@@ -364,7 +364,7 @@ pub(crate) fn stats(args: &[String]) -> Result<(), String> {
     println!("{}", st.summary_line());
     println!(
         "memory words (fault-model M contribution): {}",
-        st.memory_words
+        st.fault_words
     );
     Ok(())
 }

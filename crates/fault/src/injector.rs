@@ -35,8 +35,9 @@ pub struct InjectorConfig {
     pub rate: FaultRate,
     /// Bits eligible in `f64` targets (`Val` and vectors).
     pub value_bits: BitRange,
-    /// Bits eligible in index targets (`Colid`, `Rowidx`); pass
-    /// `BitRange::for_index_bound` to keep most flips in-bounds.
+    /// Bits eligible in the 32-bit index targets (`Colid`, `Rowidx`;
+    /// `Full` means all 32); pass `BitRange::for_index_bound` to keep
+    /// most flips in-bounds.
     pub index_bits: BitRange,
     /// Whether vector words are corruptible (matrix-only mode for kernel
     /// micro-experiments).
@@ -85,11 +86,14 @@ impl Injector {
         assert!(total > 0, "empty memory layout");
         let word = self.rng.random_range(0..total);
         let (target, offset) = self.layout.locate(word);
-        let bits = match target {
-            FaultTarget::MatrixColid | FaultTarget::MatrixRowidx => self.config.index_bits,
-            _ => self.config.value_bits,
+        let (bits, word_bits) = match target {
+            FaultTarget::MatrixColid | FaultTarget::MatrixRowidx => {
+                (self.config.index_bits, u32::BITS)
+            }
+            _ => (self.config.value_bits, u64::BITS),
         };
-        let bit = bits.position(self.rng.random_range(0..bits.width()));
+        let draw = self.rng.random_range(0..bits.width(word_bits));
+        let bit = bits.position(draw, word_bits);
         FaultEvent {
             target,
             offset,
@@ -108,12 +112,12 @@ impl Injector {
             }
             FaultTarget::MatrixColid => {
                 let c = &mut a.colid_mut()[event.offset];
-                *c = bitflip::flip_usize(*c, event.bit);
+                *c = bitflip::flip_u32(*c, event.bit);
                 true
             }
             FaultTarget::MatrixRowidx => {
                 let r = &mut a.rowptr_mut()[event.offset];
-                *r = bitflip::flip_usize(*r, event.bit);
+                *r = bitflip::flip_u32(*r, event.bit);
                 true
             }
             FaultTarget::Vector(_) => false,
@@ -229,12 +233,12 @@ mod tests {
         let (a, mut inj) = setup(1.0, 13);
         // Flipping a single bit below the configured width keeps the
         // corrupted index below 2^width (both operands fit in width bits).
-        let width = BitRange::for_index_bound(a.n_cols().max(a.nnz() + 1)).width();
-        let cap = 1usize << width;
+        let width = BitRange::for_index_bound(a.n_cols().max(a.nnz() + 1)).width(u32::BITS);
+        let cap = 1u64 << width;
         for _ in 0..5000 {
             for e in inj.plan_iteration() {
                 if e.target == FaultTarget::MatrixColid {
-                    let worst = a.colid()[e.offset] ^ (1usize << e.bit);
+                    let worst = u64::from(a.colid()[e.offset] ^ (1u32 << e.bit));
                     assert!(worst < cap, "corrupted index {worst} >= {cap}");
                 }
             }

@@ -28,6 +28,11 @@
 //!   injector can be struck.
 
 #![warn(missing_docs)]
+// Index words are `u32`: a narrowing cast goes through `try_from` on a
+// path with a typed error (or an `#[expect]` that says why it is exact),
+// never through a silently truncating `as`. Tests build their corrupt
+// inputs with `as`.
+#![cfg_attr(not(test), warn(clippy::cast_possible_truncation))]
 
 pub mod bitflip;
 mod inject;

@@ -48,7 +48,9 @@ impl FaultTarget {
 
 /// Word-level layout of the corruptible memory: maps a uniform draw over
 /// `0..total_words()` to a `(target, offset)` pair, so every word is
-/// equally likely to be struck, as in the paper.
+/// equally likely to be struck, as in the paper. A word is one entry of
+/// an array, whatever its width: an 8-byte value and a 4-byte index
+/// count alike.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct MemoryLayout {
     /// Number of stored nonzeros (`|Val| = |Colid| = nnz`).

@@ -213,9 +213,9 @@ mod tests {
         let x: Vec<f64> = (0..230).map(|i| (i as f64 * 0.23).sin() * 1.5).collect();
         for corrupt in [false, true] {
             if corrupt {
-                a.rowptr_mut()[31] = usize::MAX;
+                a.rowptr_mut()[31] = u32::MAX;
                 a.rowptr_mut()[100] = 5;
-                a.colid_mut()[19] = 1 << 44;
+                a.colid_mut()[19] = 1 << 31;
             }
             let mut want = vec![0.0; 230];
             a.spmv_clamped_into(&x, &mut want);
@@ -237,8 +237,8 @@ mod tests {
         let x: Vec<f64> = (0..120).map(|i| (i as f64 * 0.19).sin() * 2.5).collect();
         for corrupt in [false, true] {
             if corrupt {
-                a.rowptr_mut()[17] = usize::MAX;
-                a.colid_mut()[5] = 1 << 40;
+                a.rowptr_mut()[17] = u32::MAX;
+                a.colid_mut()[5] = 1 << 31;
                 a.val_mut()[8] = f64::INFINITY;
             }
             let mut want = vec![0.0; 120];
@@ -261,9 +261,9 @@ mod tests {
     #[test]
     fn defensive_products_survive_corruption() {
         let mut a = gen::poisson2d(6).unwrap();
-        a.rowptr_mut()[7] = usize::MAX;
+        a.rowptr_mut()[7] = u32::MAX;
         a.rowptr_mut()[20] = 3; // inverted range
-        a.colid_mut()[11] = 1 << 50;
+        a.colid_mut()[11] = 1 << 31;
         let x = vec![1.0; 36];
         let mut want = vec![0.0; 36];
         a.spmv_clamped_into(&x, &mut want);

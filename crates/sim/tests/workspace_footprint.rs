@@ -36,10 +36,11 @@ fn nine_matrices_retain_one_high_water_image() {
     // Each array of a buffer sits at the longest it has had to hold, and
     // the longest row pointer and the longest value array belong to
     // different matrices of the set.
-    let words = |f: fn(&ftcg_sparse::CsrMatrix) -> usize| systems.iter().map(|(a, _)| f(a)).max();
-    let high_water = 8 * (words(|a| a.n_rows() + 1).unwrap() + 2 * words(|a| a.nnz()).unwrap());
-    let largest = 8 * words(|a| a.memory_words()).unwrap();
-    let sum: usize = systems.iter().map(|(a, _)| 8 * a.memory_words()).sum();
+    // A row pointer or column index is 4 bytes, a value 8.
+    let most = |f: fn(&ftcg_sparse::CsrMatrix) -> usize| systems.iter().map(|(a, _)| f(a)).max();
+    let high_water = 4 * most(|a| a.n_rows() + 1).unwrap() + 12 * most(|a| a.nnz()).unwrap();
+    let largest = most(|a| a.image_bytes()).unwrap();
+    let sum: usize = systems.iter().map(|(a, _)| a.image_bytes()).sum();
 
     let retained = ws.retained_image_bytes();
     assert!(
@@ -47,7 +48,7 @@ fn nine_matrices_retain_one_high_water_image() {
         "the largest matrix needs its image: {retained} < {largest}"
     );
     assert!(
-        retained <= high_water + 3 * 8,
+        retained <= high_water + 3 * 4,
         "retained {retained} B exceeds one high-water image ({high_water} B)"
     );
     assert!(
@@ -57,6 +58,6 @@ fn nine_matrices_retain_one_high_water_image() {
 
     // The defensive product's row order: one buffer per worker at 4 B
     // per row of the tallest matrix, nothing per shape class.
-    let most_rows = words(|a| a.n_rows()).unwrap();
+    let most_rows = most(|a| a.n_rows()).unwrap();
     assert_eq!(ws.retained_order_bytes(), 4 * most_rows);
 }

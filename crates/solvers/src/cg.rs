@@ -222,7 +222,7 @@ mod tests {
 
     #[test]
     fn solves_identity() {
-        let a = CsrMatrix::identity(5);
+        let a = CsrMatrix::identity(5).unwrap();
         let b = vec![1.0, -2.0, 3.0, 0.5, 4.0];
         let s = cg_solve(&a, &b, &[0.0; 5], &CgConfig::default());
         assert!(s.iterations <= 2);
@@ -318,7 +318,7 @@ mod tests {
     #[test]
     fn non_spd_breaks_down_gracefully() {
         // Indefinite diagonal: CG must stop without panicking.
-        let a = gen::diagonal(&[1.0, -1.0, 2.0]);
+        let a = gen::diagonal(&[1.0, -1.0, 2.0]).unwrap();
         let s = cg_solve(&a, &[1.0, 1.0, 1.0], &[0.0; 3], &CgConfig::default());
         // Either converged by luck or broke down; both acceptable, no panic.
         assert!(s.iterations <= CgConfig::default().max_iters);

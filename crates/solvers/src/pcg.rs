@@ -262,7 +262,7 @@ mod tests {
                 coo.push(i, j, scale[i] * v * scale[j]);
             }
         }
-        let a = coo.to_csr();
+        let a = coo.to_csr().unwrap();
         let b = vec![1.0; n];
         let cfg = CgConfig {
             max_iters: 100_000,
@@ -285,7 +285,7 @@ mod tests {
         let a = gen::graph_laplacian(40, 80, 1.0, 2).unwrap();
         // Laplacian + I has diagonal = degree + 1 (not unit), so build a
         // unit-diagonal SPD instead: I + small symmetric perturbation.
-        let id = CsrMatrix::identity(20);
+        let id = CsrMatrix::identity(20).unwrap();
         let b = vec![1.0; 20];
         let s1 = pcg_jacobi_solve(&id, &b, &[0.0; 20], &CgConfig::default());
         let s2 = crate::cg::cg_solve(&id, &b, &[0.0; 20], &CgConfig::default());
@@ -296,7 +296,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "zero diagonal")]
     fn rejects_zero_diagonal() {
-        let a = gen::diagonal(&[1.0, 0.0, 2.0]);
+        let a = gen::diagonal(&[1.0, 0.0, 2.0]).unwrap();
         pcg_jacobi_solve(&a, &[1.0; 3], &[0.0; 3], &CgConfig::default());
     }
 

@@ -280,7 +280,7 @@ mod tests {
         let b: Vec<f64> = vec![1.0; 30];
         let (x, r, p, q) = clean_cg_state(&a, &b, 3);
         let mut bad = a.clone();
-        bad.rowptr_mut()[5] = usize::MAX;
+        bad.rowptr_mut()[5] = u32::MAX;
         // Must not panic; must detect.
         let v = verify_online(
             &bad,
@@ -318,9 +318,9 @@ mod tests {
             let b: Vec<f64> = (0..n).map(|i| 1.0 + (i as f64 * 0.3).sin()).collect();
             let (x, r, _, _) = clean_cg_state(&a, &b, 4);
             let mut wild = a.clone();
-            wild.colid_mut()[0] = usize::MAX;
+            wild.colid_mut()[0] = u32::MAX;
             let last = wild.rowptr().len() - 1;
-            wild.rowptr_mut()[last / 2] = usize::MAX;
+            wild.rowptr_mut()[last / 2] = u32::MAX;
             let mut nan = a.clone();
             nan.val_mut()[n / 2] = f64::NAN;
             for m in [&a, &wild, &nan] {

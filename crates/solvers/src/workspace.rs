@@ -119,7 +119,7 @@ impl SolverWorkspace {
     pub fn new() -> Self {
         SolverWorkspace {
             machines: Vec::new(),
-            image: CsrMatrix::identity(0),
+            image: CsrMatrix::default(),
             order: RowOrder::new(),
             arena: ExecArena {
                 initial: SolverState::empty(),
@@ -142,10 +142,9 @@ impl SolverWorkspace {
     /// the empty row pointers of the start state and the checkpoint
     /// slot's two buffers, which hold vectors only.
     pub fn retained_image_bytes(&self) -> usize {
-        let words = self.image.capacity_words()
-            + self.arena.initial.matrix.capacity_words()
-            + self.arena.slot.retained_matrix_words();
-        words * std::mem::size_of::<f64>()
+        self.image.capacity_bytes()
+            + self.arena.initial.matrix.capacity_bytes()
+            + self.arena.slot.retained_matrix_bytes()
     }
 
     /// Bytes the row visit order keeps reserved: 4 per row of the
@@ -235,8 +234,8 @@ mod tests {
         }
         assert_eq!(ws.retained_machines(), 2);
         // Only the live image is ever sized: the slot and the initial
-        // state hold their empty row pointers.
-        assert_eq!(ws.retained_image_bytes(), 8 * (a.memory_words() + 3));
+        // state hold their empty row pointers, 4 bytes each.
+        assert_eq!(ws.retained_image_bytes(), a.image_bytes() + 3 * 4);
     }
 
     #[test]
@@ -253,7 +252,7 @@ mod tests {
         assert_eq!(ws.retained_machines(), 3); // (cg,20), (cg,30), (pcg,20)
 
         // Both shapes share the one image, sized for the larger.
-        assert_eq!(ws.retained_image_bytes(), 8 * (a2.memory_words() + 3));
+        assert_eq!(ws.retained_image_bytes(), a2.image_bytes() + 3 * 4);
     }
 
     #[test]
@@ -346,14 +345,14 @@ mod tests {
         let initial = &ws.arena.initial;
         assert_eq!((initial.n(), initial.iteration), (60, 0));
         assert_eq!(initial.r, b);
-        assert_eq!(initial.matrix.capacity_words(), 1);
+        assert_eq!(initial.matrix.capacity_bytes(), 4);
         assert_eq!(initial.size_words(), 3 * 60 + 1 + 2);
         // Nor does the checkpoint: its matrix is `a0` too.
         let ckpt = ws.arena.slot.latest().expect("checkpoints were taken");
         assert_eq!(ckpt.n(), 60);
         assert_eq!(ckpt.size_words(), 3 * 60 + 1 + 2);
-        assert_eq!(ws.arena.slot.retained_matrix_words(), 2);
+        assert_eq!(ws.arena.slot.retained_matrix_bytes(), 2 * 4);
         // The live image, nothing else.
-        assert_eq!(ws.retained_image_bytes(), 8 * (a.memory_words() + 3));
+        assert_eq!(ws.retained_image_bytes(), a.image_bytes() + 3 * 4);
     }
 }

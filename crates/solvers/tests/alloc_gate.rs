@@ -347,7 +347,8 @@ fn steady_state_cg_iterations_allocate_nothing() {
     // Claim 8: generation holds the returned matrix plus its pair keys,
     // never a pair tree, a triplet copy and a second CSR beside it.
     let (peak, m) = peak_heap_growth(|| gen::random_spd(4000, 0.01, 7).unwrap());
-    let matrix_bytes = 16 * m.nnz() + 8 * (m.n_rows() + 1);
+    let matrix_bytes = 12 * m.nnz() + 4 * (m.n_rows() + 1);
+    assert_eq!(matrix_bytes, m.image_bytes());
     assert!(
         peak <= 2 * matrix_bytes,
         "random_spd peaked at {peak} B of live heap, {:.2}x the {matrix_bytes} B matrix \

@@ -205,10 +205,10 @@ proptest! {
         }
         // One workspace served the whole grid: machines retained per
         // solver, one image of the one shape (the live one) and the
-        // empty row pointers of the initial state and both checkpoint
-        // buffers.
+        // empty row pointers (4 B each) of the initial state and both
+        // checkpoint buffers.
         prop_assert_eq!(ws.retained_machines(), 2);
-        prop_assert_eq!(ws.retained_image_bytes(), 8 * (a.memory_words() + 3));
+        prop_assert_eq!(ws.retained_image_bytes(), a.image_bytes() + 3 * 4);
     }
 
     /// One workspace reshaped large → small → large (its image, slot
@@ -244,7 +244,7 @@ proptest! {
             }
         }
         // Sized by the large system alone.
-        prop_assert_eq!(ws.retained_image_bytes(), 8 * (large.0.memory_words() + 3));
+        prop_assert_eq!(ws.retained_image_bytes(), large.0.image_bytes() + 3 * 4);
     }
 }
 

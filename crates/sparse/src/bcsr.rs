@@ -14,7 +14,7 @@
 //! input the result matches [`CsrMatrix::spmv_into`] to the last bit for
 //! finite inputs.
 
-use crate::csr::CsrMatrix;
+use crate::csr::{index_word, CsrMatrix};
 use crate::error::SparseError;
 use crate::Result;
 
@@ -73,7 +73,7 @@ impl BcsrMatrix {
             cols.clear();
             for i in row_lo..row_hi {
                 for k in a.row_range(i) {
-                    cols.push(a.colid()[k] / b);
+                    cols.push(a.colid()[k] as usize / b);
                 }
             }
             cols.sort_unstable();
@@ -84,7 +84,7 @@ impl BcsrMatrix {
             mask.resize(mask.len() + cols.len(), 0u16);
             for i in row_lo..row_hi {
                 for k in a.row_range(i) {
-                    let j = a.colid()[k];
+                    let j = a.colid()[k] as usize;
                     let slot = cols
                         .binary_search(&(j / b))
                         .expect("invariant: first pass recorded every block column of this row");
@@ -227,10 +227,10 @@ impl BcsrMatrix {
 
     /// Converts back to CSR (column-sorted; padding lanes dropped, stored
     /// entries kept even when their value is zero).
-    pub fn to_csr(&self) -> CsrMatrix {
+    pub fn to_csr(&self) -> Result<CsrMatrix> {
         let b = self.b;
         let mut rowptr = Vec::with_capacity(self.n_rows + 1);
-        rowptr.push(0usize);
+        rowptr.push(0u32);
         let mut colid = Vec::with_capacity(self.nnz);
         let mut val = Vec::with_capacity(self.nnz);
         for br in 0..self.n_block_rows {
@@ -242,15 +242,21 @@ impl BcsrMatrix {
                     for c in 0..b {
                         let lane = r * b + c;
                         if self.mask[blk] & (1 << lane) != 0 {
-                            colid.push(col_lo + c);
+                            colid.push(index_word(col_lo + c)?);
                             val.push(self.val[blk * b * b + lane]);
                         }
                     }
                 }
-                rowptr.push(colid.len());
+                rowptr.push(index_word(colid.len())?);
             }
         }
-        CsrMatrix::from_parts_unchecked(self.n_rows, self.n_cols, rowptr, colid, val)
+        Ok(CsrMatrix::from_parts_unchecked(
+            self.n_rows,
+            self.n_cols,
+            rowptr,
+            colid,
+            val,
+        ))
     }
 }
 
@@ -278,7 +284,7 @@ mod tests {
         let a = sample();
         for b in [1usize, 2, 3, 4] {
             let blocked = BcsrMatrix::from_csr(&a, b).unwrap();
-            let back = blocked.to_csr();
+            let back = blocked.to_csr().unwrap();
             assert_eq!(back.rowptr(), a.rowptr(), "b={b}");
             assert_eq!(back.colid(), a.colid(), "b={b}");
             assert_eq!(back.val(), a.val(), "b={b}");
@@ -337,7 +343,7 @@ mod tests {
     #[test]
     fn explicit_zero_survives_roundtrip() {
         let a = CsrMatrix::new(2, 2, vec![0, 2, 3], vec![0, 1, 1], vec![1.0, 0.0, 3.0]).unwrap();
-        let back = BcsrMatrix::from_csr(&a, 2).unwrap().to_csr();
+        let back = BcsrMatrix::from_csr(&a, 2).unwrap().to_csr().unwrap();
         assert_eq!(back.rowptr(), a.rowptr());
         assert_eq!(back.colid(), a.colid());
         assert_eq!(back.val(), a.val());

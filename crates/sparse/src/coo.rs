@@ -1,6 +1,7 @@
 //! Coordinate (triplet) format, used for assembly and MatrixMarket I/O.
 
-use crate::csr::CsrMatrix;
+use crate::csr::{check_index_bound, index_word, CsrMatrix};
+use crate::Result;
 
 /// A matrix under assembly as unordered `(row, col, value)` triplets.
 ///
@@ -59,8 +60,14 @@ impl CooMatrix {
         }
     }
 
-    /// Converts to CSR, summing duplicates and sorting columns within rows.
-    pub fn to_csr(&self) -> CsrMatrix {
+    /// Converts to CSR, summing duplicates and sorting columns within
+    /// rows. [`SparseError::IndexWidth`](crate::SparseError::IndexWidth)
+    /// if `max(n_cols, triplets + 1)` exceeds
+    /// [`MAX_INDEX_BOUND`](crate::MAX_INDEX_BOUND) — the triplet count
+    /// bounds the merged `nnz` from above, and the check comes before
+    /// any allocation.
+    pub fn to_csr(&self) -> Result<CsrMatrix> {
+        check_index_bound(self.n_cols, self.vals.len())?;
         self.to_csr_in(vec![0; self.n_rows + 1])
     }
 
@@ -69,7 +76,8 @@ impl CooMatrix {
     /// a reader that takes the row count from untrusted input can
     /// reserve it fallibly. Everything else is sized by the triplets
     /// already held, and the conversion sorts and merges in place.
-    pub(crate) fn to_csr_in(&self, mut rowptr: Vec<usize>) -> CsrMatrix {
+    pub(crate) fn to_csr_in(&self, mut rowptr: Vec<u32>) -> Result<CsrMatrix> {
+        check_index_bound(self.n_cols, self.vals.len())?;
         // Counting sort by row: count, prefix-sum to row starts, scatter
         // with each start as its row's cursor (leaving it at the row's
         // end), then shift the ends back into starts.
@@ -80,12 +88,12 @@ impl CooMatrix {
             rowptr[i + 1] += rowptr[i];
         }
         let nnz = self.vals.len();
-        let mut colid = vec![0usize; nnz];
+        let mut colid = vec![0u32; nnz];
         let mut val = vec![0.0; nnz];
         for k in 0..nnz {
             let i = self.rows[k];
-            let dst = rowptr[i];
-            colid[dst] = self.cols[k];
+            let dst = rowptr[i] as usize;
+            colid[dst] = index_word(self.cols[k])?;
             val[dst] = self.vals[k];
             rowptr[i] += 1;
         }
@@ -95,11 +103,11 @@ impl CooMatrix {
         rowptr[0] = 0;
         // Sort within each row and merge duplicates, compacting leftwards:
         // a row's merged entries never reach past its own unmerged ones.
-        let mut scratch: Vec<(usize, f64)> = Vec::new();
+        let mut scratch: Vec<(u32, f64)> = Vec::new();
         let mut start = 0;
         let mut w = 0;
         for i in 0..self.n_rows {
-            let end = rowptr[i + 1];
+            let end = rowptr[i + 1] as usize;
             scratch.clear();
             scratch.extend(
                 colid[start..end]
@@ -121,12 +129,18 @@ impl CooMatrix {
                 w += 1;
                 k = k2;
             }
-            rowptr[i + 1] = w;
+            rowptr[i + 1] = index_word(w)?;
             start = end;
         }
         colid.truncate(w);
         val.truncate(w);
-        CsrMatrix::from_parts_unchecked(self.n_rows, self.n_cols, rowptr, colid, val)
+        Ok(CsrMatrix::from_parts_unchecked(
+            self.n_rows,
+            self.n_cols,
+            rowptr,
+            colid,
+            val,
+        ))
     }
 }
 
@@ -137,7 +151,7 @@ mod tests {
     #[test]
     fn empty_converts() {
         let coo = CooMatrix::new(2, 2);
-        let csr = coo.to_csr();
+        let csr = coo.to_csr().unwrap();
         assert_eq!(csr.nnz(), 0);
         assert_eq!(csr.rowptr(), &[0, 0, 0]);
     }
@@ -148,7 +162,7 @@ mod tests {
         coo.push(1, 2, 3.0);
         coo.push(0, 1, 1.0);
         coo.push(1, 0, 2.0);
-        let csr = coo.to_csr();
+        let csr = coo.to_csr().unwrap();
         assert_eq!(csr.rowptr(), &[0, 1, 3]);
         assert_eq!(csr.colid(), &[1, 0, 2]); // sorted within row 1
         assert_eq!(csr.val(), &[1.0, 2.0, 3.0]);
@@ -160,7 +174,7 @@ mod tests {
         let mut coo = CooMatrix::new(1, 1);
         coo.push(0, 0, 1.5);
         coo.push(0, 0, 2.5);
-        let csr = coo.to_csr();
+        let csr = coo.to_csr().unwrap();
         assert_eq!(csr.nnz(), 1);
         assert_eq!(csr.get(0, 0), 4.0);
     }
@@ -170,7 +184,7 @@ mod tests {
         let mut coo = CooMatrix::new(3, 3);
         coo.push_sym(0, 1, 2.0);
         coo.push_sym(2, 2, 5.0);
-        let csr = coo.to_csr();
+        let csr = coo.to_csr().unwrap();
         assert_eq!(csr.get(0, 1), 2.0);
         assert_eq!(csr.get(1, 0), 2.0);
         assert_eq!(csr.get(2, 2), 5.0);
@@ -181,6 +195,19 @@ mod tests {
     #[should_panic(expected = "out of bounds")]
     fn push_rejects_bad_row() {
         CooMatrix::new(1, 1).push(1, 0, 1.0);
+    }
+
+    #[test]
+    fn to_csr_rejects_columns_past_the_index_width() {
+        // 1 × (2³⁰ + 1) and empty: the bound comes from the dimensions.
+        let coo = CooMatrix::new(1, crate::MAX_INDEX_BOUND + 1);
+        assert_eq!(
+            coo.to_csr(),
+            Err(crate::SparseError::IndexWidth {
+                bound: crate::MAX_INDEX_BOUND + 1
+            })
+        );
+        assert!(CooMatrix::new(1, crate::MAX_INDEX_BOUND).to_csr().is_ok());
     }
 
     #[test]

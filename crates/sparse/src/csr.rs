@@ -7,6 +7,16 @@
 //! the `*_mut` accessors, so the invariants documented on [`CsrMatrix::new`]
 //! are *not* guaranteed to hold on a corrupted instance; use
 //! [`CsrMatrix::validate`] to re-check them.
+//!
+//! `Colid` and `Rowidx` hold 32-bit words: a stored entry costs 12 bytes
+//! (an `f64` and a `u32`) and a row 4, where `usize` indices cost 16 and
+//! 8. Every index a well-formed matrix stores is below its *index bound*
+//! `max(n_cols, nnz + 1)`, and every constructor rejects a bound above
+//! [`MAX_INDEX_BOUND`] = 2³⁰ with [`SparseError::IndexWidth`]. That
+//! leaves two spare bits in each word, and it is the largest bound for
+//! which the fault model's index bit range (the bound's bit width plus
+//! one bit that can push an index past it) still fits the word, so an
+//! injected flip always lands on a bit the word has.
 
 use crate::coo::CooMatrix;
 use crate::error::SparseError;
@@ -19,11 +29,48 @@ pub struct CsrMatrix {
     n_rows: usize,
     n_cols: usize,
     /// Row pointer array (`Rowidx` in the paper), length `n_rows + 1`.
-    rowptr: Vec<usize>,
+    rowptr: Vec<u32>,
     /// Column indices (`Colid` in the paper), length `nnz`.
-    colid: Vec<usize>,
+    colid: Vec<u32>,
     /// Nonzero values (`Val` in the paper), length `nnz`.
     val: Vec<f64>,
+}
+
+/// The largest index bound `max(n_cols, nnz + 1)` a [`CsrMatrix`] may
+/// have (see the module docs).
+pub const MAX_INDEX_BOUND: usize = 1 << 30;
+
+/// `Ok` iff a matrix with `n_cols` columns and `nnz` stored entries fits
+/// 32-bit indices: its index bound `max(n_cols, nnz + 1)` is at most
+/// [`MAX_INDEX_BOUND`]. Depends on the dimensions alone, so every
+/// constructor checks it before it allocates the index arrays.
+pub(crate) fn check_index_bound(n_cols: usize, nnz: usize) -> Result<()> {
+    let bound = n_cols.max(nnz.saturating_add(1));
+    if bound > MAX_INDEX_BOUND {
+        return Err(SparseError::IndexWidth { bound });
+    }
+    Ok(())
+}
+
+/// `v` as an index word. Callers convert only values below an index
+/// bound that [`check_index_bound`] accepted, so the error is a typed
+/// backstop, not an expected outcome.
+pub(crate) fn index_word(v: usize) -> Result<u32> {
+    u32::try_from(v).map_err(|_| SparseError::IndexWidth {
+        bound: v.saturating_add(1),
+    })
+}
+
+/// Bytes of `vals` values and `colids + rowptrs` index words.
+fn array_bytes(vals: usize, colids: usize, rowptrs: usize) -> usize {
+    vals * std::mem::size_of::<f64>() + (colids + rowptrs) * std::mem::size_of::<u32>()
+}
+
+impl Default for CsrMatrix {
+    /// The `0 × 0` matrix (one row pointer, no entries).
+    fn default() -> Self {
+        Self::from_parts_unchecked(0, 0, vec![0], Vec::new(), Vec::new())
+    }
 }
 
 /// Window offsets in natural order: the visit order of a window the
@@ -44,12 +91,14 @@ impl CsrMatrix {
     /// * `rowptr.len() == n_rows + 1`, `rowptr[0] == 0`,
     ///   `rowptr[n_rows] == val.len()`, monotone non-decreasing;
     /// * `colid.len() == val.len()`;
-    /// * every column index is `< n_cols`.
+    /// * every column index is `< n_cols`;
+    /// * the index bound `max(n_cols, nnz + 1)` is at most
+    ///   [`MAX_INDEX_BOUND`] ([`SparseError::IndexWidth`] otherwise).
     pub fn new(
         n_rows: usize,
         n_cols: usize,
-        rowptr: Vec<usize>,
-        colid: Vec<usize>,
+        rowptr: Vec<u32>,
+        colid: Vec<u32>,
         val: Vec<f64>,
     ) -> Result<Self> {
         let m = Self {
@@ -69,8 +118,8 @@ impl CsrMatrix {
     pub fn from_parts_unchecked(
         n_rows: usize,
         n_cols: usize,
-        rowptr: Vec<usize>,
-        colid: Vec<usize>,
+        rowptr: Vec<u32>,
+        colid: Vec<u32>,
         val: Vec<f64>,
     ) -> Self {
         Self {
@@ -85,6 +134,7 @@ impl CsrMatrix {
     /// Re-checks all structural invariants; `Ok(())` iff the instance is a
     /// well-formed CSR matrix.
     pub fn validate(&self) -> Result<()> {
+        check_index_bound(self.n_cols, self.val.len())?;
         if self.rowptr.len() != self.n_rows + 1 {
             return Err(SparseError::MalformedRowPtr {
                 detail: format!(
@@ -101,7 +151,7 @@ impl CsrMatrix {
         }
         // Length == n_rows + 1 was verified above, so the last entry
         // is addressable directly.
-        if self.rowptr[self.n_rows] != self.val.len() {
+        if self.rowptr[self.n_rows] as usize != self.val.len() {
             return Err(SparseError::MalformedRowPtr {
                 detail: format!(
                     "rowptr[n] = {}, expected nnz = {}",
@@ -124,9 +174,9 @@ impl CsrMatrix {
                 ),
             });
         }
-        if let Some(&bad) = self.colid.iter().find(|&&c| c >= self.n_cols) {
+        if let Some(&bad) = self.colid.iter().find(|&&c| c as usize >= self.n_cols) {
             return Err(SparseError::IndexOutOfBounds {
-                index: bad,
+                index: bad as usize,
                 bound: self.n_cols,
             });
         }
@@ -165,28 +215,39 @@ impl CsrMatrix {
         self.nnz() as f64 / (self.n_rows as f64 * self.n_cols as f64)
     }
 
-    /// Number of machine words occupied by the three CSR arrays
-    /// (`Val` + `Colid` + `Rowidx`), the quantity the paper's fault model
-    /// scales the error rate by.
-    pub fn memory_words(&self) -> usize {
-        2 * self.nnz() + self.n_rows + 1
+    /// Bytes of the three CSR arrays (`Val` + `Colid` + `Rowidx`):
+    /// 12 per stored entry plus 4 per row pointer — what a copy of the
+    /// image moves.
+    pub fn image_bytes(&self) -> usize {
+        array_bytes(self.val.len(), self.colid.len(), self.rowptr.len())
     }
 
-    /// Machine words the three arrays keep *reserved* (capacity, not
-    /// length): what a retained image buffer costs between uses.
-    pub fn capacity_words(&self) -> usize {
-        self.rowptr.capacity() + self.colid.capacity() + self.val.capacity()
+    /// Bytes the three arrays keep *reserved* (capacity, not length):
+    /// what a retained image buffer costs between uses.
+    pub fn capacity_bytes(&self) -> usize {
+        array_bytes(
+            self.val.capacity(),
+            self.colid.capacity(),
+            self.rowptr.capacity(),
+        )
+    }
+
+    /// [`CsrMatrix::image_bytes`] in 8-byte words, rounded up. The fault
+    /// model counts words differently — one per entry of each array,
+    /// whatever its width (`ftcg-fault`'s memory layout).
+    pub fn memory_words(&self) -> usize {
+        self.image_bytes().div_ceil(8)
     }
 
     /// Row pointer array (read-only).
     #[inline]
-    pub fn rowptr(&self) -> &[usize] {
+    pub fn rowptr(&self) -> &[u32] {
         &self.rowptr
     }
 
     /// Column index array (read-only).
     #[inline]
-    pub fn colid(&self) -> &[usize] {
+    pub fn colid(&self) -> &[u32] {
         &self.colid
     }
 
@@ -199,14 +260,14 @@ impl CsrMatrix {
     /// Mutable row pointer array — exposed for fault injection and ABFT
     /// correction only.
     #[inline]
-    pub fn rowptr_mut(&mut self) -> &mut [usize] {
+    pub fn rowptr_mut(&mut self) -> &mut [u32] {
         &mut self.rowptr
     }
 
     /// Mutable column index array — exposed for fault injection and ABFT
     /// correction only.
     #[inline]
-    pub fn colid_mut(&mut self) -> &mut [usize] {
+    pub fn colid_mut(&mut self) -> &mut [u32] {
         &mut self.colid
     }
 
@@ -223,7 +284,7 @@ impl CsrMatrix {
     /// Panics if `i >= n_rows`.
     #[inline]
     pub fn row_range(&self, i: usize) -> std::ops::Range<usize> {
-        self.rowptr[i]..self.rowptr[i + 1]
+        self.rowptr[i] as usize..self.rowptr[i + 1] as usize
     }
 
     /// Iterator over `(col, value)` pairs of row `i`.
@@ -231,7 +292,7 @@ impl CsrMatrix {
         let r = self.row_range(i);
         self.colid[r.clone()]
             .iter()
-            .copied()
+            .map(|&c| c as usize)
             .zip(self.val[r].iter().copied())
     }
 
@@ -255,8 +316,8 @@ impl CsrMatrix {
         assert_eq!(y.len(), self.n_rows, "spmv: y length mismatch");
         for (i, yi) in y.iter_mut().enumerate() {
             let mut acc = 0.0;
-            for k in self.rowptr[i]..self.rowptr[i + 1] {
-                acc += self.val[k] * x[self.colid[k]];
+            for k in self.row_range(i) {
+                acc += self.val[k] * x[self.colid[k] as usize];
             }
             *yi = acc;
         }
@@ -278,8 +339,8 @@ impl CsrMatrix {
     #[inline]
     pub fn row_range_clamped(&self, i: usize) -> std::ops::Range<usize> {
         let nnz = self.val.len();
-        let start = self.rowptr[i].min(nnz);
-        let end = self.rowptr[i + 1].min(nnz);
+        let start = (self.rowptr[i] as usize).min(nnz);
+        let end = (self.rowptr[i + 1] as usize).min(nnz);
         if start < end {
             start..end
         } else {
@@ -296,7 +357,7 @@ impl CsrMatrix {
     pub fn row_product_clamped(&self, x: &[f64], i: usize) -> f64 {
         let mut acc = 0.0;
         for k in self.row_range_clamped(i) {
-            let j = self.colid[k];
+            let j = self.colid[k] as usize;
             if j < x.len() {
                 acc += self.val[k] * x[j];
             }
@@ -356,14 +417,15 @@ impl CsrMatrix {
         // Row `i`'s clamped entries: `get` is `None` exactly where
         // `row_range_clamped` yields the empty row.
         let row = |i: usize| {
-            let range = lo[i]..hi[i].min(val.len());
+            let range = lo[i] as usize..(hi[i] as usize).min(val.len());
             (
                 colid.get(range.clone()).unwrap_or_default(),
                 val.get(range).unwrap_or_default(),
             )
         };
-        let product = |c: &[usize], v: &[f64], acc: &mut f64| {
+        let product = |c: &[u32], v: &[f64], acc: &mut f64| {
             for (&col, &w) in c.iter().zip(v) {
+                let col = col as usize;
                 if col < x.len() {
                     *acc += w * x[col];
                 }
@@ -387,15 +449,15 @@ impl CsrMatrix {
             for band in &mut bands {
                 let i: [usize; LANES] =
                     std::array::from_fn(|lane| w0 + band[lane] as usize % WINDOW);
-                let r: [(&[usize], &[f64]); LANES] = std::array::from_fn(|lane| row(i[lane]));
+                let r: [(&[u32], &[f64]); LANES] = std::array::from_fn(|lane| row(i[lane]));
                 let m = r.iter().map(|(c, _)| c.len()).min().unwrap_or(0);
-                let head: [(&[usize], &[f64]); LANES] =
+                let head: [(&[u32], &[f64]); LANES] =
                     std::array::from_fn(|lane| (&r[lane].0[..m], &r[lane].1[..m]));
                 let mut acc = [0.0f64; LANES];
                 // Lockstep section: every lane has at least `m` entries.
                 for j in 0..m {
                     for (lane, a) in acc.iter_mut().enumerate() {
-                        let col = head[lane].0[j];
+                        let col = head[lane].0[j] as usize;
                         if col < x.len() {
                             *a += head[lane].1[j] * x[col];
                         }
@@ -586,57 +648,54 @@ impl CsrMatrix {
         assert_eq!(y.len(), self.n_cols, "spmv_t: y length mismatch");
         y.fill(0.0);
         for (i, &xi) in x.iter().enumerate() {
-            for k in self.rowptr[i]..self.rowptr[i + 1] {
-                y[self.colid[k]] += self.val[k] * xi;
+            for k in self.row_range(i) {
+                y[self.colid[k] as usize] += self.val[k] * xi;
             }
         }
     }
 
-    /// Returns the transposed matrix in CSR form (counting sort over columns).
-    pub fn transpose(&self) -> CsrMatrix {
+    /// Returns the transposed matrix in CSR form (counting sort over
+    /// columns); [`SparseError::IndexWidth`] if the transpose's index
+    /// bound `max(n_rows, nnz + 1)` exceeds [`MAX_INDEX_BOUND`].
+    pub fn transpose(&self) -> Result<CsrMatrix> {
         let nnz = self.nnz();
-        let mut rowptr_t = vec![0usize; self.n_cols + 1];
+        check_index_bound(self.n_rows, nnz)?;
+        let mut rowptr_t = vec![0u32; self.n_cols + 1];
         for &c in &self.colid {
-            rowptr_t[c + 1] += 1;
+            rowptr_t[c as usize + 1] += 1;
         }
         for i in 0..self.n_cols {
             rowptr_t[i + 1] += rowptr_t[i];
         }
-        let mut colid_t = vec![0usize; nnz];
+        let mut colid_t = vec![0u32; nnz];
         let mut val_t = vec![0.0; nnz];
         let mut next = rowptr_t.clone();
         for i in 0..self.n_rows {
-            for k in self.rowptr[i]..self.rowptr[i + 1] {
-                let c = self.colid[k];
-                let dst = next[c];
-                colid_t[dst] = i;
+            let row = index_word(i)?;
+            for k in self.row_range(i) {
+                let c = self.colid[k] as usize;
+                let dst = next[c] as usize;
+                colid_t[dst] = row;
                 val_t[dst] = self.val[k];
                 next[c] += 1;
             }
         }
-        CsrMatrix {
+        Ok(CsrMatrix {
             n_rows: self.n_cols,
             n_cols: self.n_rows,
             rowptr: rowptr_t,
             colid: colid_t,
             val: val_t,
-        }
+        })
     }
 
-    /// `true` iff `A == Aᵀ` up to absolute tolerance `tol` on every entry.
+    /// `true` iff `A == Aᵀ` up to absolute tolerance `tol` on every entry:
+    /// every stored `aᵢⱼ` is within `tol` of `aⱼᵢ` (`0.0` if not stored).
     pub fn is_symmetric(&self, tol: f64) -> bool {
         if !self.is_square() {
             return false;
         }
-        let t = self.transpose();
-        for i in 0..self.n_rows {
-            for (j, v) in self.row(i) {
-                if (v - t.get(i, j)).abs() > tol {
-                    return false;
-                }
-            }
-        }
-        true
+        !(0..self.n_rows).any(|i| self.row(i).any(|(j, v)| (v - self.get(j, i)).abs() > tol))
     }
 
     /// Extracts the diagonal as a dense vector (zeros where absent).
@@ -665,8 +724,8 @@ impl CsrMatrix {
     /// Matrix 1-norm: maximum absolute column sum (eq. 8 of the paper).
     pub fn norm1(&self) -> f64 {
         let mut colsum = vec![0.0_f64; self.n_cols];
-        for (k, &c) in self.colid.iter().enumerate() {
-            colsum[c] += self.val[k].abs();
+        for (&c, v) in self.colid.iter().zip(&self.val) {
+            colsum[c as usize] += v.abs();
         }
         colsum.into_iter().fold(0.0, f64::max)
     }
@@ -674,8 +733,8 @@ impl CsrMatrix {
     /// Per-column plain sums `Σᵢ aᵢⱼ` (the unshifted checksum of eq. 1).
     pub fn column_sums(&self) -> Vec<f64> {
         let mut s = vec![0.0; self.n_cols];
-        for (k, &c) in self.colid.iter().enumerate() {
-            s[c] += self.val[k];
+        for (&c, v) in self.colid.iter().zip(&self.val) {
+            s[c as usize] += v;
         }
         s
     }
@@ -716,14 +775,8 @@ impl CsrMatrix {
     }
 
     /// Identity matrix of order `n`.
-    pub fn identity(n: usize) -> CsrMatrix {
-        CsrMatrix {
-            n_rows: n,
-            n_cols: n,
-            rowptr: (0..=n).collect(),
-            colid: (0..n).collect(),
-            val: vec![1.0; n],
-        }
+    pub fn identity(n: usize) -> Result<CsrMatrix> {
+        crate::gen::diagonal(&vec![1.0; n])
     }
 
     /// Dense row-major rendering (test/debug helper; O(n·m) memory).
@@ -836,7 +889,7 @@ mod tests {
         // separate clamped product + probe sweeps bit for bit, not panic.
         let mut m = crate::gen::random_spd(30, 0.2, 13).unwrap();
         m.colid_mut()[4] = 999;
-        m.rowptr_mut()[7] = usize::MAX / 2;
+        m.rowptr_mut()[7] = u32::MAX / 2;
         m.val_mut()[9] = f64::NAN;
         let x: Vec<f64> = (0..30).map(|i| (i as f64 * 0.37).cos()).collect();
         let mut y_ref = vec![0.0; 30];
@@ -853,7 +906,7 @@ mod tests {
 
     #[test]
     fn spmv_identity_is_noop() {
-        let id = CsrMatrix::identity(4);
+        let id = CsrMatrix::identity(4).unwrap();
         let x = [1.0, -2.0, 3.5, 0.0];
         assert_eq!(id.spmv(&x), x.to_vec());
     }
@@ -870,21 +923,22 @@ mod tests {
         let x = [1.0, 2.0, 3.0];
         let mut y1 = vec![0.0; 3];
         m.spmv_transpose_into(&x, &mut y1);
-        let y2 = m.transpose().spmv(&x);
+        let y2 = m.transpose().unwrap().spmv(&x);
         assert_eq!(y1, y2);
     }
 
     #[test]
     fn transpose_involution() {
         let m = sample();
-        assert_eq!(m.transpose().transpose().to_dense(), m.to_dense());
+        let t = m.transpose().unwrap();
+        assert_eq!(t.transpose().unwrap().to_dense(), m.to_dense());
     }
 
     #[test]
     fn transpose_rectangular() {
         // 2x3 matrix [1 0 2; 0 3 0]
         let m = CsrMatrix::new(2, 3, vec![0, 2, 3], vec![0, 2, 1], vec![1.0, 2.0, 3.0]).unwrap();
-        let t = m.transpose();
+        let t = m.transpose().unwrap();
         assert_eq!(t.n_rows(), 3);
         assert_eq!(t.n_cols(), 2);
         assert_eq!(t.get(0, 0), 1.0);
@@ -944,13 +998,31 @@ mod tests {
     fn density_and_words() {
         let m = sample();
         assert!((m.density() - 7.0 / 9.0).abs() < 1e-15);
-        assert_eq!(m.memory_words(), 2 * 7 + 3 + 1);
+        // 12 B per stored entry, 4 B per row pointer.
+        assert_eq!(m.image_bytes(), 12 * 7 + 4 * (3 + 1));
+        assert_eq!(m.memory_words(), 100usize.div_ceil(8));
+        assert_eq!(m.capacity_bytes(), m.image_bytes());
+    }
+
+    #[test]
+    fn constructors_reject_an_index_bound_past_32_bits() {
+        // A 1 × (2³⁰ + 1) empty matrix: the bound comes from the
+        // dimensions alone, no index array is allocated.
+        let wide = MAX_INDEX_BOUND + 1;
+        let e = CsrMatrix::new(1, wide, vec![0, 0], vec![], vec![]);
+        assert_eq!(e, Err(SparseError::IndexWidth { bound: wide }));
+        assert!(CsrMatrix::new(1, MAX_INDEX_BOUND, vec![0, 0], vec![], vec![]).is_ok());
+        let tall = CsrMatrix::from_parts_unchecked(wide, 1, vec![0; 2], vec![], vec![]);
+        assert_eq!(
+            tall.transpose(),
+            Err(SparseError::IndexWidth { bound: wide })
+        );
     }
 
     #[test]
     fn coo_roundtrip() {
         let m = sample();
-        let back = m.to_coo().to_csr();
+        let back = m.to_coo().to_csr().unwrap();
         assert_eq!(back.to_dense(), m.to_dense());
     }
 
@@ -968,15 +1040,15 @@ mod tests {
     #[should_panic(expected = "nnz mismatch")]
     fn copy_values_from_rejects_nnz_mismatch() {
         let mut a = sample();
-        let b = CsrMatrix::identity(3);
+        let b = CsrMatrix::identity(3).unwrap();
         a.copy_values_from(&b);
     }
 
     #[test]
     #[should_panic(expected = "dimension mismatch")]
     fn copy_values_from_rejects_dimension_mismatch() {
-        let mut a = CsrMatrix::identity(4);
-        let b = CsrMatrix::identity(5);
+        let mut a = CsrMatrix::identity(4).unwrap();
+        let b = CsrMatrix::identity(5).unwrap();
         a.copy_values_from(&b);
     }
 
@@ -994,8 +1066,8 @@ mod tests {
     fn copy_image_from_heals_corrupted_structure() {
         let pristine = sample();
         let mut live = pristine.clone();
-        live.rowptr_mut()[1] = usize::MAX;
-        live.colid_mut()[3] = 1 << 50;
+        live.rowptr_mut()[1] = u32::MAX;
+        live.colid_mut()[3] = 1 << 31;
         live.val_mut()[0] = f64::INFINITY;
         assert!(live.validate().is_err());
         live.copy_image_from(&pristine);
@@ -1007,13 +1079,13 @@ mod tests {
     #[should_panic(expected = "nnz mismatch")]
     fn copy_image_from_rejects_length_mismatch() {
         let mut a = sample();
-        let b = CsrMatrix::identity(3);
+        let b = CsrMatrix::identity(3).unwrap();
         a.copy_image_from(&b);
     }
 
     #[test]
     fn assign_from_reshapes_and_matches_clone() {
-        let small = CsrMatrix::identity(2);
+        let small = CsrMatrix::identity(2).unwrap();
         let big = sample();
         let mut buf = small.clone();
         buf.assign_from(&big);
@@ -1026,15 +1098,16 @@ mod tests {
     #[test]
     fn assign_from_grows_exactly_and_keeps_the_high_water_mark() {
         // Shapes chosen so amortised doubling would overshoot: 10 → 11
-        // rows must reserve 12 + 2·11 words, not twice the old buffers.
-        let mut buf = CsrMatrix::identity(10);
-        let big = CsrMatrix::identity(11);
+        // rows must reserve 4·12 + 12·11 bytes, not twice the old
+        // buffers.
+        let mut buf = CsrMatrix::identity(10).unwrap();
+        let big = CsrMatrix::identity(11).unwrap();
         buf.assign_from(&big);
         assert_eq!(buf, big);
-        assert_eq!(buf.capacity_words(), big.memory_words());
+        assert_eq!(buf.capacity_bytes(), big.image_bytes());
         // A smaller image reuses the buffers: capacity stays put.
-        buf.assign_from(&CsrMatrix::identity(3));
-        assert_eq!(buf.capacity_words(), big.memory_words());
+        buf.assign_from(&CsrMatrix::identity(3).unwrap());
+        assert_eq!(buf.capacity_bytes(), big.image_bytes());
     }
 
     #[test]
@@ -1067,13 +1140,13 @@ mod tests {
     /// every word the matrix is large enough to have.
     fn corrupt_structure(a: &mut CsrMatrix) {
         if let Some(w) = a.rowptr_mut().get_mut(10) {
-            *w = usize::MAX;
+            *w = u32::MAX;
         }
         if let Some(w) = a.rowptr_mut().get_mut(40) {
             *w = 2; // inverted range
         }
         if let Some(w) = a.colid_mut().get_mut(17) {
-            *w = 1 << 45;
+            *w = 1 << 31;
         }
     }
 
@@ -1134,11 +1207,11 @@ mod tests {
         let lens: Vec<usize> = (0..n)
             .map(|i| if i == 70 { 140 } else { (i * 7) % 6 })
             .collect();
-        let mut rowptr = vec![0usize];
+        let mut rowptr = vec![0u32];
         let mut colid = Vec::new();
         for (i, &len) in lens.iter().enumerate() {
-            colid.extend((0..len).map(|k| (i + 3 * k) % n));
-            rowptr.push(colid.len());
+            colid.extend((0..len).map(|k| ((i + 3 * k) % n) as u32));
+            rowptr.push(colid.len() as u32);
         }
         let val: Vec<f64> = (0..colid.len()).map(|k| ((k % 17) as f64) - 8.25).collect();
         let mut a = CsrMatrix::new(n, n, rowptr, colid, val).unwrap();
@@ -1153,16 +1226,16 @@ mod tests {
         foreign.rebuild(&crate::gen::random_spd(n, 0.05, 3).unwrap());
         assert_ne!(foreign, order);
         assert_traversal_matches_reference(&a, &foreign, "foreign order");
-        foreign.rebuild(&CsrMatrix::identity(n + 1));
+        foreign.rebuild(&CsrMatrix::identity(n + 1).unwrap());
         assert_traversal_matches_reference(&a, &foreign, "wrong length");
 
         // Corruption after the order was built: wild, inverted and
         // overlapping ranges, wild columns.
-        a.rowptr_mut()[70] = usize::MAX;
+        a.rowptr_mut()[70] = u32::MAX;
         a.rowptr_mut()[20] = 400; // rows 19.. overlap what follows
         a.rowptr_mut()[100] = 1; // inverted
-        a.colid_mut()[33] = n;
-        a.colid_mut()[200] = usize::MAX;
+        a.colid_mut()[33] = n as u32;
+        a.colid_mut()[200] = u32::MAX;
         assert_traversal_matches_reference(&a, &order, "ragged, corrupted");
     }
 

@@ -44,6 +44,13 @@ pub enum SparseError {
         /// Human-readable description.
         detail: String,
     },
+    /// The matrix would not fit 32-bit indices: its index bound
+    /// `max(n_cols, nnz + 1)` exceeds
+    /// [`MAX_INDEX_BOUND`](crate::MAX_INDEX_BOUND).
+    IndexWidth {
+        /// The offending index bound.
+        bound: usize,
+    },
 }
 
 impl fmt::Display for SparseError {
@@ -68,6 +75,11 @@ impl fmt::Display for SparseError {
             SparseError::InvalidArgument { detail } => {
                 write!(f, "invalid argument: {detail}")
             }
+            SparseError::IndexWidth { bound } => write!(
+                f,
+                "index bound max(n_cols, nnz + 1) = {bound} exceeds the 32-bit index limit {}",
+                crate::MAX_INDEX_BOUND
+            ),
         }
     }
 }
@@ -103,6 +115,17 @@ mod tests {
     fn display_not_square() {
         let e = SparseError::NotSquare { rows: 2, cols: 3 };
         assert!(e.to_string().contains("2x3"));
+    }
+
+    #[test]
+    fn display_index_width() {
+        let e = SparseError::IndexWidth {
+            bound: (1 << 30) + 1,
+        };
+        assert_eq!(
+            e.to_string(),
+            "index bound max(n_cols, nnz + 1) = 1073741825 exceeds the 32-bit index limit 1073741824"
+        );
     }
 
     #[test]

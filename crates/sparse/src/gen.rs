@@ -27,7 +27,7 @@ use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 
 use crate::coo::CooMatrix;
-use crate::csr::CsrMatrix;
+use crate::csr::{check_index_bound, index_word, CsrMatrix};
 use crate::error::SparseError;
 use crate::Result;
 
@@ -61,7 +61,7 @@ pub fn poisson2d(k: usize) -> Result<CsrMatrix> {
             }
         }
     }
-    Ok(coo.to_csr())
+    coo.to_csr()
 }
 
 /// 7-point finite-difference Laplacian on a `k × k × k` grid (`n = k³`).
@@ -100,7 +100,7 @@ pub fn poisson3d(k: usize) -> Result<CsrMatrix> {
             }
         }
     }
-    Ok(coo.to_csr())
+    coo.to_csr()
 }
 
 /// Symmetric tridiagonal matrix with constant diagonal `d` and
@@ -122,7 +122,7 @@ pub fn tridiagonal(n: usize, d: f64, e: f64) -> Result<CsrMatrix> {
             coo.push(i, i + 1, e);
         }
     }
-    Ok(coo.to_csr())
+    coo.to_csr()
 }
 
 /// Shifted graph Laplacian `L + σI` of a random undirected multigraph-free
@@ -167,7 +167,7 @@ pub fn graph_laplacian(n: usize, edges: usize, sigma: f64, seed: u64) -> Result<
         coo.push(u, v, -1.0);
         coo.push(v, u, -1.0);
     }
-    Ok(coo.to_csr())
+    coo.to_csr()
 }
 
 /// Random SPD matrix of order `n` with density approximately `density`.
@@ -200,14 +200,17 @@ pub fn random_spd(n: usize, density: f64, seed: u64) -> Result<CsrMatrix> {
             detail: format!("random_spd: density {density} outside [0, 1]"),
         });
     }
+    // The order alone may already exceed 32-bit indices; the entry
+    // count is checked once the pattern is drawn. Below the bound the
+    // pair keys `i·n + j < 2⁶⁰` fit a `u64`.
+    check_index_bound(n, n)?;
     let order = n as u64;
-    if order.checked_mul(order).is_none() {
-        return Err(SparseError::InvalidArgument {
-            detail: format!("random_spd: order {n} too large for a u64 pair key"),
-        });
-    }
     let mut rng = StdRng::seed_from_u64(seed);
     // Target nnz including the full diagonal.
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "rounds n²·density, a value in [0, n²] < 2⁶⁰, to a count; no integer path draws the same pattern"
+    )]
     let target_nnz = ((n as f64) * (n as f64) * density).round() as usize;
     let offdiag_pairs = target_nnz.saturating_sub(n) / 2;
     let mut pattern = PairSet::with_capacity(offdiag_pairs);
@@ -230,36 +233,39 @@ pub fn random_spd(n: usize, density: f64, seed: u64) -> Result<CsrMatrix> {
         }
     }
     let keys = pattern.into_sorted();
+    let nnz = n + 2 * keys.len();
+    check_index_bound(n, nnz)?;
 
     // Row lengths: each pair lands in both of its rows, plus the diagonal.
-    let mut rowptr = vec![0usize; n + 1];
+    let mut rowptr = vec![0u32; n + 1];
     for (i, base, block) in row_blocks(&keys, n) {
-        rowptr[i + 1] += 1 + block.len();
+        rowptr[i + 1] += 1 + index_word(block.len())?;
         for &k in block {
-            rowptr[(k - base) as usize + 1] += 1;
+            rowptr[column(k, base, n)? as usize + 1] += 1;
         }
     }
     for i in 0..n {
         rowptr[i + 1] += rowptr[i];
     }
-    let nnz = rowptr[n];
-    let mut colid = vec![0usize; nnz];
+    let mut colid = vec![0u32; nnz];
     let mut val = vec![0.0_f64; nnz];
     let mut rowsum = vec![0.0_f64; n];
     // Where the next lower entry of each row goes: row `j` receives
     // `(j, i)` while row `i < j` is being filled.
     let mut lower = rowptr[..n].to_vec();
     for (i, base, block) in row_blocks(&keys, n) {
+        let row = index_word(i)?;
         // Rows before `i` have placed all of row `i`'s lower entries.
-        let diag = lower[i];
-        colid[diag] = i;
+        let diag = lower[i] as usize;
+        colid[diag] = row;
         for (p, &k) in (diag + 1..).zip(block) {
-            let j = (k - base) as usize;
+            let col = column(k, base, n)?;
+            let j = col as usize;
             let v = -rng.random::<f64>(); // U(-1, 0)
-            colid[p] = j;
+            colid[p] = col;
             val[p] = v;
-            let q = lower[j];
-            colid[q] = i;
+            let q = lower[j] as usize;
+            colid[q] = row;
             val[q] = v;
             lower[j] += 1;
             rowsum[i] += v.abs();
@@ -270,6 +276,12 @@ pub fn random_spd(n: usize, density: f64, seed: u64) -> Result<CsrMatrix> {
         val[diag] = rowsum[i] + 1.0;
     }
     Ok(CsrMatrix::from_parts_unchecked(n, n, rowptr, colid, val))
+}
+
+/// Column `j` of the pair key `i·n + j` of the row based at `i·n`: below
+/// the order `n`, which fits an index word.
+fn column(key: u64, base: u64, n: usize) -> Result<u32> {
+    u32::try_from(key - base).map_err(|_| SparseError::IndexWidth { bound: n })
 }
 
 /// The distinct pair keys `i·n + j` drawn by [`random_spd`]: a flat
@@ -304,7 +316,10 @@ impl PairSet {
     /// capacity it asked for, so an empty slot is always found.
     fn insert(&mut self, key: u64) {
         let mask = self.slots.len() - 1;
-        let mut h = (key.wrapping_mul(0x9e37_79b9_7f4a_7c15) >> self.shift) as usize;
+        // The hash is below the slot count, so it converts losslessly;
+        // any start slot would keep the table correct.
+        let hash = key.wrapping_mul(0x9e37_79b9_7f4a_7c15) >> self.shift;
+        let mut h = usize::try_from(hash).unwrap_or_default() & mask;
         loop {
             let slot = &mut self.slots[h];
             if *slot == key {
@@ -382,7 +397,7 @@ pub fn random_spd_illcond(
     // hold well over that and set the peak here instead.
     for i in 0..n {
         for k in base.row_range(i) {
-            let (j, v) = (base.colid()[k], base.val()[k]);
+            let (j, v) = (base.colid()[k] as usize, base.val()[k]);
             base.val_mut()[k] = d[i] * v * d[j];
         }
     }
@@ -391,9 +406,17 @@ pub fn random_spd_illcond(
 
 /// Diagonal matrix with the given entries (utility for preconditioners
 /// and tests).
-pub fn diagonal(entries: &[f64]) -> CsrMatrix {
+pub fn diagonal(entries: &[f64]) -> Result<CsrMatrix> {
     let n = entries.len();
-    CsrMatrix::from_parts_unchecked(n, n, (0..=n).collect(), (0..n).collect(), entries.to_vec())
+    check_index_bound(n, n)?;
+    let order = index_word(n)?;
+    Ok(CsrMatrix::from_parts_unchecked(
+        n,
+        n,
+        (0..=order).collect(),
+        (0..order).collect(),
+        entries.to_vec(),
+    ))
 }
 
 #[cfg(test)]
@@ -516,7 +539,7 @@ mod tests {
         for (i, &s) in rowsum.iter().enumerate() {
             coo.push(i, i, s + 1.0);
         }
-        coo.to_csr()
+        coo.to_csr().unwrap()
     }
 
     #[test]
@@ -551,6 +574,16 @@ mod tests {
                 assert_eq!(got.nnz(), n, "n {n}: diagonal only");
             }
         }
+    }
+
+    #[test]
+    fn random_spd_rejects_an_order_past_the_index_width() {
+        // The order alone decides it, before any array is allocated.
+        let n = crate::MAX_INDEX_BOUND + 1;
+        assert_eq!(
+            random_spd(n, 0.0, 0),
+            Err(SparseError::IndexWidth { bound: n + 1 })
+        );
     }
 
     #[test]
@@ -600,7 +633,7 @@ mod tests {
                     coo.push(i, j, d[i] * v * d[j]);
                 }
             }
-            let want = coo.to_csr();
+            let want = coo.to_csr().unwrap();
             let got = random_spd_illcond(n, density, cond, seed).unwrap();
             assert_eq!(got.rowptr(), want.rowptr(), "n {n} seed {seed}");
             assert_eq!(got.colid(), want.colid(), "n {n} seed {seed}");
@@ -624,7 +657,7 @@ mod tests {
 
     #[test]
     fn diagonal_matrix() {
-        let d = diagonal(&[1.0, 2.0, 3.0]);
+        let d = diagonal(&[1.0, 2.0, 3.0]).unwrap();
         d.validate().unwrap();
         assert_eq!(d.spmv(&[1.0, 1.0, 1.0]), vec![1.0, 2.0, 3.0]);
     }

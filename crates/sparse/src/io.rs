@@ -9,7 +9,7 @@ use std::io::{BufRead, BufReader, Read, Write};
 use std::path::Path;
 
 use crate::coo::CooMatrix;
-use crate::csr::CsrMatrix;
+use crate::csr::{check_index_bound, CsrMatrix};
 use crate::error::SparseError;
 use crate::Result;
 
@@ -127,6 +127,9 @@ pub fn read_matrix_market<R: Read>(reader: R) -> Result<CsrMatrix> {
             detail: format!("{nnz_decl} entries declared for a {n_rows} x {n_cols} matrix"),
         });
     }
+    // Every declared entry is stored at least once, so the size line
+    // alone can already exceed 32-bit indices.
+    check_index_bound(n_cols, nnz_decl)?;
     let mut rowptr = Vec::new();
     if n_rows
         .checked_add(1)
@@ -196,7 +199,7 @@ pub fn read_matrix_market<R: Read>(reader: R) -> Result<CsrMatrix> {
             detail: format!("declared {nnz_decl} entries, found {seen}"),
         });
     }
-    Ok(coo.to_csr_in(rowptr))
+    coo.to_csr_in(rowptr)
 }
 
 /// Triplets reserved up front from a size line (24 MiB); a larger file
@@ -327,7 +330,7 @@ mod tests {
 
     #[test]
     fn rejects_row_count_past_the_allocator() {
-        // 8 PB of row pointer: beyond the address space, so no
+        // 4 PB of row pointer: beyond the address space, so no
         // overcommit policy can grant it.
         let d = size_line_error(
             "%%MatrixMarket matrix coordinate real general\n1000000000000000 3 0\n",
@@ -337,14 +340,34 @@ mod tests {
 
     #[test]
     fn large_declared_count_reserves_a_bounded_buffer() {
-        // A trillion declared entries fit 10⁶ × 10⁶ cells; only what is
-        // read is held, and the count mismatch is reported at the end.
-        let s = "%%MatrixMarket matrix coordinate real symmetric\n1000000 1000000 1000000000000\n1 1 2.0\n";
+        // 10⁸ declared entries fit 10⁶ × 10⁶ cells and 32-bit indices;
+        // only what is read is held, and the count mismatch is reported
+        // at the end.
+        let s =
+            "%%MatrixMarket matrix coordinate real symmetric\n1000000 1000000 100000000\n1 1 2.0\n";
         match read_matrix_market(s.as_bytes()) {
             Err(SparseError::Parse { line: 3, detail }) => {
                 assert!(detail.contains("found 1"), "{detail}")
             }
             other => panic!("expected a count mismatch, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn rejects_a_size_line_past_the_index_width() {
+        // Columns or declared entries past 2³⁰ are refused at the size
+        // line, before the row pointer or any triplet is allocated.
+        let limit = crate::MAX_INDEX_BOUND;
+        for (dims, bound) in [
+            (format!("1 {} 0", limit + 1), limit + 1),
+            (format!("1000000 1000000 {limit}"), limit + 1),
+        ] {
+            let text = format!("%%MatrixMarket matrix coordinate real general\n{dims}\n");
+            assert_eq!(
+                read_matrix_market(text.as_bytes()),
+                Err(SparseError::IndexWidth { bound }),
+                "{dims}"
+            );
         }
     }
 

@@ -38,6 +38,11 @@
 //! buffers and never allocate.
 
 #![warn(missing_docs)]
+// Index words are `u32`: a narrowing cast goes through `try_from` on a
+// path with a typed error (or an `#[expect]` that says why it is exact),
+// never through a silently truncating `as`. Tests build their corrupt
+// inputs with `as`.
+#![cfg_attr(not(test), warn(clippy::cast_possible_truncation))]
 
 mod bcsr;
 mod coo;
@@ -54,7 +59,7 @@ pub mod vector;
 
 pub use bcsr::BcsrMatrix;
 pub use coo::CooMatrix;
-pub use csr::CsrMatrix;
+pub use csr::{CsrMatrix, MAX_INDEX_BOUND};
 pub use error::SparseError;
 pub use order::RowOrder;
 pub use sell::SellCSigma;

@@ -164,7 +164,7 @@ mod tests {
         order.rebuild(&big);
         let (ptr, bytes) = (order.as_slice().as_ptr(), order.capacity_bytes());
         assert_eq!(bytes, 4 * 300);
-        small.rowptr_mut()[3] = usize::MAX;
+        small.rowptr_mut()[3] = u32::MAX;
         small.rowptr_mut()[40] = 0;
         order.rebuild(&small);
         assert!(is_window_permutation(&order, 70));
@@ -173,7 +173,7 @@ mod tests {
             (order.as_slice().as_ptr(), order.capacity_bytes()),
             (ptr, bytes)
         );
-        order.rebuild(&CsrMatrix::identity(0));
+        order.rebuild(&CsrMatrix::default());
         assert!(order.as_slice().is_empty());
     }
 }

@@ -43,9 +43,11 @@ pub fn partition_rows_balanced(a: &CsrMatrix, n_blocks: usize) -> Vec<RowBlock> 
             blocks.push(RowBlock { start, end: n });
             break;
         }
-        let goal = ((b + 1) as f64 * target).round() as usize;
+        // An integer-valued goal: each `u32` prefix compares to it in
+        // `f64` exactly as it would to the goal as an integer.
+        let goal = ((b + 1) as f64 * target).round();
         // First row index whose prefix nnz reaches the goal.
-        let mut end = match rowptr.binary_search(&goal) {
+        let mut end = match rowptr.binary_search_by(|&p| f64::from(p).total_cmp(&goal)) {
             Ok(i) => i,
             Err(i) => i,
         };
@@ -91,7 +93,7 @@ pub fn spmv_parallel(a: &CsrMatrix, x: &[f64], y: &mut [f64], blocks: &[RowBlock
                 for (local, i) in (b.start..b.end).enumerate() {
                     let mut acc = 0.0;
                     for k in a.row_range(i) {
-                        acc += a.val()[k] * x[a.colid()[k]];
+                        acc += a.val()[k] * x[a.colid()[k] as usize];
                     }
                     ys[local] = acc;
                 }

@@ -12,7 +12,7 @@
 //! is the same floating-point sum [`CsrMatrix::spmv_into`] computes —
 //! only the row *visit* order changes, which no output cell observes.
 
-use crate::csr::CsrMatrix;
+use crate::csr::{index_word, CsrMatrix};
 use crate::error::SparseError;
 use crate::Result;
 
@@ -30,7 +30,7 @@ pub struct SellCSigma {
     /// Chunk offsets into `colid`/`val`, length `n_chunks + 1`.
     chunkptr: Vec<usize>,
     /// Column indices, column-major per chunk, padding lanes 0.
-    colid: Vec<usize>,
+    colid: Vec<u32>,
     /// Values, column-major per chunk, padding lanes 0.0.
     val: Vec<f64>,
     /// Logical stored entries.
@@ -51,8 +51,7 @@ impl SellCSigma {
         }
         let n_rows = a.n_rows();
         let n_cols = a.n_cols();
-        let rowptr = a.rowptr();
-        let lens: Vec<usize> = (0..n_rows).map(|i| rowptr[i + 1] - rowptr[i]).collect();
+        let lens: Vec<usize> = (0..n_rows).map(|i| a.row_range(i).len()).collect();
         // σ-windowed sort by descending row length (stable: equal-length
         // rows keep their original order — deterministic layout).
         let mut perm: Vec<usize> = (0..n_rows).collect();
@@ -73,11 +72,11 @@ impl SellCSigma {
             let pos_hi = (pos_lo + chunk).min(n_rows);
             let width = rowlen[pos_lo..pos_hi].iter().copied().max().unwrap_or(0);
             let off = colid.len();
-            colid.resize(off + width * chunk, 0usize);
+            colid.resize(off + width * chunk, 0u32);
             val.resize(off + width * chunk, 0.0f64);
             for (lane, pos) in (pos_lo..pos_hi).enumerate() {
                 let i = perm[pos];
-                for (j, k) in (rowptr[i]..rowptr[i + 1]).enumerate() {
+                for (j, k) in a.row_range(i).enumerate() {
                     colid[off + j * chunk + lane] = a.colid()[k];
                     val[off + j * chunk + lane] = a.val()[k];
                 }
@@ -129,7 +128,7 @@ impl SellCSigma {
                 let mut acc = 0.0;
                 for j in 0..self.rowlen[pos] {
                     let k = off + j * c + lane;
-                    acc += self.val[k] * x[self.colid[k]];
+                    acc += self.val[k] * x[self.colid[k] as usize];
                 }
                 y[self.perm[pos]] = acc;
             }
@@ -165,14 +164,14 @@ impl SellCSigma {
                     let vs = &self.val[base..base + C];
                     let cs = &self.colid[base..base + C];
                     for lane in 0..C {
-                        acc[lane] += vs[lane] * x[cs[lane]];
+                        acc[lane] += vs[lane] * x[cs[lane] as usize];
                     }
                 }
                 // Guarded tails: each lane finishes its own entries.
                 for (lane, a) in acc.iter_mut().enumerate() {
                     for j in m..rl[lane] {
                         let k = off + j * C + lane;
-                        *a += self.val[k] * x[self.colid[k]];
+                        *a += self.val[k] * x[self.colid[k] as usize];
                     }
                 }
                 for (lane, a) in acc.iter().enumerate() {
@@ -184,7 +183,7 @@ impl SellCSigma {
                     let mut acc = 0.0;
                     for j in 0..self.rowlen[pos] {
                         let k = off + j * C + lane;
-                        acc += self.val[k] * x[self.colid[k]];
+                        acc += self.val[k] * x[self.colid[k] as usize];
                     }
                     y[self.perm[pos]] = acc;
                 }
@@ -194,8 +193,8 @@ impl SellCSigma {
 
     /// Converts back to CSR, undoing the σ-window permutation. Stored
     /// entries are reproduced exactly (padding dropped).
-    pub fn to_csr(&self) -> CsrMatrix {
-        let mut rows: Vec<Vec<(usize, f64)>> = vec![Vec::new(); self.n_rows];
+    pub fn to_csr(&self) -> Result<CsrMatrix> {
+        let mut rows: Vec<Vec<(u32, f64)>> = vec![Vec::new(); self.n_rows];
         let c = self.chunk;
         let n_chunks = self.chunkptr.len() - 1;
         for ck in 0..n_chunks {
@@ -211,7 +210,7 @@ impl SellCSigma {
             }
         }
         let mut rowptr = Vec::with_capacity(self.n_rows + 1);
-        rowptr.push(0usize);
+        rowptr.push(0u32);
         let mut colid = Vec::with_capacity(self.nnz);
         let mut val = Vec::with_capacity(self.nnz);
         for row in rows {
@@ -219,9 +218,15 @@ impl SellCSigma {
                 colid.push(j);
                 val.push(v);
             }
-            rowptr.push(colid.len());
+            rowptr.push(index_word(colid.len())?);
         }
-        CsrMatrix::from_parts_unchecked(self.n_rows, self.n_cols, rowptr, colid, val)
+        Ok(CsrMatrix::from_parts_unchecked(
+            self.n_rows,
+            self.n_cols,
+            rowptr,
+            colid,
+            val,
+        ))
     }
 }
 
@@ -235,7 +240,7 @@ mod tests {
         let a = gen::random_spd(80, 0.06, 3).unwrap();
         for (c, s) in [(1usize, 1usize), (4, 1), (8, 32), (8, 80), (16, 4)] {
             let sell = SellCSigma::from_csr(&a, c, s).unwrap();
-            let back = sell.to_csr();
+            let back = sell.to_csr().unwrap();
             assert_eq!(back.rowptr(), a.rowptr(), "C={c} σ={s}");
             assert_eq!(back.colid(), a.colid(), "C={c} σ={s}");
             assert_eq!(back.val(), a.val(), "C={c} σ={s}");
@@ -267,7 +272,7 @@ mod tests {
             coo.push(0, j, 1.0);
             coo.push(j, j, 2.0);
         }
-        let a = coo.to_csr();
+        let a = coo.to_csr().unwrap();
         let unsorted = SellCSigma::from_csr(&a, 8, 1).unwrap();
         let sorted = SellCSigma::from_csr(&a, 8, n).unwrap();
         assert!(sorted.val.len() <= unsorted.val.len(), "more padding lanes");
@@ -335,7 +340,7 @@ mod tests {
         for i in 1..n {
             coo.push(i, i, 2.0);
         }
-        let a = coo.to_csr();
+        let a = coo.to_csr().unwrap();
         let sell = SellCSigma::from_csr(&a, 8, 1).unwrap();
         assert!(sell.val.len() > sell.nnz, "no padding lanes");
         let x = vec![1.0; n];

@@ -25,8 +25,11 @@ pub struct MatrixStats {
     pub(crate) symmetric: bool,
     /// Whether strictly diagonally dominant.
     pub(crate) diagonally_dominant: bool,
-    /// Machine words in the CSR arrays (fault-model `M` contribution).
-    pub memory_words: usize,
+    /// Words the fault model counts in the CSR arrays, one per entry of
+    /// each, whatever its width: `2·nnz + n + 1`, the matrix's share of
+    /// `M` (`ftcg-fault`'s memory layout; not the bytes, see
+    /// [`CsrMatrix::image_bytes`]).
+    pub fault_words: usize,
 }
 
 impl MatrixStats {
@@ -62,7 +65,7 @@ impl MatrixStats {
             bandwidth,
             symmetric: a.is_symmetric(1e-12),
             diagonally_dominant: a.is_strictly_diagonally_dominant(),
-            memory_words: a.memory_words(),
+            fault_words: 2 * a.nnz() + n + 1,
         }
     }
 
@@ -98,7 +101,7 @@ mod tests {
         assert_eq!(s.bandwidth, 5); // grid stride
         assert!(s.symmetric);
         assert!(!s.diagonally_dominant); // weakly dominant only
-        assert_eq!(s.memory_words, 2 * a.nnz() + a.n_rows() + 1);
+        assert_eq!(s.fault_words, 2 * a.nnz() + a.n_rows() + 1);
     }
 
     #[test]

@@ -36,11 +36,11 @@ fn ragged_csr_strategy() -> impl Strategy<Value = CsrMatrix> {
                 if let Some(len) = lens.get_mut(long_row) {
                     *len = long_len;
                 }
-                let mut rowptr = vec![0usize];
+                let mut rowptr = vec![0u32];
                 let mut colid = Vec::new();
                 for (i, &len) in lens.iter().enumerate() {
-                    colid.extend((0..len).map(|k| (i * 31 + k * 7 + salt as usize) % n));
-                    rowptr.push(colid.len());
+                    colid.extend((0..len).map(|k| ((i * 31 + k * 7 + salt as usize) % n) as u32));
+                    rowptr.push(colid.len() as u32);
                 }
                 let val = (0..colid.len())
                     .map(|k| ((k as u64 * 2654435761 + salt) % 1999) as f64 / 64.0 - 15.0)
@@ -89,9 +89,9 @@ proptest! {
         for (kind, at, to) in hits {
             let nnz = a.nnz();
             match kind {
-                0 => a.rowptr_mut()[at % (n + 1)] = usize::MAX,
-                1 => a.rowptr_mut()[at % (n + 1)] = to % (nnz + 2), // inverted / overlapping
-                2 if nnz > 0 => a.colid_mut()[at % nnz] = n + to,
+                0 => a.rowptr_mut()[at % (n + 1)] = u32::MAX,
+                1 => a.rowptr_mut()[at % (n + 1)] = (to % (nnz + 2)) as u32, // inverted / overlapping
+                2 if nnz > 0 => a.colid_mut()[at % nnz] = (n + to) as u32,
                 _ if nnz > 0 => a.val_mut()[at % nnz] = f64::NAN,
                 _ => {}
             }
@@ -117,21 +117,21 @@ proptest! {
 
     #[test]
     fn csr_roundtrips_through_coo(coo in coo_strategy(20, 60)) {
-        let a = coo.to_csr();
+        let a = coo.to_csr().unwrap();
         a.validate().unwrap();
-        let back = a.to_coo().to_csr();
+        let back = a.to_coo().to_csr().unwrap();
         prop_assert_eq!(a.to_dense(), back.to_dense());
     }
 
     #[test]
     fn transpose_is_involution(coo in coo_strategy(15, 50)) {
-        let a = coo.to_csr();
-        prop_assert_eq!(a.transpose().transpose().to_dense(), a.to_dense());
+        let a = coo.to_csr().unwrap();
+        prop_assert_eq!(a.transpose().unwrap().transpose().unwrap().to_dense(), a.to_dense());
     }
 
     #[test]
     fn spmv_matches_dense_reference(coo in coo_strategy(12, 40)) {
-        let a = coo.to_csr();
+        let a = coo.to_csr().unwrap();
         let n = a.n_cols();
         let x: Vec<f64> = (0..n).map(|i| (i as f64 + 0.5) * 0.3).collect();
         let y = a.spmv(&x);
@@ -144,7 +144,7 @@ proptest! {
 
     #[test]
     fn spmv_is_linear(coo in coo_strategy(10, 30), alpha in -5.0..5.0f64) {
-        let a = coo.to_csr();
+        let a = coo.to_csr().unwrap();
         let n = a.n_cols();
         let x: Vec<f64> = (0..n).map(|i| (i as f64).sin()).collect();
         let ax = a.spmv(&x);
@@ -157,7 +157,7 @@ proptest! {
 
     #[test]
     fn matrix_market_roundtrip(coo in coo_strategy(15, 40)) {
-        let a = coo.to_csr();
+        let a = coo.to_csr().unwrap();
         let mut buf = Vec::new();
         io::write_matrix_market(&mut buf, &a).unwrap();
         let b = io::read_matrix_market(buf.as_slice()).unwrap();
@@ -202,7 +202,7 @@ proptest! {
 
     #[test]
     fn norm1_is_max_column_sum(coo in coo_strategy(10, 30)) {
-        let a = coo.to_csr();
+        let a = coo.to_csr().unwrap();
         let dense = a.to_dense();
         let mut want = 0.0_f64;
         for j in 0..a.n_cols() {
@@ -214,7 +214,7 @@ proptest! {
 
     #[test]
     fn parallel_spmv_equals_sequential(coo in coo_strategy(40, 200), nt in 1usize..6) {
-        let a = coo.to_csr();
+        let a = coo.to_csr().unwrap();
         let x: Vec<f64> = (0..a.n_cols()).map(|i| ((i * 7 + 3) % 11) as f64 - 5.0).collect();
         let seq = a.spmv(&x);
         let mut par = vec![0.0; a.n_rows()];
@@ -224,7 +224,7 @@ proptest! {
 
     #[test]
     fn partition_tiles_rows_exactly(coo in coo_strategy(60, 300), nb in 1usize..12) {
-        let a = coo.to_csr();
+        let a = coo.to_csr().unwrap();
         let blocks = ftcg_sparse::parallel::partition_rows_balanced(&a, nb);
         // Never more blocks than requested (or than rows).
         prop_assert!(blocks.len() <= nb.min(a.n_rows()));
@@ -245,7 +245,7 @@ proptest! {
         // Generator matrices are duplicate-free and column-sorted, so the
         // roundtrip must reproduce the (row, col, value) arrays exactly.
         let a = gen::random_spd(n, density, seed).unwrap();
-        let back = BcsrMatrix::from_csr(&a, b).unwrap().to_csr();
+        let back = BcsrMatrix::from_csr(&a, b).unwrap().to_csr().unwrap();
         prop_assert_eq!(back.rowptr(), a.rowptr());
         prop_assert_eq!(back.colid(), a.colid());
         prop_assert_eq!(back.val(), a.val());
@@ -257,7 +257,7 @@ proptest! {
         c in 1usize..12, sigma in 1usize..40
     ) {
         let a = gen::random_spd(n, density, seed).unwrap();
-        let back = SellCSigma::from_csr(&a, c, sigma).unwrap().to_csr();
+        let back = SellCSigma::from_csr(&a, c, sigma).unwrap().to_csr().unwrap();
         prop_assert_eq!(back.rowptr(), a.rowptr());
         prop_assert_eq!(back.colid(), a.colid());
         prop_assert_eq!(back.val(), a.val());
@@ -268,7 +268,7 @@ proptest! {
         // Arbitrary assembled matrices (possibly duplicate entries, any
         // column order): products must agree with the CSR reference up
         // to summation-order rounding.
-        let a = coo.to_csr();
+        let a = coo.to_csr().unwrap();
         let x: Vec<f64> = (0..a.n_cols()).map(|i| ((i as f64) * 0.37).cos() * 3.0).collect();
         let want = a.spmv(&x);
         let scale: f64 = 1.0 + want.iter().fold(0.0f64, |m, v| m.max(v.abs()));
