@@ -1,5 +1,6 @@
 #!/usr/bin/env bash
-# CI gate: formatting, lints, release build, full test suite.
+# CI gate: formatting, lints, release build, full test suite. The one
+# definition of the gate: .github/workflows/ci.yml runs this script.
 # Usage: ./ci.sh [--no-clippy] [--no-fmt]
 set -euo pipefail
 cd "$(dirname "$0")"
@@ -31,19 +32,19 @@ if [ "$run_clippy" = 1 ]; then
 fi
 
 echo "==> one planner (only crates/model/src scans eq. 6; everything else calls ftcg_model::plan)"
-if grep -rnE 'optimal_(abft|online)_interval\(' crates/*/src | grep -v '^crates/model/src/'; then
+if grep -rnE 'optimal_(abft|online)_interval\(' src crates/*/src | grep -v '^crates/model/src/'; then
     echo "an eq. 6 scan outside ftcg-model (above): call ftcg_model::plan instead" >&2
     exit 1
 fi
 
 echo "==> one clamp (only crates/sparse/src/csr.rs clamps a row range; everything else calls row_range_clamped)"
-if grep -rnE '\.min\(nnz\)' crates/*/src | grep -v '^crates/sparse/src/csr.rs:'; then
+if grep -rnE '\.min\(nnz\)' src crates/*/src | grep -v '^crates/sparse/src/csr.rs:'; then
     echo "a row-range clamp outside csr.rs (above): call CsrMatrix::row_range_clamped instead" >&2
     exit 1
 fi
 
 echo "==> one product direction (only crates/sparse/src/csr.rs names a transpose product; the benchmark's probe is its only caller)"
-if grep -rn 'spmv_transpose' crates/*/src | grep -v '^crates/sparse/src/csr.rs:'; then
+if grep -rn 'spmv_transpose' src crates/*/src | grep -v '^crates/sparse/src/csr.rs:'; then
     echo "a transpose product outside csr.rs (above): the protected solvers run the forward product only" >&2
     exit 1
 fi
@@ -64,7 +65,7 @@ echo "==> kernel and ABFT bit-exactness suites (release: the codegen that ships,
 cargo test -q --release -p ftcg-sparse -p ftcg-kernels -p ftcg-abft
 
 echo "==> protocol and paper-matrix pins (release, including the published-order cases debug builds skip)"
-cargo test -q --release -p ftcg-repro --test protocol_pin -- --include-ignored
+cargo test -q --release -p ftcg --test protocol_pin -- --include-ignored
 cargo test -q --release -p ftcg-sim --test paper_matrices -- --include-ignored
 
 echo "==> shard → merge → diff smoke (byte-identical campaign artifacts)"

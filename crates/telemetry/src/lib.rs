@@ -31,9 +31,12 @@
 //!
 //! Both files — and the campaign journal in `ftcg-engine` — are durable
 //! logs on the one crash discipline of [`log`]. [`report`] folds them
-//! back into per-configuration tables and reconciles trace event counts
-//! against journal counters — the measured counterpart of the paper's
-//! cost decomposition.
+//! back into per-configuration tables in one pass over the trace
+//! (protocol counts, phase times, detection latency, rollback waste,
+//! fault pressure) and reconciles trace event counts against journal
+//! counters — the measured counterpart of the paper's cost
+//! decomposition. [`perfetto`] lays both files out as a Chrome
+//! `trace_event` timeline.
 
 #![warn(missing_docs)]
 
@@ -43,6 +46,7 @@ pub mod event;
 pub mod hist;
 pub mod log;
 pub mod metrics;
+pub mod perfetto;
 mod recorder;
 pub mod report;
 pub mod trace;

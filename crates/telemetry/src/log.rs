@@ -185,6 +185,9 @@ impl Header {
             reps: count("reps")? as usize,
             total_jobs: count("total_jobs")? as usize,
         };
+        if meta.reps == 0 {
+            return Err("header field `reps` must be positive".into());
+        }
         let shard = match v.get("shard").and_then(Value::as_arr) {
             _ if !kind.sharded => None,
             Some([i, k]) => match (read_u64(i), read_u64(k)) {

@@ -26,9 +26,9 @@ use std::collections::BTreeMap;
 
 use serde::json::Value;
 
-use ftcg_telemetry::event::{target, via};
-use ftcg_telemetry::metrics::JobPhases;
-use ftcg_telemetry::{Event, EventKind, Phase};
+use crate::event::{target, via};
+use crate::metrics::JobPhases;
+use crate::{Event, EventKind, Phase};
 
 /// Microseconds with nanosecond resolution, the `ts`/`dur` unit of the
 /// Chrome trace format.
@@ -281,7 +281,7 @@ pub fn perfetto_json(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ftcg_telemetry::JobSpan;
+    use crate::JobSpan;
     use serde::json;
 
     fn phases(job: usize, span: Option<JobSpan>, step: u64, product: u64) -> JobPhases {

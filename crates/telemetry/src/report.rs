@@ -3,16 +3,40 @@
 //! This is the engine-free half of `ftcg report`: given parsed trace
 //! events, sidecar phase lines, and the `(labels, reps)` shape of the
 //! campaign grid, it folds everything by configuration (job `j` runs
-//! configuration `j / reps`) into a phase-time/event table, and
-//! reconciles per-job trace event counts against externally supplied
-//! job counters (the journal's, in the CLI).
+//! configuration `j / reps`) in one pass over the trace, and reconciles
+//! per-job trace event counts against externally supplied job counters
+//! (the journal's, in the CLI).
+//!
+//! Besides event counts and phase times, the trace's iteration stamps
+//! measure three quantities the paper reasons about analytically,
+//! without any wall clock — so their tables are byte-identical across
+//! thread counts, shard splits, and kill/resume cycles of one campaign:
+//!
+//! * **Detection latency** — iterations between a fault landing and a
+//!   detection firing. Faults and detections are paired FIFO within a
+//!   job: each detection consumes the earliest still-unmatched fault.
+//!   (The paper's model assumes detection at the *end of the chunk*;
+//!   the distribution shows how far the implemented detectors are from
+//!   that bound — ABFT product checks fire in the same iteration.)
+//! * **Rollback waste** — executed iterations discarded per rollback:
+//!   the distance from the checkpoint that saved the restored state to
+//!   the rollback itself. This is the empirical counterpart of the
+//!   model's re-execution term `sC/2 + Trec`.
+//! * **Empirical fault pressure** — faults per executed iteration and
+//!   its reciprocal, the observed mean iterations between faults
+//!   (MTBF in iteration units), per configuration.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, VecDeque};
 
 use crate::event::{Event, EventKind};
 use crate::hist::DurationHist;
 use crate::metrics::JobPhases;
 use crate::recorder::Phase;
+use crate::TelemetryError;
+
+/// The pseudo-path a [`fold_report`] error names: the fold sees parsed
+/// events, not the files they came from.
+const REPORT: &str = "<report>";
 
 /// Folded telemetry for one configuration of the grid.
 #[derive(Debug, Clone)]
@@ -29,21 +53,43 @@ pub struct ConfigReport {
     pub(crate) phase_ns: [u64; Phase::COUNT],
     /// Summed per-phase call counts, indexed by [`Phase::index`].
     pub(crate) phase_calls: [u64; Phase::COUNT],
+    /// Fault-to-detection latencies (iterations), sorted.
+    pub(crate) latencies: Vec<u64>,
+    /// Executed iterations discarded by rollbacks and escalations.
+    pub(crate) wasted_iters: u64,
+    /// Executed iterations summed over the finished jobs.
+    pub(crate) executed_iters: u64,
+}
+
+impl ConfigReport {
+    fn count(&self, kind: EventKind) -> u64 {
+        self.events[kind.index()]
+    }
+
+    /// Rollbacks of any kind: to a checkpoint, or escalated to the
+    /// pristine initial data.
+    fn rollbacks(&self) -> u64 {
+        self.count(EventKind::Rollback) + self.count(EventKind::Escalate)
+    }
+
+    /// Faults no detection consumed (undetected or masked): each
+    /// latency is one fault paired with one detection.
+    fn unmatched_faults(&self) -> u64 {
+        self.count(EventKind::Fault) - self.latencies.len() as u64
+    }
 }
 
 /// Folds trace events and sidecar lines into one row per configuration.
 ///
-/// `labels` supplies one display label per configuration; jobs at or
-/// beyond `labels.len() * reps` are an error (stale inputs).
+/// `labels` supplies one display label per configuration; a job at or
+/// beyond `labels.len() * reps` (stale inputs) is
+/// [`TelemetryError::JobOutOfRange`].
 pub fn fold_report(
     labels: &[String],
     reps: usize,
     trace_events: &[(usize, usize, Event)],
     metrics_jobs: &[JobPhases],
-) -> Result<Vec<ConfigReport>, String> {
-    if reps == 0 {
-        return Err("reps must be positive".into());
-    }
+) -> Result<Vec<ConfigReport>, TelemetryError> {
     let mut rows: Vec<ConfigReport> = labels
         .iter()
         .map(|l| ConfigReport {
@@ -53,25 +99,71 @@ pub fn fold_report(
             events: [0; EventKind::COUNT],
             phase_ns: [0; Phase::COUNT],
             phase_calls: [0; Phase::COUNT],
+            latencies: Vec::new(),
+            wasted_iters: 0,
+            executed_iters: 0,
         })
         .collect();
-    let config_of = |job: usize| -> Result<usize, String> {
-        let c = job / reps;
-        if c >= labels.len() {
-            return Err(format!(
-                "job {job} implies configuration {c}, but the spec has only {}",
-                labels.len()
-            ));
+    let total = labels.len().saturating_mul(reps);
+    let config_of = |job: usize| -> Result<usize, TelemetryError> {
+        if job >= total {
+            return Err(TelemetryError::JobOutOfRange {
+                path: REPORT.into(),
+                job,
+                total,
+            });
         }
-        Ok(c)
+        Ok(job / reps)
     };
-    let mut traced_seen: std::collections::BTreeSet<usize> = Default::default();
+    // Per-job protocol state, keyed by job index (canonical traces
+    // arrive sorted by (job, seq), but per-job state keeps the fold
+    // correct for any order).
+    #[derive(Default)]
+    struct JobState {
+        /// Iterations of the faults awaiting a detection.
+        pending_faults: VecDeque<u64>,
+        /// (productive iteration saved, executed iteration at commit).
+        checkpoints: Vec<(u64, u64)>,
+    }
+    let mut jobs: BTreeMap<usize, JobState> = BTreeMap::new();
     for (job, _, ev) in trace_events {
-        let c = config_of(*job)?;
-        rows[c].events[ev.kind.index()] += 1;
-        if traced_seen.insert(*job) {
-            rows[c].traced_jobs += 1;
+        let row = &mut rows[config_of(*job)?];
+        row.events[ev.kind.index()] += 1;
+        let s = jobs.entry(*job).or_insert_with(|| {
+            row.traced_jobs += 1;
+            JobState::default()
+        });
+        match ev.kind {
+            EventKind::Fault => s.pending_faults.push_back(ev.it),
+            // A detection with no pending fault can happen (e.g. a
+            // numerical breakdown misread as corruption); it has no
+            // latency to attribute.
+            EventKind::Detect => {
+                if let Some(fault_it) = s.pending_faults.pop_front() {
+                    row.latencies.push(ev.it.saturating_sub(fault_it));
+                }
+            }
+            EventKind::Checkpoint => s.checkpoints.push((ev.a, ev.it)),
+            EventKind::Rollback => {
+                // The waste is measured from the commit point of the
+                // checkpoint actually restored (latest with matching
+                // productive iteration); checkpoint 0 (initial state,
+                // implicit) commits at executed iteration 0.
+                let committed_at = s
+                    .checkpoints
+                    .iter()
+                    .rev()
+                    .find(|(saved, at)| *saved == ev.a && *at <= ev.it)
+                    .map_or(0, |(_, at)| *at);
+                row.wasted_iters += ev.it - committed_at;
+            }
+            EventKind::Escalate => row.wasted_iters += ev.it, // everything since the start
+            EventKind::JobFinish => row.executed_iters += ev.it,
+            _ => {}
         }
+    }
+    for row in &mut rows {
+        row.latencies.sort_unstable();
     }
     for jp in metrics_jobs {
         let c = config_of(jp.job)?;
@@ -93,7 +185,6 @@ fn fmt_ms(ns: u64) -> String {
 /// one phase-time section (ms, with share of total timed phase time).
 pub fn render_report(rows: &[ConfigReport]) -> String {
     let mut out = String::new();
-    let ev = |r: &ConfigReport, k: EventKind| r.events[k.index()];
     let mut table: Vec<Vec<String>> = vec![vec![
         "config".into(),
         "jobs".into(),
@@ -109,13 +200,13 @@ pub fn render_report(rows: &[ConfigReport]) -> String {
         table.push(vec![
             r.label.clone(),
             r.traced_jobs.to_string(),
-            ev(r, EventKind::Fault).to_string(),
-            ev(r, EventKind::Detect).to_string(),
-            (ev(r, EventKind::CorrectForward) + ev(r, EventKind::CorrectTmr)).to_string(),
-            ev(r, EventKind::Rollback).to_string(),
-            ev(r, EventKind::Escalate).to_string(),
-            ev(r, EventKind::Checkpoint).to_string(),
-            ev(r, EventKind::Converged).to_string(),
+            r.count(EventKind::Fault).to_string(),
+            r.count(EventKind::Detect).to_string(),
+            (r.count(EventKind::CorrectForward) + r.count(EventKind::CorrectTmr)).to_string(),
+            r.count(EventKind::Rollback).to_string(),
+            r.count(EventKind::Escalate).to_string(),
+            r.count(EventKind::Checkpoint).to_string(),
+            r.count(EventKind::Converged).to_string(),
         ]);
     }
     out.push_str("Protocol events (from trace)\n");
@@ -135,6 +226,128 @@ pub fn render_report(rows: &[ConfigReport]) -> String {
         out.push_str(&render_table(&timing));
     }
     out
+}
+
+/// Renders the detection-latency table (iteration units).
+fn render_latency(rows: &[ConfigReport]) -> String {
+    let mut table: Vec<Vec<String>> = vec![vec![
+        "config".into(),
+        "pairs".into(),
+        "unmatched".into(),
+        "min".into(),
+        "p50".into(),
+        "max".into(),
+        "mean".into(),
+    ]];
+    for r in rows {
+        let lat = &r.latencies;
+        let stat = |x: Option<&u64>| x.map_or_else(|| "-".into(), u64::to_string);
+        let mean = if lat.is_empty() {
+            "-".into()
+        } else {
+            format!("{:.2}", lat.iter().sum::<u64>() as f64 / lat.len() as f64)
+        };
+        table.push(vec![
+            r.label.clone(),
+            lat.len().to_string(),
+            r.unmatched_faults().to_string(),
+            stat(lat.first()),
+            stat(lat.get(lat.len().saturating_sub(1) / 2)),
+            stat(lat.last()),
+            mean,
+        ]);
+    }
+    let mut out =
+        String::from("Detection latency (iterations from fault to detection, FIFO-paired)\n");
+    out.push_str(&render_table(&table));
+    out
+}
+
+/// Renders the rollback wasted-work table (iteration units).
+fn render_waste(rows: &[ConfigReport]) -> String {
+    let mut table: Vec<Vec<String>> = vec![vec![
+        "config".into(),
+        "rollbacks".into(),
+        "escalations".into(),
+        "wasted iters".into(),
+        "mean/rollback".into(),
+        "% of executed".into(),
+    ]];
+    for r in rows {
+        let rollbacks = r.rollbacks();
+        let mean = if rollbacks > 0 {
+            format!("{:.2}", r.wasted_iters as f64 / rollbacks as f64)
+        } else {
+            "-".into()
+        };
+        let share = if r.executed_iters > 0 {
+            format!(
+                "{:.2}",
+                100.0 * r.wasted_iters as f64 / r.executed_iters as f64
+            )
+        } else {
+            "-".into()
+        };
+        table.push(vec![
+            r.label.clone(),
+            rollbacks.to_string(),
+            r.count(EventKind::Escalate).to_string(),
+            r.wasted_iters.to_string(),
+            mean,
+            share,
+        ]);
+    }
+    let mut out = String::from("Rollback waste (executed iterations discarded)\n");
+    out.push_str(&render_table(&table));
+    out
+}
+
+/// Renders the empirical fault-pressure table.
+fn render_fault_rate(rows: &[ConfigReport]) -> String {
+    let mut table: Vec<Vec<String>> = vec![vec![
+        "config".into(),
+        "jobs".into(),
+        "faults".into(),
+        "executed iters".into(),
+        "faults/iter".into(),
+        "MTBF iters".into(),
+    ]];
+    for r in rows {
+        let (faults, executed) = (r.count(EventKind::Fault), r.executed_iters);
+        let rate = if executed > 0 {
+            format!("{:.6}", faults as f64 / executed as f64)
+        } else {
+            "-".into()
+        };
+        let mtbf = if faults > 0 {
+            format!("{:.1}", executed as f64 / faults as f64)
+        } else {
+            "-".into()
+        };
+        table.push(vec![
+            r.label.clone(),
+            r.count(EventKind::JobFinish).to_string(),
+            faults.to_string(),
+            executed.to_string(),
+            rate,
+            mtbf,
+        ]);
+    }
+    let mut out = String::from("Empirical fault pressure (from trace, iteration units)\n");
+    out.push_str(&render_table(&table));
+    out
+}
+
+/// Renders the three protocol-analytics tables — detection latency,
+/// rollback waste, empirical fault pressure — blank-line separated.
+/// Every cell comes from the deterministic trace alone.
+pub fn render_analytics(rows: &[ConfigReport]) -> String {
+    format!(
+        "{}\n{}\n{}",
+        render_latency(rows),
+        render_waste(rows),
+        render_fault_rate(rows)
+    )
 }
 
 /// Renders the merged per-phase duration quantiles (the sidecar's
@@ -320,12 +533,13 @@ pub fn reconcile(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::event::{target, via};
 
     fn trace_of(job: usize) -> Vec<(usize, usize, Event)> {
         let evs = vec![
             Event::job_start(),
-            Event::fault(2, crate::event::target::R, 3, 10),
-            Event::detect(2, crate::event::via::PRODUCT),
+            Event::fault(2, target::R, 3, 10),
+            Event::detect(2, via::PRODUCT),
             Event::rollback(2, 1),
             Event::converged(6, 5),
             Event::job_finish(6, 5, true, 0),
@@ -359,7 +573,111 @@ mod tests {
         assert!(rendered.contains("cfg-a"));
         assert!(rendered.contains("Phase wall time"));
         // Out-of-range jobs are an error.
-        assert!(fold_report(&labels, 2, &trace_of(4), &[]).is_err());
+        assert_eq!(
+            fold_report(&labels, 2, &trace_of(4), &[]).unwrap_err(),
+            TelemetryError::JobOutOfRange {
+                path: REPORT.into(),
+                job: 4,
+                total: 4
+            }
+        );
+    }
+
+    fn seq(job: usize, evs: Vec<Event>) -> Vec<(usize, usize, Event)> {
+        evs.into_iter()
+            .enumerate()
+            .map(|(s, e)| (job, s, e))
+            .collect()
+    }
+
+    fn fold(labels: &[&str], reps: usize, events: &[(usize, usize, Event)]) -> Vec<ConfigReport> {
+        let labels: Vec<String> = labels.iter().map(|l| l.to_string()).collect();
+        fold_report(&labels, reps, events, &[]).unwrap()
+    }
+
+    #[test]
+    fn latency_pairs_fifo_within_job() {
+        // Two faults at it 3 and 5; detections at it 5 and 9 ->
+        // latencies 2 and 4.
+        let evs = seq(
+            0,
+            vec![
+                Event::job_start(),
+                Event::fault(3, target::R, 0, 1),
+                Event::fault(5, target::P, 0, 1),
+                Event::detect(5, via::PRODUCT),
+                Event::detect(9, via::CHUNK),
+                Event::job_finish(20, 18, true, 0),
+            ],
+        );
+        let rows = fold(&["c"], 1, &evs);
+        assert_eq!(rows[0].latencies, [2, 4]);
+        assert_eq!(rows[0].unmatched_faults(), 0);
+        let latency = render_analytics(&rows);
+        let row: Vec<&str> = latency.lines().nth(2).unwrap().split_whitespace().collect();
+        assert_eq!(row, ["c", "2", "0", "2", "2", "4", "3.00"]);
+    }
+
+    #[test]
+    fn unmatched_faults_are_counted_not_paired() {
+        let evs = seq(
+            0,
+            vec![
+                Event::fault(3, target::X, 0, 1),
+                Event::job_finish(10, 10, true, 0),
+            ],
+        );
+        let rows = fold(&["c"], 1, &evs);
+        assert!(rows[0].latencies.is_empty());
+        assert_eq!(rows[0].unmatched_faults(), 1);
+        // A detection with no pending fault contributes nothing.
+        let rows = fold(&["c"], 1, &seq(0, vec![Event::detect(4, via::BREAKDOWN)]));
+        assert!(rows[0].latencies.is_empty());
+    }
+
+    #[test]
+    fn rollback_waste_measures_from_checkpoint_commit() {
+        let evs = seq(
+            0,
+            vec![
+                Event::checkpoint(8, 8),   // saved productive 8 at executed 8
+                Event::rollback(13, 8),    // waste 13 - 8 = 5
+                Event::checkpoint(20, 16), // saved productive 16 at executed 20
+                Event::rollback(27, 16),   // waste 27 - 20 = 7
+                Event::rollback(30, 0),    // no checkpoint for 0 -> from start: 30
+                Event::escalate(35),       // escalation: 35
+                Event::job_finish(40, 20, false, 0),
+            ],
+        );
+        let rows = fold(&["c"], 1, &evs);
+        let r = &rows[0];
+        assert_eq!(r.rollbacks(), 4);
+        assert_eq!(r.count(EventKind::Escalate), 1);
+        assert_eq!(r.wasted_iters, 5 + 7 + 30 + 35);
+        assert_eq!(r.executed_iters, 40);
+    }
+
+    #[test]
+    fn fault_rate_and_grouping_by_config() {
+        let mut evs = seq(
+            0,
+            vec![
+                Event::fault(1, target::R, 0, 1),
+                Event::fault(2, target::R, 0, 1),
+                Event::job_finish(10, 9, true, 0),
+            ],
+        );
+        evs.extend(seq(1, vec![Event::job_finish(10, 10, true, 0)])); // same cfg, reps=2
+        evs.extend(seq(2, vec![Event::job_finish(5, 5, true, 0)])); // cfg 1
+        let rows = fold(&["a", "b"], 2, &evs);
+        assert_eq!(rows[0].count(EventKind::Fault), 2);
+        assert_eq!(rows[0].executed_iters, 20);
+        assert_eq!(rows[0].count(EventKind::JobFinish), 2);
+        assert_eq!(rows[1].count(EventKind::Fault), 0);
+        let rendered = render_analytics(&rows);
+        assert!(rendered.contains("Detection latency"));
+        assert!(rendered.contains("Rollback waste"));
+        assert!(rendered.contains("MTBF"));
     }
 
     #[test]

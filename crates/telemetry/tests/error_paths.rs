@@ -125,6 +125,26 @@ fn torn_or_alien_headers_are_typed() {
 }
 
 #[test]
+fn a_header_with_zero_reps_is_a_header_error() {
+    // `reps` divides job indices into configurations, so a header that
+    // declares none is refused where it is read, for every log kind.
+    let dir = tmpdir("zero-reps");
+    let zero = |kind: &Kind| header(kind).replacen("\"reps\":2", "\"reps\":0", 1) + "\n";
+    let p = dir.join("t.jsonl");
+    std::fs::write(&p, zero(&TRACE)).unwrap();
+    match Trace::load(&p).unwrap_err() {
+        TelemetryError::Header { msg, .. } => assert!(msg.contains("`reps`"), "{msg}"),
+        other => panic!("wrong variant: {other:?}"),
+    }
+    std::fs::write(&p, zero(&METRICS)).unwrap();
+    assert!(matches!(
+        MetricsFile::load(&p).unwrap_err(),
+        TelemetryError::Header { .. }
+    ));
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+#[test]
 fn malformed_body_lines_carry_their_byte_offset() {
     let dir = tmpdir("malformed");
     let p = write_trace(&dir, "t.jsonl");

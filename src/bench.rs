@@ -3,13 +3,26 @@
 //! imports what `bash benchmark/run.sh --out F` wrote, `compare` diffs
 //! two recorded files. Exit 0 when nothing regressed beyond the
 //! noise-aware gate, 1 on a regression, 2 on any error.
-#![expect(clippy::disallowed_methods, reason = "bench entry dates")]
+//!
+//! The store, which reads no clock and runs no solve:
+//!
+//! * [`record`] — the importer that turns `benchmark/run.sh --out`
+//!   files into entries;
+//! * [`benchfile`] — the schema-versioned `BENCH_*.json` format those
+//!   entries are stored in;
+//! * [`host`] — host identification stamped into every entry;
+//! * [`diff`] — noise-aware entry comparison and the regression gate.
+
+mod benchfile;
+mod diff;
+mod host;
+mod record;
 
 use std::path::Path;
 
-use ftcg::obs::benchfile::{BenchEntry, BenchFile};
-use ftcg::obs::diff::{any_regression, diff_entries, render_diff};
-use ftcg::obs::record::record_results;
+use benchfile::{BenchEntry, BenchFile};
+use diff::{any_regression, diff_entries, render_diff};
+use record::record_results;
 
 use crate::args::{check_flags, parse_strict, positionals, value};
 
@@ -34,6 +47,7 @@ const REMOVED: [&str; 6] = [
 const SUCCESSOR: &str = "PR 20: run `bash benchmark/run.sh --out F`, then `ftcg bench record F`";
 
 /// Today's UTC date as `YYYY-MM-DD`.
+#[expect(clippy::disallowed_methods, reason = "bench entry dates")]
 fn today_utc() -> String {
     let secs = std::time::SystemTime::now()
         .duration_since(std::time::UNIX_EPOCH)

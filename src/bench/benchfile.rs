@@ -14,7 +14,7 @@
 //! `value`, every raw sample (so a later diff can estimate noise), and
 //! the direction (`lower_is_better`).
 //!
-//! Entries are written by [`crate::record`] from the output of
+//! Entries are written by [`crate::bench::record`] from the output of
 //! `benchmark/run.sh`; the entries of the retired `ftcg bench` suites
 //! (`quick`, `kernels`, …, min-of-N headlines) stay loadable history.
 
@@ -22,7 +22,7 @@ use std::path::Path;
 
 use serde::json::{self, Value};
 
-use crate::host::HostInfo;
+use crate::bench::host::HostInfo;
 
 /// Bench file schema version.
 pub(crate) const BENCH_VERSION: u64 = 1;
@@ -74,22 +74,22 @@ impl Measurement {
 
 /// One workload (historically: one suite run) on one host.
 #[derive(Debug, Clone, PartialEq)]
-pub struct BenchEntry {
+pub(crate) struct BenchEntry {
     /// Stable identity, `"<suite>/<date>"` by convention.
-    pub id: String,
+    pub(crate) id: String,
     /// ISO date the entry was recorded.
-    pub date: String,
+    pub(crate) date: String,
     /// Free-form label (what changed in this PR).
-    pub label: String,
+    pub(crate) label: String,
     /// PR number, when known.
-    pub pr: Option<u64>,
+    pub(crate) pr: Option<u64>,
     /// The measuring machine.
     pub(crate) host: HostInfo,
     /// Workload name (`campaign_t1`, `fault_free`, …; historical
     /// entries: `quick`, `table1`, `kernels`, …).
-    pub suite: String,
+    pub(crate) suite: String,
     /// What sizes the work; equal specs ⇔ comparable entries.
-    pub spec: String,
+    pub(crate) spec: String,
     /// The measurements, in the producer's order.
     pub(crate) measurements: Vec<Measurement>,
 }
@@ -103,9 +103,9 @@ impl BenchEntry {
 
 /// A loaded (or assembled) bench file.
 #[derive(Debug, Clone, Default, PartialEq)]
-pub struct BenchFile {
+pub(crate) struct BenchFile {
     /// Entries in file order (append-only by convention).
-    pub entries: Vec<BenchEntry>,
+    pub(crate) entries: Vec<BenchEntry>,
 }
 
 /// Formats an f64 as a JSON number (finite inputs only).
@@ -191,12 +191,12 @@ impl BenchFile {
     }
 
     /// Writes the file to disk.
-    pub fn save(&self, path: &Path) -> Result<(), String> {
+    pub(crate) fn save(&self, path: &Path) -> Result<(), String> {
         std::fs::write(path, self.render()).map_err(|e| format!("{}: {e}", path.display()))
     }
 
     /// Loads a schema-versioned bench file.
-    pub fn load(path: &Path) -> Result<BenchFile, String> {
+    pub(crate) fn load(path: &Path) -> Result<BenchFile, String> {
         let text = std::fs::read_to_string(path).map_err(|e| format!("{}: {e}", path.display()))?;
         let v = json::parse(&text).map_err(|e| format!("{}: {e}", path.display()))?;
         let version = v.get("ftcg_bench").and_then(Value::as_f64);
@@ -226,13 +226,13 @@ impl BenchFile {
     }
 
     /// The latest entry for a suite, if any (`compare`'s baseline).
-    pub fn latest(&self, suite: &str) -> Option<&BenchEntry> {
+    pub(crate) fn latest(&self, suite: &str) -> Option<&BenchEntry> {
         self.entries.iter().rev().find(|e| e.suite == suite)
     }
 }
 
 /// JSON member access with errors that name the member, shared by
-/// this loader and the importer ([`crate::record`]).
+/// this loader and the importer ([`crate::bench::record`]).
 pub(crate) fn field<'a>(v: &'a Value, key: &str) -> Result<&'a Value, String> {
     v.get(key).ok_or_else(|| format!("missing `{key}`"))
 }
@@ -382,8 +382,8 @@ mod tests {
 
     #[test]
     fn every_checked_in_bench_file_loads() {
-        let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
-        let names = std::fs::read_dir(&root).unwrap();
+        let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+        let names = std::fs::read_dir(root).unwrap();
         let names = names.map(|f| f.unwrap().file_name().into_string().unwrap());
         let bench: Vec<_> = names
             .filter(|n| n.starts_with("BENCH_") && n.ends_with(".json"))

@@ -15,11 +15,11 @@
 
 use ftcg_telemetry::report::render_table;
 
-use crate::benchfile::BenchEntry;
+use crate::bench::benchfile::BenchEntry;
 
 /// One compared measurement.
 #[derive(Debug, Clone, PartialEq)]
-pub struct DiffRow {
+pub(crate) struct DiffRow {
     /// Measurement key shared by both entries.
     pub(crate) key: String,
     /// Unit label (taken from the new entry).
@@ -46,7 +46,7 @@ pub struct DiffRow {
 /// Rows appear in the fresh entry's measurement order, one per shared
 /// key; keys missing from the baseline are skipped (new measurements
 /// are not regressions).
-pub fn diff_entries(new: &BenchEntry, old: &BenchEntry, threshold_pct: f64) -> Vec<DiffRow> {
+pub(crate) fn diff_entries(new: &BenchEntry, old: &BenchEntry, threshold_pct: f64) -> Vec<DiffRow> {
     let mut rows = Vec::new();
     for m in &new.measurements {
         let Some(base) = old.measurement(&m.key) else {
@@ -78,12 +78,12 @@ pub fn diff_entries(new: &BenchEntry, old: &BenchEntry, threshold_pct: f64) -> V
 }
 
 /// Whether any row trips the gate.
-pub fn any_regression(rows: &[DiffRow]) -> bool {
+pub(crate) fn any_regression(rows: &[DiffRow]) -> bool {
     rows.iter().any(|r| r.regressed)
 }
 
 /// Renders the diff as an aligned table.
-pub fn render_diff(rows: &[DiffRow], new: &BenchEntry, old: &BenchEntry) -> String {
+pub(crate) fn render_diff(rows: &[DiffRow], new: &BenchEntry, old: &BenchEntry) -> String {
     let mut out = format!("Bench diff: {} (new) vs {} (baseline)\n\n", new.id, old.id);
     if rows.is_empty() {
         out.push_str("no shared measurement keys\n");
@@ -121,8 +121,8 @@ pub fn render_diff(rows: &[DiffRow], new: &BenchEntry, old: &BenchEntry) -> Stri
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::benchfile::Measurement;
-    use crate::host::HostInfo;
+    use crate::bench::benchfile::Measurement;
+    use crate::bench::host::HostInfo;
 
     fn entry(values: &[(&str, f64, Vec<f64>, bool)]) -> BenchEntry {
         BenchEntry {

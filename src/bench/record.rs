@@ -5,8 +5,8 @@
 
 use serde::json::{self, Value};
 
-use crate::benchfile::{field, list, text, BenchEntry, Measurement};
-use crate::host::HostInfo;
+use crate::bench::benchfile::{field, list, text, BenchEntry, Measurement};
+use crate::bench::host::HostInfo;
 
 /// The result sections whose metrics `BENCHMARK.json` names (`unbounded`
 /// and `digests` are the benchmark's own business).
@@ -102,7 +102,7 @@ fn median(samples: &[f64]) -> f64 {
 /// and `os` are the recording process's: the file carries neither);
 /// commit, rustc and the seeds are appended to `label`, and the caller
 /// stamps the `date` — nothing here reads a clock.
-pub fn record_results(
+pub(crate) fn record_results(
     contract: &str,
     results: &[(impl AsRef<str>, impl AsRef<str>)],
     date: &str,
@@ -203,12 +203,12 @@ pub fn record_results(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::benchfile::BenchFile;
-    use crate::diff::diff_entries;
+    use crate::bench::benchfile::BenchFile;
+    use crate::bench::diff::diff_entries;
 
     /// A checked-in file, read-only, relative to the repository root.
     fn checked_in(path: &str) -> String {
-        let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+        let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR"));
         std::fs::read_to_string(root.join(path)).unwrap()
     }
 

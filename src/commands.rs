@@ -1,7 +1,6 @@
 //! Subcommand implementations.
 
 use ftcg::model::Scheme;
-use ftcg::obs::{analyze, perfetto_json, render_analytics};
 use ftcg::prelude::*;
 use ftcg::sim::figure1::{log_grid, run_panel, Figure1Params};
 use ftcg::sim::matrices::PaperMatrixResolver;
@@ -13,8 +12,9 @@ use ftcg::solvers::SolverKind;
 use ftcg::sparse::stats::MatrixStats;
 use ftcg::telemetry::log::{Header, JOURNAL, MERGE, METRICS};
 use ftcg::telemetry::metrics::{JobPhases, MetricsFile, MetricsWriter};
+use ftcg::telemetry::perfetto::perfetto_json;
 use ftcg::telemetry::report::{
-    fold_report, reconcile, render_phase_quantiles, render_report, JobCounts,
+    fold_report, reconcile, render_analytics, render_phase_quantiles, render_report, JobCounts,
 };
 use ftcg::telemetry::{ActiveRecorder, Event, Recorder, Trace, TraceMeta, TraceWriter};
 use ftcg_engine::{
@@ -646,7 +646,7 @@ pub(crate) fn merge(args: &[String]) -> Result<(), String> {
 /// validating the grid against the telemetry header identity.
 fn report_labels(cs: Option<&CampaignSpec>, meta: &TraceMeta) -> Result<Vec<String>, String> {
     let Some(cs) = cs else {
-        let n_configs = meta.total_jobs / meta.reps.max(1);
+        let n_configs = meta.total_jobs / meta.reps;
         return Ok((0..n_configs).map(|i| format!("config {i}")).collect());
     };
     let jobs = ftcg_engine::grid::expand(cs, &PaperMatrixResolver).map_err(|e| e.to_string())?;
@@ -753,8 +753,7 @@ pub(crate) fn report(args: &[String]) -> Result<(), String> {
     // Protocol analytics need only the deterministic trace, so the
     // tables are byte-identical across any decomposition of the run.
     if merged_trace.is_some() {
-        let analytics = analyze(&labels, meta.reps, &trace_events)?;
-        print!("\n{}", render_analytics(&analytics));
+        print!("\n{}", render_analytics(&rows));
     }
     // Perfetto / chrome://tracing timeline: trace instants placed
     // inside the sidecar's wall-clock job spans.

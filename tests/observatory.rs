@@ -1,5 +1,8 @@
-//! End-to-end contracts of the performance observatory:
+//! End-to-end contracts of the observatory — `ftcg report`'s one fold
+//! over the trace and the Perfetto export:
 //!
+//! * the trace-only report of a real campaign equals a checked-in
+//!   fixture byte for byte;
 //! * the protocol analytics tables are **byte-identical** across every
 //!   decomposition of the same campaign — thread count, shard split,
 //!   and a kill-and-resume boundary — because they are computed from
@@ -11,11 +14,12 @@
 
 use std::path::{Path, PathBuf};
 
-use ftcg_engine::journal::Shard;
-use ftcg_engine::{run_campaign_sharded, CampaignSpec, DefaultResolver, RunOptions};
-use ftcg_obs::{analyze, perfetto_json, render_analytics};
-use ftcg_telemetry::metrics::MetricsFile;
-use ftcg_telemetry::Trace;
+use ftcg::engine::journal::Shard;
+use ftcg::engine::{run_campaign_sharded, CampaignSpec, DefaultResolver, RunOptions};
+use ftcg::telemetry::metrics::MetricsFile;
+use ftcg::telemetry::perfetto::perfetto_json;
+use ftcg::telemetry::report::{fold_report, render_analytics, render_report, ConfigReport};
+use ftcg::telemetry::Trace;
 use serde::json::{self, Value};
 
 /// A small grid that actually exercises the protocol: the nonzero-α
@@ -65,13 +69,31 @@ fn traced_run(dir: &Path, threads: usize, shards: usize) -> Trace {
     Trace::merge(traces).unwrap()
 }
 
+/// The trace folded by configuration, labelled as `ftcg report` labels
+/// them without `--spec`.
+fn fold(trace: &Trace) -> Vec<ConfigReport> {
+    let labels: Vec<String> = (0..spec().n_configs())
+        .map(|i| format!("config {i}"))
+        .collect();
+    fold_report(&labels, spec().reps, &trace.parsed().unwrap(), &[]).unwrap()
+}
+
 /// The rendered analytics tables for a merged trace.
 fn analytics_text(trace: &Trace) -> String {
-    let n_configs = spec().n_configs();
-    let labels: Vec<String> = (0..n_configs).map(|i| format!("config {i}")).collect();
-    let events = trace.parsed().unwrap();
-    let rows = analyze(&labels, spec().reps, &events).unwrap();
-    render_analytics(&rows)
+    render_analytics(&fold(trace))
+}
+
+#[test]
+fn trace_only_report_matches_the_fixture() {
+    // `tests/fixtures/report_obstest.txt` is the stdout of
+    // `ftcg report run.trace.jsonl` for this campaign: no sidecar, no
+    // `--spec`, so configurations are labelled `config N`.
+    let dir = tmpdir("fixture");
+    let rows = fold(&traced_run(&dir, 1, 1));
+    let stdout = format!("{}\n{}", render_report(&rows), render_analytics(&rows));
+    let fixture = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/report_obstest.txt");
+    assert_eq!(stdout, std::fs::read_to_string(fixture).unwrap());
+    std::fs::remove_dir_all(&dir).unwrap();
 }
 
 #[test]
@@ -125,7 +147,7 @@ fn analytics_survive_a_kill_and_resume_boundary() {
     let (tkeep, rest): (Vec<&str>, Vec<&str>) = ttext
         .lines()
         .skip(1)
-        .partition(|l| ftcg_telemetry::trace::parse_event(l).unwrap().0 < 4);
+        .partition(|l| ftcg::telemetry::trace::parse_event(l).unwrap().0 < 4);
     let ttorn = &rest[0][..7];
     std::fs::write(&trace, format!("{header}\n{}\n{ttorn}", tkeep.join("\n"))).unwrap();
 

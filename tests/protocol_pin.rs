@@ -50,7 +50,7 @@ fn every_scheme_and_solver_matches_a_pinned_earlier_build() {
 /// The 36-configuration campaign adding a scaled paper matrix, whose
 /// long ill-conditioned solves roll back thirty times as often as the
 /// Laplacian's. Tens of times slower unoptimized: `ci.sh` runs it
-/// with `cargo test --release -p ftcg-repro --test protocol_pin --
+/// with `cargo test --release -p ftcg --test protocol_pin --
 /// --include-ignored`.
 #[test]
 #[cfg_attr(
