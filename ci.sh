@@ -49,6 +49,12 @@ if grep -rn 'spmv_transpose' src crates/*/src | grep -v '^crates/sparse/src/csr.
     exit 1
 fi
 
+echo "==> std concurrency (no source file uses crossbeam or parking_lot; std::thread::scope and std::sync::Mutex instead)"
+if grep -rnE 'crossbeam::|parking_lot::' src crates/*/src; then
+    echo "a crossbeam or parking_lot path in a source file (above): use std::thread::scope / std::sync instead" >&2
+    exit 1
+fi
+
 echo "==> rustdoc (-D warnings: a link to a deleted or private item fails)"
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --lib --exclude proptest
 

@@ -20,19 +20,19 @@ use std::borrow::Borrow;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{LockResult, Mutex, PoisonError};
 use std::time::Instant;
 
 use ftcg_fault::Injector;
 use ftcg_solvers::resilient::{solve_resilient_in, solve_resilient_recorded};
 use ftcg_telemetry::metrics::MetricsWriter;
 use ftcg_telemetry::{Event, JobSpan, Recorder, TelemetryError, TraceMeta, TraceWriter};
-use parking_lot::Mutex;
 
 use crate::aggregate::{self, ConfigSummary, JobMetrics};
 use crate::grid::{expand, ConfigJob, InjectorSpec};
 use crate::inject::{calibrated_injector, paper_injector};
 use crate::journal::{self, fingerprint, JobRecord, JournalWriter, Manifest, Shard};
-use crate::pool::{effective_threads, panic_message, run_indices_ctx, ProgressFn};
+use crate::pool::{effective_threads, run_indices_ctx, ProgressFn};
 use crate::seedstream::derive_seed;
 use crate::spec::{CampaignSpec, MatrixResolver};
 use crate::workspace::JobWorkspace;
@@ -162,17 +162,41 @@ fn run_one_traced(job: &ConfigJob, seed: u64, ws: &mut JobWorkspace) -> JobMetri
     JobMetrics::from(&out)
 }
 
-/// Runs `write` unless an earlier log append failed, keeping the first
-/// failure: workers keep solving (results still come back in memory)
-/// but stop appending, and the run errors out rather than claim a
-/// durable artifact.
-fn append_unless_failed(
+/// Runs `write` on the log unless an earlier log append failed,
+/// keeping the first failure: workers keep solving (results still come
+/// back in memory) but stop appending, and the run errors out rather
+/// than claim a durable artifact.
+fn append_unless_failed<W>(
     first: &Mutex<Option<TelemetryError>>,
-    write: impl FnOnce() -> Result<(), TelemetryError>,
+    log: &Mutex<W>,
+    write: impl FnOnce(&mut W) -> Result<(), TelemetryError>,
 ) {
-    let mut err = first.lock();
+    // Poison means an append panicked mid-write, outside the job's
+    // `catch_unwind`: that panic aborts the run once the pool joins,
+    // and meanwhile nothing is appended after the torn write.
+    let Ok(mut err) = first.lock() else { return };
     if err.is_none() {
-        *err = write().err();
+        let Ok(mut log) = log.lock() else { return };
+        *err = write(&mut log).err();
+    }
+}
+
+/// Takes a lock's value after the pool has returned. Only a panic in an
+/// append poisons a lock, and that panic propagates out of the pool, so
+/// here the poison case cannot occur; it maps to the value all the same.
+fn unpoisoned<G>(lock: LockResult<G>) -> G {
+    lock.unwrap_or_else(PoisonError::into_inner)
+}
+
+/// Renders a caught panic payload to text, for the job's
+/// [`Failed`](crate::journal::JobRecord::Failed) record.
+fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
+    if let Some(s) = payload.downcast_ref::<&str>() {
+        (*s).to_string()
+    } else if let Some(s) = payload.downcast_ref::<String>() {
+        s.clone()
+    } else {
+        "<non-string panic payload>".into()
     }
 }
 
@@ -264,9 +288,12 @@ pub fn run_configs_sharded(
             let coord = job.seed_group.unwrap_or(config as u64);
             let seed = derive_seed(campaign_seed, coord, (idx % reps) as u64);
             let start_ns = started.elapsed().as_nanos() as u64;
-            // Panics are caught *here*, inside the job, so the failure
-            // reaches the journal as a record — a resumed run must not
-            // re-run a deterministically panicking repetition forever.
+            // The one panic boundary: a panic in the solve is caught
+            // *here*, inside the job, so the failure reaches the journal
+            // as a record — a resumed run must not re-run a
+            // deterministically panicking repetition forever. A panic
+            // past this point (a log append, an observer) aborts the
+            // run instead of leaving memory and journal disagreeing.
             let (record, tele) = match catch_unwind(AssertUnwindSafe(|| {
                 if traced {
                     run_one_traced(job, seed, ws)
@@ -293,14 +320,14 @@ pub fn run_configs_sharded(
                     end_ns: started.elapsed().as_nanos() as u64,
                 });
                 if let Some(t) = &tracer {
-                    append_unless_failed(&io_error, || t.lock().append_job(idx, &tele.events));
+                    append_unless_failed(&io_error, t, |t| t.append_job(idx, &tele.events));
                 }
                 if let Some(m) = &metrics {
-                    append_unless_failed(&io_error, || m.lock().append_job(&tele));
+                    append_unless_failed(&io_error, m, |m| m.append_job(&tele));
                 }
             }
             if let Some(w) = &journal {
-                append_unless_failed(&io_error, || w.lock().append(idx, &record));
+                append_unless_failed(&io_error, w, |w| w.append(idx, &record));
             }
             if let JobRecord::Done(m) = &record {
                 if let Some(obs) = opts.progress {
@@ -311,24 +338,19 @@ pub fn run_configs_sharded(
         },
         opts.progress,
     );
-    if let Some(e) = io_error.into_inner() {
+    if let Some(e) = unpoisoned(io_error.into_inner()) {
         return Err(e.into());
     }
     if let Some(t) = tracer {
         // The canonical (job, seq) order is what makes the on-disk trace
         // byte-identical across every threads × shards × resume
         // decomposition of the campaign.
-        t.into_inner().canonicalize()?;
+        unpoisoned(t.into_inner()).canonicalize()?;
     }
     let replayed = replayed_records.len();
     let mut records = replayed_records;
     let executed = results.len();
-    for (&idx, result) in todo.iter().zip(results) {
-        // Pool-level panics are unreachable (the job catches its own),
-        // but fold them into Failed records rather than unwrap.
-        let record = result.unwrap_or_else(|p| JobRecord::Failed(p.message));
-        records.push((idx, record));
-    }
+    records.extend(todo.into_iter().zip(results));
     records.sort_by_key(|&(j, _)| j);
     Ok(ShardOutcome {
         manifest,
@@ -632,5 +654,50 @@ mod tests {
         assert_eq!(panics, 2);
         assert_eq!(summaries[0].reps, 0);
         assert_eq!(summaries[0].panics, 2);
+    }
+
+    #[test]
+    fn journal_and_memory_agree_when_a_job_panics() {
+        use crate::journal::Journal;
+        use ftcg_model::Scheme;
+        use ftcg_solvers::resilient::ResilientConfig;
+        use ftcg_sparse::gen;
+        use std::sync::Arc;
+
+        let a = Arc::new(gen::poisson2d(4).unwrap());
+        let config = |rhs_len| {
+            ConfigJob::new(
+                "poisson2d:4",
+                Arc::clone(&a),
+                Arc::new(vec![1.0; rhs_len]),
+                ResilientConfig::new(Scheme::AbftDetection, 5),
+                0.0,
+                InjectorSpec::None,
+            )
+        };
+        // The middle configuration's wrong-length RHS panics every
+        // repetition; its neighbours solve.
+        let configs = [config(16), config(3), config(16)];
+        let dir = std::env::temp_dir().join(format!("ftcg-campaign-panic-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("j.jsonl");
+        let _ = std::fs::remove_file(&path);
+        let opts = RunOptions {
+            journal: Some(&path),
+            ..RunOptions::default()
+        };
+        let out = run_configs_sharded("p", 0, 2, 2, &configs, &opts).unwrap();
+        assert_eq!(out.threads, 2);
+        let failed: Vec<usize> = out
+            .records
+            .iter()
+            .filter(|(_, r)| matches!(r, JobRecord::Failed(_)))
+            .map(|&(j, _)| j)
+            .collect();
+        assert_eq!(failed, vec![2, 3]);
+        let mut journaled = Journal::load(&path).unwrap().records;
+        journaled.sort_by_key(|&(j, _)| j);
+        assert_eq!(journaled, out.records);
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 }

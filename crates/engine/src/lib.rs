@@ -14,19 +14,19 @@
 //! The paper's evaluation is a grid sweep: {matrix × scheme × fault rate
 //! α × 50 seeds}. This crate turns such sweeps — and any other workload
 //! over resilient solves — into *campaigns*: declarative specifications
-//! expanded into schedulable jobs, executed by a work-stealing worker
-//! pool across all cores, and folded by a streaming aggregator into
-//! per-configuration summaries with JSONL/CSV sinks.
+//! expanded into schedulable jobs, executed by a worker pool across all
+//! cores, and folded by a streaming aggregator into per-configuration
+//! summaries with JSONL/CSV sinks.
 //!
-//! * [`spec`] — [`CampaignSpec`]: the declarative grid (key=value or
-//!   JSON text, or built programmatically), matrix sources, and the
+//! * [`spec`] — [`CampaignSpec`]: the declarative grid (key=value
+//!   text, or built programmatically), matrix sources, and the
 //!   [`MatrixResolver`] extension point for custom matrix providers;
 //! * [`grid`] — expansion of a spec into fully resolved
 //!   [`ConfigJob`]s (model-optimal or fixed intervals per point);
 //! * [`seedstream`] — SplitMix-style derivation of independent per-job
 //!   RNG seeds from one campaign seed;
-//! * `pool` — the work-stealing executor with per-job panic
-//!   isolation, progress callbacks and per-worker contexts;
+//! * `pool` — the executor: scoped worker threads claiming jobs in
+//!   ascending order, progress callbacks and per-worker contexts;
 //! * `workspace` — `JobWorkspace`: per-worker reusable solve memory
 //!   (solver machines, pooled matrix images, checkpoint slots) reset
 //!   bit-identically per repetition;

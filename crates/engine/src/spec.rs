@@ -3,29 +3,22 @@
 //! A [`CampaignSpec`] names a grid: matrix sources × schemes × fault
 //! rates α (× solvers), with a repetition count, one campaign seed, and
 //! interval policy. Specs can be built programmatically or parsed from
-//! text in either of two formats; in both, a key given twice is an
-//! error:
+//! text: one `key = value` per line, `#` comments, lists
+//! comma-separated, each key at most once:
 //!
-//! * **key=value** — one `key = value` per line, `#` comments, lists
-//!   comma-separated:
-//!
-//!   ```text
-//!   name     = demo
-//!   seed     = 42
-//!   reps     = 10
-//!   matrices = poisson2d:16, random:300:0.02:1
-//!   schemes  = online, detection, correction
-//!   alphas   = 0, 1/32, 1/16
-//!   solvers  = cg, pcg                 # optional solver axis
-//!   ```
-//!
-//! * **JSON** — the same keys as an object; lists as arrays
-//!   (`{"name": "demo", "matrices": ["poisson2d:16"], ...}`).
+//! ```text
+//! name     = demo
+//! seed     = 42
+//! reps     = 10
+//! matrices = poisson2d:16, random:300:0.02:1
+//! schemes  = online, detection, correction
+//! alphas   = 0, 1/32, 1/16
+//! solvers  = cg, pcg                 # optional solver axis
+//! ```
 
 use ftcg_model::Scheme;
 use ftcg_solvers::SolverKind;
 use ftcg_sparse::{gen, io, CsrMatrix};
-use serde::json::{self, Value};
 
 use crate::EngineError;
 
@@ -268,19 +261,8 @@ pub fn parse_interval(s: &str) -> Result<IntervalPolicy, EngineError> {
 }
 
 impl CampaignSpec {
-    /// Parses spec text: JSON if it starts with `{`, key=value
-    /// otherwise.
+    /// Parses spec text (the grammar in the [module docs](crate::spec)).
     pub fn parse(text: &str) -> Result<CampaignSpec, EngineError> {
-        let trimmed = text.trim_start();
-        if trimmed.starts_with('{') {
-            Self::parse_json(text)
-        } else {
-            Self::parse_key_value(text)
-        }
-    }
-
-    /// Parses the key=value format.
-    pub(crate) fn parse_key_value(text: &str) -> Result<CampaignSpec, EngineError> {
         let mut spec = CampaignSpec::default();
         // Keys seen so far, with their 1-based line numbers.
         let mut seen: Vec<(&str, usize)> = Vec::new();
@@ -304,52 +286,6 @@ impl CampaignSpec {
             }
             seen.push((key, lineno + 1));
             spec.apply(key, value.trim())?;
-        }
-        spec.validate()
-    }
-
-    /// Parses the JSON object format.
-    pub(crate) fn parse_json(text: &str) -> Result<CampaignSpec, EngineError> {
-        let v = json::parse(text).map_err(|e| EngineError::Spec(e.to_string()))?;
-        let Value::Obj(pairs) = &v else {
-            return Err(EngineError::Spec("top-level JSON must be an object".into()));
-        };
-        let mut spec = CampaignSpec::default();
-        for (i, (key, val)) in pairs.iter().enumerate() {
-            if pairs[..i].iter().any(|(k, _)| k == key) {
-                return Err(EngineError::Spec(format!("key `{key}` given twice")));
-            }
-            let scalar;
-            let joined;
-            let value: &str = match val {
-                Value::Str(s) => s,
-                Value::Num(n) => {
-                    scalar = format!("{n}");
-                    &scalar
-                }
-                Value::Arr(items) => {
-                    let parts: Result<Vec<String>, EngineError> = items
-                        .iter()
-                        .map(|it| match it {
-                            Value::Str(s) => Ok(s.clone()),
-                            Value::Num(n) => Ok(format!("{n}")),
-                            other => Err(EngineError::Spec(format!(
-                                "key `{key}`: unsupported array element ({})",
-                                other.kind()
-                            ))),
-                        })
-                        .collect();
-                    joined = parts?.join(",");
-                    &joined
-                }
-                other => {
-                    return Err(EngineError::Spec(format!(
-                        "key `{key}`: unsupported value ({})",
-                        other.kind()
-                    )));
-                }
-            };
-            spec.apply(key, value)?;
         }
         spec.validate()
     }
@@ -447,7 +383,7 @@ fn check_retired_batch(s: &str) -> Result<(), EngineError> {
 fn parse_num(what: &str, v: &str) -> Result<u64, EngineError> {
     let v = v.trim();
     // Direct u64 first: going through f64 would silently round
-    // seeds above 2^53. Fall back to f64 for JSON-ish forms
+    // seeds above 2^53. Fall back to f64 for scientific forms
     // (e.g. `1e3`) but only when exactly representable.
     if let Ok(n) = v.parse::<u64>() {
         return Ok(n);
@@ -523,21 +459,6 @@ mod tests {
     }
 
     #[test]
-    fn json_equivalent() {
-        let j = r#"{
-            "name": "demo", "seed": 42, "reps": 5,
-            "matrices": ["poisson2d:8", "random:100:0.05:3"],
-            "schemes": ["online", "correction"],
-            "alphas": [0, "1/16", 0.25],
-            "interval": "fixed:12"
-        }"#;
-        assert_eq!(
-            CampaignSpec::parse(j).unwrap(),
-            CampaignSpec::parse(KV).unwrap()
-        );
-    }
-
-    #[test]
     fn matrix_source_labels_roundtrip() {
         for s in [
             "poisson2d:16",
@@ -573,34 +494,26 @@ mod tests {
     }
 
     #[test]
-    fn removed_kernels_key_fails_loudly_in_both_formats() {
-        for text in [
-            "matrices = poisson2d:8\nkernels = csr\n",
-            r#"{"matrices": ["poisson2d:8"], "kernels": ["csr"]}"#,
-        ] {
-            match CampaignSpec::parse(text) {
-                Err(EngineError::Spec(msg)) => assert_eq!(
-                    msg,
-                    "key `kernels` was removed in the one-product change: \
-                     the protected solve runs the defensive CSR traversal only"
-                ),
-                other => panic!("{text}: expected Spec error, got {other:?}"),
-            }
+    fn removed_kernels_key_fails_loudly() {
+        match CampaignSpec::parse("matrices = poisson2d:8\nkernels = csr\n") {
+            Err(EngineError::Spec(msg)) => assert_eq!(
+                msg,
+                "key `kernels` was removed in the one-product change: \
+                 the protected solve runs the defensive CSR traversal only"
+            ),
+            other => panic!("expected Spec error, got {other:?}"),
         }
     }
 
     #[test]
-    fn removed_solvers_fail_with_a_pointer_in_both_formats() {
+    fn removed_solvers_fail_with_a_pointer() {
         use ftcg_solvers::machine::SOLVERS_REMOVED;
         for (text, name) in [
             (
                 "matrices = poisson2d:8\nsolvers = cg, bicgstab\n",
                 "bicgstab",
             ),
-            (
-                r#"{"matrices": ["poisson2d:8"], "solvers": ["cgne"]}"#,
-                "cgne",
-            ),
+            ("matrices = poisson2d:8\nsolvers = cgne\n", "cgne"),
         ] {
             match CampaignSpec::parse(text) {
                 Err(EngineError::Spec(msg)) => {
@@ -612,7 +525,7 @@ mod tests {
     }
 
     #[test]
-    fn repeated_key_is_a_spec_error_in_both_formats() {
+    fn repeated_key_is_a_spec_error() {
         // Neither end wins: `schemes` given twice used to run the last
         // list only.
         let kv = CampaignSpec::parse(
@@ -624,25 +537,14 @@ mod tests {
             }
             other => panic!("expected Spec error, got {other:?}"),
         }
-        let json = CampaignSpec::parse(
-            r#"{"matrices": ["poisson2d:8"], "reps": 2, "schemes": "online", "reps": 3}"#,
-        );
-        match json {
-            Err(EngineError::Spec(msg)) => assert_eq!(msg, "key `reps` given twice"),
-            other => panic!("expected Spec error, got {other:?}"),
-        }
     }
 
     #[test]
-    fn solver_axis_parses_in_both_formats() {
+    fn solver_axis_parses() {
         let kv = CampaignSpec::parse("matrices = poisson2d:8\nsolvers = cg, pcg\n").unwrap();
         assert_eq!(kv.solvers, SolverKind::ALL.to_vec());
         // 1 matrix × 2 default schemes × 1 default alpha × 2 solvers.
         assert_eq!(kv.n_configs(), 4);
-        let json =
-            CampaignSpec::parse(r#"{"matrices": ["poisson2d:8"], "solvers": ["cg", "pcg"]}"#)
-                .unwrap();
-        assert_eq!(json.solvers, vec![SolverKind::Cg, SolverKind::Pcg]);
         // Default axis is CG only — old specs keep their grids.
         let plain = CampaignSpec::parse("matrices = poisson2d:8\n").unwrap();
         assert_eq!(plain.solvers, vec![SolverKind::Cg]);
@@ -655,13 +557,12 @@ mod tests {
     }
 
     #[test]
-    fn batch_key_parses_in_both_formats() {
+    fn batch_key_parses() {
         // Retired key: accepted and validated, then ignored.
         let plain = CampaignSpec::parse("matrices = poisson2d:8\n").unwrap();
         for text in [
             "matrices = poisson2d:8\nbatch = 4\n",
             "matrices = poisson2d:8\nbatch = auto\n",
-            r#"{"matrices": ["poisson2d:8"], "batch": "auto"}"#,
         ] {
             assert_eq!(CampaignSpec::parse(text).unwrap(), plain, "{text}");
         }
@@ -695,8 +596,7 @@ mod tests {
     #[test]
     fn fractional_and_negative_counts_are_spec_errors() {
         // Historically `threads = 2.9` could truncate to 2 and a
-        // negative wrap; both are now explicit diagnostics, in the
-        // key=value and JSON formats alike.
+        // negative wrap; both are now explicit diagnostics.
         for key in ["threads", "reps", "max_iters"] {
             let e = CampaignSpec::parse(&format!("matrices = poisson2d:8\n{key} = 2.9\n"));
             match e {
@@ -713,10 +613,6 @@ mod tests {
                 other => panic!("{key}: expected Spec error, got {other:?}"),
             }
         }
-        let e = CampaignSpec::parse(r#"{"matrices": ["poisson2d:8"], "threads": 2.9}"#);
-        assert!(matches!(e, Err(EngineError::Spec(_))), "{e:?}");
-        let e = CampaignSpec::parse(r#"{"matrices": ["poisson2d:8"], "reps": -3}"#);
-        assert!(matches!(e, Err(EngineError::Spec(_))), "{e:?}");
         // Exactly representable scientific forms still work.
         let ok = CampaignSpec::parse("matrices = poisson2d:8\nreps = 1e3\n").unwrap();
         assert_eq!(ok.reps, 1000);
@@ -726,6 +622,13 @@ mod tests {
     fn rejects_unknown_key_and_bad_lines() {
         assert!(CampaignSpec::parse("bogus = 1\nmatrices = poisson2d:4\n").is_err());
         assert!(CampaignSpec::parse("no equals sign here\n").is_err());
+        // A JSON object is not a spec: `{` is a malformed first line.
+        match CampaignSpec::parse("{\n  \"matrices\": [\"poisson2d:8\"]\n}\n") {
+            Err(EngineError::Spec(msg)) => {
+                assert_eq!(msg, "line 1: expected `key = value`, got `{`")
+            }
+            other => panic!("expected Spec error, got {other:?}"),
+        }
     }
 
     #[test]

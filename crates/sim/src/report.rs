@@ -1,6 +1,6 @@
 //! Rendering of experiment results: markdown tables, CSV and an ASCII
-//! line plot (so `cargo run --example figure1` shows the curve shapes in
-//! a terminal without a plotting stack).
+//! line plot (so `ftcg figure1` shows the curve shapes in a terminal
+//! without a plotting stack).
 
 use ftcg_model::Scheme;
 

@@ -1,7 +1,7 @@
 //! Runs the Table 1 / Figure 1 harness campaigns: one engine campaign
 //! per (matrix, scheme), optionally journaled, traced and timed, and
 //! checked for lost repetitions. Repetitions are indexed jobs on the
-//! `ftcg-engine` work-stealing pool and aggregate by job index, so the
+//! `ftcg-engine` worker pool and aggregate by job index, so the
 //! summaries never depend on thread scheduling.
 
 use std::path::PathBuf;

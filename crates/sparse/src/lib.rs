@@ -29,7 +29,7 @@
 //! * synthetic SPD matrix generators ([`gen`]) matched to the paper's test
 //!   set from the UFL collection,
 //! * MatrixMarket I/O ([`io`]) so real UFL files can be dropped in,
-//! * a crossbeam-based parallel SpMxV ([`parallel`]) mirroring the paper's
+//! * a row-partitioned parallel SpMxV ([`parallel`]) mirroring the paper's
 //!   row-partitioned MPI discussion on shared memory (a benchmark probe
 //!   too).
 //!

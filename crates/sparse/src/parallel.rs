@@ -4,8 +4,8 @@
 //! every processor holds a block of rows plus the needed input-vector
 //! entries, and that *local* detection/correction implies *global*
 //! detection/correction. This module reproduces that structure on shared
-//! memory: rows are split into contiguous blocks, one crossbeam scoped
-//! thread per block, each writing a disjoint slice of `y`. Only the
+//! memory: rows are split into contiguous blocks, one scoped thread per
+//! block, each writing a disjoint slice of `y`. Only the
 //! benchmark's `csr-par` probe (`ftcg-kernels`) runs on this
 //! partitioning; protected solves run the serial defensive traversal.
 
@@ -58,17 +58,14 @@ pub fn partition_rows_balanced(a: &CsrMatrix, n_blocks: usize) -> Vec<RowBlock> 
     blocks
 }
 
-/// Parallel `y ← A·x` over the given row blocks using crossbeam scoped
-/// threads. Each thread owns a disjoint `&mut` slice of `y`, so the kernel
-/// is data-race free by construction.
+/// Parallel `y ← A·x` over the given row blocks using scoped threads.
+/// Each thread owns a disjoint `&mut` slice of `y`, so the kernel is
+/// data-race free by construction.
 ///
 /// # Panics
 /// Panics on dimension mismatch or if blocks are not a disjoint,
-/// increasing cover of `0..n_rows`.
-#[expect(
-    clippy::expect_used,
-    reason = "re-raise of a worker thread panic; swallowing it would return a half-written product vector"
-)]
+/// increasing cover of `0..n_rows`, and re-raises a worker's panic
+/// rather than return a half-written product vector.
 pub fn spmv_parallel(a: &CsrMatrix, x: &[f64], y: &mut [f64], blocks: &[RowBlock]) {
     assert_eq!(x.len(), a.n_cols(), "spmv_parallel: x length mismatch");
     assert_eq!(y.len(), a.n_rows(), "spmv_parallel: y length mismatch");
@@ -87,9 +84,9 @@ pub fn spmv_parallel(a: &CsrMatrix, x: &[f64], y: &mut [f64], blocks: &[RowBlock
         rest = tail;
         cursor = b.end;
     }
-    crossbeam::scope(|scope| {
+    std::thread::scope(|scope| {
         for (b, ys) in blocks.iter().zip(slices) {
-            scope.spawn(move |_| {
+            scope.spawn(move || {
                 for (local, i) in (b.start..b.end).enumerate() {
                     let mut acc = 0.0;
                     for k in a.row_range(i) {
@@ -99,8 +96,7 @@ pub fn spmv_parallel(a: &CsrMatrix, x: &[f64], y: &mut [f64], blocks: &[RowBlock
                 }
             });
         }
-    })
-    .expect("spmv_parallel: worker panicked");
+    });
 }
 
 /// Convenience: partition into `n_threads` balanced blocks and multiply.
