@@ -55,6 +55,16 @@ if grep -rnE 'crossbeam::|parking_lot::' src crates/*/src; then
     exit 1
 fi
 
+echo "==> one JSON idiom (serde::json::Value renders and parses every format; the four unused vendor crates stay empty placeholders)"
+if grep -rnE 'Serialize|Deserialize|serde_derive' src crates/*/src vendor/serde/src; then
+    echo "a serde trait or derive (above): build a serde::json::Value and render it with Display instead" >&2
+    exit 1
+fi
+if grep -nv '^//!' vendor/{crossbeam,parking_lot,bytes,serde_derive}/src/lib.rs; then
+    echo "code in a placeholder vendor crate (above): nothing compiles against it; its lib.rs holds //! lines only" >&2
+    exit 1
+fi
+
 echo "==> rustdoc (-D warnings: a link to a deleted or private item fails)"
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --lib --exclude proptest
 

@@ -9,7 +9,6 @@
 //! arrival order: same spec + seed ⇒ identical summaries, byte for byte.
 
 use ftcg_solvers::resilient::ResilientOutcome;
-use serde::Serialize;
 
 use crate::grid::ConfigJob;
 
@@ -47,7 +46,7 @@ impl From<&ResilientOutcome> for JobMetrics {
 }
 
 /// Order statistics summary of one metric across repetitions.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SummaryStats {
     /// Arithmetic mean.
     pub mean: f64,
@@ -109,7 +108,7 @@ impl SummaryStats {
 }
 
 /// One output row: a configuration with its aggregated repetitions.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ConfigSummary {
     /// Campaign name.
     pub(crate) campaign: String,

@@ -93,7 +93,6 @@ pub mod prelude {
     };
     pub use crate::grid::{ConfigJob, ConfigKey, InjectorSpec};
     pub use crate::journal::{JobRecord, Shard};
-    pub use crate::sink::{write_csv, write_jsonl};
     pub use crate::spec::{
         CampaignSpec, DefaultResolver, IntervalPolicy, MatrixResolver, MatrixSource,
     };

@@ -6,30 +6,58 @@
 //! byte-identical artifacts (the engine's reproducibility contract,
 //! asserted by the integration tests).
 
-use std::io::{self, Write};
+use std::io;
 use std::path::Path;
 
-use serde::Serialize;
+use serde::json::Value;
 
-use crate::aggregate::ConfigSummary;
+use crate::aggregate::{ConfigSummary, SummaryStats};
 
-/// Writes one JSON object per line.
-pub fn write_jsonl<W: Write>(mut w: W, rows: &[ConfigSummary]) -> io::Result<()> {
-    for row in rows {
-        writeln!(w, "{}", row.to_json())?;
-    }
-    Ok(())
+/// Renders the JSONL document: one JSON object per row, keys in the
+/// order of [`ConfigSummary`]'s fields.
+pub fn jsonl_string(rows: &[ConfigSummary]) -> String {
+    rows.iter().map(|r| format!("{}\n", row_value(r))).collect()
 }
 
-/// Renders the JSONL document to a string.
-#[expect(
-    clippy::expect_used,
-    reason = "io::Write into Vec<u8> is infallible; the expect documents why the io::Result is irrelevant; the bytes were produced by write! of valid UTF-8 in this function; from_utf8 failure is unreachable"
-)]
-pub fn jsonl_string(rows: &[ConfigSummary]) -> String {
-    let mut buf = Vec::new();
-    write_jsonl(&mut buf, rows).expect("writing to a Vec cannot fail");
-    String::from_utf8(buf).expect("JSON output is UTF-8")
+/// One row as a JSON object; `time` and `executed` nest as objects.
+fn row_value(r: &ConfigSummary) -> Value {
+    let text = |s: &str| Value::Str(s.to_string());
+    let count = |n: usize| Value::Num(n as f64);
+    obj([
+        ("campaign", text(&r.campaign)),
+        ("matrix", text(&r.matrix)),
+        ("n", count(r.n)),
+        ("scheme", text(&r.scheme)),
+        ("solver", text(&r.solver)),
+        ("alpha", Value::Num(r.alpha)),
+        ("s", count(r.s)),
+        ("d", count(r.d)),
+        ("kernel", text(&r.kernel)),
+        ("reps", count(r.reps)),
+        ("panics", count(r.panics)),
+        ("time", stats_value(&r.time)),
+        ("executed", stats_value(&r.executed)),
+        ("mean_rollbacks", Value::Num(r.mean_rollbacks)),
+        ("mean_corrections", Value::Num(r.mean_corrections)),
+        ("mean_faults", Value::Num(r.mean_faults)),
+        ("convergence_rate", Value::Num(r.convergence_rate)),
+        ("max_true_residual", Value::Num(r.max_true_residual)),
+    ])
+}
+
+fn stats_value(s: &SummaryStats) -> Value {
+    obj([
+        ("mean", Value::Num(s.mean)),
+        ("std", Value::Num(s.std)),
+        ("min", Value::Num(s.min)),
+        ("max", Value::Num(s.max)),
+        ("p50", Value::Num(s.p50)),
+        ("p90", Value::Num(s.p90)),
+    ])
+}
+
+fn obj<const N: usize>(pairs: [(&str, Value); N]) -> Value {
+    Value::Obj(pairs.map(|(k, v)| (k.to_string(), v)).into())
 }
 
 /// CSV column order.
@@ -38,13 +66,12 @@ mean_time,std_time,min_time,max_time,p50_time,p90_time,\
 mean_executed,mean_rollbacks,mean_corrections,mean_faults,\
 convergence_rate,max_true_residual";
 
-/// Writes the summary table as CSV with a header row.
-pub fn write_csv<W: Write>(mut w: W, rows: &[ConfigSummary]) -> io::Result<()> {
-    writeln!(w, "{CSV_HEADER}")?;
+/// Renders the summary table as CSV with a header row.
+pub fn csv_string(rows: &[ConfigSummary]) -> String {
+    let mut out = format!("{CSV_HEADER}\n");
     for r in rows {
-        writeln!(
-            w,
-            "{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{}",
+        out += &format!(
+            "{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{}\n",
             csv_field(&r.campaign),
             csv_field(&r.matrix),
             r.n,
@@ -68,20 +95,9 @@ pub fn write_csv<W: Write>(mut w: W, rows: &[ConfigSummary]) -> io::Result<()> {
             r.mean_faults,
             r.convergence_rate,
             r.max_true_residual,
-        )?;
+        );
     }
-    Ok(())
-}
-
-/// Renders the CSV document to a string.
-#[expect(
-    clippy::expect_used,
-    reason = "io::Write into Vec<u8> is infallible; the expect documents why the io::Result is irrelevant; the bytes were produced by write! of valid UTF-8 in this function; from_utf8 failure is unreachable"
-)]
-pub fn csv_string(rows: &[ConfigSummary]) -> String {
-    let mut buf = Vec::new();
-    write_csv(&mut buf, rows).expect("writing to a Vec cannot fail");
-    String::from_utf8(buf).expect("CSV output is UTF-8")
+    out
 }
 
 /// Saves JSONL to a file.
@@ -175,5 +191,27 @@ mod tests {
         let rows = vec![row()];
         assert_eq!(jsonl_string(&rows), jsonl_string(&rows));
         assert_eq!(csv_string(&rows), csv_string(&rows));
+    }
+
+    #[test]
+    fn jsonl_line_matches_a_pinned_earlier_build() {
+        // Captured from the serde-derive renderer this one replaced:
+        // key order, integral floats without `.0`, NaN as `null` and
+        // string escapes must not drift.
+        let mut r = row();
+        r.campaign = "q\"\\ α".into();
+        r.max_true_residual = f64::NAN;
+        assert_eq!(
+            jsonl_string(&[r]),
+            concat!(
+                r#"{"campaign":"q\"\\ α","matrix":"poisson2d:8","n":64,"scheme":"ABFT-CORRECTION","#,
+                r#""solver":"cg","alpha":0.0625,"s":14,"d":1,"kernel":"csr","reps":4,"panics":0,"#,
+                r#""time":{"mean":11.5,"std":1.2909944487358056,"min":10,"max":13,"p50":11,"p90":13},"#,
+                r#""executed":{"mean":100,"std":0.816496580927726,"min":99,"max":101,"p50":100,"p90":101},"#,
+                r#""mean_rollbacks":0.5,"mean_corrections":1.25,"mean_faults":2,"convergence_rate":1,"#,
+                r#""max_true_residual":null}"#,
+                "\n"
+            )
+        );
     }
 }

@@ -3,7 +3,7 @@
 //! matrices (property-based) and on structured ones.
 
 use ftcg_kernels::KernelSpec;
-use ftcg_sparse::{gen, BcsrMatrix, CsrMatrix, SellCSigma};
+use ftcg_sparse::{gen, BcsrMatrix, CsrMatrix, RowOrder, SellCSigma};
 use proptest::prelude::*;
 
 /// Relative tolerance (scaled by `‖y‖∞`) within which every format must
@@ -77,7 +77,7 @@ proptest! {
         let want_bits = bits(&want);
 
         let mut y = vec![0.0; n];
-        a.spmv_clamped_rowband_into(&x, &mut y);
+        a.spmv_clamped_ordered_into(&RowOrder::new(), &x, &mut y);
         prop_assert_eq!(bits(&y), want_bits.clone(), "csr row-band n={}", n);
 
         for (c, sigma) in [(4usize, 16usize), (8, 32)] {

@@ -499,20 +499,11 @@ impl CsrMatrix {
     }
 
     /// Defensive `y ← A·x` through the lockstep traversal, rows visited
-    /// in natural order — the same outputs as
-    /// [`CsrMatrix::spmv_clamped_into`], bit for bit, with several
-    /// independent accumulator chains in flight.
-    ///
-    /// # Panics
-    /// Panics if `y.len() != n_rows`.
-    pub fn spmv_clamped_rowband_into(&self, x: &[f64], y: &mut [f64]) {
-        self.spmv_clamped_ordered_into(&RowOrder::new(), x, y);
-    }
-
-    /// [`CsrMatrix::spmv_clamped_rowband_into`] with rows visited in
-    /// `order`: the same `y`, bit for bit, whatever the order holds
-    /// (see [`RowOrder`]); an order built from this matrix's pristine
-    /// row lengths makes it faster.
+    /// in `order` — the same outputs as [`CsrMatrix::spmv_clamped_into`],
+    /// bit for bit, with several independent accumulator chains in
+    /// flight, whatever the order holds (see [`RowOrder`]; an empty
+    /// `RowOrder::new()` is natural order); an order built from this
+    /// matrix's pristine row lengths makes it faster.
     ///
     /// # Panics
     /// Panics if `y.len() != n_rows`.
@@ -523,7 +514,7 @@ impl CsrMatrix {
 
     /// Defensive `y ← A·x` with the ABFT output probe
     /// `[Σᵢ yᵢ, Σᵢ (i+1)·yᵢ]` accumulated in the same pass: the product
-    /// is bit-identical to [`CsrMatrix::spmv_clamped_rowband_into`] (the
+    /// is bit-identical to [`CsrMatrix::spmv_clamped_ordered_into`] (the
     /// same traversal) and the returned probe to a separate
     /// [`fused::probe_of`](crate::fused::probe_of)`(y)` sweep, with rows
     /// folded into the probe chains in ascending index order as their
@@ -1159,7 +1150,7 @@ mod tests {
         a.spmv_clamped_into(&x, &mut want);
         let want_probe = crate::fused::probe_of(&want);
         let mut banded = vec![0.0; n];
-        a.spmv_clamped_rowband_into(&x, &mut banded);
+        a.spmv_clamped_ordered_into(&RowOrder::new(), &x, &mut banded);
         assert_eq!(bits(&banded), bits(&want), "rowband, {what}");
         let mut ordered = vec![0.0; n];
         a.spmv_clamped_ordered_into(order, &x, &mut ordered);
@@ -1247,7 +1238,7 @@ mod tests {
         let mut want = vec![0.0; 81];
         a.spmv_clamped_into(&x, &mut want);
         let mut got = vec![0.0; 81];
-        a.spmv_clamped_rowband_into(&x, &mut got);
+        a.spmv_clamped_ordered_into(&RowOrder::new(), &x, &mut got);
         assert_eq!(bits(&got), bits(&want));
     }
 }

@@ -394,4 +394,31 @@ mod tests {
             assert!(!file.entries.is_empty(), "{name}");
         }
     }
+
+    #[test]
+    fn checked_in_bench_files_parse_as_an_earlier_build_did() {
+        // FNV-1a of `json::parse(text).to_string()` per file, captured
+        // with the character-at-a-time string parser `json::parse` had
+        // before it copied whole runs: decoding must not drift. A file
+        // that gains an entry is re-pinned from the printed digest once
+        // its parse has been checked.
+        const PINS: [(&str, u64); 5] = [
+            ("BENCH_2026-07-27.json", 0x03b9_7998_7d9f_8d5f),
+            ("BENCH_2026-08-08.json", 0x650e_2020_fe1e_3368),
+            ("BENCH_2026-09-28.json", 0x1cf1_3722_9777_96b7),
+            ("BENCH_2026-10-02.json", 0x93a0_a5d8_124a_59ed),
+            ("BENCH_2026-10-17.json", 0x5f35_24f9_c61e_e6c9),
+        ];
+        let fnv1a = |s: &str| {
+            s.bytes().fold(0xcbf2_9ce4_8422_2325_u64, |h, b| {
+                (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+            })
+        };
+        let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+        for (name, pin) in PINS {
+            let text = std::fs::read_to_string(root.join(name)).unwrap();
+            let digest = fnv1a(&json::parse(&text).unwrap().to_string());
+            assert_eq!(digest, pin, "{name}: {digest:#018x}");
+        }
+    }
 }

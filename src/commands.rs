@@ -988,9 +988,11 @@ mod tests {
         assert_eq!(e, format!("spec error: `cgne` {why}"));
     }
 
-    /// Values from another build: the fingerprint and the first CSV row
-    /// were recorded before the SpMV-backend axis went. They must not
-    /// move, or journals written before no longer `--resume`.
+    /// Values from other builds: the fingerprint and the first CSV row
+    /// were recorded before the SpMV-backend axis went, the first JSONL
+    /// line while the row was still rendered by a serde derive. They
+    /// must not move, or journals written before no longer `--resume`
+    /// and summaries stop comparing byte for byte.
     #[test]
     fn campaign_artifacts_match_a_pinned_earlier_build() {
         let dir = std::env::temp_dir().join(format!("ftcg-cli-pin-{}", std::process::id()));
@@ -1034,6 +1036,19 @@ mod tests {
             "pin,poisson2d:8,64,ABFT-CORRECTION,cg,0.0625,44,1,csr,2,0,26.519999999999992,0,\
              26.519999999999992,26.519999999999992,26.519999999999992,26.519999999999992,\
              26,0,0.5,0.5,1,0.000000020253559264076476"
+        );
+        let jsonl = std::fs::read_to_string(&out).unwrap();
+        assert_eq!(
+            jsonl.lines().next().unwrap(),
+            concat!(
+                r#"{"campaign":"pin","matrix":"poisson2d:8","n":64,"scheme":"ABFT-CORRECTION","#,
+                r#""solver":"cg","alpha":0.0625,"s":44,"d":1,"kernel":"csr","reps":2,"panics":0,"#,
+                r#""time":{"mean":26.519999999999992,"std":0,"min":26.519999999999992,"#,
+                r#""max":26.519999999999992,"p50":26.519999999999992,"p90":26.519999999999992},"#,
+                r#""executed":{"mean":26,"std":0,"min":26,"max":26,"p50":26,"p90":26},"#,
+                r#""mean_rollbacks":0,"mean_corrections":0.5,"mean_faults":0.5,"#,
+                r#""convergence_rate":1,"max_true_residual":0.000000020253559264076476}"#
+            )
         );
         std::fs::remove_dir_all(&dir).unwrap();
     }
