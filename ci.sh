@@ -55,6 +55,18 @@ if grep -rnE 'crossbeam::|parking_lot::' src crates/*/src; then
     exit 1
 fi
 
+echo "==> one solver (CG, the paper's Algorithm 1: no solver axis, no solver trait, no PCG)"
+if grep -rnE 'SolverKind|IterativeSolver|PcgMachine|pcg_jacobi|axpy2_precond_dot' src crates/*/src tests; then
+    echo "a second-solver name (above): the solver is CgMachine; PCG comes back only with a fault target and a check for its z vector and a benchmark workload that runs it" >&2
+    exit 1
+fi
+
+echo "==> ROADMAP item numbers stay in ROADMAP.md (they change when it is rewritten; say what the item stands for)"
+if grep -rlzP 'ROADMAP(\.md)?,?(\s|//[/!]?|#)*item\s+[0-9]' src crates README.md; then
+    echo "a ROADMAP item number in the files above (a line break between the two words counts): state the fact it stands for instead" >&2
+    exit 1
+fi
+
 echo "==> one JSON idiom (serde::json::Value renders and parses every format; the four unused vendor crates stay empty placeholders)"
 if grep -rnE 'Serialize|Deserialize|serde_derive' src crates/*/src vendor/serde/src; then
     echo "a serde trait or derive (above): build a serde::json::Value and render it with Display instead" >&2

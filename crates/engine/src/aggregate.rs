@@ -118,17 +118,12 @@ pub struct ConfigSummary {
     pub(crate) n: usize,
     /// Scheme name (paper spelling, e.g. `ABFT-CORRECTION`).
     pub scheme: String,
-    /// Solver label (`cg`, `pcg`).
-    pub solver: String,
     /// Expected faults per iteration.
     pub alpha: f64,
     /// Checkpoint interval `s`.
     pub s: usize,
     /// Verification interval `d`.
     pub d: usize,
-    /// SpMV label, always `csr` (every product is the CSR traversal);
-    /// kept so the summary format does not change.
-    pub(crate) kernel: String,
     /// Repetitions that completed (requested minus panicked).
     pub reps: usize,
     /// Repetitions lost to panics.
@@ -194,11 +189,9 @@ fn summarize(
         matrix: job.key.matrix.clone(),
         n: job.key.n,
         scheme: job.key.scheme.name().to_string(),
-        solver: job.key.solver.label().to_string(),
         alpha: job.key.alpha,
         s: job.key.s,
         d: job.key.d,
-        kernel: "csr".into(),
         reps: done.len(),
         panics: requested - done.len(),
         time: SummaryStats::from_values(&times),

@@ -282,8 +282,7 @@ pub fn run_configs_sharded(
             let config = idx / reps;
             let job = &configs[config];
             // Seeds derive from the job's seed group (its own index by
-            // default): configs sharing a group — e.g. the solver
-            // variants of one grid point — draw identical fault
+            // default): configs sharing a group draw identical fault
             // streams (common random numbers).
             let coord = job.seed_group.unwrap_or(config as u64);
             let seed = derive_seed(campaign_seed, coord, (idx % reps) as u64);

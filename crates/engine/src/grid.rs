@@ -4,7 +4,6 @@ use std::sync::Arc;
 
 use ftcg_model::{CostProfile, Scheme};
 use ftcg_solvers::resilient::ResilientConfig;
-use ftcg_solvers::SolverKind;
 use ftcg_sparse::CsrMatrix;
 
 use crate::spec::{CampaignSpec, IntervalPolicy, MatrixResolver};
@@ -19,8 +18,6 @@ pub struct ConfigKey {
     pub(crate) n: usize,
     /// Resilience scheme.
     pub scheme: Scheme,
-    /// Solver iterating under the protocol.
-    pub solver: SolverKind,
     /// Expected faults per iteration.
     pub alpha: f64,
     /// Checkpoint interval `s`.
@@ -54,10 +51,10 @@ pub struct ConfigJob {
     /// Fault model.
     pub(crate) injector: InjectorSpec,
     /// Seed-derivation coordinate; `None` means "this config's own grid
-    /// index". [`expand`] sets a *solver-free* coordinate so every
-    /// solver variant at the same (matrix, scheme, α) point draws
-    /// identical fault streams — the common-random-numbers pairing that
-    /// makes solver columns comparable under injection.
+    /// index". [`expand`] sets it to exactly that index, explicitly:
+    /// the journal fingerprint prints the field, so journals written
+    /// when it paired the variants of a removed solver axis still
+    /// `--resume`.
     pub seed_group: Option<u64>,
 }
 
@@ -76,7 +73,6 @@ impl ConfigJob {
             matrix: matrix_label.into(),
             n: matrix.n_rows(),
             scheme: cfg.scheme,
-            solver: cfg.solver,
             alpha,
             s: cfg.checkpoint_interval,
             d: cfg.verif_interval,
@@ -118,10 +114,8 @@ pub(crate) fn default_rhs(n: usize) -> Vec<f64> {
 }
 
 /// Expands a spec into its configuration list, resolving every matrix
-/// once (grid order: matrices → schemes → alphas → solvers; this order
-/// is the config-index order seed derivation and output rows use —
-/// solvers innermost, so specs without that axis keep their historical
-/// config indices and fault streams).
+/// once (grid order: matrices → schemes → alphas; this order is the
+/// config-index order seed derivation and output rows use).
 pub fn expand(
     spec: &CampaignSpec,
     resolver: &dyn MatrixResolver,
@@ -130,10 +124,6 @@ pub fn expand(
         return Err(EngineError::EmptyGrid);
     }
     let mut configs = Vec::with_capacity(spec.n_configs());
-    // Solver-free coordinate: advances per (matrix, scheme, α) point so
-    // every solver variant of a point shares one fault-stream seed
-    // (paired streams — common random numbers).
-    let mut point = 0u64;
     for source in &spec.matrices {
         let a = Arc::new(resolver.resolve(source)?);
         if !a.is_square() {
@@ -145,21 +135,16 @@ pub fn expand(
         let rhs = Arc::new(default_rhs(a.n_rows()));
         for &scheme in &spec.schemes {
             for &alpha in &spec.alphas {
-                for &solver in &spec.solvers {
-                    let mut cfg = plan_config(scheme, alpha, spec.interval, spec.max_iters);
-                    cfg.solver = solver;
-                    let mut job = ConfigJob::new(
-                        source.label(),
-                        Arc::clone(&a),
-                        Arc::clone(&rhs),
-                        cfg,
-                        alpha,
-                        InjectorSpec::Paper,
-                    );
-                    job.seed_group = Some(point);
-                    configs.push(job);
-                }
-                point += 1;
+                let mut job = ConfigJob::new(
+                    source.label(),
+                    Arc::clone(&a),
+                    Arc::clone(&rhs),
+                    plan_config(scheme, alpha, spec.interval, spec.max_iters),
+                    alpha,
+                    InjectorSpec::Paper,
+                );
+                job.seed_group = Some(configs.len() as u64);
+                configs.push(job);
             }
         }
     }
@@ -190,6 +175,10 @@ mod tests {
         // matrices shared across configs of the same source
         assert!(Arc::ptr_eq(&configs[0].matrix, &configs[3].matrix));
         assert!(!Arc::ptr_eq(&configs[0].matrix, &configs[4].matrix));
+        // The seed coordinate is the config index, written out.
+        for (i, c) in configs.iter().enumerate() {
+            assert_eq!(c.seed_group, Some(i as u64));
+        }
     }
 
     #[test]

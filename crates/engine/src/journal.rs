@@ -134,13 +134,14 @@ impl Manifest {
 
 /// FNV-1a over the canonical description of an expanded grid: campaign
 /// name, seed, reps, and every configuration's full identity (matrix,
-/// order, scheme, solver, α, intervals, seed-derivation group,
+/// order, scheme, α, intervals, seed-derivation group,
 /// injector, iteration caps, cost model). Two specs that expand to the
 /// same grid fingerprint identically however they were written
 /// (key=value vs JSON, inline flags vs file); any change that would
-/// alter a single job's result changes the fingerprint. The constant
-/// `kernel=csr` is what the removed SpMV-backend axis always wrote; it
-/// stays so journals written before still `--resume`.
+/// alter a single job's result changes the fingerprint. The constants
+/// `solver=cg` and `kernel=csr` are what the removed solver and
+/// SpMV-backend axes wrote for every configuration that remains; they
+/// stay so journals written before still `--resume`.
 pub fn fingerprint(name: &str, seed: u64, reps: usize, configs: &[ConfigJob]) -> u64 {
     let mut text = format!(
         "ftcg-campaign v{}\nname={name}\nseed={seed}\nreps={reps}\n",
@@ -155,12 +156,11 @@ pub fn fingerprint(name: &str, seed: u64, reps: usize, configs: &[ConfigJob]) ->
             InjectorSpec::Calibrated => "calibrated",
         };
         text.push_str(&format!(
-            "config {i}: matrix={}|n={}|scheme={}|solver={}|alpha={}|s={}|d={}|kernel=csr\
+            "config {i}: matrix={}|n={}|scheme={}|solver=cg|alpha={}|s={}|d={}|kernel=csr\
              |group={:?}|inj={inj}|max_prod={}|max_exec={}|costs={},{},{}|stop={:?}\n",
             k.matrix,
             k.n,
             k.scheme.name(),
-            k.solver.label(),
             k.alpha,
             k.s,
             k.d,

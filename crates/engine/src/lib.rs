@@ -28,7 +28,7 @@
 //! * `pool` — the executor: scoped worker threads claiming jobs in
 //!   ascending order, progress callbacks and per-worker contexts;
 //! * `workspace` — `JobWorkspace`: per-worker reusable solve memory
-//!   (solver machines, pooled matrix images, checkpoint slots) reset
+//!   (the CG machine, the matrix image, checkpoint slots) reset
 //!   bit-identically per repetition;
 //! * [`inject`] — the paper's fault-injector configurations;
 //! * `aggregate` — per-configuration statistics

@@ -14,7 +14,9 @@ use serde::json::Value;
 use crate::aggregate::{ConfigSummary, SummaryStats};
 
 /// Renders the JSONL document: one JSON object per row, keys in the
-/// order of [`ConfigSummary`]'s fields.
+/// order of [`ConfigSummary`]'s fields. The `solver` and `kernel`
+/// fields are the constants `cg` and `csr`: the one solver and the one
+/// product, written so the format stays what earlier builds wrote.
 pub fn jsonl_string(rows: &[ConfigSummary]) -> String {
     rows.iter().map(|r| format!("{}\n", row_value(r))).collect()
 }
@@ -28,11 +30,11 @@ fn row_value(r: &ConfigSummary) -> Value {
         ("matrix", text(&r.matrix)),
         ("n", count(r.n)),
         ("scheme", text(&r.scheme)),
-        ("solver", text(&r.solver)),
+        ("solver", text("cg")),
         ("alpha", Value::Num(r.alpha)),
         ("s", count(r.s)),
         ("d", count(r.d)),
-        ("kernel", text(&r.kernel)),
+        ("kernel", text("csr")),
         ("reps", count(r.reps)),
         ("panics", count(r.panics)),
         ("time", stats_value(&r.time)),
@@ -66,21 +68,20 @@ mean_time,std_time,min_time,max_time,p50_time,p90_time,\
 mean_executed,mean_rollbacks,mean_corrections,mean_faults,\
 convergence_rate,max_true_residual";
 
-/// Renders the summary table as CSV with a header row.
+/// Renders the summary table as CSV with a header row; `solver` and
+/// `kernel` are the constants [`jsonl_string`] writes.
 pub fn csv_string(rows: &[ConfigSummary]) -> String {
     let mut out = format!("{CSV_HEADER}\n");
     for r in rows {
         out += &format!(
-            "{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{}\n",
+            "{},{},{},{},cg,{},{},{},csr,{},{},{},{},{},{},{},{},{},{},{},{},{},{}\n",
             csv_field(&r.campaign),
             csv_field(&r.matrix),
             r.n,
             csv_field(&r.scheme),
-            csv_field(&r.solver),
             r.alpha,
             r.s,
             r.d,
-            csv_field(&r.kernel),
             r.reps,
             r.panics,
             r.time.mean,
@@ -129,11 +130,9 @@ mod tests {
             matrix: "poisson2d:8".into(),
             n: 64,
             scheme: "ABFT-CORRECTION".into(),
-            solver: "cg".into(),
             alpha: 0.0625,
             s: 14,
             d: 1,
-            kernel: "csr".into(),
             reps: 4,
             panics: 0,
             time: SummaryStats::from_values(&[10.0, 11.0, 12.0, 13.0]),

@@ -1,7 +1,7 @@
 //! The declarative campaign specification.
 //!
 //! A [`CampaignSpec`] names a grid: matrix sources × schemes × fault
-//! rates α (× solvers), with a repetition count, one campaign seed, and
+//! rates α, with a repetition count, one campaign seed, and
 //! interval policy. Specs can be built programmatically or parsed from
 //! text: one `key = value` per line, `#` comments, lists
 //! comma-separated, each key at most once:
@@ -13,11 +13,9 @@
 //! matrices = poisson2d:16, random:300:0.02:1
 //! schemes  = online, detection, correction
 //! alphas   = 0, 1/32, 1/16
-//! solvers  = cg, pcg                 # optional solver axis
 //! ```
 
 use ftcg_model::Scheme;
-use ftcg_solvers::SolverKind;
 use ftcg_sparse::{gen, io, CsrMatrix};
 
 use crate::EngineError;
@@ -167,8 +165,6 @@ pub struct CampaignSpec {
     pub schemes: Vec<Scheme>,
     /// Fault-rate axis (expected faults per iteration).
     pub alphas: Vec<f64>,
-    /// Solver axis (default: CG only).
-    pub solvers: Vec<SolverKind>,
     /// Interval policy.
     pub interval: IntervalPolicy,
 }
@@ -184,7 +180,6 @@ impl Default for CampaignSpec {
             matrices: Vec::new(),
             schemes: vec![Scheme::AbftDetection, Scheme::AbftCorrection],
             alphas: vec![1.0 / 16.0],
-            solvers: vec![SolverKind::Cg],
             interval: IntervalPolicy::ModelOptimal,
         }
     }
@@ -221,18 +216,6 @@ pub fn parse_alpha(s: &str) -> Result<f64, EngineError> {
     }
     Ok(v)
 }
-
-/// Parses a solver name (`cg`, `pcg` | `pcg-jacobi`) for the campaign
-/// grid; a removed solver's name fails with a pointer
-/// ([`SolverKind::parse`]).
-pub fn parse_solver(s: &str) -> Result<SolverKind, EngineError> {
-    SolverKind::parse(s).map_err(EngineError::Spec)
-}
-
-/// Why the SpMV-backend axis (the `kernels` key, the CLI's `--kernel`
-/// and `--kernels`) is gone, phrased to follow "was removed in".
-pub const KERNELS_REMOVED: &str =
-    "the one-product change: the protected solve runs the defensive CSR traversal only";
 
 /// Parses an interval policy: `model` or `fixed:N`.
 pub fn parse_interval(s: &str) -> Result<IntervalPolicy, EngineError> {
@@ -312,16 +295,6 @@ impl CampaignSpec {
                     .map(parse_alpha)
                     .collect::<Result<_, _>>()?;
             }
-            "solvers" => {
-                self.solvers = split_list(value)
-                    .map(parse_solver)
-                    .collect::<Result<_, _>>()?;
-            }
-            "kernels" => {
-                return Err(EngineError::Spec(format!(
-                    "key `kernels` was removed in {KERNELS_REMOVED}"
-                )));
-            }
             "interval" => self.interval = parse_interval(value)?,
             // Retired, not unknown: the lockstep batch driver is gone
             // (repetitions always run one at a time), but checked-in
@@ -341,7 +314,6 @@ impl CampaignSpec {
         if self.matrices.is_empty()
             || self.schemes.is_empty()
             || self.alphas.is_empty()
-            || self.solvers.is_empty()
             || self.reps == 0
         {
             return Err(EngineError::EmptyGrid);
@@ -351,7 +323,7 @@ impl CampaignSpec {
 
     /// Number of configurations the grid expands to.
     pub fn n_configs(&self) -> usize {
-        self.matrices.len() * self.schemes.len() * self.alphas.len() * self.solvers.len()
+        self.matrices.len() * self.schemes.len() * self.alphas.len()
     }
 
     /// Total jobs (configurations × repetitions).
@@ -494,37 +466,6 @@ mod tests {
     }
 
     #[test]
-    fn removed_kernels_key_fails_loudly() {
-        match CampaignSpec::parse("matrices = poisson2d:8\nkernels = csr\n") {
-            Err(EngineError::Spec(msg)) => assert_eq!(
-                msg,
-                "key `kernels` was removed in the one-product change: \
-                 the protected solve runs the defensive CSR traversal only"
-            ),
-            other => panic!("expected Spec error, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn removed_solvers_fail_with_a_pointer() {
-        use ftcg_solvers::machine::SOLVERS_REMOVED;
-        for (text, name) in [
-            (
-                "matrices = poisson2d:8\nsolvers = cg, bicgstab\n",
-                "bicgstab",
-            ),
-            ("matrices = poisson2d:8\nsolvers = cgne\n", "cgne"),
-        ] {
-            match CampaignSpec::parse(text) {
-                Err(EngineError::Spec(msg)) => {
-                    assert_eq!(msg, format!("`{name}` was removed in {SOLVERS_REMOVED}"))
-                }
-                other => panic!("{text}: expected Spec error, got {other:?}"),
-            }
-        }
-    }
-
-    #[test]
     fn repeated_key_is_a_spec_error() {
         // Neither end wins: `schemes` given twice used to run the last
         // list only.
@@ -537,23 +478,6 @@ mod tests {
             }
             other => panic!("expected Spec error, got {other:?}"),
         }
-    }
-
-    #[test]
-    fn solver_axis_parses() {
-        let kv = CampaignSpec::parse("matrices = poisson2d:8\nsolvers = cg, pcg\n").unwrap();
-        assert_eq!(kv.solvers, SolverKind::ALL.to_vec());
-        // 1 matrix × 2 default schemes × 1 default alpha × 2 solvers.
-        assert_eq!(kv.n_configs(), 4);
-        // Default axis is CG only — old specs keep their grids.
-        let plain = CampaignSpec::parse("matrices = poisson2d:8\n").unwrap();
-        assert_eq!(plain.solvers, vec![SolverKind::Cg]);
-        // Unknown solvers are spec errors, empty lists an empty grid.
-        assert!(CampaignSpec::parse("matrices = poisson2d:8\nsolvers = gmres\n").is_err());
-        assert!(matches!(
-            CampaignSpec::parse("matrices = poisson2d:8\nsolvers = ,\n"),
-            Err(EngineError::EmptyGrid)
-        ));
     }
 
     #[test]
@@ -620,7 +544,18 @@ mod tests {
 
     #[test]
     fn rejects_unknown_key_and_bad_lines() {
-        assert!(CampaignSpec::parse("bogus = 1\nmatrices = poisson2d:4\n").is_err());
+        // Keys of removed axes are unknown like any other.
+        for (line, key) in [
+            ("bogus = 1", "bogus"),
+            ("kernels = csr", "kernels"),
+            ("solvers = cg", "solvers"),
+            ("solvers = bicgstab", "solvers"),
+        ] {
+            match CampaignSpec::parse(&format!("{line}\nmatrices = poisson2d:4\n")) {
+                Err(EngineError::Spec(msg)) => assert_eq!(msg, format!("unknown key `{key}`")),
+                other => panic!("{line}: expected Spec error, got {other:?}"),
+            }
+        }
         assert!(CampaignSpec::parse("no equals sign here\n").is_err());
         // A JSON object is not a spec: `{` is a malformed first line.
         match CampaignSpec::parse("{\n  \"matrices\": [\"poisson2d:8\"]\n}\n") {

@@ -28,8 +28,8 @@ pub enum FaultOutcome {
     /// every fault still pending when the solve ends this way, so the
     /// variant holds harmless faults (masked below the floating-point
     /// tolerance, or overwritten before they were read) and faults that
-    /// silently corrupted the result alike; telling them apart is the
-    /// fault-outcome oracle of ROADMAP.md, item 5.
+    /// silently corrupted the result alike; telling them apart needs a
+    /// fault-outcome oracle, which nothing here provides yet.
     Undetected,
 }
 

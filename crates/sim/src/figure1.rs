@@ -13,7 +13,6 @@ use std::sync::Arc;
 use ftcg_engine::{ConfigJob, InjectorSpec};
 use ftcg_model::{CostProfile, Scheme};
 use ftcg_solvers::resilient::ResilientConfig;
-use ftcg_solvers::SolverKind;
 use ftcg_sparse::CsrMatrix;
 
 use crate::matrices::MatrixSpec;
@@ -64,8 +63,6 @@ pub struct Figure1Params {
     pub mtbf_grid: Vec<f64>,
     /// Worker threads.
     pub threads: usize,
-    /// Solver iterating under the protocol (the paper plots CG).
-    pub solver: SolverKind,
     /// Log directories of the (matrix, scheme) curve campaigns
     /// (`figure1-<id>-<scheme>.*`).
     pub dirs: ArtifactDirs,
@@ -78,7 +75,6 @@ impl Default for Figure1Params {
             reps: 50,
             mtbf_grid: log_grid(2e1, 2e4, 7),
             threads: 4,
-            solver: SolverKind::Cg,
             dirs: ArtifactDirs::default(),
         }
     }
@@ -113,13 +109,11 @@ pub(crate) fn curve_campaign(
         .iter()
         .map(|&mtbf| {
             let alpha = 1.0 / mtbf;
-            let mut cfg = ResilientConfig::model_optimal(scheme, alpha, costs);
-            cfg.solver = params.solver;
             ConfigJob::new(
                 format!("paper:{}", spec.id),
                 Arc::clone(a),
                 Arc::clone(&b),
-                cfg,
+                ResilientConfig::model_optimal(scheme, alpha, costs),
                 alpha,
                 InjectorSpec::Paper,
             )

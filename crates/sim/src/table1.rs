@@ -16,7 +16,6 @@ use std::sync::Arc;
 use ftcg_engine::{ConfigJob, InjectorSpec};
 use ftcg_model::{CostProfile, Scheme};
 use ftcg_solvers::resilient::ResilientConfig;
-use ftcg_solvers::SolverKind;
 use ftcg_sparse::CsrMatrix;
 
 use crate::matrices::MatrixSpec;
@@ -58,9 +57,6 @@ pub struct Table1Params {
     pub sweep: &'static [usize],
     /// Worker threads for the repetition runner.
     pub threads: usize,
-    /// Solver iterating under the protocol (experiment dimension; the
-    /// paper's tables use CG).
-    pub solver: SolverKind,
     /// Log directories of the (matrix, scheme) interval-sweep campaigns
     /// (`table1-<id>-<scheme>.*`).
     pub dirs: ArtifactDirs,
@@ -74,7 +70,6 @@ impl Default for Table1Params {
             alpha: 1.0 / 16.0,
             sweep: &[1, 2, 3, 4, 5, 6, 8, 10, 12, 14, 16, 20, 25, 30, 40],
             threads: 4,
-            solver: SolverKind::Cg,
             dirs: ArtifactDirs::default(),
         }
     }
@@ -89,8 +84,7 @@ pub(crate) fn entry_campaign(
     params: &Table1Params,
 ) -> Vec<ConfigJob> {
     let costs = CostProfile::PAPER_LIKE.for_scheme(scheme);
-    let mut model = ResilientConfig::model_optimal(scheme, params.alpha, costs);
-    model.solver = params.solver;
+    let model = ResilientConfig::model_optimal(scheme, params.alpha, costs);
     let s_model = model.checkpoint_interval;
     let b = Arc::new(spec.rhs(a.n_rows()));
     let mut intervals = vec![s_model];

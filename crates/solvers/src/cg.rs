@@ -1,18 +1,18 @@
 //! The Conjugate Gradient method (Algorithm 1 of the paper).
 //!
-//! The algorithm lives in the steppable [`CgMachine`]
-//! ([`IterativeSolver`]); [`cg_solve`] is a thin wrapper driving the
+//! The algorithm lives in the steppable [`CgMachine`] (see
+//! [`crate::machine`]); [`cg_solve`] is a thin wrapper driving the
 //! machine with the serial CSR product — it computes exactly the sums
 //! the historical inlined loop computed, bit for bit.
 
 use ftcg_checkpoint::SolverState;
 use ftcg_sparse::{fused, vector, CsrMatrix};
 
-use crate::machine::{CanonVec, IterativeSolver, PlainContext, StepContext, StepResult};
+use crate::machine::{PlainContext, StepContext, StepResult};
 use crate::stopping::StoppingCriterion;
 use crate::verify::{verify_online, OnlineTolerances, OnlineVerdict};
 
-/// Configuration shared by the plain solvers.
+/// Configuration of the plain solve.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CgConfig {
     /// Convergence criterion.
@@ -45,19 +45,28 @@ pub struct SolveStats {
 
 /// The CG recurrence as a steppable state machine (see
 /// [`crate::machine`]).
-#[derive(Debug, Clone)]
-pub(crate) struct CgMachine {
+///
+/// Its four vectors — the iterate `x`, the recursive residual `r`, the
+/// search direction `p` (input of the step's product) and the product
+/// `q = A·p` — are what the paper's fault model strikes besides the
+/// matrix arrays; the resilient executor flips their bits in place.
+/// [`CgMachine::snapshot_into`] / [`restore`](CgMachine::restore)
+/// round-trip `x`, `r`, `p` and `‖r‖₂²` through
+/// [`SolverState`], so resuming at a chunk boundary reproduces the
+/// uninterrupted trajectory bit for bit.
+#[derive(Debug, Clone, Default)]
+pub struct CgMachine {
     b: Vec<f64>,
-    x: Vec<f64>,
-    r: Vec<f64>,
-    p: Vec<f64>,
-    q: Vec<f64>,
+    pub(crate) x: Vec<f64>,
+    pub(crate) r: Vec<f64>,
+    pub(crate) p: Vec<f64>,
+    pub(crate) q: Vec<f64>,
     rnorm_sq: f64,
 }
 
 impl CgMachine {
     /// Starts from an arbitrary `x0`, computing `r₀ = b − A·x₀` through
-    /// `ctx` (the wrappers' path — today's exact FP operations).
+    /// `ctx` (the wrapper's path — today's exact FP operations).
     pub(crate) fn start(b: &[f64], x0: &[f64], ctx: &mut dyn StepContext) -> Self {
         let n = b.len();
         let mut x = x0.to_vec();
@@ -80,33 +89,45 @@ impl CgMachine {
 
     /// Starts from `x₀ = 0` with `r₀ = b` taken verbatim (the resilient
     /// drivers' historical initialization — no initial product).
-    pub(crate) fn start_zero(b: &[f64]) -> Self {
-        let n = b.len();
-        CgMachine {
-            b: b.to_vec(),
-            x: vec![0.0; n],
-            r: b.to_vec(),
-            p: b.to_vec(),
-            q: vec![0.0; n],
-            rnorm_sq: vector::norm2_sq(b),
+    pub fn start_zero(b: &[f64]) -> Self {
+        let mut m = CgMachine::default();
+        m.reset_zero(b);
+        m
+    }
+
+    /// Re-initializes the machine for a fresh zero-start solve of
+    /// `b`, resized in place to `b.len()`: afterwards every field is
+    /// bit-identical to [`CgMachine::start_zero`]'s, and a machine that
+    /// has held a system at least this large allocates nothing.
+    /// [`SolverWorkspace`](crate::SolverWorkspace) calls this at every
+    /// checkout.
+    pub(crate) fn reset_zero(&mut self, b: &[f64]) {
+        for v in [&mut self.b, &mut self.r, &mut self.p] {
+            v.clear();
+            v.extend_from_slice(b);
         }
-    }
-}
-
-impl IterativeSolver for CgMachine {
-    fn name(&self) -> &'static str {
-        "cg"
-    }
-
-    fn n(&self) -> usize {
-        self.x.len()
+        for v in [&mut self.x, &mut self.q] {
+            v.clear();
+            v.resize(b.len(), 0.0);
+        }
+        self.rnorm_sq = vector::norm2_sq(b);
     }
 
-    fn residual_norm(&self) -> f64 {
+    /// The iterate, residual, direction and product vectors
+    /// `[x, r, p, q]`.
+    pub fn vectors(&self) -> [&[f64]; 4] {
+        [&self.x, &self.r, &self.p, &self.q]
+    }
+
+    /// The recursive residual norm driving the stopping test — exactly
+    /// the quantity the historical loop compared against the threshold.
+    pub fn residual_norm(&self) -> f64 {
         self.rnorm_sq.sqrt()
     }
 
-    fn step(&mut self, ctx: &mut dyn StepContext) -> StepResult {
+    /// Advances one iteration. Its one sparse product, `q ← A·p`, is
+    /// the first thing it does, routed through `ctx`.
+    pub fn step(&mut self, ctx: &mut dyn StepContext) -> StepResult {
         let n = self.x.len();
         if ctx.product(&mut self.p, &mut self.q).rejected() {
             return StepResult::Rejected;
@@ -131,46 +152,34 @@ impl IterativeSolver for CgMachine {
         StepResult::Done
     }
 
-    fn vector(&self, which: CanonVec) -> &[f64] {
-        match which {
-            CanonVec::Direction => &self.p,
-            CanonVec::Product => &self.q,
-            CanonVec::Residual => &self.r,
-            CanonVec::Iterate => &self.x,
-        }
-    }
-
-    fn vector_mut(&mut self, which: CanonVec) -> &mut [f64] {
-        match which {
-            CanonVec::Direction => &mut self.p,
-            CanonVec::Product => &mut self.q,
-            CanonVec::Residual => &mut self.r,
-            CanonVec::Iterate => &mut self.x,
-        }
-    }
-
-    fn snapshot_into(&self, iteration: usize, into: &mut SolverState) {
+    /// Captures `x`, `r`, `p` and `‖r‖₂²` at a verified chunk boundary
+    /// *into a retained buffer*: pure `copy_from_slice` into `into`'s
+    /// existing allocations (zero heap traffic once the buffer has seen
+    /// this problem size). Vectors only: `into`'s matrix is left alone
+    /// — the matrix of a checkpoint is the caller's reliable input. The
+    /// resilient executor checkpoints through this into a
+    /// [`ftcg_checkpoint::SnapshotSlot`].
+    pub fn snapshot_into(&self, iteration: usize, into: &mut SolverState) {
         into.store_vectors(iteration, &self.x, &self.r, &self.p, self.rnorm_sq);
     }
 
-    fn reset_zero(&mut self, _a0: &CsrMatrix, b: &[f64]) {
-        assert_eq!(b.len(), self.x.len(), "cg reset: b length mismatch");
-        self.b.copy_from_slice(b);
-        self.x.fill(0.0);
-        self.r.copy_from_slice(b);
-        self.p.copy_from_slice(b);
-        self.q.fill(0.0);
-        self.rnorm_sq = vector::norm2_sq(b);
-    }
-
-    fn restore(&mut self, st: &SolverState, _a: &CsrMatrix) {
+    /// Restores a snapshot taken by [`CgMachine::snapshot_into`]
+    /// (bit-identical at chunk boundaries).
+    pub fn restore(&mut self, st: &SolverState) {
         self.x.copy_from_slice(&st.x);
         self.r.copy_from_slice(&st.r);
         self.p.copy_from_slice(&st.p);
         self.rnorm_sq = st.rnorm_sq;
     }
 
-    fn verify_state(&self, a: &CsrMatrix, norm1_a: f64, tol: &OnlineTolerances) -> OnlineVerdict {
+    /// The ONLINE-DETECTION stability verification: Chen's two tests
+    /// (A-conjugacy of successive directions + recomputed residual).
+    pub(crate) fn verify_state(
+        &self,
+        a: &CsrMatrix,
+        norm1_a: f64,
+        tol: &OnlineTolerances,
+    ) -> OnlineVerdict {
         verify_online(a, &self.b, &self.x, &self.r, &self.p, &self.q, norm1_a, tol)
     }
 }

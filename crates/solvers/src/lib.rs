@@ -9,15 +9,14 @@
         clippy::unimplemented
     )
 )]
-//! Iterative solvers with pluggable silent-error resilience.
+//! The paper's Conjugate Gradient with pluggable silent-error
+//! resilience.
 //!
-//! Two solvers, each a steppable state machine
-//! ([`machine::IterativeSolver`]): `cg`, the paper's Algorithm 1, and
-//! [`pcg`], Jacobi-preconditioned CG (the authors' follow-up carries the
-//! same backward/forward recovery to PCG). The plain `*_solve` entry
-//! points are thin wrappers that drive the machine bit-for-bit
-//! identically to the historical monolithic loops. The [`resilient`]
-//! module runs either machine under each of the paper's three schemes
+//! One solver: CG, the paper's Algorithm 1, as a steppable state
+//! machine ([`CgMachine`], see [`machine`]). The plain [`cg_solve`]
+//! entry point is a thin wrapper that drives the machine bit-for-bit
+//! identically to the historical monolithic loop. The [`resilient`]
+//! module runs the machine under each of the paper's three schemes
 //! through one executor:
 //!
 //! * **ONLINE-DETECTION** — Chen's periodic stability tests
@@ -31,7 +30,7 @@
 //!
 //! Repetition loops (Monte-Carlo campaigns) should hold a
 //! [`SolverWorkspace`] and call [`resilient::solve_resilient_in`]: all
-//! solve-scoped memory — machines, matrix images, checkpoints, ABFT
+//! solve-scoped memory — the machine, the matrix image, checkpoints, ABFT
 //! shadows — is then retained and reset in place across repetitions,
 //! bit-identically to fresh allocation and with zero steady-state heap
 //! traffic (see `workspace`).
@@ -40,15 +39,12 @@
 
 mod cg;
 pub mod machine;
-pub mod pcg;
 pub mod resilient;
 mod stopping;
 mod verify;
 mod workspace;
 
-pub use cg::{cg_solve, CgConfig, SolveStats};
-pub use machine::{CanonVec, SolverKind};
-pub use pcg::pcg_jacobi_solve;
+pub use cg::{cg_solve, CgConfig, CgMachine, SolveStats};
 pub use resilient::{ResilientConfigError, ResilientOutcome};
 pub use stopping::StoppingCriterion;
 pub use workspace::SolverWorkspace;

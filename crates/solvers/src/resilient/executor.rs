@@ -1,23 +1,21 @@
 //! The resilient executor.
 //!
-//! One loop implements the paper's protocol for either
-//! [`IterativeSolver`] (CG or PCG) under each of the three schemes,
-//! which it reads from one [`Protection`] value and matches only where
-//! they differ (see [`super::scheme`]): work
-//! proceeds in chunks ending with a verification; after `s` verified
+//! One loop implements the paper's protocol for the [`CgMachine`]
+//! under each of the three schemes, which it reads from one
+//! [`Protection`] value and matches only where they differ (see
+//! [`super::scheme`]): work proceeds in chunks ending with a verification; after `s` verified
 //! chunks a checkpoint is taken (so the last checkpoint is always
 //! valid — claim C1); any detection rolls back to the last checkpoint
 //! (or, when the escalation guard flags a tainted checkpoint, to the
-//! pristine initial data). For CG this reproduces the historical
-//! per-scheme drivers operation for operation; for PCG it is what makes
-//! the resilient variant exist at all.
+//! pristine initial data). It reproduces the historical per-scheme
+//! drivers operation for operation.
 //!
 //! Per iteration:
 //!
 //! 1. this iteration's faults strike the unreliable region — the matrix
-//!    arrays and the canonical vectors (under the ABFT schemes `r`/`x`
-//!    replicas are TMR-held and product-output faults are deferred onto
-//!    the verified product's output);
+//!    arrays and the machine's vectors `p`, `q`, `r`, `x` (under the
+//!    ABFT schemes `r`/`x` replicas are TMR-held and product-output
+//!    faults are deferred onto the verified product's output);
 //! 2. the solver steps once; its one product, the step's first act,
 //!    runs *defensively* against the live matrix image and is checked
 //!    by the scheme ([`Protection::check_product`] — checksum tests,
@@ -32,7 +30,7 @@
 //!
 //! ## Memory discipline
 //!
-//! The executor owns **no** solve-scoped heap state: the solver machine,
+//! The executor owns **no** solve-scoped heap state: the CG machine,
 //! the corruptible matrix image and the retained buffers (checkpoint
 //! slot, start vectors, TMR shadows, trusted input copies, the
 //! deferred-fault list) all come from the caller's
@@ -41,7 +39,7 @@
 //! never legitimately changes, so the matrix of every checkpoint is
 //! `a0` itself — the reliable input, never a fault target — and a
 //! checkpoint copies only the iteration vectors, O(n)
-//! ([`IterativeSolver::snapshot_into`] into the
+//! ([`CgMachine::snapshot_into`] into the
 //! [`SnapshotSlot`](ftcg_checkpoint::SnapshotSlot)). Every rollback
 //! restores the image in place from `a0` ([`CsrMatrix::copy_image_from`];
 //! fault injection flips bits, it never changes array lengths), so a
@@ -61,8 +59,9 @@ use ftcg_telemetry::{Event, Phase, Recorder};
 
 use super::scheme::{ProductCheck, Protection};
 use super::{true_residual, EscalationGuard, ResilientConfig, ResilientOutcome, RunStats};
-use crate::machine::{CanonVec, IterativeSolver, ProductStatus, StepContext, StepResult};
+use crate::machine::{ProductStatus, StepContext, StepResult};
 use crate::workspace::ExecArena;
+use crate::CgMachine;
 
 /// Flips one bit of a value in place.
 #[inline]
@@ -186,7 +185,7 @@ struct ExecutorMachine<'a, R: Recorder> {
     cfg: &'a ResilientConfig,
     injector: Option<&'a mut Injector>,
     protection: Protection,
-    solver: &'a mut dyn IterativeSolver,
+    solver: &'a mut CgMachine,
     /// The live (corruptible) matrix image.
     a: &'a mut CsrMatrix,
     arena: &'a mut ExecArena,
@@ -228,7 +227,7 @@ impl<'a, R: Recorder> ExecutorMachine<'a, R> {
         b: &'a [f64],
         cfg: &'a ResilientConfig,
         injector: Option<&'a mut Injector>,
-        solver: &'a mut dyn IterativeSolver,
+        solver: &'a mut CgMachine,
         image: &'a mut CsrMatrix,
         arena: &'a mut ExecArena,
         order: &'a RowOrder,
@@ -247,8 +246,8 @@ impl<'a, R: Recorder> ExecutorMachine<'a, R> {
         // outvoted flip never reaches the trajectory, exactly like the
         // historical triplicated updates.
         if hardened {
-            arena.r_tmr.store(solver.vector(CanonVec::Residual));
-            arena.x_tmr.store(solver.vector(CanonVec::Iterate));
+            arena.r_tmr.store(&solver.r);
+            arena.x_tmr.store(&solver.x);
         }
 
         // No checkpoint yet (the slot may hold a previous solve's).
@@ -258,7 +257,7 @@ impl<'a, R: Recorder> ExecutorMachine<'a, R> {
         solver.snapshot_into(0, &mut arena.initial);
 
         if hardened {
-            arena.xref.store(solver.vector(CanonVec::Direction));
+            arena.xref.store(&solver.p);
         }
         let converged = solver.residual_norm() <= threshold;
         ExecutorMachine {
@@ -319,19 +318,13 @@ impl<'a, R: Recorder> ExecutorMachine<'a, R> {
         for e in &events {
             match e.target {
                 FaultTarget::Vector(VectorId::P) => {
-                    flip(
-                        &mut self.solver.vector_mut(CanonVec::Direction)[e.offset],
-                        e.bit,
-                    );
+                    flip(&mut self.solver.p[e.offset], e.bit);
                 }
                 FaultTarget::Vector(VectorId::Q) => {
                     if self.hardened {
                         self.arena.q_faults.push(*e); // deferred onto the product
                     } else {
-                        flip(
-                            &mut self.solver.vector_mut(CanonVec::Product)[e.offset],
-                            e.bit,
-                        );
+                        flip(&mut self.solver.q[e.offset], e.bit);
                     }
                 }
                 FaultTarget::Vector(VectorId::R) => {
@@ -340,10 +333,7 @@ impl<'a, R: Recorder> ExecutorMachine<'a, R> {
                         self.replica_rot += 1;
                         flip(&mut self.arena.r_tmr.replica_mut(rep)[e.offset], e.bit);
                     } else {
-                        flip(
-                            &mut self.solver.vector_mut(CanonVec::Residual)[e.offset],
-                            e.bit,
-                        );
+                        flip(&mut self.solver.r[e.offset], e.bit);
                     }
                 }
                 FaultTarget::Vector(VectorId::X) => {
@@ -352,10 +342,7 @@ impl<'a, R: Recorder> ExecutorMachine<'a, R> {
                         self.replica_rot += 1;
                         flip(&mut self.arena.x_tmr.replica_mut(rep)[e.offset], e.bit);
                     } else {
-                        flip(
-                            &mut self.solver.vector_mut(CanonVec::Iterate)[e.offset],
-                            e.bit,
-                        );
+                        flip(&mut self.solver.x[e.offset], e.bit);
                     }
                 }
                 _ => {
@@ -438,12 +425,8 @@ impl<'a, R: Recorder> ExecutorMachine<'a, R> {
             }
             // Replicas follow the verified update (identical bits to
             // applying the update to each voted replica).
-            self.arena
-                .r_tmr
-                .store(self.solver.vector(CanonVec::Residual));
-            self.arena
-                .x_tmr
-                .store(self.solver.vector(CanonVec::Iterate));
+            self.arena.r_tmr.store(&self.solver.r);
+            self.arena.x_tmr.store(&self.solver.x);
         }
 
         self.productive += 1;
@@ -457,9 +440,9 @@ impl<'a, R: Recorder> ExecutorMachine<'a, R> {
             self.time += chunk_cost;
             self.stats.chunk_checks += 1;
             let t_verify = self.rec.start();
-            let chunk_ok =
-                self.protection
-                    .verify_chunk(self.a, &*self.solver, &self.cfg.online_tol);
+            let chunk_ok = self
+                .protection
+                .verify_chunk(self.a, self.solver, &self.cfg.online_tol);
             self.rec.phase(Phase::ChunkVerify, t_verify);
             // Priced verifications (ONLINE) always leave a trace event;
             // the ABFT schemes' free per-iteration no-op checks only do
@@ -504,9 +487,7 @@ impl<'a, R: Recorder> ExecutorMachine<'a, R> {
             }
         }
         if self.hardened {
-            self.arena
-                .xref
-                .store(self.solver.vector(CanonVec::Direction));
+            self.arena.xref.store(&self.solver.p);
         }
     }
 
@@ -533,23 +514,17 @@ impl<'a, R: Recorder> ExecutorMachine<'a, R> {
         }
         debug_assert!(*self.a == *self.a0);
         self.structure_dirty = false;
-        self.solver.restore(st, self.a);
+        self.solver.restore(st);
         if self.hardened {
-            self.arena
-                .r_tmr
-                .store(self.solver.vector(CanonVec::Residual));
-            self.arena
-                .x_tmr
-                .store(self.solver.vector(CanonVec::Iterate));
+            self.arena.r_tmr.store(&self.solver.r);
+            self.arena.x_tmr.store(&self.solver.x);
         }
         self.productive = st.iteration;
         self.iters_in_chunk = 0;
         self.chunks_since_ckpt = 0;
         self.ledger.resolve_all_pending(FaultOutcome::RolledBack);
         if self.hardened {
-            self.arena
-                .xref
-                .store(self.solver.vector(CanonVec::Direction));
+            self.arena.xref.store(&self.solver.p);
         }
         self.rec.phase(Phase::Rollback, t_rb);
         self.rec.event(Event::rollback(
@@ -574,7 +549,7 @@ impl<'a, R: Recorder> ExecutorMachine<'a, R> {
         } = self;
         // Whatever is still pending was never detected.
         ledger.resolve_all_pending(FaultOutcome::Undetected);
-        let xv = solver.vector(CanonVec::Iterate).to_vec();
+        let xv = solver.x.clone();
         let tr = true_residual(a0, b, &xv);
         ResilientOutcome {
             converged,
@@ -595,9 +570,9 @@ impl<'a, R: Recorder> ExecutorMachine<'a, R> {
     }
 }
 
-/// Runs the protocol for `cfg.scheme` over one solver.
+/// Runs the protocol for `cfg.scheme` over the machine.
 ///
-/// `solver` must be in the zero-start state over `(a0, b)`, `image`
+/// `solver` must be in the zero-start state of `b`, `image`
 /// must hold a bit-exact copy of `a0` (the corruptible working image),
 /// `arena` provides the retained buffers and `order` the row visit
 /// order of `a0` — all four come from
@@ -611,7 +586,7 @@ pub(super) fn run_executor<R: Recorder>(
     b: &[f64],
     cfg: &ResilientConfig,
     injector: Option<&mut Injector>,
-    solver: &mut dyn IterativeSolver,
+    solver: &mut CgMachine,
     image: &mut CsrMatrix,
     arena: &mut ExecArena,
     order: &RowOrder,

@@ -1,5 +1,5 @@
-//! Resilient solves: one executor over steppable solver state machines,
-//! for each of the paper's three schemes.
+//! Resilient solves: one executor over the steppable CG machine, for
+//! each of the paper's three schemes.
 //!
 //! The paper's protocol (Section 4) is solver-agnostic: work proceeds
 //! in *chunks* ending with a verification; after `s` verified chunks a
@@ -21,10 +21,9 @@
 //!   stability tests for ONLINE-DETECTION only), how many iterations a
 //!   chunk holds, whether `r`/`x` are hardened under TMR, and what
 //!   verification costs;
-//! * the solver axis is an [`IterativeSolver`](crate::machine) state
-//!   machine — CG and PCG both compose with every scheme × checkpoint
-//!   policy ([`ResilientConfig::solver`] picks one). Each runs one
-//!   forward product per iteration, the first act of its step.
+//! * the solver is the [`CgMachine`](crate::CgMachine), stepped one
+//!   iteration at a time; each step runs one forward product, its
+//!   first act.
 //!
 //! Every forward product is the one defensive CSR traversal
 //! ([`CsrMatrix::spmv_clamped_probe_ordered_into`]) over the live image:
@@ -47,7 +46,6 @@ use ftcg_model::{CostProfile, Scheme};
 use ftcg_sparse::{vector, CsrMatrix};
 use ftcg_telemetry::{NoopRecorder, Recorder};
 
-use crate::machine::SolverKind;
 use crate::stopping::StoppingCriterion;
 use crate::verify::OnlineTolerances;
 use crate::workspace::SolverWorkspace;
@@ -82,8 +80,6 @@ impl std::error::Error for ResilientConfigError {}
 pub struct ResilientConfig {
     /// Which scheme drives verification/recovery.
     pub scheme: Scheme,
-    /// Which solver iterates under the protocol.
-    pub solver: SolverKind,
     /// Chunks per frame (`s`): checkpoint every `s` verified chunks.
     pub checkpoint_interval: usize,
     /// Iterations per chunk (`d`): ONLINE-DETECTION verifies every `d`
@@ -132,7 +128,6 @@ impl ResilientConfig {
         }
         Ok(Self {
             scheme,
-            solver: SolverKind::Cg,
             checkpoint_interval,
             verif_interval: 1,
             costs: CostProfile::DEFAULT.for_scheme(scheme),
@@ -221,8 +216,8 @@ pub(crate) struct RunStats {
     pub(crate) chunk_checks: usize,
 }
 
-/// Solves `Ax = b` (zero initial guess) under the configured resilience
-/// scheme and solver, optionally with fault injection. Without an
+/// Solves `Ax = b` by CG (zero initial guess) under the configured
+/// resilience scheme, optionally with fault injection. Without an
 /// injector the run is fault-free (useful to measure pure overheads).
 ///
 /// Allocates a fresh [`SolverWorkspace`] per call; repetition loops
@@ -238,7 +233,7 @@ pub fn solve_resilient(
     solve_resilient_in(a, b, cfg, injector, &mut ws)
 }
 
-/// [`solve_resilient`] drawing every solve-scoped buffer — the solver
+/// [`solve_resilient`] drawing every solve-scoped buffer — the CG
 /// machine, the corruptible matrix image, the checkpoint slot, the TMR
 /// shadows — from a caller-retained [`SolverWorkspace`]. Reusing one
 /// workspace across repetitions produces bit-identical
@@ -283,7 +278,7 @@ pub fn solve_resilient_recorded<R: Recorder>(
     if let Err(e) = cfg.validate() {
         panic!("resilient solve: {e}");
     }
-    let (solver, image, arena, order) = ws.checkout(cfg.solver, a, b);
+    let (solver, image, arena, order) = ws.checkout(a, b);
     executor::run_executor(a, b, cfg, injector, solver, image, arena, order, rec)
 }
 
@@ -372,11 +367,5 @@ mod tests {
             cfg.validate(),
             Err(ResilientConfigError::ZeroCheckpointInterval)
         );
-    }
-
-    #[test]
-    fn default_solver_is_cg() {
-        let cfg = ResilientConfig::new(Scheme::AbftCorrection, 10);
-        assert_eq!(cfg.solver, SolverKind::Cg);
     }
 }

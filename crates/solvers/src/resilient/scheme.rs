@@ -21,8 +21,8 @@ use ftcg_checkpoint::ResilienceCosts;
 use ftcg_model::Scheme;
 use ftcg_sparse::CsrMatrix;
 
-use crate::machine::IterativeSolver;
 use crate::verify::OnlineTolerances;
+use crate::CgMachine;
 
 /// Outcome of verifying one forward product.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -162,7 +162,7 @@ impl Protection {
     pub(crate) fn verify_chunk(
         &self,
         a: &CsrMatrix,
-        solver: &dyn IterativeSolver,
+        solver: &CgMachine,
         tol: &OnlineTolerances,
     ) -> bool {
         match self {

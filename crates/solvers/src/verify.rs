@@ -16,7 +16,7 @@ use ftcg_sparse::{vector, CsrMatrix};
 
 /// Thresholds for the two stability tests.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct OnlineTolerances {
+pub(crate) struct OnlineTolerances {
     /// Bound on `|pᵀq|/(‖p‖‖q‖)` (A-conjugacy drift).
     pub(crate) orthogonality: f64,
     /// Bound on `‖(b − Ax) − r‖ / (‖A‖₁‖x‖∞ + ‖b‖∞)` (residual drift).
@@ -34,7 +34,7 @@ impl Default for OnlineTolerances {
 
 /// Result of one online verification.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct OnlineVerdict {
+pub(crate) struct OnlineVerdict {
     /// Measured orthogonality ratio.
     pub(crate) orthogonality: f64,
     /// Measured scaled residual drift.

@@ -1,15 +1,14 @@
 //! Per-worker reusable solve memory: the [`SolverWorkspace`].
 //!
 //! A Monte-Carlo campaign executes the *same shapes* of work thousands
-//! of times: one solver machine per (solver, n), one corruptible matrix
-//! image, one checkpoint slot, one TMR shadow pair, one trusted input
-//! copy. Allocating those per repetition is pure allocator traffic on
-//! the hot path; a `SolverWorkspace` retains them across repetitions
-//! and re-initializes them in place:
+//! of times: one CG machine, one corruptible matrix image, one
+//! checkpoint slot, one TMR shadow pair, one trusted input copy.
+//! Allocating those per repetition is pure allocator traffic on the hot
+//! path; a `SolverWorkspace` retains them across repetitions and
+//! re-initializes them in place:
 //!
-//! * solver machines are cached per `(SolverKind, n)` and reset through
-//!   [`IterativeSolver::reset_zero`] — bit-identical to a fresh
-//!   [`SolverKind::start_zero`];
+//! * the one [`CgMachine`] is reset and resized in place — bit-identical
+//!   to a fresh [`CgMachine::start_zero`];
 //! * the one corruptible matrix image is reshaped to the caller's
 //!   matrix by [`CsrMatrix::assign_from`] — a copy into warm memory,
 //!   not a clone — and the defensive product's row visit order is
@@ -42,9 +41,9 @@
 //! matrix seen, not the number of distinct ones: **one matrix image**
 //! (the live, corruptible one) **plus O(n) vectors** (the arena's —
 //! the double-buffered checkpoint and the start vectors among them —
-//! and one machine per `(solver, n)`). The matrix every rollback
-//! restores is the caller's own immutable `a0`, so no second image
-//! exists; buffers grow to exactly the size asked for
+//! and the machine's). The matrix every rollback restores is the
+//! caller's own immutable `a0`, so no second image exists; buffers
+//! grow to exactly the size asked for
 //! ([`SolverWorkspace::retained_image_bytes`] reports the total). Drop
 //! the workspace — or scope one per campaign, as the engine pool does —
 //! to release everything.
@@ -55,7 +54,7 @@ use ftcg_checkpoint::{SnapshotSlot, SolverState};
 use ftcg_fault::FaultEvent;
 use ftcg_sparse::{CsrMatrix, RowOrder};
 
-use crate::machine::{IterativeSolver, SolverKind};
+use crate::CgMachine;
 
 /// Retained executor-side buffers: the start vectors, the rolling
 /// checkpoint slot, the trusted copy of the product input, the TMR
@@ -83,7 +82,7 @@ pub(crate) struct ExecArena {
 /// [`solve_resilient_in`](crate::resilient::solve_resilient_in) for
 /// every repetition it executes.
 pub struct SolverWorkspace {
-    machines: Vec<((SolverKind, usize), Box<dyn IterativeSolver>)>,
+    machine: CgMachine,
     image: CsrMatrix,
     /// Row visit order of the defensive product, rebuilt from the
     /// caller's pristine matrix at every checkout (reliable metadata,
@@ -101,16 +100,9 @@ impl Default for SolverWorkspace {
 impl std::fmt::Debug for SolverWorkspace {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("SolverWorkspace")
-            .field(
-                "machines",
-                &self
-                    .machines
-                    .iter()
-                    .map(|((k, n), _)| (*k, *n))
-                    .collect::<Vec<_>>(),
-            )
+            .field("n", &self.machine.x.len())
             .field("retained_image_bytes", &self.retained_image_bytes())
-            .finish()
+            .finish_non_exhaustive()
     }
 }
 
@@ -118,7 +110,7 @@ impl SolverWorkspace {
     /// An empty workspace; buffers grow as larger shapes are seen.
     pub fn new() -> Self {
         SolverWorkspace {
-            machines: Vec::new(),
+            machine: CgMachine::default(),
             image: CsrMatrix::default(),
             order: RowOrder::new(),
             arena: ExecArena {
@@ -130,11 +122,6 @@ impl SolverWorkspace {
                 q_faults: Vec::new(),
             },
         }
-    }
-
-    /// Number of retained solver machines (distinct `(solver, n)`).
-    pub fn retained_machines(&self) -> usize {
-        self.machines.len()
     }
 
     /// Bytes of matrix storage kept reserved between solves: the live
@@ -153,37 +140,21 @@ impl SolverWorkspace {
         self.order.capacity_bytes()
     }
 
-    /// Checks out everything one resilient solve needs: a machine reset
-    /// to the zero-start state over `(a0, b)` (bit-identical to a fresh
-    /// [`SolverKind::start_zero`]), the corruptible image holding a
+    /// Checks out everything one resilient solve needs: the machine
+    /// reset to the zero-start state of `b` (bit-identical to a fresh
+    /// [`CgMachine::start_zero`]), the corruptible image holding a
     /// bit-exact copy of `a0`, the retained executor arena, and the row
     /// visit order of `a0`.
     pub(crate) fn checkout(
         &mut self,
-        kind: SolverKind,
         a0: &CsrMatrix,
         b: &[f64],
-    ) -> (
-        &mut dyn IterativeSolver,
-        &mut CsrMatrix,
-        &mut ExecArena,
-        &RowOrder,
-    ) {
-        let mkey = (kind, a0.n_rows());
-        let mi = match self.machines.iter().position(|(k, _)| *k == mkey) {
-            Some(i) => {
-                self.machines[i].1.reset_zero(a0, b);
-                i
-            }
-            None => {
-                self.machines.push((mkey, kind.start_zero(a0, b)));
-                self.machines.len() - 1
-            }
-        };
+    ) -> (&mut CgMachine, &mut CsrMatrix, &mut ExecArena, &RowOrder) {
+        self.machine.reset_zero(b);
         self.image.assign_from(a0);
         self.order.rebuild(a0);
         (
-            self.machines[mi].1.as_mut(),
+            &mut self.machine,
             &mut self.image,
             &mut self.arena,
             &self.order,
@@ -194,7 +165,6 @@ impl SolverWorkspace {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::machine::CanonVec;
     use ftcg_sparse::gen;
 
     #[test]
@@ -203,53 +173,46 @@ mod tests {
         let b: Vec<f64> = (0..40).map(|i| 1.0 + (i as f64 * 0.3).sin()).collect();
         let b2: Vec<f64> = (0..40).map(|i| (i as f64 * 0.7).cos()).collect();
         let mut ws = SolverWorkspace::new();
-        for kind in SolverKind::ALL {
-            // Dirty the retained machine with a different rhs first.
-            ws.checkout(kind, &a, &b2);
-            let (m, image, _, _) = ws.checkout(kind, &a, &b);
-            let fresh = kind.start_zero(&a, &b);
-            for which in [
-                CanonVec::Iterate,
-                CanonVec::Residual,
-                CanonVec::Direction,
-                CanonVec::Product,
-            ] {
-                let got = m.vector(which);
-                let want = fresh.vector(which);
-                assert_eq!(got.len(), want.len());
-                for i in 0..got.len() {
-                    assert_eq!(
-                        got[i].to_bits(),
-                        want[i].to_bits(),
-                        "{kind}: {which:?}[{i}] differs after reset"
-                    );
-                }
+        // Dirty the retained machine with a different rhs first.
+        ws.checkout(&a, &b2);
+        let (m, image, _, _) = ws.checkout(&a, &b);
+        let fresh = CgMachine::start_zero(&b);
+        for (got, want) in m.vectors().into_iter().zip(fresh.vectors()) {
+            assert_eq!(got.len(), want.len());
+            for i in 0..got.len() {
+                assert_eq!(
+                    got[i].to_bits(),
+                    want[i].to_bits(),
+                    "[{i}] differs after reset"
+                );
             }
-            assert_eq!(
-                m.residual_norm().to_bits(),
-                fresh.residual_norm().to_bits(),
-                "{kind}: residual norm differs after reset"
-            );
-            assert_eq!(*image, a);
         }
-        assert_eq!(ws.retained_machines(), 2);
+        assert_eq!(
+            m.residual_norm().to_bits(),
+            fresh.residual_norm().to_bits(),
+            "residual norm differs after reset"
+        );
+        assert_eq!(*image, a);
         // Only the live image is ever sized: the slot and the initial
         // state hold their empty row pointers, 4 bytes each.
         assert_eq!(ws.retained_image_bytes(), a.image_bytes() + 3 * 4);
     }
 
     #[test]
-    fn machines_are_retained_per_kind_and_size() {
+    fn one_machine_serves_every_size() {
         let a1 = gen::tridiagonal(20, 4.0, -1.0).unwrap();
         let a2 = gen::tridiagonal(30, 4.0, -1.0).unwrap();
         let b1 = vec![1.0; 20];
         let b2 = vec![1.0; 30];
         let mut ws = SolverWorkspace::new();
-        ws.checkout(SolverKind::Cg, &a1, &b1);
-        ws.checkout(SolverKind::Cg, &a1, &b1);
-        ws.checkout(SolverKind::Cg, &a2, &b2);
-        ws.checkout(SolverKind::Pcg, &a1, &b1);
-        assert_eq!(ws.retained_machines(), 3); // (cg,20), (cg,30), (pcg,20)
+        ws.checkout(&a2, &b2);
+        let p0 = ws.machine.p.as_ptr();
+        let (m, _, _, _) = ws.checkout(&a1, &b1);
+        assert_eq!(m.vectors().map(<[f64]>::len), [20; 4]);
+        assert_eq!(m.p.as_ptr(), p0, "the smaller size reuses the buffer");
+        let (m, _, _, _) = ws.checkout(&a2, &b2);
+        assert_eq!(m.vectors().map(<[f64]>::len), [30; 4]);
+        assert_eq!(m.p.as_ptr(), p0, "the larger size regrows nothing");
 
         // Both shapes share the one image, sized for the larger.
         assert_eq!(ws.retained_image_bytes(), a2.image_bytes() + 3 * 4);
@@ -260,7 +223,7 @@ mod tests {
         let a = gen::random_spd(40, 0.08, 3).unwrap();
         let b = vec![1.0; 40];
         let mut ws = SolverWorkspace::new();
-        let (_, image, _, _) = ws.checkout(SolverKind::Cg, &a, &b);
+        let (_, image, _, _) = ws.checkout(&a, &b);
         assert_eq!(*image, a);
     }
 
@@ -269,10 +232,10 @@ mod tests {
         let a = gen::tridiagonal(30, 4.0, -1.0).unwrap();
         let b = vec![1.0; 30];
         let mut ws = SolverWorkspace::new();
-        let p0 = ws.checkout(SolverKind::Cg, &a, &b).1.val().as_ptr();
+        let p0 = ws.checkout(&a, &b).1.val().as_ptr();
         // Corrupt the image, then check out again: healed, same buffer.
-        ws.checkout(SolverKind::Cg, &a, &b).1.val_mut()[0] = f64::NAN;
-        let (_, image, _, _) = ws.checkout(SolverKind::Cg, &a, &b);
+        ws.checkout(&a, &b).1.val_mut()[0] = f64::NAN;
+        let (_, image, _, _) = ws.checkout(&a, &b);
         assert_eq!(image.val().as_ptr(), p0);
         assert_eq!(*image, a);
     }
@@ -283,18 +246,18 @@ mod tests {
         let large = gen::tridiagonal(25, 4.0, -1.0).unwrap();
         let (bs, bl) = (vec![1.0; 20], vec![1.0; 25]);
         let mut ws = SolverWorkspace::new();
-        ws.checkout(SolverKind::Cg, &large, &bl);
+        ws.checkout(&large, &bl);
         let bytes = ws.retained_image_bytes();
-        let p0 = ws.checkout(SolverKind::Cg, &large, &bl).1.val().as_ptr();
+        let p0 = ws.checkout(&large, &bl).1.val().as_ptr();
         for _ in 0..2 {
-            let (_, image, _, _) = ws.checkout(SolverKind::Cg, &small, &bs);
+            let (_, image, _, _) = ws.checkout(&small, &bs);
             assert_eq!(*image, small);
             assert_eq!(
                 image.val().as_ptr(),
                 p0,
                 "the smaller shape reuses the buffer"
             );
-            assert_eq!(*ws.checkout(SolverKind::Cg, &large, &bl).1, large);
+            assert_eq!(*ws.checkout(&large, &bl).1, large);
         }
         assert_eq!(
             ws.retained_image_bytes(),
@@ -327,8 +290,8 @@ mod tests {
         assert_ne!(a.colid(), b.colid());
         let rhs = vec![1.0; 3];
         let mut ws = SolverWorkspace::new();
-        ws.checkout(SolverKind::Cg, &a, &rhs);
-        assert_eq!(*ws.checkout(SolverKind::Cg, &b, &rhs).1, b);
+        ws.checkout(&a, &rhs);
+        assert_eq!(*ws.checkout(&b, &rhs).1, b);
     }
 
     #[test]

@@ -304,31 +304,25 @@ fn simulated_time_reconciles_with_verification_counters() {
     // where chunk_cost is tverif for ONLINE-DETECTION and 0 for ABFT.
     let (a, b) = test_system(150, 12);
     for scheme in Scheme::ALL {
-        for (solver, alpha) in [
-            (ftcg_solvers::machine::SolverKind::Cg, 1.0 / 8.0),
-            (ftcg_solvers::machine::SolverKind::Pcg, 1.0 / 16.0),
-        ] {
-            let mut cfg = ResilientConfig::new(scheme, 6);
-            cfg.solver = solver;
-            cfg.verif_interval = 4;
-            let mut inj = paper_injector(&a, alpha, 55);
-            let out = solve_resilient(&a, &b, &cfg, Some(&mut inj));
-            let chunk_cost = match scheme {
-                Scheme::OnlineDetection => cfg.costs.tverif,
-                _ => 0.0,
-            };
-            let expected = out.executed_iterations as f64
-                + cfg.costs.tverif * out.product_checks as f64
-                + chunk_cost * out.chunk_checks as f64
-                + cfg.costs.tcp * out.checkpoints as f64
-                + cfg.costs.trec * out.rollbacks as f64;
-            let err = (out.simulated_time - expected).abs();
-            assert!(
-                err < 1e-9 * expected.max(1.0),
-                "{scheme:?}/{solver:?}: simulated {} vs reconstructed {expected}",
-                out.simulated_time
-            );
-        }
+        let mut cfg = ResilientConfig::new(scheme, 6);
+        cfg.verif_interval = 4;
+        let mut inj = paper_injector(&a, 1.0 / 8.0, 55);
+        let out = solve_resilient(&a, &b, &cfg, Some(&mut inj));
+        let chunk_cost = match scheme {
+            Scheme::OnlineDetection => cfg.costs.tverif,
+            _ => 0.0,
+        };
+        let expected = out.executed_iterations as f64
+            + cfg.costs.tverif * out.product_checks as f64
+            + chunk_cost * out.chunk_checks as f64
+            + cfg.costs.tcp * out.checkpoints as f64
+            + cfg.costs.trec * out.rollbacks as f64;
+        let err = (out.simulated_time - expected).abs();
+        assert!(
+            err < 1e-9 * expected.max(1.0),
+            "{scheme:?}: simulated {} vs reconstructed {expected}",
+            out.simulated_time
+        );
     }
 }
 

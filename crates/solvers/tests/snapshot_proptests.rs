@@ -1,21 +1,20 @@
-//! Property tests for the solver state machines: a snapshot taken at
-//! any iteration boundary, restored into a **fresh** machine, must
-//! reproduce the uninterrupted trajectory bit for bit — for every
-//! solver. This is the contract the resilient executor's
-//! checkpoint/rollback relies on.
+//! Property tests for the CG state machine: a snapshot taken at any
+//! iteration boundary, restored into a **fresh** machine, must
+//! reproduce the uninterrupted trajectory bit for bit. This is the
+//! contract the resilient executor's checkpoint/rollback relies on.
 //!
 //! Since the workspace-arena refactor the suite also pins the *reuse
 //! contract*: solves drawing every buffer from a warm, dirty
 //! [`SolverWorkspace`] must produce bit-identical outcomes to
-//! fresh-allocation solves, across solver × scheme and under fault
+//! fresh-allocation solves, for every scheme and under fault
 //! injection.
 
 use ftcg_checkpoint::SolverState;
 use ftcg_fault::paper_injector;
 use ftcg_model::Scheme;
-use ftcg_solvers::machine::{PlainContext, SolverKind, StepResult};
+use ftcg_solvers::machine::{PlainContext, StepResult};
 use ftcg_solvers::resilient::{solve_resilient, solve_resilient_in, ResilientConfig};
-use ftcg_solvers::{CanonVec, SolverWorkspace};
+use ftcg_solvers::{CgMachine, SolverWorkspace};
 use ftcg_sparse::{gen, CsrMatrix};
 use proptest::prelude::*;
 
@@ -28,14 +27,16 @@ fn system(n: usize, density_mil: usize, seed: u64) -> (CsrMatrix, Vec<f64>) {
 /// Runs `total` steps; captures a [`SolverState`] after `cut` of them;
 /// resumes a fresh machine from the snapshot and steps the remaining
 /// `total − cut`. Both endpoints must agree bit for bit.
-fn assert_resume_is_bitexact(kind: SolverKind, a: &CsrMatrix, b: &[f64], cut: usize, total: usize) {
+fn assert_resume_is_bitexact(a: &CsrMatrix, b: &[f64], cut: usize, total: usize) {
     let mut ctx = PlainContext { a };
 
-    let mut reference = kind.start_zero(a, b);
+    let mut reference = CgMachine::start_zero(b);
     let mut snapshot: Option<SolverState> = None;
     for it in 0..total {
         if it == cut {
-            snapshot = Some(reference.snapshot(it));
+            let mut st = SolverState::empty();
+            reference.snapshot_into(it, &mut st);
+            snapshot = Some(st);
         }
         if reference.step(&mut ctx) != StepResult::Done {
             // Breakdown (e.g. residual hit exact zero): nothing further
@@ -45,40 +46,38 @@ fn assert_resume_is_bitexact(kind: SolverKind, a: &CsrMatrix, b: &[f64], cut: us
     }
     let snapshot = snapshot.expect("cut < total");
 
-    let mut resumed = kind.start_zero(a, b);
-    resumed.restore(&snapshot, a);
+    let mut resumed = CgMachine::start_zero(b);
+    resumed.restore(&snapshot);
     for _ in cut..total {
-        assert_eq!(resumed.step(&mut ctx), StepResult::Done, "{kind} resumed");
+        assert_eq!(resumed.step(&mut ctx), StepResult::Done, "resumed");
     }
 
-    for which in [
-        CanonVec::Iterate,
-        CanonVec::Residual,
-        CanonVec::Direction,
-        CanonVec::Product,
-    ] {
-        let want = reference.vector(which);
-        let got = resumed.vector(which);
+    let names = ["x", "r", "p", "q"];
+    for ((want, got), name) in reference
+        .vectors()
+        .into_iter()
+        .zip(resumed.vectors())
+        .zip(names)
+    {
         for i in 0..want.len() {
             assert_eq!(
                 want[i].to_bits(),
                 got[i].to_bits(),
-                "{kind}: {which:?}[{i}] diverged after resume at {cut}/{total}"
+                "{name}[{i}] diverged after resume at {cut}/{total}"
             );
         }
     }
     assert_eq!(
         reference.residual_norm().to_bits(),
         resumed.residual_norm().to_bits(),
-        "{kind}: residual norm diverged"
+        "residual norm diverged"
     );
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// Resume mid-solve reproduces the uninterrupted trajectory for
-    /// every solver.
+    /// Resume mid-solve reproduces the uninterrupted trajectory.
     #[test]
     fn snapshot_restore_step_is_deterministic(
         n in 30usize..90,
@@ -88,9 +87,7 @@ proptest! {
         extra in 1usize..8,
     ) {
         let (a, b) = system(n, density_mil, seed);
-        for kind in SolverKind::ALL {
-            assert_resume_is_bitexact(kind, &a, &b, cut, cut + extra);
-        }
+        assert_resume_is_bitexact(&a, &b, cut, cut + extra);
     }
 
     /// A snapshot round-trips through `SolverState` unchanged: the
@@ -103,21 +100,21 @@ proptest! {
         steps in 1usize..6,
     ) {
         let (a, b) = system(n, 60, seed);
-        for kind in SolverKind::ALL {
-            let mut ctx = PlainContext { a: &a };
-            let mut m = kind.start_zero(&a, &b);
-            for _ in 0..steps {
-                if m.step(&mut ctx) != StepResult::Done {
-                    break;
-                }
+        let mut ctx = PlainContext { a: &a };
+        let mut m = CgMachine::start_zero(&b);
+        for _ in 0..steps {
+            if m.step(&mut ctx) != StepResult::Done {
+                break;
             }
-            let st = m.snapshot(steps);
-            prop_assert_eq!(st.iteration, steps);
-            prop_assert_eq!(st.x.as_slice(), m.vector(CanonVec::Iterate));
-            prop_assert_eq!(st.r.as_slice(), m.vector(CanonVec::Residual));
-            prop_assert_eq!(st.p.as_slice(), m.vector(CanonVec::Direction));
-            prop_assert_eq!(st.size_words(), 3 * n + 1 + 2);
         }
+        let mut st = SolverState::empty();
+        m.snapshot_into(steps, &mut st);
+        let [x, r, p, _] = m.vectors();
+        prop_assert_eq!(st.iteration, steps);
+        prop_assert_eq!(st.x.as_slice(), x);
+        prop_assert_eq!(st.r.as_slice(), r);
+        prop_assert_eq!(st.p.as_slice(), p);
+        prop_assert_eq!(st.size_words(), 3 * n + 1 + 2);
     }
 }
 
@@ -175,7 +172,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
     /// Workspace-reuse solves are bit-identical to fresh-allocation
-    /// solves across solver × scheme, under fault injection —
+    /// solves for every scheme, under fault injection —
     /// the reuse contract of the zero-allocation pipeline. The shared
     /// workspace is deliberately *dirty*: every combination in the grid
     /// reuses the same one, in sequence, and each outcome must still
@@ -190,24 +187,19 @@ proptest! {
         let (a, b) = system(n, density_mil, seed);
         let mut ws = SolverWorkspace::new();
         for scheme in [Scheme::AbftDetection, Scheme::AbftCorrection, Scheme::OnlineDetection] {
-            for kind in SolverKind::ALL {
-                let mut cfg = ResilientConfig::new(scheme, s);
-                cfg.solver = kind;
-                cfg.max_productive_iters = 40;
-                cfg.max_executed_iters = 400;
-                let alpha = 1.0 / 16.0;
-                let mut inj = paper_injector(&a, alpha, seed ^ 0x5eed);
-                let fresh = solve_resilient(&a, &b, &cfg, Some(&mut inj));
-                let mut inj = paper_injector(&a, alpha, seed ^ 0x5eed);
-                let reused = solve_resilient_in(&a, &b, &cfg, Some(&mut inj), &mut ws);
-                assert_outcomes_bitexact(&format!("{scheme:?} × {kind}"), &fresh, &reused);
-            }
+            let mut cfg = ResilientConfig::new(scheme, s);
+            cfg.max_productive_iters = 40;
+            cfg.max_executed_iters = 400;
+            let alpha = 1.0 / 16.0;
+            let mut inj = paper_injector(&a, alpha, seed ^ 0x5eed);
+            let fresh = solve_resilient(&a, &b, &cfg, Some(&mut inj));
+            let mut inj = paper_injector(&a, alpha, seed ^ 0x5eed);
+            let reused = solve_resilient_in(&a, &b, &cfg, Some(&mut inj), &mut ws);
+            assert_outcomes_bitexact(&format!("{scheme:?}"), &fresh, &reused);
         }
-        // One workspace served the whole grid: machines retained per
-        // solver, one image of the one shape (the live one) and the
-        // empty row pointers (4 B each) of the initial state and both
-        // checkpoint buffers.
-        prop_assert_eq!(ws.retained_machines(), 2);
+        // One workspace served the whole grid: one image of the one
+        // shape (the live one) and the empty row pointers (4 B each) of
+        // the initial state and both checkpoint buffers.
         prop_assert_eq!(ws.retained_image_bytes(), a.image_bytes() + 3 * 4);
     }
 
@@ -255,9 +247,7 @@ fn poisson_resume_points_are_bitexact() {
     let a = gen::poisson2d(9).unwrap();
     let n = a.n_rows();
     let b: Vec<f64> = (0..n).map(|i| 1.0 + (i as f64 * 0.17).cos()).collect();
-    for kind in SolverKind::ALL {
-        for cut in [1usize, 3, 7] {
-            assert_resume_is_bitexact(kind, &a, &b, cut, cut + 5);
-        }
+    for cut in [1usize, 3, 7] {
+        assert_resume_is_bitexact(&a, &b, cut, cut + 5);
     }
 }

@@ -694,22 +694,8 @@ impl CsrMatrix {
     /// # Panics
     /// Panics if the matrix is not square.
     pub fn diag(&self) -> Vec<f64> {
-        let mut out = vec![0.0; self.n_rows];
-        self.diag_into(&mut out);
-        out
-    }
-
-    /// Writes the diagonal into a caller-provided buffer (zeros where
-    /// absent) — the allocation-free form of [`CsrMatrix::diag`].
-    ///
-    /// # Panics
-    /// Panics if the matrix is not square or `out.len() != n_rows`.
-    pub fn diag_into(&self, out: &mut [f64]) {
         assert!(self.is_square(), "diag: matrix must be square");
-        assert_eq!(out.len(), self.n_rows, "diag: output length mismatch");
-        for (i, o) in out.iter_mut().enumerate() {
-            *o = self.get(i, i);
-        }
+        (0..self.n_rows).map(|i| self.get(i, i)).collect()
     }
 
     /// Matrix 1-norm: maximum absolute column sum (eq. 8 of the paper).
@@ -1099,15 +1085,6 @@ mod tests {
         // A smaller image reuses the buffers: capacity stays put.
         buf.assign_from(&CsrMatrix::identity(3).unwrap());
         assert_eq!(buf.capacity_bytes(), big.image_bytes());
-    }
-
-    #[test]
-    fn diag_into_matches_diag() {
-        let m = sample();
-        let mut out = vec![99.0; 3];
-        m.diag_into(&mut out);
-        assert_eq!(out, m.diag());
-        assert_eq!(out, vec![4.0, 3.0, 2.0]);
     }
 
     #[test]

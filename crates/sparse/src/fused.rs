@@ -83,47 +83,12 @@ pub fn axpy2_norm2_sq(a: f64, p: &[f64], x: &mut [f64], c: f64, q: &[f64], r: &m
     acc
 }
 
-/// The PCG mid-step in one sweep: `x ← a·p + x`, `r ← c·q + r`,
-/// `zᵢ ← rᵢ·minvᵢ`, returning `Σᵢ rᵢ·zᵢ` over the updated vectors —
-/// bit-identical to `vector::axpy(a, p, x); vector::axpy(c, q, r);`
-/// the pointwise `z[i] = r[i] * minv[i]` loop; `vector::dot(r, z)`.
-///
-/// # Panics
-/// Panics if the slices differ in length.
-#[inline]
-#[expect(
-    clippy::too_many_arguments,
-    reason = "one pass over all five PCG vectors and both scalars: bundling them would not shorten the sweep"
-)]
-pub fn axpy2_precond_dot(
-    a: f64,
-    p: &[f64],
-    x: &mut [f64],
-    c: f64,
-    q: &[f64],
-    r: &mut [f64],
-    minv: &[f64],
-    z: &mut [f64],
-) -> f64 {
-    assert_eq!(p.len(), x.len(), "axpy2_precond_dot: length mismatch");
-    assert_eq!(q.len(), r.len(), "axpy2_precond_dot: length mismatch");
-    assert_eq!(x.len(), r.len(), "axpy2_precond_dot: length mismatch");
-    assert_eq!(minv.len(), r.len(), "axpy2_precond_dot: length mismatch");
-    assert_eq!(z.len(), r.len(), "axpy2_precond_dot: length mismatch");
-    let mut acc = 0.0;
-    for i in 0..x.len() {
-        x[i] += a * p[i];
-        r[i] += c * q[i];
-        z[i] = r[i] * minv[i];
-        acc += r[i] * z[i];
-    }
-    acc
-}
-
 /// Direction update with residual norm in one sweep: `y ← x + b·y`,
 /// returning `Σᵢ vᵢ²` — bit-identical to the `y[i] = x[i] + b * y[i]`
 /// loop followed by `vector::norm2_sq(v)` (`v` untouched by the
-/// update).
+/// update). No solver calls it: the benchmark's fused-sweep probe
+/// (`benchmark/src/probes.rs`) times it next to
+/// [`axpy2_norm2_sq`].
 ///
 /// # Panics
 /// Panics if the slices differ in length.
@@ -228,28 +193,6 @@ mod tests {
         assert_bits_vec(&x, &x_ref, "axpy2 x");
         assert_bits_vec(&r, &r_ref, "axpy2 r");
         assert_bits(got, vector::norm2_sq(&r_ref), "axpy2 acc");
-    }
-
-    #[test]
-    fn axpy2_precond_dot_matches_pcg_mid_step() {
-        let p = vec_of(59, 19);
-        let q = vec_of(59, 20);
-        let minv: Vec<f64> = (0..59).map(|i| 1.0 / (2.0 + (i % 7) as f64)).collect();
-        let mut x = vec_of(59, 21);
-        let mut r = vec_of(59, 22);
-        let mut z = vec![0.0; 59];
-        let (mut x_ref, mut r_ref, mut z_ref) = (x.clone(), r.clone(), z.clone());
-        let alpha = -1.1875;
-        let got = axpy2_precond_dot(alpha, &p, &mut x, -alpha, &q, &mut r, &minv, &mut z);
-        vector::axpy(alpha, &p, &mut x_ref);
-        vector::axpy(-alpha, &q, &mut r_ref);
-        for i in 0..59 {
-            z_ref[i] = r_ref[i] * minv[i];
-        }
-        assert_bits_vec(&x, &x_ref, "pcg x");
-        assert_bits_vec(&r, &r_ref, "pcg r");
-        assert_bits_vec(&z, &z_ref, "pcg z");
-        assert_bits(got, vector::dot(&r_ref, &z_ref), "pcg rz");
     }
 
     #[test]

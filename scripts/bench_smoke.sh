@@ -57,7 +57,7 @@ echo "-- entries that did different work are refused (exit 2, both specs printed
 
 expect 2 compare "$tmp/a.json" "$tmp/a.json" --bogus 3
 expect 2 --suite quick --runs 2
-grep -q "removed in PR 20: run \`bash benchmark/run.sh --out F\`, then \`ftcg bench record F\`" "$tmp/out"
-echo "-- unknown and removed flags are errors; removed ones name their successor"
+grep -q "unknown flag \`--suite\`" "$tmp/out"
+echo "-- unknown flags are errors, the old suite runner's included"
 
 echo "bench observatory smoke passed."

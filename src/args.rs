@@ -23,38 +23,22 @@ pub(crate) fn parse_strict<T: std::str::FromStr>(
     }
 }
 
-/// The flags of the removed SpMV-backend choice (`solve`, `table1` and
-/// `figure1` took `--kernel`, `campaign` and `merge` took `--kernels`):
-/// every subcommand rejects them with
-/// [`KERNELS_REMOVED`](ftcg_engine::spec::KERNELS_REMOVED).
-const KERNEL_FLAGS: [&str; 2] = ["--kernel", "--kernels"];
-
 /// Rejects any `--flag` outside a subcommand's grammar, a value flag
 /// with nothing after it, and a value flag given twice: a misspelt
 /// `--repz 50` or a second `--gen` would otherwise run with the default
 /// or one of the two values and write an artifact the user believes
-/// came from other parameters. `removed` flags of an earlier grammar
-/// fail with `successor` ("PR N: do X"), and so do `KERNEL_FLAGS`
-/// with theirs.
+/// came from other parameters. A flag of a removed feature is unknown
+/// like any other.
 pub(crate) fn check_flags(
     args: &[String],
     value_flags: &[&str],
     switches: &[&str],
-    removed: &[&str],
-    successor: &str,
 ) -> Result<(), String> {
     let mut skip = false;
     let mut seen: Vec<&str> = Vec::new();
     for a in args {
         if std::mem::take(&mut skip) || !a.starts_with("--") {
             continue;
-        }
-        if removed.contains(&a.as_str()) {
-            return Err(format!("{a} was removed in {successor}"));
-        }
-        if KERNEL_FLAGS.contains(&a.as_str()) {
-            let why = ftcg_engine::spec::KERNELS_REMOVED;
-            return Err(format!("{a} was removed in {why}"));
         }
         if value_flags.contains(&a.as_str()) {
             if seen.contains(&a.as_str()) {
@@ -145,8 +129,6 @@ mod tests {
             &sv(&["--gen", "poisson2d:4", "--seed"]),
             &["--gen", "--seed"],
             &[],
-            &[],
-            "",
         )
         .unwrap_err();
         assert!(e.contains("`--seed` needs a value"), "{e}");
@@ -157,11 +139,11 @@ mod tests {
         // `value` takes the first occurrence; silently running with it
         // (or with the last) is what this guards against.
         let args = sv(&["--gen", "poisson2d:4", "--gen", "poisson2d:40"]);
-        let e = check_flags(&args, &["--gen", "--seed"], &[], &[], "").unwrap_err();
+        let e = check_flags(&args, &["--gen", "--seed"], &[]).unwrap_err();
         assert_eq!(e, "`--gen` given twice");
         // A repeated value is not a repeated flag.
         let args = sv(&["--name", "--gen", "--gen", "poisson2d:4"]);
-        assert!(check_flags(&args, &["--gen", "--name"], &[], &[], "").is_ok());
+        assert!(check_flags(&args, &["--gen", "--name"], &[]).is_ok());
     }
 
     #[test]

@@ -34,18 +34,6 @@ const USAGE: &str = "usage: \
 /// measurement is `max(threshold, 2 × observed sample spread)`.
 const DEFAULT_THRESHOLD_PCT: f64 = 5.0;
 
-/// The flags the pre-PR 20 grammar ran suites with, and where their
-/// job went.
-const REMOVED: [&str; 6] = [
-    "--suite",
-    "--runs",
-    "--against",
-    "--scale",
-    "--reps",
-    "--seed",
-];
-const SUCCESSOR: &str = "PR 20: run `bash benchmark/run.sh --out F`, then `ftcg bench record F`";
-
 /// Today's UTC date as `YYYY-MM-DD`.
 #[expect(clippy::disallowed_methods, reason = "bench entry dates")]
 fn today_utc() -> String {
@@ -73,7 +61,7 @@ fn civil_date(days: u64) -> String {
 /// `ftcg bench record RESULT.json… --out BENCH_x.json [--label S] [--pr N]`.
 fn record(args: &[String]) -> Result<bool, String> {
     const VALUE_FLAGS: [&str; 3] = ["--out", "--label", "--pr"];
-    check_flags(args, &VALUE_FLAGS, &[], &REMOVED, SUCCESSOR)?;
+    check_flags(args, &VALUE_FLAGS, &[])?;
     let paths = positionals(args, &VALUE_FLAGS);
     let (Some(out), false) = (value(args, "--out"), paths.is_empty()) else {
         return Err(USAGE.into());
@@ -110,7 +98,7 @@ fn record(args: &[String]) -> Result<bool, String> {
 /// Returns whether a regression tripped the gate.
 fn compare(args: &[String]) -> Result<bool, String> {
     const VALUE_FLAGS: [&str; 1] = ["--threshold"];
-    check_flags(args, &VALUE_FLAGS, &["--warn-only"], &REMOVED, SUCCESSOR)?;
+    check_flags(args, &VALUE_FLAGS, &["--warn-only"])?;
     let files = positionals(args, &VALUE_FLAGS);
     let [new_path, base_path] = files.as_slice() else {
         return Err(USAGE.into());
@@ -153,9 +141,8 @@ pub(crate) fn bench(args: &[String]) -> i32 {
     let result = match args.first().map(String::as_str) {
         Some("record") => record(&args[1..]),
         Some("compare") => compare(&args[1..]),
-        Some("migrate") => Err(format!("migrate was removed in {SUCCESSOR}")),
-        // The old run mode had no mode word: `ftcg bench --suite quick`.
-        _ => check_flags(args, &[], &[], &REMOVED, SUCCESSOR).and(Err(USAGE.into())),
+        // A stray flag is named; anything else gets the grammar.
+        _ => check_flags(args, &[], &[]).and(Err(USAGE.into())),
     };
     match result {
         Ok(false) => 0,

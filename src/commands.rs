@@ -8,7 +8,6 @@ use ftcg::sim::report::{figure1_ascii, figure1_csv, table1_csv, table1_markdown}
 use ftcg::sim::runner::ArtifactDirs;
 use ftcg::sim::table1::{run_table1, Table1Params};
 use ftcg::sim::PAPER_MATRICES;
-use ftcg::solvers::SolverKind;
 use ftcg::sparse::stats::MatrixStats;
 use ftcg::telemetry::log::{Header, JOURNAL, MERGE, METRICS};
 use ftcg::telemetry::metrics::{JobPhases, MetricsFile, MetricsWriter};
@@ -30,7 +29,7 @@ pub(crate) const USAGE: &str = "\
 ftcg — fault-tolerant Conjugate Gradient (Fasi, Robert & Uçar, PDSEC 2015)
 
 USAGE:
-  ftcg solve    (--matrix F.mtx | --gen SPEC) [--scheme S] [--solver S] [--alpha A]
+  ftcg solve    (--matrix F.mtx | --gen SPEC) [--scheme S] [--alpha A]
                 [--seed N] [--trace F] [--metrics F]
   ftcg stats    (--matrix F.mtx | --gen SPEC)
   ftcg campaign (--spec FILE | inline flags) [--out F.jsonl] [--csv F.csv]
@@ -42,10 +41,10 @@ USAGE:
   ftcg report   FILE... [--spec FILE] [--perfetto OUT.json]
   ftcg bench record RESULT.json... --out BENCH.json [--label S] [--pr N]
   ftcg bench compare NEW.json BASELINE.json [--threshold PCT] [--warn-only]
-  ftcg table1   [--scale N] [--reps N] [--threads N] [--solver S]
+  ftcg table1   [--scale N] [--reps N] [--threads N]
                 [--journal-dir D] [--trace-dir D] [--metrics-dir D]
   ftcg figure1  [--scale N] [--reps N] [--points N] [--matrices N] [--threads N]
-                [--solver S] [--journal-dir D] [--trace-dir D] [--metrics-dir D]
+                [--journal-dir D] [--trace-dir D] [--metrics-dir D]
 
 GENERATORS (--gen):
   poisson2d:K              5-point Laplacian on a KxK grid
@@ -57,33 +56,27 @@ GENERATORS (--gen):
 OPTIONS:
   --scheme   online | detection | correction (default: correction);
              the paper's full names work too (e.g. abft-correction)
-  --solver   cg | pcg (default: cg) — either solver composes with
-             any scheme and checkpoint policy
   --alpha    expected faults/iteration, float or fraction (e.g. 1/16)
   --seed     injector / campaign seed (default 0)
   --threads  campaign/table1/figure1: engine worker-pool size
              (0 = all cores)
-  Every product runs the one defensive CSR traversal: the CSR arrays
-  are what the faults hit, so there is no SpMV backend to choose
-  (`--kernel`, `--kernels` and `solve --threads` were removed). A flag
-  given twice is an error.
+  The solver is CG, the paper's Algorithm 1. Every product runs the one
+  defensive CSR traversal: the CSR arrays are what the faults hit. A
+  flag outside a command's grammar, or given twice, is an error.
 
 CAMPAIGNS:
-  A campaign sweeps {matrices x schemes x alphas x solvers} with
+  A campaign sweeps {matrices x schemes x alphas} with
   `--reps` repetitions per configuration, concurrently across worker
   threads, and aggregates per-configuration statistics. Same spec +
   seed => byte-identical JSONL/CSV output.
 
   --spec FILE   declarative spec: `key = value` lines
                 (keys: name seed reps threads max_iters matrices
-                schemes alphas solvers interval; each at most once).
+                schemes alphas interval; each at most once).
                 `-` reads stdin.
   Inline flags instead of a file:
-    --gen SPECS --schemes LIST --alphas LIST [--solvers LIST]
+    --gen SPECS --schemes LIST --alphas LIST
     [--interval model|fixed:N] [--name S] [--max-iters N]
-  The `solvers` axis sweeps iteration schemes (cg, pcg); variants of
-  one (matrix, scheme, alpha) point draw paired fault streams, so
-  solver columns are directly comparable.
   --out F       write JSONL summaries (default: print to stdout)
   --csv F       also write CSV
   --quiet       suppress the progress ticker
@@ -152,8 +145,6 @@ PERFORMANCE OBSERVATORY (ftcg bench):
                  2x sample spread) => exit 1 unless --warn-only (from a
                  baseline <= 0: absolute delta, 2x absolute spread).
                  `spec`s that differ, like every other error => exit 2
-  The suite runner (--suite/--runs/--against/--scale/--reps/--seed,
-  `bench migrate`) was removed in PR 20.
 ";
 
 fn load_matrix(args: &[String]) -> Result<CsrMatrix, String> {
@@ -171,13 +162,6 @@ fn parse_scheme(args: &[String]) -> Result<Scheme, String> {
     // short names and the paper's full spellings).
     spec::parse_scheme(value(args, "--scheme").unwrap_or("correction"))
         .map_err(|e| format!("--scheme: {e}"))
-}
-
-fn parse_solver_flag(args: &[String]) -> Result<SolverKind, String> {
-    match value(args, "--solver") {
-        None => Ok(SolverKind::Cg),
-        Some(s) => SolverKind::parse(s).map_err(|e| format!("--solver: {e}")),
-    }
 }
 
 /// Parses a directory-valued flag (`--journal-dir`, `--trace-dir`,
@@ -206,11 +190,10 @@ fn parse_artifact_dirs(args: &[String]) -> Result<ArtifactDirs, String> {
 
 /// The flags of `solve`, `stats`, `report`, `table1` and `figure1` as
 /// `ftcg help` lists them; all take a value.
-const SOLVE_FLAGS: [&str; 8] = [
+const SOLVE_FLAGS: [&str; 7] = [
     "--matrix",
     "--gen",
     "--scheme",
-    "--solver",
     "--alpha",
     "--seed",
     "--trace",
@@ -218,22 +201,20 @@ const SOLVE_FLAGS: [&str; 8] = [
 ];
 const STATS_FLAGS: [&str; 2] = ["--matrix", "--gen"];
 const REPORT_FLAGS: [&str; 2] = ["--spec", "--perfetto"];
-const TABLE1_FLAGS: [&str; 7] = [
+const TABLE1_FLAGS: [&str; 6] = [
     "--scale",
     "--reps",
     "--threads",
-    "--solver",
     "--journal-dir",
     "--trace-dir",
     "--metrics-dir",
 ];
-const FIGURE1_FLAGS: [&str; 9] = [
+const FIGURE1_FLAGS: [&str; 8] = [
     "--scale",
     "--reps",
     "--points",
     "--matrices",
     "--threads",
-    "--solver",
     "--journal-dir",
     "--trace-dir",
     "--metrics-dir",
@@ -241,49 +222,29 @@ const FIGURE1_FLAGS: [&str; 9] = [
 
 /// `ftcg solve`.
 pub(crate) fn solve(args: &[String]) -> Result<(), String> {
-    check_flags(
-        args,
-        &SOLVE_FLAGS,
-        &[],
-        &["--threads"],
-        spec::KERNELS_REMOVED,
-    )?;
+    check_flags(args, &SOLVE_FLAGS, &[])?;
     let seed: u64 = parse_strict(args, "--seed", 0)?;
     let alpha = match value(args, "--alpha") {
         Some(s) => parse_alpha(s).ok_or_else(|| format!("bad --alpha `{s}`"))?,
         None => 0.0,
     };
     let scheme = parse_scheme(args)?;
-    let solver = parse_solver_flag(args)?;
     let a = load_matrix(args)?;
     if !a.is_square() {
         return Err("matrix must be square".into());
     }
-    if solver == SolverKind::Pcg && a.diag().contains(&0.0) {
-        // Surface the Jacobi precondition as a diagnostic, not the
-        // machine constructor's panic.
-        return Err(
-            "matrix has a zero diagonal entry; the Jacobi preconditioner \
-             (--solver pcg) is undefined — pick another solver"
-                .into(),
-        );
-    }
     let n = a.n_rows();
     let b = vec![1.0; n];
-    let mut builder = ftcg::ResilientCg::new(&a)
-        .scheme(scheme)
-        .solver(solver)
-        .seed(seed);
+    let mut builder = ftcg::ResilientCg::new(&a).scheme(scheme).seed(seed);
     if alpha > 0.0 {
         builder = builder.fault_alpha(alpha);
     }
     let plan = builder.config();
     eprintln!(
-        "solving: n={n} nnz={} scheme={} solver={} alpha={alpha} seed={seed} \
+        "solving: n={n} nnz={} scheme={} alpha={alpha} seed={seed} \
          s={} d={} tcp={} trec={} tverif={}",
         a.nnz(),
         scheme.name(),
-        solver.label(),
         plan.checkpoint_interval,
         plan.verif_interval,
         plan.costs.tcp,
@@ -358,7 +319,7 @@ pub(crate) fn solve(args: &[String]) -> Result<(), String> {
 
 /// `ftcg stats`.
 pub(crate) fn stats(args: &[String]) -> Result<(), String> {
-    check_flags(args, &STATS_FLAGS, &[], &[], "")?;
+    check_flags(args, &STATS_FLAGS, &[])?;
     let a = load_matrix(args)?;
     let st = MatrixStats::compute(&a);
     println!("{}", st.summary_line());
@@ -370,11 +331,10 @@ pub(crate) fn stats(args: &[String]) -> Result<(), String> {
 }
 
 /// Grid-axis flags: the inline alternative to a `--spec` file.
-const GRID_FLAGS: [&str; 7] = [
+const GRID_FLAGS: [&str; 6] = [
     "--gen",
     "--schemes",
     "--alphas",
-    "--solvers",
     "--interval",
     "--name",
     "--max-iters",
@@ -408,13 +368,7 @@ const CAMPAIGN_SWITCHES: [&str; 2] = ["--quiet", "--resume"];
 /// Rejects any `--flag` outside the campaign/merge grammar
 /// ([`check_flags`]).
 fn check_campaign_flags(args: &[String]) -> Result<(), String> {
-    check_flags(
-        args,
-        &campaign_value_flags(),
-        &CAMPAIGN_SWITCHES,
-        &["--batch"],
-        "PR 15: repetitions always run sequentially",
-    )
+    check_flags(args, &campaign_value_flags(), &CAMPAIGN_SWITCHES)
 }
 
 /// Reads and parses a `--spec` file (`-` = stdin).
@@ -465,12 +419,6 @@ fn campaign_spec(args: &[String]) -> Result<CampaignSpec, String> {
         if let Some(list) = value(args, "--alphas") {
             cs.alphas = spec::split_list(list)
                 .map(spec::parse_alpha)
-                .collect::<Result<_, _>>()
-                .map_err(|e| e.to_string())?;
-        }
-        if let Some(list) = value(args, "--solvers") {
-            cs.solvers = spec::split_list(list)
-                .map(spec::parse_solver)
                 .collect::<Result<_, _>>()
                 .map_err(|e| e.to_string())?;
         }
@@ -660,15 +608,7 @@ fn report_labels(cs: Option<&CampaignSpec>, meta: &TraceMeta) -> Result<Vec<Stri
     }
     Ok(jobs
         .iter()
-        .map(|j| {
-            format!(
-                "{} {} a={} {}",
-                j.key.matrix,
-                j.key.scheme.name(),
-                j.key.alpha,
-                j.key.solver.label(),
-            )
-        })
+        .map(|j| format!("{} {} a={}", j.key.matrix, j.key.scheme.name(), j.key.alpha))
         .collect())
 }
 
@@ -677,7 +617,7 @@ fn report_labels(cs: Option<&CampaignSpec>, meta: &TraceMeta) -> Result<Vec<Stri
 /// journal records.
 pub(crate) fn report(args: &[String]) -> Result<(), String> {
     use std::collections::BTreeMap;
-    check_flags(args, &REPORT_FLAGS, &[], &[], "")?;
+    check_flags(args, &REPORT_FLAGS, &[])?;
     let spec = value(args, "--spec").map(read_spec_file).transpose()?;
     let files = positionals(args, &REPORT_FLAGS);
     if files.is_empty() {
@@ -801,24 +741,30 @@ pub(crate) fn report(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
+/// The `--reps` of `table1` and `figure1`: a configuration with no
+/// repetition has no mean to report.
+fn parse_experiment_reps(args: &[String]) -> Result<usize, String> {
+    match parse_strict(args, "--reps", 20)? {
+        0 => Err("--reps must be at least 1, got 0".into()),
+        reps => Ok(reps),
+    }
+}
+
 /// `ftcg table1`.
 pub(crate) fn table1(args: &[String]) -> Result<(), String> {
-    check_flags(args, &TABLE1_FLAGS, &[], &[], "")?;
+    check_flags(args, &TABLE1_FLAGS, &[])?;
     // Field order is evaluation order: every value is checked before
     // the `--*-dir` flags create their directories.
     let params = Table1Params {
         scale: parse_strict(args, "--scale", 32)?,
-        reps: parse_strict(args, "--reps", 20)?,
+        reps: parse_experiment_reps(args)?,
         threads: parse_strict(args, "--threads", 8)?,
-        solver: parse_solver_flag(args)?,
         dirs: parse_artifact_dirs(args)?,
         ..Table1Params::default()
     };
     eprintln!(
-        "Table 1: scale=1/{}, reps={}, alpha=1/16, solver={}",
-        params.scale,
-        params.reps,
-        params.solver.label(),
+        "Table 1: scale=1/{}, reps={}, alpha=1/16",
+        params.scale, params.reps,
     );
     let rows = run_table1(&PAPER_MATRICES, &params);
     println!("{}", table1_markdown(&rows));
@@ -838,18 +784,20 @@ pub(crate) fn table1(args: &[String]) -> Result<(), String> {
 
 /// `ftcg figure1`.
 pub(crate) fn figure1(args: &[String]) -> Result<(), String> {
-    check_flags(args, &FIGURE1_FLAGS, &[], &[], "")?;
+    check_flags(args, &FIGURE1_FLAGS, &[])?;
     let points = parse_strict(args, "--points", 6)?;
     if points < 2 {
         return Err(format!("--points must be at least 2, got {points}"));
     }
     let n_matrices = parse_strict(args, "--matrices", PAPER_MATRICES.len())?;
+    if n_matrices == 0 {
+        return Err("--matrices must be at least 1, got 0".into());
+    }
     let params = Figure1Params {
         scale: parse_strict(args, "--scale", 32)?,
-        reps: parse_strict(args, "--reps", 20)?,
+        reps: parse_experiment_reps(args)?,
         mtbf_grid: log_grid(2e1, 2e4, points),
         threads: parse_strict(args, "--threads", 8)?,
-        solver: parse_solver_flag(args)?,
         dirs: parse_artifact_dirs(args)?,
     };
     let mut panels = Vec::new();
@@ -894,15 +842,17 @@ mod tests {
         assert_eq!(merge(&typo), Err(e));
         // A flag's value is never mistaken for a flag name.
         assert!(campaign_spec(&sv(&["--gen", "poisson2d:6", "--name", "--odd"])).is_ok());
-    }
-
-    #[test]
-    fn leftover_batch_flag_fails_loudly() {
-        let args = sv(&["--gen", "poisson2d:6", "--batch", "4"]);
-        let e = campaign_spec(&args).unwrap_err();
-        assert!(e.contains("removed in PR 15"), "{e}");
-        assert!(campaign(&args).is_err());
-        assert!(merge(&args).is_err());
+        // Flags of removed features are unknown like any other.
+        for (flag, v) in [
+            ("--batch", "4"),
+            ("--kernels", "csr"),
+            ("--solvers", "cg,bicgstab"),
+        ] {
+            let args = sv(&["--gen", "poisson2d:6", flag, v]);
+            let e = format!("unknown flag `{flag}` (try `ftcg help`)");
+            assert_eq!(campaign(&args), Err(e.clone()));
+            assert_eq!(merge(&args), Err(e));
+        }
     }
 
     /// `cmd` fails on `unknown` (whose last flag is misspelt) and on
@@ -954,38 +904,31 @@ mod tests {
         // A grid needs two points; one would trip `log_grid`'s assert.
         let e = figure1(&sv(&["--points", "1"])).unwrap_err();
         assert!(e.contains("--points"), "{e}");
-    }
-
-    #[test]
-    fn removed_kernel_flags_point_at_the_one_product() {
-        let why = "was removed in the one-product change: \
-                   the protected solve runs the defensive CSR traversal only";
-        type Cmd = fn(&[String]) -> Result<(), String>;
-        let cases: [(Cmd, &[&str]); 8] = [
-            (solve, &["--gen", "poisson2d:6", "--kernel", "csr"]),
-            (solve, &["--gen", "poisson2d:6", "--kernel", "list"]),
-            (solve, &["--gen", "poisson2d:6", "--threads", "2"]),
-            (stats, &["--gen", "poisson2d:6", "--kernel", "list"]),
-            (table1, &["--reps", "2", "--kernel", "csr"]),
-            (figure1, &["--reps", "2", "--kernel", "csr"]),
-            (campaign, &["--gen", "poisson2d:6", "--kernels", "csr"]),
-            (merge, &["--gen", "poisson2d:6", "--kernels", "csr"]),
-        ];
-        for (cmd, args) in cases {
-            let e = cmd(&sv(args)).unwrap_err();
-            assert_eq!(e, format!("{} {why}", args[2]), "{args:?}");
+        // No repetition, or no matrix, is no experiment: refused before
+        // any solve runs or any file is written.
+        rejects(
+            table1,
+            &["--solver", "cg"],
+            &["--reps", "0", "--scale", "64"],
+            "--reps",
+        );
+        rejects(
+            figure1,
+            &["--kernel", "csr"],
+            &["--reps", "0", "--scale", "64", "--matrices", "1"],
+            "--reps",
+        );
+        let e = figure1(&sv(&["--matrices", "0"])).unwrap_err();
+        assert!(e.contains("--matrices"), "{e}");
+        // Flags of removed features are unknown like any other.
+        for (flag, v) in [
+            ("--solver", "bicgstab"),
+            ("--kernel", "csr"),
+            ("--threads", "2"),
+        ] {
+            let e = solve(&sv(&["--gen", "poisson2d:6", flag, v])).unwrap_err();
+            assert_eq!(e, format!("unknown flag `{flag}` (try `ftcg help`)"));
         }
-    }
-
-    #[test]
-    fn removed_solvers_point_at_the_two_solver_change() {
-        let why = format!("was removed in {}", ftcg::solvers::machine::SOLVERS_REMOVED);
-        let e = solve(&sv(&["--gen", "poisson2d:6", "--solver", "bicgstab"])).unwrap_err();
-        assert_eq!(e, format!("--solver: `bicgstab` {why}"));
-        let e = table1(&sv(&["--reps", "2", "--solver", "cgne"])).unwrap_err();
-        assert_eq!(e, format!("--solver: `cgne` {why}"));
-        let e = campaign(&sv(&["--gen", "poisson2d:6", "--solvers", "cg,cgne"])).unwrap_err();
-        assert_eq!(e, format!("spec error: `cgne` {why}"));
     }
 
     /// Values from other builds: the fingerprint and the first CSV row

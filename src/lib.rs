@@ -47,7 +47,7 @@
 //! | `ftcg-abft` | single-checksum detection and dual-checksum detect-2/correct-1 SpMxV, TMR-replicated vector state, FP tolerance |
 //! | `ftcg-checkpoint` | solver-state snapshots, the double-buffered `SnapshotSlot`, the (`Tcp`, `Trec`, `Tverif`) cost triple |
 //! | `ftcg-model` | expected frame time (eq. 5), the one interval planner `plan` (eq. 6) and its two cost profiles |
-//! | `ftcg-solvers` | steppable CG and PCG state machines + the resilient executor for the paper's three schemes |
+//! | `ftcg-solvers` | the paper's CG as a steppable state machine + the resilient executor for the paper's three schemes |
 //! | `ftcg-engine` | concurrent campaign engine: declarative sweeps, worker pool, JSONL/CSV sinks |
 //! | `ftcg-sim` | Table 1 / Figure 1 experiment harness (engine campaigns) and reports |
 //! | `ftcg-telemetry` | zero-overhead recorders, deterministic event traces, phase-timing sidecars, the one report fold, Perfetto export |
@@ -70,7 +70,6 @@ pub use ftcg_telemetry as telemetry;
 use ftcg_engine::inject::paper_injector;
 use ftcg_model::{CostProfile, Scheme};
 use ftcg_solvers::resilient::{solve_resilient, ResilientConfig, ResilientOutcome};
-use ftcg_solvers::SolverKind;
 use ftcg_sparse::CsrMatrix;
 
 /// Everything a typical user needs.
@@ -81,15 +80,13 @@ pub mod prelude {
     };
     pub use ftcg_model::Scheme;
     pub use ftcg_solvers::resilient::{ResilientConfig, ResilientOutcome};
-    pub use ftcg_solvers::{cg_solve, CgConfig, SolverKind, StoppingCriterion};
+    pub use ftcg_solvers::{cg_solve, CgConfig, StoppingCriterion};
     pub use ftcg_sparse::{gen, io, vector, CooMatrix, CsrMatrix};
 }
 
-/// High-level builder for a resilient solve (named for its historical
-/// CG default; [`ResilientCg::solver`] swaps in PCG — both solvers
-/// compose with every scheme).
+/// High-level builder for a resilient CG solve.
 ///
-/// Defaults: CG under ABFT-CORRECTION, no fault injection unless
+/// Defaults: ABFT-CORRECTION, no fault injection unless
 /// [`ResilientCg::fault_alpha`] is set. Always: model-optimal intervals
 /// for the configured fault rate, the scheme's [`CostProfile::DEFAULT`]
 /// resilience costs (the campaigns' profile, not the Table 1 / Figure 1
@@ -99,7 +96,6 @@ pub mod prelude {
 pub struct ResilientCg<'a> {
     a: &'a CsrMatrix,
     scheme: Scheme,
-    solver: SolverKind,
     alpha: Option<f64>,
     seed: u64,
 }
@@ -110,7 +106,6 @@ impl<'a> ResilientCg<'a> {
         Self {
             a,
             scheme: Scheme::AbftCorrection,
-            solver: SolverKind::Cg,
             alpha: None,
             seed: 0,
         }
@@ -119,14 +114,6 @@ impl<'a> ResilientCg<'a> {
     /// Selects the resilience scheme.
     pub fn scheme(mut self, scheme: Scheme) -> Self {
         self.scheme = scheme;
-        self
-    }
-
-    /// Selects the solver iterating under the protocol: CG (the
-    /// default, the paper's Algorithm 1) or Jacobi-preconditioned CG.
-    /// The builder keeps its historical name.
-    pub fn solver(mut self, solver: SolverKind) -> Self {
-        self.solver = solver;
         self
     }
 
@@ -147,9 +134,7 @@ impl<'a> ResilientCg<'a> {
     pub fn config(&self) -> ResilientConfig {
         let costs = CostProfile::DEFAULT.for_scheme(self.scheme);
         let alpha = self.alpha.unwrap_or(0.0);
-        let mut cfg = ResilientConfig::model_optimal(self.scheme, alpha, costs);
-        cfg.solver = self.solver;
-        cfg
+        ResilientConfig::model_optimal(self.scheme, alpha, costs)
     }
 
     /// Runs the solve.
@@ -247,21 +232,6 @@ mod tests {
             .scheme(Scheme::OnlineDetection)
             .scheme(Scheme::AbftCorrection);
         assert_eq!(back.config(), plain.config());
-    }
-
-    #[test]
-    fn builder_solver_axis_solves_under_faults() {
-        let a = gen::random_spd(120, 0.05, 8).unwrap();
-        let b = vec![1.0; 120];
-        for kind in SolverKind::ALL {
-            let out = ResilientCg::new(&a)
-                .solver(kind)
-                .fault_alpha(1.0 / 16.0)
-                .seed(3)
-                .solve(&b);
-            assert!(out.converged, "{kind}");
-            assert!(out.true_residual < 1e-5, "{kind}");
-        }
     }
 
     #[test]

@@ -14,11 +14,10 @@
 //! ```console
 //! $ ftcg solve --gen poisson2d:40 --scheme correction --alpha 0.0625
 //! $ ftcg solve --matrix system.mtx --scheme online --alpha 0.01 --seed 7
-//! $ ftcg solve --gen paper:1848 --solver pcg --alpha 1/16
+//! $ ftcg solve --gen paper:1848 --alpha 1/16
 //! $ ftcg stats --gen random:2000:0.005
 //! $ ftcg campaign --spec sweep.campaign --out results.jsonl --threads 8
 //! $ ftcg campaign --gen poisson2d:24 --schemes detection,correction --alphas 0,1/16
-//! $ ftcg campaign --gen poisson2d:24 --solvers cg,pcg --alphas 1/16
 //! $ ftcg campaign --spec sweep.campaign --journal run.jsonl --resume
 //! $ ftcg campaign --spec sweep.campaign --shard 0/4 --journal shard0.jsonl
 //! $ ftcg merge --spec sweep.campaign shard0.jsonl shard1.jsonl --out results.jsonl

@@ -103,12 +103,3 @@ fn plain_and_resilient_agree_fault_free() {
     );
     assert_eq!(plain.iterations, resilient.productive_iterations);
 }
-
-#[test]
-fn other_solvers_work_through_facade() {
-    let a = gen::random_spd(90, 0.07, 12).unwrap();
-    let b = vec![1.0; 90];
-    let x0 = vec![0.0; 90];
-    let cfg = CgConfig::default();
-    assert!(ftcg::solvers::pcg::pcg_jacobi_solve(&a, &b, &x0, &cfg).converged);
-}

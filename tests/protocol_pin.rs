@@ -1,20 +1,20 @@
-//! Cross-build pins of the resilient protocol: every scheme × solver,
-//! fault-free and under injection, must reproduce campaign CSVs written
-//! by an earlier build byte for byte. A refactor of the executor, the
+//! Cross-build pins of the resilient protocol: every scheme, fault-free
+//! and under injection, must reproduce campaign CSVs written by an
+//! earlier build byte for byte. A refactor of the executor, the
 //! schemes or the ABFT rules that moves a single simulated time,
 //! iteration count, rollback or residual bit fails here.
 //!
 //! The fixtures are `ftcg campaign --gen … --schemes online,detection,correction
-//! --alphas 0,1/8,1/4 --solvers cg,pcg --reps 2 --seed 7 --threads 2 --csv
-//! FILE`, with the `--gen` of each spec below: the rows an earlier build
-//! wrote for that grid with two more solvers on its axis, minus those
-//! two solvers' rows. Each job's fault stream is drawn independently of
-//! the solver axis, so deleting solvers leaves every other row as it was.
+//! --alphas 0,1/8,1/4 --reps 2 --seed 7 --threads 2 --csv FILE`, with
+//! the `--gen` of each spec below: the `cg` rows an earlier build wrote
+//! for that grid while it still swept a solver axis (`cg`, `pcg` and two
+//! more). Each job's fault stream was drawn independently of that axis,
+//! so deleting the other solvers left every `cg` row as it was.
 
 use ftcg::engine::{run_campaign, sink, CampaignSpec};
 use ftcg::sim::matrices::PaperMatrixResolver;
 
-/// The 3 schemes × 3 rates × 2 solvers grid over `matrices`.
+/// The 3 schemes × 3 rates grid over `matrices`.
 fn spec(matrices: &str) -> CampaignSpec {
     CampaignSpec::parse(&format!(
         "seed     = 7\n\
@@ -22,8 +22,7 @@ fn spec(matrices: &str) -> CampaignSpec {
          threads  = 2\n\
          matrices = {matrices}\n\
          schemes  = online, detection, correction\n\
-         alphas   = 0, 1/8, 1/4\n\
-         solvers  = cg, pcg\n"
+         alphas   = 0, 1/8, 1/4\n"
     ))
     .unwrap()
 }
@@ -37,7 +36,7 @@ fn assert_csv_matches(matrices: &str, pinned: &str) {
     assert_eq!(csv, pinned);
 }
 
-/// 18 configurations on a small Laplacian: fast enough for every
+/// 9 configurations on a small Laplacian: fast enough for every
 /// `cargo test`.
 #[test]
 fn every_scheme_and_solver_matches_a_pinned_earlier_build() {
@@ -47,7 +46,7 @@ fn every_scheme_and_solver_matches_a_pinned_earlier_build() {
     );
 }
 
-/// The 36-configuration campaign adding a scaled paper matrix, whose
+/// The 18-configuration campaign adding a scaled paper matrix, whose
 /// long ill-conditioned solves roll back thirty times as often as the
 /// Laplacian's. Tens of times slower unoptimized: `ci.sh` runs it
 /// with `cargo test --release -p ftcg --test protocol_pin --
