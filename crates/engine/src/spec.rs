@@ -542,20 +542,38 @@ mod tests {
         assert_eq!(ok.reps, 1000);
     }
 
+    /// `text` fails to parse with exactly "unknown key `key`".
+    fn assert_unknown_key(text: &str, key: &str) {
+        match CampaignSpec::parse(text) {
+            Err(EngineError::Spec(msg)) => assert_eq!(msg, format!("unknown key `{key}`")),
+            other => panic!("{text:?}: expected Spec error, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn removed_kernels_key_fails_loudly() {
+        // The SpMV-backend axis is gone: its key is unknown like any
+        // other, never silently ignored.
+        assert_unknown_key("matrices = poisson2d:8\nkernels = csr\n", "kernels");
+    }
+
+    #[test]
+    fn removed_solvers_fail_with_a_pointer() {
+        // CG is the only solver: the `solvers` key is unknown whatever
+        // it names, so a spec written for the solver axis fails at
+        // parse time rather than running a grid it did not ask for.
+        for text in [
+            "matrices = poisson2d:8\nsolvers = cg, bicgstab\n",
+            "matrices = poisson2d:8\nsolvers = cgne\n",
+            "solvers = cg\nmatrices = poisson2d:8\n",
+        ] {
+            assert_unknown_key(text, "solvers");
+        }
+    }
+
     #[test]
     fn rejects_unknown_key_and_bad_lines() {
-        // Keys of removed axes are unknown like any other.
-        for (line, key) in [
-            ("bogus = 1", "bogus"),
-            ("kernels = csr", "kernels"),
-            ("solvers = cg", "solvers"),
-            ("solvers = bicgstab", "solvers"),
-        ] {
-            match CampaignSpec::parse(&format!("{line}\nmatrices = poisson2d:4\n")) {
-                Err(EngineError::Spec(msg)) => assert_eq!(msg, format!("unknown key `{key}`")),
-                other => panic!("{line}: expected Spec error, got {other:?}"),
-            }
-        }
+        assert_unknown_key("bogus = 1\nmatrices = poisson2d:4\n", "bogus");
         assert!(CampaignSpec::parse("no equals sign here\n").is_err());
         // A JSON object is not a spec: `{` is a malformed first line.
         match CampaignSpec::parse("{\n  \"matrices\": [\"poisson2d:8\"]\n}\n") {

@@ -842,17 +842,6 @@ mod tests {
         assert_eq!(merge(&typo), Err(e));
         // A flag's value is never mistaken for a flag name.
         assert!(campaign_spec(&sv(&["--gen", "poisson2d:6", "--name", "--odd"])).is_ok());
-        // Flags of removed features are unknown like any other.
-        for (flag, v) in [
-            ("--batch", "4"),
-            ("--kernels", "csr"),
-            ("--solvers", "cg,bicgstab"),
-        ] {
-            let args = sv(&["--gen", "poisson2d:6", flag, v]);
-            let e = format!("unknown flag `{flag}` (try `ftcg help`)");
-            assert_eq!(campaign(&args), Err(e.clone()));
-            assert_eq!(merge(&args), Err(e));
-        }
     }
 
     /// `cmd` fails on `unknown` (whose last flag is misspelt) and on
@@ -868,6 +857,17 @@ mod tests {
         assert!(e.contains(&format!("`{misspelt}`")), "{unknown:?}: {e}");
         let e = cmd(&sv(bad)).unwrap_err();
         assert!(e.contains(flag), "{bad:?}: {e}");
+    }
+
+    #[test]
+    fn leftover_batch_flag_fails_loudly() {
+        // Repetitions always run one at a time: `--batch` is unknown
+        // like any other flag, in campaign and merge alike.
+        let args = sv(&["--gen", "poisson2d:6", "--batch", "4"]);
+        let e = "unknown flag `--batch` (try `ftcg help`)".to_string();
+        assert_eq!(campaign_spec(&args).unwrap_err(), e);
+        assert_eq!(campaign(&args), Err(e.clone()));
+        assert_eq!(merge(&args), Err(e));
     }
 
     #[test]
@@ -920,15 +920,52 @@ mod tests {
         );
         let e = figure1(&sv(&["--matrices", "0"])).unwrap_err();
         assert!(e.contains("--matrices"), "{e}");
-        // Flags of removed features are unknown like any other.
-        for (flag, v) in [
-            ("--solver", "bicgstab"),
-            ("--kernel", "csr"),
-            ("--threads", "2"),
-        ] {
-            let e = solve(&sv(&["--gen", "poisson2d:6", flag, v])).unwrap_err();
-            assert_eq!(e, format!("unknown flag `{flag}` (try `ftcg help`)"));
+    }
+
+    type Cmd = fn(&[String]) -> Result<(), String>;
+
+    /// Each command fails on its arguments, whose third word is a flag
+    /// the command does not know, with the unknown-flag error.
+    fn all_reject_as_unknown(cases: &[(Cmd, &[&str])]) {
+        for (cmd, args) in cases {
+            let e = cmd(&sv(args)).unwrap_err();
+            assert_eq!(
+                e,
+                format!("unknown flag `{}` (try `ftcg help`)", args[2]),
+                "{args:?}"
+            );
         }
+    }
+
+    #[test]
+    fn removed_kernel_flags_point_at_the_one_product() {
+        // Every product runs the one defensive CSR traversal: the
+        // backend flags, and `solve --threads`, are unknown like any
+        // other, before any matrix is built or file written.
+        all_reject_as_unknown(&[
+            (solve, &["--gen", "poisson2d:6", "--kernel", "csr"]),
+            (solve, &["--gen", "poisson2d:6", "--kernel", "list"]),
+            (solve, &["--gen", "poisson2d:6", "--threads", "2"]),
+            (stats, &["--gen", "poisson2d:6", "--kernel", "list"]),
+            (table1, &["--reps", "2", "--kernel", "csr"]),
+            (figure1, &["--reps", "2", "--kernel", "csr"]),
+            (campaign, &["--gen", "poisson2d:6", "--kernels", "csr"]),
+            (merge, &["--gen", "poisson2d:6", "--kernels", "csr"]),
+        ]);
+    }
+
+    #[test]
+    fn removed_solvers_point_at_the_two_solver_change() {
+        // CG is the only solver: `--solver` and `--solvers` are unknown
+        // whatever they name, `cg` included.
+        all_reject_as_unknown(&[
+            (solve, &["--gen", "poisson2d:6", "--solver", "bicgstab"]),
+            (solve, &["--gen", "poisson2d:6", "--solver", "cg"]),
+            (table1, &["--reps", "2", "--solver", "cgne"]),
+            (figure1, &["--reps", "2", "--solver", "cg"]),
+            (campaign, &["--gen", "poisson2d:6", "--solvers", "cg,cgne"]),
+            (merge, &["--gen", "poisson2d:6", "--solvers", "cg,bicgstab"]),
+        ]);
     }
 
     /// Values from other builds: the fingerprint and the first CSV row
