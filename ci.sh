@@ -92,9 +92,10 @@ cargo test -q --release -p ftcg-solvers --test alloc_gate
 echo "==> kernel and ABFT bit-exactness suites (release: the codegen that ships, bounds checks elided)"
 cargo test -q --release -p ftcg-sparse -p ftcg-kernels -p ftcg-abft
 
-echo "==> protocol and paper-matrix pins (release, including the published-order cases debug builds skip)"
+echo "==> protocol, paper-matrix and planner pins (release, including the published-order cases and the dense planner grid debug builds skip)"
 cargo test -q --release -p ftcg --test protocol_pin -- --include-ignored
 cargo test -q --release -p ftcg-sim --test paper_matrices -- --include-ignored
+cargo test -q --release -p ftcg-model --lib -- --include-ignored
 
 echo "==> shard → merge → diff smoke (byte-identical campaign artifacts)"
 bash scripts/shard_smoke.sh target/release/ftcg

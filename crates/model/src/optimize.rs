@@ -1,9 +1,32 @@
 //! Numerical minimization of the model overhead (eq. 6).
 //!
 //! "The minimization is complicated and should be conducted numerically"
-//! (Section 4.1) — the search spaces here are small (checkpoint interval
-//! `s` up to a few thousand, verification interval `d` up to a few
-//! hundred), so exhaustive scans are exact and instant.
+//! (Section 4.1). [`optimal_s`] scans `s = 1, 2, …` and stops as soon as
+//! the rest of the scan cannot win, so it returns what the full scan of
+//! `1..=s_max` would — the same `s` and the same overhead bits — after a
+//! few evaluations past the minimum instead of all `s_max`.
+//!
+//! **Why it may stop.** With `λ = −ln q` the overhead is
+//! `E(s,T)/(sT) = (a + C·(e^{λs} − 1))/s`, where `a = Tcp/T ≥ 0` and
+//! `C = (Trec + (T + Tverif)/(1 − q))/T > 0`. Its derivative in `s` has
+//! the sign of `−a + C·φ(s)`, where `φ(s) = λs·e^{λs} − e^{λs} + 1` rises
+//! strictly from `φ(0) = 0` (`φ′(s) = λ²s·e^{λs}`). So for `0 < q < 1` the
+//! overhead falls strictly up to one point and rises strictly after it:
+//! once a value is *truly* above an earlier one, the minimum lies behind
+//! and every later value is larger still.
+//!
+//! **When it stops.** A computed value carries rounding: `qˢ` by
+//! repeated multiplication is off by up to `(s − 1)·u` (`u = 2⁻⁵³`
+//! relative), and the cancellation in `q⁻ˢ − 1` magnifies that by
+//! `1/(1 − qˢ)`; since `s/(1 − qˢ) ≤ s + 1/λ ≤ s + 1/(1 − q)`, one
+//! evaluation is off by at most `ε = u·(s_max + 1/(1 − q) + 8)`, the
+//! `8u` being the formula's other roundings. The scan stops at the first
+//! value above `1 + 8ε` times the running best, twice the `4ε` the
+//! argument needs: `2ε` make the stopping value's true value exceed the
+//! best's (so every later true value is larger still), `2ε` more keep
+//! every later computed value above the computed best. Where the bound
+//! is not small (`1 − q ≤ 10⁻⁹`: the ABFT schemes' fault-free plans, and
+//! `q = 1` exactly) the scan runs to `s_max`.
 
 use ftcg_checkpoint::ResilienceCosts;
 
@@ -20,10 +43,19 @@ pub struct Optimum {
     pub overhead: f64,
 }
 
-/// Scans `s ∈ 1..=s_max` for the minimizer of `E(s,T)/(sT)` at fixed
-/// chunk length `t` and success probability `q`.
+/// The minimizer of `E(s,T)/(sT)` over `s ∈ 1..=s_max` at fixed chunk
+/// length `t` and success probability `q`: the first `s` with the least
+/// computed value, found by a scan that stops once the rest of the range
+/// cannot win (see the module docs).
 pub fn optimal_s(t: f64, costs: &ResilienceCosts, q: f64, s_max: usize) -> Optimum {
     assert!(s_max >= 1, "need at least one candidate");
+    // `1 + 8ε`, ε the rounding bound of one evaluation (`4·EPSILON` is
+    // `8u`); infinite (no early stop) where that bound is not small.
+    let slack = if 1.0 - q > 1e-9 {
+        1.0 + 4.0 * f64::EPSILON * (s_max as f64 + 1.0 / (1.0 - q) + 8.0)
+    } else {
+        f64::INFINITY
+    };
     let mut best = Optimum {
         s: 1,
         overhead: overhead(1, t, costs, q),
@@ -32,6 +64,8 @@ pub fn optimal_s(t: f64, costs: &ResilienceCosts, q: f64, s_max: usize) -> Optim
         let o = overhead(s, t, costs, q);
         if o < best.overhead {
             best = Optimum { s, overhead: o };
+        } else if o > best.overhead * slack {
+            break;
         }
     }
     best
@@ -113,7 +147,9 @@ const ONLINE_S_MAX: usize = 1000;
 /// harness all plan through this function (via
 /// `ResilientConfig::model_optimal`); only the cost triple they pass
 /// differs (see [`crate::CostProfile`]). `alpha` is floored at `1e-9`,
-/// so a fault-free run gets the longest interval scanned.
+/// so a fault-free run is planned as one fault in 10⁹ iterations: the
+/// ABFT schemes get the longest interval scanned (`s = 4000`),
+/// ONLINE-DETECTION `(s, d) = (981, 64)` for either profile.
 pub fn plan(scheme: Scheme, alpha: f64, costs: &ResilienceCosts) -> (usize, usize) {
     let alpha = alpha.max(1e-9);
     match scheme {
@@ -136,6 +172,108 @@ mod tests {
 
     fn costs() -> ResilienceCosts {
         ResilienceCosts::new(2.0, 2.0, 0.05)
+    }
+
+    /// The oracle: the full scan of `1..=s_max`, first minimum wins.
+    fn optimal_s_exhaustive(t: f64, costs: &ResilienceCosts, q: f64, s_max: usize) -> Optimum {
+        let mut best = Optimum {
+            s: 1,
+            overhead: overhead(1, t, costs, q),
+        };
+        for s in 2..=s_max {
+            let o = overhead(s, t, costs, q);
+            if o < best.overhead {
+                best = Optimum { s, overhead: o };
+            }
+        }
+        best
+    }
+
+    /// Runs [`optimal_s`] against the oracle for every `α` of `alphas`,
+    /// every cost triple of `triples` and every chunk shape `plan` scans
+    /// — both ABFT success functions at `T = 1` with `s ≤ 4000`, and
+    /// ONLINE-DETECTION at `T = d` with `s ≤ 1000` for each `d` of
+    /// `online_d`. Panics on the first scan whose `s` or overhead bits
+    /// differ.
+    fn assert_early_exit_matches_oracle(
+        alphas: &[f64],
+        triples: &[ResilienceCosts],
+        online_d: &[usize],
+    ) {
+        for &alpha in alphas {
+            let mut shapes = vec![
+                (1.0, q_detection(alpha, 1.0), ABFT_S_MAX),
+                (1.0, q_correction(alpha, 1.0), ABFT_S_MAX),
+            ];
+            for &d in online_d {
+                let t = d as f64;
+                shapes.push((t, q_detection(alpha, t), ONLINE_S_MAX));
+            }
+            for c in triples {
+                for &(t, q, s_max) in &shapes {
+                    let got = optimal_s(t, c, q, s_max);
+                    let want = optimal_s_exhaustive(t, c, q, s_max);
+                    assert!(
+                        got.s == want.s && got.overhead.to_bits() == want.overhead.to_bits(),
+                        "α {alpha:e}, T {t}, costs {c:?}: {got:?} vs full scan {want:?}"
+                    );
+                }
+            }
+        }
+    }
+
+    /// `n` values spaced evenly in `log10` from `10^lo` to `10^hi`.
+    fn log_grid(lo: f64, hi: f64, n: usize) -> Vec<f64> {
+        (0..n)
+            .map(|i| 10f64.powf(lo + (hi - lo) * i as f64 / (n - 1) as f64))
+            .collect()
+    }
+
+    /// The rates the benchmark and the Table 1 harness plan at, `α = 0`
+    /// (`q = 1`) and the `1e-9` floor [`plan`] puts under it.
+    const NAMED_ALPHAS: [f64; 6] = [0.0, 1e-9, 1.0 / 4.0, 1.0 / 8.0, 1.0 / 16.0, 1.0 / 64.0];
+
+    #[test]
+    fn early_exit_matches_the_full_scan() {
+        let mut alphas = log_grid(-10.0, 0.0, 41);
+        alphas.extend(NAMED_ALPHAS);
+        let mut triples = vec![
+            CostProfile::DEFAULT.for_scheme(Scheme::AbftDetection),
+            CostProfile::PAPER_LIKE.for_scheme(Scheme::AbftCorrection),
+            CostProfile::DEFAULT.for_scheme(Scheme::OnlineDetection),
+        ];
+        // Measured-like (cheap checkpoint) and lopsided triples.
+        triples.extend([
+            ResilienceCosts::new(0.02, 0.4, 0.25),
+            ResilienceCosts::new(0.0, 1.0, 0.1),
+            ResilienceCosts::new(50.0, 0.0, 0.0),
+        ]);
+        assert_early_exit_matches_oracle(&alphas, &triples, &[1, 2, 8, 64]);
+    }
+
+    /// The dense version (about 30 s in release on two cores, far too
+    /// slow in debug): 401 rates in `[10⁻¹⁰, 1]` plus the named ones, 36
+    /// cost triples and every `d` ONLINE-DETECTION scans, the rates split
+    /// between two threads.
+    #[test]
+    #[ignore = "dense grid: run in release with --include-ignored"]
+    fn early_exit_matches_the_full_scan_on_a_dense_grid() {
+        let mut alphas = log_grid(-10.0, 0.0, 401);
+        alphas.extend(NAMED_ALPHAS);
+        let mut triples = Vec::new();
+        for tcp in [0.0, 0.02, 2.0, 100.0] {
+            for trec in [0.0, 0.4, 2.0] {
+                for tverif in [0.0, 0.2, 1.0] {
+                    triples.push(ResilienceCosts::new(tcp, trec, tverif));
+                }
+            }
+        }
+        let online_d: Vec<usize> = (1..=ONLINE_D_MAX).collect();
+        std::thread::scope(|scope| {
+            for part in alphas.chunks(alphas.len().div_ceil(2)) {
+                scope.spawn(|| assert_early_exit_matches_oracle(part, &triples, &online_d));
+            }
+        });
     }
 
     #[test]
@@ -265,5 +403,28 @@ mod tests {
         for profile in [CostProfile::DEFAULT, CostProfile::PAPER_LIKE] {
             assert_eq!(table(profile, 0.0), [(981, 64), (4000, 1), (4000, 1)]);
         }
+        // The benchmark's rates.
+        let (storm, t8, t64) = (1.0 / 4.0, 1.0 / 8.0, 1.0 / 64.0);
+        assert_eq!(
+            table(CostProfile::DEFAULT, storm),
+            [(1, 2), (3, 1), (11, 1)]
+        );
+        assert_eq!(
+            table(CostProfile::PAPER_LIKE, storm),
+            [(1, 2), (2, 1), (10, 1)]
+        );
+        assert_eq!(table(CostProfile::DEFAULT, t8), [(1, 4), (4, 1), (22, 1)]);
+        assert_eq!(
+            table(CostProfile::PAPER_LIKE, t8),
+            [(1, 4), (4, 1), (20, 1)]
+        );
+        assert_eq!(
+            table(CostProfile::DEFAULT, t64),
+            [(1, 12), (14, 1), (179, 1)]
+        );
+        assert_eq!(
+            table(CostProfile::PAPER_LIKE, t64),
+            [(1, 12), (14, 1), (165, 1)]
+        );
     }
 }

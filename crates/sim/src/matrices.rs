@@ -141,9 +141,11 @@ impl ftcg_engine::MatrixResolver for PaperMatrixResolver {
                 let id: u32 = parts.next().and_then(|p| p.parse().ok()).ok_or_else(|| {
                     ftcg_engine::EngineError::Matrix(format!("bad paper source `{name}`"))
                 })?;
+                // The scale divides the published order: 0 is refused,
+                // not run as the paper-size matrix.
                 let scale: usize = match parts.next() {
                     None => 16,
-                    Some(p) => p.parse().map_err(|_| {
+                    Some(p) => p.parse().ok().filter(|&s| s >= 1).ok_or_else(|| {
                         ftcg_engine::EngineError::Matrix(format!("bad paper scale in `{name}`"))
                     })?,
                 };
@@ -221,6 +223,26 @@ mod tests {
         let m = by_id(924).unwrap();
         assert_eq!(m.rhs(100), m.rhs(100));
         assert!(m.rhs(10).iter().all(|v| v.is_finite()));
+    }
+
+    #[test]
+    fn resolver_rejects_bad_paper_sources() {
+        use ftcg_engine::{EngineError, MatrixResolver, MatrixSource};
+        let resolve = |name: &str| PaperMatrixResolver.resolve(&MatrixSource::Named(name.into()));
+        for (name, what) in [
+            ("paper:341:0", "bad paper scale in `paper:341:0`"),
+            ("paper:341:x", "bad paper scale in `paper:341:x`"),
+            ("paper:9999:64", "unknown paper matrix id 9999"),
+        ] {
+            match resolve(name) {
+                Err(EngineError::Matrix(e)) => assert_eq!(e, what),
+                other => panic!("{name}: {other:?}"),
+            }
+        }
+        assert_eq!(
+            resolve("paper:341:64").unwrap(),
+            by_id(341).unwrap().generate(64)
+        );
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! the historical inlined loop computed, bit for bit.
 
 use ftcg_checkpoint::SolverState;
-use ftcg_sparse::{fused, vector, CsrMatrix};
+use ftcg_sparse::{fused, vector, CsrMatrix, RowOrder};
 
 use crate::machine::{PlainContext, StepContext, StepResult};
 use crate::stopping::StoppingCriterion;
@@ -173,14 +173,18 @@ impl CgMachine {
     }
 
     /// The ONLINE-DETECTION stability verification: Chen's two tests
-    /// (A-conjugacy of successive directions + recomputed residual).
+    /// (A-conjugacy of successive directions + recomputed residual, its
+    /// product visiting rows in `order`).
     pub(crate) fn verify_state(
         &self,
         a: &CsrMatrix,
+        order: &RowOrder,
         norm1_a: f64,
         tol: &OnlineTolerances,
     ) -> OnlineVerdict {
-        verify_online(a, &self.b, &self.x, &self.r, &self.p, &self.q, norm1_a, tol)
+        verify_online(
+            a, order, &self.b, &self.x, &self.r, &self.p, &self.q, norm1_a, tol,
+        )
     }
 }
 

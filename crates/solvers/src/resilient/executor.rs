@@ -440,9 +440,9 @@ impl<'a, R: Recorder> ExecutorMachine<'a, R> {
             self.time += chunk_cost;
             self.stats.chunk_checks += 1;
             let t_verify = self.rec.start();
-            let chunk_ok = self
-                .protection
-                .verify_chunk(self.a, self.solver, &self.cfg.online_tol);
+            let chunk_ok =
+                self.protection
+                    .verify_chunk(self.a, self.order, self.solver, &self.cfg.online_tol);
             self.rec.phase(Phase::ChunkVerify, t_verify);
             // Priced verifications (ONLINE) always leave a trace event;
             // the ABFT schemes' free per-iteration no-op checks only do

@@ -19,7 +19,7 @@
 use ftcg_abft::{ProtectedSpmv, SingleChecksum, SpmvOutcome, XRef};
 use ftcg_checkpoint::ResilienceCosts;
 use ftcg_model::Scheme;
-use ftcg_sparse::CsrMatrix;
+use ftcg_sparse::{CsrMatrix, RowOrder};
 
 use crate::verify::OnlineTolerances;
 use crate::CgMachine;
@@ -159,14 +159,18 @@ impl Protection {
 
     /// Chunk-boundary whole-state verification; `true` means the state
     /// is trusted (a checkpoint may be taken, convergence accepted).
+    /// `order` is the row visit order of the solve's products.
     pub(crate) fn verify_chunk(
         &self,
         a: &CsrMatrix,
+        order: &RowOrder,
         solver: &CgMachine,
         tol: &OnlineTolerances,
     ) -> bool {
         match self {
-            Protection::Online { norm1_a } => !solver.verify_state(a, *norm1_a, tol).detected,
+            Protection::Online { norm1_a } => {
+                !solver.verify_state(a, order, *norm1_a, tol).detected
+            }
             // Every product of the chunk was already verified.
             _ => true,
         }

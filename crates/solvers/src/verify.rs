@@ -12,7 +12,7 @@
 //! below them (no false positives), while bit flips that matter push
 //! them far above (tested below and in `ftcg-sim`).
 
-use ftcg_sparse::{vector, CsrMatrix};
+use ftcg_sparse::{vector, CsrMatrix, RowOrder};
 
 /// Thresholds for the two stability tests.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -45,18 +45,26 @@ pub(crate) struct OnlineVerdict {
 
 /// The residual test: recomputes `b − A·x` defensively and returns the
 /// scaled drift against the recursive residual `r` (the dominant
-/// `Tverif` cost of the verification). The product
-/// is consumed a band of rows at a time from a stack buffer, so a chunk
-/// verification allocates nothing; per element and in order these are
-/// the operations of `max_abs_diff(b − A·x, r)`.
-fn residual_drift(a: &CsrMatrix, b: &[f64], x: &[f64], r: &[f64], norm1_a: f64) -> f64 {
+/// `Tverif` cost of the verification). The product visits rows in
+/// `order`, the solve's own, and is consumed one [`RowOrder::WINDOW`]
+/// of rows at a time from a stack buffer, so a chunk verification
+/// allocates nothing; per element and in order these are the
+/// operations of `max_abs_diff(b − A·x, r)`.
+fn residual_drift(
+    a: &CsrMatrix,
+    order: &RowOrder,
+    b: &[f64],
+    x: &[f64],
+    r: &[f64],
+    norm1_a: f64,
+) -> f64 {
     let n = a.n_rows();
-    let mut band = [0.0_f64; 64];
+    let mut band = [0.0_f64; RowOrder::WINDOW];
     let mut drift = 0.0_f64;
     for start in (0..n).step_by(band.len()) {
         let end = n.min(start + band.len());
         let ax = &mut band[..end - start];
-        a.row_band_product_clamped(start..end, x, ax);
+        a.row_band_product_clamped(start..end, order, x, ax);
         for (i, axi) in (start..end).zip(ax.iter()) {
             drift = drift.max(((b[i] - axi) - r[i]).abs());
         }
@@ -76,12 +84,15 @@ fn residual_drift(a: &CsrMatrix, b: &[f64], x: &[f64], r: &[f64], norm1_a: f64) 
 /// `norm1_a` must be the 1-norm of the *clean* matrix, computed once at
 /// setup: the working matrix may be corrupted (wild column indices), so
 /// recomputing the norm here would be both unsafe and meaningless.
+/// `order` is the row visit order of the solve's products (it changes
+/// no bit of the verdict).
 #[expect(
     clippy::too_many_arguments,
-    reason = "Chen's two tests read the system, the three iteration vectors and the clean norm in one call"
+    reason = "Chen's two tests read the system, its row order, the three iteration vectors and the clean norm in one call"
 )]
 pub(crate) fn verify_online(
     a: &CsrMatrix,
+    order: &RowOrder,
     b: &[f64],
     x: &[f64],
     r: &[f64],
@@ -100,7 +111,7 @@ pub(crate) fn verify_online(
     let orthogonality = if denom > 0.0 { (pq / denom).abs() } else { 0.0 };
 
     // Residual: recompute b − A·x defensively and compare to r.
-    let residual_drift = residual_drift(a, b, x, r, norm1_a);
+    let residual_drift = residual_drift(a, order, b, x, r, norm1_a);
 
     // `f64::max` ignores NaN operands, so non-finite corruption must be
     // screened explicitly (a flipped exponent bit easily produces Inf/NaN).
@@ -155,22 +166,28 @@ mod tests {
         (x, r, p, q)
     }
 
+    /// Chen's two tests on the image `m` of `clean`, with the clean
+    /// norm, the default tolerances and natural row order.
+    fn verdict(
+        m: &CsrMatrix,
+        clean: &CsrMatrix,
+        b: &[f64],
+        x: &[f64],
+        r: &[f64],
+        p: &[f64],
+        q: &[f64],
+    ) -> OnlineVerdict {
+        let tol = OnlineTolerances::default();
+        verify_online(m, &RowOrder::new(), b, x, r, p, q, clean.norm1(), &tol)
+    }
+
     #[test]
     fn clean_run_passes() {
         let a = gen::random_spd(60, 0.08, 2).unwrap();
         let b: Vec<f64> = (0..60).map(|i| (i as f64 * 0.3).sin()).collect();
         for iters in [1usize, 3, 10, 25] {
             let (x, r, p, q) = clean_cg_state(&a, &b, iters);
-            let v = verify_online(
-                &a,
-                &b,
-                &x,
-                &r,
-                &p,
-                &q,
-                a.norm1(),
-                &OnlineTolerances::default(),
-            );
+            let v = verdict(&a, &a, &b, &x, &r, &p, &q);
             assert!(!v.detected, "false positive after {iters} iters: {v:?}");
         }
     }
@@ -181,16 +198,7 @@ mod tests {
         let b: Vec<f64> = vec![1.0; 60];
         let (mut x, r, p, q) = clean_cg_state(&a, &b, 5);
         x[10] += 1.0;
-        let v = verify_online(
-            &a,
-            &b,
-            &x,
-            &r,
-            &p,
-            &q,
-            a.norm1(),
-            &OnlineTolerances::default(),
-        );
+        let v = verdict(&a, &a, &b, &x, &r, &p, &q);
         assert!(v.detected);
         assert!(v.residual_drift > 1e-6);
     }
@@ -201,16 +209,7 @@ mod tests {
         let b: Vec<f64> = vec![1.0; 60];
         let (x, mut r, p, q) = clean_cg_state(&a, &b, 5);
         r[0] -= 0.5;
-        let v = verify_online(
-            &a,
-            &b,
-            &x,
-            &r,
-            &p,
-            &q,
-            a.norm1(),
-            &OnlineTolerances::default(),
-        );
+        let v = verdict(&a, &a, &b, &x, &r, &p, &q);
         assert!(v.detected);
     }
 
@@ -222,16 +221,7 @@ mod tests {
         let mut bad = a.clone();
         bad.val_mut()[7] += 1.0;
         // Recomputed residual uses the corrupted matrix: drift appears.
-        let v = verify_online(
-            &bad,
-            &b,
-            &x,
-            &r,
-            &p,
-            &q,
-            a.norm1(),
-            &OnlineTolerances::default(),
-        );
+        let v = verdict(&bad, &a, &b, &x, &r, &p, &q);
         assert!(v.detected);
     }
 
@@ -241,16 +231,7 @@ mod tests {
         let b: Vec<f64> = vec![1.0; 60];
         let (x, r, mut p, q) = clean_cg_state(&a, &b, 5);
         p[3] += 10.0; // break A-conjugacy
-        let v = verify_online(
-            &a,
-            &b,
-            &x,
-            &r,
-            &p,
-            &q,
-            a.norm1(),
-            &OnlineTolerances::default(),
-        );
+        let v = verdict(&a, &a, &b, &x, &r, &p, &q);
         assert!(v.detected);
         assert!(v.orthogonality > 1e-8);
     }
@@ -261,16 +242,7 @@ mod tests {
         let b: Vec<f64> = vec![1.0; 30];
         let (mut x, r, p, q) = clean_cg_state(&a, &b, 3);
         x[0] = f64::NAN;
-        let v = verify_online(
-            &a,
-            &b,
-            &x,
-            &r,
-            &p,
-            &q,
-            a.norm1(),
-            &OnlineTolerances::default(),
-        );
+        let v = verdict(&a, &a, &b, &x, &r, &p, &q);
         assert!(v.detected);
     }
 
@@ -282,16 +254,7 @@ mod tests {
         let mut bad = a.clone();
         bad.rowptr_mut()[5] = u32::MAX;
         // Must not panic; must detect.
-        let v = verify_online(
-            &bad,
-            &b,
-            &x,
-            &r,
-            &p,
-            &q,
-            a.norm1(),
-            &OnlineTolerances::default(),
-        );
+        let v = verdict(&bad, &a, &b, &x, &r, &p, &q);
         assert!(v.detected);
     }
 
@@ -312,9 +275,19 @@ mod tests {
                 drift
             }
         };
-        // Orders around the band length, clean and corrupted images.
+        // Orders around the band length, clean and corrupted images, rows
+        // visited in natural order and in the length-sorted order of the
+        // clean matrix (as the workspace builds it for the solve).
+        let mut sorted_windows = 0;
         for n in [1usize, 63, 64, 65, 150, 256] {
             let a = gen::random_spd(n, (8.0 / n as f64).min(0.5), n as u64).unwrap();
+            let mut sorted = RowOrder::new();
+            sorted.rebuild(&a);
+            sorted_windows += sorted
+                .as_slice()
+                .chunks(RowOrder::WINDOW)
+                .filter(|w| w.windows(2).any(|p| p[0] > p[1]))
+                .count();
             let b: Vec<f64> = (0..n).map(|i| 1.0 + (i as f64 * 0.3).sin()).collect();
             let (x, r, _, _) = clean_cg_state(&a, &b, 4);
             let mut wild = a.clone();
@@ -324,11 +297,14 @@ mod tests {
             let mut nan = a.clone();
             nan.val_mut()[n / 2] = f64::NAN;
             for m in [&a, &wild, &nan] {
-                let got = residual_drift(m, &b, &x, &r, a.norm1());
                 let want = reference(m, &b, &x, &r, a.norm1());
-                assert_eq!(got.to_bits(), want.to_bits(), "n {n}: {got} vs {want}");
+                for order in [&RowOrder::new(), &sorted] {
+                    let got = residual_drift(m, order, &b, &x, &r, a.norm1());
+                    assert_eq!(got.to_bits(), want.to_bits(), "n {n}: {got} vs {want}");
+                }
             }
         }
+        assert!(sorted_windows > 0, "no window was reordered");
     }
 
     #[test]
@@ -349,16 +325,7 @@ mod tests {
         let ax = a.spmv(&s.x);
         vector::sub_assign(&mut r, &ax);
         let (x2, r2, p2, q2) = clean_cg_state(&a, &b, 30);
-        let v = verify_online(
-            &a,
-            &b,
-            &x2,
-            &r2,
-            &p2,
-            &q2,
-            a.norm1(),
-            &OnlineTolerances::default(),
-        );
+        let v = verdict(&a, &a, &b, &x2, &r2, &p2, &q2);
         assert!(!v.detected, "{v:?}");
         let _ = (s, r);
     }

@@ -485,17 +485,25 @@ impl CsrMatrix {
 
     /// Defensive products of the row band `rows` into `y` (one output
     /// per row of the band) through the one lockstep traversal, rows
-    /// visited in natural order — bit-identical to calling
-    /// [`CsrMatrix::row_product_clamped`] per row. ONLINE-DETECTION's
-    /// residual check runs it band by band.
+    /// visited in `order` where the band covers whole
+    /// [`RowOrder::WINDOW`]-row windows — bit-identical to calling
+    /// [`CsrMatrix::row_product_clamped`] per row, whatever the order
+    /// holds. ONLINE-DETECTION's residual check runs it a window at a
+    /// time, in the order the solve's products use.
     ///
     /// # Panics
     /// Panics if `rows.end > n_rows` or `y.len() != rows.len()`.
-    pub fn row_band_product_clamped(&self, rows: std::ops::Range<usize>, x: &[f64], y: &mut [f64]) {
+    pub fn row_band_product_clamped(
+        &self,
+        rows: std::ops::Range<usize>,
+        order: &RowOrder,
+        x: &[f64],
+        y: &mut [f64],
+    ) {
         assert!(rows.end <= self.n_rows, "row band out of range");
         assert_eq!(y.len(), rows.len(), "row band: y length mismatch");
         let base = rows.start;
-        self.row_band_clamped_each(rows, &RowOrder::new(), x, |i, v| y[i - base] = v);
+        self.row_band_clamped_each(rows, order, x, |i, v| y[i - base] = v);
     }
 
     /// Defensive `y ← A·x` through the lockstep traversal, rows visited

@@ -741,12 +741,14 @@ pub(crate) fn report(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-/// The `--reps` of `table1` and `figure1`: a configuration with no
-/// repetition has no mean to report.
-fn parse_experiment_reps(args: &[String]) -> Result<usize, String> {
-    match parse_strict(args, "--reps", 20)? {
-        0 => Err("--reps must be at least 1, got 0".into()),
-        reps => Ok(reps),
+/// A count of `table1` and `figure1` that 0 makes meaningless: a
+/// configuration with no repetition has no mean to report, a sweep of no
+/// matrix is no experiment, and `--scale` divides the published order
+/// (0 would run the paper-size matrices, hours of work, unasked).
+fn parse_at_least_one(args: &[String], flag: &str, default: usize) -> Result<usize, String> {
+    match parse_strict(args, flag, default)? {
+        0 => Err(format!("{flag} must be at least 1, got 0")),
+        n => Ok(n),
     }
 }
 
@@ -756,8 +758,8 @@ pub(crate) fn table1(args: &[String]) -> Result<(), String> {
     // Field order is evaluation order: every value is checked before
     // the `--*-dir` flags create their directories.
     let params = Table1Params {
-        scale: parse_strict(args, "--scale", 32)?,
-        reps: parse_experiment_reps(args)?,
+        scale: parse_at_least_one(args, "--scale", 32)?,
+        reps: parse_at_least_one(args, "--reps", 20)?,
         threads: parse_strict(args, "--threads", 8)?,
         dirs: parse_artifact_dirs(args)?,
         ..Table1Params::default()
@@ -789,13 +791,10 @@ pub(crate) fn figure1(args: &[String]) -> Result<(), String> {
     if points < 2 {
         return Err(format!("--points must be at least 2, got {points}"));
     }
-    let n_matrices = parse_strict(args, "--matrices", PAPER_MATRICES.len())?;
-    if n_matrices == 0 {
-        return Err("--matrices must be at least 1, got 0".into());
-    }
+    let n_matrices = parse_at_least_one(args, "--matrices", PAPER_MATRICES.len())?;
     let params = Figure1Params {
-        scale: parse_strict(args, "--scale", 32)?,
-        reps: parse_experiment_reps(args)?,
+        scale: parse_at_least_one(args, "--scale", 32)?,
+        reps: parse_at_least_one(args, "--reps", 20)?,
         mtbf_grid: log_grid(2e1, 2e4, points),
         threads: parse_strict(args, "--threads", 8)?,
         dirs: parse_artifact_dirs(args)?,
@@ -920,6 +919,14 @@ mod tests {
         );
         let e = figure1(&sv(&["--matrices", "0"])).unwrap_err();
         assert!(e.contains("--matrices"), "{e}");
+        // Scale 0 would divide the published order by nothing, i.e. run
+        // the paper-size matrices for hours: refused the same way.
+        for cmd in [table1 as Cmd, figure1] {
+            assert_eq!(
+                cmd(&sv(&["--scale", "0", "--reps", "1"])),
+                Err("--scale must be at least 1, got 0".into())
+            );
+        }
     }
 
     type Cmd = fn(&[String]) -> Result<(), String>;
