@@ -61,6 +61,12 @@ if grep -rnE 'SolverKind|IterativeSolver|PcgMachine|pcg_jacobi|axpy2_precond_dot
     exit 1
 fi
 
+echo "==> no fault-simulation shadows (the executor keeps no TMR replicas: it votes the iteration's recorded flips)"
+if grep -rn 'TmrVector' crates/solvers/src; then
+    echo "a TMR replica vector in the solvers (above): record the fault as a ftcg_abft::tmr::ReplicaFlip and vote with vote_flips instead" >&2
+    exit 1
+fi
+
 echo "==> ROADMAP item numbers stay in ROADMAP.md (they change when it is rewritten; say what the item stands for)"
 if grep -rlzP 'ROADMAP(\.md)?,?(\s|//[/!]?|#)*item\s+[0-9]' src crates README.md; then
     echo "a ROADMAP item number in the files above (a line break between the two words counts): state the fact it stands for instead" >&2

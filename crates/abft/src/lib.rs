@@ -38,9 +38,10 @@
 //!
 //! Vector state is protected by triple modular redundancy instead
 //! ([`tmr`]), as the paper argues ABFT on vector operations costs as much
-//! as recomputation: the resilient executor keeps the iterate and the
-//! residual in three [`TmrVector`] replicas and majority-votes them after
-//! every step.
+//! as recomputation: the resilient executor records each fault in the
+//! iterate or the residual as a flip in one of three replicas and
+//! majority-votes the flips after every step ([`tmr::vote_flips`],
+//! bit-for-bit the vote of three [`TmrVector`] replicas holding them).
 //!
 //! Floating-point comparisons use the rigorous bound of Theorem 2
 //! (`tolerance`), which guarantees **no false positives**: a reported

@@ -6,6 +6,15 @@
 //! resilient mode." A single silent error striking one replica is
 //! outvoted by the other two (2-of-3 majority); two colliding errors in
 //! one vote window are detected as unresolved and force a rollback.
+//!
+//! Replicas that were stored equal differ afterwards only by the bits
+//! flipped in them since, so the vote is a function of those flips:
+//! [`vote_flips`] takes them as a list of [`ReplicaFlip`]s and returns
+//! exactly what [`TmrVector::vote`] would on the replicas, without
+//! keeping any. The resilient executor records its injected `r`/`x`
+//! faults that way and votes them after every step; [`TmrVector`]
+//! itself stays as the reference the flip vote is tested against and
+//! as the benchmark's cost probe of an element-by-element vote.
 
 /// A vector held in three replicas with bitwise majority voting.
 #[derive(Debug, Clone, PartialEq)]
@@ -37,30 +46,18 @@ impl TmrVector {
         }
     }
 
-    /// Zero-initialized TMR vector of length `n`.
-    pub fn zeros(n: usize) -> Self {
-        Self::new(&vec![0.0; n])
-    }
-
     /// Vector length.
     pub(crate) fn len(&self) -> usize {
         self.replicas[0].len()
     }
 
-    /// Mutable access to a single replica — the fault injector's door.
+    /// Mutable access to a single replica — the tests' fault door.
     ///
     /// # Panics
     /// Panics if `r >= 3`.
-    pub fn replica_mut(&mut self, r: usize) -> &mut [f64] {
+    #[cfg(test)]
+    fn replica_mut(&mut self, r: usize) -> &mut [f64] {
         &mut self.replicas[r]
-    }
-
-    /// Overwrites all three replicas with `data` (a resilient-mode write).
-    pub fn store(&mut self, data: &[f64]) {
-        for rep in &mut self.replicas {
-            rep.clear();
-            rep.extend_from_slice(data);
-        }
     }
 
     /// Bitwise 2-of-3 majority vote; repairs outvoted replicas in place.
@@ -94,6 +91,55 @@ impl TmrVector {
         }
         out
     }
+}
+
+/// One bit flipped in one replica of a TMR-held word since the three
+/// replicas were last stored equal.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ReplicaFlip {
+    /// The word struck, in the caller's numbering of its protected data.
+    pub word: usize,
+    /// The replica struck, `0..3`.
+    pub replica: usize,
+    /// The bit flipped, `0..64`.
+    pub bit: u32,
+}
+
+/// The 2-of-3 majority vote of three replicas that were stored equal
+/// and have since taken exactly `flips`, in any order: the
+/// [`VoteOutcome`] [`TmrVector::vote`] returns on such replicas.
+///
+/// Per word, each replica's flips XOR into one mask. Three equal masks
+/// leave the word agreed; exactly two equal masks outvote the third
+/// (one correction — even when the two are the flipped ones, the known
+/// TMR failure mode); three different masks leave it unresolved. A bit
+/// flipped twice in one replica cancels. Allocation-free: each word is
+/// voted at its first flip by a scan of the list, so the cost is
+/// quadratic in the (small) number of flips of one vote window.
+///
+/// # Panics
+/// Panics if a flip names a replica `>= 3` or a bit `>= 64`.
+pub fn vote_flips(flips: &[ReplicaFlip]) -> VoteOutcome {
+    let mut out = VoteOutcome::default();
+    for (i, f) in flips.iter().enumerate() {
+        if flips[..i].iter().any(|g| g.word == f.word) {
+            continue; // voted at its first flip
+        }
+        let mut masks = [0u64; 3];
+        for g in flips[i..].iter().filter(|g| g.word == f.word) {
+            masks[g.replica] ^= 1u64 << g.bit;
+        }
+        let [m0, m1, m2] = masks;
+        if m0 == m1 && m1 == m2 {
+            continue;
+        }
+        if m0 == m1 || m0 == m2 || m1 == m2 {
+            out.corrected += 1;
+        } else {
+            out.unresolved += 1;
+        }
+    }
+    out
 }
 
 #[cfg(test)]
@@ -154,15 +200,6 @@ mod tests {
     }
 
     #[test]
-    fn store_resets_all_replicas() {
-        let mut v = TmrVector::new(&[1.0]);
-        v.replica_mut(2)[0] = 4.0;
-        v.store(&[8.0]);
-        assert_eq!(v.vote(), VoteOutcome::default());
-        assert_eq!(v.replicas[0], [8.0]);
-    }
-
-    #[test]
     fn nan_corruption_corrected() {
         let mut v = TmrVector::new(&[1.0, 2.0]);
         v.replica_mut(0)[1] = f64::NAN;
@@ -171,10 +208,91 @@ mod tests {
         assert_eq!(v.replicas[0], [1.0, 2.0]);
     }
 
+    /// The vote [`TmrVector::vote`] takes on replicas of `data` struck
+    /// by `flips` (words numbered from 0 over `data`).
+    fn vote_replicas(data: &[f64], flips: &[ReplicaFlip]) -> VoteOutcome {
+        let mut v = TmrVector::new(data);
+        for f in flips {
+            let w = &mut v.replica_mut(f.replica)[f.word];
+            *w = f64::from_bits(w.to_bits() ^ (1u64 << f.bit));
+        }
+        v.vote()
+    }
+
     #[test]
-    fn zeros_and_len() {
-        let v = TmrVector::zeros(5);
-        assert_eq!(v.len(), 5);
-        assert_eq!(TmrVector::zeros(0).len(), 0);
+    fn flip_vote_matches_replicas_on_every_small_multiset() {
+        // Every multiset of at most three flips over 2 words × 3
+        // replicas × 2 bits (455 of them), each in one order.
+        let kinds: Vec<ReplicaFlip> = (0..2)
+            .flat_map(|word| {
+                (0..3)
+                    .flat_map(move |replica| [0, 63].map(|bit| ReplicaFlip { word, replica, bit }))
+            })
+            .collect();
+        let k = kinds.len();
+        let mut cases = 0;
+        for size in 0..=3usize {
+            let mut idx = vec![0usize; size];
+            loop {
+                let flips: Vec<ReplicaFlip> = idx.iter().map(|&i| kinds[i]).collect();
+                let want = vote_replicas(&[1.5, -0.25], &flips);
+                assert_eq!(vote_flips(&flips), want, "{flips:?}");
+                cases += 1;
+                // Next non-decreasing index tuple (a multiset).
+                let Some(p) = (0..size).rev().find(|&p| idx[p] + 1 < k) else {
+                    break;
+                };
+                let next = idx[p] + 1;
+                idx[p..].fill(next);
+            }
+        }
+        assert_eq!(cases, 1 + 12 + 78 + 364);
+    }
+
+    #[test]
+    fn flip_vote_matches_replicas_on_a_seeded_sweep() {
+        use rand::rngs::StdRng;
+        use rand::{RngExt, SeedableRng};
+        // Two vectors of 4 words, numbered 0..4 and 4..8 in the flip
+        // list; up to 6 flips over few bits, so cancelling, outvoting
+        // and colliding flips all occur.
+        let mut rng = StdRng::seed_from_u64(38);
+        let (r0, x0) = ([1.0, -2.0, 0.5, 3.0], [0.0, 7.0, -1e-3, 4.0]);
+        let mut outcomes = [0usize; 3];
+        for _ in 0..20_000 {
+            let len = rng.random_range(0..7usize);
+            let flips: Vec<ReplicaFlip> = (0..len)
+                .map(|_| ReplicaFlip {
+                    word: rng.random_range(0..8),
+                    replica: rng.random_range(0..3),
+                    bit: [0, 1, 52, 63][rng.random_range(0..4usize)],
+                })
+                .collect();
+            let on = |lo: usize| -> Vec<ReplicaFlip> {
+                flips
+                    .iter()
+                    .filter(|f| (lo..lo + 4).contains(&f.word))
+                    .map(|f| ReplicaFlip {
+                        word: f.word - lo,
+                        ..*f
+                    })
+                    .collect()
+            };
+            let vr = vote_replicas(&r0, &on(0));
+            let vx = vote_replicas(&x0, &on(4));
+            let want = VoteOutcome {
+                corrected: vr.corrected + vx.corrected,
+                unresolved: vr.unresolved + vx.unresolved,
+            };
+            assert_eq!(vote_flips(&flips), want, "{flips:?}");
+            // Clean, corrected, or unresolved somewhere.
+            let class = if want.is_trusted() {
+                usize::from(want.corrected > 0)
+            } else {
+                2
+            };
+            outcomes[class] += 1;
+        }
+        assert!(outcomes.iter().all(|&c| c > 0), "{outcomes:?}");
     }
 }

@@ -129,11 +129,8 @@ fn injector_for(job: &ConfigJob, seed: u64) -> Option<Injector> {
 /// workspace (bit-identical to fresh allocation — the reuse contract).
 fn run_one(job: &ConfigJob, seed: u64, ws: &mut JobWorkspace) -> JobMetrics {
     let a = job.matrix.as_ref();
-    let sw = ws.solver_workspace();
-    let out = match injector_for(job, seed) {
-        Some(mut inj) => solve_resilient_in(a, &job.rhs, &job.cfg, Some(&mut inj), sw),
-        None => solve_resilient_in(a, &job.rhs, &job.cfg, None, sw),
-    };
+    let mut inj = injector_for(job, seed);
+    let out = solve_resilient_in(a, &job.rhs, &job.cfg, inj.as_mut(), ws.solver_workspace());
     JobMetrics::from(&out)
 }
 
@@ -150,10 +147,8 @@ fn run_one_traced(job: &ConfigJob, seed: u64, ws: &mut JobWorkspace) -> JobMetri
     let (sw, rec) = ws.solver_and_recorder();
     rec.reset();
     rec.event(Event::job_start());
-    let out = match injector_for(job, seed) {
-        Some(mut inj) => solve_resilient_recorded(a, &job.rhs, &job.cfg, Some(&mut inj), sw, rec),
-        None => solve_resilient_recorded(a, &job.rhs, &job.cfg, None, sw, rec),
-    };
+    let mut inj = injector_for(job, seed);
+    let out = solve_resilient_recorded(a, &job.rhs, &job.cfg, inj.as_mut(), sw, rec);
     rec.finish_job(
         out.executed_iterations as u64,
         out.productive_iterations as u64,

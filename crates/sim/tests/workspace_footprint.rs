@@ -48,7 +48,7 @@ fn nine_matrices_retain_one_high_water_image() {
         "the largest matrix needs its image: {retained} < {largest}"
     );
     assert!(
-        retained <= high_water + 3 * 4,
+        retained <= high_water + 2 * 4,
         "retained {retained} B exceeds one high-water image ({high_water} B)"
     );
     assert!(

@@ -6,23 +6,25 @@
 //! [`super::scheme`]): work proceeds in chunks ending with a verification; after `s` verified
 //! chunks a checkpoint is taken (so the last checkpoint is always
 //! valid — claim C1); any detection rolls back to the last checkpoint
-//! (or, when the escalation guard flags a tainted checkpoint, to the
-//! pristine initial data). It reproduces the historical per-scheme
-//! drivers operation for operation.
+//! (or, in the first frame and when the escalation guard flags a
+//! tainted checkpoint, to the input data `a0` and `b`). It reproduces
+//! the historical per-scheme loops operation for operation.
 //!
 //! Per iteration:
 //!
 //! 1. this iteration's faults strike the unreliable region — the matrix
 //!    arrays and the machine's vectors `p`, `q`, `r`, `x` (under the
-//!    ABFT schemes `r`/`x` replicas are TMR-held and product-output
+//!    ABFT schemes `r`/`x` are TMR-held, so a fault there strikes one
+//!    replica and is recorded as a [`ReplicaFlip`], and product-output
 //!    faults are deferred onto the verified product's output);
 //! 2. the solver steps once; its one product, the step's first act,
 //!    runs *defensively* against the live matrix image and is checked
 //!    by the scheme ([`Protection::check_product`] — checksum tests,
 //!    forward correction);
 //! 3. a rejected product or a numerical breakdown rolls back;
-//! 4. under the ABFT schemes the TMR replicas are voted (collisions
-//!    roll back, outvoted flips are counted as corrections);
+//! 4. under the ABFT schemes the iteration's replica flips are voted
+//!    ([`vote_flips`]: collisions roll back, outvoted flips are counted
+//!    as corrections);
 //! 5. at chunk boundaries the scheme verifies the whole state
 //!    ([`Protection::verify_chunk`]); convergence is only
 //!    accepted behind a passing verification, and checkpoints are only
@@ -32,9 +34,14 @@
 //!
 //! The executor owns **no** solve-scoped heap state: the CG machine,
 //! the corruptible matrix image and the retained buffers (checkpoint
-//! slot, start vectors, TMR shadows, trusted input copies, the
-//! deferred-fault list) all come from the caller's
-//! [`SolverWorkspace`](crate::SolverWorkspace). A solve keeps **one**
+//! slot, trusted input copy, the deferred product-output faults and
+//! the iteration's replica flips) all come from the caller's
+//! [`SolverWorkspace`](crate::SolverWorkspace). It keeps no copies for
+//! the fault simulation's sake: the three TMR replicas of `r`/`x` agree
+//! at the start of every iteration, so their vote is a function of the
+//! flips injected since ([`vote_flips`]), and the first frame's
+//! recovery point is the input itself — `a0` and the zero-start state
+//! of `b` ([`CgMachine::reset_zero`]). A solve keeps **one**
 //! matrix image beside the caller's pristine `a0`: the live one. `A`
 //! never legitimately changes, so the matrix of every checkpoint is
 //! `a0` itself — the reliable input, never a fault target — and a
@@ -49,11 +56,12 @@
 //! no fault — performs zero heap allocations (pinned by the
 //! counting-allocator gate in `tests/alloc_gate.rs`).
 
+use ftcg_abft::tmr::{vote_flips, ReplicaFlip};
 use ftcg_abft::XRef;
 use ftcg_fault::ledger::{FaultLedger, FaultOutcome};
 use ftcg_fault::target::{FaultTarget, VectorId};
 use ftcg_fault::{FaultEvent, Injector};
-use ftcg_sparse::{vector, CsrMatrix, RowOrder};
+use ftcg_sparse::{fused, vector, CsrMatrix, RowOrder};
 use ftcg_telemetry::event::{target as ev_target, via as ev_via};
 use ftcg_telemetry::{Event, Phase, Recorder};
 
@@ -112,28 +120,27 @@ struct ResilientCtx<'a, R: Recorder> {
 
 impl<R: Recorder> StepContext for ResilientCtx<'_, R> {
     fn product(&mut self, x: &mut [f64], y: &mut [f64]) -> ProductStatus {
-        // Deferred product-output faults rewrite `y` *after* the
-        // product, invalidating any probe accumulated alongside it —
-        // run the plain product and let the scheme sweep `y` itself.
         let t_prod = self.rec.start();
-        let probe = if self.hardened && self.q_faults.is_empty() {
-            Some(self.a.spmv_clamped_probe_ordered_into(self.order, x, y))
-        } else {
-            self.a.spmv_clamped_ordered_into(self.order, x, y);
-            None
-        };
-        self.rec.phase(Phase::Product, t_prod);
         if !self.hardened {
+            self.a.spmv_clamped_ordered_into(self.order, x, y);
+            self.rec.phase(Phase::Product, t_prod);
             return ProductStatus::Trusted; // ONLINE: unverified products
         }
-        // Faults in the product's computation/output strike here.
-        for e in self.q_faults {
-            flip(&mut y[e.offset], e.bit);
-        }
+        let mut probe = self.a.spmv_clamped_probe_ordered_into(self.order, x, y);
+        self.rec.phase(Phase::Product, t_prod);
         let t_check = self.rec.start();
+        // Faults in the product's computation/output strike here; they
+        // rewrite `y` after the probe was accumulated, so it is taken
+        // again from the bits the check must see.
+        if !self.q_faults.is_empty() {
+            for e in self.q_faults {
+                flip(&mut y[e.offset], e.bit);
+            }
+            probe = fused::probe_of(y);
+        }
         let check = self
             .protection
-            .check_product(self.a, x, self.xref, y, probe.as_ref());
+            .check_product(self.a, x, self.xref, y, &probe);
         self.rec.phase(Phase::ProductCheck, t_check);
         self.stats.product_checks += 1;
         if check != ProductCheck::Clean && self.protection.may_mutate() {
@@ -240,21 +247,9 @@ impl<'a, R: Recorder> ExecutorMachine<'a, R> {
             .stopping
             .threshold(a0, vector::norm2(b), solver.residual_norm());
 
-        // TMR shadows of the canonical r/x (ABFT schemes): replicas
-        // receive the injected flips and are voted each iteration; the
-        // vote only ever feeds statistics and rollback decisions — an
-        // outvoted flip never reaches the trajectory, exactly like the
-        // historical triplicated updates.
-        if hardened {
-            arena.r_tmr.store(&solver.r);
-            arena.x_tmr.store(&solver.x);
-        }
-
-        // No checkpoint yet (the slot may hold a previous solve's).
-        // "For the first frame we recover by reading initial data
-        // again": that data is `a0` plus the start vectors kept here.
+        // No checkpoint yet (the slot may hold a previous solve's):
+        // until one is taken, rollback re-reads the input data.
         arena.slot.clear();
-        solver.snapshot_into(0, &mut arena.initial);
 
         if hardened {
             arena.xref.store(&solver.p);
@@ -315,36 +310,33 @@ impl<'a, R: Recorder> ExecutorMachine<'a, R> {
         }
         self.guard.note_faults(events.len());
         self.arena.q_faults.clear();
+        self.arena.tmr_flips.clear();
         for e in &events {
             match e.target {
-                FaultTarget::Vector(VectorId::P) => {
-                    flip(&mut self.solver.p[e.offset], e.bit);
+                // Hardened (ABFT) `q` faults are deferred onto the
+                // verified product; hardened `r`/`x` faults strike one
+                // TMR replica, in rotation, and wait for the step's
+                // vote (`x`'s words follow `r`'s in the flip list).
+                FaultTarget::Vector(VectorId::Q) if self.hardened => {
+                    self.arena.q_faults.push(*e);
                 }
-                FaultTarget::Vector(VectorId::Q) => {
-                    if self.hardened {
-                        self.arena.q_faults.push(*e); // deferred onto the product
+                FaultTarget::Vector(v @ (VectorId::R | VectorId::X)) if self.hardened => {
+                    let base = if v == VectorId::X {
+                        self.solver.r.len()
                     } else {
-                        flip(&mut self.solver.q[e.offset], e.bit);
-                    }
+                        0
+                    };
+                    self.arena.tmr_flips.push(ReplicaFlip {
+                        word: base + e.offset,
+                        replica: self.replica_rot % 3,
+                        bit: e.bit,
+                    });
+                    self.replica_rot += 1;
                 }
-                FaultTarget::Vector(VectorId::R) => {
-                    if self.hardened {
-                        let rep = self.replica_rot % 3;
-                        self.replica_rot += 1;
-                        flip(&mut self.arena.r_tmr.replica_mut(rep)[e.offset], e.bit);
-                    } else {
-                        flip(&mut self.solver.r[e.offset], e.bit);
-                    }
-                }
-                FaultTarget::Vector(VectorId::X) => {
-                    if self.hardened {
-                        let rep = self.replica_rot % 3;
-                        self.replica_rot += 1;
-                        flip(&mut self.arena.x_tmr.replica_mut(rep)[e.offset], e.bit);
-                    } else {
-                        flip(&mut self.solver.x[e.offset], e.bit);
-                    }
-                }
+                FaultTarget::Vector(VectorId::P) => flip(&mut self.solver.p[e.offset], e.bit),
+                FaultTarget::Vector(VectorId::Q) => flip(&mut self.solver.q[e.offset], e.bit),
+                FaultTarget::Vector(VectorId::R) => flip(&mut self.solver.r[e.offset], e.bit),
+                FaultTarget::Vector(VectorId::X) => flip(&mut self.solver.x[e.offset], e.bit),
                 _ => {
                     if matches!(
                         e.target,
@@ -394,10 +386,9 @@ impl<'a, R: Recorder> ExecutorMachine<'a, R> {
         // 4. TMR vote on the vector data (ABFT schemes).
         if self.hardened {
             let t_vote = self.rec.start();
-            let vr = self.arena.r_tmr.vote();
-            let vx = self.arena.x_tmr.vote();
+            let vote = vote_flips(&self.arena.tmr_flips);
             self.rec.phase(Phase::TmrVote, t_vote);
-            if !vr.is_trusted() || !vx.is_trusted() {
+            if !vote.is_trusted() {
                 // Colliding replica faults: detected, not correctable.
                 self.stats.detections += 1;
                 self.rec
@@ -405,7 +396,7 @@ impl<'a, R: Recorder> ExecutorMachine<'a, R> {
                 self.rollback();
                 return;
             }
-            let tmr_fixed = vr.corrected + vx.corrected;
+            let tmr_fixed = vote.corrected;
             if tmr_fixed > 0 {
                 self.stats.tmr_corrections += tmr_fixed;
                 self.rec.event(Event::correct_tmr(
@@ -423,10 +414,6 @@ impl<'a, R: Recorder> ExecutorMachine<'a, R> {
                     },
                 );
             }
-            // Replicas follow the verified update (identical bits to
-            // applying the update to each voted replica).
-            self.arena.r_tmr.store(&self.solver.r);
-            self.arena.x_tmr.store(&self.solver.x);
         }
 
         self.productive += 1;
@@ -492,9 +479,9 @@ impl<'a, R: Recorder> ExecutorMachine<'a, R> {
     }
 
     /// Restores the pristine matrix and the latest checkpoint's vectors
-    /// (or, in the first frame and when the escalation guard flags a
-    /// tainted checkpoint, the start vectors) into the solver and the
-    /// shadows — all in place, no allocation.
+    /// into the solver — or, in the first frame and when the escalation
+    /// guard flags a tainted checkpoint, "reads initial data again": the
+    /// zero-start state of `b`. All in place, no allocation.
     fn rollback(&mut self) {
         self.time += self.cfg.costs.trec;
         self.stats.rollbacks += 1;
@@ -506,7 +493,6 @@ impl<'a, R: Recorder> ExecutorMachine<'a, R> {
             self.rec.event(Event::escalate(self.stats.executed as u64));
         }
         self.guard.note_restore();
-        let st = self.arena.slot.latest().unwrap_or(&self.arena.initial);
         if self.structure_dirty {
             self.a.copy_image_from(self.a0);
         } else {
@@ -514,12 +500,16 @@ impl<'a, R: Recorder> ExecutorMachine<'a, R> {
         }
         debug_assert!(*self.a == *self.a0);
         self.structure_dirty = false;
-        self.solver.restore(st);
-        if self.hardened {
-            self.arena.r_tmr.store(&self.solver.r);
-            self.arena.x_tmr.store(&self.solver.x);
+        match self.arena.slot.latest() {
+            Some(st) => {
+                self.solver.restore(st);
+                self.productive = st.iteration;
+            }
+            None => {
+                self.solver.reset_zero(self.b);
+                self.productive = 0;
+            }
         }
-        self.productive = st.iteration;
         self.iters_in_chunk = 0;
         self.chunks_since_ckpt = 0;
         self.ledger.resolve_all_pending(FaultOutcome::RolledBack);

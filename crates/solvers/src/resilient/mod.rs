@@ -6,7 +6,7 @@
 //! checkpoint is taken — so a checkpoint is only ever taken right after
 //! a passing verification and **the last checkpoint is always valid**
 //! (claim C1). On detection the executor restores the last checkpoint
-//! (or the initial state) and re-executes; ABFT-CORRECTION additionally
+//! (or restarts from `b`) and re-executes; ABFT-CORRECTION additionally
 //! repairs single errors in place and only rolls back when correction
 //! fails.
 //!
@@ -20,7 +20,12 @@
 //!   repair; not at all), how a chunk boundary is verified (Chen's
 //!   stability tests for ONLINE-DETECTION only), how many iterations a
 //!   chunk holds, whether `r`/`x` are hardened under TMR, and what
-//!   verification costs;
+//!   verification costs. TMR is simulated, not run: a fault in `r`/`x`
+//!   strikes one of three notional replicas, and the vote is computed
+//!   from the iteration's recorded flips
+//!   ([`ftcg_abft::tmr::vote_flips`]). Its time cost is modelled, not
+//!   paid: `ftcg_sim::measure` charges TMR's extra vector passes to
+//!   the ABFT schemes' `Tverif`;
 //! * the solver is the [`CgMachine`](crate::CgMachine), stepped one
 //!   iteration at a time; each step runs one forward product, its
 //!   first act.
@@ -234,8 +239,8 @@ pub fn solve_resilient(
 }
 
 /// [`solve_resilient`] drawing every solve-scoped buffer — the CG
-/// machine, the corruptible matrix image, the checkpoint slot, the TMR
-/// shadows — from a caller-retained [`SolverWorkspace`]. Reusing one
+/// machine, the corruptible matrix image, the checkpoint slot, the
+/// fault lists — from a caller-retained [`SolverWorkspace`]. Reusing one
 /// workspace across repetitions produces bit-identical
 /// [`ResilientOutcome`]s to fresh-allocation solves (the workspace
 /// reuse contract; see `crate::workspace`) while keeping the hot

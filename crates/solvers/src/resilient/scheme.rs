@@ -11,7 +11,7 @@
 //! | each forward product | single-checksum tests | dual-checksum tests + single-error repair | unverified |
 //! | each chunk boundary | clean (products already verified) | clean | Chen's stability tests |
 //! | iterations per chunk | 1 | 1 | `d` |
-//! | `r`/`x` hardened | TMR, product faults strike the verified product | same | plainly exposed |
+//! | `r`/`x` hardened | TMR (faults voted as replica flips), product faults strike the verified product | same | plainly exposed |
 //! | extra cost per iteration | `Tverif` | same | 0 |
 //! | extra cost per chunk check | 0 | 0 | `Tverif` |
 //! | a failed check may rewrite the matrix | no | yes (the repair attempt) | no |
@@ -113,37 +113,27 @@ impl Protection {
     /// the trusted copy of the input captured before this iteration's
     /// faults struck.
     ///
-    /// `probe`, when given, is the output probe `[Σᵢ yᵢ, Σᵢ (i+1)·yᵢ]`
-    /// the product kernel accumulated over exactly the bits now in `y`
-    /// (see [`ftcg_sparse::fused::probe_of`]); the checksum tests then
-    /// skip their own sweep over `y`. Callers that changed `y` after the
-    /// product (deferred fault flips) pass `None`; the outcome is
-    /// identical either way.
+    /// `probe` is the output probe `[Σᵢ yᵢ, Σᵢ (i+1)·yᵢ]` of exactly the
+    /// bits now in `y` (see [`ftcg_sparse::fused::probe_of`]), so the
+    /// checksum tests never sweep `y` themselves.
     pub(crate) fn check_product(
         &self,
         a: &mut CsrMatrix,
         x: &mut [f64],
         xref: &XRef,
         y: &mut [f64],
-        probe: Option<&[f64; 2]>,
+        probe: &[f64; 2],
     ) -> ProductCheck {
         match self {
             Protection::Detection(single) => {
-                let outcome = match probe {
-                    Some(p) => single.verify_probed(a, x, xref, p),
-                    None => single.verify(a, x, xref, y),
-                };
-                if outcome.is_trusted() {
+                if single.verify_probed(a, x, xref, probe).is_trusted() {
                     ProductCheck::Clean
                 } else {
                     ProductCheck::Rejected
                 }
             }
             Protection::Correction(protected) => {
-                let res = match probe {
-                    Some(p) => protected.verify_probed(a, x, xref, p),
-                    None => protected.verify(a, x, xref, y),
-                };
+                let res = protected.verify_probed(a, x, xref, probe);
                 if res.clean() {
                     return ProductCheck::Clean;
                 }

@@ -2,7 +2,7 @@
 //!
 //! A Monte-Carlo campaign executes the *same shapes* of work thousands
 //! of times: one CG machine, one corruptible matrix image, one
-//! checkpoint slot, one TMR shadow pair, one trusted input copy.
+//! checkpoint slot, one trusted input copy, two short fault lists.
 //! Allocating those per repetition is pure allocator traffic on the hot
 //! path; a `SolverWorkspace` retains them across repetitions and
 //! re-initializes them in place:
@@ -16,9 +16,15 @@
 //!   per row);
 //! * checkpoints — iteration vectors only; their matrix is the
 //!   caller's pristine input — live in a double-buffered
-//!   [`SnapshotSlot`], the start vectors
-//!   in a retained [`SolverState`], the ABFT shadows in retained
-//!   [`TmrVector`]s and one [`XRef`].
+//!   [`SnapshotSlot`], the trusted product input in one [`XRef`], and
+//!   an iteration's deferred product-output faults and TMR replica
+//!   flips in two retained lists.
+//!
+//! Nothing is kept only to simulate faults: no start vectors (the
+//! first frame restarts from `b`) and no TMR replicas (their vote is a
+//! function of the recorded flips, [`vote_flips`]).
+//!
+//! [`vote_flips`]: ftcg_abft::tmr::vote_flips
 //!
 //! ## Reuse contract (why bit-exactness holds)
 //!
@@ -40,41 +46,35 @@
 //! at its high-water capacity, so retained memory follows the *largest*
 //! matrix seen, not the number of distinct ones: **one matrix image**
 //! (the live, corruptible one) **plus O(n) vectors** (the arena's —
-//! the double-buffered checkpoint and the start vectors among them —
-//! and the machine's). The matrix every rollback restores is the
+//! the double-buffered checkpoint and the trusted input copy — and the
+//! machine's). The matrix every rollback restores is the
 //! caller's own immutable `a0`, so no second image exists; buffers
 //! grow to exactly the size asked for
 //! ([`SolverWorkspace::retained_image_bytes`] reports the total). Drop
 //! the workspace — or scope one per campaign, as the engine pool does —
 //! to release everything.
 
-use ftcg_abft::tmr::TmrVector;
+use ftcg_abft::tmr::ReplicaFlip;
 use ftcg_abft::XRef;
-use ftcg_checkpoint::{SnapshotSlot, SolverState};
+use ftcg_checkpoint::SnapshotSlot;
 use ftcg_fault::FaultEvent;
 use ftcg_sparse::{CsrMatrix, RowOrder};
 
 use crate::CgMachine;
 
-/// Retained executor-side buffers: the start vectors, the rolling
-/// checkpoint slot, the trusted copy of the product input, the TMR
-/// shadows and the deferred product-output faults.
+/// Retained executor-side buffers: the rolling checkpoint slot, the
+/// trusted copy of the product input and this iteration's deferred
+/// product-output faults and TMR replica flips.
 #[derive(Debug)]
 pub(crate) struct ExecArena {
-    /// Start vectors of the current solve. With the caller's pristine
-    /// `a0` they are the paper's "read initial data again" escalation
-    /// target; the matrix field stays empty.
-    pub(crate) initial: SolverState,
     /// Rolling verified checkpoint (double-buffered, allocation-free).
     pub(crate) slot: SnapshotSlot,
     /// Trusted copy of the direction vector, re-captured per iteration.
     pub(crate) xref: XRef,
-    /// TMR shadow of the residual (ABFT schemes).
-    pub(crate) r_tmr: TmrVector,
-    /// TMR shadow of the iterate (ABFT schemes).
-    pub(crate) x_tmr: TmrVector,
     /// Product-output faults deferred onto the verified product.
     pub(crate) q_faults: Vec<FaultEvent>,
+    /// `r`/`x` faults struck into one TMR replica (ABFT schemes).
+    pub(crate) tmr_flips: Vec<ReplicaFlip>,
 }
 
 /// Reusable per-worker solve memory (see the module docs). Create one
@@ -114,24 +114,20 @@ impl SolverWorkspace {
             image: CsrMatrix::default(),
             order: RowOrder::new(),
             arena: ExecArena {
-                initial: SolverState::empty(),
                 slot: SnapshotSlot::new(),
                 xref: XRef::empty(),
-                r_tmr: TmrVector::zeros(0),
-                x_tmr: TmrVector::zeros(0),
                 q_faults: Vec::new(),
+                tmr_flips: Vec::new(),
             },
         }
     }
 
     /// Bytes of matrix storage kept reserved between solves: the live
     /// image at the capacity of the largest matrix it has held, plus
-    /// the empty row pointers of the start state and the checkpoint
-    /// slot's two buffers, which hold vectors only.
+    /// the empty row pointers of the checkpoint slot's two buffers,
+    /// which hold vectors only.
     pub fn retained_image_bytes(&self) -> usize {
-        self.image.capacity_bytes()
-            + self.arena.initial.matrix.capacity_bytes()
-            + self.arena.slot.retained_matrix_bytes()
+        self.image.capacity_bytes() + self.arena.slot.retained_matrix_bytes()
     }
 
     /// Bytes the row visit order keeps reserved: 4 per row of the
@@ -193,9 +189,9 @@ mod tests {
             "residual norm differs after reset"
         );
         assert_eq!(*image, a);
-        // Only the live image is ever sized: the slot and the initial
-        // state hold their empty row pointers, 4 bytes each.
-        assert_eq!(ws.retained_image_bytes(), a.image_bytes() + 3 * 4);
+        // Only the live image is ever sized: the slot's two buffers
+        // hold their empty row pointers, 4 bytes each.
+        assert_eq!(ws.retained_image_bytes(), a.image_bytes() + 2 * 4);
     }
 
     #[test]
@@ -215,7 +211,7 @@ mod tests {
         assert_eq!(m.p.as_ptr(), p0, "the larger size regrows nothing");
 
         // Both shapes share the one image, sized for the larger.
-        assert_eq!(ws.retained_image_bytes(), a2.image_bytes() + 3 * 4);
+        assert_eq!(ws.retained_image_bytes(), a2.image_bytes() + 2 * 4);
     }
 
     #[test]
@@ -295,7 +291,7 @@ mod tests {
     }
 
     #[test]
-    fn initial_state_holds_no_matrix_words() {
+    fn checkpoint_holds_no_matrix_words() {
         use crate::resilient::{solve_resilient_in, ResilientConfig};
         let a = gen::random_spd(60, 0.1, 5).unwrap();
         let b: Vec<f64> = (0..60).map(|i| 1.0 + (i as f64 * 0.3).sin()).collect();
@@ -303,19 +299,12 @@ mod tests {
         let cfg = ResilientConfig::new(ftcg_model::Scheme::AbftCorrection, 3);
         let out = solve_resilient_in(&a, &b, &cfg, None, &mut ws);
         assert!(out.converged && out.checkpoints > 0);
-        // The first-frame target is `a0` itself: the arena keeps the
-        // start vectors and an empty matrix.
-        let initial = &ws.arena.initial;
-        assert_eq!((initial.n(), initial.iteration), (60, 0));
-        assert_eq!(initial.r, b);
-        assert_eq!(initial.matrix.capacity_bytes(), 4);
-        assert_eq!(initial.size_words(), 3 * 60 + 1 + 2);
-        // Nor does the checkpoint: its matrix is `a0` too.
+        // A checkpoint's matrix is `a0`: it keeps vectors only.
         let ckpt = ws.arena.slot.latest().expect("checkpoints were taken");
         assert_eq!(ckpt.n(), 60);
         assert_eq!(ckpt.size_words(), 3 * 60 + 1 + 2);
         assert_eq!(ws.arena.slot.retained_matrix_bytes(), 2 * 4);
         // The live image, nothing else.
-        assert_eq!(ws.retained_image_bytes(), a.image_bytes() + 3 * 4);
+        assert_eq!(ws.retained_image_bytes(), a.image_bytes() + 2 * 4);
     }
 }

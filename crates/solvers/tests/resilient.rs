@@ -394,3 +394,63 @@ fn recorded_solve_is_bit_identical_and_events_match_counters() {
         assert!(tele.phase_ns[Phase::Step.index()] > 0);
     }
 }
+
+#[test]
+fn tmr_outcomes_match_a_pinned_earlier_build() {
+    use ftcg_model::CostProfile;
+    use ftcg_solvers::resilient::solve_resilient_recorded;
+    use ftcg_solvers::SolverWorkspace;
+    use ftcg_telemetry::event::via;
+    use ftcg_telemetry::{ActiveRecorder, EventKind};
+
+    // Campaign-shaped solves on a 9-unknown grid at fault rates high
+    // enough for replica collisions: the TMR vote's corrections and its
+    // collision detections, pinned against an earlier build whose
+    // executor voted three stored replicas element by element.
+    let a = gen::poisson2d(3).unwrap();
+    let b: Vec<f64> = (0..a.n_rows())
+        .map(|i| 1.0 + (i as f64 * 0.37).sin())
+        .collect();
+    let mut ws = SolverWorkspace::new();
+    let mut rec = ActiveRecorder::new();
+    let mut got = Vec::new();
+    for scheme in [Scheme::AbftDetection, Scheme::AbftCorrection] {
+        for alpha in [0.5, 1.0] {
+            let cfg = ResilientConfig::model_optimal(
+                scheme,
+                alpha,
+                CostProfile::DEFAULT.for_scheme(scheme),
+            );
+            let mut sums = [0usize; 5];
+            for seed in 0..2000 {
+                let mut inj = paper_injector(&a, alpha, seed);
+                rec.reset();
+                let out = solve_resilient_recorded(&a, &b, &cfg, Some(&mut inj), &mut ws, &mut rec);
+                let tele = rec.drain(0);
+                assert_eq!(tele.dropped, 0);
+                sums[0] += out.tmr_corrections;
+                sums[1] += out.detections;
+                sums[2] += out.rollbacks;
+                sums[3] += out.executed_iterations;
+                sums[4] += tele
+                    .events
+                    .iter()
+                    .filter(|e| e.kind == EventKind::Detect && e.a == via::TMR)
+                    .count();
+            }
+            got.push(sums);
+        }
+    }
+    // [tmr_corrections, detections, rollbacks, executed_iterations,
+    // Detect events via TMR], summed over the seeds, per (scheme, α).
+    assert_eq!(
+        got,
+        [
+            [965, 5546, 5546, 17413, 1],
+            [1676, 11371, 11371, 21407, 8],
+            [929, 4087, 857, 12502, 1],
+            [1805, 7435, 2680, 13721, 8],
+        ]
+    );
+    assert!(got.iter().map(|g| g[4]).sum::<usize>() >= 1);
+}

@@ -31,7 +31,8 @@ pub enum Phase {
     Checkpoint,
     /// One rollback restore (escalation included).
     Rollback,
-    /// One TMR majority vote over the hardened vectors.
+    /// One TMR majority vote over the hardened vectors (the flips their
+    /// replicas took this iteration).
     TmrVote,
 }
 

@@ -69,7 +69,7 @@ pub use ftcg_telemetry as telemetry;
 
 use ftcg_engine::inject::paper_injector;
 use ftcg_model::{CostProfile, Scheme};
-use ftcg_solvers::resilient::{solve_resilient, ResilientConfig, ResilientOutcome};
+use ftcg_solvers::resilient::{solve_resilient_recorded, ResilientConfig, ResilientOutcome};
 use ftcg_sparse::CsrMatrix;
 
 /// Everything a typical user needs.
@@ -139,14 +139,7 @@ impl<'a> ResilientCg<'a> {
 
     /// Runs the solve.
     pub fn solve(&self, b: &[f64]) -> ResilientOutcome {
-        let cfg = self.config();
-        match self.alpha {
-            Some(alpha) if alpha > 0.0 => {
-                let mut inj = paper_injector(self.a, alpha, self.seed);
-                solve_resilient(self.a, b, &cfg, Some(&mut inj))
-            }
-            _ => solve_resilient(self.a, b, &cfg, None),
-        }
+        self.solve_recorded(b, &mut ftcg_telemetry::NoopRecorder)
     }
 
     /// Runs the solve with a telemetry [`Recorder`] threaded through the
@@ -160,16 +153,13 @@ impl<'a> ResilientCg<'a> {
         b: &[f64],
         rec: &mut R,
     ) -> ResilientOutcome {
-        use ftcg_solvers::resilient::solve_resilient_recorded;
         let cfg = self.config();
+        let mut inj = match self.alpha {
+            Some(alpha) if alpha > 0.0 => Some(paper_injector(self.a, alpha, self.seed)),
+            _ => None,
+        };
         let mut ws = ftcg_solvers::SolverWorkspace::new();
-        match self.alpha {
-            Some(alpha) if alpha > 0.0 => {
-                let mut inj = paper_injector(self.a, alpha, self.seed);
-                solve_resilient_recorded(self.a, b, &cfg, Some(&mut inj), &mut ws, rec)
-            }
-            _ => solve_resilient_recorded(self.a, b, &cfg, None, &mut ws, rec),
-        }
+        solve_resilient_recorded(self.a, b, &cfg, inj.as_mut(), &mut ws, rec)
     }
 }
 
