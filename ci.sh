@@ -67,6 +67,24 @@ if grep -rn 'TmrVector' crates/solvers/src; then
     exit 1
 fi
 
+echo "==> one fault-model recipe, one checkpoint buffer (ftcg-fault's InjectorSpec + Injector::new choose the model; the cost triple lives with the planner)"
+if grep -rnE 'InjectorConfig|FaultRate|calibrated_injector' crates src tests; then
+    echo "a removed fault-model recipe (above): build injectors with ftcg_fault::Injector::new(InjectorSpec, a, alpha, seed)" >&2
+    exit 1
+fi
+if grep -rnE 'enum InjectorSpec\b' crates src tests | grep -v '^crates/fault/src/'; then
+    echo "a second InjectorSpec (above): the fault-model choice is defined once, in crates/fault/src; re-export it" >&2
+    exit 1
+fi
+if grep -rnE '(struct|enum|type) ResilienceCosts\b' crates/checkpoint/src; then
+    echo "ResilienceCosts defined in ftcg-checkpoint (above): the cost triple lives with the planner, in crates/model/src/cost.rs" >&2
+    exit 1
+fi
+if grep -rnE '\[SolverState; *[0-9]' crates/checkpoint/src; then
+    echo "an array of checkpoint buffers (above): the slot keeps the one live checkpoint in one buffer" >&2
+    exit 1
+fi
+
 echo "==> ROADMAP item numbers stay in ROADMAP.md (they change when it is rewritten; say what the item stands for)"
 if grep -rlzP 'ROADMAP(\.md)?,?(\s|//[/!]?|#)*item\s+[0-9]' src crates README.md; then
     echo "a ROADMAP item number in the files above (a line break between the two words counts): state the fact it stands for instead" >&2

@@ -4,10 +4,8 @@
 //! silent large corruption.
 
 use ftcg_abft::{ProtectedSpmv, SingleChecksum, SpmvOutcome, XRef};
-use ftcg_fault::{
-    injector::{FaultEvent, Injector, InjectorConfig},
-    paper_injector, FaultRate, FaultTarget,
-};
+use ftcg_fault::target::VectorId;
+use ftcg_fault::{paper_injector, FaultEvent, FaultTarget, Injector};
 use ftcg_sparse::{gen, vector, CsrMatrix};
 use proptest::prelude::*;
 
@@ -24,7 +22,7 @@ fn make_x(n: usize, seed: u64) -> Vec<f64> {
 /// Applies one matrix/vector-x fault drawn by the real injector.
 fn apply_fault(e: &FaultEvent, a: &mut CsrMatrix, x: &mut [f64]) -> bool {
     match e.target {
-        FaultTarget::Vector(ftcg_fault::target::VectorId::P) => {
+        FaultTarget::Vector(VectorId::P) => {
             // model "input vector" faults on x
             let v = &mut x[e.offset % x.len()];
             *v = f64::from_bits(v.to_bits() ^ (1u64 << e.bit));
@@ -32,6 +30,30 @@ fn apply_fault(e: &FaultEvent, a: &mut CsrMatrix, x: &mut [f64]) -> bool {
         }
         FaultTarget::Vector(_) => false,
         _ => Injector::apply_to_matrix(e, a),
+    }
+}
+
+/// One to five flips as `(region, word, bit)` draws, mapped onto a
+/// matrix by [`full_range_event`].
+fn full_range_flips() -> impl Strategy<Value = Vec<(u8, usize, u32)>> {
+    proptest::collection::vec((0u8..4, 0usize..1 << 20, 0u32..64), 1..6)
+}
+
+/// A flip of `Val`, `Colid`, `Rowidx` or the input vector `x` (as
+/// `VectorId::P`), anywhere in the word: every bit of a 32-bit index,
+/// not just the in-bounds range the paper's injector draws from — the
+/// nastiest case for kernel safety.
+fn full_range_event(a: &CsrMatrix, region: u8, word: usize, bit: u32) -> FaultEvent {
+    let (target, len, bits) = match region {
+        0 => (FaultTarget::MatrixVal, a.nnz(), 64),
+        1 => (FaultTarget::MatrixColid, a.nnz(), 32),
+        2 => (FaultTarget::MatrixRowidx, a.n_rows() + 1, 32),
+        _ => (FaultTarget::Vector(VectorId::P), a.n_rows(), 64),
+    };
+    FaultEvent {
+        target,
+        offset: word % len,
+        bit: bit % bits,
     }
 }
 
@@ -117,23 +139,13 @@ proptest! {
 
     /// The defensive kernel never panics, whatever the corruption.
     #[test]
-    fn defensive_kernel_total(mseed in 0u64..10, fseeds in proptest::collection::vec(0u64..10_000, 1..6)) {
+    fn defensive_kernel_total(mseed in 0u64..10, flips in full_range_flips()) {
         let a = make_matrix(mseed);
         let n = a.n_rows();
         let mut b = a.clone();
         let mut x = make_x(n, mseed);
-        // `M` counts entries: one word per value, index and row pointer.
-        let rate = FaultRate::from_alpha(1.0, 2 * a.nnz() + n + 1);
-        // Full-range index flips: the nastiest case for kernel safety.
-        let cfg = InjectorConfig {
-            rate,
-            value_bits: ftcg_fault::BitRange::Full,
-            index_bits: ftcg_fault::BitRange::Full,
-            include_vectors: true,
-        };
-        for fs in fseeds {
-            let mut inj = Injector::for_matrix(cfg, &a, fs);
-            let e = inj.draw_event();
+        for (region, word, bit) in flips {
+            let e = full_range_event(&a, region, word, bit);
             apply_fault(&e, &mut b, &mut x);
         }
         let p = ProtectedSpmv::new(&a);

@@ -21,6 +21,12 @@
 //! ([`SolverState::store_vectors`]) and every rollback restores the
 //! matrix from the caller's reliable input.
 //!
+//! The crate holds the checkpointed state ([`SolverState`]) and the
+//! rolling store of the one live checkpoint ([`SnapshotSlot`], one
+//! retained buffer). The costs the planner charges for saving and
+//! restoring, the (`Tcp`, `Trec`, `Tverif`) triple, live with the
+//! planner as `ftcg_model::ResilienceCosts`.
+//!
 //! The driver enforces the key protocol invariant (claim C1, pinned by
 //! `tests/paper_claims.rs`): *a checkpoint is only ever taken
 //! immediately after a passing verification*, so the last checkpoint is
@@ -28,10 +34,8 @@
 
 #![warn(missing_docs)]
 
-mod cost;
 mod slot;
 mod state;
 
-pub use cost::ResilienceCosts;
 pub use slot::SnapshotSlot;
 pub use state::SolverState;

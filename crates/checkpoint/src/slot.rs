@@ -1,22 +1,23 @@
-//! The allocation-free rolling checkpoint: a double-buffered
-//! [`SnapshotSlot`].
+//! The allocation-free rolling checkpoint: a [`SnapshotSlot`].
 //!
 //! The paper's protocol keeps exactly one live checkpoint (the last
-//! verified one). `SnapshotSlot` keeps it in **retained buffers**:
+//! verified one). `SnapshotSlot` keeps it in **one retained buffer**:
 //! saves are `copy_from_slice` into warm memory, restores hand out a
 //! borrowed [`SolverState`], and steady state performs zero heap
 //! allocations.
 //! The resilient executor saves with [`SolverState::store_vectors`]
 //! (its checkpoints' matrix is the reliable input): O(n) words, no image.
 //!
-//! ## Why double-buffered
+//! ## Why one buffer
 //!
-//! The slot holds *two* retained buffers and alternates between them: a
-//! save writes into the buffer **not** holding the live checkpoint and
-//! only then marks it live. The previous checkpoint therefore stays
-//! intact until its replacement is complete — a half-written save (a
-//! panic mid-copy, however unlikely) can never destroy the only valid
-//! rollback target (the in-memory form of write-to-temp-then-rename).
+//! A save overwrites the previous checkpoint in place: between
+//! [`SnapshotSlot::begin_save`] and [`SnapshotSlot::commit`] the slot
+//! holds no live checkpoint ([`SnapshotSlot::latest`] is `None`). A save
+//! can only stop half-way by panicking, and nothing reads the slot after
+//! that: the campaign engine records the run as failed without looking
+//! at it, and the next solve's prologue [`clear`](SnapshotSlot::clear)s
+//! it. A second buffer keeping the previous checkpoint intact across the
+//! save would guard nothing.
 //!
 //! ## Reuse contract (why bit-exactness holds)
 //!
@@ -29,13 +30,15 @@
 
 use crate::state::SolverState;
 
-/// Double-buffered single-checkpoint store with retained buffers (see
-/// the module docs).
+/// Single-checkpoint store with one retained buffer (see the module
+/// docs).
 #[derive(Debug, Clone)]
 pub struct SnapshotSlot {
-    bufs: [SolverState; 2],
-    live: Option<usize>,
-    pending: Option<usize>,
+    buf: SolverState,
+    /// The buffer holds a committed checkpoint.
+    live: bool,
+    /// A save was begun and not yet committed.
+    pending: bool,
 }
 
 impl Default for SnapshotSlot {
@@ -45,61 +48,55 @@ impl Default for SnapshotSlot {
 }
 
 impl SnapshotSlot {
-    /// An empty slot; buffers are sized by the first save.
+    /// An empty slot; the buffer is sized by the first save.
     pub fn new() -> Self {
         Self {
-            bufs: [SolverState::empty(), SolverState::empty()],
-            live: None,
-            pending: None,
+            buf: SolverState::empty(),
+            live: false,
+            pending: false,
         }
     }
 
-    /// Hands out the inactive buffer for the caller to fill in place
-    /// (e.g. via `SolverState::store` or a solver's `snapshot_into`);
-    /// the previous checkpoint stays live until [`SnapshotSlot::commit`].
+    /// Hands out the buffer for the caller to fill in place (e.g. via
+    /// `SolverState::store` or a solver's `snapshot_into`); the slot
+    /// holds no live checkpoint until [`SnapshotSlot::commit`].
     pub fn begin_save(&mut self) -> &mut SolverState {
-        let next = match self.live {
-            Some(i) => 1 - i,
-            None => 0,
-        };
-        self.pending = Some(next);
-        &mut self.bufs[next]
+        self.live = false;
+        self.pending = true;
+        &mut self.buf
     }
 
-    /// Marks the buffer handed out by the last
+    /// Marks the buffer filled since the last
     /// [`SnapshotSlot::begin_save`] as the live checkpoint.
     ///
     /// # Panics
     /// Panics if no save was begun.
-    #[expect(
-        clippy::expect_used,
-        reason = "documented # Panics contract: commit() without a begin_save is API misuse, and silently ignoring it would corrupt the double-buffer discipline"
-    )]
     pub fn commit(&mut self) {
-        let i = self.pending.take().expect("commit without begin_save");
-        self.live = Some(i);
+        assert!(self.pending, "commit without begin_save");
+        self.pending = false;
+        self.live = true;
     }
 
     /// Discards the live checkpoint (and any uncommitted save); the
-    /// buffers stay allocated. The resilient executor calls this at
+    /// buffer stays allocated. The resilient executor calls this at
     /// solve start and on escalation, when the only trusted state is
     /// the input data again.
     pub fn clear(&mut self) {
-        self.live = None;
-        self.pending = None;
+        self.live = false;
+        self.pending = false;
     }
 
     /// Borrowed view of the live checkpoint, if any.
     pub fn latest(&self) -> Option<&SolverState> {
-        self.live.map(|i| &self.bufs[i])
+        self.live.then_some(&self.buf)
     }
 
-    /// Matrix bytes both buffers keep reserved (capacity, not length) —
-    /// the slot's share of a workspace's retained memory: two empty row
-    /// pointers unless full states were saved through
+    /// Matrix bytes the buffer keeps reserved (capacity, not length) —
+    /// the slot's share of a workspace's retained memory: one empty row
+    /// pointer unless full states were saved through
     /// [`SolverState::store`].
     pub fn retained_matrix_bytes(&self) -> usize {
-        self.bufs.iter().map(|b| b.matrix.capacity_bytes()).sum()
+        self.buf.matrix.capacity_bytes()
     }
 }
 
@@ -115,7 +112,7 @@ mod tests {
         s
     }
 
-    /// One full save of `s`: fill the inactive buffer, then commit.
+    /// One full save of `s`: fill the buffer, then commit.
     fn save(slot: &mut SnapshotSlot, s: &SolverState) {
         slot.begin_save()
             .store(s.iteration, &s.x, &s.r, &s.p, s.rnorm_sq, &s.matrix);
@@ -131,42 +128,43 @@ mod tests {
     }
 
     #[test]
-    fn saves_alternate_buffers_and_replace_latest() {
+    fn saves_reuse_the_one_buffer_in_place() {
         let mut slot = SnapshotSlot::new();
         save(&mut slot, &state(1, 1.0));
         let p1 = slot.latest().unwrap().x.as_ptr();
-        save(&mut slot, &state(2, 2.0));
-        let p2 = slot.latest().unwrap().x.as_ptr();
-        assert_ne!(p1, p2, "double buffer must alternate");
-        assert_eq!(slot.latest().unwrap(), &state(2, 2.0));
-        save(&mut slot, &state(3, 3.0));
-        // Third save lands back in the first buffer: retained, not new.
-        assert_eq!(slot.latest().unwrap().x.as_ptr(), p1);
+        for i in 2..5 {
+            save(&mut slot, &state(i, i as f64));
+            assert_eq!(slot.latest().unwrap(), &state(i, i as f64));
+            assert_eq!(slot.latest().unwrap().x.as_ptr(), p1, "save {i}");
+        }
     }
 
     #[test]
-    fn begin_save_keeps_previous_checkpoint_until_commit() {
+    fn an_uncommitted_save_leaves_no_checkpoint() {
         let mut slot = SnapshotSlot::new();
         save(&mut slot, &state(1, 1.0));
         let s = state(9, 9.0);
         let buf = slot.begin_save();
         buf.store(s.iteration, &s.x, &s.r, &s.p, s.rnorm_sq, &s.matrix);
-        // Not committed: the live checkpoint is still the old one.
-        assert_eq!(slot.latest().unwrap(), &state(1, 1.0));
+        // Not committed: the overwritten buffer is not a checkpoint.
+        assert!(slot.latest().is_none());
         slot.commit();
         assert_eq!(slot.latest().unwrap(), &state(9, 9.0));
+        // Clearing drops a begun save too.
+        slot.begin_save();
+        slot.clear();
+        assert!(slot.latest().is_none());
     }
 
     #[test]
     fn buffers_are_retained_at_the_largest_matrix_saved() {
         let mut slot = SnapshotSlot::new();
-        assert_eq!(slot.retained_matrix_bytes(), 2 * 4); // two empty rowptrs
+        assert_eq!(slot.retained_matrix_bytes(), 4); // one empty rowptr
         let big = state(1, 1.0);
         save(&mut slot, &big);
-        save(&mut slot, &big);
-        let bytes = 2 * big.matrix.image_bytes();
+        let bytes = big.matrix.image_bytes();
         assert_eq!(slot.retained_matrix_bytes(), bytes);
-        // Smaller states reuse both buffers in place.
+        // Smaller states reuse the buffer in place.
         let a = gen::tridiagonal(3, 4.0, -1.0).unwrap();
         let mut small = SolverState::empty();
         small.store(2, &[0.0; 3], &[0.0; 3], &[0.0; 3], 0.0, &a);

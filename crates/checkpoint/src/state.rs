@@ -59,7 +59,7 @@ impl SolverState {
     /// [`SolverState::store`] without the matrix, which is left as it
     /// is: for a state whose matrix lives elsewhere — every rollback of
     /// the executor restores the caller's own pristine input, so its
-    /// checkpoints and its start state retain vectors only.
+    /// checkpoints retain vectors only.
     pub fn store_vectors(
         &mut self,
         iteration: usize,

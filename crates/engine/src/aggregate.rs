@@ -270,7 +270,7 @@ mod tests {
 
     #[test]
     fn push_order_does_not_change_summary() {
-        use crate::grid::{ConfigJob, InjectorSpec};
+        use crate::{ConfigJob, InjectorSpec};
         use ftcg_model::Scheme;
         use ftcg_solvers::resilient::ResilientConfig;
         use ftcg_sparse::gen;
@@ -304,7 +304,7 @@ mod tests {
 
     #[test]
     fn missing_reps_count_as_panics() {
-        use crate::grid::{ConfigJob, InjectorSpec};
+        use crate::{ConfigJob, InjectorSpec};
         use ftcg_model::Scheme;
         use ftcg_solvers::resilient::ResilientConfig;
         use ftcg_sparse::gen;

@@ -29,8 +29,7 @@ use ftcg_telemetry::metrics::MetricsWriter;
 use ftcg_telemetry::{Event, JobSpan, Recorder, TelemetryError, TraceMeta, TraceWriter};
 
 use crate::aggregate::{self, ConfigSummary, JobMetrics};
-use crate::grid::{expand, ConfigJob, InjectorSpec};
-use crate::inject::{calibrated_injector, paper_injector};
+use crate::grid::{expand, ConfigJob};
 use crate::journal::{self, fingerprint, JobRecord, JournalWriter, Manifest, Shard};
 use crate::pool::{effective_threads, run_indices_ctx, ProgressFn};
 use crate::seedstream::derive_seed;
@@ -112,24 +111,12 @@ pub struct ShardOutcome {
     pub elapsed_secs: f64,
 }
 
-/// Builds the fault injector one repetition uses — the single place
-/// the (injector spec, α, seed) → injector mapping lives.
-fn injector_for(job: &ConfigJob, seed: u64) -> Option<Injector> {
-    let a = job.matrix.as_ref();
-    let alpha = job.key.alpha;
-    match job.injector {
-        InjectorSpec::Paper if alpha > 0.0 => Some(paper_injector(a, alpha, seed)),
-        InjectorSpec::Calibrated if alpha > 0.0 => Some(calibrated_injector(a, alpha, seed)),
-        _ => None,
-    }
-}
-
 /// Runs one repetition of one configuration with a derived seed,
 /// drawing all solve-scoped memory from the worker's retained
 /// workspace (bit-identical to fresh allocation — the reuse contract).
 fn run_one(job: &ConfigJob, seed: u64, ws: &mut JobWorkspace) -> JobMetrics {
     let a = job.matrix.as_ref();
-    let mut inj = injector_for(job, seed);
+    let mut inj = Injector::new(job.injector, a, job.key.alpha, seed);
     let out = solve_resilient_in(a, &job.rhs, &job.cfg, inj.as_mut(), ws.solver_workspace());
     JobMetrics::from(&out)
 }
@@ -147,7 +134,7 @@ fn run_one_traced(job: &ConfigJob, seed: u64, ws: &mut JobWorkspace) -> JobMetri
     let (sw, rec) = ws.solver_and_recorder();
     rec.reset();
     rec.event(Event::job_start());
-    let mut inj = injector_for(job, seed);
+    let mut inj = Injector::new(job.injector, a, job.key.alpha, seed);
     let out = solve_resilient_recorded(a, &job.rhs, &job.cfg, inj.as_mut(), sw, rec);
     rec.finish_job(
         out.executed_iterations as u64,
@@ -613,7 +600,7 @@ mod tests {
 
     #[test]
     fn panicking_jobs_become_failed_records_not_aborts() {
-        use crate::grid::ConfigJob;
+        use crate::{ConfigJob, InjectorSpec};
         use ftcg_model::Scheme;
         use ftcg_solvers::resilient::ResilientConfig;
         use ftcg_sparse::gen;
@@ -653,6 +640,7 @@ mod tests {
     #[test]
     fn journal_and_memory_agree_when_a_job_panics() {
         use crate::journal::Journal;
+        use crate::InjectorSpec;
         use ftcg_model::Scheme;
         use ftcg_solvers::resilient::ResilientConfig;
         use ftcg_sparse::gen;

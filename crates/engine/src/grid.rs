@@ -2,6 +2,7 @@
 
 use std::sync::Arc;
 
+use ftcg_fault::InjectorSpec;
 use ftcg_model::{CostProfile, Scheme};
 use ftcg_solvers::resilient::ResilientConfig;
 use ftcg_sparse::CsrMatrix;
@@ -24,17 +25,6 @@ pub struct ConfigKey {
     pub s: usize,
     /// Verification interval `d`.
     pub(crate) d: usize,
-}
-
-/// Which fault model drives a configuration's injector.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum InjectorSpec {
-    /// No injection, whatever α says.
-    None,
-    /// The paper's full fault model (matrix arrays + CG vectors).
-    Paper,
-    /// Matrix-only, high-bit flips (model-validation ablation).
-    Calibrated,
 }
 
 /// One fully resolved configuration, ready to run `reps` times.

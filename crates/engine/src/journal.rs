@@ -20,8 +20,8 @@ use ftcg_telemetry::TelemetryError;
 use serde::json::{self, Value};
 
 use crate::aggregate::JobMetrics;
-use crate::grid::{ConfigJob, InjectorSpec};
 use crate::EngineError;
+use crate::{ConfigJob, InjectorSpec};
 
 /// A `i/k` partition of the job index space: shard `i` owns every job
 /// index `j` with `j % k == i`. Round-robin keeps each shard's load

@@ -79,7 +79,8 @@ pub use campaign::{
     fold_outcome, fold_records, merge_journals, run_campaign, run_campaign_sharded, run_configs,
     run_configs_sharded, CampaignResult, RunOptions,
 };
-pub use grid::{ConfigJob, InjectorSpec};
+pub use ftcg_fault::InjectorSpec;
+pub use grid::ConfigJob;
 pub use journal::{JobRecord, Journal, JournalWriter, Shard};
 pub use pool::WorkerObserver;
 pub use spec::{CampaignSpec, DefaultResolver, IntervalPolicy, MatrixResolver, MatrixSource};
@@ -91,12 +92,13 @@ pub mod prelude {
         merge_journals, run_campaign, run_campaign_sharded, run_configs, CampaignResult,
         RunOptions, ShardOutcome,
     };
-    pub use crate::grid::{ConfigJob, ConfigKey, InjectorSpec};
+    pub use crate::grid::{ConfigJob, ConfigKey};
     pub use crate::journal::{JobRecord, Shard};
     pub use crate::spec::{
         CampaignSpec, DefaultResolver, IntervalPolicy, MatrixResolver, MatrixSource,
     };
     pub use crate::workspace::JobWorkspace;
+    pub use crate::InjectorSpec;
 }
 
 /// Engine errors.

@@ -11,7 +11,7 @@
 /// valid-but-wrong case: an index that stays in range, which only the
 /// checksums can catch.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum BitRange {
+pub(crate) enum BitRange {
     /// Any bit of the word.
     Full,
     /// Only bits `0..k` (the value-changing low bits).

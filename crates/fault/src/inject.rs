@@ -1,43 +1,38 @@
-//! The two injector recipes the experiments use: the paper's fault
-//! model and the calibrated matrix-only variant of the model-validation
-//! ablation.
+//! The fault-model choice. The paper's model (Section 5.1) strikes
+//! every bit of the matrix arrays and the four CG vectors; the one
+//! ablation, the calibrated matrix-only model of the model-validation
+//! experiments, strikes the matrix arrays only, with value flips in the
+//! top bits. An [`InjectorSpec`] names one of them (or none), and
+//! [`Injector::new`] builds it.
 
 use ftcg_sparse::CsrMatrix;
 
-use crate::bitflip::BitRange;
-use crate::injector::{Injector, InjectorConfig};
-use crate::mtbf::FaultRate;
-use crate::target::MemoryLayout;
+use crate::injector::Injector;
 
-/// The memory layout / fault rate used by all experiments: matrix arrays
-/// plus the four CG vectors, `α` faults per iteration in expectation.
-pub fn paper_injector(a: &CsrMatrix, alpha: f64, seed: u64) -> Injector {
-    let layout = MemoryLayout::with_vectors(a.nnz(), a.n_rows());
-    let rate = FaultRate::from_alpha(alpha, layout.total_words());
-    let cfg = InjectorConfig {
-        rate,
-        value_bits: BitRange::Full,
-        index_bits: BitRange::for_index_bound(a.n_cols().max(a.nnz() + 1)),
-        include_vectors: true,
-    };
-    Injector::for_matrix(cfg, a, seed)
+/// Which fault model drives an injector.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum InjectorSpec {
+    /// No injection, whatever α says.
+    None,
+    /// The paper's full fault model: matrix arrays plus the four CG
+    /// vectors, any bit of a value.
+    Paper,
+    /// Matrix arrays only, value flips confined to the top 12 bits, so
+    /// every fault is large and detectable — the abstract model's
+    /// assumption that any error in a chunk is caught by the
+    /// verification (ablation A4).
+    Calibrated,
 }
 
-/// A calibrated injector for model-validation experiments: faults strike
-/// the matrix arrays only, and value flips are confined to the top bits,
-/// so every fault is large and detectable — matching the abstract
-/// model's assumption that any error in a chunk is caught by the
-/// verification (ablation A4).
-pub fn calibrated_injector(a: &CsrMatrix, alpha: f64, seed: u64) -> Injector {
-    let layout = MemoryLayout::matrix_only(a.nnz(), a.n_rows());
-    let rate = FaultRate::from_alpha(alpha, layout.total_words());
-    let cfg = InjectorConfig {
-        rate,
-        value_bits: BitRange::High(12),
-        index_bits: BitRange::for_index_bound(a.n_cols().max(a.nnz() + 1)),
-        include_vectors: false,
-    };
-    Injector::for_matrix(cfg, a, seed)
+/// The paper's fault model at `alpha` expected faults per iteration, for
+/// callers that always inject: [`Injector::new`] with
+/// [`InjectorSpec::Paper`], minus the `Option` (at `alpha = 0` it never
+/// fires).
+///
+/// # Panics
+/// Panics if `alpha` is negative or not finite.
+pub fn paper_injector(a: &CsrMatrix, alpha: f64, seed: u64) -> Injector {
+    Injector::drawing(false, a, alpha, seed)
 }
 
 #[cfg(test)]
@@ -57,9 +52,9 @@ mod tests {
     }
 
     #[test]
-    fn calibrated_injector_is_matrix_only() {
+    fn calibrated_model_is_matrix_only() {
         let a = gen::random_spd(60, 0.05, 2).unwrap();
-        let mut inj = calibrated_injector(&a, 0.5, 3);
+        let mut inj = Injector::new(InjectorSpec::Calibrated, &a, 0.5, 3).unwrap();
         for _ in 0..5_000 {
             for e in inj.plan_iteration() {
                 assert!(e.target.is_matrix(), "vector fault {e:?}");
@@ -136,5 +131,89 @@ mod tests {
         got.truncate(want.len());
         assert_eq!(got, want);
         assert_eq!(iterations, 53);
+    }
+
+    /// `paper_injector_stream_is_pinned` for the calibrated model,
+    /// captured from the build before `Injector::new` replaced the
+    /// per-model recipe functions.
+    #[test]
+    fn calibrated_stream_is_pinned() {
+        use FaultTarget::{MatrixColid as Colid, MatrixRowidx as Rowidx, MatrixVal as Val};
+        let want = [
+            (Val, 21, 57),
+            (Rowidx, 1, 2),
+            (Val, 81, 52),
+            (Val, 101, 62),
+            (Colid, 284, 3),
+            (Colid, 115, 5),
+            (Val, 198, 61),
+            (Val, 216, 62),
+            (Colid, 35, 0),
+            (Val, 180, 61),
+            (Colid, 241, 9),
+            (Colid, 132, 1),
+            (Colid, 117, 0),
+            (Val, 4, 57),
+            (Val, 63, 63),
+            (Val, 48, 58),
+            (Colid, 287, 1),
+            (Val, 206, 61),
+            (Val, 78, 59),
+            (Val, 264, 52),
+            (Rowidx, 45, 1),
+            (Colid, 77, 2),
+            (Colid, 103, 8),
+            (Colid, 129, 1),
+            (Val, 151, 53),
+            (Colid, 232, 3),
+            (Colid, 220, 3),
+            (Colid, 206, 7),
+            (Rowidx, 33, 5),
+            (Colid, 4, 5),
+            (Val, 190, 52),
+            (Val, 103, 61),
+        ];
+        let a = gen::poisson2d(8).unwrap();
+        let mut inj = Injector::new(InjectorSpec::Calibrated, &a, 0.5, 77).unwrap();
+        let mut got = Vec::new();
+        let mut iterations = 0;
+        while got.len() < want.len() {
+            got.extend(
+                inj.plan_iteration()
+                    .into_iter()
+                    .map(|e| (e.target, e.offset, e.bit)),
+            );
+            iterations += 1;
+        }
+        got.truncate(want.len());
+        assert_eq!(got, want);
+        assert_eq!(iterations, 53);
+    }
+
+    /// `Injector::new` builds nothing that would never strike, and
+    /// `paper_injector` is its `Paper` instance.
+    #[test]
+    fn new_returns_none_when_nothing_strikes() {
+        let a = gen::poisson2d(8).unwrap();
+        for spec in [
+            InjectorSpec::None,
+            InjectorSpec::Paper,
+            InjectorSpec::Calibrated,
+        ] {
+            assert!(Injector::new(spec, &a, 0.0, 1).is_none(), "{spec:?}");
+        }
+        assert!(Injector::new(InjectorSpec::None, &a, 0.5, 1).is_none());
+        let mut new = Injector::new(InjectorSpec::Paper, &a, 0.5, 77).unwrap();
+        let mut recipe = paper_injector(&a, 0.5, 77);
+        for _ in 0..50 {
+            assert_eq!(new.plan_iteration(), recipe.plan_iteration());
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "alpha must be >= 0")]
+    fn new_rejects_a_negative_alpha() {
+        let a = gen::poisson2d(4).unwrap();
+        let _ = Injector::new(InjectorSpec::Paper, &a, -0.5, 1);
     }
 }

@@ -5,7 +5,12 @@
 //! or operation is given the chance to fail just once per iteration"
 //! (Section 5.1). With `Titer = 1` this makes the per-iteration fault
 //! count Poisson with mean `α = λ·M`; each fault strikes a uniformly
-//! random word of the registered unreliable memory.
+//! random word of the registered unreliable memory. `α` is the expected
+//! number of faults per iteration and `1/α` the *normalized MTBF* on
+//! Figure 1's x-axis; Table 1 uses `λ = 1/(16M)`, i.e. `α = 1/16`.
+//!
+//! [`Injector::new`] is the one constructor: it reads the fault model
+//! off an [`InjectorSpec`] and the matrix.
 
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
@@ -13,7 +18,7 @@ use rand::{RngExt, SeedableRng};
 use ftcg_sparse::CsrMatrix;
 
 use crate::bitflip::{self, BitRange};
-use crate::mtbf::FaultRate;
+use crate::inject::InjectorSpec;
 use crate::process::poisson_count;
 use crate::target::{FaultTarget, MemoryLayout};
 
@@ -28,54 +33,66 @@ pub struct FaultEvent {
     pub bit: u32,
 }
 
-/// Injector configuration.
-#[derive(Debug, Clone, Copy)]
-pub struct InjectorConfig {
-    /// Fault rate (`α`, `M`).
-    pub rate: FaultRate,
-    /// Bits eligible in `f64` targets (`Val` and vectors).
-    pub value_bits: BitRange,
-    /// Bits eligible in the 32-bit index targets (`Colid`, `Rowidx`;
-    /// `Full` means all 32); pass `BitRange::for_index_bound` to keep
-    /// most flips in-bounds.
-    pub index_bits: BitRange,
-    /// Whether vector words are corruptible (matrix-only mode for kernel
-    /// micro-experiments).
-    pub include_vectors: bool,
-}
-
 /// Stateful fault injector with a deterministic seeded RNG.
 #[derive(Debug)]
 pub struct Injector {
-    config: InjectorConfig,
+    /// Expected faults per iteration (`α`).
+    alpha: f64,
+    /// Bits eligible in `f64` targets (`Val` and the vectors).
+    value_bits: BitRange,
+    /// Bits eligible in the 32-bit index targets (`Colid`, `Rowidx`):
+    /// just enough to reach every valid index, so most flips stay in
+    /// bounds and only the checksums can catch them.
+    index_bits: BitRange,
     layout: MemoryLayout,
     rng: StdRng,
 }
 
 impl Injector {
-    /// Creates an injector for a matrix of the given dimensions.
-    pub(crate) fn new(config: InjectorConfig, nnz: usize, n: usize, seed: u64) -> Self {
-        let layout = if config.include_vectors {
-            MemoryLayout::with_vectors(nnz, n)
-        } else {
-            MemoryLayout::matrix_only(nnz, n)
+    /// The injector of fault model `spec` on matrix `a` at `alpha`
+    /// expected faults per iteration, or `None` when nothing would ever
+    /// strike: [`InjectorSpec::None`] (whatever `alpha` says) or
+    /// `alpha = 0`.
+    ///
+    /// # Panics
+    /// Panics if `spec` injects and `alpha` is negative or not finite.
+    pub fn new(spec: InjectorSpec, a: &CsrMatrix, alpha: f64, seed: u64) -> Option<Injector> {
+        let calibrated = match spec {
+            InjectorSpec::None => return None,
+            InjectorSpec::Paper => false,
+            InjectorSpec::Calibrated => true,
         };
-        Self {
-            config,
-            layout,
-            rng: StdRng::seed_from_u64(seed),
-        }
+        // Built before the α = 0 test so that a negative α still panics.
+        let injector = Injector::drawing(calibrated, a, alpha, seed);
+        (alpha > 0.0).then_some(injector)
     }
 
-    /// Convenience constructor reading dimensions off the matrix.
-    pub fn for_matrix(config: InjectorConfig, a: &CsrMatrix, seed: u64) -> Self {
-        Self::new(config, a.nnz(), a.n_rows(), seed)
+    /// The paper's model (`calibrated = false`: every bit of the matrix
+    /// arrays and the four CG vectors) or the calibrated matrix-only one
+    /// (value flips in the top 12 bits), at any `alpha >= 0`.
+    pub(crate) fn drawing(calibrated: bool, a: &CsrMatrix, alpha: f64, seed: u64) -> Injector {
+        assert!(alpha >= 0.0 && alpha.is_finite(), "alpha must be >= 0");
+        Injector {
+            alpha,
+            value_bits: if calibrated {
+                BitRange::High(12)
+            } else {
+                BitRange::Full
+            },
+            index_bits: BitRange::for_index_bound(a.n_cols().max(a.nnz() + 1)),
+            layout: MemoryLayout {
+                nnz: a.nnz(),
+                n: a.n_rows(),
+                include_vectors: !calibrated,
+            },
+            rng: StdRng::seed_from_u64(seed),
+        }
     }
 
     /// Draws the fault plan for one iteration: a Poisson(`α`) number of
     /// flips at uniformly random words.
     pub fn plan_iteration(&mut self) -> Vec<FaultEvent> {
-        let k = poisson_count(&mut self.rng, self.config.rate.per_iteration());
+        let k = poisson_count(&mut self.rng, self.alpha);
         (0..k).map(|_| self.draw_event()).collect()
     }
 
@@ -87,10 +104,8 @@ impl Injector {
         let word = self.rng.random_range(0..total);
         let (target, offset) = self.layout.locate(word);
         let (bits, word_bits) = match target {
-            FaultTarget::MatrixColid | FaultTarget::MatrixRowidx => {
-                (self.config.index_bits, u32::BITS)
-            }
-            _ => (self.config.value_bits, u64::BITS),
+            FaultTarget::MatrixColid | FaultTarget::MatrixRowidx => (self.index_bits, u32::BITS),
+            _ => (self.value_bits, u64::BITS),
         };
         let draw = self.rng.random_range(0..bits.width(word_bits));
         let bit = bits.position(draw, word_bits);

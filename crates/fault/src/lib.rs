@@ -26,6 +26,11 @@
 //! * **selective reliability**: checksum data and checksum computations
 //!   are never targeted — only buffers explicitly registered with the
 //!   injector can be struck.
+//!
+//! The model takes two forms, named by [`InjectorSpec`]: the paper's
+//! (`Paper`) and the calibrated matrix-only ablation of the
+//! model-validation experiments (`Calibrated`). [`Injector::new`] is the
+//! one constructor; [`paper_injector`] is its `Paper` instance.
 
 #![warn(missing_docs)]
 // Index words are `u32`: a narrowing cast goes through `try_from` on a
@@ -38,12 +43,9 @@ pub mod bitflip;
 mod inject;
 pub mod injector;
 pub mod ledger;
-mod mtbf;
 mod process;
 pub mod target;
 
-pub use bitflip::BitRange;
-pub use inject::{calibrated_injector, paper_injector};
+pub use inject::{paper_injector, InjectorSpec};
 pub use injector::{FaultEvent, Injector};
-pub use mtbf::FaultRate;
 pub use target::FaultTarget;

@@ -62,24 +62,6 @@ pub(crate) struct MemoryLayout {
 }
 
 impl MemoryLayout {
-    /// Layout covering matrix + the four CG vectors (the paper's setting).
-    pub(crate) fn with_vectors(nnz: usize, n: usize) -> Self {
-        Self {
-            nnz,
-            n,
-            include_vectors: true,
-        }
-    }
-
-    /// Layout covering only the matrix arrays.
-    pub(crate) fn matrix_only(nnz: usize, n: usize) -> Self {
-        Self {
-            nnz,
-            n,
-            include_vectors: false,
-        }
-    }
-
     /// Total corruptible words `M`.
     pub(crate) fn total_words(&self) -> usize {
         let matrix = 2 * self.nnz + self.n + 1;
@@ -127,21 +109,34 @@ impl MemoryLayout {
 mod tests {
     use super::*;
 
+    /// The paper's setting: matrix plus the four CG vectors.
+    fn with_vectors(nnz: usize, n: usize) -> MemoryLayout {
+        MemoryLayout {
+            nnz,
+            n,
+            include_vectors: true,
+        }
+    }
+
     #[test]
     fn total_words_with_vectors() {
-        let l = MemoryLayout::with_vectors(100, 10);
+        let l = with_vectors(100, 10);
         assert_eq!(l.total_words(), 200 + 11 + 40);
     }
 
     #[test]
     fn total_words_matrix_only() {
-        let l = MemoryLayout::matrix_only(100, 10);
+        let l = MemoryLayout {
+            nnz: 100,
+            n: 10,
+            include_vectors: false,
+        };
         assert_eq!(l.total_words(), 211);
     }
 
     #[test]
     fn locate_boundaries() {
-        let l = MemoryLayout::with_vectors(5, 3);
+        let l = with_vectors(5, 3);
         assert_eq!(l.locate(0), (FaultTarget::MatrixVal, 0));
         assert_eq!(l.locate(4), (FaultTarget::MatrixVal, 4));
         assert_eq!(l.locate(5), (FaultTarget::MatrixColid, 0));
@@ -158,12 +153,12 @@ mod tests {
     #[test]
     #[should_panic]
     fn locate_out_of_range_panics() {
-        MemoryLayout::with_vectors(5, 3).locate(26);
+        with_vectors(5, 3).locate(26);
     }
 
     #[test]
     fn locate_covers_every_word_exactly_once() {
-        let l = MemoryLayout::with_vectors(7, 4);
+        let l = with_vectors(7, 4);
         let mut counts = std::collections::BTreeMap::new();
         for w in 0..l.total_words() {
             *counts.entry(l.locate(w)).or_insert(0usize) += 1;

@@ -1,6 +1,6 @@
 //! Expected frame time — equations (4) and (5) of the paper.
 
-use ftcg_checkpoint::ResilienceCosts;
+use crate::ResilienceCosts;
 
 /// Expected time lost when an error strikes somewhere in a frame of `s`
 /// chunks (the `E(T_lost)` derivation of Section 4.1):

@@ -40,7 +40,7 @@ mod frame;
 pub mod optimize;
 mod success;
 
-pub use cost::CostProfile;
+pub use cost::{CostProfile, ResilienceCosts};
 pub use frame::{expected_frame_time, expected_lost_time, overhead};
 pub use optimize::plan;
 pub use success::{q_correction, q_detection};

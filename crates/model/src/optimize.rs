@@ -28,7 +28,7 @@
 //! is not small (`1 − q ≤ 10⁻⁹`: the ABFT schemes' fault-free plans, and
 //! `q = 1` exactly) the scan runs to `s_max`.
 
-use ftcg_checkpoint::ResilienceCosts;
+use crate::ResilienceCosts;
 
 use crate::frame::overhead;
 use crate::success::q_detection;

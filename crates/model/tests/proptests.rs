@@ -1,7 +1,7 @@
 //! Property tests for the performance model: structural invariants of
 //! eq. (4)/(5) and the optimizers, over randomized parameters.
 
-use ftcg_checkpoint::ResilienceCosts;
+use ftcg_model::ResilienceCosts;
 use ftcg_model::{
     expected_frame_time, expected_lost_time, optimize, overhead, q_correction, q_detection, Scheme,
 };

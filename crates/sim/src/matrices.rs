@@ -6,14 +6,15 @@
 //! work per iteration), its nonzero count (which sets the memory
 //! footprint `M` and hence the fault rate `λ = α/M`) and SPD-ness. The
 //! substitution preserves `n` exactly and density closely. A real `.mtx`
-//! file can be substituted via [`MatrixSpec::from_file`].
+//! file runs through a campaign's `file:PATH` matrix source instead
+//! (`ftcg campaign --gen file:PATH`, or `ftcg solve --matrix PATH`).
 //!
 //! Experiments run at a configurable **scale divisor**: `n` is divided
 //! by it while keeping the nonzeros-per-row profile, so quick runs (test
 //! suites, CI) use faithful miniatures and `scale = 1` reproduces the
 //! full published sizes.
 
-use ftcg_sparse::{gen, io, CsrMatrix};
+use ftcg_sparse::{gen, CsrMatrix};
 
 /// One row of the paper's Table 1 test set.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -49,11 +50,6 @@ impl MatrixSpec {
         let density = (self.avg_row_nnz() / n as f64).min(0.6);
         gen::random_spd_illcond(n, density, 4.0e2, self.id as u64)
             .expect("generator parameters are valid by construction")
-    }
-
-    /// Loads a real UFL MatrixMarket file instead of the substitute.
-    pub fn from_file<P: AsRef<std::path::Path>>(path: P) -> ftcg_sparse::Result<CsrMatrix> {
-        io::read_matrix_market_file(path)
     }
 
     /// A deterministic right-hand side exercising all modes.

@@ -58,6 +58,7 @@
 
 use ftcg_abft::tmr::{vote_flips, ReplicaFlip};
 use ftcg_abft::XRef;
+use ftcg_fault::bitflip::flip_f64;
 use ftcg_fault::ledger::{FaultLedger, FaultOutcome};
 use ftcg_fault::target::{FaultTarget, VectorId};
 use ftcg_fault::{FaultEvent, Injector};
@@ -70,12 +71,6 @@ use super::{true_residual, EscalationGuard, ResilientConfig, ResilientOutcome, R
 use crate::machine::{ProductStatus, StepContext, StepResult};
 use crate::workspace::ExecArena;
 use crate::CgMachine;
-
-/// Flips one bit of a value in place.
-#[inline]
-fn flip(v: &mut f64, bit: u32) {
-    *v = f64::from_bits(v.to_bits() ^ (1u64 << bit));
-}
 
 /// Maps the injector's fault target onto the telemetry trace's stable
 /// target codes.
@@ -134,7 +129,7 @@ impl<R: Recorder> StepContext for ResilientCtx<'_, R> {
         // again from the bits the check must see.
         if !self.q_faults.is_empty() {
             for e in self.q_faults {
-                flip(&mut y[e.offset], e.bit);
+                y[e.offset] = flip_f64(y[e.offset], e.bit);
             }
             probe = fused::probe_of(y);
         }
@@ -333,10 +328,15 @@ impl<'a, R: Recorder> ExecutorMachine<'a, R> {
                     });
                     self.replica_rot += 1;
                 }
-                FaultTarget::Vector(VectorId::P) => flip(&mut self.solver.p[e.offset], e.bit),
-                FaultTarget::Vector(VectorId::Q) => flip(&mut self.solver.q[e.offset], e.bit),
-                FaultTarget::Vector(VectorId::R) => flip(&mut self.solver.r[e.offset], e.bit),
-                FaultTarget::Vector(VectorId::X) => flip(&mut self.solver.x[e.offset], e.bit),
+                FaultTarget::Vector(id) => {
+                    let v = match id {
+                        VectorId::P => &mut self.solver.p,
+                        VectorId::Q => &mut self.solver.q,
+                        VectorId::R => &mut self.solver.r,
+                        VectorId::X => &mut self.solver.x,
+                    };
+                    v[e.offset] = flip_f64(v[e.offset], e.bit);
+                }
                 _ => {
                     if matches!(
                         e.target,

@@ -44,10 +44,9 @@
 mod executor;
 mod scheme;
 
-use ftcg_checkpoint::ResilienceCosts;
 use ftcg_fault::ledger::FaultLedger;
 use ftcg_fault::Injector;
-use ftcg_model::{CostProfile, Scheme};
+use ftcg_model::{CostProfile, ResilienceCosts, Scheme};
 use ftcg_sparse::{vector, CsrMatrix};
 use ftcg_telemetry::{NoopRecorder, Recorder};
 

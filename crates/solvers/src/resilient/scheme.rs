@@ -17,8 +17,7 @@
 //! | a failed check may rewrite the matrix | no | yes (the repair attempt) | no |
 
 use ftcg_abft::{ProtectedSpmv, SingleChecksum, SpmvOutcome, XRef};
-use ftcg_checkpoint::ResilienceCosts;
-use ftcg_model::Scheme;
+use ftcg_model::{ResilienceCosts, Scheme};
 use ftcg_sparse::{CsrMatrix, RowOrder};
 
 use crate::verify::OnlineTolerances;

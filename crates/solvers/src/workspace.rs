@@ -15,10 +15,10 @@
 //!   rebuilt from that matrix in place ([`RowOrder::rebuild`], 4 bytes
 //!   per row);
 //! * checkpoints — iteration vectors only; their matrix is the
-//!   caller's pristine input — live in a double-buffered
-//!   [`SnapshotSlot`], the trusted product input in one [`XRef`], and
-//!   an iteration's deferred product-output faults and TMR replica
-//!   flips in two retained lists.
+//!   caller's pristine input — live in a one-buffer [`SnapshotSlot`],
+//!   the trusted product input in one [`XRef`], and an iteration's
+//!   deferred product-output faults and TMR replica flips in two
+//!   retained lists.
 //!
 //! Nothing is kept only to simulate faults: no start vectors (the
 //! first frame restarts from `b`) and no TMR replicas (their vote is a
@@ -46,7 +46,7 @@
 //! at its high-water capacity, so retained memory follows the *largest*
 //! matrix seen, not the number of distinct ones: **one matrix image**
 //! (the live, corruptible one) **plus O(n) vectors** (the arena's —
-//! the double-buffered checkpoint and the trusted input copy — and the
+//! the one checkpoint buffer and the trusted input copy — and the
 //! machine's). The matrix every rollback restores is the
 //! caller's own immutable `a0`, so no second image exists; buffers
 //! grow to exactly the size asked for
@@ -67,7 +67,7 @@ use crate::CgMachine;
 /// product-output faults and TMR replica flips.
 #[derive(Debug)]
 pub(crate) struct ExecArena {
-    /// Rolling verified checkpoint (double-buffered, allocation-free).
+    /// Rolling verified checkpoint (one retained buffer, allocation-free).
     pub(crate) slot: SnapshotSlot,
     /// Trusted copy of the direction vector, re-captured per iteration.
     pub(crate) xref: XRef,
@@ -124,8 +124,8 @@ impl SolverWorkspace {
 
     /// Bytes of matrix storage kept reserved between solves: the live
     /// image at the capacity of the largest matrix it has held, plus
-    /// the empty row pointers of the checkpoint slot's two buffers,
-    /// which hold vectors only.
+    /// the empty row pointer of the checkpoint slot's one buffer, which
+    /// holds vectors only.
     pub fn retained_image_bytes(&self) -> usize {
         self.image.capacity_bytes() + self.arena.slot.retained_matrix_bytes()
     }
@@ -189,9 +189,9 @@ mod tests {
             "residual norm differs after reset"
         );
         assert_eq!(*image, a);
-        // Only the live image is ever sized: the slot's two buffers
-        // hold their empty row pointers, 4 bytes each.
-        assert_eq!(ws.retained_image_bytes(), a.image_bytes() + 2 * 4);
+        // Only the live image is ever sized: the slot's one buffer
+        // holds its empty row pointer, 4 bytes.
+        assert_eq!(ws.retained_image_bytes(), a.image_bytes() + 4);
     }
 
     #[test]
@@ -211,7 +211,7 @@ mod tests {
         assert_eq!(m.p.as_ptr(), p0, "the larger size regrows nothing");
 
         // Both shapes share the one image, sized for the larger.
-        assert_eq!(ws.retained_image_bytes(), a2.image_bytes() + 2 * 4);
+        assert_eq!(ws.retained_image_bytes(), a2.image_bytes() + 4);
     }
 
     #[test]
@@ -303,8 +303,8 @@ mod tests {
         let ckpt = ws.arena.slot.latest().expect("checkpoints were taken");
         assert_eq!(ckpt.n(), 60);
         assert_eq!(ckpt.size_words(), 3 * 60 + 1 + 2);
-        assert_eq!(ws.arena.slot.retained_matrix_bytes(), 2 * 4);
+        assert_eq!(ws.arena.slot.retained_matrix_bytes(), 4);
         // The live image, nothing else.
-        assert_eq!(ws.retained_image_bytes(), a.image_bytes() + 2 * 4);
+        assert_eq!(ws.retained_image_bytes(), a.image_bytes() + 4);
     }
 }

@@ -358,7 +358,8 @@ fn recorded_solve_is_bit_identical_and_events_match_counters() {
 
         // Every counter has its event-stream counterpart.
         let tele = rec.drain(0);
-        let count = |k: EventKind| tele.event_counts[k.index()] as usize;
+        assert_eq!(tele.dropped, 0, "{scheme:?}");
+        let count = |k: EventKind| tele.events.iter().filter(|e| e.kind == k).count();
         assert_eq!(count(EventKind::Fault), traced.ledger.len(), "{scheme:?}");
         assert_eq!(count(EventKind::Rollback), traced.rollbacks, "{scheme:?}");
         assert_eq!(
@@ -380,15 +381,15 @@ fn recorded_solve_is_bit_identical_and_events_match_counters() {
         // Phases were actually timed.
         use ftcg_telemetry::Phase;
         assert_eq!(
-            tele.phase_calls[Phase::Step.index()] as usize,
+            tele.hist[Phase::Step.index()].count() as usize,
             traced.executed_iterations
         );
         assert_eq!(
-            tele.phase_calls[Phase::ProductCheck.index()] as usize,
+            tele.hist[Phase::ProductCheck.index()].count() as usize,
             traced.product_checks
         );
         assert_eq!(
-            tele.phase_calls[Phase::ChunkVerify.index()] as usize,
+            tele.hist[Phase::ChunkVerify.index()].count() as usize,
             traced.chunk_checks
         );
         assert!(tele.phase_ns[Phase::Step.index()] > 0);

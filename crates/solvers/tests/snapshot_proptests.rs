@@ -198,9 +198,9 @@ proptest! {
             assert_outcomes_bitexact(&format!("{scheme:?}"), &fresh, &reused);
         }
         // One workspace served the whole grid: one image of the one
-        // shape (the live one) and the empty row pointers (4 B each) of
-        // both checkpoint buffers.
-        prop_assert_eq!(ws.retained_image_bytes(), a.image_bytes() + 2 * 4);
+        // shape (the live one) and the empty row pointer (4 B) of the
+        // checkpoint buffer.
+        prop_assert_eq!(ws.retained_image_bytes(), a.image_bytes() + 4);
     }
 
     /// One workspace reshaped large → small → large (its image, slot
@@ -236,7 +236,7 @@ proptest! {
             }
         }
         // Sized by the large system alone.
-        prop_assert_eq!(ws.retained_image_bytes(), large.0.image_bytes() + 2 * 4);
+        prop_assert_eq!(ws.retained_image_bytes(), large.0.image_bytes() + 4);
     }
 }
 

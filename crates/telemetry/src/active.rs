@@ -1,7 +1,8 @@
 //! The [`ActiveRecorder`]: a per-worker, pre-allocated recorder.
 //!
 //! One recorder lives in each worker's job workspace. All storage —
-//! per-phase counters, per-phase histograms, the bounded event ring —
+//! per-phase wall times, per-phase histograms (whose counts are the
+//! phases' call counts), the bounded event ring —
 //! is allocated at construction; recording is array arithmetic and a
 //! capacity-guarded `Vec::push`, so the allocation gate
 //! (`crates/solvers/tests/alloc_gate.rs`) passes with recording on.
@@ -9,7 +10,7 @@
 //! (which *does* allocate, outside the solve) and gets back a
 //! [`JobTelemetry`] snapshot keyed by job index.
 
-use crate::event::{Event, EventKind};
+use crate::event::Event;
 use crate::hist::DurationHist;
 use crate::recorder::{Phase, Recorder, Stamp};
 
@@ -48,12 +49,9 @@ pub struct JobTelemetry {
     pub dropped: u64,
     /// Per-phase accumulated wall time, indexed by [`Phase::index`].
     pub phase_ns: [u64; Phase::COUNT],
-    /// Per-phase call counts, indexed by [`Phase::index`].
-    pub phase_calls: [u64; Phase::COUNT],
-    /// Per-kind event counts, indexed by [`EventKind::index`]. Counts
-    /// *emitted* events, including any the ring dropped.
-    pub event_counts: [u64; EventKind::COUNT],
-    /// Per-phase duration histograms, indexed by [`Phase::index`].
+    /// Per-phase duration histograms, indexed by [`Phase::index`]; a
+    /// histogram's [`count`](DurationHist::count) is the phase's number
+    /// of calls.
     pub hist: [DurationHist; Phase::COUNT],
     /// Wall-clock execution window, stamped by the campaign layer
     /// after the drain (never by the recorder itself). `None` for
@@ -65,9 +63,7 @@ pub struct JobTelemetry {
 #[derive(Debug, Clone)]
 pub struct ActiveRecorder {
     phase_ns: [u64; Phase::COUNT],
-    phase_calls: [u64; Phase::COUNT],
     hist: [DurationHist; Phase::COUNT],
-    event_counts: [u64; EventKind::COUNT],
     ring: Vec<Event>,
     dropped: u64,
 }
@@ -91,9 +87,7 @@ impl ActiveRecorder {
     pub(crate) fn with_capacity(capacity: usize) -> ActiveRecorder {
         ActiveRecorder {
             phase_ns: [0; Phase::COUNT],
-            phase_calls: [0; Phase::COUNT],
             hist: [DurationHist::new(); Phase::COUNT],
-            event_counts: [0; EventKind::COUNT],
             ring: Vec::with_capacity(capacity.max(2)),
             dropped: 0,
         }
@@ -102,9 +96,7 @@ impl ActiveRecorder {
     /// Clears all recorded state, keeping the ring's allocation.
     pub fn reset(&mut self) {
         self.phase_ns = [0; Phase::COUNT];
-        self.phase_calls = [0; Phase::COUNT];
         self.hist = [DurationHist::new(); Phase::COUNT];
-        self.event_counts = [0; EventKind::COUNT];
         self.ring.clear();
         self.dropped = 0;
     }
@@ -119,7 +111,6 @@ impl ActiveRecorder {
     /// so every complete trace block ends with `job_finish`.
     pub fn finish_job(&mut self, executed: u64, productive: u64, converged: bool) {
         let ev = Event::job_finish(executed, productive, converged, self.dropped);
-        self.event_counts[ev.kind.index()] += 1;
         debug_assert!(self.ring.len() < self.ring.capacity());
         if self.ring.len() < self.ring.capacity() {
             self.ring.push(ev);
@@ -140,8 +131,6 @@ impl ActiveRecorder {
             events: self.ring.clone(),
             dropped: self.dropped,
             phase_ns: self.phase_ns,
-            phase_calls: self.phase_calls,
-            event_counts: self.event_counts,
             hist: self.hist,
             span: None,
         };
@@ -161,13 +150,11 @@ impl Recorder for ActiveRecorder {
         let ns = since.elapsed_ns();
         let i = phase.index();
         self.phase_ns[i] += ns;
-        self.phase_calls[i] += 1;
         self.hist[i].record(ns);
     }
 
     #[inline]
     fn event(&mut self, event: Event) {
-        self.event_counts[event.kind.index()] += 1;
         // Keep one slot in reserve for the terminal job_finish event.
         if self.ring.len() + 1 < self.ring.capacity() {
             self.ring.push(event);
@@ -180,6 +167,7 @@ impl Recorder for ActiveRecorder {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::event::EventKind;
 
     #[test]
     fn records_phases_and_events() {
@@ -189,18 +177,18 @@ mod tests {
         rec.event(Event::job_start());
         rec.event(Event::rollback(5, 2));
         rec.finish_job(10, 8, true);
-        assert_eq!(rec.phase_calls[Phase::Step.index()], 1);
+        assert_eq!(rec.histogram(Phase::Step).count(), 1);
         let tele = rec.drain(3);
         assert_eq!(tele.job, 3);
         assert_eq!(tele.events.len(), 3);
         assert_eq!(tele.events[2].kind, EventKind::JobFinish);
-        assert_eq!(tele.event_counts[EventKind::Rollback.index()], 1);
+        assert_eq!(tele.events[1].kind, EventKind::Rollback);
         assert_eq!(tele.hist[Phase::Step.index()].count(), 1);
         // Drained: the recorder is clean for the next job.
         assert_eq!(rec.dropped(), 0);
         let empty = rec.drain(4);
         assert!(empty.events.is_empty());
-        assert_eq!(empty.phase_calls, [0; Phase::COUNT]);
+        assert!(empty.hist.iter().all(DurationHist::is_empty));
     }
 
     #[test]
@@ -219,7 +207,8 @@ mod tests {
             7,
             "dropped count rides job_finish"
         );
-        assert_eq!(tele.event_counts[EventKind::Detect.index()], 10);
+        let kept = tele.events.iter().filter(|e| e.kind == EventKind::Detect);
+        assert_eq!(kept.count() as u64 + tele.dropped, 10);
     }
 
     #[test]

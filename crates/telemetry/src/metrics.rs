@@ -102,7 +102,7 @@ fn render_job(tele: &JobTelemetry) -> String {
         "{{\"job\":{},\"ns\":{},\"calls\":{},\"dropped\":{}{span},\"hist_ns\":{}}}",
         tele.job,
         phase_map(&tele.phase_ns, u64::to_string),
-        phase_map(&tele.phase_calls, u64::to_string),
+        phase_map(&tele.hist, |h| h.count().to_string()),
         tele.dropped,
         phase_map(&tele.hist, render_hist),
     )
@@ -243,13 +243,10 @@ mod tests {
             events: Vec::new(),
             dropped: 0,
             phase_ns: [0; Phase::COUNT],
-            phase_calls: [0; Phase::COUNT],
-            event_counts: [0; crate::event::EventKind::COUNT],
             hist: [DurationHist::new(); Phase::COUNT],
             span: None,
         };
         t.phase_ns[Phase::Step.index()] = step_ns;
-        t.phase_calls[Phase::Step.index()] = 4;
         for _ in 0..4 {
             t.hist[Phase::Step.index()].record(step_ns / 4);
         }

@@ -51,8 +51,6 @@ pub struct ConfigReport {
     pub(crate) events: [u64; EventKind::COUNT],
     /// Summed per-phase wall time (ns), indexed by [`Phase::index`].
     pub(crate) phase_ns: [u64; Phase::COUNT],
-    /// Summed per-phase call counts, indexed by [`Phase::index`].
-    pub(crate) phase_calls: [u64; Phase::COUNT],
     /// Fault-to-detection latencies (iterations), sorted.
     pub(crate) latencies: Vec<u64>,
     /// Executed iterations discarded by rollbacks and escalations.
@@ -98,7 +96,6 @@ pub fn fold_report(
             timed_jobs: 0,
             events: [0; EventKind::COUNT],
             phase_ns: [0; Phase::COUNT],
-            phase_calls: [0; Phase::COUNT],
             latencies: Vec::new(),
             wasted_iters: 0,
             executed_iters: 0,
@@ -170,7 +167,6 @@ pub fn fold_report(
         rows[c].timed_jobs += 1;
         for i in 0..Phase::COUNT {
             rows[c].phase_ns[i] += jp.ns[i];
-            rows[c].phase_calls[i] += jp.calls[i];
         }
     }
     Ok(rows)

@@ -46,13 +46,10 @@ fn tele(job: usize, step_ns: u64) -> JobTelemetry {
         events: Vec::new(),
         dropped: 0,
         phase_ns: [0; Phase::COUNT],
-        phase_calls: [0; Phase::COUNT],
-        event_counts: [0; ftcg_telemetry::EventKind::COUNT],
         hist: [DurationHist::new(); Phase::COUNT],
         span: None,
     };
     t.phase_ns[Phase::Step.index()] = step_ns;
-    t.phase_calls[Phase::Step.index()] = 2;
     t.hist[Phase::Step.index()].record(step_ns / 2);
     t
 }

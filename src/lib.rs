@@ -43,10 +43,10 @@
 //! | crate | contents |
 //! |---|---|
 //! | `ftcg-sparse` | CSR/COO, the defensive CSR traversal every protected product runs, MatrixMarket I/O, SPD generators (BCSR/SELL-C-σ and parallel SpMxV only serve the benchmark's format probes) |
-//! | `ftcg-fault` | bit-flip injection, exponential/Poisson arrivals, fault ledger |
+//! | `ftcg-fault` | the fault-model choice (`InjectorSpec`) and its one constructor `Injector::new`, bit flips, Poisson arrivals, fault ledger |
 //! | `ftcg-abft` | single-checksum detection and dual-checksum detect-2/correct-1 SpMxV, TMR-replicated vector state, FP tolerance |
-//! | `ftcg-checkpoint` | solver-state snapshots, the double-buffered `SnapshotSlot`, the (`Tcp`, `Trec`, `Tverif`) cost triple |
-//! | `ftcg-model` | expected frame time (eq. 5), the one interval planner `plan` (eq. 6) and its two cost profiles |
+//! | `ftcg-checkpoint` | solver-state snapshots, the one-buffer `SnapshotSlot` |
+//! | `ftcg-model` | the (`Tcp`, `Trec`, `Tverif`) cost triple `ResilienceCosts`, expected frame time (eq. 5), the one interval planner `plan` (eq. 6) and its two cost profiles |
 //! | `ftcg-solvers` | the paper's CG as a steppable state machine + the resilient executor for the paper's three schemes |
 //! | `ftcg-engine` | concurrent campaign engine: declarative sweeps, worker pool, JSONL/CSV sinks |
 //! | `ftcg-sim` | Table 1 / Figure 1 experiment harness (engine campaigns) and reports |
@@ -67,7 +67,8 @@ pub use ftcg_solvers as solvers;
 pub use ftcg_sparse as sparse;
 pub use ftcg_telemetry as telemetry;
 
-use ftcg_engine::inject::paper_injector;
+use ftcg_engine::inject::Injector;
+use ftcg_engine::InjectorSpec;
 use ftcg_model::{CostProfile, Scheme};
 use ftcg_solvers::resilient::{solve_resilient_recorded, ResilientConfig, ResilientOutcome};
 use ftcg_sparse::CsrMatrix;
@@ -96,7 +97,7 @@ pub mod prelude {
 pub struct ResilientCg<'a> {
     a: &'a CsrMatrix,
     scheme: Scheme,
-    alpha: Option<f64>,
+    alpha: f64,
     seed: u64,
 }
 
@@ -106,7 +107,7 @@ impl<'a> ResilientCg<'a> {
         Self {
             a,
             scheme: Scheme::AbftCorrection,
-            alpha: None,
+            alpha: 0.0,
             seed: 0,
         }
     }
@@ -120,7 +121,7 @@ impl<'a> ResilientCg<'a> {
     /// Enables fault injection at `alpha` expected faults per iteration.
     pub fn fault_alpha(mut self, alpha: f64) -> Self {
         assert!(alpha >= 0.0 && alpha.is_finite());
-        self.alpha = Some(alpha);
+        self.alpha = alpha;
         self
     }
 
@@ -133,8 +134,7 @@ impl<'a> ResilientCg<'a> {
     /// Resolves the configuration this builder would run with.
     pub fn config(&self) -> ResilientConfig {
         let costs = CostProfile::DEFAULT.for_scheme(self.scheme);
-        let alpha = self.alpha.unwrap_or(0.0);
-        ResilientConfig::model_optimal(self.scheme, alpha, costs)
+        ResilientConfig::model_optimal(self.scheme, self.alpha, costs)
     }
 
     /// Runs the solve.
@@ -154,10 +154,7 @@ impl<'a> ResilientCg<'a> {
         rec: &mut R,
     ) -> ResilientOutcome {
         let cfg = self.config();
-        let mut inj = match self.alpha {
-            Some(alpha) if alpha > 0.0 => Some(paper_injector(self.a, alpha, self.seed)),
-            _ => None,
-        };
+        let mut inj = Injector::new(InjectorSpec::Paper, self.a, self.alpha, self.seed);
         let mut ws = ftcg_solvers::SolverWorkspace::new();
         solve_resilient_recorded(self.a, b, &cfg, inj.as_mut(), &mut ws, rec)
     }

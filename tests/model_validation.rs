@@ -11,10 +11,10 @@
 
 use std::sync::Arc;
 
-use ftcg::checkpoint::ResilienceCosts;
 use ftcg::engine::inject::paper_injector;
 use ftcg::engine::InjectorSpec::{self, Calibrated, Paper};
 use ftcg::engine::{run_configs, ConfigJob};
+use ftcg::model::ResilienceCosts;
 use ftcg::model::{expected_frame_time, CostProfile, Scheme};
 use ftcg::prelude::*;
 use ftcg::solvers::resilient::{solve_resilient, ResilientConfig};

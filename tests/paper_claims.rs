@@ -56,8 +56,8 @@ fn c1_checkpoints_always_valid() {
 /// rates.
 #[test]
 fn c2_correction_needs_fewer_checkpoints_and_rollbacks() {
-    use ftcg::checkpoint::ResilienceCosts;
     use ftcg::model::optimize;
+    use ftcg::model::ResilienceCosts;
     let costs = ResilienceCosts::new(2.0, 2.0, 0.15);
     let alpha = 1.0 / 16.0;
     let s_det = optimize::optimal_abft_interval(Scheme::AbftDetection, alpha, 1.0, &costs, 2000).s;
