@@ -7,7 +7,7 @@
 
 use ftcg_sparse::CsrMatrix;
 
-use crate::weights::weight;
+use crate::weights::weights;
 
 /// Weighted checksums `[Σᵢ pᵢ, Σᵢ (i+1)·pᵢ]` of a row-pointer array
 /// *as stored*: the reference `cr` at setup and the running sum `sr` of
@@ -74,14 +74,15 @@ impl MatrixChecksums {
         let n = a.n_cols();
         let mut col = [vec![0.0; n], vec![0.0; n]];
         for i in 0..a.n_rows() {
+            let w = weights(i);
             for k in a.row_range_clamped(i) {
                 let j = a.colid()[k] as usize;
                 if j >= n {
                     continue;
                 }
                 let v = a.val()[k];
-                for (r, c) in col.iter_mut().enumerate() {
-                    c[j] += weight(r, i) * v;
+                for (c, w) in col.iter_mut().zip(w) {
+                    c[j] += w * v;
                 }
             }
         }

@@ -15,16 +15,19 @@
 //!   names the entry, which is restored bit-exactly from the reliable
 //!   copy `x′`, and the rows that consume that entry are recomputed.
 //!
-//! Every repair ends with a full re-verification; if residues persist
-//! (two or more errors), the outcome degrades to
-//! [`SpmvOutcome::Detected`] and the caller rolls back — exactly the
-//! paper's "roll back only if two errors strike" policy.
+//! Both ratio tests allow the one relative slack
+//! [`RATIO_EPS`](crate::RATIO_EPS). Every repair ends with a
+//! full re-verification; if residues persist (two or more errors), the
+//! outcome degrades to [`SpmvOutcome::Detected`] and the caller rolls
+//! back — exactly the paper's "roll back only if two errors strike"
+//! policy. Residues that all passed leave nothing to repair: the
+//! outcome is [`SpmvOutcome::Clean`], with nothing touched.
 
 use ftcg_sparse::CsrMatrix;
 
 use crate::checksum::MatrixChecksums;
 use crate::spmv::{ProtectedSpmv, SpmvOutcome, TestResults, XRef};
-use crate::weights;
+use crate::weights::{self, RATIO_EPS};
 
 /// What was repaired.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -86,11 +89,9 @@ impl ProtectedSpmv {
     }
 
     /// Attempts single-error repair given failing residues, then
-    /// re-verifies. See the module docs for the decision tree.
-    #[expect(
-        clippy::unreachable,
-        reason = "correction is only entered after detection flagged a residue; clean residues mean a broken caller, not an input error"
-    )]
+    /// re-verifies. See the module docs for the decision tree. Residues
+    /// that all passed (`TestResults::clean`) need no repair: the
+    /// outcome is [`SpmvOutcome::Clean`] and nothing is touched.
     pub fn correct(
         &self,
         a: &mut CsrMatrix,
@@ -121,7 +122,7 @@ impl ProtectedSpmv {
             }
             (true, false) => self.correct_matrix_or_output(a, x, xref, y, res),
             (false, true) => self.correct_input(a, x, xref, y, res),
-            (false, false) => unreachable!("correct called on clean residues"),
+            (false, false) => SpmvOutcome::Clean,
         }
     }
 
@@ -179,7 +180,7 @@ impl ProtectedSpmv {
         // ratio, but then exactly one output row is non-finite — that row
         // is the location.
         let located = if res.dx[0].is_finite() && res.dx[1].is_finite() {
-            weights::locate_from_ratio(res.dx[0], res.dx[1], n, self.ratio_eps)
+            weights::locate_from_ratio(res.dx[0], res.dx[1], n, RATIO_EPS)
         } else {
             let bad: Vec<usize> = (0..n).filter(|&i| !y[i].is_finite()).collect();
             if bad.len() == 1 {
@@ -254,8 +255,9 @@ impl ProtectedSpmv {
             for i in 0..self.checks.n {
                 for kk in a.row_range_clamped(i) {
                     if kk != k && a.colid()[kk] as usize == f {
-                        partial[0] += weights::weight(0, i) * a.val()[kk];
-                        partial[1] += weights::weight(1, i) * a.val()[kk];
+                        let w = weights::weights(i);
+                        partial[0] += w[0] * a.val()[kk];
+                        partial[1] += w[1] * a.val()[kk];
                     }
                 }
             }
@@ -355,17 +357,16 @@ impl ProtectedSpmv {
         // (the paper's construction); overflow/NaN flips defeat it, in
         // which case the reliable copy itself pinpoints the single
         // bit-level difference directly.
-        let e =
-            weights::locate_from_ratio(res.dxp[0], res.dxp[1], n, self.ratio_eps).or_else(|| {
-                let diffs: Vec<usize> = (0..n)
-                    .filter(|&i| x[i].to_bits() != xref.xcopy[i].to_bits())
-                    .collect();
-                if diffs.len() == 1 {
-                    Some(diffs[0])
-                } else {
-                    None
-                }
-            });
+        let e = weights::locate_from_ratio(res.dxp[0], res.dxp[1], n, RATIO_EPS).or_else(|| {
+            let diffs: Vec<usize> = (0..n)
+                .filter(|&i| x[i].to_bits() != xref.xcopy[i].to_bits())
+                .collect();
+            if diffs.len() == 1 {
+                Some(diffs[0])
+            } else {
+                None
+            }
+        });
         let Some(e) = e else {
             return SpmvOutcome::Detected(res.clone());
         };
@@ -654,6 +655,21 @@ mod tests {
         let mut y = vec![0.0; 40];
         let out = p.spmv_correct(&mut a, &mut x, &xref, &mut y);
         assert_eq!(out, SpmvOutcome::Clean);
+    }
+
+    #[test]
+    fn correct_on_clean_residues_is_clean_and_mutates_nothing() {
+        let (a, p, x, xref) = setup(40, 15);
+        let y = a.spmv(&x);
+        let res = p.verify(&a, &x, &xref, &y);
+        assert!(res.clean());
+        let (mut a2, mut x2, mut y2) = (a.clone(), x.clone(), y.clone());
+        let out = p.correct(&mut a2, &mut x2, &xref, &mut y2, &res);
+        assert_eq!(out, SpmvOutcome::Clean);
+        let bits = |v: &[f64]| v.iter().map(|f| f.to_bits()).collect::<Vec<_>>();
+        assert_eq!(a2, a);
+        assert_eq!(bits(&x2), bits(&x));
+        assert_eq!(bits(&y2), bits(&y));
     }
 
     #[test]

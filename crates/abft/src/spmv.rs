@@ -16,7 +16,12 @@
 //!    Theorem 2 tolerance), `dx′` (input vs. its reliable copy, exact);
 //! 3. [`ProtectedSpmv::correct`] (in [`crate::correct`]) — attempts
 //!    single-error localization and in-place repair of the CSR arrays,
-//!    the input or the output, then re-verifies.
+//!    the input or the output, then re-verifies (clean residues come
+//!    back [`SpmvOutcome::Clean`], untouched).
+//!
+//! The setup is the checksums and one Theorem 2 tolerance per weight
+//! row, both rows' norms from [`crate::weights`]; the localization
+//! slack is a constant there, not a field.
 
 use ftcg_sparse::{fused, vector, CsrMatrix};
 
@@ -107,9 +112,6 @@ impl SpmvOutcome {
 pub struct ProtectedSpmv {
     pub(crate) checks: MatrixChecksums,
     pub(crate) tol: [ToleranceBound; 2],
-    /// Tolerance for the integer-ratio localization test (the paper's
-    /// "distance from an integer smaller than a threshold ε").
-    pub(crate) ratio_eps: f64,
 }
 
 impl ProtectedSpmv {
@@ -118,15 +120,8 @@ impl ProtectedSpmv {
     pub fn new(a: &CsrMatrix) -> Self {
         let checks = MatrixChecksums::compute(a);
         let n = checks.n;
-        let tol = [
-            ToleranceBound::new(n, checks.norm1, weights::weight_norm_inf(0, n)),
-            ToleranceBound::new(n, checks.norm1, weights::weight_norm_inf(1, n)),
-        ];
-        Self {
-            checks,
-            tol,
-            ratio_eps: 1e-4,
-        }
+        let tol = weights::weight_norms_inf(n).map(|w| ToleranceBound::new(n, checks.norm1, w));
+        Self { checks, tol }
     }
 
     /// The precomputed checksums.
@@ -204,8 +199,9 @@ impl ProtectedSpmv {
         for (i, (&xi, &xr)) in x.iter().zip(xref.xcopy.iter()).enumerate() {
             if xi.to_bits() != xr.to_bits() {
                 let diff = xi - xr;
-                dxp[0] += weights::weight(0, i) * diff;
-                dxp[1] += weights::weight(1, i) * diff;
+                let w = weights::weights(i);
+                dxp[0] += w[0] * diff;
+                dxp[1] += w[1] * diff;
                 // NaN-safe: a flip to NaN yields NaN residues below.
                 if !diff.is_finite() {
                     dxp[0] = f64::NAN;

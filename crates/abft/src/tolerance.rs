@@ -111,7 +111,7 @@ mod tests {
                 .collect();
             let y = a.spmv(&x);
             for (r, wni) in [(0usize, 1.0), (1usize, n as f64)] {
-                let w = |i: usize| crate::weights::weight(r, i);
+                let w = |i: usize| crate::weights::weights(i)[r];
                 // wᵀ(Ax)
                 let lhs: f64 = y.iter().enumerate().map(|(i, &v)| w(i) * v).sum();
                 // (wᵀA)x

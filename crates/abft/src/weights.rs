@@ -7,36 +7,29 @@
 //! residues reveals where it struck:
 //! if `y_d` is off by `δ`, the residues are `[δ, (d+1)·δ]` (0-based `d`)
 //! and the ratio recovers `d`.
+//!
+//! The matrix has exactly two rows, so the weights of a position and
+//! the norms of the rows are each one `[f64; 2]`, indexed by row; the
+//! ratio test's slack is the one constant [`RATIO_EPS`].
 
-/// Weight of row `r ∈ {0, 1}` at position `i`: `w₁(i) = 1` and
-/// `w₂(i) = i + 1` (the 1-based position of entry `i`).
+/// The two weights at position `i`: `[w₁(i), w₂(i)] = [1, i + 1]` (the
+/// 1-based position of entry `i`).
 #[inline]
-#[expect(
-    clippy::panic,
-    reason = "same invariant as checksum.rs: the dual-weight API has exactly two rows"
-)]
-pub(crate) fn weight(r: usize, i: usize) -> f64 {
-    match r {
-        0 => 1.0,
-        1 => (i + 1) as f64,
-        _ => panic!("dual-weight scheme has rows 0 and 1 only"),
-    }
+pub(crate) fn weights(i: usize) -> [f64; 2] {
+    [1.0, (i + 1) as f64]
 }
 
-/// Infinity norm of weight row `r` over positions `0..n` (enters the
-/// Theorem 2 tolerance bound).
+/// Infinity norms of the two weight rows over positions `0..n`,
+/// `[1, n]` (they enter the Theorem 2 tolerance bound).
 #[inline]
-#[expect(
-    clippy::panic,
-    reason = "same invariant as checksum.rs: the dual-weight API has exactly two rows"
-)]
-pub(crate) fn weight_norm_inf(r: usize, n: usize) -> f64 {
-    match r {
-        0 => 1.0,
-        1 => n as f64,
-        _ => panic!("dual-weight scheme has rows 0 and 1 only"),
-    }
+pub(crate) fn weight_norms_inf(n: usize) -> [f64; 2] {
+    [1.0, n as f64]
 }
+
+/// The relative slack `eps` that ABFT-CORRECTION passes to
+/// [`locate_from_ratio`]: the paper's "distance from an integer smaller
+/// than a threshold ε".
+pub(crate) const RATIO_EPS: f64 = 1e-4;
 
 /// Recovers the 0-based error position from the two checksum residues
 /// `d = [δ, (pos+1)·δ]`, if the ratio is close enough to an integer in
@@ -76,22 +69,16 @@ mod tests {
 
     #[test]
     fn weight_rows() {
-        assert_eq!(weight(0, 0), 1.0);
-        assert_eq!(weight(0, 100), 1.0);
-        assert_eq!(weight(1, 0), 1.0);
-        assert_eq!(weight(1, 9), 10.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "rows 0 and 1")]
-    fn weight_rejects_row_2() {
-        weight(2, 0);
+        assert_eq!(weights(0)[0], 1.0);
+        assert_eq!(weights(100)[0], 1.0);
+        assert_eq!(weights(0)[1], 1.0);
+        assert_eq!(weights(9)[1], 10.0);
     }
 
     #[test]
     fn norms() {
-        assert_eq!(weight_norm_inf(0, 50), 1.0);
-        assert_eq!(weight_norm_inf(1, 50), 50.0);
+        assert_eq!(weight_norms_inf(50)[0], 1.0);
+        assert_eq!(weight_norms_inf(50)[1], 50.0);
     }
 
     #[test]

@@ -11,6 +11,13 @@
 //! pairs in index order, never in completion order, so every
 //! decomposition of a campaign into threads, shards, processes, and
 //! resumed sessions produces byte-identical artifacts.
+//!
+//! There is one execution entry point, [`run_configs_sharded`], over a
+//! list of configurations; [`fold_outcome`] folds its full-coverage
+//! outcome into a [`CampaignResult`]. [`run_campaign`] and
+//! [`run_campaign_sharded`] expand a declarative spec first, and
+//! programmatic callers (the `ftcg-sim` harness, the benchmark) call
+//! the pair themselves.
 #![expect(
     clippy::disallowed_methods,
     reason = "JobSpan wall-clock stamps go to the metrics sidecar only"
@@ -215,7 +222,7 @@ pub fn run_configs_sharded(
     // reps = 0 would "succeed" with one all-zero row per configuration —
     // a complete-looking but fabricated result table. Fail loudly, like
     // the declarative path does via EmptyGrid.
-    assert!(reps >= 1, "run_configs: reps must be >= 1");
+    assert!(reps >= 1, "run_configs_sharded: reps must be >= 1");
     let total = configs.len() * reps;
     let manifest = Manifest {
         name: name.to_string(),
@@ -384,31 +391,6 @@ pub fn fold_records(
         JobRecord::Failed(_) => None,
     });
     Ok((aggregate::fold(name, reps, configs, done), panics))
-}
-
-/// Executes `reps` repetitions of each configuration on the worker
-/// pool. This is the programmatic entry point used by the `ftcg-sim`
-/// harness; [`run_campaign`] wraps it for declarative specs and
-/// [`run_configs_sharded`] exposes the journal/shard machinery.
-#[expect(
-    clippy::expect_used,
-    reason = "invariant: run_configs passes journal=None, so the journaled executor's only error source is absent; invariant: the 1/1 shard executes the whole index space, so fold completeness cannot fail"
-)]
-pub fn run_configs(
-    name: &str,
-    campaign_seed: u64,
-    reps: usize,
-    threads: usize,
-    configs: Vec<ConfigJob>,
-    progress: Option<ProgressFn<'_>>,
-) -> CampaignResult {
-    let opts = RunOptions {
-        progress,
-        ..RunOptions::default()
-    };
-    let outcome = run_configs_sharded(name, campaign_seed, reps, threads, &configs, &opts)
-        .expect("unjournaled full run cannot fail on journal I/O");
-    fold_outcome(name, reps, &configs, outcome).expect("full shard covers every job")
 }
 
 /// Folds a full-coverage [`ShardOutcome`], given by value or by

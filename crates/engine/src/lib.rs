@@ -38,10 +38,11 @@
 //! * [`journal`] — the job-journal record format (a durable log of
 //!   `ftcg_telemetry::log`), `i/k` job-space shards, and the grid
 //!   fingerprint that rejects stale journals;
-//! * `campaign` — the orchestration entry points
-//!   [`run_campaign`] and [`run_configs`], the journaled/shardable
-//!   [`run_campaign_sharded`], and the deterministic
-//!   [`merge_journals`] fold.
+//! * `campaign` — the orchestration entry points: [`run_campaign`]
+//!   for a declarative spec, [`run_configs_sharded`] +
+//!   [`fold_outcome`] for a list of configurations, the
+//!   journaled/shardable [`run_campaign_sharded`], and the
+//!   deterministic [`merge_journals`] fold.
 //!
 //! ## Example
 //!
@@ -76,7 +77,7 @@ mod workspace;
 
 pub use aggregate::ConfigSummary;
 pub use campaign::{
-    fold_outcome, fold_records, merge_journals, run_campaign, run_campaign_sharded, run_configs,
+    fold_outcome, fold_records, merge_journals, run_campaign, run_campaign_sharded,
     run_configs_sharded, CampaignResult, RunOptions,
 };
 pub use ftcg_fault::InjectorSpec;
@@ -89,8 +90,8 @@ pub use spec::{CampaignSpec, DefaultResolver, IntervalPolicy, MatrixResolver, Ma
 pub mod prelude {
     pub use crate::aggregate::{ConfigSummary, SummaryStats};
     pub use crate::campaign::{
-        merge_journals, run_campaign, run_campaign_sharded, run_configs, CampaignResult,
-        RunOptions, ShardOutcome,
+        merge_journals, run_campaign, run_campaign_sharded, CampaignResult, RunOptions,
+        ShardOutcome,
     };
     pub use crate::grid::{ConfigJob, ConfigKey};
     pub use crate::journal::{JobRecord, Shard};

@@ -62,10 +62,10 @@ pub(crate) type ProgressFn<'a> = &'a (dyn WorkerObserver + 'a);
 /// Correctness note: *which* context a job sees depends on which worker
 /// claimed it. Contexts must therefore never leak state into results —
 /// the contract reusable workspaces uphold by resetting every buffer
-/// bit-identically at checkout (and the `parallel_equals_serial`-style
-/// tests pin). A job that catches its own panic may leave its context
-/// dirty; the next checkout overwrites every buffer it uses, so the
-/// worker keeps going on the same context.
+/// bit-identically when a solve starts (and the
+/// `parallel_equals_serial`-style tests pin). A job that catches its own
+/// panic may leave its context dirty; the next solve's reset overwrites
+/// every buffer it uses, so the worker keeps going on the same context.
 ///
 /// # Panics
 /// A panic that escapes `job` stops its worker; the other workers

@@ -14,6 +14,12 @@
 //! schemes  = online, detection, correction
 //! alphas   = 0, 1/32, 1/16
 //! ```
+//!
+//! The interval policy is `interval = model` (the default, the eq. 6
+//! planner) or `interval = fixed:N`. `fixed:0` is an
+//! [`EngineError::Spec`] at parse time, before any solve could reach
+//! the solver's own assertion: a frame holds at least one verified
+//! chunk.
 
 use ftcg_model::Scheme;
 use ftcg_sparse::{gen, io, CsrMatrix};
@@ -229,11 +235,10 @@ pub fn parse_interval(s: &str) -> Result<IntervalPolicy, EngineError> {
             .parse()
             .map_err(|_| EngineError::Spec(format!("bad interval `{s}`")))?;
         if v == 0 {
-            // Historically clamped to 1 silently; surface the solver
-            // layer's typed rejection instead of masking a bad spec.
+            // Historically clamped to 1 silently; a frame holds at least
+            // one verified chunk, so the spec is refused instead.
             return Err(EngineError::Spec(format!(
-                "bad interval `{s}`: {}",
-                ftcg_solvers::ResilientConfigError::ZeroCheckpointInterval
+                "bad interval `{s}`: checkpoint interval s must be >= 1 (got 0)"
             )));
         }
         return Ok(IntervalPolicy::Fixed(v));
@@ -498,9 +503,10 @@ mod tests {
     fn zero_fixed_interval_is_a_typed_spec_error() {
         let e = CampaignSpec::parse("matrices = poisson2d:8\ninterval = fixed:0\n");
         match e {
-            Err(EngineError::Spec(msg)) => {
-                assert!(msg.contains("s must be >= 1"), "{msg}");
-            }
+            Err(EngineError::Spec(msg)) => assert_eq!(
+                msg,
+                "bad interval `fixed:0`: checkpoint interval s must be >= 1 (got 0)"
+            ),
             other => panic!("expected Spec error, got {other:?}"),
         }
         assert_eq!(parse_interval("fixed:1").unwrap(), IntervalPolicy::Fixed(1));

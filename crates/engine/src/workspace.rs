@@ -16,8 +16,9 @@
 //! "Retention and scope" in [`ftcg_solvers::workspace`]). A campaign's
 //! memory is therefore its matrices plus `threads ×` that.
 //!
-//! Reuse is *observable only through throughput*: workspace checkout
-//! resets every buffer bit-identically to fresh allocation, so
+//! Reuse is *observable only through throughput*: the workspace reset
+//! at the start of every solve leaves each buffer bit-identical to
+//! fresh allocation, so
 //! campaign artifacts are byte-identical whichever worker (and
 //! therefore whichever warm workspace) a job lands on. The engine's
 //! determinism tests pin this.

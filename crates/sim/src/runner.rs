@@ -70,7 +70,7 @@ pub(crate) fn run_checked(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ftcg_engine::{run_configs, InjectorSpec};
+    use ftcg_engine::InjectorSpec;
     use ftcg_model::Scheme;
     use ftcg_solvers::resilient::ResilientConfig;
     use ftcg_sparse::gen;
@@ -100,7 +100,9 @@ mod tests {
             ..ArtifactDirs::default()
         };
         let run = |seed| run_checked("e", "entry", seed, 4, 2, mk(), &dirs);
-        let plain = run_configs("e", 3, 4, 2, mk(), None);
+        let configs = mk();
+        let unjournaled = run_configs_sharded("e", 3, 4, 2, &configs, &RunOptions::default());
+        let plain = fold_outcome("e", 4, &configs, unjournaled.unwrap()).unwrap();
         let journaled = run(3);
         assert_eq!(plain.summaries, journaled.summaries);
         // Drop the trailing records (simulated kill) and re-run: the

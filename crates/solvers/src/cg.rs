@@ -3,14 +3,16 @@
 //! The algorithm lives in the steppable [`CgMachine`] (see
 //! [`crate::machine`]); [`cg_solve`] is a thin wrapper driving the
 //! machine with the serial CSR product — it computes exactly the sums
-//! the historical inlined loop computed, bit for bit.
+//! the historical inlined loop computed, bit for bit. The machine's
+//! ONLINE-DETECTION check, Chen's stability tests on its own vectors
+//! (`CgMachine::verify_state`), lives beside the tests' thresholds in
+//! `crate::verify`.
 
 use ftcg_checkpoint::SolverState;
-use ftcg_sparse::{fused, vector, CsrMatrix, RowOrder};
+use ftcg_sparse::{fused, vector, CsrMatrix};
 
 use crate::machine::{PlainContext, StepContext, StepResult};
 use crate::stopping::StoppingCriterion;
-use crate::verify::{verify_online, OnlineTolerances, OnlineVerdict};
 
 /// Configuration of the plain solve.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -56,7 +58,7 @@ pub struct SolveStats {
 /// uninterrupted trajectory bit for bit.
 #[derive(Debug, Clone, Default)]
 pub struct CgMachine {
-    b: Vec<f64>,
+    pub(crate) b: Vec<f64>,
     pub(crate) x: Vec<f64>,
     pub(crate) r: Vec<f64>,
     pub(crate) p: Vec<f64>,
@@ -100,7 +102,7 @@ impl CgMachine {
     /// bit-identical to [`CgMachine::start_zero`]'s, and a machine that
     /// has held a system at least this large allocates nothing.
     /// [`SolverWorkspace`](crate::SolverWorkspace) calls this at every
-    /// checkout.
+    /// reset, the first step of a resilient solve.
     pub(crate) fn reset_zero(&mut self, b: &[f64]) {
         for v in [&mut self.b, &mut self.r, &mut self.p] {
             v.clear();
@@ -170,21 +172,6 @@ impl CgMachine {
         self.r.copy_from_slice(&st.r);
         self.p.copy_from_slice(&st.p);
         self.rnorm_sq = st.rnorm_sq;
-    }
-
-    /// The ONLINE-DETECTION stability verification: Chen's two tests
-    /// (A-conjugacy of successive directions + recomputed residual, its
-    /// product visiting rows in `order`).
-    pub(crate) fn verify_state(
-        &self,
-        a: &CsrMatrix,
-        order: &RowOrder,
-        norm1_a: f64,
-        tol: &OnlineTolerances,
-    ) -> OnlineVerdict {
-        verify_online(
-            a, order, &self.b, &self.x, &self.r, &self.p, &self.q, norm1_a, tol,
-        )
     }
 }
 

@@ -45,6 +45,6 @@ mod verify;
 mod workspace;
 
 pub use cg::{cg_solve, CgConfig, CgMachine, SolveStats};
-pub use resilient::{ResilientConfigError, ResilientOutcome};
+pub use resilient::ResilientOutcome;
 pub use stopping::StoppingCriterion;
 pub use workspace::SolverWorkspace;

@@ -33,10 +33,11 @@
 //! ## Memory discipline
 //!
 //! The executor owns **no** solve-scoped heap state: the CG machine,
-//! the corruptible matrix image and the retained buffers (checkpoint
-//! slot, trusted input copy, the deferred product-output faults and
-//! the iteration's replica flips) all come from the caller's
-//! [`SolverWorkspace`](crate::SolverWorkspace). It keeps no copies for
+//! the corruptible matrix image, the row order and the retained buffers
+//! (checkpoint slot, trusted input copy, the deferred product-output
+//! faults and the iteration's replica flips) all come from the caller's
+//! [`SolverWorkspace`], which [`ExecutorMachine::new`] takes whole,
+//! resets and borrows field by field. It keeps no copies for
 //! the fault simulation's sake: the three TMR replicas of `r`/`x` agree
 //! at the start of every iteration, so their vote is a function of the
 //! flips injected since ([`vote_flips`]), and the first frame's
@@ -58,6 +59,7 @@
 
 use ftcg_abft::tmr::{vote_flips, ReplicaFlip};
 use ftcg_abft::XRef;
+use ftcg_checkpoint::SnapshotSlot;
 use ftcg_fault::bitflip::flip_f64;
 use ftcg_fault::ledger::{FaultLedger, FaultOutcome};
 use ftcg_fault::target::{FaultTarget, VectorId};
@@ -69,7 +71,7 @@ use ftcg_telemetry::{Event, Phase, Recorder};
 use super::scheme::{ProductCheck, Protection};
 use super::{true_residual, EscalationGuard, ResilientConfig, ResilientOutcome, RunStats};
 use crate::machine::{ProductStatus, StepContext, StepResult};
-use crate::workspace::ExecArena;
+use crate::workspace::SolverWorkspace;
 use crate::CgMachine;
 
 /// Maps the injector's fault target onto the telemetry trace's stable
@@ -181,7 +183,7 @@ impl<R: Recorder> StepContext for ResilientCtx<'_, R> {
 /// [`ExecutorMachine::finish`] the epilogue; holding the state in one
 /// struct lets an iteration leave early (`return` after a rollback or
 /// the convergence claim) and keeps `rollback` a method.
-struct ExecutorMachine<'a, R: Recorder> {
+pub(super) struct ExecutorMachine<'a, R: Recorder> {
     a0: &'a CsrMatrix,
     b: &'a [f64],
     cfg: &'a ResilientConfig,
@@ -190,12 +192,21 @@ struct ExecutorMachine<'a, R: Recorder> {
     solver: &'a mut CgMachine,
     /// The live (corruptible) matrix image.
     a: &'a mut CsrMatrix,
-    arena: &'a mut ExecArena,
+    /// Row visit order of `a0`, rebuilt by the workspace reset.
+    order: &'a RowOrder,
+    /// The rolling verified checkpoint.
+    slot: &'a mut SnapshotSlot,
+    /// Trusted copy of the product input (ABFT schemes).
+    xref: &'a mut XRef,
+    /// This iteration's product-output faults, deferred onto the
+    /// verified product (ABFT schemes).
+    q_faults: &'a mut Vec<FaultEvent>,
+    /// This iteration's `r`/`x` faults, each struck into one TMR
+    /// replica (ABFT schemes).
+    tmr_flips: &'a mut Vec<ReplicaFlip>,
     rec: &'a mut R,
     /// [`Protection::hardened`], cached once per solve.
     hardened: bool,
-    /// Row visit order of `a0`, built by the workspace at checkout.
-    order: &'a RowOrder,
     d: usize,
     threshold: f64,
     guard: EscalationGuard,
@@ -219,22 +230,28 @@ struct ExecutorMachine<'a, R: Recorder> {
 
 impl<'a, R: Recorder> ExecutorMachine<'a, R> {
     /// Sets up the protocol state exactly as the historical executor
-    /// prologue did, same operations in the same order.
-    #[expect(
-        clippy::too_many_arguments,
-        reason = "the executor borrows each workspace buffer separately so the borrows stay disjoint"
-    )]
-    fn new(
+    /// prologue did, same operations in the same order: the workspace
+    /// is reset to the zero-start state of `b` and a bit-exact image of
+    /// `a0` ([`SolverWorkspace::reset`]), then its buffers are borrowed
+    /// one by one.
+    pub(super) fn new(
         a0: &'a CsrMatrix,
         b: &'a [f64],
         cfg: &'a ResilientConfig,
         injector: Option<&'a mut Injector>,
-        solver: &'a mut CgMachine,
-        image: &'a mut CsrMatrix,
-        arena: &'a mut ExecArena,
-        order: &'a RowOrder,
+        ws: &'a mut SolverWorkspace,
         rec: &'a mut R,
     ) -> Self {
+        ws.reset(a0, b);
+        let SolverWorkspace {
+            machine: solver,
+            image,
+            order,
+            slot,
+            xref,
+            q_faults,
+            tmr_flips,
+        } = ws;
         let protection = Protection::new(cfg.scheme, a0);
         let hardened = protection.hardened();
         let d = protection.chunk_len(cfg.verif_interval);
@@ -244,10 +261,10 @@ impl<'a, R: Recorder> ExecutorMachine<'a, R> {
 
         // No checkpoint yet (the slot may hold a previous solve's):
         // until one is taken, rollback re-reads the input data.
-        arena.slot.clear();
+        slot.clear();
 
         if hardened {
-            arena.xref.store(&solver.p);
+            xref.store(&solver.p);
         }
         let converged = solver.residual_norm() <= threshold;
         ExecutorMachine {
@@ -258,10 +275,13 @@ impl<'a, R: Recorder> ExecutorMachine<'a, R> {
             protection,
             solver,
             a: image,
-            arena,
+            order,
+            slot,
+            xref,
+            q_faults,
+            tmr_flips,
             rec,
             hardened,
-            order,
             d,
             threshold,
             guard: EscalationGuard::default(),
@@ -278,14 +298,14 @@ impl<'a, R: Recorder> ExecutorMachine<'a, R> {
     }
 
     /// `true` while the loop condition of the historical executor holds.
-    fn active(&self) -> bool {
+    pub(super) fn active(&self) -> bool {
         !self.converged
             && self.productive < self.cfg.max_productive_iters
             && self.stats.executed < self.cfg.max_executed_iters
     }
 
     /// One executed iteration, phases 1–5 of the module docs.
-    fn iterate(&mut self) {
+    pub(super) fn iterate(&mut self) {
         // 1. Count the iteration and let its faults strike the
         // unreliable region.
         self.stats.executed += 1;
@@ -304,8 +324,8 @@ impl<'a, R: Recorder> ExecutorMachine<'a, R> {
             ));
         }
         self.guard.note_faults(events.len());
-        self.arena.q_faults.clear();
-        self.arena.tmr_flips.clear();
+        self.q_faults.clear();
+        self.tmr_flips.clear();
         for e in &events {
             match e.target {
                 // Hardened (ABFT) `q` faults are deferred onto the
@@ -313,7 +333,7 @@ impl<'a, R: Recorder> ExecutorMachine<'a, R> {
                 // TMR replica, in rotation, and wait for the step's
                 // vote (`x`'s words follow `r`'s in the flip list).
                 FaultTarget::Vector(VectorId::Q) if self.hardened => {
-                    self.arena.q_faults.push(*e);
+                    self.q_faults.push(*e);
                 }
                 FaultTarget::Vector(v @ (VectorId::R | VectorId::X)) if self.hardened => {
                     let base = if v == VectorId::X {
@@ -321,7 +341,7 @@ impl<'a, R: Recorder> ExecutorMachine<'a, R> {
                     } else {
                         0
                     };
-                    self.arena.tmr_flips.push(ReplicaFlip {
+                    self.tmr_flips.push(ReplicaFlip {
                         word: base + e.offset,
                         replica: self.replica_rot % 3,
                         bit: e.bit,
@@ -356,9 +376,9 @@ impl<'a, R: Recorder> ExecutorMachine<'a, R> {
             order: self.order,
             protection: &self.protection,
             hardened: self.hardened,
-            xref: &self.arena.xref,
+            xref: self.xref,
             structure_dirty: &mut self.structure_dirty,
-            q_faults: &self.arena.q_faults,
+            q_faults: self.q_faults,
             stats: &mut self.stats,
             ledger: &mut self.ledger,
             rec: &mut *self.rec,
@@ -386,7 +406,7 @@ impl<'a, R: Recorder> ExecutorMachine<'a, R> {
         // 4. TMR vote on the vector data (ABFT schemes).
         if self.hardened {
             let t_vote = self.rec.start();
-            let vote = vote_flips(&self.arena.tmr_flips);
+            let vote = vote_flips(self.tmr_flips);
             self.rec.phase(Phase::TmrVote, t_vote);
             if !vote.is_trusted() {
                 // Colliding replica faults: detected, not correctable.
@@ -427,9 +447,9 @@ impl<'a, R: Recorder> ExecutorMachine<'a, R> {
             self.time += chunk_cost;
             self.stats.chunk_checks += 1;
             let t_verify = self.rec.start();
-            let chunk_ok =
-                self.protection
-                    .verify_chunk(self.a, self.order, self.solver, &self.cfg.online_tol);
+            let chunk_ok = self
+                .protection
+                .verify_chunk(self.a, self.order, self.solver);
             self.rec.phase(Phase::ChunkVerify, t_verify);
             // Priced verifications (ONLINE) always leave a trace event;
             // the ABFT schemes' free per-iteration no-op checks only do
@@ -461,8 +481,8 @@ impl<'a, R: Recorder> ExecutorMachine<'a, R> {
                 self.time += self.cfg.costs.tcp;
                 let t_ckpt = self.rec.start();
                 self.solver
-                    .snapshot_into(self.productive, self.arena.slot.begin_save());
-                self.arena.slot.commit();
+                    .snapshot_into(self.productive, self.slot.begin_save());
+                self.slot.commit();
                 self.rec.phase(Phase::Checkpoint, t_ckpt);
                 self.stats.checkpoints += 1;
                 self.rec.event(Event::checkpoint(
@@ -474,7 +494,7 @@ impl<'a, R: Recorder> ExecutorMachine<'a, R> {
             }
         }
         if self.hardened {
-            self.arena.xref.store(&self.solver.p);
+            self.xref.store(&self.solver.p);
         }
     }
 
@@ -488,7 +508,7 @@ impl<'a, R: Recorder> ExecutorMachine<'a, R> {
         let t_rb = self.rec.start();
         if self.guard.must_escalate() {
             // Re-read input data: discard the tainted checkpoint.
-            self.arena.slot.clear();
+            self.slot.clear();
             self.guard.consecutive_rollbacks = 0;
             self.rec.event(Event::escalate(self.stats.executed as u64));
         }
@@ -500,7 +520,7 @@ impl<'a, R: Recorder> ExecutorMachine<'a, R> {
         }
         debug_assert!(*self.a == *self.a0);
         self.structure_dirty = false;
-        match self.arena.slot.latest() {
+        match self.slot.latest() {
             Some(st) => {
                 self.solver.restore(st);
                 self.productive = st.iteration;
@@ -514,7 +534,7 @@ impl<'a, R: Recorder> ExecutorMachine<'a, R> {
         self.chunks_since_ckpt = 0;
         self.ledger.resolve_all_pending(FaultOutcome::RolledBack);
         if self.hardened {
-            self.arena.xref.store(&self.solver.p);
+            self.xref.store(&self.solver.p);
         }
         self.rec.phase(Phase::Rollback, t_rb);
         self.rec.event(Event::rollback(
@@ -525,7 +545,7 @@ impl<'a, R: Recorder> ExecutorMachine<'a, R> {
 
     /// Resolves the ledger and assembles the outcome (the historical
     /// epilogue).
-    fn finish(self) -> ResilientOutcome {
+    pub(super) fn finish(self) -> ResilientOutcome {
         let ExecutorMachine {
             a0,
             b,
@@ -558,33 +578,4 @@ impl<'a, R: Recorder> ExecutorMachine<'a, R> {
             x: xv,
         }
     }
-}
-
-/// Runs the protocol for `cfg.scheme` over the machine.
-///
-/// `solver` must be in the zero-start state of `b`, `image`
-/// must hold a bit-exact copy of `a0` (the corruptible working image),
-/// `arena` provides the retained buffers and `order` the row visit
-/// order of `a0` — all four come from
-/// [`SolverWorkspace::checkout`](crate::SolverWorkspace).
-#[expect(
-    clippy::too_many_arguments,
-    reason = "the executor borrows each workspace buffer separately so the borrows stay disjoint"
-)]
-pub(super) fn run_executor<R: Recorder>(
-    a0: &CsrMatrix,
-    b: &[f64],
-    cfg: &ResilientConfig,
-    injector: Option<&mut Injector>,
-    solver: &mut CgMachine,
-    image: &mut CsrMatrix,
-    arena: &mut ExecArena,
-    order: &RowOrder,
-    rec: &mut R,
-) -> ResilientOutcome {
-    let mut m = ExecutorMachine::new(a0, b, cfg, injector, solver, image, arena, order, rec);
-    while m.active() {
-        m.iterate();
-    }
-    m.finish()
 }

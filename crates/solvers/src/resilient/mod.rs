@@ -35,6 +35,14 @@
 //! the CSR arrays are what the faults hit, so no other format could be
 //! read without first being re-derived from them.
 //!
+//! A [`ResilientConfig`] holds what varies between runs — the scheme,
+//! the intervals `s` and `d`, the costs, the stopping rule and two
+//! iteration caps — and nothing the paper fixes: Chen's thresholds and
+//! the ABFT localization slack are constants of `crate::verify` and
+//! `ftcg-abft`. A zero interval is refused where it enters, by an
+//! assertion in [`ResilientConfig::new`] and in
+//! [`solve_resilient_recorded`] (which every solve goes through).
+//!
 //! Time is accounted in units of `Titer ≡ 1` (the paper's
 //! normalization): under the ABFT schemes each executed iteration costs
 //! `1 + Tverif` (its one checksum-verified product); ONLINE-DETECTION
@@ -51,33 +59,7 @@ use ftcg_sparse::{vector, CsrMatrix};
 use ftcg_telemetry::{NoopRecorder, Recorder};
 
 use crate::stopping::StoppingCriterion;
-use crate::verify::OnlineTolerances;
 use crate::workspace::SolverWorkspace;
-
-/// A rejected resilient configuration (the typed form surfaced by the
-/// CLI and the campaign engine instead of a silent clamp).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum ResilientConfigError {
-    /// `s = 0`: a frame must contain at least one verified chunk.
-    ZeroCheckpointInterval,
-    /// `d = 0`: a chunk must contain at least one iteration.
-    ZeroVerifInterval,
-}
-
-impl std::fmt::Display for ResilientConfigError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            ResilientConfigError::ZeroCheckpointInterval => {
-                write!(f, "checkpoint interval s must be >= 1 (got 0)")
-            }
-            ResilientConfigError::ZeroVerifInterval => {
-                write!(f, "verification interval d must be >= 1 (got 0)")
-            }
-        }
-    }
-}
-
-impl std::error::Error for ResilientConfigError {}
 
 /// Configuration of a resilient solve.
 #[derive(Debug, Clone, PartialEq)]
@@ -99,8 +81,6 @@ pub struct ResilientConfig {
     /// Cap on total executed iterations including re-execution (runaway
     /// guard at extreme fault rates).
     pub max_executed_iters: usize,
-    /// Thresholds for the stability tests (ONLINE-DETECTION only).
-    pub(crate) online_tol: OnlineTolerances,
 }
 
 impl ResilientConfig {
@@ -109,28 +89,14 @@ impl ResilientConfig {
     /// [`CostProfile::DEFAULT`] costs.
     ///
     /// # Panics
-    /// Panics if `checkpoint_interval == 0` — use
-    /// `ResilientConfig::try_new` to get the typed error instead.
-    #[expect(
-        clippy::expect_used,
-        reason = "documented # Panics contract: a zero interval is caller misuse; ResilientConfig::try_new is the typed-error route"
-    )]
+    /// Panics if `checkpoint_interval == 0`: a frame holds at least one
+    /// verified chunk.
     pub fn new(scheme: Scheme, checkpoint_interval: usize) -> Self {
-        Self::try_new(scheme, checkpoint_interval)
-            .expect("checkpoint interval must be >= 1 (see ResilientConfig::try_new)")
-    }
-
-    /// Like [`ResilientConfig::new`] but rejects a zero interval with a
-    /// typed error instead of panicking (historically the zero was
-    /// silently clamped to 1, masking bad specs).
-    pub(crate) fn try_new(
-        scheme: Scheme,
-        checkpoint_interval: usize,
-    ) -> Result<Self, ResilientConfigError> {
-        if checkpoint_interval == 0 {
-            return Err(ResilientConfigError::ZeroCheckpointInterval);
-        }
-        Ok(Self {
+        assert!(
+            checkpoint_interval >= 1,
+            "checkpoint interval must be >= 1 (got 0)"
+        );
+        Self {
             scheme,
             checkpoint_interval,
             verif_interval: 1,
@@ -138,8 +104,7 @@ impl ResilientConfig {
             stopping: StoppingCriterion::default_relative(),
             max_productive_iters: 10_000,
             max_executed_iters: 200_000,
-            online_tol: OnlineTolerances::default(),
-        })
+        }
     }
 
     /// The model-optimal configuration of `scheme` at `alpha` expected
@@ -151,19 +116,6 @@ impl ResilientConfig {
         cfg.verif_interval = d;
         cfg.costs = costs;
         cfg
-    }
-
-    /// Checks the interval invariants, returning the typed error a
-    /// front end can surface (`solve_resilient` enforces the same
-    /// invariants with a panic).
-    pub(crate) fn validate(&self) -> Result<(), ResilientConfigError> {
-        if self.checkpoint_interval == 0 {
-            return Err(ResilientConfigError::ZeroCheckpointInterval);
-        }
-        if self.verif_interval == 0 {
-            return Err(ResilientConfigError::ZeroVerifInterval);
-        }
-        Ok(())
     }
 }
 
@@ -265,10 +217,11 @@ pub fn solve_resilient_in(
 /// an [`ActiveRecorder`](ftcg_telemetry::ActiveRecorder) records
 /// without allocating (see the `Recorder` contract in
 /// `ftcg_telemetry::recorder`).
-#[expect(
-    clippy::panic,
-    reason = "documented panicking convenience wrapper over the validated config path; ResilientConfig::try_new is the typed-error route"
-)]
+///
+/// # Panics
+/// Panics if `a` is not square, if `b` does not match it, or if an
+/// interval is zero (`cfg.checkpoint_interval` or `cfg.verif_interval`:
+/// eqs. 5–6 take frames of `s ≥ 1` chunks of `d ≥ 1` iterations).
 pub fn solve_resilient_recorded<R: Recorder>(
     a: &CsrMatrix,
     b: &[f64],
@@ -279,11 +232,19 @@ pub fn solve_resilient_recorded<R: Recorder>(
 ) -> ResilientOutcome {
     assert!(a.is_square(), "resilient solve: matrix must be square");
     assert_eq!(b.len(), a.n_rows(), "resilient solve: b length mismatch");
-    if let Err(e) = cfg.validate() {
-        panic!("resilient solve: {e}");
+    assert!(
+        cfg.checkpoint_interval >= 1,
+        "resilient solve: checkpoint interval s must be >= 1 (got 0)"
+    );
+    assert!(
+        cfg.verif_interval >= 1,
+        "resilient solve: verification interval d must be >= 1 (got 0)"
+    );
+    let mut m = executor::ExecutorMachine::new(a, b, cfg, injector, ws, rec);
+    while m.active() {
+        m.iterate();
     }
-    let (solver, image, arena, order) = ws.checkout(a, b);
-    executor::run_executor(a, b, cfg, injector, solver, image, arena, order, rec)
+    m.finish()
 }
 
 /// Tracks whether the latest checkpoint can still be trusted.
@@ -346,30 +307,28 @@ mod tests {
     use super::*;
 
     #[test]
-    fn try_new_rejects_zero_interval() {
-        let e = ResilientConfig::try_new(Scheme::AbftCorrection, 0);
-        assert_eq!(e, Err(ResilientConfigError::ZeroCheckpointInterval));
-        assert!(e.unwrap_err().to_string().contains(">= 1"));
-        assert!(ResilientConfig::try_new(Scheme::AbftCorrection, 1).is_ok());
-    }
-
-    #[test]
     #[should_panic(expected = "checkpoint interval must be >= 1")]
     fn new_panics_on_zero_interval() {
         let _ = ResilientConfig::new(Scheme::AbftDetection, 0);
     }
 
-    #[test]
-    fn validate_rejects_zero_intervals() {
+    fn zero_interval_solve(set: impl FnOnce(&mut ResilientConfig)) {
+        let a = ftcg_sparse::gen::tridiagonal(8, 4.0, -1.0).unwrap();
         let mut cfg = ResilientConfig::new(Scheme::OnlineDetection, 5);
-        assert_eq!(cfg.validate(), Ok(()));
-        cfg.verif_interval = 0;
-        assert_eq!(cfg.validate(), Err(ResilientConfigError::ZeroVerifInterval));
-        cfg.verif_interval = 1;
-        cfg.checkpoint_interval = 0;
-        assert_eq!(
-            cfg.validate(),
-            Err(ResilientConfigError::ZeroCheckpointInterval)
-        );
+        set(&mut cfg);
+        let mut ws = SolverWorkspace::new();
+        solve_resilient_in(&a, &[1.0; 8], &cfg, None, &mut ws);
+    }
+
+    #[test]
+    #[should_panic(expected = "resilient solve: checkpoint interval s must be >= 1 (got 0)")]
+    fn solve_rejects_zero_checkpoint_interval() {
+        zero_interval_solve(|cfg| cfg.checkpoint_interval = 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "resilient solve: verification interval d must be >= 1 (got 0)")]
+    fn solve_rejects_zero_verif_interval() {
+        zero_interval_solve(|cfg| cfg.verif_interval = 0);
     }
 }

@@ -2,14 +2,16 @@
 //! the executor where they differ.
 //!
 //! Each variant holds its scheme's reliable once-per-matrix setup,
-//! built from the pristine `a0`. The chunk/verify/checkpoint/rollback
-//! protocol is the same for all three; the schemes differ in exactly
-//! these places:
+//! built from the pristine `a0`. Nothing about a scheme is configured
+//! beyond [`Scheme`] and the intervals: Chen's two thresholds and the
+//! ABFT localization slack are constants of the protocol. The
+//! chunk/verify/checkpoint/rollback protocol is the same for all three;
+//! the schemes differ in exactly these places:
 //!
 //! | | ABFT-DETECTION | ABFT-CORRECTION | ONLINE-DETECTION |
 //! |---|---|---|---|
 //! | each forward product | single-checksum tests | dual-checksum tests + single-error repair | unverified |
-//! | each chunk boundary | clean (products already verified) | clean | Chen's stability tests |
+//! | each chunk boundary | clean (products already verified) | clean | Chen's stability tests, fixed thresholds |
 //! | iterations per chunk | 1 | 1 | `d` |
 //! | `r`/`x` hardened | TMR (faults voted as replica flips), product faults strike the verified product | same | plainly exposed |
 //! | extra cost per iteration | `Tverif` | same | 0 |
@@ -20,7 +22,6 @@ use ftcg_abft::{ProtectedSpmv, SingleChecksum, SpmvOutcome, XRef};
 use ftcg_model::{ResilienceCosts, Scheme};
 use ftcg_sparse::{CsrMatrix, RowOrder};
 
-use crate::verify::OnlineTolerances;
 use crate::CgMachine;
 
 /// Outcome of verifying one forward product.
@@ -149,17 +150,9 @@ impl Protection {
     /// Chunk-boundary whole-state verification; `true` means the state
     /// is trusted (a checkpoint may be taken, convergence accepted).
     /// `order` is the row visit order of the solve's products.
-    pub(crate) fn verify_chunk(
-        &self,
-        a: &CsrMatrix,
-        order: &RowOrder,
-        solver: &CgMachine,
-        tol: &OnlineTolerances,
-    ) -> bool {
+    pub(crate) fn verify_chunk(&self, a: &CsrMatrix, order: &RowOrder, solver: &CgMachine) -> bool {
         match self {
-            Protection::Online { norm1_a } => {
-                !solver.verify_state(a, order, *norm1_a, tol).detected
-            }
+            Protection::Online { norm1_a } => !solver.verify_state(a, order, *norm1_a).detected,
             // Every product of the chunk was already verified.
             _ => true,
         }

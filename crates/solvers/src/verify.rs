@@ -1,36 +1,30 @@
 //! Chen's stability tests for ONLINE-DETECTION (Section 3.1).
 //!
-//! The verification run every `d` iterations consists of:
+//! The verification run every `d` iterations,
+//! [`CgMachine::verify_state`], reads the machine's own vectors and
+//! consists of:
 //!
 //! * an **orthogonality check** on `p_{i+1}` and `q = A·pᵢ`, computing
 //!   `pᵀ_{i+1}q / (‖p_{i+1}‖·‖q‖)` — cheap (two norms and a dot);
 //! * a **residual check** recomputing `b − A·xᵢ` and comparing it to the
 //!   recursive residual `rᵢ` — the dominant cost, one extra SpMxV.
 //!
-//! Thresholds are relative to machine precision scaled by the problem
-//! size; fault-free CG keeps both quantities many orders of magnitude
-//! below them (no false positives), while bit flips that matter push
-//! them far above (tested below and in `ftcg-sim`).
+//! Each test compares against one fixed threshold,
+//! [`ORTHOGONALITY_TOL`] and [`RESIDUAL_TOL`]: relative to machine
+//! precision scaled by the problem size, fault-free CG keeps both
+//! quantities many orders of magnitude below them (no false positives),
+//! while bit flips that matter push them far above (tested below and in
+//! `ftcg-sim`).
 
 use ftcg_sparse::{vector, CsrMatrix, RowOrder};
 
-/// Thresholds for the two stability tests.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub(crate) struct OnlineTolerances {
-    /// Bound on `|pᵀq|/(‖p‖‖q‖)` (A-conjugacy drift).
-    pub(crate) orthogonality: f64,
-    /// Bound on `‖(b − Ax) − r‖ / (‖A‖₁‖x‖∞ + ‖b‖∞)` (residual drift).
-    pub(crate) residual: f64,
-}
+use crate::CgMachine;
 
-impl Default for OnlineTolerances {
-    fn default() -> Self {
-        Self {
-            orthogonality: 1e-8,
-            residual: 1e-10,
-        }
-    }
-}
+/// Bound on `|pᵀq|/(‖p‖‖q‖)` (A-conjugacy drift).
+pub(crate) const ORTHOGONALITY_TOL: f64 = 1e-8;
+
+/// Bound on `‖(b − Ax) − r‖ / (‖A‖₁‖x‖∞ + ‖b‖∞)` (residual drift).
+pub(crate) const RESIDUAL_TOL: f64 = 1e-10;
 
 /// Result of one online verification.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -77,108 +71,82 @@ fn residual_drift(
     }
 }
 
-/// Runs both stability tests. `p_next` is the search direction *after*
-/// the update (which should be A-conjugate to the previous one), `q` the
-/// last SpMxV output. The residual check recomputes `b − A·x` (the
-/// dominant cost the model charges as `Tverif`).
-/// `norm1_a` must be the 1-norm of the *clean* matrix, computed once at
-/// setup: the working matrix may be corrupted (wild column indices), so
-/// recomputing the norm here would be both unsafe and meaningless.
-/// `order` is the row visit order of the solve's products (it changes
-/// no bit of the verdict).
-#[expect(
-    clippy::too_many_arguments,
-    reason = "Chen's two tests read the system, its row order, the three iteration vectors and the clean norm in one call"
-)]
-pub(crate) fn verify_online(
-    a: &CsrMatrix,
-    order: &RowOrder,
-    b: &[f64],
-    x: &[f64],
-    r: &[f64],
-    p_next: &[f64],
-    q: &[f64],
-    norm1_a: f64,
-    tol: &OnlineTolerances,
-) -> OnlineVerdict {
-    let n = a.n_rows();
-    assert_eq!(x.len(), n);
-    assert_eq!(r.len(), n);
+impl CgMachine {
+    /// The ONLINE-DETECTION stability verification: Chen's two tests on
+    /// the machine's state. `p` is the search direction *after* the
+    /// update (which should be A-conjugate to the previous one), `q` the
+    /// last SpMxV output; the residual check recomputes `b − A·x`
+    /// against `a` (the dominant cost the model charges as `Tverif`),
+    /// its product visiting rows in `order`, the solve's own (it changes
+    /// no bit of the verdict).
+    ///
+    /// `norm1_a` must be the 1-norm of the *clean* matrix, computed once
+    /// at setup: the working matrix may be corrupted (wild column
+    /// indices), so recomputing the norm here would be both unsafe and
+    /// meaningless.
+    pub(crate) fn verify_state(
+        &self,
+        a: &CsrMatrix,
+        order: &RowOrder,
+        norm1_a: f64,
+    ) -> OnlineVerdict {
+        let (b, x, r, p_next, q) = (&self.b, &self.x, &self.r, &self.p, &self.q);
+        let n = a.n_rows();
+        assert_eq!(x.len(), n);
+        assert_eq!(r.len(), n);
 
-    // Orthogonality: p_{i+1} ⟂ q (A-conjugacy of successive directions).
-    let pq = vector::dot(p_next, q);
-    let denom = vector::norm2(p_next) * vector::norm2(q);
-    let orthogonality = if denom > 0.0 { (pq / denom).abs() } else { 0.0 };
+        // Orthogonality: p_{i+1} ⟂ q (A-conjugacy of successive directions).
+        let pq = vector::dot(p_next, q);
+        let denom = vector::norm2(p_next) * vector::norm2(q);
+        let orthogonality = if denom > 0.0 { (pq / denom).abs() } else { 0.0 };
 
-    // Residual: recompute b − A·x defensively and compare to r.
-    let residual_drift = residual_drift(a, order, b, x, r, norm1_a);
+        // Residual: recompute b − A·x defensively and compare to r.
+        let residual_drift = residual_drift(a, order, b, x, r, norm1_a);
 
-    // `f64::max` ignores NaN operands, so non-finite corruption must be
-    // screened explicitly (a flipped exponent bit easily produces Inf/NaN).
-    let any_nonfinite = x
-        .iter()
-        .chain(r.iter())
-        .chain(p_next.iter())
-        .chain(q.iter())
-        .any(|v| !v.is_finite());
-    let detected = any_nonfinite
-        || !orthogonality.is_finite()
-        || !residual_drift.is_finite()
-        || orthogonality > tol.orthogonality
-        || residual_drift > tol.residual;
-    OnlineVerdict {
-        orthogonality,
-        residual_drift,
-        detected,
+        // `f64::max` ignores NaN operands, so non-finite corruption must be
+        // screened explicitly (a flipped exponent bit easily produces Inf/NaN).
+        let any_nonfinite = x
+            .iter()
+            .chain(r.iter())
+            .chain(p_next.iter())
+            .chain(q.iter())
+            .any(|v| !v.is_finite());
+        let detected = any_nonfinite
+            || !orthogonality.is_finite()
+            || !residual_drift.is_finite()
+            || orthogonality > ORTHOGONALITY_TOL
+            || residual_drift > RESIDUAL_TOL;
+        OnlineVerdict {
+            orthogonality,
+            residual_drift,
+            detected,
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cg::CgConfig;
+    use crate::machine::{PlainContext, StepResult};
     use ftcg_sparse::gen;
 
-    /// Runs a few clean CG iterations and returns (x, r, p, q) mid-run.
-    fn clean_cg_state(
-        a: &CsrMatrix,
-        b: &[f64],
-        iters: usize,
-    ) -> (Vec<f64>, Vec<f64>, Vec<f64>, Vec<f64>) {
-        let n = a.n_rows();
-        let mut x = vec![0.0; n];
-        let mut r = b.to_vec();
-        let mut p = r.clone();
-        let mut q = vec![0.0; n];
-        let mut rns = vector::norm2_sq(&r);
+    /// A real CG machine on `a·x = b` from the zero start, stepped
+    /// `iters` times with the plain product (fewer if it stops early).
+    fn stepped(a: &CsrMatrix, b: &[f64], iters: usize) -> CgMachine {
+        let mut m = CgMachine::start_zero(b);
+        let mut ctx = PlainContext { a };
         for _ in 0..iters {
-            a.spmv_into(&p, &mut q);
-            let alpha = rns / vector::dot(&p, &q);
-            vector::axpy(alpha, &p, &mut x);
-            vector::axpy(-alpha, &q, &mut r);
-            let new = vector::norm2_sq(&r);
-            let beta = new / rns;
-            rns = new;
-            for i in 0..n {
-                p[i] = r[i] + beta * p[i];
+            if m.step(&mut ctx) != StepResult::Done {
+                break;
             }
         }
-        (x, r, p, q)
+        m
     }
 
-    /// Chen's two tests on the image `m` of `clean`, with the clean
-    /// norm, the default tolerances and natural row order.
-    fn verdict(
-        m: &CsrMatrix,
-        clean: &CsrMatrix,
-        b: &[f64],
-        x: &[f64],
-        r: &[f64],
-        p: &[f64],
-        q: &[f64],
-    ) -> OnlineVerdict {
-        let tol = OnlineTolerances::default();
-        verify_online(m, &RowOrder::new(), b, x, r, p, q, clean.norm1(), &tol)
+    /// Chen's two tests of `m` against the image `img` of `clean`, with
+    /// the clean norm and natural row order.
+    fn verdict(m: &CgMachine, img: &CsrMatrix, clean: &CsrMatrix) -> OnlineVerdict {
+        m.verify_state(img, &RowOrder::new(), clean.norm1())
     }
 
     #[test]
@@ -186,8 +154,7 @@ mod tests {
         let a = gen::random_spd(60, 0.08, 2).unwrap();
         let b: Vec<f64> = (0..60).map(|i| (i as f64 * 0.3).sin()).collect();
         for iters in [1usize, 3, 10, 25] {
-            let (x, r, p, q) = clean_cg_state(&a, &b, iters);
-            let v = verdict(&a, &a, &b, &x, &r, &p, &q);
+            let v = verdict(&stepped(&a, &b, iters), &a, &a);
             assert!(!v.detected, "false positive after {iters} iters: {v:?}");
         }
     }
@@ -196,9 +163,9 @@ mod tests {
     fn detects_x_corruption() {
         let a = gen::random_spd(60, 0.08, 3).unwrap();
         let b: Vec<f64> = vec![1.0; 60];
-        let (mut x, r, p, q) = clean_cg_state(&a, &b, 5);
-        x[10] += 1.0;
-        let v = verdict(&a, &a, &b, &x, &r, &p, &q);
+        let mut m = stepped(&a, &b, 5);
+        m.x[10] += 1.0;
+        let v = verdict(&m, &a, &a);
         assert!(v.detected);
         assert!(v.residual_drift > 1e-6);
     }
@@ -207,9 +174,9 @@ mod tests {
     fn detects_r_corruption() {
         let a = gen::random_spd(60, 0.08, 4).unwrap();
         let b: Vec<f64> = vec![1.0; 60];
-        let (x, mut r, p, q) = clean_cg_state(&a, &b, 5);
-        r[0] -= 0.5;
-        let v = verdict(&a, &a, &b, &x, &r, &p, &q);
+        let mut m = stepped(&a, &b, 5);
+        m.r[0] -= 0.5;
+        let v = verdict(&m, &a, &a);
         assert!(v.detected);
     }
 
@@ -217,11 +184,11 @@ mod tests {
     fn detects_matrix_corruption() {
         let a = gen::random_spd(60, 0.08, 5).unwrap();
         let b: Vec<f64> = vec![1.0; 60];
-        let (x, r, p, q) = clean_cg_state(&a, &b, 5);
+        let m = stepped(&a, &b, 5);
         let mut bad = a.clone();
         bad.val_mut()[7] += 1.0;
         // Recomputed residual uses the corrupted matrix: drift appears.
-        let v = verdict(&bad, &a, &b, &x, &r, &p, &q);
+        let v = verdict(&m, &bad, &a);
         assert!(v.detected);
     }
 
@@ -229,9 +196,9 @@ mod tests {
     fn detects_p_corruption_via_orthogonality() {
         let a = gen::random_spd(60, 0.08, 6).unwrap();
         let b: Vec<f64> = vec![1.0; 60];
-        let (x, r, mut p, q) = clean_cg_state(&a, &b, 5);
-        p[3] += 10.0; // break A-conjugacy
-        let v = verdict(&a, &a, &b, &x, &r, &p, &q);
+        let mut m = stepped(&a, &b, 5);
+        m.p[3] += 10.0; // break A-conjugacy
+        let v = verdict(&m, &a, &a);
         assert!(v.detected);
         assert!(v.orthogonality > 1e-8);
     }
@@ -240,9 +207,9 @@ mod tests {
     fn nan_always_detected() {
         let a = gen::random_spd(30, 0.1, 7).unwrap();
         let b: Vec<f64> = vec![1.0; 30];
-        let (mut x, r, p, q) = clean_cg_state(&a, &b, 3);
-        x[0] = f64::NAN;
-        let v = verdict(&a, &a, &b, &x, &r, &p, &q);
+        let mut m = stepped(&a, &b, 3);
+        m.x[0] = f64::NAN;
+        let v = verdict(&m, &a, &a);
         assert!(v.detected);
     }
 
@@ -250,11 +217,11 @@ mod tests {
     fn survives_corrupt_structure() {
         let a = gen::random_spd(30, 0.1, 8).unwrap();
         let b: Vec<f64> = vec![1.0; 30];
-        let (x, r, p, q) = clean_cg_state(&a, &b, 3);
+        let m = stepped(&a, &b, 3);
         let mut bad = a.clone();
         bad.rowptr_mut()[5] = u32::MAX;
         // Must not panic; must detect.
-        let v = verdict(&bad, &a, &b, &x, &r, &p, &q);
+        let v = verdict(&m, &bad, &a);
         assert!(v.detected);
     }
 
@@ -289,17 +256,18 @@ mod tests {
                 .filter(|w| w.windows(2).any(|p| p[0] > p[1]))
                 .count();
             let b: Vec<f64> = (0..n).map(|i| 1.0 + (i as f64 * 0.3).sin()).collect();
-            let (x, r, _, _) = clean_cg_state(&a, &b, 4);
+            let m = stepped(&a, &b, 4);
+            let (x, r) = (&m.x, &m.r);
             let mut wild = a.clone();
             wild.colid_mut()[0] = u32::MAX;
             let last = wild.rowptr().len() - 1;
             wild.rowptr_mut()[last / 2] = u32::MAX;
             let mut nan = a.clone();
             nan.val_mut()[n / 2] = f64::NAN;
-            for m in [&a, &wild, &nan] {
-                let want = reference(m, &b, &x, &r, a.norm1());
+            for img in [&a, &wild, &nan] {
+                let want = reference(img, &b, x, r, a.norm1());
                 for order in [&RowOrder::new(), &sorted] {
-                    let got = residual_drift(m, order, &b, &x, &r, a.norm1());
+                    let got = residual_drift(img, order, &b, x, r, a.norm1());
                     assert_eq!(got.to_bits(), want.to_bits(), "n {n}: {got} vs {want}");
                 }
             }
@@ -309,9 +277,8 @@ mod tests {
 
     #[test]
     fn tolerances_default_sane() {
-        let t = OnlineTolerances::default();
-        assert!(t.orthogonality > 0.0 && t.orthogonality < 1e-4);
-        assert!(t.residual > 0.0 && t.residual < 1e-6);
+        assert_eq!(ORTHOGONALITY_TOL, 1e-8);
+        assert_eq!(RESIDUAL_TOL, 1e-10);
     }
 
     #[test]
@@ -320,13 +287,9 @@ mod tests {
         // orthogonality ratio remains tiny relative to norms).
         let a = gen::tridiagonal(40, 4.0, -1.0).unwrap();
         let b = vec![1.0; 40];
-        let s = crate::cg::cg_solve(&a, &b, &vec![0.0; 40], &CgConfig::default());
-        let mut r = b.clone();
-        let ax = a.spmv(&s.x);
-        vector::sub_assign(&mut r, &ax);
-        let (x2, r2, p2, q2) = clean_cg_state(&a, &b, 30);
-        let v = verdict(&a, &a, &b, &x2, &r2, &p2, &q2);
+        let m = stepped(&a, &b, 30);
+        assert!(m.residual_norm() < 1e-10, "{}", m.residual_norm());
+        let v = verdict(&m, &a, &a);
         assert!(!v.detected, "{v:?}");
-        let _ = (s, r);
     }
 }

@@ -24,6 +24,10 @@
 //! first frame restarts from `b`) and no TMR replicas (their vote is a
 //! function of the recorded flips, [`vote_flips`]).
 //!
+//! The resilient executor takes the whole workspace: its prologue calls
+//! `SolverWorkspace::reset` (machine, then image, then row order) and
+//! then borrows the seven buffers once, each on its own.
+//!
 //! [`vote_flips`]: ftcg_abft::tmr::vote_flips
 //!
 //! ## Reuse contract (why bit-exactness holds)
@@ -36,7 +40,7 @@
 //! property suite (`snapshot_proptests.rs`) and the allocation gate
 //! (`alloc_gate.rs`) pin both halves of the contract.
 //!
-//! The workspace is deliberately `!Sync`: each worker owns one (see
+//! The workspace is owned, never shared: each worker holds one (see
 //! `ftcg-engine`'s `JobWorkspace`), so no locking ever touches the hot
 //! path.
 //!
@@ -45,9 +49,8 @@
 //! Every buffer is shared by all the shapes the worker solves and kept
 //! at its high-water capacity, so retained memory follows the *largest*
 //! matrix seen, not the number of distinct ones: **one matrix image**
-//! (the live, corruptible one) **plus O(n) vectors** (the arena's —
-//! the one checkpoint buffer and the trusted input copy — and the
-//! machine's). The matrix every rollback restores is the
+//! (the live, corruptible one) **plus O(n) vectors** (the one
+//! checkpoint buffer, the trusted input copy and the machine's). The matrix every rollback restores is the
 //! caller's own immutable `a0`, so no second image exists; buffers
 //! grow to exactly the size asked for
 //! ([`SolverWorkspace::retained_image_bytes`] reports the total). Drop
@@ -62,11 +65,18 @@ use ftcg_sparse::{CsrMatrix, RowOrder};
 
 use crate::CgMachine;
 
-/// Retained executor-side buffers: the rolling checkpoint slot, the
-/// trusted copy of the product input and this iteration's deferred
-/// product-output faults and TMR replica flips.
-#[derive(Debug)]
-pub(crate) struct ExecArena {
+/// Reusable per-worker solve memory (see the module docs). Create one
+/// per worker thread and pass it to
+/// [`solve_resilient_in`](crate::resilient::solve_resilient_in) for
+/// every repetition it executes.
+pub struct SolverWorkspace {
+    pub(crate) machine: CgMachine,
+    /// The live (corruptible) matrix image.
+    pub(crate) image: CsrMatrix,
+    /// Row visit order of the defensive product, rebuilt from the
+    /// caller's pristine matrix at every reset (reliable metadata,
+    /// like the checksums: never a fault target).
+    pub(crate) order: RowOrder,
     /// Rolling verified checkpoint (one retained buffer, allocation-free).
     pub(crate) slot: SnapshotSlot,
     /// Trusted copy of the direction vector, re-captured per iteration.
@@ -75,20 +85,6 @@ pub(crate) struct ExecArena {
     pub(crate) q_faults: Vec<FaultEvent>,
     /// `r`/`x` faults struck into one TMR replica (ABFT schemes).
     pub(crate) tmr_flips: Vec<ReplicaFlip>,
-}
-
-/// Reusable per-worker solve memory (see the module docs). Create one
-/// per worker thread and pass it to
-/// [`solve_resilient_in`](crate::resilient::solve_resilient_in) for
-/// every repetition it executes.
-pub struct SolverWorkspace {
-    machine: CgMachine,
-    image: CsrMatrix,
-    /// Row visit order of the defensive product, rebuilt from the
-    /// caller's pristine matrix at every checkout (reliable metadata,
-    /// like the checksums: never a fault target).
-    order: RowOrder,
-    arena: ExecArena,
 }
 
 impl Default for SolverWorkspace {
@@ -113,12 +109,10 @@ impl SolverWorkspace {
             machine: CgMachine::default(),
             image: CsrMatrix::default(),
             order: RowOrder::new(),
-            arena: ExecArena {
-                slot: SnapshotSlot::new(),
-                xref: XRef::empty(),
-                q_faults: Vec::new(),
-                tmr_flips: Vec::new(),
-            },
+            slot: SnapshotSlot::new(),
+            xref: XRef::empty(),
+            q_faults: Vec::new(),
+            tmr_flips: Vec::new(),
         }
     }
 
@@ -127,7 +121,7 @@ impl SolverWorkspace {
     /// the empty row pointer of the checkpoint slot's one buffer, which
     /// holds vectors only.
     pub fn retained_image_bytes(&self) -> usize {
-        self.image.capacity_bytes() + self.arena.slot.retained_matrix_bytes()
+        self.image.capacity_bytes() + self.slot.retained_matrix_bytes()
     }
 
     /// Bytes the row visit order keeps reserved: 4 per row of the
@@ -136,25 +130,15 @@ impl SolverWorkspace {
         self.order.capacity_bytes()
     }
 
-    /// Checks out everything one resilient solve needs: the machine
-    /// reset to the zero-start state of `b` (bit-identical to a fresh
-    /// [`CgMachine::start_zero`]), the corruptible image holding a
-    /// bit-exact copy of `a0`, the retained executor arena, and the row
-    /// visit order of `a0`.
-    pub(crate) fn checkout(
-        &mut self,
-        a0: &CsrMatrix,
-        b: &[f64],
-    ) -> (&mut CgMachine, &mut CsrMatrix, &mut ExecArena, &RowOrder) {
+    /// Resets the workspace for one resilient solve of `a0·x = b`: the
+    /// machine to the zero-start state of `b` (bit-identical to a fresh
+    /// [`CgMachine::start_zero`]), the corruptible image to a bit-exact
+    /// copy of `a0`, and the row visit order to `a0`'s. The executor's
+    /// prologue calls this before it borrows the fields.
+    pub(crate) fn reset(&mut self, a0: &CsrMatrix, b: &[f64]) {
         self.machine.reset_zero(b);
         self.image.assign_from(a0);
         self.order.rebuild(a0);
-        (
-            &mut self.machine,
-            &mut self.image,
-            &mut self.arena,
-            &self.order,
-        )
     }
 }
 
@@ -170,8 +154,9 @@ mod tests {
         let b2: Vec<f64> = (0..40).map(|i| (i as f64 * 0.7).cos()).collect();
         let mut ws = SolverWorkspace::new();
         // Dirty the retained machine with a different rhs first.
-        ws.checkout(&a, &b2);
-        let (m, image, _, _) = ws.checkout(&a, &b);
+        ws.reset(&a, &b2);
+        ws.reset(&a, &b);
+        let (m, image) = (&ws.machine, &ws.image);
         let fresh = CgMachine::start_zero(&b);
         for (got, want) in m.vectors().into_iter().zip(fresh.vectors()) {
             assert_eq!(got.len(), want.len());
@@ -201,14 +186,18 @@ mod tests {
         let b1 = vec![1.0; 20];
         let b2 = vec![1.0; 30];
         let mut ws = SolverWorkspace::new();
-        ws.checkout(&a2, &b2);
+        ws.reset(&a2, &b2);
         let p0 = ws.machine.p.as_ptr();
-        let (m, _, _, _) = ws.checkout(&a1, &b1);
-        assert_eq!(m.vectors().map(<[f64]>::len), [20; 4]);
-        assert_eq!(m.p.as_ptr(), p0, "the smaller size reuses the buffer");
-        let (m, _, _, _) = ws.checkout(&a2, &b2);
-        assert_eq!(m.vectors().map(<[f64]>::len), [30; 4]);
-        assert_eq!(m.p.as_ptr(), p0, "the larger size regrows nothing");
+        ws.reset(&a1, &b1);
+        assert_eq!(ws.machine.vectors().map(<[f64]>::len), [20; 4]);
+        assert_eq!(
+            ws.machine.p.as_ptr(),
+            p0,
+            "the smaller size reuses the buffer"
+        );
+        ws.reset(&a2, &b2);
+        assert_eq!(ws.machine.vectors().map(<[f64]>::len), [30; 4]);
+        assert_eq!(ws.machine.p.as_ptr(), p0, "the larger size regrows nothing");
 
         // Both shapes share the one image, sized for the larger.
         assert_eq!(ws.retained_image_bytes(), a2.image_bytes() + 4);
@@ -219,8 +208,8 @@ mod tests {
         let a = gen::random_spd(40, 0.08, 3).unwrap();
         let b = vec![1.0; 40];
         let mut ws = SolverWorkspace::new();
-        let (_, image, _, _) = ws.checkout(&a, &b);
-        assert_eq!(*image, a);
+        ws.reset(&a, &b);
+        assert_eq!(ws.image, a);
     }
 
     #[test]
@@ -228,12 +217,13 @@ mod tests {
         let a = gen::tridiagonal(30, 4.0, -1.0).unwrap();
         let b = vec![1.0; 30];
         let mut ws = SolverWorkspace::new();
-        let p0 = ws.checkout(&a, &b).1.val().as_ptr();
-        // Corrupt the image, then check out again: healed, same buffer.
-        ws.checkout(&a, &b).1.val_mut()[0] = f64::NAN;
-        let (_, image, _, _) = ws.checkout(&a, &b);
-        assert_eq!(image.val().as_ptr(), p0);
-        assert_eq!(*image, a);
+        ws.reset(&a, &b);
+        let p0 = ws.image.val().as_ptr();
+        // Corrupt the image, then reset again: healed, same buffer.
+        ws.image.val_mut()[0] = f64::NAN;
+        ws.reset(&a, &b);
+        assert_eq!(ws.image.val().as_ptr(), p0);
+        assert_eq!(ws.image, a);
     }
 
     #[test]
@@ -242,18 +232,20 @@ mod tests {
         let large = gen::tridiagonal(25, 4.0, -1.0).unwrap();
         let (bs, bl) = (vec![1.0; 20], vec![1.0; 25]);
         let mut ws = SolverWorkspace::new();
-        ws.checkout(&large, &bl);
+        ws.reset(&large, &bl);
         let bytes = ws.retained_image_bytes();
-        let p0 = ws.checkout(&large, &bl).1.val().as_ptr();
+        ws.reset(&large, &bl);
+        let p0 = ws.image.val().as_ptr();
         for _ in 0..2 {
-            let (_, image, _, _) = ws.checkout(&small, &bs);
-            assert_eq!(*image, small);
+            ws.reset(&small, &bs);
+            assert_eq!(ws.image, small);
             assert_eq!(
-                image.val().as_ptr(),
+                ws.image.val().as_ptr(),
                 p0,
                 "the smaller shape reuses the buffer"
             );
-            assert_eq!(*ws.checkout(&large, &bl).1, large);
+            ws.reset(&large, &bl);
+            assert_eq!(ws.image, large);
         }
         assert_eq!(
             ws.retained_image_bytes(),
@@ -264,7 +256,7 @@ mod tests {
 
     #[test]
     fn same_shape_different_pattern_still_copies_exactly() {
-        // Equal (n, nnz), different sparsity patterns: the checkout must
+        // Equal (n, nnz), different sparsity patterns: the reset must
         // copy the whole image (pattern included), never just the values.
         let a = CsrMatrix::new(
             3,
@@ -286,8 +278,9 @@ mod tests {
         assert_ne!(a.colid(), b.colid());
         let rhs = vec![1.0; 3];
         let mut ws = SolverWorkspace::new();
-        ws.checkout(&a, &rhs);
-        assert_eq!(*ws.checkout(&b, &rhs).1, b);
+        ws.reset(&a, &rhs);
+        ws.reset(&b, &rhs);
+        assert_eq!(ws.image, b);
     }
 
     #[test]
@@ -300,10 +293,10 @@ mod tests {
         let out = solve_resilient_in(&a, &b, &cfg, None, &mut ws);
         assert!(out.converged && out.checkpoints > 0);
         // A checkpoint's matrix is `a0`: it keeps vectors only.
-        let ckpt = ws.arena.slot.latest().expect("checkpoints were taken");
+        let ckpt = ws.slot.latest().expect("checkpoints were taken");
         assert_eq!(ckpt.n(), 60);
         assert_eq!(ckpt.size_words(), 3 * 60 + 1 + 2);
-        assert_eq!(ws.arena.slot.retained_matrix_bytes(), 4);
+        assert_eq!(ws.slot.retained_matrix_bytes(), 4);
         // The live image, nothing else.
         assert_eq!(ws.retained_image_bytes(), a.image_bytes() + 4);
     }

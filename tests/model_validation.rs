@@ -13,7 +13,7 @@ use std::sync::Arc;
 
 use ftcg::engine::inject::paper_injector;
 use ftcg::engine::InjectorSpec::{self, Calibrated, Paper};
-use ftcg::engine::{run_configs, ConfigJob};
+use ftcg::engine::{fold_outcome, run_configs_sharded, ConfigJob, RunOptions};
 use ftcg::model::ResilienceCosts;
 use ftcg::model::{expected_frame_time, CostProfile, Scheme};
 use ftcg::prelude::*;
@@ -43,7 +43,11 @@ fn run(
         alpha,
         injector,
     );
-    run_configs("model-validation", seed, reps, 4, vec![job], None)
+    let configs = [job];
+    let opts = RunOptions::default();
+    let outcome = run_configs_sharded("model-validation", seed, reps, 4, &configs, &opts).unwrap();
+    fold_outcome("model-validation", reps, &configs, outcome)
+        .unwrap()
         .summaries
         .remove(0)
 }
