@@ -1,32 +1,60 @@
 //! Numerical minimization of the model overhead (eq. 6).
 //!
 //! "The minimization is complicated and should be conducted numerically"
-//! (Section 4.1). [`optimal_s`] scans `s = 1, 2, …` and stops as soon as
-//! the rest of the scan cannot win, so it returns what the full scan of
-//! `1..=s_max` would — the same `s` and the same overhead bits — after a
-//! few evaluations past the minimum instead of all `s_max`.
+//! (Section 4.1). [`optimal_s`] returns what the full scan of
+//! `1..=s_max` would (the first `s` with the least computed value, and
+//! that value's bits) from far fewer evaluations than `s_max`. It
+//! brackets the minimum first: a gallop over `s = 1, 2, 4, …` while
+//! the values fall, then an integer ternary search between the point
+//! before the last fall and the first point that did not fall. Then a
+//! walk goes down from the least value the bracket saw and another goes
+//! up, and each stops once the rest of its side cannot win. Going down,
+//! ties go to the smaller `s`; going up, only a strictly smaller value
+//! wins. The walks are exact from any start, so the bracket only decides
+//! how many points they visit: a comparison that rounding turns the
+//! wrong way costs evaluations, never the answer. The gallop keeps a
+//! minimum at small `s` (every faulty rate) about as cheap as a scan
+//! from `s = 1`, and the ternary search keeps one near `s_max` (the
+//! fault-free plans) to a few dozen evaluations.
 //!
 //! **Why it may stop.** With `λ = −ln q` the overhead is
 //! `E(s,T)/(sT) = (a + C·(e^{λs} − 1))/s`, where `a = Tcp/T ≥ 0` and
 //! `C = (Trec + (T + Tverif)/(1 − q))/T > 0`. Its derivative in `s` has
 //! the sign of `−a + C·φ(s)`, where `φ(s) = λs·e^{λs} − e^{λs} + 1` rises
 //! strictly from `φ(0) = 0` (`φ′(s) = λ²s·e^{λs}`). So for `0 < q < 1` the
-//! overhead falls strictly up to one point and rises strictly after it:
-//! once a value is *truly* above an earlier one, the minimum lies behind
-//! and every later value is larger still.
+//! overhead falls strictly up to one point and rises strictly after it.
+//! At `q = 1` it is `(Tcp + s·(T + Tverif))/(sT)`, which never rises.
+//! Either way, a value *truly* above one nearer the start lies on the far
+//! side of the minimum from it. Walking up, every later value is larger
+//! still; walking down, every earlier one is.
 //!
-//! **When it stops.** A computed value carries rounding: `qˢ` by
-//! repeated multiplication is off by up to `(s − 1)·u` (`u = 2⁻⁵³`
+//! **When it stops.** A computed value carries rounding. For `q < 1`,
+//! `qˢ` by repeated multiplication is off by up to `(s − 1)·u` (`u = 2⁻⁵³`
 //! relative), and the cancellation in `q⁻ˢ − 1` magnifies that by
 //! `1/(1 − qˢ)`; since `s/(1 − qˢ) ≤ s + 1/λ ≤ s + 1/(1 − q)`, one
 //! evaluation is off by at most `ε = u·(s_max + 1/(1 − q) + 8)`, the
-//! `8u` being the formula's other roundings. The scan stops at the first
-//! value above `1 + 8ε` times the running best, twice the `4ε` the
-//! argument needs: `2ε` make the stopping value's true value exceed the
-//! best's (so every later true value is larger still), `2ε` more keep
-//! every later computed value above the computed best. Where the bound
-//! is not small (`1 − q ≤ 10⁻⁹`: the ABFT schemes' fault-free plans, and
-//! `q = 1` exactly) the scan runs to `s_max`.
+//! `8u` being the formula's other roundings. At `q = 1` there is no
+//! `powi` and no cancellation, only five roundings of non-negative
+//! terms, so `ε = 8u`. A walk stops at the first value `o` with
+//! `o·(1 − 4ε) > best·(1 + 4ε)`, `best` its running best: to first order
+//! `o` above `1 + 8ε` times `best`, twice the `4ε` the argument needs.
+//! `2ε` make the stopping value's true value exceed the best's (so every
+//! value beyond it is truly larger still), `2ε` more keep every computed
+//! value beyond it above the computed best. Written this way the test
+//! never fires once `4ε ≥ 1`, which only the four doubles
+//! `1 − q ≤ 4u` reach; there the walks run to the ends of the range.
+//!
+//! **Overflow.** Where `λ·T·s` passes about 709, `q⁻ˢ` leaves `f64` and
+//! the value is `∞`, or NaN when a zero `Trec` multiplies it. Both stand
+//! for a true value above every finite one. The search ranks NaN as `∞`:
+//! it never wins (as in the full scan, where `NaN < best` is false), it
+//! ends the gallop, and it stops a walk whose best is finite. Where
+//! `1/q` itself overflows every value is NaN or `∞`, nothing is truly
+//! above anything, and the walks run to the ends and return `s = 1`, as
+//! the full scan does. Compared directly, a NaN would pass for a fall,
+//! and a NaN best is one that nothing beats.
+
+use std::cell::Cell;
 
 use crate::ResilienceCosts;
 
@@ -45,26 +73,88 @@ pub struct Optimum {
 
 /// The minimizer of `E(s,T)/(sT)` over `s ∈ 1..=s_max` at fixed chunk
 /// length `t` and success probability `q`: the first `s` with the least
-/// computed value, found by a scan that stops once the rest of the range
-/// cannot win (see the module docs).
+/// computed value, found by a bracket and two walks that stop once the
+/// rest of the range cannot win (see the module docs).
 pub fn optimal_s(t: f64, costs: &ResilienceCosts, q: f64, s_max: usize) -> Optimum {
+    search(q, s_max, |s| overhead(s, t, costs, q))
+}
+
+/// The search of [`optimal_s`] over any evaluator of eq. 6 at success
+/// probability `q`, `overhead_at(s)` for `s ∈ 1..=s_max`.
+fn search(q: f64, s_max: usize, overhead_of: impl Fn(usize) -> f64) -> Optimum {
     assert!(s_max >= 1, "need at least one candidate");
-    // `1 + 8ε`, ε the rounding bound of one evaluation (`4·EPSILON` is
-    // `8u`); infinite (no early stop) where that bound is not small.
-    let slack = if 1.0 - q > 1e-9 {
-        1.0 + 4.0 * f64::EPSILON * (s_max as f64 + 1.0 / (1.0 - q) + 8.0)
-    } else {
-        f64::INFINITY
+    // Remembers the last evaluation: the walk up often starts with the
+    // point that ended the gallop.
+    let last = Cell::new((0, f64::NAN));
+    let overhead_at = |s: usize| {
+        let (at, o) = last.get();
+        if at == s {
+            return o;
+        }
+        let o = overhead_of(s);
+        last.set((s, o));
+        o
     };
+    // ε = u·ulps bounds one evaluation's rounding; the margin is `4ε`
+    // (`2·EPSILON` is `4u`).
+    let ulps = if q < 1.0 {
+        s_max as f64 + 1.0 / (1.0 - q) + 8.0
+    } else {
+        8.0
+    };
+    let margin = 2.0 * f64::EPSILON * ulps;
+    let (below, above) = (1.0 - margin, 1.0 + margin);
+    // NaN (an overflowed `q⁻ˢ` times a zero `Trec`) ranks as `∞`.
+    let rank = |o: f64| if o.is_nan() { f64::INFINITY } else { o };
+    let truly_above = |o: f64, best: f64| rank(o) * below > rank(best) * above;
+
+    // Bracket (see the module docs); `best` is the least value seen.
     let mut best = Optimum {
         s: 1,
-        overhead: overhead(1, t, costs, q),
+        overhead: overhead_at(1),
     };
-    for s in 2..=s_max {
-        let o = overhead(s, t, costs, q);
-        if o < best.overhead {
+    let (mut lo, mut hi) = (1, s_max);
+    while best.s < s_max {
+        let s = (2 * best.s).min(s_max);
+        let o = overhead_at(s);
+        if rank(o) >= rank(best.overhead) {
+            hi = s;
+            break;
+        }
+        lo = best.s;
+        best = Optimum { s, overhead: o };
+    }
+    while hi - lo > 2 {
+        let third = (hi - lo) / 3;
+        let (m1, m2) = (lo + third, hi - third);
+        let (o1, o2) = (overhead_at(m1), overhead_at(m2));
+        for (s, o) in [(m1, o1), (m2, o2)] {
+            if rank(o) < rank(best.overhead) {
+                best = Optimum { s, overhead: o };
+            }
+        }
+        if rank(o1) <= rank(o2) {
+            hi = m2 - 1;
+        } else {
+            lo = m1 + 1;
+        }
+    }
+
+    // The walks, from the least value seen.
+    let start = best.s;
+    for s in (1..start).rev() {
+        let o = overhead_at(s);
+        if rank(o) <= rank(best.overhead) {
             best = Optimum { s, overhead: o };
-        } else if o > best.overhead * slack {
+        } else if truly_above(o, best.overhead) {
+            break;
+        }
+    }
+    for s in start + 1..=s_max {
+        let o = overhead_at(s);
+        if rank(o) < rank(best.overhead) {
+            best = Optimum { s, overhead: o };
+        } else if truly_above(o, best.overhead) {
             break;
         }
     }
@@ -102,8 +192,9 @@ pub struct OnlinePlan {
     pub overhead: f64,
 }
 
-/// Joint scan over `(d, s)` for ONLINE-DETECTION: chunk length
-/// `T = d·titer`, success `q = e^{−λT}`.
+/// Joint minimum over `(d, s)` for ONLINE-DETECTION: every `d` in turn,
+/// with chunk length `T = d·titer`, success `q = e^{−λT}` and its best
+/// `s` from [`optimal_s`]; the first `d` with the least overhead wins.
 pub fn optimal_online_interval(
     lambda: f64,
     titer: f64,
@@ -132,9 +223,11 @@ pub fn optimal_online_interval(
     best
 }
 
-/// Longest checkpoint interval [`plan`] scans for the ABFT schemes.
+/// The rate [`plan`] floors `alpha` at.
+const ALPHA_FLOOR: f64 = 1e-9;
+/// Longest checkpoint interval [`plan`] considers for the ABFT schemes.
 const ABFT_S_MAX: usize = 4000;
-/// ONLINE-DETECTION's scan bounds for `d` and `s` in [`plan`].
+/// ONLINE-DETECTION's bounds for `d` and `s` in [`plan`].
 const ONLINE_D_MAX: usize = 64;
 const ONLINE_S_MAX: usize = 1000;
 
@@ -148,10 +241,22 @@ const ONLINE_S_MAX: usize = 1000;
 /// `ResilientConfig::model_optimal`); only the cost triple they pass
 /// differs (see [`crate::CostProfile`]). `alpha` is floored at `1e-9`,
 /// so a fault-free run is planned as one fault in 10⁹ iterations: the
-/// ABFT schemes get the longest interval scanned (`s = 4000`),
+/// ABFT schemes get the longest interval considered (`s = 4000`),
 /// ONLINE-DETECTION `(s, d) = (981, 64)` for either profile.
+///
+/// Each chunk shape (one for the ABFT schemes, each `d ≤ 64` for
+/// ONLINE-DETECTION) is solved by [`optimal_s`]: a gallop over
+/// `s = 1, 2, 4, …` and a ternary search bracket the minimum over `s`,
+/// then two walks from the least value seen stop once a value exceeds
+/// their running best by more than rounding can explain. Going down,
+/// ties go to the smaller `s`; going up, only a strictly smaller value
+/// wins. The margin is finite for every `q`:
+/// `ε = u·(s_max + 1/(1 − q) + 8)` below 1, `8u` at `q = 1`. So the
+/// answer is the full scan's, same `s` and same overhead bits, from at
+/// most a few dozen evaluations per shape, the fault-free plans
+/// included.
 pub fn plan(scheme: Scheme, alpha: f64, costs: &ResilienceCosts) -> (usize, usize) {
-    let alpha = alpha.max(1e-9);
+    let alpha = alpha.max(ALPHA_FLOOR);
     match scheme {
         Scheme::OnlineDetection => {
             let p = optimal_online_interval(alpha, 1.0, costs, ONLINE_D_MAX, ONLINE_S_MAX);
@@ -247,8 +352,118 @@ mod tests {
             ResilienceCosts::new(0.02, 0.4, 0.25),
             ResilienceCosts::new(0.0, 1.0, 0.1),
             ResilienceCosts::new(50.0, 0.0, 0.0),
+            ResilienceCosts::new(0.0, 0.0, 0.0),
+            // A minimum so flat that rounding bumps precede it: a walk
+            // without the margin stops short at `α = 10^−4.25`.
+            ResilienceCosts::new(0.02, 0.0, 1.0),
         ]);
-        assert_early_exit_matches_oracle(&alphas, &triples, &[1, 2, 8, 64]);
+        // The overflow region: with a zero `Trec`, `q⁻ˢ = ∞` makes the
+        // overhead NaN for large `s`. The grid's `α = 10^−1.75 ≈ 1.8·10⁻²`
+        // gets there from `s ≈ 620` at `d = 60` and `d = 64`, where a
+        // ternary bracket that compares NaN directly settles in it. At
+        // `α = 12` every value of those shapes is NaN (`q` is subnormal at
+        // `d = 60`, so `1/q` overflows, and 0 at `d = 64`): the full scan
+        // returns `s = 1`, which a gallop that compares NaN directly
+        // walks away from.
+        let zero = ResilienceCosts::new(0.0, 0.0, 0.0);
+        let alpha = 10f64.powf(-1.75);
+        assert!(alphas.contains(&alpha));
+        alphas.push(12.0);
+        for d in [60.0, 64.0] {
+            let q = q_detection(alpha, d);
+            assert!(overhead(ONLINE_S_MAX, d, &zero, q).is_nan());
+            assert!(overhead(1, d, &zero, q).is_finite());
+            assert!(overhead(1, d, &zero, q_detection(12.0, d)).is_nan());
+        }
+        assert_early_exit_matches_oracle(&alphas, &triples, &[1, 2, 8, 60, 64]);
+    }
+
+    /// [`search`] on evaluators built to reach the branches eq. 6 rarely
+    /// does: a plateau whose first point the bracket passes (so the walk
+    /// down must take ties), and a fall that ends where NaN begins (so
+    /// the gallop must stop at NaN). Both are unimodal in the weak sense
+    /// the walks rely on, with exact values.
+    #[test]
+    fn search_takes_ties_down_and_stops_at_nan() {
+        let plateau = |s: usize| match s {
+            1 => 4.0,
+            2 => 2.0,
+            3..=8 => 1.0,
+            _ => s as f64 - 7.0,
+        };
+        let cliff = |s: usize| if s <= 40 { 100.0 - s as f64 } else { f64::NAN };
+        let first_minimum = |f: &dyn Fn(usize) -> f64, s_max: usize| {
+            (2..=s_max).fold(
+                (1, f(1)),
+                |best, s| if f(s) < best.1 { (s, f(s)) } else { best },
+            )
+        };
+        for (f, s_max) in [(&plateau as &dyn Fn(usize) -> f64, 20), (&cliff, 100)] {
+            let got = search(1.0, s_max, f);
+            assert_eq!((got.s, got.overhead), first_minimum(f, s_max));
+        }
+        assert_eq!(search(1.0, 20, plateau).s, 3);
+        assert_eq!(search(1.0, 100, cliff).s, 40);
+    }
+
+    /// How often [`search`] evaluates eq. 6 for the plan of `scheme` at
+    /// `α = 0` (floored as [`plan`] floors it), and the `(s, d)` it finds:
+    /// the shapes and bounds of [`plan`], one search per chunk shape.
+    fn fault_free_plan_evaluations(
+        scheme: Scheme,
+        costs: &ResilienceCosts,
+    ) -> (usize, (usize, usize)) {
+        let calls = Cell::new(0);
+        let counted = |t: f64, q: f64, s_max: usize| {
+            search(q, s_max, |s| {
+                calls.set(calls.get() + 1);
+                overhead(s, t, costs, q)
+            })
+        };
+        let planned = match scheme {
+            Scheme::OnlineDetection => {
+                let mut best = OnlinePlan {
+                    d: 1,
+                    s: 1,
+                    overhead: f64::INFINITY,
+                };
+                for d in 1..=ONLINE_D_MAX {
+                    let t = d as f64;
+                    let opt = counted(t, q_detection(ALPHA_FLOOR, t), ONLINE_S_MAX);
+                    if opt.overhead < best.overhead {
+                        best = OnlinePlan {
+                            d,
+                            s: opt.s,
+                            overhead: opt.overhead,
+                        };
+                    }
+                }
+                (best.s, best.d)
+            }
+            _ => (
+                counted(1.0, scheme.chunk_success(ALPHA_FLOOR, 1.0), ABFT_S_MAX).s,
+                1,
+            ),
+        };
+        (calls.get(), planned)
+    }
+
+    #[test]
+    fn fault_free_plans_evaluate_eq6_a_small_fraction_of_the_range() {
+        for profile in [CostProfile::DEFAULT, CostProfile::PAPER_LIKE] {
+            for scheme in Scheme::ALL {
+                let costs = profile.for_scheme(scheme);
+                let (calls, planned) = fault_free_plan_evaluations(scheme, &costs);
+                assert_eq!(planned, plan(scheme, 0.0, &costs), "{scheme:?}");
+                // The full scans were 64 × 1000 and 4000 evaluations.
+                let bound = if scheme == Scheme::OnlineDetection {
+                    5000
+                } else {
+                    200
+                };
+                assert!(calls < bound, "{scheme:?}: {calls} evaluations");
+            }
+        }
     }
 
     /// The dense version (about 30 s in release on two cores, far too

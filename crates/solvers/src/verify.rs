@@ -5,7 +5,8 @@
 //! consists of:
 //!
 //! * an **orthogonality check** on `p_{i+1}` and `q = A·pᵢ`, computing
-//!   `pᵀ_{i+1}q / (‖p_{i+1}‖·‖q‖)` — cheap (two norms and a dot);
+//!   `pᵀ_{i+1}q / (‖p_{i+1}‖·‖q‖)` — cheap (a dot and two norms, one
+//!   sweep over `p` and `q`);
 //! * a **residual check** recomputing `b − A·xᵢ` and comparing it to the
 //!   recursive residual `rᵢ` — the dominant cost, one extra SpMxV.
 //!
@@ -71,6 +72,20 @@ fn residual_drift(
     }
 }
 
+/// `(pᵀq, pᵀp, qᵀq)` in one sweep: three independent chains, each from
+/// `0.0` in ascending order, so each equals its own [`vector::dot`] bit
+/// for bit (and `pᵀp.sqrt()` equals [`vector::norm2`]).
+fn dot_and_squares(p: &[f64], q: &[f64]) -> (f64, f64, f64) {
+    assert_eq!(p.len(), q.len(), "dot: length mismatch");
+    let (mut pq, mut pp, mut qq) = (0.0, 0.0, 0.0);
+    for (a, b) in p.iter().zip(q) {
+        pq += a * b;
+        pp += a * a;
+        qq += b * b;
+    }
+    (pq, pp, qq)
+}
+
 impl CgMachine {
     /// The ONLINE-DETECTION stability verification: Chen's two tests on
     /// the machine's state. `p` is the search direction *after* the
@@ -96,8 +111,8 @@ impl CgMachine {
         assert_eq!(r.len(), n);
 
         // Orthogonality: p_{i+1} ⟂ q (A-conjugacy of successive directions).
-        let pq = vector::dot(p_next, q);
-        let denom = vector::norm2(p_next) * vector::norm2(q);
+        let (pq, pp, qq) = dot_and_squares(p_next, q);
+        let denom = pp.sqrt() * qq.sqrt();
         let orthogonality = if denom > 0.0 { (pq / denom).abs() } else { 0.0 };
 
         // Residual: recompute b − A·x defensively and compare to r.
@@ -273,6 +288,34 @@ mod tests {
             }
         }
         assert!(sorted_windows > 0, "no window was reordered");
+    }
+
+    #[test]
+    fn one_sweep_matches_the_separate_dot_and_norms_bit_for_bit() {
+        let wavy = |n: usize, k: f64| -> Vec<f64> {
+            (0..n)
+                .map(|i| (i as f64 * k).sin() * 10f64.powi(i as i32 % 7 - 3))
+                .collect()
+        };
+        let (p, q) = (wavy(257, 0.37), wavy(257, 1.9));
+        let mut cases = vec![(p.clone(), q.clone()), (Vec::new(), Vec::new())];
+        let mut nan = p.clone();
+        nan[100] = f64::NAN;
+        cases.push((nan, q.clone()));
+        let mut inf = q.clone();
+        inf[5] = f64::INFINITY;
+        cases.push((p.clone(), inf));
+        // Every product `-0.0`: a chain from `0.0` ends at `+0.0` (from
+        // `-0.0` it would end at `-0.0`), as `dot`'s does.
+        cases.push((vec![-0.0; 9], vec![1.0; 9]));
+        cases.push((vec![-0.0; 9], vec![-0.0; 9]));
+        assert_eq!(dot_and_squares(&[-0.0; 9], &[1.0; 9]).0.to_bits(), 0);
+        for (p, q) in &cases {
+            let (pq, pp, qq) = dot_and_squares(p, q);
+            assert_eq!(pq.to_bits(), vector::dot(p, q).to_bits());
+            assert_eq!(pp.sqrt().to_bits(), vector::norm2(p).to_bits());
+            assert_eq!(qq.sqrt().to_bits(), vector::norm2(q).to_bits());
+        }
     }
 
     #[test]

@@ -33,8 +33,8 @@
 //!    alternating between them allocates exactly what repeating each
 //!    one does — no per-shape buffer is ever re-created. The row visit
 //!    order of the defensive product is one of them: rebuilt at every
-//!    checkout, 4 bytes per row of the largest matrix, never regrown by
-//!    the same or a smaller matrix;
+//!    `SolverWorkspace::reset`, 4 bytes per row of the largest matrix,
+//!    never regrown by the same or a smaller matrix;
 //! 8. generating a random SPD matrix (`gen::random_spd`, behind every
 //!    paper matrix) peaks at no more than twice the live heap of the
 //!    matrix it returns: the pair keys and the CSR arrays, with no
