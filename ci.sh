@@ -113,6 +113,12 @@ if grep -nv '^//!' vendor/{crossbeam,parking_lot,bytes,serde_derive}/src/lib.rs;
     exit 1
 fi
 
+echo "==> one bench verdict (ftcg bench compare judges paired samples by BENCHMARK.json's own bounds: no threshold, no noise gate, no warn-only)"
+if grep -rnE 'noise_pct|noise_abs|DEFAULT_THRESHOLD|warn-only|diff_entries' src scripts; then
+    echo "a removed bench gate or knob (above): compare has one rule, the paired verdict in src/bench/paired.rs, with every bound from BENCHMARK.json" >&2
+    exit 1
+fi
+
 echo "==> rustdoc (-D warnings: a link to a deleted or private item fails)"
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --lib --exclude proptest
 
@@ -145,11 +151,17 @@ bash scripts/bench_smoke.sh target/release/ftcg
 echo "==> benchmark of record: build + --quick (blocking)"
 bash scripts/benchmark_smoke.sh
 
-echo "==> bench record: import what --quick wrote, then self-compare (skipped with it on one core)"
+echo "==> bench record: import what --quick wrote and the stdout of one --quick run, self-comparing each (skipped with it on one core)"
 if [ "$(nproc)" -ge 2 ]; then
     rm -f bench-ci.json
-    target/release/ftcg bench record benchmark/out/latest.json --out bench-ci.json
+    target/release/ftcg bench record benchmark/out/latest.json --out bench-ci.json --label "quick set"
     target/release/ftcg bench compare bench-ci.json bench-ci.json > /dev/null
+    # Its own label, so that compare reads it as a recording of its own.
+    one_run="$(mktemp)"
+    bash benchmark/run.sh --workload fault_free --seed 1 --quick > "$one_run"
+    target/release/ftcg bench record "$one_run" --out bench-ci.json --label "quick run"
+    target/release/ftcg bench compare bench-ci.json bench-ci.json > /dev/null
+    rm -f "$one_run"
 fi
 
 echo "CI gate passed."

@@ -1,38 +1,35 @@
 //! `ftcg bench` — the store and comparator of `benchmark/`'s output
-//! (`ftcg help` has the grammar). It measures nothing itself: `record`
-//! imports what `bash benchmark/run.sh --out F` wrote, `compare` diffs
-//! two recorded files. Exit 0 when nothing regressed beyond the
-//! noise-aware gate, 1 on a regression, 2 on any error.
-//!
-//! The store, which reads no clock and runs no solve:
-//!
-//! * [`record`] — the importer that turns `benchmark/run.sh --out`
-//!   files into entries;
-//! * [`benchfile`] — the schema-versioned `BENCH_*.json` format those
-//!   entries are stored in;
-//! * [`host`] — host identification stamped into every entry;
-//! * [`diff`] — noise-aware entry comparison and the regression gate.
+//! (`ftcg help` has the grammar). It measures nothing: [`record`]
+//! imports what `benchmark/run.sh` wrote into the [`benchfile`] format,
+//! stamped with the [`host`]; `compare` judges two recordings of the
+//! same seeds by the [`paired`] rule. Exit 0 when no end-to-end metric
+//! is worse beyond its bound and the failed share did not rise, 1 when
+//! one is or it did, 2 on any error.
 
 mod benchfile;
-mod diff;
 mod host;
+mod paired;
 mod record;
 
 use std::path::Path;
 
 use benchfile::{BenchEntry, BenchFile};
-use diff::{any_regression, diff_entries, render_diff};
+use paired::{bounded_metrics, judge};
 use record::record_results;
+use serde::json;
 
-use crate::args::{check_flags, parse_strict, positionals, value};
+use crate::args::{check_flags, positionals, value};
 
 const USAGE: &str = "usage: \
-    ftcg bench record RESULT.json... --out BENCH_x.json [--label S] [--pr N]\n       \
-    ftcg bench compare NEW.json BASELINE.json [--threshold PCT] [--warn-only]";
+    ftcg bench record RESULT... --out BENCH_x.json [--label S] [--pr N]\n       \
+    ftcg bench compare NEW.json BASE.json";
 
-/// Default regression threshold in percent; the effective gate per
-/// measurement is `max(threshold, 2 × observed sample spread)`.
-const DEFAULT_THRESHOLD_PCT: f64 = 5.0;
+/// `BENCHMARK.json` of the working directory: the metrics, their
+/// directions and bounds.
+fn contract() -> Result<String, String> {
+    std::fs::read_to_string("BENCHMARK.json")
+        .map_err(|e| format!("BENCHMARK.json: {e} (run from the repository root)"))
+}
 
 /// Today's UTC date as `YYYY-MM-DD`.
 #[expect(clippy::disallowed_methods, reason = "bench entry dates")]
@@ -58,7 +55,7 @@ fn civil_date(days: u64) -> String {
     format!("{y:04}-{m:02}-{d:02}")
 }
 
-/// `ftcg bench record RESULT.json… --out BENCH_x.json [--label S] [--pr N]`.
+/// `ftcg bench record RESULT… --out BENCH_x.json [--label S] [--pr N]`.
 fn record(args: &[String]) -> Result<bool, String> {
     const VALUE_FLAGS: [&str; 3] = ["--out", "--label", "--pr"];
     check_flags(args, &VALUE_FLAGS, &[])?;
@@ -66,74 +63,55 @@ fn record(args: &[String]) -> Result<bool, String> {
     let (Some(out), false) = (value(args, "--out"), paths.is_empty()) else {
         return Err(USAGE.into());
     };
-    let pr = value(args, "--pr")
-        .map(|v| v.parse::<u64>().map_err(|_| format!("bad --pr `{v}`")))
-        .transpose()?;
+    let pr = value(args, "--pr").map(|v| v.parse::<u64>().map_err(|_| format!("bad --pr `{v}`")));
     let read = |path: &str| std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"));
-    let contract =
-        read("BENCHMARK.json").map_err(|e| format!("{e} (run from the repository root)"))?;
-    let results = paths
-        .iter()
-        .map(|p| Ok((p, read(p)?)))
-        .collect::<Result<Vec<_>, String>>()?;
+    let results = paths.iter().map(|p| Ok((p, read(p)?)));
+    let results = results.collect::<Result<Vec<_>, String>>()?;
     let label = value(args, "--label").unwrap_or("");
-    let entries = record_results(&contract, &results, &today_utc(), label, pr)?;
+    let entries = record_results(&contract()?, &results, &today_utc(), label, pr.transpose()?)?;
     let out_path = Path::new(out);
-    let mut file = if out_path.exists() {
-        BenchFile::load(out_path)?
-    } else {
-        BenchFile::default()
-    };
-    eprintln!(
-        "{out}: +{} entries ({} run(s) each)",
-        entries.len(),
-        paths.len()
-    );
+    let mut file = BenchFile::default();
+    if out_path.exists() {
+        file = BenchFile::load(out_path)?;
+    }
+    let (added, runs) = (entries.len(), paths.len());
+    eprintln!("{out}: +{added} entries ({runs} run(s) each)");
     file.entries.extend(entries);
-    file.save(out_path)?;
+    std::fs::write(out_path, file.render()).map_err(|e| format!("{out}: {e}"))?;
     Ok(false)
 }
 
-/// `ftcg bench compare NEW.json BASELINE.json [--threshold PCT] [--warn-only]`.
-/// Returns whether a regression tripped the gate.
+/// `ftcg bench compare NEW.json BASE.json`. Returns whether the
+/// comparison fails: an end-to-end metric worse beyond its bound, or a
+/// rising failed share.
 fn compare(args: &[String]) -> Result<bool, String> {
-    const VALUE_FLAGS: [&str; 1] = ["--threshold"];
-    check_flags(args, &VALUE_FLAGS, &["--warn-only"])?;
-    let files = positionals(args, &VALUE_FLAGS);
+    check_flags(args, &[], &[])?;
+    let files = positionals(args, &[]);
     let [new_path, base_path] = files.as_slice() else {
         return Err(USAGE.into());
     };
-    let threshold = parse_strict(args, "--threshold", DEFAULT_THRESHOLD_PCT)?;
+    let in_contract = |e: String| format!("BENCHMARK.json: {e}");
+    let contract = json::parse(&contract()?).map_err(|e| in_contract(e.to_string()))?;
+    let bounded = bounded_metrics(&contract).map_err(in_contract)?;
     let new_file = BenchFile::load(Path::new(new_path))?;
     let baseline = BenchFile::load(Path::new(base_path))?;
-    let last = new_file
-        .entries
-        .last()
-        .ok_or_else(|| format!("{new_path}: no entries"))?;
+    let last = new_file.entries.last();
+    let last = last.ok_or_else(|| format!("{new_path}: no entries"))?;
     // A recording is the entries one `record` stamped alike.
     let same_stamp =
         |e: &&BenchEntry| (&e.date, &e.label, e.pr) == (&last.date, &last.label, last.pr);
-    let mut regressed = false;
+    let mut fails = false;
     for new in new_file.entries.iter().filter(same_stamp) {
-        let Some(base) = baseline.latest(&new.suite) else {
-            eprintln!(
-                "warning: {base_path} has no entry for `{}`; nothing to compare",
-                new.suite
-            );
+        let suite = &new.suite;
+        let Some(base) = baseline.latest(suite) else {
+            eprintln!("warning: {base_path} has no entry for `{suite}`; nothing to compare");
             continue;
         };
-        if new.spec != base.spec {
-            return Err(format!(
-                "`{}` and `{}` did different work and cannot be compared:\n\
-                 --- {new_path}\n{}--- {base_path}\n{}",
-                new.id, base.id, new.spec, base.spec
-            ));
-        }
-        let rows = diff_entries(new, base, threshold);
-        println!("{}", render_diff(&rows, new, base));
-        regressed |= any_regression(&rows);
+        let (report, failed) = judge(new, base, &bounded)?;
+        println!("{report}");
+        fails |= failed;
     }
-    Ok(regressed && !args.iter().any(|a| a == "--warn-only"))
+    Ok(fails)
 }
 
 /// `ftcg bench` entry point.
@@ -147,7 +125,7 @@ pub(crate) fn bench(args: &[String]) -> i32 {
     match result {
         Ok(false) => 0,
         Ok(true) => {
-            eprintln!("error: regression beyond the gate (see the tables above)");
+            eprintln!("error: a bounded metric is worse, or the failed share rose (see above)");
             1
         }
         Err(e) => {

@@ -1,22 +1,15 @@
-//! The schema-versioned `BENCH_*.json` format.
+//! The schema-versioned `BENCH_*.json` format: `{"ftcg_bench": 1,
+//! "entries": [ <entry>, ... ]}`, each entry *one workload on one host*:
+//! identity (`id`, `date`, `label`, optional `pr`), the `HostInfo`, the
+//! `suite` (a `benchmark/` workload name), the `spec` that sizes the work
+//! — two entries are comparable iff their `spec`s are equal — and a flat
+//! list of `Measurement`s: `key`, `unit`, the headline `value`, every raw
+//! sample (sample `k` of two recordings of the same seeds is pair `k` of
+//! `compare`'s rule), and the direction (`lower_is_better`).
 //!
-//! A bench file is
-//!
-//! ```json
-//! {"ftcg_bench": 1, "entries": [ <entry>, ... ]}
-//! ```
-//!
-//! and each entry records *one workload on one host*: identity (`id`,
-//! `date`, `label`, optional `pr`), the `HostInfo`, the `suite`
-//! (since PR 20 a `benchmark/` workload name), the `spec` that sizes
-//! the work — two entries are comparable iff their `spec`s are equal —
-//! and a flat list of `Measurement`s: `key`, `unit`, the headline
-//! `value`, every raw sample (so a later diff can estimate noise), and
-//! the direction (`lower_is_better`).
-//!
-//! Entries are written by [`crate::bench::record`] from the output of
-//! `benchmark/run.sh`; the entries of the retired `ftcg bench` suites
-//! (`quick`, `kernels`, …, min-of-N headlines) stay loadable history.
+//! [`crate::bench::record`] writes the entries; those of the retired
+//! `ftcg bench` suites (`quick`, `kernels`, …, min-of-N headlines) stay
+//! loadable history.
 
 use std::path::Path;
 
@@ -28,7 +21,7 @@ use crate::bench::host::HostInfo;
 pub(crate) const BENCH_VERSION: u64 = 1;
 
 /// One measured quantity of an entry.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub(crate) struct Measurement {
     /// Stable dotted key, e.g. `campaign.reps_per_sec`.
     pub(crate) key: String,
@@ -38,42 +31,14 @@ pub(crate) struct Measurement {
     /// benchmark run) in recorded entries; the retired suites wrote
     /// their best sample.
     pub(crate) value: f64,
-    /// Every raw sample behind `value` (noise estimation in diffs).
+    /// Every raw sample behind `value`, one per run, in run order.
     pub(crate) samples: Vec<f64>,
     /// Whether smaller values are better (times) or worse (rates).
     pub(crate) lower_is_better: bool,
 }
 
-impl Measurement {
-    /// Smallest and largest sample (`(inf, -inf)` without samples).
-    fn range(&self) -> (f64, f64) {
-        let fold = |init, pick: fn(f64, f64) -> f64| self.samples.iter().copied().fold(init, pick);
-        (
-            fold(f64::INFINITY, f64::min),
-            fold(f64::NEG_INFINITY, f64::max),
-        )
-    }
-
-    /// Relative spread of the samples as a percentage of the smallest
-    /// one (`0` with fewer than two samples) — the diff's noise floor.
-    pub(crate) fn noise_pct(&self) -> f64 {
-        let (lo, hi) = self.range();
-        if self.samples.len() < 2 || lo <= 0.0 {
-            return 0.0;
-        }
-        (hi / lo - 1.0) * 100.0
-    }
-
-    /// Absolute spread of the samples, in `unit` (`0` with fewer than
-    /// two) — the noise floor where a percentage has no base.
-    pub(crate) fn noise_abs(&self) -> f64 {
-        let (lo, hi) = self.range();
-        (hi - lo).max(0.0)
-    }
-}
-
 /// One workload (historically: one suite run) on one host.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub(crate) struct BenchEntry {
     /// Stable identity, `"<suite>/<date>"` by convention.
     pub(crate) id: String,
@@ -108,110 +73,83 @@ pub(crate) struct BenchFile {
     pub(crate) entries: Vec<BenchEntry>,
 }
 
-/// Formats an f64 as a JSON number (finite inputs only).
-fn num(x: f64) -> String {
-    if x.is_finite() {
-        format!("{x}")
+/// First quartile, median and third quartile of a non-empty sample,
+/// interpolated linearly between order statistics (`NaN`s when empty).
+pub(crate) fn quartiles(samples: &[f64]) -> [f64; 3] {
+    let mut s = samples.to_vec();
+    s.sort_by(f64::total_cmp);
+    let last = s.len().saturating_sub(1);
+    [0.25, 0.5, 0.75].map(|q| {
+        let pos = q * last as f64;
+        let (lo, f) = (pos.floor() as usize, pos.fract());
+        // `a·(1 − f) + b·f`, so a median is `(a + b) / 2` to the bit.
+        s.get(lo)
+            .map_or(f64::NAN, |a| a * (1.0 - f) + s[(lo + 1).min(last)] * f)
+    })
+}
+
+/// `items` one per line after `indent`, with commas between them.
+fn block(items: impl Iterator<Item = String>, indent: &str) -> String {
+    let lines: Vec<String> = items.map(|l| format!("{indent}{l}")).collect();
+    if lines.is_empty() {
+        String::new()
     } else {
-        "null".to_string()
+        lines.join(",\n") + "\n"
     }
 }
 
-fn render_measurement(m: &Measurement, out: &mut String, indent: &str) {
-    out.push_str(indent);
-    out.push_str(&format!(
-        "{{\"key\":{},\"unit\":{},\"value\":{},\"samples\":[",
-        Value::Str(m.key.clone()),
-        Value::Str(m.unit.clone()),
-        num(m.value)
-    ));
-    for (i, s) in m.samples.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&num(*s));
-    }
-    out.push_str(&format!("],\"lower_is_better\":{}}}", m.lower_is_better));
+/// One measurement as one line of compact JSON.
+fn render_measurement(m: &Measurement) -> String {
+    let samples = m.samples.iter().map(|&s| Value::Num(s)).collect();
+    Value::Obj(vec![
+        ("key".into(), Value::Str(m.key.clone())),
+        ("unit".into(), Value::Str(m.unit.clone())),
+        ("value".into(), Value::Num(m.value)),
+        ("samples".into(), Value::Arr(samples)),
+        ("lower_is_better".into(), Value::Bool(m.lower_is_better)),
+    ])
+    .to_string()
 }
 
-fn render_entry(e: &BenchEntry, out: &mut String) {
-    out.push_str("    {\n");
-    out.push_str(&format!("      \"id\": {},\n", Value::Str(e.id.clone())));
-    out.push_str(&format!(
-        "      \"date\": {},\n",
-        Value::Str(e.date.clone())
-    ));
-    out.push_str(&format!(
-        "      \"label\": {},\n",
-        Value::Str(e.label.clone())
-    ));
-    if let Some(pr) = e.pr {
-        out.push_str(&format!("      \"pr\": {pr},\n"));
-    }
-    out.push_str(&format!("      \"host\": {},\n", e.host.to_json()));
-    out.push_str(&format!(
-        "      \"suite\": {},\n",
-        Value::Str(e.suite.clone())
-    ));
-    out.push_str(&format!(
-        "      \"spec\": {},\n",
-        Value::Str(e.spec.clone())
-    ));
-    out.push_str("      \"measurements\": [\n");
-    for (i, m) in e.measurements.iter().enumerate() {
-        render_measurement(m, out, "        ");
-        out.push_str(if i + 1 < e.measurements.len() {
-            ",\n"
-        } else {
-            "\n"
-        });
-    }
-    out.push_str("      ]\n");
-    out.push_str("    }");
+fn render_entry(e: &BenchEntry) -> String {
+    let s = |x: &str| Value::Str(x.to_string());
+    let pr =
+        e.pr.map_or(String::new(), |pr| format!("      \"pr\": {pr},\n"));
+    format!(
+        "{{\n      \"id\": {},\n      \"date\": {},\n      \"label\": {},\n{pr}      \
+         \"host\": {},\n      \"suite\": {},\n      \"spec\": {},\n      \
+         \"measurements\": [\n{}      ]\n    }}",
+        s(&e.id),
+        s(&e.date),
+        s(&e.label),
+        e.host.to_json(),
+        s(&e.suite),
+        s(&e.spec),
+        block(e.measurements.iter().map(render_measurement), "        ")
+    )
 }
 
 impl BenchFile {
     /// Renders the whole file (deterministic field order, one
     /// measurement per line — reviewable in diffs).
     pub(crate) fn render(&self) -> String {
-        let mut out = String::new();
-        out.push_str(&format!(
-            "{{\n  \"ftcg_bench\": {BENCH_VERSION},\n  \"entries\": [\n"
-        ));
-        for (i, e) in self.entries.iter().enumerate() {
-            render_entry(e, &mut out);
-            out.push_str(if i + 1 < self.entries.len() {
-                ",\n"
-            } else {
-                "\n"
-            });
-        }
-        out.push_str("  ]\n}\n");
-        out
-    }
-
-    /// Writes the file to disk.
-    pub(crate) fn save(&self, path: &Path) -> Result<(), String> {
-        std::fs::write(path, self.render()).map_err(|e| format!("{}: {e}", path.display()))
+        let entries = block(self.entries.iter().map(render_entry), "    ");
+        format!("{{\n  \"ftcg_bench\": {BENCH_VERSION},\n  \"entries\": [\n{entries}  ]\n}}\n")
     }
 
     /// Loads a schema-versioned bench file.
     pub(crate) fn load(path: &Path) -> Result<BenchFile, String> {
-        let text = std::fs::read_to_string(path).map_err(|e| format!("{}: {e}", path.display()))?;
-        let v = json::parse(&text).map_err(|e| format!("{}: {e}", path.display()))?;
-        let version = v.get("ftcg_bench").and_then(Value::as_f64);
-        match version {
-            None => Err(format!(
-                "{}: not a schema-versioned bench file (missing `ftcg_bench`)",
-                path.display()
+        let here = |e: String| format!("{}: {e}", path.display());
+        let text = std::fs::read_to_string(path).map_err(|e| here(e.to_string()))?;
+        let v = json::parse(&text).map_err(|e| here(e.to_string()))?;
+        match v.get("ftcg_bench").and_then(Value::as_f64) {
+            None => Err(here(
+                "not a schema-versioned bench file (missing `ftcg_bench`)".into(),
             )),
-            Some(x) if x == BENCH_VERSION as f64 => {
-                Self::from_value(&v).map_err(|e| format!("{}: {e}", path.display()))
-            }
-            Some(x) => Err(format!(
-                "{}: bench schema version {x} is not the supported version {BENCH_VERSION}",
-                path.display()
-            )),
+            Some(x) if x == BENCH_VERSION as f64 => Self::from_value(&v).map_err(here),
+            Some(x) => Err(here(format!(
+                "bench schema version {x} is not the supported version {BENCH_VERSION}"
+            ))),
         }
     }
 
@@ -238,15 +176,13 @@ pub(crate) fn field<'a>(v: &'a Value, key: &str) -> Result<&'a Value, String> {
 }
 
 pub(crate) fn text<'a>(v: &'a Value, key: &str) -> Result<&'a str, String> {
-    field(v, key)?
-        .as_str()
-        .ok_or_else(|| format!("`{key}` is not a string"))
+    let s = field(v, key)?.as_str();
+    s.ok_or_else(|| format!("`{key}` is not a string"))
 }
 
 pub(crate) fn list<'a>(v: &'a Value, key: &str) -> Result<&'a [Value], String> {
-    field(v, key)?
-        .as_arr()
-        .ok_or_else(|| format!("`{key}` is not a list"))
+    let l = field(v, key)?.as_arr();
+    l.ok_or_else(|| format!("`{key}` is not a list"))
 }
 
 fn parse_entry(v: &Value) -> Result<BenchEntry, String> {
@@ -279,12 +215,10 @@ fn parse_entry(v: &Value) -> Result<BenchEntry, String> {
         label: s("label")?,
         pr: match v.get("pr") {
             None | Some(Value::Null) => None,
-            Some(p) => Some(
-                p.as_f64()
-                    .filter(|p| *p >= 0.0 && p.fract() == 0.0)
-                    .ok_or_else(|| format!("`pr` {p} is not a non-negative integer"))?
-                    as u64,
-            ),
+            Some(p) => {
+                let pr = p.as_f64().filter(|p| *p >= 0.0 && p.fract() == 0.0);
+                Some(pr.ok_or_else(|| format!("`pr` {p} is not a non-negative integer"))? as u64)
+            }
         },
         host: HostInfo::from_value(field(v, "host")?)?,
         suite: s("suite")?,
@@ -320,36 +254,37 @@ mod tests {
         }
     }
 
+    fn sample_text() -> String {
+        let entries = vec![sample_entry()];
+        BenchFile { entries }.render()
+    }
+
     #[test]
     fn render_parse_roundtrip() {
-        let f = BenchFile {
-            entries: vec![sample_entry()],
-        };
-        let text = f.render();
+        let text = sample_text();
         assert!(text.starts_with("{\n  \"ftcg_bench\": 1"));
         let back = BenchFile::from_value(&json::parse(&text).unwrap()).unwrap();
-        assert_eq!(back, f);
+        assert_eq!(back.entries, [sample_entry()]);
         assert_eq!(back.latest("quick").unwrap().id, "quick/2026-08-08");
         assert!(back.latest("table1").is_none());
     }
 
     #[test]
-    fn noise_pct_is_sample_spread() {
-        let m = sample_entry().measurements[0].clone();
-        assert!((m.noise_pct() - 12.0).abs() < 1e-9, "{}", m.noise_pct());
-        let single = Measurement {
-            samples: vec![5.0],
-            ..m
-        };
-        assert_eq!(single.noise_pct(), 0.0);
+    fn quartiles_interpolate_between_order_statistics() {
+        // Ten samples: positions 2.25, 4.5 and 6.75 of the sorted list.
+        let ten = [7.0, 1.0, 10.0, 4.0, 2.0, 9.0, 3.0, 8.0, 6.0, 5.0];
+        assert_eq!(quartiles(&ten), [3.25, 5.5, 7.75]);
+        assert_eq!(quartiles(&[3.0, 1.0, 2.0]), [1.5, 2.0, 2.5]);
+        assert_eq!(quartiles(&[1.5, 0.5]), [0.75, 1.0, 1.25]);
+        // An even count's median is the mean of the middle two, bit for bit.
+        assert_eq!(quartiles(&[0.2, 0.1])[1], (0.1 + 0.2) / 2.0);
+        assert_eq!(quartiles(&[5.0]), [5.0; 3]);
+        assert!(quartiles(&[]).iter().all(|q| q.is_nan()));
     }
 
     #[test]
     fn missing_or_mistyped_direction_is_a_load_error() {
-        let text = BenchFile {
-            entries: vec![sample_entry()],
-        }
-        .render();
+        let text = sample_text();
         for broken in [
             text.replace(",\"lower_is_better\":true", ""),
             text.replace("\"lower_is_better\":true", "\"lower_is_better\":\"true\""),
@@ -364,10 +299,7 @@ mod tests {
 
     #[test]
     fn pr_that_is_not_a_non_negative_integer_is_a_load_error() {
-        let text = BenchFile {
-            entries: vec![sample_entry()],
-        }
-        .render();
+        let text = sample_text();
         for bad in ["-3", "2.5", "\"25\""] {
             let broken = text.replace("\"pr\": 7", &format!("\"pr\": {bad}"));
             assert_ne!(broken, text);

@@ -7,7 +7,7 @@
 use serde::json::Value;
 
 /// The machine a bench entry was measured on.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub(crate) struct HostInfo {
     /// Available parallelism (what `threads = 0` resolves against).
     pub(crate) cores: usize,
@@ -20,10 +20,9 @@ pub(crate) struct HostInfo {
 impl HostInfo {
     /// Detects the current host.
     pub(crate) fn detect() -> HostInfo {
+        let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
         HostInfo {
-            cores: std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1),
+            cores,
             arch: std::env::consts::ARCH.to_string(),
             os: std::env::consts::OS.to_string(),
         }
@@ -31,30 +30,24 @@ impl HostInfo {
 
     /// Renders as a JSON object (fixed field order).
     pub(crate) fn to_json(&self) -> String {
-        format!(
-            "{{\"cores\":{},\"arch\":{},\"os\":{}}}",
-            self.cores,
-            Value::Str(self.arch.clone()),
-            Value::Str(self.os.clone())
-        )
+        let (arch, os) = (Value::Str(self.arch.clone()), Value::Str(self.os.clone()));
+        format!("{{\"cores\":{},\"arch\":{arch},\"os\":{os}}}", self.cores)
     }
 
     /// Parses back from a JSON value.
     pub(crate) fn from_value(v: &Value) -> Result<HostInfo, String> {
-        let s = |key: &str| {
+        let missing = |key: &str| format!("host missing `{key}`");
+        let s = |key| {
             v.get(key)
                 .and_then(Value::as_str)
-                .map(str::to_string)
-                .ok_or_else(|| format!("host missing `{key}`"))
+                .ok_or_else(|| missing(key))
         };
+        let cores = v.get("cores").and_then(Value::as_f64);
+        let cores = cores.filter(|c| *c >= 0.0 && c.fract() == 0.0);
         Ok(HostInfo {
-            cores: v
-                .get("cores")
-                .and_then(Value::as_f64)
-                .filter(|c| *c >= 0.0 && c.fract() == 0.0)
-                .ok_or("host missing `cores`")? as usize,
-            arch: s("arch")?,
-            os: s("os")?,
+            cores: cores.ok_or_else(|| missing("cores"))? as usize,
+            arch: s("arch")?.into(),
+            os: s("os")?.into(),
         })
     }
 }

@@ -39,8 +39,8 @@ USAGE:
   ftcg merge    (--spec FILE | inline flags) JOURNAL... [--out F.jsonl]
                 [--csv F.csv] [--reps N] [--seed N]
   ftcg report   FILE... [--spec FILE] [--perfetto OUT.json]
-  ftcg bench record RESULT.json... --out BENCH.json [--label S] [--pr N]
-  ftcg bench compare NEW.json BASELINE.json [--threshold PCT] [--warn-only]
+  ftcg bench record RESULT... --out BENCH.json [--label S] [--pr N]
+  ftcg bench compare NEW.json BASE.json
   ftcg table1   [--scale N] [--reps N] [--threads N]
                 [--journal-dir D] [--trace-dir D] [--metrics-dir D]
   ftcg figure1  [--scale N] [--reps N] [--points N] [--matrices N] [--threads N]
@@ -134,17 +134,24 @@ OBSERVABILITY:
                 chrome://tracing.
 
 PERFORMANCE OBSERVATORY (ftcg bench):
-  Stores and compares what `bash benchmark/run.sh [--seed N] --out F`
-  measured (BENCHMARK.json names the metrics); it measures nothing.
-  record F...    one recording: an entry per workload, a sample per
-                 file (runs of one commit on one host), headline their
-                 median, appended to --out; units and directions come
-                 from ./BENCHMARK.json, which every result must match
+  Stores and compares what `bash benchmark/run.sh` measured
+  (BENCHMARK.json names the metrics and bounds); it measures nothing.
+  record F...    one recording: a sample per input (runs of one commit
+                 on one host), headline their median, appended to
+                 --out. An input is a full set (`run.sh --out F`: an
+                 entry per workload) or the saved stdout of one run
+                 (`run.sh --workload W --seed N`: one entry of the
+                 metrics it printed). Units and directions come from
+                 ./BENCHMARK.json, which every input must match
   compare A B    A's newest recording against B's latest entry of each
-                 workload. Worse by more than max(--threshold [5 %],
-                 2x sample spread) => exit 1 unless --warn-only (from a
-                 baseline <= 0: absolute delta, 2x absolute spread).
-                 `spec`s that differ, like every other error => exit 2
+                 workload, sample k against sample k (equal sample
+                 counts and seeds, or exit 2). An end-to-end metric is
+                 worse (median past its bound => exit 1), unresolved
+                 (B's IQR wider than the bound), better (>= 10 pairs,
+                 >= 9/10 won, medians more than B's IQR apart) or same.
+                 A higher failed share => exit 1. `spec`s that differ,
+                 like every other error => exit 2. The pairs come from
+                 scripts/pair.sh BASE NEW WORKLOAD PAIRS
 ";
 
 fn load_matrix(args: &[String]) -> Result<CsrMatrix, String> {

@@ -26,7 +26,7 @@
 //! $ ftcg report run.trace.jsonl run.metrics.jsonl --perfetto timeline.json
 //! $ bash benchmark/run.sh --seed 1 --out run1.json
 //! $ ftcg bench record run1.json run2.json run3.json --out BENCH_2026-10-02.json --pr 20
-//! $ ftcg bench compare new.json BENCH_2026-10-02.json --threshold 5
+//! $ ftcg bench compare new.json base.json
 //! $ ftcg table1 --scale 32 --reps 20
 //! $ ftcg figure1 --scale 32 --reps 20 --points 6 --matrices 3
 //! ```
