@@ -67,6 +67,16 @@ if grep -rn 'TmrVector' crates/solvers/src; then
     exit 1
 fi
 
+echo "==> one matrix image (the corruptible matrix is a0 plus its flips: no workspace image, no image copy at reset or rollback)"
+if grep -rnE 'assign_from|copy_values_from|structure_dirty|may_mutate' crates/*/src; then
+    echo "a removed image mechanism (above): read and write the live matrix through ftcg_sparse::CsrWords on a CsrOverlay, and roll back with CsrOverlay::clear" >&2
+    exit 1
+fi
+if grep -rn 'copy_image_from' crates/solvers/src crates/engine/src crates/sim/src; then
+    echo "a matrix image restore on the solve path (above): a rollback clears the overlay's flips; copy_image_from is kept for the benchmark's probes only" >&2
+    exit 1
+fi
+
 echo "==> one fault-model recipe, one checkpoint buffer (ftcg-fault's InjectorSpec + Injector::new choose the model; the cost triple lives with the planner)"
 if grep -rnE 'InjectorConfig|FaultRate|calibrated_injector' crates src tests; then
     echo "a removed fault-model recipe (above): build injectors with ftcg_fault::Injector::new(InjectorSpec, a, alpha, seed)" >&2
@@ -156,7 +166,8 @@ if [ "$(nproc)" -ge 2 ]; then
     rm -f bench-ci.json
     target/release/ftcg bench record benchmark/out/latest.json --out bench-ci.json --label "quick set"
     target/release/ftcg bench compare bench-ci.json bench-ci.json > /dev/null
-    # Its own label, so that compare reads it as a recording of its own.
+    # Its own label: record refuses a second recording with the quick
+    # set's stamp (date, label, PR), which compare would merge with it.
     one_run="$(mktemp)"
     bash benchmark/run.sh --workload fault_free --seed 1 --quick > "$one_run"
     target/release/ftcg bench record "$one_run" --out bench-ci.json --label "quick run"

@@ -5,33 +5,9 @@
 //! that matrix — the paper notes this amortization is "crucial when
 //! talking about the performances of the checksumming techniques".
 
-use ftcg_sparse::CsrMatrix;
+use ftcg_sparse::{CsrMatrix, CsrWords};
 
 use crate::weights::weights;
-
-/// Weighted checksums `[Σᵢ pᵢ, Σᵢ (i+1)·pᵢ]` of a row-pointer array
-/// *as stored*: the reference `cr` at setup and the running sum `sr` of
-/// Algorithm 2 at every verification (every traversal of the kernel
-/// reads exactly these words, so accumulating them directly is
-/// equivalent). Exact for any word values: each term `(i+1)·pᵢ` of a
-/// 32-bit word is below 2⁶⁴ for arrays of up to 2³² words (a square
-/// matrix has at most 2³⁰ + 1), and the sums accumulate in `u128`.
-#[inline]
-pub(crate) fn rowptr_weighted_sum(rowptr: &[u32]) -> [u128; 2] {
-    let mut s = [0u128; 2];
-    for (w, &p) in (1u64..).zip(rowptr) {
-        s[0] += u128::from(p);
-        s[1] += u128::from(w.wrapping_mul(u64::from(p)));
-    }
-    s
-}
-
-/// The plain checksum `Σᵢ pᵢ` alone — the `Rowidx` test of the
-/// single-checksum scheme, which has no position weight.
-#[inline]
-pub(crate) fn rowptr_sum(rowptr: &[u32]) -> u128 {
-    rowptr.iter().map(|&p| u128::from(p)).sum()
-}
 
 /// Precomputed checksums of a CSR matrix for the dual-weight scheme.
 #[derive(Debug, Clone, PartialEq)]
@@ -56,7 +32,7 @@ impl MatrixChecksums {
         Self {
             n: a.n_rows(),
             col: Self::weighted_column_sums(a),
-            rowptr: rowptr_weighted_sum(a.rowptr()),
+            rowptr: a.rowptr_sums(),
             norm1: a.norm1(),
         }
     }
@@ -68,23 +44,22 @@ impl MatrixChecksums {
     /// [`MatrixChecksums::col`], making column classification exact.
     ///
     /// Robust to corrupted structure: row ranges follow
-    /// [`CsrMatrix::row_range_clamped`] and out-of-range column indices
-    /// are skipped.
-    pub(crate) fn weighted_column_sums(a: &CsrMatrix) -> [Vec<f64>; 2] {
-        let n = a.n_cols();
+    /// [`CsrWords::row_range_clamped`] and out-of-range column indices
+    /// are skipped. Rows are read through [`CsrWords::entries`]: base
+    /// slices where no word is flipped.
+    pub(crate) fn weighted_column_sums(a: &impl CsrWords) -> [Vec<f64>; 2] {
+        let n = a.base().n_cols();
         let mut col = [vec![0.0; n], vec![0.0; n]];
-        for i in 0..a.n_rows() {
+        for i in 0..a.base().n_rows() {
             let w = weights(i);
-            for k in a.row_range_clamped(i) {
-                let j = a.colid()[k] as usize;
-                if j >= n {
-                    continue;
+            a.entries(a.row_range_clamped(i), |_, j, v| {
+                let j = j as usize;
+                if j < n {
+                    for (c, w) in col.iter_mut().zip(w) {
+                        c[j] += w * v;
+                    }
                 }
-                let v = a.val()[k];
-                for (c, w) in col.iter_mut().zip(w) {
-                    c[j] += w * v;
-                }
-            }
+            });
         }
         col
     }
@@ -143,7 +118,7 @@ mod tests {
             .sum();
         assert_eq!(cs.rowptr[0], want0);
         assert_eq!(cs.rowptr[1], want1);
-        assert_eq!(rowptr_sum(a.rowptr()), want0);
+        assert_eq!(a.rowptr_sums()[0], want0);
     }
 
     #[test]

@@ -22,8 +22,12 @@
 //! back — exactly the paper's "roll back only if two errors strike"
 //! policy. Residues that all passed leave nothing to repair: the
 //! outcome is [`SpmvOutcome::Clean`], with nothing touched.
+//!
+//! The matrix is read and repaired through [`CsrWords`]: a
+//! [`CsrMatrix`] or an overlay of flipped words over a pristine one,
+//! whose rows with no flip are read as the pristine slices.
 
-use ftcg_sparse::CsrMatrix;
+use ftcg_sparse::{CsrMatrix, CsrWord, CsrWords};
 
 use crate::checksum::MatrixChecksums;
 use crate::spmv::{ProtectedSpmv, SpmvOutcome, TestResults, XRef};
@@ -94,7 +98,7 @@ impl ProtectedSpmv {
     /// outcome is [`SpmvOutcome::Clean`] and nothing is touched.
     pub fn correct(
         &self,
-        a: &mut CsrMatrix,
+        a: &mut impl CsrWords,
         x: &mut [f64],
         xref: &XRef,
         y: &mut [f64],
@@ -129,7 +133,7 @@ impl ProtectedSpmv {
     /// Repairs a corrupted `Rowidx` word from the exact integer residues.
     fn correct_rowptr(
         &self,
-        a: &mut CsrMatrix,
+        a: &mut impl CsrWords,
         x: &mut [f64],
         xref: &XRef,
         y: &mut [f64],
@@ -145,14 +149,15 @@ impl ProtectedSpmv {
             return SpmvOutcome::Detected(res.clone());
         }
         let t = (pos - 1) as usize;
-        let repaired = i128::from(a.rowptr()[t]) + d0; // clean = corrupt + (cr − sr)
+        // clean = corrupt + (cr − sr)
+        let repaired = i128::from(a.read(CsrWord::Rowidx(t))) + d0;
         let Some(repaired) = u32::try_from(repaired)
             .ok()
-            .filter(|&p| p as usize <= a.nnz())
+            .filter(|&p| p as usize <= a.base().nnz())
         else {
             return SpmvOutcome::Detected(res.clone());
         };
-        a.rowptr_mut()[t] = repaired;
+        a.write(CsrWord::Rowidx(t), u64::from(repaired));
         // Rowidx_t bounds row t−1 (as end) and row t (as start): recompute both.
         let mut rows = Vec::new();
         if t >= 1 {
@@ -168,7 +173,7 @@ impl ProtectedSpmv {
     /// Repairs a `Val`/`Colid`/output error localized by the `dx` residues.
     fn correct_matrix_or_output(
         &self,
-        a: &mut CsrMatrix,
+        a: &mut impl CsrWords,
         x: &mut [f64],
         xref: &XRef,
         y: &mut [f64],
@@ -231,7 +236,7 @@ impl ProtectedSpmv {
     )]
     fn correct_val(
         &self,
-        a: &mut CsrMatrix,
+        a: &mut impl CsrWords,
         x: &mut [f64],
         xref: &XRef,
         y: &mut [f64],
@@ -240,9 +245,20 @@ impl ProtectedSpmv {
         f: usize,
         cprime: &[Vec<f64>; 2],
     ) -> SpmvOutcome {
-        let mut row = a.row_range_clamped(d);
-        // Find the entry of row d in column f.
-        if let Some(k) = row.clone().find(|&k| a.colid()[k] as usize == f) {
+        let row = a.row_range_clamped(d);
+        // The first entry of row d in column f, and the first entry of
+        // the row whose column is out of range (with its value).
+        let (mut in_f, mut wild) = (None, None);
+        a.entries(row, |k, c, v| {
+            let c = c as usize;
+            if c == f && in_f.is_none() {
+                in_f = Some(k);
+            }
+            if c >= a.base().n_cols() && wild.is_none() {
+                wild = Some((k, v));
+            }
+        });
+        if let Some(k) = in_f {
             // Repair from the column checksums. The naive
             // `val[k] −= (C′[f] − C[f])` suffers catastrophic cancellation
             // when the flip sends the value to an extreme magnitude (and
@@ -253,13 +269,13 @@ impl ProtectedSpmv {
             // clean under the single-error assumption).
             let mut partial = [0.0f64; 2];
             for i in 0..self.checks.n {
-                for kk in a.row_range_clamped(i) {
-                    if kk != k && a.colid()[kk] as usize == f {
+                a.entries(a.row_range_clamped(i), |kk, c, v| {
+                    if kk != k && c as usize == f {
                         let w = weights::weights(i);
-                        partial[0] += w[0] * a.val()[kk];
-                        partial[1] += w[1] * a.val()[kk];
+                        partial[0] += w[0] * v;
+                        partial[1] += w[1] * v;
                     }
-                }
+                });
             }
             let v0 = self.checks.col[0][f] - partial[0]; // w₁(d)=1
             let v1 = (self.checks.col[1][f] - partial[1]) / (d + 1) as f64;
@@ -267,7 +283,7 @@ impl ProtectedSpmv {
             if !approx_eq(v0, v1, 1e-5) {
                 return SpmvOutcome::Detected(res.clone());
             }
-            a.val_mut()[k] = v0;
+            a.write(CsrWord::Val(k), v0.to_bits());
             self.recompute_rows(a, x, y, &[d]);
             return self.finish(a, x, xref, y, CorrectionKind::Val { pos: k }, vec![d]);
         }
@@ -278,9 +294,9 @@ impl ProtectedSpmv {
         let Ok(col) = u32::try_from(f) else {
             return SpmvOutcome::Detected(res.clone());
         };
-        if let Some(k) = row.find(|&k| a.colid()[k] as usize >= a.n_cols()) {
-            if approx_eq(-delta0, a.val()[k], 1e-6) {
-                a.colid_mut()[k] = col;
+        if let Some((k, v)) = wild {
+            if approx_eq(-delta0, v, 1e-6) {
+                a.write(CsrWord::Colid(k), u64::from(col));
                 self.recompute_rows(a, x, y, &[d]);
                 return self.finish(a, x, xref, y, CorrectionKind::Colid { pos: k }, vec![d]);
             }
@@ -297,7 +313,7 @@ impl ProtectedSpmv {
     )]
     fn correct_colid(
         &self,
-        a: &mut CsrMatrix,
+        a: &mut impl CsrWords,
         x: &mut [f64],
         xref: &XRef,
         y: &mut [f64],
@@ -310,28 +326,29 @@ impl ProtectedSpmv {
         let (Ok(c1), Ok(c2)) = (u32::try_from(f1), u32::try_from(f2)) else {
             return SpmvOutcome::Detected(res.clone());
         };
-        for k in a.row_range_clamped(d) {
-            let prev = a.colid()[k];
-            let other = if prev == c1 {
-                c2
-            } else if prev == c2 {
-                c1
-            } else {
-                continue;
-            };
+        // The row's entries in either column, in storage order; a tried
+        // candidate is reverted before the next, so these stay current.
+        let mut candidates = Vec::new();
+        a.entries(a.row_range_clamped(d), |k, c, v| {
+            if c == c1 || c == c2 {
+                candidates.push((k, c, v));
+            }
+        });
+        for (k, prev, v) in candidates {
+            let other = if prev == c1 { c2 } else { c1 };
             let (cur, true_col) = (prev as usize, other as usize);
             // The current (wrong) column gained +v; the true column lost v.
             let gained = cprime[0][cur] - self.checks.col[0][cur];
             let lost = cprime[0][true_col] - self.checks.col[0][true_col];
-            if !(approx_eq(gained, a.val()[k], 1e-6) && approx_eq(lost, -a.val()[k], 1e-6)) {
+            if !(approx_eq(gained, v, 1e-6) && approx_eq(lost, -v, 1e-6)) {
                 continue;
             }
-            a.colid_mut()[k] = other;
+            a.write(CsrWord::Colid(k), u64::from(other));
             self.recompute_rows(a, x, y, &[d]);
             match self.finish(a, x, xref, y, CorrectionKind::Colid { pos: k }, vec![d]) {
                 SpmvOutcome::Detected(_) => {
                     // Wrong candidate: revert and keep searching.
-                    a.colid_mut()[k] = prev;
+                    a.write(CsrWord::Colid(k), u64::from(prev));
                     self.recompute_rows(a, x, y, &[d]);
                 }
                 trusted => return trusted,
@@ -346,7 +363,7 @@ impl ProtectedSpmv {
     /// equivalent).
     fn correct_input(
         &self,
-        a: &mut CsrMatrix,
+        a: &mut impl CsrWords,
         x: &mut [f64],
         xref: &XRef,
         y: &mut [f64],
@@ -373,14 +390,18 @@ impl ProtectedSpmv {
         x[e] = xref.xcopy[e];
         // Recompute the rows whose dot products consumed x_e.
         let rows: Vec<usize> = (0..n)
-            .filter(|&i| a.row_range_clamped(i).any(|k| a.colid()[k] as usize == e))
+            .filter(|&i| {
+                let mut reads_e = false;
+                a.entries(a.row_range_clamped(i), |_, c, _| reads_e |= c as usize == e);
+                reads_e
+            })
             .collect();
         self.recompute_rows(a, x, y, &rows);
         self.finish(a, x, xref, y, CorrectionKind::Input { index: e }, rows)
     }
 
     /// Recomputes the given output rows with the defensive kernel.
-    fn recompute_rows(&self, a: &CsrMatrix, x: &[f64], y: &mut [f64], rows: &[usize]) {
+    fn recompute_rows(&self, a: &impl CsrWords, x: &[f64], y: &mut [f64], rows: &[usize]) {
         for &i in rows {
             y[i] = a.row_product_clamped(x, i);
         }
@@ -389,7 +410,7 @@ impl ProtectedSpmv {
     /// Re-verifies after a repair and wraps up the outcome.
     fn finish(
         &self,
-        a: &CsrMatrix,
+        a: &impl CsrWords,
         x: &[f64],
         xref: &XRef,
         y: &[f64],

@@ -27,14 +27,19 @@
 //!
 //! `ftcg-solvers` picks one of the two per product according to the
 //! scheme (ONLINE-DETECTION, the paper's third scheme, verifies no
-//! product and uses neither). Both rely on rules kept in exactly one
-//! place: the product, the row recomputations of forward correction and
-//! the column-checksum recomputation all read rows through the defensive
-//! clamp of `ftcg-sparse` ([`CsrMatrix::row_range_clamped`] and the
-//! traversals built on it), and both schemes' row-pointer tests use the
-//! one exact checksum loop in `checksum`.
+//! product and uses neither). Both read the matrix through
+//! [`CsrWords`] — a plain `CsrMatrix`, or the solve's overlay of
+//! flipped words over its pristine matrix — and rely on rules kept in
+//! exactly one place: the product, the row recomputations of forward
+//! correction and the column-checksum recomputation all read rows
+//! through the defensive clamp of `ftcg-sparse`
+//! ([`CsrWords::row_range_clamped`] and the traversals built on it),
+//! and both schemes' row-pointer tests read the exact sums
+//! [`CsrWords::rowptr_sums`].
 //!
-//! [`CsrMatrix::row_range_clamped`]: ftcg_sparse::CsrMatrix::row_range_clamped
+//! [`CsrWords`]: ftcg_sparse::CsrWords
+//! [`CsrWords::row_range_clamped`]: ftcg_sparse::CsrWords::row_range_clamped
+//! [`CsrWords::rowptr_sums`]: ftcg_sparse::CsrWords::rowptr_sums
 //!
 //! Vector state is protected by triple modular redundancy instead
 //! ([`tmr`]), as the paper argues ABFT on vector operations costs as much

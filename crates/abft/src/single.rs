@@ -19,9 +19,9 @@
 //! zero-column-sum failure mode can be demonstrated (see the tests and
 //! `examples/zero_column_sums.rs`).
 
-use ftcg_sparse::{vector, CsrMatrix};
+use ftcg_sparse::{vector, CsrMatrix, CsrWords};
 
-use crate::checksum::{choose_shift, rowptr_sum};
+use crate::checksum::choose_shift;
 use crate::spmv::XRef;
 use crate::tolerance::ToleranceBound;
 
@@ -77,7 +77,7 @@ impl SingleChecksum {
         for v in &mut c {
             *v += k;
         }
-        let cr = rowptr_sum(a.rowptr());
+        let cr = a.rowptr_sums()[0];
         let tol = ToleranceBound::new(n, a.norm1() + k.abs(), 1.0);
         Self { n, c, k, cr, tol }
     }
@@ -87,8 +87,9 @@ impl SingleChecksum {
         self.k
     }
 
-    /// Evaluates tests (i), (ii), (iii) of Theorem 1.
-    pub fn verify(&self, a: &CsrMatrix, x: &[f64], xref: &XRef, y: &[f64]) -> SingleOutcome {
+    /// Evaluates tests (i), (ii), (iii) of Theorem 1 against the current
+    /// state of `a` (a matrix or an overlay, [`CsrWords`]), `x` and `y`.
+    pub fn verify(&self, a: &impl CsrWords, x: &[f64], xref: &XRef, y: &[f64]) -> SingleOutcome {
         assert_eq!(y.len(), self.n, "verify: y length mismatch");
         // Output checksum Σ ỹᵢ (the auxiliary y_{n+1} contribution).
         let sum_y: f64 = y.iter().sum();
@@ -105,7 +106,7 @@ impl SingleChecksum {
     /// for that `y`, with one fewer O(n) sweep on the hot path.
     pub fn verify_probed(
         &self,
-        a: &CsrMatrix,
+        a: &impl CsrWords,
         x: &[f64],
         xref: &XRef,
         probe: &[f64; 2],
@@ -121,12 +122,12 @@ impl SingleChecksum {
     /// sweeps on purpose — `max` folds vectorize on their own but
     /// serialize a fused loop when interleaved with the strict FP sum
     /// chains.
-    fn verify_core(&self, a: &CsrMatrix, x: &[f64], xref: &XRef, sum_y: f64) -> SingleOutcome {
+    fn verify_core(&self, a: &impl CsrWords, x: &[f64], xref: &XRef, sum_y: f64) -> SingleOutcome {
         assert_eq!(x.len(), self.n, "verify: x length mismatch");
         assert_eq!(xref.xcopy.len(), self.n, "verify: xref length mismatch");
 
         // Test (iii): exact integer row-pointer checksum.
-        let sr = rowptr_sum(a.rowptr());
+        let sr = a.rowptr_sums()[0];
         let dr = (self.cr as i128).wrapping_sub(sr as i128);
 
         // One pass for the three sum chains: Σ x̃ᵢ, test (i)'s ĉᵀx̃ and

@@ -23,9 +23,9 @@
 //! row, both rows' norms from [`crate::weights`]; the localization
 //! slack is a constant there, not a field.
 
-use ftcg_sparse::{fused, vector, CsrMatrix};
+use ftcg_sparse::{fused, vector, CsrMatrix, CsrWords};
 
-use crate::checksum::{rowptr_weighted_sum, MatrixChecksums};
+use crate::checksum::MatrixChecksums;
 use crate::correct::CorrectionReport;
 use crate::tolerance::ToleranceBound;
 use crate::weights;
@@ -135,8 +135,9 @@ impl ProtectedSpmv {
     }
 
     /// Evaluates the three residue tests of Algorithm 2 line 23 against
-    /// the current state of `a`, `x` and `y`.
-    pub fn verify(&self, a: &CsrMatrix, x: &[f64], xref: &XRef, y: &[f64]) -> TestResults {
+    /// the current state of `a` (a matrix or an overlay, [`CsrWords`]),
+    /// `x` and `y`.
+    pub fn verify(&self, a: &impl CsrWords, x: &[f64], xref: &XRef, y: &[f64]) -> TestResults {
         assert_eq!(y.len(), self.checks.n, "verify: y length mismatch");
         // One pass over `y` replaces the two weighted output sweeps:
         // [`fused::probe_of`]'s chains are bit-identical to
@@ -156,7 +157,7 @@ impl ProtectedSpmv {
     /// for that `y`, without any O(n) sweep over the output.
     pub fn verify_probed(
         &self,
-        a: &CsrMatrix,
+        a: &impl CsrWords,
         x: &[f64],
         xref: &XRef,
         probe: &[f64; 2],
@@ -166,18 +167,25 @@ impl ProtectedSpmv {
 
     /// Shared tail of the two `verify` entry points: the exact `dr` and
     /// `dx′` tests plus a single fused pass over `x̃` computing both
-    /// checksummed right-hand sides. Each reduction chain keeps its
+    /// checksummed right-hand sides. `dr` reads the live row-pointer sums
+    /// ([`CsrWords::rowptr_sums`]: O(flips) on an overlay). Each reduction chain keeps its
     /// original element order, so residues are bit-identical to the
     /// separate-sweep formulation; `‖x̃‖∞` stays its own sweep — a
     /// `max` fold vectorizes alone but serializes a fused loop when
     /// interleaved with the strict FP sum chains.
-    fn verify_core(&self, a: &CsrMatrix, x: &[f64], xref: &XRef, lhs: &[f64; 2]) -> TestResults {
+    fn verify_core(
+        &self,
+        a: &impl CsrWords,
+        x: &[f64],
+        xref: &XRef,
+        lhs: &[f64; 2],
+    ) -> TestResults {
         let n = self.checks.n;
         assert_eq!(x.len(), n, "verify: x length mismatch");
         assert_eq!(xref.xcopy.len(), n, "verify: xref length mismatch");
 
         // dr: exact integer row-pointer test.
-        let sr = rowptr_weighted_sum(a.rowptr());
+        let sr = a.rowptr_sums();
         let dr = [
             (self.checks.rowptr[0] as i128).wrapping_sub(sr[0] as i128),
             (self.checks.rowptr[1] as i128).wrapping_sub(sr[1] as i128),
@@ -458,7 +466,9 @@ mod tests {
 
     #[test]
     fn rowptr_weighted_sum_handles_huge_values() {
-        let s = rowptr_weighted_sum(&[u32::MAX, u32::MAX, 0]);
+        let words =
+            CsrMatrix::from_parts_unchecked(2, 0, vec![u32::MAX, u32::MAX, 0], vec![], vec![]);
+        let s = words.rowptr_sums();
         // no panic; exact arithmetic on the widest word values
         assert_eq!(s[0], (u32::MAX as u128) + (u32::MAX as u128));
         assert_eq!(s[1], (u32::MAX as u128) + 2 * (u32::MAX as u128));

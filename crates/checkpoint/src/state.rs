@@ -53,7 +53,7 @@ impl SolverState {
         matrix: &CsrMatrix,
     ) {
         self.store_vectors(iteration, x, r, p, rnorm_sq);
-        self.matrix.assign_from(matrix);
+        self.matrix.clone_from(matrix);
     }
 
     /// [`SolverState::store`] without the matrix, which is left as it

@@ -28,7 +28,8 @@
 //! * `pool` — the executor: scoped worker threads claiming jobs in
 //!   ascending order, progress callbacks and per-worker contexts;
 //! * `workspace` — `JobWorkspace`: per-worker reusable solve memory
-//!   (the CG machine, the matrix image, checkpoint slots) reset
+//!   (the CG machine, the flip list over the job's matrix, the
+//!   checkpoint slot) reset
 //!   bit-identically per repetition;
 //! * [`inject`] — the paper's fault-injector configurations;
 //! * `aggregate` — per-configuration statistics

@@ -3,18 +3,18 @@
 //! The campaign pool gives every worker thread one `JobWorkspace` for
 //! the lifetime of the job stream (see
 //! [`run_indices_ctx`](crate::pool::run_indices_ctx)). Each repetition
-//! draws its solver machine, corruptible matrix image, checkpoint slot
-//! and ABFT shadows from the workspace instead of allocating them —
-//! across a campaign of thousands of repetitions this removes the
-//! dominant per-job heap traffic (most prominently the full-matrix
-//! clone every repetition used to pay).
+//! draws its solver machine, the flip list of its corruptible matrix,
+//! its checkpoint slot and its trusted input copy from the workspace
+//! instead of allocating them — across a campaign of thousands of
+//! repetitions this removes the dominant per-job heap traffic.
 //!
 //! What a worker retains follows the *largest* matrix it has solved,
-//! not the number of distinct ones: one matrix image (the live one;
-//! checkpoints hold vectors only) plus O(n) vectors, every
-//! buffer shared by all job shapes at its high-water capacity (see
+//! not the number of distinct ones: O(n) vectors and no matrix image —
+//! the unreliable matrix memory is the job's `a0` plus the flips since
+//! the last reload, and checkpoints hold vectors only — every buffer
+//! shared by all job shapes at its high-water capacity (see
 //! "Retention and scope" in [`ftcg_solvers::workspace`]). A campaign's
-//! memory is therefore its matrices plus `threads ×` that.
+//! memory is therefore its matrices plus `threads ×` O(n).
 //!
 //! Reuse is *observable only through throughput*: the workspace reset
 //! at the start of every solve leaves each buffer bit-identical to

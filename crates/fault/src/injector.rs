@@ -15,9 +15,9 @@
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 
-use ftcg_sparse::CsrMatrix;
+use ftcg_sparse::{CsrMatrix, CsrWord, CsrWords};
 
-use crate::bitflip::{self, BitRange};
+use crate::bitflip::BitRange;
 use crate::inject::InjectorSpec;
 use crate::process::poisson_count;
 use crate::target::{FaultTarget, MemoryLayout};
@@ -116,27 +116,21 @@ impl Injector {
         }
     }
 
-    /// Applies a matrix-targeted event to the CSR arrays. Returns `true`
-    /// if applied, `false` when the event targets a vector.
-    pub fn apply_to_matrix(event: &FaultEvent, a: &mut CsrMatrix) -> bool {
-        match event.target {
-            FaultTarget::MatrixVal => {
-                let v = &mut a.val_mut()[event.offset];
-                *v = bitflip::flip_f64(*v, event.bit);
-                true
-            }
-            FaultTarget::MatrixColid => {
-                let c = &mut a.colid_mut()[event.offset];
-                *c = bitflip::flip_u32(*c, event.bit);
-                true
-            }
-            FaultTarget::MatrixRowidx => {
-                let r = &mut a.rowptr_mut()[event.offset];
-                *r = bitflip::flip_u32(*r, event.bit);
-                true
-            }
-            FaultTarget::Vector(_) => false,
-        }
+    /// Applies a matrix-targeted event to the CSR arrays of `a` (a
+    /// matrix or an overlay of flips over one, [`CsrWords`]): flips bit
+    /// `bit` of the word, as [`flip_f64`](crate::bitflip::flip_f64) and
+    /// [`flip_u32`](crate::bitflip::flip_u32) do. Returns `true` if applied, `false` when
+    /// the event targets a vector.
+    pub fn apply_to_matrix(event: &FaultEvent, a: &mut impl CsrWords) -> bool {
+        let (at, word_bits) = match event.target {
+            FaultTarget::MatrixVal => (CsrWord::Val(event.offset), u64::BITS),
+            FaultTarget::MatrixColid => (CsrWord::Colid(event.offset), u32::BITS),
+            FaultTarget::MatrixRowidx => (CsrWord::Rowidx(event.offset), u32::BITS),
+            FaultTarget::Vector(_) => return false,
+        };
+        debug_assert!(event.bit < word_bits);
+        a.write(at, a.read(at) ^ (1u64 << event.bit));
+        true
     }
 }
 

@@ -1,8 +1,8 @@
 //! The workspace's memory bound on the paper's own test set: one worker
 //! cycling the nine Table 1 matrices under all three schemes retains
-//! one image of the *largest* matrix — the live one; checkpoints hold
-//! vectors only — not a set of images per matrix, and one row visit
-//! order of 4 bytes per row of the matrix with the most rows.
+//! no matrix image — the live matrix is the caller's `a0` plus its
+//! flips, and checkpoints hold vectors only — and one row visit order
+//! of 4 bytes per row of the matrix with the most rows.
 
 use ftcg_model::Scheme;
 use ftcg_sim::matrices::PAPER_MATRICES;
@@ -33,28 +33,12 @@ fn nine_matrices_retain_one_high_water_image() {
         }
     }
 
-    // Each array of a buffer sits at the longest it has had to hold, and
-    // the longest row pointer and the longest value array belong to
-    // different matrices of the set.
-    // A row pointer or column index is 4 bytes, a value 8.
+    // No matrix words: every solve read its matrix as the caller's own
+    // `a0` plus its flips, and the checkpoint buffer holds vectors and
+    // the empty row pointer (4 B) of a `0 × 0` matrix — whatever the
+    // size of the largest matrix.
     let most = |f: fn(&ftcg_sparse::CsrMatrix) -> usize| systems.iter().map(|(a, _)| f(a)).max();
-    let high_water = 4 * most(|a| a.n_rows() + 1).unwrap() + 12 * most(|a| a.nnz()).unwrap();
-    let largest = most(|a| a.image_bytes()).unwrap();
-    let sum: usize = systems.iter().map(|(a, _)| a.image_bytes()).sum();
-
-    let retained = ws.retained_image_bytes();
-    assert!(
-        retained >= largest,
-        "the largest matrix needs its image: {retained} < {largest}"
-    );
-    assert!(
-        retained <= high_water + 4,
-        "retained {retained} B exceeds one high-water image ({high_water} B)"
-    );
-    assert!(
-        retained < sum,
-        "retained {retained} B is not below one image of each matrix ({sum} B)"
-    );
+    assert_eq!(ws.retained_image_bytes(), 4);
 
     // The defensive product's row order: one buffer per worker at 4 B
     // per row of the tallest matrix, nothing per shape class.

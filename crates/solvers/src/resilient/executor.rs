@@ -18,7 +18,7 @@
 //!    replica and is recorded as a [`ReplicaFlip`], and product-output
 //!    faults are deferred onto the verified product's output);
 //! 2. the solver steps once; its one product, the step's first act,
-//!    runs *defensively* against the live matrix image and is checked
+//!    runs *defensively* against the live matrix and is checked
 //!    by the scheme ([`Protection::check_product`] — checksum tests,
 //!    forward correction);
 //! 3. a rejected product or a numerical breakdown rolls back;
@@ -33,25 +33,28 @@
 //! ## Memory discipline
 //!
 //! The executor owns **no** solve-scoped heap state: the CG machine,
-//! the corruptible matrix image, the row order and the retained buffers
-//! (checkpoint slot, trusted input copy, the deferred product-output
-//! faults and the iteration's replica flips) all come from the caller's
-//! [`SolverWorkspace`], which [`ExecutorMachine::new`] takes whole,
-//! resets and borrows field by field. It keeps no copies for
-//! the fault simulation's sake: the three TMR replicas of `r`/`x` agree
-//! at the start of every iteration, so their vote is a function of the
-//! flips injected since ([`vote_flips`]), and the first frame's
+//! the flip list of the corruptible matrix, the row order and the
+//! retained buffers (checkpoint slot, trusted input copy, the deferred
+//! product-output faults and the iteration's replica flips) all come
+//! from the caller's [`SolverWorkspace`], which [`ExecutorMachine::new`]
+//! takes whole, resets and borrows field by field. It keeps no copies
+//! for the fault simulation's sake: the three TMR replicas of `r`/`x`
+//! agree at the start of every iteration, so their vote is a function
+//! of the flips injected since ([`vote_flips`]), and the first frame's
 //! recovery point is the input itself — `a0` and the zero-start state
-//! of `b` ([`CgMachine::reset_zero`]). A solve keeps **one**
-//! matrix image beside the caller's pristine `a0`: the live one. `A`
-//! never legitimately changes, so the matrix of every checkpoint is
-//! `a0` itself — the reliable input, never a fault target — and a
-//! checkpoint copies only the iteration vectors, O(n)
-//! ([`CgMachine::snapshot_into`] into the
-//! [`SnapshotSlot`](ftcg_checkpoint::SnapshotSlot)). Every rollback
-//! restores the image in place from `a0` ([`CsrMatrix::copy_image_from`];
-//! fault injection flips bits, it never changes array lengths), so a
-//! matrix word that slipped under the checksum tolerance, or a
+//! of `b` ([`CgMachine::reset_zero`]).
+//!
+//! Nor does it keep a matrix image. The unreliable matrix memory is
+//! `a0` plus the flips since the last reload: a [`CsrOverlay`] of the
+//! words the faults and the forward corrections wrote over the caller's
+//! pristine `a0`, which is reliable storage and never a fault target.
+//! Products, checks and repairs read it through [`CsrWords`] (rows with
+//! no flip are `a0`'s own slices). `A` never legitimately changes, so
+//! the matrix of every checkpoint is `a0` itself and a checkpoint copies
+//! only the iteration vectors, O(n) ([`CgMachine::snapshot_into`] into
+//! the [`SnapshotSlot`](ftcg_checkpoint::SnapshotSlot)). Every rollback
+//! re-reads `A` by clearing the flips ([`CsrOverlay::clear`], O(flips)),
+//! so a matrix word that slipped under the checksum tolerance, or a
 //! forward-corrected value that is only approximately right, never
 //! survives one. A steady-state iteration — no checkpoint, no rollback,
 //! no fault — performs zero heap allocations (pinned by the
@@ -64,7 +67,7 @@ use ftcg_fault::bitflip::flip_f64;
 use ftcg_fault::ledger::{FaultLedger, FaultOutcome};
 use ftcg_fault::target::{FaultTarget, VectorId};
 use ftcg_fault::{FaultEvent, Injector};
-use ftcg_sparse::{fused, vector, CsrMatrix, RowOrder};
+use ftcg_sparse::{fused, vector, CsrMatrix, CsrOverlay, CsrWords, RowOrder};
 use ftcg_telemetry::event::{target as ev_target, via as ev_via};
 use ftcg_telemetry::{Event, Phase, Recorder};
 
@@ -89,12 +92,12 @@ fn fault_code(target: &FaultTarget) -> u64 {
 }
 
 /// The resilient [`StepContext`]: the step's one product runs the
-/// defensive CSR traversal against the live (corruptible) matrix image,
+/// defensive CSR traversal against the live (corruptible) matrix,
 /// rows visited in the workspace's [`RowOrder`], receives the deferred
 /// product-output faults and is verified by the scheme against the
 /// input reference captured before this iteration's faults struck.
-struct ResilientCtx<'a, R: Recorder> {
-    a: &'a mut CsrMatrix,
+struct ResilientCtx<'a, W: CsrWords, R: Recorder> {
+    a: &'a mut W,
     /// Row visit order of `a0`; changes no output bit.
     order: &'a RowOrder,
     protection: &'a Protection,
@@ -103,11 +106,6 @@ struct ResilientCtx<'a, R: Recorder> {
     /// Trusted input copy, captured before this iteration's faults
     /// (read by the ABFT schemes only).
     xref: &'a XRef,
-    /// Set when a non-clean product check may have rewritten the matrix
-    /// arrays (indices included) — ABFT-CORRECTION's repair attempt —
-    /// so rollback must restore the full image, not just the values.
-    /// Pure detection checks never mutate and leave the flag alone.
-    structure_dirty: &'a mut bool,
     /// Product-output faults deferred onto the product.
     q_faults: &'a [FaultEvent],
     stats: &'a mut RunStats,
@@ -115,11 +113,12 @@ struct ResilientCtx<'a, R: Recorder> {
     rec: &'a mut R,
 }
 
-impl<R: Recorder> StepContext for ResilientCtx<'_, R> {
+impl<W: CsrWords, R: Recorder> StepContext for ResilientCtx<'_, W, R> {
     fn product(&mut self, x: &mut [f64], y: &mut [f64]) -> ProductStatus {
         let t_prod = self.rec.start();
         if !self.hardened {
-            self.a.spmv_clamped_ordered_into(self.order, x, y);
+            let n = y.len();
+            self.a.row_band_product_clamped(0..n, self.order, x, y);
             self.rec.phase(Phase::Product, t_prod);
             return ProductStatus::Trusted; // ONLINE: unverified products
         }
@@ -140,9 +139,6 @@ impl<R: Recorder> StepContext for ResilientCtx<'_, R> {
             .check_product(self.a, x, self.xref, y, &probe);
         self.rec.phase(Phase::ProductCheck, t_check);
         self.stats.product_checks += 1;
-        if check != ProductCheck::Clean && self.protection.may_mutate() {
-            *self.structure_dirty = true;
-        }
         let it = self.stats.executed as u64;
         match check {
             ProductCheck::Clean => ProductStatus::Trusted,
@@ -190,8 +186,9 @@ pub(super) struct ExecutorMachine<'a, R: Recorder> {
     injector: Option<&'a mut Injector>,
     protection: Protection,
     solver: &'a mut CgMachine,
-    /// The live (corruptible) matrix image.
-    a: &'a mut CsrMatrix,
+    /// The live (corruptible) matrix: `a0` plus the flips since the
+    /// last reload.
+    a: CsrOverlay<'a>,
     /// Row visit order of `a0`, rebuilt by the workspace reset.
     order: &'a RowOrder,
     /// The rolling verified checkpoint.
@@ -219,21 +216,14 @@ pub(super) struct ExecutorMachine<'a, R: Recorder> {
     chunks_since_ckpt: usize,
     replica_rot: usize,
     converged: bool,
-    /// `true` while the live image's *structure* (`colid`/`rowptr`) may
-    /// differ from `a0`'s: set by index-array faults and by correction
-    /// attempts, cleared only by a rollback. While clean, rollback takes
-    /// the cheaper values-only restore ([`CsrMatrix::copy_values_from`];
-    /// the debug-mode equality check after the restore verifies this
-    /// very tracking on every test run).
-    structure_dirty: bool,
 }
 
 impl<'a, R: Recorder> ExecutorMachine<'a, R> {
     /// Sets up the protocol state exactly as the historical executor
     /// prologue did, same operations in the same order: the workspace
-    /// is reset to the zero-start state of `b` and a bit-exact image of
-    /// `a0` ([`SolverWorkspace::reset`]), then its buffers are borrowed
-    /// one by one.
+    /// is reset to the zero-start state of `b` and `a0`'s row order
+    /// ([`SolverWorkspace::reset`]), then its buffers are borrowed one by
+    /// one, the flip list as the overlay over `a0` with no flips.
     pub(super) fn new(
         a0: &'a CsrMatrix,
         b: &'a [f64],
@@ -245,7 +235,7 @@ impl<'a, R: Recorder> ExecutorMachine<'a, R> {
         ws.reset(a0, b);
         let SolverWorkspace {
             machine: solver,
-            image,
+            flips,
             order,
             slot,
             xref,
@@ -274,7 +264,7 @@ impl<'a, R: Recorder> ExecutorMachine<'a, R> {
             injector,
             protection,
             solver,
-            a: image,
+            a: CsrOverlay::new(a0, flips),
             order,
             slot,
             xref,
@@ -293,7 +283,6 @@ impl<'a, R: Recorder> ExecutorMachine<'a, R> {
             chunks_since_ckpt: 0,
             replica_rot: 0,
             converged,
-            structure_dirty: false,
         }
     }
 
@@ -358,13 +347,7 @@ impl<'a, R: Recorder> ExecutorMachine<'a, R> {
                     v[e.offset] = flip_f64(v[e.offset], e.bit);
                 }
                 _ => {
-                    if matches!(
-                        e.target,
-                        FaultTarget::MatrixColid | FaultTarget::MatrixRowidx
-                    ) {
-                        self.structure_dirty = true;
-                    }
-                    Injector::apply_to_matrix(e, self.a);
+                    Injector::apply_to_matrix(e, &mut self.a);
                 }
             }
         }
@@ -372,12 +355,11 @@ impl<'a, R: Recorder> ExecutorMachine<'a, R> {
         // iteration is charged `1 + Tverif` under the ABFT schemes.
         let t_step = self.rec.start();
         let step = self.solver.step(&mut ResilientCtx {
-            a: &mut *self.a,
+            a: &mut self.a,
             order: self.order,
             protection: &self.protection,
             hardened: self.hardened,
             xref: self.xref,
-            structure_dirty: &mut self.structure_dirty,
             q_faults: self.q_faults,
             stats: &mut self.stats,
             ledger: &mut self.ledger,
@@ -449,7 +431,7 @@ impl<'a, R: Recorder> ExecutorMachine<'a, R> {
             let t_verify = self.rec.start();
             let chunk_ok = self
                 .protection
-                .verify_chunk(self.a, self.order, self.solver);
+                .verify_chunk(&self.a, self.order, self.solver);
             self.rec.phase(Phase::ChunkVerify, t_verify);
             // Priced verifications (ONLINE) always leave a trace event;
             // the ABFT schemes' free per-iteration no-op checks only do
@@ -498,10 +480,11 @@ impl<'a, R: Recorder> ExecutorMachine<'a, R> {
         }
     }
 
-    /// Restores the pristine matrix and the latest checkpoint's vectors
-    /// into the solver — or, in the first frame and when the escalation
-    /// guard flags a tainted checkpoint, "reads initial data again": the
-    /// zero-start state of `b`. All in place, no allocation.
+    /// Re-reads the pristine matrix (clears the flips) and restores the
+    /// latest checkpoint's vectors into the solver — or, in the first
+    /// frame and when the escalation guard flags a tainted checkpoint,
+    /// "reads initial data again": the zero-start state of `b`. All in
+    /// place, no allocation.
     fn rollback(&mut self) {
         self.time += self.cfg.costs.trec;
         self.stats.rollbacks += 1;
@@ -513,13 +496,7 @@ impl<'a, R: Recorder> ExecutorMachine<'a, R> {
             self.rec.event(Event::escalate(self.stats.executed as u64));
         }
         self.guard.note_restore();
-        if self.structure_dirty {
-            self.a.copy_image_from(self.a0);
-        } else {
-            self.a.copy_values_from(self.a0);
-        }
-        debug_assert!(*self.a == *self.a0);
-        self.structure_dirty = false;
+        self.a.clear();
         match self.slot.latest() {
             Some(st) => {
                 self.solver.restore(st);

@@ -31,9 +31,12 @@
 //!   first act.
 //!
 //! Every forward product is the one defensive CSR traversal
-//! ([`CsrMatrix::spmv_clamped_probe_ordered_into`]) over the live image:
-//! the CSR arrays are what the faults hit, so no other format could be
-//! read without first being re-derived from them.
+//! ([`CsrMatrix::spmv_clamped_probe_ordered_into`]) over the live
+//! matrix. The unreliable matrix memory is `a0` plus the flips since
+//! the last reload (an [`ftcg_sparse::CsrOverlay`]): the traversal runs
+//! over `a0` and recomputes the rows a flip touched. The CSR arrays are
+//! what the faults hit, so no other format could be read without first
+//! being re-derived from them.
 //!
 //! A [`ResilientConfig`] holds what varies between runs — the scheme,
 //! the intervals `s` and `d`, the costs, the stopping rule and two

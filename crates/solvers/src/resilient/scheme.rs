@@ -20,7 +20,7 @@
 
 use ftcg_abft::{ProtectedSpmv, SingleChecksum, SpmvOutcome, XRef};
 use ftcg_model::{ResilienceCosts, Scheme};
-use ftcg_sparse::{CsrMatrix, RowOrder};
+use ftcg_sparse::{CsrMatrix, CsrWords, RowOrder};
 
 use crate::CgMachine;
 
@@ -74,14 +74,6 @@ impl Protection {
         !matches!(self, Protection::Online { .. })
     }
 
-    /// `true` when a non-clean [`Protection::check_product`] may have
-    /// rewritten the matrix arrays, indices included — ABFT-CORRECTION's
-    /// repair attempt. Otherwise rollback keeps its values-only restore
-    /// when only value faults struck.
-    pub(crate) fn may_mutate(&self) -> bool {
-        matches!(self, Protection::Correction(_))
-    }
-
     /// Iterations per chunk: the configured `d` for ONLINE-DETECTION, 1
     /// for the ABFT schemes (which verify every iteration).
     pub(crate) fn chunk_len(&self, verif_interval: usize) -> usize {
@@ -109,7 +101,8 @@ impl Protection {
     }
 
     /// Verifies (and under ABFT-CORRECTION possibly repairs) one forward
-    /// product `y = A·x` computed from the live matrix image; `xref` is
+    /// product `y = A·x` computed from the live matrix `a` (the solve's
+    /// overlay of flips over `a0`, where a repair lands too); `xref` is
     /// the trusted copy of the input captured before this iteration's
     /// faults struck.
     ///
@@ -118,7 +111,7 @@ impl Protection {
     /// checksum tests never sweep `y` themselves.
     pub(crate) fn check_product(
         &self,
-        a: &mut CsrMatrix,
+        a: &mut impl CsrWords,
         x: &mut [f64],
         xref: &XRef,
         y: &mut [f64],
@@ -150,7 +143,12 @@ impl Protection {
     /// Chunk-boundary whole-state verification; `true` means the state
     /// is trusted (a checkpoint may be taken, convergence accepted).
     /// `order` is the row visit order of the solve's products.
-    pub(crate) fn verify_chunk(&self, a: &CsrMatrix, order: &RowOrder, solver: &CgMachine) -> bool {
+    pub(crate) fn verify_chunk(
+        &self,
+        a: &impl CsrWords,
+        order: &RowOrder,
+        solver: &CgMachine,
+    ) -> bool {
         match self {
             Protection::Online { norm1_a } => !solver.verify_state(a, order, *norm1_a).detected,
             // Every product of the chunk was already verified.

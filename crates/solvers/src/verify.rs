@@ -17,7 +17,7 @@
 //! while bit flips that matter push them far above (tested below and in
 //! `ftcg-sim`).
 
-use ftcg_sparse::{vector, CsrMatrix, RowOrder};
+use ftcg_sparse::{vector, CsrWords, RowOrder};
 
 use crate::CgMachine;
 
@@ -46,14 +46,14 @@ pub(crate) struct OnlineVerdict {
 /// allocates nothing; per element and in order these are the
 /// operations of `max_abs_diff(b − A·x, r)`.
 fn residual_drift(
-    a: &CsrMatrix,
+    a: &impl CsrWords,
     order: &RowOrder,
     b: &[f64],
     x: &[f64],
     r: &[f64],
     norm1_a: f64,
 ) -> f64 {
-    let n = a.n_rows();
+    let n = a.base().n_rows();
     let mut band = [0.0_f64; RowOrder::WINDOW];
     let mut drift = 0.0_f64;
     for start in (0..n).step_by(band.len()) {
@@ -91,7 +91,8 @@ impl CgMachine {
     /// the machine's state. `p` is the search direction *after* the
     /// update (which should be A-conjugate to the previous one), `q` the
     /// last SpMxV output; the residual check recomputes `b − A·x`
-    /// against `a` (the dominant cost the model charges as `Tverif`),
+    /// against `a`, the live matrix (a [`CsrWords`]: the solve's overlay
+    /// of flips over `a0`; the dominant cost the model charges as `Tverif`),
     /// its product visiting rows in `order`, the solve's own (it changes
     /// no bit of the verdict).
     ///
@@ -101,12 +102,12 @@ impl CgMachine {
     /// meaningless.
     pub(crate) fn verify_state(
         &self,
-        a: &CsrMatrix,
+        a: &impl CsrWords,
         order: &RowOrder,
         norm1_a: f64,
     ) -> OnlineVerdict {
         let (b, x, r, p_next, q) = (&self.b, &self.x, &self.r, &self.p, &self.q);
-        let n = a.n_rows();
+        let n = a.base().n_rows();
         assert_eq!(x.len(), n);
         assert_eq!(r.len(), n);
 
@@ -143,7 +144,7 @@ impl CgMachine {
 mod tests {
     use super::*;
     use crate::machine::{PlainContext, StepResult};
-    use ftcg_sparse::gen;
+    use ftcg_sparse::{gen, CsrMatrix};
 
     /// A real CG machine on `a·x = b` from the zero start, stepped
     /// `iters` times with the plain product (fewer if it stops early).

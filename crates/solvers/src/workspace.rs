@@ -1,7 +1,7 @@
 //! Per-worker reusable solve memory: the [`SolverWorkspace`].
 //!
 //! A Monte-Carlo campaign executes the *same shapes* of work thousands
-//! of times: one CG machine, one corruptible matrix image, one
+//! of times: one CG machine, one flip list over the caller's matrix, one
 //! checkpoint slot, one trusted input copy, two short fault lists.
 //! Allocating those per repetition is pure allocator traffic on the hot
 //! path; a `SolverWorkspace` retains them across repetitions and
@@ -9,11 +9,13 @@
 //!
 //! * the one [`CgMachine`] is reset and resized in place — bit-identical
 //!   to a fresh [`CgMachine::start_zero`];
-//! * the one corruptible matrix image is reshaped to the caller's
-//!   matrix by [`CsrMatrix::assign_from`] — a copy into warm memory,
-//!   not a clone — and the defensive product's row visit order is
-//!   rebuilt from that matrix in place ([`RowOrder::rebuild`], 4 bytes
-//!   per row);
+//! * the unreliable matrix memory is `a0` plus the flips since the last
+//!   reload: the executor lays a [`CsrOverlay`] over the caller's own
+//!   pristine matrix, keeping only the flipped words, in one retained
+//!   [`Flips`] list that the overlay clears at every solve and every
+//!   rollback — no copy of the matrix is made. The defensive product's
+//!   row visit order is rebuilt from `a0` in place
+//!   ([`RowOrder::rebuild`], 4 bytes per row);
 //! * checkpoints — iteration vectors only; their matrix is the
 //!   caller's pristine input — live in a one-buffer [`SnapshotSlot`],
 //!   the trusted product input in one [`XRef`], and an iteration's
@@ -21,14 +23,16 @@
 //!   retained lists.
 //!
 //! Nothing is kept only to simulate faults: no start vectors (the
-//! first frame restarts from `b`) and no TMR replicas (their vote is a
+//! first frame restarts from `b`), no matrix image (the flips over `a0`
+//! are the corrupted matrix) and no TMR replicas (their vote is a
 //! function of the recorded flips, [`vote_flips`]).
 //!
 //! The resilient executor takes the whole workspace: its prologue calls
-//! `SolverWorkspace::reset` (machine, then image, then row order) and
-//! then borrows the seven buffers once, each on its own.
+//! `SolverWorkspace::reset` (machine, then row order) and then borrows
+//! the seven buffers once, each on its own.
 //!
 //! [`vote_flips`]: ftcg_abft::tmr::vote_flips
+//! [`CsrOverlay`]: ftcg_sparse::CsrOverlay
 //!
 //! ## Reuse contract (why bit-exactness holds)
 //!
@@ -48,20 +52,19 @@
 //!
 //! Every buffer is shared by all the shapes the worker solves and kept
 //! at its high-water capacity, so retained memory follows the *largest*
-//! matrix seen, not the number of distinct ones: **one matrix image**
-//! (the live, corruptible one) **plus O(n) vectors** (the one
-//! checkpoint buffer, the trusted input copy and the machine's). The matrix every rollback restores is the
-//! caller's own immutable `a0`, so no second image exists; buffers
-//! grow to exactly the size asked for
-//! ([`SolverWorkspace::retained_image_bytes`] reports the total). Drop
-//! the workspace — or scope one per campaign, as the engine pool does —
-//! to release everything.
+//! matrix seen, not the number of distinct ones: **O(n) vectors** (the
+//! one checkpoint buffer, the trusted input copy and the machine's),
+//! the row order, and a flip list as long as the most words a solve
+//! ever had flipped at once — **no matrix image**
+//! ([`SolverWorkspace::retained_image_bytes`]). Drop the workspace — or
+//! scope one per campaign, as the engine pool does — to release
+//! everything.
 
 use ftcg_abft::tmr::ReplicaFlip;
 use ftcg_abft::XRef;
 use ftcg_checkpoint::SnapshotSlot;
 use ftcg_fault::FaultEvent;
-use ftcg_sparse::{CsrMatrix, RowOrder};
+use ftcg_sparse::{CsrMatrix, Flips, RowOrder};
 
 use crate::CgMachine;
 
@@ -71,8 +74,9 @@ use crate::CgMachine;
 /// every repetition it executes.
 pub struct SolverWorkspace {
     pub(crate) machine: CgMachine,
-    /// The live (corruptible) matrix image.
-    pub(crate) image: CsrMatrix,
+    /// The words of the live matrix that differ from the solve's `a0`
+    /// (the executor's overlay keeps them here).
+    pub(crate) flips: Flips,
     /// Row visit order of the defensive product, rebuilt from the
     /// caller's pristine matrix at every reset (reliable metadata,
     /// like the checksums: never a fault target).
@@ -107,7 +111,7 @@ impl SolverWorkspace {
     pub fn new() -> Self {
         SolverWorkspace {
             machine: CgMachine::default(),
-            image: CsrMatrix::default(),
+            flips: Flips::new(),
             order: RowOrder::new(),
             slot: SnapshotSlot::new(),
             xref: XRef::empty(),
@@ -116,12 +120,12 @@ impl SolverWorkspace {
         }
     }
 
-    /// Bytes of matrix storage kept reserved between solves: the live
-    /// image at the capacity of the largest matrix it has held, plus
-    /// the empty row pointer of the checkpoint slot's one buffer, which
-    /// holds vectors only.
+    /// Bytes of matrix images kept reserved between solves: only the
+    /// empty row pointer (4 B) of the `0 × 0` matrix in the checkpoint
+    /// slot's one buffer, which holds vectors only. The live matrix is
+    /// the caller's `a0` plus a flip list, never an image of its own.
     pub fn retained_image_bytes(&self) -> usize {
-        self.image.capacity_bytes() + self.slot.retained_matrix_bytes()
+        self.slot.retained_matrix_bytes()
     }
 
     /// Bytes the row visit order keeps reserved: 4 per row of the
@@ -132,12 +136,11 @@ impl SolverWorkspace {
 
     /// Resets the workspace for one resilient solve of `a0·x = b`: the
     /// machine to the zero-start state of `b` (bit-identical to a fresh
-    /// [`CgMachine::start_zero`]), the corruptible image to a bit-exact
-    /// copy of `a0`, and the row visit order to `a0`'s. The executor's
-    /// prologue calls this before it borrows the fields.
+    /// [`CgMachine::start_zero`]) and the row visit order to `a0`'s. The
+    /// executor's prologue calls this before it borrows the fields; its
+    /// overlay over `a0` clears the flips.
     pub(crate) fn reset(&mut self, a0: &CsrMatrix, b: &[f64]) {
         self.machine.reset_zero(b);
-        self.image.assign_from(a0);
         self.order.rebuild(a0);
     }
 }
@@ -145,7 +148,44 @@ impl SolverWorkspace {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ftcg_sparse::gen;
+    use crate::resilient::{
+        solve_resilient, solve_resilient_in, ResilientConfig, ResilientOutcome,
+    };
+    use ftcg_fault::paper_injector;
+    use ftcg_model::Scheme;
+    use ftcg_sparse::{gen, CsrOverlay, CsrWord, CsrWords};
+
+    /// What a solve's outcome pins: the protocol counts and the iterate,
+    /// bit for bit.
+    fn fingerprint(out: &ResilientOutcome) -> (usize, usize, usize, usize, u64, Vec<u64>) {
+        (
+            out.executed_iterations,
+            out.rollbacks,
+            out.forward_corrections,
+            out.detections,
+            out.simulated_time.to_bits(),
+            out.x.iter().map(|v| v.to_bits()).collect(),
+        )
+    }
+
+    /// One solve of `a` under injection through `ws` and one through
+    /// fresh buffers, with the same fault stream: their fingerprints.
+    fn reused_and_fresh(
+        a: &CsrMatrix,
+        scheme: Scheme,
+        ws: &mut SolverWorkspace,
+    ) -> [(usize, usize, usize, usize, u64, Vec<u64>); 2] {
+        let b: Vec<f64> = (0..a.n_rows())
+            .map(|i| 1.0 + (i as f64 * 0.3).sin())
+            .collect();
+        let mut cfg = ResilientConfig::new(scheme, 3);
+        cfg.max_executed_iters = 300;
+        let mut inj = paper_injector(a, 0.25, 17);
+        let reused = solve_resilient_in(a, &b, &cfg, Some(&mut inj), ws);
+        let mut inj = paper_injector(a, 0.25, 17);
+        let fresh = solve_resilient(a, &b, &cfg, Some(&mut inj));
+        [fingerprint(&reused), fingerprint(&fresh)]
+    }
 
     #[test]
     fn checkout_resets_bit_identically_to_start_zero() {
@@ -156,7 +196,7 @@ mod tests {
         // Dirty the retained machine with a different rhs first.
         ws.reset(&a, &b2);
         ws.reset(&a, &b);
-        let (m, image) = (&ws.machine, &ws.image);
+        let m = &ws.machine;
         let fresh = CgMachine::start_zero(&b);
         for (got, want) in m.vectors().into_iter().zip(fresh.vectors()) {
             assert_eq!(got.len(), want.len());
@@ -173,10 +213,9 @@ mod tests {
             fresh.residual_norm().to_bits(),
             "residual norm differs after reset"
         );
-        assert_eq!(*image, a);
-        // Only the live image is ever sized: the slot's one buffer
-        // holds its empty row pointer, 4 bytes.
-        assert_eq!(ws.retained_image_bytes(), a.image_bytes() + 4);
+        // No matrix words: the slot's one buffer holds the empty row
+        // pointer of a `0 × 0` matrix, 4 bytes.
+        assert_eq!(ws.retained_image_bytes(), 4);
     }
 
     #[test]
@@ -199,97 +238,103 @@ mod tests {
         assert_eq!(ws.machine.vectors().map(<[f64]>::len), [30; 4]);
         assert_eq!(ws.machine.p.as_ptr(), p0, "the larger size regrows nothing");
 
-        // Both shapes share the one image, sized for the larger.
-        assert_eq!(ws.retained_image_bytes(), a2.image_bytes() + 4);
+        // Neither shape sizes a matrix image.
+        assert_eq!(ws.retained_image_bytes(), 4);
     }
 
+    /// A checkout hands the next solve `a0` itself, bit for bit, however
+    /// many flips the list still held.
     #[test]
     fn checkout_copies_the_image_bit_exactly() {
         let a = gen::random_spd(40, 0.08, 3).unwrap();
-        let b = vec![1.0; 40];
         let mut ws = SolverWorkspace::new();
-        ws.reset(&a, &b);
-        assert_eq!(ws.image, a);
+        // Flips an earlier solve (or a panic) left in the list.
+        let mut stale = CsrOverlay::new(&a, &mut ws.flips);
+        stale.write(CsrWord::Val(4), f64::NAN.to_bits());
+        stale.write(CsrWord::Rowidx(9), u64::from(u32::MAX));
+        assert!(!ws.flips.is_empty());
+        for scheme in [
+            Scheme::AbftDetection,
+            Scheme::AbftCorrection,
+            Scheme::OnlineDetection,
+        ] {
+            let [reused, fresh] = reused_and_fresh(&a, scheme, &mut ws);
+            assert_eq!(reused, fresh, "{scheme:?}");
+        }
     }
 
+    /// Solves of one shape under injection keep one short flip list —
+    /// the live matrix's only storage — and reuse it; no image is sized.
     #[test]
     fn same_shape_reuses_the_image_buffer() {
         let a = gen::tridiagonal(30, 4.0, -1.0).unwrap();
-        let b = vec![1.0; 30];
         let mut ws = SolverWorkspace::new();
-        ws.reset(&a, &b);
-        let p0 = ws.image.val().as_ptr();
-        // Corrupt the image, then reset again: healed, same buffer.
-        ws.image.val_mut()[0] = f64::NAN;
-        ws.reset(&a, &b);
-        assert_eq!(ws.image.val().as_ptr(), p0);
-        assert_eq!(ws.image, a);
+        let solve_all = |ws: &mut SolverWorkspace| {
+            for scheme in [
+                Scheme::AbftDetection,
+                Scheme::AbftCorrection,
+                Scheme::OnlineDetection,
+            ] {
+                let [reused, fresh] = reused_and_fresh(&a, scheme, ws);
+                assert_eq!(reused, fresh, "{scheme:?}");
+            }
+        };
+        solve_all(&mut ws);
+        let flip_bytes = ws.flips.capacity_bytes();
+        assert!(flip_bytes > 0, "the storm strikes matrix words");
+        assert!(
+            flip_bytes < a.image_bytes(),
+            "{flip_bytes} B of flips against a {} B image",
+            a.image_bytes()
+        );
+        solve_all(&mut ws);
+        assert_eq!(ws.flips.capacity_bytes(), flip_bytes, "the list is reused");
+        assert_eq!(ws.retained_image_bytes(), 4);
     }
 
+    /// Shapes share the workspace's buffers at their high-water mark,
+    /// and none of them sizes a matrix image.
     #[test]
     fn distinct_shapes_share_one_image_at_the_high_water_mark() {
         let small = gen::tridiagonal(20, 4.0, -1.0).unwrap();
         let large = gen::tridiagonal(25, 4.0, -1.0).unwrap();
         let (bs, bl) = (vec![1.0; 20], vec![1.0; 25]);
         let mut ws = SolverWorkspace::new();
-        ws.reset(&large, &bl);
-        let bytes = ws.retained_image_bytes();
-        ws.reset(&large, &bl);
-        let p0 = ws.image.val().as_ptr();
         for _ in 0..2 {
-            ws.reset(&small, &bs);
-            assert_eq!(ws.image, small);
-            assert_eq!(
-                ws.image.val().as_ptr(),
-                p0,
-                "the smaller shape reuses the buffer"
-            );
             ws.reset(&large, &bl);
-            assert_eq!(ws.image, large);
+            ws.reset(&small, &bs);
         }
-        assert_eq!(
-            ws.retained_image_bytes(),
-            bytes,
-            "no growth past the largest shape"
-        );
+        assert_eq!(ws.retained_image_bytes(), 4);
+        assert_eq!(ws.retained_order_bytes(), 4 * 25);
     }
 
     #[test]
     fn same_shape_different_pattern_still_copies_exactly() {
-        // Equal (n, nnz), different sparsity patterns: the reset must
-        // copy the whole image (pattern included), never just the values.
-        let a = CsrMatrix::new(
-            3,
-            3,
-            vec![0, 2, 3, 4],
-            vec![0, 1, 1, 2],
-            vec![4.0, 1.0, 3.0, 2.0],
-        )
-        .unwrap();
-        let b = CsrMatrix::new(
-            3,
-            3,
-            vec![0, 1, 3, 4],
-            vec![0, 0, 1, 2],
-            vec![7.0, 5.0, 6.0, 9.0],
-        )
-        .unwrap();
+        // Equal (n, nnz), different sparsity patterns: each solve must
+        // read its own `a0` (pattern included), whatever the flips of
+        // the solve before touched.
+        let a = gen::random_spd(50, 0.08, 21).unwrap();
+        let mut rowptr = a.rowptr().to_vec();
+        // Move one entry from row 1 to row 0 (a different pattern with
+        // the same n and nnz, column order kept within each row).
+        rowptr[1] += 1;
+        let b =
+            CsrMatrix::from_parts_unchecked(50, 50, rowptr, a.colid().to_vec(), a.val().to_vec());
         assert_eq!(a.nnz(), b.nnz());
-        assert_ne!(a.colid(), b.colid());
-        let rhs = vec![1.0; 3];
+        assert_ne!(a.rowptr(), b.rowptr());
         let mut ws = SolverWorkspace::new();
-        ws.reset(&a, &rhs);
-        ws.reset(&b, &rhs);
-        assert_eq!(ws.image, b);
+        for m in [&a, &b, &a] {
+            let [reused, fresh] = reused_and_fresh(m, Scheme::AbftCorrection, &mut ws);
+            assert_eq!(reused, fresh);
+        }
     }
 
     #[test]
     fn checkpoint_holds_no_matrix_words() {
-        use crate::resilient::{solve_resilient_in, ResilientConfig};
         let a = gen::random_spd(60, 0.1, 5).unwrap();
         let b: Vec<f64> = (0..60).map(|i| 1.0 + (i as f64 * 0.3).sin()).collect();
         let mut ws = SolverWorkspace::new();
-        let cfg = ResilientConfig::new(ftcg_model::Scheme::AbftCorrection, 3);
+        let cfg = ResilientConfig::new(Scheme::AbftCorrection, 3);
         let out = solve_resilient_in(&a, &b, &cfg, None, &mut ws);
         assert!(out.converged && out.checkpoints > 0);
         // A checkpoint's matrix is `a0`: it keeps vectors only.
@@ -297,7 +342,8 @@ mod tests {
         assert_eq!(ckpt.n(), 60);
         assert_eq!(ckpt.size_words(), 3 * 60 + 1 + 2);
         assert_eq!(ws.slot.retained_matrix_bytes(), 4);
-        // The live image, nothing else.
-        assert_eq!(ws.retained_image_bytes(), a.image_bytes() + 4);
+        // No live image either, and no flip in a fault-free solve.
+        assert_eq!(ws.retained_image_bytes(), 4);
+        assert_eq!(ws.flips.capacity_bytes(), 0);
     }
 }

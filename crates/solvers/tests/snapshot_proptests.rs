@@ -197,13 +197,14 @@ proptest! {
             let reused = solve_resilient_in(&a, &b, &cfg, Some(&mut inj), &mut ws);
             assert_outcomes_bitexact(&format!("{scheme:?}"), &fresh, &reused);
         }
-        // One workspace served the whole grid: one image of the one
-        // shape (the live one) and the empty row pointer (4 B) of the
-        // checkpoint buffer.
-        prop_assert_eq!(ws.retained_image_bytes(), a.image_bytes() + 4);
+        // One workspace served the whole grid and retains no matrix
+        // words: the live matrix is `a0` plus its flips, and the
+        // checkpoint buffer holds the empty row pointer (4 B) of a
+        // `0 × 0` matrix.
+        prop_assert_eq!(ws.retained_image_bytes(), 4);
     }
 
-    /// One workspace reshaped large → small → large (its image, slot
+    /// One workspace reshaped large → small → large (its flip list, slot
     /// vectors and shadows shrink and regrow inside their high-water
     /// capacity) stays bit-identical to fresh workspaces, under fault
     /// injection, for every scheme.
@@ -235,8 +236,8 @@ proptest! {
                 );
             }
         }
-        // Sized by the large system alone.
-        prop_assert_eq!(ws.retained_image_bytes(), large.0.image_bytes() + 4);
+        // No shape sized a matrix image.
+        prop_assert_eq!(ws.retained_image_bytes(), 4);
     }
 }
 

@@ -22,6 +22,10 @@
 //!   storage with exact CSR roundtrips, measured by the benchmark's
 //!   format probes only (no solve reads them: the faults hit the CSR
 //!   arrays),
+//! * [`CsrWords`] — read/write access to the three CSR word arrays, and
+//!   [`CsrOverlay`] — a corruptible matrix as its pristine image plus the
+//!   words flipped since the last reload ([`Flips`]), so no second image
+//!   of the matrix exists,
 //! * [`RowOrder`] — the length-sorted row visit order of the one defensive
 //!   CSR traversal (SELL's σ-sorting without SELL's second copy),
 //! * dense vector kernels ([`vector`]) used by the Conjugate Gradient solver,
@@ -52,6 +56,7 @@ pub mod fused;
 pub mod gen;
 pub mod io;
 mod order;
+mod overlay;
 pub mod parallel;
 mod sell;
 pub mod stats;
@@ -62,6 +67,7 @@ pub use coo::CooMatrix;
 pub use csr::{CsrMatrix, MAX_INDEX_BOUND};
 pub use error::SparseError;
 pub use order::RowOrder;
+pub use overlay::{CsrOverlay, CsrWord, CsrWords, Flips};
 pub use sell::SellCSigma;
 
 /// Convenience result alias for fallible sparse operations.

@@ -1,6 +1,9 @@
 //! Property-based tests for the sparse substrate.
 
-use ftcg_sparse::{fused, gen, io, vector, BcsrMatrix, CooMatrix, CsrMatrix, RowOrder, SellCSigma};
+use ftcg_sparse::{
+    fused, gen, io, vector, BcsrMatrix, CooMatrix, CsrMatrix, CsrOverlay, CsrWord, CsrWords, Flips,
+    RowOrder, SellCSigma,
+};
 use proptest::prelude::*;
 
 /// Strategy: a random small COO matrix with valid coordinates.
@@ -71,8 +74,14 @@ proptest! {
         a in ragged_csr_strategy(),
         other in ragged_csr_strategy(),
         hits in proptest::collection::vec((0usize..4, 0usize..1 << 20, 0usize..1 << 20), 0..6),
+        band in (0usize..1 << 20, 0usize..1 << 20),
     ) {
         let n = a.n_rows();
+        // The pristine matrix under an overlay that takes every write
+        // the materialized copy `a` takes.
+        let clean = a.clone();
+        let mut flips = Flips::new();
+        let mut overlay = CsrOverlay::new(&clean, &mut flips);
         let mut a = a;
         // The order is built from the clean matrix ...
         let mut order = RowOrder::new();
@@ -88,14 +97,26 @@ proptest! {
         // ... and the structure is corrupted afterwards.
         for (kind, at, to) in hits {
             let nnz = a.nnz();
-            match kind {
-                0 => a.rowptr_mut()[at % (n + 1)] = u32::MAX,
-                1 => a.rowptr_mut()[at % (n + 1)] = (to % (nnz + 2)) as u32, // inverted / overlapping
-                2 if nnz > 0 => a.colid_mut()[at % nnz] = (n + to) as u32,
-                _ if nnz > 0 => a.val_mut()[at % nnz] = f64::NAN,
-                _ => {}
+            let write = match kind {
+                0 => Some((CsrWord::Rowidx(at % (n + 1)), u64::from(u32::MAX))),
+                // inverted / overlapping
+                1 => Some((CsrWord::Rowidx(at % (n + 1)), (to % (nnz + 2)) as u64)),
+                2 if nnz > 0 => Some((CsrWord::Colid(at % nnz), (n + to) as u64)),
+                _ if nnz > 0 => Some((CsrWord::Val(at % nnz), f64::NAN.to_bits())),
+                _ => None,
+            };
+            if let Some((at, bits)) = write {
+                a.write(at, bits);
+                overlay.write(at, bits);
             }
         }
+        for at in (0..a.nnz())
+            .flat_map(|k| [CsrWord::Val(k), CsrWord::Colid(k)])
+            .chain((0..=n).map(CsrWord::Rowidx))
+        {
+            prop_assert_eq!(overlay.read(at), a.read(at), "{:?}", at);
+        }
+        prop_assert_eq!(overlay.rowptr_sums(), a.rowptr_sums());
         let x: Vec<f64> = (0..n).map(|i| ((i * 13 % 29) as f64) * 0.25 - 3.0).collect();
         let mut want = vec![0.0; n];
         a.spmv_clamped_into(&x, &mut want);
@@ -109,7 +130,22 @@ proptest! {
             let probe = a.spmv_clamped_probe_ordered_into(order, &x, &mut y);
             prop_assert_eq!(bits(&y), bits(&want));
             prop_assert_eq!(bits(&probe), bits(&want_probe));
+            // The overlay: the same product, probe and band product.
+            let mut y = vec![f64::NAN; n];
+            overlay.row_band_product_clamped(0..n, order, &x, &mut y);
+            prop_assert_eq!(bits(&y), bits(&want));
+            let mut y = vec![f64::NAN; n];
+            let probe = overlay.spmv_clamped_probe_ordered_into(order, &x, &mut y);
+            prop_assert_eq!(bits(&y), bits(&want));
+            prop_assert_eq!(bits(&probe), bits(&want_probe));
+            let (lo, hi) = (band.0 % (n + 1), band.1 % (n + 1));
+            let rows = lo.min(hi)..lo.max(hi);
+            let mut y = vec![f64::NAN; rows.len()];
+            overlay.row_band_product_clamped(rows.clone(), order, &x, &mut y);
+            prop_assert_eq!(bits(&y), bits(&want[rows]));
         }
+        overlay.clear();
+        prop_assert!(overlay.flips().is_empty());
         // Rebuilding from the corrupted matrix still yields a permutation.
         order.rebuild(&a);
         prop_assert!(permutes_windows(&order, n));

@@ -75,8 +75,8 @@ fn record(args: &[String]) -> Result<bool, String> {
         file = BenchFile::load(out_path)?;
     }
     let (added, runs) = (entries.len(), paths.len());
+    file.append(entries).map_err(|e| format!("{out}: {e}"))?;
     eprintln!("{out}: +{added} entries ({runs} run(s) each)");
-    file.entries.extend(entries);
     std::fs::write(out_path, file.render()).map_err(|e| format!("{out}: {e}"))?;
     Ok(false)
 }

@@ -163,6 +163,27 @@ impl BenchFile {
         Ok(BenchFile { entries })
     }
 
+    /// Appends one recording's entries. Refused when the file already
+    /// holds an entry with their stamp (date, label, PR): `compare` reads
+    /// a recording as the entries stamped alike, so the two recordings
+    /// would merge into one.
+    pub(crate) fn append(&mut self, entries: Vec<BenchEntry>) -> Result<(), String> {
+        let stamp = |e: &BenchEntry| (e.date.clone(), e.label.clone(), e.pr);
+        if let Some(taken) = entries
+            .iter()
+            .find(|new| self.entries.iter().any(|old| stamp(old) == stamp(new)))
+        {
+            let pr = taken.pr.map_or_else(|| "none".into(), |pr| pr.to_string());
+            return Err(format!(
+                "a recording stamped date {}, label `{}`, PR {pr} is already there: the two \
+                 would merge into one; give this one its own --label",
+                taken.date, taken.label
+            ));
+        }
+        self.entries.extend(entries);
+        Ok(())
+    }
+
     /// The latest entry for a suite, if any (`compare`'s baseline).
     pub(crate) fn latest(&self, suite: &str) -> Option<&BenchEntry> {
         self.entries.iter().rev().find(|e| e.suite == suite)
@@ -267,6 +288,29 @@ mod tests {
         assert_eq!(back.entries, [sample_entry()]);
         assert_eq!(back.latest("quick").unwrap().id, "quick/2026-08-08");
         assert!(back.latest("table1").is_none());
+    }
+
+    #[test]
+    fn a_taken_stamp_is_refused_and_a_new_label_is_not() {
+        let mut file = BenchFile::default();
+        file.append(vec![sample_entry()]).unwrap();
+        // The same date, label and PR: refused, and the file is unchanged.
+        let mut other = sample_entry();
+        other.suite = "fault_free".into();
+        let err = file.append(vec![other.clone()]).unwrap_err();
+        assert!(err.contains("--label") && err.contains("`unit`"), "{err}");
+        assert_eq!(file.entries, vec![sample_entry()]);
+        // Another label, PR or date is another recording.
+        for change in [
+            |e: &mut BenchEntry| e.label = "unit, again".into(),
+            |e: &mut BenchEntry| e.pr = None,
+            |e: &mut BenchEntry| e.date = "2026-08-09".into(),
+        ] {
+            let mut fresh = other.clone();
+            change(&mut fresh);
+            file.append(vec![fresh]).unwrap();
+        }
+        assert_eq!(file.entries.len(), 4);
     }
 
     #[test]
