@@ -19,7 +19,7 @@
 //! zero-column-sum failure mode can be demonstrated (see the tests and
 //! `examples/zero_column_sums.rs`).
 
-use ftcg_sparse::{vector, CsrMatrix, CsrWords};
+use ftcg_sparse::{vector, CsrMatrix, CsrWords, RowOrder};
 
 use crate::checksum::choose_shift;
 use crate::spmv::XRef;
@@ -154,8 +154,11 @@ impl SingleChecksum {
         }
     }
 
-    /// Defensive kernel ([`CsrMatrix::spmv_clamped_into`]) +
+    /// Defensive kernel ([`CsrWords::row_products`], natural order) +
     /// verification in one call.
+    ///
+    /// # Panics
+    /// Panics if `y.len() != n_rows`.
     pub fn spmv_detect(
         &self,
         a: &CsrMatrix,
@@ -163,7 +166,8 @@ impl SingleChecksum {
         xref: &XRef,
         y: &mut [f64],
     ) -> SingleOutcome {
-        a.spmv_clamped_into(x, y);
+        assert_eq!(y.len(), a.n_rows(), "spmv_clamped: y length mismatch");
+        a.row_products(0..y.len(), &RowOrder::new(), x, |i, v| y[i] = v);
         self.verify(a, x, xref, y)
     }
 }

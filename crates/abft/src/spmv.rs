@@ -5,7 +5,7 @@
 //! orchestrates these steps around fault injection):
 //!
 //! 1. [`ProtectedSpmv::spmv`] — the defensive CSR kernel `y ← Ax`,
-//!    [`CsrMatrix::spmv_clamped_into`], which never panics on corrupted
+//!    [`CsrWords::row_products`], which never panics on corrupted
 //!    structure (clamped row ranges, skipped out-of-range column
 //!    indices). The executor runs the same traversal itself, fused with
 //!    the output probe, and hands the probe to
@@ -23,7 +23,7 @@
 //! row, both rows' norms from [`crate::weights`]; the localization
 //! slack is a constant there, not a field.
 
-use ftcg_sparse::{fused, vector, CsrMatrix, CsrWords};
+use ftcg_sparse::{fused, vector, CsrMatrix, CsrWords, RowOrder};
 
 use crate::checksum::MatrixChecksums;
 use crate::correct::CorrectionReport;
@@ -129,9 +129,14 @@ impl ProtectedSpmv {
         &self.checks
     }
 
-    /// Defensive kernel `y ← Ax` ([`CsrMatrix::spmv_clamped_into`]).
+    /// Defensive kernel `y ← Ax` ([`CsrWords::row_products`], natural
+    /// order).
+    ///
+    /// # Panics
+    /// Panics if `y.len() != n_rows`.
     pub fn spmv(&self, a: &CsrMatrix, x: &[f64], y: &mut [f64]) {
-        a.spmv_clamped_into(x, y);
+        assert_eq!(y.len(), a.n_rows(), "spmv_clamped: y length mismatch");
+        a.row_products(0..y.len(), &RowOrder::new(), x, |i, v| y[i] = v);
     }
 
     /// Evaluates the three residue tests of Algorithm 2 line 23 against

@@ -32,12 +32,13 @@ use std::time::Instant;
 
 use ftcg_fault::Injector;
 use ftcg_solvers::resilient::{solve_resilient_in, solve_resilient_recorded};
+use ftcg_telemetry::log::Header;
 use ftcg_telemetry::metrics::MetricsWriter;
 use ftcg_telemetry::{Event, JobSpan, Recorder, TelemetryError, TraceMeta, TraceWriter};
 
 use crate::aggregate::{self, ConfigSummary, JobMetrics};
 use crate::grid::{expand, ConfigJob};
-use crate::journal::{self, fingerprint, JobRecord, JournalWriter, Manifest, Shard};
+use crate::journal::{self, fingerprint, JobRecord, JournalWriter, Shard};
 use crate::pool::{effective_threads, run_indices_ctx, ProgressFn};
 use crate::seedstream::derive_seed;
 use crate::spec::{CampaignSpec, MatrixResolver};
@@ -99,12 +100,13 @@ impl Default for RunOptions<'_> {
 }
 
 /// What one process contributed to a campaign: the records of its
-/// shard (replayed + freshly executed), with the manifest identifying
+/// shard (replayed + freshly executed), with the header identifying
 /// the campaign they belong to.
 #[derive(Debug)]
 pub struct ShardOutcome {
-    /// The identity this run (and its journal, if any) carries.
-    pub manifest: Manifest,
+    /// The identity and shard this run (and its journal, if any)
+    /// carries.
+    pub header: Header,
     /// All records this process knows for its shard, sorted by job
     /// index.
     pub records: Vec<(usize, JobRecord)>,
@@ -224,32 +226,34 @@ pub fn run_configs_sharded(
     // the declarative path does via EmptyGrid.
     assert!(reps >= 1, "run_configs_sharded: reps must be >= 1");
     let total = configs.len() * reps;
-    let manifest = Manifest {
-        name: name.to_string(),
-        fingerprint: fingerprint(name, campaign_seed, reps, configs),
-        seed: campaign_seed,
-        reps,
-        total_jobs: total,
-        shard: opts.shard,
+    let header = Header {
+        meta: TraceMeta {
+            name: name.to_string(),
+            fingerprint: fingerprint(name, campaign_seed, reps, configs),
+            seed: campaign_seed,
+            reps,
+            total_jobs: total,
+        },
+        shard: Some([opts.shard.index, opts.shard.count]),
     };
     let (journal, replayed_records) = match opts.journal {
         Some(path) => {
-            let (w, records) = JournalWriter::open(path, &manifest, opts.resume)?;
+            let (w, records) = JournalWriter::open(path, &header, opts.resume)?;
             (Some(Mutex::new(w)), records)
         }
         None => (None, Vec::new()),
     };
     // Trace and sidecar carry the shard-free campaign identity, so the
     // shard files of one campaign share a header and merge cleanly.
-    let meta = manifest.meta();
-    let open_trace = |p| TraceWriter::open(p, &meta, opts.resume).map(Mutex::new);
+    let meta = &header.meta;
+    let open_trace = |p| TraceWriter::open(p, meta, opts.resume).map(Mutex::new);
     let tracer = opts.trace.map(open_trace).transpose()?;
-    let open_metrics = |p| MetricsWriter::open(p, &meta, opts.resume).map(Mutex::new);
+    let open_metrics = |p| MetricsWriter::open(p, meta, opts.resume).map(Mutex::new);
     let metrics = opts.metrics.map(open_metrics).transpose()?;
     // The loader bounds every replayed job index by the campaign's.
     let mut have = vec![false; total];
     replayed_records.iter().for_each(|&(j, _)| have[j] = true);
-    let todo: Vec<usize> = manifest
+    let todo: Vec<usize> = opts
         .shard
         .job_indices(total)
         .into_iter()
@@ -341,7 +345,7 @@ pub fn run_configs_sharded(
     records.extend(todo.into_iter().zip(results));
     records.sort_by_key(|&(j, _)| j);
     Ok(ShardOutcome {
-        manifest,
+        header,
         records,
         replayed,
         executed,
@@ -405,7 +409,7 @@ pub fn fold_outcome(
     let (summaries, panics) = fold_records(name, reps, configs, &outcome.records)?;
     Ok(CampaignResult {
         summaries,
-        total_jobs: outcome.manifest.total_jobs,
+        total_jobs: outcome.header.meta.total_jobs,
         panics,
         threads: outcome.threads,
         elapsed_secs: outcome.elapsed_secs,

@@ -2,10 +2,10 @@
 //!
 //! A *journal* is a durable log (`ftcg_telemetry::log` holds the
 //! discipline) of finished jobs, one record line per job, so `--resume`
-//! re-runs exactly the jobs with no record. Its header, the
-//! [`Manifest`], adds the writing shard to the campaign identity, whose
-//! [`fingerprint`] of the expanded grid rejects a stale journal on
-//! resume or merge — never a silent mix of two experiments.
+//! re-runs exactly the jobs with no record. Its [`Header`] adds the
+//! writing shard to the campaign identity, whose [`fingerprint`] of the
+//! expanded grid rejects a stale journal on resume or merge — never a
+//! silent mix of two experiments.
 //!
 //! Journals are **not** the deterministic artifact: lines land in
 //! completion order. The fold restores determinism by keying records on
@@ -78,58 +78,6 @@ pub enum JobRecord {
     /// rather than aborting the campaign). Folded into the `panics`
     /// column.
     Failed(String),
-}
-
-/// The identity line at the head of every journal.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Manifest {
-    /// Campaign name.
-    pub name: String,
-    /// FNV-1a fingerprint of the expanded grid (see [`fingerprint`]).
-    pub fingerprint: u64,
-    /// Campaign seed.
-    pub seed: u64,
-    /// Repetitions per configuration.
-    pub reps: usize,
-    /// Total jobs in the *full* campaign (all shards).
-    pub total_jobs: usize,
-    /// The shard the producing process ran.
-    pub shard: Shard,
-}
-
-impl Manifest {
-    /// The shard-free campaign identity, as trace and sidecar headers
-    /// carry it.
-    pub fn meta(&self) -> TraceMeta {
-        TraceMeta {
-            name: self.name.clone(),
-            fingerprint: self.fingerprint,
-            seed: self.seed,
-            reps: self.reps,
-            total_jobs: self.total_jobs,
-        }
-    }
-
-    fn header(&self) -> Header {
-        Header {
-            meta: self.meta(),
-            shard: Some([self.shard.index, self.shard.count]),
-        }
-    }
-
-    fn from_header(h: Header) -> Manifest {
-        // The journal header parser only accepts a valid shard.
-        let [index, count] = h.shard.unwrap_or([0, 1]);
-        let m = h.meta;
-        Manifest {
-            name: m.name,
-            fingerprint: m.fingerprint,
-            seed: m.seed,
-            reps: m.reps,
-            total_jobs: m.total_jobs,
-            shard: Shard { index, count },
-        }
-    }
 }
 
 /// FNV-1a over the canonical description of an expanded grid: campaign
@@ -273,11 +221,11 @@ fn records(entries: Vec<Entry<JobRecord>>) -> Vec<(usize, JobRecord)> {
     entries.into_iter().map(|e| (e.job, e.value)).collect()
 }
 
-/// A loaded journal: manifest and replayed records.
+/// A loaded journal: header and replayed records.
 #[derive(Debug)]
 pub struct Journal {
-    /// The identity line.
-    pub manifest: Manifest,
+    /// The identity line, with the writing shard.
+    pub header: Header,
     /// Replayed `(job_index, record)` pairs, in file (completion) order.
     pub records: Vec<(usize, JobRecord)>,
     /// Whether a torn final line was dropped.
@@ -290,7 +238,7 @@ impl Journal {
     pub fn load(path: &Path) -> Result<Journal, TelemetryError> {
         let log = Log::load(path, &JOURNAL, parse_record)?;
         Ok(Journal {
-            manifest: Manifest::from_header(log.header),
+            header: log.header,
             records: records(log.entries),
             torn_tail: log.torn_tail,
         })
@@ -324,8 +272,8 @@ impl JournalWriter {
     /// Creates a fresh journal at `path`; an existing file is
     /// [`TelemetryError::AlreadyExists`] — stale journals must be
     /// resumed or removed explicitly.
-    pub fn create(path: &Path, manifest: &Manifest) -> Result<JournalWriter, TelemetryError> {
-        Ok(Self::open(path, manifest, false)?.0)
+    pub fn create(path: &Path, header: &Header) -> Result<JournalWriter, TelemetryError> {
+        Ok(Self::open(path, header, false)?.0)
     }
 
     /// Opens a journal under the log open rule (resume requires the
@@ -333,11 +281,10 @@ impl JournalWriter {
     /// records that survived, in file order.
     pub(crate) fn open(
         path: &Path,
-        manifest: &Manifest,
+        header: &Header,
         resume: bool,
     ) -> Result<(JournalWriter, Vec<(usize, JobRecord)>), TelemetryError> {
-        let (w, entries) =
-            LogWriter::open(path, &JOURNAL, &manifest.header(), resume, parse_record)?;
+        let (w, entries) = LogWriter::open(path, &JOURNAL, header, resume, parse_record)?;
         Ok((JournalWriter(w), records(entries)))
     }
 
@@ -363,14 +310,16 @@ mod tests {
         }
     }
 
-    fn manifest() -> Manifest {
-        Manifest {
-            name: "t".into(),
-            fingerprint: 0xDEAD_BEEF_0123_4567,
-            seed: 9,
-            reps: 5,
-            total_jobs: 10,
-            shard: Shard { index: 1, count: 2 },
+    fn header() -> Header {
+        Header {
+            meta: TraceMeta {
+                name: "t".into(),
+                fingerprint: 0xDEAD_BEEF_0123_4567,
+                seed: 9,
+                reps: 5,
+                total_jobs: 10,
+            },
+            shard: Some([1, 2]),
         }
     }
 
@@ -395,39 +344,34 @@ mod tests {
         assert!(owned.iter().all(|&c| c == 1));
     }
 
-    fn roundtrip(m: &Manifest) -> Manifest {
+    fn roundtrip(m: &Header) -> Header {
         let dir = std::env::temp_dir().join(format!("ftcg-journal-rt-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join(format!("{}.jsonl", m.seed));
+        let path = dir.join(format!("{}.jsonl", m.meta.seed));
         let _ = std::fs::remove_file(&path);
         JournalWriter::create(&path, m).unwrap();
-        let back = Journal::load(&path).unwrap().manifest;
+        let back = Journal::load(&path).unwrap().header;
         std::fs::remove_file(&path).unwrap();
         back
     }
 
     #[test]
     fn manifest_roundtrip() {
-        let m = manifest();
+        let m = header();
         // The header renders byte-for-byte as journals always have.
         assert_eq!(
-            m.header().render(&JOURNAL),
+            m.render(&JOURNAL),
             "{\"ftcg_journal\":1,\"name\":\"t\",\"fingerprint\":\"0xdeadbeef01234567\",\
              \"seed\":\"9\",\"reps\":5,\"total_jobs\":10,\"shard\":[1,2]}"
         );
         assert_eq!(roundtrip(&m), m);
         // Seeds above 2^53 must survive: the JSON number model is f64,
         // so the seed travels as a decimal string.
-        let big = Manifest {
-            seed: (1u64 << 53) + 1,
-            ..manifest()
-        };
-        assert_eq!(roundtrip(&big), big);
-        let max = Manifest {
-            seed: u64::MAX,
-            ..manifest()
-        };
-        assert_eq!(roundtrip(&max), max);
+        for seed in [(1u64 << 53) + 1, u64::MAX] {
+            let mut big = header();
+            big.meta.seed = seed;
+            assert_eq!(roundtrip(&big), big);
+        }
     }
 
     #[test]
@@ -481,7 +425,7 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("j.jsonl");
         let _ = std::fs::remove_file(&path);
-        let m = manifest();
+        let m = header();
         {
             let mut w = JournalWriter::create(&path, &m).unwrap();
             w.append(3, &JobRecord::Done(metrics(1.5))).unwrap();
@@ -493,7 +437,7 @@ mod tests {
             Err(TelemetryError::AlreadyExists { .. })
         ));
         let j = Journal::load(&path).unwrap();
-        assert_eq!(j.manifest, m);
+        assert_eq!(j.header, m);
         assert_eq!(j.records.len(), 2);
         assert!(!j.torn_tail);
         // Simulate a crash mid-write: append half a line.
@@ -527,12 +471,12 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("j.jsonl");
         let _ = std::fs::remove_file(&path);
-        let m = manifest();
+        let m = header();
         std::fs::write(
             &path,
             format!(
                 "{}\ngarbage not json\n{}\n",
-                m.header().render(&JOURNAL),
+                m.render(&JOURNAL),
                 record_line(1, &JobRecord::Done(metrics(1.0)))
             ),
         )
@@ -550,9 +494,9 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("j.jsonl");
         let _ = std::fs::remove_file(&path);
-        let m = manifest();
+        let m = header();
         let rec = record_line(4, &JobRecord::Done(metrics(1.0)));
-        let head = m.header().render(&JOURNAL);
+        let head = m.render(&JOURNAL);
         std::fs::write(&path, format!("{head}\n{rec}\n{rec}\n")).unwrap();
         let j = Journal::load(&path).unwrap();
         assert_eq!(j.records.len(), 1, "identical duplicates deduplicated");
@@ -567,11 +511,11 @@ mod tests {
 
     #[test]
     fn manifest_mismatches_are_described() {
-        let m = manifest();
-        let check = |other: &Manifest, shard: bool| {
-            let mut expected = other.header();
+        let m = header();
+        let check = |other: &Header, shard: bool| {
+            let mut expected = other.clone();
             expected.shard = expected.shard.filter(|_| shard);
-            match m.header().same_campaign(&JOURNAL, "j", &expected) {
+            match m.same_campaign(&JOURNAL, "j", &expected) {
                 Ok(()) => String::new(),
                 Err(TelemetryError::CampaignMismatch { msg, .. }) => msg,
                 Err(e) => panic!("{e:?}"),
@@ -579,13 +523,13 @@ mod tests {
         };
         assert!(check(&m, true).is_empty());
         let mut other = m.clone();
-        other.fingerprint ^= 1;
+        other.meta.fingerprint ^= 1;
         assert!(check(&other, false).contains("fingerprint"));
         let mut other = m.clone();
-        other.seed += 1;
+        other.meta.seed += 1;
         assert!(check(&other, false).contains("seed"));
         let mut other = m.clone();
-        other.shard = Shard::FULL;
+        other.shard = Some([0, 1]);
         // Merge ignores the shard; resume does not.
         assert!(check(&other, false).is_empty());
         assert!(check(&other, true).contains("shard"));

@@ -7,11 +7,13 @@
 use std::path::{Path, PathBuf};
 
 use ftcg_engine::grid::expand;
-use ftcg_engine::journal::{fingerprint, JournalWriter, Manifest, Shard};
+use ftcg_engine::journal::{fingerprint, JournalWriter, Shard};
 use ftcg_engine::{
     merge_journals, run_campaign, run_campaign_sharded, run_configs_sharded, sink, CampaignSpec,
     DefaultResolver, RunOptions,
 };
+use ftcg_telemetry::log::Header;
+use ftcg_telemetry::TraceMeta;
 use proptest::prelude::*;
 
 fn spec() -> CampaignSpec {
@@ -209,19 +211,21 @@ proptest! {
             &cs.name, cs.seed, cs.reps, 2, &configs, &RunOptions::default(),
         ).unwrap();
         let dir = tmpdir("prop");
-        let manifest = |index: usize| Manifest {
-            name: cs.name.clone(),
-            fingerprint: fingerprint(&cs.name, cs.seed, cs.reps, &configs),
-            seed: cs.seed,
-            reps: cs.reps,
-            total_jobs: cs.n_jobs(),
-            shard: Shard { index, count: n_journals },
+        let header = |index: usize| Header {
+            meta: TraceMeta {
+                name: cs.name.clone(),
+                fingerprint: fingerprint(&cs.name, cs.seed, cs.reps, &configs),
+                seed: cs.seed,
+                reps: cs.reps,
+                total_jobs: cs.n_jobs(),
+            },
+            shard: Some([index, n_journals]),
         };
         let mut writers = Vec::new();
         let mut paths = Vec::new();
         for j in 0..n_journals {
             let path = dir.join(format!("part-{j}.jsonl"));
-            writers.push(JournalWriter::create(&path, &manifest(j)).unwrap());
+            writers.push(JournalWriter::create(&path, &header(j)).unwrap());
             paths.push(path);
         }
         for (&(idx, ref record), &slot) in outcome.records.iter().zip(&assignment) {

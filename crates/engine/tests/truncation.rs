@@ -177,7 +177,7 @@ fn resume_recovers_a_journal_torn_inside_a_utf8_character() {
     // Four jobs journaled, then a kill inside the `σ` of a non-ASCII
     // `Failed` message (panic messages are journaled as raw UTF-8).
     let path = dir.join("j.jsonl");
-    let mut w = JournalWriter::create(&path, &done.manifest).unwrap();
+    let mut w = JournalWriter::create(&path, &done.header).unwrap();
     for (job, record) in &done.records[..4] {
         w.append(*job, record).unwrap();
     }

@@ -76,10 +76,6 @@ impl MemoryLayout {
     ///
     /// # Panics
     /// Panics if `word` is out of range.
-    #[expect(
-        clippy::panic,
-        reason = "documented # Panics contract on locate(): an out-of-range word is injector-harness misuse, not a recoverable input"
-    )]
     pub(crate) fn locate(&self, word: usize) -> (FaultTarget, usize) {
         let mut w = word;
         if w < self.nnz {
@@ -95,13 +91,7 @@ impl MemoryLayout {
         }
         w -= self.n + 1;
         assert!(self.include_vectors, "word index out of matrix-only range");
-        for id in VectorId::ALL {
-            if w < self.n {
-                return (FaultTarget::Vector(id), w);
-            }
-            w -= self.n;
-        }
-        panic!("word index {word} out of range {}", self.total_words());
+        (FaultTarget::Vector(VectorId::ALL[w / self.n]), w % self.n)
     }
 }
 

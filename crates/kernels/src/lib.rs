@@ -17,8 +17,8 @@
 //! matrix, so the only format a protected solve can read is the live
 //! CSR image: every other format would be a copy re-derived after every
 //! fault. Protected products run the ordered defensive CSR traversal of
-//! `ftcg-sparse` ([`CsrMatrix::spmv_clamped_probe_ordered_into`]), plain
-//! solves [`CsrMatrix::spmv_into`].
+//! `ftcg-sparse` ([`CsrWords::row_products`](ftcg_sparse::CsrWords::row_products)),
+//! plain solves [`CsrMatrix::spmv_into`].
 //!
 //! What is left here is the surface the `benchmark/` package measures on
 //! trusted matrices: [`KernelSpec`] names a format, [`KernelSpec::prepare`]

@@ -30,8 +30,9 @@
 //!
 //! Repetition loops (Monte-Carlo campaigns) should hold a
 //! [`SolverWorkspace`] and call [`resilient::solve_resilient_in`]: all
-//! solve-scoped memory — the machine, the matrix image, checkpoints, ABFT
-//! shadows — is then retained and reset in place across repetitions,
+//! solve-scoped memory — the machine, the row order, the flips of the
+//! live matrix, the checkpoint, the trusted input copy, the fault lists
+//! — is then retained and reset in place across repetitions,
 //! bit-identically to fresh allocation and with zero steady-state heap
 //! traffic (see `workspace`).
 

@@ -49,7 +49,8 @@ impl ProductStatus {
 ///
 /// The wrapper uses [`PlainContext`] (the plain CSR product, never
 /// rejecting); the resilient executor substitutes a defensive,
-/// checksum-verified product over the live (corruptible) matrix image.
+/// checksum-verified product over the live matrix: `a0` plus the flips
+/// struck since the last reload.
 pub trait StepContext {
     /// Forward product `y ← A·x`. `x` is mutable because ABFT forward
     /// *correction* may repair a corrupted input in place.

@@ -117,8 +117,8 @@ impl<W: CsrWords, R: Recorder> StepContext for ResilientCtx<'_, W, R> {
     fn product(&mut self, x: &mut [f64], y: &mut [f64]) -> ProductStatus {
         let t_prod = self.rec.start();
         if !self.hardened {
-            let n = y.len();
-            self.a.row_band_product_clamped(0..n, self.order, x, y);
+            self.a
+                .row_products(0..y.len(), self.order, x, |i, v| y[i] = v);
             self.rec.phase(Phase::Product, t_prod);
             return ProductStatus::Trusted; // ONLINE: unverified products
         }
@@ -526,6 +526,7 @@ impl<'a, R: Recorder> ExecutorMachine<'a, R> {
         let ExecutorMachine {
             a0,
             b,
+            order,
             solver,
             mut ledger,
             stats,
@@ -537,7 +538,7 @@ impl<'a, R: Recorder> ExecutorMachine<'a, R> {
         // Whatever is still pending was never detected.
         ledger.resolve_all_pending(FaultOutcome::Undetected);
         let xv = solver.x.clone();
-        let tr = true_residual(a0, b, &xv);
+        let tr = true_residual(a0, order, b, &xv);
         ResilientOutcome {
             converged,
             productive_iterations: productive,

@@ -30,11 +30,12 @@
 //!   iteration at a time; each step runs one forward product, its
 //!   first act.
 //!
-//! Every forward product is the one defensive CSR traversal
-//! ([`CsrMatrix::spmv_clamped_probe_ordered_into`]) over the live
-//! matrix. The unreliable matrix memory is `a0` plus the flips since
-//! the last reload (an [`ftcg_sparse::CsrOverlay`]): the traversal runs
-//! over `a0` and recomputes the rows a flip touched. The CSR arrays are
+//! Every product of a solve — each forward product, ONLINE-DETECTION's
+//! residual check and the final true residual — is the one defensive
+//! CSR traversal ([`CsrWords::row_products`]). The unreliable matrix
+//! memory is `a0` plus the flips since the last reload (an
+//! [`ftcg_sparse::CsrOverlay`]): the traversal runs over `a0` and
+//! recomputes the rows a flip touched. The CSR arrays are
 //! what the faults hit, so no other format could be read without first
 //! being re-derived from them.
 //!
@@ -58,7 +59,7 @@ mod scheme;
 use ftcg_fault::ledger::FaultLedger;
 use ftcg_fault::Injector;
 use ftcg_model::{CostProfile, ResilienceCosts, Scheme};
-use ftcg_sparse::{vector, CsrMatrix};
+use ftcg_sparse::{CsrMatrix, CsrWords, RowOrder};
 use ftcg_telemetry::{NoopRecorder, Recorder};
 
 use crate::stopping::StoppingCriterion;
@@ -193,8 +194,9 @@ pub fn solve_resilient(
 }
 
 /// [`solve_resilient`] drawing every solve-scoped buffer — the CG
-/// machine, the corruptible matrix image, the checkpoint slot, the
-/// fault lists — from a caller-retained [`SolverWorkspace`]. Reusing one
+/// machine, the row order, the flip list of the corruptible matrix, the
+/// checkpoint slot, the fault lists — from a caller-retained
+/// [`SolverWorkspace`]. Reusing one
 /// workspace across repetitions produces bit-identical
 /// [`ResilientOutcome`]s to fresh-allocation solves (the workspace
 /// reuse contract; see `crate::workspace`) while keeping the hot
@@ -297,12 +299,19 @@ impl EscalationGuard {
     }
 }
 
-/// Computes the true residual norm against the pristine matrix.
-pub(crate) fn true_residual(a0: &CsrMatrix, b: &[f64], x: &[f64]) -> f64 {
-    let mut r = b.to_vec();
-    let ax = a0.spmv(x);
-    vector::sub_assign(&mut r, &ax);
-    vector::norm2(&r)
+/// The true residual norm `‖b − a0·x‖₂` against the pristine matrix,
+/// its product run in `order` (the solve's own). Squares are summed in
+/// ascending rows from `0.0`: the operations of `norm2(b − a0·x)`,
+/// without the two vectors.
+pub(crate) fn true_residual(a0: &CsrMatrix, order: &RowOrder, b: &[f64], x: &[f64]) -> f64 {
+    let n = a0.n_rows();
+    let b = &b[..n];
+    let mut sq = 0.0;
+    a0.row_products(0..n, order, x, |i, ax| {
+        let ri = b[i] - ax;
+        sq += ri * ri;
+    });
+    sq.sqrt()
 }
 
 #[cfg(test)]
@@ -333,5 +342,40 @@ mod tests {
     #[should_panic(expected = "resilient solve: verification interval d must be >= 1 (got 0)")]
     fn solve_rejects_zero_verif_interval() {
         zero_interval_solve(|cfg| cfg.verif_interval = 0);
+    }
+
+    #[test]
+    fn true_residual_is_the_textbook_residual_bit_for_bit() {
+        use ftcg_sparse::{gen, vector};
+        // Ragged rows (empty, short, one far longer than its window's
+        // others) over 150 rows: two whole windows and a partial one.
+        let n = 150;
+        let mut rowptr = vec![0u32];
+        let mut colid = Vec::new();
+        for i in 0..n {
+            let len = if i == 70 { 140 } else { (i * 7) % 6 };
+            colid.extend((0..len).map(|k| ((i + 3 * k) % n) as u32));
+            rowptr.push(colid.len() as u32);
+        }
+        let val: Vec<f64> = (0..colid.len())
+            .map(|k| ((k % 17) as f64 - 8.25) * 10f64.powi(k as i32 % 5 - 2))
+            .collect();
+        let a0 = CsrMatrix::new(n, n, rowptr, colid, val).unwrap();
+        let x: Vec<f64> = (0..n).map(|i| (i as f64 * 0.37).sin() * 1.5).collect();
+        let b: Vec<f64> = (0..n).map(|i| 1.0 + (i as f64 * 0.3).cos()).collect();
+        let mut r = b.clone();
+        vector::sub_assign(&mut r, &a0.spmv(&x));
+        let want = vector::norm2(&r);
+        let mut own = RowOrder::new();
+        own.rebuild(&a0);
+        assert_ne!(own.as_slice()[127], 127, "the long row's window sorts");
+        let mut foreign = RowOrder::new();
+        foreign.rebuild(&gen::random_spd(n, 0.05, 3).unwrap());
+        let mut wrong_length = RowOrder::new();
+        wrong_length.rebuild(&CsrMatrix::identity(n + 1).unwrap());
+        for order in [&RowOrder::new(), &own, &foreign, &wrong_length] {
+            let got = true_residual(&a0, order, &b, &x);
+            assert_eq!(got.to_bits(), want.to_bits(), "{got} vs {want}");
+        }
     }
 }

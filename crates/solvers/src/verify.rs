@@ -41,10 +41,9 @@ pub(crate) struct OnlineVerdict {
 /// The residual test: recomputes `b − A·x` defensively and returns the
 /// scaled drift against the recursive residual `r` (the dominant
 /// `Tverif` cost of the verification). The product visits rows in
-/// `order`, the solve's own, and is consumed one [`RowOrder::WINDOW`]
-/// of rows at a time from a stack buffer, so a chunk verification
-/// allocates nothing; per element and in order these are the
-/// operations of `max_abs_diff(b − A·x, r)`.
+/// `order`, the solve's own, and each row's value goes straight into
+/// the drift, so a chunk verification allocates nothing; per element
+/// and in order these are the operations of `max_abs_diff(b − A·x, r)`.
 fn residual_drift(
     a: &impl CsrWords,
     order: &RowOrder,
@@ -54,16 +53,11 @@ fn residual_drift(
     norm1_a: f64,
 ) -> f64 {
     let n = a.base().n_rows();
-    let mut band = [0.0_f64; RowOrder::WINDOW];
+    let (b, r) = (&b[..n], &r[..n]);
     let mut drift = 0.0_f64;
-    for start in (0..n).step_by(band.len()) {
-        let end = n.min(start + band.len());
-        let ax = &mut band[..end - start];
-        a.row_band_product_clamped(start..end, order, x, ax);
-        for (i, axi) in (start..end).zip(ax.iter()) {
-            drift = drift.max(((b[i] - axi) - r[i]).abs());
-        }
-    }
+    a.row_products(0..n, order, x, |i, axi| {
+        drift = drift.max(((b[i] - axi) - r[i]).abs());
+    });
     let scale = norm1_a * vector::norm_inf(x) + vector::norm_inf(b);
     if scale > 0.0 {
         drift / scale

@@ -382,25 +382,12 @@ impl CsrMatrix {
         clamped_range(self.rowptr[i], self.rowptr[i + 1], self.val.len())
     }
 
-    /// Product of row `i` with `x` that tolerates corrupted structure:
-    /// the row range follows [`CsrMatrix::row_range_clamped`] and
-    /// out-of-range column indices are skipped. On a well-formed matrix
-    /// this visits exactly the entries [`CsrMatrix::spmv_into`] visits,
-    /// in the same order.
-    #[inline]
-    pub fn row_product_clamped(&self, x: &[f64], i: usize) -> f64 {
-        let mut acc = 0.0;
-        for k in self.row_range_clamped(i) {
-            let j = self.colid[k] as usize;
-            if j < x.len() {
-                acc += self.val[k] * x[j];
-            }
-        }
-        acc
-    }
-
-    /// Defensive `y ← A·x` built on [`CsrMatrix::row_product_clamped`];
-    /// never panics on corrupted `rowptr`/`colid` contents.
+    /// Defensive `y ← A·x`, one [`CsrWords::row_product_clamped`] per
+    /// row: the per-row reference the traversal is tested against. Row
+    /// ranges are clamped and out-of-range column indices skipped, so it
+    /// never panics on corrupted `rowptr`/`colid` contents; on a
+    /// well-formed matrix it visits exactly the entries
+    /// [`CsrMatrix::spmv_into`] visits, in the same order.
     ///
     /// # Panics
     /// Panics if `y.len() != n_rows` (the output buffer is caller state,
@@ -408,13 +395,14 @@ impl CsrMatrix {
     pub fn spmv_clamped_into(&self, x: &[f64], y: &mut [f64]) {
         assert_eq!(y.len(), self.n_rows, "spmv_clamped: y length mismatch");
         for (i, yi) in y.iter_mut().enumerate() {
-            *yi = self.row_product_clamped(x, i);
+            *yi = CsrWords::row_product_clamped(self, x, i);
         }
     }
 
-    /// The one defensive traversal. [`LANES`] clamped rows advance in
+    /// The one defensive traversal, entered only through
+    /// [`CsrWords::row_products`]. [`LANES`] clamped rows advance in
     /// lockstep, each summing into its own accumulator in ascending
-    /// storage order with the [`CsrMatrix::row_product_clamped`] skip
+    /// storage order with the [`CsrWords::row_product_clamped`] skip
     /// rule, so the serial floating-point add chains overlap in the
     /// pipeline while every row's sum stays bit-identical to
     /// `row_product_clamped`.
@@ -521,68 +509,13 @@ impl CsrMatrix {
         }
     }
 
-    /// Defensive products of the row band `rows` into `y` (one output
-    /// per row of the band) through the one lockstep traversal, rows
-    /// visited in `order` where the band covers whole
-    /// [`RowOrder::WINDOW`]-row windows — bit-identical to calling
-    /// [`CsrMatrix::row_product_clamped`] per row, whatever the order
-    /// holds. ONLINE-DETECTION's residual check runs it a window at a
-    /// time, in the order the solve's products use.
-    ///
-    /// # Panics
-    /// Panics if `rows.end > n_rows` or `y.len() != rows.len()`.
-    pub fn row_band_product_clamped(
-        &self,
-        rows: std::ops::Range<usize>,
-        order: &RowOrder,
-        x: &[f64],
-        y: &mut [f64],
-    ) {
-        CsrWords::row_band_product_clamped(self, rows, order, x, y);
-    }
-
-    /// Defensive `y ← A·x` through the lockstep traversal, rows visited
-    /// in `order` — the same outputs as [`CsrMatrix::spmv_clamped_into`],
-    /// bit for bit, with several independent accumulator chains in
-    /// flight, whatever the order holds (see [`RowOrder`]; an empty
-    /// `RowOrder::new()` is natural order); an order built from this
-    /// matrix's pristine row lengths makes it faster.
+    /// [`CsrWords::spmv_clamped_probe_ordered_into`] in natural order:
+    /// defensive `y ← A·x` and its ABFT output probe in one pass.
     ///
     /// # Panics
     /// Panics if `y.len() != n_rows`.
-    pub fn spmv_clamped_ordered_into(&self, order: &RowOrder, x: &[f64], y: &mut [f64]) {
-        assert_eq!(y.len(), self.n_rows, "spmv_clamped: y length mismatch");
-        CsrWords::row_band_product_clamped(self, 0..self.n_rows, order, x, y);
-    }
-
-    /// Defensive `y ← A·x` with the ABFT output probe
-    /// `[Σᵢ yᵢ, Σᵢ (i+1)·yᵢ]` accumulated in the same pass: the product
-    /// is bit-identical to [`CsrMatrix::spmv_clamped_ordered_into`] (the
-    /// same traversal) and the returned probe to a separate
-    /// [`fused::probe_of`](crate::fused::probe_of)`(y)` sweep, with rows
-    /// folded into the probe chains in ascending index order as their
-    /// window finishes — without re-reading `y`.
-    ///
-    /// # Panics
-    /// Panics if `y.len() != n_rows` (the output buffer is caller
-    /// state, not corruptible matrix data).
     pub fn spmv_clamped_probe_into(&self, x: &[f64], y: &mut [f64]) -> [f64; 2] {
-        self.spmv_clamped_probe_ordered_into(&RowOrder::new(), x, y)
-    }
-
-    /// [`CsrMatrix::spmv_clamped_probe_into`] with rows visited in
-    /// `order`: the same `y` and probe, bit for bit, whatever the order
-    /// holds (see [`RowOrder`]).
-    ///
-    /// # Panics
-    /// Panics if `y.len() != n_rows`.
-    pub fn spmv_clamped_probe_ordered_into(
-        &self,
-        order: &RowOrder,
-        x: &[f64],
-        y: &mut [f64],
-    ) -> [f64; 2] {
-        CsrWords::spmv_clamped_probe_ordered_into(self, order, x, y)
+        CsrWords::spmv_clamped_probe_ordered_into(self, &RowOrder::new(), x, y)
     }
 
     /// Restores the full image of `src` — all three CSR arrays — into
@@ -1065,6 +998,13 @@ mod tests {
         }
     }
 
+    /// All rows of [`CsrWords::row_products`] with a store sink.
+    fn products(a: &CsrMatrix, order: &RowOrder, x: &[f64]) -> Vec<f64> {
+        let mut y = vec![f64::NAN; a.n_rows()];
+        a.row_products(0..a.n_rows(), order, x, |i, v| y[i] = v);
+        y
+    }
+
     /// Every entry point of the one traversal against the scalar clamped
     /// reference, rows visited in natural order and in `order`.
     fn assert_traversal_matches_reference(a: &CsrMatrix, order: &RowOrder, what: &str) {
@@ -1073,11 +1013,9 @@ mod tests {
         let mut want = vec![0.0; n];
         a.spmv_clamped_into(&x, &mut want);
         let want_probe = crate::fused::probe_of(&want);
-        let mut banded = vec![0.0; n];
-        a.spmv_clamped_ordered_into(&RowOrder::new(), &x, &mut banded);
+        let banded = products(a, &RowOrder::new(), &x);
         assert_eq!(bits(&banded), bits(&want), "rowband, {what}");
-        let mut ordered = vec![0.0; n];
-        a.spmv_clamped_ordered_into(order, &x, &mut ordered);
+        let ordered = products(a, order, &x);
         assert_eq!(bits(&ordered), bits(&want), "ordered, {what}");
         for (name, order) in [("natural", &RowOrder::new()), ("ordered", order)] {
             let mut probed = vec![0.0; n];
@@ -1161,8 +1099,7 @@ mod tests {
         let x = det_x(81);
         let mut want = vec![0.0; 81];
         a.spmv_clamped_into(&x, &mut want);
-        let mut got = vec![0.0; 81];
-        a.spmv_clamped_ordered_into(&RowOrder::new(), &x, &mut got);
+        let got = products(&a, &RowOrder::new(), &x);
         assert_eq!(bits(&got), bits(&want));
     }
 }

@@ -5,8 +5,8 @@
 //! have one length: no per-lane tails and one loop trip count that the
 //! branch predictor learns. That needs no second copy of the matrix —
 //! only the *order* in which the one CSR traversal
-//! ([`CsrMatrix::spmv_clamped_probe_ordered_into`] and siblings) picks
-//! its rows. Each row still sums its own nonzeros in ascending storage
+//! ([`CsrWords::row_products`](crate::CsrWords::row_products)) picks its
+//! rows. Each row still sums its own nonzeros in ascending storage
 //! order and finished rows reach the caller in ascending row order, so
 //! the order changes no bit of any output.
 //!

@@ -20,12 +20,11 @@
 //! is read as base slices, and a row with flipped words (even a wild
 //! `Rowidx` range) as base runs split at the flipped positions.
 //!
-//! The products run the one defensive traversal
-//! ([`CsrMatrix::spmv_clamped_probe_ordered_into`] and siblings) on the
-//! base, exactly as for a plain matrix. Once per [`RowOrder::WINDOW`],
-//! before the window's rows reach the caller, the outputs of the
-//! window's *flipped rows* are recomputed from the overlay with
-//! [`CsrWords::row_product_clamped`]'s chain and skip rule. A flipped
+//! Every product enters through [`CsrWords::row_products`], which runs
+//! the one defensive traversal on the base, exactly as for a plain
+//! matrix. Once per [`RowOrder::WINDOW`], before the window's rows reach
+//! the caller, the outputs of the window's *flipped rows* are recomputed
+//! from the overlay with [`CsrWords::row_product_clamped`]. A flipped
 //! row is one whose `Rowidx` bound is flipped or whose base range holds
 //! a flipped `Val`/`Colid` word; every other row reads exactly the words
 //! the base holds, so every output bit is the one a materialized
@@ -264,9 +263,10 @@ pub trait CsrWords {
         base_run(a, k..range.end, &mut visit);
     }
 
-    /// Product of row `i` with `x` over the live words, with
-    /// [`CsrMatrix::row_product_clamped`]'s chain and skip rule: the
-    /// clamped range, out-of-range column indices skipped.
+    /// Product of row `i` with `x` over the live words: the clamped
+    /// range, out-of-range column indices skipped, one chain from `0.0`
+    /// in ascending storage order. The per-row reference every product
+    /// is bit-identical to.
     fn row_product_clamped(&self, x: &[f64], i: usize) -> f64 {
         let mut acc = 0.0;
         self.entries(self.row_range_clamped(i), |_, c, v| {
@@ -278,41 +278,48 @@ pub trait CsrWords {
         acc
     }
 
-    /// [`CsrMatrix::row_band_product_clamped`] over the live words:
-    /// bit-identical to [`CsrWords::row_product_clamped`] per row (the
-    /// band `0..n_rows` is the whole product).
+    /// The one product entry: the defensive products of the rows in
+    /// `rows` over the live words, each handed to `sink(i, value)` in
+    /// ascending row order. Rows are visited in `order` where `rows`
+    /// covers whole [`RowOrder::WINDOW`]-row windows, the base runs the
+    /// lockstep traversal and each window's flipped rows are recomputed
+    /// from the overlay before the window reaches `sink` (see the module
+    /// docs): every value is bit-identical to
+    /// [`CsrWords::row_product_clamped`], whatever the order holds.
     ///
     /// # Panics
-    /// Panics if `rows.end > n_rows` or `y.len() != rows.len()`.
-    fn row_band_product_clamped(
+    /// Panics if `rows.end > n_rows`.
+    #[inline]
+    fn row_products(
         &self,
         rows: Range<usize>,
         order: &RowOrder,
         x: &[f64],
-        y: &mut [f64],
+        sink: impl FnMut(usize, f64),
     ) {
         let a = self.base();
         assert!(rows.end <= a.n_rows(), "row band out of range");
-        assert_eq!(y.len(), rows.len(), "row band: y length mismatch");
-        let from = rows.start;
-        let refresh = refresh_flipped_rows(self, x, from);
-        a.row_band_clamped_each(rows, order, x, refresh, |i, v| y[i - from] = v);
+        let refresh = refresh_flipped_rows(self, x, rows.start);
+        a.row_band_clamped_each(rows, order, x, refresh, sink);
     }
 
-    /// [`CsrMatrix::spmv_clamped_probe_ordered_into`] over the live
-    /// words: the product and its probe `[Σᵢ yᵢ, Σᵢ (i+1)·yᵢ]` in one
-    /// pass.
+    /// Defensive `y ← A·x` over the live words with the ABFT output
+    /// probe `[Σᵢ yᵢ, Σᵢ (i+1)·yᵢ]` accumulated in the same pass: a
+    /// probe sink over [`CsrWords::row_products`]. The probe is
+    /// bit-identical to a separate
+    /// [`fused::probe_of`](crate::fused::probe_of)`(y)` sweep, without
+    /// re-reading `y`.
     ///
     /// # Panics
-    /// Panics if `y.len() != n_rows`.
+    /// Panics if `y.len() != n_rows` (the output buffer is caller
+    /// state, not corruptible matrix data).
     fn spmv_clamped_probe_ordered_into(
         &self,
         order: &RowOrder,
         x: &[f64],
         y: &mut [f64],
     ) -> [f64; 2] {
-        let a = self.base();
-        let n = a.n_rows();
+        let n = self.base().n_rows();
         assert_eq!(y.len(), n, "spmv_clamped: y length mismatch");
         let mut p0 = -0.0;
         let mut p1 = -0.0;
@@ -320,8 +327,7 @@ pub trait CsrWords {
         // is counted in `f64` (exact below 2⁵³ rows) instead of being
         // converted from `usize` once per row.
         let mut weight = 0.0;
-        let refresh = refresh_flipped_rows(self, x, 0);
-        a.row_band_clamped_each(0..n, order, x, refresh, |i, v| {
+        self.row_products(0..n, order, x, |i, v| {
             weight += 1.0;
             debug_assert_eq!(weight, (i + 1) as f64);
             y[i] = v;

@@ -124,7 +124,7 @@ proptest! {
         let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
         for order in [&RowOrder::new(), &order, &foreign, &same_n] {
             let mut y = vec![f64::NAN; n];
-            a.spmv_clamped_ordered_into(order, &x, &mut y);
+            a.row_products(0..n, order, &x, |i, v| y[i] = v);
             prop_assert_eq!(bits(&y), bits(&want));
             let mut y = vec![f64::NAN; n];
             let probe = a.spmv_clamped_probe_ordered_into(order, &x, &mut y);
@@ -132,7 +132,7 @@ proptest! {
             prop_assert_eq!(bits(&probe), bits(&want_probe));
             // The overlay: the same product, probe and band product.
             let mut y = vec![f64::NAN; n];
-            overlay.row_band_product_clamped(0..n, order, &x, &mut y);
+            overlay.row_products(0..n, order, &x, |i, v| y[i] = v);
             prop_assert_eq!(bits(&y), bits(&want));
             let mut y = vec![f64::NAN; n];
             let probe = overlay.spmv_clamped_probe_ordered_into(order, &x, &mut y);
@@ -140,8 +140,11 @@ proptest! {
             prop_assert_eq!(bits(&probe), bits(&want_probe));
             let (lo, hi) = (band.0 % (n + 1), band.1 % (n + 1));
             let rows = lo.min(hi)..lo.max(hi);
-            let mut y = vec![f64::NAN; rows.len()];
-            overlay.row_band_product_clamped(rows.clone(), order, &x, &mut y);
+            let mut y = Vec::with_capacity(rows.len());
+            overlay.row_products(rows.clone(), order, &x, |i, v| {
+                assert_eq!(i, rows.start + y.len(), "rows in ascending order");
+                y.push(v);
+            });
             prop_assert_eq!(bits(&y), bits(&want[rows]));
         }
         overlay.clear();

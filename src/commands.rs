@@ -550,7 +550,7 @@ pub(crate) fn campaign(args: &[String]) -> Result<(), String> {
                  fold all shards with `ftcg merge`",
                 shard.label(),
                 outcome.records.len(),
-                outcome.manifest.total_jobs,
+                outcome.header.meta.total_jobs,
                 outcome.threads,
                 outcome.elapsed_secs
             );
@@ -680,7 +680,7 @@ pub(crate) fn report(args: &[String]) -> Result<(), String> {
         Header::from(m.meta.clone()).same_campaign(&METRICS, MERGE, &expected)?;
     }
     for (path, j) in &journals {
-        Header::from(j.manifest.meta()).same_campaign(&JOURNAL, path, &expected)?;
+        j.header.same_campaign(&JOURNAL, path, &expected)?;
     }
     let metrics_jobs: &[JobPhases] = sidecar.as_ref().map_or(&[], |m| &m.jobs);
     let labels = report_labels(spec.as_ref(), &meta)?;
